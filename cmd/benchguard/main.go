@@ -12,6 +12,10 @@
 // run; rows slower by more than -fail (default 50%) exit non-zero — that
 // magnitude is a real regression (e.g. an instrumentation site that started
 // paying when disabled), not scheduler noise.
+//
+// Allocation counts have no noise to tolerate: a baseline row that carries
+// allocs_per_op fails the run when the measured allocs/op (run the benchmark
+// with -benchmem or b.ReportAllocs) rises above it at all.
 package main
 
 import (
@@ -32,13 +36,21 @@ import (
 type baseline struct {
 	Benchmark string `json:"benchmark"`
 	Results   []struct {
-		Sub     string `json:"sub"`
-		Kernel  string `json:"kernel"`
-		Threads int    `json:"threads"`
-		Depth   int    `json:"depth"`
-		Block   int    `json:"block"`
-		NsPerOp int64  `json:"ns_per_op"`
+		Benchmark   string `json:"benchmark"` // overrides the file's, for a second benchmark's rows
+		Sub         string `json:"sub"`
+		Kernel      string `json:"kernel"`
+		Threads     int    `json:"threads"`
+		Depth       int    `json:"depth"`
+		Block       int    `json:"block"`
+		NsPerOp     int64  `json:"ns_per_op"`
+		AllocsPerOp *int64 `json:"allocs_per_op"` // nil: not gated
 	} `json:"results"`
+}
+
+// want is what one baseline row holds a measured row against.
+type want struct {
+	ns     int64
+	allocs *int64
 }
 
 // subKey renders the sub-benchmark path a baseline row corresponds to,
@@ -55,8 +67,8 @@ func subKey(sub, kernel string, threads, depth, block int) string {
 }
 
 // benchLine matches one result row of `go test -bench` output:
-// BenchmarkName/sub/path-GOMAXPROCS <iters> <ns> ns/op ...
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op`)
+// BenchmarkName/sub/path-GOMAXPROCS <iters> <ns> ns/op [... <n> allocs/op]
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:.*?\s(\d+) allocs/op)?`)
 
 func main() {
 	basePath := flag.String("baseline", "", "baseline JSON file (BENCH_exec.json / BENCH_fusion.json)")
@@ -77,9 +89,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchguard: %s: %v\n", *basePath, err)
 		os.Exit(2)
 	}
-	want := map[string]int64{}
+	wants := map[string]want{}
 	for _, r := range base.Results {
-		want[base.Benchmark+"/"+subKey(r.Sub, r.Kernel, r.Threads, r.Depth, r.Block)] = r.NsPerOp
+		bench := base.Benchmark
+		if r.Benchmark != "" {
+			bench = r.Benchmark
+		}
+		wants[bench+"/"+subKey(r.Sub, r.Kernel, r.Threads, r.Depth, r.Block)] = want{r.NsPerOp, r.AllocsPerOp}
 	}
 
 	seen := 0
@@ -97,18 +113,29 @@ func main() {
 		if err != nil {
 			continue
 		}
-		ref, ok := want[name]
+		w, ok := wants[name]
 		if !ok {
 			continue
 		}
 		seen++
-		ratio := ns/float64(ref) - 1
+		ratio := ns/float64(w.ns) - 1
 		switch {
 		case ratio > *fail:
 			failed = true
-			fmt.Printf("benchguard: FAIL %s: %.0f ns/op vs baseline %d (+%.1f%%)\n", name, ns, ref, 100*ratio)
+			fmt.Printf("benchguard: FAIL %s: %.0f ns/op vs baseline %d (+%.1f%%)\n", name, ns, w.ns, 100*ratio)
 		case ratio > *warn:
-			fmt.Printf("benchguard: warn %s: %.0f ns/op vs baseline %d (+%.1f%%)\n", name, ns, ref, 100*ratio)
+			fmt.Printf("benchguard: warn %s: %.0f ns/op vs baseline %d (+%.1f%%)\n", name, ns, w.ns, 100*ratio)
+		}
+		if w.allocs != nil {
+			allocs, err := strconv.ParseInt(m[3], 10, 64)
+			switch {
+			case err != nil:
+				failed = true
+				fmt.Printf("benchguard: FAIL %s: baseline gates allocs/op at %d but the row reports none (run with -benchmem)\n", name, *w.allocs)
+			case allocs > *w.allocs:
+				failed = true
+				fmt.Printf("benchguard: FAIL %s: %d allocs/op vs baseline %d\n", name, allocs, *w.allocs)
+			}
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -119,7 +146,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchguard: no rows on stdin matched %s baselines\n", base.Benchmark)
 		os.Exit(1)
 	}
-	fmt.Printf("benchguard: checked %d/%d rows against %s\n", seen, len(want), *basePath)
+	fmt.Printf("benchguard: checked %d/%d rows against %s\n", seen, len(wants), *basePath)
 	if failed {
 		os.Exit(1)
 	}

@@ -136,3 +136,15 @@ func distinctComms(c, d *comm.Comm, buf []float64) {
 		comm.Bcast(c, 0, buf)
 	}
 }
+
+func permutedTypedCollectives(c *comm.Comm, buf []float64, idx [][]int) {
+	// The in-place allreduce and the indexed exchange are collectives like
+	// any other: a halo-then-reduce iteration permuted across ranks deadlocks.
+	if c.Rank()%2 == 0 {
+		comm.AlltoallIndexed(c, buf, idx, buf, idx)
+		comm.AllreduceInto(c, buf, comm.OpSum)
+	} else {
+		comm.AllreduceInto(c, buf, comm.OpSum) // want `collective sequence diverges`
+		comm.AlltoallIndexed(c, buf, idx, buf, idx)
+	}
+}

@@ -48,3 +48,9 @@ func AllreduceScalar(c *Comm, v int, op Op) int { return v }
 
 // Gather is a package-level collective.
 func Gather(c *Comm, root int, buf []float64) [][]float64 { return nil }
+
+// AllreduceInto is the in-place typed allreduce: a package-level collective.
+func AllreduceInto(c *Comm, buf []float64, op Op) {}
+
+// AlltoallIndexed is the indexed float64 exchange: a package-level collective.
+func AlltoallIndexed(c *Comm, src []float64, sendIdx [][]int, out []float64, recvPos [][]int) {}

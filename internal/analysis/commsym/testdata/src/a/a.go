@@ -91,3 +91,13 @@ func watchdogShape(c *comm.Comm) {
 		c.Recv(c.Size()-1, watchdogTag)
 	}
 }
+
+func typedCollectives(c *comm.Comm, buf []float64, idx [][]int) {
+	comm.AllreduceInto(c, buf, comm.OpSum)      // symmetric: fine
+	comm.AlltoallIndexed(c, buf, idx, buf, idx) // symmetric: fine
+	if c.Rank() == 0 {
+		comm.AllreduceInto(c, buf, comm.OpSum) // want `rank-dependent`
+	} else {
+		comm.AlltoallIndexed(c, buf, idx, buf, idx) // want `rank-dependent`
+	}
+}

@@ -1,7 +1,9 @@
 // Package hotalloc implements the odinvet analyzer that keeps allocation
 // and boxing out of the framework's hot loops: the chunk kernels handed to
-// exec.ParallelFor / exec.ParallelReduce, and the internal/dense Vec* op
-// bodies that the fusion register VM sweeps block-by-block. One append or
+// exec.ParallelFor / exec.ParallelReduce — as function literals — or to
+// exec.ForRange / exec.ReduceRange — as the package's own range functions —
+// and the internal/dense Vec* op bodies that the fusion register VM sweeps
+// block-by-block. One append or
 // fmt call inside a chunk kernel turns a memory-bound sweep into an
 // allocator benchmark; benchguard only notices after the regression ships,
 // this analyzer rejects it at compile time. Deliberate per-chunk scratch
@@ -20,13 +22,22 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "hotalloc",
 	Doc: "forbids append/make/new, fmt calls, and interface boxing inside " +
-		"exec.ParallelFor/ParallelReduce chunk kernels and internal/dense " +
+		"exec.ParallelFor/ParallelReduce/ForRange/ReduceRange chunk kernels and internal/dense " +
 		"Vec* op bodies; annotate deliberate per-chunk scratch with " +
 		"//lint:allow hotalloc <why>",
 	Run: run,
 }
 
 func run(pass *analysis.Pass) error {
+	// Range functions are named, so their bodies are found by declaration.
+	decls := map[types.Object]*ast.FuncDecl{}
+	for _, file := range pass.Files {
+		analysis.FuncScopes(file, func(decl *ast.FuncDecl) {
+			if obj := pass.Info.Defs[decl.Name]; obj != nil && decl.Body != nil {
+				decls[obj] = decl
+			}
+		})
+	}
 	for _, file := range pass.Files {
 		// internal/dense Vec* bodies are hot regions in their entirety: they
 		// are the per-block kernels the fusion VM executes.
@@ -43,8 +54,13 @@ func run(pass *analysis.Pass) error {
 				return true
 			}
 			for _, k := range kernelArgs(pass, call) {
-				if lit, ok := k.arg.(*ast.FuncLit); ok {
-					checkHotBody(pass, lit.Body, k.label)
+				switch arg := k.arg.(type) {
+				case *ast.FuncLit:
+					checkHotBody(pass, arg.Body, k.label)
+				case *ast.Ident:
+					if decl := decls[pass.Info.Uses[arg]]; decl != nil {
+						checkHotBody(pass, decl.Body, k.label+" "+arg.Name)
+					}
 				}
 			}
 			return true
@@ -61,7 +77,8 @@ type kernel struct {
 }
 
 // kernelArgs returns the chunk-kernel arguments of call, if it is
-// exec.(*Engine).ParallelFor(n, body) or exec.ParallelReduce(e, n, fold,
+// exec.(*Engine).ParallelFor(n, body), exec.ParallelReduce(e, n, fold,
+// combine), exec.ForRange(e, n, a, body) or exec.ReduceRange(e, n, a, fold,
 // combine).
 func kernelArgs(pass *analysis.Pass, call *ast.CallExpr) []kernel {
 	fn := analysis.Callee(pass.Info, call)
@@ -75,6 +92,13 @@ func kernelArgs(pass *analysis.Pass, call *ast.CallExpr) []kernel {
 		return []kernel{
 			{call.Args[2], "exec.ParallelReduce fold kernel"},
 			{call.Args[3], "exec.ParallelReduce combine kernel"},
+		}
+	case fn.Name() == "ForRange" && analysis.RecvTypeName(fn) == "" && len(call.Args) >= 4:
+		return []kernel{{call.Args[3], "exec.ForRange kernel"}}
+	case fn.Name() == "ReduceRange" && analysis.RecvTypeName(fn) == "" && len(call.Args) >= 5:
+		return []kernel{
+			{call.Args[3], "exec.ReduceRange fold kernel"},
+			{call.Args[4], "exec.ReduceRange combine kernel"},
 		}
 	}
 	return nil

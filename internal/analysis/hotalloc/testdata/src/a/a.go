@@ -51,3 +51,32 @@ func kernels(e *exec.Engine, out []float64) {
 		_ = acc
 	})
 }
+
+// vecArgs is a range function's operand set.
+type vecArgs struct{ x, y []float64 }
+
+// The range functions handed to ForRange/ReduceRange by name are kernels as
+// much as a literal is: their bodies are checked where they are declared.
+func cleanRange(a vecArgs, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		a.y[i] += a.x[i] // index-only: fine
+	}
+}
+
+func leakyRange(a vecArgs, lo, hi int) {
+	tmp := make([]float64, hi-lo) // want `make allocates in exec.ForRange kernel leakyRange`
+	copy(a.y[lo:hi], tmp)
+}
+
+func dotRange(a vecArgs, lo, hi int) float64 {
+	sink(hi) // want `boxes int into`
+	return a.x[lo] * a.y[lo]
+}
+
+func add(a, b float64) float64 { return a + b }
+
+func rangeKernels(e *exec.Engine, x, y []float64) float64 {
+	exec.ForRange(e, len(x), vecArgs{x, y}, cleanRange)
+	exec.ForRange(e, len(x), vecArgs{x, y}, leakyRange)
+	return exec.ReduceRange(e, len(x), vecArgs{x, y}, dotRange, add)
+}

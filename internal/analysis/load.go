@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -196,8 +197,8 @@ func (l *Loader) splitFiles(dir string) (base, xtest []*ast.File, err error) {
 	return base, xtest, nil
 }
 
-// parseDir parses every .go file in dir accepted by keep, sorted by name for
-// deterministic positions.
+// parseDir parses every .go file in dir that a default build would compile
+// and keep accepts, sorted by name for deterministic positions.
 func (l *Loader) parseDir(dir string, keep func(string) bool) ([]*ast.File, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -207,6 +208,11 @@ func (l *Loader) parseDir(dir string, keep func(string) bool) ([]*ast.File, erro
 	for _, e := range ents {
 		n := e.Name()
 		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_") {
+			continue
+		}
+		// Build constraints apply as in a default build (no tags), so a
+		// package with tag-selected file pairs typechecks as one variant.
+		if ok, err := build.Default.MatchFile(dir, n); err != nil || !ok {
 			continue
 		}
 		if keep(n) {

@@ -878,15 +878,20 @@ func (r *runner) evalP2P(call *ast.CallExpr, name string) {
 	}
 	pos := call.Pos()
 	switch name {
-	case "Send": // Send(dst, tag, payload)
-		dst := r.evInt(call.Args[0], "destination", "Send")
-		tag := r.evInt(call.Args[1], "tag", "Send")
-		r.eval(call.Args[2])
-		r.checkPeer(pos, "Send", dst, false)
-		r.emit(event{kind: evSend, peer: dst, tag: tag, pos: pos, op: "Send"})
-	case "Recv", "RecvMsg": // Recv(src, tag)
+	case "Send", "sendFloats", "sendIndexed": // Send(dst, tag, payload...)
+		dst := r.evInt(call.Args[0], "destination", name)
+		tag := r.evInt(call.Args[1], "tag", name)
+		for _, a := range call.Args[2:] {
+			r.eval(a)
+		}
+		r.checkPeer(pos, name, dst, false)
+		r.emit(event{kind: evSend, peer: dst, tag: tag, pos: pos, op: name})
+	case "Recv", "RecvMsg", "recvIndexed": // Recv(src, tag, destination...)
 		src := r.evInt(call.Args[0], "source", name)
 		tag := r.evInt(call.Args[1], "tag", name)
+		for _, a := range call.Args[2:] {
+			r.eval(a)
+		}
 		r.checkPeer(pos, name, src, true)
 		r.emit(event{kind: evRecv, peer: src, tag: tag, pos: pos, op: name})
 	case "SendRecv": // SendRecv(dst, payload, src, tag) = Send then Recv

@@ -98,9 +98,12 @@ const (
 	maxMatchStates = 20000 // memoized states per (P, scenario) exploration
 )
 
-// p2pNames are the point-to-point methods on comm.Comm.
+// p2pNames are the point-to-point methods on comm.Comm. The unexported ones
+// are the typed float64 path under comm's collectives, modeled as the Send
+// and Recv they are.
 var p2pNames = map[string]bool{
 	"Send": true, "Recv": true, "RecvMsg": true, "SendRecv": true, "Probe": true,
+	"sendFloats": true, "sendIndexed": true, "recvIndexed": true,
 }
 
 // runFnNames are the package-level comm entry points that spawn one

@@ -8,5 +8,5 @@ import (
 )
 
 func TestP2PMatch(t *testing.T) {
-	analysistest.Run(t, "testdata", p2pmatch.Analyzer, "a", "loops", "wild", "allow")
+	analysistest.Run(t, "testdata", p2pmatch.Analyzer, "a", "loops", "wild", "allow", "comm")
 }

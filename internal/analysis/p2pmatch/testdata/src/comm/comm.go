@@ -57,3 +57,31 @@ func Run(size int, fn func(c *Comm) error) error { return nil }
 
 // Bcast is a package-level collective (first param *Comm).
 func Bcast(c *Comm, root int, buf []float64) {}
+
+// sendFloats, sendIndexed and recvIndexed mirror the typed float64 path
+// under the real collectives: unexported point-to-point primitives whose
+// callers all live in package comm.
+func (c *Comm) sendFloats(dst, tag int, data []float64) {}
+
+func (c *Comm) sendIndexed(dst, tag int, src []float64, idx []int) {}
+
+func (c *Comm) recvIndexed(src, tag int, out []float64, pos []int) {}
+
+// typedRing is a typed exchange in the safe order — eager send, then
+// receive — certified like its boxed twin (a negative control).
+func typedRing(c *Comm, buf []float64, idx []int) {
+	r, p := c.Rank(), c.Size()
+	c.sendFloats((r+1)%p, 11, buf)
+	c.recvIndexed((r+p-1)%p, 11, buf, idx)
+}
+
+// typedRecvFirst receives before it sends on every rank: the typed path is
+// modeled, so the rendezvous cycle is found, not invisible.
+func typedRecvFirst(c *Comm, buf []float64, idx []int) {
+	r, p := c.Rank(), c.Size()
+	if p < 2 {
+		return
+	}
+	c.recvIndexed((r+p-1)%p, 12, buf, idx) // want `rendezvous cycle \(rank 0 waits for rank 1, rank 1 waits for rank 0\)`
+	c.sendIndexed((r+1)%p, 12, buf, idx)
+}

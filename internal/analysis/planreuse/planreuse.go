@@ -1,10 +1,11 @@
 // Package planreuse implements the odinvet analyzer that flags concurrent
 // use of types documented single-threaded. The registry tracks the
 // codebase's contracts: since plan application went concurrency-safe
-// (GatherPlan/Import pack into pooled per-call scratch so compiled plans are
-// a legitimate cross-request cache), the plan types themselves are no longer
-// flagged. What remains genuinely single-threaded is per-instance owned
-// scratch — tpetra.CrsMatrix refills its ghost/xFull buffers on every Apply
+// (GatherPlan/Import hold no scratch — they pack straight into the messages —
+// so compiled plans are a legitimate cross-request cache), the plan types
+// themselves are no longer flagged. What remains genuinely single-threaded
+// is per-instance owned scratch — tpetra.CrsMatrix refills its xFull buffer
+// on every Apply
 // — and per-connection stream ownership in the tcp transport. The race
 // detector only sees the interleaving that actually runs; this analyzer
 // rejects the shape — a shared instance's method called from inside a
@@ -25,15 +26,15 @@ import (
 var singleThreaded = []struct {
 	pkg, typ, contract string
 }{
-	// GatherPlan and Import are deliberately absent: their application packs
-	// into pooled per-call scratch, so a shared plan applied from many
-	// goroutines (each on its own congruent communicator) is the supported
-	// serving pattern, not a bug.
+	// GatherPlan and Import are deliberately absent: a plan is immutable and
+	// its application touches only the caller's buffers, so a shared plan
+	// applied from many goroutines (each on its own congruent communicator)
+	// is the supported serving pattern, not a bug.
 	//
-	// "ghostBuf and xFull are matrix-owned Apply scratch, refilled in place
-	// by every Apply" — the matrix, unlike the plan underneath it, is
-	// single-threaded per instance.
-	{"tpetra", "CrsMatrix", "Apply refills the matrix-owned ghost/xFull scratch"},
+	// "xFull is matrix-owned Apply scratch ... refilled in place by every
+	// Apply" — the matrix, unlike the plan underneath it, is single-threaded
+	// per instance.
+	{"tpetra", "CrsMatrix", "Apply refills the matrix-owned xFull scratch"},
 	// "push hands the frame to the connection's writer goroutine" — the tcp
 	// transport gives each peer connection exactly one reader and one writer
 	// goroutine that own its streams and reused buffers. Those two sanctioned
@@ -49,7 +50,7 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "methods of types with per-instance owned scratch (tpetra.CrsMatrix, " +
 		"the tcp transport's connections) must not be called on values shared " +
 		"into goroutines; shareable compiled plans (GatherPlan, Import) are " +
-		"exempt — their application uses pooled per-call scratch",
+		"exempt — their application holds no scratch of its own",
 	Run: run,
 }
 

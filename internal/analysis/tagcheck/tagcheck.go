@@ -46,19 +46,24 @@ func SetReserved(rs []Range) { reserved = rs }
 // Analyzer enforces the tag invariants.
 var Analyzer = &analysis.Analyzer{
 	Name: "tagcheck",
-	Doc: "message tags passed to Send/Recv/RecvMsg/Probe/SendRecv must be " +
+	Doc: "message tags passed to Send/Recv/RecvMsg/Probe/SendRecv (and comm's " +
+		"typed sendFloats/sendIndexed/recvIndexed) must be " +
 		"named constants, and compile-time tag values must not collide with " +
 		"the reserved ranges in internal/analysis/tagregistry",
 	Run: run,
 }
 
-// tagParam maps comm.Comm methods to the index of their tag argument.
+// tagParam maps comm.Comm methods to the index of their tag argument. The
+// unexported entries are the typed float64 path under comm's collectives.
 var tagParam = map[string]int{
-	"Send":     1,
-	"Recv":     1,
-	"RecvMsg":  1,
-	"Probe":    1,
-	"SendRecv": 3,
+	"Send":        1,
+	"Recv":        1,
+	"RecvMsg":     1,
+	"Probe":       1,
+	"SendRecv":    3,
+	"sendFloats":  1,
+	"sendIndexed": 1,
+	"recvIndexed": 1,
 }
 
 func run(pass *analysis.Pass) error {

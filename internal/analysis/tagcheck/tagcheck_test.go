@@ -16,5 +16,5 @@ func TestTagcheck(t *testing.T) {
 		rs = append(rs, tagcheck.Range{Name: r.Name, Lo: r.Lo, Hi: r.Hi, Owner: r.Owner})
 	}
 	tagcheck.SetReserved(rs)
-	analysistest.Run(t, "testdata", tagcheck.Analyzer, "a", "slicing")
+	analysistest.Run(t, "testdata", tagcheck.Analyzer, "a", "slicing", "comm")
 }

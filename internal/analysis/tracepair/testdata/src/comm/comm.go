@@ -81,3 +81,28 @@ func (c *Comm) allowedSend(dst int, n int64) {
 		s.Emit(Event{Kind: KindSend, Peer: dst, Bytes: n})
 	}
 }
+
+// account mirrors the real shared accounting of every send route: the one
+// place record and the KindSend emission live, adjacent.
+func (c *Comm) account(dst int, n int64) {
+	c.st.record(c.rank, dst, n)
+	if s := active(); s != nil {
+		s.Emit(Event{Kind: KindSend, Peer: dst, Bytes: n})
+	}
+}
+
+// typedSend mirrors sendTyped: a second route to the wire that accounts
+// through the shared helper and emits nothing of its own.
+func (c *Comm) typedSend(dst int, data []float64) {
+	c.account(dst, int64(8*len(data)))
+}
+
+// typedSendOwnEvent is the refactor to catch: the typed route grew its own
+// send event, so a typed message would show twice in the trace matrix and
+// once in Stats.
+func (c *Comm) typedSendOwnEvent(dst int, data []float64) {
+	c.account(dst, int64(8*len(data)))
+	if s := active(); s != nil {
+		s.Emit(Event{Kind: KindSend, Peer: dst, Bytes: int64(8 * len(data))}) // want `adjacent stats.record`
+	}
+}

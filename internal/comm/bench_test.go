@@ -5,21 +5,71 @@ import (
 	"testing"
 )
 
-// BenchmarkP2P measures one eager send + matched receive.
+// benchTagP2P tags the messages of BenchmarkP2P.
+const benchTagP2P = 901
+
+// BenchmarkP2P prices one message between two ranks, two ways. pingpong is
+// the latency of a message: rank 0 sends, rank 1 receives and answers, so
+// at most one message is ever queued and ns/op is two one-way trips. backlog
+// is the one-way stream this benchmark used to be — rank 0 sends b.N eager
+// messages without waiting, rank 1 drains them — kept because it prices the
+// mailbox itself: with every message queued ahead of the receiver, matching
+// the head must not cost a pass over the backlog (it once did: 77 us for 8
+// bytes against 5 us for 8 KiB was that quadratic memmove, not the wire).
 func BenchmarkP2P(b *testing.B) {
-	for _, size := range []int{8, 8192} {
-		b.Run(fmt.Sprintf("bytes=%d", size), func(b *testing.B) {
-			payload := make([]byte, size)
-			err := Run(2, func(c *Comm) error {
+	modes := []struct {
+		name string
+		body func(c *Comm, n int, payload []byte)
+	}{
+		//lint:allow p2pmatch Benchmark kernels are table literals run by both ranks; each pairs every Send with one Recv of the same tag
+		{"pingpong", func(c *Comm, n int, payload []byte) {
+			peer := 1 - c.Rank()
+			for i := 0; i < n; i++ {
 				if c.Rank() == 0 {
-					//lint:allow p2pmatch Loop bound is b.N; each iteration is one matched Send/Recv pair between the two ranks
-					for i := 0; i < b.N; i++ {
-						c.Send(1, i, payload)
-					}
+					c.Send(peer, benchTagP2P, payload)
+					c.Recv(peer, benchTagP2P)
 				} else {
-					for i := 0; i < b.N; i++ {
-						c.Recv(0, i)
-					}
+					c.Recv(peer, benchTagP2P)
+					c.Send(peer, benchTagP2P, payload)
+				}
+			}
+		}},
+		{"backlog", func(c *Comm, n int, payload []byte) {
+			for i := 0; i < n; i++ {
+				if c.Rank() == 0 {
+					c.Send(1, benchTagP2P, payload)
+				} else {
+					c.Recv(0, benchTagP2P)
+				}
+			}
+		}},
+	}
+	for _, mode := range modes {
+		for _, size := range []int{8, 8192} {
+			b.Run(fmt.Sprintf("%s/bytes=%d", mode.name, size), func(b *testing.B) {
+				payload := make([]byte, size)
+				b.ReportAllocs()
+				if err := Run(2, func(c *Comm) error {
+					mode.body(c, b.N, payload)
+					return nil
+				}); err != nil {
+					b.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
+// benchCollective runs body b.N times on every rank of a P-rank session,
+// once per P.
+func benchCollective(b *testing.B, ps []int, body func(c *Comm)) {
+	for _, p := range ps {
+		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
+			b.ReportAllocs()
+			err := Run(p, func(c *Comm) error {
+				//lint:allow p2pmatch Loop bound is b.N; the body is a single collective per iteration on all ranks
+				for i := 0; i < b.N; i++ {
+					body(c)
 				}
 				return nil
 			})
@@ -30,65 +80,36 @@ func BenchmarkP2P(b *testing.B) {
 	}
 }
 
-// BenchmarkAllreduce measures the reduce+bcast collective across ranks.
+// BenchmarkAllreduce measures the recursive-doubling allreduce of a short
+// vector, through the allocating Allreduce.
 func BenchmarkAllreduce(b *testing.B) {
-	for _, p := range []int{2, 4, 8, 16} {
-		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
-			err := Run(p, func(c *Comm) error {
-				in := []float64{1, 2, 3, 4}
-				//lint:allow p2pmatch Loop bound is b.N; the body is a single collective per iteration on all ranks
-				for i := 0; i < b.N; i++ {
-					_ = Allreduce(c, in, OpSum)
-				}
-				return nil
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
+	in := []float64{1, 2, 3, 4}
+	benchCollective(b, []int{2, 4, 8, 16}, func(c *Comm) { _ = Allreduce(c, in, OpSum) })
+}
+
+// BenchmarkAllreduceScalar measures the reduction under every Dot and
+// Norm2: 8 bytes per rank on the typed path, no allocation (allocs/op is
+// gated at 0 in BENCH_comm.json).
+func BenchmarkAllreduceScalar(b *testing.B) {
+	benchCollective(b, []int{2, 4, 8, 16}, func(c *Comm) { AllreduceScalar(c, 1.0, OpSum) })
 }
 
 // BenchmarkBarrier measures the dissemination barrier.
 func BenchmarkBarrier(b *testing.B) {
-	for _, p := range []int{2, 8} {
-		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
-			err := Run(p, func(c *Comm) error {
-				//lint:allow p2pmatch Loop bound is b.N; the body is one Barrier per iteration on all ranks
-				for i := 0; i < b.N; i++ {
-					c.Barrier()
-				}
-				return nil
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
+	benchCollective(b, []int{2, 8}, func(c *Comm) { c.Barrier() })
 }
 
 // BenchmarkAlltoall measures the dense exchange used by redistribution,
-// gather plans, and the table shuffle.
+// gather-plan construction, and the table shuffle.
 func BenchmarkAlltoall(b *testing.B) {
 	const per = 256
-	for _, p := range []int{4, 8} {
-		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
-			err := Run(p, func(c *Comm) error {
-				parts := make([][]float64, p)
-				for d := range parts {
-					parts[d] = make([]float64, per)
-				}
-				//lint:allow p2pmatch Loop bound is b.N; the body is one Alltoall per iteration on all ranks
-				for i := 0; i < b.N; i++ {
-					_ = Alltoall(c, parts)
-				}
-				return nil
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
+	benchCollective(b, []int{4, 8}, func(c *Comm) {
+		parts := make([][]float64, c.Size())
+		for d := range parts {
+			parts[d] = make([]float64, per)
+		}
+		_ = Alltoall(c, parts)
+	})
 }
 
 // benchTagHalo tags the neighbor exchange of the transport benchmark.

@@ -91,6 +91,26 @@ func TestChaosCollectives(t *testing.T) {
 			}
 			return comm.Alltoall(c, parts), nil
 		}},
+		{Name: "alltoall-indexed", Body: func(c *comm.Comm) (any, error) {
+			// A gather plan's exchange: rank r sends element (r+d)%n of its
+			// segment to rank d and files what rank s sent at position s;
+			// odd ranks send nothing to rank 0 (empty blocks still travel).
+			const n = 5
+			src := localVec(c, n)
+			sendIdx := make([][]int, c.Size())
+			recvPos := make([][]int, c.Size())
+			for r := range sendIdx {
+				if !(r == 0 && c.Rank()%2 == 1) {
+					sendIdx[r] = []int{(c.Rank() + r) % n}
+				}
+				if !(c.Rank() == 0 && r%2 == 1) {
+					recvPos[r] = []int{r}
+				}
+			}
+			out := make([]float64, c.Size())
+			comm.AlltoallIndexed(c, src, sendIdx, out, recvPos)
+			return out, nil
+		}},
 		{Name: "scan", Body: func(c *comm.Comm) (any, error) {
 			inc := comm.Scan(c, localVec(c, 5), comm.OpSum)
 			exc := comm.ExclusiveScanScalar(c, float64(c.Rank()+2), comm.OpMax)

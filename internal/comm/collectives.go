@@ -2,6 +2,7 @@ package comm
 
 import (
 	"fmt"
+	"slices"
 
 	"odinhpc/internal/trace"
 )
@@ -82,8 +83,8 @@ var nopEnd = func() {}
 //	seq := c.nextColl()
 //	defer c.collSpan("bcast", seq)()
 //
-// Nested composite collectives (Allreduce = Reduce + Bcast) produce nested
-// spans, which the timeline renders as a phase breakdown.
+// Nested composite collectives (Split = Allgather + construction) produce
+// nested spans, which the timeline renders as a phase breakdown.
 func (c *Comm) collSpan(name string, seq int) func() {
 	s := trace.Active()
 	if s == nil {
@@ -112,14 +113,16 @@ func (c *Comm) Barrier() {
 	}
 }
 
-// Bcast replicates root's buf on every rank, in place, over a binomial tree.
-// All ranks must pass a buffer of the same length.
+// Bcast replicates root's buf on every rank, in place, down a binary heap
+// tree over the ranks rotated so that root is 0: rank v receives from
+// (v-1)/2 and forwards to 2v+1 and 2v+2. All ranks must pass a buffer of
+// the same length.
 func Bcast[T any](c *Comm, root int, buf []T) {
 	seq := c.nextColl()
 	defer c.collSpan("bcast", seq)()
 	// Work in a rotated rank space where root is 0.
 	vr := (c.rank - root + c.size) % c.size
-	//lint:allow p2pmatch Binomial-tree bcast keyed by a run-time root and sequence tag; the conformance suites pin it
+	//lint:allow p2pmatch Binary-heap-tree bcast keyed by a run-time root and sequence tag; the conformance suites pin it
 	if vr != 0 {
 		// Receive from parent.
 		parent := ((vr - 1) / 2)
@@ -160,7 +163,7 @@ func Reduce[T Number](c *Comm, root int, in []T, op Op) []T {
 	for k := 1; k < c.size; k <<= 1 {
 		if vr&k != 0 {
 			dst := ((vr - k) + root) % c.size
-			c.Send(dst, collTag(seq, 0), acc)
+			c.sendOwned(dst, collTag(seq, 0), acc) // acc is private and dead after this
 			return nil
 		}
 		if vr+k < c.size {
@@ -191,19 +194,114 @@ func ReduceScalar[T Number](c *Comm, root int, v T, op Op) T {
 }
 
 // Allreduce combines equal-length slices element-wise across ranks with op
-// and returns the full result on every rank.
+// and returns the full result on every rank. The input is not modified.
 func Allreduce[T Number](c *Comm, in []T, op Op) []T {
-	res := Reduce(c, 0, in, op)
-	if c.rank != 0 {
-		res = make([]T, len(in))
-	}
-	Bcast(c, 0, res)
-	return res
+	out := slices.Clone(in)
+	AllreduceInto(c, out, op)
+	return out
 }
 
 // AllreduceScalar reduces one value per rank and returns the result everywhere.
 func AllreduceScalar[T Number](c *Comm, v T, op Op) T {
-	return Allreduce(c, []T{v}, op)[0]
+	buf := [1]T{v}
+	AllreduceInto(c, buf[:], op)
+	return buf[0]
+}
+
+// AllreduceInto combines equal-length slices element-wise across ranks with
+// op, in place: on return buf holds the full result on every rank. float64
+// buffers ride the typed path and a steady sequence of calls allocates
+// nothing.
+//
+// The algorithm is recursive doubling: in round k a rank exchanges its
+// running value with the partner whose number differs in bit k and both
+// combine the pair, so P = 2^m ranks finish in m rounds of one message each
+// way — half the hops of a reduce followed by a broadcast, for P*m messages
+// instead of 2(P-1). When P is not a power of two, the first 2(P-2^m) ranks
+// pair up first: each even one folds its values into its odd neighbour,
+// sits the doubling out, and is sent the result at the end.
+//
+// Every exchange combines as op(lower rank's value, higher rank's value) on
+// both partners, from identical inputs in identical order, so all ranks end
+// with bit-identical results for every op — including min/max over NaN and
+// signed zeros, where the operand order picks the survivor. Ranks combine as
+// contiguous blocks in rank order; at a power of two that is the
+// association of Reduce's binomial tree.
+func AllreduceInto[T Number](c *Comm, buf []T, op Op) {
+	seq := c.nextColl()
+	defer c.collSpan("allreduce", seq)()
+	p2, rounds := 1, 0
+	for p2*2 <= c.size {
+		p2, rounds = p2*2, rounds+1
+	}
+	// The ranks below paired fold pairwise into virtual ranks 0..paired/2-1
+	// of the doubling phase; the rest follow, in order.
+	paired := 2 * (c.size - p2)
+	rankOf := func(v int) int {
+		if v < paired/2 {
+			return 2*v + 1
+		}
+		return v + paired/2
+	}
+	v := c.rank - paired/2
+	//lint:allow p2pmatch Recursive-doubling exchange with run-time sequence tags; the conformance, bitwise, chaos, and stress suites pin it
+	if c.rank < paired {
+		if c.rank%2 == 0 {
+			sendVals(c, c.rank+1, collTag(seq, 0), buf)
+			recvVals(c, c.rank+1, collTag(seq, rounds+1), buf, op, false)
+			return
+		}
+		recvVals(c, c.rank-1, collTag(seq, 0), buf, op, true)
+		v = c.rank / 2
+	}
+	for k := 0; k < rounds; k++ {
+		partner := rankOf(v ^ 1<<k)
+		sendVals(c, partner, collTag(seq, 1+k), buf)
+		recvVals(c, partner, collTag(seq, 1+k), buf, op, true)
+	}
+	if c.rank < paired {
+		sendVals(c, c.rank-1, collTag(seq, rounds+1), buf)
+	}
+}
+
+// sendVals sends a collective's running values to rank dst: float64 slices
+// on the typed path, any other element type as a boxed private copy.
+func sendVals[T Number](c *Comm, dst, tag int, vals []T) {
+	if f, ok := any(vals).([]float64); ok {
+		//lint:allow p2pmatch One send of a collective, to the peer and sequence tag its caller computes; certified with that caller
+		c.sendFloats(dst, tag, f)
+		return
+	}
+	c.sendOwned(dst, tag, slices.Clone(vals))
+}
+
+// recvVals receives rank src's values for a collective. With combine set it
+// folds them into buf element-wise as op(lower rank's, higher rank's);
+// otherwise they replace buf.
+func recvVals[T Number](c *Comm, src, tag int, buf []T, op Op, combine bool) {
+	m := c.recvMsg(src, tag)
+	var data []T
+	if m.f64 != nil {
+		data = any(m.f64).([]T)
+	} else {
+		data = m.Payload.([]T)
+	}
+	if len(data) != len(buf) {
+		panic(fmt.Sprintf("comm: Allreduce length mismatch: rank %d sent %d, rank %d expects %d", src, len(data), c.rank, len(buf)))
+	}
+	switch {
+	case !combine:
+		copy(buf, data)
+	case src < c.rank:
+		for i := range buf {
+			buf[i] = applyOp(op, data[i], buf[i])
+		}
+	default:
+		for i := range buf {
+			buf[i] = applyOp(op, buf[i], data[i])
+		}
+	}
+	c.recycle(m)
 }
 
 // Gather collects each rank's slice at root. At root the result is indexed by
@@ -310,6 +408,34 @@ func Alltoall[T any](c *Comm, parts [][]T) [][]T {
 		out[m.Src] = m.Payload.([]T)
 	}
 	return out
+}
+
+// AlltoallIndexed is Alltoall for float64 blocks that are described in place
+// rather than materialized: rank d is sent the elements src[sendIdx[d][k]],
+// and the k-th value received from rank s is stored at out[recvPos[s][k]].
+// It is the value exchange of a gather or halo plan: the blocks travel on
+// the typed path, so no block, result slice or frame is allocated per call.
+// Both index tables must have length Size and every rank's recvPos[s] must be
+// as long as rank s's sendIdx for it; as in Alltoall, empty blocks are still
+// exchanged. A rank's entries for itself are ignored — it moves its own
+// elements without the communicator.
+func AlltoallIndexed(c *Comm, src []float64, sendIdx [][]int, out []float64, recvPos [][]int) {
+	seq := c.nextColl()
+	defer c.collSpan("alltoall", seq)()
+	if len(sendIdx) != c.size || len(recvPos) != c.size {
+		panic(fmt.Sprintf("comm: AlltoallIndexed needs %d index lists each way, got %d and %d", c.size, len(sendIdx), len(recvPos)))
+	}
+	//lint:allow p2pmatch Pairwise exchange with run-time sequence tags; the conformance suites pin it
+	for dst := 0; dst < c.size; dst++ {
+		if dst != c.rank {
+			c.sendIndexed(dst, collTag(seq, 0), src, sendIdx[dst])
+		}
+	}
+	for s := 0; s < c.size; s++ {
+		if s != c.rank {
+			c.recvIndexed(s, collTag(seq, 0), out, recvPos[s])
+		}
+	}
 }
 
 // Scan computes the inclusive prefix reduction across ranks: rank r receives

@@ -37,20 +37,86 @@ type Message struct {
 	Tag     int
 	Payload any
 
+	// f64 is the payload of a message sent on the typed path (sendFloats):
+	// a []float64 that was never boxed, in a buffer that belongs to the
+	// destination mailbox. It is non-nil exactly for such messages, even
+	// empty ones. Only comm's collectives send them, on their own tags, and
+	// their typed receives copy out of it and hand it back (recycle).
+	f64 []float64
+
 	// seq is the per-(src,dst) delivery sequence number, assigned only while
 	// a fault plan is active; receivers use it to discard duplicated
 	// deliveries. Zero means "no fault layer".
 	seq uint64
 }
 
+// bytes is the payload size Stats, the cost model and the trace account.
+func (m *Message) bytes() int64 {
+	if m.f64 != nil {
+		return int64(8 * len(m.f64))
+	}
+	return payloadBytes(m.Payload)
+}
+
+// msgQueue is a mailbox's FIFO: the queued messages are buf[head:]. Matching
+// the oldest message — what every in-order protocol does — advances head
+// instead of sliding the whole backlog down, so a receiver draining a long
+// eager backlog pays O(1) per message, not O(backlog). The dead prefix is
+// reclaimed by push, never leaked: it is compacted away once it is at least
+// as long as the live part, which keeps push amortized O(1) and the backing
+// array within a small constant factor of the peak backlog (a dead prefix
+// shorter than the live part, times append's doubling).
+type msgQueue struct {
+	buf  []Message
+	head int
+}
+
+func (q *msgQueue) live() []Message { return q.buf[q.head:] }
+
+func (q *msgQueue) push(m Message) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 && q.head >= len(q.buf)-q.head {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, m)
+}
+
+// remove deletes live()[i]; the elements after it keep their order and move
+// down one index.
+func (q *msgQueue) remove(i int) {
+	if i == 0 {
+		q.buf[q.head] = Message{}
+		if q.head++; q.head == len(q.buf) {
+			q.buf, q.head = q.buf[:0], 0
+		}
+		return
+	}
+	i += q.head
+	last := len(q.buf) - 1
+	copy(q.buf[i:], q.buf[i+1:])
+	q.buf[last] = Message{}
+	q.buf = q.buf[:last]
+}
+
+// insert places m at live()[pos], moving the elements from pos on up one.
+func (q *msgQueue) insert(pos int, m Message) {
+	q.push(Message{})
+	live := q.live()
+	copy(live[pos+1:], live[pos:])
+	live[pos] = m
+}
+
 // mailbox is the per-destination message queue. Receivers scan it for a
 // matching (src, tag) pair and block on the condition variable otherwise.
-// The delayed and seen fields belong to the fault-injection layer and stay
-// nil/empty when no plan is active.
+// free holds the typed path's payload buffers between messages. The delayed
+// and seen fields belong to the fault-injection layer and stay nil/empty
+// when no plan is active.
 type mailbox struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
-	queue   []Message
+	queue   msgQueue
+	free    [][]float64
 	delayed []heldMsg
 	seen    map[int]map[uint64]struct{}
 }
@@ -59,6 +125,29 @@ func newMailbox() *mailbox {
 	m := &mailbox{}
 	m.cond = sync.NewCond(&m.mu)
 	return m
+}
+
+// A mailbox keeps at most maxFreeBufs payload buffers, none longer than
+// maxRecycleWords (64 KiB): enough for every peer of a halo exchange or an
+// allreduce round to have a message in flight without allocating, and a hard
+// bound (1 MiB) on what a long-lived communicator retains after a burst or
+// one huge redistribution. Larger payloads are allocated per message.
+const (
+	maxFreeBufs     = 16
+	maxRecycleWords = 8192
+)
+
+// takeBufLocked returns a buffer of n floats for a typed message to this
+// mailbox: a recycled one when the most recently returned fits, else fresh.
+func (b *mailbox) takeBufLocked(n int) []float64 {
+	if k := len(b.free) - 1; k >= 0 {
+		buf := b.free[k]
+		b.free = b.free[:k]
+		if cap(buf) >= n {
+			return buf[:n]
+		}
+	}
+	return make([]float64, n)
 }
 
 // fabric is the shared state of one communicator: its context id and rank
@@ -71,6 +160,10 @@ type fabric struct {
 	size  int
 	owner []int // world rank hosting each communicator rank
 	tr    Transport
+	// boxes is the typed path's direct view of the destination mailboxes,
+	// indexed by rank; nil when ranks do not share an address space (remote
+	// transports), which sends typed messages down the boxed route instead.
+	boxes []*mailbox
 	reg   *registry
 	sess  *session
 	stats *Stats
@@ -253,7 +346,8 @@ func RunConfig(size int, cfg Config, fn func(c *Comm) error) (*Stats, error) {
 	trs := make([]Transport, size)
 	switch name := cfg.transportName(); name {
 	case "inproc":
-		f.tr = newInprocTransport(reg, worldCtx, size)
+		inproc := newInprocTransport(reg, worldCtx, size)
+		f.tr, f.boxes = inproc, inproc.boxes
 		for i := range trs {
 			trs[i] = f.tr
 		}
@@ -357,11 +451,30 @@ func firstError(errs []error) error {
 // never block. Slice payloads are copied, mimicking an MPI buffer copy, so
 // the sender may reuse its buffer immediately.
 func (c *Comm) Send(dst, tag int, data any) {
+	c.sendOwned(dst, tag, copyPayload(data))
+}
+
+// sendOwned is Send for a payload the caller gives up: a private copy it
+// made itself (a collective's accumulator, a packed block) travels as it is
+// instead of being copied a second time.
+func (c *Comm) sendOwned(dst, tag int, data any) {
+	c.account(dst, tag, payloadBytes(data))
+	if c.f.plan != nil {
+		c.faultySend(dst, tag, data)
+		return
+	}
+	c.tr.Deliver(c.f.owner[dst], Frame{
+		Ctx: c.f.ctx, Src: c.rank, Dst: dst, Tag: tag, Payload: data,
+	})
+}
+
+// account is what every route of a logical send of n payload bytes shares:
+// the jitter point, the Stats entry, the trace event and the modeled time.
+func (c *Comm) account(dst, tag int, n int64) {
 	if dst < 0 || dst >= c.size {
 		panic(fmt.Sprintf("comm: Send to invalid rank %d (size %d)", dst, c.size))
 	}
 	c.jitter(jitterSend)
-	n := payloadBytes(data)
 	c.f.stats.record(c.rank, dst, n)
 	// One trace event per logical Send — the identical unit Stats counts —
 	// so the trace-derived message matrix reconciles exactly with the Stats
@@ -374,13 +487,94 @@ func (c *Comm) Send(dst, tag int, data any) {
 	if c.f.model != nil {
 		c.simTime += c.f.model.Time(n)
 	}
-	if c.f.plan != nil {
-		c.faultySend(dst, tag, data)
+}
+
+// sendFloats is the typed send under the float64 collectives: data goes to
+// rank dst as one message that is never boxed into an interface and never
+// gets a heap frame. The sender copies straight into a buffer owned by the
+// destination mailbox; the receiver copies out and hands it back (recycle),
+// so a steady exchange allocates nothing. Accounting is Send's. Under a fault
+// plan or on a remote transport the block takes the boxed route instead:
+// same bytes, same tag, same counts.
+func (c *Comm) sendFloats(dst, tag int, data []float64) {
+	c.sendTyped(dst, tag, len(data), data, nil)
+}
+
+// sendIndexed is sendFloats for the block src[idx[0]], src[idx[1]], ...,
+// packed as it is sent. A nil idx is an empty block.
+func (c *Comm) sendIndexed(dst, tag int, src []float64, idx []int) {
+	c.sendTyped(dst, tag, len(idx), src, idx)
+}
+
+// sendTyped sends n floats: data[idx[k]] for k < n, or data[:n] when idx is
+// nil.
+func (c *Comm) sendTyped(dst, tag, n int, data []float64, idx []int) {
+	if c.f.plan != nil || c.f.boxes == nil {
+		buf := make([]float64, n)
+		packFloats(buf, data, idx)
+		c.sendOwned(dst, tag, buf)
 		return
 	}
-	c.tr.Deliver(c.f.owner[dst], &Frame{
-		Ctx: c.f.ctx, Src: c.rank, Dst: dst, Tag: tag, Payload: copyPayload(data),
-	})
+	c.account(dst, tag, int64(8*n))
+	box := c.f.boxes[dst]
+	var buf []float64
+	if n > maxRecycleWords {
+		// Too large to pool: fill it before taking the lock, so that big
+		// blocks bound for one rank are copied concurrently.
+		buf = make([]float64, n)
+		packFloats(buf, data, idx)
+	}
+	box.mu.Lock()
+	if buf == nil {
+		buf = box.takeBufLocked(n)
+		packFloats(buf, data, idx)
+	}
+	box.queue.push(Message{Src: c.rank, Tag: tag, f64: buf})
+	box.mu.Unlock()
+	box.cond.Broadcast()
+}
+
+// packFloats fills buf from data[idx[k]], or from the front of data when idx
+// is nil.
+func packFloats(buf, data []float64, idx []int) {
+	if idx == nil {
+		copy(buf, data)
+		return
+	}
+	for k, s := range idx {
+		buf[k] = data[s]
+	}
+}
+
+// recvIndexed is the typed receive: it blocks for the message matching
+// (src, tag), which must carry exactly len(pos) floats, stores the k-th at
+// out[pos[k]] and returns the payload buffer to this rank's mailbox.
+func (c *Comm) recvIndexed(src, tag int, out []float64, pos []int) {
+	m := c.recvMsg(src, tag)
+	data := m.f64
+	if data == nil {
+		data = m.Payload.([]float64) // the boxed route: a fault plan or a remote transport
+	}
+	if len(data) != len(pos) {
+		panic(fmt.Sprintf("comm: rank %d received %d values from rank %d, want %d", c.rank, len(data), m.Src, len(pos)))
+	}
+	for k, v := range data {
+		out[pos[k]] = v
+	}
+	c.recycle(m)
+}
+
+// recycle hands a typed message's buffer back to this rank's mailbox once
+// its contents have been copied out. Messages of the boxed route have none.
+func (c *Comm) recycle(m Message) {
+	if m.f64 == nil || cap(m.f64) > maxRecycleWords {
+		return
+	}
+	c.box.mu.Lock()
+	if len(c.box.free) < maxFreeBufs {
+		c.box.free = append(c.box.free, m.f64)
+	}
+	c.box.mu.Unlock()
 }
 
 // Recv blocks until a message matching (src, tag) arrives and returns its
@@ -392,21 +586,27 @@ func (c *Comm) Recv(src, tag int) any {
 // RecvMsg is Recv but returns the full message envelope, exposing the actual
 // source and tag (useful with wildcards).
 func (c *Comm) RecvMsg(src, tag int) Message {
+	return c.recvMsg(src, tag)
+}
+
+// recvMsg is the receive under every route: it blocks for the message
+// matching (src, tag), takes it off the queue, and traces the wait.
+func (c *Comm) recvMsg(src, tag int) Message {
 	s := trace.Active()
 	if s == nil {
-		return c.recvMsg(src, tag)
+		return c.takeMsg(src, tag)
 	}
 	t0 := s.Now()
-	m := c.recvMsg(src, tag)
+	m := c.takeMsg(src, tag)
 	// Dur is the time this rank spent blocked — the per-rank wait profile
 	// that makes collective skew visible in the exported timeline.
 	s.Emit(trace.Event{Kind: trace.KindRecv, Rank: int32(c.rank), Worker: -1,
 		Peer: int32(m.Src), Tag: int32(m.Tag), Start: t0, Dur: s.Now() - t0,
-		Bytes: payloadBytes(m.Payload)})
+		Bytes: m.bytes()})
 	return m
 }
 
-func (c *Comm) recvMsg(src, tag int) Message {
+func (c *Comm) takeMsg(src, tag int) Message {
 	c.jitter(jitterRecv)
 	if c.f.watchful {
 		return c.watchfulRecv(src, tag)
@@ -415,11 +615,11 @@ func (c *Comm) recvMsg(src, tag int) Message {
 	box.mu.Lock()
 	defer box.mu.Unlock()
 	for {
-		for i, m := range box.queue {
+		for i, m := range box.queue.live() {
 			if (src == AnySource || m.Src == src) && (tag == AnyTag || m.Tag == tag) {
-				box.queue = append(box.queue[:i], box.queue[i+1:]...)
+				box.queue.remove(i)
 				if c.f.model != nil {
-					c.simTime += c.f.model.Time(payloadBytes(m.Payload))
+					c.simTime += c.f.model.Time(m.bytes())
 				}
 				return m
 			}
@@ -438,7 +638,7 @@ func (c *Comm) Probe(src, tag int) bool {
 	match := func(m Message) bool {
 		return (src == AnySource || m.Src == src) && (tag == AnyTag || m.Tag == tag)
 	}
-	for _, m := range box.queue {
+	for _, m := range box.queue.live() {
 		if match(m) && !box.seenLocked(m.Src, m.seq) {
 			return true
 		}

@@ -411,7 +411,8 @@ type heldMsg struct {
 // Every decision is made on the sending side and carried in the frame, so
 // the pipeline is identical on every transport: a dropped frame is simply
 // never handed to Deliver, a duplicate is handed twice, and the hold/reorder
-// words travel with the frame for the destination mailbox to apply.
+// words travel with the frame for the destination mailbox to apply. The
+// payload is already the frame's own (sendOwned).
 func (c *Comm) faultySend(dst, tag int, data any) {
 	p := c.f.plan
 	if d := p.SlowRanks[c.rank]; d > 0 {
@@ -440,7 +441,7 @@ func (c *Comm) faultySend(dst, tag int, data any) {
 		c.f.stats.addFault(func(fc *FaultCounts) { fc.Retries += int64(attempt) })
 	}
 
-	fr := &Frame{Ctx: c.f.ctx, Src: c.rank, Dst: dst, Tag: tag, Seq: seq, Payload: copyPayload(data)}
+	fr := Frame{Ctx: c.f.ctx, Src: c.rank, Dst: dst, Tag: tag, Seq: seq, Payload: data}
 	if chance(p.DelayProb, p.roll(rollDelay, c.rank, dst, tag, seq, 0)) {
 		fr.Hold = 1 + int(p.roll(rollDelay, c.rank, dst, tag, seq, 1)%uint64(p.maxDelay()))
 		c.f.stats.addFault(func(fc *FaultCounts) { fc.Delayed++ })
@@ -460,9 +461,8 @@ func (c *Comm) faultySend(dst, tag int, data any) {
 		// the two copies is ever handed to the receiver, the other is
 		// discarded unread by seq dedup. The duplicate frame carries no
 		// hold/reorder so it lands immediately, like a retransmit would.
-		dup := *fr
-		dup.Hold, dup.Reorder = 0, 0
-		c.tr.Deliver(wireDst, &dup)
+		fr.Hold, fr.Reorder = 0, 0
+		c.tr.Deliver(wireDst, fr)
 		c.f.stats.addFault(func(fc *FaultCounts) { fc.Duplicated++ })
 	}
 }
@@ -486,20 +486,17 @@ func (b *mailbox) deliverFault(m Message, hold int, reorder uint64) {
 		b.delayed = append(b.delayed, heldMsg{m: m, hold: hold})
 	default:
 		b.releaseHeldFromLocked(m.Src)
-		if reorder != 0 && len(b.queue) > 0 {
+		if live := b.queue.live(); reorder != 0 && len(live) > 0 {
 			// Insert anywhere after the last queued message from this source.
 			base := 0
-			for i, q := range b.queue {
+			for i, q := range live {
 				if q.Src == m.Src {
 					base = i + 1
 				}
 			}
-			pos := base + int(reorder%uint64(len(b.queue)-base+1))
-			b.queue = append(b.queue, Message{})
-			copy(b.queue[pos+1:], b.queue[pos:])
-			b.queue[pos] = m
+			b.queue.insert(base+int(reorder%uint64(len(live)-base+1)), m)
 		} else {
-			b.queue = append(b.queue, m)
+			b.queue.push(m)
 		}
 	}
 	b.mu.Unlock()
@@ -523,7 +520,7 @@ func (b *mailbox) tickDelayedLocked() {
 			}
 		}
 		if e.hold <= 0 && !blocked {
-			b.queue = append(b.queue, e.m)
+			b.queue.push(e.m)
 			b.delayed = append(b.delayed[:i], b.delayed[i+1:]...)
 			i = 0 // a release may unblock a successor from the same source
 		} else {
@@ -537,7 +534,7 @@ func (b *mailbox) tickDelayedLocked() {
 func (b *mailbox) releaseHeldFromLocked(src int) {
 	for i := 0; i < len(b.delayed); {
 		if b.delayed[i].m.Src == src {
-			b.queue = append(b.queue, b.delayed[i].m)
+			b.queue.push(b.delayed[i].m)
 			b.delayed = append(b.delayed[:i], b.delayed[i+1:]...)
 		} else {
 			i++
@@ -552,7 +549,7 @@ func (b *mailbox) flushDelayedLocked() bool {
 		return false
 	}
 	for _, h := range b.delayed {
-		b.queue = append(b.queue, h.m)
+		b.queue.push(h.m)
 	}
 	b.delayed = b.delayed[:0]
 	return true
@@ -561,10 +558,10 @@ func (b *mailbox) flushDelayedLocked() bool {
 // takeFaultMatchLocked scans for a matching message, discarding duplicate
 // deliveries (same src and sequence number) as it goes.
 func (b *mailbox) takeFaultMatchLocked(src, tag int, st *Stats) (Message, bool) {
-	for i := 0; i < len(b.queue); {
-		m := b.queue[i]
+	for i := 0; i < len(b.queue.live()); {
+		m := b.queue.live()[i]
 		if (src == AnySource || m.Src == src) && (tag == AnyTag || m.Tag == tag) {
-			b.queue = append(b.queue[:i], b.queue[i+1:]...)
+			b.queue.remove(i)
 			if m.seq != 0 {
 				if b.seenLocked(m.Src, m.seq) {
 					st.addFault(func(fc *FaultCounts) { fc.Deduped++ })
@@ -597,7 +594,7 @@ func (b *mailbox) markSeenLocked(src int, seq uint64) {
 	b.seen[src][seq] = struct{}{}
 }
 
-// watchfulRecv is RecvMsg on a guarded session — a fault plan, an explicit
+// watchfulRecv is takeMsg on a guarded session — a fault plan, an explicit
 // Config.RecvTimeout, or a remote transport. It drains matching
 // (deduplicated) messages, flushes logical delays before blocking, aborts
 // promptly when the session failed, and arms a watchdog so no schedule (and
@@ -627,7 +624,7 @@ func (c *Comm) watchfulRecv(src, tag int) Message {
 	for {
 		if m, ok := box.takeFaultMatchLocked(src, tag, c.f.stats); ok {
 			if c.f.model != nil {
-				c.simTime += c.f.model.Time(payloadBytes(m.Payload))
+				c.simTime += c.f.model.Time(m.bytes())
 			}
 			return m
 		}

@@ -60,6 +60,16 @@ var goldenCollectives = []struct {
 		}
 		Alltoall(c, parts)
 	}},
+	{"alltoallindexed", func(c *Comm) {
+		// One element to every other rank, as a halo plan would: the matrix
+		// must be alltoall's.
+		src := []float64{float64(c.Rank())}
+		idx := make([][]int, c.Size())
+		for i := range idx {
+			idx[i] = []int{0}
+		}
+		AlltoallIndexed(c, src, idx, make([]float64, 1), idx)
+	}},
 	{"scan", func(c *Comm) {
 		Scan(c, []float64{float64(c.Rank()), 1}, OpSum)
 	}},

@@ -98,7 +98,8 @@ func (c *Comm) Split(color, key int) *Comm {
 			perProc:     parent.perProc,
 		}
 		if !c.tr.Remote() {
-			f.tr = newInprocTransport(parent.reg, subCtx, len(group))
+			inproc := newInprocTransport(parent.reg, subCtx, len(group))
+			f.tr, f.boxes = inproc, inproc.boxes
 		}
 		return f
 	})

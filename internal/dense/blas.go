@@ -14,25 +14,42 @@ import (
 // row loop run on the exec engine; the factorizations stay serial (their
 // loop-carried dependencies don't chunk).
 
+// vecArgs is the operand set of the level-1 kernels below. Each is a
+// top-level range function handed to the engine with its operands by value
+// (exec.ForRange), so the sweeps under every solver iteration allocate
+// nothing when the engine runs them inline.
+type vecArgs struct {
+	alpha float64
+	x, y  []float64
+}
+
+func add(a, b float64) float64 { return a + b }
+
 // Axpy computes y += alpha*x for equal-length slices.
 func Axpy(alpha float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("dense: Axpy length mismatch %d vs %d", len(x), len(y)))
 	}
-	exec.Default().ParallelFor(len(x), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			y[i] += alpha * x[i]
-		}
-	})
+	exec.ForRange(exec.Default(), len(x), vecArgs{alpha, x, y}, axpyRange)
+}
+
+func axpyRange(a vecArgs, lo, hi int) {
+	alpha, x, y := a.alpha, a.x, a.y
+	for i := lo; i < hi; i++ {
+		y[i] += alpha * x[i]
+	}
 }
 
 // Scal scales x by alpha in place.
 func Scal(alpha float64, x []float64) {
-	exec.Default().ParallelFor(len(x), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			x[i] *= alpha
-		}
-	})
+	exec.ForRange(exec.Default(), len(x), vecArgs{alpha: alpha, x: x}, scalRange)
+}
+
+func scalRange(a vecArgs, lo, hi int) {
+	alpha, x := a.alpha, a.x
+	for i := lo; i < hi; i++ {
+		x[i] *= alpha
+	}
 }
 
 // DotSlices returns the inner product of two equal-length slices.
@@ -40,13 +57,16 @@ func DotSlices(x, y []float64) float64 {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("dense: Dot length mismatch %d vs %d", len(x), len(y)))
 	}
-	return exec.ParallelReduce(exec.Default(), len(x), func(lo, hi int) float64 {
-		var acc float64
-		for i := lo; i < hi; i++ {
-			acc += x[i] * y[i]
-		}
-		return acc
-	}, func(a, b float64) float64 { return a + b })
+	return exec.ReduceRange(exec.Default(), len(x), vecArgs{x: x, y: y}, dotRange, add)
+}
+
+func dotRange(a vecArgs, lo, hi int) float64 {
+	x, y := a.x, a.y
+	var acc float64
+	for i := lo; i < hi; i++ {
+		acc += x[i] * y[i]
+	}
+	return acc
 }
 
 // Nrm2Slice returns the Euclidean norm of a slice.
@@ -56,37 +76,43 @@ func Nrm2Slice(x []float64) float64 {
 
 // SumSlice returns the sum of the slice's elements.
 func SumSlice(x []float64) float64 {
-	return exec.ParallelReduce(exec.Default(), len(x), func(lo, hi int) float64 {
-		var acc float64
-		for i := lo; i < hi; i++ {
-			acc += x[i]
-		}
-		return acc
-	}, func(a, b float64) float64 { return a + b })
+	return exec.ReduceRange(exec.Default(), len(x), vecArgs{x: x}, sumRange, add)
+}
+
+func sumRange(a vecArgs, lo, hi int) float64 {
+	var acc float64
+	for _, v := range a.x[lo:hi] {
+		acc += v
+	}
+	return acc
 }
 
 // AsumSlice returns the sum of absolute values (BLAS dasum).
 func AsumSlice(x []float64) float64 {
-	return exec.ParallelReduce(exec.Default(), len(x), func(lo, hi int) float64 {
-		var acc float64
-		for i := lo; i < hi; i++ {
-			acc += math.Abs(x[i])
-		}
-		return acc
-	}, func(a, b float64) float64 { return a + b })
+	return exec.ReduceRange(exec.Default(), len(x), vecArgs{x: x}, asumRange, add)
+}
+
+func asumRange(a vecArgs, lo, hi int) float64 {
+	var acc float64
+	for _, v := range a.x[lo:hi] {
+		acc += math.Abs(v)
+	}
+	return acc
 }
 
 // AmaxSlice returns the maximum absolute value (0 for an empty slice).
 func AmaxSlice(x []float64) float64 {
-	return exec.ParallelReduce(exec.Default(), len(x), func(lo, hi int) float64 {
-		var acc float64
-		for i := lo; i < hi; i++ {
-			if a := math.Abs(x[i]); a > acc {
-				acc = a
-			}
+	return exec.ReduceRange(exec.Default(), len(x), vecArgs{x: x}, amaxRange, math.Max)
+}
+
+func amaxRange(a vecArgs, lo, hi int) float64 {
+	var acc float64
+	for _, v := range a.x[lo:hi] {
+		if v = math.Abs(v); v > acc {
+			acc = v
 		}
-		return acc
-	}, func(a, b float64) float64 { return math.Max(a, b) })
+	}
+	return acc
 }
 
 // Gemv computes y = alpha*A*x + beta*y for a 2-d array A (m x n), x of

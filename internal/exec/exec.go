@@ -254,6 +254,23 @@ func traceChunk(s *trace.Session, kind string, w, lo, hi int, t0 int64) {
 // span-indexed outputs without synchronization. Results must not depend on
 // span execution order.
 func (e *Engine) ParallelFor(n int, body func(lo, hi int)) {
+	ForRange(e, n, body, func(body func(lo, hi int), lo, hi int) { body(lo, hi) })
+}
+
+// ForRange is ParallelFor for a kernel written as a top-level range function
+// over an operand value: it runs body(a, lo, hi) over the spans that
+// partition [0, n). A func literal handed to ParallelFor is heap-allocated
+// at the call site whether or not the engine goes parallel — it may reach
+// another goroutine, so it escapes. A top-level function and a by-value
+// operand struct need no closure: the inline case (one worker or one chunk —
+// every call of a one-worker engine) allocates nothing, and the one literal
+// that binds a to body is built here, on the parallel branch only. Kernels
+// under a solver iteration use this form; keep a small (it is copied into
+// that literal).
+//
+// ForRange is a free function because Go methods cannot introduce type
+// parameters.
+func ForRange[A any](e *Engine, n int, a A, body func(a A, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
@@ -262,10 +279,10 @@ func (e *Engine) ParallelFor(n int, body func(lo, hi int)) {
 	if e.workers == 1 || count == 1 {
 		if s := trace.Active(); s != nil {
 			t0 := s.Now()
-			body(0, n)
+			body(a, 0, n)
 			traceChunk(s, "for", 0, 0, n, t0)
 		} else {
-			body(0, n)
+			body(a, 0, n)
 		}
 		e.record("for", n, 1, 1, start)
 		return
@@ -278,11 +295,11 @@ func (e *Engine) ParallelFor(n int, body func(lo, hi int)) {
 		}
 		if s := trace.Active(); s != nil {
 			t0 := s.Now()
-			body(lo, hi)
+			body(a, lo, hi)
 			traceChunk(s, "for", w, lo, hi, t0)
 			return
 		}
-		body(lo, hi)
+		body(a, lo, hi)
 	})
 	workers := e.workers
 	if workers > count {
@@ -300,25 +317,32 @@ func (e *Engine) ParallelFor(n int, body func(lo, hi int)) {
 //
 // ParallelReduce is a free function because Go methods cannot introduce
 // type parameters.
-func ParallelReduce[A any](e *Engine, n int, fold func(lo, hi int) A, combine func(a, b A) A) A {
+func ParallelReduce[R any](e *Engine, n int, fold func(lo, hi int) R, combine func(a, b R) R) R {
+	return ReduceRange(e, n, fold, func(fold func(lo, hi int) R, lo, hi int) R { return fold(lo, hi) }, combine)
+}
+
+// ReduceRange is ParallelReduce for a fold written as a top-level range
+// function over an operand value, as ForRange is ParallelFor's: fold(a, lo,
+// hi) over the spans, the same combine tree, no closure in the inline case.
+func ReduceRange[A, R any](e *Engine, n int, a A, fold func(a A, lo, hi int) R, combine func(x, y R) R) R {
 	if n <= 0 {
-		return fold(0, 0)
+		return fold(a, 0, 0)
 	}
 	start := time.Now()
 	size, count := e.chunking(n)
 	if e.workers == 1 || count == 1 {
-		var out A
+		var out R
 		if s := trace.Active(); s != nil {
 			t0 := s.Now()
-			out = fold(0, n)
+			out = fold(a, 0, n)
 			traceChunk(s, "reduce", 0, 0, n, t0)
 		} else {
-			out = fold(0, n)
+			out = fold(a, 0, n)
 		}
 		e.record("reduce", n, 1, 1, start)
 		return out
 	}
-	partials := make([]A, count)
+	partials := make([]R, count)
 	e.runChunks(count, func(w, c int) {
 		lo := c * size
 		hi := lo + size
@@ -327,11 +351,11 @@ func ParallelReduce[A any](e *Engine, n int, fold func(lo, hi int) A, combine fu
 		}
 		if s := trace.Active(); s != nil {
 			t0 := s.Now()
-			partials[c] = fold(lo, hi)
+			partials[c] = fold(a, lo, hi)
 			traceChunk(s, "reduce", w, lo, hi, t0)
 			return
 		}
-		partials[c] = fold(lo, hi)
+		partials[c] = fold(a, lo, hi)
 	})
 	// Pairwise tree combine in chunk-index order: ((p0+p1)+(p2+p3))+... —
 	// the same association for every pool size and every run.

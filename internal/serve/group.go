@@ -6,7 +6,7 @@
 //
 // The layering leans on the concurrency contracts underneath: compiled
 // tpetra plans and fusion programs are shared across requests (plan
-// application packs into pooled per-call scratch; program compilation is
+// application holds no scratch of its own; program compilation is
 // single-flight), while per-instance state that is genuinely single-threaded
 // — a CrsMatrix's Apply scratch, a group's rank contexts — stays group-local
 // and is serialized by the group's one-job-at-a-time loop.

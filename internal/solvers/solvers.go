@@ -69,6 +69,11 @@ func applyPrec(p Preconditioner, r, z *tpetra.Vector) {
 // CG solves A x = b for symmetric positive-definite A using the
 // preconditioned conjugate gradient method. x holds the initial guess on
 // entry and the solution on exit. Collective.
+//
+// An iteration costs two allreduce rounds: <p, Ap>, then <r, z> and <r, r>
+// together (tpetra.Dot2) once r and z are updated. The scalars are bitwise
+// those of three separate reductions, so iterates and iteration counts are
+// too.
 func CG(a tpetra.Operator, b, x *tpetra.Vector, opt Options) (Result, error) {
 	opt = opt.withDefaults()
 	res := Result{}
@@ -87,8 +92,8 @@ func CG(a tpetra.Operator, b, x *tpetra.Vector, opt Options) (Result, error) {
 	r.Update(1, b, -1) // r = b - Ax
 	applyPrec(opt.Precond, r, z)
 	p.CopyFrom(z)
-	rz := r.Dot(z)
-	rnorm := r.Norm2()
+	rz, rr := tpetra.Dot2(r, z, r, r)
+	rnorm := math.Sqrt(rr)
 	record := func() {
 		if opt.RecordHistory {
 			res.History = append(res.History, rnorm/bnorm)
@@ -110,7 +115,7 @@ func CG(a tpetra.Operator, b, x *tpetra.Vector, opt Options) (Result, error) {
 		x.Axpy(alpha, p)
 		r.Axpy(-alpha, ap)
 		applyPrec(opt.Precond, r, z)
-		rzNew := r.Dot(z)
+		rzNew, rr := tpetra.Dot2(r, z, r, r)
 		if rz == 0 {
 			res.Residual = rnorm / bnorm
 			return res, ErrBreakdown
@@ -118,7 +123,7 @@ func CG(a tpetra.Operator, b, x *tpetra.Vector, opt Options) (Result, error) {
 		beta := rzNew / rz
 		p.Update(1, z, beta) // p = z + beta p
 		rz = rzNew
-		rnorm = r.Norm2()
+		rnorm = math.Sqrt(rr)
 		res.Iterations = k + 1
 		record()
 	}
@@ -199,12 +204,12 @@ func BiCGSTAB(a tpetra.Operator, b, x *tpetra.Vector, opt Options) (Result, erro
 		}
 		applyPrec(opt.Precond, s, shat)
 		a.Apply(shat, t)
-		tt := t.Dot(t)
+		tt, ts := tpetra.Dot2(t, t, t, s) // one allreduce for the pair
 		if tt == 0 {
 			res.Residual = s.Norm2() / bnorm
 			return res, ErrBreakdown
 		}
-		omega = t.Dot(s) / tt
+		omega = ts / tt
 		x.Axpy(alpha, phat)
 		x.Axpy(omega, shat)
 		r.CopyFrom(s)

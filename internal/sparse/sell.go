@@ -210,15 +210,26 @@ func (m *SELL) MulVec(x, y []float64) {
 	if len(x) != m.Cols || len(y) != m.Rows {
 		panic(fmt.Sprintf("sparse: MulVec dims A=%dx%d x=%d y=%d", m.Rows, m.Cols, len(x), len(y)))
 	}
-	exec.Default().ParallelFor(m.numSlices(), func(slo, shi int) {
-		var acc [sellMaxC]float64
-		for s := slo; s < shi; s++ {
-			lo, h := m.mulSlice(s, x, &acc)
-			for r := 0; r < h; r++ {
-				y[m.Perm[lo+r]] = acc[r]
-			}
+	exec.ForRange(exec.Default(), m.numSlices(), sellArgs{m: m, x: x, y: y}, sellMulRange)
+}
+
+// sellArgs is the operand set of the SELL slice-range kernels, handed to the
+// engine by value (exec.ForRange) so an inline SpMV allocates nothing.
+type sellArgs struct {
+	m     *SELL
+	alpha float64
+	x, y  []float64
+}
+
+func sellMulRange(a sellArgs, slo, shi int) {
+	m, y := a.m, a.y
+	var acc [sellMaxC]float64
+	for s := slo; s < shi; s++ {
+		lo, h := m.mulSlice(s, a.x, &acc)
+		for r := 0; r < h; r++ {
+			y[m.Perm[lo+r]] = acc[r]
 		}
-	})
+	}
 }
 
 // MulVecAdd computes y += alpha * A*x, slice-parallel like MulVec and
@@ -227,15 +238,18 @@ func (m *SELL) MulVecAdd(alpha float64, x, y []float64) {
 	if len(x) != m.Cols || len(y) != m.Rows {
 		panic("sparse: MulVecAdd dimension mismatch")
 	}
-	exec.Default().ParallelFor(m.numSlices(), func(slo, shi int) {
-		var acc [sellMaxC]float64
-		for s := slo; s < shi; s++ {
-			lo, h := m.mulSlice(s, x, &acc)
-			for r := 0; r < h; r++ {
-				y[m.Perm[lo+r]] += alpha * acc[r]
-			}
+	exec.ForRange(exec.Default(), m.numSlices(), sellArgs{m: m, alpha: alpha, x: x, y: y}, sellMulAddRange)
+}
+
+func sellMulAddRange(a sellArgs, slo, shi int) {
+	m, alpha, y := a.m, a.alpha, a.y
+	var acc [sellMaxC]float64
+	for s := slo; s < shi; s++ {
+		lo, h := m.mulSlice(s, a.x, &acc)
+		for r := 0; r < h; r++ {
+			y[m.Perm[lo+r]] += alpha * acc[r]
 		}
-	})
+	}
 }
 
 // MulVecTrans computes y = A^T*x; y must have length Cols. To stay bitwise

@@ -39,13 +39,13 @@ type CrsMatrix struct {
 	nOwned     int          // owned domain entries (== local row count)
 	ghost      []int        // global indices of ghost columns (sorted)
 	plan       *GatherPlan
-	// ghostBuf and xFull are matrix-owned Apply scratch, refilled in place
-	// by every Apply. Unlike the (pooled, shareable) GatherPlan underneath,
-	// this makes the matrix itself single-threaded: one CrsMatrix must not
-	// be Applied concurrently from multiple goroutines — planreuse enforces
-	// the shape, and a matrix is bound to its communicator anyway.
-	ghostBuf []float64
-	xFull    []float64
+	// xFull is matrix-owned Apply scratch — x's owned entries followed by
+	// its ghosts — refilled in place by every Apply. Unlike the (immutable,
+	// shareable) GatherPlan underneath, this makes the matrix itself
+	// single-threaded: one CrsMatrix must not be Applied concurrently from
+	// multiple goroutines — planreuse enforces the shape, and a matrix is
+	// bound to its communicator anyway.
+	xFull []float64
 }
 
 // NewCrsMatrix returns an empty matrix in assembly mode over the given row
@@ -166,7 +166,6 @@ func (a *CrsMatrix) FillComplete() {
 	a.local = coo.ToCSR()
 	a.refreshSell()
 	a.plan = NewGatherPlan(a.c, a.rowMap, a.ghost)
-	a.ghostBuf = make([]float64, len(a.ghost))
 	a.xFull = make([]float64, a.nOwned+len(a.ghost))
 }
 
@@ -223,16 +222,15 @@ func (a *CrsMatrix) mustBeFilled() {
 
 // Apply computes y = A x. Both vectors must be distributed by the row map.
 // Collective: performs the ghost exchange then a local SpMV. Apply refills
-// the matrix-owned ghost/xFull scratch, so a CrsMatrix is single-threaded;
+// the matrix-owned xFull scratch, so a CrsMatrix is single-threaded;
 // serialize Applies of one matrix (a warm rank group does this naturally).
 func (a *CrsMatrix) Apply(x, y *Vector) {
 	a.mustBeFilled()
 	if !x.Map().SameAs(a.rowMap) || !y.Map().SameAs(a.rowMap) {
 		panic("tpetra: Apply vectors must use the matrix row map")
 	}
-	a.plan.Gather(a.c, x.Data, a.ghostBuf)
+	a.plan.Gather(a.c, x.Data, a.xFull[a.nOwned:])
 	copy(a.xFull[:a.nOwned], x.Data)
-	copy(a.xFull[a.nOwned:], a.ghostBuf)
 	if a.sell != nil {
 		a.sell.MulVec(a.xFull, y.Data)
 	} else {

@@ -12,7 +12,9 @@ import (
 	"time"
 
 	"odinhpc/internal/comm"
+	"odinhpc/internal/comm/alloctest"
 	"odinhpc/internal/distmap"
+	"odinhpc/internal/galeri"
 	"odinhpc/internal/tpetra"
 )
 
@@ -137,28 +139,52 @@ func TestGatherPlanSelfTrafficIsZero(t *testing.T) {
 	}
 }
 
-// TestGatherSteadyStateAllocs pins the pooled pack scratch: once the pool is
-// warm, a Gather must not allocate pack buffers — the only steady-state
-// allocation left is the value Alltoall's result slice (1 at P=1). The bound
-// leaves headroom for a GC emptying the pool mid-measurement, which re-runs
-// the pool's New (scratch struct + outer slice) at most once per cycle.
+// TestGatherSteadyStateAllocs pins the allocation-free apply path, at one,
+// two and four ranks: a plan holds no scratch and its value exchange rides
+// comm's typed path, so a Gather — and with it a CrsMatrix.Apply on the
+// benchmark's two stencils, and the allreduce under Vector.Dot — allocates
+// nothing once the mailboxes are warm, whatever the number of ranks or
+// neighbours. The counts are exact (alloctest), not bounds.
 func TestGatherSteadyStateAllocs(t *testing.T) {
-	err := comm.Run(1, func(c *comm.Comm) error {
-		const n = 256
-		m := distmap.NewBlock(n, 1)
-		needed := []int{0, 1, n / 2, n - 1}
-		plan := tpetra.NewGatherPlan(c, m, needed)
-		local := make([]float64, n)
-		out := make([]float64, plan.OutLen())
-		plan.Gather(c, local, out) // warm the scratch pool
-		allocs := testing.AllocsPerRun(100, func() { plan.Gather(c, local, out) })
-		if allocs > 4 {
-			t.Errorf("steady-state Gather allocates %v objects per run, want <= 4", allocs)
+	const runs = 200
+	kernels := []struct {
+		name string
+		prep func(c *comm.Comm) func()
+	}{
+		{"Gather", func(c *comm.Comm) func() {
+			const n = 256
+			m := distmap.NewBlock(n, c.Size())
+			plan := tpetra.NewGatherPlan(c, m, []int{0, 1, n / 2, n - 1})
+			local := make([]float64, m.LocalCount(c.Rank()))
+			out := make([]float64, plan.OutLen())
+			return func() { plan.Gather(c, local, out) }
+		}},
+		{"Vector.Dot", func(c *comm.Comm) func() {
+			m := distmap.NewBlock(512, c.Size())
+			x, y := tpetra.NewVector(c, m), tpetra.NewVector(c, m)
+			x.PutScalar(1)
+			y.PutScalar(2)
+			return func() { x.Dot(y) }
+		}},
+		{"Apply/laplace1d", func(c *comm.Comm) func() {
+			a := galeri.Laplace1DDist(c, distmap.NewBlock(512, c.Size()))
+			x, y := tpetra.NewVector(c, a.Map()), tpetra.NewVector(c, a.Map())
+			x.PutScalar(1)
+			return func() { a.Apply(x, y) }
+		}},
+		{"Apply/laplace3d", func(c *comm.Comm) func() {
+			a := galeri.Laplace3DDist(c, distmap.NewBlock(8*8*8, c.Size()), 8, 8, 8)
+			x, y := tpetra.NewVector(c, a.Map()), tpetra.NewVector(c, a.Map())
+			x.PutScalar(1)
+			return func() { a.Apply(x, y) }
+		}},
+	}
+	for _, k := range kernels {
+		for _, p := range []int{1, 2, 4} {
+			if got := alloctest.Mallocs(t, p, runs, k.prep) / runs; got != 0 {
+				t.Errorf("%s at P=%d allocates %d objects per call (all ranks together), want 0", k.name, p, got)
+			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

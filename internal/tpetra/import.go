@@ -2,7 +2,6 @@ package tpetra
 
 import (
 	"fmt"
-	"sync"
 
 	"odinhpc/internal/comm"
 	"odinhpc/internal/distmap"
@@ -29,12 +28,13 @@ func (e *GatherLengthError) Error() string {
 // of global elements of a distributed vector onto the requesting rank. It is
 // built once (collectively) and applied many times — the pattern behind both
 // Tpetra's Import objects and ODIN's ghost/halo exchanges. Building costs one
-// Alltoall of index lists; each Gather costs one Alltoall of values whose
-// volume is exactly the number of remotely owned requested elements.
+// Alltoall of index lists; each Gather costs one indexed Alltoall of values
+// whose volume is exactly the number of remotely owned requested elements.
 //
 // Plan application is concurrency-safe: after construction a plan is
-// immutable, and each Gather packs into per-call scratch drawn from a pool,
-// so one plan may be applied simultaneously from many goroutines — the
+// immutable and holds no scratch — a Gather packs from the caller's segment
+// straight into the messages and unpacks straight into the caller's output —
+// so one plan may be applied simultaneously from many goroutines, the
 // cross-request plan cache a server needs. The one rule left is the
 // collective one: concurrent applications must each run on their own
 // congruent communicator (a warm rank group); two Gathers interleaved on the
@@ -46,19 +46,6 @@ type GatherPlan struct {
 	selfSrc []int   // src-local indices satisfied locally
 	selfDst []int   // output positions for locally satisfied requests
 	outLen  int
-
-	// scratch pools per-call pack buffers (*gatherScratch), sized from
-	// sendIdx on first use. Pooling keeps the steady-state allocation profile
-	// of the old hoisted buffers (pinned by BenchmarkGatherPlan) without the
-	// shared mutable state that made a plan single-goroutine.
-	scratch sync.Pool
-}
-
-// gatherScratch is one application's pack buffers: per destination rank, the
-// values to send. Pooled via a pointer so Get/Put stay allocation-free at
-// steady state.
-type gatherScratch struct {
-	outgoing [][]float64
 }
 
 // NewGatherPlan builds a plan delivering the elements with global indices
@@ -109,15 +96,6 @@ func NewGatherPlan(c *comm.Comm, src *distmap.Map, needed []int) *GatherPlan {
 		}
 		p.sendIdx[r] = idx
 	}
-	p.scratch.New = func() any {
-		s := &gatherScratch{outgoing: make([][]float64, len(p.sendIdx))}
-		for r, idx := range p.sendIdx {
-			if len(idx) > 0 {
-				s.outgoing[r] = make([]float64, len(idx))
-			}
-		}
-		return s
-	}
 	if ts != nil {
 		ts.Emit(trace.Event{Kind: trace.KindPlan, Rank: int32(c.Rank()), Worker: -1,
 			Peer: -1, Tag: -1, Start: t0, Dur: ts.Now() - t0, A: int64(p.RemoteCount())})
@@ -161,27 +139,7 @@ func (p *GatherPlan) Gather(c *comm.Comm, local, out []float64) {
 	for k, s := range p.selfSrc {
 		out[p.selfDst[k]] = local[s]
 	}
-	// Pack into pooled per-call buffers and exchange remote values. The
-	// scratch goes back to the pool as soon as the Alltoall returns: Send
-	// copies payloads, so by then the buffers are free to reuse.
-	sc := p.scratch.Get().(*gatherScratch)
-	for r, idx := range p.sendIdx {
-		vals := sc.outgoing[r]
-		for k, s := range idx {
-			vals[k] = local[s]
-		}
-	}
-	incoming := comm.Alltoall(c, sc.outgoing)
-	p.scratch.Put(sc)
-	for r, vals := range incoming {
-		pos := p.recvPos[r]
-		if len(vals) != len(pos) {
-			panic(fmt.Sprintf("tpetra: Gather got %d values from rank %d, want %d", len(vals), r, len(pos)))
-		}
-		for k, v := range vals {
-			out[pos[k]] = v
-		}
-	}
+	comm.AlltoallIndexed(c, local, p.sendIdx, out, p.recvPos)
 	if ts != nil {
 		remote := p.RemoteCount()
 		ts.Emit(trace.Event{Kind: trace.KindGather, Rank: int32(c.Rank()), Worker: -1,

@@ -73,14 +73,25 @@ func (v *Vector) checkCompat(w *Vector, op string) {
 	}
 }
 
+// sweepArgs is the operand set of the element-wise range functions below:
+// d is the vector written (or reduced), x and y the ones read. They go to
+// the engine by value with a top-level range function (exec.ForRange), so a
+// sweep the engine runs inline allocates nothing.
+type sweepArgs struct {
+	alpha, beta float64
+	d, x, y     []float64
+}
+
 // PutScalar sets every element to alpha.
 func (v *Vector) PutScalar(alpha float64) {
-	data := v.Data
-	exec.Default().ParallelFor(len(data), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			data[i] = alpha
-		}
-	})
+	exec.ForRange(exec.Default(), len(v.Data), sweepArgs{alpha: alpha, d: v.Data}, fillRange)
+}
+
+func fillRange(a sweepArgs, lo, hi int) {
+	d := a.d[lo:hi]
+	for i := range d {
+		d[i] = a.alpha
+	}
 }
 
 // Randomize fills the vector with deterministic pseudo-random values in
@@ -130,46 +141,54 @@ func (v *Vector) Axpy(alpha float64, x *Vector) {
 // Update computes v = alpha*x + beta*v (the Epetra Update signature).
 func (v *Vector) Update(alpha float64, x *Vector, beta float64) {
 	v.checkCompat(x, "Update")
-	d, xd := v.Data, x.Data
-	exec.Default().ParallelFor(len(d), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			d[i] = alpha*xd[i] + beta*d[i]
-		}
-	})
+	exec.ForRange(exec.Default(), len(v.Data), sweepArgs{alpha: alpha, beta: beta, d: v.Data, x: x.Data}, updateRange)
+}
+
+func updateRange(a sweepArgs, lo, hi int) {
+	alpha, beta, d, xd := a.alpha, a.beta, a.d, a.x
+	for i := lo; i < hi; i++ {
+		d[i] = alpha*xd[i] + beta*d[i]
+	}
 }
 
 // ElementWiseMultiply computes v[i] = x[i]*y[i].
 func (v *Vector) ElementWiseMultiply(x, y *Vector) {
 	v.checkCompat(x, "ElementWiseMultiply")
 	v.checkCompat(y, "ElementWiseMultiply")
-	d, xd, yd := v.Data, x.Data, y.Data
-	exec.Default().ParallelFor(len(d), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			d[i] = xd[i] * yd[i]
-		}
-	})
+	exec.ForRange(exec.Default(), len(v.Data), sweepArgs{d: v.Data, x: x.Data, y: y.Data}, multiplyRange)
+}
+
+func multiplyRange(a sweepArgs, lo, hi int) {
+	d, xd, yd := a.d, a.x, a.y
+	for i := lo; i < hi; i++ {
+		d[i] = xd[i] * yd[i]
+	}
 }
 
 // Reciprocal computes v[i] = 1/x[i]; zero entries produce +Inf as in IEEE.
 func (v *Vector) Reciprocal(x *Vector) {
 	v.checkCompat(x, "Reciprocal")
-	d, xd := v.Data, x.Data
-	exec.Default().ParallelFor(len(d), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			d[i] = 1 / xd[i]
-		}
-	})
+	exec.ForRange(exec.Default(), len(v.Data), sweepArgs{d: v.Data, x: x.Data}, reciprocalRange)
+}
+
+func reciprocalRange(a sweepArgs, lo, hi int) {
+	d, xd := a.d, a.x
+	for i := lo; i < hi; i++ {
+		d[i] = 1 / xd[i]
+	}
 }
 
 // Abs computes v[i] = |x[i]|.
 func (v *Vector) Abs(x *Vector) {
 	v.checkCompat(x, "Abs")
-	d, xd := v.Data, x.Data
-	exec.Default().ParallelFor(len(d), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			d[i] = math.Abs(xd[i])
-		}
-	})
+	exec.ForRange(exec.Default(), len(v.Data), sweepArgs{d: v.Data, x: x.Data}, absRange)
+}
+
+func absRange(a sweepArgs, lo, hi int) {
+	d, xd := a.d, a.x
+	for i := lo; i < hi; i++ {
+		d[i] = math.Abs(xd[i])
+	}
 }
 
 // Dot returns the global inner product <v, w>. Collective. The local part
@@ -178,6 +197,20 @@ func (v *Vector) Dot(w *Vector) float64 {
 	v.checkCompat(w, "Dot")
 	local := dense.DotSlices(v.Data, w.Data)
 	return comm.AllreduceScalar(v.c, local, comm.OpSum)
+}
+
+// Dot2 returns the global inner products <a, b> and <c, d> from a single
+// two-element allreduce — one latency-bound round where two Dot calls pay
+// two, which is what a Krylov iteration is made of. The per-rank partials
+// are Dot's and the reduction is element-wise, so both results are bitwise
+// what the separate calls return. Collective.
+func Dot2(a, b, c, d *Vector) (ab, cd float64) {
+	a.checkCompat(b, "Dot2")
+	c.checkCompat(d, "Dot2")
+	a.checkCompat(c, "Dot2")
+	buf := [2]float64{dense.DotSlices(a.Data, b.Data), dense.DotSlices(c.Data, d.Data)}
+	comm.AllreduceInto(a.c, buf[:], comm.OpSum)
+	return buf[0], buf[1]
 }
 
 // Norm2 returns the global Euclidean norm. Collective.
@@ -203,32 +236,34 @@ func (v *Vector) MeanValue() float64 {
 
 // MinValue returns the global minimum element. Collective.
 func (v *Vector) MinValue() float64 {
-	data := v.Data
-	local := exec.ParallelReduce(exec.Default(), len(data), func(lo, hi int) float64 {
-		best := math.Inf(1)
-		for i := lo; i < hi; i++ {
-			if data[i] < best {
-				best = data[i]
-			}
-		}
-		return best
-	}, math.Min)
+	local := exec.ReduceRange(exec.Default(), len(v.Data), sweepArgs{d: v.Data}, minRange, math.Min)
 	return comm.AllreduceScalar(v.c, local, comm.OpMin)
+}
+
+func minRange(a sweepArgs, lo, hi int) float64 {
+	best := math.Inf(1)
+	for _, x := range a.d[lo:hi] {
+		if x < best {
+			best = x
+		}
+	}
+	return best
 }
 
 // MaxValue returns the global maximum element. Collective.
 func (v *Vector) MaxValue() float64 {
-	data := v.Data
-	local := exec.ParallelReduce(exec.Default(), len(data), func(lo, hi int) float64 {
-		best := math.Inf(-1)
-		for i := lo; i < hi; i++ {
-			if data[i] > best {
-				best = data[i]
-			}
-		}
-		return best
-	}, math.Max)
+	local := exec.ReduceRange(exec.Default(), len(v.Data), sweepArgs{d: v.Data}, maxRange, math.Max)
 	return comm.AllreduceScalar(v.c, local, comm.OpMax)
+}
+
+func maxRange(a sweepArgs, lo, hi int) float64 {
+	best := math.Inf(-1)
+	for _, x := range a.d[lo:hi] {
+		if x > best {
+			best = x
+		}
+	}
+	return best
 }
 
 // GatherAll returns the full global vector, in global order, on every rank.

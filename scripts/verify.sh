@@ -52,6 +52,17 @@ grep -q p2pmatch /tmp/odinhpc-vettool-p2p.out
 
 go test ./...
 
+# Stage "allocs": the allocation pins of the solver hot loop, on their own
+# and timed — a scalar AllreduceInto at P=2/4/8, Vector.Dot, Gather and
+# CrsMatrix.Apply on the laplace1d/3d stencils, and the CG per-iteration
+# slope at P=1/2/4 must all allocate exactly nothing at steady state. They
+# count process-wide mallocs, so they run uncached and not under -race (where
+# they skip).
+allocs_start=$(date +%s)
+go test -count=1 -run 'TestAllreduceAllocs|TestGatherSteadyStateAllocs|TestCGAllocsPerIteration' \
+  ./internal/comm ./internal/tpetra ./internal/solvers
+echo "verify: stage allocs took $(( $(date +%s) - allocs_start ))s"
+
 # Race pass over every concurrency-bearing package: the comm fabric, the
 # rank/context layer, the exec pool, the fusion VM (whose block sweep shares
 # compiled programs across pool workers and must stay bitwise identical to
@@ -117,7 +128,9 @@ fi
 
 # Disabled-path guard: with tracing off, every instrumentation site must
 # cost one atomic load, so the hot-loop benchmarks must stay within noise of
-# the recorded baselines. Warn-only at 3%; hard-fail at +100%. The wide band
+# the recorded baselines. Warn-only at 3%; hard-fail at +100% — except
+# allocs/op, which has no noise: a row whose baseline carries allocs_per_op
+# fails on any rise (hence -benchmem). The wide ns/op band
 # is deliberate: the shared single-core host has been measured drifting ~65%
 # on identical code within an hour (see the refresh note in
 # BENCH_fusion.json), so warns are the signal to re-run an A/B by hand and
@@ -131,14 +144,14 @@ go build -o /tmp/odinhpc-benchguard ./cmd/benchguard
 # verify; a reproducible 2x regression still fails both attempts.
 bench_gate() {
   pkg="$1"; pattern="$2"; benchtime="$3"; baseline="$4"
-  go test -run XXX -bench "$pattern" -benchtime="$benchtime" "$pkg" \
+  go test -run XXX -bench "$pattern" -benchtime="$benchtime" -benchmem "$pkg" \
     | /tmp/odinhpc-benchguard -baseline "$baseline" -fail 1.0 && return 0
   echo "verify: $baseline gate failed once, re-measuring" >&2
-  go test -run XXX -bench "$pattern" -benchtime="$benchtime" "$pkg" \
+  go test -run XXX -bench "$pattern" -benchtime="$benchtime" -benchmem "$pkg" \
     | /tmp/odinhpc-benchguard -baseline "$baseline" -fail 1.0
 }
 bench_gate . ExecScaling 0.3s BENCH_exec.json
 bench_gate . FusionVM 0.3s BENCH_fusion.json
 bench_gate . SpmvFormats 0.3s BENCH_spmv.json
-bench_gate ./internal/comm CommTransport 0.2s BENCH_comm.json
+bench_gate ./internal/comm 'CommTransport|AllreduceScalar' 0.2s BENCH_comm.json
 bench_gate ./internal/serve Serve 0.3s BENCH_serve.json
