@@ -29,7 +29,7 @@ import (
 // whose spans allocate.
 func Mallocs(tb testing.TB, p, runs int, prep func(c *comm.Comm) func()) uint64 {
 	tb.Helper()
-	if raceEnabled || trace.Active() != nil {
+	if RaceEnabled || trace.Active() != nil {
 		tb.Skip("allocation counts are not exact under the race detector or a trace session")
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))

@@ -2,4 +2,5 @@
 
 package alloctest
 
-const raceEnabled = false
+// RaceEnabled: the race detector is compiled in.
+const RaceEnabled = false

@@ -2,4 +2,5 @@
 
 package alloctest
 
-const raceEnabled = true
+// RaceEnabled: the race detector is compiled in.
+const RaceEnabled = true

@@ -3,6 +3,7 @@ package comm
 import (
 	"fmt"
 	"testing"
+	"time"
 )
 
 // benchTagP2P tags the messages of BenchmarkP2P.
@@ -61,8 +62,8 @@ func BenchmarkP2P(b *testing.B) {
 }
 
 // benchCollective runs body b.N times on every rank of a P-rank session,
-// once per P.
-func benchCollective(b *testing.B, ps []int, body func(c *Comm)) {
+// once per P, then any report functions (custom metrics).
+func benchCollective(b *testing.B, ps []int, body func(c *Comm), report ...func(b *testing.B)) {
 	for _, p := range ps {
 		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
 			b.ReportAllocs()
@@ -75,6 +76,9 @@ func benchCollective(b *testing.B, ps []int, body func(c *Comm)) {
 			})
 			if err != nil {
 				b.Fatal(err)
+			}
+			for _, r := range report {
+				r(b)
 			}
 		})
 	}
@@ -92,6 +96,40 @@ func BenchmarkAllreduce(b *testing.B) {
 // gated at 0 in BENCH_comm.json).
 func BenchmarkAllreduceScalar(b *testing.B) {
 	benchCollective(b, []int{2, 4, 8, 16}, func(c *Comm) { AllreduceScalar(c, 1.0, OpSum) })
+}
+
+// benchWork is a fixed-count arithmetic loop of roughly 100 us on this host:
+// the compute phase of BenchmarkSyncAfterCompute.
+func benchWork(x float64) float64 {
+	for i := 0; i < 50000; i++ {
+		x = x*1.0000001 + 1e-9
+	}
+	return x
+}
+
+var benchSink float64
+
+// BenchmarkSyncAfterCompute is a Krylov iteration reduced to its
+// synchronisation: every rank runs the same ~100 us of arithmetic, then all
+// meet in a scalar allreduce. ns/op is the whole step; sync-ns/op is what the
+// meeting costs on top of the arithmetic (the same loop timed alone first).
+// A receive that parks the moment its peer is a little late pays a thread
+// wake-up here every step — as long again as the arithmetic, for 8 bytes —
+// which is the cost waitMsg's spin removes. BENCH_comm.json gates ns/op. At
+// P=4 the two cores hold four ranks, so half of ns/op is the other ranks'
+// arithmetic, not waiting.
+func BenchmarkSyncAfterCompute(b *testing.B) {
+	const calls = 100
+	t0 := time.Now()
+	for i := 0; i < calls; i++ {
+		benchSink = benchWork(benchSink)
+	}
+	work := float64(time.Since(t0).Nanoseconds()) / calls
+	benchCollective(b, []int{2, 4}, func(c *Comm) {
+		AllreduceScalar(c, benchWork(float64(c.Rank())), OpMax)
+	}, func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)-work, "sync-ns/op")
+	})
 }
 
 // BenchmarkBarrier measures the dissemination barrier.

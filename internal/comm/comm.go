@@ -18,7 +18,9 @@ package comm
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"odinhpc/internal/trace"
@@ -108,23 +110,38 @@ func (q *msgQueue) insert(pos int, m Message) {
 }
 
 // mailbox is the per-destination message queue. Receivers scan it for a
-// matching (src, tag) pair and block on the condition variable otherwise.
-// free holds the typed path's payload buffers between messages. The delayed
-// and seen fields belong to the fault-injection layer and stay nil/empty
-// when no plan is active.
+// matching (src, tag) pair and otherwise wait (waitMsg): spinning on arrivals,
+// which every enqueue bumps before it releases mu (after the unlock the same
+// add cost the scalar allreduce 15%: the receiver has the line by then), or
+// parked on cond. free holds the typed path's payload buffers between
+// messages. The delayed and seen fields belong to the fault-injection layer
+// and stay nil/empty when no plan is active.
 type mailbox struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	queue   msgQueue
-	free    [][]float64
-	delayed []heldMsg
-	seen    map[int]map[uint64]struct{}
+	mu       sync.Mutex
+	cond     *sync.Cond
+	arrivals atomic.Uint64
+	queue    msgQueue
+	free     [][]float64
+	delayed  []heldMsg
+	seen     map[int]map[uint64]struct{}
 }
 
 func newMailbox() *mailbox {
 	m := &mailbox{}
 	m.cond = sync.NewCond(&m.mu)
 	return m
+}
+
+// takeMatchLocked removes and returns the oldest queued message matching
+// (src, tag).
+func (b *mailbox) takeMatchLocked(src, tag int) (Message, bool) {
+	for i, m := range b.queue.live() {
+		if (src == AnySource || m.Src == src) && (tag == AnyTag || m.Tag == tag) {
+			b.queue.remove(i)
+			return m, true
+		}
+	}
+	return Message{}, false
 }
 
 // A mailbox keeps at most maxFreeBufs payload buffers, none longer than
@@ -212,6 +229,13 @@ type Comm struct {
 	collSeq int       // per-rank collective sequence number (SPMD-synchronized)
 	simTime float64   // accumulated modeled communication time, seconds
 	sendSeq []uint64  // per-destination delivery sequence (fault plans only)
+
+	// lastWait is when (on clock) this rank last returned from a receive that
+	// had to wait, for waitMsg's gap test.
+	lastWait time.Duration
+	// spinMiss counts this rank's consecutive expired spins and spinSkip the
+	// waits it still sits out for them (waitMsg's back-off).
+	spinMiss, spinSkip uint8
 
 	// jitterSeq counts this rank's scheduling-jitter decision points; it
 	// feeds the seed-pure yield hash (sched.go) and stays zero without a
@@ -530,6 +554,7 @@ func (c *Comm) sendTyped(dst, tag, n int, data []float64, idx []int) {
 		packFloats(buf, data, idx)
 	}
 	box.queue.push(Message{Src: c.rank, Tag: tag, f64: buf})
+	box.arrivals.Add(1)
 	box.mu.Unlock()
 	box.cond.Broadcast()
 }
@@ -594,38 +619,151 @@ func (c *Comm) RecvMsg(src, tag int) Message {
 func (c *Comm) recvMsg(src, tag int) Message {
 	s := trace.Active()
 	if s == nil {
-		return c.takeMsg(src, tag)
+		m, _ := c.takeMsg(src, tag)
+		return m
 	}
 	t0 := s.Now()
-	m := c.takeMsg(src, tag)
-	// Dur is the time this rank spent blocked — the per-rank wait profile
-	// that makes collective skew visible in the exported timeline.
+	m, how := c.takeMsg(src, tag)
+	// Dur is the time this rank spent blocked, spinning included — the
+	// per-rank wait profile that makes collective skew visible in the
+	// exported timeline; the label says whether the wait went to sleep.
 	s.Emit(trace.Event{Kind: trace.KindRecv, Rank: int32(c.rank), Worker: -1,
 		Peer: int32(m.Src), Tag: int32(m.Tag), Start: t0, Dur: s.Now() - t0,
-		Bytes: m.bytes()})
+		Bytes: m.bytes(), Label: waitLabels[how]})
 	return m
 }
 
-func (c *Comm) takeMsg(src, tag int) Message {
+// waitHow is how a receive came by its message; waitLabels marks the KindRecv
+// event with it ("recv", "recv:spin", "recv:park" in the exported timeline).
+type waitHow uint8
+
+const (
+	waitNone waitHow = iota // it was already queued
+	waitSpin                // it arrived while the receiver spun
+	waitPark                // the receiver parked
+)
+
+var waitLabels = [...]string{"", "spin", "park"}
+
+func (c *Comm) takeMsg(src, tag int) (Message, waitHow) {
 	c.jitter(jitterRecv)
 	if c.f.watchful {
 		return c.watchfulRecv(src, tag)
 	}
 	box := c.box
 	box.mu.Lock()
-	defer box.mu.Unlock()
-	for {
-		for i, m := range box.queue.live() {
-			if (src == AnySource || m.Src == src) && (tag == AnyTag || m.Tag == tag) {
-				box.queue.remove(i)
-				if c.f.model != nil {
-					c.simTime += c.f.model.Time(m.bytes())
-				}
-				return m
-			}
-		}
-		box.cond.Wait()
+	m, ok := box.takeMatchLocked(src, tag)
+	how := waitNone
+	if !ok {
+		m, how = c.waitMsg(src, tag)
 	}
+	box.mu.Unlock()
+	if c.f.model != nil {
+		c.simTime += c.f.model.Time(m.bytes())
+	}
+	return m, how
+}
+
+// A receive that finds no match spins before it parks, when spinning can pay
+// (DESIGN.md "Waiting for a message" has the measurements). Parking is dear
+// in SPMD code: the peer whose send ends the wait readies the waiter into its
+// own run queue and goes on computing, so the waiter runs only once an idle
+// thread has been woken by futex on a halted core and has stolen it back —
+// 75-130 us on this host, for a halo face that moves in 12 us. The spin reads
+// the mailbox's arrivals counter with a Gosched between reads, so every other
+// runnable goroutine runs first, and engages only where the code can see it
+// pay:
+//
+//   - the rank has run for more than spinMinGap since it last had to wait for
+//     a message, so by SPMD symmetry its peer is computing too and will not
+//     park right after sending. Ranks in a chain of collectives or a
+//     ping-pong fail this; for them parking is the cheaper, same-thread
+//     hand-off (spinning regardless: 0.9 -> 1.8 us per round trip). A rank
+//     that has never waited counts as computing;
+//   - fewer than GOMAXPROCS-1 receivers are spinning in the whole process:
+//     none on one core, and oversubscribed ranks park at once as before;
+//   - the rank's last spin found its message. One that expired sits out the
+//     next 1, 3, 7, ... 63 waits, doubling until a spin pays again: where the
+//     two threads share a core (the kernel put them there, or GOMAXPROCS
+//     exceeds the CPUs the process may use) the spinner only takes the
+//     processor from the peer it waits for.
+//
+// spinBudget is the most a wrong guess costs. It must outlast the skew of two
+// ranks in the same sweep (20 us bought a tenth of solve_large's gain, 100 us
+// all of it) and the wake-up itself, or the rank that one park made late
+// makes its peer's next spin expire in turn. Clock reads happen only on this
+// path, never when the message was already queued.
+const (
+	spinBudget = 150 * time.Microsecond
+	spinMinGap = 5 * time.Microsecond
+)
+
+// spinners counts the receivers spinning now, process-wide; peak and attempts
+// are for the gate's tests.
+var spinners struct {
+	active   atomic.Int32
+	peak     atomic.Int32
+	attempts atomic.Int64
+}
+
+// clock is monotonic time at half the cost of time.Now (no wall-clock read).
+func clock() time.Duration { return time.Since(clockBase) }
+
+var clockBase = time.Now()
+
+// trySpin claims a spinner slot, released with spinners.active.Add(-1).
+func trySpin() bool {
+	n := spinners.active.Add(1)
+	if int(n) > runtime.GOMAXPROCS(0)-1 {
+		spinners.active.Add(-1)
+		return false
+	}
+	spinners.attempts.Add(1)
+	for p := spinners.peak.Load(); n > p && !spinners.peak.CompareAndSwap(p, n); p = spinners.peak.Load() {
+	}
+	return true
+}
+
+// waitMsg is takeMsg's slow path: nothing queued matches (src, tag). Entered
+// and left with the mailbox locked, it returns the match once it has arrived.
+func (c *Comm) waitMsg(src, tag int) (m Message, how waitHow) {
+	box, ok := c.box, false
+	if c.spinSkip > 0 {
+		c.spinSkip--
+	} else if now := clock(); now-c.lastWait > spinMinGap && trySpin() {
+		how = waitSpin
+		// Read under the lock, after the scan that found nothing: an enqueue
+		// that scan missed moves the counter past seen.
+		seen := box.arrivals.Load()
+		for deadline, expired := now+spinBudget, false; !ok && !expired; {
+			box.mu.Unlock()
+			for {
+				runtime.Gosched()
+				expired = clock() > deadline
+				if expired || box.arrivals.Load() != seen {
+					break
+				}
+			}
+			box.mu.Lock()
+			m, ok = box.takeMatchLocked(src, tag)
+			seen = box.arrivals.Load()
+		}
+		spinners.active.Add(-1)
+		if ok {
+			c.spinMiss = 0
+		} else if c.spinMiss < 6 {
+			c.spinMiss++
+		}
+		c.spinSkip = 1<<c.spinMiss - 1
+	}
+	for !ok {
+		how = waitPark
+		box.cond.Wait()
+		m, ok = box.takeMatchLocked(src, tag)
+	}
+	c.lastWait = clock() // for the next wait's gap test
+	c.f.stats.recordWait(c.rank, how)
+	return m, how
 }
 
 // Probe reports whether a message matching (src, tag) is waiting, without
@@ -684,6 +822,8 @@ func GlobalStats(c *Comm) StatsSnapshot {
 	}
 	snap.Msgs = Allreduce(c, snap.Msgs, OpSum)
 	snap.Bytes = Allreduce(c, snap.Bytes, OpSum)
+	waits := Allreduce(c, []int64{snap.RecvParks, snap.RecvSpinHits}, OpSum)
+	snap.RecvParks, snap.RecvSpinHits = waits[0], waits[1]
 	return snap
 }
 

@@ -499,6 +499,7 @@ func (b *mailbox) deliverFault(m Message, hold int, reorder uint64) {
 			b.queue.push(m)
 		}
 	}
+	b.arrivals.Add(1)
 	b.mu.Unlock()
 	b.cond.Broadcast()
 }
@@ -598,8 +599,9 @@ func (b *mailbox) markSeenLocked(src int, seq uint64) {
 // Config.RecvTimeout, or a remote transport. It drains matching
 // (deduplicated) messages, flushes logical delays before blocking, aborts
 // promptly when the session failed, and arms a watchdog so no schedule (and
-// no dead peer process) can hang a receiver.
-func (c *Comm) watchfulRecv(src, tag int) Message {
+// no dead peer process) can hang a receiver. It parks at once — a loop that
+// polls every 10ms is not waitMsg's case — and counts a park per receive.
+func (c *Comm) watchfulRecv(src, tag int) (Message, waitHow) {
 	if p := c.f.plan; p != nil {
 		if d := p.SlowRanks[c.rank]; d > 0 {
 			time.Sleep(d)
@@ -614,6 +616,7 @@ func (c *Comm) watchfulRecv(src, tag int) Message {
 	// keeps a timer from outliving its Recv on every exit path, normal or
 	// panicking.
 	var wake *time.Timer
+	how := waitNone
 	box.mu.Lock()
 	defer box.mu.Unlock()
 	defer func() {
@@ -626,7 +629,10 @@ func (c *Comm) watchfulRecv(src, tag int) Message {
 			if c.f.model != nil {
 				c.simTime += c.f.model.Time(m.bytes())
 			}
-			return m
+			if how == waitPark {
+				c.f.stats.recordWait(c.rank, how)
+			}
+			return m, how
 		}
 		if box.flushDelayedLocked() {
 			continue
@@ -646,6 +652,7 @@ func (c *Comm) watchfulRecv(src, tag int) Message {
 			box.mu.Lock()
 			panic(ferr)
 		}
+		how = waitPark
 		wake = waitWithWakeup(box, wake, 10*time.Millisecond)
 	}
 }

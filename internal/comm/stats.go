@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // FaultCounts tallies the perturbations the fault-injection layer applied
@@ -51,6 +52,16 @@ type Stats struct {
 	msgs   []int64 // size*size, row-major [src*size+dst]
 	bytes  []int64
 	faults FaultCounts
+	waits  []waitCounts // per receiving rank
+}
+
+// waitCounts tallies one rank's receives that found nothing queued, by how
+// they ended (indexed by waitHow); schedule-dependent, unlike the rest of
+// Stats. It is bumped on the wake-up path, where the shared mutex cost the
+// scalar allreduce 8%, so each rank adds to its own cache line.
+type waitCounts struct {
+	n [3]atomic.Int64
+	_ [40]byte
 }
 
 func newStats(size int) *Stats {
@@ -58,6 +69,7 @@ func newStats(size int) *Stats {
 		size:  size,
 		msgs:  make([]int64, size*size),
 		bytes: make([]int64, size*size),
+		waits: make([]waitCounts, size),
 	}
 }
 
@@ -67,6 +79,9 @@ func (s *Stats) record(src, dst int, n int64) {
 	s.bytes[src*s.size+dst] += n
 	s.mu.Unlock()
 }
+
+// recordWait counts one receive of rank that had to wait.
+func (s *Stats) recordWait(rank int, how waitHow) { s.waits[rank].n[how].Add(1) }
 
 // addFault applies one mutation to the fault counters under the lock, so
 // fault accounting stays consistent with concurrent record/snapshot/reset.
@@ -86,6 +101,10 @@ func (s *Stats) reset() {
 		s.bytes[i] = 0
 	}
 	s.faults = FaultCounts{}
+	for i := range s.waits {
+		s.waits[i].n[waitPark].Store(0)
+		s.waits[i].n[waitSpin].Store(0)
+	}
 	s.mu.Unlock()
 }
 
@@ -106,6 +125,10 @@ func (s *Stats) snapshot() StatsSnapshot {
 	}
 	copy(snap.Msgs, s.msgs)
 	copy(snap.Bytes, s.bytes)
+	for i := range s.waits {
+		snap.RecvParks += s.waits[i].n[waitPark].Load()
+		snap.RecvSpinHits += s.waits[i].n[waitSpin].Load()
+	}
 	return snap
 }
 
@@ -115,6 +138,12 @@ type StatsSnapshot struct {
 	Msgs   []int64 // [src*Size+dst]
 	Bytes  []int64
 	Faults FaultCounts
+
+	// Of the receives that found no matching message queued, RecvParks put
+	// their goroutine to sleep and RecvSpinHits got the message while still
+	// spinning (waitMsg). Receives served from the queue count in neither.
+	RecvParks    int64
+	RecvSpinHits int64
 }
 
 // MsgCount returns the number of messages sent from src to dst.

@@ -164,6 +164,7 @@ func (b *mailbox) deliver(fr Frame) {
 	if fr.Seq == 0 {
 		b.mu.Lock()
 		b.queue.push(Message{Src: fr.Src, Tag: fr.Tag, Payload: fr.Payload})
+		b.arrivals.Add(1)
 		b.mu.Unlock()
 		b.cond.Broadcast()
 		return

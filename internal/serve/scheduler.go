@@ -97,7 +97,8 @@ func (s *Scheduler) Groups() int { return s.opts.Groups }
 
 // Submit runs fn on the next available warm group. It rejects with a typed
 // QuotaError or OverloadError without blocking; an admitted job's result
-// arrives through the returned Pending.
+// arrives through the returned Pending, and every admitted job resolves —
+// with ErrStopped if Stop got to it before a group did.
 func (s *Scheduler) Submit(tenant string, fn JobFunc) (*Pending, error) {
 	if s.stopped.Load() {
 		return nil, ErrStopped
@@ -117,6 +118,11 @@ func (s *Scheduler) Submit(tenant string, fn JobFunc) (*Pending, error) {
 	select {
 	case s.queue <- jb:
 		s.stats.accepted.Add(1)
+		if s.stopped.Load() {
+			// Stop won the race after the check above and may already have
+			// drained the queue; nobody would resolve this job.
+			s.drain()
+		}
 		return &Pending{jb: jb}, nil
 	default:
 		release()
@@ -143,16 +149,22 @@ func (s *Scheduler) Stop() {
 	}
 	close(s.quit)
 	// Groups stop pulling once quit closes; drain what they left behind.
+	s.drain()
+	s.wg.Wait()
+}
+
+// drain resolves every queued job with ErrStopped. Stop calls it, and so
+// does a Submit that enqueued after Stop began: whoever takes a job off the
+// queue — a group, Stop or that Submit — resolves it, exactly once.
+func (s *Scheduler) drain() {
 	for {
 		select {
 		case jb := <-s.queue:
 			jb.fail(ErrStopped)
-			continue
 		default:
+			return
 		}
-		break
 	}
-	s.wg.Wait()
 }
 
 // Stats counts scheduler outcomes with lock-free counters; Snapshot renders

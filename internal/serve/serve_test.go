@@ -363,6 +363,49 @@ func TestSchedulerStop(t *testing.T) {
 	s.Stop() // idempotent
 }
 
+// TestSubmitRacingStopResolves hammers Submit against Stop: a Submit that
+// passes the stopped check just before Stop drains the queue used to enqueue
+// into the drained channel, and its Pending never resolved. Every admitted
+// job must resolve, with a result or ErrStopped.
+func TestSubmitRacingStopResolves(t *testing.T) {
+	noop := func(c *comm.Comm, st *RankState) (any, error) { return nil, nil }
+	for round := 0; round < 200; round++ {
+		s := NewScheduler(Options{Groups: 1, Ranks: 1, QueueDepth: 4})
+		const submitters = 4
+		pending := make(chan *Pending, submitters*64)
+		var wg sync.WaitGroup
+		for i := 0; i < submitters; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for n := 0; n < 64; n++ {
+					p, err := s.Submit("t", noop)
+					if err == ErrStopped {
+						return
+					}
+					if err == nil {
+						pending <- p
+					}
+				}
+			}()
+		}
+		s.Stop()
+		wg.Wait()
+		close(pending)
+		deadline := time.After(10 * time.Second)
+		for p := range pending {
+			select {
+			case <-p.Done():
+				if _, err := p.Wait(); err != nil && err != ErrStopped {
+					t.Fatalf("round %d: admitted job resolved with %v", round, err)
+				}
+			case <-deadline:
+				t.Fatalf("round %d: an admitted job never resolved", round)
+			}
+		}
+	}
+}
+
 // TestWarmMatrixCacheReuse pins the warm-state contract: two solves of one
 // spec on one group assemble the matrix once (the second run is served from
 // RankState.matrices, reusing its compiled GatherPlan).

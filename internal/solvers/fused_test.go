@@ -91,7 +91,10 @@ func bicgstabUnfused(a tpetra.Operator, b, x *tpetra.Vector, opt Options) []floa
 // the unfused oracles: the residual history — every scalar the recurrences
 // produce feeds it — must be identical bit for bit, with and without a
 // preconditioner, at one rank, at powers of two and at a size that folds a
-// rank in and out of the allreduce.
+// rank in and out of the allreduce. Without a preconditioner the solvers use
+// r itself as z (and p, s as M^-1 p, M^-1 s) and reduce <r, r> once; the
+// oracles still copy through applyPrec, so they are the reference for that
+// aliasing too.
 func TestFusedReductionsBitwise(t *testing.T) {
 	type solver struct {
 		name   string

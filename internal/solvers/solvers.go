@@ -66,21 +66,36 @@ func applyPrec(p Preconditioner, r, z *tpetra.Vector) {
 	p.ApplyInverse(r, z)
 }
 
+// precDots sets z = M^{-1} r and returns <r, z> and <r, r> from one
+// allreduce: of the pair (tpetra.Dot2), or, with no preconditioner — where
+// the caller passes r itself as z — of the one number both are.
+func precDots(p Preconditioner, r, z *tpetra.Vector) (rz, rr float64) {
+	if p == nil {
+		rr = r.Dot(r)
+		return rr, rr
+	}
+	p.ApplyInverse(r, z)
+	return tpetra.Dot2(r, z, r, r)
+}
+
 // CG solves A x = b for symmetric positive-definite A using the
 // preconditioned conjugate gradient method. x holds the initial guess on
 // entry and the solution on exit. Collective.
 //
 // An iteration costs two allreduce rounds: <p, Ap>, then <r, z> and <r, r>
-// together (tpetra.Dot2) once r and z are updated. The scalars are bitwise
+// together (precDots) once r and z are updated. The scalars are bitwise
 // those of three separate reductions, so iterates and iteration counts are
-// too.
+// too. Without a preconditioner z is r, not a copy of it.
 func CG(a tpetra.Operator, b, x *tpetra.Vector, opt Options) (Result, error) {
 	opt = opt.withDefaults()
 	res := Result{}
 	c := b.Comm()
 	m := a.Map()
 	r := tpetra.NewVector(c, m)
-	z := tpetra.NewVector(c, m)
+	z := r
+	if opt.Precond != nil {
+		z = tpetra.NewVector(c, m)
+	}
 	p := tpetra.NewVector(c, m)
 	ap := tpetra.NewVector(c, m)
 
@@ -90,9 +105,8 @@ func CG(a tpetra.Operator, b, x *tpetra.Vector, opt Options) (Result, error) {
 	}
 	a.Apply(x, r)
 	r.Update(1, b, -1) // r = b - Ax
-	applyPrec(opt.Precond, r, z)
+	rz, rr := precDots(opt.Precond, r, z)
 	p.CopyFrom(z)
-	rz, rr := tpetra.Dot2(r, z, r, r)
 	rnorm := math.Sqrt(rr)
 	record := func() {
 		if opt.RecordHistory {
@@ -114,8 +128,7 @@ func CG(a tpetra.Operator, b, x *tpetra.Vector, opt Options) (Result, error) {
 		alpha := rz / pap
 		x.Axpy(alpha, p)
 		r.Axpy(-alpha, ap)
-		applyPrec(opt.Precond, r, z)
-		rzNew, rr := tpetra.Dot2(r, z, r, r)
+		rzNew, rr := precDots(opt.Precond, r, z)
 		if rz == 0 {
 			res.Residual = rnorm / bnorm
 			return res, ErrBreakdown
@@ -147,8 +160,12 @@ func BiCGSTAB(a tpetra.Operator, b, x *tpetra.Vector, opt Options) (Result, erro
 	v := tpetra.NewVector(c, m)
 	s := tpetra.NewVector(c, m)
 	t := tpetra.NewVector(c, m)
-	phat := tpetra.NewVector(c, m)
-	shat := tpetra.NewVector(c, m)
+	// M^{-1}p and M^{-1}s are only read: without a preconditioner they are p
+	// and s themselves.
+	phat, shat := p, s
+	if opt.Precond != nil {
+		phat, shat = tpetra.NewVector(c, m), tpetra.NewVector(c, m)
+	}
 
 	bnorm := b.Norm2()
 	if bnorm == 0 {
@@ -184,7 +201,9 @@ func BiCGSTAB(a tpetra.Operator, b, x *tpetra.Vector, opt Options) (Result, erro
 			p.Update(1, r, beta)
 		}
 		rho = rhoNew
-		applyPrec(opt.Precond, p, phat)
+		if opt.Precond != nil {
+			opt.Precond.ApplyInverse(p, phat)
+		}
 		a.Apply(phat, v)
 		rhv := rhat.Dot(v)
 		if rhv == 0 {
@@ -202,7 +221,9 @@ func BiCGSTAB(a tpetra.Operator, b, x *tpetra.Vector, opt Options) (Result, erro
 			record()
 			break
 		}
-		applyPrec(opt.Precond, s, shat)
+		if opt.Precond != nil {
+			opt.Precond.ApplyInverse(s, shat)
+		}
 		a.Apply(shat, t)
 		tt, ts := tpetra.Dot2(t, t, t, s) // one allreduce for the pair
 		if tt == 0 {

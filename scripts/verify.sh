@@ -9,7 +9,25 @@ set -eux
 
 cd "$(dirname "$0")/.."
 
+# Every stage is timed. `stage NAME` closes the stage that was running and
+# opens the next; the table prints when the script exits, pass or fail, so a
+# stage that got slower (or the one that failed) is named in the log.
+stages=""
+stage_name=""
+stage() {
+  now=$(date +%s)
+  if [ -n "$stage_name" ]; then
+    stages="$stages$(printf '  %-10s %5ss' "$stage_name" $((now - stage_start)))
+"
+  fi
+  stage_name="${1:-}"
+  stage_start=$now
+}
+trap 'set +x; stage; printf "verify: stage times\n%s" "$stages"' EXIT
+
+stage build
 go build ./...
+stage vet
 go vet ./...
 
 # Domain invariants: the odinvet multichecker (internal/analysis) enforces
@@ -18,6 +36,7 @@ go vet ./...
 # plan single-threadedness. Run
 # from source — no install step — and fail hard on any finding (see
 # DESIGN.md "Static analysis").
+stage odinvet
 go run ./cmd/odinvet ./...
 
 # collorder true-positive: the seed package (kept under testdata, so ./...
@@ -50,18 +69,18 @@ if go vet -vettool=/tmp/odinhpc-odinvet ./internal/analysis/p2pmatch/testdata/sr
 fi
 grep -q p2pmatch /tmp/odinhpc-vettool-p2p.out
 
+stage test
 go test ./...
 
-# Stage "allocs": the allocation pins of the solver hot loop, on their own
-# and timed — a scalar AllreduceInto at P=2/4/8, Vector.Dot, Gather and
+# Stage "allocs": the allocation pins of the solver hot loop, on their own —
+# a scalar AllreduceInto at P=2/4/8, Vector.Dot, Gather and
 # CrsMatrix.Apply on the laplace1d/3d stencils, and the CG per-iteration
 # slope at P=1/2/4 must all allocate exactly nothing at steady state. They
 # count process-wide mallocs, so they run uncached and not under -race (where
 # they skip).
-allocs_start=$(date +%s)
+stage allocs
 go test -count=1 -run 'TestAllreduceAllocs|TestGatherSteadyStateAllocs|TestCGAllocsPerIteration' \
   ./internal/comm ./internal/tpetra ./internal/solvers
-echo "verify: stage allocs took $(( $(date +%s) - allocs_start ))s"
 
 # Race pass over every concurrency-bearing package: the comm fabric, the
 # rank/context layer, the exec pool, the fusion VM (whose block sweep shares
@@ -69,16 +88,19 @@ echo "verify: stage allocs took $(( $(date +%s) - allocs_start ))s"
 # the reference evaluators), the tpetra distributed kernels, the trace
 # ring (all ranks emit into a shared session), and the serve scheduler
 # (concurrent jobs on warm rank groups sharing plans and the fusion cache).
+stage race
 go test -race ./internal/comm ./internal/core ./internal/exec ./internal/fusion ./internal/tpetra ./internal/trace ./internal/serve
 
 # Chaos conformance: replay collectives and distributed kernels under seeded
 # fault plans, twice, under the race detector — results must be bitwise
 # identical to fault-free runs or fail with a typed comm.FaultError.
+stage chaos
 go test -race -count=2 -run Chaos ./internal/comm/... ./internal/fusion ./internal/tpetra ./internal/distmap ./internal/slicing ./internal/solvers
 
 # Trace-enabled pass: ODINHPC_TRACE auto-starts a session at init, so the
 # comm and tpetra suites run with every instrumentation site live, under the
 # race detector (all ranks emit into the shared session concurrently).
+stage trace
 ODINHPC_TRACE=65536 go test -race ./internal/trace ./internal/comm ./internal/tpetra
 
 # Transport conformance: the whole comm suite — goldens, chaos, splits,
@@ -86,11 +108,13 @@ ODINHPC_TRACE=65536 go test -race ./internal/trace ./internal/comm ./internal/tp
 # sockets (ODINHPC_TRANSPORT=tcp), then a race pass over the transport code
 # (the tcp endpoint runs reader/writer goroutines per connection and the
 # launch rendezvous serves workers concurrently).
+stage tcp
 ODINHPC_TRANSPORT=tcp go test ./internal/comm/...
 ODINHPC_TRANSPORT=tcp go test -race ./internal/comm ./internal/comm/launch
 
 # Multi-process end to end: a distributed CG solve with one OS process per
 # rank, wired by the comm/launch rendezvous over tcp.
+stage odinrun
 go build -o /tmp/odinhpc-odinrun ./cmd/odinrun
 /tmp/odinhpc-odinrun -transport=tcp -np=4 -n 512 cg
 
@@ -98,6 +122,7 @@ go build -o /tmp/odinhpc-odinrun ./cmd/odinrun
 # jobs from 16 concurrent clients through the loadgen, and require zero
 # failed jobs, p99 under 2s, and a warm plan cache (hits > misses) — the
 # service's acceptance gate, end to end over real HTTP.
+stage serve
 go build -o /tmp/odinhpc-odinserve ./cmd/odinserve
 rm -f /tmp/odinhpc-odinserve.addr
 /tmp/odinhpc-odinserve -addr 127.0.0.1:0 -addr-file /tmp/odinhpc-odinserve.addr -groups 4 -ranks 2 &
@@ -119,6 +144,7 @@ wait "$SERVE_PID" || true
 # deterministic stdout reports (per-point PASS lines plus checksum) must be
 # identical. The full grid (-grid=full -heavy) is the nightly tier, too slow
 # for every verify run; see DESIGN.md "Stress testing".
+stage stress
 if [ "${ODINHPC_STRESS:-}" = "1" ]; then
   go build -o /tmp/odinhpc-odinstress ./cmd/odinstress
   /tmp/odinhpc-odinstress -seed=1 > /tmp/odinhpc-stress-1.out
@@ -136,6 +162,7 @@ fi
 # BENCH_fusion.json), so warns are the signal to re-run an A/B by hand and
 # the hard fail only catches order-of-magnitude mistakes (an instrumentation
 # site doing real work on the disabled path).
+stage bench
 go build -o /tmp/odinhpc-benchguard ./cmd/benchguard
 # One retry per gate: right after the race/chaos/tcp passes above the host
 # is hot enough that a single measurement window can spike 4-5x on the
@@ -153,5 +180,5 @@ bench_gate() {
 bench_gate . ExecScaling 0.3s BENCH_exec.json
 bench_gate . FusionVM 0.3s BENCH_fusion.json
 bench_gate . SpmvFormats 0.3s BENCH_spmv.json
-bench_gate ./internal/comm 'CommTransport|AllreduceScalar' 0.2s BENCH_comm.json
+bench_gate ./internal/comm 'CommTransport|AllreduceScalar|SyncAfterCompute' 0.2s BENCH_comm.json
 bench_gate ./internal/serve Serve 0.3s BENCH_serve.json
