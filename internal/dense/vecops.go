@@ -67,6 +67,51 @@ func VecHypot(dst, a, b []float64) {
 	}
 }
 
+// FloorMod is Python's float %: the remainder carries the sign of the
+// divisor, so a - b*floor(a/b) up to rounding.
+func FloorMod(a, b float64) float64 {
+	m := math.Mod(a, b)
+	if m != 0 && (m < 0) != (b < 0) {
+		m += b
+	}
+	return m
+}
+
+// VecFloorDiv sets dst[i] = math.Floor(a[i] / b[i]) — Python's float //.
+func VecFloorDiv(dst, a, b []float64) {
+	a = a[:len(dst)]
+	b = b[:len(dst)]
+	for i := range dst {
+		dst[i] = math.Floor(a[i] / b[i])
+	}
+}
+
+// VecFloorMod sets dst[i] = FloorMod(a[i], b[i]).
+func VecFloorMod(dst, a, b []float64) {
+	a = a[:len(dst)]
+	b = b[:len(dst)]
+	for i := range dst {
+		dst[i] = FloorMod(a[i], b[i])
+	}
+}
+
+// VecPow sets dst[i] = math.Pow(a[i], b[i]).
+func VecPow(dst, a, b []float64) {
+	a = a[:len(dst)]
+	b = b[:len(dst)]
+	for i := range dst {
+		dst[i] = math.Pow(a[i], b[i])
+	}
+}
+
+// VecLog sets dst[i] = math.Log(a[i]).
+func VecLog(dst, a []float64) {
+	a = a[:len(dst)]
+	for i := range dst {
+		dst[i] = math.Log(a[i])
+	}
+}
+
 // VecSquare sets dst[i] = a[i] * a[i].
 func VecSquare(dst, a []float64) {
 	a = a[:len(dst)]

@@ -1,0 +1,62 @@
+package fusion
+
+// The closure reference evaluator: the pre-VM fused loop body, kept as the
+// bitwise reference the register VM is property-tested against. It is
+// test-only — production evaluation is the register VM, with EvalNaive as
+// the op-at-a-time baseline.
+
+import (
+	"odinhpc/internal/core"
+	"odinhpc/internal/dense"
+	"odinhpc/internal/exec"
+)
+
+// compileClosure lowers the expression tree into a closure tree evaluated
+// per element — the pre-VM fused loop body, kept as the internal reference
+// evaluator that the register VM is property-tested against (results must
+// agree bitwise for element-wise programs).
+func compileClosure(e *Expr, p *Plan) func(int) float64 {
+	switch e.kind {
+	case kindLeaf:
+		data := p.leafData[p.slotOf[e.leaf]]
+		return func(i int) float64 { return data[i] }
+	case kindConst:
+		v := e.value
+		return func(int) float64 { return v }
+	case kindUnary:
+		f := e.un
+		arg := compileClosure(e.args[0], p)
+		return func(i int) float64 { return f(arg(i)) }
+	default:
+		f := e.bin
+		a := compileClosure(e.args[0], p)
+		b := compileClosure(e.args[1], p)
+		return func(i int) float64 { return f(a(i), b(i)) }
+	}
+}
+
+// executeClosure is Execute on the closure reference evaluator.
+func (p *Plan) executeClosure() *core.DistArray[float64] {
+	n := p.model.Local().Size()
+	out := make([]float64, n)
+	kernel := compileClosure(p.expr, p)
+	exec.Default().ParallelFor(n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = kernel(i)
+		}
+	})
+	return p.model.WithLocal(dense.FromSlice(out, p.model.Local().Shape()...))
+}
+
+// sumLocalClosure is sumLocal on the closure reference evaluator.
+func (p *Plan) sumLocalClosure() float64 {
+	n := p.model.Local().Size()
+	kernel := compileClosure(p.expr, p)
+	return exec.ParallelReduce(exec.Default(), n, func(lo, hi int) float64 {
+		var acc float64
+		for i := lo; i < hi; i++ {
+			acc += kernel(i)
+		}
+		return acc
+	}, func(a, b float64) float64 { return a + b })
+}

@@ -42,7 +42,7 @@ func traceVM(s *trace.Session, rank int32, block, lo, hi int, label string, t0 i
 type Expr struct {
 	kind  exprKind
 	leaf  *core.DistArray[float64]
-	slot  int     // leaf slot for kindSliceLeaf (see SliceSlot)
+	slot  int     // leaf slot for kindSliceLeaf / kindScalarLeaf (see SliceSlot, ScalarSlot)
 	value float64 // for constants
 	un    func(float64) float64
 	bin   func(float64, float64) float64
@@ -59,6 +59,7 @@ const (
 	kindUnary
 	kindBinary
 	kindSliceLeaf
+	kindScalarLeaf
 )
 
 // Var wraps a distributed array as an expression leaf.
@@ -86,7 +87,7 @@ func Binary(name string, f func(float64, float64) float64, a, b *Expr) *Expr {
 }
 
 // builtinUnary constructs a node the VM compiler recognizes by opcode; f is
-// kept for the closure reference evaluator and for constant folding.
+// kept for EvalNaive and for constant folding.
 func builtinUnary(name string, op vmOp, f func(float64) float64, a *Expr) *Expr {
 	return &Expr{kind: kindUnary, un: f, name: name, vop: op, args: []*Expr{a}}
 }
@@ -115,6 +116,17 @@ func (e *Expr) Div(o *Expr) *Expr {
 	return builtinBinary("div", vmDiv, func(a, b float64) float64 { return a / b }, e, o)
 }
 
+// FloorDiv returns floor(e / o) — Python's float //.
+func (e *Expr) FloorDiv(o *Expr) *Expr {
+	return builtinBinary("floordiv", vmFloorDiv, func(a, b float64) float64 { return math.Floor(a / b) }, e, o)
+}
+
+// Mod returns e % o with Python semantics: the result has the divisor's sign.
+func (e *Expr) Mod(o *Expr) *Expr { return builtinBinary("mod", vmMod, dense.FloorMod, e, o) }
+
+// Pow returns e ** o.
+func (e *Expr) Pow(o *Expr) *Expr { return builtinBinary("pow", vmPow, math.Pow, e, o) }
+
 // Square returns e*e as a single unary node (no duplicated subtree walk).
 func (e *Expr) Square() *Expr {
 	return builtinUnary("square", vmSquare, func(v float64) float64 { return v * v }, e)
@@ -131,6 +143,9 @@ func Cos(e *Expr) *Expr { return builtinUnary("cos", vmCos, math.Cos, e) }
 
 // Exp returns exp(e).
 func Exp(e *Expr) *Expr { return builtinUnary("exp", vmExp, math.Exp, e) }
+
+// Log returns the natural logarithm of e.
+func Log(e *Expr) *Expr { return builtinUnary("log", vmLog, math.Log, e) }
 
 // Abs returns |e|.
 func Abs(e *Expr) *Expr { return builtinUnary("abs", vmAbs, math.Abs, e) }
@@ -187,6 +202,8 @@ func (e *Expr) String() string {
 		return "x"
 	case kindSliceLeaf:
 		return fmt.Sprintf("s%d", e.slot)
+	case kindScalarLeaf:
+		return fmt.Sprintf("k%d", e.slot)
 	case kindConst:
 		return fmt.Sprintf("%g", e.value)
 	case kindUnary:
@@ -261,30 +278,6 @@ func Analyze(e *Expr) *Plan {
 	return p
 }
 
-// compileClosure lowers the expression tree into a closure tree evaluated
-// per element — the pre-VM fused loop body, kept as the internal reference
-// evaluator that the register VM is property-tested against (results must
-// agree bitwise for element-wise programs).
-func compileClosure(e *Expr, p *Plan) func(int) float64 {
-	switch e.kind {
-	case kindLeaf:
-		data := p.leafData[p.slotOf[e.leaf]]
-		return func(i int) float64 { return data[i] }
-	case kindConst:
-		v := e.value
-		return func(int) float64 { return v }
-	case kindUnary:
-		f := e.un
-		arg := compileClosure(e.args[0], p)
-		return func(i int) float64 { return f(arg(i)) }
-	default:
-		f := e.bin
-		a := compileClosure(e.args[0], p)
-		b := compileClosure(e.args[1], p)
-		return func(i int) float64 { return f(a(i), b(i)) }
-	}
-}
-
 // Execute runs the compiled register program over cache-sized blocks,
 // producing the result array in one sweep. The block sweep is chunked over
 // the exec engine, so the fused expression gets intra-rank parallelism on
@@ -303,24 +296,11 @@ func (p *Plan) Execute() *core.DistArray[float64] {
 		if s != nil {
 			t0 = s.Now()
 		}
-		st := prog.getState(block)
+		st := prog.getState(block, nil)
 		prog.runSpan(st, leaves, out, lo, hi)
 		prog.putState(st)
 		if s != nil {
 			traceVM(s, rank, block, lo, hi, prog.label, t0)
-		}
-	})
-	return p.model.WithLocal(dense.FromSlice(out, p.model.Local().Shape()...))
-}
-
-// executeClosure is Execute on the closure reference evaluator.
-func (p *Plan) executeClosure() *core.DistArray[float64] {
-	n := p.model.Local().Size()
-	out := make([]float64, n)
-	kernel := compileClosure(p.expr, p)
-	exec.Default().ParallelFor(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = kernel(i)
 		}
 	})
 	return p.model.WithLocal(dense.FromSlice(out, p.model.Local().Shape()...))
@@ -344,26 +324,13 @@ func (p *Plan) sumLocal() float64 {
 		if s != nil {
 			t0 = s.Now()
 		}
-		st := prog.getState(block)
+		st := prog.getState(block, nil)
 		defer prog.putState(st)
 		v := prog.sumSpan(st, leaves, lo, hi)
 		if s != nil {
 			traceVM(s, rank, block, lo, hi, prog.label, t0)
 		}
 		return v
-	}, func(a, b float64) float64 { return a + b })
-}
-
-// sumLocalClosure is sumLocal on the closure reference evaluator.
-func (p *Plan) sumLocalClosure() float64 {
-	n := p.model.Local().Size()
-	kernel := compileClosure(p.expr, p)
-	return exec.ParallelReduce(exec.Default(), n, func(lo, hi int) float64 {
-		var acc float64
-		for i := lo; i < hi; i++ {
-			acc += kernel(i)
-		}
-		return acc
 	}, func(a, b float64) float64 { return a + b })
 }
 

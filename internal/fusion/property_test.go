@@ -59,7 +59,7 @@ func (g *exprGen) gen(h int) (*Expr, int) {
 	if roll < 0.55 {
 		a, ah := g.gen(h - 1)
 		var e *Expr
-		switch g.r.Intn(8) {
+		switch g.r.Intn(9) {
 		case 0:
 			e = a.Square()
 		case 1:
@@ -74,6 +74,8 @@ func (g *exprGen) gen(h int) (*Expr, int) {
 			e = Abs(a)
 		case 6:
 			e = Neg(a)
+		case 7:
+			e = Log(a)
 		default:
 			k := g.r.NormFloat64()
 			e = Unary("affine", func(v float64) float64 { return k*v + 0.5 }, a)
@@ -92,7 +94,7 @@ func (g *exprGen) gen(h int) (*Expr, int) {
 		a, b = b, a // exercise both operand orders
 	}
 	var e *Expr
-	switch g.r.Intn(6) {
+	switch g.r.Intn(9) {
 	case 0:
 		e = a.Add(b)
 	case 1:
@@ -103,6 +105,12 @@ func (g *exprGen) gen(h int) (*Expr, int) {
 		e = a.Div(b)
 	case 4:
 		e = Hypot(a, b)
+	case 5:
+		e = a.FloorDiv(b)
+	case 6:
+		e = a.Mod(b)
+	case 7:
+		e = a.Pow(b)
 	default:
 		w := g.r.Float64()
 		e = Binary("mix", func(x, y float64) float64 { return w*x + (1-w)*y }, a, b)

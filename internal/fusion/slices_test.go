@@ -9,7 +9,7 @@ import (
 	"odinhpc/internal/exec"
 )
 
-func sliceRef(e *Expr, leaves [][]float64, out []float64) {
+func sliceRef(e *Expr, leaves [][]float64, scalars []float64, out []float64) {
 	// Closure-tree reference for EvalSlices: evaluate elementwise with the
 	// same per-node rounding the VM (and its superinstructions) perform.
 	var ev func(e *Expr, i int) float64
@@ -17,6 +17,8 @@ func sliceRef(e *Expr, leaves [][]float64, out []float64) {
 		switch e.kind {
 		case kindSliceLeaf:
 			return leaves[e.slot][i]
+		case kindScalarLeaf:
+			return scalars[e.slot]
 		case kindConst:
 			return e.value
 		case kindUnary:
@@ -38,7 +40,13 @@ func TestEvalSlicesMatchesReference(t *testing.T) {
 		nin   int
 	}{
 		"axpy":  {func() *Expr { return Const(2.5).Mul(SliceSlot(0)).Add(SliceSlot(1)) }, 2},
-		"dedup": {func() *Expr { x := SliceSlot(0); return x.Mul(x).Add(x) }, 1},
+		"saxpy": {func() *Expr { return ScalarSlot(0).Mul(SliceSlot(0)).Add(SliceSlot(1)) }, 2},
+		"pyops": {func() *Expr {
+			x, s := SliceSlot(0), ScalarSlot(1)
+			return x.Mod(s).Add(x.FloorDiv(ScalarSlot(0))).Sub(Log(Abs(x)).Pow(s)).Add(s.Mod(x))
+		}, 1},
+		"scalar-root": {func() *Expr { return ScalarSlot(1) }, 0},
+		"dedup":       {func() *Expr { x := SliceSlot(0); return x.Mul(x).Add(x) }, 1},
 		"mix": {func() *Expr {
 			t := SliceSlot(0).Mul(SliceSlot(1)).Sub(SliceSlot(2))
 			return Sqrt(Abs(t)).Add(Exp(Neg(Abs(t)))).Div(Const(1).Add(Sqrt(Abs(t))))
@@ -62,10 +70,11 @@ func TestEvalSlicesMatchesReference(t *testing.T) {
 						leaves[s][i] = float64((i+1)*(s+2)%37)/7 - 2
 					}
 				}
+				scalars := []float64{-1.75, 3}
 				got := make([]float64, n)
-				EvalSlices(tc.build(), leaves, got)
+				EvalSlices(tc.build(), leaves, scalars, got)
 				want := make([]float64, n)
-				sliceRef(tc.build(), leaves, want)
+				sliceRef(tc.build(), leaves, scalars, want)
 				for i := range got {
 					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 						t.Fatalf("%s w=%d n=%d: [%d] = %x, want %x", name, workers, n, i, got[i], want[i])
@@ -80,7 +89,7 @@ func TestEvalSlicesConstRoot(t *testing.T) {
 	// A leafless expression is rejected by Analyze but legal here: the root
 	// constant folds and the program is a single copy from the const block.
 	out := []float64{1, 2, 3}
-	EvalSlices(Const(3).Add(Const(4)), nil, out)
+	EvalSlices(Const(3).Add(Const(4)), nil, nil, out)
 	for i, v := range out {
 		if v != 7 {
 			t.Fatalf("[%d] = %g, want 7", i, v)
@@ -93,12 +102,40 @@ func TestEvalSlicesSharesPlanCache(t *testing.T) {
 	mk := func() *Expr { return SliceSlot(0).Mul(Const(3)).Add(SliceSlot(1)) }
 	x, y := []float64{1, 2}, []float64{3, 4}
 	out := make([]float64, 2)
-	EvalSlices(mk(), [][]float64{x, y}, out)
+	EvalSlices(mk(), [][]float64{x, y}, nil, out)
 	_, misses0 := PlanCacheStats()
-	EvalSlices(mk(), [][]float64{x, y}, out)
+	EvalSlices(mk(), [][]float64{x, y}, nil, out)
 	hits, misses := PlanCacheStats()
 	if hits < 1 || misses != misses0 {
 		t.Fatalf("rebuilt template should hit the plan cache: hits=%d misses=%d->%d", hits, misses0, misses)
+	}
+}
+
+// TestScalarSlotKeyIsValueIndependent pins the reason scalar slots exist:
+// one template evaluated with different runtime scalars is one cached
+// program (a Const in the same place is one program per value), and a
+// pooled scratch state never serves a stale scalar.
+func TestScalarSlotKeyIsValueIndependent(t *testing.T) {
+	x := []float64{1, 2, 3, 4}
+	out := make([]float64, 4)
+	ResetPlanCache()
+	for _, a := range []float64{2, -3, 0.5} {
+		EvalSlices(ScalarSlot(0).Mul(SliceSlot(0)).Add(Const(1)), [][]float64{x}, []float64{a}, out)
+		for i, v := range x {
+			if out[i] != a*v+1 {
+				t.Fatalf("a=%g: out[%d] = %g, want %g", a, i, out[i], a*v+1)
+			}
+		}
+	}
+	if hits, misses := PlanCacheStats(); hits != 2 || misses != 1 {
+		t.Errorf("scalar-slot template: hits=%d misses=%d, want 2 and 1", hits, misses)
+	}
+	ResetPlanCache()
+	for _, a := range []float64{2, -3, 0.5} {
+		EvalSlices(Const(a).Mul(SliceSlot(0)).Add(Const(1)), [][]float64{x}, nil, out)
+	}
+	if _, misses := PlanCacheStats(); misses != 3 {
+		t.Errorf("constant template: misses=%d, want one per value (3)", misses)
 	}
 }
 
@@ -115,7 +152,7 @@ func TestSliceAndVarTemplatesShareOneProgram(t *testing.T) {
 		hits0, misses0 := PlanCacheStats()
 		out := make([]float64, 8)
 		EvalSlices(SliceSlot(0).Mul(Const(2)).Add(SliceSlot(1)),
-			[][]float64{make([]float64, 8), make([]float64, 8)}, out)
+			[][]float64{make([]float64, 8), make([]float64, 8)}, nil, out)
 		hits, misses := PlanCacheStats()
 		if hits != hits0+1 || misses != misses0 {
 			t.Errorf("slice template should reuse the Var program: hits %d->%d misses %d->%d",
@@ -139,18 +176,32 @@ func TestEvalSlicesPanics(t *testing.T) {
 		fn()
 	}
 	expect("negative slot", func() { SliceSlot(-1) })
+	expect("negative scalar slot", func() { ScalarSlot(-1) })
+	expect("too few scalars", func() {
+		EvalSlices(SliceSlot(0).Mul(ScalarSlot(1)), [][]float64{{1}}, []float64{2}, []float64{0})
+	})
 	expect("too few slices", func() {
-		EvalSlices(SliceSlot(0).Add(SliceSlot(1)), [][]float64{{1}}, []float64{0})
+		EvalSlices(SliceSlot(0).Add(SliceSlot(1)), [][]float64{{1}}, nil, []float64{0})
 	})
 	expect("length mismatch", func() {
-		EvalSlices(SliceSlot(0).Add(SliceSlot(1)), [][]float64{{1}, {1, 2}}, []float64{0})
+		EvalSlices(SliceSlot(0).Add(SliceSlot(1)), [][]float64{{1}, {1, 2}}, nil, []float64{0})
+	})
+	expect("mixing Var and ScalarSlot", func() {
+		err := comm.Run(1, func(c *comm.Comm) error {
+			x := core.FromFunc(core.NewContext(c), []int{4}, func(g []int) float64 { return 1 })
+			Eval(Var(x).Mul(ScalarSlot(0)))
+			return nil
+		})
+		if err != nil {
+			panic(err)
+		}
 	})
 	expect("mixing Var and SliceSlot", func() {
 		// comm.Run recovers callback panics into its error; re-raise.
 		err := comm.Run(1, func(c *comm.Comm) error {
 			ctx := core.NewContext(c)
 			x := core.FromFunc(ctx, []int{4}, func(g []int) float64 { return 1 })
-			EvalSlices(Var(x).Add(SliceSlot(0)), [][]float64{{1, 2, 3, 4}}, make([]float64, 4))
+			EvalSlices(Var(x).Add(SliceSlot(0)), [][]float64{{1, 2, 3, 4}}, nil, make([]float64, 4))
 			return nil
 		})
 		if err != nil {

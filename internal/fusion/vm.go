@@ -8,10 +8,11 @@
 // instruction is then evaluated as one tight slice loop over a cache-sized
 // block (internal/dense vec ops), so the per-element cost is a real float
 // op, not an indirect closure call per DAG node. Element-wise results are
-// bitwise identical to the closure evaluator: every opcode body performs
-// exactly the float64 operations the corresponding closure performed, in
-// the same per-element order, and block boundaries never change what is
-// computed — only how many elements one dispatch covers.
+// bitwise identical to the closure evaluator (kept as the test-side
+// reference, closure_test.go): every opcode body performs exactly the
+// float64 operations the corresponding closure performed, in the same
+// per-element order, and block boundaries never change what is computed —
+// only how many elements one dispatch covers.
 //
 // Programs for expressions built purely from the named constructors
 // (Add/Mul/Sqrt/...) are cached under a structural serialization of the
@@ -66,6 +67,12 @@ const (
 	vmAXPY  // dst = float64(a*s) + c   (s = scalar constant)
 	vmAXPYR // dst = c + float64(a*s)
 	vmFMA2  // dst = float64((float64(a*b)+c)*d) + e — two Horner steps
+	// Appended so the opcodes above keep the numbers existing plan keys (and
+	// the trace labels hashed from them) were serialized with.
+	vmFloorDiv // dst = floor(a / b)
+	vmMod      // dst = a % b, sign of the divisor
+	vmPow
+	vmLog
 )
 
 var vmOpNames = [...]string{
@@ -75,6 +82,7 @@ var vmOpNames = [...]string{
 	vmCallUn: "call", vmCallBin: "call2",
 	vmFMA: "fma", vmFMAR: "fmar", vmFMS: "fms", vmFMSR: "fmsr",
 	vmAXPY: "axpy", vmAXPYR: "axpyr", vmFMA2: "fma2",
+	vmFloorDiv: "floordiv", vmMod: "mod", vmPow: "pow", vmLog: "log",
 }
 
 // foldable reports whether an opcode may be evaluated at compile time when
@@ -84,12 +92,14 @@ var vmOpNames = [...]string{
 func (op vmOp) foldable() bool { return op != vmCallUn && op != vmCallBin }
 
 // Operand kinds. A register operand names a scratch block, a leaf operand
-// names a flattened input array indexed by the current block offset, and a
-// const operand names a pre-broadcast constant block.
+// names a flattened input array indexed by the current block offset, a
+// const operand names a pre-broadcast constant block, and a scalar operand
+// names a block broadcast from the call's scalar slot of that index.
 const (
 	roReg uint8 = iota
 	roLeaf
 	roConst
+	roScalar
 )
 
 type vmOperand struct {
@@ -118,6 +128,7 @@ type vmProgram struct {
 	code      []vmInstr
 	nregs     int
 	nleaves   int
+	nscalars  int       // 1 + highest ScalarSlot index (0 when none)
 	consts    []float64 // distinct constant values, indexed by roConst idx
 	outReg    int       // register holding the result after the last instr
 	cacheable bool
@@ -127,11 +138,14 @@ type vmProgram struct {
 }
 
 // vmState is one worker's scratch: register blocks plus materialized
-// constant blocks, all sized to the block size the state was built for.
+// constant and scalar-slot blocks, all sized to the block size the state
+// was built for. Constant blocks are filled once, when the state is built;
+// scalar blocks belong to one call and are refilled on every getState.
 type vmState struct {
-	block  int
-	regs   [][]float64
-	consts [][]float64
+	block   int
+	regs    [][]float64
+	consts  [][]float64
+	scalars [][]float64
 }
 
 // DefaultBlockSize is the number of float64 elements one VM instruction
@@ -180,23 +194,28 @@ func SetSuperinstructions(on bool) bool {
 // Superinstructions reports whether the peephole pass is enabled.
 func Superinstructions() bool { return vmSuper.Load() }
 
-func (p *vmProgram) getState(block int) *vmState {
-	if st, _ := p.pool.Get().(*vmState); st != nil && st.block == block {
-		return st
-	}
-	st := &vmState{block: block}
-	slab := make([]float64, p.nregs*block)
-	st.regs = make([][]float64, p.nregs)
-	for r := range st.regs {
-		st.regs[r] = slab[r*block : (r+1)*block]
-	}
-	if len(p.consts) > 0 {
-		cslab := make([]float64, len(p.consts)*block)
-		st.consts = make([][]float64, len(p.consts))
+// getState returns scratch for one span of one call: a pooled state when
+// one of the right block size is free, with the call's scalar values (one
+// per ScalarSlot of the program) broadcast into its scalar blocks.
+func (p *vmProgram) getState(block int, scalars []float64) *vmState {
+	st, _ := p.pool.Get().(*vmState)
+	if st == nil || st.block != block {
+		st = &vmState{block: block}
+		slab := make([]float64, (p.nregs+len(p.consts)+p.nscalars)*block)
+		carve := func(n int) [][]float64 {
+			out := make([][]float64, n)
+			for i := range out {
+				out[i], slab = slab[:block:block], slab[block:]
+			}
+			return out
+		}
+		st.regs, st.consts, st.scalars = carve(p.nregs), carve(len(p.consts)), carve(p.nscalars)
 		for c, v := range p.consts {
-			st.consts[c] = cslab[c*block : (c+1)*block]
 			dense.VecFill(st.consts[c], v)
 		}
+	}
+	for i := range st.scalars {
+		dense.VecFill(st.scalars[i], scalars[i])
 	}
 	return st
 }
@@ -212,6 +231,8 @@ func (p *vmProgram) resolveOp(st *vmState, leaves [][]float64, o vmOperand, lo, 
 		return leaves[o.idx][lo:hi]
 	case roConst:
 		return st.consts[o.idx][:hi-lo]
+	case roScalar:
+		return st.scalars[o.idx][:hi-lo]
 	default:
 		return st.regs[o.idx][:hi-lo]
 	}
@@ -259,6 +280,8 @@ func (p *vmProgram) runCode(st *vmState, leaves [][]float64, out []float64, lo, 
 			dense.VecCos(dst, a)
 		case vmExp:
 			dense.VecExp(dst, a)
+		case vmLog:
+			dense.VecLog(dst, a)
 		case vmCallUn:
 			dense.VecMap(dst, a, ins.un)
 		case vmAdd:
@@ -271,6 +294,12 @@ func (p *vmProgram) runCode(st *vmState, leaves [][]float64, out []float64, lo, 
 			dense.VecDiv(dst, a, resolve(ins.b))
 		case vmHypot:
 			dense.VecHypot(dst, a, resolve(ins.b))
+		case vmFloorDiv:
+			dense.VecFloorDiv(dst, a, resolve(ins.b))
+		case vmMod:
+			dense.VecFloorMod(dst, a, resolve(ins.b))
+		case vmPow:
+			dense.VecPow(dst, a, resolve(ins.b))
 		case vmCallBin:
 			dense.VecMap2(dst, a, resolve(ins.b), ins.bin)
 		case vmFMA:
@@ -379,13 +408,15 @@ func (p *vmProgram) String() string {
 			return fmt.Sprintf("leaf%d", o.idx)
 		case roConst:
 			return fmt.Sprintf("const[%g]", p.consts[o.idx])
+		case roScalar:
+			return fmt.Sprintf("scalar%d", o.idx)
 		default:
 			return fmt.Sprintf("r%d", o.idx)
 		}
 	}
 	for _, ins := range p.code {
 		switch ins.op {
-		case vmAdd, vmSub, vmMul, vmDiv, vmHypot, vmCallBin:
+		case vmAdd, vmSub, vmMul, vmDiv, vmHypot, vmFloorDiv, vmMod, vmPow, vmCallBin:
 			fmt.Fprintf(&b, "  r%d = %s %s, %s\n", ins.dst, vmOpNames[ins.op], opd(ins.a), opd(ins.b))
 		case vmFMA, vmFMAR, vmFMS, vmFMSR:
 			fmt.Fprintf(&b, "  r%d = %s %s, %s, %s\n", ins.dst, vmOpNames[ins.op], opd(ins.a), opd(ins.b), opd(ins.c))
@@ -409,13 +440,14 @@ type valKind uint8
 const (
 	valLeaf valKind = iota
 	valConst
+	valScalar
 	valOp
 )
 
 // vmValue is one value-numbered node of the IR.
 type vmValue struct {
 	kind valKind
-	leaf int     // leaf slot for valLeaf
+	leaf int     // slot for valLeaf and valScalar
 	c    float64 // constant for valConst; scalar factor for axpy values
 	op   vmOp
 	un   func(float64) float64
@@ -433,6 +465,7 @@ type lowering struct {
 	byKey     map[string]int
 	leafSlot  map[*core.DistArray[float64]]int
 	nSlices   int // 1 + highest SliceSlot index seen (0 when none)
+	nScalars  int // 1 + highest ScalarSlot index seen (0 when none)
 	key       strings.Builder
 	cacheable bool
 }
@@ -524,6 +557,12 @@ func (lw *lowering) visit(e *Expr) int {
 			lw.nSlices = e.slot + 1
 		}
 		id = lw.intern(key1('L', e.slot), vmValue{kind: valLeaf, leaf: e.slot})
+	case kindScalarLeaf:
+		// A scalar slot serializes by number, never by value: the value is
+		// bound per call, so one cached program serves every value. It is not
+		// a constant to the folder or the axpy peephole for the same reason.
+		lw.nScalars = max(lw.nScalars, e.slot+1)
+		id = lw.intern(key1('S', e.slot), vmValue{kind: valScalar, leaf: e.slot})
 	case kindConst:
 		id = lw.intern(constKey(e.value), vmValue{kind: valConst, c: e.value})
 	case kindUnary:
@@ -570,8 +609,8 @@ func lower(e *Expr) (*lowering, int) {
 		cacheable: true,
 	}
 	root := lw.visit(e)
-	if len(lw.leafSlot) > 0 && lw.nSlices > 0 {
-		panic("fusion: expression mixes Var and SliceSlot leaves")
+	if len(lw.leafSlot) > 0 && lw.nSlices+lw.nScalars > 0 {
+		panic("fusion: expression mixes Var leaves with SliceSlot or ScalarSlot leaves")
 	}
 	lw.key.WriteString(key1('R', root))
 	return lw, root
@@ -673,7 +712,7 @@ func (lw *lowering) emit(root int) *vmProgram {
 	if lw.nSlices > nleaves {
 		nleaves = lw.nSlices
 	}
-	p := &vmProgram{nleaves: nleaves, cacheable: lw.cacheable}
+	p := &vmProgram{nleaves: nleaves, nscalars: lw.nScalars, cacheable: lw.cacheable}
 
 	// Count uses so registers can be freed at last use (and so the peephole
 	// can prove a product has exactly one consumer).
@@ -727,6 +766,8 @@ func (lw *lowering) emit(root int) *vmProgram {
 				constIdx[id] = ci
 			}
 			return vmOperand{kind: roConst, idx: ci}
+		case valScalar:
+			return vmOperand{kind: roScalar, idx: v.leaf}
 		default:
 			return vmOperand{kind: roReg, idx: regOf[id]}
 		}

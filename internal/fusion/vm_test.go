@@ -38,8 +38,11 @@ func TestVMMatchesClosureReference(t *testing.T) {
 			Exp(Neg(Var(x))).Mul(Var(y)).Sub(Const(0.5)).Div(Var(x)),
 			Abs(Sin(Var(x)).Mul(Cos(Var(y)))),
 			Hypot(Var(x), Var(y)),
-			Var(x).Div(Var(y)), // hits zeros of cos -> Inf paths
-			Sqrt(Var(x)),       // negative inputs -> NaN paths
+			Var(x).FloorDiv(Var(y)).Add(Var(x).Mod(Var(y))), // both operand signs
+			Var(x).Mod(Const(0)),                            // NaN
+			Log(Var(x)).Add(Var(y).Pow(Var(x))),             // log of negatives, negative base to a fraction
+			Var(x).Div(Var(y)),                              // hits zeros of cos -> Inf paths
+			Sqrt(Var(x)),                                    // negative inputs -> NaN paths
 			Unary("scaled", func(v float64) float64 { return 3*v + 1 }, Var(x).Mul(Var(y))),
 			Binary("wsum", func(a, b float64) float64 { return 0.25*a + 0.75*b }, Var(x), Var(y)),
 		}

@@ -236,8 +236,8 @@ func (*BoolOpExpr) expr() {}
 func (*IndexExpr) expr()  {}
 func (*CallExpr) expr()   {}
 
-// exprPos extracts the source position of any expression.
-func exprPos(e Expr) Pos {
+// ExprPos extracts the source position of any expression.
+func ExprPos(e Expr) Pos {
 	switch x := e.(type) {
 	case *IntLit:
 		return x.Pos

@@ -1,19 +1,22 @@
 package compile
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"odinhpc/internal/comm"
+	"odinhpc/internal/core"
 	"odinhpc/internal/fusion"
 	"odinhpc/internal/seamless"
 	"odinhpc/internal/seamless/vm"
 )
 
-// arrayKernels exercises every whole-array expression path: fused VM ops
-// (saxpy, chains, neg, elementwise builtins), closure fallbacks (dynamic
-// scalars, **, //, %, log), broadcasts on both sides, augmented
-// assignment, and fused templates re-entered from a loop.
+// arrayKernels exercises whole-array expressions as kernels use them:
+// saxpy, chains, neg, elementwise builtins, runtime scalars, **, //, %,
+// log, broadcasts on both sides, augmented assignment, module calls as
+// leaves, and fused templates re-entered from a loop.
 const arrayKernels = `
 def saxpy(x, y):
     return 2.5 * x + y
@@ -69,9 +72,8 @@ func randArr(rng *rand.Rand, n int) []float64 {
 	return out
 }
 
-// TestArrayExprEnginesAgree pins the tentpole acceptance criterion: the
-// compiled engine's fusion fast path (and its closure fallbacks) produce
-// bit-for-bit the results of the vm engine's boxed elementwise loops.
+// TestArrayExprEnginesAgree pins the compiled engine's fused array
+// expressions bit for bit to the vm engine's boxed elementwise loops.
 func TestArrayExprEnginesAgree(t *testing.T) {
 	pc, err := seamless.CompileSource(arrayKernels)
 	if err != nil {
@@ -127,7 +129,7 @@ func TestArrayExprEnginesAgree(t *testing.T) {
 		check("deep", x, y)
 		check("throughcall", x, y)
 	}
-	// Dynamic scalar argument: falls back per value, results still agree.
+	// Runtime scalar argument: one scalar-slot template, every value agrees.
 	x, y := randArr(rng, 64), randArr(rng, 64)
 	for _, a := range []float64{0, -1.5, 3.25} {
 		ca, err := ec.Call("dynscale", seamless.FloatV(a), clone(x), clone(x))
@@ -177,6 +179,145 @@ func TestArrayFusionPlanCacheHits(t *testing.T) {
 	}
 	if misses1 != misses0 {
 		t.Fatalf("repeat calls recompiled: misses %d -> %d", misses0, misses1)
+	}
+
+	// A runtime scalar is a slot of the template, not a constant in it: the
+	// same kernel called with two different values is one plan.
+	prog, err = seamless.CompileSource("def scale(a, x, y):\n    return (a * 2.0) * x + y // a\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e = NewEngine(prog)
+	fusion.ResetPlanCache()
+	for _, a := range []float64{1.5, -4} {
+		if _, err := e.Call("scale", seamless.FloatV(a), x, y); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if hits, misses := fusion.PlanCacheStats(); hits != 1 || misses != 1 {
+		t.Fatalf("two scalar values: hits=%d misses=%d, want exactly 1 and 1", hits, misses)
+	}
+}
+
+// arrayExprTable is the differential table of the expression pipeline:
+// every operator and array builtin, int, float and negative literals, and
+// scalar variables and scalar sub-expressions on either side. x and y are
+// float arrays, a is a float and k an int.
+var arrayExprTable = []string{
+	"x + y", "x - y", "x * y", "x / y", "x // y", "x % y", "x ** y", "-x", "+x - -y",
+	"sqrt(abs(x))", "sin(x)", "cos(y)", "exp(x)", "abs(x)", "log(abs(x))",
+	"hypot(x, y)", "square(x)", "neg(x)", "square(sin(x)) + square(cos(x))",
+	"2 * x", "x * 2", "2.5 + x", "x - 0.5", "-3 * x", "x / -4.0", "1e2 - x", ".5 * x",
+	"7 // x", "x // 2", "x % 3", "3.5 % x", "x % -3", "x ** 2", "2 ** x", "x ** -1", "x ** 0.5",
+	"hypot(x, 3)", "hypot(-4.0, y)", "sqrt(2) * x",
+	"a * x + y", "x * a - y", "a - x", "x / a", "a / x", "x // a", "a // x",
+	"x % a", "a % x", "x ** a", "a ** x", "hypot(x, a)", "hypot(a, y)",
+	"k * x", "x + k", "x ** k", "k % x",
+	"(a + 1.5) * x", "x / (k * 2 - a)", "(k // 2) * x + (k % 4) * y", "x - a * a", "-a * x", "sqrt(a * a) + x",
+	"x*x + y*y", "(x - y) / (y + 3)", "exp(-x*x)", "x * y + sqrt(abs(x))",
+	"hypot(x, y) - 2*x/(y + 3)", "sqrt(x*x+y*y)+exp(-x)*sin(y)",
+	"log(abs(x) + 1.0) * 2.0 - (x - 1) * -3.0", "x - y - a", "x / y / 2", "2 ** x ** 0.5", "-x ** 2",
+}
+
+// TestArrayExprPipelineDifferential runs every row three ways and compares
+// them bit for bit per element: the stack VM (the oracle: boxed loops that
+// share nothing with the lowering), the compiled engine (Lower over slice
+// and scalar slots), and the lowering /v1/expr uses — ParseExpr, FreeNames,
+// Lower over fusion.Var leaves — on 1, 2 and 4 ranks. There every name is
+// an array, so a and k are bound to arrays holding the scalar's value.
+func TestArrayExprPipelineDifferential(t *testing.T) {
+	const n = 1500 // straddles the VM block size at every P
+	rng := rand.New(rand.NewSource(7))
+	const a, k = -1.75, int64(7)
+	data := map[string][]float64{"x": randArr(rng, n), "y": randArr(rng, n), "a": make([]float64, n), "k": make([]float64, n)}
+	for i := 0; i < n; i++ {
+		data["a"][i], data["k"][i] = a, float64(k)
+	}
+	for _, src := range arrayExprTable {
+		kernel := "def f(x, y, a, k):\n    return " + src + "\n"
+		args := func() []seamless.Value {
+			return []seamless.Value{
+				seamless.ArrFV(append([]float64(nil), data["x"]...)),
+				seamless.ArrFV(append([]float64(nil), data["y"]...)),
+				seamless.FloatV(a), seamless.IntV(k),
+			}
+		}
+		prog, err := seamless.CompileSource(kernel)
+		if err != nil {
+			t.Errorf("%q: %v", src, err)
+			continue
+		}
+		oracle, err := vm.NewEngine(prog).Call("f", args()...)
+		if err != nil || oracle.K != seamless.TArrFloat {
+			t.Errorf("%q: stack VM: %v (%v)", src, err, oracle.K)
+			continue
+		}
+		same := func(who string, got []float64) {
+			t.Helper()
+			if len(got) != n {
+				t.Errorf("%q: %s returned %d elements, want %d", src, who, len(got), n)
+				return
+			}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(oracle.AF[i]) {
+					t.Errorf("%q: %s [%d] = %x (%g), stack VM %x (%g)", src, who, i,
+						math.Float64bits(got[i]), got[i], math.Float64bits(oracle.AF[i]), oracle.AF[i])
+					return
+				}
+			}
+		}
+
+		prog, err = seamless.CompileSource(kernel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		compiled, err := NewEngine(prog).Call("f", args()...)
+		if err != nil {
+			t.Errorf("%q: compiled engine: %v", src, err)
+			continue
+		}
+		same("compiled engine", compiled.AF)
+
+		ast, err := seamless.ParseExpr(src)
+		if err != nil {
+			t.Errorf("%q: ParseExpr: %v", src, err)
+			continue
+		}
+		names, err := FreeNames(ast, nil)
+		if err != nil {
+			t.Errorf("%q: FreeNames: %v", src, err)
+			continue
+		}
+		for _, p := range []int{1, 2, 4} {
+			var served []float64
+			err := comm.Run(p, func(c *comm.Comm) error {
+				ctx := core.NewContext(c)
+				leaves := map[string]*fusion.Expr{}
+				for _, name := range names {
+					vals := data[name]
+					leaves[name] = fusion.Var(core.FromFunc(ctx, []int{n}, func(g []int) float64 { return vals[g[0]] }))
+				}
+				root, err := Lower(ast, func(e seamless.Expr) (*fusion.Expr, error) {
+					if nx, ok := e.(*seamless.NameExpr); ok {
+						return leaves[nx.Name], nil
+					}
+					return nil, nil
+				})
+				if err != nil {
+					return err
+				}
+				out := fusion.Eval(root).Gather().Flatten()
+				if c.Rank() == 0 {
+					served = out
+				}
+				return nil
+			})
+			if err != nil {
+				t.Errorf("%q: served lowering at P=%d: %v", src, p, err)
+				continue
+			}
+			same(fmt.Sprintf("served lowering at P=%d", p), served)
+		}
 	}
 }
 

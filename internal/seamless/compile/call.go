@@ -275,29 +275,9 @@ func (cc *fnCompiler) boolCall(x *seamless.CallExpr) (func(*frame) bool, error) 
 	return func(fr *frame) bool { return invoke(fr).retB }, nil
 }
 
+// arrFCall compiles the array-valued calls that are leaves of a fused
+// expression: zeros and module functions.
 func (cc *fnCompiler) arrFCall(x *seamless.CallExpr) (func(*frame) []float64, error) {
-	switch x.Name {
-	// Elementwise math over whole arrays. Of these only log reaches this
-	// closure in practice (it has no fusion opcode); the rest are claimed
-	// by the fused fast path in fuse.go.
-	case "sqrt", "sin", "cos", "exp", "log", "abs":
-		f := map[string]func(float64) float64{
-			"sqrt": math.Sqrt, "sin": math.Sin, "cos": math.Cos,
-			"exp": math.Exp, "log": math.Log, "abs": math.Abs,
-		}[x.Name]
-		a, err := cc.arrFExpr(x.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) []float64 {
-			av := a(fr)
-			out := make([]float64, len(av))
-			for i, v := range av {
-				out[i] = f(v)
-			}
-			return out
-		}, nil
-	}
 	if x.Name == "zeros" {
 		n, err := cc.intExpr(x.Args[0])
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"odinhpc/internal/dense"
 	"odinhpc/internal/seamless"
 )
 
@@ -55,13 +56,7 @@ func (cc *fnCompiler) floatExpr(e seamless.Expr) (func(*frame) float64, error) {
 		case "//":
 			return func(fr *frame) float64 { return math.Floor(l(fr) / r(fr)) }, nil
 		case "%":
-			return func(fr *frame) float64 {
-				m := math.Mod(l(fr), r(fr))
-				if m != 0 && (m < 0) != (r(fr) < 0) {
-					m += r(fr)
-				}
-				return m
-			}, nil
+			return func(fr *frame) float64 { return dense.FloorMod(l(fr), r(fr)) }, nil
 		case "**":
 			return func(fr *frame) float64 { return math.Pow(l(fr), r(fr)) }, nil
 		}
@@ -238,121 +233,24 @@ func (cc *fnCompiler) boolExpr(e seamless.Expr) (func(*frame) bool, error) {
 	return nil, fmt.Errorf("compile: cannot compile %T as bool", e)
 }
 
+// arrFExpr compiles a float-array expression: variables, zeros and module
+// calls are the leaves it evaluates itself; every operator and elementwise
+// builtin goes to the fusion VM (fuse.go).
 func (cc *fnCompiler) arrFExpr(e seamless.Expr) (func(*frame) []float64, error) {
 	if t := cc.typeOf(e); t != seamless.TArrFloat {
 		return nil, fmt.Errorf("compile: expected float array, got %v", t)
 	}
-	// Whole-array expressions run on the fusion register VM whenever the
-	// tree is expressible (fuse.go); the closure loops below are the
-	// fallback for the shapes it cannot express.
-	if fn, ok, err := cc.fuseArrExpr(e); err != nil || ok {
-		return fn, err
+	if cc.arrayOp(e) {
+		return cc.fuseArrExpr(e)
 	}
 	switch x := e.(type) {
 	case *seamless.NameExpr:
 		slot := cc.slot(x.Name).slot
 		return func(fr *frame) []float64 { return fr.af[slot] }, nil
-	case *seamless.UnaryExpr:
-		a, err := cc.arrFExpr(x.X)
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) []float64 {
-			av := a(fr)
-			out := make([]float64, len(av))
-			for i, v := range av {
-				out[i] = -v
-			}
-			return out
-		}, nil
-	case *seamless.BinExpr:
-		return cc.arrFBin(x)
 	case *seamless.CallExpr:
 		return cc.arrFCall(x)
 	}
 	return nil, fmt.Errorf("compile: cannot compile %T as float array", e)
-}
-
-// arrFBin is the closure fallback for whole-array binary expressions the
-// fusion VM cannot express (dynamic scalar operands, //, %, **). The loops
-// match the vm engine's boxed elementwise semantics bit for bit.
-func (cc *fnCompiler) arrFBin(x *seamless.BinExpr) (func(*frame) []float64, error) {
-	var f func(a, b float64) float64
-	switch x.Op {
-	case "+":
-		f = func(a, b float64) float64 { return a + b }
-	case "-":
-		f = func(a, b float64) float64 { return a - b }
-	case "*":
-		f = func(a, b float64) float64 { return a * b }
-	case "/":
-		f = func(a, b float64) float64 { return a / b }
-	case "//":
-		f = func(a, b float64) float64 { return math.Floor(a / b) }
-	case "%":
-		f = pythonModFloat
-	case "**":
-		f = math.Pow
-	default:
-		return nil, fmt.Errorf("compile: array op %q", x.Op)
-	}
-	lt, rt := cc.typeOf(x.L), cc.typeOf(x.R)
-	switch {
-	case lt == seamless.TArrFloat && rt == seamless.TArrFloat:
-		l, err := cc.arrFExpr(x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := cc.arrFExpr(x.R)
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) []float64 {
-			la, ra := l(fr), r(fr)
-			if len(la) != len(ra) {
-				panic(fmt.Sprintf("array length mismatch: %d vs %d", len(la), len(ra)))
-			}
-			out := make([]float64, len(la))
-			for i := range out {
-				out[i] = f(la[i], ra[i])
-			}
-			return out
-		}, nil
-	case lt == seamless.TArrFloat: // array op broadcast-scalar
-		l, err := cc.arrFExpr(x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := cc.floatExpr(x.R)
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) []float64 {
-			la, s := l(fr), r(fr)
-			out := make([]float64, len(la))
-			for i := range out {
-				out[i] = f(la[i], s)
-			}
-			return out
-		}, nil
-	default: // broadcast-scalar op array
-		l, err := cc.floatExpr(x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := cc.arrFExpr(x.R)
-		if err != nil {
-			return nil, err
-		}
-		return func(fr *frame) []float64 {
-			s, ra := l(fr), r(fr)
-			out := make([]float64, len(ra))
-			for i := range out {
-				out[i] = f(s, ra[i])
-			}
-			return out
-		}, nil
-	}
 }
 
 func (cc *fnCompiler) arrIExpr(e seamless.Expr) (func(*frame) []int64, error) {
@@ -379,14 +277,6 @@ func floorDivInt(a, b int64) int64 {
 
 func pythonModInt(a, b int64) int64 {
 	m := a % b
-	if m != 0 && (m < 0) != (b < 0) {
-		m += b
-	}
-	return m
-}
-
-func pythonModFloat(a, b float64) float64 {
-	m := math.Mod(a, b)
 	if m != 0 && (m < 0) != (b < 0) {
 		m += b
 	}

@@ -2,56 +2,83 @@ package compile
 
 import (
 	"fmt"
+	"strings"
 
 	"odinhpc/internal/fusion"
 	"odinhpc/internal/seamless"
 )
 
-// Whole-array expressions compile through the fusion register VM instead of
-// nested closure loops: the expression tree is translated once, at compile
-// time, into a fusion.Expr template over SliceSlot leaves, and each call
-// binds the current frame's arrays to the slots and runs the fused sweep
-// (one output allocation, blocked vector kernels, superinstructions). The
-// template's structural key is call-count invariant, so solver-style
-// kernels hit the fusion plan cache on every call after the first —
-// visible via fusion.PlanCacheStats.
-//
-// The VM path is taken per node, not all-or-nothing: a subtree the VM
-// cannot express is compiled by the closure fallbacks in expr.go and
-// enters the fused program as one leaf. Inexpressible shapes are //, %, **
-// (Python semantics have no VM opcode), log (no opcode), and non-literal
-// scalar operands — baking a dynamic scalar into the template as a
-// constant would put its current value in the plan-cache key and compile a
-// fresh program per value.
+// Every float-array expression runs on the fusion register VM: Lower maps
+// the seamless AST onto fusion.Expr — the one lowering, shared by compiled
+// kernels and by odinserve's /v1/expr — and the caller only says what a
+// leaf is. A kernel's expression is translated once, at compile time, into
+// a template over SliceSlot and ScalarSlot leaves; each call binds the
+// current frame's arrays and scalar values to the slots and runs the fused
+// sweep (one output allocation, blocked vector kernels, superinstructions).
+// The template's structural key holds slot numbers, never values, so a
+// solver-style kernel hits the fusion plan cache on every call after the
+// first whatever scalars it is called with — visible via
+// fusion.PlanCacheStats.
 
-// fuseOp reports whether a float-array expression's root node maps to a
-// fusion VM opcode with expressible operands.
-func (cc *fnCompiler) fuseOp(e seamless.Expr) bool {
+// builder constructs the fusion node of an operator or builtin from its
+// lowered operands; r is nil for the one-operand ones.
+type builder = func(l, r *fusion.Expr) *fusion.Expr
+
+func unary(f func(*fusion.Expr) *fusion.Expr) builder {
+	return func(a, _ *fusion.Expr) *fusion.Expr { return f(a) }
+}
+
+var neg = unary(fusion.Neg)
+
+// arrayOps maps the arithmetic operators onto fusion's constructors.
+var arrayOps = map[string]builder{
+	"+": (*fusion.Expr).Add, "-": (*fusion.Expr).Sub,
+	"*": (*fusion.Expr).Mul, "/": (*fusion.Expr).Div,
+	"//": (*fusion.Expr).FloorDiv, "%": (*fusion.Expr).Mod, "**": (*fusion.Expr).Pow,
+}
+
+// arrayBuiltins is the call table of elementwise float-array builtins.
+var arrayBuiltins = map[string]struct {
+	nargs int
+	build builder
+}{
+	"sqrt": {1, unary(fusion.Sqrt)}, "sin": {1, unary(fusion.Sin)}, "cos": {1, unary(fusion.Cos)},
+	"exp": {1, unary(fusion.Exp)}, "log": {1, unary(fusion.Log)}, "abs": {1, unary(fusion.Abs)},
+	"neg": {1, neg}, "square": {1, unary((*fusion.Expr).Square)},
+	"hypot": {2, fusion.Hypot},
+}
+
+func errAt(e seamless.Expr, format string, args ...any) error {
+	p := seamless.ExprPos(e)
+	return &seamless.Error{Line: p.Line, Col: p.Col, Msg: fmt.Sprintf(format, args...)}
+}
+
+// arrayNode is the one definition of an array operation: unary minus, the
+// arithmetic operators, and calls of the builtin table. It returns the
+// node's operands (b is nil when there is one) and its builder, or the
+// positioned error for a node with no array meaning: comparisons,
+// and/or/not, subscripts, bool literals, unknown or wrong-arity calls.
+func arrayNode(e seamless.Expr) (a, b seamless.Expr, build builder, err error) {
 	switch x := e.(type) {
 	case *seamless.UnaryExpr:
-		return x.Op != "not"
+		if x.Op == "-" {
+			return x.X, nil, neg, nil
+		}
 	case *seamless.BinExpr:
-		switch x.Op {
-		case "+", "-", "*", "/":
-		default:
-			return false
-		}
-		for _, o := range []seamless.Expr{x.L, x.R} {
-			if cc.typeOf(o) == seamless.TArrFloat {
-				continue
-			}
-			if _, ok := literalScalar(o); !ok {
-				return false
-			}
-		}
-		return true
+		return x.L, x.R, arrayOps[x.Op], nil
 	case *seamless.CallExpr:
-		switch x.Name {
-		case "sqrt", "sin", "cos", "exp", "abs":
-			return len(x.Args) == 1 && cc.typeOf(x.Args[0]) == seamless.TArrFloat
+		bt, ok := arrayBuiltins[x.Name]
+		switch {
+		case !ok:
+			return nil, nil, nil, errAt(x, "unknown function %q", x.Name)
+		case len(x.Args) != bt.nargs:
+			return nil, nil, nil, errAt(x, "%s takes %d argument(s), got %d", x.Name, bt.nargs, len(x.Args))
+		case bt.nargs == 1:
+			return x.Args[0], nil, bt.build, nil
 		}
+		return x.Args[0], x.Args[1], bt.build, nil
 	}
-	return false
+	return nil, nil, nil, errAt(e, "%s is not an array expression", strings.TrimPrefix(fmt.Sprintf("%T", e), "*seamless."))
 }
 
 // literalScalar extracts a compile-time numeric constant: int and float
@@ -63,137 +90,146 @@ func literalScalar(e seamless.Expr) (float64, bool) {
 	case *seamless.FloatLit:
 		return x.V, true
 	case *seamless.UnaryExpr:
-		if x.Op != "not" {
-			if v, ok := literalScalar(x.X); ok {
-				return -v, true
-			}
+		if v, ok := literalScalar(x.X); ok && x.Op == "-" {
+			return -v, true
 		}
 	}
 	return 0, false
 }
 
-// fuseBuilder accumulates the leaf bindings of one template: leafFns[i]
-// produces the slice bound to SliceSlot(i) at call time.
-type fuseBuilder struct {
-	cc      *fnCompiler
-	leafFns []func(*frame) []float64
-	byName  map[string]*fusion.Expr // NameExpr leaves dedup to one slot
-}
-
-// node translates a float-array expression into a template node: a VM op
-// over translated operands when expressible, otherwise one leaf evaluated
-// by the closure path.
-func (fb *fuseBuilder) node(e seamless.Expr) (*fusion.Expr, error) {
-	if !fb.cc.fuseOp(e) {
-		return fb.leaf(e)
+// Lower translates an array expression into a fusion expression. Numeric
+// literals become float constants. On every other node leaf has first
+// refusal: it returns the fusion leaf the caller binds the node to (a
+// variable, a scalar operand, a call it evaluates itself), or nil to have
+// Lower translate the node as an array operation over lowered operands.
+// x*x stays a multiply.
+func Lower(e seamless.Expr, leaf func(seamless.Expr) (*fusion.Expr, error)) (*fusion.Expr, error) {
+	if v, ok := literalScalar(e); ok {
+		return fusion.Const(v), nil
 	}
-	switch x := e.(type) {
-	case *seamless.UnaryExpr:
-		a, err := fb.node(x.X)
-		if err != nil {
-			return nil, err
-		}
-		return fusion.Neg(a), nil
-	case *seamless.BinExpr:
-		l, err := fb.operand(x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := fb.operand(x.R)
-		if err != nil {
-			return nil, err
-		}
-		switch x.Op {
-		case "+":
-			return l.Add(r), nil
-		case "-":
-			return l.Sub(r), nil
-		case "*":
-			return l.Mul(r), nil
-		default:
-			return l.Div(r), nil
-		}
-	default: // *seamless.CallExpr; fuseOp admits nothing else
-		call := e.(*seamless.CallExpr)
-		a, err := fb.node(call.Args[0])
-		if err != nil {
-			return nil, err
-		}
-		switch call.Name {
-		case "sqrt":
-			return fusion.Sqrt(a), nil
-		case "sin":
-			return fusion.Sin(a), nil
-		case "cos":
-			return fusion.Cos(a), nil
-		case "exp":
-			return fusion.Exp(a), nil
-		default:
-			return fusion.Abs(a), nil
-		}
+	if l, err := leaf(e); l != nil || err != nil {
+		return l, err
 	}
-}
-
-// operand translates a binary operand: arrays recurse, literal scalars
-// become constant nodes (fuseOp already verified literalness).
-func (fb *fuseBuilder) operand(e seamless.Expr) (*fusion.Expr, error) {
-	if fb.cc.typeOf(e) == seamless.TArrFloat {
-		return fb.node(e)
-	}
-	v, _ := literalScalar(e)
-	return fusion.Const(v), nil
-}
-
-// leaf allocates the next slice slot for an array expression the VM cannot
-// express. Variable reads bind straight to their frame slot and dedup by
-// name, so `x*x + x` uses one slot; anything else compiles through the
-// regular array path.
-func (fb *fuseBuilder) leaf(e seamless.Expr) (*fusion.Expr, error) {
-	if nx, ok := e.(*seamless.NameExpr); ok {
-		if l, seen := fb.byName[nx.Name]; seen {
-			return l, nil
-		}
-		slot := fb.cc.slot(nx.Name).slot
-		l := fusion.SliceSlot(len(fb.leafFns))
-		fb.leafFns = append(fb.leafFns, func(fr *frame) []float64 { return fr.af[slot] })
-		fb.byName[nx.Name] = l
-		return l, nil
-	}
-	fn, err := fb.cc.arrFExpr(e)
+	a, b, build, err := arrayNode(e)
 	if err != nil {
 		return nil, err
 	}
-	l := fusion.SliceSlot(len(fb.leafFns))
-	fb.leafFns = append(fb.leafFns, fn)
-	return l, nil
+	l, err := Lower(a, leaf)
+	if err != nil {
+		return nil, err
+	}
+	var r *fusion.Expr
+	if b != nil {
+		if r, err = Lower(b, leaf); err != nil {
+			return nil, err
+		}
+	}
+	return build(l, r), nil
 }
 
-// fuseArrExpr compiles a whole-array expression to a fused-VM closure,
-// reporting ok=false when the root is not a fusable op (a bare variable or
-// call should not pay a vmCopy program).
-func (cc *fnCompiler) fuseArrExpr(e seamless.Expr) (func(*frame) []float64, bool, error) {
-	if !cc.fuseOp(e) {
-		return nil, false, nil
+// FreeNames appends to names the variables of an expression in which every
+// name is an array, in first-use order without repeats, and reports the
+// first node Lower would reject — so a caller holding untyped source can
+// validate it and learn its leaves without building anything.
+func FreeNames(e seamless.Expr, names []string) ([]string, error) {
+	if _, ok := literalScalar(e); ok {
+		return names, nil
 	}
-	fb := &fuseBuilder{cc: cc, byName: map[string]*fusion.Expr{}}
-	root, err := fb.node(e)
-	if err != nil {
-		return nil, false, err
-	}
-	leafFns := fb.leafFns
-	return func(fr *frame) []float64 {
-		leaves := make([][]float64, len(leafFns))
-		n := -1
-		for i, lf := range leafFns {
-			leaves[i] = lf(fr)
-			if n < 0 {
-				n = len(leaves[i])
-			} else if len(leaves[i]) != n {
-				panic(fmt.Sprintf("array length mismatch: %d vs %d", n, len(leaves[i])))
+	if nx, ok := e.(*seamless.NameExpr); ok {
+		for _, n := range names {
+			if n == nx.Name {
+				return names, nil
 			}
 		}
-		out := make([]float64, n)
-		fusion.EvalSlices(root, leaves, out)
+		return append(names, nx.Name), nil
+	}
+	a, b, _, err := arrayNode(e)
+	if err == nil {
+		names, err = FreeNames(a, names)
+	}
+	if err == nil && b != nil {
+		names, err = FreeNames(b, names)
+	}
+	return names, err
+}
+
+// arrayOp reports whether a float-array-typed node is an operator or an
+// elementwise builtin — something Lower translates — rather than a leaf.
+func (cc *fnCompiler) arrayOp(e seamless.Expr) bool {
+	switch x := e.(type) {
+	case *seamless.UnaryExpr, *seamless.BinExpr:
+		return true
+	case *seamless.CallExpr:
+		// square/neg/hypot name the builtin only over an array argument
+		// (seamless.IsBuiltin); for the rest an array result implies one.
+		if _, ok := arrayBuiltins[x.Name]; ok {
+			for _, a := range x.Args {
+				if cc.typeOf(a) == seamless.TArrFloat {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// fuseArrExpr compiles an array operator or elementwise builtin to a
+// closure over one fused-VM template. Its leaves are the frame's arrays
+// (SliceSlot i reads leafFns[i]; a variable used twice uses one slot),
+// array-valued calls the VM has no opcode for, compiled through arrFExpr,
+// and the scalar operands that are not literals, each evaluated once per
+// call into ScalarSlot i by scalarFns[i] — as a constant its current value
+// would be in the plan-cache key, and every value a fresh program.
+func (cc *fnCompiler) fuseArrExpr(e seamless.Expr) (func(*frame) []float64, error) {
+	var leafFns []func(*frame) []float64
+	var scalarFns []func(*frame) float64
+	byName := map[string]*fusion.Expr{}
+	root, err := Lower(e, func(e seamless.Expr) (*fusion.Expr, error) {
+		if cc.typeOf(e) != seamless.TArrFloat {
+			fn, err := cc.floatExpr(e)
+			if err != nil {
+				return nil, err
+			}
+			scalarFns = append(scalarFns, fn)
+			return fusion.ScalarSlot(len(scalarFns) - 1), nil
+		}
+		if cc.arrayOp(e) {
+			return nil, nil
+		}
+		nx, isName := e.(*seamless.NameExpr)
+		if isName {
+			if l, seen := byName[nx.Name]; seen {
+				return l, nil
+			}
+		}
+		fn, err := cc.arrFExpr(e)
+		if err != nil {
+			return nil, err
+		}
+		leafFns = append(leafFns, fn)
+		l := fusion.SliceSlot(len(leafFns) - 1)
+		if isName {
+			byName[nx.Name] = l
+		}
+		return l, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return func(fr *frame) []float64 {
+		leaves := make([][]float64, len(leafFns))
+		for i, lf := range leafFns {
+			leaves[i] = lf(fr)
+			if len(leaves[i]) != len(leaves[0]) {
+				panic(fmt.Sprintf("array length mismatch: %d vs %d", len(leaves[0]), len(leaves[i])))
+			}
+		}
+		scalars := make([]float64, len(scalarFns))
+		for i, sf := range scalarFns {
+			scalars[i] = sf(fr)
+		}
+		out := make([]float64, len(leaves[0]))
+		fusion.EvalSlices(root, leaves, scalars, out)
 		return out
-	}, true, nil
+	}, nil
 }

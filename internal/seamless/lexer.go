@@ -7,8 +7,11 @@ import (
 // Lex tokenizes source text, synthesizing INDENT/DEDENT tokens from leading
 // whitespace in the Python manner. Tabs count as 8 columns. Blank lines and
 // comment-only lines produce no tokens.
-func Lex(src string) ([]Token, error) {
-	var toks []Token
+func Lex(src string) ([]Token, error) { return lexAppend(nil, src) }
+
+// lexAppend is Lex appending to toks: ParseExpr lends it a stack buffer, so
+// a one-line expression is tokenized without a heap-allocated token slice.
+func lexAppend(toks []Token, src string) ([]Token, error) {
 	indents := []int{0}
 	lines := strings.Split(src, "\n")
 	parenDepth := 0

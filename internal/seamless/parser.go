@@ -35,6 +35,34 @@ func Parse(src string) (*Module, error) {
 	return m, nil
 }
 
+// ParseExpr lexes and parses src as exactly one expression — the grammar a
+// kernel body's right-hand sides use, for callers whose whole input is an
+// expression (odinserve's /v1/expr). Anything after the expression, a
+// second line included, is an error; leading blanks are not.
+func ParseExpr(src string) (Expr, error) {
+	var buf [64]Token
+	toks, err := lexAppend(buf[:0], src)
+	if err != nil {
+		return nil, err
+	}
+	p := &parser{toks: toks}
+	indented := p.accept(TokIndent, "")
+	x, err := p.parseExpr()
+	if err != nil {
+		return nil, err
+	}
+	if _, err := p.expect(TokNewline, ""); err != nil {
+		return nil, err
+	}
+	if indented {
+		p.accept(TokDedent, "")
+	}
+	if _, err := p.expect(TokEOF, ""); err != nil {
+		return nil, err
+	}
+	return x, nil
+}
+
 type parser struct {
 	toks []Token
 	pos  int

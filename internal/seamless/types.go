@@ -493,8 +493,8 @@ func (tf *TypedFn) inferCall(x *CallExpr) (Type, error) {
 		args[i] = t
 	}
 	// Builtins first, then module functions, then externs.
-	if t, ok, err := builtinType(x, args); ok || err != nil {
-		return t, err
+	if IsBuiltin(x.Name, args) {
+		return builtinType(x, args)
 	}
 	if _, ok := tf.prog.Module.ByName[x.Name]; ok {
 		// Int arguments promote into float-annotated parameters.
@@ -524,68 +524,91 @@ func (tf *TypedFn) inferCall(x *CallExpr) (Type, error) {
 	return TUnknown, errAt(x.Line, x.Col, "unknown function %q", x.Name)
 }
 
-// builtinType reports (type, known, error) for builtin calls.
-func builtinType(x *CallExpr, args []Type) (Type, bool, error) {
-	bad := func(format string, a ...any) (Type, bool, error) {
-		return TUnknown, true, errAt(x.Line, x.Col, format, a...)
+// builtinType types a call IsBuiltin claimed.
+func builtinType(x *CallExpr, args []Type) (Type, error) {
+	bad := func(format string, a ...any) (Type, error) {
+		return TUnknown, errAt(x.Line, x.Col, format, a...)
 	}
 	switch x.Name {
 	case "len":
 		if len(args) != 1 || !args[0].IsArray() {
 			return bad("len() takes one array argument")
 		}
-		return TInt, true, nil
+		return TInt, nil
 	case "sqrt", "sin", "cos", "exp", "log":
 		if len(args) == 1 && args[0] == TArrFloat {
-			return TArrFloat, true, nil // elementwise over the whole array
+			return TArrFloat, nil // elementwise over the whole array
 		}
 		if len(args) != 1 || !args[0].IsNumeric() {
 			return bad("%s() takes one numeric or float-array argument", x.Name)
 		}
-		return TFloat, true, nil
+		return TFloat, nil
 	case "abs":
 		if len(args) == 1 && args[0] == TArrFloat {
-			return TArrFloat, true, nil
+			return TArrFloat, nil
 		}
 		if len(args) != 1 || !args[0].IsNumeric() {
 			return bad("abs() takes one numeric or float-array argument")
 		}
-		return args[0], true, nil
+		return args[0], nil
 	case "min", "max":
 		if len(args) != 2 || !args[0].IsNumeric() || !args[1].IsNumeric() {
 			return bad("%s() takes two numeric arguments", x.Name)
 		}
 		u, _ := unify(args[0], args[1])
-		return u, true, nil
+		return u, nil
 	case "int":
 		if len(args) != 1 || !args[0].IsNumeric() {
 			return bad("int() takes one numeric argument")
 		}
-		return TInt, true, nil
+		return TInt, nil
 	case "float":
 		if len(args) != 1 || !args[0].IsNumeric() {
 			return bad("float() takes one numeric argument")
 		}
-		return TFloat, true, nil
+		return TFloat, nil
 	case "zeros":
 		if len(args) != 1 || args[0] != TInt {
 			return bad("zeros() takes one int argument")
 		}
-		return TArrFloat, true, nil
+		return TArrFloat, nil
 	case "izeros":
 		if len(args) != 1 || args[0] != TInt {
 			return bad("izeros() takes one int argument")
 		}
-		return TArrInt, true, nil
+		return TArrInt, nil
+	case "square", "neg", "hypot":
+		want := 1
+		if x.Name == "hypot" {
+			want = 2
+		}
+		if len(args) != want {
+			return bad("%s() takes %d argument(s), got %d", x.Name, want, len(args))
+		}
+		for _, t := range args {
+			if t != TArrFloat && !t.IsNumeric() {
+				return bad("%s() takes float-array or numeric arguments, got %v", x.Name, t)
+			}
+		}
+		return TArrFloat, nil
 	}
-	return TUnknown, false, nil
+	panic("seamless: IsBuiltin and builtinType disagree on " + x.Name)
 }
 
-// IsBuiltin reports whether name is a language builtin.
-func IsBuiltin(name string) bool {
+// IsBuiltin reports whether a call of name with these argument types is a
+// language builtin (builtins shadow module functions and externs). square,
+// neg and hypot are builtins only as elementwise float-array operations;
+// over scalars the names stay free for module functions and FFI bindings.
+func IsBuiltin(name string, args []Type) bool {
 	switch name {
 	case "len", "sqrt", "sin", "cos", "exp", "log", "abs", "min", "max", "int", "float", "zeros", "izeros":
 		return true
+	case "square", "neg", "hypot":
+		for _, t := range args {
+			if t == TArrFloat {
+				return true
+			}
+		}
 	}
 	return false
 }

@@ -372,14 +372,14 @@ func (l *lowerer) expr(e seamless.Expr) error {
 }
 
 func (l *lowerer) resolveCall(x *seamless.CallExpr) (callee, error) {
-	if seamless.IsBuiltin(x.Name) {
+	args := make([]seamless.Type, len(x.Args))
+	for i, a := range x.Args {
+		args[i] = l.tf.ExprTypes[a]
+	}
+	if seamless.IsBuiltin(x.Name, args) {
 		return callee{kind: calleeBuiltin, name: x.Name}, nil
 	}
 	if _, ok := l.engine.prog.Module.ByName[x.Name]; ok {
-		args := make([]seamless.Type, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = l.tf.ExprTypes[a]
-		}
 		// Mirror inference-time promotion into float-annotated params.
 		cfn := l.engine.prog.Module.ByName[x.Name]
 		for i, p := range cfn.Params {

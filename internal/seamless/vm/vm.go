@@ -357,6 +357,12 @@ func arithArr(op Op, l, r seamless.Value) seamless.Value {
 	default:
 		panic("vm: bad array arithmetic op")
 	}
+	return arrZip(f, l, r)
+}
+
+// arrZip applies f elementwise over two operands of which at least one is
+// a float array, broadcasting a scalar operand; the result is a fresh array.
+func arrZip(f func(a, b float64) float64, l, r seamless.Value) seamless.Value {
 	switch {
 	case l.K == seamless.TArrFloat && r.K == seamless.TArrFloat:
 		if len(l.AF) != len(r.AF) {
@@ -497,6 +503,12 @@ func callBuiltin(name string, args []seamless.Value) seamless.Value {
 			return arrMap(args[0], f)
 		}
 		return seamless.FloatV(f(args[0].AsFloat()))
+	case "square": // square, neg, hypot: float arrays only (seamless.IsBuiltin)
+		return arrMap(args[0], func(x float64) float64 { return x * x })
+	case "neg":
+		return arrMap(args[0], func(x float64) float64 { return -x })
+	case "hypot":
+		return arrZip(math.Hypot, args[0], args[1])
 	case "abs":
 		if args[0].K == seamless.TArrFloat {
 			return arrMap(args[0], math.Abs)

@@ -5,27 +5,30 @@ import (
 	"hash/fnv"
 	"math"
 	"sort"
-	"strconv"
 	"time"
-	"unicode"
 
 	"odinhpc/internal/comm"
 	"odinhpc/internal/core"
 	"odinhpc/internal/fusion"
+	"odinhpc/internal/seamless"
+	"odinhpc/internal/seamless/compile"
 )
 
 // ExprRequest is POST /v1/expr: a seamless array expression evaluated over
 // named distributed arrays of length n, reduced to its global sum. The
-// arrays are deterministic functions of (name, global index), cached warm
-// per rank; the compiled program comes from fusion's process-wide
-// single-flight plan cache, so structurally equal expressions across
-// requests and tenants share one program.
+// source is one expression of the seamless kernel language (seamless.
+// ParseExpr) in which every name is an array; it reaches the fusion VM
+// through the lowering compiled kernels use (compile.Lower). The arrays are
+// deterministic functions of (name, global index), cached warm per rank;
+// the compiled program comes from fusion's process-wide single-flight plan
+// cache, so structurally equal expressions across requests and tenants
+// share one program.
 type ExprRequest struct {
 	Expr string `json:"expr"`
 	N    int    `json:"n"`
 
-	ast  *exprNode
-	vars []string
+	ast  seamless.Expr // immutable after Validate: shared read-only by every rank
+	vars []string      // its variable names, sorted
 }
 
 // ExprResponse is the expression job result.
@@ -39,7 +42,7 @@ type ExprResponse struct {
 
 // Validate parses the expression server-side so malformed input costs zero
 // group time, and pins the caps (source length, array size, variable
-// count).
+// count). Front-end rejections carry the seamless line:col.
 func (r *ExprRequest) Validate() error {
 	if len(r.Expr) == 0 {
 		return badReq("empty expression")
@@ -50,7 +53,11 @@ func (r *ExprRequest) Validate() error {
 	if r.N <= 0 || r.N > maxExprN {
 		return badReq("n %d outside [1,%d]", r.N, maxExprN)
 	}
-	ast, vars, err := parseExpr(r.Expr)
+	ast, err := seamless.ParseExpr(r.Expr)
+	if err != nil {
+		return badReq("%v", err)
+	}
+	vars, err := compile.FreeNames(ast, nil)
 	if err != nil {
 		return badReq("%v", err)
 	}
@@ -60,6 +67,7 @@ func (r *ExprRequest) Validate() error {
 	if len(vars) > maxExprVars {
 		return badReq("%d variables over the %d cap", len(vars), maxExprVars)
 	}
+	sort.Strings(vars)
 	r.ast, r.vars = ast, vars
 	return nil
 }
@@ -74,9 +82,15 @@ func varFill(name string, g int) float64 {
 	return 0.5 + 0.4*math.Sin(seed*7+float64(g)*3)
 }
 
+// arrayKey names one warm array: the variable and its length.
+type arrayKey struct {
+	name string
+	n    int
+}
+
 // array returns the rank's warm distributed array for (name, n).
 func (st *RankState) array(name string, n int) *core.DistArray[float64] {
-	key := fmt.Sprintf("%s/n=%d", name, n)
+	key := arrayKey{name, n}
 	if a, ok := st.arrays[key]; ok {
 		return a
 	}
@@ -91,11 +105,20 @@ func (st *RankState) array(name string, n int) *core.DistArray[float64] {
 func (r *ExprRequest) Job() JobFunc {
 	return func(c *comm.Comm, st *RankState) (any, error) {
 		t0 := time.Now()
-		leaves := make(map[string]*fusion.Expr, len(r.vars))
-		for _, v := range r.vars {
-			leaves[v] = fusion.Var(st.array(v, r.N))
+		leaves := make([]*fusion.Expr, len(r.vars))
+		for i, v := range r.vars {
+			leaves[i] = fusion.Var(st.array(v, r.N))
 		}
-		sum := fusion.SumEval(r.ast.build(leaves))
+		root, err := compile.Lower(r.ast, func(e seamless.Expr) (*fusion.Expr, error) {
+			if nx, ok := e.(*seamless.NameExpr); ok {
+				return leaves[sort.SearchStrings(r.vars, nx.Name)], nil
+			}
+			return nil, nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		sum := fusion.SumEval(root)
 		if math.IsNaN(sum) || math.IsInf(sum, 0) {
 			return nil, fmt.Errorf("expression reduced to a non-finite value")
 		}
@@ -107,281 +130,4 @@ func (r *ExprRequest) Job() JobFunc {
 			Millis: float64(time.Since(t0).Microseconds()) / 1000,
 		}, nil
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Expression parser: a small recursive-descent grammar over +, -, *, /,
-// unary minus, parentheses, float literals, variables, and the fusion
-// builtin functions.
-//
-//	expr    := term (('+'|'-') term)*
-//	term    := unary (('*'|'/') unary)*
-//	unary   := '-' unary | primary
-//	primary := number | ident | ident '(' expr (',' expr)* ')' | '(' expr ')'
-
-// exprNode is the validated server-side AST; immutable after parse, so one
-// request's tree is shared read-only by every rank of the group.
-type exprNode struct {
-	kind byte // 'n' literal, 'v' variable, 'f' function, 'b' binary op
-	op   string
-	val  float64
-	name string
-	args []*exprNode
-}
-
-// exprFuncs maps the accepted function names to their arity.
-var exprFuncs = map[string]int{
-	"sqrt": 1, "sin": 1, "cos": 1, "exp": 1, "abs": 1, "neg": 1, "square": 1,
-	"hypot": 2,
-}
-
-// build lowers the AST onto fusion's expression builders over the bound
-// leaf arrays.
-func (n *exprNode) build(leaves map[string]*fusion.Expr) *fusion.Expr {
-	switch n.kind {
-	case 'n':
-		return fusion.Const(n.val)
-	case 'v':
-		return leaves[n.name]
-	case 'f':
-		a := n.args[0].build(leaves)
-		switch n.name {
-		case "sqrt":
-			return fusion.Sqrt(a)
-		case "sin":
-			return fusion.Sin(a)
-		case "cos":
-			return fusion.Cos(a)
-		case "exp":
-			return fusion.Exp(a)
-		case "abs":
-			return fusion.Abs(a)
-		case "neg":
-			return fusion.Neg(a)
-		case "square":
-			return a.Square()
-		case "hypot":
-			return fusion.Hypot(a, n.args[1].build(leaves))
-		}
-	case 'b':
-		a, b := n.args[0].build(leaves), n.args[1].build(leaves)
-		switch n.op {
-		case "+":
-			return a.Add(b)
-		case "-":
-			return a.Sub(b)
-		case "*":
-			return a.Mul(b)
-		case "/":
-			return a.Div(b)
-		}
-	}
-	panic(fmt.Sprintf("serve: unreachable expr node %q %q", n.kind, n.op))
-}
-
-type exprParser struct {
-	src  string
-	pos  int
-	vars map[string]bool
-}
-
-// parseExpr parses src and returns the AST plus the sorted variable names.
-func parseExpr(src string) (*exprNode, []string, error) {
-	p := &exprParser{src: src, vars: map[string]bool{}}
-	n, err := p.parseSum()
-	if err != nil {
-		return nil, nil, err
-	}
-	p.skipSpace()
-	if p.pos != len(p.src) {
-		return nil, nil, fmt.Errorf("unexpected %q at offset %d", p.src[p.pos], p.pos)
-	}
-	vars := make([]string, 0, len(p.vars))
-	for v := range p.vars {
-		vars = append(vars, v)
-	}
-	sort.Strings(vars)
-	return n, vars, nil
-}
-
-func (p *exprParser) skipSpace() {
-	for p.pos < len(p.src) && (p.src[p.pos] == ' ' || p.src[p.pos] == '\t') {
-		p.pos++
-	}
-}
-
-func (p *exprParser) peek() byte {
-	p.skipSpace()
-	if p.pos >= len(p.src) {
-		return 0
-	}
-	return p.src[p.pos]
-}
-
-func (p *exprParser) parseSum() (*exprNode, error) {
-	n, err := p.parseTerm()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		switch p.peek() {
-		case '+', '-':
-			op := string(p.src[p.pos])
-			p.pos++
-			rhs, err := p.parseTerm()
-			if err != nil {
-				return nil, err
-			}
-			n = &exprNode{kind: 'b', op: op, args: []*exprNode{n, rhs}}
-		default:
-			return n, nil
-		}
-	}
-}
-
-func (p *exprParser) parseTerm() (*exprNode, error) {
-	n, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		switch p.peek() {
-		case '*', '/':
-			op := string(p.src[p.pos])
-			p.pos++
-			rhs, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			n = &exprNode{kind: 'b', op: op, args: []*exprNode{n, rhs}}
-		default:
-			return n, nil
-		}
-	}
-}
-
-func (p *exprParser) parseUnary() (*exprNode, error) {
-	if p.peek() == '-' {
-		p.pos++
-		n, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &exprNode{kind: 'f', name: "neg", args: []*exprNode{n}}, nil
-	}
-	return p.parsePrimary()
-}
-
-func (p *exprParser) parsePrimary() (*exprNode, error) {
-	ch := p.peek()
-	switch {
-	case ch == '(':
-		p.pos++
-		n, err := p.parseSum()
-		if err != nil {
-			return nil, err
-		}
-		if p.peek() != ')' {
-			return nil, fmt.Errorf("missing ) at offset %d", p.pos)
-		}
-		p.pos++
-		return n, nil
-	case ch >= '0' && ch <= '9' || ch == '.':
-		start := p.pos
-		for p.pos < len(p.src) && (p.src[p.pos] >= '0' && p.src[p.pos] <= '9' || p.src[p.pos] == '.' ||
-			p.src[p.pos] == 'e' || p.src[p.pos] == 'E' ||
-			((p.src[p.pos] == '+' || p.src[p.pos] == '-') && (p.src[p.pos-1] == 'e' || p.src[p.pos-1] == 'E'))) {
-			p.pos++
-		}
-		v, err := strconv.ParseFloat(p.src[start:p.pos], 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad number %q at offset %d", p.src[start:p.pos], start)
-		}
-		return &exprNode{kind: 'n', val: v}, nil
-	case unicode.IsLetter(rune(ch)) || ch == '_':
-		start := p.pos
-		for p.pos < len(p.src) && (unicode.IsLetter(rune(p.src[p.pos])) || unicode.IsDigit(rune(p.src[p.pos])) || p.src[p.pos] == '_') {
-			p.pos++
-		}
-		name := p.src[start:p.pos]
-		if p.peek() != '(' {
-			p.vars[name] = true
-			return &exprNode{kind: 'v', name: name}, nil
-		}
-		arity, ok := exprFuncs[name]
-		if !ok {
-			return nil, fmt.Errorf("unknown function %q at offset %d", name, start)
-		}
-		p.pos++ // consume (
-		var args []*exprNode
-		for {
-			a, err := p.parseSum()
-			if err != nil {
-				return nil, err
-			}
-			args = append(args, a)
-			if p.peek() == ',' {
-				p.pos++
-				continue
-			}
-			break
-		}
-		if p.peek() != ')' {
-			return nil, fmt.Errorf("missing ) after %s( at offset %d", name, p.pos)
-		}
-		p.pos++
-		if len(args) != arity {
-			return nil, fmt.Errorf("%s takes %d argument(s), got %d", name, arity, len(args))
-		}
-		return &exprNode{kind: 'f', name: name, args: args}, nil
-	case ch == 0:
-		return nil, fmt.Errorf("unexpected end of expression")
-	default:
-		return nil, fmt.Errorf("unexpected %q at offset %d", ch, p.pos)
-	}
-}
-
-// evalScalar evaluates the AST at one global index through the same varFill
-// the arrays use — the serial reference the tests (and the loadgen's
-// spot-checks) compare the fused distributed result against.
-func (n *exprNode) evalScalar(g int) float64 {
-	switch n.kind {
-	case 'n':
-		return n.val
-	case 'v':
-		return varFill(n.name, g)
-	case 'f':
-		a := n.args[0].evalScalar(g)
-		switch n.name {
-		case "sqrt":
-			return math.Sqrt(a)
-		case "sin":
-			return math.Sin(a)
-		case "cos":
-			return math.Cos(a)
-		case "exp":
-			return math.Exp(a)
-		case "abs":
-			return math.Abs(a)
-		case "neg":
-			return -a
-		case "square":
-			return a * a
-		case "hypot":
-			return math.Hypot(a, n.args[1].evalScalar(g))
-		}
-	case 'b':
-		a, b := n.args[0].evalScalar(g), n.args[1].evalScalar(g)
-		switch n.op {
-		case "+":
-			return a + b
-		case "-":
-			return a - b
-		case "*":
-			return a * b
-		case "/":
-			return a / b
-		}
-	}
-	panic("serve: unreachable expr node")
 }

@@ -37,14 +37,14 @@ type JobFunc func(c *comm.Comm, st *RankState) (any, error)
 type RankState struct {
 	Ctx      *core.Context
 	matrices map[string]*tpetra.CrsMatrix
-	arrays   map[string]*core.DistArray[float64]
+	arrays   map[arrayKey]*core.DistArray[float64]
 }
 
 func newRankState(c *comm.Comm) *RankState {
 	return &RankState{
 		Ctx:      core.NewContext(c),
 		matrices: make(map[string]*tpetra.CrsMatrix),
-		arrays:   make(map[string]*core.DistArray[float64]),
+		arrays:   make(map[arrayKey]*core.DistArray[float64]),
 	}
 }
 

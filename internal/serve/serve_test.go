@@ -3,12 +3,15 @@ package serve
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"odinhpc/internal/comm"
 	"odinhpc/internal/fusion"
+	"odinhpc/internal/seamless"
+	"odinhpc/internal/seamless/vm"
 )
 
 // mixedJob returns the i-th job of the standard mixed workload: two solve
@@ -61,12 +64,35 @@ func mixedJob(i int) (string, JobFunc, func(any) error) {
 	}
 }
 
-// exprReference sums the scalar evaluator over every global index — the
-// serial answer the fused distributed evaluation must match.
+// exprOracle evaluates a validated request element by element on the
+// seamless stack VM — the boxed interpreter, which shares the front end with
+// the service and nothing else — over the arrays the service would fill.
+func exprOracle(req *ExprRequest) []float64 {
+	prog, err := seamless.CompileSource("def f(" + strings.Join(req.vars, ", ") + "):\n    return " + req.Expr + "\n")
+	if err != nil {
+		panic(err)
+	}
+	args := make([]seamless.Value, len(req.vars))
+	for i, v := range req.vars {
+		a := make([]float64, req.N)
+		for g := range a {
+			a[g] = varFill(v, g)
+		}
+		args[i] = seamless.ArrFV(a)
+	}
+	out, err := vm.NewEngine(prog).Call("f", args...)
+	if err != nil {
+		panic(err)
+	}
+	return out.AF
+}
+
+// exprReference sums the oracle over every global index — the serial
+// answer the fused distributed evaluation must match.
 func exprReference(req *ExprRequest) float64 {
 	var sum float64
-	for g := 0; g < req.N; g++ {
-		sum += req.ast.evalScalar(g)
+	for _, v := range exprOracle(req) {
+		sum += v
 	}
 	return sum
 }
