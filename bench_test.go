@@ -1,633 +1,29 @@
-// Package odinhpc's root benchmark suite regenerates every experiment of
-// the constructed evaluation (DESIGN.md E1-E10 plus the E-A ablations) as
-// testing.B benchmarks. Paper-vs-measured discussion lives in
-// EXPERIMENTS.md; the row-printing harness is cmd/solverbench.
+// The root benchmark times every case of the experiment registry
+// (internal/experiments: E1-E14 and the ablations of EXPERIMENTS.md) under
+// testing.B: b.N iterations of each measured region, the case's metrics as
+// custom units. `go run ./cmd/solverbench` prints the same cases as tables.
 //
-// Run: go test -bench=. -benchmem
+// Run: go test -run XXX -bench Experiment -benchmem . (one row: -bench 'Experiment/E8/nx=32/P=4/amg')
 package odinhpc
 
 import (
-	"fmt"
-	"math"
 	"testing"
 
-	"odinhpc/internal/bridge"
-	"odinhpc/internal/comm"
-	"odinhpc/internal/core"
-	"odinhpc/internal/dense"
-	"odinhpc/internal/distmap"
-	"odinhpc/internal/exec"
-	"odinhpc/internal/fusion"
-	"odinhpc/internal/galeri"
-	"odinhpc/internal/precond"
-	"odinhpc/internal/seamless"
-	"odinhpc/internal/seamless/compile"
-	"odinhpc/internal/seamless/ffi"
-	"odinhpc/internal/seamless/vm"
-	"odinhpc/internal/slicing"
-	"odinhpc/internal/solvers"
-	"odinhpc/internal/sparse"
-	"odinhpc/internal/table"
-	"odinhpc/internal/teuchos"
-	"odinhpc/internal/tpetra"
-	"odinhpc/internal/ufunc"
+	"odinhpc/internal/experiments"
 )
 
-// BenchmarkE1ControlMessageBytes measures the cost of issuing one global-op
-// control descriptor from the master to P-1 workers (paper §III.B: "at most
-// tens of bytes"). The reported custom metric is bytes per worker.
-func BenchmarkE1ControlMessageBytes(b *testing.B) {
-	for _, p := range []int{2, 4, 8, 16} {
-		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
-			var perWorker float64
-			err := comm.Run(p, func(c *comm.Comm) error {
-				ctx := core.NewContext(c)
-				for i := 0; i < b.N; i++ {
-					ctx.Control(core.OpUfunc, int64(i))
-				}
-				if c.Rank() == 0 {
-					_, bytes := ctx.CtrlStats()
-					perWorker = float64(bytes) / float64(b.N) / float64(p-1)
-				}
-				return nil
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(perWorker, "ctrlB/op/worker")
-		})
-	}
-}
-
-// BenchmarkE2UfuncScaling measures one unary ufunc sweep (sin) at several
-// rank counts; the custom metric is per-rank elements, the quantity that
-// determines scaling on a real cluster (the host here may be single-core).
-func BenchmarkE2UfuncScaling(b *testing.B) {
-	const n = 1 << 20
-	for _, p := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
-			err := comm.Run(p, func(c *comm.Comm) error {
-				ctx := core.NewContext(c)
-				ctx.SetControlMessages(false)
-				x := core.Random(ctx, []int{n}, 1)
-				c.Barrier()
-				for i := 0; i < b.N; i++ {
-					_ = ufunc.Sin(x)
-				}
-				return nil
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(n/p), "elems/rank")
-		})
-	}
-}
-
-// BenchmarkE3Redistribution measures moving a block-distributed vector to a
-// cyclic layout — the aligned-operand cost of a non-conformable binary
-// ufunc (paper §III.D).
-func BenchmarkE3Redistribution(b *testing.B) {
-	const n = 1 << 18
-	for _, p := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
-			err := comm.Run(p, func(c *comm.Comm) error {
-				ctx := core.NewContext(c)
-				ctx.SetControlMessages(false)
-				x := core.Random(ctx, []int{n}, 1)
-				target := distmap.NewCyclic(n, p)
-				c.Barrier()
-				for i := 0; i < b.N; i++ {
-					_ = core.Redistribute(x, target)
-				}
-				return nil
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-}
-
-// BenchmarkE4FiniteDifference measures the §III.G stencil: the
-// halo-exchange path versus the naive allgather strategy (ablation E-A1).
-func BenchmarkE4FiniteDifference(b *testing.B) {
-	const n = 1 << 18
-	const p = 4
-	run := func(b *testing.B, optimized bool) {
-		err := comm.Run(p, func(c *comm.Comm) error {
-			ctx := core.NewContext(c)
-			ctx.SetControlMessages(false)
-			y := core.Random(ctx, []int{n}, 1)
-			c.Barrier()
-			for i := 0; i < b.N; i++ {
-				if optimized {
-					_ = slicing.Diff(y)
-				} else {
-					full := y.Gather()
-					me, m := c.Rank(), y.Map()
-					out := dense.Zeros[float64](m.LocalCount(me))
-					for l := 0; l < out.Dim(0); l++ {
-						g := m.LocalToGlobal(me, l)
-						if g < n-1 {
-							out.Set(full.At(g+1)-full.At(g), l)
-						}
-					}
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Run("halo", func(b *testing.B) { run(b, true) })
-	b.Run("allgather", func(b *testing.B) { run(b, false) })
-}
-
-// BenchmarkE5Fusion measures the fused single-sweep evaluation of
-// sqrt(x^2+y^2) against op-at-a-time temporaries (paper §III "loop fusion").
-func BenchmarkE5Fusion(b *testing.B) {
-	const n = 1 << 19
-	const p = 2
-	build := func(x, y *core.DistArray[float64]) *fusion.Expr {
-		return fusion.Sqrt(fusion.Var(x).Square().Add(fusion.Var(y).Square()))
-	}
-	run := func(b *testing.B, fused bool) {
-		err := comm.Run(p, func(c *comm.Comm) error {
-			ctx := core.NewContext(c)
-			ctx.SetControlMessages(false)
-			x := core.Random(ctx, []int{n}, 1)
-			y := core.Random(ctx, []int{n}, 2)
-			e := build(x, y)
-			c.Barrier()
-			for i := 0; i < b.N; i++ {
-				if fused {
-					_ = fusion.Eval(e)
-				} else {
-					_ = fusion.EvalNaive(e)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Run("fused", func(b *testing.B) { run(b, true) })
-	b.Run("naive", func(b *testing.B) { run(b, false) })
-}
-
-const jitCorpus = `
-def sum(it):
-    res = 0.0
-    for i in range(len(it)):
-        res += it[i]
-    return res
-
-def dot(a, b):
-    acc = 0.0
-    for i in range(len(a)):
-        acc += a[i] * b[i]
-    return acc
-
-def mandel(cr, ci, maxiter):
-    zr = 0.0
-    zi = 0.0
-    n = 0
-    while n < maxiter and zr * zr + zi * zi <= 4.0:
-        t = zr * zr - zi * zi + cr
-        zi = 2.0 * zr * zi + ci
-        zr = t
-        n += 1
-    return n
-`
-
-// BenchmarkE6SeamlessJIT measures the paper's §IV.A claim on three kernels:
-// the bytecode interpreter (CPython stand-in), the compiled engine (JIT
-// stand-in), and hand-written Go.
-func BenchmarkE6SeamlessJIT(b *testing.B) {
-	const n = 1 << 16
-	xs := make([]float64, n)
-	ys := make([]float64, n)
-	for i := range xs {
-		xs[i] = float64(i % 1000)
-		ys[i] = float64(i % 777)
-	}
-	mkEngines := func() (*vm.Engine, *compile.Engine) {
-		pv, err := seamless.CompileSource(jitCorpus)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pc, err := seamless.CompileSource(jitCorpus)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return vm.NewEngine(pv), compile.NewEngine(pc)
-	}
-	ev, ec := mkEngines()
-	kernels := []struct {
-		name string
-		args []seamless.Value
-		gold func()
-	}{
-		{"sum", []seamless.Value{seamless.ArrFV(xs)}, func() {
-			acc := 0.0
-			for _, v := range xs {
-				acc += v
-			}
-			_ = acc
-		}},
-		{"dot", []seamless.Value{seamless.ArrFV(xs), seamless.ArrFV(ys)}, func() {
-			acc := 0.0
-			for i := range xs {
-				acc += xs[i] * ys[i]
-			}
-			_ = acc
-		}},
-		{"mandel", []seamless.Value{seamless.FloatV(-0.7436), seamless.FloatV(0.1318), seamless.IntV(2000)}, func() {
-			zr, zi := 0.0, 0.0
-			for k := 0; k < 2000 && zr*zr+zi*zi <= 4; k++ {
-				zr, zi = zr*zr-zi*zi-0.7436, 2*zr*zi+0.1318
-			}
-		}},
-	}
-	for _, k := range kernels {
-		if _, err := ev.Call(k.name, k.args...); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := ec.Call(k.name, k.args...); err != nil {
-			b.Fatal(err)
-		}
-		b.Run(k.name+"/interp", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ev.Call(k.name, k.args...)
-			}
-		})
-		b.Run(k.name+"/compiled", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ec.Call(k.name, k.args...)
-			}
-		})
-		b.Run(k.name+"/native", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				k.gold()
-			}
-		})
-	}
-}
-
-// BenchmarkE7FFIOverhead measures the three atan2 call paths of §IV.C.
-func BenchmarkE7FFIOverhead(b *testing.B) {
-	libm, err := ffi.OpenM()
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog, err := seamless.CompileSource(`
-def loop_atan2(n):
-    acc = 0.0
-    for i in range(n):
-        acc += atan2(1.0, float(i + 1))
-    return acc
-`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	libm.BindAll(prog)
-	ec := compile.NewEngine(prog)
-	if _, err := ec.Call("loop_atan2", seamless.IntV(10)); err != nil {
-		b.Fatal(err)
-	}
-	b.Run("native", func(b *testing.B) {
-		acc := 0.0
-		for i := 0; i < b.N; i++ {
-			acc += math.Atan2(1.0, float64(i+1))
-		}
-		_ = acc
-	})
-	b.Run("library-call", func(b *testing.B) {
-		acc := 0.0
-		for i := 0; i < b.N; i++ {
-			v, _ := libm.Call("atan2", 1.0, float64(i+1))
-			acc += v
-		}
-		_ = acc
-	})
-	b.Run("kernel-extern", func(b *testing.B) {
-		// One kernel invocation performs b.N extern calls.
-		if _, err := ec.Call("loop_atan2", seamless.IntV(int64(b.N))); err != nil {
-			b.Fatal(err)
-		}
-	})
-}
-
-// BenchmarkE8PoissonSolve measures the §V workflow: ODIN rhs -> CG under
-// each preconditioner. The custom metric reports CG iterations.
-func BenchmarkE8PoissonSolve(b *testing.B) {
-	const nx = 32
-	const p = 4
-	for _, pc := range []string{"none", "jacobi", "ssor", "ilu0", "amg"} {
-		b.Run(pc, func(b *testing.B) {
-			var iters int
-			err := comm.Run(p, func(c *comm.Comm) error {
-				ctx := core.NewContext(c)
-				n := nx * nx
-				m := distmap.NewBlock(n, c.Size())
-				a := galeri.Laplace2DDist(c, m, nx, nx)
-				h := 1.0 / float64(nx+1)
-				rhs := core.Full(ctx, h*h, []int{n}, core.Options{Map: m})
-				var prec solvers.Preconditioner
-				var err error
-				switch pc {
-				case "jacobi":
-					prec, err = precond.NewJacobi(a)
-				case "ssor":
-					prec, err = precond.NewSSOR(a, 1.3, 1)
-				case "ilu0":
-					prec, err = precond.NewILU0(a)
-				case "amg":
-					prec, err = precond.NewAMG(a, precond.AMGOptions{})
-				}
-				if err != nil {
-					return err
-				}
-				params := teuchos.NewParameterList("s")
-				params.Set("method", "cg").Set("tolerance", 1e-8).Set("max iterations", 10000)
-				for i := 0; i < b.N; i++ {
-					x := core.Zeros[float64](ctx, []int{n}, core.Options{Map: m})
-					res, err := bridge.Solve(a, rhs, x, prec, params)
-					if err != nil {
-						return err
-					}
-					if !res.Converged {
-						return fmt.Errorf("%s: %v", pc, res)
-					}
-					if c.Rank() == 0 {
-						iters = res.Iterations
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(iters), "CGiters")
-		})
-	}
-}
-
-// BenchmarkE9TableIParity runs the 13-package parity sweep (normally a
-// PASS/FAIL table via `solverbench e9`); as a bench it reports the sweep
-// cost so regressions in any substrate show up.
-func BenchmarkE9TableIParity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		err := comm.Run(2, func(c *comm.Comm) error {
-			m := distmap.NewBlock(100, c.Size())
-			a := galeri.Laplace1DDist(c, m)
-			bb := tpetra.NewVector(c, m)
-			bb.PutScalar(1)
-			x := tpetra.NewVector(c, m)
-			res, err := solvers.CG(a, bb, x, solvers.Options{Tol: 1e-8})
-			if err != nil || !res.Converged {
-				return fmt.Errorf("cg %v %v", res, err)
-			}
-			return nil
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE10MasterBottleneck measures a stencil sweep and reports the
-// bytes that transited rank 0, the Fig. 1 architecture metric.
-func BenchmarkE10MasterBottleneck(b *testing.B) {
-	const n = 1 << 18
-	for _, p := range []int{4, 8} {
-		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
-			var masterBytes float64
-			stats, err := comm.RunStats(p, func(c *comm.Comm) error {
-				ctx := core.NewContext(c)
-				x := core.Random(ctx, []int{n}, 1)
-				for i := 0; i < b.N; i++ {
-					d := slicing.Diff(x)
-					_ = ufunc.Sum(d)
-				}
-				return nil
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			masterBytes = float64(stats.Snapshot().MasterBytes()) / float64(b.N)
-			b.ReportMetric(masterBytes, "masterB/op")
-		})
-	}
-}
-
-// BenchmarkAblationVMDispatch (E-A3) isolates interpreter dispatch cost on
-// a scalar-heavy kernel where no array traffic can hide it.
-func BenchmarkAblationVMDispatch(b *testing.B) {
-	src := "def spin(n):\n    acc = 0\n    for i in range(n):\n        acc += i % 7\n    return acc\n"
-	pv, _ := seamless.CompileSource(src)
-	pc, _ := seamless.CompileSource(src)
-	ev := vm.NewEngine(pv)
-	ec := compile.NewEngine(pc)
-	arg := seamless.IntV(10_000)
-	ev.Call("spin", arg)
-	ec.Call("spin", arg)
-	b.Run("interp", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ev.Call("spin", arg)
-		}
-	})
-	b.Run("compiled", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ec.Call("spin", arg)
-		}
-	})
-}
-
-// BenchmarkTableGroupReduce measures the map-reduce shuffle of §III.I.
-func BenchmarkTableGroupReduce(b *testing.B) {
-	const rows = 20_000
-	const p = 4
-	err := comm.Run(p, func(c *comm.Comm) error {
-		ctx := core.NewContext(c)
-		t := table.New(ctx, []table.Column{
-			{Name: "k", Kind: table.String},
-			{Name: "v", Kind: table.Float},
-		})
-		keys := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
-		//lint:allow p2pmatch Row-load loop exceeds the unroll budget; each iteration appends owner-local rows and the reduce below is collective
-		for i := 0; i < rows; i++ {
-			if i%p == c.Rank() {
-				t.AppendRow(keys[i%len(keys)], float64(i))
-			}
-		}
-		c.Barrier()
-		for i := 0; i < b.N; i++ {
-			_ = t.GroupReduce("k", "v", table.AggSum)
-		}
-		return nil
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkExecScaling is the intra-rank counterpart of E5's rank sweeps:
-// it measures the exec engine's worker-pool scaling at pool sizes 1/2/4/8
-// on three hot paths at N = 2^20 — a dense unary ufunc (sin), the paper's
-// fused hypot expression, and tridiagonal CSR SpMV. Results are recorded in
-// BENCH_exec.json and discussed in EXPERIMENTS.md ("E-X intra-rank
-// scaling"). On a single-core host the pool sizes time-slice one CPU, so
-// expect ~1x; on a multi-core host the speedup at 4 workers is the headline
-// number.
-func BenchmarkExecScaling(b *testing.B) {
-	const n = 1 << 20
-	old := exec.Default()
-	defer exec.SetDefault(old)
-
-	// Tridiagonal Laplacian assembled directly in CSR form.
-	lap := &sparse.CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1)}
-	lap.ColIdx = make([]int, 0, 3*n)
-	lap.Val = make([]float64, 0, 3*n)
-	for i := 0; i < n; i++ {
-		if i > 0 {
-			lap.ColIdx = append(lap.ColIdx, i-1)
-			lap.Val = append(lap.Val, -1)
-		}
-		lap.ColIdx = append(lap.ColIdx, i)
-		lap.Val = append(lap.Val, 2)
-		if i < n-1 {
-			lap.ColIdx = append(lap.ColIdx, i+1)
-			lap.Val = append(lap.Val, -1)
-		}
-		lap.RowPtr[i+1] = len(lap.ColIdx)
-	}
-
-	for _, w := range []int{1, 2, 4, 8} {
-		exec.SetDefault(exec.New(exec.WithWorkers(w)))
-
-		b.Run(fmt.Sprintf("ufunc-sin/threads=%d", w), func(b *testing.B) {
-			x := dense.Linspace[float64](0, 1, n)
-			out := dense.Zeros[float64](n)
-			b.SetBytes(8 * n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dense.UnaryInto(out, x, math.Sin)
-			}
-		})
-
-		b.Run(fmt.Sprintf("fused-hypot/threads=%d", w), func(b *testing.B) {
-			err := comm.Run(1, func(c *comm.Comm) error {
-				ctx := core.NewContext(c)
-				x := core.FromFunc(ctx, []int{n}, func(g []int) float64 { return float64(g[0]) / n })
-				y := core.FromFunc(ctx, []int{n}, func(g []int) float64 { return 1 - float64(g[0])/n })
-				e := fusion.Sqrt(fusion.Var(x).Square().Add(fusion.Var(y).Square()))
-				b.SetBytes(8 * n)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					_ = fusion.Eval(e)
-				}
-				return nil
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		})
-
-		b.Run(fmt.Sprintf("spmv-csr/threads=%d", w), func(b *testing.B) {
-			x := make([]float64, n)
-			y := make([]float64, n)
-			for i := range x {
-				x[i] = float64(i%97) / 97
-			}
-			b.SetBytes(int64(8 * lap.NNZ()))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				lap.MulVec(x, y)
-			}
-		})
-	}
-}
-
-// BenchmarkSpmvFormats compares SpMV throughput format-by-format on the
-// stencil matrices the conformance corpus solves: the 1-D tridiagonal, 2-D
-// five-point, and 3-D seven-point Laplacians. The csr and sell rows time
-// the two kernels directly; the auto row times whatever operator
-// sparse.ChooseFormat picks (conversion happens outside the timed loop), so
-// auto matching the winning direct row is the heuristic's acceptance check.
-// Results are recorded in BENCH_spmv.json and discussed in EXPERIMENTS.md.
-func BenchmarkSpmvFormats(b *testing.B) {
-	mats := []struct {
-		name string
-		m    *sparse.CSR
-	}{
-		{"laplace1d-1048576", galeri.Laplace1D(1 << 20)},
-		{"laplace2d-512x512", galeri.Laplace2D(512, 512)},
-		{"laplace3d-48", galeri.Laplace3D(48, 48, 48)},
-	}
-	for _, mt := range mats {
-		n := mt.m.Rows
-		x := make([]float64, n)
-		y := make([]float64, n)
-		for i := range x {
-			x[i] = float64(i%97) / 97
-		}
-		ops := []struct {
-			name string
-			op   sparse.Operator
-		}{
-			{"csr", mt.m},
-			{"sell", sparse.NewSELL(mt.m)},
-			{"auto", sparse.AutoOperator(mt.m)},
-		}
-		for _, o := range ops {
-			b.Run(mt.name+"/"+o.name, func(b *testing.B) {
-				b.SetBytes(int64(8 * mt.m.NNZ()))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					o.op.MulVec(x, y)
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFusionVM sweeps the register VM's block size against expression
-// depth. Each depth level appends one fused multiply-add (e = e*y + x), so
-// the instruction count grows linearly with depth while the traffic stays
-// one output stream — deeper expressions are where compiled block execution
-// beats the per-element closure tree hardest. Small blocks expose per-block
-// dispatch overhead; huge blocks spill the scratch registers out of L1/L2.
-// Results are recorded in BENCH_fusion.json and discussed in EXPERIMENTS.md
-// E12. The closure-path baseline for the same host is the fused-hypot
-// threads=1 row of BENCH_exec.json.
-func BenchmarkFusionVM(b *testing.B) {
-	const n = 1 << 20
-	for _, depth := range []int{1, 4, 16} {
-		for _, block := range []int{256, 1024, 4096, 16384} {
-			b.Run(fmt.Sprintf("depth=%d/block=%d", depth, block), func(b *testing.B) {
-				oldBlock := fusion.SetBlockSize(block)
-				defer fusion.SetBlockSize(oldBlock)
-				err := comm.Run(1, func(c *comm.Comm) error {
-					ctx := core.NewContext(c)
-					x := core.FromFunc(ctx, []int{n}, func(g []int) float64 { return float64(g[0]) / n })
-					y := core.FromFunc(ctx, []int{n}, func(g []int) float64 { return 1 - float64(g[0])/n })
-					e := fusion.Var(x)
-					for d := 0; d < depth; d++ {
-						e = e.Mul(fusion.Var(y)).Add(fusion.Var(x))
-					}
-					b.SetBytes(8 * n)
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						_ = fusion.Eval(e)
-					}
-					return nil
-				})
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range experiments.All {
+		for _, c := range e.Cases() {
+			b.Run(e.ID+"/"+c.Name, func(b *testing.B) {
+				res, err := c.Run(b.N, b)
 				if err != nil {
 					b.Fatal(err)
+				}
+				for _, m := range res.Metrics {
+					if m.Text == "" {
+						b.ReportMetric(m.Value, m.Name)
+					}
 				}
 			})
 		}

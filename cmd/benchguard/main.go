@@ -1,21 +1,21 @@
-// Command benchguard compares `go test -bench` output on stdin against a
-// recorded baseline (BENCH_exec.json or BENCH_fusion.json) and flags
-// regressions of the tracing-disabled hot paths.
+// Command benchguard holds `go test -bench` output on stdin against a
+// recorded baseline (one of the BENCH_*.json files) and gates only what
+// repeats exactly.
 //
 // Usage:
 //
-//	go test -run XXX -bench ExecScaling . | benchguard -baseline BENCH_exec.json
-//
-// Two thresholds, because the baselines were recorded on a single-core host
-// whose run-to-run noise exceeds any honest tolerance: rows slower than the
-// baseline by more than -warn (default 3%) are reported but do not fail the
-// run; rows slower by more than -fail (default 50%) exit non-zero — that
-// magnitude is a real regression (e.g. an instrumentation site that started
-// paying when disabled), not scheduler noise.
+//	go test -run XXX -bench Experiment/E5b -benchmem . | benchguard -baseline BENCH_exec.json
 //
 // Allocation counts have no noise to tolerate: a baseline row that carries
 // allocs_per_op fails the run when the measured allocs/op (run the benchmark
-// with -benchmem or b.ReportAllocs) rises above it at all.
+// with -benchmem or b.ReportAllocs) rises above it at all. A baseline row
+// that no line on stdin resolves fails the run too — a renamed benchmark
+// would otherwise leave its rows unguarded.
+//
+// ns/op is reported, never gated: the baselines were recorded on another day
+// and partly on another host, and identical code has measured 65% apart
+// within an hour here. Wall-clock regressions are judged by an interleaved
+// A/B of `go run ./bench` (bench/README.md), not against a stored number.
 package main
 
 import (
@@ -29,19 +29,13 @@ import (
 	"strings"
 )
 
-// baseline mirrors the shared shape of the BENCH_*.json files: a benchmark
-// name plus result rows keyed either by an explicit sub-benchmark path
-// (BENCH_comm.json), or kernel/threads (BenchmarkExecScaling), or
-// depth/block (BenchmarkFusionVM).
+// baseline is the part of a BENCH_*.json file the guard reads: the benchmark
+// function and one result row per sub-benchmark path.
 type baseline struct {
 	Benchmark string `json:"benchmark"`
 	Results   []struct {
 		Benchmark   string `json:"benchmark"` // overrides the file's, for a second benchmark's rows
 		Sub         string `json:"sub"`
-		Kernel      string `json:"kernel"`
-		Threads     int    `json:"threads"`
-		Depth       int    `json:"depth"`
-		Block       int    `json:"block"`
 		NsPerOp     int64  `json:"ns_per_op"`
 		AllocsPerOp *int64 `json:"allocs_per_op"` // nil: not gated
 	} `json:"results"`
@@ -51,19 +45,7 @@ type baseline struct {
 type want struct {
 	ns     int64
 	allocs *int64
-}
-
-// subKey renders the sub-benchmark path a baseline row corresponds to,
-// matching the b.Run names in bench_test.go. An explicit sub path wins;
-// the keyed forms remain for the older baseline files.
-func subKey(sub, kernel string, threads, depth, block int) string {
-	if sub != "" {
-		return sub
-	}
-	if kernel != "" {
-		return fmt.Sprintf("%s/threads=%d", kernel, threads)
-	}
-	return fmt.Sprintf("depth=%d/block=%d", depth, block)
+	seen   bool
 }
 
 // benchLine matches one result row of `go test -bench` output:
@@ -71,9 +53,7 @@ func subKey(sub, kernel string, threads, depth, block int) string {
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) ns/op(?:.*?\s(\d+) allocs/op)?`)
 
 func main() {
-	basePath := flag.String("baseline", "", "baseline JSON file (BENCH_exec.json / BENCH_fusion.json)")
-	warn := flag.Float64("warn", 0.03, "report rows slower than baseline by this fraction")
-	fail := flag.Float64("fail", 0.50, "exit non-zero for rows slower by this fraction")
+	basePath := flag.String("baseline", "", "baseline JSON file (one of BENCH_*.json)")
 	flag.Parse()
 	if *basePath == "" {
 		fmt.Fprintln(os.Stderr, "benchguard: -baseline is required")
@@ -89,16 +69,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchguard: %s: %v\n", *basePath, err)
 		os.Exit(2)
 	}
-	wants := map[string]want{}
+	wants := map[string]*want{}
 	for _, r := range base.Results {
 		bench := base.Benchmark
 		if r.Benchmark != "" {
 			bench = r.Benchmark
 		}
-		wants[bench+"/"+subKey(r.Sub, r.Kernel, r.Threads, r.Depth, r.Block)] = want{r.NsPerOp, r.AllocsPerOp}
+		wants[bench+"/"+r.Sub] = &want{ns: r.NsPerOp, allocs: r.AllocsPerOp}
 	}
 
-	seen := 0
 	failed := false
 	sc := bufio.NewScanner(os.Stdin)
 	for sc.Scan() {
@@ -117,15 +96,8 @@ func main() {
 		if !ok {
 			continue
 		}
-		seen++
-		ratio := ns/float64(w.ns) - 1
-		switch {
-		case ratio > *fail:
-			failed = true
-			fmt.Printf("benchguard: FAIL %s: %.0f ns/op vs baseline %d (+%.1f%%)\n", name, ns, w.ns, 100*ratio)
-		case ratio > *warn:
-			fmt.Printf("benchguard: warn %s: %.0f ns/op vs baseline %d (+%.1f%%)\n", name, ns, w.ns, 100*ratio)
-		}
+		w.seen = true
+		fmt.Printf("benchguard: %s: %.0f ns/op, recorded %d (%+.1f%%, not gated)\n", name, ns, w.ns, 100*(ns/float64(w.ns)-1))
 		if w.allocs != nil {
 			allocs, err := strconv.ParseInt(m[3], 10, 64)
 			switch {
@@ -142,9 +114,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchguard: reading stdin: %v\n", err)
 		os.Exit(2)
 	}
-	if seen == 0 {
-		fmt.Fprintf(os.Stderr, "benchguard: no rows on stdin matched %s baselines\n", base.Benchmark)
-		os.Exit(1)
+	seen := len(wants)
+	for name, w := range wants {
+		if !w.seen {
+			seen--
+			failed = true
+			fmt.Printf("benchguard: FAIL %s: no row on stdin resolves this baseline row\n", name)
+		}
 	}
 	fmt.Printf("benchguard: checked %d/%d rows against %s\n", seen, len(wants), *basePath)
 	if failed {

@@ -33,7 +33,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
 	"sync"
 	"syscall"
 	"time"
@@ -199,26 +198,18 @@ func runLoadgen(base string, jobs, conc int, mix string, n int, maxP99 time.Dura
 		retried += r.retries
 		durs = append(durs, r.dur)
 	}
-	sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-	pct := func(p float64) time.Duration {
-		if len(durs) == 0 {
-			return 0
-		}
-		return durs[int(p*float64(len(durs)-1))]
-	}
-	p50, p99 := pct(0.50), pct(0.99)
+	lat := serve.SummarizeLatency(durs, elapsed)
 	fmt.Printf("loadgen: %d jobs in %v (%.1f jobs/sec), p50 %v p99 %v, %d retries, %d failed\n",
-		jobs-failed, elapsed.Round(time.Millisecond),
-		float64(jobs-failed)/elapsed.Seconds(),
-		p50.Round(time.Microsecond), p99.Round(time.Microsecond), retried, failed)
+		jobs-failed, elapsed.Round(time.Millisecond), lat.JobsPerSec,
+		lat.P50.Round(time.Microsecond), lat.P99.Round(time.Microsecond), retried, failed)
 
 	code := 0
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "loadgen: FAIL: %d jobs failed\n", failed)
 		code = 1
 	}
-	if maxP99 > 0 && p99 > maxP99 {
-		fmt.Fprintf(os.Stderr, "loadgen: FAIL: p99 %v exceeds bound %v\n", p99, maxP99)
+	if maxP99 > 0 && lat.P99 > maxP99 {
+		fmt.Fprintf(os.Stderr, "loadgen: FAIL: p99 %v exceeds bound %v\n", lat.P99, maxP99)
 		code = 1
 	}
 	if snap, err := fetchStats(base); err != nil {

@@ -1,55 +1,28 @@
-// Command solverbench is the experiment harness: each subcommand
-// regenerates one of the E1-E10 experiment tables recorded in
-// EXPERIMENTS.md (the constructed evaluation of the paper's claims — see
-// DESIGN.md for the experiment index).
+// Command solverbench prints the tables of EXPERIMENTS.md: it runs the
+// selected experiments of the internal/experiments registry, one row per
+// case, and exits 1 when a case fails or a claim does not hold. Sizes,
+// workloads and claims live in the registry; `go test -bench Experiment .`
+// times the same cases under testing.B.
 //
-// Usage:
-//
-//	solverbench [-threads N] [-faults SPEC] <e1|e2|...|e12|all>
-//
-// -threads sets the intra-rank worker-pool size of the exec engine, so ODIN
-// experiments can sweep per-rank goroutine parallelism (the intra-rank
-// counterpart of the rank sweeps) without recompiling. 0 keeps the default
-// (ODINHPC_THREADS env, else GOMAXPROCS).
-//
-// -faults injects a seeded comm-fabric fault plan into the e11 sweep in
-// place of the built-in plan matrix. The spec is the compact form accepted
-// by comm.ParseFaultPlan, e.g. "seed=42,drop=0.1,retries=8,delay=0.3".
-//
-// -trace records every experiment run under the per-rank trace layer and
-// writes a Chrome trace_event JSON timeline (chrome://tracing, Perfetto) to
-// the given path on exit.
+// -threads sets the exec engine's intra-rank pool, so one run can drive the
+// kernels at any pool size (0: ODINHPC_THREADS env, else GOMAXPROCS).
+// -faults replays one seeded fault plan in E11 in place of its plan matrix
+// (a comm.ParseFaultPlan spec, e.g. "seed=42,drop=0.1,retries=8,delay=0.3").
+// -trace records the run under the per-rank trace layer and writes a Chrome
+// trace_event timeline (chrome://tracing, Perfetto) to the given path.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"odinhpc/internal/comm"
 	"odinhpc/internal/exec"
+	"odinhpc/internal/experiments"
 	"odinhpc/internal/trace"
 )
-
-var experiments = []struct {
-	name string
-	desc string
-	run  func() error
-}{
-	{"e1", "control messages are tens of bytes (paper §III.B)", e1},
-	{"e2", "ufunc scaling: trivial parallelism (paper §III.D)", e2},
-	{"e3", "redistribution strategy selection (paper §III.D)", e3},
-	{"e4", "finite differences: boundary-only communication (paper §III.G)", e4},
-	{"e5", "loop fusion vs op-at-a-time temporaries (paper §III)", e5},
-	{"e6", "Seamless JIT: interpreted vs compiled kernels (paper §IV.A)", e6},
-	{"e7", "FFI call overhead (paper §IV.C)", e7},
-	{"e8", "ODIN arrays through Trilinos-analog solvers (paper §II/§V)", e8},
-	{"e9", "Table I feature parity", e9},
-	{"e10", "master is not a bottleneck (paper Fig. 1)", e10},
-	{"e11", "fault sweep: CG under comm-fabric perturbation", e11},
-	{"e12", "fusion register VM: block sweep and plan cache", e12},
-	{"e13", "halo message sizes read off a trace capture (paper §III.G)", e13},
-}
 
 func main() {
 	threads := flag.Int("threads", 0, "intra-rank exec engine workers (0 = ODINHPC_THREADS env, else GOMAXPROCS)")
@@ -69,43 +42,37 @@ func main() {
 			fmt.Fprintf(os.Stderr, "-faults: %v\n", err)
 			os.Exit(2)
 		}
-		faultsFlag = plan
+		experiments.CustomFaults = plan
 	}
-	if flag.NArg() < 1 {
-		usage()
-		os.Exit(2)
-	}
-	sel := flag.Arg(0)
-	ran := false
-	for _, e := range experiments {
-		if sel == e.name || sel == "all" {
-			ran = true
-			fmt.Printf("==== %s: %s ====\n", e.name, e.desc)
-			if err := e.run(); err != nil {
-				fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.name, err)
-				os.Exit(1)
+	ran, failed := 0, 0
+	for _, e := range experiments.All {
+		if flag.NArg() == 1 && (flag.Arg(0) == "all" || strings.EqualFold(flag.Arg(0), e.ID)) {
+			ran++
+			if err := experiments.Table(os.Stdout, e); err != nil {
+				failed++
+				fmt.Fprintln(os.Stderr, "solverbench:", err)
 			}
 			fmt.Println()
 		}
 	}
-	if !ran {
+	if ran == 0 {
 		usage()
 		os.Exit(2)
 	}
 	if *traceOut != "" {
 		if err := writeTrace(*traceOut); err != nil {
+			failed++
 			fmt.Fprintf(os.Stderr, "-trace: %v\n", err)
-			os.Exit(1)
 		}
+	}
+	if failed > 0 {
+		os.Exit(1)
 	}
 }
 
 // writeTrace stops the session started for -trace and serializes it.
 func writeTrace(path string) error {
 	s := trace.Stop()
-	if s == nil {
-		return fmt.Errorf("no trace session active")
-	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -123,7 +90,7 @@ func writeTrace(path string) error {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, "usage: solverbench [-threads N] [-faults SPEC] [-trace out.json] <experiment|all>")
-	for _, e := range experiments {
-		fmt.Fprintf(os.Stderr, "  %-4s %s\n", e.name, e.desc)
+	for _, e := range experiments.All {
+		fmt.Fprintf(os.Stderr, "  %-5s %s\n", strings.ToLower(e.ID), e.Anchor)
 	}
 }

@@ -115,7 +115,7 @@ var benchSink float64
 // meeting costs on top of the arithmetic (the same loop timed alone first).
 // A receive that parks the moment its peer is a little late pays a thread
 // wake-up here every step — as long again as the arithmetic, for 8 bytes —
-// which is the cost waitMsg's spin removes. BENCH_comm.json gates ns/op. At
+// which is the cost waitMsg's spin removes. BENCH_comm.json records ns/op. At
 // P=4 the two cores hold four ranks, so half of ns/op is the other ranks'
 // arithmetic, not waiting.
 func BenchmarkSyncAfterCompute(b *testing.B) {
@@ -158,7 +158,7 @@ const benchTagHalo = 900
 // in-process fabric and over real loopback sockets, so the cost of the wire
 // (codec + syscalls + scheduler handoff) is visible as the inproc/tcp ratio
 // per row. Payloads are 8 KiB of float64, the halo 1 KiB per side.
-// Baselines are pinned in BENCH_comm.json and gated by benchguard.
+// Baselines are recorded in BENCH_comm.json; benchguard gates their allocs/op.
 func BenchmarkCommTransport(b *testing.B) {
 	ops := []struct {
 		name string

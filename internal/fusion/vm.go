@@ -162,7 +162,7 @@ func init() { vmBlockSize.Store(DefaultBlockSize) }
 // returns the previous value. Results are block-size-invariant — element-
 // wise programs are bitwise identical and fused sums keep the exact same
 // accumulation order — so this is a pure performance knob, exposed for the
-// BenchmarkFusionVM sweep.
+// E12 block sweep (internal/experiments).
 func SetBlockSize(n int) int {
 	if n < 16 {
 		n = 16

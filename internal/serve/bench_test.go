@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -19,7 +18,7 @@ func benchSched(b *testing.B, groups, ranks int) *Scheduler {
 }
 
 // latRecorder collects per-job wall times so sub-benchmarks can report p50
-// and p99 alongside ns/op (which benchguard gates on).
+// and p99 alongside ns/op.
 type latRecorder struct {
 	mu   sync.Mutex
 	durs []time.Duration
@@ -37,21 +36,17 @@ func (l *latRecorder) report(b *testing.B, elapsed time.Duration) {
 	if len(l.durs) == 0 {
 		return
 	}
-	sort.Slice(l.durs, func(i, j int) bool { return l.durs[i] < l.durs[j] })
-	pct := func(p float64) time.Duration {
-		i := int(p * float64(len(l.durs)-1))
-		return l.durs[i]
-	}
-	b.ReportMetric(float64(pct(0.50).Microseconds())/1000, "p50-ms")
-	b.ReportMetric(float64(pct(0.99).Microseconds())/1000, "p99-ms")
+	sum := SummarizeLatency(l.durs, elapsed)
+	b.ReportMetric(float64(sum.P50.Microseconds())/1000, "p50-ms")
+	b.ReportMetric(float64(sum.P99.Microseconds())/1000, "p99-ms")
 	if elapsed > 0 {
-		b.ReportMetric(float64(len(l.durs))/elapsed.Seconds(), "jobs/sec")
+		b.ReportMetric(sum.JobsPerSec, "jobs/sec")
 	}
 }
 
 // BenchmarkServe measures the serving path end to end (scheduler admission,
 // warm-group dispatch, job body) without the HTTP layer. BENCH_serve.json
-// gates the ns/op columns in verify.sh.
+// records the rows; verify.sh gates the expr row's allocs/op against it.
 func BenchmarkServe(b *testing.B) {
 	b.Run("expr/groups=2/ranks=2", func(b *testing.B) {
 		s := benchSched(b, 2, 2)

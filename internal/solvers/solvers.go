@@ -54,8 +54,10 @@ func (r Result) String() string {
 	return fmt.Sprintf("%s in %d iterations, rel. residual %.3e", state, r.Iterations, r.Residual)
 }
 
-// ErrBreakdown is returned when a Krylov recurrence hits a (near-)zero
-// denominator before convergence.
+// ErrBreakdown is returned when a Krylov recurrence hits a zero denominator
+// or a NaN/Inf scalar before convergence, and by CG when <p, Ap> is negative
+// (the operator is not positive definite). Every scalar tested has already
+// been reduced, so all ranks take the same exit.
 var ErrBreakdown = errors.New("solvers: Krylov recurrence breakdown")
 
 func applyPrec(p Preconditioner, r, z *tpetra.Vector) {
@@ -121,7 +123,7 @@ func CG(a tpetra.Operator, b, x *tpetra.Vector, opt Options) (Result, error) {
 		}
 		a.Apply(p, ap)
 		pap := p.Dot(ap)
-		if pap == 0 {
+		if !(pap > 0) || math.IsInf(pap, 1) { // zero, negative or NaN too
 			res.Residual = rnorm / bnorm
 			return res, ErrBreakdown
 		}
@@ -129,7 +131,7 @@ func CG(a tpetra.Operator, b, x *tpetra.Vector, opt Options) (Result, error) {
 		x.Axpy(alpha, p)
 		r.Axpy(-alpha, ap)
 		rzNew, rr := precDots(opt.Precond, r, z)
-		if rz == 0 {
+		if rz == 0 || nonFinite(rzNew) || nonFinite(rr) {
 			res.Residual = rnorm / bnorm
 			return res, ErrBreakdown
 		}
@@ -188,7 +190,7 @@ func BiCGSTAB(a tpetra.Operator, b, x *tpetra.Vector, opt Options) (Result, erro
 			break
 		}
 		rhoNew := rhat.Dot(r)
-		if rhoNew == 0 || omega == 0 {
+		if rhoNew == 0 || omega == 0 || nonFinite(rhoNew) || nonFinite(omega) || nonFinite(rnorm) {
 			res.Residual = rnorm / bnorm
 			return res, ErrBreakdown
 		}
@@ -206,7 +208,7 @@ func BiCGSTAB(a tpetra.Operator, b, x *tpetra.Vector, opt Options) (Result, erro
 		}
 		a.Apply(phat, v)
 		rhv := rhat.Dot(v)
-		if rhv == 0 {
+		if rhv == 0 || nonFinite(rhv) {
 			res.Residual = rnorm / bnorm
 			return res, ErrBreakdown
 		}
@@ -226,7 +228,7 @@ func BiCGSTAB(a tpetra.Operator, b, x *tpetra.Vector, opt Options) (Result, erro
 		}
 		a.Apply(shat, t)
 		tt, ts := tpetra.Dot2(t, t, t, s) // one allreduce for the pair
-		if tt == 0 {
+		if tt == 0 || nonFinite(tt) || nonFinite(ts) {
 			res.Residual = s.Norm2() / bnorm
 			return res, ErrBreakdown
 		}

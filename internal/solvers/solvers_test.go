@@ -408,3 +408,48 @@ func TestMaxIterRespected(t *testing.T) {
 		return nil
 	})
 }
+
+// TestBreakdownOnNonFiniteOrIndefinite: a NaN right-hand side makes every
+// reduced scalar NaN, and diag(1,-1) makes CG's <p,Ap> negative; both used to
+// iterate to MaxIter because only exact zeros were tested. Every rank must
+// return ErrBreakdown, and early.
+func TestBreakdownOnNonFiniteOrIndefinite(t *testing.T) {
+	spd := func(c *comm.Comm) (*tpetra.CrsMatrix, *tpetra.Vector) {
+		a, b, _ := manufactured(c, 12)
+		if lo, hi := a.Map().BlockRange(c.Rank()); lo <= 5 && 5 < hi {
+			b.Data[5-lo] = math.NaN()
+		}
+		return a, b
+	}
+	indefinite := func(c *comm.Comm) (*tpetra.CrsMatrix, *tpetra.Vector) {
+		m := distmap.NewBlock(2, c.Size())
+		a := galeri.BuildDist(c, m, func(g int) ([]int, []float64) {
+			return []int{g}, []float64{1 - 2*float64(g)}
+		})
+		b := tpetra.NewVector(c, m)
+		b.FillFromGlobal(func(g int) float64 { return float64(g + 1) })
+		return a, b
+	}
+	type solver func(tpetra.Operator, *tpetra.Vector, *tpetra.Vector, Options) (Result, error)
+	cases := []struct {
+		name  string
+		build func(c *comm.Comm) (*tpetra.CrsMatrix, *tpetra.Vector)
+		solve solver
+	}{
+		{"cg/nan-rhs", spd, CG},
+		{"bicgstab/nan-rhs", spd, BiCGSTAB},
+		{"cg/diag(1,-1)", indefinite, CG},
+	}
+	for _, tc := range cases {
+		onRanks(t, []int{1, 3}, func(c *comm.Comm) error {
+			a, b := tc.build(c)
+			x := tpetra.NewVector(c, a.Map())
+			res, err := tc.solve(a, b, x, Options{Tol: 1e-10, MaxIter: 500})
+			if err != ErrBreakdown || res.Iterations > 2 {
+				return fmt.Errorf("%s rank %d: got %v after %d iterations, want ErrBreakdown within 2",
+					tc.name, c.Rank(), err, res.Iterations)
+			}
+			return nil
+		})
+	}
+}

@@ -293,3 +293,34 @@ func TestSchemaCopy(t *testing.T) {
 		return nil
 	})
 }
+
+// BenchmarkGroupReduce measures the map-reduce shuffle of §III.I: 20 000 rows
+// under 8 keys, grouped and summed across 4 ranks.
+func BenchmarkGroupReduce(b *testing.B) {
+	const rows = 20_000
+	const p = 4
+	err := comm.Run(p, func(c *comm.Comm) error {
+		t := New(core.NewContext(c), []Column{
+			{Name: "k", Kind: String},
+			{Name: "v", Kind: Float},
+		})
+		keys := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+		//lint:allow p2pmatch Row-load loop exceeds the unroll budget; each iteration appends owner-local rows and the reduce below is collective
+		for i := 0; i < rows; i++ {
+			if i%p == c.Rank() {
+				t.AppendRow(keys[i%len(keys)], float64(i))
+			}
+		}
+		c.Barrier()
+		if c.Rank() == 0 {
+			b.ResetTimer()
+		}
+		for i := 0; i < b.N; i++ {
+			_ = t.GroupReduce("k", "v", AggSum)
+		}
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}

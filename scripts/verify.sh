@@ -152,33 +152,21 @@ if [ "${ODINHPC_STRESS:-}" = "1" ]; then
   diff /tmp/odinhpc-stress-1.out /tmp/odinhpc-stress-2.out
 fi
 
-# Disabled-path guard: with tracing off, every instrumentation site must
-# cost one atomic load, so the hot-loop benchmarks must stay within noise of
-# the recorded baselines. Warn-only at 3%; hard-fail at +100% — except
-# allocs/op, which has no noise: a row whose baseline carries allocs_per_op
-# fails on any rise (hence -benchmem). The wide ns/op band
-# is deliberate: the shared single-core host has been measured drifting ~65%
-# on identical code within an hour (see the refresh note in
-# BENCH_fusion.json), so warns are the signal to re-run an A/B by hand and
-# the hard fail only catches order-of-magnitude mistakes (an instrumentation
-# site doing real work on the disabled path).
+# Disabled-path guard: replay the hot-loop benchmarks against the recorded
+# BENCH_*.json rows. Only what repeats exactly is gated — allocs/op where a
+# row carries it (hence -benchmem), and that every recorded row still
+# resolves to a benchmark. ns/op is printed beside the recorded figure and
+# never fails the run: a wall-clock regression is judged by an interleaved
+# A/B of `go run ./bench` against the parent commit (bench/README.md).
 stage bench
 go build -o /tmp/odinhpc-benchguard ./cmd/benchguard
-# One retry per gate: right after the race/chaos/tcp passes above the host
-# is hot enough that a single measurement window can spike 4-5x on the
-# first benchmark rows (measured: fused-hypot at 389 MB/s in-gate, then
-# 1455-1846 MB/s on three immediate re-runs). A transient must not fail
-# verify; a reproducible 2x regression still fails both attempts.
 bench_gate() {
   pkg="$1"; pattern="$2"; benchtime="$3"; baseline="$4"
   go test -run XXX -bench "$pattern" -benchtime="$benchtime" -benchmem "$pkg" \
-    | /tmp/odinhpc-benchguard -baseline "$baseline" -fail 1.0 && return 0
-  echo "verify: $baseline gate failed once, re-measuring" >&2
-  go test -run XXX -bench "$pattern" -benchtime="$benchtime" -benchmem "$pkg" \
-    | /tmp/odinhpc-benchguard -baseline "$baseline" -fail 1.0
+    | /tmp/odinhpc-benchguard -baseline "$baseline"
 }
-bench_gate . ExecScaling 0.3s BENCH_exec.json
-bench_gate . FusionVM 0.3s BENCH_fusion.json
-bench_gate . SpmvFormats 0.3s BENCH_spmv.json
+bench_gate . Experiment/E5b 0.3s BENCH_exec.json
+bench_gate . Experiment/E12/depth 0.3s BENCH_fusion.json
+bench_gate . Experiment/E14 0.3s BENCH_spmv.json
 bench_gate ./internal/comm 'CommTransport|AllreduceScalar|SyncAfterCompute' 0.2s BENCH_comm.json
 bench_gate ./internal/serve Serve 0.3s BENCH_serve.json
