@@ -17,7 +17,9 @@ import (
 // vecArgs is the operand set of the level-1 kernels below. Each is a
 // top-level range function handed to the engine with its operands by value
 // (exec.ForRange), so the sweeps under every solver iteration allocate
-// nothing when the engine runs them inline.
+// nothing when the engine runs them inline. Each range function re-slices
+// its operands to the span first, so the loop indexes slices of one known
+// length and pays no bounds check per element.
 type vecArgs struct {
 	alpha float64
 	x, y  []float64
@@ -34,8 +36,8 @@ func Axpy(alpha float64, x, y []float64) {
 }
 
 func axpyRange(a vecArgs, lo, hi int) {
-	alpha, x, y := a.alpha, a.x, a.y
-	for i := lo; i < hi; i++ {
+	alpha, x, y := a.alpha, a.x[lo:hi], a.y[lo:hi]
+	for i := range x {
 		y[i] += alpha * x[i]
 	}
 }
@@ -46,8 +48,8 @@ func Scal(alpha float64, x []float64) {
 }
 
 func scalRange(a vecArgs, lo, hi int) {
-	alpha, x := a.alpha, a.x
-	for i := lo; i < hi; i++ {
+	alpha, x := a.alpha, a.x[lo:hi]
+	for i := range x {
 		x[i] *= alpha
 	}
 }
@@ -61,10 +63,86 @@ func DotSlices(x, y []float64) float64 {
 }
 
 func dotRange(a vecArgs, lo, hi int) float64 {
-	x, y := a.x, a.y
+	x, y := a.x[lo:hi], a.y[lo:hi]
 	var acc float64
-	for i := lo; i < hi; i++ {
+	for i := range x {
 		acc += x[i] * y[i]
+	}
+	return acc
+}
+
+// Fused sweeps: the vector updates of one Krylov iteration and the inner
+// product that follows them, in a single pass over operands that a pass each
+// would stream through the cache two or three times. Every element sees the
+// operations of the unfused sequence in the same order, and the reductions
+// go through ReduceRange over the same length with the same combine as
+// DotSlices — same chunks, same left fold per chunk, same tree — so each
+// result is bitwise what Axpy/copy followed by DotSlices returns at the same
+// pool size.
+
+// axpy2Args is the operand set of the two-axpy sweeps.
+type axpy2Args struct {
+	alpha, beta    float64
+	x1, y1, x2, y2 []float64
+}
+
+func checkAxpy2(x1, y1, x2, y2 []float64) {
+	if len(x1) != len(y1) || len(x2) != len(y1) || len(y2) != len(y1) {
+		panic(fmt.Sprintf("dense: Axpy2 length mismatch %d, %d, %d, %d", len(x1), len(y1), len(x2), len(y2)))
+	}
+}
+
+// Axpy2 computes y1 += alpha*x1 and y2 += beta*x2 in one sweep over four
+// equal-length slices.
+func Axpy2(alpha float64, x1, y1 []float64, beta float64, x2, y2 []float64) {
+	checkAxpy2(x1, y1, x2, y2)
+	exec.ForRange(exec.Default(), len(y1), axpy2Args{alpha, beta, x1, y1, x2, y2}, axpy2Range)
+}
+
+func axpy2Range(a axpy2Args, lo, hi int) {
+	alpha, beta := a.alpha, a.beta
+	x1, y1, x2, y2 := a.x1[lo:hi], a.y1[lo:hi], a.x2[lo:hi], a.y2[lo:hi]
+	for i := range y1 {
+		y1[i] += alpha * x1[i]
+		y2[i] += beta * x2[i]
+	}
+}
+
+// Axpy2Dot is Axpy2 that also returns <y2, y2> of the updated y2 — CG's
+// x += alpha p; r -= alpha Ap; <r, r>.
+func Axpy2Dot(alpha float64, x1, y1 []float64, beta float64, x2, y2 []float64) float64 {
+	checkAxpy2(x1, y1, x2, y2)
+	return exec.ReduceRange(exec.Default(), len(y1), axpy2Args{alpha, beta, x1, y1, x2, y2}, axpy2DotRange, add)
+}
+
+func axpy2DotRange(a axpy2Args, lo, hi int) float64 {
+	alpha, beta := a.alpha, a.beta
+	x1, y1, x2, y2 := a.x1[lo:hi], a.y1[lo:hi], a.x2[lo:hi], a.y2[lo:hi]
+	var acc float64
+	for i := range y1 {
+		y1[i] += alpha * x1[i]
+		y2[i] += beta * x2[i]
+		acc += y2[i] * y2[i]
+	}
+	return acc
+}
+
+// WaxpyDot sets w = y + alpha*x and returns <w, w> — BiCGSTAB's
+// s = r - alpha v; ||s||^2, which unfused is a copy, an Axpy and a DotSlices.
+// w may be y.
+func WaxpyDot(alpha float64, x, y, w []float64) float64 {
+	if len(x) != len(w) || len(y) != len(w) {
+		panic(fmt.Sprintf("dense: WaxpyDot length mismatch %d, %d, %d", len(x), len(y), len(w)))
+	}
+	return exec.ReduceRange(exec.Default(), len(w), axpy2Args{alpha: alpha, x1: x, y1: y, y2: w}, waxpyDotRange, add)
+}
+
+func waxpyDotRange(a axpy2Args, lo, hi int) float64 {
+	alpha, x, y, w := a.alpha, a.x1[lo:hi], a.y1[lo:hi], a.y2[lo:hi]
+	var acc float64
+	for i := range w {
+		w[i] = y[i] + alpha*x[i]
+		acc += w[i] * w[i]
 	}
 	return acc
 }

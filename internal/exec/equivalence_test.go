@@ -148,6 +148,76 @@ func TestDotEquivalenceAcrossPools(t *testing.T) {
 	}
 }
 
+// TestFusedSweepEquivalenceAcrossPools holds dense's fused Krylov sweeps
+// (Axpy2, Axpy2Dot, WaxpyDot) against the call sequences they replace — Axpy
+// twice then DotSlices; copy, Axpy, DotSlices — at every pool size, with a
+// grain small enough that the spans split into several chunks and at the
+// lengths where chunking changes shape (empty, one element, one either side
+// of a chunk boundary). At one pool size vectors and scalar must match bit
+// for bit, since a fused sweep chunks and folds exactly as DotSlices does;
+// and like every tree reduction the scalars agree across all pools >= 2.
+func TestFusedSweepEquivalenceAcrossPools(t *testing.T) {
+	const grain = 16
+	rng := rand.New(rand.NewSource(11))
+	vec := func(n int) []float64 {
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = rng.NormFloat64()
+		}
+		return v
+	}
+	same := func(a, b []float64) bool {
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, n := range []int{0, 1, grain - 1, grain, grain + 1, 5*grain + 3, 300*grain + 7} {
+		p, ap, x0, r0 := vec(n), vec(n), vec(n), vec(n)
+		alpha := rng.NormFloat64()
+		var step2, waxpy2 float64 // the scalars at pool size 2
+		for _, w := range append([]int{1}, parallelPools...) {
+			withPool(w, grain, func() {
+				// CG step: x += alpha p; r -= alpha Ap; <r, r>.
+				x, r := append([]float64(nil), x0...), append([]float64(nil), r0...)
+				dense.Axpy(alpha, p, x)
+				dense.Axpy(-alpha, ap, r)
+				want := dense.DotSlices(r, r)
+				fx, fr := append([]float64(nil), x0...), append([]float64(nil), r0...)
+				got := dense.Axpy2Dot(alpha, p, fx, -alpha, ap, fr)
+				if math.Float64bits(got) != math.Float64bits(want) || !same(fx, x) || !same(fr, r) {
+					t.Errorf("n=%d w=%d: Axpy2Dot = %x, unfused %x (vectors equal: %v %v)", n, w, got, want, same(fx, x), same(fr, r))
+				}
+				gx, gr := append([]float64(nil), x0...), append([]float64(nil), r0...)
+				dense.Axpy2(alpha, p, gx, -alpha, ap, gr)
+				if !same(gx, x) || !same(gr, r) {
+					t.Errorf("n=%d w=%d: Axpy2 vectors differ from two Axpy calls", n, w)
+				}
+				// BiCGSTAB half-step: s = r - alpha v; <s, s>, out of place and
+				// in place.
+				s := append([]float64(nil), r0...)
+				dense.Axpy(-alpha, ap, s)
+				wantS := dense.DotSlices(s, s)
+				fs := make([]float64, n)
+				gotS := dense.WaxpyDot(-alpha, ap, r0, fs)
+				is := append([]float64(nil), r0...)
+				inS := dense.WaxpyDot(-alpha, ap, is, is)
+				if math.Float64bits(gotS) != math.Float64bits(wantS) || math.Float64bits(inS) != math.Float64bits(wantS) || !same(fs, s) || !same(is, s) {
+					t.Errorf("n=%d w=%d: WaxpyDot = %x (in place %x), unfused %x", n, w, gotS, inS, wantS)
+				}
+				switch {
+				case w == 2:
+					step2, waxpy2 = got, gotS
+				case w > 2 && (got != step2 || gotS != waxpy2):
+					t.Errorf("n=%d w=%d: fused scalars differ from pool 2", n, w)
+				}
+			})
+		}
+	}
+}
+
 func randomCSR(rng *rand.Rand, rows, cols int) *sparse.CSR {
 	coo := sparse.NewCOO(rows, cols)
 	nnz := rows * 4

@@ -76,18 +76,27 @@ type Stats struct {
 	Nanos  int64 // summed wall time of calls
 }
 
-// Engine is a chunked worker pool. It is immutable after construction and
-// safe for concurrent use; the zero value is not useful — construct with
-// New.
+// Engine is a chunked worker pool. Its configuration is immutable after
+// construction and it is safe for concurrent use; the zero value is not
+// useful — construct with New.
+//
+// Call accounting is pay-for-use, like internal/trace: it costs two clock
+// reads and four atomic adds on a cache line every rank shares, which around
+// a 256-element sweep is several times the sweep. So a call is timed and
+// counted only while somebody can see the result — the engine has a hook, a
+// trace session is active, or Snapshot has been called. An engine nobody has
+// looked at reports zero; from the first Snapshot on, every call is counted
+// and snapshot deltas are exact.
 type Engine struct {
 	workers int
 	grain   int
 	hook    func(Call)
 
-	calls  atomic.Int64
-	chunks atomic.Int64
-	items  atomic.Int64
-	nanos  atomic.Int64
+	watched atomic.Bool // set by the first Snapshot, never cleared
+	calls   atomic.Int64
+	chunks  atomic.Int64
+	items   atomic.Int64
+	nanos   atomic.Int64
 }
 
 // Option configures an Engine at construction.
@@ -147,8 +156,11 @@ func (e *Engine) Workers() int { return e.workers }
 // Grain returns the minimum chunk size.
 func (e *Engine) Grain() int { return e.grain }
 
-// Snapshot returns the cumulative instrumentation counters.
+// Snapshot returns the cumulative instrumentation counters. The first call
+// turns accounting on (see Engine): calls that began before it are not in
+// any snapshot, every later call is in the next one.
 func (e *Engine) Snapshot() Stats {
+	e.watched.Store(true)
 	return Stats{
 		Calls:  e.calls.Load(),
 		Chunks: e.chunks.Load(),
@@ -169,8 +181,27 @@ func (e *Engine) chunking(n int) (size, count int) {
 	return size, count
 }
 
-// record updates counters and fires the hook.
+// inline reports whether a call over n items runs as one span on the calling
+// goroutine: a one-worker engine, or a single chunk (chunking gives count 1
+// exactly when n fits the grain).
+func (e *Engine) inline(n int) bool { return e.workers == 1 || n <= e.grain }
+
+// begin opens one call's accounting: the start time when the call is
+// observed, the zero Time — one load of a flag nobody writes, no clock read
+// — when it is not. The one rule for the inline and the fan-out path.
+func (e *Engine) begin(s *trace.Session) time.Time {
+	if e.hook == nil && s == nil && !e.watched.Load() {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// record closes what begin opened: it updates the counters and fires the
+// hook, or does nothing for an unobserved call.
 func (e *Engine) record(kind string, n, chunks, workers int, start time.Time) {
+	if start.IsZero() {
+		return
+	}
 	ns := time.Since(start).Nanoseconds()
 	e.calls.Add(1)
 	e.chunks.Add(int64(chunks))
@@ -274,10 +305,10 @@ func ForRange[A any](e *Engine, n int, a A, body func(a A, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	start := time.Now()
-	size, count := e.chunking(n)
-	if e.workers == 1 || count == 1 {
-		if s := trace.Active(); s != nil {
+	s := trace.Active()
+	start := e.begin(s)
+	if e.inline(n) {
+		if s != nil {
 			t0 := s.Now()
 			body(a, 0, n)
 			traceChunk(s, "for", 0, 0, n, t0)
@@ -287,6 +318,7 @@ func ForRange[A any](e *Engine, n int, a A, body func(a A, lo, hi int)) {
 		e.record("for", n, 1, 1, start)
 		return
 	}
+	size, count := e.chunking(n)
 	e.runChunks(count, func(w, c int) {
 		lo := c * size
 		hi := lo + size
@@ -328,11 +360,11 @@ func ReduceRange[A, R any](e *Engine, n int, a A, fold func(a A, lo, hi int) R, 
 	if n <= 0 {
 		return fold(a, 0, 0)
 	}
-	start := time.Now()
-	size, count := e.chunking(n)
-	if e.workers == 1 || count == 1 {
+	s := trace.Active()
+	start := e.begin(s)
+	if e.inline(n) {
 		var out R
-		if s := trace.Active(); s != nil {
+		if s != nil {
 			t0 := s.Now()
 			out = fold(a, 0, n)
 			traceChunk(s, "reduce", 0, 0, n, t0)
@@ -342,6 +374,7 @@ func ReduceRange[A, R any](e *Engine, n int, a A, fold func(a A, lo, hi int) R, 
 		e.record("reduce", n, 1, 1, start)
 		return out
 	}
+	size, count := e.chunking(n)
 	partials := make([]R, count)
 	e.runChunks(count, func(w, c int) {
 		lo := c * size

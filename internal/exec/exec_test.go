@@ -160,6 +160,151 @@ func TestHookAndSnapshot(t *testing.T) {
 	}
 }
 
+// axpyArgs and axpyRange are a solver-sized sweep in the closure-free form
+// the hot kernels use.
+type axpyArgs struct {
+	alpha float64
+	x, y  []float64
+}
+
+func axpyRange(a axpyArgs, lo, hi int) {
+	x, y := a.x[lo:hi], a.y[lo:hi]
+	for i := range x {
+		y[i] += a.alpha * x[i]
+	}
+}
+
+func sumRange(a axpyArgs, lo, hi int) float64 {
+	var acc float64
+	for _, v := range a.x[lo:hi] {
+		acc += v
+	}
+	return acc
+}
+
+// TestAccountingIsPayForUse pins the observed/unobserved contract on the
+// inline and the fan-out path alike: an engine nobody has looked at counts
+// nothing (its first Snapshot is zero), and from that first Snapshot on the
+// deltas are exact. A hook observes from construction: TestHookAndSnapshot
+// sees both of its calls in the hook and in the first Snapshot.
+func TestAccountingIsPayForUse(t *testing.T) {
+	const calls, n = 50, 1000
+	x, y := make([]float64, n), make([]float64, n)
+	for _, tc := range []struct {
+		name   string
+		e      *Engine
+		chunks int64 // per call
+	}{
+		{"inline", New(WithWorkers(1)), 1},
+		{"one-chunk", New(WithWorkers(4)), 1},
+		{"fan-out", New(WithWorkers(4), WithGrain(100)), 10},
+	} {
+		sweep := func() {
+			for i := 0; i < calls; i++ {
+				ForRange(tc.e, n, axpyArgs{2, x, y}, axpyRange)
+				ReduceRange(tc.e, n, axpyArgs{x: x}, sumRange, func(a, b float64) float64 { return a + b })
+			}
+		}
+		sweep()
+		s0 := tc.e.Snapshot()
+		if s0 != (Stats{}) {
+			t.Errorf("%s: first snapshot of a never-observed engine = %+v, want zero", tc.name, s0)
+		}
+		sweep()
+		s1 := tc.e.Snapshot()
+		want := Stats{Calls: 2 * calls, Chunks: 2 * calls * tc.chunks, Items: 2 * calls * n}
+		if s1.Nanos <= 0 {
+			t.Errorf("%s: observed calls took %d ns", tc.name, s1.Nanos)
+		}
+		if s1.Nanos = 0; s1 != want {
+			t.Errorf("%s: delta after the first snapshot = %+v, want %+v", tc.name, s1, want)
+		}
+	}
+}
+
+// TestSnapshotDeltasExactUnderConcurrency: two goroutines call an observed
+// engine while a third snapshots it. Snapshots never go backwards and the
+// delta across the whole run is every call, exactly. Run under -race.
+func TestSnapshotDeltasExactUnderConcurrency(t *testing.T) {
+	const callers, calls, n = 2, 2000, 256
+	e := New(WithWorkers(1))
+	s0 := e.Snapshot()
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			x, y := make([]float64, n), make([]float64, n)
+			for i := 0; i < calls; i++ {
+				ForRange(e, n, axpyArgs{2, x, y}, axpyRange)
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	watched := make(chan struct{})
+	go func() {
+		defer close(watched)
+		last := s0
+		for {
+			s := e.Snapshot()
+			if s.Calls < last.Calls || s.Items < last.Items {
+				t.Errorf("snapshot went backwards: %+v after %+v", s, last)
+				return
+			}
+			last = s
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-watched
+	s1 := e.Snapshot()
+	if got := s1.Calls - s0.Calls; got != callers*calls {
+		t.Errorf("Calls delta = %d, want %d", got, callers*calls)
+	}
+	if got := s1.Items - s0.Items; got != callers*calls*n {
+		t.Errorf("Items delta = %d, want %d", got, callers*calls*n)
+	}
+}
+
+// BenchmarkInlineCall is the engine's fixed cost around a solve_small-sized
+// sweep (a 256-element axpy, ~0.1 us of arithmetic), alone and with every
+// core calling the one shared engine as the rank goroutines do. unobserved
+// is what a solve pays; observed is what it paid before accounting became
+// pay-for-use — two clock reads and four atomic adds on a shared cache line.
+// Printed, not gated.
+func BenchmarkInlineCall(b *testing.B) {
+	const n = 256
+	for _, observed := range []bool{false, true} {
+		name := "unobserved"
+		if observed {
+			name = "observed"
+		}
+		e := New(WithWorkers(1))
+		if observed {
+			e.Snapshot()
+		}
+		b.Run(name+"/serial", func(b *testing.B) {
+			x, y := make([]float64, n), make([]float64, n)
+			for i := 0; i < b.N; i++ {
+				ForRange(e, n, axpyArgs{1e-9, x, y}, axpyRange)
+			}
+		})
+		b.Run(name+"/parallel", func(b *testing.B) {
+			b.RunParallel(func(pb *testing.PB) {
+				x, y := make([]float64, n), make([]float64, n)
+				for pb.Next() {
+					ForRange(e, n, axpyArgs{1e-9, x, y}, axpyRange)
+				}
+			})
+		})
+	}
+}
+
 // The default engine is shared by every simulated MPI rank; hammer one
 // engine from many goroutines so `go test -race` certifies it.
 func TestConcurrentUseAcrossRanks(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -126,6 +127,37 @@ func TestHTTPBadRequests(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("POST %s %s: status %d, want 400", tc.path, tc.body, resp.StatusCode)
 		}
+	}
+}
+
+// TestHTTPBreakdownIs422: a posted matrix the method cannot solve — an
+// indefinite diagonal under cg (<p, Ap> = 0 at the first step), a skew matrix
+// under bicgstab (<rhat, v> = 0) — is the client's input, not a server fault:
+// 422 with the breakdown kind, the group keeps its session, and the next
+// solve on it succeeds.
+func TestHTTPBreakdownIs422(t *testing.T) {
+	ts, sched := newTestServer(t, Options{Groups: 1, Ranks: 2})
+
+	for _, req := range []*SolveRequest{
+		{Kind: "coo", N: 2, Solver: "cg", Entries: []COOEntry{{0, 0, 1}, {1, 1, -1}}},
+		{Kind: "coo", N: 2, Solver: "bicgstab", Entries: []COOEntry{{0, 1, 1}, {1, 0, -1}}},
+	} {
+		resp, body := postJSON(t, ts.URL+"/v1/solve", "alice", req)
+		var eb errorBody
+		if err := json.Unmarshal(body, &eb); err != nil {
+			t.Fatalf("%s: body %q: %v", req.Solver, body, err)
+		}
+		if resp.StatusCode != http.StatusUnprocessableEntity || eb.Kind != kindSolverBreakdown ||
+			!strings.Contains(eb.Error, "breakdown") {
+			t.Errorf("%s: status %d, body %+v; want 422 with kind %q", req.Solver, resp.StatusCode, eb, kindSolverBreakdown)
+		}
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/solve", "alice", &SolveRequest{Kind: "laplace1d", N: 64})
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("solve after the breakdowns: %d %s", resp.StatusCode, body)
+	}
+	if snap := sched.Snapshot(); snap.GroupRestarts != 0 || snap.Failed != 2 || snap.Completed != 1 {
+		t.Errorf("stats after two breakdowns and a solve: %+v; want 2 failed, 1 completed, no group restart", snap)
 	}
 }
 

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+
+	"odinhpc/internal/solvers"
 )
 
 // Server is the HTTP/JSON front of a Scheduler.
@@ -18,7 +20,8 @@ import (
 //
 // The tenant is the X-Tenant header ("anon" when absent). Admission-control
 // and quota rejections return 429 with Retry-After; validation failures
-// return 400; job failures return 500. All bodies are JSON.
+// return 400; a solve the posted problem breaks down returns 422; other job
+// failures return 500. All bodies are JSON.
 type Server struct {
 	sched *Scheduler
 	mux   *http.ServeMux
@@ -37,10 +40,16 @@ func NewServer(s *Scheduler) *Server {
 // Handler returns the root handler for an http.Server.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// errorBody is the JSON error envelope.
+// errorBody is the JSON error envelope. Kind names the class of a failure a
+// client can act on without parsing the message.
 type errorBody struct {
 	Error string `json:"error"`
+	Kind  string `json:"kind,omitempty"`
 }
+
+// kindSolverBreakdown is errorBody.Kind for a solve that ended in
+// solvers.ErrBreakdown.
+const kindSolverBreakdown = "solver_breakdown"
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -48,9 +57,12 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// writeError maps typed scheduler errors onto statuses: overload and quota
-// → 429 (with Retry-After when the quota knows one), validation → 400,
-// shutdown → 503, anything else → 500.
+// writeError maps typed errors onto statuses: overload and quota → 429 (with
+// Retry-After when the quota knows one), validation → 400, shutdown → 503,
+// anything else → 500. A Krylov breakdown → 422: the request was well formed
+// and the server did its job, but the posted matrix is not one the chosen
+// method can solve (not SPD for cg, a zero or non-finite recurrence scalar) —
+// the client's input, so not a 5xx that monitoring counts as a server fault.
 func writeError(w http.ResponseWriter, err error) {
 	var (
 		over *OverloadError
@@ -72,6 +84,8 @@ func writeError(w http.ResponseWriter, err error) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 	case errors.Is(err, ErrStopped):
 		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
+	case errors.Is(err, solvers.ErrBreakdown):
+		writeJSON(w, http.StatusUnprocessableEntity, errorBody{Error: err.Error(), Kind: kindSolverBreakdown})
 	default:
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
 	}

@@ -80,14 +80,30 @@ func precDots(p Preconditioner, r, z *tpetra.Vector) (rz, rr float64) {
 	return tpetra.Dot2(r, z, r, r)
 }
 
+// stepDots takes the CG step x += alpha p, r -= alpha Ap and returns what
+// precDots returns for the new r. Without a preconditioner the two updates
+// and <r, r> are one sweep (tpetra.Axpy2Dot); with one, the updates are one
+// sweep and the dots follow M^{-1}. Either way every vector and scalar is
+// bitwise that of two Axpy calls and precDots.
+func stepDots(prec Preconditioner, alpha float64, p, ap, x, r, z *tpetra.Vector) (rz, rr float64) {
+	if prec == nil {
+		rr = tpetra.Axpy2Dot(alpha, p, x, -alpha, ap, r)
+		return rr, rr
+	}
+	tpetra.Axpy2(alpha, p, x, -alpha, ap, r)
+	return precDots(prec, r, z)
+}
+
 // CG solves A x = b for symmetric positive-definite A using the
 // preconditioned conjugate gradient method. x holds the initial guess on
 // entry and the solution on exit. Collective.
 //
 // An iteration costs two allreduce rounds: <p, Ap>, then <r, z> and <r, r>
-// together (precDots) once r and z are updated. The scalars are bitwise
-// those of three separate reductions, so iterates and iteration counts are
-// too. Without a preconditioner z is r, not a copy of it.
+// together once r and z are updated (stepDots) — and, around the operator,
+// three vector sweeps: <p, Ap>, the step with its <r, r>, the p update. The
+// scalars are bitwise those of three separate reductions after separate
+// updates, so iterates and iteration counts are too. Without a
+// preconditioner z is r, not a copy of it.
 func CG(a tpetra.Operator, b, x *tpetra.Vector, opt Options) (Result, error) {
 	opt = opt.withDefaults()
 	res := Result{}
@@ -128,9 +144,7 @@ func CG(a tpetra.Operator, b, x *tpetra.Vector, opt Options) (Result, error) {
 			return res, ErrBreakdown
 		}
 		alpha := rz / pap
-		x.Axpy(alpha, p)
-		r.Axpy(-alpha, ap)
-		rzNew, rr := precDots(opt.Precond, r, z)
+		rzNew, rr := stepDots(opt.Precond, alpha, p, ap, x, r, z)
 		if rz == 0 || nonFinite(rzNew) || nonFinite(rr) {
 			res.Residual = rnorm / bnorm
 			return res, ErrBreakdown
@@ -213,9 +227,8 @@ func BiCGSTAB(a tpetra.Operator, b, x *tpetra.Vector, opt Options) (Result, erro
 			return res, ErrBreakdown
 		}
 		alpha = rho / rhv
-		s.CopyFrom(r)
-		s.Axpy(-alpha, v)
-		if sn := s.Norm2(); sn/bnorm <= opt.Tol {
+		// s = r - alpha v and ||s|| in one sweep.
+		if sn := s.WaxpyNorm2(-alpha, v, r); sn/bnorm <= opt.Tol {
 			x.Axpy(alpha, phat)
 			rnorm = sn
 			res.Iterations = k + 1
@@ -235,9 +248,7 @@ func BiCGSTAB(a tpetra.Operator, b, x *tpetra.Vector, opt Options) (Result, erro
 		omega = ts / tt
 		x.Axpy(alpha, phat)
 		x.Axpy(omega, shat)
-		r.CopyFrom(s)
-		r.Axpy(-omega, t)
-		rnorm = r.Norm2()
+		rnorm = r.WaxpyNorm2(-omega, t, s) // r = s - omega t
 		res.Iterations = k + 1
 		record()
 	}

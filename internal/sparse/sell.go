@@ -146,63 +146,6 @@ func (m *SELL) PaddedNNZ() int { return len(m.Val) }
 // numSlices returns the slice count.
 func (m *SELL) numSlices() int { return (m.Rows + m.C - 1) / m.C }
 
-// mulSlice computes the per-row dot products of slice s into acc (rows in
-// ascending-column order, bit-for-bit matching CSR) and returns the slice's
-// first sorted position and height. Full-height slices run the columns
-// where all C rows are active through an unrolled kernel with one scalar
-// accumulator per row: C independent dependency chains instead of one
-// array-indexed chain, which is what lets the format beat CSR on stencil
-// matrices even without SIMD.
-func (m *SELL) mulSlice(s int, x []float64, acc *[sellMaxC]float64) (lo, h int) {
-	lo = s * m.C
-	h = m.C
-	if m.Rows-lo < h {
-		h = m.Rows - lo
-	}
-	base := m.SlicePtr[s]
-	w := (m.SlicePtr[s+1] - base) / h
-	for r := 0; r < h; r++ {
-		acc[r] = 0
-	}
-	j := 0
-	if h == 8 {
-		// Rows are descending within the slice, so every row is active
-		// while j is below the last (shortest) row's length.
-		wMin := m.RowLen[lo+7]
-		var a0, a1, a2, a3, a4, a5, a6, a7 float64
-		for ; j < wMin; j++ {
-			off := base + j*8
-			v := m.Val[off : off+8 : off+8]
-			c := m.ColIdx[off : off+8 : off+8]
-			a0 += v[0] * x[c[0]]
-			a1 += v[1] * x[c[1]]
-			a2 += v[2] * x[c[2]]
-			a3 += v[3] * x[c[3]]
-			a4 += v[4] * x[c[4]]
-			a5 += v[5] * x[c[5]]
-			a6 += v[6] * x[c[6]]
-			a7 += v[7] * x[c[7]]
-		}
-		acc[0], acc[1], acc[2], acc[3] = a0, a1, a2, a3
-		acc[4], acc[5], acc[6], acc[7] = a4, a5, a6, a7
-	}
-	// cnt = rows of this slice still active at column position j; row
-	// lengths are descending so it only ever shrinks.
-	cnt := h
-	for ; j < w; j++ {
-		for cnt > 0 && m.RowLen[lo+cnt-1] <= j {
-			cnt--
-		}
-		off := base + j*h
-		vals := m.Val[off : off+cnt]
-		cols := m.ColIdx[off : off+cnt]
-		for r := range vals {
-			acc[r] += vals[r] * x[cols[r]]
-		}
-	}
-	return lo, h
-}
-
 // MulVec computes y = A*x, slice-parallel on the exec engine: each slice's
 // C output rows are owned by exactly one span. Per row, products accumulate
 // in ascending-column order, bit-for-bit matching CSR.MulVec.
@@ -210,26 +153,7 @@ func (m *SELL) MulVec(x, y []float64) {
 	if len(x) != m.Cols || len(y) != m.Rows {
 		panic(fmt.Sprintf("sparse: MulVec dims A=%dx%d x=%d y=%d", m.Rows, m.Cols, len(x), len(y)))
 	}
-	exec.ForRange(exec.Default(), m.numSlices(), sellArgs{m: m, x: x, y: y}, sellMulRange)
-}
-
-// sellArgs is the operand set of the SELL slice-range kernels, handed to the
-// engine by value (exec.ForRange) so an inline SpMV allocates nothing.
-type sellArgs struct {
-	m     *SELL
-	alpha float64
-	x, y  []float64
-}
-
-func sellMulRange(a sellArgs, slo, shi int) {
-	m, y := a.m, a.y
-	var acc [sellMaxC]float64
-	for s := slo; s < shi; s++ {
-		lo, h := m.mulSlice(s, a.x, &acc)
-		for r := 0; r < h; r++ {
-			y[m.Perm[lo+r]] = acc[r]
-		}
-	}
+	exec.ForRange(exec.Default(), m.numSlices(), sellArgs{m: m, x: x, y: y}, sellRange)
 }
 
 // MulVecAdd computes y += alpha * A*x, slice-parallel like MulVec and
@@ -238,16 +162,104 @@ func (m *SELL) MulVecAdd(alpha float64, x, y []float64) {
 	if len(x) != m.Cols || len(y) != m.Rows {
 		panic("sparse: MulVecAdd dimension mismatch")
 	}
-	exec.ForRange(exec.Default(), m.numSlices(), sellArgs{m: m, alpha: alpha, x: x, y: y}, sellMulAddRange)
+	exec.ForRange(exec.Default(), m.numSlices(), sellArgs{m: m, add: true, alpha: alpha, x: x, y: y}, sellRange)
 }
 
-func sellMulAddRange(a sellArgs, slo, shi int) {
-	m, alpha, y := a.m, a.alpha, a.y
+// sellArgs is the operand set of the SELL slice-range kernel, handed to the
+// engine by value (exec.ForRange) so an inline SpMV allocates nothing. add
+// selects y += alpha*A*x over y = A*x.
+type sellArgs struct {
+	m     *SELL
+	add   bool
+	alpha float64
+	x, y  []float64
+}
+
+// put delivers one finished row sum to the output row it belongs to.
+func (a *sellArgs) put(row int, sum float64) {
+	if a.add {
+		a.y[row] += a.alpha * sum
+	} else {
+		a.y[row] = sum
+	}
+}
+
+// sellRange is the one slice kernel under MulVec and MulVecAdd: for each
+// slice in [slo, shi) it forms the per-row dot products (rows in
+// ascending-column order, bit-for-bit matching CSR) and puts them at
+// y[Perm[..]]. Full-height slices of the default C = 8 run the columns where
+// all eight rows are active through an unrolled loop with one scalar
+// accumulator per row: eight independent dependency chains instead of one
+// array-indexed chain, which is what lets the format beat CSR on stencil
+// matrices even without SIMD. When the slice's rows all have one length —
+// every interior slice of a stencil matrix — that loop is the whole slice
+// and the eight registers go straight to y; only a ragged slice spills them
+// to acc and enters the tail loop.
+func sellRange(a sellArgs, slo, shi int) {
+	m, x := a.m, a.x
 	var acc [sellMaxC]float64
 	for s := slo; s < shi; s++ {
-		lo, h := m.mulSlice(s, a.x, &acc)
-		for r := 0; r < h; r++ {
-			y[m.Perm[lo+r]] += alpha * acc[r]
+		lo := s * m.C
+		h := m.C
+		if m.Rows-lo < h {
+			h = m.Rows - lo
+		}
+		base := m.SlicePtr[s]
+		w := (m.SlicePtr[s+1] - base) / h
+		perm := m.Perm[lo : lo+h]
+		j := 0
+		if h == 8 {
+			// Rows are descending within the slice, so every row is active
+			// while j is below the last (shortest) row's length.
+			wMin := m.RowLen[lo+7]
+			var a0, a1, a2, a3, a4, a5, a6, a7 float64
+			for ; j < wMin; j++ {
+				off := base + j*8
+				v := m.Val[off : off+8 : off+8]
+				c := m.ColIdx[off : off+8 : off+8]
+				a0 += v[0] * x[c[0]]
+				a1 += v[1] * x[c[1]]
+				a2 += v[2] * x[c[2]]
+				a3 += v[3] * x[c[3]]
+				a4 += v[4] * x[c[4]]
+				a5 += v[5] * x[c[5]]
+				a6 += v[6] * x[c[6]]
+				a7 += v[7] * x[c[7]]
+			}
+			if wMin == w {
+				a.put(perm[0], a0)
+				a.put(perm[1], a1)
+				a.put(perm[2], a2)
+				a.put(perm[3], a3)
+				a.put(perm[4], a4)
+				a.put(perm[5], a5)
+				a.put(perm[6], a6)
+				a.put(perm[7], a7)
+				continue
+			}
+			acc[0], acc[1], acc[2], acc[3] = a0, a1, a2, a3
+			acc[4], acc[5], acc[6], acc[7] = a4, a5, a6, a7
+		} else {
+			for r := 0; r < h; r++ {
+				acc[r] = 0
+			}
+		}
+		// cnt = rows of this slice still active at column position j; row
+		// lengths are descending so it only ever shrinks.
+		cnt := h
+		for ; j < w; j++ {
+			for cnt > 0 && m.RowLen[lo+cnt-1] <= j {
+				cnt--
+			}
+			off := base + j*h
+			vals := m.Val[off : off+cnt]
+			cols := m.ColIdx[off : off+cnt]
+			for r := range vals {
+				acc[r] += vals[r] * x[cols[r]]
+			}
+		}
+		for r, row := range perm {
+			a.put(row, acc[r])
 		}
 	}
 }

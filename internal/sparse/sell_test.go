@@ -214,6 +214,58 @@ func TestSELLEdgeShapes(t *testing.T) {
 	})
 }
 
+// TestSELLSliceKernelMatchesCSR aims the CSR-bitwise check at the branches
+// of the slice kernel: slices whose rows all have one length (the eight
+// accumulators go straight to y) beside ragged ones (spill and tail loop),
+// a short last slice down to a single row (Rows % C != 0), empty rows inside
+// and making up whole slices, at the unrolled C = 8 and the generic heights
+// 1, 4 and 32 — for MulVec, MulVecAdd and MulVecTrans, inline and fanned out
+// over several slice chunks.
+func TestSELLSliceKernelMatchesCSR(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	// rowsOf builds a matrix whose row i holds lens[i] entries.
+	rowsOf := func(cols int, lens []int) *CSR {
+		c := NewCOO(len(lens), cols)
+		for i, l := range lens {
+			for _, j := range rng.Perm(cols)[:l] {
+				c.Add(i, j, rng.NormFloat64())
+			}
+		}
+		return c.ToCSR()
+	}
+	repeat := func(n int, pattern ...int) []int {
+		out := make([]int, 0, n)
+		for len(out) < n {
+			out = append(out, pattern...)
+		}
+		return out[:n]
+	}
+	mats := map[string]*CSR{
+		"uniform-64":        rowsOf(9, repeat(64, 3)),               // every slice uniform
+		"uniform-65":        rowsOf(9, repeat(65, 3)),               // ... plus a one-row slice
+		"uniform-71":        rowsOf(9, repeat(71, 5)),               // ... plus a 7-row slice
+		"tridiag-67":        tridiag(67),                            // two short rows among uniform ones
+		"ragged-61":         rowsOf(12, repeat(61, 0, 7, 1, 12, 3)), // no slice uniform, empty rows
+		"empty-slices-40":   rowsOf(6, append(repeat(24, 0), repeat(16, 2)...)),
+		"descending-33":     rowsOf(33, repeat(33, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0)),
+		"single-entry-rows": Identity(19),
+	}
+	for name, m := range mats {
+		for _, c := range []int{1, 4, 8, 32} {
+			for _, sigma := range []int{c, 256} {
+				for _, pool := range []int{1, 3} {
+					t.Run(name, func(t *testing.T) {
+						old := exec.Default()
+						exec.SetDefault(exec.New(exec.WithWorkers(pool), exec.WithGrain(2)))
+						defer exec.SetDefault(old)
+						checkSellMatchesCSR(t, m, c, sigma, rng)
+					})
+				}
+			}
+		}
+	}
+}
+
 func TestSELLScale(t *testing.T) {
 	m := tridiag(50)
 	s := NewSELL(m)

@@ -145,8 +145,9 @@ func (v *Vector) Update(alpha float64, x *Vector, beta float64) {
 }
 
 func updateRange(a sweepArgs, lo, hi int) {
-	alpha, beta, d, xd := a.alpha, a.beta, a.d, a.x
-	for i := lo; i < hi; i++ {
+	// Re-sliced to the span so the loop pays no bounds check per element.
+	alpha, beta, d, xd := a.alpha, a.beta, a.d[lo:hi], a.x[lo:hi]
+	for i := range d {
 		d[i] = alpha*xd[i] + beta*d[i]
 	}
 }
@@ -211,6 +212,38 @@ func Dot2(a, b, c, d *Vector) (ab, cd float64) {
 	buf := [2]float64{dense.DotSlices(a.Data, b.Data), dense.DotSlices(c.Data, d.Data)}
 	comm.AllreduceInto(a.c, buf[:], comm.OpSum)
 	return buf[0], buf[1]
+}
+
+// Axpy2 computes y1 += alpha*x1 and y2 += beta*x2 in one sweep
+// (dense.Axpy2): the two updates of a preconditioned CG step. Element for
+// element it is y1.Axpy(alpha, x1); y2.Axpy(beta, x2).
+func Axpy2(alpha float64, x1, y1 *Vector, beta float64, x2, y2 *Vector) {
+	y1.checkCompat(x1, "Axpy2")
+	y1.checkCompat(x2, "Axpy2")
+	y1.checkCompat(y2, "Axpy2")
+	dense.Axpy2(alpha, x1.Data, y1.Data, beta, x2.Data, y2.Data)
+}
+
+// Axpy2Dot is Axpy2 returning the global <y2, y2> of the updated y2, its
+// local part accumulated in the same sweep: CG's x += alpha p; r -= alpha Ap;
+// <r, r> reads and writes each vector once instead of twice. The result is
+// bitwise y2.Dot(y2) after the two Axpy calls. Collective.
+func Axpy2Dot(alpha float64, x1, y1 *Vector, beta float64, x2, y2 *Vector) float64 {
+	y1.checkCompat(x1, "Axpy2Dot")
+	y1.checkCompat(x2, "Axpy2Dot")
+	y1.checkCompat(y2, "Axpy2Dot")
+	local := dense.Axpy2Dot(alpha, x1.Data, y1.Data, beta, x2.Data, y2.Data)
+	return comm.AllreduceScalar(y1.c, local, comm.OpSum)
+}
+
+// WaxpyNorm2 sets v = y + alpha*x and returns the global ||v||, one sweep
+// where v.CopyFrom(y); v.Axpy(alpha, x); v.Norm2() makes three; bitwise the
+// same vector and norm. v may be y. Collective.
+func (v *Vector) WaxpyNorm2(alpha float64, x, y *Vector) float64 {
+	v.checkCompat(x, "WaxpyNorm2")
+	v.checkCompat(y, "WaxpyNorm2")
+	local := dense.WaxpyDot(alpha, x.Data, y.Data, v.Data)
+	return math.Sqrt(comm.AllreduceScalar(v.c, local, comm.OpSum))
 }
 
 // Norm2 returns the global Euclidean norm. Collective.

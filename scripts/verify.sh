@@ -74,12 +74,12 @@ go test ./...
 
 # Stage "allocs": the allocation pins of the solver hot loop, on their own —
 # a scalar AllreduceInto at P=2/4/8, Vector.Dot, Gather and
-# CrsMatrix.Apply on the laplace1d/3d stencils, and the CG per-iteration
-# slope at P=1/2/4 must all allocate exactly nothing at steady state. They
-# count process-wide mallocs, so they run uncached and not under -race (where
-# they skip).
+# CrsMatrix.Apply on the laplace1d/3d stencils, and the CG and BiCGSTAB
+# per-iteration slopes at P=1/2/4 must all allocate exactly nothing at
+# steady state. They count process-wide mallocs, so they run uncached and
+# not under -race (where they skip).
 stage allocs
-go test -count=1 -run 'TestAllreduceAllocs|TestGatherSteadyStateAllocs|TestCGAllocsPerIteration' \
+go test -count=1 -run 'TestAllreduceAllocs|TestGatherSteadyStateAllocs|TestCGAllocsPerIteration|TestBiCGSTABAllocsPerIteration' \
   ./internal/comm ./internal/tpetra ./internal/solvers
 
 # Race pass over every concurrency-bearing package: the comm fabric, the
@@ -151,6 +151,17 @@ if [ "${ODINHPC_STRESS:-}" = "1" ]; then
   /tmp/odinhpc-odinstress -seed=1 > /tmp/odinhpc-stress-2.out
   diff /tmp/odinhpc-stress-1.out /tmp/odinhpc-stress-2.out
 fi
+
+# Bench smoke: two seconds of each solver workload of the end-to-end
+# benchmark. The driver checks every job's bytes against the reference
+# solve, iteration count included (256 and 79), so a fused sweep that slips a
+# bit — the histories shift, the count moves — fails here, before the A/B
+# pipeline: the run must exit 0 and its result line must say "correct":true.
+stage bench-smoke
+for w in solve_small solve_large; do
+  go run ./bench --workload "$w" --seed 2 --seconds 2 --trace 0 > /tmp/odinhpc-bench-smoke.out
+  tail -n 1 /tmp/odinhpc-bench-smoke.out | grep -q '"correct":true'
+done
 
 # Disabled-path guard: replay the hot-loop benchmarks against the recorded
 # BENCH_*.json rows. Only what repeats exactly is gated — allocs/op where a
