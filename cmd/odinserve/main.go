@@ -20,7 +20,9 @@
 //
 // It prints p50/p99 latency and jobs/sec, retries 429s with backoff, and
 // exits non-zero if any job ultimately fails, p99 exceeds -max-p99, or
-// (with -require-warm-cache) the server's plan cache shows hits <= misses.
+// (with -require-warm-cache) /v1/stats shows plan_cache_hits <=
+// plan_cache_misses: expr jobs that found their group's bound plan warm
+// against those that had to prepare it (serve.StatsSnapshot).
 package main
 
 import (
@@ -55,13 +57,13 @@ func main() {
 		burst    = flag.Float64("tenant-burst", 8, "token-bucket burst per tenant")
 
 		// Loadgen mode.
-		url      = flag.String("url", "http://127.0.0.1:8080", "server base URL")
-		jobs     = flag.Int("jobs", 64, "total jobs to fire")
-		conc     = flag.Int("conc", 16, "concurrent clients")
-		mix      = flag.String("mix", "mixed", "workload: mixed, solve, or expr")
-		maxP99   = flag.Duration("max-p99", 0, "fail if p99 latency exceeds this (0 = no bound)")
-		warm     = flag.Bool("require-warm-cache", false, "fail unless plan-cache hits > misses after the run")
-		n        = flag.Int("n", 2048, "problem size for generated jobs")
+		url    = flag.String("url", "http://127.0.0.1:8080", "server base URL")
+		jobs   = flag.Int("jobs", 64, "total jobs to fire")
+		conc   = flag.Int("conc", 16, "concurrent clients")
+		mix    = flag.String("mix", "mixed", "workload: mixed, solve, or expr")
+		maxP99 = flag.Duration("max-p99", 0, "fail if p99 latency exceeds this (0 = no bound)")
+		warm   = flag.Bool("require-warm-cache", false, "fail unless plan-cache hits > misses after the run")
+		n      = flag.Int("n", 2048, "problem size for generated jobs")
 	)
 	flag.Parse()
 

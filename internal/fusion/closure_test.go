@@ -6,6 +6,8 @@ package fusion
 // the op-at-a-time baseline.
 
 import (
+	"slices"
+
 	"odinhpc/internal/core"
 	"odinhpc/internal/dense"
 	"odinhpc/internal/exec"
@@ -14,32 +16,34 @@ import (
 // compileClosure lowers the expression tree into a closure tree evaluated
 // per element — the pre-VM fused loop body, kept as the internal reference
 // evaluator that the register VM is property-tested against (results must
-// agree bitwise for element-wise programs).
-func compileClosure(e *Expr, p *Plan) func(int) float64 {
+// agree bitwise for element-wise programs). leaves is root.Leaves() of the
+// expression p was analyzed from: leaf i of that order is p.leafData[i].
+func compileClosure(e *Expr, p *Plan, leaves []*core.DistArray[float64]) func(int) float64 {
 	switch e.kind {
 	case kindLeaf:
-		data := p.leafData[p.slotOf[e.leaf]]
+		data := p.leafData[slices.Index(leaves, e.leaf)]
 		return func(i int) float64 { return data[i] }
 	case kindConst:
 		v := e.value
 		return func(int) float64 { return v }
 	case kindUnary:
 		f := e.un
-		arg := compileClosure(e.args[0], p)
+		arg := compileClosure(e.args[0], p, leaves)
 		return func(i int) float64 { return f(arg(i)) }
 	default:
 		f := e.bin
-		a := compileClosure(e.args[0], p)
-		b := compileClosure(e.args[1], p)
+		a := compileClosure(e.args[0], p, leaves)
+		b := compileClosure(e.args[1], p, leaves)
 		return func(i int) float64 { return f(a(i), b(i)) }
 	}
 }
 
-// executeClosure is Execute on the closure reference evaluator.
-func (p *Plan) executeClosure() *core.DistArray[float64] {
+// executeClosure is Execute on the closure reference evaluator; e is the
+// expression p was analyzed from (a Plan keeps only what the VM runs).
+func (p *Plan) executeClosure(e *Expr) *core.DistArray[float64] {
 	n := p.model.Local().Size()
 	out := make([]float64, n)
-	kernel := compileClosure(p.expr, p)
+	kernel := compileClosure(e, p, e.Leaves())
 	exec.Default().ParallelFor(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out[i] = kernel(i)
@@ -49,9 +53,9 @@ func (p *Plan) executeClosure() *core.DistArray[float64] {
 }
 
 // sumLocalClosure is sumLocal on the closure reference evaluator.
-func (p *Plan) sumLocalClosure() float64 {
+func (p *Plan) sumLocalClosure(e *Expr) float64 {
 	n := p.model.Local().Size()
-	kernel := compileClosure(p.expr, p)
+	kernel := compileClosure(e, p, e.Leaves())
 	return exec.ParallelReduce(exec.Default(), n, func(lo, hi int) float64 {
 		var acc float64
 		for i := lo; i < hi; i++ {

@@ -213,17 +213,26 @@ func (e *Expr) String() string {
 	}
 }
 
-// Plan is the result of analyzing an expression: the aligned leaves, the
-// target distribution (that of the first leaf), and the compiled register
-// program (cached across structurally equal expressions).
+// Plan is an analyzed expression: the compiled register program (shared with
+// every structurally equal expression through the plan cache) bound to the
+// flattened local data of this rank's aligned leaves, in the distribution of
+// the first leaf. It is the reusable unit of evaluation — Eval and SumEval
+// build one and run it once; a caller that evaluates the same expression
+// over the same arrays again keeps the Plan and calls Execute or Sum.
+//
+// A Plan is immutable after Analyze and holds no scratch (each sweep borrows
+// a vmState from the program's pool), so it may be shared and run
+// concurrently. It aliases the storage of a contiguous leaf and snapshots a
+// non-contiguous or redistributed one, so reuse it only while its leaves are
+// unchanged. Its methods are local mode (§III.C): they issue no control
+// message — whoever hands every rank the same Plan call has already done
+// the master's job.
 type Plan struct {
 	model         *core.DistArray[float64]
 	leafData      [][]float64
 	prog          *vmProgram
-	expr          *Expr
-	slotOf        map[*core.DistArray[float64]]int
 	Redistributed int // distinct leaf arrays that needed realignment
-	Ops           int // fused operation nodes
+	Ops           int // operation nodes, as Expr.CountOps counts them
 }
 
 // Program returns the compiled register program's size: the number of
@@ -241,41 +250,81 @@ func (p *Plan) ProgramString() string { return p.prog.String() }
 // aligned once: leaves are deduplicated by identity, and Redistributed
 // counts distinct arrays. Collective when redistribution occurs.
 func Analyze(e *Expr) *Plan {
-	leaves := e.Leaves()
-	if len(leaves) == 0 {
+	lw, root := lower(e)
+	return lw.bind(root)
+}
+
+// model returns the first Var leaf of the lowered expression, whose
+// distribution and context the evaluation runs in.
+func (lw *lowering) model() *core.DistArray[float64] {
+	if len(lw.leaves) == 0 {
 		panic("fusion: expression has no array leaves")
 	}
-	model := leaves[0]
-	p := &Plan{model: model, expr: e, Ops: e.CountOps()}
-	aligned := map[*core.DistArray[float64]]*core.DistArray[float64]{}
-	for _, l := range leaves {
-		if !sameShape(l.Shape(), model.Shape()) {
-			panic(fmt.Sprintf("fusion: leaf shapes differ: %v vs %v", l.Shape(), model.Shape()))
+	return lw.leaves[0]
+}
+
+// bind is Analyze past the walk: lw.leaves is already the distinct arrays
+// in program slot order, so slot i binds to leafData[i].
+func (lw *lowering) bind(root int) *Plan {
+	model := lw.model()
+	p := &Plan{model: model, Ops: lw.ops, leafData: make([][]float64, len(lw.leaves))}
+	for i, l := range lw.leaves {
+		// Conformable implies equal shapes, so the usual leaf is checked
+		// without copying a shape out.
+		if !l.ConformableWith(model) {
+			if !sameShape(l.Shape(), model.Shape()) {
+				panic(fmt.Sprintf("fusion: leaf shapes differ: %v vs %v", l.Shape(), model.Shape()))
+			}
+			if l.Axis() != model.Axis() {
+				panic("fusion: leaves distributed over different axes")
+			}
+			l = core.Redistribute(l, model.Map())
+			p.Redistributed++
 		}
-		if l.ConformableWith(model) {
-			aligned[l] = l
-			continue
-		}
-		if l.Axis() != model.Axis() {
-			panic("fusion: leaves distributed over different axes")
-		}
-		aligned[l] = core.Redistribute(l, model.Map())
-		p.Redistributed++
-	}
-	// Flatten each aligned leaf once; program leaf slot i (first-visit
-	// order, the same numbering Leaves() uses) binds to leafData[i].
-	p.slotOf = map[*core.DistArray[float64]]int{}
-	for _, l := range leaves {
-		p.slotOf[l] = len(p.leafData)
-		a := aligned[l].Local()
-		if a.IsContiguous() {
-			p.leafData = append(p.leafData, a.Raw())
+		if a := l.Local(); a.IsContiguous() {
+			p.leafData[i] = a.Raw()
 		} else {
-			p.leafData = append(p.leafData, a.Flatten())
+			p.leafData[i] = a.Flatten()
 		}
 	}
-	p.prog = compileProgram(e)
+	p.prog = lw.program(root)
 	return p
+}
+
+// sweep is the operand of one fused sweep, handed by value to the exec
+// engine's range functions so that neither Execute nor Sum builds a closure.
+type sweep struct {
+	p     *Plan
+	out   []float64 // Execute's result; nil for Sum
+	block int
+}
+
+// run sweeps [lo, hi) with scratch borrowed from the program's pool — into
+// out for Execute, into the returned register accumulator for Sum, whose
+// result blocks are added left to right: element for element the association
+// of the closure kernel's serial fold over that chunk. A traced sweep
+// records its KindVM span.
+func (s sweep) run(lo, hi int) (sum float64) {
+	if hi <= lo {
+		return 0
+	}
+	prog := s.p.prog
+	ts := trace.Active()
+	var t0 int64
+	if ts != nil {
+		t0 = ts.Now()
+	}
+	st := prog.getState(s.block, nil)
+	if s.out != nil {
+		prog.runSpan(st, s.p.leafData, s.out, lo, hi)
+	} else {
+		sum = prog.sumSpan(st, s.p.leafData, lo, hi)
+	}
+	prog.putState(st)
+	if ts != nil {
+		traceVM(ts, int32(s.p.model.Context().Comm().Rank()), s.block, lo, hi, prog.label, t0)
+	}
+	return sum
 }
 
 // Execute runs the compiled register program over cache-sized blocks,
@@ -285,89 +334,51 @@ func Analyze(e *Expr) *Plan {
 // evaluates with private scratch registers, and the final instruction of
 // each block writes directly into the output.
 func (p *Plan) Execute() *core.DistArray[float64] {
-	n := p.model.Local().Size()
-	out := make([]float64, n)
-	prog, leaves := p.prog, p.leafData
-	block := BlockSize()
-	rank := int32(p.model.Context().Comm().Rank())
-	exec.Default().ParallelFor(n, func(lo, hi int) {
-		s := trace.Active()
-		var t0 int64
-		if s != nil {
-			t0 = s.Now()
-		}
-		st := prog.getState(block, nil)
-		prog.runSpan(st, leaves, out, lo, hi)
-		prog.putState(st)
-		if s != nil {
-			traceVM(s, rank, block, lo, hi, prog.label, t0)
-		}
-	})
-	return p.model.WithLocal(dense.FromSlice(out, p.model.Local().Shape()...))
+	local := p.model.Local()
+	out := make([]float64, local.Size())
+	exec.ForRange(exec.Default(), len(out), sweep{p: p, out: out, block: BlockSize()},
+		func(s sweep, lo, hi int) { s.run(lo, hi) })
+	return p.model.WithLocal(dense.FromSlice(out, local.Shape()...))
 }
 
-// sumLocal folds the expression over the local elements with the register
-// accumulator: each exec chunk runs the block program and adds the result
-// blocks left-to-right, which is element-for-element the same association
-// as the closure kernel's serial fold over that chunk.
+// sumLocal folds the expression over this rank's elements: one run per exec
+// chunk, partials combined in the engine's fixed pairwise tree.
 func (p *Plan) sumLocal() float64 {
-	n := p.model.Local().Size()
-	prog, leaves := p.prog, p.leafData
-	block := BlockSize()
-	rank := int32(p.model.Context().Comm().Rank())
-	return exec.ParallelReduce(exec.Default(), n, func(lo, hi int) float64 {
-		if hi <= lo {
-			return 0
-		}
-		s := trace.Active()
-		var t0 int64
-		if s != nil {
-			t0 = s.Now()
-		}
-		st := prog.getState(block, nil)
-		defer prog.putState(st)
-		v := prog.sumSpan(st, leaves, lo, hi)
-		if s != nil {
-			traceVM(s, rank, block, lo, hi, prog.label, t0)
-		}
-		return v
-	}, func(a, b float64) float64 { return a + b })
+	return exec.ReduceRange(exec.Default(), p.model.Local().Size(),
+		sweep{p: p, block: BlockSize()}, sweep.run, func(a, b float64) float64 { return a + b })
+}
+
+// Sum runs the program as a fused reduction and returns the expression's
+// global sum: no output array is materialized at all (reduction fusion, the
+// natural extension of the paper's loop fusion). The local fold is bitwise
+// identical to the closure evaluator's at every pool size. Collective: one
+// scalar allreduce.
+func (p *Plan) Sum() float64 {
+	return comm.AllreduceScalar(p.model.Context().Comm(), p.sumLocal(), comm.OpSum)
+}
+
+// analyzeGlobal is the global-mode (§III.B) front of Eval and SumEval: one
+// control message announcing the operation, then Analyze with the nested
+// ones (a redistribution's) switched off, so one user-visible operation
+// issues exactly one.
+func analyzeGlobal(e *Expr, op core.OpCode) *Plan {
+	lw, root := lower(e)
+	ctx := lw.model().Context()
+	ctx.Control(op, int64(lw.ops))
+	saved := ctx.ControlMessagesEnabled()
+	ctx.SetControlMessages(false)
+	defer ctx.SetControlMessages(saved)
+	return lw.bind(root)
 }
 
 // Eval analyzes and executes the expression with loop fusion: one control
 // message, at most one redistribution per non-conformable leaf, one output
 // allocation, zero intermediate temporaries. Collective.
-func Eval(e *Expr) *core.DistArray[float64] {
-	leaves := e.Leaves()
-	if len(leaves) == 0 {
-		panic("fusion: expression has no array leaves")
-	}
-	ctx := leaves[0].Context()
-	ctx.Control(core.OpUfunc, int64(e.CountOps()))
-	saved := ctx.ControlMessagesEnabled()
-	ctx.SetControlMessages(false)
-	defer ctx.SetControlMessages(saved)
-	return Analyze(e).Execute()
-}
+func Eval(e *Expr) *core.DistArray[float64] { return analyzeGlobal(e, core.OpUfunc).Execute() }
 
-// SumEval evaluates the expression and reduces it to its global sum in the
-// same fused sweep: no output array is materialized at all (reduction
-// fusion, the natural extension of the paper's loop fusion). The reduction
-// runs the same block program as Eval with a register accumulator, so the
-// local fold is bitwise identical to the closure evaluator's at every pool
-// size. Collective.
-func SumEval(e *Expr) float64 {
-	leaves := e.Leaves()
-	if len(leaves) == 0 {
-		panic("fusion: expression has no array leaves")
-	}
-	ctx := leaves[0].Context()
-	ctx.Control(core.OpReduce, int64(e.CountOps()))
-	saved := ctx.ControlMessagesEnabled()
-	ctx.SetControlMessages(false)
-	defer ctx.SetControlMessages(saved)
-	return comm.AllreduceScalar(ctx.Comm(), Analyze(e).sumLocal(), comm.OpSum)
-}
+// SumEval evaluates the expression and reduces it to its global sum in one
+// fused sweep: one control message, then Plan.Sum. Collective.
+func SumEval(e *Expr) float64 { return analyzeGlobal(e, core.OpReduce).Sum() }
 
 // EvalNaive executes the expression one node at a time, materializing a
 // full distributed temporary per operation — NumPy-style eager evaluation,

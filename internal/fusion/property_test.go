@@ -168,7 +168,7 @@ func TestPropertyRandomDAGs(t *testing.T) {
 					e, _ := g.gen(maxDepth)
 					plan := Analyze(e)
 					vm := gatherBits(plan.Execute())
-					cl := gatherBits(plan.executeClosure())
+					cl := gatherBits(plan.executeClosure(e))
 					nv := gatherBits(EvalNaive(e))
 					if err := diffBits(vm, cl); err != nil {
 						return fmt.Errorf("expr %d (%s): VM != closure: %v", k, e, err)

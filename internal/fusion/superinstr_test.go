@@ -146,7 +146,7 @@ func TestSuperinstructionBitwise(t *testing.T) {
 					SetSuperinstructions(true)
 					plan := Analyze(e)
 					fused := gatherBits(plan.Execute())
-					cl := gatherBits(plan.executeClosure())
+					cl := gatherBits(plan.executeClosure(e))
 					fusedSum := Analyze(es).sumLocal()
 
 					SetSuperinstructions(false)
@@ -154,7 +154,7 @@ func TestSuperinstructionBitwise(t *testing.T) {
 					unfused := gatherBits(planU.Execute())
 					planUS := Analyze(es)
 					unfusedSum := planUS.sumLocal()
-					closureSum := planUS.sumLocalClosure()
+					closureSum := planUS.sumLocalClosure(es)
 					SetSuperinstructions(true)
 
 					if err := diffBits(fused, unfused); err != nil {
@@ -349,7 +349,7 @@ func TestSuperinstructionSumTails(t *testing.T) {
 			for name, e := range exprs {
 				plan := Analyze(e)
 				got := math.Float64bits(plan.sumLocal())
-				want := math.Float64bits(plan.sumLocalClosure())
+				want := math.Float64bits(plan.sumLocalClosure(e))
 				if got != want {
 					return fmt.Errorf("%s (block=%d): sum %x != closure %x", name, bs, got, want)
 				}

@@ -26,6 +26,7 @@ package fusion
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -458,17 +459,26 @@ type vmValue struct {
 }
 
 // lowering accumulates the IR plus the structural cache key during one DFS
-// over the expression DAG.
+// over the expression DAG — the only walk an evaluation makes: it also
+// numbers the distinct Var leaves (leaves[i] is program leaf slot i, the
+// first-visit order Expr.Leaves() reports) and counts operation nodes the
+// way Expr.CountOps() does, so Analyze needs no pre-walk of its own.
 type lowering struct {
 	vals      []vmValue
-	byPtr     map[*Expr]int
+	byPtr     map[*Expr]lowered
 	byKey     map[string]int
-	leafSlot  map[*core.DistArray[float64]]int
+	leaves    []*core.DistArray[float64]
+	ops       int // operation nodes on every path from the root (a shared node counts per use)
 	nSlices   int // 1 + highest SliceSlot index seen (0 when none)
 	nScalars  int // 1 + highest ScalarSlot index seen (0 when none)
 	key       strings.Builder
 	cacheable bool
 }
+
+// lowered is what visiting one Expr node produced: its value id and the
+// operation nodes of its subtree, replayed into lowering.ops on every
+// further use of the node.
+type lowered struct{ id, ops int }
 
 // intern returns the id of an existing value with the same structural key
 // (common-subexpression elimination) or appends v as a new value. Every
@@ -536,16 +546,20 @@ func constKey(v float64) string {
 // constants (the fold calls the node's own function once — the same
 // float64 computation the closure evaluator repeated per element).
 func (lw *lowering) visit(e *Expr) int {
-	if id, ok := lw.byPtr[e]; ok {
-		return id
+	if got, ok := lw.byPtr[e]; ok {
+		lw.ops += got.ops
+		return got.id
 	}
+	opsBefore := lw.ops
 	var id int
 	switch e.kind {
 	case kindLeaf:
-		slot, ok := lw.leafSlot[e.leaf]
-		if !ok {
-			slot = len(lw.leafSlot)
-			lw.leafSlot[e.leaf] = slot
+		// A linear scan: expressions have a handful of distinct arrays, and
+		// the slice doubles as the slot-ordered leaf list Analyze binds.
+		slot := slices.Index(lw.leaves, e.leaf)
+		if slot < 0 {
+			slot = len(lw.leaves)
+			lw.leaves = append(lw.leaves, e.leaf)
 		}
 		id = lw.intern(key1('L', slot), vmValue{kind: valLeaf, leaf: slot})
 	case kindSliceLeaf:
@@ -566,6 +580,7 @@ func (lw *lowering) visit(e *Expr) int {
 	case kindConst:
 		id = lw.intern(constKey(e.value), vmValue{kind: valConst, c: e.value})
 	case kindUnary:
+		lw.ops++
 		a := lw.visit(e.args[0])
 		if e.vop.foldable() && lw.vals[a].kind == valConst {
 			id = lw.intern(constKey(e.un(lw.vals[a].c)), vmValue{kind: valConst, c: e.un(lw.vals[a].c)})
@@ -580,6 +595,7 @@ func (lw *lowering) visit(e *Expr) int {
 		key := keyOp('U', bang, e.vop, len(lw.vals), a, -1)
 		id = lw.intern(key, vmValue{kind: valOp, op: e.vop, un: e.un, args: [5]int{a, -1, -1, -1, -1}})
 	default: // kindBinary
+		lw.ops++
 		a := lw.visit(e.args[0])
 		b := lw.visit(e.args[1])
 		if e.vop.foldable() && lw.vals[a].kind == valConst && lw.vals[b].kind == valConst {
@@ -594,7 +610,7 @@ func (lw *lowering) visit(e *Expr) int {
 		key := keyOp('B', bang, e.vop, len(lw.vals), a, b)
 		id = lw.intern(key, vmValue{kind: valOp, op: e.vop, bin: e.bin, args: [5]int{a, b, -1, -1, -1}})
 	}
-	lw.byPtr[e] = id
+	lw.byPtr[e] = lowered{id: id, ops: lw.ops - opsBefore}
 	return id
 }
 
@@ -603,13 +619,12 @@ func (lw *lowering) visit(e *Expr) int {
 // slot i of the program binds to Plan.leafData[i].
 func lower(e *Expr) (*lowering, int) {
 	lw := &lowering{
-		byPtr:     map[*Expr]int{},
+		byPtr:     map[*Expr]lowered{},
 		byKey:     map[string]int{},
-		leafSlot:  map[*core.DistArray[float64]]int{},
 		cacheable: true,
 	}
 	root := lw.visit(e)
-	if len(lw.leafSlot) > 0 && lw.nSlices+lw.nScalars > 0 {
+	if len(lw.leaves) > 0 && lw.nSlices+lw.nScalars > 0 {
 		panic("fusion: expression mixes Var leaves with SliceSlot or ScalarSlot leaves")
 	}
 	lw.key.WriteString(key1('R', root))
@@ -708,7 +723,7 @@ func (lw *lowering) superinstruct(root int) {
 // in the same step may be reused as the destination (in-place ops are safe
 // for every opcode body).
 func (lw *lowering) emit(root int) *vmProgram {
-	nleaves := len(lw.leafSlot)
+	nleaves := len(lw.leaves)
 	if lw.nSlices > nleaves {
 		nleaves = lw.nSlices
 	}
@@ -890,6 +905,12 @@ func keyHash(key string) string {
 // program instead of duplicating the work and skewing PlanCacheStats.
 func compileProgram(e *Expr) *vmProgram {
 	lw, root := lower(e)
+	return lw.program(root)
+}
+
+// program is compileProgram past the lowering: the cache lookup under the
+// key the walk serialized, and the emit on a miss.
+func (lw *lowering) program(root int) *vmProgram {
 	key := lw.key.String()
 	if !lw.cacheable {
 		p := lw.emit(root)

@@ -48,7 +48,7 @@ func TestVMMatchesClosureReference(t *testing.T) {
 		}
 		for i, e := range exprs {
 			p := Analyze(e)
-			if err := bitsEqual(p.Execute(), p.executeClosure()); err != nil {
+			if err := bitsEqual(p.Execute(), p.executeClosure(e)); err != nil {
 				return fmt.Errorf("expr %d (%s): VM != closure: %v", i, e, err)
 			}
 		}
@@ -64,8 +64,9 @@ func TestVMSumMatchesClosureReferenceAllPools(t *testing.T) {
 		onRanks(t, []int{1, 3}, func(ctx *core.Context) error {
 			x := core.Random(ctx, []int{977}, 5)
 			y := core.Random(ctx, []int{977}, 6)
-			p := Analyze(Sqrt(Var(x).Square().Add(Var(y).Square())))
-			vm, cl := p.sumLocal(), p.sumLocalClosure()
+			e := Sqrt(Var(x).Square().Add(Var(y).Square()))
+			p := Analyze(e)
+			vm, cl := p.sumLocal(), p.sumLocalClosure(e)
 			if math.Float64bits(vm) != math.Float64bits(cl) {
 				return fmt.Errorf("w=%d: register-accumulator sum %x != closure sum %x", w, math.Float64bits(vm), math.Float64bits(cl))
 			}
@@ -147,7 +148,7 @@ func TestCSEMergesStructuralDuplicates(t *testing.T) {
 			if instrs != 2 { // one mul + one add, not two muls
 				return fmt.Errorf("%s: %d instructions, want 2\n%s", name, instrs, p.ProgramString())
 			}
-			if err := bitsEqual(p.Execute(), p.executeClosure()); err != nil {
+			if err := bitsEqual(p.Execute(), p.executeClosure(e)); err != nil {
 				return fmt.Errorf("%s: %v", name, err)
 			}
 		}
@@ -205,7 +206,7 @@ func TestRegisterPoolStaysSmall(t *testing.T) {
 		if _, regs := p.Program(); regs > 2 {
 			return fmt.Errorf("chain program uses %d regs, want <= 2", regs)
 		}
-		if err := bitsEqual(p.Execute(), p.executeClosure()); err != nil {
+		if err := bitsEqual(p.Execute(), p.executeClosure(e)); err != nil {
 			return err
 		}
 		return nil

@@ -19,10 +19,11 @@ import (
 // source is one expression of the seamless kernel language (seamless.
 // ParseExpr) in which every name is an array; it reaches the fusion VM
 // through the lowering compiled kernels use (compile.Lower). The arrays are
-// deterministic functions of (name, global index), cached warm per rank;
-// the compiled program comes from fusion's process-wide single-flight plan
-// cache, so structurally equal expressions across requests and tenants
-// share one program.
+// deterministic functions of (name, global index), cached warm per rank, and
+// so is the fusion.Plan bound to them: a repeated (source, n) is a map probe
+// and one sweep. A plan prepared on a miss takes its compiled program from
+// fusion's process-wide single-flight plan cache, so structurally equal
+// expressions across groups, requests and tenants share one program.
 type ExprRequest struct {
 	Expr string `json:"expr"`
 	N    int    `json:"n"`
@@ -101,24 +102,75 @@ func (st *RankState) array(name string, n int) *core.DistArray[float64] {
 	return a
 }
 
-// Job builds the per-rank body for a validated expression request.
+// planKey names one warm plan: the expression source and the array length.
+type planKey struct {
+	src string
+	n   int
+}
+
+// planCap bounds RankState.plans with the policy of fusion's program cache:
+// on overflow the whole map is dropped. The decision depends only on the
+// job sequence, which every rank of a group shares, so ranks never disagree
+// about what is warm (and no collective depends on it: served leaves are
+// always conformable, so preparing a plan communicates nothing).
+const planCap = 512
+
+// root lowers the validated expression onto the rank's warm arrays: Var
+// leaves, then the lowering compiled kernels use.
+func (r *ExprRequest) root(st *RankState) (*fusion.Expr, error) {
+	leaves := make([]*fusion.Expr, len(r.vars))
+	for i, v := range r.vars {
+		leaves[i] = fusion.Var(st.array(v, r.N))
+	}
+	return compile.Lower(r.ast, func(e seamless.Expr) (*fusion.Expr, error) {
+		if nx, ok := e.(*seamless.NameExpr); ok {
+			return leaves[sort.SearchStrings(r.vars, nx.Name)], nil
+		}
+		return nil, nil
+	})
+}
+
+// plan returns the rank's warm plan for the request, preparing it on first
+// use (root, then fusion.Analyze). Rank 0 counts the probe for /v1/stats.
+func (st *RankState) plan(r *ExprRequest) (*fusion.Plan, error) {
+	key := planKey{r.Expr, r.N}
+	p, warm := st.plans[key]
+	if st.Ctx.Rank() == 0 {
+		if warm {
+			st.stats.planHits.Add(1)
+		} else {
+			st.stats.planMisses.Add(1)
+		}
+	}
+	if warm {
+		return p, nil
+	}
+	root, err := r.root(st)
+	if err != nil {
+		return nil, err
+	}
+	if len(st.plans) >= planCap {
+		st.plans = make(map[planKey]*fusion.Plan)
+	}
+	p = fusion.Analyze(root)
+	st.plans[key] = p
+	return p, nil
+}
+
+// Job builds the per-rank body for a validated expression request: probe
+// (or prepare) the plan, one fused reduction — the lane hand-off that gave
+// every rank this job is the control message — and the response on rank 0.
 func (r *ExprRequest) Job() JobFunc {
 	return func(c *comm.Comm, st *RankState) (any, error) {
 		t0 := time.Now()
-		leaves := make([]*fusion.Expr, len(r.vars))
-		for i, v := range r.vars {
-			leaves[i] = fusion.Var(st.array(v, r.N))
-		}
-		root, err := compile.Lower(r.ast, func(e seamless.Expr) (*fusion.Expr, error) {
-			if nx, ok := e.(*seamless.NameExpr); ok {
-				return leaves[sort.SearchStrings(r.vars, nx.Name)], nil
-			}
-			return nil, nil
-		})
+		plan, err := st.plan(r)
 		if err != nil {
 			return nil, err
 		}
-		sum := fusion.SumEval(root)
+		sum := plan.Sum()
+		if c.Rank() != 0 {
+			return nil, nil
+		}
 		if math.IsNaN(sum) || math.IsInf(sum, 0) {
 			return nil, fmt.Errorf("expression reduced to a non-finite value")
 		}

@@ -20,6 +20,7 @@ import (
 
 	"odinhpc/internal/comm"
 	"odinhpc/internal/core"
+	"odinhpc/internal/fusion"
 	"odinhpc/internal/tpetra"
 )
 
@@ -31,20 +32,26 @@ import (
 type JobFunc func(c *comm.Comm, st *RankState) (any, error)
 
 // RankState is one rank's warm state, preserved across every job the group
-// runs: the rank's core context plus matrix and array caches keyed by
-// request fingerprint, so a repeated spec reuses its assembled matrix (and
-// the compiled GatherPlan inside it) instead of rebuilding per request.
+// runs: the rank's core context plus matrix, array and expression-plan
+// caches keyed by request fingerprint, so a repeated spec reuses its
+// assembled matrix (and the compiled GatherPlan inside it) or its bound
+// fusion plan instead of rebuilding per request. Every rank of a group sees
+// the same job sequence, so the ranks' caches always hold the same keys.
 type RankState struct {
 	Ctx      *core.Context
+	stats    *Stats
 	matrices map[string]*tpetra.CrsMatrix
 	arrays   map[arrayKey]*core.DistArray[float64]
+	plans    map[planKey]*fusion.Plan
 }
 
-func newRankState(c *comm.Comm) *RankState {
+func newRankState(c *comm.Comm, stats *Stats) *RankState {
 	return &RankState{
 		Ctx:      core.NewContext(c),
+		stats:    stats,
 		matrices: make(map[string]*tpetra.CrsMatrix),
 		arrays:   make(map[arrayKey]*core.DistArray[float64]),
+		plans:    make(map[planKey]*fusion.Plan),
 	}
 }
 
@@ -127,9 +134,9 @@ type group struct {
 
 // serve runs warm sessions until shutdown, recycling the session (fresh
 // communicators, fresh rank state) if a job poisons it with a latched
-// fault. Everything warm — compiled fusion programs, and any plan inside a
-// matrix spec reissued after the restart — survives in the process-wide
-// caches; only the group-local state is rebuilt.
+// fault. The group-local state — matrices, arrays, bound expression plans —
+// is rebuilt cold; what survives is process-wide: the compiled fusion
+// programs a re-prepared plan binds to again.
 func (g *group) serve() {
 	for {
 		lanes := make([]chan *job, g.ranks)
@@ -139,7 +146,7 @@ func (g *group) serve() {
 		sessErr := make(chan error, 1)
 		go func() {
 			_, err := comm.RunConfig(g.ranks, g.cfg, func(c *comm.Comm) error {
-				st := newRankState(c)
+				st := newRankState(c, g.stats)
 				for jb := range lanes[c.Rank()] {
 					g.runOne(c, st, jb)
 				}

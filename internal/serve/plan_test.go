@@ -1,0 +1,244 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"math"
+	"testing"
+
+	"odinhpc/internal/comm"
+	"odinhpc/internal/comm/alloctest"
+	"odinhpc/internal/exec"
+	"odinhpc/internal/fusion"
+	"odinhpc/internal/seamless/compile/exprtable"
+	"odinhpc/internal/trace"
+)
+
+// TestWarmExprAnswerIsTheColdAnswer replays the expression pipeline's
+// differential table through a served group three ways per source: the cold
+// request (prepares and inserts the plan), the warm one (probe and sweep),
+// and fusion.SumEval of a freshly lowered root on the same ranks. The two
+// responses must be the same bytes but for the timing field, and the sum
+// the same bits as SumEval's — at every rank count, exec pool and transport.
+// (Every entry of the table reduces to a finite sum over the served fill.)
+func TestWarmExprAnswerIsTheColdAnswer(t *testing.T) {
+	old := exec.Default()
+	defer exec.SetDefault(old)
+	for _, transport := range []string{"inproc", "tcp"} {
+		for _, p := range []int{1, 2, 4} {
+			for _, pool := range []int{1, 4} {
+				// A 256-element grain gives the four-worker pool several
+				// chunks of a 375-element local sweep at P=4.
+				exec.SetDefault(exec.New(exec.WithWorkers(pool), exec.WithGrain(256)))
+				name := fmt.Sprintf("%s/P=%d/pool=%d", transport, p, pool)
+				s := NewScheduler(Options{Groups: 1, Ranks: p, Comm: comm.Config{Transport: transport}})
+				for _, src := range exprtable.Sources {
+					req := &ExprRequest{Expr: src, N: 1500}
+					if err := req.Validate(); err != nil {
+						t.Fatalf("%s: %q: %v", name, src, err)
+					}
+					var answers [3]any // cold, warm, SumEval of a fresh root
+					for i, fn := range []JobFunc{req.Job(), req.Job(), func(c *comm.Comm, st *RankState) (any, error) {
+						root, err := req.root(st)
+						if err != nil {
+							return nil, err
+						}
+						return fusion.SumEval(root), nil
+					}} {
+						out, err := s.Do("t", fn)
+						if err != nil {
+							t.Fatalf("%s: %q: job %d: %v", name, src, i, err)
+						}
+						answers[i] = out
+					}
+					if c, w := sansMillis(t, answers[0]), sansMillis(t, answers[1]); !bytes.Equal(c, w) {
+						t.Errorf("%s: %q: warm answer %s, cold answer %s", name, src, w, c)
+					}
+					if got, want := answers[1].(*ExprResponse).Sum, answers[2].(float64); math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("%s: %q: warm sum %x (%g), SumEval of a fresh root %x (%g)", name, src,
+							math.Float64bits(got), got, math.Float64bits(want), want)
+					}
+				}
+				if snap, n := s.Snapshot(), int64(len(exprtable.Sources)); snap.PlanCacheMiss != n || snap.PlanCacheHits != n {
+					t.Errorf("%s: plan probes hits=%d misses=%d, want %d each", name, snap.PlanCacheHits, snap.PlanCacheMiss, n)
+				}
+				s.Stop()
+			}
+		}
+	}
+}
+
+// sansMillis renders an expression response without its wall-clock field.
+func sansMillis(t *testing.T, out any) []byte {
+	t.Helper()
+	res := *out.(*ExprResponse)
+	res.Millis = 0
+	b, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestWarmExprKeepsItsVMSpan pins what a trace of the served path shows: a
+// warm job's sweep still emits its KindVM span on every rank, labelled with
+// the same plan key as the cold job that prepared the plan.
+func TestWarmExprKeepsItsVMSpan(t *testing.T) {
+	prev := trace.Active()
+	defer trace.Install(prev)
+	own := trace.Start(1 << 12)
+
+	s := NewScheduler(Options{Groups: 1, Ranks: 2})
+	defer s.Stop()
+	req := &ExprRequest{Expr: "sqrt(x*x + y*y) + exp(-x)", N: 640}
+	if err := req.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	// vmSpans runs the request once and returns the plan labels of the
+	// KindVM events it added, by rank.
+	seen := 0
+	vmSpans := func() [2][]string {
+		if _, err := s.Do("t", req.Job()); err != nil {
+			t.Fatal(err)
+		}
+		var labels [2][]string
+		events := own.Events()
+		for _, ev := range events[seen:] {
+			if ev.Kind == trace.KindVM {
+				labels[ev.Rank] = append(labels[ev.Rank], ev.Label)
+			}
+		}
+		seen = len(events)
+		return labels
+	}
+	cold, warm := vmSpans(), vmSpans()
+	for r := range cold {
+		if len(cold[r]) != 1 || len(warm[r]) != 1 || cold[r][0] == "" || cold[r][0] != warm[r][0] {
+			t.Errorf("rank %d: cold job's VM spans %q, warm job's %q; want one each with one plan label", r, cold[r], warm[r])
+		}
+	}
+}
+
+// TestWarmExprJobAllocs pins what one warm expr job costs the whole
+// process, scheduler included: the request's job closure, Submit's job
+// record (job, error slots, done channel, Pending) and rank 0's response.
+// Apart from that response the ranks allocate nothing — no leaves, no
+// lowering, no plan, no control message. One object more per job fails.
+func TestWarmExprJobAllocs(t *testing.T) {
+	if alloctest.RaceEnabled || trace.Active() != nil {
+		t.Skip("allocation counts are not exact under the race detector or a trace session")
+	}
+	for _, p := range []int{1, 2, 4} {
+		s := NewScheduler(Options{Groups: 1, Ranks: p, Comm: comm.Config{Transport: "inproc"}})
+		req := &ExprRequest{Expr: "x + y", N: 64}
+		if err := req.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		do := func() {
+			if _, err := s.Do("t", req.Job()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		do() // prepares the plan
+		// AllocsPerRun reads process-wide counters on one P, so the rank
+		// goroutines' objects are in the figure.
+		got := testing.AllocsPerRun(2000, do)
+		s.Stop()
+		if got != 6 {
+			t.Errorf("P=%d: a warm expr job allocates %v objects process-wide, want 6", p, got)
+		}
+	}
+}
+
+// TestPlanCacheIsBounded sweeps 2×planCap+1 distinct sources through one
+// group: every answer is right, the sweep ends (ranks that disagreed about
+// what is warm would not — one would prepare while the other reduced), and
+// no rank ever holds more than planCap plans.
+func TestPlanCacheIsBounded(t *testing.T) {
+	const ranks, n = 2, 48
+	s := NewScheduler(Options{Groups: 1, Ranks: ranks})
+	defer s.Stop()
+	var sumX float64
+	for g := 0; g < n; g++ {
+		sumX += varFill("x", g)
+	}
+	var held [ranks]int
+	holds := func(c *comm.Comm, st *RankState) (any, error) {
+		held[c.Rank()] = len(st.plans)
+		return nil, nil
+	}
+	peak := 0
+	for i := 0; i < 2*planCap+1; i++ {
+		req := &ExprRequest{Expr: fmt.Sprintf("x + %d", i), N: n}
+		if err := req.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		out, err := s.Do("t", req.Job())
+		if err != nil {
+			t.Fatalf("source %d: %v", i, err)
+		}
+		if err := checkExpr(out, sumX+float64(i*n)); err != nil {
+			t.Fatalf("source %d: %v", i, err)
+		}
+		if _, err := s.Do("t", holds); err != nil {
+			t.Fatal(err)
+		}
+		for r, h := range held {
+			if h > planCap || h != held[0] {
+				t.Fatalf("after %d sources rank %d holds %d plans, rank 0 %d; the cap is %d", i+1, r, h, held[0], planCap)
+			}
+		}
+		peak = max(peak, held[0])
+	}
+	if peak != planCap {
+		t.Errorf("the plan map peaked at %d entries, want it to fill to its cap %d before it is dropped", peak, planCap)
+	}
+	if snap := s.Snapshot(); snap.PlanCacheMiss != 2*planCap+1 || snap.PlanCacheHits != 0 {
+		t.Errorf("plan probes hits=%d misses=%d over %d distinct sources", snap.PlanCacheHits, snap.PlanCacheMiss, 2*planCap+1)
+	}
+}
+
+// TestRecycledGroupPreparesAgain poisons a group under a fault plan — rank 1
+// crashes entering the session's third collective, which is the third expr
+// job's allreduce — and asks the same request throughout. The recycled
+// group starts cold with the rest of its RankState: it prepares the plan
+// again (the compiled program is still in fusion's process-wide cache) and
+// answers with the bits the first session gave.
+func TestRecycledGroupPreparesAgain(t *testing.T) {
+	fusion.ResetPlanCache()
+	s := NewScheduler(Options{Groups: 1, Ranks: 2, Comm: comm.Config{
+		Transport: "inproc",
+		Faults:    &comm.FaultPlan{Seed: 1, CrashRank: 1, CrashAtColl: 3},
+	}})
+	defer s.Stop()
+	req := &ExprRequest{Expr: "hypot(x, y) - 2*x/(y + 3)", N: 777}
+	if err := req.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var sums []float64
+	for i, wantFault := range []bool{false, false, true, false, false} {
+		out, err := s.Do("t", req.Job())
+		var fe *comm.FaultError
+		if wantFault != errors.As(err, &fe) || (err != nil && !wantFault) {
+			t.Fatalf("job %d: err = %v, want a comm fault: %v", i, err, wantFault)
+		}
+		if err == nil {
+			sums = append(sums, out.(*ExprResponse).Sum)
+		}
+	}
+	for i, v := range sums {
+		if math.Float64bits(v) != math.Float64bits(sums[0]) {
+			t.Errorf("answer %d is %x, the first was %x", i, math.Float64bits(v), math.Float64bits(sums[0]))
+		}
+	}
+	snap := s.Snapshot()
+	if snap.GroupRestarts != 1 || snap.PlanCacheMiss != 2 || snap.PlanCacheHits != 3 {
+		t.Errorf("restarts=%d plan misses=%d hits=%d, want 1 restart, a plan prepared by each session and three warm probes",
+			snap.GroupRestarts, snap.PlanCacheMiss, snap.PlanCacheHits)
+	}
+	if hits, misses := fusion.PlanCacheStats(); misses != 1 || hits != 3 {
+		t.Errorf("fusion compiled %d programs and served %d from its cache; want one compile and a hit for every other rank's prepare", misses, hits)
+	}
+}

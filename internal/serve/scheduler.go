@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"odinhpc/internal/comm"
-	"odinhpc/internal/fusion"
 )
 
 // ErrStopped is returned for submissions after Stop.
@@ -168,7 +167,8 @@ func (s *Scheduler) drain() {
 }
 
 // Stats counts scheduler outcomes with lock-free counters; Snapshot renders
-// them (plus live depths and the fusion plan-cache counters) for /v1/stats.
+// them (plus live depths) for /v1/stats. planHits/planMisses count rank 0's
+// probe of its group's warm expression plans, one per expr job.
 type Stats struct {
 	accepted      atomic.Int64
 	completed     atomic.Int64
@@ -176,28 +176,31 @@ type Stats struct {
 	rejectedQueue atomic.Int64
 	rejectedQuota atomic.Int64
 	groupRestarts atomic.Int64
+	planHits      atomic.Int64
+	planMisses    atomic.Int64
 }
 
 // StatsSnapshot is the JSON shape of GET /v1/stats.
 type StatsSnapshot struct {
-	Accepted       int64 `json:"accepted"`
-	Completed      int64 `json:"completed"`
-	Failed         int64 `json:"failed"`
-	RejectedQueue  int64 `json:"rejected_queue"`
-	RejectedQuota  int64 `json:"rejected_quota"`
-	GroupRestarts  int64 `json:"group_restarts"`
-	QueueDepth     int   `json:"queue_depth"`
-	Groups         int   `json:"groups"`
-	Ranks          int   `json:"ranks"`
-	PlanCacheHits  int64 `json:"plan_cache_hits"`
-	PlanCacheMiss  int64 `json:"plan_cache_misses"`
+	Accepted      int64 `json:"accepted"`
+	Completed     int64 `json:"completed"`
+	Failed        int64 `json:"failed"`
+	RejectedQueue int64 `json:"rejected_queue"`
+	RejectedQuota int64 `json:"rejected_quota"`
+	GroupRestarts int64 `json:"group_restarts"`
+	QueueDepth    int   `json:"queue_depth"`
+	Groups        int   `json:"groups"`
+	Ranks         int   `json:"ranks"`
+	PlanCacheHits int64 `json:"plan_cache_hits"`
+	PlanCacheMiss int64 `json:"plan_cache_misses"`
 }
 
-// Snapshot reads the counters. The plan-cache columns are process-wide
-// (fusion's compiled-program cache is the cross-request cache the groups
-// share); at steady state hits must dominate misses.
+// Snapshot reads the counters. The plan-cache columns count expr jobs by
+// whether their group already held the bound plan (a hit: probe and sweep)
+// or had to prepare it (a miss: lower, analyze, insert — once per source
+// and length per group, and again after a recycle); at steady state hits
+// must dominate misses.
 func (s *Scheduler) Snapshot() StatsSnapshot {
-	hits, misses := fusion.PlanCacheStats()
 	return StatsSnapshot{
 		Accepted:      s.stats.accepted.Load(),
 		Completed:     s.stats.completed.Load(),
@@ -208,7 +211,7 @@ func (s *Scheduler) Snapshot() StatsSnapshot {
 		QueueDepth:    len(s.queue),
 		Groups:        s.opts.Groups,
 		Ranks:         s.opts.Ranks,
-		PlanCacheHits: hits,
-		PlanCacheMiss: misses,
+		PlanCacheHits: s.stats.planHits.Load(),
+		PlanCacheMiss: s.stats.planMisses.Load(),
 	}
 }

@@ -110,9 +110,11 @@ func checkExpr(out any, want float64) error {
 
 // TestServeConcurrentMixedJobs is the acceptance scenario: 64 concurrent
 // mixed solve/expression jobs over a pool of warm rank groups, zero
-// failures, every result checked against its reference, and the shared
-// plan cache at steady state showing more hits than misses (compiled
-// programs really are reused across requests).
+// failures, every result checked against its reference, and the plan
+// columns of /v1/stats at steady state showing more hits than misses: each
+// group prepares each of the two expression shapes at most once, and the
+// whole process compiles each exactly once (fusion's single-flight program
+// cache serves every other rank and group).
 func TestServeConcurrentMixedJobs(t *testing.T) {
 	fusion.ResetPlanCache()
 	s := NewScheduler(Options{Groups: 4, Ranks: 2, QueueDepth: 128})
@@ -145,9 +147,12 @@ func TestServeConcurrentMixedJobs(t *testing.T) {
 	if snap.Accepted != J || snap.Completed != J || snap.Failed != 0 {
 		t.Errorf("stats = %+v, want accepted=completed=%d failed=0", snap, J)
 	}
-	hits, misses := fusion.PlanCacheStats()
-	if misses == 0 || hits <= misses {
-		t.Errorf("plan cache hits=%d misses=%d; warm serving needs hits > misses > 0", hits, misses)
+	if snap.PlanCacheHits+snap.PlanCacheMiss != J/2 || snap.PlanCacheMiss == 0 || snap.PlanCacheHits <= snap.PlanCacheMiss {
+		t.Errorf("plan probes hits=%d misses=%d over %d expr jobs; warm serving needs hits > misses > 0",
+			snap.PlanCacheHits, snap.PlanCacheMiss, J/2)
+	}
+	if _, compiled := fusion.PlanCacheStats(); compiled != 2 {
+		t.Errorf("fusion compiled %d programs for two expression shapes, want 2", compiled)
 	}
 }
 

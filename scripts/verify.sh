@@ -72,15 +72,17 @@ grep -q p2pmatch /tmp/odinhpc-vettool-p2p.out
 stage test
 go test ./...
 
-# Stage "allocs": the allocation pins of the solver hot loop, on their own —
-# a scalar AllreduceInto at P=2/4/8, Vector.Dot, Gather and
-# CrsMatrix.Apply on the laplace1d/3d stencils, and the CG and BiCGSTAB
-# per-iteration slopes at P=1/2/4 must all allocate exactly nothing at
-# steady state. They count process-wide mallocs, so they run uncached and
-# not under -race (where they skip).
+# Stage "allocs": the allocation pins of the solver hot loop and of the warm
+# expression path, on their own — a scalar AllreduceInto at P=2/4/8,
+# Vector.Dot, Gather and CrsMatrix.Apply on the laplace1d/3d stencils, the
+# CG and BiCGSTAB per-iteration slopes and a kept fusion Plan's Sum at
+# P=1/2/4 must all allocate exactly nothing at steady state, and one warm
+# expr job through the scheduler exactly its six objects. They count
+# process-wide mallocs, so they run uncached and not under -race (where
+# they skip).
 stage allocs
-go test -count=1 -run 'TestAllreduceAllocs|TestGatherSteadyStateAllocs|TestCGAllocsPerIteration|TestBiCGSTABAllocsPerIteration' \
-  ./internal/comm ./internal/tpetra ./internal/solvers
+go test -count=1 -run 'TestAllreduceAllocs|TestGatherSteadyStateAllocs|TestCGAllocsPerIteration|TestBiCGSTABAllocsPerIteration|TestPlanSumAllocs|TestWarmExprJobAllocs' \
+  ./internal/comm ./internal/tpetra ./internal/solvers ./internal/fusion ./internal/serve
 
 # Race pass over every concurrency-bearing package: the comm fabric, the
 # rank/context layer, the exec pool, the fusion VM (whose block sweep shares
@@ -120,7 +122,8 @@ go build -o /tmp/odinhpc-odinrun ./cmd/odinrun
 
 # Serve smoke: start odinserve on a free port, fire 64 mixed solve/expr
 # jobs from 16 concurrent clients through the loadgen, and require zero
-# failed jobs, p99 under 2s, and a warm plan cache (hits > misses) — the
+# failed jobs, p99 under 2s, and warm expression plans (/v1/stats: more expr
+# jobs found their group's bound plan than had to prepare it) — the
 # service's acceptance gate, end to end over real HTTP.
 stage serve
 go build -o /tmp/odinhpc-odinserve ./cmd/odinserve
