@@ -130,7 +130,9 @@ var e12 = Experiment{
 
 // e14 times SpMV format by format on the conformance corpus's stencils. auto
 // times whatever sparse.ChooseFormat picks (conversion is outside the measured
-// region): it should track the faster of the csr and sell rows.
+// region): it should track the faster of the csr and sell rows. ns/nnz is the
+// fastest call's time per stored nonzero, the figure that says whether a
+// kernel is bound by instructions or by memory.
 var e14 = Experiment{
 	ID: "E14", Anchor: "SpMV formats: CSR vs SELL-C-sigma and the auto-select heuristic",
 	Cases: func() []Case {
@@ -157,7 +159,10 @@ var e14 = Experiment{
 					a := mt.build()
 					op := f.of(a)
 					x, y := spmvOperands(a)
-					return m.Throughput(nil, 8*a.NNZ(), func() { op.MulVec(x, y) })
+					d, err := m.Loop(nil, func() error { op.MulVec(x, y); return nil })
+					m.Report("MB/s", float64(8*a.NNZ())/d.Seconds()/1e6)
+					m.Report("ns/nnz", float64(d.Nanoseconds())/float64(a.NNZ()))
+					return err
 				}})
 			}
 		}

@@ -15,11 +15,16 @@ import (
 // each slice is padded to its longest row and stored column-major, so the
 // inner SpMV loop walks C rows in lockstep over contiguous memory.
 //
-// Bitwise contract: every kernel accumulates each row's products in the
-// same (ascending-column) order as the CSR kernels, bounded by the true row
+// Bitwise contract: every kernel — the Go loops and the AVX2 one in
+// sell_amd64.s alike — accumulates each row's products in the same
+// (ascending-column) order as the CSR kernels, a rounded multiply then a
+// rounded add per entry (never a fused multiply-add), bounded by the true row
 // length so padding is never touched. SELL results are therefore
 // bit-for-bit identical to CSR on every input, which is what lets the
-// solver and conformance suites run unchanged on either format.
+// solver and conformance suites run unchanged on either format. The one
+// thing left open is which NaN a NaN result carries: Go does not specify
+// the payload an operation on two NaNs returns, and compiled code orders
+// the operands of a commutative add as it likes.
 
 // sellMaxC bounds the slice height so kernels can keep their per-slice
 // accumulators in a fixed-size stack array.
@@ -34,23 +39,28 @@ const DefaultSellSigma = 256
 // SELL is a SELL-C-sigma matrix. Entry (p, j) — the j-th stored element of
 // the row at sorted position p — lives at
 //
-//	SlicePtr[s] + j*h + (p - s*C)
+//	slicePtr[s] + j*h + (p - s*c)
 //
-// where s = p/C is the slice index and h = min(C, Rows-s*C) the slice
+// where s = p/c is the slice index and h = min(c, rows-s*c) the slice
 // height. Within a slice, rows are sorted by descending length (sigma is
-// rounded up to a multiple of C so no slice straddles a sort window), and
-// RowLen bounds each row's loop so padding (stored as explicit zeros) never
+// rounded up to a multiple of c so no slice straddles a sort window), and
+// rowLen bounds each row's loop so padding (stored as explicit zeros) never
 // enters an accumulation.
+//
+// The layout and the dimensions are unexported and fixed by FromCSR, which
+// checks every column index against the column count: the SIMD kernel
+// gathers from x without a bounds check, so nothing may change an index or
+// the length MulVec accepts for x afterwards.
 type SELL struct {
-	Rows, Cols int
-	C          int     // slice height
-	Sigma      int     // sort-window size (multiple of C)
-	Perm       []int   // Perm[p] = original row stored at sorted position p
-	InvPerm    []int   // InvPerm[original row] = sorted position
-	SlicePtr   []int   // per-slice offsets into ColIdx/Val; length numSlices+1
-	RowLen     []int   // true nnz of the row at each sorted position
-	ColIdx     []int32 // column indices, column-major within each slice
-	Val        []float64
+	rows, cols int
+	c          int     // slice height
+	sigma      int     // sort-window size (multiple of c)
+	perm       []int   // perm[p] = original row stored at sorted position p
+	invPerm    []int   // invPerm[original row] = sorted position
+	slicePtr   []int   // per-slice offsets into colIdx/val; length numSlices+1
+	rowLen     []int   // true nnz of the row at each sorted position
+	colIdx     []int32 // column indices, column-major within each slice
+	val        []float64
 }
 
 // NewSELL converts m with the default C and sigma.
@@ -58,7 +68,8 @@ func NewSELL(m *CSR) *SELL { return FromCSR(m, DefaultSellC, DefaultSellSigma) }
 
 // FromCSR converts a CSR matrix to SELL-C-sigma. The slice height c must be
 // in [1, 32]; sigma is rounded up to a multiple of c (sigma <= 0 selects the
-// default). The input is not modified or aliased.
+// default). The input is not modified or aliased. A column index outside
+// [0, Cols) panics here, naming its row, rather than at the first product.
 func FromCSR(m *CSR, c, sigma int) *SELL {
 	if c < 1 || c > sellMaxC {
 		panic(fmt.Sprintf("sparse: SELL slice height %d outside [1,%d]", c, sellMaxC))
@@ -73,13 +84,13 @@ func FromCSR(m *CSR, c, sigma int) *SELL {
 		sigma += c - r
 	}
 	s := &SELL{
-		Rows: m.Rows, Cols: m.Cols, C: c, Sigma: sigma,
-		Perm:    make([]int, m.Rows),
-		InvPerm: make([]int, m.Rows),
-		RowLen:  make([]int, m.Rows),
+		rows: m.Rows, cols: m.Cols, c: c, sigma: sigma,
+		perm:    make([]int, m.Rows),
+		invPerm: make([]int, m.Rows),
+		rowLen:  make([]int, m.Rows),
 	}
-	for i := range s.Perm {
-		s.Perm[i] = i
+	for i := range s.perm {
+		s.perm[i] = i
 	}
 	// Sort rows by descending length inside each sigma window. The sort is
 	// stable so equal-length rows keep their original order and the layout
@@ -89,41 +100,45 @@ func FromCSR(m *CSR, c, sigma int) *SELL {
 		if hi > m.Rows {
 			hi = m.Rows
 		}
-		win := s.Perm[lo:hi]
+		win := s.perm[lo:hi]
 		sort.SliceStable(win, func(a, b int) bool {
 			return m.RowNNZ(win[a]) > m.RowNNZ(win[b])
 		})
 	}
-	for p, orig := range s.Perm {
-		s.InvPerm[orig] = p
-		s.RowLen[p] = m.RowNNZ(orig)
+	for p, orig := range s.perm {
+		s.invPerm[orig] = p
+		s.rowLen[p] = m.RowNNZ(orig)
 	}
 	ns := (m.Rows + c - 1) / c
-	s.SlicePtr = make([]int, ns+1)
+	s.slicePtr = make([]int, ns+1)
 	for sl := 0; sl < ns; sl++ {
 		lo := sl * c
 		h := c
 		if m.Rows-lo < h {
 			h = m.Rows - lo
 		}
-		w := s.RowLen[lo] // rows are descending within the slice
-		s.SlicePtr[sl+1] = s.SlicePtr[sl] + w*h
+		w := s.rowLen[lo] // rows are descending within the slice
+		s.slicePtr[sl+1] = s.slicePtr[sl] + w*h
 	}
-	s.ColIdx = make([]int32, s.SlicePtr[ns])
-	s.Val = make([]float64, s.SlicePtr[ns])
+	s.colIdx = make([]int32, s.slicePtr[ns])
+	s.val = make([]float64, s.slicePtr[ns])
 	for sl := 0; sl < ns; sl++ {
 		lo := sl * c
 		h := c
 		if m.Rows-lo < h {
 			h = m.Rows - lo
 		}
-		base := s.SlicePtr[sl]
+		base := s.slicePtr[sl]
 		for r := 0; r < h; r++ {
-			orig := s.Perm[lo+r]
+			orig := s.perm[lo+r]
 			k0 := m.RowPtr[orig]
-			for j := 0; j < s.RowLen[lo+r]; j++ {
-				s.ColIdx[base+j*h+r] = int32(m.ColIdx[k0+j])
-				s.Val[base+j*h+r] = m.Val[k0+j]
+			for j := 0; j < s.rowLen[lo+r]; j++ {
+				col := m.ColIdx[k0+j]
+				if col < 0 || col >= m.Cols {
+					panic(fmt.Sprintf("sparse: FromCSR: row %d has column index %d outside [0,%d)", orig, col, m.Cols))
+				}
+				s.colIdx[base+j*h+r] = int32(col)
+				s.val[base+j*h+r] = m.Val[k0+j]
 			}
 		}
 	}
@@ -133,24 +148,24 @@ func FromCSR(m *CSR, c, sigma int) *SELL {
 // NNZ returns the number of true (non-padding) entries.
 func (m *SELL) NNZ() int {
 	n := 0
-	for _, l := range m.RowLen {
+	for _, l := range m.rowLen {
 		n += l
 	}
 	return n
 }
 
 // PaddedNNZ returns the number of stored slots including padding.
-func (m *SELL) PaddedNNZ() int { return len(m.Val) }
+func (m *SELL) PaddedNNZ() int { return len(m.val) }
 
 // numSlices returns the slice count.
-func (m *SELL) numSlices() int { return (m.Rows + m.C - 1) / m.C }
+func (m *SELL) numSlices() int { return (m.rows + m.c - 1) / m.c }
 
 // MulVec computes y = A*x, slice-parallel on the exec engine: each slice's
-// C output rows are owned by exactly one span. Per row, products accumulate
+// output rows are owned by exactly one span. Per row, products accumulate
 // in ascending-column order, bit-for-bit matching CSR.MulVec.
 func (m *SELL) MulVec(x, y []float64) {
-	if len(x) != m.Cols || len(y) != m.Rows {
-		panic(fmt.Sprintf("sparse: MulVec dims A=%dx%d x=%d y=%d", m.Rows, m.Cols, len(x), len(y)))
+	if len(x) != m.cols || len(y) != m.rows {
+		panic(fmt.Sprintf("sparse: MulVec dims A=%dx%d x=%d y=%d", m.rows, m.cols, len(x), len(y)))
 	}
 	exec.ForRange(exec.Default(), m.numSlices(), sellArgs{m: m, x: x, y: y}, sellRange)
 }
@@ -158,7 +173,7 @@ func (m *SELL) MulVec(x, y []float64) {
 // MulVecAdd computes y += alpha * A*x, slice-parallel like MulVec and
 // bitwise identical to CSR.MulVecAdd.
 func (m *SELL) MulVecAdd(alpha float64, x, y []float64) {
-	if len(x) != m.Cols || len(y) != m.Rows {
+	if len(x) != m.cols || len(y) != m.rows {
 		panic("sparse: MulVecAdd dimension mismatch")
 	}
 	exec.ForRange(exec.Default(), m.numSlices(), sellArgs{m: m, add: true, alpha: alpha, x: x, y: y}, sellRange)
@@ -186,36 +201,41 @@ func (a *sellArgs) put(row int, sum float64) {
 // sellRange is the one slice kernel under MulVec and MulVecAdd: for each
 // slice in [slo, shi) it forms the per-row dot products (rows in
 // ascending-column order, bit-for-bit matching CSR) and puts them at
-// y[Perm[..]]. Full-height slices of the default C = 8 run the columns where
-// all eight rows are active through an unrolled loop with one scalar
-// accumulator per row: eight independent dependency chains instead of one
-// array-indexed chain, which is what lets the format beat CSR on stencil
-// matrices even without SIMD. When the slice's rows all have one length —
-// every interior slice of a stencil matrix — that loop is the whole slice
-// and the eight registers go straight to y; only a ragged slice spills them
-// to acc and enters the tail loop.
+// y[perm[..]]. A full-height C = 8 slice whose eight rows all have one
+// length w > 0 — every interior slice of a stencil matrix after the sigma
+// sort — goes to the AVX2 kernel where the CPU has it (sellSIMD): it holds
+// no padding, so the unchecked gathers read only true entries, and each lane
+// multiplies then adds in ascending-column order like the loops below. It
+// fills acc, and the tail loop has nothing left to do. Otherwise a
+// full-height slice runs the columns where all eight rows are active through
+// an unrolled loop with one scalar accumulator per row; when the slice is
+// uniform that loop is the whole slice and the eight registers go straight
+// to y, and only a ragged slice spills them to acc and enters the tail loop.
 func sellRange(a sellArgs, slo, shi int) {
 	m, x := a.m, a.x
 	var acc [sellMaxC]float64
 	for s := slo; s < shi; s++ {
-		lo := s * m.C
-		h := m.C
-		if m.Rows-lo < h {
-			h = m.Rows - lo
+		lo := s * m.c
+		h := m.c
+		if m.rows-lo < h {
+			h = m.rows - lo
 		}
-		base := m.SlicePtr[s]
-		w := (m.SlicePtr[s+1] - base) / h
-		perm := m.Perm[lo : lo+h]
+		base := m.slicePtr[s]
+		w := (m.slicePtr[s+1] - base) / h
+		perm := m.perm[lo : lo+h]
 		j := 0
-		if h == 8 {
+		if h == 8 && w > 0 && sellSIMD && m.rowLen[lo+7] == w {
+			sellUniform8(&m.val[base], &m.colIdx[base], w, &x[0], (*[8]float64)(acc[:]))
+			j = w
+		} else if h == 8 {
 			// Rows are descending within the slice, so every row is active
 			// while j is below the last (shortest) row's length.
-			wMin := m.RowLen[lo+7]
+			wMin := m.rowLen[lo+7]
 			var a0, a1, a2, a3, a4, a5, a6, a7 float64
 			for ; j < wMin; j++ {
 				off := base + j*8
-				v := m.Val[off : off+8 : off+8]
-				c := m.ColIdx[off : off+8 : off+8]
+				v := m.val[off : off+8 : off+8]
+				c := m.colIdx[off : off+8 : off+8]
 				a0 += v[0] * x[c[0]]
 				a1 += v[1] * x[c[1]]
 				a2 += v[2] * x[c[2]]
@@ -247,12 +267,12 @@ func sellRange(a sellArgs, slo, shi int) {
 		// lengths are descending so it only ever shrinks.
 		cnt := h
 		for ; j < w; j++ {
-			for cnt > 0 && m.RowLen[lo+cnt-1] <= j {
+			for cnt > 0 && m.rowLen[lo+cnt-1] <= j {
 				cnt--
 			}
 			off := base + j*h
-			vals := m.Val[off : off+cnt]
-			cols := m.ColIdx[off : off+cnt]
+			vals := m.val[off : off+cnt]
+			cols := m.colIdx[off : off+cnt]
 			for r := range vals {
 				acc[r] += vals[r] * x[cols[r]]
 			}
@@ -263,26 +283,26 @@ func sellRange(a sellArgs, slo, shi int) {
 	}
 }
 
-// MulVecTrans computes y = A^T*x; y must have length Cols. To stay bitwise
+// MulVecTrans computes y = A^T*x; y has one entry per column. To stay bitwise
 // identical to CSR.MulVecTrans it scatters rows in original (CSR) order —
 // per-span partial vectors over the same chunk-index reduction tree on the
 // parallel path, direct writes on a one-worker engine.
 func (m *SELL) MulVecTrans(x, y []float64) {
-	if len(x) != m.Rows || len(y) != m.Cols {
+	if len(x) != m.rows || len(y) != m.cols {
 		panic("sparse: MulVecTrans dimension mismatch")
 	}
 	scatter := func(y []float64, i int) {
 		xi := x[i]
-		p := m.InvPerm[i]
-		s := p / m.C
-		lo := s * m.C
-		h := m.C
-		if m.Rows-lo < h {
-			h = m.Rows - lo
+		p := m.invPerm[i]
+		s := p / m.c
+		lo := s * m.c
+		h := m.c
+		if m.rows-lo < h {
+			h = m.rows - lo
 		}
-		off := m.SlicePtr[s] + (p - lo)
-		for j := 0; j < m.RowLen[p]; j++ {
-			y[m.ColIdx[off+j*h]] += m.Val[off+j*h] * xi
+		off := m.slicePtr[s] + (p - lo)
+		for j := 0; j < m.rowLen[p]; j++ {
+			y[m.colIdx[off+j*h]] += m.val[off+j*h] * xi
 		}
 	}
 	e := exec.Default()
@@ -290,13 +310,13 @@ func (m *SELL) MulVecTrans(x, y []float64) {
 		for j := range y {
 			y[j] = 0
 		}
-		for i := 0; i < m.Rows; i++ {
+		for i := 0; i < m.rows; i++ {
 			scatter(y, i)
 		}
 		return
 	}
-	out := exec.ParallelReduce(e, m.Rows, func(lo, hi int) []float64 {
-		acc := make([]float64, m.Cols) //lint:allow hotalloc One dense accumulator per chunk by design; amortized over the chunk's rows
+	out := exec.ParallelReduce(e, m.rows, func(lo, hi int) []float64 {
+		acc := make([]float64, m.cols) //lint:allow hotalloc One dense accumulator per chunk by design; amortized over the chunk's rows
 		for i := lo; i < hi; i++ {
 			scatter(acc, i)
 		}
@@ -313,13 +333,13 @@ func (m *SELL) MulVecTrans(x, y []float64) {
 // Scale multiplies every stored entry by alpha, in place. Padding slots are
 // scaled too but never read, so a NaN/Inf alpha cannot leak into results.
 func (m *SELL) Scale(alpha float64) {
-	for k := range m.Val {
-		m.Val[k] *= alpha
+	for k := range m.val {
+		m.val[k] *= alpha
 	}
 }
 
 func (m *SELL) String() string {
-	return fmt.Sprintf("SELL{%dx%d, C=%d, sigma=%d, nnz=%d, padded=%d}", m.Rows, m.Cols, m.C, m.Sigma, m.NNZ(), m.PaddedNNZ())
+	return fmt.Sprintf("SELL{%dx%d, C=%d, sigma=%d, nnz=%d, padded=%d}", m.rows, m.cols, m.c, m.sigma, m.NNZ(), m.PaddedNNZ())
 }
 
 // Operator is the minimal SpMV surface shared by *CSR and *SELL, letting

@@ -38,6 +38,10 @@ fi
 
 stage vet
 go vet ./...
+# The portable build: off amd64 the SELL slice kernel is the Go loop alone
+# (internal/sparse/sell_other.go), so vet it for arm64 as well — a build
+# that nothing here runs must not break unnoticed.
+GOARCH=arm64 go vet ./internal/sparse ./internal/tpetra ./internal/solvers
 
 # Domain invariants: the odinvet multichecker (internal/analysis) enforces
 # collective symmetry and sequence order, point-to-point deadlock freedom,
