@@ -3,6 +3,7 @@ package comm_test
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"odinhpc/internal/comm"
 	"odinhpc/internal/comm/alloctest"
@@ -73,40 +74,47 @@ func computePhase(x float64) float64 {
 // the two rank threads have taken turns a few times the kernel may keep both
 // on one CPU (wake-affine placement; on this host in a third of all runs,
 // for seconds), where the ranks run one after the other whatever comm does.
-// So it measures three windows of 150 steps (p2pmatch certifies up to 512
-// events per rank) and passes if the best meets the bound; if none does it
-// fails only when no wait at all was resolved by spinning, and otherwise
-// reports the host as unable to show it.
+// Other test packages running alongside take a core too. So each world
+// measures three windows of 150 steps (p2pmatch certifies up to 512 events
+// per rank), and fresh worlds are started until a window meets the bound or
+// ten seconds have passed. The test passes if the best window meets the
+// bound; if none does it fails only when no wait at all was resolved by
+// spinning, and otherwise reports the host as unable to show it.
 func TestSyncAfterComputeDoesNotPark(t *testing.T) {
 	needTwoProcs(t)
 	var best comm.StatsSnapshot
 	var hits int64
-	_, err := comm.RunConfig(2, comm.Config{Transport: "inproc"}, func(c *comm.Comm) error {
-		x := float64(c.Rank())
-		for window := 0; window < 3; window++ {
-			c.Barrier()
-			if c.Rank() == 0 {
-				c.ResetStats()
-			}
-			c.Barrier()
-			for i := 0; i < 150; i++ {
-				x = comm.AllreduceScalar(c, computePhase(x), comm.OpMax)
-			}
-			if c.Rank() == 0 {
-				snap := c.Stats()
-				hits += snap.RecvSpinHits
-				if snap.RecvSpinHits >= best.RecvSpinHits {
-					best = snap
+	met := func() bool {
+		return best.RecvSpinHits*10 >= (best.RecvSpinHits+best.RecvParks)*9 && best.RecvSpinHits > 0
+	}
+	for deadline := time.Now().Add(10 * time.Second); !met() && time.Now().Before(deadline); {
+		_, err := comm.RunConfig(2, comm.Config{Transport: "inproc"}, func(c *comm.Comm) error {
+			x := float64(c.Rank())
+			for window := 0; window < 3; window++ {
+				c.Barrier()
+				if c.Rank() == 0 {
+					c.ResetStats()
+				}
+				c.Barrier()
+				for i := 0; i < 150; i++ {
+					x = comm.AllreduceScalar(c, computePhase(x), comm.OpMax)
+				}
+				if c.Rank() == 0 {
+					snap := c.Stats()
+					hits += snap.RecvSpinHits
+					if !met() && snap.RecvSpinHits >= best.RecvSpinHits {
+						best = snap
+					}
 				}
 			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	switch waits := best.RecvSpinHits + best.RecvParks; {
-	case best.RecvSpinHits*10 >= waits*9:
+	case met():
 	case hits == 0:
 		t.Errorf("no wait after compute was resolved by spinning (best window: %d parks)", best.RecvParks)
 	default:

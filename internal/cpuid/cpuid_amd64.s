@@ -1,10 +1,10 @@
 #include "textflag.h"
 
-// func cpuHasAVX2() bool
+// func AVX2() bool
 //
 // AVX2 is usable when CPUID.1:ECX reports AVX and OSXSAVE, XCR0 has the SSE
 // and AVX (YMM) state bits set by the OS, and CPUID.(7,0):EBX reports AVX2.
-TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
+TEXT ·AVX2(SB), NOSPLIT, $0-1
 	MOVB	$0, ret+0(FP)
 	XORL	AX, AX
 	XORL	CX, CX

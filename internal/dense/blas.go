@@ -21,25 +21,28 @@ import (
 // its operands to the span first, so the loop indexes slices of one known
 // length and pays no bounds check per element.
 type vecArgs struct {
-	alpha float64
-	x, y  []float64
+	alpha, beta float64
+	x, y        []float64
 }
 
 func add(a, b float64) float64 { return a + b }
 
-// Axpy computes y += alpha*x for equal-length slices.
+// Axpy computes y += alpha*x for equal-length slices: Axpby with beta = 1,
+// bitwise y + alpha*x.
 func Axpy(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("dense: Axpy length mismatch %d vs %d", len(x), len(y)))
-	}
-	exec.ForRange(exec.Default(), len(x), vecArgs{alpha, x, y}, axpyRange)
+	Axpby(alpha, x, 1, y)
 }
 
-func axpyRange(a vecArgs, lo, hi int) {
-	alpha, x, y := a.alpha, a.x[lo:hi], a.y[lo:hi]
-	for i := range x {
-		y[i] += alpha * x[i]
+// Axpby computes y = alpha*x + beta*y for equal-length slices.
+func Axpby(alpha float64, x []float64, beta float64, y []float64) {
+	if len(x) != len(y) {
+		panic(fmt.Sprintf("dense: Axpby length mismatch %d vs %d", len(x), len(y)))
 	}
+	exec.ForRange(exec.Default(), len(x), vecArgs{alpha, beta, x, y}, axpbyRange)
+}
+
+func axpbyRange(a vecArgs, lo, hi int) {
+	axpby(a.alpha, a.x[lo:hi], a.beta, a.y[lo:hi])
 }
 
 // Scal scales x by alpha in place.
@@ -63,22 +66,19 @@ func DotSlices(x, y []float64) float64 {
 }
 
 func dotRange(a vecArgs, lo, hi int) float64 {
-	x, y := a.x[lo:hi], a.y[lo:hi]
-	var acc float64
-	for i := range x {
-		acc += x[i] * y[i]
-	}
-	return acc
+	var l lanes
+	l.dot(a.x[lo:hi], a.y[lo:hi])
+	return l.fold()
 }
 
 // Fused sweeps: the vector updates of one Krylov iteration and the inner
-// product that follows them, in a single pass over operands that a pass each
-// would stream through the cache two or three times. Every element sees the
-// operations of the unfused sequence in the same order, and the reductions
-// go through ReduceRange over the same length with the same combine as
-// DotSlices — same chunks, same left fold per chunk, same tree — so each
-// result is bitwise what Axpy/copy followed by DotSlices returns at the same
-// pool size.
+// product that follows them, in one engine call over operands that a call
+// each would stream through the cache two or three times. Every element sees
+// the operations of the unfused sequence in the same order, and the
+// reductions go through ReduceRange over the same length with the same
+// combine as DotSlices — same chunks, same 16-lane order per chunk, same
+// tree — so each result is bitwise what Axpy/copy followed by DotSlices
+// returns.
 
 // axpy2Args is the operand set of the two-axpy sweeps.
 type axpy2Args struct {
@@ -100,12 +100,8 @@ func Axpy2(alpha float64, x1, y1 []float64, beta float64, x2, y2 []float64) {
 }
 
 func axpy2Range(a axpy2Args, lo, hi int) {
-	alpha, beta := a.alpha, a.beta
-	x1, y1, x2, y2 := a.x1[lo:hi], a.y1[lo:hi], a.x2[lo:hi], a.y2[lo:hi]
-	for i := range y1 {
-		y1[i] += alpha * x1[i]
-		y2[i] += beta * x2[i]
-	}
+	axpby(a.alpha, a.x1[lo:hi], 1, a.y1[lo:hi])
+	axpby(a.beta, a.x2[lo:hi], 1, a.y2[lo:hi])
 }
 
 // Axpy2Dot is Axpy2 that also returns <y2, y2> of the updated y2 — CG's
@@ -115,16 +111,14 @@ func Axpy2Dot(alpha float64, x1, y1 []float64, beta float64, x2, y2 []float64) f
 	return exec.ReduceRange(exec.Default(), len(y1), axpy2Args{alpha, beta, x1, y1, x2, y2}, axpy2DotRange, add)
 }
 
+// axpy2DotRange is the chunk's y1 update, then y2 += beta*x2 as
+// y2 = y2 + beta*x2 with its squares in lane order: two passes over a span
+// that stays in cache, one engine call.
 func axpy2DotRange(a axpy2Args, lo, hi int) float64 {
-	alpha, beta := a.alpha, a.beta
-	x1, y1, x2, y2 := a.x1[lo:hi], a.y1[lo:hi], a.x2[lo:hi], a.y2[lo:hi]
-	var acc float64
-	for i := range y1 {
-		y1[i] += alpha * x1[i]
-		y2[i] += beta * x2[i]
-		acc += y2[i] * y2[i]
-	}
-	return acc
+	axpby(a.alpha, a.x1[lo:hi], 1, a.y1[lo:hi])
+	var l lanes
+	l.waxpyDot(a.beta, a.x2[lo:hi], a.y2[lo:hi], a.y2[lo:hi])
+	return l.fold()
 }
 
 // WaxpyDot sets w = y + alpha*x and returns <w, w> — BiCGSTAB's
@@ -138,13 +132,9 @@ func WaxpyDot(alpha float64, x, y, w []float64) float64 {
 }
 
 func waxpyDotRange(a axpy2Args, lo, hi int) float64 {
-	alpha, x, y, w := a.alpha, a.x1[lo:hi], a.y1[lo:hi], a.y2[lo:hi]
-	var acc float64
-	for i := range w {
-		w[i] = y[i] + alpha*x[i]
-		acc += w[i] * w[i]
-	}
-	return acc
+	var l lanes
+	l.waxpyDot(a.alpha, a.x1[lo:hi], a.y1[lo:hi], a.y2[lo:hi])
+	return l.fold()
 }
 
 // Nrm2Slice returns the Euclidean norm of a slice.

@@ -10,11 +10,10 @@ import (
 // The element-wise loops and whole-array reductions in this file execute
 // through the process-wide exec engine (internal/exec): ODIN's claim that
 // ufuncs "parallelize trivially" (§III.D) is realized once, there, instead
-// of per kernel. With the default one-worker engine every function below is
-// exactly the serial loop it replaced; with more workers, element-wise
-// results are still bitwise identical and tree reductions (Sum, Dot,
-// Norm2, ...) are bitwise reproducible across pool sizes >= 2, differing
-// from the serial fold only by floating-point reassociation.
+// of per kernel. Element-wise results are the serial loop's, bitwise, and
+// reductions (Sum, Dot, Norm2, ...) fold the engine's chunks and combine
+// them in its one tree, so every result is the same bits at every pool
+// size, the one-worker engine included.
 
 // Unary applies f element-wise to src and returns a new contiguous array of
 // the same shape.

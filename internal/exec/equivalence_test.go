@@ -1,9 +1,8 @@
 // Equivalence property tests for the exec engine (external test package so
 // it can drive the engine through the real kernel layers): for random
 // shapes, grains (hence chunk counts), and pool sizes, exec-backed
-// element-wise ops must match the serial reference bitwise, and exec-backed
-// tree reductions must match the serial reference within a ULP-scaled
-// tolerance while being bitwise identical across all pool sizes >= 2.
+// element-wise ops and reductions alike must give the same bits at every
+// pool size — the one-worker engine included.
 package exec_test
 
 import (
@@ -20,9 +19,9 @@ import (
 	"odinhpc/internal/sparse"
 )
 
-// The acceptance-criteria pool sizes are {1, 2, 4, 7}: every test below
-// folds a one-worker serial reference against the parallel pools.
-var parallelPools = []int{2, 4, 7}
+// The pool sizes every test below covers: pool 1 is the reference, and the
+// others must give the same bits.
+var pools = []int{1, 2, 4, 7}
 
 // withPool runs f with the default engine set to (workers, grain).
 func withPool(workers, grain int, f func()) {
@@ -32,12 +31,40 @@ func withPool(workers, grain int, f func()) {
 	f()
 }
 
-// ulpTol returns an error bound for a chunked sum whose terms have the given
-// absolute-value sum: reassociating a serial sum into <= maxChunks partials
-// perturbs it by at most a few ULP of the magnitude per combine level.
-func ulpTol(absSum float64) float64 {
-	const eps = 2.220446049250313e-16 // math smallest float64 ULP at 1.0
-	return 64 * eps * (absSum + 1)
+// sameBits compares float64 slices bit for bit.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// acrossPools evaluates f at every pool size with the given grain and
+// reports the first value whose bits at some pool differ from pool 1's.
+func acrossPools(grain int, f func() []float64) error {
+	var ref []float64
+	for _, w := range pools {
+		var got []float64
+		withPool(w, grain, func() { got = f() })
+		if w == 1 {
+			ref = got
+			continue
+		}
+		if len(got) != len(ref) {
+			return fmt.Errorf("pool %d gives %d values, pool 1 %d", w, len(got), len(ref))
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
+				return fmt.Errorf("pool %d gives [%d] = %v, pool 1 %v", w, i, got[i], ref[i])
+			}
+		}
+	}
+	return nil
 }
 
 func randomArray(rng *rand.Rand) *dense.Array[float64] {
@@ -67,20 +94,12 @@ func TestUfuncEquivalenceAcrossPools(t *testing.T) {
 			braw[i] = rng.NormFloat64()
 		}
 		grain := 1 << (3 + rng.Intn(10)) // 8 .. 4096
-		var serialU, serialB *dense.Array[float64]
-		withPool(1, grain, func() {
-			serialU = dense.Unary(a, math.Sin)
-			serialB = dense.Binary(a, b, func(x, y float64) float64 { return x*y + 1 })
+		err := acrossPools(grain, func() []float64 {
+			u := dense.Unary(a, math.Sin).Raw()
+			return append(u, dense.Binary(a, b, func(x, y float64) float64 { return x*y + 1 }).Raw()...)
 		})
-		for _, w := range parallelPools {
-			withPool(w, grain, func() {
-				if got := dense.Unary(a, math.Sin); !got.Equal(serialU) {
-					t.Errorf("trial %d w=%d grain=%d: Unary not bitwise-equal to serial", trial, w, grain)
-				}
-				if got := dense.Binary(a, b, func(x, y float64) float64 { return x*y + 1 }); !got.Equal(serialB) {
-					t.Errorf("trial %d w=%d grain=%d: Binary not bitwise-equal to serial", trial, w, grain)
-				}
-			})
+		if err != nil {
+			t.Errorf("trial %d grain=%d: Unary/Binary: %v", trial, grain, err)
 		}
 	}
 }
@@ -90,37 +109,11 @@ func TestReductionEquivalenceAcrossPools(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		a := randomArray(rng)
 		grain := 1 << (3 + rng.Intn(10))
-		var serialSum, serialN2, serialMin, serialMax, serialAsum float64
-		withPool(1, grain, func() {
-			serialSum = dense.Sum(a)
-			serialN2 = dense.Norm2(a)
-			serialMin = dense.Min(a)
-			serialMax = dense.Max(a)
-			serialAsum = dense.Norm1(a)
+		err := acrossPools(grain, func() []float64 {
+			return []float64{dense.Sum(a), dense.Norm2(a), dense.Min(a), dense.Max(a), dense.Norm1(a)}
 		})
-		tol := ulpTol(serialAsum)
-		// All parallel pool sizes must agree bitwise with each other; the
-		// reference values come from the first parallel pool.
-		var refSum, refN2 float64
-		for pi, w := range parallelPools {
-			withPool(w, grain, func() {
-				gotSum, gotN2 := dense.Sum(a), dense.Norm2(a)
-				if pi == 0 {
-					refSum, refN2 = gotSum, gotN2
-				} else if gotSum != refSum || gotN2 != refN2 {
-					t.Errorf("trial %d w=%d grain=%d: reductions not bitwise-reproducible across pools", trial, w, grain)
-				}
-				if math.Abs(gotSum-serialSum) > tol {
-					t.Errorf("trial %d w=%d grain=%d: Sum=%g vs serial %g exceeds tol %g", trial, w, grain, gotSum, serialSum, tol)
-				}
-				if math.Abs(gotN2-serialN2) > tol {
-					t.Errorf("trial %d w=%d: Norm2=%g vs serial %g", trial, w, gotN2, serialN2)
-				}
-				// Min/Max are order-independent: exact for every pool.
-				if dense.Min(a) != serialMin || dense.Max(a) != serialMax {
-					t.Errorf("trial %d w=%d: Min/Max differ from serial", trial, w)
-				}
-			})
+		if err != nil {
+			t.Errorf("trial %d grain=%d: Sum, Norm2, Min, Max, Norm1: %v", trial, grain, err)
 		}
 	}
 }
@@ -130,32 +123,26 @@ func TestDotEquivalenceAcrossPools(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		n := 1 + rng.Intn(40_000)
 		x, y := make([]float64, n), make([]float64, n)
-		var absSum float64
 		for i := range x {
 			x[i], y[i] = rng.NormFloat64(), rng.NormFloat64()
-			absSum += math.Abs(x[i] * y[i])
 		}
 		grain := 1 << (3 + rng.Intn(10))
-		var serial float64
-		withPool(1, grain, func() { serial = dense.DotSlices(x, y) })
-		for _, w := range parallelPools {
-			withPool(w, grain, func() {
-				if got := dense.DotSlices(x, y); math.Abs(got-serial) > ulpTol(absSum) {
-					t.Errorf("trial %d w=%d: Dot=%g vs serial %g", trial, w, got, serial)
-				}
-			})
+		err := acrossPools(grain, func() []float64 {
+			return []float64{dense.DotSlices(x, y), dense.Nrm2Slice(x), dense.SumSlice(y), dense.AsumSlice(x)}
+		})
+		if err != nil {
+			t.Errorf("trial %d n=%d grain=%d: DotSlices, Nrm2Slice, SumSlice, AsumSlice: %v", trial, n, grain, err)
 		}
 	}
 }
 
 // TestFusedSweepEquivalenceAcrossPools holds dense's fused Krylov sweeps
 // (Axpy2, Axpy2Dot, WaxpyDot) against the call sequences they replace — Axpy
-// twice then DotSlices; copy, Axpy, DotSlices — at every pool size, with a
-// grain small enough that the spans split into several chunks and at the
-// lengths where chunking changes shape (empty, one element, one either side
-// of a chunk boundary). At one pool size vectors and scalar must match bit
-// for bit, since a fused sweep chunks and folds exactly as DotSlices does;
-// and like every tree reduction the scalars agree across all pools >= 2.
+// twice then DotSlices; copy, Axpy, DotSlices — vectors and scalar bit for
+// bit, with a grain small enough that the spans split into several chunks and
+// at the lengths where chunking changes shape (empty, one element, one either
+// side of a chunk boundary); and, like every reduction, the same bits at
+// every pool size.
 func TestFusedSweepEquivalenceAcrossPools(t *testing.T) {
 	const grain = 16
 	rng := rand.New(rand.NewSource(11))
@@ -166,54 +153,42 @@ func TestFusedSweepEquivalenceAcrossPools(t *testing.T) {
 		}
 		return v
 	}
-	same := func(a, b []float64) bool {
-		for i := range a {
-			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-				return false
-			}
-		}
-		return true
-	}
+	clone := func(v []float64) []float64 { return append([]float64(nil), v...) }
 	for _, n := range []int{0, 1, grain - 1, grain, grain + 1, 5*grain + 3, 300*grain + 7} {
 		p, ap, x0, r0 := vec(n), vec(n), vec(n), vec(n)
 		alpha := rng.NormFloat64()
-		var step2, waxpy2 float64 // the scalars at pool size 2
-		for _, w := range append([]int{1}, parallelPools...) {
-			withPool(w, grain, func() {
-				// CG step: x += alpha p; r -= alpha Ap; <r, r>.
-				x, r := append([]float64(nil), x0...), append([]float64(nil), r0...)
-				dense.Axpy(alpha, p, x)
-				dense.Axpy(-alpha, ap, r)
-				want := dense.DotSlices(r, r)
-				fx, fr := append([]float64(nil), x0...), append([]float64(nil), r0...)
-				got := dense.Axpy2Dot(alpha, p, fx, -alpha, ap, fr)
-				if math.Float64bits(got) != math.Float64bits(want) || !same(fx, x) || !same(fr, r) {
-					t.Errorf("n=%d w=%d: Axpy2Dot = %x, unfused %x (vectors equal: %v %v)", n, w, got, want, same(fx, x), same(fr, r))
-				}
-				gx, gr := append([]float64(nil), x0...), append([]float64(nil), r0...)
-				dense.Axpy2(alpha, p, gx, -alpha, ap, gr)
-				if !same(gx, x) || !same(gr, r) {
-					t.Errorf("n=%d w=%d: Axpy2 vectors differ from two Axpy calls", n, w)
-				}
-				// BiCGSTAB half-step: s = r - alpha v; <s, s>, out of place and
-				// in place.
-				s := append([]float64(nil), r0...)
-				dense.Axpy(-alpha, ap, s)
-				wantS := dense.DotSlices(s, s)
-				fs := make([]float64, n)
-				gotS := dense.WaxpyDot(-alpha, ap, r0, fs)
-				is := append([]float64(nil), r0...)
-				inS := dense.WaxpyDot(-alpha, ap, is, is)
-				if math.Float64bits(gotS) != math.Float64bits(wantS) || math.Float64bits(inS) != math.Float64bits(wantS) || !same(fs, s) || !same(is, s) {
-					t.Errorf("n=%d w=%d: WaxpyDot = %x (in place %x), unfused %x", n, w, gotS, inS, wantS)
-				}
-				switch {
-				case w == 2:
-					step2, waxpy2 = got, gotS
-				case w > 2 && (got != step2 || gotS != waxpy2):
-					t.Errorf("n=%d w=%d: fused scalars differ from pool 2", n, w)
-				}
-			})
+		err := acrossPools(grain, func() []float64 {
+			// CG step: x += alpha p; r -= alpha Ap; <r, r>.
+			x, r := clone(x0), clone(r0)
+			dense.Axpy(alpha, p, x)
+			dense.Axpy(-alpha, ap, r)
+			want := dense.DotSlices(r, r)
+			fx, fr := clone(x0), clone(r0)
+			got := dense.Axpy2Dot(alpha, p, fx, -alpha, ap, fr)
+			if math.Float64bits(got) != math.Float64bits(want) || !sameBits(fx, x) || !sameBits(fr, r) {
+				t.Errorf("n=%d: Axpy2Dot = %x, unfused %x (vectors equal: %v %v)", n, got, want, sameBits(fx, x), sameBits(fr, r))
+			}
+			gx, gr := clone(x0), clone(r0)
+			dense.Axpy2(alpha, p, gx, -alpha, ap, gr)
+			if !sameBits(gx, x) || !sameBits(gr, r) {
+				t.Errorf("n=%d: Axpy2 vectors differ from two Axpy calls", n)
+			}
+			// BiCGSTAB half-step: s = r - alpha v; <s, s>, out of place and
+			// in place, against a copy, an Axpy and a DotSlices.
+			s := clone(r0)
+			dense.Axpy(-alpha, ap, s)
+			wantS := dense.DotSlices(s, s)
+			fs := make([]float64, n)
+			gotS := dense.WaxpyDot(-alpha, ap, r0, fs)
+			is := clone(r0)
+			inS := dense.WaxpyDot(-alpha, ap, is, is)
+			if math.Float64bits(gotS) != math.Float64bits(wantS) || math.Float64bits(inS) != math.Float64bits(wantS) || !sameBits(fs, s) || !sameBits(is, s) {
+				t.Errorf("n=%d: WaxpyDot = %x (in place %x), unfused %x", n, gotS, inS, wantS)
+			}
+			return append([]float64{got, gotS}, append(fr, fs...)...)
+		})
+		if err != nil {
+			t.Errorf("n=%d: fused sweeps: %v", n, err)
 		}
 	}
 }
@@ -227,58 +202,37 @@ func randomCSR(rng *rand.Rand, rows, cols int) *sparse.CSR {
 	return coo.ToCSR()
 }
 
+// TestSpMVEquivalenceAcrossPools: row-parallel MulVec computes each y[i] in
+// one span with the per-row loop, and MulVecTrans reduces per-chunk partial
+// vectors in the engine's tree — both the same bits at every pool size.
 func TestSpMVEquivalenceAcrossPools(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 10; trial++ {
 		rows, cols := 1+rng.Intn(3000), 1+rng.Intn(300)
 		m := randomCSR(rng, rows, cols)
-		x := make([]float64, cols)
+		x, xr := make([]float64, cols), make([]float64, rows)
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
+		for i := range xr {
+			xr[i] = rng.NormFloat64()
+		}
 		grain := 1 << (2 + rng.Intn(8))
-		serialY := make([]float64, rows)
-		serialYT := make([]float64, cols)
-		withPool(1, grain, func() {
-			m.MulVec(x[:cols], serialY)
-			xr := make([]float64, rows)
-			for i := range xr {
-				xr[i] = rng.NormFloat64()
-			}
-			m.MulVecTrans(xr, serialYT)
-			for _, w := range parallelPools {
-				parYT := make([]float64, cols)
-				withPool(w, grain, func() { m.MulVecTrans(xr, parYT) })
-				var scale float64
-				for _, v := range serialYT {
-					scale += math.Abs(v)
-				}
-				for j := range parYT {
-					if math.Abs(parYT[j]-serialYT[j]) > ulpTol(scale) {
-						t.Errorf("trial %d w=%d: MulVecTrans[%d]=%g vs serial %g", trial, w, j, parYT[j], serialYT[j])
-					}
-				}
-			}
+		err := acrossPools(grain, func() []float64 {
+			y, yt := make([]float64, rows), make([]float64, cols)
+			m.MulVec(x, y)
+			m.MulVecTrans(xr, yt)
+			return append(y, yt...)
 		})
-		for _, w := range parallelPools {
-			withPool(w, grain, func() {
-				y := make([]float64, rows)
-				m.MulVec(x, y)
-				for i := range y {
-					// Row-parallel SpMV: each y[i] computed by exactly one
-					// span with the serial per-row loop — bitwise equal.
-					if y[i] != serialY[i] {
-						t.Errorf("trial %d w=%d: MulVec row %d = %g, serial %g", trial, w, i, y[i], serialY[i])
-					}
-				}
-			})
+		if err != nil {
+			t.Errorf("trial %d grain=%d: MulVec/MulVecTrans: %v", trial, grain, err)
 		}
 	}
 }
 
 // The fused evaluator runs under simulated MPI ranks; check the whole stack:
-// rank goroutines x engine workers, element-wise bitwise equality, and
-// reduction tolerance.
+// rank goroutines x engine workers, element-wise values and the fused sum,
+// the same bits at every pool size.
 func TestFusedExprEquivalenceAcrossPools(t *testing.T) {
 	const n = 30_000
 	build := func(ctx *core.Context) *fusion.Expr {
@@ -287,39 +241,23 @@ func TestFusedExprEquivalenceAcrossPools(t *testing.T) {
 		return fusion.Sqrt(fusion.Var(x).Square().Add(fusion.Var(y).Square()))
 	}
 	for _, ranks := range []int{1, 3} {
-		var serialVals []float64
-		var serialSum float64
-		withPool(1, 1024, func() {
+		err := acrossPools(1024, func() []float64 {
+			var out []float64
 			if err := comm.Run(ranks, func(c *comm.Comm) error {
 				e := build(core.NewContext(c))
 				vals := fusion.Eval(e).Gather().Flatten() // collective: every rank participates
 				sum := fusion.SumEval(e)
 				if c.Rank() == 0 { // one writer for the shared capture
-					serialVals, serialSum = vals, sum
+					out = append(vals, sum)
 				}
 				return nil
 			}); err != nil {
 				t.Fatal(err)
 			}
+			return out
 		})
-		for _, w := range parallelPools {
-			withPool(w, 1024, func() {
-				if err := comm.Run(ranks, func(c *comm.Comm) error {
-					e := build(core.NewContext(c))
-					vals := fusion.Eval(e).Gather().Flatten()
-					for i := range vals {
-						if vals[i] != serialVals[i] {
-							return fmt.Errorf("ranks=%d w=%d: fused Eval[%d]=%g, serial %g", ranks, w, i, vals[i], serialVals[i])
-						}
-					}
-					if s := fusion.SumEval(e); math.Abs(s-serialSum) > ulpTol(math.Abs(serialSum)) {
-						return fmt.Errorf("ranks=%d w=%d: SumEval=%g, serial %g", ranks, w, s, serialSum)
-					}
-					return nil
-				}); err != nil {
-					t.Fatal(err)
-				}
-			})
+		if err != nil {
+			t.Errorf("ranks=%d: fused Eval/SumEval: %v", ranks, err)
 		}
 	}
 }

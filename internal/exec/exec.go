@@ -8,18 +8,19 @@
 //
 // Design constraints, in order:
 //
-//  1. Determinism. Chunk boundaries are a pure function of the problem size
-//     and the engine's grain — never of the worker count or of scheduling.
-//     ParallelFor results are therefore bitwise identical for every pool
-//     size. ParallelReduce combines per-chunk partials in a fixed pairwise
-//     tree ordered by chunk index, so its result is bitwise reproducible
-//     run-to-run and across every pool size >= 2; only the serial (one
-//     worker / one chunk) fold can differ, by ordinary floating-point
-//     reassociation.
-//  2. Exact serial semantics at pool size 1. A one-worker engine executes
-//     the caller's body as one [0,n) span — the same loop, in the same
-//     order, as the code it replaced. Tests run serially unless they opt
-//     in (via WithWorkers, SetDefaultWorkers, or ODINHPC_THREADS).
+//  1. One order at every pool size. Chunk boundaries are a pure function of
+//     the problem size and the engine's grain — never of the worker count or
+//     of scheduling. ParallelFor results are therefore bitwise identical for
+//     every pool size. A reduction always folds those chunks and combines
+//     the per-chunk partials in one fixed pairwise tree ordered by chunk
+//     index, ((p0+p1)+(p2+p3))+..., at every pool size including 1, so its
+//     result is bitwise the same run to run and for any ODINHPC_THREADS.
+//  2. Pool size 1 runs on the caller. A one-worker engine (or a one-chunk
+//     call) runs ParallelFor's body as one [0,n) span, and a reduction
+//     chunk by chunk on the calling goroutine, combining as it goes with a
+//     stack of at most one subtree per tree level: nothing is allocated and
+//     no goroutine is woken. Tests run serially unless they opt in (via
+//     WithWorkers, SetDefaultWorkers, or ODINHPC_THREADS).
 //  3. Panics propagate. A panic in a chunk body is re-raised on the calling
 //     goroutine with its original value, so the dense layer's shape/index
 //     panic messages reach the user intact. When several chunks panic, the
@@ -63,7 +64,7 @@ const EnvThreads = "ODINHPC_THREADS"
 type Call struct {
 	Kind    string // "for" or "reduce"
 	N       int    // total items
-	Chunks  int    // chunks the span was split into (1 = serial)
+	Chunks  int    // chunks the span was split into (1 = one span)
 	Workers int    // workers that participated
 	Nanos   int64  // wall time of the whole call
 }
@@ -181,9 +182,10 @@ func (e *Engine) chunking(n int) (size, count int) {
 	return size, count
 }
 
-// inline reports whether a call over n items runs as one span on the calling
-// goroutine: a one-worker engine, or a single chunk (chunking gives count 1
-// exactly when n fits the grain).
+// inline reports whether a call over n items runs on the calling goroutine
+// alone — ParallelFor as one span, a reduction chunk by chunk: a one-worker
+// engine, or a single chunk (chunking gives count 1 exactly when n fits the
+// grain).
 func (e *Engine) inline(n int) bool { return e.workers == 1 || n <= e.grain }
 
 // begin opens one call's accounting: the start time when the call is
@@ -340,12 +342,13 @@ func ForRange[A any](e *Engine, n int, a A, body func(a A, lo, hi int)) {
 	e.record("for", n, count, workers, start)
 }
 
-// ParallelReduce folds the spans that partition [0, n) with fold and merges
-// the per-span partials with combine in a fixed pairwise tree ordered by
-// chunk index. With one worker (or one chunk) it is exactly `fold(0, n)` —
-// the serial reference semantics. For n <= 0 it returns fold(0, 0), so
-// folds must tolerate an empty span (reductions without an identity, such
-// as Min, should reject empty input before calling).
+// ParallelReduce folds the chunks that partition [0, n) with fold and merges
+// the per-chunk partials with combine in a fixed pairwise tree ordered by
+// chunk index — the same chunks and the same tree at every pool size, so the
+// result does not depend on the worker count (rule 1). With one chunk it is
+// exactly `fold(0, n)`. For n <= 0 it returns fold(0, 0), so folds must
+// tolerate an empty span (reductions without an identity, such as Min,
+// should reject empty input before calling).
 //
 // ParallelReduce is a free function because Go methods cannot introduce
 // type parameters.
@@ -355,33 +358,35 @@ func ParallelReduce[R any](e *Engine, n int, fold func(lo, hi int) R, combine fu
 
 // ReduceRange is ParallelReduce for a fold written as a top-level range
 // function over an operand value, as ForRange is ParallelFor's: fold(a, lo,
-// hi) over the spans, the same combine tree, no closure in the inline case.
+// hi) over the chunks, the same combine tree, no closure and no allocation
+// in the inline case — which folds the chunks one after another on the
+// caller and counts as one call.
 func ReduceRange[A, R any](e *Engine, n int, a A, fold func(a A, lo, hi int) R, combine func(x, y R) R) R {
 	if n <= 0 {
 		return fold(a, 0, 0)
 	}
 	s := trace.Active()
 	start := e.begin(s)
-	if e.inline(n) {
-		var out R
-		if s != nil {
-			t0 := s.Now()
-			out = fold(a, 0, n)
-			traceChunk(s, "reduce", 0, 0, n, t0)
-		} else {
-			out = fold(a, 0, n)
-		}
-		e.record("reduce", n, 1, 1, start)
-		return out
-	}
 	size, count := e.chunking(n)
+	var t chunkTree[R]
+	if e.inline(n) {
+		for lo := 0; lo < n; lo += size {
+			hi := min(lo+size, n)
+			if s != nil {
+				t0 := s.Now()
+				t.push(fold(a, lo, hi), combine)
+				traceChunk(s, "reduce", 0, lo, hi, t0)
+			} else {
+				t.push(fold(a, lo, hi), combine)
+			}
+		}
+		e.record("reduce", n, count, 1, start)
+		return t.result(combine)
+	}
 	partials := make([]R, count)
 	e.runChunks(count, func(w, c int) {
 		lo := c * size
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+size, n)
 		if s := trace.Active(); s != nil {
 			t0 := s.Now()
 			partials[c] = fold(a, lo, hi)
@@ -390,19 +395,50 @@ func ReduceRange[A, R any](e *Engine, n int, a A, fold func(a A, lo, hi int) R, 
 		}
 		partials[c] = fold(a, lo, hi)
 	})
-	// Pairwise tree combine in chunk-index order: ((p0+p1)+(p2+p3))+... —
-	// the same association for every pool size and every run.
-	for width := 1; width < count; width *= 2 {
-		for i := 0; i+width < count; i += 2 * width {
-			partials[i] = combine(partials[i], partials[i+width])
-		}
+	for _, p := range partials {
+		t.push(p, combine)
 	}
 	workers := e.workers
 	if workers > count {
 		workers = count
 	}
 	e.record("reduce", n, count, workers, start)
-	return partials[0]
+	return t.result(combine)
+}
+
+// treeDepth bounds chunkTree's stack: with at most maxChunks = 2^8 partials
+// the counter holds at most one subtree per level 0..7 plus the one being
+// pushed.
+const treeDepth = 9
+
+// chunkTree combines partials pushed in chunk-index order into the pairwise
+// tree ((p0+p1)+(p2+p3))+... — at each level pair neighbours left to right,
+// an unpaired last subtree moving up unchanged. It is a binary counter:
+// pushing the k-th partial merges the top of the stack trailing-zeros(k)
+// times, and result folds what is left from the right. Held by value on the
+// caller's stack, it lets the inline path reduce without a partials slice.
+type chunkTree[R any] struct {
+	stack  [treeDepth]R
+	sp     int // subtrees on the stack
+	pushed int
+}
+
+func (t *chunkTree[R]) push(p R, combine func(x, y R) R) {
+	t.stack[t.sp] = p
+	t.sp++
+	t.pushed++
+	for k := t.pushed; k&1 == 0; k >>= 1 {
+		t.sp--
+		t.stack[t.sp-1] = combine(t.stack[t.sp-1], t.stack[t.sp])
+	}
+}
+
+func (t *chunkTree[R]) result(combine func(x, y R) R) R {
+	for t.sp > 1 {
+		t.sp--
+		t.stack[t.sp-1] = combine(t.stack[t.sp-1], t.stack[t.sp])
+	}
+	return t.stack[0]
 }
 
 // defaultEngine is the process-wide engine every kernel layer uses unless

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"os"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -83,9 +84,9 @@ func TestParallelReduceEmptyUsesEmptyFold(t *testing.T) {
 	}
 }
 
-// Reduce results must be bitwise reproducible across pool sizes >= 2 even
-// for a non-associative combine (floating-point addition stands in here via
-// a combine that records association order).
+// Reduce results must be bitwise reproducible across every pool size, 1
+// included, even for a non-associative combine (floating-point addition
+// stands in here via a combine that records association order).
 func TestReduceTreeOrderIndependentOfWorkers(t *testing.T) {
 	n := 40 * 1000
 	shape := func(w int) string {
@@ -94,10 +95,34 @@ func TestReduceTreeOrderIndependentOfWorkers(t *testing.T) {
 			return fmt.Sprintf("[%d,%d)", lo, hi) //lint:allow hotalloc Recording the combine shape is the point of this test
 		}, func(a, b string) string { return "(" + a + "+" + b + ")" })
 	}
-	ref := shape(2)
-	for _, w := range []int{3, 4, 7, 16} {
+	ref := shape(1)
+	for _, w := range []int{2, 3, 4, 7, 16} {
 		if s := shape(w); s != ref {
 			t.Fatalf("combine tree changed with workers=%d:\n%s\nvs\n%s", w, s, ref)
+		}
+	}
+}
+
+// TestChunkTreeIsPairwise holds the binary-counter combine to the tree it
+// stands for, at every chunk count the engine can produce: pair neighbours
+// at width 1, 2, 4, ... in chunk-index order, an unpaired subtree moving up
+// unchanged.
+func TestChunkTreeIsPairwise(t *testing.T) {
+	join := func(a, b string) string { return "(" + a + "+" + b + ")" }
+	for count := 1; count <= maxChunks; count++ {
+		partials := make([]string, count)
+		var tree chunkTree[string]
+		for c := range partials {
+			partials[c] = strconv.Itoa(c)
+			tree.push(partials[c], join)
+		}
+		for width := 1; width < count; width *= 2 {
+			for i := 0; i+width < count; i += 2 * width {
+				partials[i] = join(partials[i], partials[i+width])
+			}
+		}
+		if got := tree.result(join); got != partials[0] {
+			t.Fatalf("%d chunks: counter gives %s, pairwise tree %s", count, got, partials[0])
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"odinhpc/internal/comm/alloctest"
 	"odinhpc/internal/core"
 	"odinhpc/internal/distmap"
+	"odinhpc/internal/exec"
 )
 
 // TestPlanReuseMatchesEval runs one kept Plan repeatedly against fresh
@@ -90,24 +91,30 @@ func TestAnalyzeCountsWhatThePrewalksCount(t *testing.T) {
 // TestPlanSumAllocs pins the warm served path's whole rank-side cost: a
 // kept Plan's Sum — scratch from the program's pool, the sweep handed to
 // the engine by value, a typed scalar allreduce — allocates no object on
-// any rank.
+// any rank, whether a rank's elements are one engine chunk or several that
+// a one-worker engine folds in turn on the rank's goroutine.
 func TestPlanSumAllocs(t *testing.T) {
-	const runs = 1000
+	old := exec.Default()
+	defer exec.SetDefault(old)
+	exec.SetDefault(exec.New(exec.WithWorkers(1)))
 	for _, p := range []int{1, 2, 4} {
-		var sink float64
-		total := alloctest.Mallocs(t, p, runs, func(c *comm.Comm) func() {
-			ctx := core.NewContext(c)
-			x := core.FromFunc(ctx, []int{4000}, func(g []int) float64 { return float64(g[0]) })
-			y := core.FromFunc(ctx, []int{4000}, func(g []int) float64 { return 1 / float64(g[0]+1) })
-			plan := Analyze(Sqrt(Var(x).Square().Add(Var(y).Square())).Add(Exp(Neg(Var(y)))))
-			return func() {
-				if v := plan.Sum(); c.Rank() == 0 {
-					sink = v
+		for _, tc := range []struct{ n, runs int }{{4000, 1000}, {4 * exec.DefaultGrain * p, 100}} {
+			var sink float64
+			total := alloctest.Mallocs(t, p, tc.runs, func(c *comm.Comm) func() {
+				ctx := core.NewContext(c)
+				x := core.FromFunc(ctx, []int{tc.n}, func(g []int) float64 { return float64(g[0]) })
+				y := core.FromFunc(ctx, []int{tc.n}, func(g []int) float64 { return 1 / float64(g[0]+1) })
+				plan := Analyze(Sqrt(Var(x).Square().Add(Var(y).Square())).Add(Exp(Neg(Var(y)))))
+				return func() {
+					if v := plan.Sum(); c.Rank() == 0 {
+						sink = v
+					}
 				}
+			})
+			if got := total / uint64(tc.runs); got != 0 {
+				t.Errorf("P=%d n=%d: Plan.Sum allocates %d objects per call (all ranks, %d over %d calls; last sum %g), want 0",
+					p, tc.n, got, total, tc.runs, sink)
 			}
-		})
-		if got := total / runs; got != 0 {
-			t.Errorf("P=%d: Plan.Sum allocates %d objects per call (all ranks, %d over %d calls; last sum %g), want 0", p, got, total, runs, sink)
 		}
 	}
 }

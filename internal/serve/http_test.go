@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"odinhpc/internal/comm"
+	"odinhpc/internal/exec"
 )
 
 func newTestServer(t *testing.T, opts Options) (*httptest.Server, *Scheduler) {
@@ -100,6 +101,41 @@ func TestHTTPSolveAndExpr(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("healthz: %d", resp.StatusCode)
+	}
+}
+
+// TestHTTPSolveIsPoolIndependent: a tenant's answer does not depend on the
+// exec pool its server runs with. /v1/solve with cg and bicgstab on the two
+// benchmark matrices returns the same bytes up to the timing field at pools
+// 1, 2, 4 and 7 — at the default grain and at one that splits even the
+// small matrix's local rows into chunks.
+func TestHTTPSolveIsPoolIndependent(t *testing.T) {
+	old := exec.Default()
+	defer exec.SetDefault(old)
+	ts, _ := newTestServer(t, Options{Groups: 1, Ranks: 2})
+	var reqs []*SolveRequest
+	for _, solver := range []string{"cg", "bicgstab"} {
+		reqs = append(reqs,
+			&SolveRequest{Kind: "laplace1d", N: 512, Tol: 1e-10, Solver: solver},
+			&SolveRequest{Kind: "laplace3d", NX: 32, NY: 32, NZ: 32, Tol: 1e-8, Solver: solver})
+	}
+	for _, grain := range []int{exec.DefaultGrain, 64} {
+		answers := make([][]byte, len(reqs)) // at pool 1, up to "millis"
+		for _, pool := range []int{1, 2, 4, 7} {
+			exec.SetDefault(exec.New(exec.WithWorkers(pool), exec.WithGrain(grain)))
+			for i, req := range reqs {
+				resp, body := postJSON(t, ts.URL+"/v1/solve", "t", req)
+				cut := bytes.Index(body, []byte(`"millis"`))
+				if resp.StatusCode != http.StatusOK || cut < 0 {
+					t.Fatalf("grain %d pool %d: %s %s: %d %s", grain, pool, req.Solver, req.Kind, resp.StatusCode, body)
+				}
+				if pool == 1 {
+					answers[i] = body[:cut]
+				} else if !bytes.Equal(body[:cut], answers[i]) {
+					t.Errorf("grain %d: %s %s at pool %d answers %s, at pool 1 %s", grain, req.Solver, req.Kind, pool, body[:cut], answers[i])
+				}
+			}
+		}
 	}
 }
 

@@ -89,8 +89,8 @@ func bicgstabUnfused(a tpetra.Operator, b, x *tpetra.Vector, opt Options) []floa
 }
 
 // sweepGrain makes the exec engine split the vectors of the tests below into
-// several chunks, so pools above 1 take the fan-out path and its reduction
-// tree.
+// several chunks: pool 1 folds them on the caller, larger pools fan them
+// out, and both combine them in the one reduction tree.
 const sweepGrain = 16
 
 // withPool runs f with the default exec engine set to workers and
@@ -104,15 +104,29 @@ func withPool(workers int, f func()) {
 
 var fusedPools = []int{1, 2, 4, 7}
 
+// sameHistory reports the first residual at which two histories differ in
+// their bits, or -1.
+func sameHistory(a, b []float64) int {
+	for k := range a {
+		if k >= len(b) || math.Float64bits(a[k]) != math.Float64bits(b[k]) {
+			return k
+		}
+	}
+	if len(b) > len(a) {
+		return len(a)
+	}
+	return -1
+}
+
 // TestFusedReductionsBitwise holds the fused CG and BiCGSTAB loops against
 // the unfused oracles: the residual history — every scalar the recurrences
 // produce feeds it — must be identical bit for bit, with and without a
 // preconditioner, at one rank, at powers of two and at a size that folds a
-// rank in and out of the allreduce, and at every exec pool size (a fused
-// sweep chunks and folds as the dot it absorbs does, so the match is at the
-// same pool size). Without a preconditioner the solvers use r itself as z
-// (and p, s as M^-1 p, M^-1 s) and reduce <r, r> once; the oracles still copy
-// through applyPrec, so they are the reference for that aliasing too.
+// rank in and out of the allreduce; and the same at every exec pool size,
+// since every reduction takes one order whatever the pool. Without a
+// preconditioner the solvers use r itself as z (and p, s as M^-1 p,
+// M^-1 s) and reduce <r, r> once; the oracles still copy through applyPrec,
+// so they are the reference for that aliasing too.
 func TestFusedReductionsBitwise(t *testing.T) {
 	type solver struct {
 		name   string
@@ -120,6 +134,7 @@ func TestFusedReductionsBitwise(t *testing.T) {
 		oracle func(a tpetra.Operator, b, x *tpetra.Vector, opt Options) []float64
 	}
 	solvers := []solver{{"cg", CG, cgUnfused}, {"bicgstab", BiCGSTAB, bicgstabUnfused}}
+	atPool1 := map[string][]float64{} // history by solver/P/prec, written and read by rank 0 only
 	for _, pool := range fusedPools {
 		withPool(pool, func() {
 			onRanks(t, []int{1, 2, 3, 4}, func(c *comm.Comm) error {
@@ -137,11 +152,18 @@ func TestFusedReductionsBitwise(t *testing.T) {
 							return fmt.Errorf("%s pool=%d P=%d prec=%v: %v with %d history entries, oracle has %d",
 								s.name, pool, c.Size(), prec != nil, res, len(res.History), len(want))
 						}
-						for k := range want {
-							if math.Float64bits(res.History[k]) != math.Float64bits(want[k]) {
-								return fmt.Errorf("%s pool=%d P=%d prec=%v: residual %d is %x, oracle has %x",
-									s.name, pool, c.Size(), prec != nil, k, res.History[k], want[k])
-							}
+						if k := sameHistory(res.History, want); k >= 0 {
+							return fmt.Errorf("%s pool=%d P=%d prec=%v: residual %d is %x, oracle has %x",
+								s.name, pool, c.Size(), prec != nil, k, res.History[k], want[k])
+						}
+						if c.Rank() != 0 {
+							continue
+						}
+						key := fmt.Sprintf("%s P=%d prec=%v", s.name, c.Size(), prec != nil)
+						if pool == 1 {
+							atPool1[key] = res.History
+						} else if k := sameHistory(res.History, atPool1[key]); k >= 0 {
+							return fmt.Errorf("%s: pool %d's residual history differs from pool 1's at %d", key, pool, k)
 						}
 					}
 				}
@@ -153,9 +175,10 @@ func TestFusedReductionsBitwise(t *testing.T) {
 
 // TestFusedSweepsBitwise holds the fused sweeps themselves — tpetra.Axpy2Dot,
 // Axpy2 and Vector.WaxpyNorm2 — against the three-call sequences they
-// replace, vectors and scalar bit for bit, at every pool size, on 1 to 4
-// ranks, at global lengths that give the ranks empty, one-element and
-// chunk-boundary (sweepGrain +- 1) local segments.
+// replace, vectors and scalar bit for bit, on 1 to 4 ranks, at global
+// lengths that give the ranks empty, one-element and chunk-boundary
+// (sweepGrain +- 1) local segments; and the scalars the same at every pool
+// size.
 func TestFusedSweepsBitwise(t *testing.T) {
 	same := func(a, b *tpetra.Vector) bool {
 		for i := range a.Data {
@@ -165,6 +188,7 @@ func TestFusedSweepsBitwise(t *testing.T) {
 		}
 		return true
 	}
+	atPool1 := map[string][]float64{} // <r, r> and ||s|| by P/n, written and read by rank 0 only
 	for _, pool := range fusedPools {
 		withPool(pool, func() {
 			onRanks(t, []int{1, 2, 3, 4}, func(c *comm.Comm) error {
@@ -206,6 +230,15 @@ func TestFusedSweepsBitwise(t *testing.T) {
 					fs := tpetra.NewVector(c, m)
 					if got := fs.WaxpyNorm2(-alpha, ap, r0); math.Float64bits(got) != math.Float64bits(sn) || !same(fs, s) {
 						return fail("WaxpyNorm2")
+					}
+					if c.Rank() != 0 {
+						continue
+					}
+					key := fmt.Sprintf("P=%d n=%d", P, n)
+					if pool == 1 {
+						atPool1[key] = []float64{rr, sn}
+					} else if sameHistory([]float64{rr, sn}, atPool1[key]) >= 0 {
+						return fmt.Errorf("%s: <r, r>, ||s|| = %v, %v at pool %d; %v at pool 1", key, rr, sn, pool, atPool1[key])
 					}
 				}
 				return nil

@@ -265,27 +265,14 @@ func csrMulAddRange(a csrArgs, lo, hi int) {
 }
 
 // MulVecTrans computes y = A^T*x; y must have length Cols. Rows scatter
-// into shared output columns, so the parallel path reduces per-span partial
-// output vectors (combined in the engine's fixed chunk-index tree) instead
-// of racing on y; a one-worker engine writes y directly in row order.
+// into shared output columns, so each row chunk scatters into its own
+// partial output vector and the partials combine in the engine's
+// chunk-index tree — the same sums at every pool size, no race on y.
 func (m *CSR) MulVecTrans(x, y []float64) {
 	if len(x) != m.Rows || len(y) != m.Cols {
 		panic("sparse: MulVecTrans dimension mismatch")
 	}
-	e := exec.Default()
-	if e.Workers() == 1 {
-		for j := range y {
-			y[j] = 0
-		}
-		for i := 0; i < m.Rows; i++ {
-			xi := x[i]
-			for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-				y[m.ColIdx[k]] += m.Val[k] * xi
-			}
-		}
-		return
-	}
-	out := exec.ParallelReduce(e, m.Rows, func(lo, hi int) []float64 {
+	out := exec.ParallelReduce(exec.Default(), m.Rows, func(lo, hi int) []float64 {
 		acc := make([]float64, m.Cols) //lint:allow hotalloc One dense accumulator per chunk by design; amortized over the chunk's rows
 		for i := lo; i < hi; i++ {
 			xi := x[i]

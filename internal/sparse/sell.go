@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"odinhpc/internal/cpuid"
 	"odinhpc/internal/exec"
 )
 
@@ -198,6 +199,11 @@ func (a *sellArgs) put(row int, sum float64) {
 	}
 }
 
+// sellSIMD selects the AVX2 uniform-slice kernel in sellRange. It is set
+// once, here, from the CPU; the package's tests clear it to run the Go loop
+// on the same host.
+var sellSIMD = cpuid.AVX2()
+
 // sellRange is the one slice kernel under MulVec and MulVecAdd: for each
 // slice in [slo, shi) it forms the per-row dot products (rows in
 // ascending-column order, bit-for-bit matching CSR) and puts them at
@@ -284,9 +290,8 @@ func sellRange(a sellArgs, slo, shi int) {
 }
 
 // MulVecTrans computes y = A^T*x; y has one entry per column. To stay bitwise
-// identical to CSR.MulVecTrans it scatters rows in original (CSR) order —
-// per-span partial vectors over the same chunk-index reduction tree on the
-// parallel path, direct writes on a one-worker engine.
+// identical to CSR.MulVecTrans it scatters rows in original (CSR) order into
+// per-span partial vectors over the same row chunks and reduction tree.
 func (m *SELL) MulVecTrans(x, y []float64) {
 	if len(x) != m.rows || len(y) != m.cols {
 		panic("sparse: MulVecTrans dimension mismatch")
@@ -305,17 +310,7 @@ func (m *SELL) MulVecTrans(x, y []float64) {
 			y[m.colIdx[off+j*h]] += m.val[off+j*h] * xi
 		}
 	}
-	e := exec.Default()
-	if e.Workers() == 1 {
-		for j := range y {
-			y[j] = 0
-		}
-		for i := 0; i < m.rows; i++ {
-			scatter(y, i)
-		}
-		return
-	}
-	out := exec.ParallelReduce(e, m.rows, func(lo, hi int) []float64 {
+	out := exec.ParallelReduce(exec.Default(), m.rows, func(lo, hi int) []float64 {
 		acc := make([]float64, m.cols) //lint:allow hotalloc One dense accumulator per chunk by design; amortized over the chunk's rows
 		for i := lo; i < hi; i++ {
 			scatter(acc, i)

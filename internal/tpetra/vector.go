@@ -78,8 +78,8 @@ func (v *Vector) checkCompat(w *Vector, op string) {
 // the engine by value with a top-level range function (exec.ForRange), so a
 // sweep the engine runs inline allocates nothing.
 type sweepArgs struct {
-	alpha, beta float64
-	d, x, y     []float64
+	alpha   float64
+	d, x, y []float64
 }
 
 // PutScalar sets every element to alpha.
@@ -141,15 +141,7 @@ func (v *Vector) Axpy(alpha float64, x *Vector) {
 // Update computes v = alpha*x + beta*v (the Epetra Update signature).
 func (v *Vector) Update(alpha float64, x *Vector, beta float64) {
 	v.checkCompat(x, "Update")
-	exec.ForRange(exec.Default(), len(v.Data), sweepArgs{alpha: alpha, beta: beta, d: v.Data, x: x.Data}, updateRange)
-}
-
-func updateRange(a sweepArgs, lo, hi int) {
-	// Re-sliced to the span so the loop pays no bounds check per element.
-	alpha, beta, d, xd := a.alpha, a.beta, a.d[lo:hi], a.x[lo:hi]
-	for i := range d {
-		d[i] = alpha*xd[i] + beta*d[i]
-	}
+	dense.Axpby(alpha, x.Data, beta, v.Data)
 }
 
 // ElementWiseMultiply computes v[i] = x[i]*y[i].

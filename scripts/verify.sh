@@ -38,10 +38,12 @@ fi
 
 stage vet
 go vet ./...
-# The portable build: off amd64 the SELL slice kernel is the Go loop alone
-# (internal/sparse/sell_other.go), so vet it for arm64 as well — a build
-# that nothing here runs must not break unnoticed.
-GOARCH=arm64 go vet ./internal/sparse ./internal/tpetra ./internal/solvers
+# The portable build: off amd64 the SELL slice kernel and the level-1
+# kernels are the Go loops alone (internal/sparse/sell_other.go,
+# internal/dense/level1_other.go, internal/cpuid/cpuid_other.go), so vet
+# them for arm64 as well — a build that nothing here runs must not break
+# unnoticed.
+GOARCH=arm64 go vet ./internal/cpuid ./internal/dense ./internal/sparse ./internal/tpetra ./internal/solvers
 
 # Domain invariants: the odinvet multichecker (internal/analysis) enforces
 # collective symmetry and sequence order, point-to-point deadlock freedom,
@@ -90,14 +92,15 @@ go test ./...
 # Stage "allocs": the allocation pins of the solver hot loop and of the warm
 # expression path, on their own — a scalar AllreduceInto at P=2/4/8,
 # Vector.Dot, Gather and CrsMatrix.Apply on the laplace1d/3d stencils, the
-# CG and BiCGSTAB per-iteration slopes and a kept fusion Plan's Sum at
-# P=1/2/4 must all allocate exactly nothing at steady state, and one warm
+# CG and BiCGSTAB per-iteration slopes, a kept fusion Plan's Sum at
+# P=1/2/4, and DotSlices, Axpy2Dot and WaxpyDot over four chunks on a
+# one-worker engine must all allocate exactly nothing at steady state, and one warm
 # expr job through the scheduler exactly its six objects. They count
 # process-wide mallocs, so they run uncached and not under -race (where
 # they skip).
 stage allocs
-go test -count=1 -run 'TestAllreduceAllocs|TestGatherSteadyStateAllocs|TestCGAllocsPerIteration|TestBiCGSTABAllocsPerIteration|TestPlanSumAllocs|TestWarmExprJobAllocs' \
-  ./internal/comm ./internal/tpetra ./internal/solvers ./internal/fusion ./internal/serve
+go test -count=1 -run 'TestAllreduceAllocs|TestGatherSteadyStateAllocs|TestCGAllocsPerIteration|TestBiCGSTABAllocsPerIteration|TestPlanSumAllocs|TestWarmExprJobAllocs|TestLevel1Allocs' \
+  ./internal/comm ./internal/tpetra ./internal/solvers ./internal/fusion ./internal/serve ./internal/dense
 
 # Race pass over every concurrency-bearing package: the comm fabric, the
 # rank/context layer, the exec pool, the fusion VM (whose block sweep shares
