@@ -22,7 +22,6 @@ import (
 	"odinhpc/internal/galeri"
 	"odinhpc/internal/iodist"
 	"odinhpc/internal/nonlinear"
-	"odinhpc/internal/partition"
 	"odinhpc/internal/precond"
 	"odinhpc/internal/seamless"
 	"odinhpc/internal/seamless/export"
@@ -134,9 +133,9 @@ def residual(x):
 	}
 }
 
-// TestPartitionDrivenODINArrays links Isorropia-analog partitioning to
-// ODIN's "apportion non-uniform sections of an array to each node"
-// (§III.A): a weighted 1-D partition becomes the array's distribution map.
+// TestPartitionDrivenODINArrays links a part assignment to ODIN's "apportion
+// non-uniform sections of an array to each node" (§III.A): a weighted 1-D
+// chain partition becomes the array's distribution map.
 func TestPartitionDrivenODINArrays(t *testing.T) {
 	err := comm.Run(4, func(c *comm.Comm) error {
 		ctx := core.NewContext(c)
@@ -146,8 +145,15 @@ func TestPartitionDrivenODINArrays(t *testing.T) {
 		for i := range weights {
 			weights[i] = float64(i + 1)
 		}
-		parts := partition.Block1D(weights, c.Size())
-		m := partition.ToMap(parts, c.Size())
+		// Chain partition: element i goes to the part its weight midpoint
+		// falls in, at total/P per part.
+		parts := make([]int, n)
+		whole, acc := float64(n*(n+1)/2), 0.0
+		for i, w := range weights {
+			parts[i] = min(int((acc+w/2)/whole*float64(c.Size())), c.Size()-1)
+			acc += w
+		}
+		m := distmap.NewArbitrary(parts, c.Size())
 		x := core.FromFunc(ctx, []int{n}, func(g []int) float64 { return weights[g[0]] },
 			core.Options{Map: m})
 		// Weighted balance: each rank's local weight near total/P.

@@ -37,7 +37,7 @@
 //     when the protocol otherwise completes).
 //
 // A protocol scope is either the body of a function literal handed to
-// comm.Run/RunStats/RunModel/RunConfig (when the size argument is constant,
+// comm.Run/RunStats/RunConfig (when the size argument is constant,
 // only that P is checked) or any function declaration that performs
 // point-to-point calls directly. Conditions the interpreter cannot evaluate
 // are classified by the rank taint of the shared model (analysis.SPMD):
@@ -116,7 +116,7 @@ var p2pNames = map[string]bool{
 // runFnNames are the package-level comm entry points that spawn one
 // goroutine per rank from a protocol function literal.
 var runFnNames = map[string]bool{
-	"Run": true, "RunStats": true, "RunModel": true, "RunConfig": true,
+	"Run": true, "RunStats": true, "RunConfig": true,
 }
 
 // commKey canonicalizes the communicator value a call operates on. Three
@@ -328,7 +328,7 @@ type runLit struct {
 }
 
 // runLiterals collects the function literals decl passes (at any nesting
-// depth) as the trailing argument of comm.Run/RunStats/RunModel/RunConfig,
+// depth) as the trailing argument of comm.Run/RunStats/RunConfig,
 // in source order.
 func runLiterals(pass *analysis.Pass, decl *ast.FuncDecl) ([]runLit, map[*ast.FuncLit]bool) {
 	var lits []runLit

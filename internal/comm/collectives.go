@@ -180,16 +180,6 @@ func Reduce[T Number](c *Comm, root int, in []T, op Op) []T {
 	return nil
 }
 
-// ReduceScalar reduces one value per rank to root; other ranks get the zero value.
-func ReduceScalar[T Number](c *Comm, root int, v T, op Op) T {
-	out := Reduce(c, root, []T{v}, op)
-	if out == nil {
-		var zero T
-		return zero
-	}
-	return out[0]
-}
-
 // Allreduce combines equal-length slices element-wise across ranks with op
 // and returns the full result on every rank. The input is not modified.
 func Allreduce[T Number](c *Comm, in []T, op Op) []T {

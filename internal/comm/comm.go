@@ -4,12 +4,12 @@
 // in separate OS processes connected by real sockets (see Transport and the
 // comm/launch package). The package provides tagged point-to-point
 // messaging, the standard collective operations, per-rank traffic
-// accounting, and an optional latency/bandwidth cost model.
+// accounting, and a latency/bandwidth cost model to price that traffic.
 //
 // The paper's claims about ODIN and PyTrilinos concern communication
 // *structure* — how many messages move, how large they are, and between which
 // ranks — rather than wire speed. This substrate exposes exactly those
-// quantities deterministically (see Stats and CostModel), which is what the
+// quantities deterministically (see Stats), which is what the
 // E1/E3/E4/E10 experiments measure. Everything above the Transport boundary
 // (collectives, fault injection, Stats, tracing) is transport-agnostic, so
 // the measured structure is identical whether ranks share a process or not.
@@ -52,7 +52,7 @@ type Message struct {
 	seq uint64
 }
 
-// bytes is the payload size Stats, the cost model and the trace account.
+// bytes is the payload size Stats and the trace account.
 func (m *Message) bytes() int64 {
 	if m.f64 != nil {
 		return int64(8 * len(m.f64))
@@ -168,10 +168,10 @@ func (b *mailbox) takeBufLocked(n int) []float64 {
 }
 
 // fabric is the shared state of one communicator: its context id and rank
-// owner table, the mailbox registry, traffic statistics, the cost model, and
-// (optionally) the fault plan with its session-wide abort latch. On remote
-// transports each process holds its own fabric for the same context; only
-// the locally hosted mailboxes are live in its registry.
+// owner table, the mailbox registry, traffic statistics, and (optionally) the
+// fault plan with its session-wide abort latch. On remote transports each
+// process holds its own fabric for the same context; only the locally hosted
+// mailboxes are live in its registry.
 type fabric struct {
 	ctx   uint64
 	size  int
@@ -184,7 +184,6 @@ type fabric struct {
 	reg   *registry
 	sess  *session
 	stats *Stats
-	model *CostModel
 	plan  *FaultPlan
 	fs    *failState
 	// jitter is the seeded scheduling-pressure plan (sched.go); nil outside
@@ -227,7 +226,6 @@ type Comm struct {
 	tr      Transport // this rank's endpoint (== f.tr on in-process transports)
 	box     *mailbox  // this rank's mailbox, resolved once
 	collSeq int       // per-rank collective sequence number (SPMD-synchronized)
-	simTime float64   // accumulated modeled communication time, seconds
 	sendSeq []uint64  // per-destination delivery sequence (fault plans only)
 
 	// lastWait is when (on clock) this rank last returned from a receive that
@@ -264,13 +262,7 @@ func Run(size int, fn func(c *Comm) error) error {
 
 // RunStats is Run but also returns the communicator's traffic statistics.
 func RunStats(size int, fn func(c *Comm) error) (*Stats, error) {
-	return RunModel(size, nil, fn)
-}
-
-// RunModel is RunStats with an explicit cost model applied to every message.
-// A nil model disables time accounting.
-func RunModel(size int, model *CostModel, fn func(c *Comm) error) (*Stats, error) {
-	return RunConfig(size, Config{Model: model}, fn)
+	return RunConfig(size, Config{}, fn)
 }
 
 // TransportEnv is the environment variable consulted when Config.Transport
@@ -282,8 +274,6 @@ const TransportEnv = "ODINHPC_TRANSPORT"
 // Config bundles the optional knobs of a communicator session. The zero
 // value matches RunStats.
 type Config struct {
-	// Model applies an alpha-beta cost model to every message.
-	Model *CostModel
 	// Faults is the seeded fault-injection plan for chaos runs.
 	Faults *FaultPlan
 	// Transport names the wire: "inproc" (default) runs every rank as a
@@ -361,7 +351,6 @@ func RunConfig(size int, cfg Config, fn func(c *Comm) error) (*Stats, error) {
 		reg:         reg,
 		sess:        newSession(),
 		stats:       newStats(size),
-		model:       cfg.Model,
 		plan:        cfg.Faults,
 		fs:          fs,
 		jitter:      cfg.Jitter,
@@ -493,7 +482,7 @@ func (c *Comm) sendOwned(dst, tag int, data any) {
 }
 
 // account is what every route of a logical send of n payload bytes shares:
-// the jitter point, the Stats entry, the trace event and the modeled time.
+// the jitter point, the Stats entry and the trace event.
 func (c *Comm) account(dst, tag int, n int64) {
 	if dst < 0 || dst >= c.size {
 		panic(fmt.Sprintf("comm: Send to invalid rank %d (size %d)", dst, c.size))
@@ -507,9 +496,6 @@ func (c *Comm) account(dst, tag int, n int64) {
 	if s := trace.Active(); s != nil {
 		s.Emit(trace.Event{Kind: trace.KindSend, Rank: int32(c.rank), Worker: -1,
 			Peer: int32(dst), Tag: int32(tag), Start: s.Now(), Bytes: n})
-	}
-	if c.f.model != nil {
-		c.simTime += c.f.model.Time(n)
 	}
 }
 
@@ -658,9 +644,6 @@ func (c *Comm) takeMsg(src, tag int) (Message, waitHow) {
 		m, how = c.waitMsg(src, tag)
 	}
 	box.mu.Unlock()
-	if c.f.model != nil {
-		c.simTime += c.f.model.Time(m.bytes())
-	}
 	return m, how
 }
 
@@ -769,6 +752,7 @@ func (c *Comm) waitMsg(src, tag int) (m Message, how waitHow) {
 // Probe reports whether a message matching (src, tag) is waiting, without
 // receiving it. Under a fault plan, logically delayed messages also count as
 // waiting (they are guaranteed to surface before any Recv can block).
+// Test seam: the drained-queue oracle in the fuzz and chaos suites.
 func (c *Comm) Probe(src, tag int) bool {
 	box := c.box
 	box.mu.Lock()
@@ -826,10 +810,6 @@ func GlobalStats(c *Comm) StatsSnapshot {
 	snap.RecvParks, snap.RecvSpinHits = waits[0], waits[1]
 	return snap
 }
-
-// SimTime returns the modeled communication time accumulated by this rank
-// under the cost model passed to RunModel, in seconds. Zero without a model.
-func (c *Comm) SimTime() float64 { return c.simTime }
 
 // copyPayload deep-copies slice payloads of the common element types so that
 // sender and receiver never alias memory, as on a real network. Non-slice

@@ -626,9 +626,6 @@ func (c *Comm) watchfulRecv(src, tag int) (Message, waitHow) {
 	}()
 	for {
 		if m, ok := box.takeFaultMatchLocked(src, tag, c.f.stats); ok {
-			if c.f.model != nil {
-				c.simTime += c.f.model.Time(m.bytes())
-			}
 			if how == waitPark {
 				c.f.stats.recordWait(c.rank, how)
 			}

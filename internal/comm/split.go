@@ -88,7 +88,6 @@ func (c *Comm) Split(color, key int) *Comm {
 			reg:         parent.reg,
 			sess:        parent.sess,
 			stats:       newStats(len(group)),
-			model:       parent.model,
 			plan:        parent.plan,
 			fs:          parent.fs,
 			jitter:      parent.jitter,

@@ -147,9 +147,11 @@ type StatsSnapshot struct {
 }
 
 // MsgCount returns the number of messages sent from src to dst.
+// Test seam: read by the golden message matrices.
 func (s StatsSnapshot) MsgCount(src, dst int) int64 { return s.Msgs[src*s.Size+dst] }
 
 // ByteCount returns the number of payload bytes sent from src to dst.
+// Test seam: read by the golden message matrices.
 func (s StatsSnapshot) ByteCount(src, dst int) int64 { return s.Bytes[src*s.Size+dst] }
 
 // TotalMsgs returns the total number of messages sent on the communicator.

@@ -497,7 +497,6 @@ func RunRemote(env RemoteEnv, cfg Config, fn func(c *Comm) error) (*Stats, error
 		reg:         reg,
 		sess:        newSession(),
 		stats:       newStats(env.Size),
-		model:       cfg.Model,
 		plan:        cfg.Faults,
 		fs:          fs,
 		recvTimeout: resolveRecvTimeout(cfg),

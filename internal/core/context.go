@@ -139,6 +139,7 @@ func (ctx *Context) Control(op OpCode, params ...int64) []byte {
 }
 
 // DecodeControl splits a control descriptor back into opcode and parameters.
+// Test seam: decodes control messages in the protocol tests.
 func DecodeControl(buf []byte) (OpCode, []int64) {
 	op := OpCode(buf[0])
 	params := make([]int64, (len(buf)-1)/8)
@@ -157,14 +158,6 @@ func (ctx *Context) RegisterLocal(name string, fn LocalFunc) {
 	ctx.mu.Lock()
 	defer ctx.mu.Unlock()
 	ctx.locals[name] = fn
-}
-
-// LocalRegistered reports whether a local function is available.
-func (ctx *Context) LocalRegistered(name string) bool {
-	ctx.mu.Lock()
-	defer ctx.mu.Unlock()
-	_, ok := ctx.locals[name]
-	return ok
 }
 
 // CallLocal invokes a registered local function on the local segments of

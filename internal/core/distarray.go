@@ -99,13 +99,6 @@ func Full[T dense.Elem](ctx *Context, v T, shape []int, opts ...Options) *DistAr
 	return a
 }
 
-// Ones returns a distributed array of ones. Collective.
-func Ones[T dense.Elem](ctx *Context, shape []int, opts ...Options) *DistArray[T] {
-	var one T
-	one++
-	return Full(ctx, one, shape, opts...)
-}
-
 // FromFunc fills a new array from a function of the global multi-index —
 // the P-independent way to create content. Collective.
 func FromFunc[T dense.Elem](ctx *Context, shape []int, f func(gidx []int) T, opts ...Options) *DistArray[T] {
@@ -157,9 +150,9 @@ func Random(ctx *Context, shape []int, seed int64, opts ...Options) *DistArray[f
 	return a
 }
 
-// FromDense scatters a replicated dense array (identical on every rank)
+// fromDense scatters a replicated dense array (identical on every rank)
 // into a distributed array. Collective.
-func FromDense[T dense.Elem](ctx *Context, src *dense.Array[T], opts ...Options) *DistArray[T] {
+func fromDense[T dense.Elem](ctx *Context, src *dense.Array[T], opts ...Options) *DistArray[T] {
 	shape := src.Shape()
 	a := Zeros[T](ctx, shape, opts...)
 	me := ctx.Rank()
@@ -172,12 +165,12 @@ func FromDense[T dense.Elem](ctx *Context, src *dense.Array[T], opts ...Options)
 	return a
 }
 
-// MapFromLocalGlobals builds the arbitrary distribution in which this rank
+// mapFromLocalGlobals builds the arbitrary distribution in which this rank
 // owns exactly the given global indices; every global in [0, n) must be
 // claimed by exactly one rank. This is the distributed-construction path a
 // real cluster uses (each rank knows only its own indices; an allgather
 // plays the role of the Epetra directory). Collective.
-func MapFromLocalGlobals(ctx *Context, n int, mine []int) *distmap.Map {
+func mapFromLocalGlobals(ctx *Context, n int, mine []int) *distmap.Map {
 	lists := comm.Allgather(ctx.Comm(), mine)
 	return distmap.NewFromGlobalLists(n, lists)
 }
@@ -273,21 +266,6 @@ func (a *DistArray[T]) At(gidx ...int) T {
 		v = a.local.At(lidx...)
 	}
 	return comm.BcastScalar(a.ctx.Comm(), owner, v)
-}
-
-// SetAt stores v at the given global multi-index (only the owner writes).
-// Every rank must call it with the same arguments. Collective in ordering.
-func (a *DistArray[T]) SetAt(v T, gidx ...int) {
-	if len(gidx) != len(a.shape) {
-		panic(fmt.Sprintf("core: SetAt index %v for shape %v", gidx, a.shape))
-	}
-	owner, l := a.m.GlobalToLocal(gidx[a.axis])
-	if owner == a.ctx.Rank() {
-		lidx := make([]int, len(gidx))
-		copy(lidx, gidx)
-		lidx[a.axis] = l
-		a.local.Set(v, lidx...)
-	}
 }
 
 // Gather materializes the full global array on every rank. Collective;

@@ -110,13 +110,6 @@ func (a *Array[T]) Size() int {
 	return n
 }
 
-// Strides returns a copy of the element strides.
-func (a *Array[T]) Strides() []int {
-	out := make([]int, len(a.strides))
-	copy(out, a.strides)
-	return out
-}
-
 // At returns the element at the given multi-index.
 func (a *Array[T]) At(idx ...int) T {
 	return a.data[a.flatIndex(idx)]
@@ -470,15 +463,15 @@ func (a *Array[T]) Transpose() *Array[T] {
 	return out
 }
 
-// Reshape returns a view with a new shape. The array must be contiguous and
+// reshape returns a view with a new shape. The array must be contiguous and
 // the total element count must be preserved.
-func (a *Array[T]) Reshape(shape ...int) *Array[T] {
+func (a *Array[T]) reshape(shape ...int) *Array[T] {
 	n := checkShape(shape)
 	if n != a.Size() {
 		panic(fmt.Sprintf("dense: cannot reshape %v (%d elems) to %v (%d elems)", a.shape, a.Size(), shape, n))
 	}
 	if !a.IsContiguous() {
-		panic("dense: Reshape requires a contiguous array")
+		panic("dense: reshape requires a contiguous array")
 	}
 	sh := make([]int, len(shape))
 	copy(sh, shape)

@@ -215,11 +215,11 @@ func TestTranspose(t *testing.T) {
 
 func TestReshape(t *testing.T) {
 	a := Arange[float64](12)
-	m := a.Reshape(3, 4)
+	m := a.reshape(3, 4)
 	if m.At(2, 3) != 11 {
 		t.Fatal("reshape content")
 	}
-	back := m.Reshape(12)
+	back := m.reshape(12)
 	if back.At(5) != 5 {
 		t.Fatal("reshape back")
 	}
@@ -233,7 +233,7 @@ func TestReshapeValidation(t *testing.T) {
 				t.Error("size mismatch should panic")
 			}
 		}()
-		a.Reshape(5, 3)
+		a.reshape(5, 3)
 	}()
 	func() {
 		defer func() {
@@ -241,7 +241,7 @@ func TestReshapeValidation(t *testing.T) {
 				t.Error("non-contiguous reshape should panic")
 			}
 		}()
-		a.Slice(0, Range{0, 12, 2}).Reshape(3, 2)
+		a.Slice(0, Range{0, 12, 2}).reshape(3, 2)
 	}()
 }
 
@@ -328,8 +328,8 @@ func TestEachIndexed(t *testing.T) {
 }
 
 func TestEqual(t *testing.T) {
-	a := Arange[int64](6).Reshape(2, 3)
-	b := Arange[int64](6).Reshape(2, 3)
+	a := Arange[int64](6).reshape(2, 3)
+	b := Arange[int64](6).reshape(2, 3)
 	if !a.Equal(b) {
 		t.Fatal("equal arrays")
 	}
@@ -418,7 +418,7 @@ func TestSlicePropertyQuick(t *testing.T) {
 
 // Property: Transpose twice is the identity view.
 func TestTransposeInvolution(t *testing.T) {
-	a := Arange[float64](24).Reshape(2, 3, 4)
+	a := Arange[float64](24).reshape(2, 3, 4)
 	tt := a.Transpose().Transpose()
 	if !a.Equal(tt) {
 		t.Fatal("transpose involution failed")

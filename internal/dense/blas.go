@@ -10,7 +10,7 @@ import (
 // This file provides the small dense linear-algebra kernels (BLAS level 1-3
 // subset plus LU/QR factorizations) used by the solver and preconditioner
 // packages. Everything operates on float64 slices or 2-d Arrays; the
-// distributed layers handle partitioning. The BLAS-1 sweeps and the Gemv
+// distributed layers handle partitioning. The BLAS-1 sweeps and the gemv
 // row loop run on the exec engine; the factorizations stay serial (their
 // loop-carried dependencies don't chunk).
 
@@ -137,61 +137,15 @@ func waxpyDotRange(a axpy2Args, lo, hi int) float64 {
 	return l.fold()
 }
 
-// Nrm2Slice returns the Euclidean norm of a slice.
-func Nrm2Slice(x []float64) float64 {
-	return math.Sqrt(DotSlices(x, x))
-}
-
-// SumSlice returns the sum of the slice's elements.
-func SumSlice(x []float64) float64 {
-	return exec.ReduceRange(exec.Default(), len(x), vecArgs{x: x}, sumRange, add)
-}
-
-func sumRange(a vecArgs, lo, hi int) float64 {
-	var acc float64
-	for _, v := range a.x[lo:hi] {
-		acc += v
-	}
-	return acc
-}
-
-// AsumSlice returns the sum of absolute values (BLAS dasum).
-func AsumSlice(x []float64) float64 {
-	return exec.ReduceRange(exec.Default(), len(x), vecArgs{x: x}, asumRange, add)
-}
-
-func asumRange(a vecArgs, lo, hi int) float64 {
-	var acc float64
-	for _, v := range a.x[lo:hi] {
-		acc += math.Abs(v)
-	}
-	return acc
-}
-
-// AmaxSlice returns the maximum absolute value (0 for an empty slice).
-func AmaxSlice(x []float64) float64 {
-	return exec.ReduceRange(exec.Default(), len(x), vecArgs{x: x}, amaxRange, math.Max)
-}
-
-func amaxRange(a vecArgs, lo, hi int) float64 {
-	var acc float64
-	for _, v := range a.x[lo:hi] {
-		if v = math.Abs(v); v > acc {
-			acc = v
-		}
-	}
-	return acc
-}
-
-// Gemv computes y = alpha*A*x + beta*y for a 2-d array A (m x n), x of
+// gemv computes y = alpha*A*x + beta*y for a 2-d array A (m x n), x of
 // length n and y of length m.
-func Gemv(alpha float64, a *Array[float64], x []float64, beta float64, y []float64) {
+func gemv(alpha float64, a *Array[float64], x []float64, beta float64, y []float64) {
 	if a.NDim() != 2 {
-		panic("dense: Gemv requires a 2-d array")
+		panic("dense: gemv requires a 2-d array")
 	}
 	m, n := a.Dim(0), a.Dim(1)
 	if len(x) != n || len(y) != m {
-		panic(fmt.Sprintf("dense: Gemv dims A=%dx%d x=%d y=%d", m, n, len(x), len(y)))
+		panic(fmt.Sprintf("dense: gemv dims A=%dx%d x=%d y=%d", m, n, len(x), len(y)))
 	}
 	// Row-parallel: each output element is owned by exactly one span.
 	exec.Default().ParallelFor(m, func(ilo, ihi int) {
@@ -206,15 +160,15 @@ func Gemv(alpha float64, a *Array[float64], x []float64, beta float64, y []float
 	})
 }
 
-// Gemm computes C = alpha*A*B + beta*C for 2-d arrays with compatible shapes.
-func Gemm(alpha float64, a, b *Array[float64], beta float64, c *Array[float64]) {
+// gemm computes C = alpha*A*B + beta*C for 2-d arrays with compatible shapes.
+func gemm(alpha float64, a, b *Array[float64], beta float64, c *Array[float64]) {
 	if a.NDim() != 2 || b.NDim() != 2 || c.NDim() != 2 {
-		panic("dense: Gemm requires 2-d arrays")
+		panic("dense: gemm requires 2-d arrays")
 	}
 	m, k := a.Dim(0), a.Dim(1)
 	k2, n := b.Dim(0), b.Dim(1)
 	if k != k2 || c.Dim(0) != m || c.Dim(1) != n {
-		panic(fmt.Sprintf("dense: Gemm dims A=%dx%d B=%dx%d C=%dx%d", m, k, k2, n, c.Dim(0), c.Dim(1)))
+		panic(fmt.Sprintf("dense: gemm dims A=%dx%d B=%dx%d C=%dx%d", m, k, k2, n, c.Dim(0), c.Dim(1)))
 	}
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {
@@ -230,10 +184,9 @@ func Gemm(alpha float64, a, b *Array[float64], beta float64, c *Array[float64]) 
 // LU holds a dense LU factorization with partial pivoting: P*A = L*U with
 // unit lower-triangular L and upper-triangular U packed in one matrix.
 type LU struct {
-	lu   *Array[float64]
-	piv  []int
-	n    int
-	sign float64
+	lu  *Array[float64]
+	piv []int
+	n   int
 }
 
 // FactorLU computes the LU factorization of a square matrix. It returns an
@@ -245,7 +198,6 @@ func FactorLU(a *Array[float64]) (*LU, error) {
 	n := a.Dim(0)
 	lu := a.Clone()
 	piv := make([]int, n)
-	sign := 1.0
 	for i := range piv {
 		piv[i] = i
 	}
@@ -267,7 +219,6 @@ func FactorLU(a *Array[float64]) (*LU, error) {
 				lu.Set(t, p, j)
 			}
 			piv[k], piv[p] = piv[p], piv[k]
-			sign = -sign
 		}
 		ukk := lu.At(k, k)
 		for i := k + 1; i < n; i++ {
@@ -278,7 +229,7 @@ func FactorLU(a *Array[float64]) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, piv: piv, n: n, sign: sign}, nil
+	return &LU{lu: lu, piv: piv, n: n}, nil
 }
 
 // Solve solves A x = b, overwriting nothing; it returns a new solution slice.
@@ -306,39 +257,21 @@ func (f *LU) Solve(b []float64) []float64 {
 	return x
 }
 
-// Det returns the determinant from the factorization.
-func (f *LU) Det() float64 {
-	d := f.sign
-	for i := 0; i < f.n; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
-// SolveDense is a convenience that factors and solves in one call.
-func SolveDense(a *Array[float64], b []float64) ([]float64, error) {
-	f, err := FactorLU(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b), nil
-}
-
-// QR holds a Householder QR factorization of an m x n matrix with m >= n.
-type QR struct {
+// qrFactor holds a Householder QR factorization of an m x n matrix with m >= n.
+type qrFactor struct {
 	qr    *Array[float64] // Householder vectors below diagonal, R on/above
 	rdiag []float64
 	m, n  int
 }
 
-// FactorQR computes a Householder QR factorization.
-func FactorQR(a *Array[float64]) (*QR, error) {
+// factorQR computes a Householder QR factorization.
+func factorQR(a *Array[float64]) (*qrFactor, error) {
 	if a.NDim() != 2 {
-		panic("dense: FactorQR requires a 2-d array")
+		panic("dense: factorQR requires a 2-d array")
 	}
 	m, n := a.Dim(0), a.Dim(1)
 	if m < n {
-		return nil, fmt.Errorf("dense: FactorQR needs m >= n, got %dx%d", m, n)
+		return nil, fmt.Errorf("dense: factorQR needs m >= n, got %dx%d", m, n)
 	}
 	qr := a.Clone()
 	rdiag := make([]float64, n)
@@ -369,14 +302,14 @@ func FactorQR(a *Array[float64]) (*QR, error) {
 		}
 		rdiag[k] = -nrm
 	}
-	return &QR{qr: qr, rdiag: rdiag, m: m, n: n}, nil
+	return &qrFactor{qr: qr, rdiag: rdiag, m: m, n: n}, nil
 }
 
-// SolveLS solves the least-squares problem min ||A x - b||2 using the
+// solveLS solves the least-squares problem min ||A x - b||2 using the
 // factorization; b has length m, and the returned x has length n.
-func (f *QR) SolveLS(b []float64) []float64 {
+func (f *qrFactor) solveLS(b []float64) []float64 {
 	if len(b) != f.m {
-		panic(fmt.Sprintf("dense: QR.SolveLS length %d, want %d", len(b), f.m))
+		panic(fmt.Sprintf("dense: solveLS length %d, want %d", len(b), f.m))
 	}
 	y := make([]float64, f.m)
 	copy(y, b)
@@ -403,8 +336,8 @@ func (f *QR) SolveLS(b []float64) []float64 {
 	return x
 }
 
-// Eye returns the n x n identity matrix.
-func Eye(n int) *Array[float64] {
+// eye returns the n x n identity matrix.
+func eye(n int) *Array[float64] {
 	a := Zeros[float64](n, n)
 	for i := 0; i < n; i++ {
 		a.Set(1, i, i)

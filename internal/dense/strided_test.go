@@ -40,16 +40,13 @@ func stridedViews() map[string]*Array[float64] {
 	}
 }
 
-// refSum/refAbsSum/etc compute references through the index interface only.
-func refStats(a *Array[float64]) (sum, sumsq, asum, amax, min, max float64) {
+// refStats computes references through the index interface only.
+func refStats(a *Array[float64]) (sum, sumsq, asum, min, max float64) {
 	first := true
 	a.EachIndexed(func(_ []int, v float64) {
 		sum += v
 		sumsq += v * v
 		asum += math.Abs(v)
-		if av := math.Abs(v); av > amax {
-			amax = av
-		}
 		if first || v < min {
 			min = v
 		}
@@ -65,19 +62,13 @@ func TestStridedReductions(t *testing.T) {
 	for _, cfg := range [][2]int{{1, 4096}, {4, 16}, {7, 7}} {
 		withEngine(t, cfg[0], cfg[1], func() {
 			for name, v := range stridedViews() {
-				sum, sumsq, asum, amax, min, max := refStats(v)
+				sum, sumsq, asum, min, max := refStats(v)
 				tol := 1e-12 * (math.Abs(sum) + asum + 1)
 				if got := Sum(v); math.Abs(got-sum) > tol {
 					t.Errorf("w=%d %s: Sum = %g, want %g", cfg[0], name, got, sum)
 				}
 				if got := Norm2(v); math.Abs(got-math.Sqrt(sumsq)) > tol {
 					t.Errorf("w=%d %s: Norm2 = %g, want %g", cfg[0], name, got, math.Sqrt(sumsq))
-				}
-				if got := Norm1(v); math.Abs(got-asum) > tol {
-					t.Errorf("w=%d %s: Norm1 = %g, want %g", cfg[0], name, got, asum)
-				}
-				if got := NormInf(v); got != amax {
-					t.Errorf("w=%d %s: NormInf = %g, want %g", cfg[0], name, got, amax)
 				}
 				if got := Min(v); got != min {
 					t.Errorf("w=%d %s: Min = %g, want %g", cfg[0], name, got, min)
@@ -123,17 +114,11 @@ func TestStridedDot(t *testing.T) {
 func TestStridedArgMinMax(t *testing.T) {
 	v := stridedViews()["both-strided"]
 	flat := v.Flatten()
-	wantMin, wantMax := 0, 0
+	wantMax := 0
 	for i, x := range flat {
-		if x < flat[wantMin] {
-			wantMin = i
-		}
 		if x > flat[wantMax] {
 			wantMax = i
 		}
-	}
-	if got := ArgMin(v); got != wantMin {
-		t.Errorf("ArgMin = %d, want %d", got, wantMin)
 	}
 	if got := ArgMax(v); got != wantMax {
 		t.Errorf("ArgMax = %d, want %d", got, wantMax)

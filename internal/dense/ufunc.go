@@ -159,24 +159,6 @@ func Max[T Real](a *Array[T]) T {
 	})
 }
 
-// ArgMin returns the row-major flat position of the minimum element.
-func ArgMin[T Real](a *Array[T]) int {
-	if a.Size() == 0 {
-		panic("dense: ArgMin of empty array")
-	}
-	first := true
-	var best T
-	bi, i := 0, 0
-	a.foldRange(0, a.Size(), func(off int) {
-		if v := a.data[off]; first || v < best {
-			best, bi = v, i
-			first = false
-		}
-		i++
-	})
-	return bi
-}
-
 // ArgMax returns the row-major flat position of the maximum element.
 func ArgMax[T Real](a *Array[T]) int {
 	if a.Size() == 0 {
@@ -280,41 +262,6 @@ func Norm2[T Float](a *Array[T]) float64 {
 		return acc
 	}, func(x, y float64) float64 { return x + y })
 	return math.Sqrt(ss)
-}
-
-// Norm1 returns the sum of absolute values.
-func Norm1[T Float](a *Array[T]) float64 {
-	return exec.ParallelReduce(exec.Default(), a.Size(), func(lo, hi int) float64 {
-		var acc float64
-		a.foldRange(lo, hi, func(off int) { acc += math.Abs(float64(a.data[off])) })
-		return acc
-	}, func(x, y float64) float64 { return x + y })
-}
-
-// NormInf returns the maximum absolute value (0 for empty arrays).
-func NormInf[T Float](a *Array[T]) float64 {
-	return exec.ParallelReduce(exec.Default(), a.Size(), func(lo, hi int) float64 {
-		var acc float64
-		a.foldRange(lo, hi, func(off int) {
-			if av := math.Abs(float64(a.data[off])); av > acc {
-				acc = av
-			}
-		})
-		return acc
-	}, func(x, y float64) float64 { return math.Max(x, y) })
-}
-
-// Where returns the row-major flat positions at which pred holds.
-func Where[T Elem](a *Array[T], pred func(T) bool) []int {
-	var out []int
-	i := 0
-	a.Each(func(v T) {
-		if pred(v) {
-			out = append(out, i)
-		}
-		i++
-	})
-	return out
 }
 
 // Count returns the number of elements for which pred holds.

@@ -89,8 +89,8 @@ func TestReductions(t *testing.T) {
 	if Min(a) != -1 || Max(a) != 5 {
 		t.Fatalf("Min/Max = %v/%v", Min(a), Max(a))
 	}
-	if ArgMin(a) != 1 || ArgMax(a) != 4 {
-		t.Fatalf("Arg = %d/%d", ArgMin(a), ArgMax(a))
+	if ArgMax(a) != 4 {
+		t.Fatalf("ArgMax = %d", ArgMax(a))
 	}
 	if Mean(a) != 2.4 {
 		t.Fatalf("Mean = %v", Mean(a))
@@ -102,7 +102,6 @@ func TestReductionsEmptyPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"min":    func() { Min(empty) },
 		"max":    func() { Max(empty) },
-		"argmin": func() { ArgMin(empty) },
 		"argmax": func() { ArgMax(empty) },
 		"mean":   func() { Mean(empty) },
 	} {
@@ -186,23 +185,13 @@ func TestNorms(t *testing.T) {
 	if Norm2(a) != 5 {
 		t.Fatalf("Norm2 = %v", Norm2(a))
 	}
-	if Norm1(a) != 7 {
-		t.Fatalf("Norm1 = %v", Norm1(a))
-	}
-	if NormInf(a) != 4 {
-		t.Fatalf("NormInf = %v", NormInf(a))
-	}
-	if NormInf(Zeros[float64](0)) != 0 {
-		t.Fatal("empty NormInf")
+	if Norm2(Zeros[float64](0)) != 0 {
+		t.Fatal("empty Norm2")
 	}
 }
 
 func TestWhereCount(t *testing.T) {
 	a := FromSlice([]float64{1, -2, 3, -4}, 4)
-	neg := Where(a, func(v float64) bool { return v < 0 })
-	if !reflect.DeepEqual(neg, []int{1, 3}) {
-		t.Fatalf("Where = %v", neg)
-	}
 	if Count(a, func(v float64) bool { return v > 0 }) != 2 {
 		t.Fatal("Count")
 	}
@@ -241,9 +230,6 @@ func TestAxpyScalDot(t *testing.T) {
 	if DotSlices(x, x) != 14 {
 		t.Fatal("DotSlices")
 	}
-	if Nrm2Slice([]float64{3, 4}) != 5 {
-		t.Fatal("Nrm2Slice")
-	}
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -258,13 +244,13 @@ func TestGemv(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
 	x := []float64{1, 1, 1}
 	y := []float64{100, 100}
-	Gemv(1, a, x, 0, y)
+	gemv(1, a, x, 0, y)
 	if !reflect.DeepEqual(y, []float64{6, 15}) {
-		t.Fatalf("Gemv = %v", y)
+		t.Fatalf("gemv = %v", y)
 	}
-	Gemv(2, a, x, 1, y) // y = 2*A*x + y
+	gemv(2, a, x, 1, y) // y = 2*A*x + y
 	if !reflect.DeepEqual(y, []float64{18, 45}) {
-		t.Fatalf("Gemv acc = %v", y)
+		t.Fatalf("gemv acc = %v", y)
 	}
 }
 
@@ -272,10 +258,10 @@ func TestGemm(t *testing.T) {
 	a := FromSlice([]float64{1, 2, 3, 4}, 2, 2)
 	b := FromSlice([]float64{5, 6, 7, 8}, 2, 2)
 	c := Zeros[float64](2, 2)
-	Gemm(1, a, b, 0, c)
+	gemm(1, a, b, 0, c)
 	want := []float64{19, 22, 43, 50}
 	if !reflect.DeepEqual(c.Flatten(), want) {
-		t.Fatalf("Gemm = %v", c.Flatten())
+		t.Fatalf("gemm = %v", c.Flatten())
 	}
 }
 
@@ -289,9 +275,6 @@ func TestLUSolve(t *testing.T) {
 	// 4x+3y=10, 6x+3y=12 -> x=1, y=2
 	if math.Abs(x[0]-1) > 1e-12 || math.Abs(x[1]-2) > 1e-12 {
 		t.Fatalf("LU solve = %v", x)
-	}
-	if math.Abs(f.Det()-(-6)) > 1e-12 {
-		t.Fatalf("Det = %v", f.Det())
 	}
 }
 
@@ -318,11 +301,12 @@ func TestLUSolveRandomProperty(t *testing.T) {
 			want[i] = rng.NormFloat64()
 		}
 		b := make([]float64, n)
-		Gemv(1, a, want, 0, b)
-		got, err := SolveDense(a, b)
+		gemv(1, a, want, 0, b)
+		lu, err := FactorLU(a)
 		if err != nil {
 			return false
 		}
+		got := lu.Solve(b)
 		for i := range got {
 			if math.Abs(got[i]-want[i]) > 1e-8 {
 				return false
@@ -343,11 +327,11 @@ func TestQRLeastSquares(t *testing.T) {
 		2, 1,
 	}, 3, 2)
 	b := []float64{1, 3, 5}
-	f, err := FactorQR(a)
+	f, err := factorQR(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := f.SolveLS(b)
+	x := f.solveLS(b)
 	if math.Abs(x[0]-2) > 1e-12 || math.Abs(x[1]-1) > 1e-12 {
 		t.Fatalf("LS = %v", x)
 	}
@@ -357,44 +341,44 @@ func TestQROverdetermined(t *testing.T) {
 	// Least squares of inconsistent system minimizes residual: points
 	// (0,0),(1,1),(2,1) fit y=0.5x+1/6.
 	a := FromSlice([]float64{0, 1, 1, 1, 2, 1}, 3, 2)
-	f, err := FactorQR(a)
+	f, err := factorQR(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := f.SolveLS([]float64{0, 1, 1})
+	x := f.solveLS([]float64{0, 1, 1})
 	if math.Abs(x[0]-0.5) > 1e-12 || math.Abs(x[1]-1.0/6) > 1e-12 {
 		t.Fatalf("LS = %v", x)
 	}
 }
 
 func TestQRValidation(t *testing.T) {
-	if _, err := FactorQR(FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)); err == nil {
+	if _, err := factorQR(FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)); err == nil {
 		t.Fatal("m<n must fail")
 	}
-	if _, err := FactorQR(Zeros[float64](3, 2)); err == nil {
+	if _, err := factorQR(Zeros[float64](3, 2)); err == nil {
 		t.Fatal("rank-deficient must fail")
 	}
 }
 
 func TestEye(t *testing.T) {
-	e := Eye(3)
+	e := eye(3)
 	if e.At(0, 0) != 1 || e.At(1, 1) != 1 || e.At(0, 1) != 0 {
-		t.Fatal("Eye")
+		t.Fatal("eye")
 	}
 	// I*x = x
 	x := []float64{5, 6, 7}
 	y := make([]float64, 3)
-	Gemv(1, e, x, 0, y)
+	gemv(1, e, x, 0, y)
 	if !reflect.DeepEqual(y, x) {
-		t.Fatal("Eye Gemv")
+		t.Fatal("eye gemv")
 	}
 }
 
 func TestGemvGemmValidation(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"gemv-1d":   func() { Gemv(1, Zeros[float64](3), []float64{1}, 0, []float64{1}) },
-		"gemv-dims": func() { Gemv(1, Zeros[float64](2, 3), []float64{1}, 0, []float64{1, 2}) },
-		"gemm-dims": func() { Gemm(1, Zeros[float64](2, 3), Zeros[float64](2, 3), 0, Zeros[float64](2, 3)) },
+		"gemv-1d":   func() { gemv(1, Zeros[float64](3), []float64{1}, 0, []float64{1}) },
+		"gemv-dims": func() { gemv(1, Zeros[float64](2, 3), []float64{1}, 0, []float64{1, 2}) },
+		"gemm-dims": func() { gemm(1, Zeros[float64](2, 3), Zeros[float64](2, 3), 0, Zeros[float64](2, 3)) },
 		"lu-square": func() { _, _ = FactorLU(Zeros[float64](2, 3)) },
 	} {
 		func() {

@@ -186,12 +186,6 @@ func VecMap2(dst, a, b []float64, f func(float64, float64) float64) {
 	}
 }
 
-// VecSum returns a[0] + a[1] + ... in index order (the serial left fold, so
-// callers control association exactly).
-func VecSum(a []float64) float64 {
-	return VecAccum(0, a)
-}
-
 // VecAccum continues a running left fold: ((acc + a[0]) + a[1]) + ...
 // Block-sweeping callers chain it across blocks to keep the exact
 // association of one serial loop over the whole span.

@@ -7,6 +7,7 @@ package distmap_test
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"odinhpc/internal/comm"
@@ -30,7 +31,7 @@ func TestChaosOwnershipCensus(t *testing.T) {
 			}
 			return rebuilt.OwnersTable(), nil
 		}},
-		{Name: "census-blockcyclic-restrict", Body: func(c *comm.Comm) (any, error) {
+		{Name: "census-blockcyclic-subset", Body: func(c *comm.Comm) (any, error) {
 			base := distmap.NewBlockCyclic(n, c.Size(), 3)
 			// Exchange per-rank counts over the wire and cross-check them
 			// against the map's own bookkeeping.
@@ -40,18 +41,21 @@ func TestChaosOwnershipCensus(t *testing.T) {
 					return nil, fmt.Errorf("rank %d count %d, map says %d", r, cnt, base.LocalCount(r))
 				}
 			}
-			keep := make([]int, 0, n/2)
+			// The even globals, renumbered densely, keep their owners.
+			var owners []int
 			for g := 0; g < n; g += 2 {
-				keep = append(keep, g)
+				owners = append(owners, base.Owner(g))
 			}
-			sub := base.Restrict(keep)
-			if err := sub.SortedGlobalsCheck(); err != nil {
-				return nil, err
+			sub := distmap.NewArbitrary(owners, c.Size())
+			for r := 0; r < c.Size(); r++ {
+				if !sort.IntsAreSorted(sub.GlobalsOn(r)) {
+					return nil, fmt.Errorf("globals on rank %d not sorted", r)
+				}
 			}
-			// One roundtrip through the fabric for the restricted table too.
+			// One roundtrip through the fabric for the subset's table too.
 			table := comm.BcastScalar(c, 0, sub.NumGlobal())
-			if table != len(keep) {
-				return nil, fmt.Errorf("restricted size %d, want %d", table, len(keep))
+			if table != len(owners) {
+				return nil, fmt.Errorf("subset size %d, want %d", table, len(owners))
 			}
 			return append(sub.OwnersTable(), counts...), nil
 		}},

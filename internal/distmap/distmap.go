@@ -10,7 +10,6 @@ package distmap
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Kind identifies the distribution family of a Map.
@@ -368,28 +367,16 @@ func (m *Map) OwnersTable() []int {
 	return out
 }
 
-// Restrict returns the arbitrary map induced by keeping only the globals in
+// restrict returns the arbitrary map induced by keeping only the globals in
 // keep (which must be sorted and unique), renumbered densely 0..len(keep)-1,
 // with ownership inherited from m.
-func (m *Map) Restrict(keep []int) *Map {
+func (m *Map) restrict(keep []int) *Map {
 	owners := make([]int, len(keep))
 	for i, g := range keep {
 		if i > 0 && keep[i] <= keep[i-1] {
-			panic("distmap: Restrict requires sorted unique globals")
+			panic("distmap: restrict requires sorted unique globals")
 		}
 		owners[i] = m.Owner(g)
 	}
 	return NewArbitrary(owners, m.size)
-}
-
-// SortedGlobalsCheck verifies internal consistency of an arbitrary map; it is
-// exported for use in property tests.
-func (m *Map) SortedGlobalsCheck() error {
-	for r := 0; r < m.size; r++ {
-		gs := m.GlobalsOn(r)
-		if !sort.IntsAreSorted(gs) {
-			return fmt.Errorf("distmap: globals on rank %d not sorted", r)
-		}
-	}
-	return nil
 }

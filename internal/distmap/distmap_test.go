@@ -2,6 +2,7 @@ package distmap
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -146,8 +147,10 @@ func TestArbitraryFromGlobalLists(t *testing.T) {
 	if m.Owner(5) != 0 || m.Owner(3) != 1 || m.Owner(4) != 2 {
 		t.Fatal("ownership wrong")
 	}
-	if err := m.SortedGlobalsCheck(); err != nil {
-		t.Fatal(err)
+	for r := 0; r < m.NumRanks(); r++ {
+		if !sort.IntsAreSorted(m.GlobalsOn(r)) {
+			t.Fatalf("globals on rank %d not sorted: %v", r, m.GlobalsOn(r))
+		}
 	}
 	r, l := m.GlobalToLocal(5)
 	if r != 0 || l != 1 {
@@ -247,7 +250,7 @@ func TestImbalance(t *testing.T) {
 
 func TestRestrict(t *testing.T) {
 	m := NewBlock(10, 2) // 0-4 on r0, 5-9 on r1
-	sub := m.Restrict([]int{2, 3, 7})
+	sub := m.restrict([]int{2, 3, 7})
 	if sub.NumGlobal() != 3 {
 		t.Fatal("size")
 	}
@@ -262,7 +265,7 @@ func TestRestrictValidatesSorted(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewBlock(10, 2).Restrict([]int{3, 2})
+	NewBlock(10, 2).restrict([]int{3, 2})
 }
 
 func TestBoundsPanics(t *testing.T) {

@@ -12,9 +12,9 @@ import (
 	"odinhpc/internal/tpetra"
 )
 
-// ErrNoConvergence is returned when an iteration hits its budget before the
+// errNoConvergence is returned when an iteration hits its budget before the
 // requested tolerance.
-var ErrNoConvergence = errors.New("eigen: iteration did not converge")
+var errNoConvergence = errors.New("eigen: iteration did not converge")
 
 // Options configures the iterative eigensolvers.
 type Options struct {
@@ -36,24 +36,24 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Result reports a single converged eigenpair.
-type Result struct {
+// eigenpair reports a single converged eigenpair.
+type eigenpair struct {
 	Value      float64
 	Vector     *tpetra.Vector
 	Iterations int
 	Residual   float64 // ||A v - lambda v||
 }
 
-// PowerMethod computes the dominant eigenpair of a by power iteration.
+// powerMethod computes the dominant eigenpair of a by power iteration.
 // Collective.
-func PowerMethod(a tpetra.Operator, model *tpetra.Vector, opt Options) (Result, error) {
+func powerMethod(a tpetra.Operator, model *tpetra.Vector, opt Options) (eigenpair, error) {
 	opt = opt.withDefaults()
 	c := model.Comm()
 	v := tpetra.NewVector(c, a.Map())
 	v.Randomize(opt.Seed)
 	n := v.Norm2()
 	if n == 0 {
-		return Result{}, fmt.Errorf("eigen: zero starting vector")
+		return eigenpair{}, fmt.Errorf("eigen: zero starting vector")
 	}
 	v.Scale(1 / n)
 	w := tpetra.NewVector(c, a.Map())
@@ -68,27 +68,27 @@ func PowerMethod(a tpetra.Operator, model *tpetra.Vector, opt Options) (Result, 
 		resid := r.Norm2()
 		wn := w.Norm2()
 		if wn == 0 {
-			return Result{}, fmt.Errorf("eigen: operator annihilated the iterate")
+			return eigenpair{}, fmt.Errorf("eigen: operator annihilated the iterate")
 		}
 		v.CopyFrom(w)
 		v.Scale(1 / wn)
 		if math.Abs(newLambda-lambda) <= opt.Tol*math.Abs(newLambda) && resid <= opt.Tol*math.Abs(newLambda)*10 {
-			return Result{Value: newLambda, Vector: v, Iterations: k, Residual: resid}, nil
+			return eigenpair{Value: newLambda, Vector: v, Iterations: k, Residual: resid}, nil
 		}
 		lambda = newLambda
 	}
-	return Result{Value: lambda, Vector: v, Iterations: opt.MaxIter}, ErrNoConvergence
+	return eigenpair{Value: lambda, Vector: v, Iterations: opt.MaxIter}, errNoConvergence
 }
 
-// LinearSolver abstracts the inner solve of inverse iteration, decoupling
+// linearSolver abstracts the inner solve of inverse iteration, decoupling
 // this package from a specific solver choice.
-type LinearSolver func(b, x *tpetra.Vector) error
+type linearSolver func(b, x *tpetra.Vector) error
 
-// InverseIteration computes the eigenvalue of a closest to shift by inverse
+// inverseIteration computes the eigenvalue of a closest to shift by inverse
 // iteration, using solve to apply (A - shift I)^{-1}. The operator passed in
 // must already be shifted; solve receives the current iterate as the
 // right-hand side. Collective.
-func InverseIteration(a tpetra.Operator, shift float64, solve LinearSolver, model *tpetra.Vector, opt Options) (Result, error) {
+func inverseIteration(a tpetra.Operator, shift float64, solve linearSolver, model *tpetra.Vector, opt Options) (eigenpair, error) {
 	opt = opt.withDefaults()
 	c := model.Comm()
 	v := tpetra.NewVector(c, a.Map())
@@ -99,11 +99,11 @@ func InverseIteration(a tpetra.Operator, shift float64, solve LinearSolver, mode
 	lambda := shift
 	for k := 1; k <= opt.MaxIter; k++ {
 		if err := solve(v, w); err != nil {
-			return Result{}, fmt.Errorf("eigen: inner solve failed: %w", err)
+			return eigenpair{}, fmt.Errorf("eigen: inner solve failed: %w", err)
 		}
 		wn := w.Norm2()
 		if wn == 0 {
-			return Result{}, fmt.Errorf("eigen: inverse iteration broke down")
+			return eigenpair{}, fmt.Errorf("eigen: inverse iteration broke down")
 		}
 		w.Scale(1 / wn)
 		v.CopyFrom(w)
@@ -114,11 +114,11 @@ func InverseIteration(a tpetra.Operator, shift float64, solve LinearSolver, mode
 		r.Axpy(-newLambda, v)
 		resid := r.Norm2()
 		if math.Abs(newLambda-lambda) <= opt.Tol*math.Max(1, math.Abs(newLambda)) {
-			return Result{Value: newLambda, Vector: v, Iterations: k, Residual: resid}, nil
+			return eigenpair{Value: newLambda, Vector: v, Iterations: k, Residual: resid}, nil
 		}
 		lambda = newLambda
 	}
-	return Result{Value: lambda, Vector: v, Iterations: opt.MaxIter}, ErrNoConvergence
+	return eigenpair{Value: lambda, Vector: v, Iterations: opt.MaxIter}, errNoConvergence
 }
 
 // Lanczos runs k steps of the symmetric Lanczos process with full

@@ -35,7 +35,7 @@ func TestPowerMethodDiagonal(t *testing.T) {
 			return []int{i}, []float64{float64(i + 1)}
 		})
 		model := tpetra.NewVector(c, m)
-		res, err := PowerMethod(a, model, Options{Tol: 1e-12, MaxIter: 5000})
+		res, err := powerMethod(a, model, Options{Tol: 1e-12, MaxIter: 5000})
 		if err != nil {
 			return err
 		}
@@ -59,7 +59,7 @@ func TestPowerMethodLaplacian(t *testing.T) {
 		m := distmap.NewBlock(n, c.Size())
 		a := galeri.Laplace1DDist(c, m)
 		model := tpetra.NewVector(c, m)
-		res, err := PowerMethod(a, model, Options{Tol: 1e-11, MaxIter: 20000})
+		res, err := powerMethod(a, model, Options{Tol: 1e-11, MaxIter: 20000})
 		if err != nil {
 			return err
 		}
@@ -77,9 +77,9 @@ func TestPowerMethodHitsBudget(t *testing.T) {
 		m := distmap.NewBlock(n, c.Size())
 		a := galeri.Laplace1DDist(c, m)
 		model := tpetra.NewVector(c, m)
-		_, err := PowerMethod(a, model, Options{Tol: 1e-15, MaxIter: 2})
-		if err != ErrNoConvergence {
-			return fmt.Errorf("want ErrNoConvergence, got %v", err)
+		_, err := powerMethod(a, model, Options{Tol: 1e-15, MaxIter: 2})
+		if err != errNoConvergence {
+			return fmt.Errorf("want errNoConvergence, got %v", err)
 		}
 		return nil
 	})
@@ -103,7 +103,7 @@ func TestInverseIterationFindsSmallest(t *testing.T) {
 			return nil
 		}
 		model := tpetra.NewVector(c, m)
-		res, err := InverseIteration(a, 0, solve, model, Options{Tol: 1e-12, MaxIter: 500})
+		res, err := inverseIteration(a, 0, solve, model, Options{Tol: 1e-12, MaxIter: 500})
 		if err != nil {
 			return err
 		}
@@ -223,7 +223,7 @@ func TestIterationCountsIndependentOfP(t *testing.T) {
 			m := distmap.NewBlock(n, c.Size())
 			a := galeri.Laplace1DDist(c, m)
 			model := tpetra.NewVector(c, m)
-			res, err := PowerMethod(a, model, Options{Tol: 1e-9, MaxIter: 50000, Seed: 3})
+			res, err := powerMethod(a, model, Options{Tol: 1e-9, MaxIter: 50000, Seed: 3})
 			if err != nil {
 				return err
 			}

@@ -59,16 +59,6 @@ const maxChunks = 256
 // size when no explicit option is given ("ODIN_NUM_THREADS" analog).
 const EnvThreads = "ODINHPC_THREADS"
 
-// Call describes one engine invocation, delivered to the instrumentation
-// hook after the call completes.
-type Call struct {
-	Kind    string // "for" or "reduce"
-	N       int    // total items
-	Chunks  int    // chunks the span was split into (1 = one span)
-	Workers int    // workers that participated
-	Nanos   int64  // wall time of the whole call
-}
-
 // Stats is a cumulative snapshot of an engine's activity.
 type Stats struct {
 	Calls  int64 // engine invocations
@@ -84,14 +74,13 @@ type Stats struct {
 // Call accounting is pay-for-use, like internal/trace: it costs two clock
 // reads and four atomic adds on a cache line every rank shares, which around
 // a 256-element sweep is several times the sweep. So a call is timed and
-// counted only while somebody can see the result — the engine has a hook, a
-// trace session is active, or Snapshot has been called. An engine nobody has
-// looked at reports zero; from the first Snapshot on, every call is counted
-// and snapshot deltas are exact.
+// counted only while somebody can see the result — a trace session is
+// active, or Snapshot has been called. An engine nobody has looked at
+// reports zero; from the first Snapshot on, every call is counted and
+// snapshot deltas are exact.
 type Engine struct {
 	workers int
 	grain   int
-	hook    func(Call)
 
 	watched atomic.Bool // set by the first Snapshot, never cleared
 	calls   atomic.Int64
@@ -116,6 +105,7 @@ func WithWorkers(n int) Option {
 // WithGrain sets the minimum chunk size in items. Values below 1 are
 // clamped to 1. The grain participates in chunk-boundary determinism: two
 // engines with the same grain chunk identically regardless of pool size.
+// Test seam: forces chunk boundaries in the pool-equivalence suites.
 func WithGrain(n int) Option {
 	return func(e *Engine) {
 		if n < 1 {
@@ -123,13 +113,6 @@ func WithGrain(n int) Option {
 		}
 		e.grain = n
 	}
-}
-
-// WithHook installs a per-call instrumentation hook. It runs on the calling
-// goroutine after each ParallelFor/ParallelReduce completes and must not
-// call back into the same engine.
-func WithHook(f func(Call)) Option {
-	return func(e *Engine) { e.hook = f }
 }
 
 // New returns an engine. Without WithWorkers the pool size comes from
@@ -153,9 +136,6 @@ func defaultWorkers() int {
 
 // Workers returns the pool size.
 func (e *Engine) Workers() int { return e.workers }
-
-// Grain returns the minimum chunk size.
-func (e *Engine) Grain() int { return e.grain }
 
 // Snapshot returns the cumulative instrumentation counters. The first call
 // turns accounting on (see Engine): calls that began before it are not in
@@ -192,15 +172,15 @@ func (e *Engine) inline(n int) bool { return e.workers == 1 || n <= e.grain }
 // observed, the zero Time — one load of a flag nobody writes, no clock read
 // — when it is not. The one rule for the inline and the fan-out path.
 func (e *Engine) begin(s *trace.Session) time.Time {
-	if e.hook == nil && s == nil && !e.watched.Load() {
+	if s == nil && !e.watched.Load() {
 		return time.Time{}
 	}
 	return time.Now()
 }
 
-// record closes what begin opened: it updates the counters and fires the
-// hook, or does nothing for an unobserved call.
-func (e *Engine) record(kind string, n, chunks, workers int, start time.Time) {
+// record closes what begin opened: it updates the counters, or does nothing
+// for an unobserved call.
+func (e *Engine) record(n, chunks int, start time.Time) {
 	if start.IsZero() {
 		return
 	}
@@ -209,9 +189,6 @@ func (e *Engine) record(kind string, n, chunks, workers int, start time.Time) {
 	e.chunks.Add(int64(chunks))
 	e.items.Add(int64(n))
 	e.nanos.Add(ns)
-	if e.hook != nil {
-		e.hook(Call{Kind: kind, N: n, Chunks: chunks, Workers: workers, Nanos: ns})
-	}
 }
 
 // chunkPanic carries a chunk body's panic value back to the caller.
@@ -317,7 +294,7 @@ func ForRange[A any](e *Engine, n int, a A, body func(a A, lo, hi int)) {
 		} else {
 			body(a, 0, n)
 		}
-		e.record("for", n, 1, 1, start)
+		e.record(n, 1, start)
 		return
 	}
 	size, count := e.chunking(n)
@@ -335,11 +312,7 @@ func ForRange[A any](e *Engine, n int, a A, body func(a A, lo, hi int)) {
 		}
 		body(a, lo, hi)
 	})
-	workers := e.workers
-	if workers > count {
-		workers = count
-	}
-	e.record("for", n, count, workers, start)
+	e.record(n, count, start)
 }
 
 // ParallelReduce folds the chunks that partition [0, n) with fold and merges
@@ -380,7 +353,7 @@ func ReduceRange[A, R any](e *Engine, n int, a A, fold func(a A, lo, hi int) R, 
 				t.push(fold(a, lo, hi), combine)
 			}
 		}
-		e.record("reduce", n, count, 1, start)
+		e.record(n, count, start)
 		return t.result(combine)
 	}
 	partials := make([]R, count)
@@ -398,11 +371,7 @@ func ReduceRange[A, R any](e *Engine, n int, a A, fold func(a A, lo, hi int) R, 
 	for _, p := range partials {
 		t.push(p, combine)
 	}
-	workers := e.workers
-	if workers > count {
-		workers = count
-	}
-	e.record("reduce", n, count, workers, start)
+	e.record(n, count, start)
 	return t.result(combine)
 }
 

@@ -160,28 +160,18 @@ func TestLowestChunkPanicWins(t *testing.T) {
 	t.Fatal("ParallelFor did not panic")
 }
 
-func TestHookAndSnapshot(t *testing.T) {
-	var calls []Call
-	var mu sync.Mutex
-	e := New(WithWorkers(4), WithGrain(100), WithHook(func(c Call) {
-		mu.Lock()
-		calls = append(calls, c)
-		mu.Unlock()
-	}))
+// TestSnapshotCounts reads one fan-out ParallelFor and one below-grain
+// reduce off Snapshot: 2 calls, 10 + 1 chunks, 1000 + 50 items.
+func TestSnapshotCounts(t *testing.T) {
+	e := New(WithWorkers(4), WithGrain(100))
+	if s := e.Snapshot(); s != (Stats{}) {
+		t.Fatalf("fresh engine snapshot = %+v", s)
+	}
 	e.ParallelFor(1000, func(lo, hi int) {})
 	ParallelReduce(e, 50, func(lo, hi int) int { return hi - lo }, func(a, b int) int { return a + b })
-	if len(calls) != 2 {
-		t.Fatalf("hook fired %d times, want 2", len(calls))
-	}
-	if calls[0].Kind != "for" || calls[0].N != 1000 || calls[0].Chunks != 10 {
-		t.Fatalf("for call = %+v", calls[0])
-	}
-	if calls[1].Kind != "reduce" || calls[1].Chunks != 1 || calls[1].Workers != 1 {
-		t.Fatalf("reduce call = %+v (n below grain must run serial)", calls[1])
-	}
 	s := e.Snapshot()
 	if s.Calls != 2 || s.Chunks != 11 || s.Items != 1050 {
-		t.Fatalf("snapshot = %+v", s)
+		t.Fatalf("snapshot = %+v, want 2 calls, 11 chunks, 1050 items", s)
 	}
 }
 
@@ -210,8 +200,7 @@ func sumRange(a axpyArgs, lo, hi int) float64 {
 // TestAccountingIsPayForUse pins the observed/unobserved contract on the
 // inline and the fan-out path alike: an engine nobody has looked at counts
 // nothing (its first Snapshot is zero), and from that first Snapshot on the
-// deltas are exact. A hook observes from construction: TestHookAndSnapshot
-// sees both of its calls in the hook and in the first Snapshot.
+// deltas are exact.
 func TestAccountingIsPayForUse(t *testing.T) {
 	const calls, n = 50, 1000
 	x, y := make([]float64, n), make([]float64, n)

@@ -148,8 +148,16 @@ var e9 = Experiment{
 			}},
 			{"Teuchos", "internal/teuchos", func() error {
 				pl := teuchos.NewParameterList("t")
-				pl.Set("tol", 1e-9)
-				return want(pl.GetFloat("tol", 0) == 1e-9, "paramlist")
+				pl.Set("tol", 1e-9).Sublist("smoother").Set("sweeps", 3)
+				var doc strings.Builder
+				if err := pl.WriteXML(&doc); err != nil {
+					return err
+				}
+				back, err := teuchos.ReadXML(strings.NewReader(doc.String()))
+				if err != nil {
+					return fmt.Errorf("xml: %v", err)
+				}
+				return want(back.GetFloat("tol", 0) == 1e-9 && back.Sublist("smoother").GetInt("sweeps", 0) == 3, "paramlist xml")
 			}},
 			{"TriUtils", "internal/galeri + harness", func() error {
 				return want(galeri.Laplace1D(10).NNZ() == 28, "gallery")

@@ -159,6 +159,7 @@ func Hypot(a, b *Expr) *Expr { return builtinBinary("hypot", vmHypot, math.Hypot
 
 // Leaves returns the distinct leaf arrays of the expression, in first-visit
 // order.
+// Test seam: the leaf order the plan tests bind against.
 func (e *Expr) Leaves() []*core.DistArray[float64] {
 	var out []*core.DistArray[float64]
 	seen := map[*core.DistArray[float64]]bool{}

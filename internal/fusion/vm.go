@@ -184,6 +184,7 @@ func init() { vmSuper.Store(true) }
 // optimization — so this is a test/benchmark knob, not a semantics switch.
 // Changing the setting drops the plan cache: cached programs were emitted
 // under the old setting and the structural key does not encode it.
+// Test seam: switches the peephole pass off for the differential suites.
 func SetSuperinstructions(on bool) bool {
 	prev := vmSuper.Swap(on)
 	if prev != on {
@@ -191,9 +192,6 @@ func SetSuperinstructions(on bool) bool {
 	}
 	return prev
 }
-
-// Superinstructions reports whether the peephole pass is enabled.
-func Superinstructions() bool { return vmSuper.Load() }
 
 // getState returns scratch for one span of one call: a pooled state when
 // one of the right block size is free, with the call's scalar values (one

@@ -209,11 +209,6 @@ func ConvDiff2DRow(nx, ny int, px, py float64) RowFunc {
 	}
 }
 
-// ConvDiff2D returns the serial convection-diffusion matrix.
-func ConvDiff2D(nx, ny int, px, py float64) *sparse.CSR {
-	return BuildSerial(nx*ny, ConvDiff2DRow(nx, ny, px, py))
-}
-
 // ConvDiff2DDist returns the distributed convection-diffusion matrix.
 func ConvDiff2DDist(c *comm.Comm, m *distmap.Map, nx, ny int, px, py float64) *tpetra.CrsMatrix {
 	if m.NumGlobal() != nx*ny {
@@ -239,16 +234,11 @@ func TridiagRow(n int, lo, diag, hi float64) RowFunc {
 	}
 }
 
-// Tridiag returns the serial tridiagonal matrix [lo diag hi].
-func Tridiag(n int, lo, diag, hi float64) *sparse.CSR {
-	return BuildSerial(n, TridiagRow(n, lo, diag, hi))
-}
-
-// RandomSPDRow generates rows of a random symmetric, strictly diagonally
+// randomSPDRow generates rows of a random symmetric, strictly diagonally
 // dominant (hence SPD) matrix with roughly extraPerRow off-diagonal pairs
 // per row. Row content depends only on (seed, row), so the matrix is
 // identical however it is distributed.
-func RandomSPDRow(n int, extraPerRow int, seed int64) RowFunc {
+func randomSPDRow(n int, extraPerRow int, seed int64) RowFunc {
 	// Symmetry requires entry (i,j) and (j,i) to agree; derive each pair's
 	// value from a canonical (min,max) hash so rows are independently
 	// generable.
@@ -291,20 +281,10 @@ func RandomSPDRow(n int, extraPerRow int, seed int64) RowFunc {
 	}
 }
 
-// RandomSPD returns a random sparse SPD matrix, reproducible from seed.
-func RandomSPD(n, extraPerRow int, seed int64) *sparse.CSR {
-	return BuildSerial(n, RandomSPDRow(n, extraPerRow, seed))
-}
-
-// RandomSPDDist returns the same matrix distributed over m.
-func RandomSPDDist(c *comm.Comm, m *distmap.Map, extraPerRow int, seed int64) *tpetra.CrsMatrix {
-	return BuildDist(c, m, RandomSPDRow(m.NumGlobal(), extraPerRow, seed))
-}
-
-// Poisson2DRHS fills a right-hand side corresponding to a uniform unit
+// poisson2DRHS fills a right-hand side corresponding to a uniform unit
 // source on the grid interior (f = h^2 everywhere after scaling), the
 // standard Galeri test problem.
-func Poisson2DRHS(v *tpetra.Vector, nx, ny int) {
+func poisson2DRHS(v *tpetra.Vector, nx, ny int) {
 	h := 1.0 / float64(nx+1)
 	v.FillFromGlobal(func(int) float64 { return h * h })
 }

@@ -71,7 +71,7 @@ func TestLaplace3DStructure(t *testing.T) {
 }
 
 func TestConvDiffNonSymmetric(t *testing.T) {
-	a := ConvDiff2D(5, 5, 10, -3)
+	a := BuildSerial(25, ConvDiff2DRow(5, 5, 10, -3))
 	if a.Transpose().Equal(a) {
 		t.Fatal("convection-diffusion must be non-symmetric")
 	}
@@ -94,16 +94,16 @@ func TestConvDiffNonSymmetric(t *testing.T) {
 }
 
 func TestTridiag(t *testing.T) {
-	a := Tridiag(4, 1, 5, 2)
+	a := BuildSerial(4, TridiagRow(4, 1, 5, 2))
 	if a.At(1, 0) != 1 || a.At(1, 1) != 5 || a.At(1, 2) != 2 {
 		t.Fatal("tridiag content")
 	}
 }
 
 func TestRandomSPDProperties(t *testing.T) {
-	a := RandomSPD(30, 4, 11)
+	a := BuildSerial(30, randomSPDRow(30, 4, 11))
 	if !a.Transpose().Equal(a) {
-		t.Fatal("RandomSPD not symmetric")
+		t.Fatal("randomSPDRow not symmetric")
 	}
 	// Strict diagonal dominance.
 	for i := 0; i < a.Rows; i++ {
@@ -121,11 +121,11 @@ func TestRandomSPDProperties(t *testing.T) {
 		}
 	}
 	// Reproducible.
-	b := RandomSPD(30, 4, 11)
+	b := BuildSerial(30, randomSPDRow(30, 4, 11))
 	if !a.Equal(b) {
 		t.Fatal("not reproducible")
 	}
-	cdiff := RandomSPD(30, 4, 12)
+	cdiff := BuildSerial(30, randomSPDRow(30, 4, 12))
 	if a.Equal(cdiff) {
 		t.Fatal("different seeds identical")
 	}
@@ -142,8 +142,8 @@ func TestDistMatchesSerial(t *testing.T) {
 		"laplace1d": {Laplace1D(24), func(c *comm.Comm, m *distmap.Map) *tpetra.CrsMatrix { return Laplace1DDist(c, m) }},
 		"laplace2d": {Laplace2D(6, 4), func(c *comm.Comm, m *distmap.Map) *tpetra.CrsMatrix { return Laplace2DDist(c, m, 6, 4) }},
 		"laplace3d": {Laplace3D(2, 3, 4), func(c *comm.Comm, m *distmap.Map) *tpetra.CrsMatrix { return Laplace3DDist(c, m, 2, 3, 4) }},
-		"convdiff":  {ConvDiff2D(6, 4, 5, 2), func(c *comm.Comm, m *distmap.Map) *tpetra.CrsMatrix { return ConvDiff2DDist(c, m, 6, 4, 5, 2) }},
-		"randspd":   {RandomSPD(24, 3, 5), func(c *comm.Comm, m *distmap.Map) *tpetra.CrsMatrix { return RandomSPDDist(c, m, 3, 5) }},
+		"convdiff":  {BuildSerial(24, ConvDiff2DRow(6, 4, 5, 2)), func(c *comm.Comm, m *distmap.Map) *tpetra.CrsMatrix { return ConvDiff2DDist(c, m, 6, 4, 5, 2) }},
+		"randspd":   {BuildSerial(24, randomSPDRow(24, 3, 5)), func(c *comm.Comm, m *distmap.Map) *tpetra.CrsMatrix { return BuildDist(c, m, randomSPDRow(24, 3, 5)) }},
 	}
 	for name, g := range gens {
 		n := g.serial.Rows
@@ -181,7 +181,7 @@ func TestPoisson2DRHS(t *testing.T) {
 		nx, ny := 4, 4
 		m := distmap.NewBlock(nx*ny, c.Size())
 		b := tpetra.NewVector(c, m)
-		Poisson2DRHS(b, nx, ny)
+		poisson2DRHS(b, nx, ny)
 		h := 1.0 / 5.0
 		if got := b.GetGlobal(7); math.Abs(got-h*h) > 1e-15 {
 			return fmt.Errorf("rhs=%g", got)

@@ -3,6 +3,7 @@ package nonlinear
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"odinhpc/internal/comm"
@@ -79,7 +80,7 @@ func TestNewtonKrylovBratu(t *testing.T) {
 				return fmt.Errorf("residual check %g", chk.Norm2())
 			}
 			// Solution is positive and symmetric-ish with max in the middle.
-			if x.MinValue() < 0 {
+			if slices.Min(x.GatherAll()) < 0 {
 				return fmt.Errorf("negative solution")
 			}
 			mid := x.GetGlobal(n / 2)

@@ -2,8 +2,8 @@
 // the Trilinos analog (Isorropia, paper Table I): weighted 1-D chain
 // partitioning, recursive coordinate bisection for mesh-like point sets, and
 // greedy graph growing, plus the edge-cut and imbalance metrics used to
-// compare them. Partitions convert directly into distmap.Map objects, which
-// is how ODIN consumes them for its "apportion non-uniform sections of an
+// compare them. A part assignment is a distmap.NewArbitrary owner table,
+// which is how ODIN consumes it for its "apportion non-uniform sections of an
 // array to each node" feature (paper §III.A).
 package partition
 
@@ -15,11 +15,11 @@ import (
 	"odinhpc/internal/sparse"
 )
 
-// Block1D partitions n weighted elements into p contiguous chunks with
+// block1D partitions n weighted elements into p contiguous chunks with
 // near-balanced weight, returning the part index per element. It uses the
 // greedy prefix heuristic: cut when the running weight passes the ideal
 // share.
-func Block1D(weights []float64, p int) []int {
+func block1D(weights []float64, p int) []int {
 	if p <= 0 {
 		panic(fmt.Sprintf("partition: p must be positive, got %d", p))
 	}
@@ -107,10 +107,10 @@ func RCB(coords [][]float64, p int) []int {
 	return parts
 }
 
-// GreedyGraph partitions the vertices of an undirected graph (CSR adjacency
+// greedyGraph partitions the vertices of an undirected graph (CSR adjacency
 // with symmetric pattern) into p parts by repeated BFS region growing from
 // the lowest-numbered unassigned vertex.
-func GreedyGraph(adj *sparse.CSR, p int) []int {
+func greedyGraph(adj *sparse.CSR, p int) []int {
 	if p <= 0 {
 		panic(fmt.Sprintf("partition: p must be positive, got %d", p))
 	}
@@ -185,17 +185,6 @@ func GreedyColoring(adj *sparse.CSR) []int {
 	return colors
 }
 
-// NumColors returns 1 + max color of a coloring (0 for empty input).
-func NumColors(colors []int) int {
-	mx := -1
-	for _, c := range colors {
-		if c > mx {
-			mx = c
-		}
-	}
-	return mx + 1
-}
-
 // ValidColoring reports whether no edge connects same-colored vertices.
 func ValidColoring(adj *sparse.CSR, colors []int) bool {
 	for i := 0; i < adj.Rows; i++ {
@@ -209,9 +198,9 @@ func ValidColoring(adj *sparse.CSR, colors []int) bool {
 	return true
 }
 
-// EdgeCut counts the edges of the (symmetric-pattern) adjacency matrix whose
+// edgeCut counts the edges of the (symmetric-pattern) adjacency matrix whose
 // endpoints land in different parts; each undirected edge is counted once.
-func EdgeCut(adj *sparse.CSR, parts []int) int {
+func edgeCut(adj *sparse.CSR, parts []int) int {
 	cut := 0
 	for i := 0; i < adj.Rows; i++ {
 		cols, _ := adj.Row(i)
@@ -243,11 +232,6 @@ func Imbalance(parts []int, p int) float64 {
 		}
 	}
 	return float64(mx) * float64(p) / float64(len(parts))
-}
-
-// ToMap converts a part assignment into a distmap over p ranks.
-func ToMap(parts []int, p int) *distmap.Map {
-	return distmap.NewArbitrary(parts, p)
 }
 
 // GridCoords returns the (x, y) coordinates of the nodes of an nx x ny grid

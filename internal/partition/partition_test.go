@@ -1,8 +1,10 @@
 package partition
 
 import (
+	"slices"
 	"testing"
 
+	"odinhpc/internal/distmap"
 	"odinhpc/internal/galeri"
 )
 
@@ -11,7 +13,7 @@ func TestBlock1DUniform(t *testing.T) {
 	for i := range w {
 		w[i] = 1
 	}
-	parts := Block1D(w, 3)
+	parts := block1D(w, 3)
 	if Imbalance(parts, 3) != 1.0 {
 		t.Fatalf("uniform imbalance %g: %v", Imbalance(parts, 3), parts)
 	}
@@ -27,7 +29,7 @@ func TestBlock1DWeighted(t *testing.T) {
 	// One heavy element at the start: the first part should contain little
 	// else.
 	w := []float64{10, 1, 1, 1, 1, 1, 1, 1, 1, 1}
-	parts := Block1D(w, 2)
+	parts := block1D(w, 2)
 	// Weight of part 0 should be close to half of 19.
 	var w0 float64
 	for i, p := range parts {
@@ -41,7 +43,7 @@ func TestBlock1DWeighted(t *testing.T) {
 }
 
 func TestBlock1DZeroWeights(t *testing.T) {
-	parts := Block1D(make([]float64, 10), 4)
+	parts := block1D(make([]float64, 10), 4)
 	if Imbalance(parts, 4) > 1.21 {
 		t.Fatalf("zero-weight fallback imbalance: %v", parts)
 	}
@@ -49,8 +51,8 @@ func TestBlock1DZeroWeights(t *testing.T) {
 
 func TestBlock1DValidation(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"zero-p":     func() { Block1D([]float64{1}, 0) },
-		"neg-weight": func() { Block1D([]float64{-1}, 2) },
+		"zero-p":     func() { block1D([]float64{1}, 0) },
+		"neg-weight": func() { block1D([]float64{-1}, 2) },
 	} {
 		func() {
 			defer func() {
@@ -73,12 +75,12 @@ func TestRCBGridQuality(t *testing.T) {
 	if imb := Imbalance(parts, 4); imb > 1.05 {
 		t.Fatalf("RCB imbalance %g", imb)
 	}
-	rcbCut := EdgeCut(adj, parts)
+	rcbCut := edgeCut(adj, parts)
 	cyclic := make([]int, nx*ny)
 	for i := range cyclic {
 		cyclic[i] = i % 4
 	}
-	cyclicCut := EdgeCut(adj, cyclic)
+	cyclicCut := edgeCut(adj, cyclic)
 	if rcbCut*5 > cyclicCut {
 		t.Fatalf("RCB cut %d not much better than cyclic %d", rcbCut, cyclicCut)
 	}
@@ -115,7 +117,7 @@ func TestRCBEmptyAndSingle(t *testing.T) {
 
 func TestGreedyGraphBalanced(t *testing.T) {
 	adj := galeri.Laplace2D(10, 10)
-	parts := GreedyGraph(adj, 4)
+	parts := greedyGraph(adj, 4)
 	if imb := Imbalance(parts, 4); imb > 1.2 {
 		t.Fatalf("imbalance %g", imb)
 	}
@@ -130,18 +132,18 @@ func TestGreedyGraphBalanced(t *testing.T) {
 	for i := range rand {
 		rand[i] = (i * 7) % 4
 	}
-	if EdgeCut(adj, parts) >= EdgeCut(adj, rand) {
-		t.Fatalf("greedy cut %d >= scattered cut %d", EdgeCut(adj, parts), EdgeCut(adj, rand))
+	if edgeCut(adj, parts) >= edgeCut(adj, rand) {
+		t.Fatalf("greedy cut %d >= scattered cut %d", edgeCut(adj, parts), edgeCut(adj, rand))
 	}
 }
 
 func TestEdgeCutCountsOnce(t *testing.T) {
 	adj := galeri.Laplace1D(4) // path 0-1-2-3
 	parts := []int{0, 0, 1, 1}
-	if got := EdgeCut(adj, parts); got != 1 {
+	if got := edgeCut(adj, parts); got != 1 {
 		t.Fatalf("cut=%d want 1", got)
 	}
-	if got := EdgeCut(adj, []int{0, 1, 0, 1}); got != 3 {
+	if got := edgeCut(adj, []int{0, 1, 0, 1}); got != 3 {
 		t.Fatalf("cut=%d want 3", got)
 	}
 }
@@ -166,7 +168,7 @@ func TestImbalanceMetric(t *testing.T) {
 
 func TestToMapRoundTrip(t *testing.T) {
 	parts := []int{0, 1, 0, 2, 1}
-	m := ToMap(parts, 3)
+	m := distmap.NewArbitrary(parts, 3)
 	for g, p := range parts {
 		if m.Owner(g) != p {
 			t.Fatalf("Owner(%d)=%d want %d", g, m.Owner(g), p)
@@ -192,17 +194,17 @@ func TestGreedyColoring(t *testing.T) {
 	if !ValidColoring(adj, colors) {
 		t.Fatal("invalid coloring")
 	}
-	if nc := NumColors(colors); nc < 2 || nc > 3 {
+	if nc := slices.Max(colors) + 1; nc < 2 || nc > 3 {
 		t.Fatalf("grid colored with %d colors", nc)
 	}
 	// A path graph needs exactly 2.
 	path := galeri.Laplace1D(10)
 	pc := GreedyColoring(path)
-	if !ValidColoring(path, pc) || NumColors(pc) != 2 {
+	if !ValidColoring(path, pc) || slices.Max(pc) != 1 {
 		t.Fatalf("path coloring: %v", pc)
 	}
 	// Empty graph.
-	if NumColors(GreedyColoring(galeri.Laplace1D(0))) != 0 {
+	if len(GreedyColoring(galeri.Laplace1D(0))) != 0 {
 		t.Fatal("empty graph")
 	}
 	// Invalid colorings are detected.
@@ -218,5 +220,5 @@ func TestGreedyGraphValidation(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	GreedyGraph(galeri.Laplace1D(4), 0)
+	greedyGraph(galeri.Laplace1D(4), 0)
 }

@@ -99,20 +99,6 @@ func NewSerialAMG(a *sparse.CSR, opts AMGOptions) (*AMG, error) {
 // NumLevels returns the depth of the hierarchy including the coarse level.
 func (m *AMG) NumLevels() int { return len(m.levels) }
 
-// OperatorComplexity returns sum of nnz over all levels divided by nnz of
-// the fine level — the standard AMG memory/work metric.
-func (m *AMG) OperatorComplexity() float64 {
-	fine := m.levels[0].a.NNZ()
-	if fine == 0 {
-		return 1
-	}
-	total := 0
-	for _, l := range m.levels {
-		total += l.a.NNZ()
-	}
-	return float64(total) / float64(fine)
-}
-
 // LocalSolve runs one V-cycle for A z = r (z overwritten), satisfying the
 // LocalSolver interface so an AMG can serve as a Schwarz subdomain solver.
 func (m *AMG) LocalSolve(r, z []float64) {

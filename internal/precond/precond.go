@@ -168,11 +168,11 @@ func NewSSOR(a *tpetra.CrsMatrix, omega float64, sweeps int) (*AdditiveSchwarz, 
 	})
 }
 
-// Chebyshev is the polynomial preconditioner: z = p_k(A) r where p_k is the
+// chebyshev is the polynomial preconditioner: z = p_k(A) r where p_k is the
 // degree-k Chebyshev polynomial minimizing the residual over the eigenvalue
 // interval [lMin, lMax]. Unlike the Schwarz family it applies the full
 // distributed operator, so its quality does not degrade with rank count.
-type Chebyshev struct {
+type chebyshev struct {
 	a          tpetra.Operator
 	degree     int
 	lMin, lMax float64
@@ -180,17 +180,17 @@ type Chebyshev struct {
 	tmp        *tpetra.Vector
 }
 
-// NewChebyshev builds a Chebyshev preconditioner of the given degree using
-// the eigenvalue bounds [lMin, lMax] (see eigen.PowerMethod for estimating
+// newChebyshev builds a Chebyshev preconditioner of the given degree using
+// the eigenvalue bounds [lMin, lMax] (see estimateMaxEigen for estimating
 // lMax; Ifpack's default lMin = lMax/30 works well for Laplacians).
-func NewChebyshev(a tpetra.Operator, comm *tpetra.Vector, degree int, lMin, lMax float64) (*Chebyshev, error) {
+func newChebyshev(a tpetra.Operator, comm *tpetra.Vector, degree int, lMin, lMax float64) (*chebyshev, error) {
 	if degree < 1 {
 		return nil, fmt.Errorf("precond: Chebyshev degree must be >= 1, got %d", degree)
 	}
 	if lMin <= 0 || lMax <= lMin {
 		return nil, fmt.Errorf("precond: Chebyshev needs 0 < lMin < lMax, got [%g, %g]", lMin, lMax)
 	}
-	return &Chebyshev{
+	return &chebyshev{
 		a:      a,
 		degree: degree,
 		lMin:   lMin,
@@ -201,7 +201,7 @@ func NewChebyshev(a tpetra.Operator, comm *tpetra.Vector, degree int, lMin, lMax
 }
 
 // ApplyInverse runs the Chebyshev iteration for A z = r with z0 = 0.
-func (ch *Chebyshev) ApplyInverse(r, z *tpetra.Vector) {
+func (ch *chebyshev) ApplyInverse(r, z *tpetra.Vector) {
 	theta := (ch.lMax + ch.lMin) / 2
 	delta := (ch.lMax - ch.lMin) / 2
 	z.PutScalar(0)
@@ -225,9 +225,9 @@ func (ch *Chebyshev) ApplyInverse(r, z *tpetra.Vector) {
 	}
 }
 
-// EstimateMaxEigen runs p power-method iterations on A to estimate its
+// estimateMaxEigen runs p power-method iterations on A to estimate its
 // largest eigenvalue, with a 10% safety margin as Ifpack applies.
-func EstimateMaxEigen(a tpetra.Operator, model *tpetra.Vector, iters int) float64 {
+func estimateMaxEigen(a tpetra.Operator, model *tpetra.Vector, iters int) float64 {
 	v := model.Clone()
 	v.FillFromGlobal(func(g int) float64 { return math.Sin(float64(g)*0.7) + 1.1 })
 	n := v.Norm2()

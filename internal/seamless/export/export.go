@@ -52,60 +52,6 @@ func (e *Exporter) SliceToScalar(name string) (func([]float64) float64, error) {
 	}, nil
 }
 
-// Slice2ToScalar exports (float[:], float[:]) -> float (dot products).
-func (e *Exporter) Slice2ToScalar(name string) (func(a, b []float64) float64, error) {
-	c, err := prepare(e.Eng, e.Prog, name, seamless.TArrFloat, seamless.TArrFloat)
-	if err != nil {
-		return nil, err
-	}
-	if c.Ret != seamless.TFloat {
-		return nil, fmt.Errorf("export: %s returns %v, want float", name, c.Ret)
-	}
-	return func(a, b []float64) float64 {
-		out, err := e.Eng.Call(name, seamless.ArrFV(a), seamless.ArrFV(b))
-		if err != nil {
-			panic(err)
-		}
-		return out.F
-	}, nil
-}
-
-// ScalarToScalar exports (float) -> float.
-func (e *Exporter) ScalarToScalar(name string) (func(float64) float64, error) {
-	c, err := prepare(e.Eng, e.Prog, name, seamless.TFloat)
-	if err != nil {
-		return nil, err
-	}
-	if c.Ret != seamless.TFloat {
-		return nil, fmt.Errorf("export: %s returns %v, want float", name, c.Ret)
-	}
-	return func(x float64) float64 {
-		out, err := e.Eng.Call(name, seamless.FloatV(x))
-		if err != nil {
-			panic(err)
-		}
-		return out.F
-	}, nil
-}
-
-// Scalar2ToScalar exports (float, float) -> float.
-func (e *Exporter) Scalar2ToScalar(name string) (func(x, y float64) float64, error) {
-	c, err := prepare(e.Eng, e.Prog, name, seamless.TFloat, seamless.TFloat)
-	if err != nil {
-		return nil, err
-	}
-	if c.Ret != seamless.TFloat {
-		return nil, fmt.Errorf("export: %s returns %v, want float", name, c.Ret)
-	}
-	return func(x, y float64) float64 {
-		out, err := e.Eng.Call(name, seamless.FloatV(x), seamless.FloatV(y))
-		if err != nil {
-			panic(err)
-		}
-		return out.F
-	}, nil
-}
-
 // SliceToSlice exports (float[:]) -> float[:] (map-style kernels).
 func (e *Exporter) SliceToSlice(name string) (func([]float64) []float64, error) {
 	c, err := prepare(e.Eng, e.Prog, name, seamless.TArrFloat)
@@ -121,23 +67,5 @@ func (e *Exporter) SliceToSlice(name string) (func([]float64) []float64, error) 
 			panic(err)
 		}
 		return out.AF
-	}, nil
-}
-
-// IntToInt exports (int) -> int.
-func (e *Exporter) IntToInt(name string) (func(int64) int64, error) {
-	c, err := prepare(e.Eng, e.Prog, name, seamless.TInt)
-	if err != nil {
-		return nil, err
-	}
-	if c.Ret != seamless.TInt {
-		return nil, fmt.Errorf("export: %s returns %v, want int", name, c.Ret)
-	}
-	return func(x int64) int64 {
-		out, err := e.Eng.Call(name, seamless.IntV(x))
-		if err != nil {
-			panic(err)
-		}
-		return out.I
 	}, nil
 }

@@ -75,26 +75,12 @@ func TestSeamlessNumpySum(t *testing.T) {
 
 func TestAllWrapperShapes(t *testing.T) {
 	e := exporter(t)
-	dot, err := e.Slice2ToScalar("dot")
+	sum, err := e.SliceToScalar("sum")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := dot([]float64{1, 2}, []float64{3, 4}); got != 11 {
-		t.Fatalf("dot = %v", got)
-	}
-	sig, err := e.ScalarToScalar("sigmoid")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(sig(0)-0.5) > 1e-15 {
-		t.Fatalf("sigmoid(0) = %v", sig(0))
-	}
-	lerp, err := e.Scalar2ToScalar("lerp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lerp(0, 10) != 5 {
-		t.Fatalf("lerp = %v", lerp(0, 10))
+	if got := sum([]float64{3, 4}); got != 7 {
+		t.Fatalf("sum = %v", got)
 	}
 	norm, err := e.SliceToSlice("normalize")
 	if err != nil {
@@ -104,13 +90,6 @@ func TestAllWrapperShapes(t *testing.T) {
 	if math.Abs(out[0]-0.6) > 1e-15 || math.Abs(out[1]-0.8) > 1e-15 {
 		t.Fatalf("normalize = %v", out)
 	}
-	fact, err := e.IntToInt("fact")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fact(6) != 720 {
-		t.Fatalf("fact = %v", fact(6))
-	}
 }
 
 func TestWrapperTypeChecks(t *testing.T) {
@@ -118,28 +97,26 @@ func TestWrapperTypeChecks(t *testing.T) {
 	if _, err := e.SliceToScalar("normalize"); err == nil {
 		t.Fatal("wrong return shape accepted")
 	}
-	if _, err := e.ScalarToScalar("nosuch"); err == nil {
+	if _, err := e.SliceToScalar("nosuch"); err == nil {
 		t.Fatal("unknown function accepted")
 	}
-	if _, err := e.IntToInt("sigmoid"); err == nil {
-		t.Fatal("float fn as IntToInt accepted")
+	if _, err := e.SliceToScalar("dot"); err == nil {
+		t.Fatal("two-argument fn as SliceToScalar accepted")
 	}
 }
 
 func TestWrapperErrorShapes(t *testing.T) {
 	e := exporter(t)
-	// Each wrapper rejects both unknown names and mismatched return kinds.
-	if _, err := e.Slice2ToScalar("normalize"); err == nil {
-		t.Fatal("Slice2ToScalar wrong ret accepted")
-	}
-	if _, err := e.Scalar2ToScalar("nosuch"); err == nil {
-		t.Fatal("Scalar2ToScalar unknown accepted")
+	// Each wrapper rejects unknown names, mismatched return kinds and
+	// mismatched arities.
+	if _, err := e.SliceToSlice("nosuch"); err == nil {
+		t.Fatal("SliceToSlice unknown accepted")
 	}
 	if _, err := e.SliceToSlice("sum"); err == nil {
 		t.Fatal("SliceToSlice scalar fn accepted")
 	}
-	if _, err := e.Scalar2ToScalar("fact"); err == nil {
-		t.Fatal("Scalar2ToScalar wrong arity accepted")
+	if _, err := e.SliceToSlice("dot"); err == nil {
+		t.Fatal("SliceToSlice wrong arity accepted")
 	}
 }
 
@@ -149,26 +126,22 @@ func TestWrapperReuseIsCached(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := New(prog)
-	f1, err := e.ScalarToScalar("sigmoid")
+	f1, err := e.SliceToScalar("sum")
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := e.ScalarToScalar("sigmoid")
+	f2, err := e.SliceToScalar("sum")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Both wrappers resolve to the same cached specialization: only one
-	// entry in the program's specialization table.
-	n := 0
-	for _, k := range e.Prog.Specializations() {
-		if k == "sigmoid(float)" {
-			n++
-		}
+	// Both wrappers resolve to the same cached specialization and the same
+	// compiled closure set.
+	c1, err1 := prepare(e.Eng, e.Prog, "sum", seamless.TArrFloat)
+	c2, err2 := prepare(e.Eng, e.Prog, "sum", seamless.TArrFloat)
+	if err1 != nil || err2 != nil || c1 != c2 {
+		t.Fatalf("sum(float[:]) compiled twice: %p %p (%v %v)", c1, c2, err1, err2)
 	}
-	if n != 1 {
-		t.Fatalf("specializations: %v", e.Prog.Specializations())
-	}
-	if f1(1) != f2(1) {
+	if x := []float64{1, 2}; f1(x) != f2(x) {
 		t.Fatal("wrappers disagree")
 	}
 }

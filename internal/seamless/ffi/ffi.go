@@ -168,11 +168,6 @@ var providers = map[string]Provider{
 	"m": libm(),
 }
 
-// RegisterProvider installs (or replaces) the implementation set for a
-// library name, allowing tests and applications to expose their own
-// "shared libraries".
-func RegisterProvider(name string, p Provider) { providers[name] = p }
-
 // libm is the built-in math library backing the paper's cmath example.
 func libm() Provider {
 	u1 := func(f func(float64) float64) func(...float64) float64 {

@@ -160,9 +160,10 @@ func TestOpenUnknownLibrary(t *testing.T) {
 }
 
 func TestRegisterProvider(t *testing.T) {
-	RegisterProvider("testlib", Provider{
+	providers["testlib"] = Provider{
 		"tripler": func(a ...float64) float64 { return 3 * a[0] },
-	})
+	}
+	defer delete(providers, "testlib")
 	lib, err := Open("testlib", "double tripler(double x);")
 	if err != nil {
 		t.Fatal(err)

@@ -286,8 +286,8 @@ func TestInferSpecializationPerType(t *testing.T) {
 	if fi.Ret != TInt || ff.Ret != TFloat {
 		t.Fatalf("specializations: %v %v", fi.Ret, ff.Ret)
 	}
-	if len(prog.Specializations()) != 2 {
-		t.Fatalf("specs: %v", prog.Specializations())
+	if len(prog.specs) != 2 {
+		t.Fatalf("specs: %v", prog.specs)
 	}
 	// Memoized: same pointer.
 	fi2, _ := prog.Specialize("double", []Type{TInt})
@@ -477,9 +477,6 @@ func TestValueHelpers(t *testing.T) {
 		if v.String() == "" {
 			t.Fatal("String")
 		}
-	}
-	if TypeOfValue(IntV(1)) != TInt {
-		t.Fatal("TypeOfValue")
 	}
 	defer func() {
 		if recover() == nil {

@@ -2,7 +2,6 @@ package seamless
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -73,16 +72,6 @@ func sigKey(name string, args []Type) string {
 	}
 	b.WriteByte(')')
 	return b.String()
-}
-
-// Specializations returns the keys of all memoized specializations, sorted.
-func (pr *Program) Specializations() []string {
-	out := make([]string, 0, len(pr.specs))
-	for k := range pr.specs {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Specialize infers types for fn called with the given argument types,

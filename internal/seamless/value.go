@@ -70,6 +70,3 @@ func (v Value) String() string {
 	}
 	return "unknown"
 }
-
-// TypeOfValue returns the language type of a boxed value.
-func TypeOfValue(v Value) Type { return v.K }

@@ -57,6 +57,7 @@ func NewQuotas(maxInFlight int, ratePerSec, burst float64) *Quotas {
 }
 
 // SetClock injects a time source for tests.
+// Test seam: injects a fake clock into the token buckets.
 func (q *Quotas) SetClock(now func() time.Time) { q.now = now }
 
 // acquire admits one job for the tenant or rejects with *QuotaError. The

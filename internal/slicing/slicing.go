@@ -147,10 +147,10 @@ func Slice[T dense.Elem](x *core.DistArray[T], r dense.Range) *core.DistArray[T]
 	return out
 }
 
-// SliceAxis slices along an arbitrary axis. Along non-distributed axes the
+// sliceAxis slices along an arbitrary axis. Along non-distributed axes the
 // operation is purely local (zero communication); along the distributed
 // axis it delegates to Slice.
-func SliceAxis[T dense.Elem](x *core.DistArray[T], axis int, r dense.Range) *core.DistArray[T] {
+func sliceAxis[T dense.Elem](x *core.DistArray[T], axis int, r dense.Range) *core.DistArray[T] {
 	if axis == x.Axis() {
 		return Slice(x, r)
 	}

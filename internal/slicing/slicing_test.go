@@ -93,7 +93,7 @@ func TestSlice2DSlabs(t *testing.T) {
 func TestSliceAxisLocal(t *testing.T) {
 	onRanks(t, []int{2}, func(ctx *core.Context) error {
 		x := core.FromFunc(ctx, []int{6, 8}, func(g []int) float64 { return float64(10*g[0] + g[1]) })
-		got := SliceAxis(x, 1, dense.Range{Start: 2, Stop: 7, Step: 2})
+		got := sliceAxis(x, 1, dense.Range{Start: 2, Stop: 7, Step: 2})
 		if got.Shape()[1] != 3 || got.Shape()[0] != 6 {
 			return fmt.Errorf("shape %v", got.Shape())
 		}
@@ -123,8 +123,8 @@ func TestSliceAxisZeroCommunication(t *testing.T) {
 			c.ResetStats()
 		}
 		c.Barrier()
-		//lint:allow p2pmatch SliceAxis delegates to the slicing gather protocol; message-count accounting is this test's assertion
-		_ = SliceAxis(x, 1, dense.Range{Start: 0, Stop: 5, Step: 1})
+		//lint:allow p2pmatch sliceAxis delegates to the slicing gather protocol; message-count accounting is this test's assertion
+		_ = sliceAxis(x, 1, dense.Range{Start: 0, Stop: 5, Step: 1})
 		return nil
 	})
 	if err != nil {

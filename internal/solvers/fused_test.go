@@ -207,7 +207,7 @@ func TestFusedSweepsBitwise(t *testing.T) {
 					const alpha = 0.8125 + 1e-9
 					fail := func(what string) error {
 						return fmt.Errorf("%s differs from the unfused sequence: pool=%d P=%d n=%d rank %d (local %d)",
-							what, pool, P, n, c.Rank(), p.LocalLen())
+							what, pool, P, n, c.Rank(), len(p.Data))
 					}
 
 					x, r := x0.Clone(), r0.Clone()

@@ -154,15 +154,6 @@ type CSR struct {
 	Val        []float64
 }
 
-// NewCSR wraps pre-built CSR arrays after validating their invariants.
-func NewCSR(rows, cols int, rowPtr, colIdx []int, val []float64) (*CSR, error) {
-	m := &CSR{Rows: rows, Cols: cols, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
 // Validate checks the CSR structural invariants.
 func (m *CSR) Validate() error {
 	if len(m.RowPtr) != m.Rows+1 {
@@ -264,32 +255,6 @@ func csrMulAddRange(a csrArgs, lo, hi int) {
 	}
 }
 
-// MulVecTrans computes y = A^T*x; y must have length Cols. Rows scatter
-// into shared output columns, so each row chunk scatters into its own
-// partial output vector and the partials combine in the engine's
-// chunk-index tree — the same sums at every pool size, no race on y.
-func (m *CSR) MulVecTrans(x, y []float64) {
-	if len(x) != m.Rows || len(y) != m.Cols {
-		panic("sparse: MulVecTrans dimension mismatch")
-	}
-	out := exec.ParallelReduce(exec.Default(), m.Rows, func(lo, hi int) []float64 {
-		acc := make([]float64, m.Cols) //lint:allow hotalloc One dense accumulator per chunk by design; amortized over the chunk's rows
-		for i := lo; i < hi; i++ {
-			xi := x[i]
-			for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-				acc[m.ColIdx[k]] += m.Val[k] * xi
-			}
-		}
-		return acc
-	}, func(a, b []float64) []float64 {
-		for j := range a {
-			a[j] += b[j]
-		}
-		return a
-	})
-	copy(y, out)
-}
-
 // Transpose returns A^T as a new CSR matrix.
 func (m *CSR) Transpose() *CSR {
 	t := &CSR{Rows: m.Cols, Cols: m.Rows, RowPtr: make([]int, m.Cols+1)}
@@ -385,8 +350,8 @@ func (m *CSR) MatMul(b *CSR) *CSR {
 	return out
 }
 
-// NormFrobenius returns the Frobenius norm of the stored entries.
-func (m *CSR) NormFrobenius() float64 {
+// normFrobenius returns the Frobenius norm of the stored entries.
+func (m *CSR) normFrobenius() float64 {
 	var acc float64
 	for _, v := range m.Val {
 		acc += v * v
@@ -394,8 +359,8 @@ func (m *CSR) NormFrobenius() float64 {
 	return math.Sqrt(acc)
 }
 
-// NormInf returns the maximum absolute row sum.
-func (m *CSR) NormInf() float64 {
+// normInf returns the maximum absolute row sum.
+func (m *CSR) normInf() float64 {
 	var best float64
 	for i := 0; i < m.Rows; i++ {
 		var s float64
@@ -429,6 +394,7 @@ func (m *CSR) Equal(b *CSR) bool {
 }
 
 // Dense materializes the matrix as a row-major flat slice, for small tests.
+// Test seam: the dense reference the sparse suites compare against.
 func (m *CSR) Dense() []float64 {
 	out := make([]float64, m.Rows*m.Cols)
 	for i := 0; i < m.Rows; i++ {
@@ -453,14 +419,13 @@ func (m *CSR) Clone() *CSR {
 	return out
 }
 
-// SubMatrix extracts the square principal submatrix with the given sorted
-// row/column global indices renumbered densely — used by block-Jacobi and
-// additive Schwarz to pull out local diagonal blocks.
-func (m *CSR) SubMatrix(keep []int) *CSR {
+// subMatrix extracts the square principal submatrix with the given sorted
+// row/column global indices renumbered densely.
+func (m *CSR) subMatrix(keep []int) *CSR {
 	pos := make(map[int]int, len(keep))
 	for p, g := range keep {
 		if p > 0 && keep[p] <= keep[p-1] {
-			panic("sparse: SubMatrix requires sorted unique indices")
+			panic("sparse: subMatrix requires sorted unique indices")
 		}
 		pos[g] = p
 	}
@@ -474,17 +439,6 @@ func (m *CSR) SubMatrix(keep []int) *CSR {
 		}
 	}
 	return coo.ToCSR()
-}
-
-// Identity returns the n x n identity matrix in CSR form.
-func Identity(n int) *CSR {
-	m := &CSR{Rows: n, Cols: n, RowPtr: make([]int, n+1), ColIdx: make([]int, n), Val: make([]float64, n)}
-	for i := 0; i < n; i++ {
-		m.RowPtr[i+1] = i + 1
-		m.ColIdx[i] = i
-		m.Val[i] = 1
-	}
-	return m
 }
 
 func (m *CSR) String() string {

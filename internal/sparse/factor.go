@@ -239,12 +239,12 @@ func (f *LUFactor) Solve(b []float64) []float64 {
 	return x
 }
 
-// LowerSolve solves L x = b for a lower-triangular CSR matrix with non-zero
+// lowerSolve solves L x = b for a lower-triangular CSR matrix with non-zero
 // diagonal (stored explicitly).
-func LowerSolve(l *CSR, b, x []float64) {
+func lowerSolve(l *CSR, b, x []float64) {
 	n := l.Rows
 	if len(b) != n || len(x) != n {
-		panic("sparse: LowerSolve dimension mismatch")
+		panic("sparse: lowerSolve dimension mismatch")
 	}
 	for i := 0; i < n; i++ {
 		s := b[i]
@@ -259,18 +259,18 @@ func LowerSolve(l *CSR, b, x []float64) {
 			}
 		}
 		if diag == 0 {
-			panic(fmt.Sprintf("sparse: LowerSolve zero diagonal at row %d", i))
+			panic(fmt.Sprintf("sparse: lowerSolve zero diagonal at row %d", i))
 		}
 		x[i] = s / diag
 	}
 }
 
-// UpperSolve solves U x = b for an upper-triangular CSR matrix with non-zero
+// upperSolve solves U x = b for an upper-triangular CSR matrix with non-zero
 // diagonal (stored explicitly).
-func UpperSolve(u *CSR, b, x []float64) {
+func upperSolve(u *CSR, b, x []float64) {
 	n := u.Rows
 	if len(b) != n || len(x) != n {
-		panic("sparse: UpperSolve dimension mismatch")
+		panic("sparse: upperSolve dimension mismatch")
 	}
 	for i := n - 1; i >= 0; i-- {
 		s := b[i]
@@ -285,15 +285,15 @@ func UpperSolve(u *CSR, b, x []float64) {
 			}
 		}
 		if diag == 0 {
-			panic(fmt.Sprintf("sparse: UpperSolve zero diagonal at row %d", i))
+			panic(fmt.Sprintf("sparse: upperSolve zero diagonal at row %d", i))
 		}
 		x[i] = s / diag
 	}
 }
 
-// GaussSeidelSweep performs one forward Gauss-Seidel sweep for A x = b,
-// updating x in place. Used as a multigrid smoother.
-func GaussSeidelSweep(a *CSR, b, x []float64) {
+// gaussSeidelSweep performs one forward Gauss-Seidel sweep for A x = b,
+// updating x in place.
+func gaussSeidelSweep(a *CSR, b, x []float64) {
 	n := a.Rows
 	for i := 0; i < n; i++ {
 		s := b[i]

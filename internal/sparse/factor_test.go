@@ -181,14 +181,14 @@ func TestTriangularSolves(t *testing.T) {
 	cl.Add(1, 1, 3)
 	l := cl.ToCSR()
 	x := make([]float64, 2)
-	LowerSolve(l, []float64{4, 7}, x)
+	lowerSolve(l, []float64{4, 7}, x)
 	if math.Abs(x[0]-2) > 1e-12 || math.Abs(x[1]-5.0/3) > 1e-12 {
-		t.Fatalf("LowerSolve = %v", x)
+		t.Fatalf("lowerSolve = %v", x)
 	}
 	u := l.Transpose()
-	UpperSolve(u, []float64{4, 6}, x)
+	upperSolve(u, []float64{4, 6}, x)
 	if math.Abs(x[1]-2) > 1e-12 || math.Abs(x[0]-1) > 1e-12 {
-		t.Fatalf("UpperSolve = %v", x)
+		t.Fatalf("upperSolve = %v", x)
 	}
 }
 
@@ -202,10 +202,10 @@ func TestTriangularZeroDiagPanics(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("LowerSolve zero diag should panic")
+				t.Error("lowerSolve zero diag should panic")
 			}
 		}()
-		LowerSolve(m, []float64{1, 1}, x)
+		lowerSolve(m, []float64{1, 1}, x)
 	}()
 }
 
@@ -221,7 +221,7 @@ func TestGaussSeidelConverges(t *testing.T) {
 	x := make([]float64, n)
 	r0 := residual(a, x, b)
 	for sweep := 0; sweep < 200; sweep++ {
-		GaussSeidelSweep(a, b, x)
+		gaussSeidelSweep(a, b, x)
 	}
 	if r := residual(a, x, b); r > 1e-3*r0 {
 		t.Fatalf("Gauss-Seidel stalled: %g -> %g", r0, r)

@@ -57,7 +57,6 @@ type SELL struct {
 	c          int     // slice height
 	sigma      int     // sort-window size (multiple of c)
 	perm       []int   // perm[p] = original row stored at sorted position p
-	invPerm    []int   // invPerm[original row] = sorted position
 	slicePtr   []int   // per-slice offsets into colIdx/val; length numSlices+1
 	rowLen     []int   // true nnz of the row at each sorted position
 	colIdx     []int32 // column indices, column-major within each slice
@@ -86,9 +85,8 @@ func FromCSR(m *CSR, c, sigma int) *SELL {
 	}
 	s := &SELL{
 		rows: m.Rows, cols: m.Cols, c: c, sigma: sigma,
-		perm:    make([]int, m.Rows),
-		invPerm: make([]int, m.Rows),
-		rowLen:  make([]int, m.Rows),
+		perm:   make([]int, m.Rows),
+		rowLen: make([]int, m.Rows),
 	}
 	for i := range s.perm {
 		s.perm[i] = i
@@ -107,7 +105,6 @@ func FromCSR(m *CSR, c, sigma int) *SELL {
 		})
 	}
 	for p, orig := range s.perm {
-		s.invPerm[orig] = p
 		s.rowLen[p] = m.RowNNZ(orig)
 	}
 	ns := (m.Rows + c - 1) / c
@@ -289,42 +286,6 @@ func sellRange(a sellArgs, slo, shi int) {
 	}
 }
 
-// MulVecTrans computes y = A^T*x; y has one entry per column. To stay bitwise
-// identical to CSR.MulVecTrans it scatters rows in original (CSR) order into
-// per-span partial vectors over the same row chunks and reduction tree.
-func (m *SELL) MulVecTrans(x, y []float64) {
-	if len(x) != m.rows || len(y) != m.cols {
-		panic("sparse: MulVecTrans dimension mismatch")
-	}
-	scatter := func(y []float64, i int) {
-		xi := x[i]
-		p := m.invPerm[i]
-		s := p / m.c
-		lo := s * m.c
-		h := m.c
-		if m.rows-lo < h {
-			h = m.rows - lo
-		}
-		off := m.slicePtr[s] + (p - lo)
-		for j := 0; j < m.rowLen[p]; j++ {
-			y[m.colIdx[off+j*h]] += m.val[off+j*h] * xi
-		}
-	}
-	out := exec.ParallelReduce(exec.Default(), m.rows, func(lo, hi int) []float64 {
-		acc := make([]float64, m.cols) //lint:allow hotalloc One dense accumulator per chunk by design; amortized over the chunk's rows
-		for i := lo; i < hi; i++ {
-			scatter(acc, i)
-		}
-		return acc
-	}, func(a, b []float64) []float64 {
-		for j := range a {
-			a[j] += b[j]
-		}
-		return a
-	})
-	copy(y, out)
-}
-
 // Scale multiplies every stored entry by alpha, in place. Padding slots are
 // scaled too but never read, so a NaN/Inf alpha cannot leak into results.
 func (m *SELL) Scale(alpha float64) {
@@ -343,7 +304,6 @@ func (m *SELL) String() string {
 type Operator interface {
 	MulVec(x, y []float64)
 	MulVecAdd(alpha float64, x, y []float64)
-	MulVecTrans(x, y []float64)
 }
 
 // Format identifies a sparse storage format for the SpMV fast path.

@@ -88,9 +88,6 @@ func New(ctx *core.Context, schema []Column) *Table {
 	return t
 }
 
-// Schema returns a copy of the column definitions.
-func (t *Table) Schema() []Column { return append([]Column(nil), t.schema...) }
-
 // Context returns the owning ODIN context.
 func (t *Table) Context() *core.Context { return t.ctx }
 
@@ -131,9 +128,6 @@ func (t *Table) AppendRow(vals ...any) {
 	t.nLocal++
 }
 
-// NumRowsLocal returns this rank's row count.
-func (t *Table) NumRowsLocal() int { return t.nLocal }
-
 // NumRowsGlobal returns the total row count. Collective.
 func (t *Table) NumRowsGlobal() int {
 	return comm.AllreduceScalar(t.ctx.Comm(), t.nLocal, comm.OpSum)
@@ -159,15 +153,6 @@ func (r Row) Int(name string) int64 {
 	col, ok := r.t.ints[name]
 	if !ok {
 		panic(fmt.Sprintf("table: no int column %q", name))
-	}
-	return col[r.i]
-}
-
-// Str returns the value of a string column in this row.
-func (r Row) Str(name string) string {
-	col, ok := r.t.strs[name]
-	if !ok {
-		panic(fmt.Sprintf("table: no string column %q", name))
 	}
 	return col[r.i]
 }
@@ -205,8 +190,8 @@ func (t *Table) appendFrom(src *Table, i int) {
 	t.nLocal++
 }
 
-// MapFloat replaces a float column's values with f applied row-wise. Local.
-func (t *Table) MapFloat(name string, f func(r Row, v float64) float64) {
+// mapFloat replaces a float column's values with f applied row-wise. Local.
+func (t *Table) mapFloat(name string, f func(r Row, v float64) float64) {
 	col, ok := t.floats[name]
 	if !ok {
 		panic(fmt.Sprintf("table: no float column %q", name))
@@ -227,15 +212,6 @@ func (t *Table) SumFloat(name string) float64 {
 		local += v
 	}
 	return comm.AllreduceScalar(t.ctx.Comm(), local, comm.OpSum)
-}
-
-// MeanFloat returns the global mean of a float column. Collective.
-func (t *Table) MeanFloat(name string) float64 {
-	n := t.NumRowsGlobal()
-	if n == 0 {
-		panic("table: MeanFloat of empty table")
-	}
-	return t.SumFloat(name) / float64(n)
 }
 
 // AggOp is a group-reduce aggregation operator.
@@ -389,11 +365,11 @@ func (t *Table) GatherRows(keyCol, valCol string) (keys []string, vals []float64
 	return sk, sv
 }
 
-// FromCSV parses CSV content (header row naming the columns, comma
+// fromCSV parses CSV content (header row naming the columns, comma
 // separated) and distributes the data rows block-wise by line number. The
 // content must be identical on every rank (e.g., a shared file).
 // Collective in bookkeeping.
-func FromCSV(ctx *core.Context, content string, schema []Column) (*Table, error) {
+func fromCSV(ctx *core.Context, content string, schema []Column) (*Table, error) {
 	lines := strings.Split(strings.TrimSpace(content), "\n")
 	if len(lines) == 0 {
 		return nil, fmt.Errorf("table: empty CSV")

@@ -45,14 +45,6 @@ func (p *ParameterList) Set(key string, value any) *ParameterList {
 	return p
 }
 
-// Has reports whether the parameter exists (without marking it used).
-func (p *ParameterList) Has(key string) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	_, ok := p.values[key]
-	return ok
-}
-
 // Get returns the raw value and whether it exists, marking it used.
 func (p *ParameterList) Get(key string) (any, bool) {
 	p.mu.Lock()
@@ -114,18 +106,6 @@ func (p *ParameterList) GetString(key, def string) string {
 	panic(fmt.Sprintf("teuchos: parameter %q is %T, want string", key, v))
 }
 
-// GetBool returns a boolean parameter or def if absent.
-func (p *ParameterList) GetBool(key string, def bool) bool {
-	v, ok := p.Get(key)
-	if !ok {
-		return def
-	}
-	if b, ok := v.(bool); ok {
-		return b
-	}
-	panic(fmt.Sprintf("teuchos: parameter %q is %T, want bool", key, v))
-}
-
 // Sublist returns the named sub-list, creating it if needed.
 func (p *ParameterList) Sublist(name string) *ParameterList {
 	p.mu.Lock()
@@ -136,14 +116,6 @@ func (p *ParameterList) Sublist(name string) *ParameterList {
 	s := NewParameterList(name)
 	p.subs[name] = s
 	return s
-}
-
-// HasSublist reports whether the named sub-list exists.
-func (p *ParameterList) HasSublist(name string) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	_, ok := p.subs[name]
-	return ok
 }
 
 // Keys returns the sorted parameter names in this list (not sub-lists).
@@ -158,9 +130,9 @@ func (p *ParameterList) Keys() []string {
 	return out
 }
 
-// Unused returns the sorted names of parameters that were set but never
+// unused returns the sorted names of parameters that were set but never
 // read — the classic guard against silently ignored, misspelled options.
-func (p *ParameterList) Unused() []string {
+func (p *ParameterList) unused() []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var out []string

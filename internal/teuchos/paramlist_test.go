@@ -8,7 +8,7 @@ import (
 
 func TestSetGetTyped(t *testing.T) {
 	p := NewParameterList("solver")
-	p.Set("max iterations", 100).Set("tolerance", 1e-8).Set("method", "cg").Set("verbose", true)
+	p.Set("max iterations", 100).Set("tolerance", 1e-8).Set("method", "cg")
 	if p.GetInt("max iterations", 0) != 100 {
 		t.Fatal("GetInt")
 	}
@@ -17,9 +17,6 @@ func TestSetGetTyped(t *testing.T) {
 	}
 	if p.GetString("method", "") != "cg" {
 		t.Fatal("GetString")
-	}
-	if !p.GetBool("verbose", false) {
-		t.Fatal("GetBool")
 	}
 	if p.Name() != "solver" {
 		t.Fatal("Name")
@@ -36,9 +33,6 @@ func TestDefaults(t *testing.T) {
 	}
 	if p.GetString("missing", "x") != "x" {
 		t.Fatal("string default")
-	}
-	if p.GetBool("missing", true) != true {
-		t.Fatal("bool default")
 	}
 }
 
@@ -70,7 +64,6 @@ func TestTypeMismatchPanics(t *testing.T) {
 		"int-from-fraction": func() { p.GetInt("frac", 0) },
 		"float-from-string": func() { p.GetFloat("s", 0) },
 		"string-from-float": func() { p.GetString("frac", "") },
-		"bool-from-string":  func() { p.GetBool("s", false) },
 	} {
 		func() {
 			defer func() {
@@ -86,12 +79,6 @@ func TestTypeMismatchPanics(t *testing.T) {
 func TestSublist(t *testing.T) {
 	p := NewParameterList("top")
 	p.Sublist("smoother").Set("sweeps", 3)
-	if !p.HasSublist("smoother") {
-		t.Fatal("HasSublist")
-	}
-	if p.HasSublist("none") {
-		t.Fatal("phantom sublist")
-	}
 	if p.Sublist("smoother").GetInt("sweeps", 0) != 3 {
 		t.Fatal("sublist value")
 	}
@@ -114,14 +101,12 @@ func TestUnusedTracking(t *testing.T) {
 	p := NewParameterList("l")
 	p.Set("used", 1).Set("never", 2).Set("misspeled", 3)
 	p.GetInt("used", 0)
-	if !reflect.DeepEqual(p.Unused(), []string{"misspeled", "never"}) {
-		t.Fatalf("Unused = %v", p.Unused())
+	if !reflect.DeepEqual(p.unused(), []string{"misspeled", "never"}) {
+		t.Fatalf("unused = %v", p.unused())
 	}
-	if p.Has("never") {
-		// Has must not mark used.
-		if !reflect.DeepEqual(p.Unused(), []string{"misspeled", "never"}) {
-			t.Fatal("Has marked parameter as used")
-		}
+	p.Keys() // listing names must not mark them used
+	if !reflect.DeepEqual(p.unused(), []string{"misspeled", "never"}) {
+		t.Fatal("Keys marked parameters as used")
 	}
 }
 
@@ -203,7 +188,7 @@ func TestConcurrentAccess(t *testing.T) {
 		p.GetInt("k", 0)
 		p.Sublist("s").GetInt("v", 0)
 		p.Keys()
-		p.Unused()
+		p.unused()
 	}
 	<-done
 }

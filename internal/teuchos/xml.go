@@ -6,7 +6,6 @@ import (
 	"io"
 	"sort"
 	"strconv"
-	"strings"
 )
 
 // This file implements the XML serialization Teuchos::ParameterList is
@@ -77,15 +76,6 @@ func (p *ParameterList) WriteXML(w io.Writer) error {
 	return enc.Flush()
 }
 
-// XMLString returns the XML serialization as a string.
-func (p *ParameterList) XMLString() string {
-	var b strings.Builder
-	if err := p.WriteXML(&b); err != nil {
-		return ""
-	}
-	return b.String()
-}
-
 // ReadXML parses a Trilinos-schema ParameterList document.
 func ReadXML(r io.Reader) (*ParameterList, error) {
 	var root xmlList
@@ -93,11 +83,6 @@ func ReadXML(r io.Reader) (*ParameterList, error) {
 		return nil, fmt.Errorf("teuchos: XML decode: %w", err)
 	}
 	return fromXML(root)
-}
-
-// ParseXML parses a ParameterList from a string.
-func ParseXML(s string) (*ParameterList, error) {
-	return ReadXML(strings.NewReader(s))
 }
 
 func fromXML(x xmlList) (*ParameterList, error) {

@@ -5,13 +5,26 @@ import (
 	"testing"
 )
 
+// xmlString serializes p with WriteXML.
+func xmlString(t *testing.T, p *ParameterList) string {
+	t.Helper()
+	var b strings.Builder
+	if err := p.WriteXML(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// parseXML reads a ParameterList document from a string with ReadXML.
+func parseXML(s string) (*ParameterList, error) { return ReadXML(strings.NewReader(s)) }
+
 func TestXMLRoundTrip(t *testing.T) {
 	p := NewParameterList("solver")
 	p.Set("tolerance", 1e-8).Set("max iterations", 500).Set("method", "cg").Set("verbose", true)
 	p.Sublist("smoother").Set("sweeps", 3).Set("omega", 1.25)
 	p.Sublist("smoother").Sublist("coarse").Set("type", "lu")
 
-	xmlStr := p.XMLString()
+	xmlStr := xmlString(t, p)
 	for _, want := range []string{
 		`<ParameterList name="solver">`,
 		`name="tolerance" type="double" value="1e-08"`,
@@ -26,7 +39,7 @@ func TestXMLRoundTrip(t *testing.T) {
 		}
 	}
 
-	q, err := ParseXML(xmlStr)
+	q, err := parseXML(xmlStr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +49,7 @@ func TestXMLRoundTrip(t *testing.T) {
 	if q.GetFloat("tolerance", 0) != 1e-8 || q.GetInt("max iterations", 0) != 500 {
 		t.Fatal("numeric round trip")
 	}
-	if q.GetString("method", "") != "cg" || !q.GetBool("verbose", false) {
+	if v, _ := q.Get("verbose"); q.GetString("method", "") != "cg" || v != true {
 		t.Fatal("string/bool round trip")
 	}
 	if q.Sublist("smoother").GetInt("sweeps", 0) != 3 {
@@ -57,7 +70,7 @@ func TestXMLTrilinosSchemaAccepted(t *testing.T) {
     <Parameter name="relaxation: type" type="string" value="Gauss-Seidel"/>
   </ParameterList>
 </ParameterList>`
-	p, err := ParseXML(doc)
+	p, err := parseXML(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +93,7 @@ func TestXMLErrors(t *testing.T) {
 		"bad-bool": `<ParameterList name="x"><Parameter name="n" type="bool" value="abc"/></ParameterList>`,
 		"bad-type": `<ParameterList name="x"><Parameter name="n" type="matrix" value="1"/></ParameterList>`,
 	} {
-		if _, err := ParseXML(doc); err == nil {
+		if _, err := parseXML(doc); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -89,7 +102,7 @@ func TestXMLErrors(t *testing.T) {
 func TestXMLInt64(t *testing.T) {
 	p := NewParameterList("l")
 	p.Set("big", int64(1<<40))
-	q, err := ParseXML(p.XMLString())
+	q, err := parseXML(xmlString(t, p))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func TestChaosTpetraKernels(t *testing.T) {
 		{Name: "import-cyclic-to-block", Body: func(c *comm.Comm) (any, error) {
 			src := fillVec(c, distmap.NewCyclic(n, c.Size()))
 			dst := tpetra.ImportVector(src, distmap.NewBlock(n, c.Size()))
-			return append(dst.GatherAll(), float64(dst.LocalLen())), nil
+			return append(dst.GatherAll(), float64(len(dst.Data))), nil
 		}},
 		{Name: "gatherplan-halo", Body: func(c *comm.Comm) (any, error) {
 			m := distmap.NewBlock(n, c.Size())
@@ -104,7 +104,7 @@ func TestChaosTpetraKernels(t *testing.T) {
 			v := fillVec(c, distmap.NewBlock(n, c.Size()))
 			w := fillVec(c, distmap.NewBlock(n, c.Size()))
 			w.Scale(-1.5)
-			return []float64{v.Dot(w), v.Norm2(), v.Norm1(), v.NormInf(), v.MinValue(), v.MaxValue(), v.MeanValue()}, nil
+			return []float64{v.Dot(w), v.Norm2()}, nil
 		}},
 	}
 	chaostest.Run(t, chaosSizes, 1007, kernels...)

@@ -2,7 +2,6 @@ package tpetra
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"odinhpc/internal/comm"
@@ -164,21 +163,14 @@ func (a *CrsMatrix) FillComplete() {
 		}
 	}
 	a.local = coo.ToCSR()
-	a.refreshSell()
-	a.plan = NewGatherPlan(a.c, a.rowMap, a.ghost)
-	a.xFull = make([]float64, a.nOwned+len(a.ghost))
-}
-
-// refreshSell rebuilds (or drops) the SELL-C-sigma mirror of the local
-// block per the format auto-selector. Called after assembly and after any
-// operation that mutates local values. The conversion is bitwise-neutral:
-// SELL kernels accumulate each row in the same order as CSR.
-func (a *CrsMatrix) refreshSell() {
+	// The SELL-C-sigma mirror, when the format auto-selector picks it, is
+	// bitwise-neutral: SELL kernels accumulate each row in the same order as
+	// CSR.
 	if sparse.ChooseFormat(a.local) == sparse.FormatSELL {
 		a.sell = sparse.NewSELL(a.local)
-	} else {
-		a.sell = nil
 	}
+	a.plan = NewGatherPlan(a.c, a.rowMap, a.ghost)
+	a.xFull = make([]float64, a.nOwned+len(a.ghost))
 }
 
 // SpmvFormat reports which local format Apply is using.
@@ -195,24 +187,6 @@ func (a *CrsMatrix) Map() *distmap.Map { return a.rowMap }
 
 // Comm returns the communicator.
 func (a *CrsMatrix) Comm() *comm.Comm { return a.c }
-
-// Filled reports whether FillComplete has run.
-func (a *CrsMatrix) Filled() bool { return !a.building }
-
-// NumGhost returns the number of off-rank columns this rank references —
-// the per-Apply communication volume in elements.
-func (a *CrsMatrix) NumGhost() int { return len(a.ghost) }
-
-// LocalNNZ returns the number of stored entries on this rank.
-func (a *CrsMatrix) LocalNNZ() int {
-	a.mustBeFilled()
-	return a.local.NNZ()
-}
-
-// GlobalNNZ returns the total stored entries across ranks. Collective.
-func (a *CrsMatrix) GlobalNNZ() int {
-	return comm.AllreduceScalar(a.c, a.LocalNNZ(), comm.OpSum)
-}
 
 func (a *CrsMatrix) mustBeFilled() {
 	if a.building {
@@ -255,30 +229,6 @@ func (a *CrsMatrix) Scale(alpha float64) {
 	if a.sell != nil {
 		a.sell.Scale(alpha)
 	}
-}
-
-// LeftScale scales row i by d[i] (d distributed by the row map).
-func (a *CrsMatrix) LeftScale(d *Vector) {
-	a.mustBeFilled()
-	if !d.Map().SameAs(a.rowMap) {
-		panic("tpetra: LeftScale vector must use the row map")
-	}
-	for i := 0; i < a.local.Rows; i++ {
-		for k := a.local.RowPtr[i]; k < a.local.RowPtr[i+1]; k++ {
-			a.local.Val[k] *= d.Data[i]
-		}
-	}
-	a.refreshSell() // row scaling is not a uniform Scale; rebuild the mirror
-}
-
-// NormFrobenius returns the global Frobenius norm. Collective.
-func (a *CrsMatrix) NormFrobenius() float64 {
-	a.mustBeFilled()
-	var local float64
-	for _, v := range a.local.Val {
-		local += v * v
-	}
-	return math.Sqrt(comm.AllreduceScalar(a.c, local, comm.OpSum))
 }
 
 // LocalDiagonalBlock extracts this rank's owned-rows x owned-columns block

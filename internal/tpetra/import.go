@@ -104,6 +104,7 @@ func NewGatherPlan(c *comm.Comm, src *distmap.Map, needed []int) *GatherPlan {
 }
 
 // OutLen returns the length of the output buffer the plan fills.
+// Test seam: the gather length the halo tests check.
 func (p *GatherPlan) OutLen() int { return p.outLen }
 
 // RemoteCount returns how many requested elements live on other ranks — the

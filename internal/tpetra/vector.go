@@ -60,9 +60,6 @@ func (v *Vector) Comm() *comm.Comm { return v.c }
 // Map returns the vector's distribution map.
 func (v *Vector) Map() *distmap.Map { return v.m }
 
-// LocalLen returns the length of this rank's segment.
-func (v *Vector) LocalLen() int { return len(v.Data) }
-
 // GlobalLen returns the global vector length.
 func (v *Vector) GlobalLen() int { return v.m.NumGlobal() }
 
@@ -244,53 +241,6 @@ func (v *Vector) Norm2() float64 {
 	return math.Sqrt(comm.AllreduceScalar(v.c, local, comm.OpSum))
 }
 
-// Norm1 returns the global 1-norm. Collective.
-func (v *Vector) Norm1() float64 {
-	return comm.AllreduceScalar(v.c, dense.AsumSlice(v.Data), comm.OpSum)
-}
-
-// NormInf returns the global max-norm. Collective.
-func (v *Vector) NormInf() float64 {
-	return comm.AllreduceScalar(v.c, dense.AmaxSlice(v.Data), comm.OpMax)
-}
-
-// MeanValue returns the global arithmetic mean. Collective.
-func (v *Vector) MeanValue() float64 {
-	return comm.AllreduceScalar(v.c, dense.SumSlice(v.Data), comm.OpSum) / float64(v.m.NumGlobal())
-}
-
-// MinValue returns the global minimum element. Collective.
-func (v *Vector) MinValue() float64 {
-	local := exec.ReduceRange(exec.Default(), len(v.Data), sweepArgs{d: v.Data}, minRange, math.Min)
-	return comm.AllreduceScalar(v.c, local, comm.OpMin)
-}
-
-func minRange(a sweepArgs, lo, hi int) float64 {
-	best := math.Inf(1)
-	for _, x := range a.d[lo:hi] {
-		if x < best {
-			best = x
-		}
-	}
-	return best
-}
-
-// MaxValue returns the global maximum element. Collective.
-func (v *Vector) MaxValue() float64 {
-	local := exec.ReduceRange(exec.Default(), len(v.Data), sweepArgs{d: v.Data}, maxRange, math.Max)
-	return comm.AllreduceScalar(v.c, local, comm.OpMax)
-}
-
-func maxRange(a sweepArgs, lo, hi int) float64 {
-	best := math.Inf(-1)
-	for _, x := range a.d[lo:hi] {
-		if x > best {
-			best = x
-		}
-	}
-	return best
-}
-
 // GatherAll returns the full global vector, in global order, on every rank.
 // Collective; intended for tests and small problems.
 func (v *Vector) GatherAll() []float64 {
@@ -302,15 +252,6 @@ func (v *Vector) GatherAll() []float64 {
 		}
 	}
 	return out
-}
-
-// SetGlobal stores value at global index g; only the owning rank writes.
-// Non-collective (every rank may call it with the same arguments).
-func (v *Vector) SetGlobal(g int, value float64) {
-	r, l := v.m.GlobalToLocal(g)
-	if r == v.c.Rank() {
-		v.Data[l] = value
-	}
 }
 
 // GetGlobal returns the value at global index g on every rank. Collective:
@@ -336,50 +277,50 @@ type Operator interface {
 	Map() *distmap.Map
 }
 
-// MultiVector is a collection of nvec distributed vectors sharing one map,
-// the analog of Epetra_MultiVector used by block solvers and eigensolvers.
-type MultiVector struct {
+// multiVector is a collection of nvec distributed vectors sharing one map,
+// the analog of Epetra_MultiVector.
+type multiVector struct {
 	c    *comm.Comm
 	m    *distmap.Map
 	cols []*Vector
 }
 
-// NewMultiVector returns a zero-initialized multivector with nvec columns.
-func NewMultiVector(c *comm.Comm, m *distmap.Map, nvec int) *MultiVector {
+// newMultiVector returns a zero-initialized multivector with nvec columns.
+func newMultiVector(c *comm.Comm, m *distmap.Map, nvec int) *multiVector {
 	if nvec <= 0 {
-		panic(fmt.Sprintf("tpetra: MultiVector needs nvec > 0, got %d", nvec))
+		panic(fmt.Sprintf("tpetra: multiVector needs nvec > 0, got %d", nvec))
 	}
-	mv := &MultiVector{c: c, m: m, cols: make([]*Vector, nvec)}
+	mv := &multiVector{c: c, m: m, cols: make([]*Vector, nvec)}
 	for i := range mv.cols {
 		mv.cols[i] = NewVector(c, m)
 	}
 	return mv
 }
 
-// NumVectors returns the number of columns.
-func (mv *MultiVector) NumVectors() int { return len(mv.cols) }
+// numVectors returns the number of columns.
+func (mv *multiVector) numVectors() int { return len(mv.cols) }
 
 // Map returns the shared distribution map.
-func (mv *MultiVector) Map() *distmap.Map { return mv.m }
+func (mv *multiVector) Map() *distmap.Map { return mv.m }
 
 // Vector returns column i (a shared reference, not a copy).
-func (mv *MultiVector) Vector(i int) *Vector { return mv.cols[i] }
+func (mv *multiVector) Vector(i int) *Vector { return mv.cols[i] }
 
 // Dot returns the column-wise inner products with w. Collective.
-func (mv *MultiVector) Dot(w *MultiVector) []float64 {
+func (mv *multiVector) Dot(w *multiVector) []float64 {
 	if len(mv.cols) != len(w.cols) {
-		panic("tpetra: MultiVector.Dot column count mismatch")
+		panic("tpetra: multiVector.Dot column count mismatch")
 	}
 	local := make([]float64, len(mv.cols))
 	for k := range mv.cols {
-		mv.cols[k].checkCompat(w.cols[k], "MultiVector.Dot")
+		mv.cols[k].checkCompat(w.cols[k], "multiVector.Dot")
 		local[k] = dense.DotSlices(mv.cols[k].Data, w.cols[k].Data)
 	}
 	return comm.Allreduce(mv.c, local, comm.OpSum)
 }
 
-// Norm2s returns the column-wise Euclidean norms. Collective.
-func (mv *MultiVector) Norm2s() []float64 {
+// norm2s returns the column-wise Euclidean norms. Collective.
+func (mv *multiVector) norm2s() []float64 {
 	local := make([]float64, len(mv.cols))
 	for k := range mv.cols {
 		local[k] = dense.DotSlices(mv.cols[k].Data, mv.cols[k].Data)
@@ -392,9 +333,9 @@ func (mv *MultiVector) Norm2s() []float64 {
 }
 
 // Update computes each column: mv = alpha*x + beta*mv.
-func (mv *MultiVector) Update(alpha float64, x *MultiVector, beta float64) {
+func (mv *multiVector) Update(alpha float64, x *multiVector, beta float64) {
 	if len(mv.cols) != len(x.cols) {
-		panic("tpetra: MultiVector.Update column count mismatch")
+		panic("tpetra: multiVector.Update column count mismatch")
 	}
 	for k := range mv.cols {
 		mv.cols[k].Update(alpha, x.cols[k], beta)
@@ -402,14 +343,14 @@ func (mv *MultiVector) Update(alpha float64, x *MultiVector, beta float64) {
 }
 
 // Scale multiplies every column by alpha.
-func (mv *MultiVector) Scale(alpha float64) {
+func (mv *multiVector) Scale(alpha float64) {
 	for _, col := range mv.cols {
 		col.Scale(alpha)
 	}
 }
 
 // Randomize fills all columns deterministically from seed.
-func (mv *MultiVector) Randomize(seed int64) {
+func (mv *multiVector) Randomize(seed int64) {
 	for k, col := range mv.cols {
 		col.Randomize(seed + int64(k)*7_919)
 	}

@@ -13,6 +13,7 @@ import (
 // for any run both observed in full (no ring-buffer drops). size is the
 // communicator size; events outside [0, size) in either coordinate are
 // ignored (process-lane events have Rank -1 and never alias a rank pair).
+// Test seam: reconciled against comm.Stats in the trace tests.
 func (s *Session) MessageMatrix(size int) (msgs, bytes []int64) {
 	msgs = make([]int64, size*size)
 	bytes = make([]int64, size*size)

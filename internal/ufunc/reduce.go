@@ -88,22 +88,12 @@ func Mean[T dense.Float](x *core.DistArray[T]) T {
 	return Sum(x) / T(x.GlobalSize())
 }
 
-// ArgMin returns the global row-major flat index of the minimum element
+// ArgMax returns the global row-major flat index of the maximum element
 // (lowest index wins ties). Collective.
-func ArgMin[T dense.Real](x *core.DistArray[T]) int {
-	return argExtreme(x, true)
-}
-
-// ArgMax returns the global row-major flat index of the maximum element.
-// Collective.
 func ArgMax[T dense.Real](x *core.DistArray[T]) int {
-	return argExtreme(x, false)
-}
-
-func argExtreme[T dense.Real](x *core.DistArray[T], min bool) int {
 	x.Context().Control(core.OpReduce, 2)
 	if x.GlobalSize() == 0 {
-		panic("ufunc: Arg reduction of empty array")
+		panic("ufunc: ArgMax of empty array")
 	}
 	me := x.Context().Rank()
 	shape := x.Shape()
@@ -118,10 +108,7 @@ func argExtreme[T dense.Real](x *core.DistArray[T], min bool) int {
 		for d, i := range gidx {
 			flat = flat*shape[d] + i
 		}
-		better := bestIdx == -1 ||
-			(min && (v < bestVal || v == bestVal && flat < bestIdx)) ||
-			(!min && (v > bestVal || v == bestVal && flat < bestIdx))
-		if better {
+		if bestIdx == -1 || v > bestVal || v == bestVal && flat < bestIdx {
 			bestVal, bestIdx = v, flat
 		}
 	})
@@ -134,10 +121,7 @@ func argExtreme[T dense.Real](x *core.DistArray[T], min bool) int {
 			continue
 		}
 		v, i := vals[r][0], idxs[r][0]
-		better := globalIdx == -1 ||
-			(min && (v < globalVal || v == globalVal && i < globalIdx)) ||
-			(!min && (v > globalVal || v == globalVal && i < globalIdx))
-		if better {
+		if globalIdx == -1 || v > globalVal || v == globalVal && i < globalIdx {
 			globalVal, globalIdx = v, i
 		}
 	}
@@ -257,17 +241,17 @@ func AllClose[T dense.Float](x, y *core.DistArray[T], rtol, atol float64) bool {
 	return comm.AllreduceScalar(x.Context().Comm(), local, comm.OpMin) == 1
 }
 
-// Compress returns the elements of a 1-d block-distributed array for which
+// compress returns the elements of a 1-d block-distributed array for which
 // pred holds, in global order. Survivors stay on the rank that held them,
 // so the result carries a non-uniform arbitrary map (paper §III.A:
 // "apportion non-uniform sections of an array to each node") and no array
 // data moves — only one scan of the per-rank survivor counts. Collective.
-func Compress[T dense.Elem](x *core.DistArray[T], pred func(T) bool) *core.DistArray[T] {
+func compress[T dense.Elem](x *core.DistArray[T], pred func(T) bool) *core.DistArray[T] {
 	if x.NDim() != 1 {
-		panic("ufunc: Compress requires a 1-d array")
+		panic("ufunc: compress requires a 1-d array")
 	}
 	if x.Map().Kind() != distmap.Block && x.Context().Size() > 1 {
-		panic("ufunc: Compress requires a block distribution (global order must follow rank order)")
+		panic("ufunc: compress requires a block distribution (global order must follow rank order)")
 	}
 	ctx := x.Context()
 	ctx.Control(core.OpUfunc, 3)
