@@ -48,10 +48,18 @@ const DefaultSellSigma = 256
 // rowLen bounds each row's loop so padding (stored as explicit zeros) never
 // enters an accumulation.
 //
+// Two facts about each slice's stored data let the kernels move less:
+// run[s] says its rows are consecutive original rows (perm[lo+r] ==
+// perm[lo]+r), so its sums go to one contiguous stretch of y; and, for a
+// slice of height 8, bit j of unit[s] (j < 64) says the eight column indices
+// at position j are c0, c0+1, ..., c0+7, so the SIMD kernel loads x[c0:c0+8]
+// instead of gathering it. Both only change where a value is read from or
+// written to, never which value or in which order it is summed.
+//
 // The layout and the dimensions are unexported and fixed by FromCSR, which
 // checks every column index against the column count: the SIMD kernel
-// gathers from x without a bounds check, so nothing may change an index or
-// the length MulVec accepts for x afterwards.
+// reads x without a bounds check, so nothing may change an index or the
+// length MulVec accepts for x afterwards.
 type SELL struct {
 	rows, cols int
 	c          int     // slice height
@@ -61,6 +69,8 @@ type SELL struct {
 	rowLen     []int   // true nnz of the row at each sorted position
 	colIdx     []int32 // column indices, column-major within each slice
 	val        []float64
+	unit       []uint64 // per slice: bit j set if position j's 8 indices are consecutive (height-8 slices only)
+	run        []bool   // per slice: its rows are consecutive original rows
 }
 
 // NewSELL converts m with the default C and sigma.
@@ -120,6 +130,8 @@ func FromCSR(m *CSR, c, sigma int) *SELL {
 	}
 	s.colIdx = make([]int32, s.slicePtr[ns])
 	s.val = make([]float64, s.slicePtr[ns])
+	s.unit = make([]uint64, ns)
+	s.run = make([]bool, ns)
 	for sl := 0; sl < ns; sl++ {
 		lo := sl * c
 		h := c
@@ -127,8 +139,10 @@ func FromCSR(m *CSR, c, sigma int) *SELL {
 			h = m.Rows - lo
 		}
 		base := s.slicePtr[sl]
+		s.run[sl] = true
 		for r := 0; r < h; r++ {
 			orig := s.perm[lo+r]
+			s.run[sl] = s.run[sl] && orig == s.perm[lo]+r
 			k0 := m.RowPtr[orig]
 			for j := 0; j < s.rowLen[lo+r]; j++ {
 				col := m.ColIdx[k0+j]
@@ -137,6 +151,21 @@ func FromCSR(m *CSR, c, sigma int) *SELL {
 				}
 				s.colIdx[base+j*h+r] = int32(col)
 				s.val[base+j*h+r] = m.Val[k0+j]
+			}
+		}
+		if h != 8 {
+			continue
+		}
+		// A padding slot holds column 0 below a true entry, so it never
+		// continues a consecutive run: only true entries are marked.
+		for j := 0; j < min(s.rowLen[lo], 64); j++ {
+			col := s.colIdx[base+8*j : base+8*j+8]
+			consecutive := true
+			for r := 1; r < 8; r++ {
+				consecutive = consecutive && col[r] == col[0]+int32(r)
+			}
+			if consecutive {
+				s.unit[sl] |= 1 << j
 			}
 		}
 	}
@@ -196,6 +225,20 @@ func (a *sellArgs) put(row int, sum float64) {
 	}
 }
 
+// putRun delivers a run slice's finished sums, one per row, to the
+// consecutive output rows starting at row: the same stores as put, made in
+// one stretch of y with no branch per row.
+func (a *sellArgs) putRun(row int, sums []float64) {
+	y := a.y[row : row+len(sums)]
+	if !a.add {
+		copy(y, sums)
+		return
+	}
+	for r, s := range sums {
+		y[r] += a.alpha * s
+	}
+}
+
 // sellSIMD selects the AVX2 uniform-slice kernel in sellRange. It is set
 // once, here, from the CPU; the package's tests clear it to run the Go loop
 // on the same host.
@@ -204,67 +247,57 @@ var sellSIMD = cpuid.AVX2()
 // sellRange is the one slice kernel under MulVec and MulVecAdd: for each
 // slice in [slo, shi) it forms the per-row dot products (rows in
 // ascending-column order, bit-for-bit matching CSR) and puts them at
-// y[perm[..]]. A full-height C = 8 slice whose eight rows all have one
-// length w > 0 — every interior slice of a stencil matrix after the sigma
-// sort — goes to the AVX2 kernel where the CPU has it (sellSIMD): it holds
-// no padding, so the unchecked gathers read only true entries, and each lane
+// y[perm[..]] — or, for a run slice, at y[perm[lo]:perm[lo]+h] in one
+// stretch. A full-height C = 8 slice whose eight rows all have one length
+// w > 0 — every interior slice of a stencil matrix after the sigma sort —
+// goes to the AVX2 kernel where the CPU has it (sellSIMD): it holds no
+// padding, so the unchecked loads read only true entries, and each lane
 // multiplies then adds in ascending-column order like the loops below. It
-// fills acc, and the tail loop has nothing left to do. Otherwise a
-// full-height slice runs the columns where all eight rows are active through
-// an unrolled loop with one scalar accumulator per row; when the slice is
-// uniform that loop is the whole slice and the eight registers go straight
-// to y, and only a ragged slice spills them to acc and enters the tail loop.
+// takes the slice's unit-stride mask, and a run's MulVec hands it y itself
+// as the sum. Otherwise a full-height slice runs the columns where all eight
+// rows are active through an unrolled loop with one scalar accumulator per
+// row, and a ragged slice goes on into the tail loop.
 func sellRange(a sellArgs, slo, shi int) {
 	m, x := a.m, a.x
 	var acc [sellMaxC]float64
 	for s := slo; s < shi; s++ {
 		lo := s * m.c
-		h := m.c
-		if m.rows-lo < h {
-			h = m.rows - lo
-		}
+		h := min(m.c, m.rows-lo)
 		base := m.slicePtr[s]
-		w := (m.slicePtr[s+1] - base) / h
-		perm := m.perm[lo : lo+h]
+		w := m.rowLen[lo] // rows are descending within the slice
 		j := 0
-		if h == 8 && w > 0 && sellSIMD && m.rowLen[lo+7] == w {
-			sellUniform8(&m.val[base], &m.colIdx[base], w, &x[0], (*[8]float64)(acc[:]))
-			j = w
-		} else if h == 8 {
-			// Rows are descending within the slice, so every row is active
-			// while j is below the last (shortest) row's length.
+		if h == 8 {
+			// Every row is active while j is below the last (shortest) row's
+			// length.
 			wMin := m.rowLen[lo+7]
-			var a0, a1, a2, a3, a4, a5, a6, a7 float64
-			for ; j < wMin; j++ {
-				off := base + j*8
-				v := m.val[off : off+8 : off+8]
-				c := m.colIdx[off : off+8 : off+8]
-				a0 += v[0] * x[c[0]]
-				a1 += v[1] * x[c[1]]
-				a2 += v[2] * x[c[2]]
-				a3 += v[3] * x[c[3]]
-				a4 += v[4] * x[c[4]]
-				a5 += v[5] * x[c[5]]
-				a6 += v[6] * x[c[6]]
-				a7 += v[7] * x[c[7]]
+			if wMin == w && w > 0 && sellSIMD {
+				if m.run[s] && !a.add {
+					p0 := m.perm[lo]
+					sellUniform8(&m.val[base], &m.colIdx[base], w, &x[0], (*[8]float64)(a.y[p0:p0+8]), m.unit[s])
+					continue
+				}
+				sellUniform8(&m.val[base], &m.colIdx[base], w, &x[0], (*[8]float64)(acc[:]), m.unit[s])
+			} else {
+				var a0, a1, a2, a3, a4, a5, a6, a7 float64
+				for ; j < wMin; j++ {
+					off := base + j*8
+					v := m.val[off : off+8 : off+8]
+					c := m.colIdx[off : off+8 : off+8]
+					a0 += v[0] * x[c[0]]
+					a1 += v[1] * x[c[1]]
+					a2 += v[2] * x[c[2]]
+					a3 += v[3] * x[c[3]]
+					a4 += v[4] * x[c[4]]
+					a5 += v[5] * x[c[5]]
+					a6 += v[6] * x[c[6]]
+					a7 += v[7] * x[c[7]]
+				}
+				acc[0], acc[1], acc[2], acc[3] = a0, a1, a2, a3
+				acc[4], acc[5], acc[6], acc[7] = a4, a5, a6, a7
 			}
-			if wMin == w {
-				a.put(perm[0], a0)
-				a.put(perm[1], a1)
-				a.put(perm[2], a2)
-				a.put(perm[3], a3)
-				a.put(perm[4], a4)
-				a.put(perm[5], a5)
-				a.put(perm[6], a6)
-				a.put(perm[7], a7)
-				continue
-			}
-			acc[0], acc[1], acc[2], acc[3] = a0, a1, a2, a3
-			acc[4], acc[5], acc[6], acc[7] = a4, a5, a6, a7
+			j = wMin
 		} else {
-			for r := 0; r < h; r++ {
-				acc[r] = 0
-			}
+			clear(acc[:h])
 		}
 		// cnt = rows of this slice still active at column position j; row
 		// lengths are descending so it only ever shrinks.
@@ -280,7 +313,11 @@ func sellRange(a sellArgs, slo, shi int) {
 				acc[r] += vals[r] * x[cols[r]]
 			}
 		}
-		for r, row := range perm {
+		if m.run[s] {
+			a.putRun(m.perm[lo], acc[:h])
+			continue
+		}
+		for r, row := range m.perm[lo : lo+h] {
 			a.put(row, acc[r])
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
@@ -113,7 +114,10 @@ func withSpecials(m *CSR, rng *rand.Rand) *CSR {
 
 // sellMismatch reports the first product in which m and its SELL conversion
 // differ: MulVec, and MulVecAdd at a drawn alpha and at 0, -1 and NaN, with
-// vector entries from draw.
+// vector entries from draw. Every x entry that no stored entry names is
+// +Inf, so a kernel that loads wider than the columns it was given — a
+// plain load off either end of a unit-stride column — produces an Inf or a
+// NaN that CSR does not.
 func sellMismatch(m *CSR, c, sigma int, draw func() float64) error {
 	s := FromCSR(m, c, sigma)
 	if got, want := s.NNZ(), m.NNZ(); got != want {
@@ -127,6 +131,15 @@ func sellMismatch(m *CSR, c, sigma int, draw func() float64) error {
 		return v
 	}
 	x := vec(m.Cols)
+	read := make([]bool, m.Cols)
+	for _, col := range m.ColIdx {
+		read[col] = true
+	}
+	for col, r := range read {
+		if !r {
+			x[col] = math.Inf(1)
+		}
+	}
 	y1, y2 := make([]float64, m.Rows), make([]float64, m.Rows)
 	m.MulVec(x, y1)
 	s.MulVec(x, y2)
@@ -291,13 +304,19 @@ func TestSELLEdgeShapes(t *testing.T) {
 
 // TestSELLSliceKernelMatchesCSR aims the CSR-bitwise check at the branches
 // of the slice kernel, with the Go loop and with the AVX2 kernel: slices
-// whose rows all have one length (the assembly path, or the eight
-// accumulators going straight to y) at every width 0-9, beside ragged ones
-// (spill and tail loop), a short last slice down to a single row (Rows % C
-// != 0), empty rows inside and making up whole slices — trailing ones too,
-// whose offset is len(val) — and NaN, ±Inf, -0 and subnormals in the values
-// and vectors, at the unrolled C = 8 and the generic heights 1, 4 and 32 —
-// for MulVec and MulVecAdd, inline and fanned out over several slice chunks.
+// whose rows all have one length (the assembly path, or the unrolled
+// accumulators) at every width 0-9, beside ragged ones (spill and tail
+// loop), a short last slice down to a single row (Rows % C != 0), empty rows
+// inside and making up whole slices — trailing ones too, whose offset is
+// len(val) — and NaN, ±Inf, -0 and subnormals in the values and vectors, at
+// the unrolled C = 8 and the generic heights 1, 4 and 32 — for MulVec and
+// MulVecAdd, inline and fanned out over several slice chunks. The banded
+// matrices aim at what FromCSR marks: unit-stride and gathered columns in
+// one slice, near misses (seven consecutive indices and one off by one, a
+// band that wraps at Cols), widths past the mask's 64 bits, unit-stride
+// columns whose rows are not consecutive, run slices beside others, and
+// unit-stride columns whose neighbours x[c0-1] and x[c0+8] are unread, so
+// sellMismatch poisons them.
 func TestSELLSliceKernelMatchesCSR(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	// rowsOf builds a matrix whose row i holds lens[i] entries.
@@ -310,6 +329,45 @@ func TestSELLSliceKernelMatchesCSR(t *testing.T) {
 		}
 		return c.ToCSR()
 	}
+	// colsOf builds a rows x cols matrix whose row i holds the (distinct)
+	// columns at(i).
+	colsOf := func(rows, cols int, at func(i int) []int) *CSR {
+		c := NewCOO(rows, cols)
+		for i := 0; i < rows; i++ {
+			for _, j := range at(i) {
+				c.Add(i, j, rng.NormFloat64())
+			}
+		}
+		return c.ToCSR()
+	}
+	// band gives row i the w columns from i+off on, wrapping at cols.
+	band := func(rows, cols, off, w int) *CSR {
+		return colsOf(rows, cols, func(i int) []int {
+			out := make([]int, w)
+			for k := range out {
+				out[k] = (i + off + k) % cols
+			}
+			return out
+		})
+	}
+	// Rows 4, 13, 22, ... hold one far column; the others, numbered k in
+	// order, hold k and k+40: consecutive columns on rows that are not.
+	skipped := colsOf(72, 120, func(i int) []int {
+		if i%9 == 4 {
+			return []int{119 - i/9}
+		}
+		k := i - (i+4)/9
+		return []int{k, k + 40}
+	})
+	// One row in thirteen is a column short, so the sort breaks the runs
+	// it falls in and leaves the slices around it runs.
+	shortRows := colsOf(67, 71, func(i int) []int {
+		out := []int{i, i + 1, i + 2, i + 3}
+		if i%13 == 6 {
+			out = out[:3]
+		}
+		return out
+	})
 	repeat := func(n int, pattern ...int) []int {
 		out := make([]int, 0, n)
 		for len(out) < n {
@@ -327,6 +385,45 @@ func TestSELLSliceKernelMatchesCSR(t *testing.T) {
 		"empty-tail-43":     rowsOf(9, append(repeat(24, 7), repeat(19, 0)...)),
 		"descending-33":     rowsOf(33, repeat(33, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0)),
 		"single-entry-rows": identity(19),
+		"band-7-70":         band(70, 76, 0, 7), // every column unit-stride, every full slice a run
+		"band-wraps-61":     band(61, 64, 50, 5),
+		"band-66-wide-67":   band(67, 133, 0, 66), // positions 64 and 65 unit-stride but unmarked
+		"unit-not-run-72":   skipped,
+		"runs-beside-67":    shortRows,
+		// Gathered, unit-stride, unit-stride, unit-stride, gathered.
+		"mixed-67": colsOf(67, 100, func(i int) []int {
+			return []int{rng.Intn(8), 8 + i, 9 + i, 10 + i, 78 + rng.Intn(22)}
+		}),
+		// Position 1 has rows 0-6 consecutive and row 7 one past; position 3
+		// has row 3 one past.
+		"near-miss-64": colsOf(64, 104, func(i int) []int {
+			out := []int{i, i + 9, i + 18, i + 27}
+			if i%8 == 7 {
+				out[1]++
+			}
+			if i%8 == 3 {
+				out[3]++
+			}
+			return out
+		}),
+		// 64 unit-stride positions, then six gathered: a mask read past
+		// its 64 bits would plain-load them.
+		"width-70-67": colsOf(67, 161, func(i int) []int {
+			out := make([]int, 64, 70)
+			for k := range out {
+				out[k] = i + k
+			}
+			for _, j := range rng.Perm(30)[:6] {
+				out = append(out, 131+j)
+			}
+			return out
+		}),
+		// Row 8s+r holds 10(2s+j)+1+r for j < 2: unit-stride columns whose
+		// x[c0-1] and x[c0+8] no entry reads.
+		"gapped-40": colsOf(40, 101, func(i int) []int {
+			s, r := i/8, i%8
+			return []int{10*(2*s) + 1 + r, 10*(2*s+1) + 1 + r}
+		}),
 	}
 	for w := 0; w <= 9; w++ {
 		mats[fmt.Sprintf("width-%d-61", w)] = rowsOf(9, repeat(61, w))
@@ -359,10 +456,12 @@ func TestSELLSliceKernelMatchesCSR(t *testing.T) {
 // FuzzSELLMatchesCSR holds both slice kernels to CSR on a matrix built from
 // the fuzz input. width < 10 gives every row that many entries (uniform
 // slices: the assembly path); otherwise pattern gives each row's length.
-// Row i's columns are a run from a pattern-chosen start, wrapping at cols.
-// values supplies the matrix entries, then x, y and alpha, as raw float64
-// bits, so NaN, ±Inf, -0 and subnormals come straight from the input; layout
-// picks C and sigma.
+// Row i's columns are a run from a pattern-chosen start, wrapping at cols;
+// in banded mode (layout bit 4) the start is i plus an offset, and the
+// columns are widened by the row count, so slices of consecutive rows hold
+// unit-stride columns until the band wraps. values supplies the matrix
+// entries, then x, y and alpha, as raw float64 bits, so NaN, ±Inf, -0 and
+// subnormals come straight from the input; layout picks C and sigma.
 func FuzzSELLMatchesCSR(f *testing.F) {
 	floats := func(vs ...float64) []byte {
 		b := make([]byte, 0, 8*len(vs))
@@ -380,10 +479,20 @@ func FuzzSELLMatchesCSR(f *testing.F) {
 	f.Add(uint8(33), uint8(17), uint8(9), uint8(1), []byte{11, 4}, stencil)
 	f.Add(uint8(90), uint8(15), uint8(3), uint8(3), []byte{1, 2, 3}, odd)
 	f.Add(uint8(47), uint8(8), uint8(150), uint8(8), []byte{8, 8, 8, 8, 8, 8, 8, 0, 0}, []byte{})
+	// Banded: 64 rows of 7 over 69 columns, so row 63 alone wraps and slice
+	// 7's first position is a near miss.
+	f.Add(uint8(63), uint8(4), uint8(7), uint8(16), []byte{0}, stencil)
+	f.Add(uint8(80), uint8(23), uint8(9), uint8(16), []byte{0}, odd)
+	f.Add(uint8(95), uint8(0), uint8(200), uint8(24), []byte{5, 4, 5, 5, 6, 5}, stencil)
+	f.Add(uint8(47), uint8(20), uint8(3), uint8(20), []byte{1}, stencil)
 	f.Fuzz(func(t *testing.T, rows, cols, width, layout uint8, pattern, values []byte) {
 		nr, nc := 1+int(rows)%96, 1+int(cols)%24
 		c := []int{8, 1, 4, 32}[layout%4]
 		sigma := []int{0, 1, 8, 64}[layout/4%4]
+		banded := layout&16 != 0
+		if banded {
+			nc += nr
+		}
 		at := func(i int) int {
 			if len(pattern) == 0 {
 				return 0
@@ -406,6 +515,9 @@ func FuzzSELLMatchesCSR(f *testing.F) {
 				l = at(i) % (nc + 1)
 			}
 			start := at(3*i+1) % nc
+			if banded {
+				start = (i + at(0)) % nc
+			}
 			for k := 0; k < l; k++ {
 				coo.Add(i, (start+k)%nc, draw())
 			}
@@ -415,6 +527,146 @@ func FuzzSELLMatchesCSR(f *testing.F) {
 			checkSellMatchesCSR(t, m, c, sigma, draw)
 		})
 	})
+}
+
+// laplace3dBlock is the first z-half of the 7-point Laplacian on an
+// nx*ny*nz grid, as rank 0 of two holds it: rows are the owned points, and
+// columns are the owned points followed by the ghost face above them, which
+// on rank 0 are just their global indices (sparse cannot import galeri).
+func laplace3dBlock(nx, ny, nz int) *CSR {
+	rows := nx * ny * (nz / 2)
+	c := NewCOO(rows, rows+nx*ny)
+	for i := 0; i < rows; i++ {
+		x, y, z := i%nx, i/nx%ny, i/(nx*ny)
+		c.Add(i, i, 6)
+		for _, nb := range []struct {
+			ok bool
+			d  int
+		}{{x > 0, -1}, {x < nx-1, 1}, {y > 0, -nx}, {y < ny-1, nx}, {z > 0, -nx * ny}, {z < nz-1, nx * ny}} {
+			if nb.ok {
+				c.Add(i, i+nb.d, -1)
+			}
+		}
+	}
+	return c.ToCSR()
+}
+
+// classification counts what FromCSR marked on s's height-8 slices: run
+// slices, slices, unit-stride slice columns, and slice columns.
+func classification(s *SELL) (runs, slices, unit, cols int) {
+	for sl := 0; sl < s.numSlices(); sl++ {
+		lo := sl * s.c
+		if min(s.c, s.rows-lo) != 8 {
+			continue
+		}
+		slices++
+		if s.run[sl] {
+			runs++
+		}
+		unit += bits.OnesCount64(s.unit[sl])
+		cols += s.rowLen[lo]
+	}
+	return
+}
+
+// TestSELLClassification pins, as exact counts, what FromCSR marks on the
+// block CG multiplies by in the solve_large workload (laplace3d 32^3 on two
+// ranks, rank 0's half with its ghost face): three slices in four are runs
+// and three slice columns in four are unit-stride, the two things that let
+// sellRange store in one stretch and load x without a gather. Random
+// columns get no unit-stride column; random row lengths, whose sort
+// scatters the rows, get no run. Runs are a property of the row order
+// alone, so a matrix whose rows all have one length keeps every slice a run.
+func TestSELLClassification(t *testing.T) {
+	check := func(name string, m *CSR, wantRuns, wantSlices, wantUnit, wantCols int) {
+		t.Helper()
+		runs, slices, unit, cols := classification(NewSELL(m))
+		if runs != wantRuns || slices != wantSlices || unit != wantUnit || cols != wantCols {
+			t.Errorf("%s: %d of %d slices are runs and %d of %d slice columns unit-stride; want %d of %d and %d of %d",
+				name, runs, slices, unit, cols, wantRuns, wantSlices, wantUnit, wantCols)
+		}
+	}
+	check("solve_large rank-0 block", laplace3dBlock(32, 32, 32), 1536, 2048, 10560, 13984)
+	rng := rand.New(rand.NewSource(5))
+	check("uniform random columns", uniformRandom(4096, 4096, 7, rng), 512, 512, 0, 512*7)
+	lens := make([]int, 4096)
+	for i := range lens {
+		lens[i] = 1 + rng.Intn(7)
+	}
+	c := NewCOO(len(lens), len(lens)+8)
+	for i, l := range lens {
+		for k := 0; k < l; k++ {
+			c.Add(i, i+k, 1)
+		}
+	}
+	runs, slices, _, _ := classification(NewSELL(c.ToCSR()))
+	if runs != 0 || slices != 512 {
+		t.Errorf("random row lengths: %d of %d slices are runs, want 0 of 512", runs, slices)
+	}
+}
+
+// BenchmarkSELLBlock takes apart the SpMV of the solve_large rank-0 block
+// on one worker (EXPERIMENTS.md E14). kernel/* runs the AVX2 kernel alone
+// over the block's uniform slices, with every column gathered, with the
+// unit-stride columns FromCSR marks, and with every column plain-loaded
+// (wrong sums for the columns that are not unit-stride: the loads' upper
+// bound). sellRange/* is the whole MulVec, as shipped and on a copy whose
+// marks are cleared, which stores row by row through perm and gathers every
+// column as the kernel did before the marks. The block's bytes are
+// reported beside the time so they can be set against the cache size.
+func BenchmarkSELLBlock(b *testing.B) {
+	m := laplace3dBlock(32, 32, 32)
+	shipped := NewSELL(m)
+	cleared := *shipped
+	cleared.unit = make([]uint64, len(shipped.unit))
+	cleared.run = make([]bool, len(shipped.run))
+	// x has room past Cols: a plain load at a column that is not unit-stride
+	// reads up to seven entries beyond the last index.
+	x := make([]float64, m.Cols+8)[:m.Cols]
+	for i := range x {
+		x[i] = float64(i%7) - 3
+	}
+	y := make([]float64, m.Rows)
+	bytes := 12*len(shipped.val) + 8*(len(shipped.perm)+len(shipped.rowLen)+len(shipped.slicePtr)+len(x)+len(y))
+	report := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(m.NNZ()), "ns/nnz")
+		b.ReportMetric(float64(bytes)/1e6, "block-MB")
+	}
+	old := exec.Default()
+	exec.SetDefault(exec.New(exec.WithWorkers(1)))
+	defer exec.SetDefault(old)
+	for _, k := range []struct {
+		name string
+		mask func(s int) uint64
+	}{
+		{"gathered", func(int) uint64 { return 0 }},
+		{"unit", func(s int) uint64 { return shipped.unit[s] }},
+		{"plain", func(int) uint64 { return ^uint64(0) }},
+	} {
+		b.Run("kernel/"+k.name, func(b *testing.B) {
+			if !simdAtInit {
+				b.Skip("no AVX2 kernel on this host")
+			}
+			var sum [8]float64
+			for i := 0; i < b.N; i++ {
+				for s := 0; s < shipped.numSlices(); s++ {
+					lo, base := s*8, shipped.slicePtr[s]
+					if w := shipped.rowLen[lo]; w > 0 && shipped.rowLen[lo+7] == w {
+						sellUniform8(&shipped.val[base], &shipped.colIdx[base], w, &x[0], &sum, k.mask(s))
+					}
+				}
+			}
+			report(b)
+		})
+	}
+	for name, s := range map[string]*SELL{"shipped": shipped, "cleared": &cleared} {
+		b.Run("sellRange/"+name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				s.MulVec(x, y)
+			}
+			report(b)
+		})
+	}
 }
 
 func TestSELLScale(t *testing.T) {
