@@ -80,44 +80,28 @@ func dotRange(a vecArgs, lo, hi int) float64 {
 // tree — so each result is bitwise what Axpy/copy followed by DotSlices
 // returns.
 
-// axpy2Args is the operand set of the two-axpy sweeps.
-type axpy2Args struct {
-	alpha, beta    float64
-	x1, y1, x2, y2 []float64
+// cgStepArgs is the operand set of CGStep.
+type cgStepArgs struct {
+	alpha, beta      float64
+	z, w, p, s, x, r []float64
 }
 
-func checkAxpy2(x1, y1, x2, y2 []float64) {
-	if len(x1) != len(y1) || len(x2) != len(y1) || len(y2) != len(y1) {
-		panic(fmt.Sprintf("dense: Axpy2 length mismatch %d, %d, %d, %d", len(x1), len(y1), len(x2), len(y2)))
+// CGStep is the vector half of a single-reduction CG iteration: p = z + beta
+// p and s = w + beta s, then x += alpha p and r -= alpha s, returning <r, r>
+// of the updated r. z may be r: a chunk reads it before writing it.
+func CGStep(alpha, beta float64, z, w, p, s, x, r []float64) float64 {
+	n := len(r)
+	if len(z) != n || len(w) != n || len(p) != n || len(s) != n || len(x) != n {
+		panic(fmt.Sprintf("dense: CGStep length mismatch z=%d w=%d p=%d s=%d x=%d r=%d", len(z), len(w), len(p), len(s), len(x), n))
 	}
+	return exec.ReduceRange(exec.Default(), n, cgStepArgs{alpha, beta, z, w, p, s, x, r}, cgStepRange, add)
 }
 
-// Axpy2 computes y1 += alpha*x1 and y2 += beta*x2 in one sweep over four
-// equal-length slices.
-func Axpy2(alpha float64, x1, y1 []float64, beta float64, x2, y2 []float64) {
-	checkAxpy2(x1, y1, x2, y2)
-	exec.ForRange(exec.Default(), len(y1), axpy2Args{alpha, beta, x1, y1, x2, y2}, axpy2Range)
-}
-
-func axpy2Range(a axpy2Args, lo, hi int) {
-	axpby(a.alpha, a.x1[lo:hi], 1, a.y1[lo:hi])
-	axpby(a.beta, a.x2[lo:hi], 1, a.y2[lo:hi])
-}
-
-// Axpy2Dot is Axpy2 that also returns <y2, y2> of the updated y2 — CG's
-// x += alpha p; r -= alpha Ap; <r, r>.
-func Axpy2Dot(alpha float64, x1, y1 []float64, beta float64, x2, y2 []float64) float64 {
-	checkAxpy2(x1, y1, x2, y2)
-	return exec.ReduceRange(exec.Default(), len(y1), axpy2Args{alpha, beta, x1, y1, x2, y2}, axpy2DotRange, add)
-}
-
-// axpy2DotRange is the chunk's y1 update, then y2 += beta*x2 as
-// y2 = y2 + beta*x2 with its squares in lane order: two passes over a span
-// that stays in cache, one engine call.
-func axpy2DotRange(a axpy2Args, lo, hi int) float64 {
-	axpby(a.alpha, a.x1[lo:hi], 1, a.y1[lo:hi])
+// cgStepRange runs the four updates over one chunk in one pass (lanes.cgStep),
+// r's squares in lane order.
+func cgStepRange(a cgStepArgs, lo, hi int) float64 {
 	var l lanes
-	l.waxpyDot(a.beta, a.x2[lo:hi], a.y2[lo:hi], a.y2[lo:hi])
+	l.cgStep(a.alpha, a.beta, a.z[lo:hi], a.w[lo:hi], a.p[lo:hi], a.s[lo:hi], a.x[lo:hi], a.r[lo:hi])
 	return l.fold()
 }
 
@@ -128,12 +112,17 @@ func WaxpyDot(alpha float64, x, y, w []float64) float64 {
 	if len(x) != len(w) || len(y) != len(w) {
 		panic(fmt.Sprintf("dense: WaxpyDot length mismatch %d, %d, %d", len(x), len(y), len(w)))
 	}
-	return exec.ReduceRange(exec.Default(), len(w), axpy2Args{alpha: alpha, x1: x, y1: y, y2: w}, waxpyDotRange, add)
+	return exec.ReduceRange(exec.Default(), len(w), waxpyArgs{alpha, x, y, w}, waxpyDotRange, add)
 }
 
-func waxpyDotRange(a axpy2Args, lo, hi int) float64 {
+type waxpyArgs struct {
+	alpha   float64
+	x, y, w []float64
+}
+
+func waxpyDotRange(a waxpyArgs, lo, hi int) float64 {
 	var l lanes
-	l.waxpyDot(a.alpha, a.x1[lo:hi], a.y1[lo:hi], a.y2[lo:hi])
+	l.waxpyDot(a.alpha, a.x[lo:hi], a.y[lo:hi], a.w[lo:hi])
 	return l.fold()
 }
 

@@ -3,8 +3,9 @@ package dense
 import "odinhpc/internal/cpuid"
 
 // The level-1 kernels under every Krylov iteration: the inner product, the
-// update-and-square sweep w = y + alpha x with its <w, w>, and the vector
-// update d = a x + b d. Each Go loop below is the definition of its result;
+// update-and-square sweep w = y + alpha x with its <w, w>, the vector update
+// d = a x + b d, and CG's four updates with <r, r>. Each Go loop below is the
+// definition of its result;
 // on amd64 with AVX2 (level1SIMD) the body of a span runs in
 // level1_amd64.s, which reproduces the loop bit for bit, and only the
 // elements past the last multiple of 16 run here.
@@ -77,5 +78,31 @@ func axpby(a float64, x []float64, b float64, d []float64) {
 	}
 	for i := range d {
 		d[i] = float64(a*x[i]) + float64(b*d[i])
+	}
+}
+
+// cgStep is the single-reduction CG step: p[i] = z[i] + beta*p[i],
+// s[i] = w[i] + beta*s[i], x[i] += alpha*p[i], r[i] += -alpha*s[i], and
+// r[i]*r[i] into lane i mod 16; the other slices are at least len(r) long.
+// Element for element it is axpby(1, z, beta, p), axpby(1, w, beta, s),
+// axpby(alpha, p, 1, x) and waxpyDot(-alpha, s, r, r) in turn — a product
+// with 1 is exact, and an add of two non-NaN values commutes — in one pass
+// over the six vectors instead of four. z may be r: each z[i] is read before
+// r[i] is written.
+func (l *lanes) cgStep(alpha, beta float64, z, w, p, s, x, r []float64) {
+	n := len(r)
+	z, w, p, s, x = z[:n], w[:n], p[:n], s[:n], x[:n]
+	if k := n &^ 15; level1SIMD && k > 0 {
+		cgStepLanesAVX2(l, alpha, beta, &z[0], &w[0], &p[0], &s[0], &x[0], &r[0], k)
+		z, w, p, s, x, r = z[k:], w[k:], p[k:], s[k:], x[k:], r[k:]
+	}
+	for i := range r {
+		pi := float64(beta*p[i]) + z[i]
+		si := float64(beta*s[i]) + w[i]
+		p[i], s[i] = pi, si
+		x[i] = float64(alpha*pi) + x[i]
+		v := float64(-alpha*si) + r[i]
+		r[i] = v
+		l[i&15] += float64(v * v)
 	}
 }

@@ -21,3 +21,8 @@ func waxpyDotLanesAVX2(l *lanes, alpha float64, x, y, w *float64, n int)
 //
 //go:noescape
 func axpbyAVX2(a float64, x *float64, b float64, d *float64, n int)
+
+// cgStepLanesAVX2 is lanes.cgStep over n elements; z may be r.
+//
+//go:noescape
+func cgStepLanesAVX2(l *lanes, alpha, beta float64, z, w, p, s, x, r *float64, n int)

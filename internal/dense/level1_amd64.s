@@ -133,3 +133,66 @@ axpbyloop:
 
 	VZEROUPPER
 	RET
+
+// func cgStepLanesAVX2(l *lanes, alpha, beta float64, z, w, p, s, x, r *float64, n int)
+//
+// p[i] = beta*p[i] + z[i]; s[i] = beta*s[i] + w[i]; x[i] = alpha*p[i] + x[i];
+// r[i] = -alpha*s[i] + r[i]; l[i%16] += r[i]*r[i] — one pass where the four
+// updates as separate sweeps make four. -alpha is alpha with its sign bit
+// flipped, as Go's negation, so alpha = 0 gives -0. Each register's z is
+// loaded before its r is stored, so z may be r.
+TEXT ·cgStepLanesAVX2(SB), NOSPLIT, $0-80
+	MOVQ	l+0(FP), R8
+	VBROADCASTSD	alpha+8(FP), Y14
+	VBROADCASTSD	beta+16(FP), Y13
+	MOVQ	z+24(FP), AX
+	MOVQ	w+32(FP), BX
+	MOVQ	p+40(FP), SI
+	MOVQ	s+48(FP), DI
+	MOVQ	x+56(FP), DX
+	MOVQ	r+64(FP), R9
+	MOVQ	n+72(FP), CX
+	VPCMPEQQ	Y15, Y15, Y15
+	VPSLLQ	$63, Y15, Y15 // the sign bit
+	VXORPD	Y14, Y15, Y15 // -alpha
+	VMOVUPD	(R8), Y0
+	VMOVUPD	32(R8), Y1
+	VMOVUPD	64(R8), Y2
+	VMOVUPD	96(R8), Y3
+
+#define CGSTEP(off, acc) \
+	VMULPD	off(SI), Y13, Y4; \
+	VADDPD	off(AX), Y4, Y4; \
+	VMOVUPD	Y4, off(SI); \
+	VMULPD	off(DI), Y13, Y5; \
+	VADDPD	off(BX), Y5, Y5; \
+	VMOVUPD	Y5, off(DI); \
+	VMULPD	Y4, Y14, Y4; \
+	VADDPD	off(DX), Y4, Y4; \
+	VMOVUPD	Y4, off(DX); \
+	VMULPD	Y5, Y15, Y5; \
+	VADDPD	off(R9), Y5, Y5; \
+	VMOVUPD	Y5, off(R9); \
+	VMULPD	Y5, Y5, Y5; \
+	VADDPD	Y5, acc, acc
+
+cgsteploop:
+	CGSTEP(0, Y0)
+	CGSTEP(32, Y1)
+	CGSTEP(64, Y2)
+	CGSTEP(96, Y3)
+	ADDQ	$128, AX
+	ADDQ	$128, BX
+	ADDQ	$128, SI
+	ADDQ	$128, DI
+	ADDQ	$128, DX
+	ADDQ	$128, R9
+	SUBQ	$16, CX
+	JNZ	cgsteploop
+
+	VMOVUPD	Y0, (R8)
+	VMOVUPD	Y1, 32(R8)
+	VMOVUPD	Y2, 64(R8)
+	VMOVUPD	Y3, 96(R8)
+	VZEROUPPER
+	RET

@@ -16,3 +16,7 @@ func waxpyDotLanesAVX2(l *lanes, alpha float64, x, y, w *float64, n int) {
 func axpbyAVX2(a float64, x *float64, b float64, d *float64, n int) {
 	panic("dense: no SIMD level-1 kernel on this architecture")
 }
+
+func cgStepLanesAVX2(l *lanes, alpha, beta float64, z, w, p, s, x, r *float64, n int) {
+	panic("dense: no SIMD level-1 kernel on this architecture")
+}

@@ -75,7 +75,8 @@ func laneSum(n int, term func(i int) float64) float64 {
 // level1Mismatch reports the first range function that differs from its
 // definition on x, y (equal lengths) at alpha and beta: the dot, w = y +
 // alpha x with <w, w> out of place and in place, d = alpha x + beta d, Axpy
-// as y + alpha x, and the CG step (y1 += alpha x1, y2 += beta x2, <y2, y2>).
+// as y + alpha x, and the CG step (p = z + beta p, s = w + beta s,
+// x += alpha p, r -= alpha s, <r, r>).
 func level1Mismatch(x, y []float64, alpha, beta float64) error {
 	n := len(x)
 	clone := func(v []float64) []float64 { return append([]float64(nil), v...) }
@@ -91,11 +92,11 @@ func level1Mismatch(x, y []float64, alpha, beta float64) error {
 	}
 	wantWW := laneSum(n, func(i int) float64 { return float64(wantW[i] * wantW[i]) })
 	w := make([]float64, n)
-	if got := waxpyDotRange(axpy2Args{alpha: alpha, x1: x, y1: y, y2: w}, 0, n); !sameBits(got, wantWW) || !sameSlice(w, wantW) {
+	if got := waxpyDotRange(waxpyArgs{alpha, x, y, w}, 0, n); !sameBits(got, wantWW) || !sameSlice(w, wantW) {
 		return fmt.Errorf("waxpyDot = %x, want %x (w equal: %v)", math.Float64bits(got), math.Float64bits(wantWW), sameSlice(w, wantW))
 	}
 	w = clone(y)
-	if got := waxpyDotRange(axpy2Args{alpha: alpha, x1: x, y1: w, y2: w}, 0, n); !sameBits(got, wantWW) || !sameSlice(w, wantW) {
+	if got := waxpyDotRange(waxpyArgs{alpha, x, w, w}, 0, n); !sameBits(got, wantWW) || !sameSlice(w, wantW) {
 		return fmt.Errorf("waxpyDot with w == y = %x, want %x (w equal: %v)", math.Float64bits(got), math.Float64bits(wantWW), sameSlice(w, wantW))
 	}
 
@@ -112,20 +113,26 @@ func level1Mismatch(x, y []float64, alpha, beta float64) error {
 		return fmt.Errorf("axpby with beta = 1 is not y + alpha x")
 	}
 
-	y1, y2 := clone(x), clone(y)
-	wantY2 := make([]float64, n)
-	for i := range wantY2 {
-		wantY2[i] = y[i] + float64(beta*x[i])
-	}
-	wantStep := laneSum(n, func(i int) float64 { return float64(wantY2[i] * wantY2[i]) })
-	got := axpy2DotRange(axpy2Args{alpha: alpha, beta: beta, x1: y, y1: y1, x2: x, y2: y2}, 0, n)
-	for i := range y1 {
-		if want := x[i] + float64(alpha*y[i]); !sameBits(y1[i], want) {
-			return fmt.Errorf("axpy2Dot y1[%d] = %v, want %v", i, y1[i], want)
+	// The CG step, with z its own vector and with z = r.
+	for _, zIsR := range []bool{false, true} {
+		p, s, xv, r := clone(y), clone(x), clone(x), clone(y)
+		z := x
+		if zIsR {
+			z = r
 		}
-	}
-	if !sameBits(got, wantStep) || !sameSlice(y2, wantY2) {
-		return fmt.Errorf("axpy2Dot = %x, want %x (y2 equal: %v)", math.Float64bits(got), math.Float64bits(wantStep), sameSlice(y2, wantY2))
+		wantP, wantS, wantX, wantR := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+		for i := range wantP {
+			wantP[i] = z[i] + float64(beta*p[i])
+			wantS[i] = y[i] + float64(beta*s[i])
+			wantX[i] = xv[i] + float64(alpha*wantP[i])
+			wantR[i] = r[i] + float64(-alpha*wantS[i])
+		}
+		wantRR := laneSum(n, func(i int) float64 { return float64(wantR[i] * wantR[i]) })
+		got := cgStepRange(cgStepArgs{alpha: alpha, beta: beta, z: z, w: y, p: p, s: s, x: xv, r: r}, 0, n)
+		if !sameBits(got, wantRR) || !sameSlice(p, wantP) || !sameSlice(s, wantS) || !sameSlice(xv, wantX) || !sameSlice(r, wantR) {
+			return fmt.Errorf("cgStep (z = r: %v) = %x, want %x (p, s, x, r equal: %v %v %v %v)", zIsR,
+				math.Float64bits(got), math.Float64bits(wantRR), sameSlice(p, wantP), sameSlice(s, wantS), sameSlice(xv, wantX), sameSlice(r, wantR))
+		}
 	}
 	return nil
 }
@@ -222,7 +229,7 @@ func FuzzLevel1Lanes(f *testing.F) {
 
 // TestLevel1Allocs pins the inline chunk tree under the solver sweeps: on a
 // one-worker engine a reduction over four chunks folds them on the caller
-// with no partials slice and no closure, so DotSlices, Axpy2Dot and
+// with no partials slice and no closure, so DotSlices, CGStep and
 // WaxpyDot allocate nothing.
 func TestLevel1Allocs(t *testing.T) {
 	old := exec.Default()
@@ -230,13 +237,14 @@ func TestLevel1Allocs(t *testing.T) {
 	exec.SetDefault(exec.New(exec.WithWorkers(1)))
 	const n = 4 * exec.DefaultGrain
 	x, y, u, w := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	p, s := make([]float64, n), make([]float64, n)
 	for i := range x {
 		x[i], y[i] = 1/float64(i+1), float64(i%7)
 	}
 	var sink float64
 	for name, f := range map[string]func(){
 		"DotSlices": func() { sink += DotSlices(x, y) },
-		"Axpy2Dot":  func() { sink += Axpy2Dot(1e-9, x, u, -1e-9, y, w) },
+		"CGStep":    func() { sink += CGStep(1e-9, 0.5, x, y, p, s, u, w) },
 		"WaxpyDot":  func() { sink += WaxpyDot(-1e-9, x, y, w) },
 	} {
 		if got := testing.AllocsPerRun(100, f); got != 0 {

@@ -137,8 +137,8 @@ func TestDotEquivalenceAcrossPools(t *testing.T) {
 }
 
 // TestFusedSweepEquivalenceAcrossPools holds dense's fused Krylov sweeps
-// (Axpy2, Axpy2Dot, WaxpyDot) against the call sequences they replace — Axpy
-// twice then DotSlices; copy, Axpy, DotSlices — vectors and scalar bit for
+// (CGStep, WaxpyDot) against the call sequences they replace — two Axpby,
+// two Axpy, then DotSlices; copy, Axpy, DotSlices — vectors and scalar bit for
 // bit, with a grain small enough that the spans split into several chunks and
 // at the lengths where chunking changes shape (empty, one element, one either
 // side of a chunk boundary); and, like every reduction, the same bits at
@@ -155,37 +155,37 @@ func TestFusedSweepEquivalenceAcrossPools(t *testing.T) {
 	}
 	clone := func(v []float64) []float64 { return append([]float64(nil), v...) }
 	for _, n := range []int{0, 1, grain - 1, grain, grain + 1, 5*grain + 3, 300*grain + 7} {
-		p, ap, x0, r0 := vec(n), vec(n), vec(n), vec(n)
-		alpha := rng.NormFloat64()
+		z, w, p0, s0, x0, r0 := vec(n), vec(n), vec(n), vec(n), vec(n), vec(n)
+		ap := vec(n)
+		alpha, beta := rng.NormFloat64(), rng.NormFloat64()
 		err := acrossPools(grain, func() []float64 {
-			// CG step: x += alpha p; r -= alpha Ap; <r, r>.
-			x, r := clone(x0), clone(r0)
+			// CG step: p = z + beta p; s = w + beta s; x += alpha p;
+			// r -= alpha s; <r, r>.
+			p, s, x, r := clone(p0), clone(s0), clone(x0), clone(r0)
+			dense.Axpby(1, z, beta, p)
+			dense.Axpby(1, w, beta, s)
 			dense.Axpy(alpha, p, x)
-			dense.Axpy(-alpha, ap, r)
+			dense.Axpy(-alpha, s, r)
 			want := dense.DotSlices(r, r)
-			fx, fr := clone(x0), clone(r0)
-			got := dense.Axpy2Dot(alpha, p, fx, -alpha, ap, fr)
-			if math.Float64bits(got) != math.Float64bits(want) || !sameBits(fx, x) || !sameBits(fr, r) {
-				t.Errorf("n=%d: Axpy2Dot = %x, unfused %x (vectors equal: %v %v)", n, got, want, sameBits(fx, x), sameBits(fr, r))
-			}
-			gx, gr := clone(x0), clone(r0)
-			dense.Axpy2(alpha, p, gx, -alpha, ap, gr)
-			if !sameBits(gx, x) || !sameBits(gr, r) {
-				t.Errorf("n=%d: Axpy2 vectors differ from two Axpy calls", n)
+			fp, fs, fx, fr := clone(p0), clone(s0), clone(x0), clone(r0)
+			got := dense.CGStep(alpha, beta, z, w, fp, fs, fx, fr)
+			if math.Float64bits(got) != math.Float64bits(want) || !sameBits(fp, p) || !sameBits(fs, s) || !sameBits(fx, x) || !sameBits(fr, r) {
+				t.Errorf("n=%d: CGStep = %x, unfused %x (vectors equal: %v %v %v %v)", n, got, want,
+					sameBits(fp, p), sameBits(fs, s), sameBits(fx, x), sameBits(fr, r))
 			}
 			// BiCGSTAB half-step: s = r - alpha v; <s, s>, out of place and
 			// in place, against a copy, an Axpy and a DotSlices.
-			s := clone(r0)
-			dense.Axpy(-alpha, ap, s)
-			wantS := dense.DotSlices(s, s)
-			fs := make([]float64, n)
-			gotS := dense.WaxpyDot(-alpha, ap, r0, fs)
+			hs := clone(r0)
+			dense.Axpy(-alpha, ap, hs)
+			wantS := dense.DotSlices(hs, hs)
+			ws := make([]float64, n)
+			gotS := dense.WaxpyDot(-alpha, ap, r0, ws)
 			is := clone(r0)
 			inS := dense.WaxpyDot(-alpha, ap, is, is)
-			if math.Float64bits(gotS) != math.Float64bits(wantS) || math.Float64bits(inS) != math.Float64bits(wantS) || !sameBits(fs, s) || !sameBits(is, s) {
+			if math.Float64bits(gotS) != math.Float64bits(wantS) || math.Float64bits(inS) != math.Float64bits(wantS) || !sameBits(ws, hs) || !sameBits(is, hs) {
 				t.Errorf("n=%d: WaxpyDot = %x (in place %x), unfused %x", n, gotS, inS, wantS)
 			}
-			return append([]float64{got, gotS}, append(fr, fs...)...)
+			return append([]float64{got, gotS}, append(fr, ws...)...)
 		})
 		if err != nil {
 			t.Errorf("n=%d: fused sweeps: %v", n, err)

@@ -357,16 +357,19 @@ func ReduceRange[A, R any](e *Engine, n int, a A, fold func(a A, lo, hi int) R, 
 		return t.result(combine)
 	}
 	partials := make([]R, count)
+	// The literal captures an operand over 128 bytes by reference, moving it
+	// to the heap where it is declared: declared here, only this branch pays.
+	arg := a
 	e.runChunks(count, func(w, c int) {
 		lo := c * size
 		hi := min(lo+size, n)
 		if s := trace.Active(); s != nil {
 			t0 := s.Now()
-			partials[c] = fold(a, lo, hi)
+			partials[c] = fold(arg, lo, hi)
 			traceChunk(s, "reduce", w, lo, hi, t0)
 			return
 		}
-		partials[c] = fold(a, lo, hi)
+		partials[c] = fold(arg, lo, hi)
 	})
 	for _, p := range partials {
 		t.push(p, combine)

@@ -21,7 +21,6 @@ import (
 	"odinhpc/internal/comm"
 	"odinhpc/internal/core"
 	"odinhpc/internal/fusion"
-	"odinhpc/internal/tpetra"
 )
 
 // JobFunc is one job's per-rank body, executed by every rank of a warm
@@ -34,13 +33,14 @@ type JobFunc func(c *comm.Comm, st *RankState) (any, error)
 // RankState is one rank's warm state, preserved across every job the group
 // runs: the rank's core context plus matrix, array and expression-plan
 // caches keyed by request fingerprint, so a repeated spec reuses its
-// assembled matrix (and the compiled GatherPlan inside it) or its bound
-// fusion plan instead of rebuilding per request. Every rank of a group sees
-// the same job sequence, so the ranks' caches always hold the same keys.
+// assembled matrix (the compiled GatherPlan inside it, and its right-hand
+// sides) or its bound fusion plan instead of rebuilding per request. Every
+// rank of a group sees the same job sequence, so the ranks' caches always
+// hold the same keys.
 type RankState struct {
 	Ctx      *core.Context
 	stats    *Stats
-	matrices map[string]*tpetra.CrsMatrix
+	matrices map[string]*warmMatrix
 	arrays   map[arrayKey]*core.DistArray[float64]
 	plans    map[planKey]*fusion.Plan
 }
@@ -49,7 +49,7 @@ func newRankState(c *comm.Comm, stats *Stats) *RankState {
 	return &RankState{
 		Ctx:      core.NewContext(c),
 		stats:    stats,
-		matrices: make(map[string]*tpetra.CrsMatrix),
+		matrices: make(map[string]*warmMatrix),
 		arrays:   make(map[arrayKey]*core.DistArray[float64]),
 		plans:    make(map[planKey]*fusion.Plan),
 	}

@@ -141,13 +141,20 @@ func (r *SolveRequest) fingerprint() string {
 	return fmt.Sprintf("%s/n=%d/%dx%dx%d/coo=%x", r.Kind, r.N, r.NX, r.NY, r.NZ, h.Sum64())
 }
 
+// warmMatrix is one cached solve spec on a rank: the assembled matrix, and
+// the right-hand sides built on its map so far, by rhs kind.
+type warmMatrix struct {
+	a   *tpetra.CrsMatrix
+	rhs map[string]*tpetra.Vector
+}
+
 // matrix returns the rank's warm assembled matrix for the spec, building it
 // (collectively) on first use. The plan compiled inside FillComplete is
 // thereby reused across every request with the same fingerprint.
-func (r *SolveRequest) matrix(c *comm.Comm, st *RankState) *tpetra.CrsMatrix {
+func (r *SolveRequest) matrix(c *comm.Comm, st *RankState) *warmMatrix {
 	key := r.fingerprint()
-	if a, ok := st.matrices[key]; ok {
-		return a
+	if w, ok := st.matrices[key]; ok {
+		return w
 	}
 	m := distmap.NewBlock(r.size(), c.Size())
 	var a *tpetra.CrsMatrix
@@ -170,24 +177,39 @@ func (r *SolveRequest) matrix(c *comm.Comm, st *RankState) *tpetra.CrsMatrix {
 		}
 		a.FillComplete()
 	}
-	st.matrices[key] = a
-	return a
+	w := &warmMatrix{a: a, rhs: make(map[string]*tpetra.Vector)}
+	st.matrices[key] = w
+	return w
+}
+
+// rhsVector returns the warm right-hand side of the given kind on the
+// matrix's map, filling it on first use. The solvers only read b, so one
+// vector serves every job of the spec, and a warm job allocates only x and
+// the solver's work vectors.
+func (w *warmMatrix) rhsVector(c *comm.Comm, kind string) *tpetra.Vector {
+	if b, ok := w.rhs[kind]; ok {
+		return b
+	}
+	m := w.a.Map()
+	b := tpetra.NewVector(c, m)
+	switch kind {
+	case "index":
+		n := float64(m.NumGlobal())
+		b.FillFromGlobal(func(g int) float64 { return float64(g)/n - 0.5 })
+	default:
+		b.PutScalar(1)
+	}
+	w.rhs[kind] = b
+	return b
 }
 
 // Job builds the per-rank body for a validated solve request.
 func (r *SolveRequest) Job() JobFunc {
 	return func(c *comm.Comm, st *RankState) (any, error) {
 		t0 := time.Now()
-		a := r.matrix(c, st)
+		warm := r.matrix(c, st)
+		a, b := warm.a, warm.rhsVector(c, r.RHS)
 		m := a.Map()
-		b := tpetra.NewVector(c, m)
-		switch r.RHS {
-		case "index":
-			n := float64(m.NumGlobal())
-			b.FillFromGlobal(func(g int) float64 { return float64(g)/n - 0.5 })
-		default:
-			b.PutScalar(1)
-		}
 		x := tpetra.NewVector(c, m)
 		opt := solvers.Options{MaxIter: r.MaxIter, Tol: r.Tol}
 		var (

@@ -152,6 +152,41 @@ func TestWarmExprJobAllocs(t *testing.T) {
 	}
 }
 
+// TestWarmSolveJobAllocsPerIteration pins the served CG loop at zero objects
+// per iteration: a warm solve of 64 iterations allocates what one of 32
+// does. solvers pins the same slope on its own, but a package's escape
+// analysis can differ between its test build and the build that importers
+// link — a [2]float64 that solvers handed to comm.AllreduceInto through an
+// inlined tpetra wrapper stayed on the stack under solvers' tests and moved
+// to the heap here — so the binary that serves requests is measured too.
+func TestWarmSolveJobAllocsPerIteration(t *testing.T) {
+	if alloctest.RaceEnabled || trace.Active() != nil {
+		t.Skip("allocation counts are not exact under the race detector or a trace session")
+	}
+	for _, p := range []int{1, 2} {
+		s := NewScheduler(Options{Groups: 1, Ranks: p, Comm: comm.Config{Transport: "inproc"}})
+		perJob := func(iters int) float64 {
+			req := &SolveRequest{Kind: "laplace1d", N: 512, MaxIter: iters}
+			if err := req.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			do := func() {
+				if _, err := s.Do("t", req.Job()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			do() // assembles the matrix and fills b
+			return testing.AllocsPerRun(100, do)
+		}
+		short, long := perJob(32), perJob(64)
+		s.Stop()
+		if slope := (long - short) / 32; slope >= 1 {
+			t.Errorf("P=%d: a warm solve allocates %.2f objects per iteration (%v objects at 64 iterations, %v at 32), want 0",
+				p, slope, long, short)
+		}
+	}
+}
+
 // TestPlanCacheIsBounded sweeps 2×planCap+1 distinct sources through one
 // group: every answer is right, the sweep ends (ranks that disagreed about
 // what is warm would not — one would prepare while the other reduced), and

@@ -12,6 +12,7 @@ import (
 	"odinhpc/internal/fusion"
 	"odinhpc/internal/seamless"
 	"odinhpc/internal/seamless/vm"
+	"odinhpc/internal/tpetra"
 )
 
 // mixedJob returns the i-th job of the standard mixed workload: two solve
@@ -438,39 +439,61 @@ func TestSubmitRacingStopResolves(t *testing.T) {
 }
 
 // TestWarmMatrixCacheReuse pins the warm-state contract: two solves of one
-// spec on one group assemble the matrix once (the second run is served from
-// RankState.matrices, reusing its compiled GatherPlan).
+// spec on one group assemble the matrix once and fill each right-hand side
+// once (the second run is served from RankState.matrices, reusing its
+// compiled GatherPlan and its b), and the solves leave the warm b as filled:
+// the solvers only read it.
 func TestWarmMatrixCacheReuse(t *testing.T) {
 	s := NewScheduler(Options{Groups: 1, Ranks: 2})
 	defer s.Stop()
 
-	probe := func() (built bool, err error) {
-		req := &SolveRequest{Kind: "laplace1d", N: 48}
+	for _, rhs := range []string{"ones", "index"} {
+		req := &SolveRequest{Kind: "laplace1d", N: 48, RHS: rhs}
 		if err := req.Validate(); err != nil {
-			return false, err
+			t.Fatal(err)
 		}
-		out, err := s.Do("t", func(c *comm.Comm, st *RankState) (any, error) {
-			before := len(st.matrices)
-			req.matrix(c, st)
-			return len(st.matrices) != before, nil
-		})
+		probe := func() (built [2]bool, err error) {
+			out, err := s.Do("t", func(c *comm.Comm, st *RankState) (any, error) {
+				before := len(st.matrices)
+				w := req.matrix(c, st)
+				filled := len(w.rhs)
+				w.rhsVector(c, req.RHS)
+				return [2]bool{len(st.matrices) != before, len(w.rhs) != filled}, nil
+			})
+			if err != nil {
+				return built, err
+			}
+			return out.([2]bool), nil
+		}
+		built, err := probe()
 		if err != nil {
-			return false, err
+			t.Fatal(err)
 		}
-		return out.(bool), nil
-	}
-	built, err := probe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !built {
-		t.Fatal("first solve did not assemble the matrix")
-	}
-	built, err = probe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if built {
-		t.Fatal("second solve of the same spec rebuilt the matrix instead of reusing it")
+		if built[0] != (rhs == "ones") || !built[1] {
+			t.Fatalf("rhs=%s: first solve built matrix %v, rhs %v; want %v, true", rhs, built[0], built[1], rhs == "ones")
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := s.Do("t", req.Job()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if built, err = probe(); err != nil {
+			t.Fatal(err)
+		}
+		if built[0] || built[1] {
+			t.Fatalf("rhs=%s: a later solve of the same spec rebuilt the matrix (%v) or its b (%v) instead of reusing it", rhs, built[0], built[1])
+		}
+		if _, err := s.Do("t", func(c *comm.Comm, st *RankState) (any, error) {
+			w := req.matrix(c, st)
+			fresh := (&warmMatrix{a: w.a, rhs: map[string]*tpetra.Vector{}}).rhsVector(c, req.RHS)
+			for i, v := range w.rhs[req.RHS].Data {
+				if math.Float64bits(v) != math.Float64bits(fresh.Data[i]) {
+					return nil, fmt.Errorf("rhs=%s rank %d: warm b[%d] = %v after two solves, filled as %v", rhs, c.Rank(), i, v, fresh.Data[i])
+				}
+			}
+			return nil, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -13,10 +13,43 @@ import (
 	"odinhpc/internal/tpetra"
 )
 
-// cgUnfused is CG as it was before the reductions were fused: <r, z> and
-// ||r|| from two separate allreduces. It is the oracle the fused loop must
-// match bit for bit; it exists only here.
+// cgUnfused is CG with nothing fused: the four updates as four calls, and
+// <r, z>, <z, Az> and <r, r> from three allreduces. It is the oracle the
+// fused loop must match bit for bit; it exists only here.
 func cgUnfused(a tpetra.Operator, b, x *tpetra.Vector, opt Options) []float64 {
+	opt = opt.withDefaults()
+	c, m := b.Comm(), a.Map()
+	r, z, w, p, s := tpetra.NewVector(c, m), tpetra.NewVector(c, m), tpetra.NewVector(c, m), tpetra.NewVector(c, m), tpetra.NewVector(c, m)
+	bnorm := b.Norm2()
+	a.Apply(x, r)
+	r.Update(1, b, -1)
+	dots := func() (rz, zw, rr float64) {
+		applyPrec(opt.Precond, r, z)
+		a.Apply(z, w)
+		return r.Dot(z), z.Dot(w), r.Dot(r)
+	}
+	rz, zw, rr := dots()
+	history := []float64{math.Sqrt(rr) / bnorm}
+	beta, pap := 0.0, 0.0
+	for k := 0; k < opt.MaxIter && math.Sqrt(rr)/bnorm > opt.Tol; k++ {
+		pap = zw - beta*beta*pap
+		alpha := rz / pap
+		p.Update(1, z, beta)
+		s.Update(1, w, beta)
+		x.Axpy(alpha, p)
+		r.Axpy(-alpha, s)
+		rzNew, zwNew, rrNew := dots()
+		beta, rz, zw, rr = rzNew/rz, rzNew, zwNew, rrNew
+		history = append(history, math.Sqrt(rr)/bnorm)
+	}
+	return history
+}
+
+// cgClassic is CG as it was before the single-reduction recurrence:
+// <p, Ap>, then <r, z> and <r, r>, two allreduce rounds an iteration, and
+// the operator applied to p. It is the reference the recurrence must agree
+// with in iteration count; it exists only here.
+func cgClassic(a tpetra.Operator, b, x *tpetra.Vector, opt Options) []float64 {
 	opt = opt.withDefaults()
 	c, m := b.Comm(), a.Map()
 	r, z, p, ap := tpetra.NewVector(c, m), tpetra.NewVector(c, m), tpetra.NewVector(c, m), tpetra.NewVector(c, m)
@@ -25,20 +58,18 @@ func cgUnfused(a tpetra.Operator, b, x *tpetra.Vector, opt Options) []float64 {
 	r.Update(1, b, -1)
 	applyPrec(opt.Precond, r, z)
 	p.CopyFrom(z)
-	rz := r.Dot(z)
-	rnorm := r.Norm2()
-	history := []float64{rnorm / bnorm}
-	for k := 0; k < opt.MaxIter && rnorm/bnorm > opt.Tol; k++ {
+	rz, rr := tpetra.Dot2(r, z, r, r)
+	history := []float64{math.Sqrt(rr) / bnorm}
+	for k := 0; k < opt.MaxIter && math.Sqrt(rr)/bnorm > opt.Tol; k++ {
 		a.Apply(p, ap)
 		alpha := rz / p.Dot(ap)
 		x.Axpy(alpha, p)
 		r.Axpy(-alpha, ap)
 		applyPrec(opt.Precond, r, z)
-		rzNew := r.Dot(z)
+		rzNew, rrNew := tpetra.Dot2(r, z, r, r)
 		p.Update(1, z, rzNew/rz)
-		rz = rzNew
-		rnorm = r.Norm2()
-		history = append(history, rnorm/bnorm)
+		rz, rr = rzNew, rrNew
+		history = append(history, math.Sqrt(rr)/bnorm)
 	}
 	return history
 }
@@ -173,12 +204,11 @@ func TestFusedReductionsBitwise(t *testing.T) {
 	}
 }
 
-// TestFusedSweepsBitwise holds the fused sweeps themselves — tpetra.Axpy2Dot,
-// Axpy2 and Vector.WaxpyNorm2 — against the three-call sequences they
-// replace, vectors and scalar bit for bit, on 1 to 4 ranks, at global
-// lengths that give the ranks empty, one-element and chunk-boundary
-// (sweepGrain +- 1) local segments; and the scalars the same at every pool
-// size.
+// TestFusedSweepsBitwise holds the fused sweeps themselves — tpetra.CGStep
+// and Vector.WaxpyNorm2 — against the call sequences they replace, vectors
+// and scalar bit for bit, on 1 to 4 ranks, at global lengths that give the
+// ranks empty, one-element and chunk-boundary (sweepGrain +- 1) local
+// segments; and the scalars the same at every pool size.
 func TestFusedSweepsBitwise(t *testing.T) {
 	same := func(a, b *tpetra.Vector) bool {
 		for i := range a.Data {
@@ -203,32 +233,43 @@ func TestFusedSweepsBitwise(t *testing.T) {
 						v.FillFromGlobal(func(g int) float64 { return math.Sin(k*float64(g) + k) })
 						return v
 					}
-					p, ap, x0, r0 := vec(0.7), vec(1.3), vec(2.1), vec(0.4)
-					const alpha = 0.8125 + 1e-9
+					z, w, p0, s0 := vec(0.3), vec(1.7), vec(0.7), vec(1.3)
+					ap, x0, r0 := vec(0.9), vec(2.1), vec(0.4)
+					const alpha, beta = 0.8125 + 1e-9, 0.375 - 1e-9
 					fail := func(what string) error {
 						return fmt.Errorf("%s differs from the unfused sequence: pool=%d P=%d n=%d rank %d (local %d)",
-							what, pool, P, n, c.Rank(), len(p.Data))
+							what, pool, P, n, c.Rank(), len(r0.Data))
 					}
 
-					x, r := x0.Clone(), r0.Clone()
+					p, s, x, r := p0.Clone(), s0.Clone(), x0.Clone(), r0.Clone()
+					p.Update(1, z, beta)
+					s.Update(1, w, beta)
 					x.Axpy(alpha, p)
-					r.Axpy(-alpha, ap)
+					r.Axpy(-alpha, s)
 					rr := r.Dot(r)
-					fx, fr := x0.Clone(), r0.Clone()
-					if got := tpetra.Axpy2Dot(alpha, p, fx, -alpha, ap, fr); math.Float64bits(got) != math.Float64bits(rr) || !same(fx, x) || !same(fr, r) {
-						return fail("Axpy2Dot")
+					fp, fs, fx, fr := p0.Clone(), s0.Clone(), x0.Clone(), r0.Clone()
+					got := tpetra.CGStep(alpha, beta, z, w, fp, fs, fx, fr)
+					if got = comm.AllreduceScalar(c, got, comm.OpSum); math.Float64bits(got) != math.Float64bits(rr) ||
+						!same(fp, p) || !same(fs, s) || !same(fx, x) || !same(fr, r) {
+						return fail("CGStep")
 					}
-					gx, gr := x0.Clone(), r0.Clone()
-					if tpetra.Axpy2(alpha, p, gx, -alpha, ap, gr); !same(gx, x) || !same(gr, r) {
-						return fail("Axpy2")
+					// Without a preconditioner z is r itself.
+					p, s, x, r = p0.Clone(), s0.Clone(), x0.Clone(), r0.Clone()
+					p.Update(1, r, beta)
+					s.Update(1, w, beta)
+					x.Axpy(alpha, p)
+					r.Axpy(-alpha, s)
+					fp, fs, fx, fr = p0.Clone(), s0.Clone(), x0.Clone(), r0.Clone()
+					if tpetra.CGStep(alpha, beta, fr, w, fp, fs, fx, fr); !same(fp, p) || !same(fs, s) || !same(fx, x) || !same(fr, r) {
+						return fail("CGStep with z = r")
 					}
 
-					s := tpetra.NewVector(c, m)
-					s.CopyFrom(r0)
-					s.Axpy(-alpha, ap)
-					sn := s.Norm2()
-					fs := tpetra.NewVector(c, m)
-					if got := fs.WaxpyNorm2(-alpha, ap, r0); math.Float64bits(got) != math.Float64bits(sn) || !same(fs, s) {
+					hs := tpetra.NewVector(c, m)
+					hs.CopyFrom(r0)
+					hs.Axpy(-alpha, ap)
+					sn := hs.Norm2()
+					ws := tpetra.NewVector(c, m)
+					if got := ws.WaxpyNorm2(-alpha, ap, r0); math.Float64bits(got) != math.Float64bits(sn) || !same(ws, hs) {
 						return fail("WaxpyNorm2")
 					}
 					if c.Rank() != 0 {
@@ -311,10 +352,122 @@ func testEngineCallsPerIteration(t *testing.T, solve solveFunc, want int64) {
 	}
 }
 
-// A CG rank-iteration is four engine calls — SpMV, <p, Ap>, the fused step,
-// the p update; six before the step was fused.
-func TestCGEngineCallsPerIteration(t *testing.T) { testEngineCallsPerIteration(t, CG, 4) }
+// A CG rank-iteration is three engine calls — the fused step with <r, r>,
+// the SpMV, <r, Ar>; four for classic CG (SpMV, <p, Ap>, the step, the p
+// update), six before its step was fused.
+func TestCGEngineCallsPerIteration(t *testing.T) { testEngineCallsPerIteration(t, CG, 3) }
 
 // A BiCGSTAB rank-iteration is twelve: two SpMVs, four dots, two fused
 // half-steps, four axpy/update sweeps; fourteen before.
 func TestBiCGSTABEngineCallsPerIteration(t *testing.T) { testEngineCallsPerIteration(t, BiCGSTAB, 12) }
+
+// classicSolve runs the classic-CG oracle as a solveFunc.
+func classicSolve(a tpetra.Operator, b, x *tpetra.Vector, opt Options) (Result, error) {
+	h := cgClassic(a, b, x, opt)
+	return Result{Iterations: len(h) - 1, Residual: h[len(h)-1]}, nil
+}
+
+// TestCGOneAllreducePerIteration pins the rounds of an iteration in
+// messages, counted by the fabric: the extra messages of 32 more iterations
+// must be those of 32 Applys and 32 scalar allreduces — one reduction round
+// per iteration at every P — where classic CG pays two allreduces.
+func TestCGOneAllreducePerIteration(t *testing.T) {
+	msgs := func(p int, body func(c *comm.Comm)) int64 {
+		st, err := comm.RunStats(p, func(c *comm.Comm) error { body(c); return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Snapshot().TotalMsgs()
+	}
+	for _, p := range []int{2, 3, 4} {
+		setup := func(c *comm.Comm) (*tpetra.CrsMatrix, *tpetra.Vector) {
+			a := galeri.Laplace1DDist(c, distmap.NewBlock(512, c.Size()))
+			return a, tpetra.NewVector(c, a.Map())
+		}
+		apply := msgs(p, func(c *comm.Comm) { a, x := setup(c); a.Apply(x, x.Clone()) }) -
+			msgs(p, func(c *comm.Comm) { setup(c) })
+		allreduce := msgs(p, func(c *comm.Comm) { comm.AllreduceScalar(c, 1.0, comm.OpSum) })
+		for _, s := range []struct {
+			name       string
+			solve      solveFunc
+			allreduces int64
+		}{{"cg", CG, 1}, {"classic", classicSolve, 2}} {
+			perIter := func(iters int) int64 {
+				return msgs(p, func(c *comm.Comm) { fixedSolve(c, s.solve, iters)() })
+			}
+			got, want := (perIter(64)-perIter(32))/32, apply+s.allreduces*allreduce
+			if got != want {
+				t.Errorf("P=%d %s: %d messages per iteration, want %d (an Apply is %d, an allreduce %d)",
+					p, s.name, got, want, apply, allreduce)
+			}
+		}
+	}
+}
+
+// TestCGMatchesClassicIterations holds the single-reduction recurrence to
+// classic CG, which it equals in exact arithmetic: the same iteration count
+// and a true residual under the tolerance, on the benchmark's two solve
+// workloads at their five tolerances (laplace1d n = 512 at 1e-10 takes
+// 256 iterations, laplace3d 32^3 at 1e-8 takes 79) and with a Jacobi
+// preconditioner on a badly scaled Laplacian, at P = 1 to 3.
+func TestCGMatchesClassicIterations(t *testing.T) {
+	type problem struct {
+		name  string
+		n     int
+		tol   float64
+		iters int // the count both must take; 0 leaves it to the oracle
+		build func(c *comm.Comm, m *distmap.Map) *tpetra.CrsMatrix
+		prec  bool
+	}
+	problems := []problem{
+		{"laplace1d/512", 512, 1e-10, 256, func(c *comm.Comm, m *distmap.Map) *tpetra.CrsMatrix {
+			return galeri.Laplace1DDist(c, m)
+		}, false},
+		{"laplace3d/32^3", 32 * 32 * 32, 1e-8, 79, func(c *comm.Comm, m *distmap.Map) *tpetra.CrsMatrix {
+			return galeri.Laplace3DDist(c, m, 32, 32, 32)
+		}, false},
+		{"scaled-laplace1d/80+jacobi", 80, 1e-8, 0, func(c *comm.Comm, m *distmap.Map) *tpetra.CrsMatrix {
+			scale := func(i int) float64 { return 1 + 10*float64(i%7) }
+			return galeri.BuildDist(c, m, func(i int) ([]int, []float64) {
+				cols, vals := galeri.Laplace1DRow(80)(i)
+				for k := range vals {
+					vals[k] *= scale(i) * scale(cols[k])
+				}
+				return cols, vals
+			})
+		}, true},
+	}
+	for _, pr := range problems {
+		onRanks(t, []int{1, 2, 3}, func(c *comm.Comm) error {
+			m := distmap.NewBlock(pr.n, c.Size())
+			a := pr.build(c, m)
+			b := tpetra.NewVector(c, m)
+			b.PutScalar(1)
+			var prec Preconditioner
+			if pr.prec {
+				prec = newDiagPrec(a)
+			}
+			for seed := 0; seed < 5; seed++ {
+				opt := Options{Tol: pr.tol * (1 + 0.01*float64(seed)), MaxIter: 2000, Precond: prec}
+				x := tpetra.NewVector(c, m)
+				res, err := CG(a, b, x, opt)
+				if err != nil {
+					return fmt.Errorf("%s: %v", pr.name, err)
+				}
+				classic := len(cgClassic(a, b, tpetra.NewVector(c, m), opt)) - 1
+				want := pr.iters
+				if want == 0 {
+					want = classic
+				}
+				if !res.Converged || res.Iterations != want || classic != want {
+					return fmt.Errorf("%s tol=%g P=%d: %v; classic CG took %d, want %d",
+						pr.name, opt.Tol, c.Size(), res, classic, want)
+				}
+				if tr := ResidualNorm(a, b, x); !(tr <= opt.Tol) {
+					return fmt.Errorf("%s tol=%g P=%d: true residual %g over the tolerance", pr.name, opt.Tol, c.Size(), tr)
+				}
+			}
+			return nil
+		})
+	}
+}

@@ -68,42 +68,29 @@ func applyPrec(p Preconditioner, r, z *tpetra.Vector) {
 	p.ApplyInverse(r, z)
 }
 
-// precDots sets z = M^{-1} r and returns <r, z> and <r, r> from one
-// allreduce: of the pair (tpetra.Dot2), or, with no preconditioner — where
-// the caller passes r itself as z — of the one number both are.
-func precDots(p Preconditioner, r, z *tpetra.Vector) (rz, rr float64) {
-	if p == nil {
-		rr = r.Dot(r)
-		return rr, rr
+// applyDots sets z = M^{-1} r and w = A z and returns <r, z>, <z, w> and
+// <r, r> from one allreduce (tpetra.CGDots), rr being this rank's partial of
+// <r, r>. Without a preconditioner the caller passes r itself as z.
+func applyDots(a tpetra.Operator, prec Preconditioner, r, z, w *tpetra.Vector, rr float64) (rz, zw, rrSum float64) {
+	if prec != nil {
+		prec.ApplyInverse(r, z)
 	}
-	p.ApplyInverse(r, z)
-	return tpetra.Dot2(r, z, r, r)
-}
-
-// stepDots takes the CG step x += alpha p, r -= alpha Ap and returns what
-// precDots returns for the new r. Without a preconditioner the two updates
-// and <r, r> are one sweep (tpetra.Axpy2Dot); with one, the updates are one
-// sweep and the dots follow M^{-1}. Either way every vector and scalar is
-// bitwise that of two Axpy calls and precDots.
-func stepDots(prec Preconditioner, alpha float64, p, ap, x, r, z *tpetra.Vector) (rz, rr float64) {
-	if prec == nil {
-		rr = tpetra.Axpy2Dot(alpha, p, x, -alpha, ap, r)
-		return rr, rr
-	}
-	tpetra.Axpy2(alpha, p, x, -alpha, ap, r)
-	return precDots(prec, r, z)
+	a.Apply(z, w)
+	return tpetra.CGDots(r, z, w, rr)
 }
 
 // CG solves A x = b for symmetric positive-definite A using the
 // preconditioned conjugate gradient method. x holds the initial guess on
 // entry and the solution on exit. Collective.
 //
-// An iteration costs two allreduce rounds: <p, Ap>, then <r, z> and <r, r>
-// together once r and z are updated (stepDots) — and, around the operator,
-// three vector sweeps: <p, Ap>, the step with its <r, r>, the p update. The
-// scalars are bitwise those of three separate reductions after separate
-// updates, so iterates and iteration counts are too. Without a
-// preconditioner z is r, not a copy of it.
+// It is the single-reduction variant of Chronopoulos and Gear (Belos'
+// CGSingleRedIter): the operator applies to z = M^{-1} r instead of p, and
+// s = Ap follows p by its own recurrence, so <r, z>, <z, Az> and <r, r> are
+// all known after one allreduce and <p, Ap> = <z, Az> - beta^2 <p, Ap>_old.
+// An iteration is one allreduce round, one Apply, and one vector sweep for
+// the four updates with <r, r> (tpetra.CGStep), then <z, Az>. Without a
+// preconditioner z is r, not a copy of it. In exact arithmetic the iterates
+// are classic CG's.
 func CG(a tpetra.Operator, b, x *tpetra.Vector, opt Options) (Result, error) {
 	opt = opt.withDefaults()
 	res := Result{}
@@ -114,8 +101,9 @@ func CG(a tpetra.Operator, b, x *tpetra.Vector, opt Options) (Result, error) {
 	if opt.Precond != nil {
 		z = tpetra.NewVector(c, m)
 	}
+	w := tpetra.NewVector(c, m)
 	p := tpetra.NewVector(c, m)
-	ap := tpetra.NewVector(c, m)
+	s := tpetra.NewVector(c, m)
 
 	bnorm := b.Norm2()
 	if bnorm == 0 {
@@ -123,8 +111,7 @@ func CG(a tpetra.Operator, b, x *tpetra.Vector, opt Options) (Result, error) {
 	}
 	a.Apply(x, r)
 	r.Update(1, b, -1) // r = b - Ax
-	rz, rr := precDots(opt.Precond, r, z)
-	p.CopyFrom(z)
+	rz, zw, rr := applyDots(a, opt.Precond, r, z, w, r.LocalDot(r))
 	rnorm := math.Sqrt(rr)
 	record := func() {
 		if opt.RecordHistory {
@@ -132,26 +119,27 @@ func CG(a tpetra.Operator, b, x *tpetra.Vector, opt Options) (Result, error) {
 		}
 	}
 	record()
+	// p and s start at zero, so with beta = 0 the first step sets p = z,
+	// s = w and <p, Ap> = <z, Az>.
+	beta, pap := 0.0, 0.0
 	for k := 0; k < opt.MaxIter; k++ {
 		if rnorm/bnorm <= opt.Tol {
 			res.Converged = true
 			break
 		}
-		a.Apply(p, ap)
-		pap := p.Dot(ap)
+		pap = zw - beta*beta*pap
 		if !(pap > 0) || math.IsInf(pap, 1) { // zero, negative or NaN too
 			res.Residual = rnorm / bnorm
 			return res, ErrBreakdown
 		}
 		alpha := rz / pap
-		rzNew, rr := stepDots(opt.Precond, alpha, p, ap, x, r, z)
+		rzNew, zwNew, rr := applyDots(a, opt.Precond, r, z, w, tpetra.CGStep(alpha, beta, z, w, p, s, x, r))
 		if rz == 0 || nonFinite(rzNew) || nonFinite(rr) {
 			res.Residual = rnorm / bnorm
 			return res, ErrBreakdown
 		}
-		beta := rzNew / rz
-		p.Update(1, z, beta) // p = z + beta p
-		rz = rzNew
+		beta = rzNew / rz
+		rz, zw = rzNew, zwNew
 		rnorm = math.Sqrt(rr)
 		res.Iterations = k + 1
 		record()

@@ -184,9 +184,14 @@ func absRange(a sweepArgs, lo, hi int) {
 // Dot returns the global inner product <v, w>. Collective. The local part
 // runs on the exec engine; the cross-rank part is the usual allreduce.
 func (v *Vector) Dot(w *Vector) float64 {
+	return comm.AllreduceScalar(v.c, v.LocalDot(w), comm.OpSum)
+}
+
+// LocalDot returns this rank's partial of <v, w>, the value Dot reduces
+// across ranks. Not collective.
+func (v *Vector) LocalDot(w *Vector) float64 {
 	v.checkCompat(w, "Dot")
-	local := dense.DotSlices(v.Data, w.Data)
-	return comm.AllreduceScalar(v.c, local, comm.OpSum)
+	return dense.DotSlices(v.Data, w.Data)
 }
 
 // Dot2 returns the global inner products <a, b> and <c, d> from a single
@@ -195,34 +200,41 @@ func (v *Vector) Dot(w *Vector) float64 {
 // are Dot's and the reduction is element-wise, so both results are bitwise
 // what the separate calls return. Collective.
 func Dot2(a, b, c, d *Vector) (ab, cd float64) {
-	a.checkCompat(b, "Dot2")
-	c.checkCompat(d, "Dot2")
 	a.checkCompat(c, "Dot2")
-	buf := [2]float64{dense.DotSlices(a.Data, b.Data), dense.DotSlices(c.Data, d.Data)}
+	buf := [2]float64{a.LocalDot(b), c.LocalDot(d)}
 	comm.AllreduceInto(a.c, buf[:], comm.OpSum)
 	return buf[0], buf[1]
 }
 
-// Axpy2 computes y1 += alpha*x1 and y2 += beta*x2 in one sweep
-// (dense.Axpy2): the two updates of a preconditioned CG step. Element for
-// element it is y1.Axpy(alpha, x1); y2.Axpy(beta, x2).
-func Axpy2(alpha float64, x1, y1 *Vector, beta float64, x2, y2 *Vector) {
-	y1.checkCompat(x1, "Axpy2")
-	y1.checkCompat(x2, "Axpy2")
-	y1.checkCompat(y2, "Axpy2")
-	dense.Axpy2(alpha, x1.Data, y1.Data, beta, x2.Data, y2.Data)
+// CGDots returns the global <r, z>, <z, w> and <r, r> of a single-reduction
+// CG iteration from one allreduce, rr being this rank's partial of <r, r>
+// (CGStep's result): inner products computed at two points of the iteration
+// pay one latency-bound round together, each bitwise the Dot it stands for.
+// With z == r (no preconditioner) the payload is two numbers, <r, z> being
+// <r, r>. Collective.
+func CGDots(r, z, w *Vector, rr float64) (rz, zw, rrSum float64) {
+	if z == r {
+		buf := [2]float64{rr, r.LocalDot(w)}
+		comm.AllreduceInto(r.c, buf[:], comm.OpSum)
+		return buf[0], buf[1], buf[0]
+	}
+	buf := [3]float64{r.LocalDot(z), z.LocalDot(w), rr}
+	comm.AllreduceInto(r.c, buf[:], comm.OpSum)
+	return buf[0], buf[1], buf[2]
 }
 
-// Axpy2Dot is Axpy2 returning the global <y2, y2> of the updated y2, its
-// local part accumulated in the same sweep: CG's x += alpha p; r -= alpha Ap;
-// <r, r> reads and writes each vector once instead of twice. The result is
-// bitwise y2.Dot(y2) after the two Axpy calls. Collective.
-func Axpy2Dot(alpha float64, x1, y1 *Vector, beta float64, x2, y2 *Vector) float64 {
-	y1.checkCompat(x1, "Axpy2Dot")
-	y1.checkCompat(x2, "Axpy2Dot")
-	y1.checkCompat(y2, "Axpy2Dot")
-	local := dense.Axpy2Dot(alpha, x1.Data, y1.Data, beta, x2.Data, y2.Data)
-	return comm.AllreduceScalar(y1.c, local, comm.OpSum)
+// CGStep is the vector half of a single-reduction CG iteration in one sweep
+// (dense.CGStep): p = z + beta p, s = w + beta s, x += alpha p,
+// r -= alpha s. It returns this rank's partial of <r, r> for the updated r,
+// for the caller to reduce with the inner products that follow the next
+// Apply. Element for element it is p.Update(1, z, beta); s.Update(1, w,
+// beta); x.Axpy(alpha, p); r.Axpy(-alpha, s), and the partial is
+// r.LocalDot(r) after them. z may be r. Not collective.
+func CGStep(alpha, beta float64, z, w, p, s, x, r *Vector) float64 {
+	for _, v := range [...]*Vector{z, w, p, s, x} {
+		r.checkCompat(v, "CGStep")
+	}
+	return dense.CGStep(alpha, beta, z.Data, w.Data, p.Data, s.Data, x.Data, r.Data)
 }
 
 // WaxpyNorm2 sets v = y + alpha*x and returns the global ||v||, one sweep

@@ -93,13 +93,14 @@ go test ./...
 # expression path, on their own — a scalar AllreduceInto at P=2/4/8,
 # Vector.Dot, Gather and CrsMatrix.Apply on the laplace1d/3d stencils, the
 # CG and BiCGSTAB per-iteration slopes, a kept fusion Plan's Sum at
-# P=1/2/4, and DotSlices, Axpy2Dot and WaxpyDot over four chunks on a
-# one-worker engine must all allocate exactly nothing at steady state, and one warm
-# expr job through the scheduler exactly its six objects. They count
+# P=1/2/4, and DotSlices, CGStep and WaxpyDot over four chunks on a
+# one-worker engine must all allocate exactly nothing at steady state, a warm
+# solve job through the scheduler nothing per CG iteration, and one warm
+# expr job exactly its six objects. They count
 # process-wide mallocs, so they run uncached and not under -race (where
 # they skip).
 stage allocs
-go test -count=1 -run 'TestAllreduceAllocs|TestGatherSteadyStateAllocs|TestCGAllocsPerIteration|TestBiCGSTABAllocsPerIteration|TestPlanSumAllocs|TestWarmExprJobAllocs|TestLevel1Allocs' \
+go test -count=1 -run 'TestAllreduceAllocs|TestGatherSteadyStateAllocs|TestCGAllocsPerIteration|TestBiCGSTABAllocsPerIteration|TestPlanSumAllocs|TestWarmExprJobAllocs|TestWarmSolveJobAllocsPerIteration|TestLevel1Allocs' \
   ./internal/comm ./internal/tpetra ./internal/solvers ./internal/fusion ./internal/serve ./internal/dense
 
 # Race pass over every concurrency-bearing package: the comm fabric, the
