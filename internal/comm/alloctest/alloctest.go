@@ -29,6 +29,15 @@ import (
 // whose spans allocate.
 func Mallocs(tb testing.TB, p, runs int, prep func(c *comm.Comm) func()) uint64 {
 	tb.Helper()
+	mallocs, _ := Usage(tb, p, runs, prep)
+	return mallocs
+}
+
+// Usage is Mallocs that also returns the bytes allocated meanwhile
+// (MemStats.TotalAlloc), for pins on what a call allocates rather than on
+// whether it allocates.
+func Usage(tb testing.TB, p, runs int, prep func(c *comm.Comm) func()) (mallocs, bytes uint64) {
+	tb.Helper()
 	if RaceEnabled || trace.Active() != nil {
 		tb.Skip("allocation counts are not exact under the race detector or a trace session")
 	}
@@ -55,5 +64,5 @@ func Mallocs(tb testing.TB, p, runs int, prep func(c *comm.Comm) func()) uint64 
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return after.Mallocs - before.Mallocs
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }

@@ -51,6 +51,7 @@ type Map struct {
 	localIdx []int   // global -> local index on owner
 	globals  [][]int // rank -> sorted list of owned globals
 	counts   []int   // rank -> local count (all kinds, precomputed)
+	starts   []int   // Block maps: rank r owns [starts[r], starts[r+1]); nil otherwise
 }
 
 // NewBlock returns a balanced contiguous block map: the first n%size ranks
@@ -59,12 +60,14 @@ func NewBlock(n, size int) *Map {
 	checkArgs(n, size)
 	m := &Map{n: n, size: size, kind: Block}
 	m.counts = make([]int, size)
+	m.starts = make([]int, size+1)
 	base, rem := n/size, n%size
 	for r := 0; r < size; r++ {
 		m.counts[r] = base
 		if r < rem {
 			m.counts[r]++
 		}
+		m.starts[r+1] = m.starts[r] + m.counts[r]
 	}
 	return m
 }
@@ -229,6 +232,38 @@ func (m *Map) GlobalToLocal(g int) (rank, local int) {
 	}
 }
 
+// LocalOn returns the local index of global g on rank and whether rank owns
+// g; when it does not, local is -1. It is the ownership query of matrix
+// assembly, asked once per inserted entry and per stored column, so for a
+// block map it is a range test against the precomputed rank offsets, with
+// no division. The other kinds use the GlobalToLocal formula or table.
+func (m *Map) LocalOn(rank, g int) (local int, ok bool) {
+	m.checkRank(rank)
+	m.checkGlobal(g)
+	switch m.kind {
+	case Block:
+		if lo := m.starts[rank]; g >= lo && g < m.starts[rank+1] {
+			return g - lo, true
+		}
+		return -1, false
+	case Cyclic:
+		if g%m.size == rank {
+			return g / m.size, true
+		}
+		return -1, false
+	case BlockCyclic:
+		if b := g / m.bs; b%m.size == rank {
+			return (b/m.size)*m.bs + g%m.bs, true
+		}
+		return -1, false
+	default:
+		if m.owner[g] == rank {
+			return m.localIdx[g], true
+		}
+		return -1, false
+	}
+}
+
 // LocalToGlobal returns the global index of the l-th local element on rank.
 func (m *Map) LocalToGlobal(rank, l int) int {
 	m.checkRank(rank)
@@ -256,13 +291,7 @@ func (m *Map) BlockRange(rank int) (lo, hi int) {
 	if m.kind != Block {
 		panic("distmap: BlockRange requires a block map")
 	}
-	base, rem := m.n/m.size, m.n%m.size
-	if rank < rem {
-		lo = rank * (base + 1)
-		return lo, lo + base + 1
-	}
-	lo = rem*(base+1) + (rank-rem)*base
-	return lo, lo + base
+	return m.starts[rank], m.starts[rank+1]
 }
 
 // GlobalsOn returns the sorted list of globals owned by rank. The returned

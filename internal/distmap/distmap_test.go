@@ -83,6 +83,40 @@ func TestBijectionQuick(t *testing.T) {
 	}
 }
 
+// TestLocalOnMatchesGlobalToLocal: the assembly ownership query answers
+// (l, true) exactly where GlobalToLocal puts g, on rank r at local l, and
+// (-1, false) on every other rank — every (rank, g) on every kind, rank
+// counts past n (ranks that own nothing) included — and panics on an
+// out-of-range global or rank as GlobalToLocal does.
+func TestLocalOnMatchesGlobalToLocal(t *testing.T) {
+	for _, n := range []int{0, 1, 5, 16, 17, 100} {
+		for _, p := range []int{1, 2, 3, 4, 7, 8, 130} {
+			for name, m := range allKinds(n, p) {
+				for g := 0; g < n; g++ {
+					owner, local := m.GlobalToLocal(g)
+					for r := 0; r < p; r++ {
+						l, ok := m.LocalOn(r, g)
+						if ok != (r == owner) || (ok && l != local) || (!ok && l != -1) {
+							t.Fatalf("%s n=%d p=%d: LocalOn(%d, %d) = (%d, %v), GlobalToLocal = (%d, %d)",
+								name, n, p, r, g, l, ok, owner, local)
+						}
+					}
+				}
+				for _, bad := range [][2]int{{0, -1}, {0, n}, {-1, 0}, {p, 0}} {
+					func() {
+						defer func() {
+							if recover() == nil {
+								t.Errorf("%s n=%d p=%d: LocalOn(%d, %d) did not panic", name, n, p, bad[0], bad[1])
+							}
+						}()
+						m.LocalOn(bad[0], bad[1])
+					}()
+				}
+			}
+		}
+	}
+}
+
 func TestBlockRanges(t *testing.T) {
 	m := NewBlock(10, 3) // counts 4,3,3
 	wantCounts := []int{4, 3, 3}

@@ -18,7 +18,8 @@ import (
 )
 
 // RowFunc produces the sparse entries of one global row: parallel slices of
-// global column indices and values.
+// global column indices and values. The stencil generators allocate each
+// row's two slices once, at the stencil's width.
 type RowFunc func(row int) (cols []int, vals []float64)
 
 // BuildSerial materializes an n x n matrix from a row generator.
@@ -52,8 +53,8 @@ func BuildDist(c *comm.Comm, rowMap *distmap.Map, f RowFunc) *tpetra.CrsMatrix {
 // Laplace1DRow is the [-1 2 -1] three-point stencil with Dirichlet ends.
 func Laplace1DRow(n int) RowFunc {
 	return func(i int) ([]int, []float64) {
-		cols := []int{i}
-		vals := []float64{2}
+		cols := append(make([]int, 0, 3), i)
+		vals := append(make([]float64, 0, 3), 2)
 		if i > 0 {
 			cols = append(cols, i-1)
 			vals = append(vals, -1)
@@ -79,8 +80,8 @@ func Laplace1DDist(c *comm.Comm, m *distmap.Map) *tpetra.CrsMatrix {
 func Laplace2DRow(nx, ny int) RowFunc {
 	return func(i int) ([]int, []float64) {
 		x, y := i%nx, i/nx
-		cols := []int{i}
-		vals := []float64{4}
+		cols := append(make([]int, 0, 5), i)
+		vals := append(make([]float64, 0, 5), 4)
 		if x > 0 {
 			cols = append(cols, i-1)
 			vals = append(vals, -1)
@@ -119,8 +120,8 @@ func Laplace3DRow(nx, ny, nz int) RowFunc {
 		x := i % nx
 		y := (i / nx) % ny
 		z := i / (nx * ny)
-		cols := []int{i}
-		vals := []float64{6}
+		cols := append(make([]int, 0, 7), i)
+		vals := append(make([]float64, 0, 7), 6)
 		if x > 0 {
 			cols = append(cols, i-1)
 			vals = append(vals, -1)
@@ -187,8 +188,8 @@ func ConvDiff2DRow(nx, ny int, px, py float64) RowFunc {
 			diag -= py * h
 			n += py * h
 		}
-		cols := []int{i}
-		vals := []float64{diag}
+		cols := append(make([]int, 0, 5), i)
+		vals := append(make([]float64, 0, 5), diag)
 		if x > 0 {
 			cols = append(cols, i-1)
 			vals = append(vals, w)
@@ -220,8 +221,8 @@ func ConvDiff2DDist(c *comm.Comm, m *distmap.Map, nx, ny int, px, py float64) *t
 // TridiagRow is a general tridiagonal stencil [lo, diag, hi].
 func TridiagRow(n int, lo, diag, hi float64) RowFunc {
 	return func(i int) ([]int, []float64) {
-		cols := []int{i}
-		vals := []float64{diag}
+		cols := append(make([]int, 0, 3), i)
+		vals := append(make([]float64, 0, 3), diag)
 		if i > 0 {
 			cols = append(cols, i-1)
 			vals = append(vals, lo)

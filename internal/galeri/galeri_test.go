@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"odinhpc/internal/comm"
+	"odinhpc/internal/comm/alloctest"
 	"odinhpc/internal/distmap"
 	"odinhpc/internal/sparse"
 	"odinhpc/internal/tpetra"
@@ -190,5 +191,32 @@ func TestPoisson2DRHS(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAssemblyAllocs pins what a cold assembly allocates: the 32^3 7-point
+// Laplacian over a block map at P = 2, the set-up of a served 32^3 solve,
+// through BuildDist (InsertGlobal, then FillComplete). A row costs its
+// stencil's two slices and nothing per nonzero; the triplets (a COO that
+// grows by doubling), the one CSR and the column renumber are a few arrays
+// each. The counts are process-wide, both ranks together, and read 2.02
+// objects a row and 112 bytes a nonzero: each bound leaves 40-50% of
+// margin, and a COO growing by 1.25x (192 bytes) fails.
+func TestAssemblyAllocs(t *testing.T) {
+	const nx = 32
+	mallocs, bytes := alloctest.Usage(t, 2, 1, func(c *comm.Comm) func() {
+		m := distmap.NewBlock(nx*nx*nx, c.Size())
+		return func() { Laplace3DDist(c, m, nx, nx, nx) }
+	})
+	rows := nx * nx * nx
+	stored := 7*rows - 6*nx*nx // boundary rows lack one neighbour per face
+	perRow := float64(mallocs) / float64(rows)
+	perNNZ := float64(bytes) / float64(stored)
+	t.Logf("%d objects (%.2f a row), %d bytes (%.1f a stored nonzero)", mallocs, perRow, bytes, perNNZ)
+	if perRow > 3 {
+		t.Errorf("assembly allocates %.2f objects per owned row, want <= 3 (the stencil's two slices and amortized arrays)", perRow)
+	}
+	if perNNZ > 160 {
+		t.Errorf("assembly allocates %.1f bytes per stored nonzero, want <= 160", perNNZ)
 	}
 }

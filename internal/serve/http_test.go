@@ -154,6 +154,12 @@ func TestHTTPBadRequests(t *testing.T) {
 		{"/v1/expr", `{"expr": "foo(x)", "n": 8}`},       // unknown function
 		{"/v1/expr", `{"expr": "x", "n": 0}`},            // bad n
 		{"/v1/solve", `{"kind":"laplace1d","n":4} junk`}, // trailing data
+		// Grids whose unknown count wraps the int range: 2^63 to a negative
+		// count (once a 500 from the map constructor), 2^64 to 0 (once a 200
+		// "converged" answer with n = 0), (2^32+1)(2^32-1) to -1.
+		{"/v1/solve", `{"kind":"laplace3d","nx":2097152,"ny":2097152,"nz":2097152}`},
+		{"/v1/solve", `{"kind":"laplace2d","nx":4294967296,"ny":4294967296}`},
+		{"/v1/solve", `{"kind":"laplace2d","nx":4294967297,"ny":4294967295}`},
 	} {
 		resp, err := http.Post(ts.URL+tc.path, "application/json", bytes.NewReader([]byte(tc.body)))
 		if err != nil {

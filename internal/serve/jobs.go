@@ -65,16 +65,32 @@ type SolveResponse struct {
 	Millis     float64 `json:"millis"`
 }
 
-// size returns the global unknown count for the request kind.
-func (r *SolveRequest) size() int {
+// dims returns the request kind's grid dimensions, the unused ones 1;
+// their product is the global unknown count.
+func (r *SolveRequest) dims() [3]int {
 	switch r.Kind {
 	case "laplace2d":
-		return r.NX * r.NY
+		return [3]int{r.NX, r.NY, 1}
 	case "laplace3d":
-		return r.NX * r.NY * r.NZ
+		return [3]int{r.NX, r.NY, r.NZ}
 	default:
-		return r.N
+		return [3]int{r.N, 1, 1}
 	}
+}
+
+// size returns the global unknown count for the request kind, or false
+// when it is over maxSolveN. Each dimension and partial product is held to
+// the cap before the next multiplication, so a count that would wrap the
+// int range (to a small or negative number) is refused, not solved.
+func (r *SolveRequest) size() (int, bool) {
+	n := 1
+	for _, d := range r.dims() {
+		if d > maxSolveN/n {
+			return 0, false
+		}
+		n *= d
+	}
+	return n, true
 }
 
 // Validate normalizes defaults and rejects out-of-cap or malformed specs.
@@ -95,8 +111,8 @@ func (r *SolveRequest) Validate() error {
 	default:
 		return badReq("unknown matrix kind %q", r.Kind)
 	}
-	if n := r.size(); n > maxSolveN {
-		return badReq("%d unknowns over the %d cap", n, maxSolveN)
+	if _, ok := r.size(); !ok {
+		return badReq("dimensions %v: unknowns over the %d cap", r.dims(), maxSolveN)
 	}
 	if r.Kind == "coo" {
 		if len(r.Entries) == 0 {
@@ -156,7 +172,8 @@ func (r *SolveRequest) matrix(c *comm.Comm, st *RankState) *warmMatrix {
 	if w, ok := st.matrices[key]; ok {
 		return w
 	}
-	m := distmap.NewBlock(r.size(), c.Size())
+	n, _ := r.size() // within the cap: Validate checked
+	m := distmap.NewBlock(n, c.Size())
 	var a *tpetra.CrsMatrix
 	switch r.Kind {
 	case "laplace1d":

@@ -35,56 +35,80 @@ func (c *COO) Add(i, j int, v float64) {
 	if i < 0 || i >= c.rows || j < 0 || j >= c.cols {
 		panic(fmt.Sprintf("sparse: entry (%d,%d) outside %dx%d", i, j, c.rows, c.cols))
 	}
-	c.i = append(c.i, i)
+	if len(c.v) == cap(c.v) {
+		c.grow()
+	}
+	c.i = append(c.i, i) // within capacity: the three slices share one
 	c.j = append(c.j, j)
 	c.v = append(c.v, v)
+}
+
+// grow doubles the triplet capacity of all three slices together, so the
+// copies of a whole assembly stay under its final arrays' bytes. append
+// alone grows a large slice by about 1.25x a step, which copies several
+// times that.
+func (c *COO) grow() {
+	n := max(2*cap(c.v), 64)
+	c.i = append(make([]int, 0, n), c.i...)
+	c.j = append(make([]int, 0, n), c.j...)
+	c.v = append(make([]float64, 0, n), c.v...)
 }
 
 // NNZ returns the number of triplets added so far (before deduplication).
 func (c *COO) NNZ() int { return len(c.v) }
 
 // ToCSR converts the triplets to CSR form, sorting column indices within
-// each row and summing duplicates.
+// each row and summing duplicates. It allocates the three arrays it returns
+// and nothing else: the merge compacts in place.
 func (c *COO) ToCSR() *CSR {
-	// Pass 1: bucket entries by row.
-	counts := make([]int, c.rows+1)
+	// Pass 1: bucket entries by row, in insertion order. rowPtr[r] is row
+	// r's fill cursor, from its first slot to row r+1's first slot; shifted
+	// one place up it is the row pointer.
+	rowPtr := make([]int, c.rows+1)
 	for _, i := range c.i {
-		counts[i+1]++
+		rowPtr[i+1]++
 	}
 	for r := 0; r < c.rows; r++ {
-		counts[r+1] += counts[r]
+		rowPtr[r+1] += rowPtr[r]
 	}
 	cols := make([]int, len(c.v))
 	vals := make([]float64, len(c.v))
-	next := make([]int, c.rows)
-	copy(next, counts[:c.rows])
-	for k := range c.v {
-		p := next[c.i[k]]
-		cols[p] = c.j[k]
-		vals[p] = c.v[k]
-		next[c.i[k]]++
+	for k, i := range c.i {
+		p := rowPtr[i]
+		cols[p], vals[p] = c.j[k], c.v[k]
+		rowPtr[i]++
 	}
-	// Pass 2: sort each row by column and merge duplicates in place. The
-	// output arrays are sized for the no-duplicate case up front so the
-	// append loop never reallocates.
-	m := &CSR{Rows: c.rows, Cols: c.cols, RowPtr: make([]int, c.rows+1)}
-	m.ColIdx = make([]int, 0, len(c.v))
-	m.Val = make([]float64, 0, len(c.v))
+	copy(rowPtr[1:], rowPtr[:c.rows])
+	rowPtr[0] = 0
+	// Pass 2: sort each row by column and merge duplicates, writing behind
+	// the read position, so the kept arrays are the ones filled above.
+	n, lo := 0, 0
 	for r := 0; r < c.rows; r++ {
-		lo, hi := counts[r], counts[r+1]
+		hi := rowPtr[r+1]
 		sortRowPairs(cols[lo:hi], vals[lo:hi])
+		start := n
 		for k := lo; k < hi; k++ {
-			n := len(m.ColIdx)
-			if n > m.RowPtr[r] && m.ColIdx[n-1] == cols[k] {
-				m.Val[n-1] += vals[k]
+			if n > start && cols[n-1] == cols[k] {
+				vals[n-1] += vals[k]
 				continue
 			}
-			m.ColIdx = append(m.ColIdx, cols[k])
-			m.Val = append(m.Val, vals[k])
+			cols[n], vals[n] = cols[k], vals[k]
+			n++
 		}
-		m.RowPtr[r+1] = len(m.ColIdx)
+		rowPtr[r+1] = n
+		lo = hi
 	}
-	return m
+	return &CSR{Rows: c.rows, Cols: c.cols, RowPtr: rowPtr, ColIdx: cols[:n], Val: vals[:n]}
+}
+
+// SortRows re-sorts each row's entries by column, in place — for a caller
+// that renumbered ColIdx (tpetra's global-to-local column map), which keeps
+// every row's columns distinct but not in order.
+func (m *CSR) SortRows() {
+	for r := 0; r < m.Rows; r++ {
+		lo, hi := m.RowPtr[r], m.RowPtr[r+1]
+		sortRowPairs(m.ColIdx[lo:hi], m.Val[lo:hi])
+	}
 }
 
 // sortRowPairs sorts the parallel cols/vals slices by ascending column

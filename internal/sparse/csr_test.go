@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -345,8 +346,8 @@ func TestSortRowPairsMatchesReference(t *testing.T) {
 func TestToCSRAllocsRowIndependent(t *testing.T) {
 	// The old per-row sort.Sort(rowSorter{...}) boxed one interface per row,
 	// so ToCSR's allocation count grew linearly with the row count. The
-	// in-place pair sort plus pre-sized output arrays make it a small
-	// constant: the five scratch/output slices, the CSR struct, and RowPtr.
+	// in-place pair sort and the in-place merge make it a constant: the CSR
+	// struct and the three arrays it holds, RowPtr, ColIdx and Val.
 	build := func(n int) *COO {
 		c := NewCOO(n, n)
 		for i := n - 1; i >= 0; i-- { // reversed insertion: every row needs sorting
@@ -367,7 +368,7 @@ func TestToCSRAllocsRowIndependent(t *testing.T) {
 			t.Fatal("wrong nnz")
 		}
 	})
-	if allocs > 10 {
+	if allocs > 4 {
 		t.Fatalf("ToCSR allocations scale with rows: %v allocs for 2000 rows", allocs)
 	}
 }
@@ -387,5 +388,116 @@ func TestMulVecDimsPanic(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// toCSRCopying is ToCSR as it was before the merge went in place — bucket
+// through a separate cursor array, then copy each sorted row into fresh
+// ColIdx/Val arrays — kept as the oracle TestToCSRMatchesCopyingOracle
+// holds the in-place merge to, bit for bit.
+func toCSRCopying(c *COO) *CSR {
+	counts := make([]int, c.rows+1)
+	for _, i := range c.i {
+		counts[i+1]++
+	}
+	for r := 0; r < c.rows; r++ {
+		counts[r+1] += counts[r]
+	}
+	cols := make([]int, len(c.v))
+	vals := make([]float64, len(c.v))
+	next := make([]int, c.rows)
+	copy(next, counts[:c.rows])
+	for k := range c.v {
+		p := next[c.i[k]]
+		cols[p] = c.j[k]
+		vals[p] = c.v[k]
+		next[c.i[k]]++
+	}
+	m := &CSR{Rows: c.rows, Cols: c.cols, RowPtr: make([]int, c.rows+1)}
+	m.ColIdx = make([]int, 0, len(c.v))
+	m.Val = make([]float64, 0, len(c.v))
+	for r := 0; r < c.rows; r++ {
+		lo, hi := counts[r], counts[r+1]
+		sortRowPairs(cols[lo:hi], vals[lo:hi])
+		for k := lo; k < hi; k++ {
+			n := len(m.ColIdx)
+			if n > m.RowPtr[r] && m.ColIdx[n-1] == cols[k] {
+				m.Val[n-1] += vals[k]
+				continue
+			}
+			m.ColIdx = append(m.ColIdx, cols[k])
+			m.Val = append(m.Val, vals[k])
+		}
+		m.RowPtr[r+1] = len(m.ColIdx)
+	}
+	return m
+}
+
+// sameBits reports whether two CSR matrices have the same shape, row
+// pointers, column indices and value bits (so -0 and NaN payloads count).
+func sameBits(a, b *CSR) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols || !reflect.DeepEqual(a.RowPtr, b.RowPtr) ||
+		!reflect.DeepEqual(a.ColIdx, b.ColIdx) || len(a.Val) != len(b.Val) {
+		return false
+	}
+	for k := range a.Val {
+		if math.Float64bits(a.Val[k]) != math.Float64bits(b.Val[k]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestToCSRMatchesCopyingOracle: the in-place merge builds the matrix the
+// copying one did, bit for bit — duplicates summed in the same order — over
+// random triplets with empty rows, heavy duplication, rows long enough for
+// sortRowPairs' quicksort branch and signed zeros, and keeps no more bytes.
+func TestToCSRMatchesCopyingOracle(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		rows, cols := 1+rng.Intn(12), 1+rng.Intn(40)
+		c := NewCOO(rows, cols)
+		for k, n := 0, rng.Intn(300); k < n; k++ {
+			v := rng.NormFloat64()
+			switch rng.Intn(8) {
+			case 0:
+				v = math.Copysign(0, -1)
+			case 1:
+				v = float64(rng.Intn(3))
+			}
+			c.Add(rng.Intn(rows), rng.Intn(cols), v)
+		}
+		got, want := c.ToCSR(), toCSRCopying(c)
+		return got.Validate() == nil && sameBits(got, want) &&
+			cap(got.ColIdx) <= cap(want.ColIdx) && cap(got.Val) <= cap(want.Val)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCOOGrowthBytes pins the COO's growth: adding N triplets allocates at
+// most twice the bytes of the final triplet arrays, and their capacity is
+// under 2N. Growth by doubling allocates 64 + 128 + ... + cap < 2 cap;
+// append's own growth, about 1.25x a step past 256 elements, costs about
+// five times the final arrays.
+func TestCOOGrowthBytes(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, n := range []int{1, 1000, 1 << 16, 1<<16 + 1, 111_000} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c := NewCOO(n, n)
+		for k := 0; k < n; k++ {
+			c.Add(k, n-1-k, float64(k))
+		}
+		runtime.ReadMemStats(&after)
+		final := uint64(cap(c.i)+cap(c.j))*8 + uint64(cap(c.v))*8
+		got := after.TotalAlloc - before.TotalAlloc
+		if got > 2*final+1024 {
+			t.Errorf("N=%d: adding the triplets allocated %d bytes, over twice the final arrays' %d", n, got, final)
+		}
+		if cap(c.v) > max(2*n, 64) || cap(c.i) != cap(c.v) || cap(c.j) != cap(c.v) {
+			t.Errorf("N=%d: capacities %d/%d/%d, want one capacity under max(2N, 64)", n, cap(c.i), cap(c.j), cap(c.v))
+		}
 	}
 }

@@ -71,17 +71,16 @@ func (a *CrsMatrix) InsertGlobal(row, col int, v float64) {
 	if !a.building {
 		panic("tpetra: InsertGlobal after FillComplete")
 	}
-	owner, local := a.rowMap.GlobalToLocal(row)
-	if owner != a.c.Rank() {
-		if col < 0 || col >= a.rowMap.NumGlobal() {
-			panic(fmt.Sprintf("tpetra: column %d out of range", col))
-		}
-		a.foreignRow = append(a.foreignRow, row)
-		a.foreignCol = append(a.foreignCol, col)
-		a.foreignVal = append(a.foreignVal, v)
+	if local, ok := a.rowMap.LocalOn(a.c.Rank(), row); ok {
+		a.coo.Add(local, col, v)
 		return
 	}
-	a.coo.Add(local, col, v)
+	if col < 0 || col >= a.rowMap.NumGlobal() {
+		panic(fmt.Sprintf("tpetra: column %d out of range", col))
+	}
+	a.foreignRow = append(a.foreignRow, row)
+	a.foreignCol = append(a.foreignCol, col)
+	a.foreignVal = append(a.foreignVal, v)
 }
 
 // FillComplete finishes assembly: off-rank contributions are exported to
@@ -109,60 +108,57 @@ func (a *CrsMatrix) FillComplete() {
 	inVals := comm.Alltoall(a.c, outVals)
 	for r := range inRows {
 		for k, row := range inRows[r] {
-			owner, local := a.rowMap.GlobalToLocal(row)
-			if owner != me {
-				panic(fmt.Sprintf("tpetra: rank %d received row %d owned by %d", me, row, owner))
+			local, ok := a.rowMap.LocalOn(me, row)
+			if !ok {
+				panic(fmt.Sprintf("tpetra: rank %d received row %d owned by %d", me, row, a.rowMap.Owner(row)))
 			}
 			a.coo.Add(local, inCols[r][k], inVals[r][k])
 		}
 	}
-	globalCSR := a.coo.ToCSR() // local rows, global columns
+	a.local = a.coo.ToCSR() // local rows, global columns until renumbered below
 	a.coo = nil
+	if m := a.local; cap(m.Val) > len(m.Val) { // duplicates merged: keep only the entries' bytes
+		m.ColIdx = append(make([]int, 0, len(m.ColIdx)), m.ColIdx...)
+		m.Val = append(make([]float64, 0, len(m.Val)), m.Val...)
+	}
 	a.nOwned = a.rowMap.LocalCount(me)
 
-	// Identify ghost columns: referenced globals not owned by this rank.
-	ghostSet := make(map[int]bool)
-	for _, g := range globalCSR.ColIdx {
-		if a.rowMap.Owner(g) != me {
-			ghostSet[g] = true
+	// Renumber columns in place: an owned global becomes its x-local index,
+	// a ghost g (not owned here) is parked as ^g < 0 until its place k in the
+	// sorted ghost list is known, then becomes nOwned + k.
+	cols := a.local.ColIdx
+	ghostPos := make(map[int]int)
+	for k, g := range cols {
+		if l, owned := a.rowMap.LocalOn(me, g); owned {
+			cols[k] = l
+		} else {
+			cols[k] = ^g
+			ghostPos[g] = 0
 		}
 	}
-	a.ghost = make([]int, 0, len(ghostSet))
-	for g := range ghostSet {
+	a.ghost = make([]int, 0, len(ghostPos))
+	for g := range ghostPos {
 		a.ghost = append(a.ghost, g)
 	}
 	sort.Ints(a.ghost)
-	ghostPos := make(map[int]int, len(a.ghost))
 	for k, g := range a.ghost {
-		ghostPos[g] = k
+		ghostPos[g] = a.nOwned + k
 	}
+	for k, col := range cols {
+		if col < 0 {
+			cols[k] = ghostPos[^col]
+		}
+	}
+	a.local.Cols = a.nOwned + len(a.ghost)
+	// Renumbering is not monotone: re-sort each row. Its columns are
+	// distinct (ToCSR merged duplicates), so the sorted order is unique.
+	a.local.SortRows()
 
-	// Renumber columns: owned global -> its x-local index; ghost -> nOwned+k.
-	a.colGlobals = make([]int, a.nOwned+len(a.ghost))
+	a.colGlobals = make([]int, a.local.Cols)
 	for l := 0; l < a.nOwned; l++ {
 		a.colGlobals[l] = a.rowMap.LocalToGlobal(me, l)
 	}
 	copy(a.colGlobals[a.nOwned:], a.ghost)
-
-	localCols := make([]int, len(globalCSR.ColIdx))
-	for k, g := range globalCSR.ColIdx {
-		if a.rowMap.Owner(g) == me {
-			_, l := a.rowMap.GlobalToLocal(g)
-			localCols[k] = l
-		} else {
-			localCols[k] = a.nOwned + ghostPos[g]
-		}
-	}
-	// Rebuild with local columns (rows keep their order; columns inside a
-	// row must be re-sorted since renumbering is not monotone).
-	coo := sparse.NewCOO(a.nOwned, a.nOwned+len(a.ghost))
-	for i := 0; i < globalCSR.Rows; i++ {
-		lo, hi := globalCSR.RowPtr[i], globalCSR.RowPtr[i+1]
-		for k := lo; k < hi; k++ {
-			coo.Add(i, localCols[k], globalCSR.Val[k])
-		}
-	}
-	a.local = coo.ToCSR()
 	// The SELL-C-sigma mirror, when the format auto-selector picks it, is
 	// bitwise-neutral: SELL kernels accumulate each row in the same order as
 	// CSR.

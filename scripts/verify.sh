@@ -96,12 +96,14 @@ go test ./...
 # P=1/2/4, and DotSlices, CGStep and WaxpyDot over four chunks on a
 # one-worker engine must all allocate exactly nothing at steady state, a warm
 # solve job through the scheduler nothing per CG iteration, and one warm
-# expr job exactly its six objects. They count
-# process-wide mallocs, so they run uncached and not under -race (where
-# they skip).
+# expr job exactly its six objects. The cold path has bounds, not zeros: a
+# 32^3 Laplacian assembly at P=2 at most 3 objects per owned row and 160
+# bytes per stored nonzero, a COO at most twice its final arrays' bytes.
+# They count process-wide mallocs, so they run uncached and not under -race
+# (where they skip).
 stage allocs
-go test -count=1 -run 'TestAllreduceAllocs|TestGatherSteadyStateAllocs|TestCGAllocsPerIteration|TestBiCGSTABAllocsPerIteration|TestPlanSumAllocs|TestWarmExprJobAllocs|TestWarmSolveJobAllocsPerIteration|TestLevel1Allocs' \
-  ./internal/comm ./internal/tpetra ./internal/solvers ./internal/fusion ./internal/serve ./internal/dense
+go test -count=1 -run 'TestAllreduceAllocs|TestGatherSteadyStateAllocs|TestCGAllocsPerIteration|TestBiCGSTABAllocsPerIteration|TestPlanSumAllocs|TestWarmExprJobAllocs|TestWarmSolveJobAllocsPerIteration|TestLevel1Allocs|TestAssemblyAllocs|TestCOOGrowthBytes' \
+  ./internal/comm ./internal/tpetra ./internal/solvers ./internal/fusion ./internal/serve ./internal/dense ./internal/galeri ./internal/sparse
 
 # Race pass over every concurrency-bearing package: the comm fabric, the
 # rank/context layer, the exec pool, the fusion VM (whose block sweep shares
