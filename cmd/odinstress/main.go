@@ -1,8 +1,9 @@
 // Command odinstress is the schedule-sweep stress driver: it replays the
-// conformance corpus (internal/comm/stresstest) across a deterministic grid
-// of GOMAXPROCS × exec pool size × rank count × transport × fault plan,
-// with seeded scheduling pressure applied inside the comm fabric. See
-// DESIGN.md "Stress testing".
+// stress corpus (internal/comm/stresstest) on the conformance harness
+// (internal/comm/chaostest) across a deterministic grid of GOMAXPROCS ×
+// exec pool size × rank count × transport × fault plan, with seeded
+// scheduling pressure applied inside the comm fabric. See DESIGN.md
+// "Conformance harness".
 //
 // Sweep (the default):
 //
@@ -31,6 +32,7 @@ import (
 	"strings"
 	"time"
 
+	"odinhpc/internal/comm/chaostest"
 	"odinhpc/internal/comm/stresstest"
 )
 
@@ -51,7 +53,7 @@ func main() {
 		for _, name := range stresstest.KernelNames() {
 			fmt.Println("  " + name)
 		}
-		fmt.Println("plans: " + stresstest.PlanNone + ", " + strings.Join(chaosPlanNames(), ", "))
+		fmt.Println("plans: " + chaostest.PlanNone + ", " + strings.Join(chaostest.PlanNames(), ", "))
 		return
 	}
 	grid, err := buildGrid(*gridName, *seed, *timeout)
@@ -64,13 +66,13 @@ func main() {
 	os.Exit(runSweep(grid, *kernels, *heavy, *minimize))
 }
 
-func buildGrid(name string, seed int64, timeout time.Duration) (stresstest.Grid, error) {
-	var g stresstest.Grid
+func buildGrid(name string, seed int64, timeout time.Duration) (chaostest.Grid, error) {
+	var g chaostest.Grid
 	switch name {
 	case "smoke":
-		g = stresstest.SmokeGrid(seed)
+		g = chaostest.SmokeGrid(seed)
 	case "full":
-		g = stresstest.FullGrid(seed)
+		g = chaostest.FullGrid(seed)
 	default:
 		return g, fmt.Errorf("odinstress: unknown grid %q (want smoke or full)", name)
 	}
@@ -83,8 +85,8 @@ func buildGrid(name string, seed int64, timeout time.Duration) (stresstest.Grid,
 // runReplay reruns one fingerprinted point verbatim; on failure it also
 // minimizes (unless disabled) so a broad failing point hands back its
 // smallest reproduction.
-func runReplay(g stresstest.Grid, fp string, minimize bool) int {
-	p, err := stresstest.ParseFingerprint(fp)
+func runReplay(g chaostest.Grid, fp string, minimize bool) int {
+	p, err := chaostest.ParseFingerprint(fp)
 	if err != nil {
 		fatal(err)
 	}
@@ -92,7 +94,7 @@ func runReplay(g stresstest.Grid, fp string, minimize bool) int {
 	if !ok {
 		fatal(fmt.Errorf("odinstress: fingerprint names unknown kernel %q", p.Kernel))
 	}
-	out := stresstest.RunPoint(g, p, k)
+	out := chaostest.RunPoint(g, p, k)
 	if out.Err == nil {
 		fmt.Printf("PASS %s\n", p.Fingerprint())
 		fmt.Fprintf(os.Stderr, "replayed in %v\n", out.Elapsed.Round(time.Millisecond))
@@ -100,14 +102,14 @@ func runReplay(g stresstest.Grid, fp string, minimize bool) int {
 	}
 	fmt.Printf("FAIL %s: %v\n", p.Fingerprint(), out.Err)
 	if minimize {
-		min := stresstest.Minimize(g, p, k, logStderr)
+		min := chaostest.Minimize(g, p, k, logStderr)
 		fmt.Printf("MINIMIZED %s\n", min.Fingerprint())
 		fmt.Printf("replay: odinstress -replay %s\n", min.Fingerprint())
 	}
 	return 1
 }
 
-func runSweep(g stresstest.Grid, kernelList string, heavy, minimize bool) int {
+func runSweep(g chaostest.Grid, kernelList string, heavy, minimize bool) int {
 	kernels := stresstest.SweepKernels(heavy)
 	if kernelList != "" {
 		kernels = nil
@@ -120,7 +122,7 @@ func runSweep(g stresstest.Grid, kernelList string, heavy, minimize bool) int {
 		}
 	}
 	start := time.Now()
-	res := stresstest.Sweep(g, kernels, func(format string, args ...any) {
+	res := chaostest.Sweep(g, kernels, func(format string, args ...any) {
 		fmt.Printf(format+"\n", args...)
 	})
 	fmt.Printf("sweep: %d points, %d failures, checksum %016x\n", res.Points, len(res.Failures), res.Checksum)
@@ -133,18 +135,12 @@ func runSweep(g stresstest.Grid, kernelList string, heavy, minimize bool) int {
 		rp := f.Point
 		if minimize {
 			k, _ := stresstest.Find(f.Point.Kernel)
-			rp = stresstest.Minimize(g, f.Point, k, logStderr)
+			rp = chaostest.Minimize(g, f.Point, k, logStderr)
 			fmt.Printf("MINIMIZED %s\n", rp.Fingerprint())
 		}
 		fmt.Printf("replay: odinstress -replay %s\n", rp.Fingerprint())
 	}
 	return 1
-}
-
-func chaosPlanNames() []string {
-	// Reuse the grid's own plan axis so help output can't drift from the
-	// chaostest matrix.
-	return stresstest.FullGrid(0).Plans[1:]
 }
 
 func logStderr(format string, args ...any) {

@@ -14,6 +14,7 @@ import (
 
 	"odinhpc/internal/bridge"
 	"odinhpc/internal/comm"
+	"odinhpc/internal/comm/chaostest"
 	"odinhpc/internal/comm/stresstest"
 	"odinhpc/internal/core"
 	"odinhpc/internal/dense"
@@ -237,13 +238,13 @@ func TestLargePoissonStress(t *testing.T) {
 	if !ok {
 		t.Fatal("poisson128-amg-cg missing from stress corpus")
 	}
-	g := stresstest.Grid{Jitter: true, RecvTimeout: 60 * time.Second}
-	p := stresstest.Point{
+	g := chaostest.Grid{Jitter: true, RecvTimeout: 60 * time.Second}
+	p := chaostest.Point{
 		Kernel: k.Name, Ranks: 8, Procs: runtime.GOMAXPROCS(0),
 		Pool: exec.Default().Workers(), Transport: "inproc",
-		Plan: stresstest.PlanNone, Seed: 8128,
+		Plan: chaostest.PlanNone, Seed: 8128,
 	}
-	if out := stresstest.RunPoint(g, p, k); out.Err != nil {
+	if out := chaostest.RunPoint(g, p, k); out.Err != nil {
 		t.Fatalf("%s: %v (replay: odinstress -replay %s)", p.Fingerprint(), out.Err, p.Fingerprint())
 	}
 }

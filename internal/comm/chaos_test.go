@@ -194,10 +194,10 @@ func TestChaosCrashNeverHangs(t *testing.T) {
 // every timeout into the very hang the watchdog exists to prevent.
 func TestChaosRecvTimeoutWatchdog(t *testing.T) {
 	for _, size := range []int{1, 2, 4} {
-		plan := &comm.FaultPlan{Seed: 11, RecvTimeout: 300 * time.Millisecond}
+		cfg := comm.Config{Faults: &comm.FaultPlan{Seed: 11}, RecvTimeout: 300 * time.Millisecond}
 		done := make(chan error, 1)
 		go func() {
-			_, err := comm.RunConfig(size, comm.Config{Faults: plan}, func(c *comm.Comm) error {
+			_, err := comm.RunConfig(size, cfg, func(c *comm.Comm) error {
 				// tagNever is never sent by anyone: the first watchdog to
 				// expire aborts the session and the abort latch wakes the
 				// remaining ranks — a typed error everywhere, never a hang.
@@ -228,14 +228,14 @@ func TestChaosRecvTimeoutWatchdog(t *testing.T) {
 // root cause reported to the caller must be the originating timeout.
 func TestChaosRecvTimeoutWakesPeers(t *testing.T) {
 	const size = 4
-	plan := &comm.FaultPlan{Seed: 5, RecvTimeout: 300 * time.Millisecond}
+	cfg := comm.Config{Faults: &comm.FaultPlan{Seed: 5}, RecvTimeout: 300 * time.Millisecond}
 	type outcome struct {
 		stats comm.StatsSnapshot
 		err   error
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		stats, err := comm.RunConfig(size, comm.Config{Faults: plan}, func(c *comm.Comm) error {
+		stats, err := comm.RunConfig(size, cfg, func(c *comm.Comm) error {
 			if c.Rank() == size-1 {
 				c.Recv(comm.AnySource, tagNever) // never sent: watchdog must fire
 			} else {

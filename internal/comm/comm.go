@@ -18,6 +18,7 @@ package comm
 import (
 	"fmt"
 	"os"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -191,7 +192,7 @@ type fabric struct {
 	jitter *SchedJitter
 
 	// recvTimeout is the armed watchdog bound for blocking Recvs on the
-	// watchful path; see Config.RecvTimeout for the resolution order.
+	// watchful path (Config.recvTimeout).
 	recvTimeout time.Duration
 	// watchful selects the guarded Recv path (abort-latch checks plus
 	// watchdog). It is armed by a fault plan, an explicit Config.RecvTimeout,
@@ -283,10 +284,10 @@ type Config struct {
 	// then "inproc".
 	Transport string
 	// RecvTimeout bounds every blocking Recv of the session and arms the
-	// watchful receive path even without a fault plan. Resolution order for
-	// the armed watchdog: Faults.RecvTimeout, then this field, then 10s.
-	// Zero leaves plain inproc sessions unguarded (the legacy contract:
-	// without a plan, a buggy kernel may block forever).
+	// watchful receive path even without a fault plan. Zero arms a 10-second
+	// watchdog on sessions that are watchful anyway (a fault plan, a remote
+	// transport) and leaves plain inproc sessions unguarded (the legacy
+	// contract: without a plan, a buggy kernel may block forever).
 	RecvTimeout time.Duration
 	// Jitter injects seeded scheduling pressure at Send/Recv/collective
 	// entry (sched.go). It perturbs goroutine interleavings only — results
@@ -308,20 +309,14 @@ func (cfg Config) transportName() string {
 	return "inproc"
 }
 
-// resolveRecvTimeout picks the armed watchdog bound for a session.
-func resolveRecvTimeout(cfg Config) time.Duration {
-	if cfg.Faults != nil && cfg.Faults.RecvTimeout > 0 {
-		return cfg.Faults.RecvTimeout
-	}
+// recvTimeout is the armed watchdog bound for a session: RecvTimeout, or
+// 10 seconds when it is zero.
+func (cfg Config) recvTimeout() time.Duration {
 	if cfg.RecvTimeout > 0 {
 		return cfg.RecvTimeout
 	}
-	return defaultRecvTimeout
+	return 10 * time.Second
 }
-
-// defaultRecvTimeout is the last-resort Recv watchdog on watchful sessions;
-// override it per session with Config.RecvTimeout or FaultPlan.RecvTimeout.
-const defaultRecvTimeout = 10 * time.Second
 
 // RunConfig is the fully configurable session entry point. On a watchful
 // session (fault plan, explicit RecvTimeout, or a remote transport), any
@@ -354,7 +349,7 @@ func RunConfig(size int, cfg Config, fn func(c *Comm) error) (*Stats, error) {
 		plan:        cfg.Faults,
 		fs:          fs,
 		jitter:      cfg.Jitter,
-		recvTimeout: resolveRecvTimeout(cfg),
+		recvTimeout: cfg.recvTimeout(),
 	}
 	trs := make([]Transport, size)
 	switch name := cfg.transportName(); name {
@@ -811,48 +806,28 @@ func GlobalStats(c *Comm) StatsSnapshot {
 	return snap
 }
 
-// copyPayload deep-copies slice payloads of the common element types so that
-// sender and receiver never alias memory, as on a real network. Non-slice
-// values are returned as-is (they are copied by value anyway).
+// copyPayload copies a slice payload so that sender and receiver never alias
+// memory, as on a real network; a nil slice arrives as an empty one. The
+// []float64 and []int arms are the collectives' and assembly's payloads and
+// copy without reflection; every other slice is copied by reflection, at the
+// same two allocations. Non-slice values are returned as they are (they are
+// copied by value anyway).
 func copyPayload(data any) any {
 	switch v := data.(type) {
 	case []float64:
 		out := make([]float64, len(v))
 		copy(out, v)
 		return out
-	case []float32:
-		out := make([]float32, len(v))
-		copy(out, v)
-		return out
 	case []int:
 		out := make([]int, len(v))
 		copy(out, v)
 		return out
-	case []int64:
-		out := make([]int64, len(v))
-		copy(out, v)
-		return out
-	case []int32:
-		out := make([]int32, len(v))
-		copy(out, v)
-		return out
-	case []byte:
-		out := make([]byte, len(v))
-		copy(out, v)
-		return out
-	case []bool:
-		out := make([]bool, len(v))
-		copy(out, v)
-		return out
-	case []complex128:
-		out := make([]complex128, len(v))
-		copy(out, v)
-		return out
-	case []string:
-		out := make([]string, len(v))
-		copy(out, v)
-		return out
-	default:
+	}
+	rv := reflect.ValueOf(data)
+	if rv.Kind() != reflect.Slice {
 		return data
 	}
+	out := reflect.MakeSlice(rv.Type(), rv.Len(), rv.Len())
+	reflect.Copy(out, rv)
+	return out.Interface()
 }

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -117,6 +118,54 @@ func TestSendCopiesSlices(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sendF is a named element type: a []sendF is outside the codec's slice
+// set, so it is copied by reflection inproc and rides gob over tcp.
+type sendF float64
+
+// TestSendCopiesEverySliceType is the regression test for payloads Send used
+// to hand over uncopied: a []complex64 (a dense.Elem, so every
+// DistArray[complex64] collective) and any named-element slice. Rank 0
+// overwrites both after Send returns and only then meets rank 1 at a
+// barrier; rank 1 must still see the values that were sent. A nil slice of
+// the wire payload set arrives as an empty, non-nil slice, whether it is
+// copied by an explicit arm ([]float64) or by reflection ([]int32). Both
+// transports.
+func TestSendCopiesEverySliceType(t *testing.T) {
+	gob.Register([]sendF(nil))
+	for _, tr := range []string{"inproc", "tcp"} {
+		_, err := RunConfig(2, Config{Transport: tr}, func(c *Comm) error {
+			if c.Rank() == 0 {
+				cs, fs := []complex64{1 + 2i, -3i}, []sendF{1.5, -2}
+				c.Send(1, tagData, cs)
+				c.Send(1, tagCtl, fs)
+				c.Send(1, tagAux, []float64(nil))
+				c.Send(1, tagPing, []int32(nil))
+				cs[0], fs[0] = 99, 99
+			}
+			c.Barrier()
+			if c.Rank() == 0 {
+				return nil
+			}
+			if got := c.Recv(0, tagData).([]complex64); !reflect.DeepEqual(got, []complex64{1 + 2i, -3i}) {
+				return fmt.Errorf("[]complex64: receiver saw the sender's overwrite: %v", got)
+			}
+			if got := c.Recv(0, tagCtl).([]sendF); !reflect.DeepEqual(got, []sendF{1.5, -2}) {
+				return fmt.Errorf("[]sendF: receiver saw the sender's overwrite: %v", got)
+			}
+			if got := c.Recv(0, tagAux); !reflect.DeepEqual(got, []float64{}) {
+				return fmt.Errorf("nil []float64 arrived as %#v, want an empty non-nil slice", got)
+			}
+			if got := c.Recv(0, tagPing); !reflect.DeepEqual(got, []int32{}) {
+				return fmt.Errorf("nil []int32 arrived as %#v, want an empty non-nil slice", got)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tr, err)
+		}
 	}
 }
 
@@ -655,6 +704,28 @@ func TestPayloadBytes(t *testing.T) {
 	for _, tc := range cases {
 		if got := payloadBytes(tc.in); got != tc.want {
 			t.Errorf("payloadBytes(%T %v) = %d, want %d", tc.in, tc.in, got, tc.want)
+		}
+	}
+}
+
+// TestPayloadBytesPinned pins the accounted size of every codecPayloads
+// entry, a struct and a pointer at the values the per-type switch gave, so
+// the Stats and trace byte counts (E1's control messages among them) cannot
+// drift with the way payloadBytes computes them.
+func TestPayloadBytesPinned(t *testing.T) {
+	type ctl struct {
+		A, B int
+		C    float32
+	}
+	want := []int64{0, 0, 32, 8, 24, 16, 8, 3, 3, 32, 11, 8, 4, 8, 8, 4, 8, 4, 1, 1, 13, 16}
+	if len(want) != len(codecPayloads) {
+		t.Fatalf("%d pinned sizes for %d codecPayloads entries", len(want), len(codecPayloads))
+	}
+	cases := append(codecPayloads[:len(codecPayloads):len(codecPayloads)], ctl{}, &ctl{}, (*ctl)(nil))
+	want = append(want, 24, 24, 8)
+	for i, in := range cases {
+		if got := payloadBytes(in); got != want[i] {
+			t.Errorf("payloadBytes(%T %v) = %d, want %d", in, in, got, want[i])
 		}
 	}
 }

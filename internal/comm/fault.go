@@ -147,13 +147,6 @@ type FaultPlan struct {
 	// peers instead of letting them hang mid-collective.
 	CrashRank   int
 	CrashAtColl int
-
-	// RecvTimeout bounds every blocking Recv while the plan is active. It is
-	// the last-resort watchdog: ordinary fault propagation wakes blocked
-	// receivers without waiting for it. Zero falls back to the session's
-	// Config.RecvTimeout, then to the 10-second default; see
-	// Config.RecvTimeout for the full resolution order.
-	RecvTimeout time.Duration
 }
 
 func (p *FaultPlan) maxRetries() int {
@@ -228,7 +221,7 @@ func (p *FaultPlan) String() string {
 
 // ParseFaultPlan builds a plan from a compact comma-separated spec, e.g.
 // "seed=42,drop=0.1,retries=8,delay=0.3,maxdelay=3,dup=0.1,reorder=0.2,
-// slow=1:100us,crash=2@3,timeout=5s". Unknown keys are errors so typos in
+// slow=1:100us,crash=2@3". Unknown keys are errors so typos in
 // experiment scripts fail loudly.
 func ParseFaultPlan(spec string) (*FaultPlan, error) {
 	p := &FaultPlan{}
@@ -280,8 +273,6 @@ func ParseFaultPlan(spec string) (*FaultPlan, error) {
 			if p.CrashRank, err = strconv.Atoi(rankStr); err == nil {
 				p.CrashAtColl, err = strconv.Atoi(collStr)
 			}
-		case "timeout":
-			p.RecvTimeout, err = time.ParseDuration(val)
 		default:
 			return nil, fmt.Errorf("comm: unknown fault spec key %q", key)
 		}

@@ -15,11 +15,12 @@ import (
 //	[4B body length][1B frame kind][body ...]
 //
 // Data frames carry one comm Frame — context, ranks, tag, the fault-layer
-// sequence/hold/reorder words, and a typed payload. The payload encoding
-// preserves the concrete Go type for every type copyPayload knows plus the
-// common scalars, so receiver-side type assertions (`.([]float64)` and
-// friends) behave identically on every transport; anything else rides an
-// encoding/gob fallback and must be gob-registered by the caller.
+// sequence/hold/reorder words, and a typed payload. The payload codec
+// (encodePayload) encodes nine slice types natively and keeps their concrete
+// Go type, so receiver-side type assertions (`.([]float64)` and friends)
+// behave identically on every transport. Anything else — scalars, structs,
+// named slice types — rides an encoding/gob fallback: gob keeps every basic
+// type as it is, and any other type must be gob-registered by the caller.
 
 // Frame kinds.
 const (
@@ -35,10 +36,11 @@ const maxFrameBody = 1 << 28
 
 const (
 	helloMagic   uint32 = 0x4f44494e // "ODIN"
-	helloVersion byte   = 1
+	helloVersion byte   = 2
 )
 
-// Payload type codes.
+// Payload type codes: nil, the nine slice types of the wire payload set, and
+// the gob fallback.
 const (
 	pNil byte = iota
 	pF64s
@@ -50,17 +52,6 @@ const (
 	pBools
 	pC128s
 	pStrs
-	pF64
-	pF32
-	pInt
-	pI64
-	pI32
-	pU64
-	pU32
-	pByte
-	pBool
-	pStr
-	pC128
 	pGob byte = 255
 )
 
@@ -290,105 +281,39 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 
 // ---- payload codec ------------------------------------------------------
 
+// encodePayload writes the payload code and body. The nine slice types below
+// are the wire payload set; any other value rides the gob fallback.
 func encodePayload(w *wbuf, v any) error {
 	switch p := v.(type) {
 	case nil:
 		w.u8(pNil)
 	case []float64:
-		w.u8(pF64s)
-		w.u32(uint32(len(p)))
-		for _, x := range p {
-			w.u64(math.Float64bits(x))
-		}
+		putSlice(w, pF64s, p, func(w *wbuf, x float64) { w.u64(math.Float64bits(x)) })
 	case []float32:
-		w.u8(pF32s)
-		w.u32(uint32(len(p)))
-		for _, x := range p {
-			w.u32(math.Float32bits(x))
-		}
+		putSlice(w, pF32s, p, func(w *wbuf, x float32) { w.u32(math.Float32bits(x)) })
 	case []int:
-		w.u8(pInts)
-		w.u32(uint32(len(p)))
-		for _, x := range p {
-			w.i64(int64(x))
-		}
+		putSlice(w, pInts, p, func(w *wbuf, x int) { w.i64(int64(x)) })
 	case []int64:
-		w.u8(pI64s)
-		w.u32(uint32(len(p)))
-		for _, x := range p {
-			w.i64(x)
-		}
+		putSlice(w, pI64s, p, (*wbuf).i64)
 	case []int32:
-		w.u8(pI32s)
-		w.u32(uint32(len(p)))
-		for _, x := range p {
-			w.u32(uint32(x))
-		}
+		putSlice(w, pI32s, p, func(w *wbuf, x int32) { w.u32(uint32(x)) })
 	case []byte:
-		w.u8(pBytes)
-		w.u32(uint32(len(p)))
-		w.raw(p)
+		putSlice(w, pBytes, p, (*wbuf).u8)
 	case []bool:
-		w.u8(pBools)
-		w.u32(uint32(len(p)))
-		for _, x := range p {
+		putSlice(w, pBools, p, func(w *wbuf, x bool) {
 			if x {
 				w.u8(1)
 			} else {
 				w.u8(0)
 			}
-		}
+		})
 	case []complex128:
-		w.u8(pC128s)
-		w.u32(uint32(len(p)))
-		for _, x := range p {
+		putSlice(w, pC128s, p, func(w *wbuf, x complex128) {
 			w.u64(math.Float64bits(real(x)))
 			w.u64(math.Float64bits(imag(x)))
-		}
+		})
 	case []string:
-		w.u8(pStrs)
-		w.u32(uint32(len(p)))
-		for _, s := range p {
-			w.str(s)
-		}
-	case float64:
-		w.u8(pF64)
-		w.u64(math.Float64bits(p))
-	case float32:
-		w.u8(pF32)
-		w.u32(math.Float32bits(p))
-	case int:
-		w.u8(pInt)
-		w.i64(int64(p))
-	case int64:
-		w.u8(pI64)
-		w.i64(p)
-	case int32:
-		w.u8(pI32)
-		w.u32(uint32(p))
-	case uint64:
-		w.u8(pU64)
-		w.u64(p)
-	case uint32:
-		w.u8(pU32)
-		w.u32(p)
-	case byte:
-		w.u8(pByte)
-		w.u8(p)
-	case bool:
-		w.u8(pBool)
-		if p {
-			w.u8(1)
-		} else {
-			w.u8(0)
-		}
-	case string:
-		w.u8(pStr)
-		w.str(p)
-	case complex128:
-		w.u8(pC128)
-		w.u64(math.Float64bits(real(p)))
-		w.u64(math.Float64bits(imag(p)))
+		putSlice(w, pStrs, p, (*wbuf).str)
 	default:
 		var b bytes.Buffer
 		if err := gob.NewEncoder(&b).Encode(&v); err != nil {
@@ -406,95 +331,28 @@ func decodePayload(r *rbuf) any {
 	case pNil:
 		return nil
 	case pF64s:
-		n := r.count(8)
-		out := make([]float64, n)
-		for i := range out {
-			out[i] = math.Float64frombits(r.u64())
-		}
-		return out
+		return getSlice(r, 8, func(r *rbuf) float64 { return math.Float64frombits(r.u64()) })
 	case pF32s:
-		n := r.count(4)
-		out := make([]float32, n)
-		for i := range out {
-			out[i] = math.Float32frombits(r.u32())
-		}
-		return out
+		return getSlice(r, 4, func(r *rbuf) float32 { return math.Float32frombits(r.u32()) })
 	case pInts:
-		n := r.count(8)
-		out := make([]int, n)
-		for i := range out {
-			out[i] = int(r.i64())
-		}
-		return out
+		return getSlice(r, 8, func(r *rbuf) int { return int(r.i64()) })
 	case pI64s:
-		n := r.count(8)
-		out := make([]int64, n)
-		for i := range out {
-			out[i] = r.i64()
-		}
-		return out
+		return getSlice(r, 8, (*rbuf).i64)
 	case pI32s:
-		n := r.count(4)
-		out := make([]int32, n)
-		for i := range out {
-			out[i] = int32(r.u32())
-		}
-		return out
+		return getSlice(r, 4, func(r *rbuf) int32 { return int32(r.u32()) })
 	case pBytes:
-		n := r.count(1)
-		out := make([]byte, n)
-		copy(out, r.raw(n))
-		return out
+		return getSlice(r, 1, (*rbuf).u8)
 	case pBools:
-		n := r.count(1)
-		out := make([]bool, n)
-		for i := range out {
-			out[i] = r.u8() != 0
-		}
-		return out
+		return getSlice(r, 1, func(r *rbuf) bool { return r.u8() != 0 })
 	case pC128s:
-		n := r.count(16)
-		out := make([]complex128, n)
-		for i := range out {
+		return getSlice(r, 16, func(r *rbuf) complex128 {
 			re := math.Float64frombits(r.u64())
-			im := math.Float64frombits(r.u64())
-			out[i] = complex(re, im)
-		}
-		return out
+			return complex(re, math.Float64frombits(r.u64()))
+		})
 	case pStrs:
-		n := r.count(4)
-		out := make([]string, n)
-		for i := range out {
-			out[i] = r.str()
-		}
-		return out
-	case pF64:
-		return math.Float64frombits(r.u64())
-	case pF32:
-		return math.Float32frombits(r.u32())
-	case pInt:
-		return int(r.i64())
-	case pI64:
-		return r.i64()
-	case pI32:
-		return int32(r.u32())
-	case pU64:
-		return r.u64()
-	case pU32:
-		return r.u32()
-	case pByte:
-		return r.u8()
-	case pBool:
-		return r.u8() != 0
-	case pStr:
-		return r.str()
-	case pC128:
-		re := math.Float64frombits(r.u64())
-		im := math.Float64frombits(r.u64())
-		return complex(re, im)
+		return getSlice(r, 4, (*rbuf).str)
 	case pGob:
-		n := r.count(1)
-		p := r.raw(n)
+		p := r.raw(r.count(1))
 		if r.err != nil {
 			return nil
 		}
@@ -508,4 +366,25 @@ func decodePayload(r *rbuf) any {
 		r.err = fmt.Errorf("comm: unknown payload type code %d", t)
 		return nil
 	}
+}
+
+// putSlice writes one slice payload: its code, a u32 element count, then the
+// elements.
+func putSlice[T any](w *wbuf, code byte, p []T, put func(*wbuf, T)) {
+	w.u8(code)
+	w.u32(uint32(len(p)))
+	for _, x := range p {
+		put(w, x)
+	}
+}
+
+// getSlice reads the count and elements putSlice wrote. size is the fewest
+// bytes an element takes on the wire, which bounds the count by the body
+// left. A nil slice comes back empty and non-nil.
+func getSlice[T any](r *rbuf, size int, get func(*rbuf) T) []T {
+	out := make([]T, r.count(size))
+	for i := range out {
+		out[i] = get(r)
+	}
+	return out
 }

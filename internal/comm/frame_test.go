@@ -250,13 +250,18 @@ func FuzzFrameCodec(f *testing.F) {
 		if fr, err := decodeData(raw); fr != nil && err != nil {
 			t.Fatalf("decodeData returned both a frame and an error: %v", err)
 		}
-		// Round-trip half: a payload derived from raw, all frame words set.
+		// Round-trip half: a payload derived from raw — a []float64, a
+		// []byte, a []int32 or a []string, picked by seq — all frame words
+		// set.
 		vals := make([]float64, 0, len(raw)/2)
+		ints := make([]int32, 0, len(raw)/2)
 		for i := 0; i+1 < len(raw); i += 2 {
 			vals = append(vals, float64(int(raw[i])-int(raw[i+1]))/3.0)
+			ints = append(ints, int32(raw[i])<<24-int32(raw[i+1]))
 		}
+		payloads := []any{vals, append([]byte{}, raw...), ints, []string{string(raw), ""}}
 		fr := &Frame{Ctx: ctx, Src: 1, Dst: 2, Tag: int(tag), Seq: seq,
-			Hold: int(seq % 7), Reorder: seq / 3, Payload: vals}
+			Hold: int(seq % 7), Reorder: seq / 3, Payload: payloads[seq%uint64(len(payloads))]}
 		buf, err := encodeData(fr)
 		if err != nil {
 			t.Fatalf("encodeData: %v", err)

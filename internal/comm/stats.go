@@ -259,63 +259,36 @@ func EthernetLike() *CostModel {
 	return &CostModel{LatencySec: 20e-6, SecondsPerByte: 1.0 / 1.25e9}
 }
 
-// payloadBytes estimates the wire size of a payload. Slices of the common
-// numeric types are sized exactly; other types fall back to reflection and,
-// failing that, to a flat envelope size. Control messages in ODIN are structs
-// of a few ints, so the fallback path keeps them "tens of bytes" as the paper
+// payloadBytes is the size Stats, the trace and the tcp frame hint account
+// for a payload: the bytes of a string or of a []string's strings, the
+// elements of any other slice or array at their in-memory size, a pointer's
+// pointee (8 when nil), and any other value its own size. Control messages in
+// ODIN are structs of a few ints, so they stay "tens of bytes" as the paper
 // describes.
 func payloadBytes(data any) int64 {
 	switch v := data.(type) {
 	case nil:
 		return 0
-	case []float64:
-		return int64(8 * len(v))
-	case []float32:
-		return int64(4 * len(v))
-	case []int:
-		return int64(8 * len(v))
-	case []int64:
-		return int64(8 * len(v))
-	case []int32:
-		return int64(4 * len(v))
-	case []byte:
+	case string:
 		return int64(len(v))
-	case []bool:
-		return int64(len(v))
-	case []complex128:
-		return int64(16 * len(v))
 	case []string:
 		var t int64
 		for _, s := range v {
 			t += int64(len(s))
 		}
 		return t
-	case float64, int, int64, uint64:
-		return 8
-	case float32, int32, uint32:
-		return 4
-	case bool, byte:
-		return 1
-	case string:
-		return int64(len(v))
 	}
 	rv := reflect.ValueOf(data)
+	t := rv.Type()
 	switch rv.Kind() {
 	case reflect.Slice, reflect.Array:
-		if rv.Len() == 0 {
-			return 0
+		return int64(rv.Len()) * int64(t.Elem().Size())
+	case reflect.Ptr:
+		if rv.IsNil() {
+			return 8
 		}
-		return int64(rv.Len()) * int64(rv.Type().Elem().Size())
-	case reflect.Struct, reflect.Ptr:
-		t := rv.Type()
-		if t.Kind() == reflect.Ptr {
-			if rv.IsNil() {
-				return 8
-			}
-			t = t.Elem()
-		}
-		return int64(t.Size())
+		return int64(t.Elem().Size())
 	default:
-		return 16
+		return int64(t.Size())
 	}
 }

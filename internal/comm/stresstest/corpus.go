@@ -1,15 +1,23 @@
+// Package stresstest is the stress corpus: every distributed kernel the
+// conformance harness (internal/comm/chaostest) sweeps across its grid of
+// GOMAXPROCS × exec pool size × rank count × transport × fault plan, under
+// seeded scheduling pressure. It mirrors the chaos conformance suites
+// (golden collectives, Split, halo exchange, Krylov solves) plus the big
+// Poisson integration solve and one deliberately buggy kernel used to prove
+// the harness actually catches schedule bugs. The corpus lives apart from
+// the harness because it imports the packages whose own chaos suites import
+// the harness.
+//
+// cmd/odinstress is the command-line driver; scripts/verify.sh runs the
+// smoke grid under ODINHPC_STRESS=1 (the full grid is the nightly tier).
 package stresstest
-
-// The stress corpus: every distributed kernel the sweep replays. It mirrors
-// the chaos conformance suites (golden collectives, Split, halo exchange,
-// Krylov solves) plus the big Poisson integration solve and one deliberately
-// buggy kernel used to prove the harness actually catches schedule bugs.
 
 import (
 	"fmt"
 
 	"odinhpc/internal/bridge"
 	"odinhpc/internal/comm"
+	"odinhpc/internal/comm/chaostest"
 	"odinhpc/internal/core"
 	"odinhpc/internal/distmap"
 	"odinhpc/internal/fusion"
@@ -23,26 +31,9 @@ import (
 	"odinhpc/internal/ufunc"
 )
 
-// Kernel is one corpus entry. Body runs on every rank and returns that
-// rank's result payload, compared with reflect.DeepEqual against the
-// pressure-free reference run — bodies must be deterministic at a fixed
-// (ranks, transport, pool, procs) geometry.
-type Kernel struct {
-	Name     string
-	MinRanks int // smallest communicator the kernel is defined for
-	// Heavy marks kernels too expensive for the smoke grid (they run in the
-	// full/nightly sweep and under explicit -replay or -kernel selection).
-	Heavy bool
-	// Buggy marks intentionally broken kernels kept out of every default
-	// sweep; they exist so tests and demos can show the harness catching,
-	// minimizing, and fingerprinting a real schedule bug.
-	Buggy bool
-	Body  func(c *comm.Comm) (any, error)
-}
-
 // Corpus returns every registered kernel, including heavy and buggy ones.
-func Corpus() []Kernel {
-	return []Kernel{
+func Corpus() []chaostest.Kernel {
+	return []chaostest.Kernel{
 		{Name: "collectives-all", MinRanks: 1, Body: collectivesAll},
 		{Name: "split-evenodd", MinRanks: 1, Body: splitEvenOdd},
 		{Name: "halo-ring", MinRanks: 1, Body: haloRing},
@@ -59,8 +50,8 @@ func Corpus() []Kernel {
 // kernel, plus the heavy tier when asked. Buggy kernels never sweep by
 // default — they are reachable only by name (Find), which is how the
 // harness's own tests and `odinstress -replay` target them.
-func SweepKernels(includeHeavy bool) []Kernel {
-	var out []Kernel
+func SweepKernels(includeHeavy bool) []chaostest.Kernel {
+	var out []chaostest.Kernel
 	for _, k := range Corpus() {
 		if k.Buggy || (k.Heavy && !includeHeavy) {
 			continue
@@ -71,13 +62,13 @@ func SweepKernels(includeHeavy bool) []Kernel {
 }
 
 // Find looks a kernel up by name across the whole corpus.
-func Find(name string) (Kernel, bool) {
+func Find(name string) (chaostest.Kernel, bool) {
 	for _, k := range Corpus() {
 		if k.Name == name {
 			return k, true
 		}
 	}
-	return Kernel{}, false
+	return chaostest.Kernel{}, false
 }
 
 // KernelNames lists every corpus kernel name, annotated for help output.

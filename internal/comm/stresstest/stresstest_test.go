@@ -4,15 +4,17 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"odinhpc/internal/comm/chaostest"
 )
 
 func TestFingerprintRoundTrip(t *testing.T) {
-	p := Point{Kernel: "collectives-all", Ranks: 4, Procs: 2, Pool: 3, Transport: "tcp", Plan: "storm", Seed: 98765}
+	p := chaostest.Point{Kernel: "collectives-all", Ranks: 4, Procs: 2, Pool: 3, Transport: "tcp", Plan: "storm", Seed: 98765}
 	fp := p.Fingerprint()
 	if fp != "v1/collectives-all/P4/G2/W3/tcp/storm/s98765" {
 		t.Fatalf("fingerprint = %q", fp)
 	}
-	got, err := ParseFingerprint(fp)
+	got, err := chaostest.ParseFingerprint(fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +25,7 @@ func TestFingerprintRoundTrip(t *testing.T) {
 		"", "v1", "v0/k/P1/G1/W1/inproc/none/s1", "v1/k/X1/G1/W1/inproc/none/s1",
 		"v1/k/P1/G1/W1/inproc/none/1", "v1/k/P1/G1/W1/inproc/none/sx",
 	} {
-		if _, err := ParseFingerprint(bad); err == nil {
+		if _, err := chaostest.ParseFingerprint(bad); err == nil {
 			t.Fatalf("ParseFingerprint(%q) accepted a malformed fingerprint", bad)
 		}
 	}
@@ -32,7 +34,7 @@ func TestFingerprintRoundTrip(t *testing.T) {
 // TestSmokeGridShape pins the acceptance floor: the smoke grid holds at
 // least 24 points per kernel and covers both transports.
 func TestSmokeGridShape(t *testing.T) {
-	g := SmokeGrid(1)
+	g := chaostest.SmokeGrid(1)
 	k, ok := Find("collectives-all")
 	if !ok {
 		t.Fatal("collectives-all missing from corpus")
@@ -57,19 +59,19 @@ func TestSmokeGridShape(t *testing.T) {
 // same checksum, point count, and zero failures — the property verify.sh's
 // stress tier checks at smoke scale.
 func TestSweepDeterministic(t *testing.T) {
-	g := Grid{
+	g := chaostest.Grid{
 		Seed:        4321,
 		Ranks:       []int{2},
 		Procs:       []int{1, 2},
 		Pools:       []int{1},
 		Transports:  []string{"inproc"},
-		Plans:       []string{PlanNone, "delay"},
+		Plans:       []string{chaostest.PlanNone, "delay"},
 		Jitter:      true,
 		RecvTimeout: 10 * time.Second,
 	}
-	kernels := []Kernel{mustFind(t, "collectives-all"), mustFind(t, "split-evenodd")}
-	first := Sweep(g, kernels, t.Logf)
-	second := Sweep(g, kernels, nil)
+	kernels := []chaostest.Kernel{mustFind(t, "collectives-all"), mustFind(t, "split-evenodd")}
+	first := chaostest.Sweep(g, kernels, t.Logf)
+	second := chaostest.Sweep(g, kernels, nil)
 	if len(first.Failures) != 0 {
 		t.Fatalf("sweep failed: %v (first failure: %v)", fingerprints(first), first.Failures[0].Err)
 	}
@@ -83,9 +85,9 @@ func TestSweepDeterministic(t *testing.T) {
 
 // TestRunPointTCP pins one grid point over real sockets.
 func TestRunPointTCP(t *testing.T) {
-	g := SmokeGrid(7)
-	p := Point{Kernel: "split-evenodd", Ranks: 2, Procs: 2, Pool: 1, Transport: "tcp", Plan: "storm", Seed: 7}
-	out := RunPoint(g, p, mustFind(t, "split-evenodd"))
+	g := chaostest.SmokeGrid(7)
+	p := chaostest.Point{Kernel: "split-evenodd", Ranks: 2, Procs: 2, Pool: 1, Transport: "tcp", Plan: "storm", Seed: 7}
+	out := chaostest.RunPoint(g, p, mustFind(t, "split-evenodd"))
 	if out.Err != nil {
 		t.Fatalf("%s: %v", p.Fingerprint(), out.Err)
 	}
@@ -93,9 +95,9 @@ func TestRunPointTCP(t *testing.T) {
 
 // TestBuggyKernelCaughtAndMinimized is the harness's reason to exist: the
 // permuted-collectives kernel deadlocks at P>=2, the armed RecvTimeout
-// converts the deadlock into a failure, and Minimize shrinks the failing
-// point to the smallest reproducing configuration (P=2, one worker, one
-// processor, no fault plan) with a replayable fingerprint.
+// converts the deadlock into a failure, and Minimize shrinks the failing point
+// to the smallest reproducing configuration (P=2, one worker, one processor,
+// no fault plan) with a replayable fingerprint.
 func TestBuggyKernelCaughtAndMinimized(t *testing.T) {
 	k := mustFind(t, "permuted-collectives")
 	if !k.Buggy {
@@ -106,22 +108,22 @@ func TestBuggyKernelCaughtAndMinimized(t *testing.T) {
 			t.Fatal("buggy kernel leaked into the default sweep set")
 		}
 	}
-	g := Grid{Jitter: true, RecvTimeout: 500 * time.Millisecond}
-	p := Point{Kernel: k.Name, Ranks: 4, Procs: 2, Pool: 2, Transport: "inproc", Plan: PlanNone, Seed: 11}
-	out := RunPoint(g, p, k)
+	g := chaostest.Grid{Jitter: true, RecvTimeout: 500 * time.Millisecond}
+	p := chaostest.Point{Kernel: k.Name, Ranks: 4, Procs: 2, Pool: 2, Transport: "inproc", Plan: chaostest.PlanNone, Seed: 11}
+	out := chaostest.RunPoint(g, p, k)
 	if out.Err == nil {
 		t.Fatalf("%s: buggy kernel passed", p.Fingerprint())
 	}
-	min := Minimize(g, p, k, t.Logf)
-	if min.Ranks != 2 || min.Pool != 1 || min.Procs != 1 || min.Plan != PlanNone {
+	min := chaostest.Minimize(g, p, k, t.Logf)
+	if min.Ranks != 2 || min.Pool != 1 || min.Procs != 1 || min.Plan != chaostest.PlanNone {
 		t.Fatalf("minimized to %s, want P=2 W=1 G=1 plan=none", min.Fingerprint())
 	}
 	// The minimized fingerprint replays: parse it back and re-fail the point.
-	rp, err := ParseFingerprint(min.Fingerprint())
+	rp, err := chaostest.ParseFingerprint(min.Fingerprint())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out := RunPoint(g, rp, k); out.Err == nil {
+	if out := chaostest.RunPoint(g, rp, k); out.Err == nil {
 		t.Fatalf("replayed %s did not reproduce", min.Fingerprint())
 	}
 }
@@ -129,15 +131,15 @@ func TestBuggyKernelCaughtAndMinimized(t *testing.T) {
 // TestUnknownPlanRejected pins the error path for a fingerprint naming a
 // plan outside the chaostest matrix.
 func TestUnknownPlanRejected(t *testing.T) {
-	g := Grid{RecvTimeout: time.Second}
-	p := Point{Kernel: "split-evenodd", Ranks: 2, Procs: 1, Pool: 1, Transport: "inproc", Plan: "nope", Seed: 1}
-	out := RunPoint(g, p, mustFind(t, "split-evenodd"))
+	g := chaostest.Grid{RecvTimeout: time.Second}
+	p := chaostest.Point{Kernel: "split-evenodd", Ranks: 2, Procs: 1, Pool: 1, Transport: "inproc", Plan: "nope", Seed: 1}
+	out := chaostest.RunPoint(g, p, mustFind(t, "split-evenodd"))
 	if out.Err == nil || !strings.Contains(out.Err.Error(), "unknown fault plan") {
 		t.Fatalf("err = %v, want unknown fault plan", out.Err)
 	}
 }
 
-func mustFind(t *testing.T, name string) Kernel {
+func mustFind(t *testing.T, name string) chaostest.Kernel {
 	t.Helper()
 	k, ok := Find(name)
 	if !ok {
@@ -146,7 +148,7 @@ func mustFind(t *testing.T, name string) Kernel {
 	return k
 }
 
-func fingerprints(r Result) []string {
+func fingerprints(r chaostest.Result) []string {
 	var out []string
 	for _, f := range r.Failures {
 		out = append(out, f.Point.Fingerprint())

@@ -499,7 +499,7 @@ func RunRemote(env RemoteEnv, cfg Config, fn func(c *Comm) error) (*Stats, error
 		stats:       newStats(env.Size),
 		plan:        cfg.Faults,
 		fs:          fs,
-		recvTimeout: resolveRecvTimeout(cfg),
+		recvTimeout: cfg.recvTimeout(),
 		watchful:    true,
 		remote:      true,
 		perProc:     true,

@@ -62,7 +62,8 @@ func TestGatherLengthErrorTyped(t *testing.T) {
 func TestGatherLengthMismatchUnderWatchdog(t *testing.T) {
 	const n = 37
 	_, err := comm.RunConfig(4, comm.Config{
-		Faults: &comm.FaultPlan{Seed: 1, RecvTimeout: 5 * time.Second},
+		Faults:      &comm.FaultPlan{Seed: 1},
+		RecvTimeout: 5 * time.Second,
 	}, func(c *comm.Comm) error {
 		m := distmap.NewBlock(n, c.Size())
 		lo, hi := m.BlockRange(c.Rank())

@@ -89,6 +89,12 @@ grep -q p2pmatch /tmp/odinhpc-vettool-p2p.out
 stage test
 go test ./...
 
+# Fuzz the tcp wire codec for ten seconds: its decode half takes frame bodies
+# straight from the socket, so arbitrary bytes must decode to a frame or an
+# error — never a panic — and every encoded payload must round-trip.
+stage fuzz
+go test -run '^$' -fuzz '^FuzzFrameCodec$' -fuzztime 10s ./internal/comm
+
 # Stage "allocs": the allocation pins of the solver hot loop and of the warm
 # expression path, on their own — a scalar AllreduceInto at P=2/4/8,
 # Vector.Dot, Gather and CrsMatrix.Apply on the laplace1d/3d stencils, the
@@ -167,7 +173,7 @@ wait "$SERVE_PID" || true
 # plan with seeded scheduling jitter — run twice with the same seed; the
 # deterministic stdout reports (per-point PASS lines plus checksum) must be
 # identical. The full grid (-grid=full -heavy) is the nightly tier, too slow
-# for every verify run; see DESIGN.md "Stress testing".
+# for every verify run; see DESIGN.md "Conformance harness".
 stage stress
 if [ "${ODINHPC_STRESS:-}" = "1" ]; then
   go build -o /tmp/odinhpc-odinstress ./cmd/odinstress
