@@ -22,8 +22,9 @@
 //
 // on the flagged line or the line directly above it. The justification
 // must start with a capitalized word: lowercase leading words parse as
-// additional analyzer names. A directive that names no registered analyzer,
-// or suppresses no finding of an analyzer it names, is itself a finding.
+// additional analyzer names. Each name in a directive that is no registered
+// analyzer, and each named analyzer whose finding it does not suppress, is
+// itself a finding.
 package main
 
 import (

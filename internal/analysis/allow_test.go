@@ -94,20 +94,22 @@ func f() {
 	}
 }
 
-// TestStaleAllows pins the directives the driver reports: one naming no
-// registered analyzer, and one suppressing no finding of an analyzer it
-// names — judged only for analyzers that ran, and * only when all of them
+// TestStaleAllows pins the directives the driver reports: each name that is
+// no registered analyzer — also beside a registered one, as when a
+// justification starts with a lowercase word — and each analyzer named whose
+// finding the directive does not suppress — judged only for analyzers that ran, and * only when all of them
 // did, so a -checks subset stays quiet about the rest.
 func TestStaleAllows(t *testing.T) {
 	alpha, beta := &Analyzer{Name: "alpha"}, &Analyzer{Name: "beta"}
 	at := func(line int) token.Position { return token.Position{Filename: "f.go", Line: line} }
 	dirs := []AllowDirective{
-		{Position: at(1), Analyzers: []string{"alpha"}},          // covers line 2
-		{Position: at(10), Analyzers: []string{"alpha"}},         // misplaced
-		{Position: at(20), Analyzers: []string{"beta"}},          // nothing to cover
-		{Position: at(30), Analyzers: []string{"gamma"}},         // unregistered
-		{Position: at(40), Analyzers: []string{"*"}},             // nothing to cover
-		{Position: at(50), Analyzers: []string{"alpha", "beta"}}, // covers alpha only
+		{Position: at(1), Analyzers: []string{"alpha"}},                            // covers line 2
+		{Position: at(10), Analyzers: []string{"alpha"}},                           // misplaced
+		{Position: at(20), Analyzers: []string{"beta"}},                            // nothing to cover
+		{Position: at(30), Analyzers: []string{"gamma"}},                           // unregistered
+		{Position: at(40), Analyzers: []string{"*"}},                               // nothing to cover
+		{Position: at(50), Analyzers: []string{"alpha", "beta"}},                   // covers alpha only
+		{Position: at(60), Analyzers: []string{"alpha", "compress", "rebalances"}}, // covers alpha; lowercase reason
 	}
 	for _, c := range []struct {
 		ran  []*Analyzer
@@ -116,6 +118,8 @@ func TestStaleAllows(t *testing.T) {
 		{[]*Analyzer{alpha}, []string{
 			"10://lint:allow alpha suppresses no alpha finding",
 			"30://lint:allow names no registered analyzer (gamma)",
+			"60://lint:allow names no registered analyzer (compress)",
+			"60://lint:allow names no registered analyzer (rebalances)",
 		}},
 		{[]*Analyzer{alpha, beta}, []string{
 			"10://lint:allow alpha suppresses no alpha finding",
@@ -123,17 +127,20 @@ func TestStaleAllows(t *testing.T) {
 			"30://lint:allow names no registered analyzer (gamma)",
 			"40://lint:allow * suppresses no finding",
 			"50://lint:allow beta suppresses no beta finding",
+			"60://lint:allow names no registered analyzer (compress)",
+			"60://lint:allow names no registered analyzer (rebalances)",
 		}},
 	} {
 		diags := []Diagnostic{
 			{Analyzer: "alpha", Position: at(2)},
 			{Analyzer: "alpha", Position: at(12)},
 			{Analyzer: "alpha", Position: at(51)},
+			{Analyzer: "alpha", Position: at(61)},
 		}
 		stale := suppress(diags, dirs, []*Analyzer{alpha, beta}, c.ran)
-		if !diags[0].Suppressed || diags[1].Suppressed || !diags[2].Suppressed {
-			t.Errorf("ran %d: suppressed = %v %v %v, want true false true",
-				len(c.ran), diags[0].Suppressed, diags[1].Suppressed, diags[2].Suppressed)
+		if !diags[0].Suppressed || diags[1].Suppressed || !diags[2].Suppressed || !diags[3].Suppressed {
+			t.Errorf("ran %d: suppressed = %v %v %v %v, want true false true true", len(c.ran),
+				diags[0].Suppressed, diags[1].Suppressed, diags[2].Suppressed, diags[3].Suppressed)
 		}
 		if len(stale) != len(c.want) {
 			t.Fatalf("ran %d: %d stale directives %v, want %d", len(c.ran), len(stale), stale, len(c.want))

@@ -95,11 +95,12 @@ func Run(registered, ran []*Analyzer, pkgs []*Package) ([]Diagnostic, error) {
 // lint:allow directive are returned with Suppressed set instead of
 // dropped, so machine consumers (odinvet -json) can surface them.
 //
-// Directives are findings too, under the name "lint:allow", when they name
-// no registered analyzer, or when they suppress no finding of an analyzer
-// they name. The second kind is judged only for analyzers in ran — and `*`
-// only when every registered analyzer ran — so a -checks subset stays quiet
-// about the rest.
+// Directives are findings too, under the name "lint:allow", for each name
+// that is no registered analyzer (a justification starting with a lowercase
+// word parses as names), and for each analyzer they name whose finding they
+// do not suppress. The second kind is judged only for analyzers in ran —
+// and `*` only when every registered analyzer ran — so a -checks subset
+// stays quiet about the rest.
 func RunAll(registered, ran []*Analyzer, pkgs []*Package) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
@@ -161,11 +162,12 @@ func suppress(diags []Diagnostic, dirs []AllowDirective, registered, ran []*Anal
 			if len(used) == 0 && len(ran) == len(registered) {
 				report("//lint:allow * suppresses no finding on this line or the next; delete it")
 			}
-		case !slices.ContainsFunc(dir.Analyzers, func(n string) bool { return has(registered, n) }):
-			report("//lint:allow names no registered analyzer (%s); fix the name or delete it", strings.Join(dir.Analyzers, " "))
 		default:
 			for _, n := range dir.Analyzers {
-				if has(ran, n) && !used[n] {
+				switch {
+				case !has(registered, n):
+					report("//lint:allow names no registered analyzer (%s); fix the name or delete it", n)
+				case has(ran, n) && !used[n]:
 					report("//lint:allow %s suppresses no %s finding on this line or the next; delete it", n, n)
 				}
 			}

@@ -63,7 +63,7 @@ func MulVecBad(e *exec.Engine, m *Matrix, x, y []float64) {
 // accumulator behind the annotation, matching the real kernel.
 func MulVecTransScratch(e *exec.Engine, m *Matrix, cols int, x, y []float64) {
 	out := exec.ParallelReduce(e, len(m.Perm), func(lo, hi int) []float64 {
-		//lint:allow hotalloc one dense accumulator per chunk by design
+		//lint:allow hotalloc One dense accumulator per chunk by design
 		acc := make([]float64, cols)
 		for i := lo; i < hi; i++ {
 			acc[i%cols] += x[i]

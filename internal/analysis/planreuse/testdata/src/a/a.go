@@ -25,7 +25,7 @@ func sharedMatrix(a *tpetra.CrsMatrix, x, y []float64) {
 	}()
 
 	go func() {
-		//lint:allow planreuse applies serialized by the group's job loop
+		//lint:allow planreuse Applies serialized by the group's job loop
 		a.Apply(x, y)
 	}()
 }

@@ -32,8 +32,8 @@ func (tc *tcpConn) readLoop() {}
 // the real transport.
 func start(conns []*tcpConn) {
 	for _, tc := range conns {
-		go tc.readLoop()  //lint:allow planreuse this goroutine is the conn's sole reader from here on
-		go tc.writeLoop() //lint:allow planreuse this goroutine is the conn's sole writer from here on
+		go tc.readLoop()  //lint:allow planreuse This goroutine is the conn's sole reader from here on
+		go tc.writeLoop() //lint:allow planreuse This goroutine is the conn's sole writer from here on
 	}
 }
 

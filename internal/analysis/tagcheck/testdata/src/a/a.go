@@ -31,6 +31,6 @@ func tags(c *comm.Comm, buf []float64) {
 	c.Send(1, negCtl, buf)     // want `reserved range`
 	c.Send(1, haloStolen, buf) // want `reserved range`
 
-	//lint:allow tagcheck scratch probe in a throwaway harness
+	//lint:allow tagcheck Scratch probe in a throwaway harness
 	c.Probe(0, 99)
 }

@@ -73,7 +73,7 @@ func voidHelper() {
 }
 
 func allowedLeak(ch chan struct{}) {
-	//lint:allow tracepair span deliberately closed by the receiver goroutine
+	//lint:allow tracepair Span deliberately closed by the receiver goroutine
 	end := opSpan("handoff")
 	go func() {
 		<-ch

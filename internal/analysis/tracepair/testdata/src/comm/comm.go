@@ -77,7 +77,7 @@ func (c *Comm) farSend(dst int, n int64) {
 // accounting happened at the original send site.
 func (c *Comm) allowedSend(dst int, n int64) {
 	if s := active(); s != nil {
-		//lint:allow tracepair retransmit event; the original send recorded it
+		//lint:allow tracepair Retransmit event; the original send recorded it
 		s.Emit(Event{Kind: KindSend, Peer: dst, Bytes: n})
 	}
 }

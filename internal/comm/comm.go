@@ -134,15 +134,34 @@ func newMailbox() *mailbox {
 }
 
 // takeMatchLocked removes and returns the oldest queued message matching
-// (src, tag).
-func (b *mailbox) takeMatchLocked(src, tag int) (Message, bool) {
-	for i, m := range b.queue.live() {
+// (src, tag). A message with a fault-plan sequence number that was already
+// taken is a duplicate delivery: it is discarded unread, counted in st, and
+// the scan goes on. Without a plan seq is 0 and that branch is never taken.
+func (b *mailbox) takeMatchLocked(src, tag int, st *Stats) (Message, bool) {
+	for i := 0; i < len(b.queue.live()); i++ {
+		m := b.queue.live()[i]
 		if (src == AnySource || m.Src == src) && (tag == AnyTag || m.Tag == tag) {
 			b.queue.remove(i)
+			if m.seq != 0 {
+				if b.seenLocked(m.Src, m.seq) {
+					st.addFault(func(fc *FaultCounts) { fc.Deduped++ })
+					i--
+					continue
+				}
+				b.markSeenLocked(m.Src, m.seq)
+			}
 			return m, true
 		}
 	}
 	return Message{}, false
+}
+
+// wake rouses every receiver parked on b. Taking the lock first orders it
+// after a receiver that checked its conditions and is entering Wait.
+func (b *mailbox) wake() {
+	b.mu.Lock()
+	b.mu.Unlock() //nolint:staticcheck // empty critical section is the wakeup barrier
+	b.cond.Broadcast()
 }
 
 // A mailbox keeps at most maxFreeBufs payload buffers, none longer than
@@ -191,17 +210,9 @@ type fabric struct {
 	// stress runs.
 	jitter *SchedJitter
 
-	// recvTimeout is the armed watchdog bound for blocking Recvs on the
-	// watchful path (Config.recvTimeout).
+	// recvTimeout bounds every blocking receive of the session; 0 is no
+	// deadline (Config.recvTimeout).
 	recvTimeout time.Duration
-	// watchful selects the guarded Recv path (abort-latch checks plus
-	// watchdog). It is armed by a fault plan, an explicit Config.RecvTimeout,
-	// or a remote transport — any situation where a peer can genuinely fail.
-	watchful bool
-	// remote mirrors Transport.Remote for the world transport: frames cross
-	// a wire that can genuinely fail, so Recv stays watchful and faults are
-	// broadcast to peers.
-	remote bool
 	// perProc marks a genuinely multi-process session (RunRemote): this
 	// process's Stats hold only its own rank's sends and GlobalStats must
 	// Allreduce to aggregate. Loopback tcp sessions are remote but not
@@ -210,7 +221,7 @@ type fabric struct {
 }
 
 // seed returns the fault-plan seed for error stamping, or 0 without a plan
-// (watchful sessions on remote transports raise FaultErrors too).
+// (every session raises FaultErrors when a rank fails or a deadline passes).
 func (f *fabric) seed() int64 {
 	if f.plan != nil {
 		return f.plan.Seed
@@ -235,6 +246,10 @@ type Comm struct {
 	// spinMiss counts this rank's consecutive expired spins and spinSkip the
 	// waits it still sits out for them (waitMsg's back-off).
 	spinMiss, spinSkip uint8
+	// deadline wakes this rank's parked receive at the session's receive
+	// deadline; one timer serves every receive, created on the first park of
+	// a session that has a deadline.
+	deadline *time.Timer
 
 	// jitterSeq counts this rank's scheduling-jitter decision points; it
 	// feeds the seed-pure yield hash (sched.go) and stays zero without a
@@ -283,18 +298,18 @@ type Config struct {
 	// for separate OS processes). Empty falls back to $ODINHPC_TRANSPORT,
 	// then "inproc".
 	Transport string
-	// RecvTimeout bounds every blocking Recv of the session and arms the
-	// watchful receive path even without a fault plan. Zero arms a 10-second
-	// watchdog on sessions that are watchful anyway (a fault plan, a remote
-	// transport) and leaves plain inproc sessions unguarded (the legacy
-	// contract: without a plan, a buggy kernel may block forever).
+	// RecvTimeout bounds every blocking Recv of the session: a receive
+	// still waiting when it passes fails the session with FaultTimeout. Zero
+	// means 10 seconds on sessions with a fault plan or a remote transport
+	// and no deadline on plain inproc sessions, where only a deadlocked
+	// kernel (not a failed rank, which aborts its peers) can block forever.
 	RecvTimeout time.Duration
 	// Jitter injects seeded scheduling pressure at Send/Recv/collective
 	// entry (sched.go). It perturbs goroutine interleavings only — results
-	// and traffic matrices must be identical to a jitter-free run — and
-	// does not by itself arm the watchful receive path; stress runs pair it
-	// with RecvTimeout so a schedule-dependent deadlock surfaces as a typed
-	// FaultTimeout instead of a hang.
+	// and traffic matrices must be identical to a jitter-free run — and sets
+	// no deadline; stress runs pair it with RecvTimeout so a
+	// schedule-dependent deadlock surfaces as a typed FaultTimeout instead
+	// of a hang.
 	Jitter *SchedJitter
 }
 
@@ -309,21 +324,24 @@ func (cfg Config) transportName() string {
 	return "inproc"
 }
 
-// recvTimeout is the armed watchdog bound for a session: RecvTimeout, or
-// 10 seconds when it is zero.
-func (cfg Config) recvTimeout() time.Duration {
-	if cfg.RecvTimeout > 0 {
+// recvTimeout is the session's receive deadline: RecvTimeout when set, else
+// 10 seconds on fault-plan and remote sessions, else none (0).
+func (cfg Config) recvTimeout(remote bool) time.Duration {
+	switch {
+	case cfg.RecvTimeout > 0:
 		return cfg.RecvTimeout
+	case cfg.Faults != nil || remote:
+		return 10 * time.Second
 	}
-	return 10 * time.Second
+	return 0
 }
 
-// RunConfig is the fully configurable session entry point. On a watchful
-// session (fault plan, explicit RecvTimeout, or a remote transport), any
-// rank failure — planned crash, exhausted retransmits, watchdog timeout,
-// wire failure, user error, or panic — aborts the whole session: peers
-// blocked in Recv wake promptly and report a *FaultError instead of hanging,
-// matching MPI's abort-the-job default but with a typed in-process error.
+// RunConfig is the fully configurable session entry point. Any rank failure
+// — planned crash, exhausted retransmits, receive deadline, wire failure,
+// user error, or panic — aborts the whole session: peers blocked in Recv
+// wake promptly and report a *FaultError instead of hanging, matching MPI's
+// abort-the-job default but with a typed in-process error. The session's
+// error is the root cause, not a peer's echo of it.
 func RunConfig(size int, cfg Config, fn func(c *Comm) error) (*Stats, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("comm: size must be positive, got %d", size)
@@ -340,19 +358,19 @@ func RunConfig(size int, cfg Config, fn func(c *Comm) error) (*Stats, error) {
 		owner[i] = i
 	}
 	f := &fabric{
-		ctx:         worldCtx,
-		size:        size,
-		owner:       owner,
-		reg:         reg,
-		sess:        newSession(),
-		stats:       newStats(size),
-		plan:        cfg.Faults,
-		fs:          fs,
-		jitter:      cfg.Jitter,
-		recvTimeout: cfg.recvTimeout(),
+		ctx:    worldCtx,
+		size:   size,
+		owner:  owner,
+		reg:    reg,
+		sess:   newSession(),
+		stats:  newStats(size),
+		plan:   cfg.Faults,
+		fs:     fs,
+		jitter: cfg.Jitter,
 	}
 	trs := make([]Transport, size)
-	switch name := cfg.transportName(); name {
+	name := cfg.transportName()
+	switch name {
 	case "inproc":
 		inproc := newInprocTransport(reg, worldCtx, size)
 		f.tr, f.boxes = inproc, inproc.boxes
@@ -367,36 +385,22 @@ func RunConfig(size int, cfg Config, fn func(c *Comm) error) (*Stats, error) {
 		for i := range trs {
 			trs[i] = eps[i]
 		}
-		f.remote = true
 	default:
 		return nil, fmt.Errorf("comm: unknown transport %q", name)
 	}
-	f.watchful = cfg.Faults != nil || cfg.RecvTimeout > 0 || f.remote
+	remote := trs[0].Remote()
+	f.recvTimeout = cfg.recvTimeout(remote)
 	errs := make([]error, size)
 	var wg sync.WaitGroup
 	for r := 0; r < size; r++ {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			c := &Comm{rank: rank, size: size, f: f, tr: trs[rank], box: reg.box(worldCtx, rank)}
-			defer func() {
-				if p := recover(); p != nil {
-					if fe, ok := p.(*FaultError); ok {
-						errs[rank] = fe
-					} else {
-						errs[rank] = fmt.Errorf("comm: rank %d panicked: %v", rank, p)
-					}
-					f.abortPeers(rank, errs[rank])
-				}
-			}()
-			errs[rank] = fn(c)
-			if errs[rank] != nil {
-				f.abortPeers(rank, errs[rank])
-			}
+			errs[rank] = runRank(&Comm{rank: rank, size: size, f: f, tr: trs[rank], box: reg.box(worldCtx, rank)}, fn)
 		}(r)
 	}
 	wg.Wait()
-	if f.remote {
+	if remote {
 		// Close endpoints concurrently: an orderly close waits for the
 		// peer's goodbye, which only arrives once the peer closes too.
 		var cwg sync.WaitGroup
@@ -416,14 +420,27 @@ func RunConfig(size int, cfg Config, fn func(c *Comm) error) (*Stats, error) {
 // sub-communicator contexts from it deterministically (split.go).
 const worldCtx uint64 = 0
 
-// abortPeers propagates a rank failure to all peers when the session is
-// watchful, so no rank can strand the others mid-collective. On plain
-// inproc sessions the legacy behavior (peers may be left waiting by a buggy
-// kernel) stands — the guarded path is strictly pay-for-use.
+// runRank runs one rank's body. A panic becomes the rank's error — its own
+// *FaultError, or a "rank panicked" error — and any error aborts the peers.
+func runRank(c *Comm, fn func(c *Comm) error) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			if fe, ok := p.(*FaultError); ok {
+				err = fe
+			} else {
+				err = fmt.Errorf("comm: rank %d panicked: %v", c.rank, p)
+			}
+		}
+		if err != nil {
+			c.f.abortPeers(c.rank, err)
+		}
+	}()
+	return fn(c)
+}
+
+// abortPeers propagates a rank failure to all peers on every session, so no
+// rank can strand the others mid-collective.
 func (f *fabric) abortPeers(rank int, err error) {
-	if !f.watchful {
-		return
-	}
 	if fe, ok := err.(*FaultError); ok {
 		f.fs.fail(fe)
 		return
@@ -626,14 +643,18 @@ const (
 
 var waitLabels = [...]string{"", "spin", "park"}
 
+// takeMsg is the one receive loop: scan the mailbox, and wait (waitMsg) if
+// nothing queued matches.
 func (c *Comm) takeMsg(src, tag int) (Message, waitHow) {
 	c.jitter(jitterRecv)
-	if c.f.watchful {
-		return c.watchfulRecv(src, tag)
+	if p := c.f.plan; p != nil {
+		if d := p.SlowRanks[c.rank]; d > 0 {
+			time.Sleep(d)
+		}
 	}
 	box := c.box
 	box.mu.Lock()
-	m, ok := box.takeMatchLocked(src, tag)
+	m, ok := box.takeMatchLocked(src, tag, c.f.stats)
 	how := waitNone
 	if !ok {
 		m, how = c.waitMsg(src, tag)
@@ -704,6 +725,11 @@ func trySpin() bool {
 
 // waitMsg is takeMsg's slow path: nothing queued matches (src, tag). Entered
 // and left with the mailbox locked, it returns the match once it has arrived.
+// It spins, then parks; before each park it releases logically delayed
+// messages (fault plans only), panics FaultPeerFailed if the session has
+// failed, and fails the session with FaultTimeout once its receive deadline
+// has passed. fail wakes every parked receiver, and the deadline timer wakes
+// this one, so a park never outlives the session or its deadline.
 func (c *Comm) waitMsg(src, tag int) (m Message, how waitHow) {
 	box, ok := c.box, false
 	if c.spinSkip > 0 {
@@ -723,7 +749,7 @@ func (c *Comm) waitMsg(src, tag int) (m Message, how waitHow) {
 				}
 			}
 			box.mu.Lock()
-			m, ok = box.takeMatchLocked(src, tag)
+			m, ok = box.takeMatchLocked(src, tag, c.f.stats)
 			seen = box.arrivals.Load()
 		}
 		spinners.active.Add(-1)
@@ -734,14 +760,58 @@ func (c *Comm) waitMsg(src, tag int) (m Message, how waitHow) {
 		}
 		c.spinSkip = 1<<c.spinMiss - 1
 	}
+	var deadline time.Duration
 	for !ok {
+		if box.flushDelayedLocked() {
+			if m, ok = box.takeMatchLocked(src, tag, c.f.stats); ok {
+				break
+			}
+		}
+		if root := c.f.fs.err.Load(); root != nil {
+			c.abortRecv(&FaultError{Kind: FaultPeerFailed, Rank: c.rank, Peer: src, Tag: tag, Seed: c.f.seed(), Cause: root}, false)
+		}
+		if d := c.f.recvTimeout; d > 0 {
+			if deadline == 0 {
+				deadline = clock() + d
+				c.armDeadline(d)
+			} else if clock() >= deadline {
+				c.f.stats.addFault(func(fc *FaultCounts) { fc.Timeouts++ })
+				c.abortRecv(&FaultError{Kind: FaultTimeout, Rank: c.rank, Peer: src, Tag: tag, Seed: c.f.seed()}, true)
+			}
+		}
 		how = waitPark
 		box.cond.Wait()
-		m, ok = box.takeMatchLocked(src, tag)
+		m, ok = box.takeMatchLocked(src, tag, c.f.stats)
+	}
+	if deadline != 0 {
+		c.deadline.Stop()
 	}
 	c.lastWait = clock() // for the next wait's gap test
 	c.f.stats.recordWait(c.rank, how)
 	return m, how
+}
+
+// armDeadline sets this rank's deadline timer to wake its mailbox in d.
+func (c *Comm) armDeadline(d time.Duration) {
+	if c.deadline == nil {
+		c.deadline = time.AfterFunc(d, c.box.wake)
+	} else {
+		c.deadline.Reset(d)
+	}
+}
+
+// abortRecv unwinds a waiting receive with fe: it drops the mailbox lock
+// (fail takes every mailbox's lock to wake it), disarms the deadline timer,
+// fails the session with fe if latch is set, and panics.
+func (c *Comm) abortRecv(fe *FaultError, latch bool) {
+	c.box.mu.Unlock()
+	if c.deadline != nil {
+		c.deadline.Stop()
+	}
+	if latch {
+		c.f.fs.fail(fe)
+	}
+	panic(fe)
 }
 
 // Probe reports whether a message matching (src, tag) is waiting, without

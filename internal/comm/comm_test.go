@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 // sizes exercised by most collective tests, including non-powers of two.
@@ -80,6 +81,65 @@ func TestRunRecoversPanic(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected error from panicking rank")
 	}
+}
+
+// TestRankFailureAbortsSession pins MPI's abort-the-job default on a plain
+// session — no fault plan and no RecvTimeout, so no receive deadline: rank 0
+// blocks in Barrier while rank 1 fails, and the session must resolve within
+// 100 ms of the failure with rank 1's own error, not a FaultPeerFailed echo.
+// The watchdog turns a stranded session into a failure instead of a hang.
+func TestRankFailureAbortsSession(t *testing.T) {
+	sentinel := errors.New("rank 1 failed")
+	isSentinel := func(err error) bool { return err == sentinel }
+	cases := []struct {
+		name string
+		body func(c *Comm, failAt *atomic.Int64) error
+		want func(error) bool
+	}{
+		{"error", func(c *Comm, failAt *atomic.Int64) error {
+			return failOrBarrier(c, c, failAt, func() error { return sentinel })
+		}, isSentinel},
+		{"panic", func(c *Comm, failAt *atomic.Int64) error {
+			return failOrBarrier(c, c, failAt, func() error { panic("boom") })
+		}, func(err error) bool { return err != nil && err.Error() == "comm: rank 1 panicked: boom" }},
+		{"split", func(c *Comm, failAt *atomic.Int64) error {
+			return failOrBarrier(c, c.Split(0, c.Rank()), failAt, func() error { return sentinel })
+		}, isSentinel},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var failAt atomic.Int64
+			done := make(chan error, 1)
+			go func() {
+				_, err := RunConfig(2, Config{}, func(c *Comm) error { return tc.body(c, &failAt) })
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if elapsed := time.Duration(time.Now().UnixNano() - failAt.Load()); elapsed > 100*time.Millisecond {
+					t.Errorf("session resolved %v after rank 1 failed, want < 100ms", elapsed)
+				}
+				if !tc.want(err) {
+					t.Fatalf("err = %v, want rank 1's own error", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("rank 0 still blocked in Barrier 5s after rank 1 failed: the session was stranded")
+			}
+		})
+	}
+}
+
+// failOrBarrier is one rank of TestRankFailureAbortsSession: rank 1 of c
+// waits until rank 0 has had time to park in sub's Barrier, stamps failAt and
+// fails; rank 0 waits in the Barrier, which only the session abort ends.
+func failOrBarrier(c, sub *Comm, failAt *atomic.Int64, fail func() error) error {
+	if c.Rank() == 1 {
+		time.Sleep(20 * time.Millisecond)
+		failAt.Store(time.Now().UnixNano())
+		return fail()
+	}
+	sub.Barrier()
+	return nil
 }
 
 func TestSendRecvBasic(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -19,17 +20,18 @@ import (
 // The layer is strictly pay-for-use: with a nil plan, Send and Recv take the
 // original fast paths and no per-message state is allocated. With a plan
 // whose probabilities are all zero, traffic (and therefore the Stats
-// matrices) is identical to a plan-free run; only the watchdog and
-// sequence-number bookkeeping are armed.
+// matrices) is identical to a plan-free run; only the 10-second receive
+// deadline and sequence-number bookkeeping are armed.
 //
-// Failure semantics follow MPI's default "abort the job" model, but with a
-// typed error instead of a process kill: the first fault that cannot be
-// masked (a crashed rank, an exhausted retransmit budget, an expired Recv
-// watchdog) marks the whole session failed and wakes every blocked receiver,
-// which then raises a *FaultError of kind FaultPeerFailed. Kernels running
-// under a plan therefore either complete with results bitwise-identical to
-// the fault-free run, or every rank returns promptly with a FaultError —
-// never a hang and never a silent wrong answer.
+// Failure semantics follow MPI's default "abort the job" model on every
+// session, but with a typed error instead of a process kill: the first fault
+// that cannot be masked (a crashed rank, an exhausted retransmit budget, an
+// expired receive deadline, a rank's error or panic) marks the whole session
+// failed and wakes every blocked receiver, which then raises a *FaultError
+// of kind FaultPeerFailed. Kernels running under a plan therefore either
+// complete with results bitwise-identical to the fault-free run, or every
+// rank returns promptly with a FaultError — never a hang and never a silent
+// wrong answer.
 
 // FaultKind classifies an injected failure.
 type FaultKind int
@@ -41,8 +43,8 @@ const (
 	// FaultDropLimit is raised by a sender whose message was dropped on
 	// every attempt of its bounded retransmit budget.
 	FaultDropLimit
-	// FaultTimeout is raised by a receiver whose watchdog expired while
-	// waiting for a matching message.
+	// FaultTimeout is raised by a receiver whose session's receive deadline
+	// passed while it waited for a matching message.
 	FaultTimeout
 	// FaultPeerFailed is raised by ranks observing that another rank
 	// already failed; Cause holds the originating fault when known.
@@ -328,14 +330,16 @@ func chance(p float64, h uint64) bool {
 // failState is the session-wide abort latch shared by a communicator and
 // every sub-communicator Split derives from it. The first fault wins; fail
 // wakes every receiver that might be blocked on any mailbox in the process's
-// registry so a crash can never strand a peer mid-collective. On a
-// multi-process transport each process has its own latch; the notify hook
-// broadcasts the first locally originated fault to peer processes, whose
-// latches are then set through failRemote (which skips the hook so a fault
-// never echoes back and forth across the wire).
+// registry so a crash can never strand a peer mid-collective. err is read
+// without the lock (one atomic load per park); mu orders the first fault
+// against the notify hook. On a multi-process transport each process has
+// its own latch; the notify hook broadcasts the first locally originated
+// fault to peer processes, whose latches are then set through failRemote
+// (which skips the hook so a fault never echoes back and forth across the
+// wire).
 type failState struct {
 	mu     sync.Mutex
-	err    *FaultError
+	err    atomic.Pointer[FaultError]
 	reg    *registry
 	notify func(*FaultError)
 }
@@ -360,29 +364,15 @@ func (fs *failState) failRemote(e *FaultError) { fs.failWith(e, false) }
 
 func (fs *failState) failWith(e *FaultError, local bool) {
 	fs.mu.Lock()
-	first := fs.err == nil
-	if first {
-		fs.err = e
-	}
+	first := fs.err.CompareAndSwap(nil, e)
 	notify := fs.notify
 	fs.mu.Unlock()
 	if first && local && notify != nil {
 		notify(e)
 	}
 	for _, b := range fs.reg.all() {
-		// Taking the lock before broadcasting guarantees a receiver that
-		// checked failure() and is entering Wait has already registered.
-		b.mu.Lock()
-		b.mu.Unlock() //nolint:staticcheck // empty critical section is the wakeup barrier
-		b.cond.Broadcast()
+		b.wake()
 	}
-}
-
-func (fs *failState) failure() *FaultError {
-	fs.mu.Lock()
-	e := fs.err
-	fs.mu.Unlock()
-	return e
 }
 
 // ---- faulty send / recv paths -----------------------------------------
@@ -534,7 +524,7 @@ func (b *mailbox) releaseHeldFromLocked(src int) {
 	}
 }
 
-// flushDelayedLocked releases every held message; a receiver about to block
+// flushDelayedLocked releases every held message; a receiver about to park
 // calls it so a logical delay perturbs order but can never stall progress.
 func (b *mailbox) flushDelayedLocked() bool {
 	if len(b.delayed) == 0 {
@@ -545,27 +535,6 @@ func (b *mailbox) flushDelayedLocked() bool {
 	}
 	b.delayed = b.delayed[:0]
 	return true
-}
-
-// takeFaultMatchLocked scans for a matching message, discarding duplicate
-// deliveries (same src and sequence number) as it goes.
-func (b *mailbox) takeFaultMatchLocked(src, tag int, st *Stats) (Message, bool) {
-	for i := 0; i < len(b.queue.live()); {
-		m := b.queue.live()[i]
-		if (src == AnySource || m.Src == src) && (tag == AnyTag || m.Tag == tag) {
-			b.queue.remove(i)
-			if m.seq != 0 {
-				if b.seenLocked(m.Src, m.seq) {
-					st.addFault(func(fc *FaultCounts) { fc.Deduped++ })
-					continue // duplicate: discard unread, keep scanning
-				}
-				b.markSeenLocked(m.Src, m.seq)
-			}
-			return m, true
-		}
-		i++
-	}
-	return Message{}, false
 }
 
 func (b *mailbox) seenLocked(src int, seq uint64) bool {
@@ -584,86 +553,6 @@ func (b *mailbox) markSeenLocked(src int, seq uint64) {
 		b.seen[src] = make(map[uint64]struct{})
 	}
 	b.seen[src][seq] = struct{}{}
-}
-
-// watchfulRecv is takeMsg on a guarded session — a fault plan, an explicit
-// Config.RecvTimeout, or a remote transport. It drains matching
-// (deduplicated) messages, flushes logical delays before blocking, aborts
-// promptly when the session failed, and arms a watchdog so no schedule (and
-// no dead peer process) can hang a receiver. It parks at once — a loop that
-// polls every 10ms is not waitMsg's case — and counts a park per receive.
-func (c *Comm) watchfulRecv(src, tag int) (Message, waitHow) {
-	if p := c.f.plan; p != nil {
-		if d := p.SlowRanks[c.rank]; d > 0 {
-			time.Sleep(d)
-		}
-	}
-	box := c.box
-	deadline := time.Now().Add(c.f.recvTimeout)
-	// One watchdog timer serves every wait of this Recv, re-armed per
-	// iteration; a long-lived server polls these 10ms waits constantly, so
-	// allocating a fresh timer per iteration would churn the timer heap. The
-	// deferred Stop (registered after the unlock defer, so it runs first)
-	// keeps a timer from outliving its Recv on every exit path, normal or
-	// panicking.
-	var wake *time.Timer
-	how := waitNone
-	box.mu.Lock()
-	defer box.mu.Unlock()
-	defer func() {
-		if wake != nil {
-			wake.Stop()
-		}
-	}()
-	for {
-		if m, ok := box.takeFaultMatchLocked(src, tag, c.f.stats); ok {
-			if how == waitPark {
-				c.f.stats.recordWait(c.rank, how)
-			}
-			return m, how
-		}
-		if box.flushDelayedLocked() {
-			continue
-		}
-		if root := c.f.fs.failure(); root != nil {
-			panic(&FaultError{Kind: FaultPeerFailed, Rank: c.rank, Peer: src, Tag: tag, Seed: c.f.seed(), Cause: root})
-		}
-		if time.Now().After(deadline) {
-			ferr := &FaultError{Kind: FaultTimeout, Rank: c.rank, Peer: src, Tag: tag, Seed: c.f.seed()}
-			c.f.stats.addFault(func(fc *FaultCounts) { fc.Timeouts++ })
-			// fail locks every registered mailbox — including this rank's
-			// own — as its wakeup barrier, so the mailbox lock must be
-			// dropped first or the watchdog self-deadlocks. The relock keeps
-			// the deferred unlock balanced while the panic unwinds.
-			box.mu.Unlock()
-			c.f.fs.fail(ferr)
-			box.mu.Lock()
-			panic(ferr)
-		}
-		how = waitPark
-		wake = waitWithWakeup(box, wake, 10*time.Millisecond)
-	}
-}
-
-// waitWithWakeup blocks on the mailbox condition for at most d. The timer
-// takes the mailbox lock before broadcasting, which serializes it after the
-// caller's cond.Wait registration and rules out a missed wakeup. The caller
-// threads one timer through successive waits (nil on the first): re-arming
-// beats allocating per 10ms poll, and a late re-fire after Reset is harmless
-// — the broadcast is idempotent and waiters re-check their conditions.
-func waitWithWakeup(box *mailbox, t *time.Timer, d time.Duration) *time.Timer {
-	if t == nil {
-		t = time.AfterFunc(d, func() {
-			box.mu.Lock()
-			box.mu.Unlock() //nolint:staticcheck // empty critical section is the wakeup barrier
-			box.cond.Broadcast()
-		})
-	} else {
-		t.Reset(d)
-	}
-	box.cond.Wait()
-	t.Stop()
-	return t
 }
 
 // crashCheck fires the planned rank crash at entry to a collective: the

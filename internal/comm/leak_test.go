@@ -2,9 +2,9 @@ package comm
 
 // Shutdown hygiene for a long-lived server that creates and destroys warm
 // rank groups for its whole process lifetime: repeated session cycles must
-// not accumulate goroutines (reader/writer pairs, watchdog timers' runtime
+// not accumulate goroutines (reader/writer pairs, deadline timers' runtime
 // machinery stays off the goroutine count, but a leaked conn goroutine or a
-// wedged watchful receiver would show up immediately).
+// wedged receiver would show up immediately).
 
 import (
 	"fmt"
@@ -32,8 +32,8 @@ func settleGoroutines(want int) int {
 // tagLeakPing is the point-to-point tag for the leak-test traffic.
 const tagLeakPing = 7
 
-// cycleBody is one warm-group lifetime: a watchful session doing enough
-// point-to-point and collective traffic to arm every timer path.
+// cycleBody is one warm-group lifetime: a session with a receive deadline
+// doing enough point-to-point and collective traffic to arm every timer path.
 func cycleBody(c *Comm) error {
 	if c.Rank() == 0 {
 		for p := 1; p < c.Size(); p++ {
@@ -48,7 +48,7 @@ func cycleBody(c *Comm) error {
 }
 
 // TestWarmGroupCyclesLeakNoGoroutines runs repeated create/destroy cycles of
-// watchful inproc and tcp sessions and requires the goroutine count to
+// inproc and tcp sessions with a receive deadline and requires the goroutine count to
 // return to (near) its pre-cycle baseline: leaked conn goroutines or
 // receivers parked on dead mailboxes accumulate per cycle and trip the
 // bound immediately at 20 cycles.
@@ -81,16 +81,16 @@ func TestWarmGroupCyclesLeakNoGoroutines(t *testing.T) {
 	}
 }
 
-// TestWatchfulRecvTimerReuse pins the watchdog-arming path after the timer
-// hoist: a watchful Recv that has to poll (sender delayed past several 10ms
-// wakeups) still completes, and the session tears down clean. The reused
-// timer must survive many arm/wait/stop rounds within one Recv.
-func TestWatchfulRecvTimerReuse(t *testing.T) {
+// TestRecvDeadlineTimerReuse pins the deadline-arming path: receives on a
+// session with a deadline that each have to park (the sender is 35 ms late)
+// still complete, and the session tears down clean. The one per-Comm
+// deadline timer must survive many arm/wait/stop rounds across receives.
+func TestRecvDeadlineTimerReuse(t *testing.T) {
 	_, err := RunConfig(2, Config{RecvTimeout: 5 * time.Second}, func(c *Comm) error {
 		const rounds = 8
 		for r := 0; r < rounds; r++ {
 			if c.Rank() == 0 {
-				time.Sleep(35 * time.Millisecond) // force multiple watchdog polls
+				time.Sleep(35 * time.Millisecond) // the receiver parks with its deadline armed
 				c.Send(1, r, []float64{float64(r)})
 			} else {
 				vals, ok := c.Recv(0, r).([]float64)

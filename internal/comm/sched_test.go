@@ -67,9 +67,9 @@ func TestSchedJitterPreservesResults(t *testing.T) {
 }
 
 // TestSchedJitterRecvTimeout pins the Config.RecvTimeout interaction: a
-// jittered session is still watchful when a timeout is configured, and a
-// rank blocked on a message nobody sends fails with a typed FaultTimeout
-// promptly — scheduling pressure must not starve the watchdog or mask the
+// jittered session keeps its configured receive deadline, and a rank blocked
+// on a message nobody sends fails with a typed FaultTimeout promptly —
+// scheduling pressure must not starve the deadline timer or mask the
 // deadline. This is the mechanism the stress harness uses to convert
 // schedule-dependent deadlocks into replayable typed failures.
 func TestSchedJitterRecvTimeout(t *testing.T) {

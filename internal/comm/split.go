@@ -92,8 +92,6 @@ func (c *Comm) Split(color, key int) *Comm {
 			fs:          parent.fs,
 			jitter:      parent.jitter,
 			recvTimeout: parent.recvTimeout,
-			watchful:    parent.watchful,
-			remote:      parent.remote,
 			perProc:     parent.perProc,
 		}
 		if !c.tr.Remote() {

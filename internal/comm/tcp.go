@@ -304,7 +304,7 @@ func (tc *tcpConn) push(buf []byte) {
 // after the session already failed are not news and stay quiet.
 func (tc *tcpConn) fail(op string, err error) {
 	e := tc.ep
-	if e.closed.Load() || e.fs.failure() != nil {
+	if e.closed.Load() || e.fs.err.Load() != nil {
 		return
 	}
 	te := &TransportError{Transport: "tcp", Op: op, Peer: tc.peer, Err: err}
@@ -355,7 +355,7 @@ func (tc *tcpConn) readLoop() {
 			if err == io.EOF && tc.sawBye.Load() {
 				return
 			}
-			if tc.ep.closed.Load() || tc.ep.fs.failure() != nil {
+			if tc.ep.closed.Load() || tc.ep.fs.err.Load() != nil {
 				return
 			}
 			tc.fail("read", err)
@@ -469,9 +469,10 @@ type RemoteEnv struct {
 // RunRemote runs this process's single rank of a multi-process tcp session:
 // it meshes with the peer processes, executes fn, and tears the endpoint
 // down. The returned Stats hold this process's view (its own rank's sends);
-// use GlobalStats inside fn for the aggregated matrix. The session is always
-// watchful: a dead peer process surfaces as a typed *FaultError instead of a
-// hang, and the first local failure is broadcast to peers as an abort frame.
+// use GlobalStats inside fn for the aggregated matrix. As on every session, a
+// failing rank aborts its peers: the first local failure is broadcast to
+// peers as an abort frame, and a dead peer process surfaces as a typed
+// *FaultError instead of a hang.
 func RunRemote(env RemoteEnv, cfg Config, fn func(c *Comm) error) (*Stats, error) {
 	if env.Size <= 0 || env.Rank < 0 || env.Rank >= env.Size {
 		return nil, fmt.Errorf("comm: RunRemote rank %d / size %d invalid", env.Rank, env.Size)
@@ -499,9 +500,7 @@ func RunRemote(env RemoteEnv, cfg Config, fn func(c *Comm) error) (*Stats, error
 		stats:       newStats(env.Size),
 		plan:        cfg.Faults,
 		fs:          fs,
-		recvTimeout: cfg.recvTimeout(),
-		watchful:    true,
-		remote:      true,
+		recvTimeout: cfg.recvTimeout(true),
 		perProc:     true,
 	}
 	ep := &tcpEndpoint{
@@ -513,24 +512,7 @@ func RunRemote(env RemoteEnv, cfg Config, fn func(c *Comm) error) (*Stats, error
 	}
 	ep.start()
 	fs.setNotify(ep.broadcastAbort)
-	var runErr error
-	func() {
-		c := &Comm{rank: env.Rank, size: env.Size, f: f, tr: ep, box: reg.box(worldCtx, env.Rank)}
-		defer func() {
-			if p := recover(); p != nil {
-				if fe, ok := p.(*FaultError); ok {
-					runErr = fe
-				} else {
-					runErr = fmt.Errorf("comm: rank %d panicked: %v", env.Rank, p)
-				}
-				f.abortPeers(env.Rank, runErr)
-			}
-		}()
-		runErr = fn(c)
-		if runErr != nil {
-			f.abortPeers(env.Rank, runErr)
-		}
-	}()
+	runErr := runRank(&Comm{rank: env.Rank, size: env.Size, f: f, tr: ep, box: reg.box(worldCtx, env.Rank)}, fn)
 	ep.Close()
 	return f.stats, runErr
 }

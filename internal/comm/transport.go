@@ -41,9 +41,9 @@ type Transport interface {
 	// Name identifies the transport ("inproc", "tcp") in errors and traces.
 	Name() string
 	// Remote reports whether frames can cross a process or wire boundary,
-	// i.e. whether delivery can genuinely fail. Remote transports arm the
-	// watchful Recv path (abort latch checks plus watchdog) even without a
-	// fault plan.
+	// i.e. whether delivery can genuinely fail. Sessions on a remote
+	// transport get a 10-second receive deadline when Config.RecvTimeout is
+	// unset, and typed messages take the boxed route.
 	Remote() bool
 	// Deliver routes fr to the mailbox of (fr.Ctx, fr.Dst). wireDst is the
 	// world rank hosting that mailbox.

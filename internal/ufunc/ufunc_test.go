@@ -523,7 +523,7 @@ func TestCompressZeroCommunicationOfData(t *testing.T) {
 			c.ResetStats()
 		}
 		c.Barrier()
-		//lint:allow p2pmatch compress rebalances through vetted core redistribution; message accounting is the assertion
+		//lint:allow p2pmatch Compress rebalances through vetted core redistribution; message accounting is the assertion
 		_ = compress(x, func(v float64) bool { return v > 0.5 })
 		return nil
 	})

@@ -86,8 +86,11 @@ if go vet -vettool=/tmp/odinhpc-odinvet ./internal/analysis/p2pmatch/testdata/sr
 fi
 grep -q p2pmatch /tmp/odinhpc-vettool-p2p.out
 
+# A failing rank aborts its peers on every session, so no test strands a
+# session; a 3-minute cap per test binary (the slowest takes ~15 s) keeps a
+# regression from stalling this stage for Go's default 10 minutes.
 stage test
-go test ./...
+go test -timeout 3m ./...
 
 # Fuzz the tcp wire codec for ten seconds: its decode half takes frame bodies
 # straight from the socket, so arbitrary bytes must decode to a frame or an
