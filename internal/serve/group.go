@@ -33,8 +33,9 @@ type JobFunc func(c *comm.Comm, st *RankState) (any, error)
 // RankState is one rank's warm state, preserved across every job the group
 // runs: the rank's core context plus matrix, array and expression-plan
 // caches keyed by request fingerprint, so a repeated spec reuses its
-// assembled matrix (the compiled GatherPlan inside it, and its right-hand
-// sides) or its bound fusion plan instead of rebuilding per request. Every
+// assembled matrix (the compiled GatherPlan inside it, its right-hand
+// sides, x and the solver's work vectors) or its bound fusion plan instead
+// of rebuilding per request. Every
 // rank of a group sees the same job sequence, so the ranks' caches always
 // hold the same keys.
 type RankState struct {

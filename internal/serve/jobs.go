@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"time"
 
 	"odinhpc/internal/comm"
@@ -148,7 +149,9 @@ func (r *SolveRequest) Validate() error {
 }
 
 // fingerprint keys the warm matrix cache by everything that shapes the
-// assembled matrix (solver/rhs/tol do not).
+// assembled matrix (solver/rhs/tol do not). A posted matrix enters it as a
+// 64-bit hash of its entries, which two entry lists can share: matrix
+// compares the entries themselves before it serves a warm coo matrix.
 func (r *SolveRequest) fingerprint() string {
 	h := fnv.New64a()
 	for _, e := range r.Entries {
@@ -157,19 +160,41 @@ func (r *SolveRequest) fingerprint() string {
 	return fmt.Sprintf("%s/n=%d/%dx%dx%d/coo=%x", r.Kind, r.N, r.NX, r.NY, r.NZ, h.Sum64())
 }
 
-// warmMatrix is one cached solve spec on a rank: the assembled matrix, and
-// the right-hand sides built on its map so far, by rhs kind.
+// warmMatrix is one cached solve spec on a rank: the assembled matrix, the
+// right-hand sides built on its map so far, by rhs kind, and what every job
+// of the spec solves into — x and the solver's work vectors. For kind coo
+// it also keeps the posted entries its key hashes.
 type warmMatrix struct {
-	a   *tpetra.CrsMatrix
-	rhs map[string]*tpetra.Vector
+	a       *tpetra.CrsMatrix
+	rhs     map[string]*tpetra.Vector
+	x       *tpetra.Vector
+	ws      solvers.Workspace
+	entries []COOEntry
+}
+
+// sameEntries reports whether two entry lists are the same bit for bit,
+// values compared by their bits so -0 and 0 differ and a NaN matches itself.
+func sameEntries(a, b []COOEntry) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		if a[k].Row != b[k].Row || a[k].Col != b[k].Col || math.Float64bits(a[k].Val) != math.Float64bits(b[k].Val) {
+			return false
+		}
+	}
+	return true
 }
 
 // matrix returns the rank's warm assembled matrix for the spec, building it
 // (collectively) on first use. The plan compiled inside FillComplete is
-// thereby reused across every request with the same fingerprint.
+// thereby reused across every request with the same fingerprint. A coo
+// entry whose kept entries are not the request's — their hashes collided —
+// is rebuilt from the request; every rank of the group holds the same
+// entries, so all of them take the same branch.
 func (r *SolveRequest) matrix(c *comm.Comm, st *RankState) *warmMatrix {
 	key := r.fingerprint()
-	if w, ok := st.matrices[key]; ok {
+	if w, ok := st.matrices[key]; ok && (r.Kind != "coo" || sameEntries(w.entries, r.Entries)) {
 		return w
 	}
 	n, _ := r.size() // within the cap: Validate checked
@@ -194,15 +219,17 @@ func (r *SolveRequest) matrix(c *comm.Comm, st *RankState) *warmMatrix {
 		}
 		a.FillComplete()
 	}
-	w := &warmMatrix{a: a, rhs: make(map[string]*tpetra.Vector)}
+	w := &warmMatrix{a: a, rhs: make(map[string]*tpetra.Vector), x: tpetra.NewVector(c, m)}
+	if r.Kind == "coo" {
+		w.entries = append([]COOEntry(nil), r.Entries...)
+	}
 	st.matrices[key] = w
 	return w
 }
 
 // rhsVector returns the warm right-hand side of the given kind on the
 // matrix's map, filling it on first use. The solvers only read b, so one
-// vector serves every job of the spec, and a warm job allocates only x and
-// the solver's work vectors.
+// vector serves every job of the spec.
 func (w *warmMatrix) rhsVector(c *comm.Comm, kind string) *tpetra.Vector {
 	if b, ok := w.rhs[kind]; ok {
 		return b
@@ -220,23 +247,26 @@ func (w *warmMatrix) rhsVector(c *comm.Comm, kind string) *tpetra.Vector {
 	return b
 }
 
-// Job builds the per-rank body for a validated solve request.
+// Job builds the per-rank body for a validated solve request. A warm job
+// allocates nothing in proportion to n: it solves from a zeroed x into the
+// warm entry's x and work vectors (solvers.Workspace), which the group's
+// one-job-at-a-time order keeps to one solve at a time.
 func (r *SolveRequest) Job() JobFunc {
 	return func(c *comm.Comm, st *RankState) (any, error) {
 		t0 := time.Now()
 		warm := r.matrix(c, st)
-		a, b := warm.a, warm.rhsVector(c, r.RHS)
+		a, b, x := warm.a, warm.rhsVector(c, r.RHS), warm.x
 		m := a.Map()
-		x := tpetra.NewVector(c, m)
+		clear(x.Data)
 		opt := solvers.Options{MaxIter: r.MaxIter, Tol: r.Tol}
 		var (
 			res solvers.Result
 			err error
 		)
 		if r.Solver == "bicgstab" {
-			res, err = solvers.BiCGSTAB(a, b, x, opt)
+			res, err = warm.ws.BiCGSTAB(a, b, x, opt)
 		} else {
-			res, err = solvers.CG(a, b, x, opt)
+			res, err = warm.ws.CG(a, b, x, opt)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("%s on %s: %w", r.Solver, r.Kind, err)

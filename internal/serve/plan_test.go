@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"odinhpc/internal/comm"
@@ -13,6 +14,7 @@ import (
 	"odinhpc/internal/exec"
 	"odinhpc/internal/fusion"
 	"odinhpc/internal/seamless/compile/exprtable"
+	"odinhpc/internal/sparse"
 	"odinhpc/internal/trace"
 )
 
@@ -183,6 +185,63 @@ func TestWarmSolveJobAllocsPerIteration(t *testing.T) {
 		if slope := (long - short) / 32; slope >= 1 {
 			t.Errorf("P=%d: a warm solve allocates %.2f objects per iteration (%v objects at 64 iterations, %v at 32), want 0",
 				p, slope, long, short)
+		}
+	}
+}
+
+// TestWarmSolveJobBytesFlat pins what a warm solve job allocates as
+// independent of n: the warm entry keeps x and the solver's work vectors
+// (solvers.Workspace), so a job at n = 16 384 allocates the same objects as
+// one at n = 512 and the same bytes within 1 KiB — for cg and bicgstab, at
+// P = 1 and 2, both sizes stored as SELL. Each job runs a fixed 40
+// iterations, so the iteration count is the same at both sizes too. The
+// counters are process-wide, so the rank goroutines' objects are in them;
+// the sweeps run on a one-worker engine, as the other allocation pins do.
+func TestWarmSolveJobBytesFlat(t *testing.T) {
+	if alloctest.RaceEnabled || trace.Active() != nil {
+		t.Skip("allocation counts are not exact under the race detector or a trace session")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer exec.SetDefault(exec.Default())
+	exec.SetDefault(exec.New(exec.WithWorkers(1)))
+	const jobs = 50
+	for _, p := range []int{1, 2} {
+		for _, solver := range []string{"cg", "bicgstab"} {
+			perJob := func(n int) (objects, bytes uint64) {
+				s := NewScheduler(Options{Groups: 1, Ranks: p, Comm: comm.Config{Transport: "inproc"}})
+				defer s.Stop()
+				req := &SolveRequest{Kind: "laplace1d", N: n, Solver: solver, MaxIter: 40}
+				if err := req.Validate(); err != nil {
+					t.Fatal(err)
+				}
+				out, err := s.Do("t", func(c *comm.Comm, st *RankState) (any, error) {
+					return req.matrix(c, st).a.SpmvFormat(), nil
+				})
+				if err != nil || out != sparse.FormatSELL {
+					t.Fatalf("P=%d n=%d: local format %v (%v), want sell", p, n, out, err)
+				}
+				do := func() {
+					if _, err := s.Do("t", req.Job()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				do() // fills b, x and the workspace
+				do()
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for i := 0; i < jobs; i++ {
+					do()
+				}
+				runtime.ReadMemStats(&after)
+				return (after.Mallocs - before.Mallocs) / jobs, (after.TotalAlloc - before.TotalAlloc) / jobs
+			}
+			smallObj, smallB := perJob(512)
+			largeObj, largeB := perJob(16384)
+			if smallObj != largeObj || largeB > smallB+1024 || smallB > largeB+1024 {
+				t.Errorf("P=%d %s: a warm job allocates %d objects, %d B at n=512 and %d objects, %d B at n=16384; want the same objects and bytes within 1 KiB",
+					p, solver, smallObj, smallB, largeObj, largeB)
+			}
+			t.Logf("P=%d %s: %d objects, %d B at n=512; %d objects, %d B at n=16384", p, solver, smallObj, smallB, largeObj, largeB)
 		}
 	}
 }

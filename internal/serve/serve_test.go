@@ -438,6 +438,51 @@ func TestSubmitRacingStopResolves(t *testing.T) {
 	}
 }
 
+// TestWarmCOOKeyCollisionRebuilds plants, under a coo request's cache key,
+// a warm entry assembled from other entries — what a collision of the
+// 64-bit entry hash in fingerprint would leave there. The job must not
+// solve the planted 4I: it rebuilds 2I from its own entries (x = b/2, so
+// ||x|| = 1 for b = ones over four unknowns) and the rebuilt entry replaces
+// the planted one under the key.
+func TestWarmCOOKeyCollisionRebuilds(t *testing.T) {
+	diag := func(v float64) *SolveRequest {
+		req := &SolveRequest{Kind: "coo", N: 4}
+		for i := 0; i < req.N; i++ {
+			req.Entries = append(req.Entries, COOEntry{Row: i, Col: i, Val: v})
+		}
+		if err := req.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		return req
+	}
+	req, planted := diag(2), diag(4)
+	s := NewScheduler(Options{Groups: 1, Ranks: 2})
+	defer s.Stop()
+	if _, err := s.Do("t", func(c *comm.Comm, st *RankState) (any, error) {
+		w := planted.matrix(c, st)
+		delete(st.matrices, planted.fingerprint())
+		st.matrices[req.fingerprint()] = w
+		return nil, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	out, err := s.Do("t", req.Job())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.(*SolveResponse).XNorm; math.Abs(got-1) > 1e-12 {
+		t.Fatalf("||x|| = %v, want 1: the job solved the planted 4I (||x|| = 0.5) instead of its own 2I", got)
+	}
+	if _, err := s.Do("t", func(c *comm.Comm, st *RankState) (any, error) {
+		if w := st.matrices[req.fingerprint()]; !sameEntries(w.entries, req.Entries) {
+			return nil, fmt.Errorf("rank %d: the key still holds entries %v", c.Rank(), w.entries)
+		}
+		return nil, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestWarmMatrixCacheReuse pins the warm-state contract: two solves of one
 // spec on one group assemble the matrix once and fill each right-hand side
 // once (the second run is served from RankState.matrices, reusing its

@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"math"
 
+	"odinhpc/internal/comm"
+	"odinhpc/internal/distmap"
 	"odinhpc/internal/teuchos"
 	"odinhpc/internal/tpetra"
 )
@@ -68,6 +70,34 @@ func applyPrec(p Preconditioner, r, z *tpetra.Vector) {
 	p.ApplyInverse(r, z)
 }
 
+// Workspace owns the work vectors of CG and BiCGSTAB, so a caller that
+// solves on one map again and again — a warm served matrix — allocates them
+// once, as Belos keeps its Krylov vectors in the iteration object. Every
+// vector is handed out zeroed, as tpetra.NewVector returns it, and the set
+// is reallocated only when the map or the communicator changes, so a solve
+// through a used Workspace is bitwise the solve through a fresh one, even
+// after a solve that broke down with NaN or Inf in its vectors. The zero
+// value is ready to use. A Workspace is single-threaded, like the matrix it
+// serves.
+type Workspace struct {
+	vecs []*tpetra.Vector
+}
+
+// vectors returns k zeroed work vectors on map m over c, keeping the ones
+// it has while m and c stay the same.
+func (ws *Workspace) vectors(c *comm.Comm, m *distmap.Map, k int) []*tpetra.Vector {
+	if len(ws.vecs) > 0 && (ws.vecs[0].Comm() != c || ws.vecs[0].Map() != m) {
+		ws.vecs = nil
+	}
+	for len(ws.vecs) < k {
+		ws.vecs = append(ws.vecs, tpetra.NewVector(c, m))
+	}
+	for _, v := range ws.vecs[:k] {
+		clear(v.Data)
+	}
+	return ws.vecs[:k]
+}
+
 // applyDots sets z = M^{-1} r and w = A z and returns <r, z>, <z, w> and
 // <r, r> from one allreduce (tpetra.CGDots), rr being this rank's partial of
 // <r, r>. Without a preconditioner the caller passes r itself as z.
@@ -92,18 +122,23 @@ func applyDots(a tpetra.Operator, prec Preconditioner, r, z, w *tpetra.Vector, r
 // preconditioner z is r, not a copy of it. In exact arithmetic the iterates
 // are classic CG's.
 func CG(a tpetra.Operator, b, x *tpetra.Vector, opt Options) (Result, error) {
+	return new(Workspace).CG(a, b, x, opt)
+}
+
+// CG is the package-level CG with its work vectors taken from ws.
+func (ws *Workspace) CG(a tpetra.Operator, b, x *tpetra.Vector, opt Options) (Result, error) {
 	opt = opt.withDefaults()
 	res := Result{}
-	c := b.Comm()
-	m := a.Map()
-	r := tpetra.NewVector(c, m)
+	k := 4
+	if opt.Precond != nil {
+		k = 5
+	}
+	v := ws.vectors(b.Comm(), a.Map(), k)
+	r, w, p, s := v[0], v[1], v[2], v[3]
 	z := r
 	if opt.Precond != nil {
-		z = tpetra.NewVector(c, m)
+		z = v[4]
 	}
-	w := tpetra.NewVector(c, m)
-	p := tpetra.NewVector(c, m)
-	s := tpetra.NewVector(c, m)
 
 	bnorm := b.Norm2()
 	if bnorm == 0 {
@@ -154,21 +189,25 @@ func CG(a tpetra.Operator, b, x *tpetra.Vector, opt Options) (Result, error) {
 // BiCGSTAB solves A x = b for general (non-symmetric) A using the
 // preconditioned BiCGSTAB method. Collective.
 func BiCGSTAB(a tpetra.Operator, b, x *tpetra.Vector, opt Options) (Result, error) {
+	return new(Workspace).BiCGSTAB(a, b, x, opt)
+}
+
+// BiCGSTAB is the package-level BiCGSTAB with its work vectors taken from
+// ws.
+func (ws *Workspace) BiCGSTAB(a tpetra.Operator, b, x *tpetra.Vector, opt Options) (Result, error) {
 	opt = opt.withDefaults()
 	res := Result{}
-	c := b.Comm()
-	m := a.Map()
-	r := tpetra.NewVector(c, m)
-	rhat := tpetra.NewVector(c, m)
-	p := tpetra.NewVector(c, m)
-	v := tpetra.NewVector(c, m)
-	s := tpetra.NewVector(c, m)
-	t := tpetra.NewVector(c, m)
+	k := 6
+	if opt.Precond != nil {
+		k = 8
+	}
+	vs := ws.vectors(b.Comm(), a.Map(), k)
+	r, rhat, p, v, s, t := vs[0], vs[1], vs[2], vs[3], vs[4], vs[5]
 	// M^{-1}p and M^{-1}s are only read: without a preconditioner they are p
 	// and s themselves.
 	phat, shat := p, s
 	if opt.Precond != nil {
-		phat, shat = tpetra.NewVector(c, m), tpetra.NewVector(c, m)
+		phat, shat = vs[6], vs[7]
 	}
 
 	bnorm := b.Norm2()

@@ -453,3 +453,87 @@ func TestBreakdownOnNonFiniteOrIndefinite(t *testing.T) {
 		})
 	}
 }
+
+// vandal applies A, and from its second Apply on writes NaN and +Inf over
+// the output's first and last entries: a solve through it breaks down with
+// non-finite values left in the work vectors it applied into — CG's w,
+// BiCGSTAB's v, which is the vector CG takes as s from the same Workspace.
+type vandal struct {
+	*tpetra.CrsMatrix
+	calls int
+}
+
+func (v *vandal) Apply(x, y *tpetra.Vector) {
+	v.CrsMatrix.Apply(x, y)
+	if v.calls++; v.calls > 1 {
+		y.Data[0], y.Data[len(y.Data)-1] = math.NaN(), math.Inf(1)
+	}
+}
+
+// TestWorkspaceReuseIsBitwiseFresh: one Workspace, carried at P = 1 and 2
+// through CG and BiCGSTAB, with and without Jacobi, solves each good system
+// bit for bit as a fresh CG or BiCGSTAB does — the residual history, the
+// result and x — although a CG and a BiCGSTAB solve that broke down with
+// NaN and Inf in its vectors ran on it just before. Moving to a second map
+// reallocates the vectors instead of panicking on the first mismatched
+// sweep.
+func TestWorkspaceReuseIsBitwiseFresh(t *testing.T) {
+	type solver struct {
+		name  string
+		fresh func(tpetra.Operator, *tpetra.Vector, *tpetra.Vector, Options) (Result, error)
+		kept  func(*Workspace, tpetra.Operator, *tpetra.Vector, *tpetra.Vector, Options) (Result, error)
+	}
+	all := []solver{{"cg", CG, (*Workspace).CG}, {"bicgstab", BiCGSTAB, (*Workspace).BiCGSTAB}}
+	poisoned := func(ws *Workspace) bool {
+		for _, v := range ws.vecs {
+			for _, e := range v.Data {
+				if nonFinite(e) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	onRanks(t, []int{1, 2}, func(c *comm.Comm) error {
+		ws := new(Workspace)
+		for _, n := range []int{40, 41} {
+			a, b, _ := manufactured(c, n)
+			jacobi := newDiagPrec(a)
+			for _, s := range all {
+				for _, prec := range []Preconditioner{nil, jacobi} {
+					name := fmt.Sprintf("rank %d, n=%d, %s, jacobi %v", c.Rank(), n, s.name, prec != nil)
+					for _, bad := range all {
+						opt := Options{Tol: 1e-10, Precond: jacobi}
+						if _, err := bad.kept(ws, &vandal{CrsMatrix: a}, b, tpetra.NewVector(c, a.Map()), opt); err != ErrBreakdown {
+							return fmt.Errorf("%s: %s through the vandal returned %v, want ErrBreakdown", name, bad.name, err)
+						}
+					}
+					if !poisoned(ws) {
+						return fmt.Errorf("%s: the broken-down solves left no NaN or Inf in the workspace", name)
+					}
+					opt := Options{Tol: 1e-10, Precond: prec, RecordHistory: true}
+					xFresh, xKept := tpetra.NewVector(c, a.Map()), tpetra.NewVector(c, a.Map())
+					want, errFresh := s.fresh(a, b, xFresh, opt)
+					got, errKept := s.kept(ws, a, b, xKept, opt)
+					switch {
+					case errFresh != nil || errKept != nil:
+						return fmt.Errorf("%s: fresh solve %v, kept workspace %v", name, errFresh, errKept)
+					case got.Converged != want.Converged || got.Iterations != want.Iterations ||
+						math.Float64bits(got.Residual) != math.Float64bits(want.Residual):
+						return fmt.Errorf("%s: kept workspace %v, fresh %v", name, got, want)
+					case sameHistory(got.History, want.History) >= 0:
+						return fmt.Errorf("%s: histories differ from residual %d", name, sameHistory(got.History, want.History))
+					case ws.vecs[0].Map() != a.Map():
+						return fmt.Errorf("%s: the workspace kept its vectors on the previous map", name)
+					}
+					for i := range xKept.Data {
+						if math.Float64bits(xKept.Data[i]) != math.Float64bits(xFresh.Data[i]) {
+							return fmt.Errorf("%s: x[%d] = %v, fresh %v", name, i, xKept.Data[i], xFresh.Data[i])
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+}

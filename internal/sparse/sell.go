@@ -331,6 +331,33 @@ func (m *SELL) Scale(alpha float64) {
 	}
 }
 
+// ToCSR returns the CSR matrix m was converted from, exactly: FromCSR keeps
+// every stored entry of a row — explicit zeros and NaN payloads included —
+// in the row's order, so FromCSR(csr, c, sigma).ToCSR() reproduces csr's
+// RowPtr, ColIdx and Val bit for bit. The result shares no storage with m.
+func (m *SELL) ToCSR() *CSR {
+	out := &CSR{Rows: m.rows, Cols: m.cols, RowPtr: make([]int, m.rows+1)}
+	for p, orig := range m.perm {
+		out.RowPtr[orig+1] = m.rowLen[p]
+	}
+	for i := 0; i < m.rows; i++ {
+		out.RowPtr[i+1] += out.RowPtr[i]
+	}
+	out.ColIdx = make([]int, out.RowPtr[m.rows])
+	out.Val = make([]float64, out.RowPtr[m.rows])
+	for p, orig := range m.perm {
+		lo := p / m.c * m.c
+		h := min(m.c, m.rows-lo)
+		off := m.slicePtr[p/m.c] + p - lo
+		k0 := out.RowPtr[orig]
+		for j := 0; j < m.rowLen[p]; j++ {
+			out.ColIdx[k0+j] = int(m.colIdx[off+j*h])
+			out.Val[k0+j] = m.val[off+j*h]
+		}
+	}
+	return out
+}
+
 func (m *SELL) String() string {
 	return fmt.Sprintf("SELL{%dx%d, C=%d, sigma=%d, nnz=%d, padded=%d}", m.rows, m.cols, m.c, m.sigma, m.NNZ(), m.PaddedNNZ())
 }

@@ -454,7 +454,7 @@ func TestSELLSliceKernelMatchesCSR(t *testing.T) {
 }
 
 // FuzzSELLMatchesCSR holds both slice kernels to CSR on a matrix built from
-// the fuzz input. width < 10 gives every row that many entries (uniform
+// the fuzz input, and ToCSR to FromCSR's exact inverse on it. width < 10 gives every row that many entries (uniform
 // slices: the assembly path); otherwise pattern gives each row's length.
 // Row i's columns are a run from a pattern-chosen start, wrapping at cols;
 // in banded mode (layout bit 4) the start is i plus an offset, and the
@@ -523,6 +523,9 @@ func FuzzSELLMatchesCSR(f *testing.F) {
 			}
 		}
 		m := coo.ToCSR()
+		if err := roundTripMismatch(m, c, sigma); err != nil {
+			t.Fatalf("C=%d sigma=%d: ToCSR is not FromCSR's inverse: %v", c, sigma, err)
+		}
 		forEachSellKernel(t, func(t *testing.T) {
 			checkSellMatchesCSR(t, m, c, sigma, draw)
 		})
@@ -683,6 +686,88 @@ func TestSELLScale(t *testing.T) {
 	s.MulVec(x, y2)
 	if !bitsEqual(y1, y2) {
 		t.Fatal("Scale broke SELL/CSR parity")
+	}
+}
+
+// roundTripMismatch reports the first place FromCSR(m, c, sigma).ToCSR()
+// differs from m: shape, a row pointer, a column index, or a value's bits
+// (NaN payloads and the sign of zero included).
+func roundTripMismatch(m *CSR, c, sigma int) error {
+	got := FromCSR(m, c, sigma).ToCSR()
+	if got.Rows != m.Rows || got.Cols != m.Cols || len(got.RowPtr) != len(m.RowPtr) ||
+		len(got.ColIdx) != len(m.ColIdx) || len(got.Val) != len(m.Val) {
+		return fmt.Errorf("shape %dx%d with %d/%d/%d arrays, want %dx%d with %d/%d/%d",
+			got.Rows, got.Cols, len(got.RowPtr), len(got.ColIdx), len(got.Val),
+			m.Rows, m.Cols, len(m.RowPtr), len(m.ColIdx), len(m.Val))
+	}
+	for i := range m.RowPtr {
+		if got.RowPtr[i] != m.RowPtr[i] {
+			return fmt.Errorf("RowPtr[%d] = %d, want %d", i, got.RowPtr[i], m.RowPtr[i])
+		}
+	}
+	for k := range m.ColIdx {
+		if got.ColIdx[k] != m.ColIdx[k] {
+			return fmt.Errorf("ColIdx[%d] = %d, want %d", k, got.ColIdx[k], m.ColIdx[k])
+		}
+		if a, b := math.Float64bits(got.Val[k]), math.Float64bits(m.Val[k]); a != b {
+			return fmt.Errorf("Val[%d] bits %#x, want %#x", k, a, b)
+		}
+	}
+	return nil
+}
+
+// TestSELLToCSRRoundTrip pins ToCSR as FromCSR's exact inverse, which is
+// what lets a tpetra.CrsMatrix keep the SELL as its only local copy: every
+// slice height, sigma windows that do and do not sort, empty and ragged
+// rows, explicit zeros, -0, and NaNs whose payloads must survive.
+func TestSELLToCSRRoundTrip(t *testing.T) {
+	payloads := []float64{
+		math.Float64frombits(0x7ff8_0000_0000_0bad), // quiet NaN, payload 0xbad
+		math.Float64frombits(0x7ff0_0000_0000_0001), // signalling NaN
+		math.Float64frombits(0xfff8_dead_beef_0001), // negative quiet NaN
+		math.Copysign(0, -1), 0, math.Inf(-1), 5e-324,
+	}
+	shaped := func(rng *rand.Rand) *CSR {
+		m := raggedRandom(1+rng.Intn(100), 1+rng.Intn(60), rng)
+		if rng.Intn(3) == 0 {
+			m = uniformRandom(m.Rows, m.Cols, rng.Intn(10), rng)
+		}
+		for k := range m.Val {
+			if rng.Intn(3) == 0 {
+				m.Val[k] = payloads[rng.Intn(len(payloads))]
+			}
+		}
+		return m
+	}
+	for _, c := range []int{1, 4, 8, 32} {
+		for _, sigma := range []int{0, 1, 8, 64} {
+			for seed := int64(0); seed < 40; seed++ {
+				m := shaped(rand.New(rand.NewSource(seed)))
+				if err := roundTripMismatch(m, c, sigma); err != nil {
+					t.Fatalf("C=%d sigma=%d seed %d (%dx%d, nnz %d): %v", c, sigma, seed, m.Rows, m.Cols, m.NNZ(), err)
+				}
+			}
+		}
+		// Edge shapes: no rows, every row empty, one dense row among empties,
+		// and an explicit zero stored as the only entry of a row.
+		zeros := NewCOO(5, 3)
+		zeros.Add(2, 1, 0)
+		zeros.Add(4, 0, math.Copysign(0, -1))
+		dense := NewCOO(40, 7)
+		for j := 0; j < 7; j++ {
+			dense.Add(17, j, payloads[j%len(payloads)])
+		}
+		for name, m := range map[string]*CSR{
+			"no rows":        NewCOO(0, 4).ToCSR(),
+			"all empty":      NewCOO(37, 5).ToCSR(),
+			"one dense row":  dense.ToCSR(),
+			"explicit zeros": zeros.ToCSR(),
+			"stencil":        tridiag(100),
+		} {
+			if err := roundTripMismatch(m, c, 0); err != nil {
+				t.Errorf("C=%d %s: %v", c, name, err)
+			}
+		}
 	}
 }
 

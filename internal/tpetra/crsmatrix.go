@@ -31,9 +31,11 @@ type CrsMatrix struct {
 	foreignCol []int
 	foreignVal []float64
 
-	// Assembled state.
+	// Assembled state. Exactly one local copy of the rows is kept: sell
+	// when the format auto-selector picks SELL-C-sigma (local is then nil),
+	// local otherwise.
 	local      *sparse.CSR  // nOwnedRows x (nOwned + nGhost)
-	sell       *sparse.SELL // SELL-C-sigma mirror of local when auto-selected
+	sell       *sparse.SELL // the rows as SELL-C-sigma when auto-selected
 	colGlobals []int        // local column id -> global index
 	nOwned     int          // owned domain entries (== local row count)
 	ghost      []int        // global indices of ghost columns (sorted)
@@ -117,10 +119,6 @@ func (a *CrsMatrix) FillComplete() {
 	}
 	a.local = a.coo.ToCSR() // local rows, global columns until renumbered below
 	a.coo = nil
-	if m := a.local; cap(m.Val) > len(m.Val) { // duplicates merged: keep only the entries' bytes
-		m.ColIdx = append(make([]int, 0, len(m.ColIdx)), m.ColIdx...)
-		m.Val = append(make([]float64, 0, len(m.Val)), m.Val...)
-	}
 	a.nOwned = a.rowMap.LocalCount(me)
 
 	// Renumber columns in place: an owned global becomes its x-local index,
@@ -159,11 +157,16 @@ func (a *CrsMatrix) FillComplete() {
 		a.colGlobals[l] = a.rowMap.LocalToGlobal(me, l)
 	}
 	copy(a.colGlobals[a.nOwned:], a.ghost)
-	// The SELL-C-sigma mirror, when the format auto-selector picks it, is
-	// bitwise-neutral: SELL kernels accumulate each row in the same order as
-	// CSR.
+	// SELL-C-sigma, when the format auto-selector picks it, is
+	// bitwise-neutral — SELL kernels accumulate each row in the same order
+	// as CSR — and it replaces the CSR: the cold readers rebuild the rows
+	// exactly from it (localCSR), so one copy is stored, not two.
 	if sparse.ChooseFormat(a.local) == sparse.FormatSELL {
 		a.sell = sparse.NewSELL(a.local)
+		a.local = nil
+	} else if m := a.local; cap(m.Val) > len(m.Val) { // duplicates merged: keep only the entries' bytes
+		m.ColIdx = append(make([]int, 0, len(m.ColIdx)), m.ColIdx...)
+		m.Val = append(make([]float64, 0, len(m.Val)), m.Val...)
 	}
 	a.plan = NewGatherPlan(a.c, a.rowMap, a.ghost)
 	a.xFull = make([]float64, a.nOwned+len(a.ghost))
@@ -190,6 +193,16 @@ func (a *CrsMatrix) mustBeFilled() {
 	}
 }
 
+// localCSR returns the local rows as CSR: the kept copy, or a transient one
+// rebuilt bit for bit from the SELL (sparse.(*SELL).ToCSR). Only cold paths
+// read it; Apply runs on whichever copy is kept.
+func (a *CrsMatrix) localCSR() *sparse.CSR {
+	if a.sell != nil {
+		return a.sell.ToCSR()
+	}
+	return a.local
+}
+
 // Apply computes y = A x. Both vectors must be distributed by the row map.
 // Collective: performs the ghost exchange then a local SpMV. Apply refills
 // the matrix-owned xFull scratch, so a CrsMatrix is single-threaded;
@@ -212,8 +225,9 @@ func (a *CrsMatrix) Apply(x, y *Vector) {
 func (a *CrsMatrix) Diagonal() *Vector {
 	a.mustBeFilled()
 	d := NewVector(a.c, a.rowMap)
+	local := a.localCSR()
 	for l := 0; l < a.nOwned; l++ {
-		d.Data[l] = a.local.At(l, l) // owned column l corresponds to owned row l
+		d.Data[l] = local.At(l, l) // owned column l corresponds to owned row l
 	}
 	return d
 }
@@ -221,9 +235,10 @@ func (a *CrsMatrix) Diagonal() *Vector {
 // Scale multiplies every stored entry by alpha.
 func (a *CrsMatrix) Scale(alpha float64) {
 	a.mustBeFilled()
-	a.local.Scale(alpha)
 	if a.sell != nil {
 		a.sell.Scale(alpha)
+	} else {
+		a.local.Scale(alpha)
 	}
 }
 
@@ -233,8 +248,9 @@ func (a *CrsMatrix) Scale(alpha float64) {
 func (a *CrsMatrix) LocalDiagonalBlock() *sparse.CSR {
 	a.mustBeFilled()
 	coo := sparse.NewCOO(a.nOwned, a.nOwned)
-	for i := 0; i < a.local.Rows; i++ {
-		cols, vals := a.local.Row(i)
+	local := a.localCSR()
+	for i := 0; i < local.Rows; i++ {
+		cols, vals := local.Row(i)
 		for k, j := range cols {
 			if j < a.nOwned {
 				coo.Add(i, j, vals[k])
@@ -250,8 +266,9 @@ func (a *CrsMatrix) LocalDiagonalBlock() *sparse.CSR {
 func (a *CrsMatrix) LocalRows(f func(globalRow int, cols []int, vals []float64)) {
 	a.mustBeFilled()
 	me := a.c.Rank()
-	for i := 0; i < a.local.Rows; i++ {
-		lcols, vals := a.local.Row(i)
+	local := a.localCSR()
+	for i := 0; i < local.Rows; i++ {
+		lcols, vals := local.Row(i)
 		gcols := make([]int, len(lcols))
 		for k, j := range lcols {
 			gcols[k] = a.colGlobals[j]
@@ -323,7 +340,7 @@ func FromCSR(c *comm.Comm, rowMap *distmap.Map, m *sparse.CSR) *CrsMatrix {
 func (a *CrsMatrix) String() string {
 	state := "assembling"
 	if !a.building {
-		state = fmt.Sprintf("filled, local nnz=%d, ghosts=%d", a.local.NNZ(), len(a.ghost))
+		state = fmt.Sprintf("filled, local nnz=%d, ghosts=%d", a.localCSR().NNZ(), len(a.ghost))
 	}
 	return fmt.Sprintf("CrsMatrix{n=%d, %s}", a.rowMap.NumGlobal(), state)
 }

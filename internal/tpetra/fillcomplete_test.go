@@ -116,13 +116,24 @@ func oracleMap(rng *rand.Rand, p int) (string, *distmap.Map) {
 // with unsorted insertion, duplicates, rows of 16 and more distinct columns
 // (sortRowPairs' quicksort branch, on both sorts) and contributions to rows
 // other ranks own, FillComplete builds what the two-pass oracle builds:
-// the same local CSR bits, ghost list, column globals and SELL choice, in
-// no larger arrays, and Apply gives the same output bits.
+// the same local rows bit for bit (read through the one copy FillComplete
+// keeps — the SELL when it picks SELL, else the CSR, in no larger arrays),
+// ghost list, column globals and SELL choice, and Apply gives the same
+// output bits. Exactly one local format survives FillComplete. One case in
+// four is banded — at least 32 rows of five entries on every rank — so the
+// format selector picks SELL and the rows are read back through ToCSR.
 func TestFillCompleteMatchesTwoPassOracle(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := 1 + rng.Intn(4)
 		kind, m := oracleMap(rng, p)
+		banded := rng.Intn(4) == 0
+		if banded {
+			kind, m = "banded block", distmap.NewBlock(p*(32+rng.Intn(32)), p)
+			if rng.Intn(2) == 0 {
+				kind, m = "banded cyclic", distmap.NewCyclic(m.NumGlobal(), p)
+			}
+		}
 		n := m.NumGlobal()
 		foreign := rng.Intn(3) > 0
 		err := comm.Run(p, func(c *comm.Comm) error {
@@ -135,21 +146,32 @@ func TestFillCompleteMatchesTwoPassOracle(t *testing.T) {
 			}
 			for l := m.LocalCount(me) - 1; l >= 0; l-- { // rows in reverse
 				g := m.LocalToGlobal(me, l)
-				width := 1 + r.Intn(6)
-				if r.Intn(4) == 0 {
-					width = 16 + r.Intn(24) // long row: quicksort branch
-				}
-				for k := 0; k < width; k++ {
-					col := r.Intn(n)
-					if k%5 == 4 {
-						col = g // repeated diagonal: duplicates to merge
+				if banded { // columns g-2 .. g+2 (mod n) in a shuffled order, the diagonal twice
+					for _, d := range append(r.Perm(5), 2) {
+						insert(g, (g+n+d-2)%n, r.NormFloat64())
 					}
-					insert(g, col, r.NormFloat64())
+				} else {
+					width := 1 + r.Intn(6)
+					if r.Intn(4) == 0 {
+						width = 16 + r.Intn(24) // long row: quicksort branch
+					}
+					for k := 0; k < width; k++ {
+						col := r.Intn(n)
+						if k%5 == 4 {
+							col = g // repeated diagonal: duplicates to merge
+						}
+						insert(g, col, r.NormFloat64())
+					}
 				}
 			}
 			if foreign {
 				for k := r.Intn(3 * n); k > 0; k-- {
-					insert(r.Intn(n), r.Intn(n), r.NormFloat64())
+					row := r.Intn(n)
+					col := row // banded: a duplicate, so every row keeps its five entries
+					if !banded {
+						col = r.Intn(n)
+					}
+					insert(row, col, r.NormFloat64())
 				}
 			}
 			//lint:allow p2pmatch Both fills run FillComplete's exchange (three Alltoalls, then the gather-plan set-up) on every rank in the same order
@@ -163,15 +185,17 @@ func TestFillCompleteMatchesTwoPassOracle(t *testing.T) {
 			b.Apply(x, yb)
 
 			switch {
-			case !sameCSRBits(a.local, b.local):
-				return fmt.Errorf("rank %d: local CSR differs: %v vs %v", me, a.local, b.local)
+			case (a.local == nil) != (a.sell != nil):
+				return fmt.Errorf("rank %d: FillComplete kept CSR %v and SELL %v, want exactly one", me, a.local != nil, a.sell != nil)
+			case !sameCSRBits(a.localCSR(), b.local):
+				return fmt.Errorf("rank %d: local rows differ: %v vs %v", me, a.localCSR(), b.local)
 			case !reflect.DeepEqual(a.ghost, b.ghost):
 				return fmt.Errorf("rank %d: ghosts %v, oracle %v", me, a.ghost, b.ghost)
 			case !reflect.DeepEqual(a.colGlobals, b.colGlobals):
 				return fmt.Errorf("rank %d: colGlobals %v, oracle %v", me, a.colGlobals, b.colGlobals)
 			case a.nOwned != b.nOwned || (a.sell == nil) != (b.sell == nil) || len(a.xFull) != len(b.xFull):
 				return fmt.Errorf("rank %d: nOwned %d/%d, SELL %v/%v", me, a.nOwned, b.nOwned, a.sell != nil, b.sell != nil)
-			case cap(a.local.ColIdx) > cap(b.local.ColIdx) || cap(a.local.Val) > cap(b.local.Val):
+			case a.local != nil && (cap(a.local.ColIdx) > cap(b.local.ColIdx) || cap(a.local.Val) > cap(b.local.Val)):
 				return fmt.Errorf("rank %d: kept CSR capacity %d, oracle %d", me, cap(a.local.Val), cap(b.local.Val))
 			}
 			for k := range ya.Data {

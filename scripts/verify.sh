@@ -94,9 +94,13 @@ go test -timeout 3m ./...
 
 # Fuzz the tcp wire codec for ten seconds: its decode half takes frame bodies
 # straight from the socket, so arbitrary bytes must decode to a frame or an
-# error — never a panic — and every encoded payload must round-trip.
+# error — never a panic — and every encoded payload must round-trip. Then
+# fuzz SELL-C-sigma for ten seconds: both slice kernels must match CSR bit
+# for bit, and ToCSR must give back the CSR it was built from, since a
+# SELL-selected matrix keeps the SELL as its only local copy.
 stage fuzz
 go test -run '^$' -fuzz '^FuzzFrameCodec$' -fuzztime 10s ./internal/comm
+go test -run '^$' -fuzz '^FuzzSELLMatchesCSR$' -fuzztime 10s ./internal/sparse
 
 # Stage "allocs": the allocation pins of the solver hot loop and of the warm
 # expression path, on their own — a scalar AllreduceInto at P=2/4/8,
@@ -104,14 +108,16 @@ go test -run '^$' -fuzz '^FuzzFrameCodec$' -fuzztime 10s ./internal/comm
 # CG and BiCGSTAB per-iteration slopes, a kept fusion Plan's Sum at
 # P=1/2/4, and DotSlices, CGStep and WaxpyDot over four chunks on a
 # one-worker engine must all allocate exactly nothing at steady state, a warm
-# solve job through the scheduler nothing per CG iteration, and one warm
-# expr job exactly its six objects. The cold path has bounds, not zeros: a
+# solve job through the scheduler nothing per CG iteration and nothing in
+# proportion to n (the same objects, and bytes within 1 KiB, at n = 512 and
+# 16 384: x and the work vectors live in the warm entry), and one warm expr
+# job exactly its six objects. The cold path has bounds, not zeros: a
 # 32^3 Laplacian assembly at P=2 at most 3 objects per owned row and 160
 # bytes per stored nonzero, a COO at most twice its final arrays' bytes.
 # They count process-wide mallocs, so they run uncached and not under -race
 # (where they skip).
 stage allocs
-go test -count=1 -run 'TestAllreduceAllocs|TestGatherSteadyStateAllocs|TestCGAllocsPerIteration|TestBiCGSTABAllocsPerIteration|TestPlanSumAllocs|TestWarmExprJobAllocs|TestWarmSolveJobAllocsPerIteration|TestLevel1Allocs|TestAssemblyAllocs|TestCOOGrowthBytes' \
+go test -count=1 -run 'TestAllreduceAllocs|TestGatherSteadyStateAllocs|TestCGAllocsPerIteration|TestBiCGSTABAllocsPerIteration|TestPlanSumAllocs|TestWarmExprJobAllocs|TestWarmSolveJobAllocsPerIteration|TestWarmSolveJobBytesFlat|TestLevel1Allocs|TestAssemblyAllocs|TestCOOGrowthBytes' \
   ./internal/comm ./internal/tpetra ./internal/solvers ./internal/fusion ./internal/serve ./internal/dense ./internal/galeri ./internal/sparse
 
 # Race pass over every concurrency-bearing package: the comm fabric, the
