@@ -44,9 +44,7 @@ func SharesStorage(x *core.DistArray[float64]) bool {
 // FromVector wraps a tpetra.Vector as a 1-d ODIN array over the same map,
 // sharing storage.
 func FromVector(ctx *core.Context, v *tpetra.Vector) *core.DistArray[float64] {
-	saved := ctx.ControlMessagesEnabled()
-	ctx.SetControlMessages(false)
-	defer ctx.SetControlMessages(saved)
+	defer ctx.SetControlMessages(ctx.SilenceControl())
 	out := core.Zeros[float64](ctx, []int{v.GlobalLen()}, core.Options{Map: v.Map()})
 	// Replace the freshly allocated local with the vector's storage so the
 	// two alias, then copy nothing.

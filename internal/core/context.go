@@ -102,10 +102,14 @@ func (ctx *Context) CtrlStats() (msgs int, bytes int64) {
 // they are on by default. Benchmarks isolating data traffic switch them off.
 func (ctx *Context) SetControlMessages(on bool) { ctx.disableCtrl = !on }
 
-// ControlMessagesEnabled reports whether control messages are emitted.
-// Compound operations save and restore this around their internal steps so
-// one user-visible operation issues exactly one control message.
-func (ctx *Context) ControlMessagesEnabled() bool { return !ctx.disableCtrl }
+// SilenceControl switches control messages off and reports whether they
+// were on. A compound operation brackets its internal steps with
+// `defer ctx.SetControlMessages(ctx.SilenceControl())`, so one user-visible
+// operation issues exactly one control message.
+func (ctx *Context) SilenceControl() (wasOn bool) {
+	wasOn, ctx.disableCtrl = !ctx.disableCtrl, true
+	return wasOn
+}
 
 // Control issues one global-operation control message: rank 0 sends a small
 // descriptor (opcode + parameters, tens of bytes) to every worker; workers

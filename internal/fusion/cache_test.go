@@ -38,7 +38,7 @@ func TestPlanCacheSingleFlight(t *testing.T) {
 			defer wg.Done()
 			e := slotChain(3)
 			<-start
-			progs[i] = compileProgram(e)
+			progs[i] = Analyze(e).prog
 		}(i)
 	}
 	close(start)
@@ -73,7 +73,7 @@ func TestPlanCacheConcurrentKeys(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for k := 0; k < K; k++ {
-				if p := compileProgram(slotChain(k)); p == nil {
+				if p := Analyze(slotChain(k)).prog; p == nil {
 					errs[i] = fmt.Errorf("nil program for depth %d", k)
 					return
 				}

@@ -221,16 +221,22 @@ func (e *Expr) String() string {
 // build one and run it once; a caller that evaluates the same expression
 // over the same arrays again keeps the Plan and calls Execute or Sum.
 //
+// A plan of a slot expression (SliceSlot/ScalarSlot leaves, no Var) binds
+// nothing: ExecuteSlots takes its leaves and scalars per call, so a kernel
+// analyzed once runs over any frame's arrays without being lowered again.
+//
 // A Plan is immutable after Analyze and holds no scratch (each sweep borrows
 // a vmState from the program's pool), so it may be shared and run
-// concurrently. It aliases the storage of a contiguous leaf and snapshots a
-// non-contiguous or redistributed one, so reuse it only while its leaves are
-// unchanged. Its methods are local mode (§III.C): they issue no control
-// message — whoever hands every rank the same Plan call has already done
-// the master's job.
+// concurrently. It keeps the program it was built with, whatever the plan
+// cache or SetSuperinstructions do later. It aliases the storage of a
+// contiguous leaf and snapshots a non-contiguous or redistributed one, so
+// reuse it only while its leaves are unchanged. Its methods are local mode
+// (§III.C): they issue no control message — whoever hands every rank the
+// same Plan call has already done the master's job.
 type Plan struct {
-	model         *core.DistArray[float64]
+	model         *core.DistArray[float64] // nil for a slot plan
 	leafData      [][]float64
+	rank          int32 // trace lane: this rank, -1 (the process lane) for a slot plan
 	prog          *vmProgram
 	Redistributed int // distinct leaf arrays that needed realignment
 	Ops           int // operation nodes, as Expr.CountOps counts them
@@ -249,10 +255,23 @@ func (p *Plan) ProgramString() string { return p.prog.String() }
 // from the plan cache when a structurally equal expression was compiled
 // before). An array appearing k times in the expression is flattened and
 // aligned once: leaves are deduplicated by identity, and Redistributed
-// counts distinct arrays. Collective when redistribution occurs.
+// counts distinct arrays. Collective when redistribution occurs. An
+// expression without Var leaves gives a slot plan, run by ExecuteSlots.
 func Analyze(e *Expr) *Plan {
 	lw, root := lower(e)
+	if len(lw.leaves) == 0 {
+		return &Plan{prog: lw.program(root), Ops: lw.ops, rank: -1}
+	}
 	return lw.bind(root)
+}
+
+// arrays returns the distribution a bound plan runs in; a slot plan has
+// none.
+func (p *Plan) arrays() *core.DistArray[float64] {
+	if p.model == nil {
+		panic("fusion: a slot plan runs through ExecuteSlots")
+	}
+	return p.model
 }
 
 // model returns the first Var leaf of the lowered expression, whose
@@ -268,7 +287,7 @@ func (lw *lowering) model() *core.DistArray[float64] {
 // in program slot order, so slot i binds to leafData[i].
 func (lw *lowering) bind(root int) *Plan {
 	model := lw.model()
-	p := &Plan{model: model, Ops: lw.ops, leafData: make([][]float64, len(lw.leaves))}
+	p := &Plan{model: model, Ops: lw.ops, rank: int32(model.Context().Rank()), leafData: make([][]float64, len(lw.leaves))}
 	for i, l := range lw.leaves {
 		// Conformable implies equal shapes, so the usual leaf is checked
 		// without copying a shape out.
@@ -293,15 +312,18 @@ func (lw *lowering) bind(root int) *Plan {
 }
 
 // sweep is the operand of one fused sweep, handed by value to the exec
-// engine's range functions so that neither Execute nor Sum builds a closure.
+// engine's range functions so that neither ExecuteSlots (Execute's sweep)
+// nor Sum builds a closure.
 type sweep struct {
-	p     *Plan
-	out   []float64 // Execute's result; nil for Sum
-	block int
+	p       *Plan
+	leaves  [][]float64 // leaf slot i reads leaves[i]
+	scalars []float64   // scalar slot i reads scalars[i]
+	out     []float64   // ExecuteSlots' result; nil for Sum
+	block   int
 }
 
 // run sweeps [lo, hi) with scratch borrowed from the program's pool — into
-// out for Execute, into the returned register accumulator for Sum, whose
+// out for ExecuteSlots, into the returned register accumulator for Sum, whose
 // result blocks are added left to right: element for element the association
 // of the closure kernel's serial fold over that chunk. A traced sweep
 // records its KindVM span.
@@ -315,15 +337,15 @@ func (s sweep) run(lo, hi int) (sum float64) {
 	if ts != nil {
 		t0 = ts.Now()
 	}
-	st := prog.getState(s.block, nil)
+	st := prog.getState(s.block, s.scalars)
 	if s.out != nil {
-		prog.runSpan(st, s.p.leafData, s.out, lo, hi)
+		prog.runSpan(st, s.leaves, s.out, lo, hi)
 	} else {
-		sum = prog.sumSpan(st, s.p.leafData, lo, hi)
+		sum = prog.sumSpan(st, s.leaves, lo, hi)
 	}
 	prog.putState(st)
 	if ts != nil {
-		traceVM(ts, int32(s.p.model.Context().Comm().Rank()), s.block, lo, hi, prog.label, t0)
+		traceVM(ts, s.p.rank, s.block, lo, hi, prog.label, t0)
 	}
 	return sum
 }
@@ -335,18 +357,17 @@ func (s sweep) run(lo, hi int) (sum float64) {
 // evaluates with private scratch registers, and the final instruction of
 // each block writes directly into the output.
 func (p *Plan) Execute() *core.DistArray[float64] {
-	local := p.model.Local()
+	local := p.arrays().Local()
 	out := make([]float64, local.Size())
-	exec.ForRange(exec.Default(), len(out), sweep{p: p, out: out, block: BlockSize()},
-		func(s sweep, lo, hi int) { s.run(lo, hi) })
+	p.ExecuteSlots(out, p.leafData, nil)
 	return p.model.WithLocal(dense.FromSlice(out, local.Shape()...))
 }
 
 // sumLocal folds the expression over this rank's elements: one run per exec
 // chunk, partials combined in the engine's fixed pairwise tree.
 func (p *Plan) sumLocal() float64 {
-	return exec.ReduceRange(exec.Default(), p.model.Local().Size(),
-		sweep{p: p, block: BlockSize()}, sweep.run, func(a, b float64) float64 { return a + b })
+	return exec.ReduceRange(exec.Default(), p.arrays().Local().Size(),
+		sweep{p: p, leaves: p.leafData, block: BlockSize()}, sweep.run, func(a, b float64) float64 { return a + b })
 }
 
 // Sum runs the program as a fused reduction and returns the expression's
@@ -355,7 +376,7 @@ func (p *Plan) sumLocal() float64 {
 // identical to the closure evaluator's at every pool size. Collective: one
 // scalar allreduce.
 func (p *Plan) Sum() float64 {
-	return comm.AllreduceScalar(p.model.Context().Comm(), p.sumLocal(), comm.OpSum)
+	return comm.AllreduceScalar(p.arrays().Context().Comm(), p.sumLocal(), comm.OpSum)
 }
 
 // analyzeGlobal is the global-mode (§III.B) front of Eval and SumEval: one
@@ -366,9 +387,7 @@ func analyzeGlobal(e *Expr, op core.OpCode) *Plan {
 	lw, root := lower(e)
 	ctx := lw.model().Context()
 	ctx.Control(op, int64(lw.ops))
-	saved := ctx.ControlMessagesEnabled()
-	ctx.SetControlMessages(false)
-	defer ctx.SetControlMessages(saved)
+	defer ctx.SetControlMessages(ctx.SilenceControl())
 	return lw.bind(root)
 }
 

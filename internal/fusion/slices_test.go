@@ -10,7 +10,7 @@ import (
 )
 
 func sliceRef(e *Expr, leaves [][]float64, scalars []float64, out []float64) {
-	// Closure-tree reference for EvalSlices: evaluate elementwise with the
+	// Closure-tree reference for ExecuteSlots: evaluate elementwise with the
 	// same per-node rounding the VM (and its superinstructions) perform.
 	var ev func(e *Expr, i int) float64
 	ev = func(e *Expr, i int) float64 {
@@ -72,7 +72,7 @@ func TestEvalSlicesMatchesReference(t *testing.T) {
 				}
 				scalars := []float64{-1.75, 3}
 				got := make([]float64, n)
-				EvalSlices(tc.build(), leaves, scalars, got)
+				Analyze(tc.build()).ExecuteSlots(got, leaves, scalars)
 				want := make([]float64, n)
 				sliceRef(tc.build(), leaves, scalars, want)
 				for i := range got {
@@ -86,10 +86,11 @@ func TestEvalSlicesMatchesReference(t *testing.T) {
 }
 
 func TestEvalSlicesConstRoot(t *testing.T) {
-	// A leafless expression is rejected by Analyze but legal here: the root
-	// constant folds and the program is a single copy from the const block.
+	// A leafless expression is rejected by Eval but is a slot plan to
+	// Analyze: the root constant folds and the program is a single copy from
+	// the const block.
 	out := []float64{1, 2, 3}
-	EvalSlices(Const(3).Add(Const(4)), nil, nil, out)
+	Analyze(Const(3).Add(Const(4))).ExecuteSlots(out, nil, nil)
 	for i, v := range out {
 		if v != 7 {
 			t.Fatalf("[%d] = %g, want 7", i, v)
@@ -102,9 +103,9 @@ func TestEvalSlicesSharesPlanCache(t *testing.T) {
 	mk := func() *Expr { return SliceSlot(0).Mul(Const(3)).Add(SliceSlot(1)) }
 	x, y := []float64{1, 2}, []float64{3, 4}
 	out := make([]float64, 2)
-	EvalSlices(mk(), [][]float64{x, y}, nil, out)
+	Analyze(mk()).ExecuteSlots(out, [][]float64{x, y}, nil)
 	_, misses0 := PlanCacheStats()
-	EvalSlices(mk(), [][]float64{x, y}, nil, out)
+	Analyze(mk()).ExecuteSlots(out, [][]float64{x, y}, nil)
 	hits, misses := PlanCacheStats()
 	if hits < 1 || misses != misses0 {
 		t.Fatalf("rebuilt template should hit the plan cache: hits=%d misses=%d->%d", hits, misses0, misses)
@@ -120,7 +121,7 @@ func TestScalarSlotKeyIsValueIndependent(t *testing.T) {
 	out := make([]float64, 4)
 	ResetPlanCache()
 	for _, a := range []float64{2, -3, 0.5} {
-		EvalSlices(ScalarSlot(0).Mul(SliceSlot(0)).Add(Const(1)), [][]float64{x}, []float64{a}, out)
+		Analyze(ScalarSlot(0).Mul(SliceSlot(0)).Add(Const(1))).ExecuteSlots(out, [][]float64{x}, []float64{a})
 		for i, v := range x {
 			if out[i] != a*v+1 {
 				t.Fatalf("a=%g: out[%d] = %g, want %g", a, i, out[i], a*v+1)
@@ -132,7 +133,7 @@ func TestScalarSlotKeyIsValueIndependent(t *testing.T) {
 	}
 	ResetPlanCache()
 	for _, a := range []float64{2, -3, 0.5} {
-		EvalSlices(Const(a).Mul(SliceSlot(0)).Add(Const(1)), [][]float64{x}, nil, out)
+		Analyze(Const(a).Mul(SliceSlot(0)).Add(Const(1))).ExecuteSlots(out, [][]float64{x}, nil)
 	}
 	if _, misses := PlanCacheStats(); misses != 3 {
 		t.Errorf("constant template: misses=%d, want one per value (3)", misses)
@@ -151,8 +152,8 @@ func TestSliceAndVarTemplatesShareOneProgram(t *testing.T) {
 		Eval(Var(x).Mul(Const(2)).Add(Var(y)))
 		hits0, misses0 := PlanCacheStats()
 		out := make([]float64, 8)
-		EvalSlices(SliceSlot(0).Mul(Const(2)).Add(SliceSlot(1)),
-			[][]float64{make([]float64, 8), make([]float64, 8)}, nil, out)
+		Analyze(SliceSlot(0).Mul(Const(2)).Add(SliceSlot(1))).ExecuteSlots(out,
+			[][]float64{make([]float64, 8), make([]float64, 8)}, nil)
 		hits, misses := PlanCacheStats()
 		if hits != hits0+1 || misses != misses0 {
 			t.Errorf("slice template should reuse the Var program: hits %d->%d misses %d->%d",
@@ -178,14 +179,16 @@ func TestEvalSlicesPanics(t *testing.T) {
 	expect("negative slot", func() { SliceSlot(-1) })
 	expect("negative scalar slot", func() { ScalarSlot(-1) })
 	expect("too few scalars", func() {
-		EvalSlices(SliceSlot(0).Mul(ScalarSlot(1)), [][]float64{{1}}, []float64{2}, []float64{0})
+		Analyze(SliceSlot(0).Mul(ScalarSlot(1))).ExecuteSlots([]float64{0}, [][]float64{{1}}, []float64{2})
 	})
 	expect("too few slices", func() {
-		EvalSlices(SliceSlot(0).Add(SliceSlot(1)), [][]float64{{1}}, nil, []float64{0})
+		Analyze(SliceSlot(0).Add(SliceSlot(1))).ExecuteSlots([]float64{0}, [][]float64{{1}}, nil)
 	})
 	expect("length mismatch", func() {
-		EvalSlices(SliceSlot(0).Add(SliceSlot(1)), [][]float64{{1}, {1, 2}}, nil, []float64{0})
+		Analyze(SliceSlot(0).Add(SliceSlot(1))).ExecuteSlots([]float64{0}, [][]float64{{1}, {1, 2}}, nil)
 	})
+	expect("Execute of a slot plan", func() { Analyze(SliceSlot(0)).Execute() })
+	expect("Sum of a slot plan", func() { Analyze(SliceSlot(0)).Sum() })
 	expect("mixing Var and ScalarSlot", func() {
 		err := comm.Run(1, func(c *comm.Comm) error {
 			x := core.FromFunc(core.NewContext(c), []int{4}, func(g []int) float64 { return 1 })
@@ -201,7 +204,7 @@ func TestEvalSlicesPanics(t *testing.T) {
 		err := comm.Run(1, func(c *comm.Comm) error {
 			ctx := core.NewContext(c)
 			x := core.FromFunc(ctx, []int{4}, func(g []int) float64 { return 1 })
-			EvalSlices(Var(x).Add(SliceSlot(0)), [][]float64{{1, 2, 3, 4}}, nil, make([]float64, 4))
+			Analyze(Var(x).Add(SliceSlot(0)))
 			return nil
 		})
 		if err != nil {

@@ -392,10 +392,10 @@ func TestSetSuperinstructionsResetsCache(t *testing.T) {
 	}
 }
 
-// BenchmarkFusionCompile measures the compile path (lowering + cache
-// lookup) for a depth-16 chain that is already cached — the steady state
-// of a solver loop rebuilding its expression every iteration. The allocs
-// number is what the constKey satellite fix targets.
+// BenchmarkFusionCompile measures the compile path (lowering, cache lookup
+// and leaf binding) for a depth-16 chain that is already cached — the
+// steady state of a solver loop rebuilding its expression every iteration.
+// The allocs number is what the constKey satellite fix targets.
 func BenchmarkFusionCompile(b *testing.B) {
 	err := comm.Run(1, func(c *comm.Comm) error {
 		ctx := core.NewContext(c)
@@ -409,11 +409,11 @@ func BenchmarkFusionCompile(b *testing.B) {
 			}
 			return e
 		}
-		compileProgram(build()) // warm the cache
+		Analyze(build()) // warm the cache
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			compileProgram(build())
+			Analyze(build())
 		}
 		return nil
 	})

@@ -2,7 +2,7 @@
 // replaces the per-element closure tree as the execution engine behind
 // Eval/SumEval.
 //
-// compileProgram lowers the Expr DAG into a linear sequence of vector
+// Analyze lowers the Expr DAG into a linear sequence of vector
 // instructions over a small pool of scratch registers, with constant
 // folding and common-subexpression elimination at compile time. Each
 // instruction is then evaluated as one tight slice loop over a cache-sized
@@ -122,7 +122,7 @@ type vmInstr struct {
 	bin  func(float64, float64) float64
 }
 
-// vmProgram is a compiled expression: immutable after compileProgram, safe
+// vmProgram is a compiled expression: immutable after emit, safe
 // for concurrent execution from any number of ranks/workers (scratch state
 // comes from a sync.Pool, one vmState per in-flight block sweep).
 type vmProgram struct {
@@ -183,7 +183,8 @@ func init() { vmSuper.Store(true) }
 // programs are bitwise identical — the pass is a pure dispatch-count
 // optimization — so this is a test/benchmark knob, not a semantics switch.
 // Changing the setting drops the plan cache: cached programs were emitted
-// under the old setting and the structural key does not encode it.
+// under the old setting and the structural key does not encode it. A kept
+// Plan keeps the program it was built with.
 // Test seam: switches the peephole pass off for the differential suites.
 func SetSuperinstructions(on bool) bool {
 	prev := vmSuper.Swap(on)
@@ -320,7 +321,7 @@ func (p *vmProgram) runCode(st *vmState, leaves [][]float64, out []float64, lo, 
 }
 
 // runSpan sweeps [lo, hi) in block-size steps, writing results into out.
-// It is the body handed to exec.ParallelFor; spans never share state.
+// It is the element-wise half of sweep.run; spans never share state.
 func (p *vmProgram) runSpan(st *vmState, leaves [][]float64, out []float64, lo, hi int) {
 	for b := lo; b < hi; b += st.block {
 		bh := b + st.block
@@ -561,7 +562,7 @@ func (lw *lowering) visit(e *Expr) int {
 		}
 		id = lw.intern(key1('L', slot), vmValue{kind: valLeaf, leaf: slot})
 	case kindSliceLeaf:
-		// Slice leaves carry explicit slot numbers (the EvalSlices caller
+		// Slice leaves carry explicit slot numbers (the expression's builder
 		// owns the numbering) but serialize exactly like Var leaf slots, so
 		// structurally equal slice and DistArray expressions share one cached
 		// program.
@@ -827,9 +828,8 @@ func (lw *lowering) emit(root int) *vmProgram {
 		p.code = append(p.code, ins)
 	}
 
-	// A root that is itself a leaf — or a constant, reachable only through
-	// EvalSlices, since Analyze rejects leafless expressions — compiles to a
-	// single copy.
+	// A root that is itself a leaf or a constant (a slot plan's, since Eval
+	// rejects leafless expressions) compiles to a single copy.
 	if lw.vals[root].kind != valOp {
 		p.code = append(p.code, vmInstr{op: vmCopy, dst: alloc(), a: operand(root)})
 		p.outReg = p.code[0].dst
@@ -871,7 +871,8 @@ func PlanCacheStats() (hits, misses int64) {
 
 // ResetPlanCache empties the program cache and zeroes its counters. In-flight
 // compilations keep their detached entries and still release their waiters;
-// they are simply no longer reachable from the fresh map.
+// they are simply no longer reachable from the fresh map. A kept Plan keeps
+// the program it was built with.
 func ResetPlanCache() {
 	progCache.mu.Lock()
 	progCache.m = map[string]*progEntry{}
@@ -893,21 +894,14 @@ func keyHash(key string) string {
 	return fmt.Sprintf("%08x", h)
 }
 
-// compileProgram lowers e to a register program, consulting the cache
-// keyed on the DAG's structural serialization. Two structurally equal
-// expressions over different arrays share one program: leaf slots bind to
-// concrete arrays only at Analyze time.
+// program compiles the lowered expression to a register program,
+// consulting the cache under the key the walk serialized and emitting on a
+// miss. Two structurally equal expressions over different arrays share one
+// program: leaf slots bind to concrete arrays only when a plan runs.
 //
 // Compilation is single-flight: server goroutines racing on a cold key elect
 // one compiler (the only counted miss); the rest count hits and wait for its
 // program instead of duplicating the work and skewing PlanCacheStats.
-func compileProgram(e *Expr) *vmProgram {
-	lw, root := lower(e)
-	return lw.program(root)
-}
-
-// program is compileProgram past the lowering: the cache lookup under the
-// key the walk serialized, and the emit on a miss.
 func (lw *lowering) program(root int) *vmProgram {
 	key := lw.key.String()
 	if !lw.cacheable {

@@ -187,9 +187,7 @@ func Load[T dense.Elem](ctx *core.Context, path string, opts ...core.Options) (*
 	if dtype != wantDtype {
 		return nil, fmt.Errorf("iodist: file dtype code %d, requested %d", dtype, wantDtype)
 	}
-	saved := ctx.ControlMessagesEnabled()
-	ctx.SetControlMessages(false)
-	defer ctx.SetControlMessages(saved)
+	defer ctx.SetControlMessages(ctx.SilenceControl())
 	x := core.Zeros[T](ctx, shape, opts...)
 	hs := headerSize(len(shape))
 	slab := slabElems(shape, x.Axis())

@@ -151,8 +151,10 @@ func TestArrayExprEnginesAgree(t *testing.T) {
 }
 
 // TestArrayFusionPlanCacheHits verifies the fast path actually runs on the
-// fusion VM: the first call compiles a plan, repeat calls hit the shared
-// plan cache (the acceptance criterion's PlanCacheStats visibility).
+// fusion VM and is analyzed once: compiling the kernel (its first call)
+// prepares one plan, a cache miss, and repeat calls run that plan without
+// looking the cache up at all (the acceptance criterion's PlanCacheStats
+// visibility).
 func TestArrayFusionPlanCacheHits(t *testing.T) {
 	prog, err := seamless.CompileSource("def saxpy(x, y):\n    return 2.5 * x + y\n")
 	if err != nil {
@@ -166,24 +168,20 @@ func TestArrayFusionPlanCacheHits(t *testing.T) {
 		t.Fatal(err)
 	}
 	hits0, misses0 := fusion.PlanCacheStats()
-	if misses0 == 0 {
-		t.Fatal("first call should have compiled a fusion plan (cache miss)")
+	if hits0 != 0 || misses0 != 1 {
+		t.Fatalf("first call: hits=%d misses=%d, want one compiled plan (0 and 1)", hits0, misses0)
 	}
 	for i := 0; i < 3; i++ {
 		if _, err := e.Call("saxpy", x, y); err != nil {
 			t.Fatal(err)
 		}
 	}
-	hits1, misses1 := fusion.PlanCacheStats()
-	if hits1 < hits0+3 {
-		t.Fatalf("repeat calls should hit the plan cache: hits %d -> %d", hits0, hits1)
-	}
-	if misses1 != misses0 {
-		t.Fatalf("repeat calls recompiled: misses %d -> %d", misses0, misses1)
+	if hits1, misses1 := fusion.PlanCacheStats(); hits1 != hits0 || misses1 != misses0 {
+		t.Fatalf("repeat calls looked the plan up again: hits %d -> %d, misses %d -> %d", hits0, hits1, misses0, misses1)
 	}
 
 	// A runtime scalar is a slot of the template, not a constant in it: the
-	// same kernel called with two different values is one plan.
+	// same kernel called with two different values is one plan, prepared once.
 	prog, err = seamless.CompileSource("def scale(a, x, y):\n    return (a * 2.0) * x + y // a\n")
 	if err != nil {
 		t.Fatal(err)
@@ -195,8 +193,8 @@ func TestArrayFusionPlanCacheHits(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if hits, misses := fusion.PlanCacheStats(); hits != 1 || misses != 1 {
-		t.Fatalf("two scalar values: hits=%d misses=%d, want exactly 1 and 1", hits, misses)
+	if hits, misses := fusion.PlanCacheStats(); hits != 0 || misses != 1 {
+		t.Fatalf("two scalar values: hits=%d misses=%d, want exactly 0 and 1", hits, misses)
 	}
 }
 

@@ -11,14 +11,13 @@ import (
 // Every float-array expression runs on the fusion register VM: Lower maps
 // the seamless AST onto fusion.Expr — the one lowering, shared by compiled
 // kernels and by odinserve's /v1/expr — and the caller only says what a
-// leaf is. A kernel's expression is translated once, at compile time, into
-// a template over SliceSlot and ScalarSlot leaves; each call binds the
-// current frame's arrays and scalar values to the slots and runs the fused
-// sweep (one output allocation, blocked vector kernels, superinstructions).
-// The template's structural key holds slot numbers, never values, so a
-// solver-style kernel hits the fusion plan cache on every call after the
-// first whatever scalars it is called with — visible via
-// fusion.PlanCacheStats.
+// leaf is. A kernel's expression is translated and analyzed once, at
+// compile time, into a fusion.Plan over SliceSlot and ScalarSlot leaves;
+// each call binds the current frame's arrays and scalar values to the slots
+// and runs the fused sweep (one output allocation, blocked vector kernels,
+// superinstructions). The plan's structural key holds slot numbers, never
+// values, so compiling a kernel costs at most one plan-cache miss and a
+// warm call none at all — visible via fusion.PlanCacheStats.
 
 // builder constructs the fusion node of an operator or builtin from its
 // lowered operands; r is nil for the one-operand ones.
@@ -174,12 +173,13 @@ func (cc *fnCompiler) arrayOp(e seamless.Expr) bool {
 }
 
 // fuseArrExpr compiles an array operator or elementwise builtin to a
-// closure over one fused-VM template. Its leaves are the frame's arrays
-// (SliceSlot i reads leafFns[i]; a variable used twice uses one slot),
-// array-valued calls the VM has no opcode for, compiled through arrFExpr,
-// and the scalar operands that are not literals, each evaluated once per
-// call into ScalarSlot i by scalarFns[i] — as a constant its current value
-// would be in the plan-cache key, and every value a fresh program.
+// closure over one fusion plan, analyzed here. Its leaves are the frame's
+// arrays (SliceSlot i reads leafFns[i]; a variable used twice uses one
+// slot), array-valued calls the VM has no opcode for, compiled through
+// arrFExpr, and the scalar operands that are not literals, each evaluated
+// once per call into ScalarSlot i by scalarFns[i] — as a constant its
+// current value would be in the plan-cache key, and every value a fresh
+// program.
 func (cc *fnCompiler) fuseArrExpr(e seamless.Expr) (func(*frame) []float64, error) {
 	var leafFns []func(*frame) []float64
 	var scalarFns []func(*frame) float64
@@ -216,6 +216,7 @@ func (cc *fnCompiler) fuseArrExpr(e seamless.Expr) (func(*frame) []float64, erro
 	if err != nil {
 		return nil, err
 	}
+	plan := fusion.Analyze(root)
 	return func(fr *frame) []float64 {
 		leaves := make([][]float64, len(leafFns))
 		for i, lf := range leafFns {
@@ -229,7 +230,7 @@ func (cc *fnCompiler) fuseArrExpr(e seamless.Expr) (func(*frame) []float64, erro
 			scalars[i] = sf(fr)
 		}
 		out := make([]float64, len(leaves[0]))
-		fusion.EvalSlices(root, leaves, scalars, out)
+		plan.ExecuteSlots(out, leaves, scalars)
 		return out
 	}, nil
 }

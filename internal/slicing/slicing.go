@@ -94,9 +94,7 @@ func Slice[T dense.Elem](x *core.DistArray[T], r dense.Range) *core.DistArray[T]
 
 	outShape := x.Shape()
 	outShape[x.Axis()] = count
-	saved := ctx.ControlMessagesEnabled()
-	ctx.SetControlMessages(false) // inner ops are part of this one op
-	defer ctx.SetControlMessages(saved)
+	defer ctx.SetControlMessages(ctx.SilenceControl()) // inner ops are part of this one op
 	out := core.Zeros[T](ctx, outShape, core.Options{Axis: x.Axis()})
 	outMap := out.Map()
 	me := ctx.Rank()
@@ -163,9 +161,7 @@ func sliceAxis[T dense.Elem](x *core.DistArray[T], axis int, r dense.Range) *cor
 	outShape[axis] = count
 	local := x.Local().Slice(axis, r).Clone()
 	ctx := x.Context()
-	saved := ctx.ControlMessagesEnabled()
-	ctx.SetControlMessages(false)
-	defer ctx.SetControlMessages(saved)
+	defer ctx.SetControlMessages(ctx.SilenceControl())
 	out := core.Zeros[T](ctx, outShape, core.Options{Axis: x.Axis(), Map: x.Map()})
 	out.Local().CopyFrom(local)
 	return out
@@ -184,9 +180,7 @@ func sliceAxis[T dense.Elem](x *core.DistArray[T], axis int, r dense.Range) *cor
 func Shift[T dense.Elem](x *core.DistArray[T], k int, fill T) *core.DistArray[T] {
 	ctx := x.Context()
 	ctx.Control(core.OpSlice, int64(k))
-	saved := ctx.ControlMessagesEnabled()
-	ctx.SetControlMessages(false)
-	defer ctx.SetControlMessages(saved)
+	defer ctx.SetControlMessages(ctx.SilenceControl())
 	ts := trace.Active()
 	var t0 int64
 	if ts != nil {
@@ -371,9 +365,7 @@ func ShiftDiff[T dense.Elem](x *core.DistArray[T], k int) *core.DistArray[T] {
 		owners[g] = x.Map().Owner(g)
 	}
 	outMap := distmap.NewArbitrary(owners, ctx.Size())
-	saved := ctx.ControlMessagesEnabled()
-	ctx.SetControlMessages(false)
-	defer ctx.SetControlMessages(saved)
+	defer ctx.SetControlMessages(ctx.SilenceControl())
 	out := core.Zeros[T](ctx, []int{n - k}, core.Options{Map: outMap})
 	out.Local().CopyFrom(outLocal)
 	return out

@@ -143,9 +143,7 @@ func SumAxis[T dense.Real](x *core.DistArray[T], axis int) *core.DistArray[T] {
 	}
 	ctx := x.Context()
 	ctx.Control(core.OpReduce, int64(axis))
-	saved := ctx.ControlMessagesEnabled()
-	ctx.SetControlMessages(false)
-	defer ctx.SetControlMessages(saved)
+	defer ctx.SetControlMessages(ctx.SilenceControl())
 
 	outShape := make([]int, 0, x.NDim()-1)
 	for d, s := range x.Shape() {
@@ -255,9 +253,7 @@ func compress[T dense.Elem](x *core.DistArray[T], pred func(T) bool) *core.DistA
 	}
 	ctx := x.Context()
 	ctx.Control(core.OpUfunc, 3)
-	saved := ctx.ControlMessagesEnabled()
-	ctx.SetControlMessages(false)
-	defer ctx.SetControlMessages(saved)
+	defer ctx.SetControlMessages(ctx.SilenceControl())
 
 	var kept []T
 	x.Local().Each(func(v T) {

@@ -110,15 +110,18 @@ go test -run '^$' -fuzz '^FuzzSELLMatchesCSR$' -fuzztime 10s ./internal/sparse
 # one-worker engine must all allocate exactly nothing at steady state, a warm
 # solve job through the scheduler nothing per CG iteration and nothing in
 # proportion to n (the same objects, and bytes within 1 KiB, at n = 512 and
-# 16 384: x and the work vectors live in the warm entry), and one warm expr
-# job exactly its six objects. The cold path has bounds, not zeros: a
-# 32^3 Laplacian assembly at P=2 at most 3 objects per owned row and 160
-# bytes per stored nonzero, a COO at most twice its final arrays' bytes.
+# 16 384: x and the work vectors live in the warm entry), one warm expr
+# job exactly its six objects, and a warm call of a compiled seamless array
+# kernel the same objects at chain depth 1, 4 and 16 with no plan-cache
+# lookup (it runs the plan its kernel was compiled with). The cold path has
+# bounds, not zeros: a 32^3 Laplacian assembly at P=2 at most 3 objects per
+# owned row and 160 bytes per stored nonzero, a COO at most twice its final
+# arrays' bytes.
 # They count process-wide mallocs, so they run uncached and not under -race
 # (where they skip).
 stage allocs
-go test -count=1 -run 'TestAllreduceAllocs|TestGatherSteadyStateAllocs|TestCGAllocsPerIteration|TestBiCGSTABAllocsPerIteration|TestPlanSumAllocs|TestWarmExprJobAllocs|TestWarmSolveJobAllocsPerIteration|TestWarmSolveJobBytesFlat|TestLevel1Allocs|TestAssemblyAllocs|TestCOOGrowthBytes' \
-  ./internal/comm ./internal/tpetra ./internal/solvers ./internal/fusion ./internal/serve ./internal/dense ./internal/galeri ./internal/sparse
+go test -count=1 -run 'TestAllreduceAllocs|TestGatherSteadyStateAllocs|TestCGAllocsPerIteration|TestBiCGSTABAllocsPerIteration|TestPlanSumAllocs|TestWarmExprJobAllocs|TestWarmSolveJobAllocsPerIteration|TestWarmSolveJobBytesFlat|TestLevel1Allocs|TestAssemblyAllocs|TestCOOGrowthBytes|TestCompiledKernelWarmCallAllocs' \
+  ./internal/comm ./internal/tpetra ./internal/solvers ./internal/fusion ./internal/serve ./internal/dense ./internal/galeri ./internal/sparse ./internal/seamless/compile
 
 # Race pass over every concurrency-bearing package: the comm fabric, the
 # rank/context layer, the exec pool, the fusion VM (whose block sweep shares
