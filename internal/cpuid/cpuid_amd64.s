@@ -31,3 +31,25 @@ TEXT ·AVX2(SB), NOSPLIT, $0-1
 
 done:
 	RET
+
+// func FMA() bool
+//
+// FMA is usable when CPUID.1:ECX reports FMA and OSXSAVE, and XCR0 has the
+// SSE and AVX (YMM) state bits set by the OS.
+TEXT ·FMA(SB), NOSPLIT, $0-1
+	MOVB	$0, ret+0(FP)
+	MOVL	$1, AX
+	XORL	CX, CX
+	CPUID
+	ANDL	$0x08001000, CX // OSXSAVE (bit 27) | FMA (bit 12)
+	CMPL	CX, $0x08001000
+	JNE	fmadone
+	XORL	CX, CX
+	XGETBV
+	ANDL	$6, AX // XCR0: SSE (bit 1) | AVX (bit 2)
+	CMPL	AX, $6
+	JNE	fmadone
+	MOVB	$1, ret+0(FP)
+
+fmadone:
+	RET

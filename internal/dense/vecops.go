@@ -1,14 +1,20 @@
 package dense
 
-import "math"
+import (
+	"math"
+
+	"odinhpc/internal/cpuid"
+)
 
 // Slice-loop op bodies: the tight per-block kernels under the fusion
 // register VM (internal/fusion) and any other caller that already holds
 // flat []float64 spans. Each body is a single branch-free loop over equal-
 // length slices, written so the Go compiler can eliminate the bounds checks
-// on the operands (every operand is re-sliced to len(dst) up front). dst may
-// alias a or b element-for-element (dst[i] reads only a[i]/b[i]), which is
-// what lets the VM reuse an operand register as the destination.
+// on the operands (every operand is re-sliced to len(dst) up front); VecSin,
+// VecCos, VecExp and VecSqrt first hand their whole groups of four to the
+// four-lane kernels below. dst may alias a or b element-for-element (dst[i]
+// reads only a[i]/b[i]), which is what lets the VM reuse an operand register
+// as the destination.
 
 // VecCopy sets dst[i] = a[i].
 func VecCopy(dst, a []float64) {
@@ -123,6 +129,10 @@ func VecSquare(dst, a []float64) {
 // VecSqrt sets dst[i] = math.Sqrt(a[i]).
 func VecSqrt(dst, a []float64) {
 	a = a[:len(dst)]
+	if k := len(dst) &^ 3; vecmathSIMD && k > 0 {
+		sqrtAVX2(&dst[0], &a[0], k)
+		dst, a = dst[k:], a[k:]
+	}
 	for i := range dst {
 		dst[i] = math.Sqrt(a[i])
 	}
@@ -147,6 +157,10 @@ func VecAbs(dst, a []float64) {
 // VecSin sets dst[i] = math.Sin(a[i]).
 func VecSin(dst, a []float64) {
 	a = a[:len(dst)]
+	if vecmathSIMD {
+		k := groups4(dst, a, sin4, math.Sin)
+		dst, a = dst[k:], a[k:]
+	}
 	for i := range dst {
 		dst[i] = math.Sin(a[i])
 	}
@@ -155,6 +169,10 @@ func VecSin(dst, a []float64) {
 // VecCos sets dst[i] = math.Cos(a[i]).
 func VecCos(dst, a []float64) {
 	a = a[:len(dst)]
+	if vecmathSIMD {
+		k := groups4(dst, a, cos4, math.Cos)
+		dst, a = dst[k:], a[k:]
+	}
 	for i := range dst {
 		dst[i] = math.Cos(a[i])
 	}
@@ -163,9 +181,70 @@ func VecCos(dst, a []float64) {
 // VecExp sets dst[i] = math.Exp(a[i]).
 func VecExp(dst, a []float64) {
 	a = a[:len(dst)]
+	if expSIMD {
+		k := groups4(dst, a, expAVX2, math.Exp)
+		dst, a = dst[k:], a[k:]
+	}
 	for i := range dst {
 		dst[i] = math.Exp(a[i])
 	}
+}
+
+// Four lanes of sin, cos, exp and sqrt. On amd64 with AVX2 (vecmathSIMD)
+// VecSin, VecCos and VecSqrt run their whole groups of four in
+// vecmath_amd64.s, and with FMA as well (expSIMD) so does VecExp; each lane
+// there performs the IEEE operations of the math function, in its order, so
+// every element is bitwise math's. The sin/cos and exp kernels stop at a
+// group holding a lane outside their domain — a NaN, an infinity, |x| >=
+// 1<<29 where sin.go reduces by Payne-Hanek, an exp argument above math's
+// overflow bound or whose power of two is subnormal — and groups4 computes
+// that group with math itself. The exp
+// kernel follows math.Exp's FMA path, so it is selected only where math.Exp
+// takes that path: the CPU has FMA and math agrees with the kernel on
+// expProbe (GODEBUG=cpu.fma=off turns math's path off). Both variables are
+// set once, here; the package's tests clear them to run math on the same
+// host.
+var (
+	vecmathSIMD = cpuid.AVX2()
+	expSIMD     = cpuid.AVX2() && cpuid.FMA() && expMatchesMath()
+)
+
+// expProbe are inputs on which math.Exp's FMA and non-FMA paths round
+// differently (math.Exp's results differ with and without
+// GODEBUG=cpu.fma=off).
+var expProbe = [4]float64{-7.076881, -3.815449, 1.240518, 4.31553}
+
+// expMatchesMath reports whether the exp kernel gives math.Exp's bits on
+// expProbe, which holds only where math.Exp runs its FMA path.
+func expMatchesMath() bool {
+	var got [4]float64
+	if expAVX2(&got[0], &expProbe[0], 4) != 4 {
+		return false
+	}
+	for i, x := range expProbe {
+		if math.Float64bits(got[i]) != math.Float64bits(math.Exp(x)) {
+			return false
+		}
+	}
+	return true
+}
+
+func sin4(dst, x *float64, n int) int { return sinCosAVX2(dst, x, n, false) }
+func cos4(dst, x *float64, n int) int { return sinCosAVX2(dst, x, n, true) }
+
+// groups4 runs kernel over the whole groups of four of dst and a, and f
+// over each group the kernel stops at, and returns the elements done.
+func groups4(dst, a []float64, kernel func(dst, x *float64, n int) int, f func(float64) float64) int {
+	n := len(dst) &^ 3
+	for k := 0; k < n; k += 4 {
+		if k += kernel(&dst[k], &a[k], n-k); k == n {
+			break
+		}
+		for i := k; i < k+4; i++ {
+			dst[i] = f(a[i])
+		}
+	}
+	return n
 }
 
 // VecMap sets dst[i] = f(a[i]) for an arbitrary unary function — the

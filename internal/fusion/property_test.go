@@ -7,7 +7,11 @@ package fusion
 // and every rank count. Comparisons are on float64 bit patterns, so NaN
 // and Inf paths (sqrt of negatives, division by zero) are covered too, and
 // a global reference from the first (pool, ranks) combination pins
-// cross-pool and cross-P bitwise stability.
+// cross-pool and cross-P bitwise stability. A fourth leaf interleaves values
+// outside the four-lane kernels' domains (|x| >= 1<<29, NaN, ±Inf, exp's
+// overflow and underflow, subnormals, -0) with ordinary ones, so the
+// groups dense.VecSin, VecCos, VecExp and VecSqrt hand back to math meet
+// every lane position at every rank count.
 
 import (
 	"fmt"
@@ -141,6 +145,20 @@ func diffBits(a, b []uint64) error {
 	return nil
 }
 
+// specialLeaf is the fourth leaf's value at global index g: every seventh
+// element is the next of specials, the rest ordinary, so a special meets
+// each of the four lane positions in turn and some groups hold none.
+func specialLeaf(g int) float64 {
+	specials := []float64{
+		1 << 29, -3e9, math.NaN(), math.Inf(1), 709.8, math.Inf(-1), -745.5,
+		5e-324, -1e-310, math.Copysign(0, -1), 1e300,
+	}
+	if g%7 == 3 {
+		return specials[(g/7)%len(specials)]
+	}
+	return float64(g%11)/4 - 1.3
+}
+
 func TestPropertyRandomDAGs(t *testing.T) {
 	const nExprs = 24
 	const n = 171
@@ -148,7 +166,7 @@ func TestPropertyRandomDAGs(t *testing.T) {
 	old := exec.Default()
 	defer exec.SetDefault(old)
 
-	refs := make([][]uint64, nExprs) // global reference, written by rank 0 of the first combo
+	refs := make([][]uint64, 2*nExprs) // global reference, written by rank 0 of the first combo
 	for _, w := range []int{1, 4, 7} {
 		exec.SetDefault(exec.New(exec.WithWorkers(w)))
 		for _, p := range []int{1, 2, 4} {
@@ -160,11 +178,18 @@ func TestPropertyRandomDAGs(t *testing.T) {
 					Var(core.FromFunc(ctx, []int{n}, func(g []int) float64 { return float64(g[0])/16 - 5 })),
 					Var(core.FromFunc(ctx, []int{n}, func(g []int) float64 { return math.Sin(float64(3 * g[0])) })),
 					Var(core.FromFunc(ctx, []int{n}, func(g []int) float64 { return float64(g[0]%7) - 3 })), // zeros for 1/x paths
+					Var(core.FromFunc(ctx, []int{n}, func(g []int) float64 { return specialLeaf(g[0]) })),
 				}
-				for k := 0; k < nExprs; k++ {
+				for k := range refs {
 					// Seeded per expression index: every rank, pool size,
-					// and rank count builds the identical DAG.
-					g := &exprGen{r: rand.New(rand.NewSource(int64(1357 + 31*k))), vars: vars}
+					// and rank count builds the identical DAG. The first
+					// nExprs draw from the first three leaves, the rest
+					// from all four.
+					leaves := vars[:3]
+					if k >= nExprs {
+						leaves = vars
+					}
+					g := &exprGen{r: rand.New(rand.NewSource(int64(1357 + 31*k))), vars: leaves}
 					e, _ := g.gen(maxDepth)
 					plan := Analyze(e)
 					vm := gatherBits(plan.Execute())

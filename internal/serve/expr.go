@@ -73,13 +73,18 @@ func (r *ExprRequest) Validate() error {
 	return nil
 }
 
-// varFill is the deterministic value of variable name at global index g:
-// positive and bounded away from zero, so well-formed expressions with
-// division stay finite.
-func varFill(name string, g int) float64 {
+// varSeed is variable name's fill seed, in [0, 1): its FNV-1a hash mod 1000,
+// over 1000. An array computes it once, not per element.
+func varSeed(name string) float64 {
 	h := fnv.New64a()
 	h.Write([]byte(name))
-	seed := float64(h.Sum64()%1000) / 1000
+	return float64(h.Sum64()%1000) / 1000
+}
+
+// varAt is the deterministic value at global index g of the variable whose
+// seed is seed: positive and bounded away from zero, so well-formed
+// expressions with division stay finite.
+func varAt(seed float64, g int) float64 {
 	return 0.5 + 0.4*math.Sin(seed*7+float64(g)*3)
 }
 
@@ -95,8 +100,9 @@ func (st *RankState) array(name string, n int) *core.DistArray[float64] {
 	if a, ok := st.arrays[key]; ok {
 		return a
 	}
+	seed := varSeed(name)
 	a := core.FromFunc(st.Ctx, []int{n}, func(gidx []int) float64 {
-		return varFill(name, gidx[0])
+		return varAt(seed, gidx[0])
 	})
 	st.arrays[key] = a
 	return a

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math"
 	"strings"
 	"sync"
@@ -86,6 +87,17 @@ func exprOracle(req *ExprRequest) []float64 {
 		panic(err)
 	}
 	return out.AF
+}
+
+// varFill is the value RankState.array fills variable name with at global
+// index g, restated from its definition: the seed is the name's FNV-1a hash
+// mod 1000, over 1000. The oracle above sweeps it, so the served answers pin
+// the fill bit for bit.
+func varFill(name string, g int) float64 {
+	h := fnv.New64a()
+	h.Write([]byte(name))
+	seed := float64(h.Sum64()%1000) / 1000
+	return 0.5 + 0.4*math.Sin(seed*7+float64(g)*3)
 }
 
 // exprReference sums the oracle over every global index — the serial

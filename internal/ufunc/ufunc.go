@@ -11,6 +11,7 @@ import (
 
 	"odinhpc/internal/core"
 	"odinhpc/internal/dense"
+	"odinhpc/internal/exec"
 )
 
 // Unary applies f element-wise. No communication: "all of NumPy's unary
@@ -165,24 +166,40 @@ func Div[T dense.Elem](x, y *core.DistArray[T], opts ...BinaryOptions) *core.Dis
 // Named float unary ufuncs matching the paper's examples (odin.sqrt,
 // odin.sin, ...).
 
+// vecUnary is Unary for a named ufunc with a slice body: a contiguous local
+// block runs vec (dense.VecSin, ...: the fusion VM's four-lane kernels, each
+// element bitwise f's) over the engine's spans, any other block f element
+// by element.
+func vecUnary(x *core.DistArray[float64], vec func(dst, a []float64), f func(float64) float64) *core.DistArray[float64] {
+	src := x.Local()
+	if !src.IsContiguous() {
+		return Unary(x, f)
+	}
+	x.Context().Control(core.OpUfunc, 1)
+	out := dense.Zeros[float64](src.Shape()...)
+	d, s := out.Raw(), src.Raw()
+	exec.Default().ParallelFor(len(d), func(lo, hi int) { vec(d[lo:hi], s[lo:hi]) })
+	return core.WithLocalLike[float64](x, out)
+}
+
 // Sqrt returns the element-wise square root.
 func Sqrt(x *core.DistArray[float64]) *core.DistArray[float64] {
-	return Unary(x, math.Sqrt)
+	return vecUnary(x, dense.VecSqrt, math.Sqrt)
 }
 
 // Sin returns the element-wise sine.
 func Sin(x *core.DistArray[float64]) *core.DistArray[float64] {
-	return Unary(x, math.Sin)
+	return vecUnary(x, dense.VecSin, math.Sin)
 }
 
 // Cos returns the element-wise cosine.
 func Cos(x *core.DistArray[float64]) *core.DistArray[float64] {
-	return Unary(x, math.Cos)
+	return vecUnary(x, dense.VecCos, math.Cos)
 }
 
 // Exp returns the element-wise exponential.
 func Exp(x *core.DistArray[float64]) *core.DistArray[float64] {
-	return Unary(x, math.Exp)
+	return vecUnary(x, dense.VecExp, math.Exp)
 }
 
 // Abs returns element-wise absolute values.

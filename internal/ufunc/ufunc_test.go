@@ -37,6 +37,64 @@ func TestUnaryMatchesSerial(t *testing.T) {
 	})
 }
 
+// TestNamedUfuncsMatchMath holds Sin, Cos, Exp and Sqrt to math bit for
+// bit on contiguous local blocks (the dense.Vec* kernels) and on a strided
+// one (element by element), with values outside the kernels' domains among
+// ordinary ones, and counts one control message per call either way.
+func TestNamedUfuncsMatchMath(t *testing.T) {
+	named := []struct {
+		name string
+		op   func(*core.DistArray[float64]) *core.DistArray[float64]
+		f    func(float64) float64
+	}{{"sin", Sin, math.Sin}, {"cos", Cos, math.Cos}, {"exp", Exp, math.Exp}, {"sqrt", Sqrt, math.Sqrt}}
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1 << 29, 745.5, -745.5, 5e-324, math.Copysign(0, -1)}
+	value := func(g int) float64 {
+		if g%5 == 2 {
+			return specials[(g/5)%len(specials)]
+		}
+		return float64(g)/7 - 3
+	}
+	check := func(name string, f func(float64) float64, x, got *core.DistArray[float64]) error {
+		in, out := x.Gather().Flatten(), got.Gather().Flatten()
+		for i := range in {
+			if want := math.Float64bits(f(in[i])); math.Float64bits(out[i]) != want {
+				return fmt.Errorf("%s(%v) at %d = %#x, want %#x", name, in[i], i, math.Float64bits(out[i]), want)
+			}
+		}
+		return nil
+	}
+	onRanks(t, sizes, func(ctx *core.Context) error {
+		x := core.FromFunc(ctx, []int{203}, func(g []int) float64 { return value(g[0]) })
+		// A square local block and its transpose: the same shape, strided.
+		sq := core.FromFunc(ctx, []int{ctx.Size() * 9, 9}, func(g []int) float64 { return value(9*g[0] + g[1]) })
+		var strided *core.DistArray[float64]
+		if ctx.Size() == 1 {
+			strided = sq.WithLocal(sq.Local().Transpose())
+		}
+		for _, u := range named {
+			before, _ := ctx.CtrlStats()
+			y := u.op(x)
+			after, _ := ctx.CtrlStats()
+			want := 1 // received by a worker; rank 0 sends one to each worker
+			if ctx.Rank() == 0 {
+				want = ctx.Size() - 1
+			}
+			if after-before != want {
+				return fmt.Errorf("%s: %d control messages on rank %d, want %d", u.name, after-before, ctx.Rank(), want)
+			}
+			if err := check(u.name, u.f, x, y); err != nil {
+				return err
+			}
+			if strided != nil {
+				if err := check(u.name+" strided", u.f, strided, u.op(strided)); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
+}
+
 func TestUnaryNoCommunication(t *testing.T) {
 	stats, err := comm.RunStats(4, func(c *comm.Comm) error {
 		ctx := core.NewContext(c)

@@ -38,9 +38,10 @@ fi
 
 stage vet
 go vet ./...
-# The portable build: off amd64 the SELL slice kernel and the level-1
-# kernels are the Go loops alone (internal/sparse/sell_other.go,
-# internal/dense/level1_other.go, internal/cpuid/cpuid_other.go), so vet
+# The portable build: off amd64 the SELL slice kernel, the level-1 kernels
+# and the four-lane transcendentals are the Go loops alone
+# (internal/sparse/sell_other.go, internal/dense/level1_other.go,
+# internal/dense/vecmath_other.go, internal/cpuid/cpuid_other.go), so vet
 # them for arm64 as well — a build that nothing here runs must not break
 # unnoticed.
 GOARCH=arm64 go vet ./internal/cpuid ./internal/dense ./internal/sparse ./internal/tpetra ./internal/solvers
@@ -97,10 +98,14 @@ go test -timeout 3m ./...
 # error — never a panic — and every encoded payload must round-trip. Then
 # fuzz SELL-C-sigma for ten seconds: both slice kernels must match CSR bit
 # for bit, and ToCSR must give back the CSR it was built from, since a
-# SELL-selected matrix keeps the SELL as its only local copy.
+# SELL-selected matrix keeps the SELL as its only local copy. Then fuzz the
+# four-lane sin, cos, exp and sqrt for ten seconds: every element must be
+# math's, bit for bit, wherever the input puts NaNs, infinities, subnormals
+# or out-of-domain magnitudes among the lanes.
 stage fuzz
 go test -run '^$' -fuzz '^FuzzFrameCodec$' -fuzztime 10s ./internal/comm
 go test -run '^$' -fuzz '^FuzzSELLMatchesCSR$' -fuzztime 10s ./internal/sparse
+go test -run '^$' -fuzz '^FuzzVecTranscendentals$' -fuzztime 10s ./internal/dense
 
 # Stage "allocs": the allocation pins of the solver hot loop and of the warm
 # expression path, on their own — a scalar AllreduceInto at P=2/4/8,
