@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -38,22 +39,31 @@ var skippedNames = map[string]bool{"String": true, "Error": true, "Unwrap": true
 // "pkg.Recv.Method", pkg being the directory below internal/.
 func seamKey(dir string, fd *ast.FuncDecl) string {
 	key := strings.TrimPrefix(filepath.ToSlash(dir), "internal/") + "."
-	if fd.Recv != nil && len(fd.Recv.List) == 1 {
-		typ := fd.Recv.List[0].Type
-		if star, ok := typ.(*ast.StarExpr); ok {
-			typ = star.X
-		}
-		switch r := typ.(type) {
-		case *ast.IndexExpr:
-			typ = r.X
-		case *ast.IndexListExpr:
-			typ = r.X
-		}
-		if id, ok := typ.(*ast.Ident); ok {
-			key += id.Name + "."
-		}
+	if recv := recvName(fd); recv != "" {
+		key += recv + "."
 	}
 	return key + fd.Name.Name
+}
+
+// recvName is the name of a method's receiver type, "" for a function.
+func recvName(fd *ast.FuncDecl) string {
+	if fd.Recv == nil || len(fd.Recv.List) != 1 {
+		return ""
+	}
+	typ := fd.Recv.List[0].Type
+	if star, ok := typ.(*ast.StarExpr); ok {
+		typ = star.X
+	}
+	switch r := typ.(type) {
+	case *ast.IndexExpr:
+		typ = r.X
+	case *ast.IndexListExpr:
+		typ = r.X
+	}
+	if id, ok := typ.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
 }
 
 // seamReason returns the reason a "// Test seam:" doc line gives, or "".
@@ -69,16 +79,22 @@ func seamReason(doc *ast.CommentGroup) string {
 	return ""
 }
 
-// TestEveryExportHasACaller enforces the rule that an exported function or
-// method under internal/ has a caller outside the tests: some non-test file
-// names it, other than its own declaration. The scan is by name, so a
-// method counts as called when any identifier of that name appears; only
-// the declarations testSeams lists are exempt.
-func TestEveryExportHasACaller(t *testing.T) {
-	fset := token.NewFileSet()
-	uses := map[string]int{}
-	type decl struct{ key, name, pos, reason string }
-	var exported []decl
+// moduleFile is one parsed non-test Go file of the module.
+type moduleFile struct {
+	dir string
+	f   *ast.File
+}
+
+// module is every non-test Go file of the module, parsed.
+type module struct {
+	fset  *token.FileSet
+	files []moduleFile
+}
+
+// parseModule parses every non-test Go file of the module once, testdata and
+// dot-directories excluded. Both caller rules below scan its result.
+var parseModule = sync.OnceValues(func() (module, error) {
+	m := module{fset: token.NewFileSet()}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -92,32 +108,48 @@ func TestEveryExportHasACaller(t *testing.T) {
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		f, err := parser.ParseFile(m.fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
+		m.files = append(m.files, moduleFile{filepath.ToSlash(filepath.Dir(path)), f})
+		return nil
+	})
+	return m, err
+})
+
+// TestEveryExportHasACaller enforces the rule that an exported function or
+// method under internal/ has a caller outside the tests: some non-test file
+// names it, other than its own declaration. The scan is by name, so a
+// method counts as called when any identifier of that name appears; only
+// the declarations testSeams lists are exempt.
+func TestEveryExportHasACaller(t *testing.T) {
+	m, err := parseModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	uses := map[string]int{}
+	type decl struct{ key, name, pos, reason string }
+	var exported []decl
+	for _, mf := range m.files {
 		declNames := map[*ast.Ident]bool{}
-		for _, dd := range f.Decls {
+		for _, dd := range mf.f.Decls {
 			fd, ok := dd.(*ast.FuncDecl)
 			if !ok {
 				continue
 			}
 			declNames[fd.Name] = true
-			if fd.Name.IsExported() && strings.HasPrefix(filepath.ToSlash(path), "internal/") {
-				exported = append(exported, decl{seamKey(filepath.Dir(path), fd), fd.Name.Name,
-					fset.Position(fd.Name.Pos()).String(), seamReason(fd.Doc)})
+			if fd.Name.IsExported() && strings.HasPrefix(mf.dir, "internal/") {
+				exported = append(exported, decl{seamKey(mf.dir, fd), fd.Name.Name,
+					m.fset.Position(fd.Name.Pos()).String(), seamReason(fd.Doc)})
 			}
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
+		ast.Inspect(mf.f, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok && !declNames[id] {
 				uses[id.Name]++
 			}
 			return true
 		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	declared := map[string]bool{}
 	var dead []string
@@ -144,5 +176,139 @@ func TestEveryExportHasACaller(t *testing.T) {
 		if !declared[key] {
 			t.Errorf("test seam %s is no longer declared under internal/: drop its entry", key)
 		}
+	}
+}
+
+// pkgDecl is one package-level declaration: a function, a method, a type, or
+// one name of a var or const spec.
+type pkgDecl struct {
+	name, recv string // recv is a method's receiver type, "" otherwise
+	isType     bool
+	pos        string
+	refs       map[string]int // identifiers it mentions, declared names excluded
+}
+
+func (d *pkgDecl) key() string {
+	if d.recv == "" {
+		return d.name
+	}
+	return d.recv + "." + d.name
+}
+
+// pkgDecls lists the package-level declarations of one file.
+func pkgDecls(fset *token.FileSet, f *ast.File) []*pkgDecl {
+	var out []*pkgDecl
+	add := func(name *ast.Ident, recv string, isType bool, node ast.Node, declared ...*ast.Ident) {
+		refs := map[string]int{}
+		skip := map[*ast.Ident]bool{}
+		for _, id := range declared {
+			skip[id] = true
+		}
+		ast.Inspect(node, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !skip[id] {
+				refs[id.Name]++
+			}
+			return true
+		})
+		out = append(out, &pkgDecl{name.Name, recv, isType, fset.Position(name.Pos()).String(), refs})
+	}
+	for _, dd := range f.Decls {
+		switch dd := dd.(type) {
+		case *ast.FuncDecl:
+			add(dd.Name, recvName(dd), false, dd, dd.Name)
+		case *ast.GenDecl:
+			for _, spec := range dd.Specs {
+				switch spec := spec.(type) {
+				case *ast.TypeSpec:
+					add(spec.Name, "", true, spec, spec.Name)
+				case *ast.ValueSpec:
+					for _, name := range spec.Names {
+						add(name, "", false, spec, spec.Names...)
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// testOnlyDecls returns the declarations of one package that nothing outside
+// the tests reaches. Exported names, init, main and blank names are roots;
+// any other declaration lives while a live declaration of the package
+// mentions it. A declaration's mentions of itself do not count, nor do a
+// type's own methods' mentions of the type, and a dead type's methods are
+// dead whatever their names. The sweep repeats until nothing changes, so a
+// chain of dead code dies whole.
+func testOnlyDecls(decls []*pkgDecl) []*pkgDecl {
+	dead := map[*pkgDecl]bool{}
+	typeDead := func(name string) bool {
+		found := false
+		for _, d := range decls {
+			if d.isType && d.name == name {
+				if !dead[d] {
+					return false
+				}
+				found = true
+			}
+		}
+		return found
+	}
+	used := func(d *pkgDecl) bool {
+		for _, e := range decls {
+			if dead[e] || e.key() == d.key() || (d.isType && e.recv == d.name) {
+				continue
+			}
+			if e.refs[d.name] > 0 {
+				return true
+			}
+		}
+		return false
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, d := range decls {
+			if dead[d] {
+				continue
+			}
+			isRoot := d.name == "_" || d.name == "init" || (d.name == "main" && d.recv == "") ||
+				ast.IsExported(d.name)
+			if (d.recv != "" && typeDead(d.recv)) || (!isRoot && !used(d)) {
+				dead[d] = true
+				changed = true
+			}
+		}
+	}
+	var out []*pkgDecl
+	for _, d := range decls {
+		if dead[d] {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// TestEveryUnexportedHasACaller enforces the same rule for unexported code,
+// everywhere in the module: a package-level func, method, type, var or const
+// that only tests reach is deleted, or moves into a _test.go file. An
+// unexported name is package-scoped, so only the non-test files of its own
+// directory can use it. There is no exemption.
+func TestEveryUnexportedHasACaller(t *testing.T) {
+	m, err := parseModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	byDir := map[string][]*pkgDecl{}
+	for _, mf := range m.files {
+		byDir[mf.dir] = append(byDir[mf.dir], pkgDecls(m.fset, mf.f)...)
+	}
+	var dead []string
+	for dir, decls := range byDir {
+		for _, d := range testOnlyDecls(decls) {
+			dead = append(dead, d.pos+": "+dir+"."+d.key())
+		}
+	}
+	sort.Strings(dead)
+	for _, d := range dead {
+		t.Errorf("%s is reached only from tests: delete it, or move it into a _test.go file", d)
 	}
 }

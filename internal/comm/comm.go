@@ -243,9 +243,8 @@ type Comm struct {
 	// lastWait is when (on clock) this rank last returned from a receive that
 	// had to wait, for waitMsg's gap test.
 	lastWait time.Duration
-	// spinMiss counts this rank's consecutive expired spins and spinSkip the
-	// waits it still sits out for them (waitMsg's back-off).
-	spinMiss, spinSkip uint8
+	// backoff is waitMsg's back-off state after this rank's expired spins.
+	backoff spinBackoff
 	// deadline wakes this rank's parked receive at the session's receive
 	// deadline; one timer serves every receive, created on the first park of
 	// a session that has a deadline.
@@ -710,6 +709,32 @@ func clock() time.Duration { return time.Since(clockBase) }
 
 var clockBase = time.Now()
 
+// spinBackoff is a rank's back-off after expired spins: miss counts its
+// consecutive expired spins (at most 6), skip the waits it still sits out.
+type spinBackoff struct{ miss, skip uint8 }
+
+// decide is waitMsg's choice between spinning and parking, a pure function of
+// the time since the rank last returned from a wait (gap), its back-off state
+// and whether a spinner slot was free. A rank that is sitting out waits
+// parks; otherwise it spins if the gap exceeds spinMinGap and it holds a
+// slot. The state returned assumes the spin expires, so each expiry doubles
+// the waits sat out (1, 3, 7, ... 63); a spin that finds its message resets
+// the state to zero.
+func (b spinBackoff) decide(gap time.Duration, slotFree bool) (spin bool, next spinBackoff) {
+	switch {
+	case b.skip > 0:
+		b.skip--
+		return false, b
+	case gap <= spinMinGap || !slotFree:
+		return false, b
+	}
+	if b.miss < 6 {
+		b.miss++
+	}
+	b.skip = 1<<b.miss - 1
+	return true, b
+}
+
 // trySpin claims a spinner slot, released with spinners.active.Add(-1).
 func trySpin() bool {
 	n := spinners.active.Add(1)
@@ -732,9 +757,14 @@ func trySpin() bool {
 // this one, so a park never outlives the session or its deadline.
 func (c *Comm) waitMsg(src, tag int) (m Message, how waitHow) {
 	box, ok := c.box, false
-	if c.spinSkip > 0 {
-		c.spinSkip--
-	} else if now := clock(); now-c.lastWait > spinMinGap && trySpin() {
+	now := clock()
+	gap := now - c.lastWait
+	spin, next := c.backoff.decide(gap, true)
+	if spin && !trySpin() { // claim the slot only for a spin the gate allows
+		spin, next = c.backoff.decide(gap, false)
+	}
+	c.backoff = next
+	if spin {
 		how = waitSpin
 		// Read under the lock, after the scan that found nothing: an enqueue
 		// that scan missed moves the counter past seen.
@@ -754,11 +784,8 @@ func (c *Comm) waitMsg(src, tag int) (m Message, how waitHow) {
 		}
 		spinners.active.Add(-1)
 		if ok {
-			c.spinMiss = 0
-		} else if c.spinMiss < 6 {
-			c.spinMiss++
+			c.backoff = spinBackoff{}
 		}
-		c.spinSkip = 1<<c.spinMiss - 1
 	}
 	var deadline time.Duration
 	for !ok {

@@ -4,15 +4,17 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 )
 
 // These tests hold the gates in front of waitMsg's spin by what they must
-// guarantee whatever the clock says; wait_timing_test.go covers what depends
-// on it. The ranks compute with benchWork (~100 us), long enough to pass the
-// gap test, so that only the gate under test can refuse the spin.
+// guarantee whatever the clock says; wait_timing_test.go (build tag timing,
+// verify.sh's timing stage) covers what depends on it. The ranks compute
+// with benchWork (~100 us), long enough to pass the gap test, so that only
+// the gate under test can refuse the spin.
 
 // Tags of the messages these tests exchange.
 const (
@@ -112,5 +114,56 @@ func TestExpiredSpinsBackOff(t *testing.T) {
 	}
 	if snap := stats.Snapshot(); snap.RecvParks < 48 {
 		t.Errorf("RecvParks=%d RecvSpinHits=%d, want nearly all 64 waits parked", snap.RecvParks, snap.RecvSpinHits)
+	}
+}
+
+// TestSpinDecisionScripted drives waitMsg's spin decision with scripted gaps
+// and slot outcomes, no clock involved: a gap of spinMinGap or less parks,
+// so does a wait with no free slot, and a rank whose spins all expire sits
+// out 1, 3, 7, ... 63 waits after each, however long its gaps.
+func TestSpinDecisionScripted(t *testing.T) {
+	var b spinBackoff
+	for _, gap := range []time.Duration{0, time.Microsecond, 4 * time.Microsecond, spinMinGap} {
+		if spin, next := b.decide(gap, true); spin || next != b {
+			t.Errorf("gap %v: spin=%v next=%+v, want a park with the state unchanged", gap, spin, next)
+		}
+	}
+	if spin, next := b.decide(time.Millisecond, false); spin || next != b {
+		t.Errorf("no free slot: spin=%v next=%+v, want a park with the state unchanged", spin, next)
+	}
+
+	// Every spin expires: count the waits sat out between spins.
+	var skipped []int
+	run := -1
+	for i := 0; i < 300; i++ {
+		gap := spinMinGap + time.Nanosecond
+		if i%2 == 1 {
+			gap = 0 // a short gap does not shorten the back-off
+		}
+		spin, next := b.decide(gap, true)
+		if spin != (b.skip == 0 && gap > spinMinGap) {
+			t.Fatalf("wait %d: spin=%v from %+v at gap %v", i, spin, b, gap)
+		}
+		b = next
+		switch {
+		case spin && run >= 0:
+			skipped = append(skipped, run)
+			run = 0
+		case spin:
+			run = 0
+		case run >= 0:
+			run++
+		}
+	}
+	want := []int{1, 3, 7, 15, 31, 63, 63, 63}
+	if len(skipped) < len(want) || !slices.Equal(skipped[:len(want)], want) {
+		t.Fatalf("waits sat out between expired spins = %v, want %v first", skipped, want)
+	}
+
+	// waitMsg resets the state to zero after a spin that found its message;
+	// from there the next long gap spins at once.
+	b = spinBackoff{}
+	if spin, _ := b.decide(time.Millisecond, true); !spin {
+		t.Fatal("a long gap with a free slot and no back-off must spin")
 	}
 }

@@ -1,3 +1,5 @@
+//go:build timing
+
 package comm_test
 
 import (
@@ -13,7 +15,11 @@ import (
 const tagPingPong = 904
 
 // This is the clock-dependent half of the wait tests: what the gap test lets
-// through.
+// through on a real clock. Their bounds need the comm package's test binary
+// to have the host to itself, so they build only with the timing tag and run
+// alone in verify.sh's timing stage:
+//
+//	go test -tags timing -count=1 -run 'DoesNotSpin|DoesNotPark' ./internal/comm
 
 // needTwoProcs skips a test that needs two real processors and an
 // undistorted clock.

@@ -142,17 +142,6 @@ func TestRandomSeededPerRank(t *testing.T) {
 	})
 }
 
-func TestFromDenseRoundTrip(t *testing.T) {
-	onRanks(t, sizes, func(ctx *Context) error {
-		src := dense.FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-		a := fromDense(ctx, src)
-		if !a.Gather().Equal(src) {
-			return fmt.Errorf("round trip failed")
-		}
-		return nil
-	})
-}
-
 func TestAtSetAt(t *testing.T) {
 	onRanks(t, sizes, func(ctx *Context) error {
 		a := FromFunc(ctx, []int{6, 2}, func(g []int) float64 {
@@ -447,40 +436,6 @@ func TestComplexAndNarrowDtypes(t *testing.T) {
 		}
 		return nil
 	})
-}
-
-func TestMapFromLocalGlobals(t *testing.T) {
-	onRanks(t, []int{1, 2, 4}, func(ctx *Context) error {
-		n := 12
-		// Each rank claims the globals congruent to its rank (cyclic).
-		var mine []int
-		for g := ctx.Rank(); g < n; g += ctx.Size() {
-			mine = append(mine, g)
-		}
-		m := mapFromLocalGlobals(ctx, n, mine)
-		if !m.SameAs(distmap.NewCyclic(n, ctx.Size())) {
-			return fmt.Errorf("reconstructed map differs from cyclic")
-		}
-		x := FromFunc(ctx, []int{n}, func(g []int) float64 { return float64(g[0]) }, Options{Map: m})
-		if x.At(7) != 7 {
-			return fmt.Errorf("array on reconstructed map")
-		}
-		return nil
-	})
-}
-
-func TestMapFromLocalGlobalsValidation(t *testing.T) {
-	err := comm.Run(2, func(c *comm.Comm) error {
-		ctx := NewContext(c)
-		// Both ranks claim global 0: must panic.
-		defer func() { recover() }()
-		//lint:allow p2pmatch Deliberate: the colliding ownership claim must panic inside the exchange; recover is armed
-		mapFromLocalGlobals(ctx, 2, []int{0})
-		return fmt.Errorf("expected panic")
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestWithLocalValidation(t *testing.T) {

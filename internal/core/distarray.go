@@ -150,31 +150,6 @@ func Random(ctx *Context, shape []int, seed int64, opts ...Options) *DistArray[f
 	return a
 }
 
-// fromDense scatters a replicated dense array (identical on every rank)
-// into a distributed array. Collective.
-func fromDense[T dense.Elem](ctx *Context, src *dense.Array[T], opts ...Options) *DistArray[T] {
-	shape := src.Shape()
-	a := Zeros[T](ctx, shape, opts...)
-	me := ctx.Rank()
-	gidx := make([]int, len(shape))
-	a.local.EachIndexed(func(lidx []int, _ T) {
-		copy(gidx, lidx)
-		gidx[a.axis] = a.m.LocalToGlobal(me, lidx[a.axis])
-		a.local.Set(src.At(gidx...), lidx...)
-	})
-	return a
-}
-
-// mapFromLocalGlobals builds the arbitrary distribution in which this rank
-// owns exactly the given global indices; every global in [0, n) must be
-// claimed by exactly one rank. This is the distributed-construction path a
-// real cluster uses (each rank knows only its own indices; an allgather
-// plays the role of the Epetra directory). Collective.
-func mapFromLocalGlobals(ctx *Context, n int, mine []int) *distmap.Map {
-	lists := comm.Allgather(ctx.Comm(), mine)
-	return distmap.NewFromGlobalLists(n, lists)
-}
-
 // Shape returns a copy of the global shape.
 func (a *DistArray[T]) Shape() []int {
 	out := make([]int, len(a.shape))

@@ -463,21 +463,6 @@ func (a *Array[T]) Transpose() *Array[T] {
 	return out
 }
 
-// reshape returns a view with a new shape. The array must be contiguous and
-// the total element count must be preserved.
-func (a *Array[T]) reshape(shape ...int) *Array[T] {
-	n := checkShape(shape)
-	if n != a.Size() {
-		panic(fmt.Sprintf("dense: cannot reshape %v (%d elems) to %v (%d elems)", a.shape, a.Size(), shape, n))
-	}
-	if !a.IsContiguous() {
-		panic("dense: reshape requires a contiguous array")
-	}
-	sh := make([]int, len(shape))
-	copy(sh, shape)
-	return &Array[T]{data: a.data, offset: a.offset, shape: sh, strides: contiguousStrides(sh)}
-}
-
 // Equal reports whether two arrays have identical shape and elements.
 func (a *Array[T]) Equal(b *Array[T]) bool {
 	if !shapeEq(a.shape, b.shape) {

@@ -213,38 +213,6 @@ func TestTranspose(t *testing.T) {
 	}
 }
 
-func TestReshape(t *testing.T) {
-	a := Arange[float64](12)
-	m := a.reshape(3, 4)
-	if m.At(2, 3) != 11 {
-		t.Fatal("reshape content")
-	}
-	back := m.reshape(12)
-	if back.At(5) != 5 {
-		t.Fatal("reshape back")
-	}
-}
-
-func TestReshapeValidation(t *testing.T) {
-	a := Arange[float64](12)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("size mismatch should panic")
-			}
-		}()
-		a.reshape(5, 3)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("non-contiguous reshape should panic")
-			}
-		}()
-		a.Slice(0, Range{0, 12, 2}).reshape(3, 2)
-	}()
-}
-
 func TestContiguity(t *testing.T) {
 	a := Zeros[float64](3, 4)
 	if !a.IsContiguous() {
@@ -328,8 +296,8 @@ func TestEachIndexed(t *testing.T) {
 }
 
 func TestEqual(t *testing.T) {
-	a := Arange[int64](6).reshape(2, 3)
-	b := Arange[int64](6).reshape(2, 3)
+	a := FromSlice(Arange[int64](6).Flatten(), 2, 3)
+	b := FromSlice(Arange[int64](6).Flatten(), 2, 3)
 	if !a.Equal(b) {
 		t.Fatal("equal arrays")
 	}
@@ -418,7 +386,7 @@ func TestSlicePropertyQuick(t *testing.T) {
 
 // Property: Transpose twice is the identity view.
 func TestTransposeInvolution(t *testing.T) {
-	a := Arange[float64](24).reshape(2, 3, 4)
+	a := FromSlice(Arange[float64](24).Flatten(), 2, 3, 4)
 	tt := a.Transpose().Transpose()
 	if !a.Equal(tt) {
 		t.Fatal("transpose involution failed")

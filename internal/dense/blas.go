@@ -7,12 +7,11 @@ import (
 	"odinhpc/internal/exec"
 )
 
-// This file provides the small dense linear-algebra kernels (BLAS level 1-3
-// subset plus LU/QR factorizations) used by the solver and preconditioner
-// packages. Everything operates on float64 slices or 2-d Arrays; the
-// distributed layers handle partitioning. The BLAS-1 sweeps and the gemv
-// row loop run on the exec engine; the factorizations stay serial (their
-// loop-carried dependencies don't chunk).
+// This file provides the small dense linear-algebra kernels (BLAS level 1
+// plus an LU factorization) used by the solver and preconditioner packages.
+// Everything operates on float64 slices or 2-d Arrays; the distributed
+// layers handle partitioning. The BLAS-1 sweeps run on the exec engine; the
+// factorization stays serial (its loop-carried dependencies don't chunk).
 
 // vecArgs is the operand set of the level-1 kernels below. Each is a
 // top-level range function handed to the engine with its operands by value
@@ -126,50 +125,6 @@ func waxpyDotRange(a waxpyArgs, lo, hi int) float64 {
 	return l.fold()
 }
 
-// gemv computes y = alpha*A*x + beta*y for a 2-d array A (m x n), x of
-// length n and y of length m.
-func gemv(alpha float64, a *Array[float64], x []float64, beta float64, y []float64) {
-	if a.NDim() != 2 {
-		panic("dense: gemv requires a 2-d array")
-	}
-	m, n := a.Dim(0), a.Dim(1)
-	if len(x) != n || len(y) != m {
-		panic(fmt.Sprintf("dense: gemv dims A=%dx%d x=%d y=%d", m, n, len(x), len(y)))
-	}
-	// Row-parallel: each output element is owned by exactly one span.
-	exec.Default().ParallelFor(m, func(ilo, ihi int) {
-		for i := ilo; i < ihi; i++ {
-			var acc float64
-			ro := a.offset + i*a.strides[0]
-			for j := 0; j < n; j++ {
-				acc += a.data[ro+j*a.strides[1]] * x[j]
-			}
-			y[i] = alpha*acc + beta*y[i]
-		}
-	})
-}
-
-// gemm computes C = alpha*A*B + beta*C for 2-d arrays with compatible shapes.
-func gemm(alpha float64, a, b *Array[float64], beta float64, c *Array[float64]) {
-	if a.NDim() != 2 || b.NDim() != 2 || c.NDim() != 2 {
-		panic("dense: gemm requires 2-d arrays")
-	}
-	m, k := a.Dim(0), a.Dim(1)
-	k2, n := b.Dim(0), b.Dim(1)
-	if k != k2 || c.Dim(0) != m || c.Dim(1) != n {
-		panic(fmt.Sprintf("dense: gemm dims A=%dx%d B=%dx%d C=%dx%d", m, k, k2, n, c.Dim(0), c.Dim(1)))
-	}
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			var acc float64
-			for p := 0; p < k; p++ {
-				acc += a.At(i, p) * b.At(p, j)
-			}
-			c.Set(alpha*acc+beta*c.At(i, j), i, j)
-		}
-	}
-}
-
 // LU holds a dense LU factorization with partial pivoting: P*A = L*U with
 // unit lower-triangular L and upper-triangular U packed in one matrix.
 type LU struct {
@@ -244,92 +199,4 @@ func (f *LU) Solve(b []float64) []float64 {
 		x[i] /= f.lu.At(i, i)
 	}
 	return x
-}
-
-// qrFactor holds a Householder QR factorization of an m x n matrix with m >= n.
-type qrFactor struct {
-	qr    *Array[float64] // Householder vectors below diagonal, R on/above
-	rdiag []float64
-	m, n  int
-}
-
-// factorQR computes a Householder QR factorization.
-func factorQR(a *Array[float64]) (*qrFactor, error) {
-	if a.NDim() != 2 {
-		panic("dense: factorQR requires a 2-d array")
-	}
-	m, n := a.Dim(0), a.Dim(1)
-	if m < n {
-		return nil, fmt.Errorf("dense: factorQR needs m >= n, got %dx%d", m, n)
-	}
-	qr := a.Clone()
-	rdiag := make([]float64, n)
-	for k := 0; k < n; k++ {
-		var nrm float64
-		for i := k; i < m; i++ {
-			nrm = math.Hypot(nrm, qr.At(i, k))
-		}
-		if nrm == 0 {
-			return nil, fmt.Errorf("dense: rank-deficient matrix at column %d", k)
-		}
-		if qr.At(k, k) < 0 {
-			nrm = -nrm
-		}
-		for i := k; i < m; i++ {
-			qr.Set(qr.At(i, k)/nrm, i, k)
-		}
-		qr.Set(qr.At(k, k)+1, k, k)
-		for j := k + 1; j < n; j++ {
-			var s float64
-			for i := k; i < m; i++ {
-				s += qr.At(i, k) * qr.At(i, j)
-			}
-			s = -s / qr.At(k, k)
-			for i := k; i < m; i++ {
-				qr.Set(qr.At(i, j)+s*qr.At(i, k), i, j)
-			}
-		}
-		rdiag[k] = -nrm
-	}
-	return &qrFactor{qr: qr, rdiag: rdiag, m: m, n: n}, nil
-}
-
-// solveLS solves the least-squares problem min ||A x - b||2 using the
-// factorization; b has length m, and the returned x has length n.
-func (f *qrFactor) solveLS(b []float64) []float64 {
-	if len(b) != f.m {
-		panic(fmt.Sprintf("dense: solveLS length %d, want %d", len(b), f.m))
-	}
-	y := make([]float64, f.m)
-	copy(y, b)
-	// Apply Householder reflections: y = Q^T b.
-	for k := 0; k < f.n; k++ {
-		var s float64
-		for i := k; i < f.m; i++ {
-			s += f.qr.At(i, k) * y[i]
-		}
-		s = -s / f.qr.At(k, k)
-		for i := k; i < f.m; i++ {
-			y[i] += s * f.qr.At(i, k)
-		}
-	}
-	// Back-substitute R x = y[:n].
-	x := make([]float64, f.n)
-	for i := f.n - 1; i >= 0; i-- {
-		x[i] = y[i]
-		for j := i + 1; j < f.n; j++ {
-			x[i] -= f.qr.At(i, j) * x[j]
-		}
-		x[i] /= f.rdiag[i]
-	}
-	return x
-}
-
-// eye returns the n x n identity matrix.
-func eye(n int) *Array[float64] {
-	a := Zeros[float64](n, n)
-	for i := 0; i < n; i++ {
-		a.Set(1, i, i)
-	}
-	return a
 }

@@ -21,7 +21,13 @@ func TestChaosOwnershipCensus(t *testing.T) {
 		{Name: "census-cyclic", Body: func(c *comm.Comm) (any, error) {
 			base := distmap.NewCyclic(n, c.Size())
 			lists := comm.Allgather(c, base.GlobalsOn(c.Rank()))
-			rebuilt := distmap.NewFromGlobalLists(n, lists)
+			owners := make([]int, n)
+			for r, globals := range lists {
+				for _, g := range globals {
+					owners[g] = r
+				}
+			}
+			rebuilt := distmap.NewArbitrary(owners, c.Size())
 			if !rebuilt.SameAs(base) {
 				return nil, fmt.Errorf("rebuilt map differs from cyclic source")
 			}

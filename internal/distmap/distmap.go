@@ -125,32 +125,6 @@ func NewArbitrary(owners []int, size int) *Map {
 	return m
 }
 
-// NewFromGlobalLists builds an arbitrary map from per-rank lists of owned
-// globals. Every global in [0,n) must appear exactly once across the lists.
-func NewFromGlobalLists(n int, lists [][]int) *Map {
-	owners := make([]int, n)
-	for i := range owners {
-		owners[i] = -1
-	}
-	for r, lst := range lists {
-		for _, g := range lst {
-			if g < 0 || g >= n {
-				panic(fmt.Sprintf("distmap: global %d out of range [0,%d)", g, n))
-			}
-			if owners[g] != -1 {
-				panic(fmt.Sprintf("distmap: global %d owned by both rank %d and %d", g, owners[g], r))
-			}
-			owners[g] = r
-		}
-	}
-	for g, r := range owners {
-		if r == -1 {
-			panic(fmt.Sprintf("distmap: global %d has no owner", g))
-		}
-	}
-	return NewArbitrary(owners, len(lists))
-}
-
 func checkArgs(n, size int) {
 	if n < 0 {
 		panic(fmt.Sprintf("distmap: global count must be non-negative, got %d", n))
@@ -394,18 +368,4 @@ func (m *Map) OwnersTable() []int {
 		out[g] = m.Owner(g)
 	}
 	return out
-}
-
-// restrict returns the arbitrary map induced by keeping only the globals in
-// keep (which must be sorted and unique), renumbered densely 0..len(keep)-1,
-// with ownership inherited from m.
-func (m *Map) restrict(keep []int) *Map {
-	owners := make([]int, len(keep))
-	for i, g := range keep {
-		if i > 0 && keep[i] <= keep[i-1] {
-			panic("distmap: restrict requires sorted unique globals")
-		}
-		owners[i] = m.Owner(g)
-	}
-	return NewArbitrary(owners, m.size)
 }

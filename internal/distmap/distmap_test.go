@@ -176,8 +176,8 @@ func TestBlockCyclicLayout(t *testing.T) {
 	}
 }
 
-func TestArbitraryFromGlobalLists(t *testing.T) {
-	m := NewFromGlobalLists(6, [][]int{{0, 5}, {1, 3}, {2, 4}})
+func TestArbitraryLocalIndexing(t *testing.T) {
+	m := NewArbitrary([]int{0, 1, 2, 1, 2, 0}, 3)
 	if m.Owner(5) != 0 || m.Owner(3) != 1 || m.Owner(4) != 2 {
 		t.Fatal("ownership wrong")
 	}
@@ -189,27 +189,6 @@ func TestArbitraryFromGlobalLists(t *testing.T) {
 	r, l := m.GlobalToLocal(5)
 	if r != 0 || l != 1 {
 		t.Fatalf("G2L(5) = (%d,%d)", r, l)
-	}
-}
-
-func TestFromGlobalListsValidation(t *testing.T) {
-	for name, lists := range map[string][][]int{
-		"duplicate": {{0, 1}, {1, 2}},
-		"missing":   {{0}, {2}},
-		"oob":       {{0, 7}, {1, 2}},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic", name)
-				}
-			}()
-			n := 3
-			if name == "oob" {
-				n = 3
-			}
-			NewFromGlobalLists(n, lists)
-		}()
 	}
 }
 
@@ -280,26 +259,6 @@ func TestImbalance(t *testing.T) {
 	if got := NewBlock(0, 4).Imbalance(); got != 1.0 {
 		t.Fatalf("empty map imbalance = %g", got)
 	}
-}
-
-func TestRestrict(t *testing.T) {
-	m := NewBlock(10, 2) // 0-4 on r0, 5-9 on r1
-	sub := m.restrict([]int{2, 3, 7})
-	if sub.NumGlobal() != 3 {
-		t.Fatal("size")
-	}
-	if sub.Owner(0) != 0 || sub.Owner(1) != 0 || sub.Owner(2) != 1 {
-		t.Fatal("inherited ownership wrong")
-	}
-}
-
-func TestRestrictValidatesSorted(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewBlock(10, 2).restrict([]int{3, 2})
 }
 
 func TestBoundsPanics(t *testing.T) {

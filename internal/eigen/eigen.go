@@ -1,124 +1,26 @@
 // Package eigen implements the eigensolver layer of the Trilinos analog
-// (Anasazi, paper Table I): power iteration, shifted inverse iteration, and
-// a Lanczos method with full reorthogonalization for symmetric operators,
-// backed by a dense symmetric-tridiagonal QL eigenvalue kernel.
+// (Anasazi, paper Table I): a Lanczos method with full reorthogonalization
+// for symmetric operators, backed by a dense symmetric-tridiagonal QL
+// eigenvalue kernel.
 package eigen
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
 	"odinhpc/internal/tpetra"
 )
 
-// errNoConvergence is returned when an iteration hits its budget before the
-// requested tolerance.
-var errNoConvergence = errors.New("eigen: iteration did not converge")
-
-// Options configures the iterative eigensolvers.
+// Options configures Lanczos.
 type Options struct {
-	MaxIter int     // default 1000
-	Tol     float64 // eigenvalue change / residual tolerance, default 1e-10
-	Seed    int64   // starting-vector seed (default 1)
+	Seed int64 // starting-vector seed (default 1)
 }
 
 func (o Options) withDefaults() Options {
-	if o.MaxIter <= 0 {
-		o.MaxIter = 1000
-	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-10
-	}
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
 	return o
-}
-
-// eigenpair reports a single converged eigenpair.
-type eigenpair struct {
-	Value      float64
-	Vector     *tpetra.Vector
-	Iterations int
-	Residual   float64 // ||A v - lambda v||
-}
-
-// powerMethod computes the dominant eigenpair of a by power iteration.
-// Collective.
-func powerMethod(a tpetra.Operator, model *tpetra.Vector, opt Options) (eigenpair, error) {
-	opt = opt.withDefaults()
-	c := model.Comm()
-	v := tpetra.NewVector(c, a.Map())
-	v.Randomize(opt.Seed)
-	n := v.Norm2()
-	if n == 0 {
-		return eigenpair{}, fmt.Errorf("eigen: zero starting vector")
-	}
-	v.Scale(1 / n)
-	w := tpetra.NewVector(c, a.Map())
-	lambda := 0.0
-	for k := 1; k <= opt.MaxIter; k++ {
-		a.Apply(v, w)
-		// Rayleigh quotient (v normalized).
-		newLambda := v.Dot(w)
-		// Residual ||Av - lambda v||.
-		r := w.Clone()
-		r.Axpy(-newLambda, v)
-		resid := r.Norm2()
-		wn := w.Norm2()
-		if wn == 0 {
-			return eigenpair{}, fmt.Errorf("eigen: operator annihilated the iterate")
-		}
-		v.CopyFrom(w)
-		v.Scale(1 / wn)
-		if math.Abs(newLambda-lambda) <= opt.Tol*math.Abs(newLambda) && resid <= opt.Tol*math.Abs(newLambda)*10 {
-			return eigenpair{Value: newLambda, Vector: v, Iterations: k, Residual: resid}, nil
-		}
-		lambda = newLambda
-	}
-	return eigenpair{Value: lambda, Vector: v, Iterations: opt.MaxIter}, errNoConvergence
-}
-
-// linearSolver abstracts the inner solve of inverse iteration, decoupling
-// this package from a specific solver choice.
-type linearSolver func(b, x *tpetra.Vector) error
-
-// inverseIteration computes the eigenvalue of a closest to shift by inverse
-// iteration, using solve to apply (A - shift I)^{-1}. The operator passed in
-// must already be shifted; solve receives the current iterate as the
-// right-hand side. Collective.
-func inverseIteration(a tpetra.Operator, shift float64, solve linearSolver, model *tpetra.Vector, opt Options) (eigenpair, error) {
-	opt = opt.withDefaults()
-	c := model.Comm()
-	v := tpetra.NewVector(c, a.Map())
-	v.Randomize(opt.Seed)
-	v.Scale(1 / v.Norm2())
-	w := tpetra.NewVector(c, a.Map())
-	av := tpetra.NewVector(c, a.Map())
-	lambda := shift
-	for k := 1; k <= opt.MaxIter; k++ {
-		if err := solve(v, w); err != nil {
-			return eigenpair{}, fmt.Errorf("eigen: inner solve failed: %w", err)
-		}
-		wn := w.Norm2()
-		if wn == 0 {
-			return eigenpair{}, fmt.Errorf("eigen: inverse iteration broke down")
-		}
-		w.Scale(1 / wn)
-		v.CopyFrom(w)
-		// Rayleigh quotient with the original operator.
-		a.Apply(v, av)
-		newLambda := v.Dot(av)
-		r := av.Clone()
-		r.Axpy(-newLambda, v)
-		resid := r.Norm2()
-		if math.Abs(newLambda-lambda) <= opt.Tol*math.Max(1, math.Abs(newLambda)) {
-			return eigenpair{Value: newLambda, Vector: v, Iterations: k, Residual: resid}, nil
-		}
-		lambda = newLambda
-	}
-	return eigenpair{Value: lambda, Vector: v, Iterations: opt.MaxIter}, errNoConvergence
 }
 
 // Lanczos runs k steps of the symmetric Lanczos process with full
@@ -176,7 +78,7 @@ func Lanczos(a tpetra.Operator, model *tpetra.Vector, k int, opt Options) ([]flo
 }
 
 // SpectralBounds estimates (lambda_min, lambda_max) of a symmetric operator
-// from a k-step Lanczos run — the input the Chebyshev preconditioner needs.
+// from a k-step Lanczos run.
 func SpectralBounds(a tpetra.Operator, model *tpetra.Vector, k int) (lo, hi float64, err error) {
 	vals, err := Lanczos(a, model, k, Options{})
 	if err != nil {

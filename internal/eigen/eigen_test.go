@@ -8,7 +8,6 @@ import (
 	"odinhpc/internal/comm"
 	"odinhpc/internal/distmap"
 	"odinhpc/internal/galeri"
-	"odinhpc/internal/solvers"
 	"odinhpc/internal/tpetra"
 )
 
@@ -25,94 +24,6 @@ func onRanks(t *testing.T, ps []int, fn func(c *comm.Comm) error) {
 // matrix: 2 - 2 cos(k*pi/(n+1)), k = 1..n.
 func laplace1DEigen(n, k int) float64 {
 	return 2 - 2*math.Cos(float64(k)*math.Pi/float64(n+1))
-}
-
-func TestPowerMethodDiagonal(t *testing.T) {
-	onRanks(t, []int{1, 2, 4}, func(c *comm.Comm) error {
-		n := 12
-		m := distmap.NewBlock(n, c.Size())
-		a := galeri.BuildDist(c, m, func(i int) ([]int, []float64) {
-			return []int{i}, []float64{float64(i + 1)}
-		})
-		model := tpetra.NewVector(c, m)
-		res, err := powerMethod(a, model, Options{Tol: 1e-12, MaxIter: 5000})
-		if err != nil {
-			return err
-		}
-		if math.Abs(res.Value-float64(n)) > 1e-6 {
-			return fmt.Errorf("lambda=%g want %d", res.Value, n)
-		}
-		// Eigenvector concentrates on the last coordinate.
-		if got := math.Abs(res.Vector.GetGlobal(n - 1)); got < 0.99 {
-			return fmt.Errorf("eigenvector component %g", got)
-		}
-		if res.Residual > 1e-6 {
-			return fmt.Errorf("residual %g", res.Residual)
-		}
-		return nil
-	})
-}
-
-func TestPowerMethodLaplacian(t *testing.T) {
-	onRanks(t, []int{1, 3}, func(c *comm.Comm) error {
-		n := 30
-		m := distmap.NewBlock(n, c.Size())
-		a := galeri.Laplace1DDist(c, m)
-		model := tpetra.NewVector(c, m)
-		res, err := powerMethod(a, model, Options{Tol: 1e-11, MaxIter: 20000})
-		if err != nil {
-			return err
-		}
-		want := laplace1DEigen(n, n)
-		if math.Abs(res.Value-want) > 1e-5 {
-			return fmt.Errorf("lambda=%g want %g", res.Value, want)
-		}
-		return nil
-	})
-}
-
-func TestPowerMethodHitsBudget(t *testing.T) {
-	onRanks(t, []int{1}, func(c *comm.Comm) error {
-		n := 40
-		m := distmap.NewBlock(n, c.Size())
-		a := galeri.Laplace1DDist(c, m)
-		model := tpetra.NewVector(c, m)
-		_, err := powerMethod(a, model, Options{Tol: 1e-15, MaxIter: 2})
-		if err != errNoConvergence {
-			return fmt.Errorf("want errNoConvergence, got %v", err)
-		}
-		return nil
-	})
-}
-
-func TestInverseIterationFindsSmallest(t *testing.T) {
-	onRanks(t, []int{1, 2}, func(c *comm.Comm) error {
-		n := 20
-		m := distmap.NewBlock(n, c.Size())
-		a := galeri.Laplace1DDist(c, m)
-		// Shift 0: find the smallest eigenvalue. Inner solve via CG on A.
-		solve := func(b, x *tpetra.Vector) error {
-			x.PutScalar(0)
-			res, err := solvers.CG(a, b, x, solvers.Options{Tol: 1e-12, MaxIter: 2000})
-			if err != nil {
-				return err
-			}
-			if !res.Converged {
-				return fmt.Errorf("inner CG: %v", res)
-			}
-			return nil
-		}
-		model := tpetra.NewVector(c, m)
-		res, err := inverseIteration(a, 0, solve, model, Options{Tol: 1e-12, MaxIter: 500})
-		if err != nil {
-			return err
-		}
-		want := laplace1DEigen(n, 1)
-		if math.Abs(res.Value-want) > 1e-8 {
-			return fmt.Errorf("lambda=%g want %g", res.Value, want)
-		}
-		return nil
-	})
 }
 
 func TestLanczosFullSpectrum(t *testing.T) {
@@ -212,35 +123,5 @@ func TestTqliSmall(t *testing.T) {
 	// Empty input is a no-op.
 	if err := tqli(nil, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestIterationCountsIndependentOfP(t *testing.T) {
-	var iters []int
-	for _, p := range []int{1, 2, 4} {
-		err := comm.Run(p, func(c *comm.Comm) error {
-			n := 24
-			m := distmap.NewBlock(n, c.Size())
-			a := galeri.Laplace1DDist(c, m)
-			model := tpetra.NewVector(c, m)
-			res, err := powerMethod(a, model, Options{Tol: 1e-9, MaxIter: 50000, Seed: 3})
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				iters = append(iters, res.Iterations)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Randomize is rank-local, so starting vectors differ with P; iteration
-	// counts may differ slightly but must be in the same regime.
-	for _, it := range iters {
-		if it < 10 || it > 100000 {
-			t.Fatalf("iteration counts out of regime: %v", iters)
-		}
 	}
 }

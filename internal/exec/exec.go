@@ -19,8 +19,10 @@
 //     call) runs ParallelFor's body as one [0,n) span, and a reduction
 //     chunk by chunk on the calling goroutine, combining as it goes with a
 //     stack of at most one subtree per tree level: nothing is allocated and
-//     no goroutine is woken. Tests run serially unless they opt in (via
-//     WithWorkers, SetDefaultWorkers, or ODINHPC_THREADS).
+//     no goroutine is woken. New, and so the default engine, takes
+//     ODINHPC_THREADS workers, or GOMAXPROCS when it is unset — tests
+//     included: a test that needs one worker builds its engine with
+//     WithWorkers(1).
 //  3. Panics propagate. A panic in a chunk body is re-raised on the calling
 //     goroutine with its original value, so the dense layer's shape/index
 //     panic messages reach the user intact. When several chunks panic, the

@@ -9,7 +9,6 @@ package galeri
 
 import (
 	"fmt"
-	"math/rand"
 
 	"odinhpc/internal/comm"
 	"odinhpc/internal/distmap"
@@ -233,59 +232,4 @@ func TridiagRow(n int, lo, diag, hi float64) RowFunc {
 		}
 		return cols, vals
 	}
-}
-
-// randomSPDRow generates rows of a random symmetric, strictly diagonally
-// dominant (hence SPD) matrix with roughly extraPerRow off-diagonal pairs
-// per row. Row content depends only on (seed, row), so the matrix is
-// identical however it is distributed.
-func randomSPDRow(n int, extraPerRow int, seed int64) RowFunc {
-	// Symmetry requires entry (i,j) and (j,i) to agree; derive each pair's
-	// value from a canonical (min,max) hash so rows are independently
-	// generable.
-	pairVal := func(i, j int) float64 {
-		if i > j {
-			i, j = j, i
-		}
-		rng := rand.New(rand.NewSource(seed ^ int64(i)*1_000_003 ^ int64(j)*7_919))
-		return 0.5 - rng.Float64()
-	}
-	pairOn := func(i, j int) bool {
-		if i > j {
-			i, j = j, i
-		}
-		rng := rand.New(rand.NewSource(seed ^ int64(i)*69_069 ^ int64(j)*104_729))
-		return rng.Intn(n) < extraPerRow
-	}
-	return func(i int) ([]int, []float64) {
-		cols := []int{i}
-		rowSum := 0.0
-		var offCols []int
-		var offVals []float64
-		for j := 0; j < n; j++ {
-			if j == i || !pairOn(i, j) {
-				continue
-			}
-			v := pairVal(i, j)
-			offCols = append(offCols, j)
-			offVals = append(offVals, v)
-			if v < 0 {
-				rowSum -= v
-			} else {
-				rowSum += v
-			}
-		}
-		vals := []float64{rowSum + 1}
-		cols = append(cols, offCols...)
-		vals = append(vals, offVals...)
-		return cols, vals
-	}
-}
-
-// poisson2DRHS fills a right-hand side corresponding to a uniform unit
-// source on the grid interior (f = h^2 everywhere after scaling), the
-// standard Galeri test problem.
-func poisson2DRHS(v *tpetra.Vector, nx, ny int) {
-	h := 1.0 / float64(nx+1)
-	v.FillFromGlobal(func(int) float64 { return h * h })
 }

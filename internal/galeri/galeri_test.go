@@ -101,37 +101,6 @@ func TestTridiag(t *testing.T) {
 	}
 }
 
-func TestRandomSPDProperties(t *testing.T) {
-	a := BuildSerial(30, randomSPDRow(30, 4, 11))
-	if !a.Transpose().Equal(a) {
-		t.Fatal("randomSPDRow not symmetric")
-	}
-	// Strict diagonal dominance.
-	for i := 0; i < a.Rows; i++ {
-		cols, vals := a.Row(i)
-		var off, diag float64
-		for k, j := range cols {
-			if j == i {
-				diag = vals[k]
-			} else {
-				off += math.Abs(vals[k])
-			}
-		}
-		if diag <= off {
-			t.Fatalf("row %d: diag %g <= off %g", i, diag, off)
-		}
-	}
-	// Reproducible.
-	b := BuildSerial(30, randomSPDRow(30, 4, 11))
-	if !a.Equal(b) {
-		t.Fatal("not reproducible")
-	}
-	cdiff := BuildSerial(30, randomSPDRow(30, 4, 12))
-	if a.Equal(cdiff) {
-		t.Fatal("different seeds identical")
-	}
-}
-
 // TestDistMatchesSerial verifies each distributed generator against its
 // serial counterpart for several maps and rank counts.
 func TestDistMatchesSerial(t *testing.T) {
@@ -144,7 +113,6 @@ func TestDistMatchesSerial(t *testing.T) {
 		"laplace2d": {Laplace2D(6, 4), func(c *comm.Comm, m *distmap.Map) *tpetra.CrsMatrix { return Laplace2DDist(c, m, 6, 4) }},
 		"laplace3d": {Laplace3D(2, 3, 4), func(c *comm.Comm, m *distmap.Map) *tpetra.CrsMatrix { return Laplace3DDist(c, m, 2, 3, 4) }},
 		"convdiff":  {BuildSerial(24, ConvDiff2DRow(6, 4, 5, 2)), func(c *comm.Comm, m *distmap.Map) *tpetra.CrsMatrix { return ConvDiff2DDist(c, m, 6, 4, 5, 2) }},
-		"randspd":   {BuildSerial(24, randomSPDRow(24, 3, 5)), func(c *comm.Comm, m *distmap.Map) *tpetra.CrsMatrix { return BuildDist(c, m, randomSPDRow(24, 3, 5)) }},
 	}
 	for name, g := range gens {
 		n := g.serial.Rows
@@ -171,23 +139,6 @@ func TestDistMapSizeValidation(t *testing.T) {
 		defer func() { recover() }()
 		Laplace2DDist(c, m, 3, 3)
 		return fmt.Errorf("expected panic")
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPoisson2DRHS(t *testing.T) {
-	err := comm.Run(2, func(c *comm.Comm) error {
-		nx, ny := 4, 4
-		m := distmap.NewBlock(nx*ny, c.Size())
-		b := tpetra.NewVector(c, m)
-		poisson2DRHS(b, nx, ny)
-		h := 1.0 / 5.0
-		if got := b.GetGlobal(7); math.Abs(got-h*h) > 1e-15 {
-			return fmt.Errorf("rhs=%g", got)
-		}
-		return nil
 	})
 	if err != nil {
 		t.Fatal(err)

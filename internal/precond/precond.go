@@ -1,14 +1,13 @@
 // Package precond implements the algebraic preconditioners of the Trilinos
-// analog: point and block Jacobi, SSOR, ILU(0) (Ifpack, paper Table I), a
-// Chebyshev polynomial preconditioner, and a smoothed-aggregation algebraic
-// multigrid (the ML analog). Distributed preconditioners follow Ifpack's
-// design: a one-level additive Schwarz decomposition whose subdomain solves
-// run on each rank's local diagonal block.
+// analog: point and block Jacobi, SSOR, ILU(0) (Ifpack, paper Table I), and
+// a smoothed-aggregation algebraic multigrid (the ML analog). Distributed
+// preconditioners follow Ifpack's design: a one-level additive Schwarz
+// decomposition whose subdomain solves run on each rank's local diagonal
+// block.
 package precond
 
 import (
 	"fmt"
-	"math"
 
 	"odinhpc/internal/sparse"
 	"odinhpc/internal/tpetra"
@@ -166,85 +165,4 @@ func NewSSOR(a *tpetra.CrsMatrix, omega float64, sweeps int) (*AdditiveSchwarz, 
 	return NewAdditiveSchwarz(a, func(block *sparse.CSR) (LocalSolver, error) {
 		return ssorSolver{block: block, omega: omega, sweeps: sweeps}, nil
 	})
-}
-
-// chebyshev is the polynomial preconditioner: z = p_k(A) r where p_k is the
-// degree-k Chebyshev polynomial minimizing the residual over the eigenvalue
-// interval [lMin, lMax]. Unlike the Schwarz family it applies the full
-// distributed operator, so its quality does not degrade with rank count.
-type chebyshev struct {
-	a          tpetra.Operator
-	degree     int
-	lMin, lMax float64
-	d          *tpetra.Vector // scratch
-	tmp        *tpetra.Vector
-}
-
-// newChebyshev builds a Chebyshev preconditioner of the given degree using
-// the eigenvalue bounds [lMin, lMax] (see estimateMaxEigen for estimating
-// lMax; Ifpack's default lMin = lMax/30 works well for Laplacians).
-func newChebyshev(a tpetra.Operator, comm *tpetra.Vector, degree int, lMin, lMax float64) (*chebyshev, error) {
-	if degree < 1 {
-		return nil, fmt.Errorf("precond: Chebyshev degree must be >= 1, got %d", degree)
-	}
-	if lMin <= 0 || lMax <= lMin {
-		return nil, fmt.Errorf("precond: Chebyshev needs 0 < lMin < lMax, got [%g, %g]", lMin, lMax)
-	}
-	return &chebyshev{
-		a:      a,
-		degree: degree,
-		lMin:   lMin,
-		lMax:   lMax,
-		d:      tpetra.NewVector(comm.Comm(), a.Map()),
-		tmp:    tpetra.NewVector(comm.Comm(), a.Map()),
-	}, nil
-}
-
-// ApplyInverse runs the Chebyshev iteration for A z = r with z0 = 0.
-func (ch *chebyshev) ApplyInverse(r, z *tpetra.Vector) {
-	theta := (ch.lMax + ch.lMin) / 2
-	delta := (ch.lMax - ch.lMin) / 2
-	z.PutScalar(0)
-	// First step: d = r / theta.
-	ch.d.CopyFrom(r)
-	ch.d.Scale(1 / theta)
-	z.Axpy(1, ch.d)
-	alpha := delta / theta
-	rhoPrev := 1 / alpha
-	res := ch.tmp // recomputed residual r - A z
-	for k := 1; k < ch.degree; k++ {
-		// res = r - A z
-		ch.a.Apply(z, res)
-		res.Update(1, r, -1)
-		rho := 1 / (2/alpha - rhoPrev)
-		// d = rho*rhoPrev*d + (2*rho/delta) * res
-		ch.d.Scale(rho * rhoPrev)
-		ch.d.Axpy(2*rho/delta, res)
-		z.Axpy(1, ch.d)
-		rhoPrev = rho
-	}
-}
-
-// estimateMaxEigen runs p power-method iterations on A to estimate its
-// largest eigenvalue, with a 10% safety margin as Ifpack applies.
-func estimateMaxEigen(a tpetra.Operator, model *tpetra.Vector, iters int) float64 {
-	v := model.Clone()
-	v.FillFromGlobal(func(g int) float64 { return math.Sin(float64(g)*0.7) + 1.1 })
-	n := v.Norm2()
-	if n == 0 {
-		return 1
-	}
-	v.Scale(1 / n)
-	w := model.Clone()
-	lambda := 1.0
-	for k := 0; k < iters; k++ {
-		a.Apply(v, w)
-		lambda = w.Norm2()
-		if lambda == 0 {
-			return 1
-		}
-		v.CopyFrom(w)
-		v.Scale(1 / lambda)
-	}
-	return 1.1 * lambda
 }

@@ -159,50 +159,6 @@ func TestSSORValidation(t *testing.T) {
 	})
 }
 
-func TestChebyshevAcceleratesCG(t *testing.T) {
-	onRanks(t, []int{1, 2}, func(c *comm.Comm) error {
-		a, b := poisson2D(c, 20)
-		model := tpetra.NewVector(c, a.Map())
-		lMax := estimateMaxEigen(a, model, 20)
-		if lMax < 7 || lMax > 10 {
-			return fmt.Errorf("lMax estimate %g outside (7,10) for 2-D Laplacian", lMax)
-		}
-		cheb, err := newChebyshev(a, model, 4, lMax/30, lMax)
-		if err != nil {
-			return err
-		}
-		plain, err := cgIters(a, b, nil)
-		if err != nil {
-			return err
-		}
-		fast, err := cgIters(a, b, cheb)
-		if err != nil {
-			return err
-		}
-		if fast >= plain {
-			return fmt.Errorf("Chebyshev(4) %d >= plain %d", fast, plain)
-		}
-		return nil
-	})
-}
-
-func TestChebyshevValidation(t *testing.T) {
-	onRanks(t, []int{1}, func(c *comm.Comm) error {
-		a, _ := poisson2D(c, 4)
-		model := tpetra.NewVector(c, a.Map())
-		if _, err := newChebyshev(a, model, 0, 1, 2); err == nil {
-			return fmt.Errorf("degree 0 accepted")
-		}
-		if _, err := newChebyshev(a, model, 3, 2, 1); err == nil {
-			return fmt.Errorf("lMin>lMax accepted")
-		}
-		if _, err := newChebyshev(a, model, 3, 0, 1); err == nil {
-			return fmt.Errorf("lMin=0 accepted")
-		}
-		return nil
-	})
-}
-
 func TestSerialAMGStandaloneSolve(t *testing.T) {
 	// As a standalone solver the V-cycle must reach 1e-8 in few cycles on
 	// the model problem and be h-independent-ish across sizes.
@@ -294,23 +250,5 @@ func TestAdditiveSchwarzSizeGuard(t *testing.T) {
 		defer func() { recover() }()
 		ilu.ApplyInverse(wrong, wrong)
 		return fmt.Errorf("expected panic")
-	})
-}
-
-func TestEstimateMaxEigenOnKnownSpectrum(t *testing.T) {
-	// Diagonal matrix: largest eigenvalue is known exactly.
-	onRanks(t, []int{1, 2}, func(c *comm.Comm) error {
-		n := 20
-		m := distmap.NewBlock(n, c.Size())
-		a := galeri.BuildDist(c, m, func(i int) ([]int, []float64) {
-			return []int{i}, []float64{float64(i + 1)}
-		})
-		model := tpetra.NewVector(c, m)
-		got := estimateMaxEigen(a, model, 200)
-		// 10% margin applied to an estimate that converges to 20.
-		if got < 20 || got > 23 {
-			return fmt.Errorf("lMax=%g want ~22", got)
-		}
-		return nil
 	})
 }

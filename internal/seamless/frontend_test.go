@@ -1,11 +1,21 @@
 package seamless
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
 )
+
+// mustParse parses src and panics on a parse error.
+func mustParse(src string) *Module {
+	m, err := Parse(src)
+	if err != nil {
+		panic(fmt.Sprintf("mustParse: %v", err))
+	}
+	return m
+}
 
 func TestLexBasics(t *testing.T) {
 	toks, err := Lex("def f(x):\n    return x + 1\n")

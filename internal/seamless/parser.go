@@ -1,9 +1,6 @@
 package seamless
 
-import (
-	"fmt"
-	"strconv"
-)
+import "strconv"
 
 // Parse lexes and parses a module of function definitions.
 func Parse(src string) (*Module, error) {
@@ -650,13 +647,4 @@ func (p *parser) parseTrailer(x Expr) (Expr, error) {
 		x = &IndexExpr{Pos: Pos{t.Line, t.Col}, Arr: x, Index: idx}
 	}
 	return x, nil
-}
-
-// mustParse is a test helper that panics on parse errors.
-func mustParse(src string) *Module {
-	m, err := Parse(src)
-	if err != nil {
-		panic(fmt.Sprintf("mustParse: %v", err))
-	}
-	return m
 }

@@ -145,28 +145,6 @@ func Slice[T dense.Elem](x *core.DistArray[T], r dense.Range) *core.DistArray[T]
 	return out
 }
 
-// sliceAxis slices along an arbitrary axis. Along non-distributed axes the
-// operation is purely local (zero communication); along the distributed
-// axis it delegates to Slice.
-func sliceAxis[T dense.Elem](x *core.DistArray[T], axis int, r dense.Range) *core.DistArray[T] {
-	if axis == x.Axis() {
-		return Slice(x, r)
-	}
-	if axis < 0 || axis >= x.NDim() {
-		panic(fmt.Sprintf("slicing: axis %d out of range for shape %v", axis, x.Shape()))
-	}
-	x.Context().Control(core.OpSlice, int64(axis))
-	_, _, count := sliceLen(r, x.Shape()[axis])
-	outShape := x.Shape()
-	outShape[axis] = count
-	local := x.Local().Slice(axis, r).Clone()
-	ctx := x.Context()
-	defer ctx.SetControlMessages(ctx.SilenceControl())
-	out := core.Zeros[T](ctx, outShape, core.Options{Axis: x.Axis(), Map: x.Map()})
-	out.Local().CopyFrom(local)
-	return out
-}
-
 // Shift returns an array of the same shape and distribution as x whose
 // entries are displaced k positions along the distributed axis:
 // out[g] = x[g+k] where g+k is in range, and fill elsewhere. Same-shape

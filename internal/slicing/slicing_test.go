@@ -90,51 +90,6 @@ func TestSlice2DSlabs(t *testing.T) {
 	})
 }
 
-func TestSliceAxisLocal(t *testing.T) {
-	onRanks(t, []int{2}, func(ctx *core.Context) error {
-		x := core.FromFunc(ctx, []int{6, 8}, func(g []int) float64 { return float64(10*g[0] + g[1]) })
-		got := sliceAxis(x, 1, dense.Range{Start: 2, Stop: 7, Step: 2})
-		if got.Shape()[1] != 3 || got.Shape()[0] != 6 {
-			return fmt.Errorf("shape %v", got.Shape())
-		}
-		full := got.Gather()
-		for i := 0; i < 6; i++ {
-			for jj, j := range []int{2, 4, 6} {
-				if full.At(i, jj) != float64(10*i+j) {
-					return fmt.Errorf("[%d,%d]=%g", i, jj, full.At(i, jj))
-				}
-			}
-		}
-		// Distribution preserved.
-		if !got.Map().SameAs(x.Map()) {
-			return fmt.Errorf("map changed")
-		}
-		return nil
-	})
-}
-
-func TestSliceAxisZeroCommunication(t *testing.T) {
-	stats, err := comm.RunStats(4, func(c *comm.Comm) error {
-		ctx := core.NewContext(c)
-		ctx.SetControlMessages(false)
-		x := core.Random(ctx, []int{40, 10}, 1)
-		c.Barrier()
-		if c.Rank() == 0 {
-			c.ResetStats()
-		}
-		c.Barrier()
-		//lint:allow p2pmatch sliceAxis delegates to the slicing gather protocol; message-count accounting is this test's assertion
-		_ = sliceAxis(x, 1, dense.Range{Start: 0, Stop: 5, Step: 1})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Snapshot().TotalBytes() > 64 {
-		t.Fatalf("local-axis slice moved %d bytes", stats.Snapshot().TotalBytes())
-	}
-}
-
 // TestDiffFiniteDifference reproduces the paper's §III.G example end to end:
 // x = linspace(1, 2pi, n); y = sin(x); dydx = (y[1:]-y[:-1]) / dx.
 func TestDiffFiniteDifference(t *testing.T) {

@@ -6,7 +6,6 @@ package sparse
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"odinhpc/internal/exec"
@@ -374,30 +373,6 @@ func (m *CSR) MatMul(b *CSR) *CSR {
 	return out
 }
 
-// normFrobenius returns the Frobenius norm of the stored entries.
-func (m *CSR) normFrobenius() float64 {
-	var acc float64
-	for _, v := range m.Val {
-		acc += v * v
-	}
-	return math.Sqrt(acc)
-}
-
-// normInf returns the maximum absolute row sum.
-func (m *CSR) normInf() float64 {
-	var best float64
-	for i := 0; i < m.Rows; i++ {
-		var s float64
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			s += math.Abs(m.Val[k])
-		}
-		if s > best {
-			best = s
-		}
-	}
-	return best
-}
-
 // Equal reports whether two matrices have the same shape and entries
 // (comparing stored structure exactly).
 func (m *CSR) Equal(b *CSR) bool {
@@ -441,28 +416,6 @@ func (m *CSR) Clone() *CSR {
 	copy(out.ColIdx, m.ColIdx)
 	copy(out.Val, m.Val)
 	return out
-}
-
-// subMatrix extracts the square principal submatrix with the given sorted
-// row/column global indices renumbered densely.
-func (m *CSR) subMatrix(keep []int) *CSR {
-	pos := make(map[int]int, len(keep))
-	for p, g := range keep {
-		if p > 0 && keep[p] <= keep[p-1] {
-			panic("sparse: subMatrix requires sorted unique indices")
-		}
-		pos[g] = p
-	}
-	coo := NewCOO(len(keep), len(keep))
-	for p, g := range keep {
-		cols, vals := m.Row(g)
-		for k, j := range cols {
-			if q, ok := pos[j]; ok {
-				coo.Add(p, q, vals[k])
-			}
-		}
-	}
-	return coo.ToCSR()
 }
 
 func (m *CSR) String() string {

@@ -240,37 +240,6 @@ func TestMatMulAgainstDense(t *testing.T) {
 	}
 }
 
-func TestNorms(t *testing.T) {
-	c := NewCOO(2, 2)
-	c.Add(0, 0, 3)
-	c.Add(1, 1, -4)
-	m := c.ToCSR()
-	if m.normFrobenius() != 5 {
-		t.Fatalf("fro = %v", m.normFrobenius())
-	}
-	if m.normInf() != 4 {
-		t.Fatalf("inf = %v", m.normInf())
-	}
-}
-
-func TestSubMatrix(t *testing.T) {
-	m := tridiag(6)
-	s := m.subMatrix([]int{1, 2, 3})
-	// Principal 3x3 block of the tridiagonal is itself tridiagonal.
-	want := tridiag(3)
-	if !s.Equal(want) {
-		t.Fatalf("subMatrix = %v want %v", s.Dense(), want.Dense())
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("unsorted keep should panic")
-			}
-		}()
-		m.subMatrix([]int{2, 1})
-	}()
-}
-
 func TestIdentity(t *testing.T) {
 	i := identity(4)
 	if err := i.Validate(); err != nil {

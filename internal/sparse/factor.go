@@ -238,76 +238,3 @@ func (f *LUFactor) Solve(b []float64) []float64 {
 	}
 	return x
 }
-
-// lowerSolve solves L x = b for a lower-triangular CSR matrix with non-zero
-// diagonal (stored explicitly).
-func lowerSolve(l *CSR, b, x []float64) {
-	n := l.Rows
-	if len(b) != n || len(x) != n {
-		panic("sparse: lowerSolve dimension mismatch")
-	}
-	for i := 0; i < n; i++ {
-		s := b[i]
-		var diag float64
-		for k := l.RowPtr[i]; k < l.RowPtr[i+1]; k++ {
-			j := l.ColIdx[k]
-			switch {
-			case j < i:
-				s -= l.Val[k] * x[j]
-			case j == i:
-				diag = l.Val[k]
-			}
-		}
-		if diag == 0 {
-			panic(fmt.Sprintf("sparse: lowerSolve zero diagonal at row %d", i))
-		}
-		x[i] = s / diag
-	}
-}
-
-// upperSolve solves U x = b for an upper-triangular CSR matrix with non-zero
-// diagonal (stored explicitly).
-func upperSolve(u *CSR, b, x []float64) {
-	n := u.Rows
-	if len(b) != n || len(x) != n {
-		panic("sparse: upperSolve dimension mismatch")
-	}
-	for i := n - 1; i >= 0; i-- {
-		s := b[i]
-		var diag float64
-		for k := u.RowPtr[i]; k < u.RowPtr[i+1]; k++ {
-			j := u.ColIdx[k]
-			switch {
-			case j > i:
-				s -= u.Val[k] * x[j]
-			case j == i:
-				diag = u.Val[k]
-			}
-		}
-		if diag == 0 {
-			panic(fmt.Sprintf("sparse: upperSolve zero diagonal at row %d", i))
-		}
-		x[i] = s / diag
-	}
-}
-
-// gaussSeidelSweep performs one forward Gauss-Seidel sweep for A x = b,
-// updating x in place.
-func gaussSeidelSweep(a *CSR, b, x []float64) {
-	n := a.Rows
-	for i := 0; i < n; i++ {
-		s := b[i]
-		var diag float64
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			j := a.ColIdx[k]
-			if j == i {
-				diag = a.Val[k]
-			} else {
-				s -= a.Val[k] * x[j]
-			}
-		}
-		if diag != 0 {
-			x[i] = s / diag
-		}
-	}
-}

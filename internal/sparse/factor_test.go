@@ -173,61 +173,6 @@ func TestSparseLUWithFillIn(t *testing.T) {
 	}
 }
 
-func TestTriangularSolves(t *testing.T) {
-	// L = [[2,0],[1,3]], U = L^T.
-	cl := NewCOO(2, 2)
-	cl.Add(0, 0, 2)
-	cl.Add(1, 0, 1)
-	cl.Add(1, 1, 3)
-	l := cl.ToCSR()
-	x := make([]float64, 2)
-	lowerSolve(l, []float64{4, 7}, x)
-	if math.Abs(x[0]-2) > 1e-12 || math.Abs(x[1]-5.0/3) > 1e-12 {
-		t.Fatalf("lowerSolve = %v", x)
-	}
-	u := l.Transpose()
-	upperSolve(u, []float64{4, 6}, x)
-	if math.Abs(x[1]-2) > 1e-12 || math.Abs(x[0]-1) > 1e-12 {
-		t.Fatalf("upperSolve = %v", x)
-	}
-}
-
-func TestTriangularZeroDiagPanics(t *testing.T) {
-	c := NewCOO(2, 2)
-	c.Add(1, 0, 1)
-	c.Add(0, 0, 1)
-	c.Add(1, 1, 0)
-	m := c.ToCSR()
-	x := make([]float64, 2)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("lowerSolve zero diag should panic")
-			}
-		}()
-		lowerSolve(m, []float64{1, 1}, x)
-	}()
-}
-
-func TestGaussSeidelConverges(t *testing.T) {
-	n := 30
-	a := tridiag(n)
-	want := make([]float64, n)
-	for i := range want {
-		want[i] = math.Sin(float64(i))
-	}
-	b := make([]float64, n)
-	a.MulVec(want, b)
-	x := make([]float64, n)
-	r0 := residual(a, x, b)
-	for sweep := 0; sweep < 200; sweep++ {
-		gaussSeidelSweep(a, b, x)
-	}
-	if r := residual(a, x, b); r > 1e-3*r0 {
-		t.Fatalf("Gauss-Seidel stalled: %g -> %g", r0, r)
-	}
-}
-
 // Property: ILU0 of a lower+upper triangular-complete pattern reproduces A
 // exactly when A has a full LU with no fill (tridiagonal family, scaled).
 func TestILU0TridiagonalFamilyQuick(t *testing.T) {

@@ -1,15 +1,13 @@
 // Package table implements ODIN's distributed structured/tabular data
-// (§III.I): record tables distributed by rows across ranks, with filtering,
-// column mapping, and a shuffle-based group-reduce — "the fundamental
-// components for parallel Map-Reduce style computations".
+// (§III.I): record tables distributed by rows across ranks, with filtering
+// and a shuffle-based group-reduce — "the fundamental components for
+// parallel Map-Reduce style computations".
 package table
 
 import (
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"strconv"
-	"strings"
 
 	"odinhpc/internal/comm"
 	"odinhpc/internal/core"
@@ -190,17 +188,6 @@ func (t *Table) appendFrom(src *Table, i int) {
 	t.nLocal++
 }
 
-// mapFloat replaces a float column's values with f applied row-wise. Local.
-func (t *Table) mapFloat(name string, f func(r Row, v float64) float64) {
-	col, ok := t.floats[name]
-	if !ok {
-		panic(fmt.Sprintf("table: no float column %q", name))
-	}
-	for i := range col {
-		col[i] = f(Row{t, i}, col[i])
-	}
-}
-
 // SumFloat returns the global sum of a float column. Collective.
 func (t *Table) SumFloat(name string) float64 {
 	col, ok := t.floats[name]
@@ -363,66 +350,4 @@ func (t *Table) GatherRows(keyCol, valCol string) (keys []string, vals []float64
 		sk[i], sv[i] = keys[j], vals[j]
 	}
 	return sk, sv
-}
-
-// fromCSV parses CSV content (header row naming the columns, comma
-// separated) and distributes the data rows block-wise by line number. The
-// content must be identical on every rank (e.g., a shared file).
-// Collective in bookkeeping.
-func fromCSV(ctx *core.Context, content string, schema []Column) (*Table, error) {
-	lines := strings.Split(strings.TrimSpace(content), "\n")
-	if len(lines) == 0 {
-		return nil, fmt.Errorf("table: empty CSV")
-	}
-	header := strings.Split(strings.TrimSpace(lines[0]), ",")
-	colIdx := make([]int, len(schema))
-	for i, col := range schema {
-		colIdx[i] = -1
-		for j, h := range header {
-			if strings.TrimSpace(h) == col.Name {
-				colIdx[i] = j
-			}
-		}
-		if colIdx[i] == -1 {
-			return nil, fmt.Errorf("table: CSV missing column %q", col.Name)
-		}
-	}
-	t := New(ctx, schema)
-	nRows := len(lines) - 1
-	// Block partition of the data rows.
-	per := nRows / ctx.Size()
-	rem := nRows % ctx.Size()
-	lo := ctx.Rank()*per + min(ctx.Rank(), rem)
-	cnt := per
-	if ctx.Rank() < rem {
-		cnt++
-	}
-	for r := lo; r < lo+cnt; r++ {
-		fields := strings.Split(lines[r+1], ",")
-		vals := make([]any, len(schema))
-		for i, col := range schema {
-			if colIdx[i] >= len(fields) {
-				return nil, fmt.Errorf("table: row %d has %d fields, need column %d", r, len(fields), colIdx[i])
-			}
-			raw := strings.TrimSpace(fields[colIdx[i]])
-			switch col.Kind {
-			case Float:
-				v, err := strconv.ParseFloat(raw, 64)
-				if err != nil {
-					return nil, fmt.Errorf("table: row %d column %q: %w", r, col.Name, err)
-				}
-				vals[i] = v
-			case Int:
-				v, err := strconv.ParseInt(raw, 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("table: row %d column %q: %w", r, col.Name, err)
-				}
-				vals[i] = v
-			case String:
-				vals[i] = raw
-			}
-		}
-		t.AppendRow(vals...)
-	}
-	return t, nil
 }

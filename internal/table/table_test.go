@@ -101,19 +101,6 @@ func TestFilter(t *testing.T) {
 	})
 }
 
-func TestMapFloat(t *testing.T) {
-	onRanks(t, []int{2}, func(ctx *core.Context) error {
-		tb := New(ctx, salesSchema)
-		fillSales(tb)
-		before := tb.SumFloat("revenue")
-		tb.mapFloat("revenue", func(r Row, v float64) float64 { return v * 2 })
-		if got := tb.SumFloat("revenue"); math.Abs(got-2*before) > 1e-9 {
-			return fmt.Errorf("map: %g want %g", got, 2*before)
-		}
-		return nil
-	})
-}
-
 func TestGroupReduceSum(t *testing.T) {
 	onRanks(t, sizes, func(ctx *core.Context) error {
 		tb := New(ctx, salesSchema)
@@ -198,46 +185,6 @@ func TestGroupReduceResultDistributed(t *testing.T) {
 			// matter for correctness but worth flagging as a shuffle bug if
 			// the hash were constant. Accept but verify hash variance:
 			return fmt.Errorf("all keys on one rank — hash partitioning broken")
-		}
-		return nil
-	})
-}
-
-func TestFromCSV(t *testing.T) {
-	csv := "region,units,revenue\neast,1,10.5\nwest,2,20.5\neast,3,30.0\nnorth,4,1.0\n"
-	onRanks(t, sizes, func(ctx *core.Context) error {
-		tb, err := fromCSV(ctx, csv, salesSchema)
-		if err != nil {
-			return err
-		}
-		if got := tb.NumRowsGlobal(); got != 4 {
-			return fmt.Errorf("rows %d", got)
-		}
-		if got := tb.SumFloat("revenue"); math.Abs(got-62.0) > 1e-12 {
-			return fmt.Errorf("sum %g", got)
-		}
-		g := tb.GroupReduce("region", "revenue", AggSum)
-		keys, vals := g.GatherRows("region", "sum")
-		if !reflect.DeepEqual(keys, []string{"east", "north", "west"}) {
-			return fmt.Errorf("keys %v", keys)
-		}
-		if vals[0] != 40.5 || vals[1] != 1.0 || vals[2] != 20.5 {
-			return fmt.Errorf("vals %v", vals)
-		}
-		return nil
-	})
-}
-
-func TestFromCSVErrors(t *testing.T) {
-	onRanks(t, []int{1}, func(ctx *core.Context) error {
-		if _, err := fromCSV(ctx, "a,b\n1,2\n", salesSchema); err == nil {
-			return fmt.Errorf("missing columns accepted")
-		}
-		if _, err := fromCSV(ctx, "region,units,revenue\neast,notanint,3\n", salesSchema); err == nil {
-			return fmt.Errorf("bad int accepted")
-		}
-		if _, err := fromCSV(ctx, "region,units,revenue\neast,1,notafloat\n", salesSchema); err == nil {
-			return fmt.Errorf("bad float accepted")
 		}
 		return nil
 	})

@@ -12,15 +12,12 @@ import (
 	"sync"
 )
 
-// ParameterList is a hierarchical map of named, typed parameters. It tracks
-// which parameters have been read so callers can detect misspelled or
-// unused options, mirroring Teuchos::ParameterList::unused(). It is safe
-// for concurrent use.
+// ParameterList is a hierarchical map of named, typed parameters; Validate
+// rejects misspelled or mistyped options. It is safe for concurrent use.
 type ParameterList struct {
 	mu     sync.Mutex
 	name   string
 	values map[string]any
-	used   map[string]bool
 	subs   map[string]*ParameterList
 }
 
@@ -29,7 +26,6 @@ func NewParameterList(name string) *ParameterList {
 	return &ParameterList{
 		name:   name,
 		values: make(map[string]any),
-		used:   make(map[string]bool),
 		subs:   make(map[string]*ParameterList),
 	}
 }
@@ -45,14 +41,11 @@ func (p *ParameterList) Set(key string, value any) *ParameterList {
 	return p
 }
 
-// Get returns the raw value and whether it exists, marking it used.
+// Get returns the raw value and whether it exists.
 func (p *ParameterList) Get(key string) (any, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	v, ok := p.values[key]
-	if ok {
-		p.used[key] = true
-	}
 	return v, ok
 }
 
@@ -125,21 +118,6 @@ func (p *ParameterList) Keys() []string {
 	out := make([]string, 0, len(p.values))
 	for k := range p.values {
 		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// unused returns the sorted names of parameters that were set but never
-// read — the classic guard against silently ignored, misspelled options.
-func (p *ParameterList) unused() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var out []string
-	for k := range p.values {
-		if !p.used[k] {
-			out = append(out, k)
-		}
 	}
 	sort.Strings(out)
 	return out

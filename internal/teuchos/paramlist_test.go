@@ -97,19 +97,6 @@ func TestKeysSorted(t *testing.T) {
 	}
 }
 
-func TestUnusedTracking(t *testing.T) {
-	p := NewParameterList("l")
-	p.Set("used", 1).Set("never", 2).Set("misspeled", 3)
-	p.GetInt("used", 0)
-	if !reflect.DeepEqual(p.unused(), []string{"misspeled", "never"}) {
-		t.Fatalf("unused = %v", p.unused())
-	}
-	p.Keys() // listing names must not mark them used
-	if !reflect.DeepEqual(p.unused(), []string{"misspeled", "never"}) {
-		t.Fatal("Keys marked parameters as used")
-	}
-}
-
 func TestValidate(t *testing.T) {
 	allowed := map[string]any{"tol": 0.0, "iters": 0, "method": ""}
 	subTables := map[string]map[string]any{"prec": {"type": ""}}
@@ -188,7 +175,6 @@ func TestConcurrentAccess(t *testing.T) {
 		p.GetInt("k", 0)
 		p.Sublist("s").GetInt("v", 0)
 		p.Keys()
-		p.unused()
 	}
 	<-done
 }

@@ -288,82 +288,3 @@ type Operator interface {
 	Apply(x, y *Vector)
 	Map() *distmap.Map
 }
-
-// multiVector is a collection of nvec distributed vectors sharing one map,
-// the analog of Epetra_MultiVector.
-type multiVector struct {
-	c    *comm.Comm
-	m    *distmap.Map
-	cols []*Vector
-}
-
-// newMultiVector returns a zero-initialized multivector with nvec columns.
-func newMultiVector(c *comm.Comm, m *distmap.Map, nvec int) *multiVector {
-	if nvec <= 0 {
-		panic(fmt.Sprintf("tpetra: multiVector needs nvec > 0, got %d", nvec))
-	}
-	mv := &multiVector{c: c, m: m, cols: make([]*Vector, nvec)}
-	for i := range mv.cols {
-		mv.cols[i] = NewVector(c, m)
-	}
-	return mv
-}
-
-// numVectors returns the number of columns.
-func (mv *multiVector) numVectors() int { return len(mv.cols) }
-
-// Map returns the shared distribution map.
-func (mv *multiVector) Map() *distmap.Map { return mv.m }
-
-// Vector returns column i (a shared reference, not a copy).
-func (mv *multiVector) Vector(i int) *Vector { return mv.cols[i] }
-
-// Dot returns the column-wise inner products with w. Collective.
-func (mv *multiVector) Dot(w *multiVector) []float64 {
-	if len(mv.cols) != len(w.cols) {
-		panic("tpetra: multiVector.Dot column count mismatch")
-	}
-	local := make([]float64, len(mv.cols))
-	for k := range mv.cols {
-		mv.cols[k].checkCompat(w.cols[k], "multiVector.Dot")
-		local[k] = dense.DotSlices(mv.cols[k].Data, w.cols[k].Data)
-	}
-	return comm.Allreduce(mv.c, local, comm.OpSum)
-}
-
-// norm2s returns the column-wise Euclidean norms. Collective.
-func (mv *multiVector) norm2s() []float64 {
-	local := make([]float64, len(mv.cols))
-	for k := range mv.cols {
-		local[k] = dense.DotSlices(mv.cols[k].Data, mv.cols[k].Data)
-	}
-	global := comm.Allreduce(mv.c, local, comm.OpSum)
-	for k := range global {
-		global[k] = math.Sqrt(global[k])
-	}
-	return global
-}
-
-// Update computes each column: mv = alpha*x + beta*mv.
-func (mv *multiVector) Update(alpha float64, x *multiVector, beta float64) {
-	if len(mv.cols) != len(x.cols) {
-		panic("tpetra: multiVector.Update column count mismatch")
-	}
-	for k := range mv.cols {
-		mv.cols[k].Update(alpha, x.cols[k], beta)
-	}
-}
-
-// Scale multiplies every column by alpha.
-func (mv *multiVector) Scale(alpha float64) {
-	for _, col := range mv.cols {
-		col.Scale(alpha)
-	}
-}
-
-// Randomize fills all columns deterministically from seed.
-func (mv *multiVector) Randomize(seed int64) {
-	for k, col := range mv.cols {
-		col.Randomize(seed + int64(k)*7_919)
-	}
-}

@@ -230,77 +230,3 @@ func TestCopyFromClone(t *testing.T) {
 		return nil
 	})
 }
-
-func TestMultiVector(t *testing.T) {
-	onRanks(t, sizes, func(c *comm.Comm) error {
-		m := distmap.NewBlock(12, c.Size())
-		mv := newMultiVector(c, m, 3)
-		if mv.numVectors() != 3 || mv.Map() != m {
-			return fmt.Errorf("accessors")
-		}
-		for k := 0; k < 3; k++ {
-			mv.Vector(k).PutScalar(float64(k + 1))
-		}
-		w := newMultiVector(c, m, 3)
-		for k := 0; k < 3; k++ {
-			w.Vector(k).PutScalar(1)
-		}
-		dots := mv.Dot(w)
-		for k := 0; k < 3; k++ {
-			if dots[k] != float64((k+1)*12) {
-				return fmt.Errorf("dots=%v", dots)
-			}
-		}
-		norms := mv.norm2s()
-		for k := 0; k < 3; k++ {
-			want := float64(k+1) * math.Sqrt(12)
-			if math.Abs(norms[k]-want) > 1e-12 {
-				return fmt.Errorf("norms=%v", norms)
-			}
-		}
-		mv.Update(1, w, 1) // col k becomes k+2
-		mv.Scale(10)
-		for _, got := range mv.Vector(0).Data {
-			if got != 20 {
-				return fmt.Errorf("after update/scale: %g", got)
-			}
-		}
-		return nil
-	})
-}
-
-func TestMultiVectorValidation(t *testing.T) {
-	err := comm.Run(1, func(c *comm.Comm) error {
-		m := distmap.NewBlock(4, 1)
-		defer func() {
-			if recover() == nil {
-				panic("expected panic for nvec=0")
-			}
-		}()
-		newMultiVector(c, m, 0)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMultiVectorRandomize(t *testing.T) {
-	onRanks(t, []int{2}, func(c *comm.Comm) error {
-		m := distmap.NewBlock(10, c.Size())
-		mv := newMultiVector(c, m, 2)
-		mv.Randomize(1)
-		// Columns must differ from each other.
-		a, b := mv.Vector(0), mv.Vector(1)
-		same := true
-		for i := range a.Data {
-			if a.Data[i] != b.Data[i] {
-				same = false
-			}
-		}
-		if same && len(a.Data) > 0 {
-			return fmt.Errorf("columns identical")
-		}
-		return nil
-	})
-}

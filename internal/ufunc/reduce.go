@@ -239,43 +239,6 @@ func AllClose[T dense.Float](x, y *core.DistArray[T], rtol, atol float64) bool {
 	return comm.AllreduceScalar(x.Context().Comm(), local, comm.OpMin) == 1
 }
 
-// compress returns the elements of a 1-d block-distributed array for which
-// pred holds, in global order. Survivors stay on the rank that held them,
-// so the result carries a non-uniform arbitrary map (paper §III.A:
-// "apportion non-uniform sections of an array to each node") and no array
-// data moves — only one scan of the per-rank survivor counts. Collective.
-func compress[T dense.Elem](x *core.DistArray[T], pred func(T) bool) *core.DistArray[T] {
-	if x.NDim() != 1 {
-		panic("ufunc: compress requires a 1-d array")
-	}
-	if x.Map().Kind() != distmap.Block && x.Context().Size() > 1 {
-		panic("ufunc: compress requires a block distribution (global order must follow rank order)")
-	}
-	ctx := x.Context()
-	ctx.Control(core.OpUfunc, 3)
-	defer ctx.SetControlMessages(ctx.SilenceControl())
-
-	var kept []T
-	x.Local().Each(func(v T) {
-		if pred(v) {
-			kept = append(kept, v)
-		}
-	})
-	counts := comm.AllgatherFlat(ctx.Comm(), []int{len(kept)})
-	total := 0
-	owners := make([]int, 0)
-	for r, c := range counts {
-		for i := 0; i < c; i++ {
-			owners = append(owners, r)
-		}
-		total += c
-	}
-	m := distmap.NewArbitrary(owners, ctx.Size())
-	out := core.Zeros[T](ctx, []int{total}, core.Options{Map: m})
-	copy(out.Local().Raw(), kept)
-	return out
-}
-
 // Count returns the global number of elements satisfying pred. Collective.
 func Count[T dense.Elem](x *core.DistArray[T], pred func(T) bool) int {
 	x.Context().Control(core.OpReduce, 1)

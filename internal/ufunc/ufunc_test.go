@@ -542,94 +542,6 @@ func TestPipelineEquivalenceQuick(t *testing.T) {
 	}
 }
 
-func TestCompressMatchesSerial(t *testing.T) {
-	onRanks(t, sizes, func(ctx *core.Context) error {
-		n := 37
-		x := core.FromFunc(ctx, []int{n}, func(g []int) float64 { return math.Sin(float64(g[0])) })
-		pos := compress(x, func(v float64) bool { return v > 0 })
-		// Serial reference.
-		var want []float64
-		for g := 0; g < n; g++ {
-			if v := math.Sin(float64(g)); v > 0 {
-				want = append(want, v)
-			}
-		}
-		if pos.GlobalSize() != len(want) {
-			return fmt.Errorf("size %d want %d", pos.GlobalSize(), len(want))
-		}
-		full := pos.Gather()
-		for i, w := range want {
-			if full.At(i) != w {
-				return fmt.Errorf("[%d]=%g want %g", i, full.At(i), w)
-			}
-		}
-		// The result composes with further global operations.
-		if got := Min(pos); got <= 0 {
-			return fmt.Errorf("compressed min %g", got)
-		}
-		return nil
-	})
-}
-
-func TestCompressZeroCommunicationOfData(t *testing.T) {
-	stats, err := comm.RunStats(4, func(c *comm.Comm) error {
-		ctx := core.NewContext(c)
-		ctx.SetControlMessages(false)
-		x := core.Random(ctx, []int{10_000}, 1)
-		c.Barrier()
-		if c.Rank() == 0 {
-			c.ResetStats()
-		}
-		c.Barrier()
-		//lint:allow p2pmatch Compress rebalances through vetted core redistribution; message accounting is the assertion
-		_ = compress(x, func(v float64) bool { return v > 0.5 })
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Only the counts allgather (4 ints/rank) plus barrier noise.
-	if got := stats.Snapshot().TotalBytes(); got > 512 {
-		t.Fatalf("compress moved %d bytes of data; survivors must stay put", got)
-	}
-}
-
-func TestCompressEmptyAndAll(t *testing.T) {
-	onRanks(t, []int{3}, func(ctx *core.Context) error {
-		x := core.Arange[float64](ctx, 9)
-		none := compress(x, func(v float64) bool { return false })
-		if none.GlobalSize() != 0 {
-			return fmt.Errorf("none size %d", none.GlobalSize())
-		}
-		all := compress(x, func(v float64) bool { return true })
-		if all.GlobalSize() != 9 || all.At(8) != 8 {
-			return fmt.Errorf("all wrong")
-		}
-		return nil
-	})
-}
-
-func TestCompressValidation(t *testing.T) {
-	onRanks(t, []int{2}, func(ctx *core.Context) error {
-		for name, fn := range map[string]func(){
-			"2d": func() { compress(core.Zeros[float64](ctx, []int{2, 2}), func(float64) bool { return true }) },
-			"cyclic": func() {
-				compress(core.Zeros[float64](ctx, []int{8}, core.Options{Kind: distmap.Cyclic}), func(float64) bool { return true })
-			},
-		} {
-			ok := func() (ok bool) {
-				defer func() { ok = recover() != nil }()
-				fn()
-				return false
-			}()
-			if !ok {
-				return fmt.Errorf("%s: expected panic", name)
-			}
-		}
-		return nil
-	})
-}
-
 func TestStrategyString(t *testing.T) {
 	for s, want := range map[Strategy]string{StrategyAuto: "auto", StrategyImportLeft: "import-left", StrategyImportRight: "import-right", Strategy(9): "Strategy(9)"} {
 		if s.String() != want {
