@@ -2,7 +2,8 @@
 // registered once (the @odin.local decorator), broadcast to the workers,
 // and then called from the global level against the local segments of two
 // distributed arrays. The same computation is repeated in pure global mode
-// and with a fused expression, and all three answers are compared.
+// and with fused expressions — built-in operators, and the function's own
+// body as user-supplied nodes — and all four answers are compared.
 package main
 
 import (
@@ -51,17 +52,23 @@ func main() {
 			fmt.Print(plan.ProgramString())
 		}
 		hFused := plan.Execute()
+		// 4. The local function's own body inside a fused expression: user
+		//    functions become opaque nodes the VM calls element by element.
+		sumSq := fusion.Binary("sumsq", func(a, b float64) float64 { return a*a + b*b }, fusion.Var(x), fusion.Var(y))
+		hUser := fusion.Analyze(fusion.Unary("sqrt", math.Sqrt, sumSq)).Execute()
 
 		okLG := ufunc.AllClose(hLocal, hGlobal, 1e-14, 1e-14)
 		okLF := ufunc.AllClose(hLocal, hFused, 1e-14, 1e-14)
+		okLU := ufunc.AllClose(hLocal, hUser, 1e-14, 1e-14)
 		sum := ufunc.Sum(hLocal)
 		if c.Rank() == 0 {
 			fmt.Printf("n=%d on %d ranks\n", *n, c.Size())
 			fmt.Printf("local == global : %v\n", okLG)
 			fmt.Printf("local == fused  : %v\n", okLF)
+			fmt.Printf("local == user   : %v\n", okLU)
 			fmt.Printf("sum(hypot)      : %.6f\n", sum)
 		}
-		if !okLG || !okLF {
+		if !okLG || !okLF || !okLU {
 			return fmt.Errorf("modes disagree")
 		}
 		return nil

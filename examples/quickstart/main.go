@@ -1,13 +1,15 @@
 // Quickstart tours the framework's public API in a few lines: create
-// distributed arrays in global mode, apply ufuncs, reduce, slice, and hand
-// an array to a Trilinos-analog solver — the workflow of the paper's
-// abstract, end to end.
+// distributed arrays in global mode, apply ufuncs, reduce, scan, slice, and
+// hand an array to a Trilinos-analog solver — the workflow of the paper's
+// abstract, end to end. Each ufunc and reduction beyond the first few is
+// checked against a closed form, and a failed check exits 1.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 
 	"odinhpc/internal/bridge"
 	"odinhpc/internal/comm"
@@ -37,6 +39,29 @@ func main() {
 		mean := ufunc.Mean(z)
 		dz := slicing.Diff(z)
 
+		// The rest of the NumPy surface, each result checked against a
+		// closed form. r = arange(n) holds small integers, so every sum and
+		// product below is exact whatever order the ranks reduce in.
+		r := core.Arange[float64](ctx, *n)
+		r1 := ufunc.Scalar(r, 1, func(v, s float64) float64 { return v + s })
+		ten := ufunc.Scalar(core.Arange[int64](ctx, 10), 1, func(v, s int64) int64 { return v + s })
+		grid := core.FromFunc(ctx, []int{*n, 3}, func(g []int) float64 { return float64(3*g[0] + g[1]) })
+		last, gridSum := float64(*n)*float64(*n-1)/2, float64(3**n)*float64(3**n-1)/2
+		checks := []struct {
+			what string
+			ok   bool
+		}{
+			{"dot(r, r) == sum(r*r)", ufunc.Dot(r, r) == ufunc.Sum(ufunc.Mul(r, r))},
+			{"norm2(r)^2 ~ dot(r, r)", math.Abs(math.Pow(ufunc.Norm2(r), 2)-ufunc.Dot(r, r)) <= 1e-9*ufunc.Dot(r, r)},
+			{"max(cumsum(r)) == n(n-1)/2", ufunc.Max(ufunc.CumSum(r)) == last},
+			{"min((r+1)/(r+1)) == 1", ufunc.Min(ufunc.Div(r1, r1)) == 1},
+			{"prod(arange(1, 11)) == 10!", ufunc.Prod(ten) == 3628800},
+			{"count(|cos(z)| <= 1) == n", ufunc.Count(ufunc.Abs(ufunc.Cos(z)), func(v float64) bool { return v <= 1 }) == *n},
+			{"min(exp(-z)) > 0", ufunc.Min(ufunc.Exp(ufunc.Scalar(z, -1, func(v, s float64) float64 { return v * s }))) > 0},
+			{"sum(sum(grid, axis=0)) == 3n(3n-1)/2", ufunc.Sum(ufunc.SumAxis(grid, 0)) == gridSum},
+			{"sum(sum(grid, axis=1)) == 3n(3n-1)/2", ufunc.Sum(ufunc.SumAxis(grid, 1)) == gridSum},
+		}
+
 		// Hand off to the solver stack: 1-D Poisson with the Laplacian.
 		m := distmap.NewBlock(*n, c.Size())
 		a := galeri.Laplace1DDist(c, m)
@@ -58,6 +83,14 @@ func main() {
 			fmt.Printf("len(diff(z))    : %d\n", dz.GlobalSize())
 			fmt.Printf("CG solve        : %v\n", res)
 			fmt.Printf("max(solution)   : %.6e\n", maxSol)
+			for _, ch := range checks {
+				fmt.Printf("%-40s: %v\n", ch.what, ch.ok)
+			}
+		}
+		for _, ch := range checks {
+			if !ch.ok {
+				return fmt.Errorf("check failed: %s", ch.what)
+			}
 		}
 		return nil
 	})

@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -118,18 +119,52 @@ var parseModule = sync.OnceValues(func() (module, error) {
 	return m, err
 })
 
+// testHelper reports whether fd takes a parameter of a type from package
+// testing (*testing.T, testing.TB, ...): a helper of a test-support package
+// such as chaostest, which only a test can call.
+func testHelper(fd *ast.FuncDecl) bool {
+	for _, field := range fd.Type.Params.List {
+		typ := field.Type
+		if star, ok := typ.(*ast.StarExpr); ok {
+			typ = star.X
+		}
+		if sel, ok := typ.(*ast.SelectorExpr); ok {
+			if x, ok := sel.X.(*ast.Ident); ok && x.Name == "testing" {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// modulePath is the import path prefix of the module's own packages.
+const modulePath = "odinhpc/"
+
 // TestEveryExportHasACaller enforces the rule that an exported function or
 // method under internal/ has a caller outside the tests: some non-test file
-// names it, other than its own declaration. The scan is by name, so a
-// method counts as called when any identifier of that name appears; only
-// the declarations testSeams lists are exempt.
+// names it, other than its own declaration. A package-level function is
+// named by its package: a file of another package calls it as pkg.Name,
+// pkg being the file's import name for the declaring directory, and a file
+// of its own directory names it bare. A method is matched by name alone, so
+// it counts as called when any identifier of that name appears. A test
+// helper (testHelper) needs no such caller; otherwise only the declarations
+// testSeams lists are exempt.
 func TestEveryExportHasACaller(t *testing.T) {
 	m, err := parseModule()
 	if err != nil {
 		t.Fatal(err)
 	}
-	uses := map[string]int{}
-	type decl struct{ key, name, pos, reason string }
+	pkgNames := map[string]string{} // directory -> package name
+	for _, mf := range m.files {
+		pkgNames[mf.dir] = mf.f.Name.Name
+	}
+	// uses counts identifiers by name, for methods; funcUses counts
+	// references to package-level functions by "dir.Name".
+	uses, funcUses := map[string]int{}, map[string]int{}
+	type decl struct {
+		key, name, pos, reason string
+		funcKey                string // "dir.Name" of a package-level function, "" for a method
+	}
 	var exported []decl
 	for _, mf := range m.files {
 		declNames := map[*ast.Ident]bool{}
@@ -139,30 +174,66 @@ func TestEveryExportHasACaller(t *testing.T) {
 				continue
 			}
 			declNames[fd.Name] = true
-			if fd.Name.IsExported() && strings.HasPrefix(mf.dir, "internal/") {
-				exported = append(exported, decl{seamKey(mf.dir, fd), fd.Name.Name,
-					m.fset.Position(fd.Name.Pos()).String(), seamReason(fd.Doc)})
+			if fd.Name.IsExported() && strings.HasPrefix(mf.dir, "internal/") && !testHelper(fd) {
+				d := decl{key: seamKey(mf.dir, fd), name: fd.Name.Name,
+					pos: m.fset.Position(fd.Name.Pos()).String(), reason: seamReason(fd.Doc)}
+				if fd.Recv == nil {
+					d.funcKey = mf.dir + "." + d.name
+				}
+				exported = append(exported, d)
 			}
 		}
+		imported := map[string]string{} // import name -> directory
+		for _, spec := range mf.f.Imports {
+			path, err := strconv.Unquote(spec.Path.Value)
+			if err != nil || !strings.HasPrefix(path, modulePath) {
+				continue
+			}
+			dir := strings.TrimPrefix(path, modulePath)
+			name := pkgNames[dir]
+			if spec.Name != nil {
+				name = spec.Name.Name
+			}
+			imported[name] = dir
+		}
+		selected := map[*ast.Ident]bool{}
 		ast.Inspect(mf.f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declNames[id] {
-				uses[id.Name]++
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				selected[n.Sel] = true
+				if x, ok := n.X.(*ast.Ident); ok && imported[x.Name] != "" {
+					funcUses[imported[x.Name]+"."+n.Sel.Name]++
+				}
+			case *ast.Ident:
+				if declNames[n] {
+					break
+				}
+				uses[n.Name]++
+				if !selected[n] {
+					funcUses[mf.dir+"."+n.Name]++
+				}
 			}
 			return true
 		})
+	}
+	used := func(d decl) bool {
+		if d.funcKey == "" {
+			return uses[d.name] > 0
+		}
+		return funcUses[d.funcKey] > 0
 	}
 	declared := map[string]bool{}
 	var dead []string
 	for _, d := range exported {
 		if !testSeams[d.key] {
-			if uses[d.name] == 0 && !skippedNames[d.name] {
+			if !used(d) && !skippedNames[d.name] {
 				dead = append(dead, d.pos+": "+d.key)
 			}
 			continue
 		}
 		declared[d.key] = true
 		switch {
-		case uses[d.name] > 0:
+		case used(d):
 			t.Errorf("test seam %s now has a caller outside the tests: drop its entry", d.key)
 		case d.reason == "":
 			t.Errorf("test seam %s: its declaration lacks a // Test seam: <reason> line", d.key)

@@ -2,16 +2,14 @@ package dense
 
 import (
 	"fmt"
-	"math"
 
 	"odinhpc/internal/exec"
 )
 
-// This file provides the small dense linear-algebra kernels (BLAS level 1
-// plus an LU factorization) used by the solver and preconditioner packages.
-// Everything operates on float64 slices or 2-d Arrays; the distributed
-// layers handle partitioning. The BLAS-1 sweeps run on the exec engine; the
-// factorization stays serial (its loop-carried dependencies don't chunk).
+// This file provides the small dense linear-algebra kernels (BLAS level 1)
+// used by the solver and preconditioner packages. Everything operates on
+// float64 slices; the distributed layers handle partitioning. The sweeps
+// run on the exec engine.
 
 // vecArgs is the operand set of the level-1 kernels below. Each is a
 // top-level range function handed to the engine with its operands by value
@@ -123,80 +121,4 @@ func waxpyDotRange(a waxpyArgs, lo, hi int) float64 {
 	var l lanes
 	l.waxpyDot(a.alpha, a.x[lo:hi], a.y[lo:hi], a.w[lo:hi])
 	return l.fold()
-}
-
-// LU holds a dense LU factorization with partial pivoting: P*A = L*U with
-// unit lower-triangular L and upper-triangular U packed in one matrix.
-type LU struct {
-	lu  *Array[float64]
-	piv []int
-	n   int
-}
-
-// FactorLU computes the LU factorization of a square matrix. It returns an
-// error if the matrix is singular to working precision.
-func FactorLU(a *Array[float64]) (*LU, error) {
-	if a.NDim() != 2 || a.Dim(0) != a.Dim(1) {
-		panic("dense: FactorLU requires a square 2-d array")
-	}
-	n := a.Dim(0)
-	lu := a.Clone()
-	piv := make([]int, n)
-	for i := range piv {
-		piv[i] = i
-	}
-	for k := 0; k < n; k++ {
-		// Partial pivot.
-		p, pmax := k, math.Abs(lu.At(k, k))
-		for i := k + 1; i < n; i++ {
-			if v := math.Abs(lu.At(i, k)); v > pmax {
-				p, pmax = i, v
-			}
-		}
-		if pmax == 0 {
-			return nil, fmt.Errorf("dense: matrix is singular at column %d", k)
-		}
-		if p != k {
-			for j := 0; j < n; j++ {
-				t := lu.At(k, j)
-				lu.Set(lu.At(p, j), k, j)
-				lu.Set(t, p, j)
-			}
-			piv[k], piv[p] = piv[p], piv[k]
-		}
-		ukk := lu.At(k, k)
-		for i := k + 1; i < n; i++ {
-			l := lu.At(i, k) / ukk
-			lu.Set(l, i, k)
-			for j := k + 1; j < n; j++ {
-				lu.Set(lu.At(i, j)-l*lu.At(k, j), i, j)
-			}
-		}
-	}
-	return &LU{lu: lu, piv: piv, n: n}, nil
-}
-
-// Solve solves A x = b, overwriting nothing; it returns a new solution slice.
-func (f *LU) Solve(b []float64) []float64 {
-	if len(b) != f.n {
-		panic(fmt.Sprintf("dense: LU.Solve length %d, want %d", len(b), f.n))
-	}
-	x := make([]float64, f.n)
-	for i, p := range f.piv {
-		x[i] = b[p]
-	}
-	// Forward substitution with unit L.
-	for i := 1; i < f.n; i++ {
-		for j := 0; j < i; j++ {
-			x[i] -= f.lu.At(i, j) * x[j]
-		}
-	}
-	// Back substitution with U.
-	for i := f.n - 1; i >= 0; i-- {
-		for j := i + 1; j < f.n; j++ {
-			x[i] -= f.lu.At(i, j) * x[j]
-		}
-		x[i] /= f.lu.At(i, i)
-	}
-	return x
 }

@@ -159,32 +159,6 @@ func Max[T Real](a *Array[T]) T {
 	})
 }
 
-// ArgMax returns the row-major flat position of the maximum element.
-func ArgMax[T Real](a *Array[T]) int {
-	if a.Size() == 0 {
-		panic("dense: ArgMax of empty array")
-	}
-	first := true
-	var best T
-	bi, i := 0, 0
-	a.foldRange(0, a.Size(), func(off int) {
-		if v := a.data[off]; first || v > best {
-			best, bi = v, i
-			first = false
-		}
-		i++
-	})
-	return bi
-}
-
-// Mean returns the arithmetic mean of a floating-point array.
-func Mean[T Float](a *Array[T]) T {
-	if a.Size() == 0 {
-		panic("dense: Mean of empty array")
-	}
-	return Sum(a) / T(a.Size())
-}
-
 // CumSum returns the running inclusive prefix sum in row-major order as a
 // 1-d array.
 func CumSum[T Elem](a *Array[T]) *Array[T] {
@@ -249,19 +223,6 @@ func Dot[T Elem](a, b *Array[T]) T {
 		}
 		return acc
 	}, func(x, y T) T { return x + y })
-}
-
-// Norm2 returns the Euclidean norm of a float vector or matrix (Frobenius).
-func Norm2[T Float](a *Array[T]) float64 {
-	ss := exec.ParallelReduce(exec.Default(), a.Size(), func(lo, hi int) float64 {
-		var acc float64
-		a.foldRange(lo, hi, func(off int) {
-			v := float64(a.data[off])
-			acc += v * v
-		})
-		return acc
-	}, func(x, y float64) float64 { return x + y })
-	return math.Sqrt(ss)
 }
 
 // Count returns the number of elements for which pred holds.

@@ -2,10 +2,8 @@ package dense
 
 import (
 	"math"
-	"math/rand"
 	"reflect"
 	"testing"
-	"testing/quick"
 )
 
 func TestUnary(t *testing.T) {
@@ -89,21 +87,13 @@ func TestReductions(t *testing.T) {
 	if Min(a) != -1 || Max(a) != 5 {
 		t.Fatalf("Min/Max = %v/%v", Min(a), Max(a))
 	}
-	if ArgMax(a) != 4 {
-		t.Fatalf("ArgMax = %d", ArgMax(a))
-	}
-	if Mean(a) != 2.4 {
-		t.Fatalf("Mean = %v", Mean(a))
-	}
 }
 
 func TestReductionsEmptyPanics(t *testing.T) {
 	empty := Zeros[float64](0)
 	for name, fn := range map[string]func(){
-		"min":    func() { Min(empty) },
-		"max":    func() { Max(empty) },
-		"argmax": func() { ArgMax(empty) },
-		"mean":   func() { Mean(empty) },
+		"min": func() { Min(empty) },
+		"max": func() { Max(empty) },
 	} {
 		func() {
 			defer func() {
@@ -180,16 +170,6 @@ func TestDot(t *testing.T) {
 	}()
 }
 
-func TestNorms(t *testing.T) {
-	a := FromSlice([]float64{3, -4}, 2)
-	if Norm2(a) != 5 {
-		t.Fatalf("Norm2 = %v", Norm2(a))
-	}
-	if Norm2(Zeros[float64](0)) != 0 {
-		t.Fatal("empty Norm2")
-	}
-}
-
 func TestWhereCount(t *testing.T) {
 	a := FromSlice([]float64{1, -2, 3, -4}, 4)
 	if Count(a, func(v float64) bool { return v > 0 }) != 2 {
@@ -238,71 +218,4 @@ func TestAxpyScalDot(t *testing.T) {
 		}()
 		Axpy(1, x, []float64{1})
 	}()
-}
-
-func TestLUSolve(t *testing.T) {
-	a := FromSlice([]float64{4, 3, 6, 3}, 2, 2)
-	f, err := FactorLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := f.Solve([]float64{10, 12})
-	// 4x+3y=10, 6x+3y=12 -> x=1, y=2
-	if math.Abs(x[0]-1) > 1e-12 || math.Abs(x[1]-2) > 1e-12 {
-		t.Fatalf("LU solve = %v", x)
-	}
-}
-
-func TestLUSingular(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 2, 4}, 2, 2)
-	if _, err := FactorLU(a); err == nil {
-		t.Fatal("singular matrix must fail")
-	}
-}
-
-func TestLUSolveRandomProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(12)
-		a := Zeros[float64](n, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				a.Set(rng.NormFloat64(), i, j)
-			}
-			a.Set(a.At(i, i)+float64(n), i, i) // diagonally dominant
-		}
-		want := make([]float64, n)
-		for i := range want {
-			want[i] = rng.NormFloat64()
-		}
-		b := make([]float64, n)
-		for i := range b {
-			for j, w := range want {
-				b[i] += a.At(i, j) * w
-			}
-		}
-		lu, err := FactorLU(a)
-		if err != nil {
-			return false
-		}
-		got := lu.Solve(b)
-		for i := range got {
-			if math.Abs(got[i]-want[i]) > 1e-8 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFactorLUValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("FactorLU of a non-square matrix: expected panic")
-		}
-	}()
-	_, _ = FactorLU(Zeros[float64](2, 3))
 }

@@ -134,9 +134,14 @@ var e3 = Experiment{
 					ctx := core.NewContext(c)
 					x := core.Zeros[float64](ctx, []int{n}, core.Options{Map: l.xm()})
 					y := core.Zeros[float64](ctx, []int{n}, core.Options{Map: l.ym()})
-					_, right = ufunc.PlanBinary(x, y, ufunc.BinaryOptions{Strategy: ufunc.StrategyImportRight})
-					_, left = ufunc.PlanBinary(x, y, ufunc.BinaryOptions{Strategy: ufunc.StrategyImportLeft})
-					chosen, auto = ufunc.PlanBinary(x, y)
+					_, r := ufunc.PlanBinary(x, y, ufunc.BinaryOptions{Strategy: ufunc.StrategyImportRight})
+					_, lf := ufunc.PlanBinary(x, y, ufunc.BinaryOptions{Strategy: ufunc.StrategyImportLeft})
+					ch, a := ufunc.PlanBinary(x, y)
+					// Every rank computes the same plans; rank 0 alone reports
+					// them, so the ranks do not race on the case's variables.
+					if c.Rank() == 0 {
+						right, left, chosen, auto = r, lf, ch, a
+					}
 					return nil
 				})
 				m.Report("importRight", float64(right))

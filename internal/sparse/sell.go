@@ -38,23 +38,30 @@ const DefaultSellC = 8
 const DefaultSellSigma = 256
 
 // SELL is a SELL-C-sigma matrix. Entry (p, j) — the j-th stored element of
-// the row at sorted position p — lives at
+// the row at sorted position p — belongs to slice s = p/c, at column
+// position j of that slice. Within a slice, rows are sorted by descending
+// length (sigma is rounded up to a multiple of c so no slice straddles a
+// sort window), and rowLen bounds each row's loop so padding (stored as
+// explicit zeros) never enters an accumulation.
 //
-//	slicePtr[s] + j*h + (p - s*c)
-//
-// where s = p/c is the slice index and h = min(c, rows-s*c) the slice
-// height. Within a slice, rows are sorted by descending length (sigma is
-// rounded up to a multiple of c so no slice straddles a sort window), and
-// rowLen bounds each row's loop so padding (stored as explicit zeros) never
-// enters an accumulation.
-//
-// Two facts about each slice's stored data let the kernels move less:
-// run[s] says its rows are consecutive original rows (perm[lo+r] ==
-// perm[lo]+r), so its sums go to one contiguous stretch of y; and, for a
-// slice of height 8, bit j of unit[s] (j < 64) says the eight column indices
-// at position j are c0, c0+1, ..., c0+7, so the SIMD kernel loads x[c0:c0+8]
-// instead of gathering it. Both only change where a value is read from or
-// written to, never which value or in which order it is summed.
+// A slice's values start at val[valPtr[s]] and its indices at
+// colIdx[colPtr[s]]; each slice's data follows the previous one's in both
+// streams. Most slices store every position in full, column-major: slot
+// j*h + r of each stream, h = min(c, rows-s*c) being the slice height.
+// A uniform slice — C = 8, full height, all eight rows holding the same
+// w > 0 entries, so no padding — stores its positions in order, each one
+// compactly where it can: bit j of same[s] (j < 64) says the eight
+// values at position j are bitwise equal (math.Float64bits, so -0 and 0,
+// or two NaN payloads, never merge), and the value is stored once, not
+// eight times; bit j of unit[s] says the eight column indices are c0,
+// c0+1, ..., c0+7, and only c0 is stored. A stencil's interior slices
+// hold a handful of distinct values on mostly consecutive columns, so
+// this cuts the bytes an SpMV streams several times over, and the SIMD
+// kernel loads x[c0:c0+8] and broadcasts the one value instead of
+// gathering and loading eight. run[s] says the slice's rows are
+// consecutive original rows (perm[lo+r] == perm[lo]+r), so its sums go to
+// one contiguous stretch of y. None of this changes which value is summed
+// in which order, only where it is read from or written to.
 //
 // The layout and the dimensions are unexported and fixed by FromCSR, which
 // checks every column index against the column count: the SIMD kernel
@@ -65,11 +72,13 @@ type SELL struct {
 	c          int     // slice height
 	sigma      int     // sort-window size (multiple of c)
 	perm       []int   // perm[p] = original row stored at sorted position p
-	slicePtr   []int   // per-slice offsets into colIdx/val; length numSlices+1
+	valPtr     []int   // per-slice offsets into val; length numSlices+1
+	colPtr     []int   // per-slice offsets into colIdx; length numSlices+1
 	rowLen     []int   // true nnz of the row at each sorted position
-	colIdx     []int32 // column indices, column-major within each slice
+	colIdx     []int32 // column indices: full or, in a uniform slice, one per unit position
 	val        []float64
-	unit       []uint64 // per slice: bit j set if position j's 8 indices are consecutive (height-8 slices only)
+	unit       []uint64 // per uniform slice: bit j set if position j's indices are c0..c0+7, stored as c0
+	same       []uint64 // per uniform slice: bit j set if position j's 8 values are bitwise equal, stored once
 	run        []bool   // per slice: its rows are consecutive original rows
 }
 
@@ -117,28 +126,26 @@ func FromCSR(m *CSR, c, sigma int) *SELL {
 	for p, orig := range s.perm {
 		s.rowLen[p] = m.RowNNZ(orig)
 	}
-	ns := (m.Rows + c - 1) / c
-	s.slicePtr = make([]int, ns+1)
-	for sl := 0; sl < ns; sl++ {
-		lo := sl * c
-		h := c
-		if m.Rows-lo < h {
-			h = m.Rows - lo
-		}
-		w := s.rowLen[lo] // rows are descending within the slice
-		s.slicePtr[sl+1] = s.slicePtr[sl] + w*h
-	}
-	s.colIdx = make([]int32, s.slicePtr[ns])
-	s.val = make([]float64, s.slicePtr[ns])
-	s.unit = make([]uint64, ns)
+	// One pass over the slices: each is laid out column-major in scratch,
+	// padded with zeros at column 0, marked, and appended to the streams, a
+	// uniform slice's marked positions as one entry. The streams are then
+	// copied to their exact length: only the compact layout is kept.
+	ns := s.numSlices()
+	var vals, sv []float64
+	var cols, sc []int32
+	s.valPtr, s.colPtr = make([]int, ns+1), make([]int, ns+1)
+	s.unit, s.same = make([]uint64, ns), make([]uint64, ns)
 	s.run = make([]bool, ns)
 	for sl := 0; sl < ns; sl++ {
 		lo := sl * c
-		h := c
-		if m.Rows-lo < h {
-			h = m.Rows - lo
+		h := min(c, m.Rows-lo)
+		w := s.rowLen[lo] // rows are descending within the slice
+		if cap(sv) < w*h {
+			sv, sc = make([]float64, w*h), make([]int32, w*h)
 		}
-		base := s.slicePtr[sl]
+		sv, sc = sv[:w*h], sc[:w*h]
+		clear(sv)
+		clear(sc)
 		s.run[sl] = true
 		for r := 0; r < h; r++ {
 			orig := s.perm[lo+r]
@@ -149,27 +156,45 @@ func FromCSR(m *CSR, c, sigma int) *SELL {
 				if col < 0 || col >= m.Cols {
 					panic(fmt.Sprintf("sparse: FromCSR: row %d has column index %d outside [0,%d)", orig, col, m.Cols))
 				}
-				s.colIdx[base+j*h+r] = int32(col)
-				s.val[base+j*h+r] = m.Val[k0+j]
+				sc[j*h+r] = int32(col)
+				sv[j*h+r] = m.Val[k0+j]
 			}
 		}
-		if h != 8 {
-			continue
-		}
-		// A padding slot holds column 0 below a true entry, so it never
-		// continues a consecutive run: only true entries are marked.
-		for j := 0; j < min(s.rowLen[lo], 64); j++ {
-			col := s.colIdx[base+8*j : base+8*j+8]
-			consecutive := true
-			for r := 1; r < 8; r++ {
-				consecutive = consecutive && col[r] == col[0]+int32(r)
+		if s.uniform(sl) {
+			for j := 0; j < min(w, 64); j++ {
+				v, col := sv[8*j:8*j+8], sc[8*j:8*j+8]
+				consecutive, equal := true, true
+				for r := 1; r < 8; r++ {
+					consecutive = consecutive && col[r] == col[0]+int32(r)
+					equal = equal && math.Float64bits(v[r]) == math.Float64bits(v[0])
+				}
+				if consecutive {
+					s.unit[sl] |= 1 << j
+				}
+				if equal {
+					s.same[sl] |= 1 << j
+				}
 			}
-			if consecutive {
-				s.unit[sl] |= 1 << j
-			}
 		}
+		for j := 0; j < w; j++ {
+			bit := uint64(1) << j // zero from position 64 on
+			vals = append(vals, sv[j*h:][:stored(s.same[sl]&bit != 0, h)]...)
+			cols = append(cols, sc[j*h:][:stored(s.unit[sl]&bit != 0, h)]...)
+		}
+		s.valPtr[sl+1], s.colPtr[sl+1] = len(vals), len(cols)
 	}
+	s.val, s.colIdx = make([]float64, len(vals)), make([]int32, len(cols))
+	copy(s.val, vals)
+	copy(s.colIdx, cols)
 	return s
+}
+
+// uniform reports whether slice s is stored compactly and runs the SIMD
+// kernel: C = 8, full height, and all eight rows w > 0 entries long, so it
+// holds no padding.
+func (m *SELL) uniform(s int) bool {
+	lo := s * m.c
+	return m.c == 8 && lo+8 <= m.rows && m.rowLen[lo] > 0 && m.rowLen[lo+7] == m.rowLen[lo]
 }
 
 // NNZ returns the number of true (non-padding) entries.
@@ -181,8 +206,16 @@ func (m *SELL) NNZ() int {
 	return n
 }
 
-// PaddedNNZ returns the number of stored slots including padding.
-func (m *SELL) PaddedNNZ() int { return len(m.val) }
+// PaddedNNZ returns the number of slots of the padded layout: each slice's
+// longest row length times its height, whether or not a uniform slice
+// stores some positions compactly.
+func (m *SELL) PaddedNNZ() int {
+	n := 0
+	for lo := 0; lo < m.rows; lo += m.c {
+		n += m.rowLen[lo] * min(m.c, m.rows-lo)
+	}
+	return n
+}
 
 // numSlices returns the slice count.
 func (m *SELL) numSlices() int { return (m.rows + m.c - 1) / m.c }
@@ -248,67 +281,98 @@ var sellSIMD = cpuid.AVX2()
 // slice in [slo, shi) it forms the per-row dot products (rows in
 // ascending-column order, bit-for-bit matching CSR) and puts them at
 // y[perm[..]] — or, for a run slice, at y[perm[lo]:perm[lo]+h] in one
-// stretch. A full-height C = 8 slice whose eight rows all have one length
-// w > 0 — every interior slice of a stencil matrix after the sigma sort —
-// goes to the AVX2 kernel where the CPU has it (sellSIMD): it holds no
-// padding, so the unchecked loads read only true entries, and each lane
-// multiplies then adds in ascending-column order like the loops below. It
-// takes the slice's unit-stride mask, and a run's MulVec hands it y itself
-// as the sum. Otherwise a full-height slice runs the columns where all eight
-// rows are active through an unrolled loop with one scalar accumulator per
-// row, and a ragged slice goes on into the tail loop.
+// stretch. Where the CPU has AVX2 (sellSIMD), MulVec hands each maximal
+// stretch of consecutive uniform slices to one sellStretch8 call, which
+// reads each slice's length, marks, run flag and perm itself, stores its
+// sums into y and finds where the stretch ends; each lane multiplies then
+// adds in ascending-column order like the loops below. Otherwise a
+// full-height C = 8 slice runs the positions where all eight rows are
+// active through an unrolled loop with one scalar accumulator per row,
+// reading a uniform slice's compact positions as the kernel does, and a
+// ragged slice goes on into the tail loop.
 func sellRange(a sellArgs, slo, shi int) {
 	m, x := a.m, a.x
 	var acc [sellMaxC]float64
 	for s := slo; s < shi; s++ {
 		lo := s * m.c
+		if sellSIMD && !a.add && m.uniform(s) {
+			// The kernel stops at the first slice that is not uniform, or at
+			// the span's end; a short last slice is never handed to it.
+			s += sellStretch8(&m.val[m.valPtr[s]], &m.colIdx[m.colPtr[s]], &x[0], &a.y[0],
+				&m.rowLen[lo], &m.perm[lo], &m.unit[s], &m.same[s], &m.run[s], min(shi, m.rows/8)-s) - 1
+			continue
+		}
 		h := min(m.c, m.rows-lo)
-		base := m.slicePtr[s]
 		w := m.rowLen[lo] // rows are descending within the slice
 		j := 0
 		if h == 8 {
 			// Every row is active while j is below the last (shortest) row's
-			// length.
+			// length. Only a uniform slice has marks; a ragged one's positions
+			// are all stored in full.
 			wMin := m.rowLen[lo+7]
-			if wMin == w && w > 0 && sellSIMD {
-				if m.run[s] && !a.add {
-					p0 := m.perm[lo]
-					sellUniform8(&m.val[base], &m.colIdx[base], w, &x[0], (*[8]float64)(a.y[p0:p0+8]), m.unit[s])
+			vo, co := m.valPtr[s], m.colPtr[s]
+			same, unit := m.same[s], m.unit[s]
+			var a0, a1, a2, a3, a4, a5, a6, a7 float64
+			for ; j < wMin; j++ {
+				bit := uint64(1) << j // zero from position 64 on
+				if same&unit&bit != 0 {
+					// A stencil's common position: one value times eight
+					// consecutive x entries.
+					v, c0 := m.val[vo], int(m.colIdx[co])
+					xs := x[c0 : c0+8 : c0+8]
+					a0 += v * xs[0]
+					a1 += v * xs[1]
+					a2 += v * xs[2]
+					a3 += v * xs[3]
+					a4 += v * xs[4]
+					a5 += v * xs[5]
+					a6 += v * xs[6]
+					a7 += v * xs[7]
+					vo, co = vo+1, co+1
 					continue
 				}
-				sellUniform8(&m.val[base], &m.colIdx[base], w, &x[0], (*[8]float64)(acc[:]), m.unit[s])
-			} else {
-				var a0, a1, a2, a3, a4, a5, a6, a7 float64
-				for ; j < wMin; j++ {
-					off := base + j*8
-					v := m.val[off : off+8 : off+8]
-					c := m.colIdx[off : off+8 : off+8]
-					a0 += v[0] * x[c[0]]
-					a1 += v[1] * x[c[1]]
-					a2 += v[2] * x[c[2]]
-					a3 += v[3] * x[c[3]]
-					a4 += v[4] * x[c[4]]
-					a5 += v[5] * x[c[5]]
-					a6 += v[6] * x[c[6]]
-					a7 += v[7] * x[c[7]]
+				var v, xs [8]float64
+				if same&bit != 0 {
+					v0 := m.val[vo]
+					v = [8]float64{v0, v0, v0, v0, v0, v0, v0, v0}
+					vo++
+				} else {
+					v = [8]float64(m.val[vo : vo+8])
+					vo += 8
 				}
-				acc[0], acc[1], acc[2], acc[3] = a0, a1, a2, a3
-				acc[4], acc[5], acc[6], acc[7] = a4, a5, a6, a7
+				if unit&bit != 0 {
+					c0 := int(m.colIdx[co])
+					xs = [8]float64(x[c0 : c0+8])
+					co++
+				} else {
+					c := m.colIdx[co : co+8 : co+8]
+					xs = [8]float64{x[c[0]], x[c[1]], x[c[2]], x[c[3]], x[c[4]], x[c[5]], x[c[6]], x[c[7]]}
+					co += 8
+				}
+				a0 += v[0] * xs[0]
+				a1 += v[1] * xs[1]
+				a2 += v[2] * xs[2]
+				a3 += v[3] * xs[3]
+				a4 += v[4] * xs[4]
+				a5 += v[5] * xs[5]
+				a6 += v[6] * xs[6]
+				a7 += v[7] * xs[7]
 			}
-			j = wMin
+			acc[0], acc[1], acc[2], acc[3] = a0, a1, a2, a3
+			acc[4], acc[5], acc[6], acc[7] = a4, a5, a6, a7
 		} else {
 			clear(acc[:h])
 		}
 		// cnt = rows of this slice still active at column position j; row
-		// lengths are descending so it only ever shrinks.
+		// lengths are descending so it only ever shrinks. A slice that gets
+		// here past its first wMin positions is stored in full.
 		cnt := h
 		for ; j < w; j++ {
 			for cnt > 0 && m.rowLen[lo+cnt-1] <= j {
 				cnt--
 			}
-			off := base + j*h
-			vals := m.val[off : off+cnt]
-			cols := m.colIdx[off : off+cnt]
+			vals := m.val[m.valPtr[s]+j*h:][:cnt]
+			cols := m.colIdx[m.colPtr[s]+j*h:][:cnt]
 			for r := range vals {
 				acc[r] += vals[r] * x[cols[r]]
 			}
@@ -323,8 +387,10 @@ func sellRange(a sellArgs, slo, shi int) {
 	}
 }
 
-// Scale multiplies every stored entry by alpha, in place. Padding slots are
-// scaled too but never read, so a NaN/Inf alpha cannot leak into results.
+// Scale multiplies every stored value by alpha, in place. A value a uniform
+// slice stores once for eight equal entries is scaled once, which gives the
+// bits eight separate products would. Padding slots are scaled too but never
+// read, so a NaN/Inf alpha cannot leak into results.
 func (m *SELL) Scale(alpha float64) {
 	for k := range m.val {
 		m.val[k] *= alpha
@@ -333,8 +399,9 @@ func (m *SELL) Scale(alpha float64) {
 
 // ToCSR returns the CSR matrix m was converted from, exactly: FromCSR keeps
 // every stored entry of a row — explicit zeros and NaN payloads included —
-// in the row's order, so FromCSR(csr, c, sigma).ToCSR() reproduces csr's
-// RowPtr, ColIdx and Val bit for bit. The result shares no storage with m.
+// in the row's order, and merges eight values only when their bits are
+// equal, so FromCSR(csr, c, sigma).ToCSR() reproduces csr's RowPtr, ColIdx
+// and Val bit for bit. The result shares no storage with m.
 func (m *SELL) ToCSR() *CSR {
 	out := &CSR{Rows: m.rows, Cols: m.cols, RowPtr: make([]int, m.rows+1)}
 	for p, orig := range m.perm {
@@ -345,17 +412,39 @@ func (m *SELL) ToCSR() *CSR {
 	}
 	out.ColIdx = make([]int, out.RowPtr[m.rows])
 	out.Val = make([]float64, out.RowPtr[m.rows])
-	for p, orig := range m.perm {
-		lo := p / m.c * m.c
+	for s := 0; s < m.numSlices(); s++ {
+		lo := s * m.c
 		h := min(m.c, m.rows-lo)
-		off := m.slicePtr[p/m.c] + p - lo
-		k0 := out.RowPtr[orig]
-		for j := 0; j < m.rowLen[p]; j++ {
-			out.ColIdx[k0+j] = int(m.colIdx[off+j*h])
-			out.Val[k0+j] = m.val[off+j*h]
+		vo, co := m.valPtr[s], m.colPtr[s]
+		for j := 0; j < m.rowLen[lo]; j++ {
+			bit := uint64(1) << j
+			same, unit := m.same[s]&bit != 0, m.unit[s]&bit != 0
+			for r := 0; r < h && j < m.rowLen[lo+r]; r++ {
+				k := out.RowPtr[m.perm[lo+r]] + j
+				if same {
+					out.Val[k] = m.val[vo]
+				} else {
+					out.Val[k] = m.val[vo+r]
+				}
+				if unit {
+					out.ColIdx[k] = int(m.colIdx[co]) + r
+				} else {
+					out.ColIdx[k] = int(m.colIdx[co+r])
+				}
+			}
+			vo, co = vo+stored(same, h), co+stored(unit, h)
 		}
 	}
 	return out
+}
+
+// stored is how many entries a position of h rows takes in a stream: one
+// where it is marked, else h.
+func stored(marked bool, h int) int {
+	if marked {
+		return 1
+	}
+	return h
 }
 
 func (m *SELL) String() string {

@@ -316,7 +316,12 @@ func TestSELLEdgeShapes(t *testing.T) {
 // band that wraps at Cols), widths past the mask's 64 bits, unit-stride
 // columns whose rows are not consecutive, run slices beside others, and
 // unit-stride columns whose neighbours x[c0-1] and x[c0+8] are unread, so
-// sellMismatch poisons them.
+// sellMismatch poisons them. The "equal-" copies give each position one
+// value in every row but a few, so uniform slices store most positions once
+// and a few in full, before and past position 64; in "equal-runs-beside-67"
+// a stretch of uniform slices mixes run and non-run slices. At pool 3 the
+// grain of 2 slices ends stretches at chunk boundaries, and every split of
+// the slices into two spans must write exactly its own rows (checkSpans).
 func TestSELLSliceKernelMatchesCSR(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	// rowsOf builds a matrix whose row i holds lens[i] entries.
@@ -425,6 +430,9 @@ func TestSELLSliceKernelMatchesCSR(t *testing.T) {
 			return []int{10*(2*s) + 1 + r, 10*(2*s+1) + 1 + r}
 		}),
 	}
+	for _, name := range []string{"band-7-70", "band-66-wide-67", "unit-not-run-72", "runs-beside-67", "mixed-67", "width-70-67"} {
+		mats["equal-"+name] = equalColumns(mats[name], func(i, j int) bool { return (3*i+j)%17 == 0 })
+	}
 	for w := 0; w <= 9; w++ {
 		mats[fmt.Sprintf("width-%d-61", w)] = rowsOf(9, repeat(61, w))
 	}
@@ -445,10 +453,64 @@ func TestSELLSliceKernelMatchesCSR(t *testing.T) {
 						defer exec.SetDefault(old)
 						forEachSellKernel(t, func(t *testing.T) {
 							checkSellMatchesCSR(t, m, c, sigma, draw)
+							if pool == 1 {
+								checkSpans(t, m, c, sigma)
+							}
 						})
 					})
 				}
 			}
+		}
+	}
+}
+
+// equalColumns returns a copy of m whose entry j of row i is j - 2.5, or
+// 2.5 - j where odd(i, j): a stencil's pattern of one value per position,
+// with the odd entries breaking it.
+func equalColumns(m *CSR, odd func(i, j int) bool) *CSR {
+	out := *m
+	out.Val = make([]float64, len(m.Val))
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < m.RowNNZ(i); j++ {
+			v := float64(j) - 2.5
+			if odd(i, j) {
+				v = -v
+			}
+			out.Val[m.RowPtr[i]+j] = v
+		}
+	}
+	return &out
+}
+
+// checkSpans runs the slice kernel over [0, k) and then [k, numSlices) for
+// every k, into a y filled with a sentinel NaN: the first span must leave
+// every row of the second untouched — a stretch handed to the AVX2 kernel
+// ends at its span's end even when the next slice is uniform too — and
+// together they must give CSR's product.
+func checkSpans(t *testing.T, m *CSR, c, sigma int) {
+	t.Helper()
+	s := FromCSR(m, c, sigma)
+	x := make([]float64, m.Cols)
+	for i := range x {
+		x[i] = float64(i*i%11) - 5
+	}
+	want := make([]float64, m.Rows)
+	m.MulVec(x, want)
+	sentinel := math.Float64frombits(0x7ff8_0000_5e17_1e11)
+	y := make([]float64, m.Rows)
+	for k := 0; k <= s.numSlices(); k++ {
+		for i := range y {
+			y[i] = sentinel
+		}
+		sellRange(sellArgs{m: s, x: x, y: y}, 0, k)
+		for p := min(k*c, m.Rows); p < m.Rows; p++ {
+			if math.Float64bits(y[s.perm[p]]) != math.Float64bits(sentinel) {
+				t.Fatalf("C=%d sigma=%d: slices [0,%d) wrote row %d of slice %d", c, sigma, k, s.perm[p], p/c)
+			}
+		}
+		sellRange(sellArgs{m: s, x: x, y: y}, k, s.numSlices())
+		if !bitsEqual(y, want) {
+			t.Fatalf("C=%d sigma=%d: slices [0,%d) then [%d,%d) differ from CSR\ncsr  %v\nsell %v", c, sigma, k, k, s.numSlices(), want, y)
 		}
 	}
 }
@@ -485,6 +547,26 @@ func FuzzSELLMatchesCSR(f *testing.F) {
 	f.Add(uint8(80), uint8(23), uint8(9), uint8(16), []byte{0}, odd)
 	f.Add(uint8(95), uint8(0), uint8(200), uint8(24), []byte{5, 4, 5, 5, 6, 5}, stencil)
 	f.Add(uint8(47), uint8(20), uint8(3), uint8(20), []byte{1}, stencil)
+	// Banded, 16 rows of two: entry j of row i is values[2i+j]. Position 0
+	// is +0 in every row but rows 5 and 13 (-0), position 1 one NaN payload
+	// in every row but rows 2 and 10: none may be stored as one value.
+	almost := make([]float64, 40)
+	for i := 0; i < 16; i++ {
+		almost[2*i], almost[2*i+1] = 0, math.Float64frombits(0x7ff8_0000_0000_0bad)
+	}
+	almost[10], almost[26] = math.Copysign(0, -1), math.Copysign(0, -1)
+	almost[5], almost[21] = math.Float64frombits(0x7ff8_0000_0000_0bae), math.Float64frombits(0x7ff8_0000_0000_0bae)
+	for k := 32; k < 40; k++ {
+		almost[k] = float64(k%5) - 1.5
+	}
+	f.Add(uint8(15), uint8(0), uint8(2), uint8(16), []byte{0}, floats(almost...))
+	// Eight rows of two, every value -0 but the last row's +0s.
+	signs := make([]float64, 16)
+	for k := range signs {
+		signs[k] = math.Copysign(0, -1)
+	}
+	signs[14], signs[15] = 0, 0
+	f.Add(uint8(7), uint8(3), uint8(2), uint8(16), []byte{0}, floats(signs...))
 	f.Fuzz(func(t *testing.T, rows, cols, width, layout uint8, pattern, values []byte) {
 		nr, nc := 1+int(rows)%96, 1+int(cols)%24
 		c := []int{8, 1, 4, 32}[layout%4]
@@ -554,44 +636,59 @@ func laplace3dBlock(nx, ny, nz int) *CSR {
 	return c.ToCSR()
 }
 
-// classification counts what FromCSR marked on s's height-8 slices: run
-// slices, slices, unit-stride slice columns, and slice columns.
-func classification(s *SELL) (runs, slices, unit, cols int) {
+// sellCounts is what FromCSR marked on a SELL's height-8 slices: run
+// slices and slices, uniform slice columns whose indices are unit-stride
+// and whose values are all equal, and slice columns.
+type sellCounts struct{ runs, slices, unit, same, cols int }
+
+// classification counts what FromCSR marked on s.
+func classification(s *SELL) sellCounts {
+	var n sellCounts
 	for sl := 0; sl < s.numSlices(); sl++ {
 		lo := sl * s.c
 		if min(s.c, s.rows-lo) != 8 {
 			continue
 		}
-		slices++
+		n.slices++
 		if s.run[sl] {
-			runs++
+			n.runs++
 		}
-		unit += bits.OnesCount64(s.unit[sl])
-		cols += s.rowLen[lo]
+		n.unit += bits.OnesCount64(s.unit[sl])
+		n.same += bits.OnesCount64(s.same[sl])
+		n.cols += s.rowLen[lo]
 	}
-	return
+	return n
 }
+
+// storedBytes is the size of s's value and index streams.
+func storedBytes(s *SELL) int { return 8*len(s.val) + 4*len(s.colIdx) }
 
 // TestSELLClassification pins, as exact counts, what FromCSR marks on the
 // block CG multiplies by in the solve_large workload (laplace3d 32^3 on two
-// ranks, rank 0's half with its ghost face): three slices in four are runs
-// and three slice columns in four are unit-stride, the two things that let
-// sellRange store in one stretch and load x without a gather. Random
-// columns get no unit-stride column; random row lengths, whose sort
-// scatters the rows, get no run. Runs are a property of the row order
-// alone, so a matrix whose rows all have one length keeps every slice a run.
+// ranks, rank 0's half with its ghost face): three slices in four are runs,
+// three slice columns in four are unit-stride, and nearly every uniform
+// slice column holds eight equal values — the marks that let sellRange
+// store in one stretch, load x without a gather, and broadcast one stored
+// value — and the bytes the streams then take, against 12 per slot of the
+// full layout. Random columns and values get no unit-stride or equal
+// column; random row lengths, whose sort scatters the rows, get no run.
+// Runs are a property of the row order alone, so a matrix whose rows all
+// have one length keeps every slice a run.
 func TestSELLClassification(t *testing.T) {
-	check := func(name string, m *CSR, wantRuns, wantSlices, wantUnit, wantCols int) {
+	check := func(name string, m *CSR, want sellCounts, wantBytes int) {
 		t.Helper()
-		runs, slices, unit, cols := classification(NewSELL(m))
-		if runs != wantRuns || slices != wantSlices || unit != wantUnit || cols != wantCols {
-			t.Errorf("%s: %d of %d slices are runs and %d of %d slice columns unit-stride; want %d of %d and %d of %d",
-				name, runs, slices, unit, cols, wantRuns, wantSlices, wantUnit, wantCols)
+		s := NewSELL(m)
+		if got := classification(s); got != want {
+			t.Errorf("%s: %d of %d slices are runs; of %d slice columns %d unit-stride and %d equal-valued; want %d of %d; of %d, %d and %d",
+				name, got.runs, got.slices, got.cols, got.unit, got.same, want.runs, want.slices, want.cols, want.unit, want.same)
+		}
+		if got := storedBytes(s); got != wantBytes {
+			t.Errorf("%s: values and indices take %d B, want %d (%d B in full)", name, got, wantBytes, 12*s.PaddedNNZ())
 		}
 	}
-	check("solve_large rank-0 block", laplace3dBlock(32, 32, 32), 1536, 2048, 10560, 13984)
+	check("solve_large rank-0 block", laplace3dBlock(32, 32, 32), sellCounts{1536, 2048, 10560, 13380, 13984}, 297504)
 	rng := rand.New(rand.NewSource(5))
-	check("uniform random columns", uniformRandom(4096, 4096, 7, rng), 512, 512, 0, 512*7)
+	check("uniform random columns", uniformRandom(4096, 4096, 7, rng), sellCounts{512, 512, 0, 0, 512 * 7}, 12*4096*7)
 	lens := make([]int, 4096)
 	for i := range lens {
 		lens[i] = 1 + rng.Intn(7)
@@ -602,35 +699,27 @@ func TestSELLClassification(t *testing.T) {
 			c.Add(i, i+k, 1)
 		}
 	}
-	runs, slices, _, _ := classification(NewSELL(c.ToCSR()))
-	if runs != 0 || slices != 512 {
-		t.Errorf("random row lengths: %d of %d slices are runs, want 0 of 512", runs, slices)
+	if n := classification(NewSELL(c.ToCSR())); n.runs != 0 || n.slices != 512 {
+		t.Errorf("random row lengths: %d of %d slices are runs, want 0 of 512", n.runs, n.slices)
 	}
 }
 
-// BenchmarkSELLBlock takes apart the SpMV of the solve_large rank-0 block
-// on one worker (EXPERIMENTS.md E14). kernel/* runs the AVX2 kernel alone
-// over the block's uniform slices, with every column gathered, with the
-// unit-stride columns FromCSR marks, and with every column plain-loaded
-// (wrong sums for the columns that are not unit-stride: the loads' upper
-// bound). sellRange/* is the whole MulVec, as shipped and on a copy whose
-// marks are cleared, which stores row by row through perm and gathers every
-// column as the kernel did before the marks. The block's bytes are
-// reported beside the time so they can be set against the cache size.
+// BenchmarkSELLBlock times the SpMV of the solve_large rank-0 block on one
+// worker (EXPERIMENTS.md E14). kernel runs sellStretch8 alone over the
+// block's stretches of uniform slices, with no engine and no Go slice loop;
+// sellRange is the whole MulVec. The bytes one SpMV reads and writes — the
+// stored values and indices, the per-slice and per-row arrays, x and y —
+// are reported beside the time so they can be set against the cache size.
 func BenchmarkSELLBlock(b *testing.B) {
 	m := laplace3dBlock(32, 32, 32)
-	shipped := NewSELL(m)
-	cleared := *shipped
-	cleared.unit = make([]uint64, len(shipped.unit))
-	cleared.run = make([]bool, len(shipped.run))
-	// x has room past Cols: a plain load at a column that is not unit-stride
-	// reads up to seven entries beyond the last index.
-	x := make([]float64, m.Cols+8)[:m.Cols]
+	s := NewSELL(m)
+	x := make([]float64, m.Cols)
 	for i := range x {
 		x[i] = float64(i%7) - 3
 	}
 	y := make([]float64, m.Rows)
-	bytes := 12*len(shipped.val) + 8*(len(shipped.perm)+len(shipped.rowLen)+len(shipped.slicePtr)+len(x)+len(y))
+	bytes := storedBytes(s) + len(s.run) +
+		8*(len(s.perm)+len(s.rowLen)+len(s.valPtr)+len(s.colPtr)+len(s.unit)+len(s.same)+len(x)+len(y))
 	report := func(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(m.NNZ()), "ns/nnz")
 		b.ReportMetric(float64(bytes)/1e6, "block-MB")
@@ -638,54 +727,59 @@ func BenchmarkSELLBlock(b *testing.B) {
 	old := exec.Default()
 	exec.SetDefault(exec.New(exec.WithWorkers(1)))
 	defer exec.SetDefault(old)
-	for _, k := range []struct {
-		name string
-		mask func(s int) uint64
-	}{
-		{"gathered", func(int) uint64 { return 0 }},
-		{"unit", func(s int) uint64 { return shipped.unit[s] }},
-		{"plain", func(int) uint64 { return ^uint64(0) }},
-	} {
-		b.Run("kernel/"+k.name, func(b *testing.B) {
-			if !simdAtInit {
-				b.Skip("no AVX2 kernel on this host")
+	b.Run("kernel", func(b *testing.B) {
+		if !simdAtInit {
+			b.Skip("no AVX2 kernel on this host")
+		}
+		var starts []int
+		for sl := 0; sl < s.numSlices(); sl++ {
+			if s.uniform(sl) && (sl == 0 || !s.uniform(sl-1)) {
+				starts = append(starts, sl)
 			}
-			var sum [8]float64
-			for i := 0; i < b.N; i++ {
-				for s := 0; s < shipped.numSlices(); s++ {
-					lo, base := s*8, shipped.slicePtr[s]
-					if w := shipped.rowLen[lo]; w > 0 && shipped.rowLen[lo+7] == w {
-						sellUniform8(&shipped.val[base], &shipped.colIdx[base], w, &x[0], &sum, k.mask(s))
-					}
-				}
+		}
+		for i := 0; i < b.N; i++ {
+			for _, sl := range starts {
+				sellStretch8(&s.val[s.valPtr[sl]], &s.colIdx[s.colPtr[sl]], &x[0], &y[0],
+					&s.rowLen[8*sl], &s.perm[8*sl], &s.unit[sl], &s.same[sl], &s.run[sl], s.rows/8-sl)
 			}
-			report(b)
-		})
-	}
-	for name, s := range map[string]*SELL{"shipped": shipped, "cleared": &cleared} {
-		b.Run("sellRange/"+name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				s.MulVec(x, y)
-			}
-			report(b)
-		})
-	}
+		}
+		report(b)
+	})
+	b.Run("sellRange", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			s.MulVec(x, y)
+		}
+		report(b)
+	})
 }
 
+// TestSELLScale holds a scaled SELL to the scaled CSR with both kernels, on
+// a tridiagonal matrix and on the solve_large block, whose uniform slices
+// store most values once. x[i] = i² mod 7 - 3 is not linear in i, so no
+// stencil row sums to zero and a slice Scale skipped cannot pass.
 func TestSELLScale(t *testing.T) {
-	m := tridiag(50)
-	s := NewSELL(m)
-	m.Scale(-2.5)
-	s.Scale(-2.5)
-	x := make([]float64, 50)
-	for i := range x {
-		x[i] = float64(i) - 25
-	}
-	y1, y2 := make([]float64, 50), make([]float64, 50)
-	m.MulVec(x, y1)
-	s.MulVec(x, y2)
-	if !bitsEqual(y1, y2) {
-		t.Fatal("Scale broke SELL/CSR parity")
+	for name, build := range map[string]func() *CSR{
+		"tridiag-50":               func() *CSR { return tridiag(50) },
+		"solve_large rank-0 block": func() *CSR { return laplace3dBlock(32, 32, 32) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			forEachSellKernel(t, func(t *testing.T) {
+				m := build()
+				s := NewSELL(m)
+				m.Scale(-2.5)
+				s.Scale(-2.5)
+				x := make([]float64, m.Cols)
+				for i := range x {
+					x[i] = float64(i*i%7) - 3
+				}
+				y1, y2 := make([]float64, m.Rows), make([]float64, m.Rows)
+				m.MulVec(x, y1)
+				s.MulVec(x, y2)
+				if !bitsEqual(y1, y2) {
+					t.Fatal("Scale broke SELL/CSR parity")
+				}
+			})
+		})
 	}
 }
 
@@ -719,13 +813,35 @@ func roundTripMismatch(m *CSR, c, sigma int) error {
 // TestSELLToCSRRoundTrip pins ToCSR as FromCSR's exact inverse, which is
 // what lets a tpetra.CrsMatrix keep the SELL as its only local copy: every
 // slice height, sigma windows that do and do not sort, empty and ragged
-// rows, explicit zeros, -0, and NaNs whose payloads must survive.
+// rows, explicit zeros, -0, and NaNs whose payloads must survive — also
+// where eight values of a uniform slice's position differ only in the sign
+// of a zero or in a NaN payload, which must not be stored as one.
 func TestSELLToCSRRoundTrip(t *testing.T) {
 	payloads := []float64{
 		math.Float64frombits(0x7ff8_0000_0000_0bad), // quiet NaN, payload 0xbad
 		math.Float64frombits(0x7ff0_0000_0000_0001), // signalling NaN
 		math.Float64frombits(0xfff8_dead_beef_0001), // negative quiet NaN
 		math.Copysign(0, -1), 0, math.Inf(-1), 5e-324,
+	}
+	// Rows 0-15 hold columns i, i+1, i+2: in each C = 8 slice position 0 is
+	// +0 but for one -0, position 1 one quiet NaN payload but for another,
+	// and position 2 one value throughout, the one position stored once.
+	ae := NewCOO(16, 18)
+	for i := 0; i < 16; i++ {
+		zero, nan := 0.0, payloads[0]
+		if i%8 == 5 {
+			zero = math.Copysign(0, -1)
+		}
+		if i%8 == 2 {
+			nan = math.Float64frombits(0x7ff8_0000_0000_0bae)
+		}
+		ae.Add(i, i, zero)
+		ae.Add(i, i+1, nan)
+		ae.Add(i, i+2, 1.5)
+	}
+	almostEqual := ae.ToCSR()
+	if s := FromCSR(almostEqual, 8, 0); s.same[0] != 0b100 || s.same[1] != 0b100 {
+		t.Errorf("almost equal-16: same masks %b %b, want 100 100: only position 2's values are bitwise equal", s.same[0], s.same[1])
 	}
 	shaped := func(rng *rand.Rand) *CSR {
 		m := raggedRandom(1+rng.Intn(100), 1+rng.Intn(60), rng)
@@ -758,11 +874,12 @@ func TestSELLToCSRRoundTrip(t *testing.T) {
 			dense.Add(17, j, payloads[j%len(payloads)])
 		}
 		for name, m := range map[string]*CSR{
-			"no rows":        NewCOO(0, 4).ToCSR(),
-			"all empty":      NewCOO(37, 5).ToCSR(),
-			"one dense row":  dense.ToCSR(),
-			"explicit zeros": zeros.ToCSR(),
-			"stencil":        tridiag(100),
+			"no rows":         NewCOO(0, 4).ToCSR(),
+			"all empty":       NewCOO(37, 5).ToCSR(),
+			"one dense row":   dense.ToCSR(),
+			"explicit zeros":  zeros.ToCSR(),
+			"stencil":         tridiag(100),
+			"almost equal-16": almostEqual,
 		} {
 			if err := roundTripMismatch(m, c, 0); err != nil {
 				t.Errorf("C=%d %s: %v", c, name, err)

@@ -318,25 +318,6 @@ func (a *CrsMatrix) GatherCSR() *sparse.CSR {
 	return coo.ToCSR()
 }
 
-// FromCSR distributes a serial CSR matrix (replicated on every rank) over
-// the given row map. Collective.
-func FromCSR(c *comm.Comm, rowMap *distmap.Map, m *sparse.CSR) *CrsMatrix {
-	if m.Rows != rowMap.NumGlobal() || m.Cols != rowMap.NumGlobal() {
-		panic(fmt.Sprintf("tpetra: FromCSR shape %dx%d does not match map n=%d", m.Rows, m.Cols, rowMap.NumGlobal()))
-	}
-	a := NewCrsMatrix(c, rowMap)
-	me := c.Rank()
-	for l := 0; l < rowMap.LocalCount(me); l++ {
-		g := rowMap.LocalToGlobal(me, l)
-		cols, vals := m.Row(g)
-		for k, j := range cols {
-			a.InsertGlobal(g, j, vals[k])
-		}
-	}
-	a.FillComplete()
-	return a
-}
-
 func (a *CrsMatrix) String() string {
 	state := "assembling"
 	if !a.building {

@@ -141,10 +141,12 @@ go test -count=1 -run 'TestAllreduceAllocs|TestGatherSteadyStateAllocs|TestCGAll
 # rank/context layer, the exec pool, the fusion VM (whose block sweep shares
 # compiled programs across pool workers and must stay bitwise identical to
 # the reference evaluators), the tpetra distributed kernels, the trace
-# ring (all ranks emit into a shared session), and the serve scheduler
-# (concurrent jobs on warm rank groups sharing plans and the fusion cache).
+# ring (all ranks emit into a shared session), the serve scheduler
+# (concurrent jobs on warm rank groups sharing plans and the fusion cache),
+# and the experiment registry (cases that run SPMD kernels on every rank and
+# read their results after the session).
 stage race
-go test -race ./internal/comm ./internal/core ./internal/exec ./internal/fusion ./internal/tpetra ./internal/trace ./internal/serve
+go test -race ./internal/comm ./internal/core ./internal/exec ./internal/fusion ./internal/tpetra ./internal/trace ./internal/serve ./internal/experiments
 
 # Chaos conformance: replay collectives and distributed kernels under seeded
 # fault plans, twice, under the race detector — results must be bitwise
