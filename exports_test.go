@@ -19,7 +19,6 @@ import (
 // "// Test seam: <reason>" doc line. Everything else exported needs a caller
 // in a command, an example, an experiment, a served job or another package.
 var testSeams = map[string]bool{
-	"fusion.SetSuperinstructions":  true,
 	"serve.Quotas.SetClock":        true,
 	"exec.WithGrain":               true,
 	"sparse.CSR.Dense":             true,

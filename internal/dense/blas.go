@@ -65,7 +65,7 @@ func DotSlices(x, y []float64) float64 {
 func dotRange(a vecArgs, lo, hi int) float64 {
 	var l lanes
 	l.dot(a.x[lo:hi], a.y[lo:hi])
-	return l.fold()
+	return foldLanes(l)
 }
 
 // Fused sweeps: the vector updates of one Krylov iteration and the inner
@@ -99,7 +99,7 @@ func CGStep(alpha, beta float64, z, w, p, s, x, r []float64) float64 {
 func cgStepRange(a cgStepArgs, lo, hi int) float64 {
 	var l lanes
 	l.cgStep(a.alpha, a.beta, a.z[lo:hi], a.w[lo:hi], a.p[lo:hi], a.s[lo:hi], a.x[lo:hi], a.r[lo:hi])
-	return l.fold()
+	return foldLanes(l)
 }
 
 // WaxpyDot sets w = y + alpha*x and returns <w, w> — BiCGSTAB's
@@ -120,5 +120,5 @@ type waxpyArgs struct {
 func waxpyDotRange(a waxpyArgs, lo, hi int) float64 {
 	var l lanes
 	l.waxpyDot(a.alpha, a.x[lo:hi], a.y[lo:hi], a.w[lo:hi])
-	return l.fold()
+	return foldLanes(l)
 }

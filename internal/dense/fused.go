@@ -1,9 +1,9 @@
 package dense
 
 // Superinstruction kernel bodies: fused pair/triple loops under the fusion
-// register VM's peephole pass (mul+add -> fma, scale+add -> axpy, op+sum
-// tails). Same contract as vecops.go — equal-length operands re-sliced to
-// len(dst) for bounds-check elimination, dst may alias any operand.
+// register VM's peephole pass (mul+add -> fma, scale+add -> axpy). Same
+// contract as vecops.go — equal-length operands re-sliced to len(dst) for
+// bounds-check elimination, dst may alias any operand.
 //
 // Every product is wrapped in an explicit float64 conversion: the Go spec
 // lets the compiler contract a*b+c into a hardware fused-multiply-add
@@ -87,117 +87,4 @@ func VecAXPYR(dst, a []float64, s float64, b []float64) {
 	for i := range dst {
 		dst[i] = b[i] + float64(a[i]*s)
 	}
-}
-
-// Fused op+sum tails: the final instruction of a SumEval program folded
-// straight into the running left fold, so the result block is never
-// materialized. Each body computes exactly op(i) — same conversions, same
-// operand order as the elementwise kernel — then acc += op(i), matching
-// VecAccum over the kernel's output bit for bit.
-
-// VecAccumAdd returns acc after acc += a[i] + b[i] over the span.
-func VecAccumAdd(acc float64, a, b []float64) float64 {
-	b = b[:len(a)]
-	for i := range a {
-		acc += a[i] + b[i]
-	}
-	return acc
-}
-
-// VecAccumSub returns acc after acc += a[i] - b[i] over the span.
-func VecAccumSub(acc float64, a, b []float64) float64 {
-	b = b[:len(a)]
-	for i := range a {
-		acc += a[i] - b[i]
-	}
-	return acc
-}
-
-// VecAccumMul returns acc after acc += float64(a[i] * b[i]) over the span.
-func VecAccumMul(acc float64, a, b []float64) float64 {
-	b = b[:len(a)]
-	for i := range a {
-		acc += float64(a[i] * b[i])
-	}
-	return acc
-}
-
-// VecAccumSquare returns acc after acc += float64(a[i] * a[i]) over the
-// span.
-func VecAccumSquare(acc float64, a []float64) float64 {
-	for i := range a {
-		acc += float64(a[i] * a[i])
-	}
-	return acc
-}
-
-// VecAccumFMA returns acc after acc += float64(a[i]*b[i]) + c[i].
-func VecAccumFMA(acc float64, a, b, c []float64) float64 {
-	b = b[:len(a)]
-	c = c[:len(a)]
-	for i := range a {
-		acc += float64(a[i]*b[i]) + c[i]
-	}
-	return acc
-}
-
-// VecAccumFMAR returns acc after acc += c[i] + float64(a[i]*b[i]).
-func VecAccumFMAR(acc float64, a, b, c []float64) float64 {
-	b = b[:len(a)]
-	c = c[:len(a)]
-	for i := range a {
-		acc += c[i] + float64(a[i]*b[i])
-	}
-	return acc
-}
-
-// VecAccumFMS returns acc after acc += float64(a[i]*b[i]) - c[i].
-func VecAccumFMS(acc float64, a, b, c []float64) float64 {
-	b = b[:len(a)]
-	c = c[:len(a)]
-	for i := range a {
-		acc += float64(a[i]*b[i]) - c[i]
-	}
-	return acc
-}
-
-// VecAccumFMSR returns acc after acc += c[i] - float64(a[i]*b[i]).
-func VecAccumFMSR(acc float64, a, b, c []float64) float64 {
-	b = b[:len(a)]
-	c = c[:len(a)]
-	for i := range a {
-		acc += c[i] - float64(a[i]*b[i])
-	}
-	return acc
-}
-
-// VecAccumFMA2 returns acc after folding the VecFMA2 body.
-func VecAccumFMA2(acc float64, a, b, c, d, e []float64) float64 {
-	b = b[:len(a)]
-	c = c[:len(a)]
-	d = d[:len(a)]
-	e = e[:len(a)]
-	for i := range a {
-		t := float64(a[i]*b[i]) + c[i]
-		acc += float64(t*d[i]) + e[i]
-	}
-	return acc
-}
-
-// VecAccumAXPY returns acc after acc += float64(a[i]*s) + b[i].
-func VecAccumAXPY(acc float64, a []float64, s float64, b []float64) float64 {
-	b = b[:len(a)]
-	for i := range a {
-		acc += float64(a[i]*s) + b[i]
-	}
-	return acc
-}
-
-// VecAccumAXPYR returns acc after acc += b[i] + float64(a[i]*s).
-func VecAccumAXPYR(acc float64, a []float64, s float64, b []float64) float64 {
-	b = b[:len(a)]
-	for i := range a {
-		acc += b[i] + float64(a[i]*s)
-	}
-	return acc
 }

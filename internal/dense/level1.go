@@ -2,17 +2,17 @@ package dense
 
 import "odinhpc/internal/cpuid"
 
-// The level-1 kernels under every Krylov iteration: the inner product, the
-// update-and-square sweep w = y + alpha x with its <w, w>, the vector update
-// d = a x + b d, and CG's four updates with <r, r>. Each Go loop below is the
-// definition of its result;
-// on amd64 with AVX2 (level1SIMD) the body of a span runs in
+// The level-1 kernels under every Krylov iteration and every other float64
+// sum: the sum and the inner product, the update-and-square sweep
+// w = y + alpha x with its <w, w>, the vector update d = a x + b d, and CG's
+// four updates with <r, r>. Each Go loop below is the definition of its
+// result; on amd64 with AVX2 (level1SIMD) the body of a span runs in
 // level1_amd64.s, which reproduces the loop bit for bit, and only the
 // elements past the last multiple of 16 run here.
 //
 // Lane order. A reduction over a span accumulates element i of the span
 // into lane i mod 16 — sixteen independent add chains where one chain would
-// be add-latency bound — and lanes.fold combines them in one fixed tree.
+// be add-latency bound — and foldLanes combines them in one fixed tree.
 // The order depends on the span alone, so with the engine's chunk tree above
 // it (exec rule 1) a result is the same at every pool size.
 //
@@ -29,15 +29,42 @@ var level1SIMD = cpuid.AVX2()
 // lanes is one span's 16-lane accumulator.
 type lanes [16]float64
 
-// fold combines the lanes as s_k = (l_k + l_{4+k}) + (l_{8+k} + l_{12+k}),
-// then (s_0 + s_2) + (s_1 + s_3): the four 4-wide accumulators of the
-// assembly added pairwise, then the two halves, then the pair.
-func (l *lanes) fold() float64 {
+// foldLanes is the one fold tree of every sum and dot:
+// s_k = (l_k + l_{4+k}) + (l_{8+k} + l_{12+k}), then (s_0 + s_2) + (s_1 + s_3)
+// — the four 4-wide accumulators of the assembly added pairwise, then the
+// two halves, then the pair. The generic Sum and Dot fold their lanes of any
+// element type by it. The lanes are passed by value: a pointer into a
+// caller's accumulator would make it escape through the generic call.
+func foldLanes[T Elem](l [16]T) T {
 	s0 := (l[0] + l[4]) + (l[8] + l[12])
 	s1 := (l[1] + l[5]) + (l[9] + l[13])
 	s2 := (l[2] + l[6]) + (l[10] + l[14])
 	s3 := (l[3] + l[7]) + (l[11] + l[15])
 	return (s0 + s2) + (s1 + s3)
+}
+
+// Lanes is one chunk's sum in the lane order, for a caller that produces
+// the chunk's values in pieces — the fusion VM, a block at a time. Add the
+// pieces in order, every one but the last a multiple of 16 long, so that
+// element i of the chunk meets lane i mod 16; then Fold. The zero value is
+// an empty sum.
+type Lanes struct{ l lanes }
+
+// Add adds the next piece of the chunk.
+func (s *Lanes) Add(a []float64) { s.l.sum(a) }
+
+// Fold returns the chunk's sum.
+func (s *Lanes) Fold() float64 { return foldLanes(s.l) }
+
+// sum adds a[i] into lane i mod 16.
+func (l *lanes) sum(a []float64) {
+	if k := len(a) &^ 15; level1SIMD && k > 0 {
+		sumLanesAVX2(l, &a[0], k)
+		a = a[k:]
+	}
+	for i := range a {
+		l[i&15] += a[i]
+	}
 }
 
 // dot adds x[i]*y[i] into lane i mod 16, len(y) >= len(x). After the

@@ -7,6 +7,11 @@ package dense
 // instructions — never a fused multiply-add — so every lane rounds as the Go
 // loop's does. The reductions add into *l and store the lanes back.
 
+// sumLanesAVX2 is lanes.sum over a[0:n].
+//
+//go:noescape
+func sumLanesAVX2(l *lanes, a *float64, n int)
+
 // dotLanesAVX2 is lanes.dot over x[0:n], y[0:n].
 //
 //go:noescape

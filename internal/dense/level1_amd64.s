@@ -7,6 +7,34 @@
 // Go loop's order, and a multiply is always rounded before its add (VMULPD
 // then VADDPD, never a fused multiply-add).
 
+// func sumLanesAVX2(l *lanes, a *float64, n int)
+//
+// l[i%16] += a[i].
+TEXT ·sumLanesAVX2(SB), NOSPLIT, $0-24
+	MOVQ	l+0(FP), R8
+	MOVQ	a+8(FP), SI
+	MOVQ	n+16(FP), CX
+	VMOVUPD	(R8), Y0
+	VMOVUPD	32(R8), Y1
+	VMOVUPD	64(R8), Y2
+	VMOVUPD	96(R8), Y3
+
+sumloop:
+	VADDPD	(SI), Y0, Y0
+	VADDPD	32(SI), Y1, Y1
+	VADDPD	64(SI), Y2, Y2
+	VADDPD	96(SI), Y3, Y3
+	ADDQ	$128, SI
+	SUBQ	$16, CX
+	JNZ	sumloop
+
+	VMOVUPD	Y0, (R8)
+	VMOVUPD	Y1, 32(R8)
+	VMOVUPD	Y2, 64(R8)
+	VMOVUPD	Y3, 96(R8)
+	VZEROUPPER
+	RET
+
 // func dotLanesAVX2(l *lanes, x, y *float64, n int)
 //
 // l[i%16] += x[i]*y[i].

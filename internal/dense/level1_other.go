@@ -5,6 +5,10 @@ package dense
 // The assembly kernels are never called here: off amd64 cpuid.AVX2 is
 // false, so level1SIMD is too and every span runs the Go loops.
 
+func sumLanesAVX2(l *lanes, a *float64, n int) {
+	panic("dense: no SIMD level-1 kernel on this architecture")
+}
+
 func dotLanesAVX2(l *lanes, x, y *float64, n int) {
 	panic("dense: no SIMD level-1 kernel on this architecture")
 }

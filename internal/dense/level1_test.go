@@ -73,7 +73,8 @@ func laneSum(n int, term func(i int) float64) float64 {
 }
 
 // level1Mismatch reports the first range function that differs from its
-// definition on x, y (equal lengths) at alpha and beta: the dot, w = y +
+// definition on x, y (equal lengths) at alpha and beta: the sum of x, added
+// to a Lanes in two pieces as the fusion VM adds its blocks, the dot, w = y +
 // alpha x with <w, w> out of place and in place, d = alpha x + beta d, Axpy
 // as y + alpha x, and the CG step (p = z + beta p, s = w + beta s,
 // x += alpha p, r -= alpha s, <r, r>).
@@ -81,7 +82,16 @@ func level1Mismatch(x, y []float64, alpha, beta float64) error {
 	n := len(x)
 	clone := func(v []float64) []float64 { return append([]float64(nil), v...) }
 
-	want := laneSum(n, func(i int) float64 { return float64(x[i] * y[i]) })
+	want := laneSum(n, func(i int) float64 { return x[i] })
+	var sum Lanes
+	k := (n / 2) &^ 15
+	sum.Add(x[:k])
+	sum.Add(x[k:])
+	if got := sum.Fold(); !sameBits(got, want) {
+		return fmt.Errorf("sum = %x, want %x", math.Float64bits(got), math.Float64bits(want))
+	}
+
+	want = laneSum(n, func(i int) float64 { return float64(x[i] * y[i]) })
 	if got := dotRange(vecArgs{x: x, y: y}, 0, n); !sameBits(got, want) {
 		return fmt.Errorf("dot = %x, want %x", math.Float64bits(got), math.Float64bits(want))
 	}

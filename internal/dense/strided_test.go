@@ -100,8 +100,13 @@ func TestStridedDot(t *testing.T) {
 	}
 	for _, cfg := range [][2]int{{1, 4096}, {4, 8}} {
 		withEngine(t, cfg[0], cfg[1], func() {
-			if got := Dot(col, rev); math.Abs(got-want) > 1e-12 {
+			got := Dot(col, rev)
+			if math.Abs(got-want) > 1e-12 {
 				t.Errorf("w=%d: Dot = %g, want %g", cfg[0], got, want)
+			}
+			// At any stride, Dot sums in the level-1 lane order.
+			if lanes := DotSlices(col.Flatten(), rev.Flatten()); math.Float64bits(got) != math.Float64bits(lanes) {
+				t.Errorf("w=%d: strided Dot = %x, DotSlices of the same elements %x", cfg[0], math.Float64bits(got), math.Float64bits(lanes))
 			}
 		})
 	}
@@ -135,7 +140,8 @@ func TestStridedUfuncInto(t *testing.T) {
 
 // A large 1-d negative-step view crosses many chunks; the chunked walker on
 // four workers must agree bitwise with the one-worker engine, which walks
-// the same chunks on the caller, for element-wise ops and sums alike.
+// the same chunks on the caller, for element-wise ops and sums alike, and
+// the strided sum with the level-1 kernel's sum of the same elements.
 func TestLargeStridedViewAcrossChunks(t *testing.T) {
 	n := 50_000
 	base := Linspace[float64](0, 1, 2*n)
@@ -145,6 +151,9 @@ func TestLargeStridedViewAcrossChunks(t *testing.T) {
 	withEngine(t, 1, 1024, func() {
 		serialSum = Sum(view)
 		serialOut = Unary(view, math.Sqrt)
+		if lanes := Sum(FromSlice(view.Flatten(), n)); math.Float64bits(lanes) != math.Float64bits(serialSum) {
+			t.Errorf("strided Sum = %g, contiguous Sum of the same elements %g", serialSum, lanes)
+		}
 	})
 	withEngine(t, 4, 1024, func() {
 		if got := Sum(view); math.Float64bits(got) != math.Float64bits(serialSum) {

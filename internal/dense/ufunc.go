@@ -11,9 +11,10 @@ import (
 // through the process-wide exec engine (internal/exec): ODIN's claim that
 // ufuncs "parallelize trivially" (§III.D) is realized once, there, instead
 // of per kernel. Element-wise results are the serial loop's, bitwise, and
-// reductions (Sum, Dot, Norm2, ...) fold the engine's chunks and combine
-// them in its one tree, so every result is the same bits at every pool
-// size, the one-worker engine included.
+// reductions fold the engine's chunks and combine them in its one tree, so
+// every result is the same bits at every pool size, the one-worker engine
+// included. Sum and Dot sum each chunk in the level-1 lane order, the one
+// order of every sum and dot (level1.go).
 
 // Unary applies f element-wise to src and returns a new contiguous array of
 // the same shape.
@@ -97,12 +98,18 @@ func Scalar[T Elem](a *Array[T], s T, f func(T, T) T) *Array[T] {
 	return Unary(a, func(v T) T { return f(v, s) })
 }
 
-// Sum returns the sum of all elements.
+// Sum returns the sum of all elements in the lane order of every sum
+// (level1.go): element i of an engine chunk, in row-major order, into lane
+// i mod 16 of the chunk, the lanes folded by foldLanes.
 func Sum[T Elem](a *Array[T]) T {
 	return exec.ParallelReduce(exec.Default(), a.Size(), func(lo, hi int) T {
-		var acc T
-		a.foldRange(lo, hi, func(off int) { acc += a.data[off] })
-		return acc
+		var l [16]T
+		k := 0
+		a.foldRange(lo, hi, func(off int) {
+			l[k&15] += a.data[off]
+			k++
+		})
+		return foldLanes(l)
 	}, func(x, y T) T { return x + y })
 }
 
@@ -208,7 +215,9 @@ func SumAxis[T Elem](a *Array[T], axis int) *Array[T] {
 }
 
 // Dot returns the inner product of two 1-d arrays of equal length. Both
-// operands may be arbitrary strided views.
+// operands may be arbitrary strided views. It sums in Sum's lane order, each
+// product rounded before its add, so for float64 it is DotSlices' bits at
+// any stride.
 func Dot[T Elem](a, b *Array[T]) T {
 	if a.NDim() != 1 || b.NDim() != 1 || a.Dim(0) != b.Dim(0) {
 		panic(fmt.Sprintf("dense: Dot needs equal-length vectors, got %v and %v", a.shape, b.shape))
@@ -217,11 +226,11 @@ func Dot[T Elem](a, b *Array[T]) T {
 	ao, bo := a.offset, b.offset
 	as, bs := a.strides[0], b.strides[0]
 	return exec.ParallelReduce(exec.Default(), a.Dim(0), func(lo, hi int) T {
-		var acc T
+		var l [16]T
 		for i := lo; i < hi; i++ {
-			acc += ad[ao+i*as] * bd[bo+i*bs]
+			l[(i-lo)&15] += T(ad[ao+i*as] * bd[bo+i*bs])
 		}
-		return acc
+		return foldLanes(l)
 	}, func(x, y T) T { return x + y })
 }
 

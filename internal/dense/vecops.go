@@ -264,13 +264,3 @@ func VecMap2(dst, a, b []float64, f func(float64, float64) float64) {
 		dst[i] = f(a[i], b[i])
 	}
 }
-
-// VecAccum continues a running left fold: ((acc + a[0]) + a[1]) + ...
-// Block-sweeping callers chain it across blocks to keep the exact
-// association of one serial loop over the whole span.
-func VecAccum(acc float64, a []float64) float64 {
-	for _, v := range a {
-		acc += v
-	}
-	return acc
-}

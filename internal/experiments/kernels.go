@@ -74,34 +74,30 @@ var e5b = Experiment{
 	},
 }
 
-// e12 profiles the fusion register VM. The sweep crosses block size with
-// expression depth — each level appends one multiply-add e = e*y + x, so
-// instructions grow while traffic stays one output stream: small blocks pay
-// dispatch, huge ones spill the scratch registers out of cache. plancache is
-// an iterative method rebuilding its update expression every iteration:
-// structural hashing must make every rebuild after the first a hit.
+// e12 profiles the fusion register VM over expression depth — each level
+// appends one multiply-add e = e*y + x, so instructions grow while traffic
+// stays one output stream. plancache is an iterative method rebuilding its
+// update expression every iteration: structural hashing must make every
+// rebuild after the first a hit.
 var e12 = Experiment{
 	ID: "E12", Anchor: "§III: loop fusion compiled to a blocked register VM, plans cached by structure",
 	Cases: func() []Case {
 		const n = 1 << 20
 		var cases []Case
 		for _, depth := range []int{1, 4, 16} {
-			for _, block := range []int{256, 1024, 4096, 16384} {
-				cases = append(cases, Case{fmt.Sprintf("depth=%d/block=%d", depth, block), func(m *Meter) error {
-					defer fusion.SetBlockSize(fusion.SetBlockSize(block))
-					return comm.Run(1, func(c *comm.Comm) error {
-						x, y := ramps(core.NewContext(c), n)
-						e := fusion.Var(x)
-						for d := 0; d < depth; d++ {
-							e = e.Mul(fusion.Var(y)).Add(fusion.Var(x))
-						}
-						// One untimed Eval fills the sweep's pooled scratch, so
-						// the measured calls all find it warm.
-						_ = fusion.Eval(e)
-						return m.Throughput(c, 8*n, func() { _ = fusion.Eval(e) })
-					})
-				}})
-			}
+			cases = append(cases, Case{fmt.Sprintf("depth=%d", depth), func(m *Meter) error {
+				return comm.Run(1, func(c *comm.Comm) error {
+					x, y := ramps(core.NewContext(c), n)
+					e := fusion.Var(x)
+					for d := 0; d < depth; d++ {
+						e = e.Mul(fusion.Var(y)).Add(fusion.Var(x))
+					}
+					// One untimed Eval fills the sweep's pooled scratch, so
+					// the measured calls all find it warm.
+					_ = fusion.Eval(e)
+					return m.Throughput(c, 8*n, func() { _ = fusion.Eval(e) })
+				})
+			}})
 		}
 		return append(cases, Case{"plancache", func(m *Meter) error {
 			const rebuilds = 200

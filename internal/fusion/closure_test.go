@@ -52,15 +52,22 @@ func (p *Plan) executeClosure(e *Expr) *core.DistArray[float64] {
 	return p.model.WithLocal(dense.FromSlice(out, p.model.Local().Shape()...))
 }
 
-// sumLocalClosure is sumLocal on the closure reference evaluator.
+// sumLocalClosure is sumLocal on the closure reference evaluator, with the
+// lane order of every sum spelled out again: element i of an exec chunk into
+// lane i mod 16, the lanes folded (l_k + l_{4+k}) + (l_{8+k} + l_{12+k}),
+// then (s_0 + s_2) + (s_1 + s_3).
 func (p *Plan) sumLocalClosure(e *Expr) float64 {
 	n := p.model.Local().Size()
 	kernel := compileClosure(e, p, e.Leaves())
 	return exec.ParallelReduce(exec.Default(), n, func(lo, hi int) float64 {
-		var acc float64
+		var l [16]float64
 		for i := lo; i < hi; i++ {
-			acc += kernel(i)
+			l[(i-lo)%16] += kernel(i)
 		}
-		return acc
+		var s [4]float64
+		for k := range s {
+			s[k] = (l[k] + l[4+k]) + (l[8+k] + l[12+k])
+		}
+		return (s[0] + s[2]) + (s[1] + s[3])
 	}, func(a, b float64) float64 { return a + b })
 }

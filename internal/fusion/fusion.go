@@ -32,9 +32,9 @@ import (
 // traceVM records one fused-sweep span: the plan key (Label), the VM block
 // size (Tag), and the element bounds the sweep covered on this rank. s is
 // non-nil by contract.
-func traceVM(s *trace.Session, rank int32, block, lo, hi int, label string, t0 int64) {
+func traceVM(s *trace.Session, rank int32, lo, hi int, label string, t0 int64) {
 	s.Emit(trace.Event{Kind: trace.KindVM, Rank: rank, Worker: -1,
-		Peer: -1, Tag: int32(block), Start: t0, Dur: s.Now() - t0,
+		Peer: -1, Tag: vmBlock, Start: t0, Dur: s.Now() - t0,
 		A: int64(lo), B: int64(hi), Label: label})
 }
 
@@ -228,9 +228,9 @@ func (e *Expr) String() string {
 // A Plan is immutable after Analyze and holds no scratch (each sweep borrows
 // a vmState from the program's pool), so it may be shared and run
 // concurrently. It keeps the program it was built with, whatever the plan
-// cache or SetSuperinstructions do later. It aliases the storage of a
-// contiguous leaf and snapshots a non-contiguous or redistributed one, so
-// reuse it only while its leaves are unchanged. Its methods are local mode
+// cache does later. It aliases the storage of a contiguous leaf and
+// snapshots a non-contiguous or redistributed one, so reuse it only while
+// its leaves are unchanged. Its methods are local mode
 // (§III.C): they issue no control message — whoever hands every rank the
 // same Plan call has already done the master's job.
 type Plan struct {
@@ -319,14 +319,11 @@ type sweep struct {
 	leaves  [][]float64 // leaf slot i reads leaves[i]
 	scalars []float64   // scalar slot i reads scalars[i]
 	out     []float64   // ExecuteSlots' result; nil for Sum
-	block   int
 }
 
 // run sweeps [lo, hi) with scratch borrowed from the program's pool — into
-// out for ExecuteSlots, into the returned register accumulator for Sum, whose
-// result blocks are added left to right: element for element the association
-// of the closure kernel's serial fold over that chunk. A traced sweep
-// records its KindVM span.
+// out for ExecuteSlots, into the returned lane sum of the chunk for Sum
+// (sumSpan). A traced sweep records its KindVM span.
 func (s sweep) run(lo, hi int) (sum float64) {
 	if hi <= lo {
 		return 0
@@ -337,7 +334,7 @@ func (s sweep) run(lo, hi int) (sum float64) {
 	if ts != nil {
 		t0 = ts.Now()
 	}
-	st := prog.getState(s.block, s.scalars)
+	st := prog.getState(s.scalars)
 	if s.out != nil {
 		prog.runSpan(st, s.leaves, s.out, lo, hi)
 	} else {
@@ -345,7 +342,7 @@ func (s sweep) run(lo, hi int) (sum float64) {
 	}
 	prog.putState(st)
 	if ts != nil {
-		traceVM(ts, s.p.rank, s.block, lo, hi, prog.label, t0)
+		traceVM(ts, s.p.rank, lo, hi, prog.label, t0)
 	}
 	return sum
 }
@@ -363,18 +360,19 @@ func (p *Plan) Execute() *core.DistArray[float64] {
 	return p.model.WithLocal(dense.FromSlice(out, local.Shape()...))
 }
 
-// sumLocal folds the expression over this rank's elements: one run per exec
-// chunk, partials combined in the engine's fixed pairwise tree.
+// sumLocal sums the expression over this rank's elements: one run per exec
+// chunk, each chunk in the lane order, partials combined in the engine's
+// fixed pairwise tree — the order of dense.DotSlices and dense.Sum.
 func (p *Plan) sumLocal() float64 {
 	return exec.ReduceRange(exec.Default(), p.arrays().Local().Size(),
-		sweep{p: p, leaves: p.leafData, block: BlockSize()}, sweep.run, func(a, b float64) float64 { return a + b })
+		sweep{p: p, leaves: p.leafData}, sweep.run, func(a, b float64) float64 { return a + b })
 }
 
 // Sum runs the program as a fused reduction and returns the expression's
 // global sum: no output array is materialized at all (reduction fusion, the
-// natural extension of the paper's loop fusion). The local fold is bitwise
-// identical to the closure evaluator's at every pool size. Collective: one
-// scalar allreduce.
+// natural extension of the paper's loop fusion). It sums in the one order of
+// every sum and dot, so SumEval(x*y) is ufunc.Dot(x, y) and tpetra's Dot bit
+// for bit, at every pool size. Collective: one scalar allreduce.
 func (p *Plan) Sum() float64 {
 	return comm.AllreduceScalar(p.arrays().Context().Comm(), p.sumLocal(), comm.OpSum)
 }

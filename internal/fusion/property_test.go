@@ -159,6 +159,17 @@ func specialLeaf(g int) float64 {
 	return float64(g%11)/4 - 1.3
 }
 
+// propertyLeaves are the suite's four leaves over n elements: a ramp, a
+// sine, a small-integer cycle with zeros for the 1/x paths, and specialLeaf.
+func propertyLeaves(ctx *core.Context, n int) [4]*core.DistArray[float64] {
+	return [4]*core.DistArray[float64]{
+		core.FromFunc(ctx, []int{n}, func(g []int) float64 { return float64(g[0])/16 - 5 }),
+		core.FromFunc(ctx, []int{n}, func(g []int) float64 { return math.Sin(float64(3 * g[0])) }),
+		core.FromFunc(ctx, []int{n}, func(g []int) float64 { return float64(g[0]%7) - 3 }),
+		core.FromFunc(ctx, []int{n}, func(g []int) float64 { return specialLeaf(g[0]) }),
+	}
+}
+
 func TestPropertyRandomDAGs(t *testing.T) {
 	const nExprs = 24
 	const n = 171
@@ -174,11 +185,9 @@ func TestPropertyRandomDAGs(t *testing.T) {
 			err := comm.Run(p, func(c *comm.Comm) error {
 				ctx := core.NewContext(c)
 				ctx.SetControlMessages(false)
-				vars := []*Expr{
-					Var(core.FromFunc(ctx, []int{n}, func(g []int) float64 { return float64(g[0])/16 - 5 })),
-					Var(core.FromFunc(ctx, []int{n}, func(g []int) float64 { return math.Sin(float64(3 * g[0])) })),
-					Var(core.FromFunc(ctx, []int{n}, func(g []int) float64 { return float64(g[0]%7) - 3 })), // zeros for 1/x paths
-					Var(core.FromFunc(ctx, []int{n}, func(g []int) float64 { return specialLeaf(g[0]) })),
+				var vars []*Expr
+				for _, x := range propertyLeaves(ctx, n) {
+					vars = append(vars, Var(x))
 				}
 				for k := range refs {
 					// Seeded per expression index: every rank, pool size,

@@ -61,6 +61,6 @@ func (p *Plan) ExecuteSlots(out []float64, leaves [][]float64, scalars []float64
 			panic(fmt.Sprintf("fusion: leaf %d has %d elements, output has %d", i, len(leaves[i]), len(out)))
 		}
 	}
-	exec.ForRange(exec.Default(), len(out), sweep{p: p, leaves: leaves, scalars: scalars, out: out, block: BlockSize()},
+	exec.ForRange(exec.Default(), len(out), sweep{p: p, leaves: leaves, scalars: scalars, out: out},
 		func(s sweep, lo, hi int) { s.run(lo, hi) })
 }

@@ -1,12 +1,11 @@
 package fusion
 
 // Property tests for the superinstruction peephole pass: programs emitted
-// with the pass on must be bitwise identical to the unfused programs and
-// to the closure reference evaluator, over random mul/add-heavy DAGs
-// (the shapes the pass actually rewrites), at every pool size, rank
-// count, and block size, including NaN/Inf element paths. Shape tests pin
-// the selection rules themselves — what fuses, and just as importantly
-// what must not.
+// with the pass must be bitwise identical to the closure reference
+// evaluator, which knows no superinstructions, over random mul/add-heavy
+// DAGs (the shapes the pass actually rewrites), at every pool size and rank
+// count, including NaN/Inf element paths. Shape tests pin the selection
+// rules themselves — what fuses, and just as importantly what must not.
 
 import (
 	"fmt"
@@ -80,7 +79,6 @@ func TestSuperinstructionBitwise(t *testing.T) {
 	const maxDepth = 6
 	old := exec.Default()
 	defer exec.SetDefault(old)
-	defer SetSuperinstructions(true)
 
 	refs := make([][]uint64, nExprs)
 	for _, w := range []int{1, 4, 7} {
@@ -143,28 +141,18 @@ func TestSuperinstructionBitwise(t *testing.T) {
 					gs := &mulAddGen{r: rand.New(rand.NewSource(seed)), vars: sumVars}
 					es := gs.gen(maxDepth) // same structure over the sum-safe leaves
 
-					SetSuperinstructions(true)
 					plan := Analyze(e)
 					fused := gatherBits(plan.Execute())
 					cl := gatherBits(plan.executeClosure(e))
-					fusedSum := Analyze(es).sumLocal()
+					planS := Analyze(es)
+					fusedSum := planS.sumLocal()
+					closureSum := planS.sumLocalClosure(es)
 
-					SetSuperinstructions(false)
-					planU := Analyze(e)
-					unfused := gatherBits(planU.Execute())
-					planUS := Analyze(es)
-					unfusedSum := planUS.sumLocal()
-					closureSum := planUS.sumLocalClosure(es)
-					SetSuperinstructions(true)
-
-					if err := diffBits(fused, unfused); err != nil {
-						return fmt.Errorf("expr %d (%s): fused != unfused: %v", k, e, err)
-					}
 					if err := diffBits(fused, cl); err != nil {
 						return fmt.Errorf("expr %d (%s): fused != closure: %v", k, e, err)
 					}
-					if fb, ub, cb := math.Float64bits(fusedSum), math.Float64bits(unfusedSum), math.Float64bits(closureSum); fb != ub || fb != cb {
-						return fmt.Errorf("expr %d (%s): sums diverge: fused %x unfused %x closure %x", k, es, fb, ub, cb)
+					if fb, cb := math.Float64bits(fusedSum), math.Float64bits(closureSum); fb != cb {
+						return fmt.Errorf("expr %d (%s): sums diverge: fused %x closure %x", k, es, fb, cb)
 					}
 					if c.Rank() == 0 {
 						if refs[k] == nil {
@@ -183,50 +171,10 @@ func TestSuperinstructionBitwise(t *testing.T) {
 	}
 }
 
-// TestSuperinstructionBlockInvariance pins that fused programs are
-// block-size invariant: element-wise results bitwise identical, fused sum
-// tails preserving the exact serial association per span.
-func TestSuperinstructionBlockInvariance(t *testing.T) {
-	defer SetBlockSize(DefaultBlockSize)
-	defer SetSuperinstructions(true)
-	err := comm.Run(1, func(c *comm.Comm) error {
-		ctx := core.NewContext(c)
-		ctx.SetControlMessages(false)
-		const n = 5003
-		x := core.FromFunc(ctx, []int{n}, func(g []int) float64 { return math.Sin(float64(g[0])) * 3 })
-		y := core.FromFunc(ctx, []int{n}, func(g []int) float64 { return float64(g[0]%17) - 8 })
-		build := func() *Expr {
-			e := Var(x)
-			for i := 0; i < 16; i++ {
-				e = e.Mul(Var(y)).Add(Var(x))
-			}
-			return e.Mul(Const(0.75)).Add(Var(y))
-		}
-		SetBlockSize(DefaultBlockSize)
-		ref := gatherBits(Eval(build()))
-		//lint:allow p2pmatch SumEval reduces through one Allreduce inside the fusion engine, vetted by the fusion suite
-		refSum := math.Float64bits(SumEval(build()))
-		for _, bs := range []int{16, 64, 1000, 4096, 1 << 16} {
-			SetBlockSize(bs)
-			if err := diffBits(gatherBits(Eval(build())), ref); err != nil {
-				return fmt.Errorf("block=%d: %v", bs, err)
-			}
-			if s := math.Float64bits(SumEval(build())); s != refSum {
-				return fmt.Errorf("block=%d: sum %x != %x", bs, s, refSum)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestSuperinstructionShapes pins the selection rules on hand-built
 // expressions: what fuses into which opcode, and which shapes must stay
 // unfused.
 func TestSuperinstructionShapes(t *testing.T) {
-	defer SetSuperinstructions(true)
 	err := comm.Run(1, func(c *comm.Comm) error {
 		ctx := core.NewContext(c)
 		ctx.SetControlMessages(false)
@@ -289,17 +237,6 @@ func TestSuperinstructionShapes(t *testing.T) {
 		if got[vmMul] != 1 || got[vmFMA]+got[vmFMAR] != 1 {
 			return fmt.Errorf("shared product: want 1 mul + 1 fma-family, got %v\n%s", got, prog.String())
 		}
-
-		// Toggling the pass off must produce pair-free programs.
-		SetSuperinstructions(false)
-		prog = Analyze(horner).prog
-		for _, ins := range prog.code {
-			switch ins.op {
-			case vmFMA, vmFMAR, vmFMS, vmFMSR, vmAXPY, vmAXPYR, vmFMA2:
-				return fmt.Errorf("superinstructions off, but emitted %s\n%s", vmOpNames[ins.op], prog.String())
-			}
-		}
-		SetSuperinstructions(true)
 		return nil
 	})
 	if err != nil {
@@ -307,84 +244,24 @@ func TestSuperinstructionShapes(t *testing.T) {
 	}
 }
 
-// TestSuperinstructionSumTails drives every fused op+sum tail: the last
-// instruction of a SumEval program streams into the accumulator without
-// materializing the result block, and must match the closure fold bitwise.
+// TestSuperinstructionSumTails holds the sum of every root shape
+// (rootShapes) to the closure fold, bitwise, on one rank at lengths inside
+// one VM block, at an exact block multiple, and one element past it, so the
+// sum lanes run across a block end.
 func TestSuperinstructionSumTails(t *testing.T) {
-	defer SetBlockSize(DefaultBlockSize)
-	defer SetSuperinstructions(true)
 	err := comm.Run(1, func(c *comm.Comm) error {
 		ctx := core.NewContext(c)
 		ctx.SetControlMessages(false)
-		const n = 777
-		x := Var(core.FromFunc(ctx, []int{n}, func(g []int) float64 {
-			if g[0]%19 == 0 {
-				return math.Inf(1)
-			}
-			return math.Sin(float64(g[0] * 3))
-		}))
-		y := Var(core.FromFunc(ctx, []int{n}, func(g []int) float64 { return float64(g[0]%23)*0.5 - 5 }))
-		horner := x
-		for i := 0; i < 4; i++ {
-			horner = horner.Mul(y).Add(x)
-		}
-		exprs := map[string]*Expr{
-			"copy-tail":   x,
-			"add-tail":    x.Add(y),
-			"sub-tail":    x.Sub(y),
-			"mul-tail":    x.Mul(y),
-			"square-tail": x.Add(y).Square(),
-			"fma-tail":    x.Mul(y).Add(x),
-			"fmar-tail":   x.Add(y.Mul(x)),
-			"fms-tail":    x.Mul(y).Sub(x),
-			"fmsr-tail":   x.Sub(y.Mul(x)),
-			"axpy-tail":   x.Mul(Const(1.5)).Add(y),
-			"axpyr-tail":  y.Add(x.Mul(Const(-2))),
-			"fma2-tail":   horner,
-			"sqrt-tail":   Sqrt(x.Add(y)), // no fused accumulator: fallback path
-			"div-tail":    x.Div(y),       // fallback path with Inf/zero divisors
-		}
-		for _, bs := range []int{64, DefaultBlockSize} {
-			SetBlockSize(bs)
-			for name, e := range exprs {
+		for _, n := range []int{777, 2 * vmBlock, 2*vmBlock + 1} {
+			for name, e := range rootShapes(ctx, n) {
 				plan := Analyze(e)
 				got := math.Float64bits(plan.sumLocal())
 				want := math.Float64bits(plan.sumLocalClosure(e))
 				if got != want {
-					return fmt.Errorf("%s (block=%d): sum %x != closure %x", name, bs, got, want)
+					return fmt.Errorf("%s (n=%d): sum %x != closure %x", name, n, got, want)
 				}
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSetSuperinstructionsResetsCache: flipping the pass must drop cached
-// programs — they were emitted under the old setting and the structural
-// key does not encode it.
-func TestSetSuperinstructionsResetsCache(t *testing.T) {
-	defer SetSuperinstructions(true)
-	err := comm.Run(1, func(c *comm.Comm) error {
-		ctx := core.NewContext(c)
-		ctx.SetControlMessages(false)
-		x := Var(core.Linspace[float64](ctx, 0, 1, 16))
-		y := Var(core.Linspace[float64](ctx, 1, 2, 16))
-		SetSuperinstructions(true)
-		ResetPlanCache()
-		if got := opCount(Analyze(x.Mul(y).Add(x)).prog); got[vmFMA] != 1 {
-			return fmt.Errorf("expected fused program, got %v", got)
-		}
-		SetSuperinstructions(false)
-		if got := opCount(Analyze(x.Mul(y).Add(x)).prog); got[vmFMA] != 0 {
-			return fmt.Errorf("stale fused program served after toggle: %v", got)
-		}
-		if hits, misses := PlanCacheStats(); hits != 0 || misses != 1 {
-			return fmt.Errorf("toggle did not reset cache stats: hits=%d misses=%d", hits, misses)
-		}
-		SetSuperinstructions(true)
 		return nil
 	})
 	if err != nil {

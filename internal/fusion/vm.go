@@ -139,73 +139,35 @@ type vmProgram struct {
 }
 
 // vmState is one worker's scratch: register blocks plus materialized
-// constant and scalar-slot blocks, all sized to the block size the state
-// was built for. Constant blocks are filled once, when the state is built;
-// scalar blocks belong to one call and are refilled on every getState.
+// constant and scalar-slot blocks, vmBlock elements each. Constant blocks
+// are filled once, when the state is built; scalar blocks belong to one call
+// and are refilled on every getState.
 type vmState struct {
-	block   int
 	regs    [][]float64
 	consts  [][]float64
 	scalars [][]float64
 }
 
-// DefaultBlockSize is the number of float64 elements one VM instruction
-// covers per dispatch: 1024 elements = 8 KiB per register, so a handful of
-// live registers plus two input spans stay comfortably inside L1/L2 while
-// still amortizing instruction dispatch over a thousand elements.
-const DefaultBlockSize = 1024
-
-var vmBlockSize atomic.Int64
-
-func init() { vmBlockSize.Store(DefaultBlockSize) }
-
-// SetBlockSize sets the VM block size in elements (clamped to >= 16) and
-// returns the previous value. Results are block-size-invariant — element-
-// wise programs are bitwise identical and fused sums keep the exact same
-// accumulation order — so this is a pure performance knob, exposed for the
-// E12 block sweep (internal/experiments).
-func SetBlockSize(n int) int {
-	if n < 16 {
-		n = 16
-	}
-	return int(vmBlockSize.Swap(int64(n)))
-}
-
-// BlockSize returns the current VM block size in elements.
-func BlockSize() int { return int(vmBlockSize.Load()) }
-
-var vmSuper atomic.Bool
-
-func init() { vmSuper.Store(true) }
-
-// SetSuperinstructions enables or disables the peephole superinstruction
-// pass (on by default) and returns the previous setting. Fused and unfused
-// programs are bitwise identical — the pass is a pure dispatch-count
-// optimization — so this is a test/benchmark knob, not a semantics switch.
-// Changing the setting drops the plan cache: cached programs were emitted
-// under the old setting and the structural key does not encode it. A kept
-// Plan keeps the program it was built with.
-// Test seam: switches the peephole pass off for the differential suites.
-func SetSuperinstructions(on bool) bool {
-	prev := vmSuper.Swap(on)
-	if prev != on {
-		ResetPlanCache()
-	}
-	return prev
-}
+// vmBlock is the number of float64 elements one VM instruction covers per
+// dispatch: 1024 elements = 8 KiB per register, so a handful of live
+// registers plus two input spans stay inside L1/L2 while dispatch is
+// amortized over a thousand elements (EXPERIMENTS.md E12 records the block
+// sweep behind the figure). It is a multiple of 16, so a fused sum's lanes
+// run on from one block into the next (sumSpan).
+const vmBlock = 1024
 
 // getState returns scratch for one span of one call: a pooled state when
-// one of the right block size is free, with the call's scalar values (one
-// per ScalarSlot of the program) broadcast into its scalar blocks.
-func (p *vmProgram) getState(block int, scalars []float64) *vmState {
+// one is free, with the call's scalar values (one per ScalarSlot of the
+// program) broadcast into its scalar blocks.
+func (p *vmProgram) getState(scalars []float64) *vmState {
 	st, _ := p.pool.Get().(*vmState)
-	if st == nil || st.block != block {
-		st = &vmState{block: block}
-		slab := make([]float64, (p.nregs+len(p.consts)+p.nscalars)*block)
+	if st == nil {
+		st = &vmState{}
+		slab := make([]float64, (p.nregs+len(p.consts)+p.nscalars)*vmBlock)
 		carve := func(n int) [][]float64 {
 			out := make([][]float64, n)
 			for i := range out {
-				out[i], slab = slab[:block:block], slab[block:]
+				out[i], slab = slab[:vmBlock:vmBlock], slab[vmBlock:]
 			}
 			return out
 		}
@@ -242,19 +204,12 @@ func (p *vmProgram) resolveOp(st *vmState, leaves [][]float64, o vmOperand, lo, 
 // flattened leaves. The last instruction writes directly into out[lo:hi]
 // when out is non-nil; otherwise the result block is left in regs[outReg].
 func (p *vmProgram) runBlock(st *vmState, leaves [][]float64, out []float64, lo, hi int) {
-	p.runCode(st, leaves, out, lo, hi, len(p.code))
-}
-
-// runCode executes the first ninstr instructions over [lo, hi) — the
-// whole program for runBlock, the pre-tail prefix for sumBlock's fused
-// accumulators.
-func (p *vmProgram) runCode(st *vmState, leaves [][]float64, out []float64, lo, hi, ninstr int) {
 	n := hi - lo
 	resolve := func(o vmOperand) []float64 {
 		return p.resolveOp(st, leaves, o, lo, hi)
 	}
-	last := ninstr - 1
-	for k := 0; k < ninstr; k++ {
+	last := len(p.code) - 1
+	for k := range p.code {
 		ins := &p.code[k]
 		var dst []float64
 		if k == last && out != nil {
@@ -323,77 +278,24 @@ func (p *vmProgram) runCode(st *vmState, leaves [][]float64, out []float64, lo, 
 // runSpan sweeps [lo, hi) in block-size steps, writing results into out.
 // It is the element-wise half of sweep.run; spans never share state.
 func (p *vmProgram) runSpan(st *vmState, leaves [][]float64, out []float64, lo, hi int) {
-	for b := lo; b < hi; b += st.block {
-		bh := b + st.block
-		if bh > hi {
-			bh = hi
-		}
-		p.runBlock(st, leaves, out, b, bh)
+	for b := lo; b < hi; b += vmBlock {
+		p.runBlock(st, leaves, out, b, min(b+vmBlock, hi))
 	}
 }
 
-// sumSpan sweeps [lo, hi) and folds the result blocks into a scalar with
-// the exact left-to-right element order of the serial loop `for i in
-// [lo,hi) { acc += kernel(i) }`, so the fused reduction is bitwise
-// identical to the closure-kernel fold over the same span.
+// sumSpan sweeps [lo, hi), one exec chunk, and sums the result blocks in
+// the lane order of every sum (dense.Lanes): element i of the chunk into
+// lane i mod 16 — vmBlock is a multiple of 16, so the lanes run on across
+// blocks — folded once. That is the chunk order of dense.DotSlices, so
+// SumEval(x*y) is its bits.
 func (p *vmProgram) sumSpan(st *vmState, leaves [][]float64, lo, hi int) float64 {
-	var acc float64
-	for b := lo; b < hi; b += st.block {
-		bh := b + st.block
-		if bh > hi {
-			bh = hi
-		}
-		acc = p.sumBlock(st, leaves, b, bh, acc)
+	var l dense.Lanes
+	for b := lo; b < hi; b += vmBlock {
+		bh := min(b+vmBlock, hi)
+		p.runBlock(st, leaves, nil, b, bh)
+		l.Add(st.regs[p.outReg][:bh-b])
 	}
-	return acc
-}
-
-// sumBlock runs one block and folds the program's result into acc. When
-// the final opcode has a fused op+sum accumulator, the result block is
-// never materialized: the prefix runs normally and the tail instruction
-// streams straight into the running fold, computing op(i) then acc +=
-// op(i) per element — the same values in the same order as running the
-// tail and folding its output with VecAccum.
-func (p *vmProgram) sumBlock(st *vmState, leaves [][]float64, lo, hi int, acc float64) float64 {
-	last := len(p.code) - 1
-	ins := &p.code[last]
-	switch ins.op {
-	case vmCopy, vmAdd, vmSub, vmMul, vmSquare,
-		vmFMA, vmFMAR, vmFMS, vmFMSR, vmAXPY, vmAXPYR, vmFMA2:
-		p.runCode(st, leaves, nil, lo, hi, last)
-	default:
-		p.runBlock(st, leaves, nil, lo, hi)
-		return dense.VecAccum(acc, st.regs[p.outReg][:hi-lo])
-	}
-	a := p.resolveOp(st, leaves, ins.a, lo, hi)
-	switch ins.op {
-	case vmCopy:
-		return dense.VecAccum(acc, a)
-	case vmAdd:
-		return dense.VecAccumAdd(acc, a, p.resolveOp(st, leaves, ins.b, lo, hi))
-	case vmSub:
-		return dense.VecAccumSub(acc, a, p.resolveOp(st, leaves, ins.b, lo, hi))
-	case vmMul:
-		return dense.VecAccumMul(acc, a, p.resolveOp(st, leaves, ins.b, lo, hi))
-	case vmSquare:
-		return dense.VecAccumSquare(acc, a)
-	case vmFMA:
-		return dense.VecAccumFMA(acc, a, p.resolveOp(st, leaves, ins.b, lo, hi), p.resolveOp(st, leaves, ins.c, lo, hi))
-	case vmFMAR:
-		return dense.VecAccumFMAR(acc, a, p.resolveOp(st, leaves, ins.b, lo, hi), p.resolveOp(st, leaves, ins.c, lo, hi))
-	case vmFMS:
-		return dense.VecAccumFMS(acc, a, p.resolveOp(st, leaves, ins.b, lo, hi), p.resolveOp(st, leaves, ins.c, lo, hi))
-	case vmFMSR:
-		return dense.VecAccumFMSR(acc, a, p.resolveOp(st, leaves, ins.b, lo, hi), p.resolveOp(st, leaves, ins.c, lo, hi))
-	case vmAXPY:
-		return dense.VecAccumAXPY(acc, a, ins.s, p.resolveOp(st, leaves, ins.c, lo, hi))
-	case vmAXPYR:
-		return dense.VecAccumAXPYR(acc, a, ins.s, p.resolveOp(st, leaves, ins.c, lo, hi))
-	default: // vmFMA2
-		return dense.VecAccumFMA2(acc, a,
-			p.resolveOp(st, leaves, ins.b, lo, hi), p.resolveOp(st, leaves, ins.c, lo, hi),
-			p.resolveOp(st, leaves, ins.d, lo, hi), p.resolveOp(st, leaves, ins.e, lo, hi))
-	}
+	return l.Fold()
 }
 
 // String disassembles the program (one instruction per line), for the
@@ -742,9 +644,7 @@ func (lw *lowering) emit(root int) *vmProgram {
 	}
 	lw.vals[root].uses++
 
-	if vmSuper.Load() {
-		lw.superinstruct(root)
-	}
+	lw.superinstruct(root)
 
 	constIdx := map[int]int{} // value id -> consts slot
 	regOf := make([]int, len(lw.vals))

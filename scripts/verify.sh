@@ -110,11 +110,16 @@ go test -tags timing -count=1 -run 'TestPingPongDoesNotSpin|TestSyncAfterCompute
 # SELL-selected matrix keeps the SELL as its only local copy. Then fuzz the
 # four-lane sin, cos, exp and sqrt for ten seconds: every element must be
 # math's, bit for bit, wherever the input puts NaNs, infinities, subnormals
-# or out-of-domain magnitudes among the lanes.
+# or out-of-domain magnitudes among the lanes. Then fuzz the level-1 lane
+# kernels for ten seconds: sum, dot, waxpyDot, axpby and cgStep, AVX2 and Go
+# bodies alike, must match the lane order restated in the test at every
+# length and alignment the input picks — every sum and dot in the tree
+# (tpetra, ufunc, the fusion VM's Plan.Sum) runs one of them.
 stage fuzz
 go test -run '^$' -fuzz '^FuzzFrameCodec$' -fuzztime 10s ./internal/comm
 go test -run '^$' -fuzz '^FuzzSELLMatchesCSR$' -fuzztime 10s ./internal/sparse
 go test -run '^$' -fuzz '^FuzzVecTranscendentals$' -fuzztime 10s ./internal/dense
+go test -run '^$' -fuzz '^FuzzLevel1Lanes$' -fuzztime 10s ./internal/dense
 
 # Stage "allocs": the allocation pins of the solver hot loop and of the warm
 # expression path, on their own — a scalar AllreduceInto at P=2/4/8,
