@@ -240,12 +240,11 @@ func (m *CSR) MulVec(x, y []float64) {
 	exec.ForRange(exec.Default(), m.Rows, csrArgs{m: m, x: x, y: y}, csrMulRange)
 }
 
-// csrArgs is the operand set of the CSR row-range kernels, handed to the
+// csrArgs is the operand set of the CSR row-range kernel, handed to the
 // engine by value (exec.ForRange) so an inline SpMV allocates nothing.
 type csrArgs struct {
-	m     *CSR
-	alpha float64
-	x, y  []float64
+	m    *CSR
+	x, y []float64
 }
 
 func csrMulRange(a csrArgs, lo, hi int) {
@@ -256,25 +255,6 @@ func csrMulRange(a csrArgs, lo, hi int) {
 			acc += m.Val[k] * x[m.ColIdx[k]]
 		}
 		y[i] = acc
-	}
-}
-
-// MulVecAdd computes y += alpha * A*x. Row-parallel like MulVec.
-func (m *CSR) MulVecAdd(alpha float64, x, y []float64) {
-	if len(x) != m.Cols || len(y) != m.Rows {
-		panic("sparse: MulVecAdd dimension mismatch")
-	}
-	exec.ForRange(exec.Default(), m.Rows, csrArgs{m: m, alpha: alpha, x: x, y: y}, csrMulAddRange)
-}
-
-func csrMulAddRange(a csrArgs, lo, hi int) {
-	m, alpha, x, y := a.m, a.alpha, a.x, a.y
-	for i := lo; i < hi; i++ {
-		var acc float64
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			acc += m.Val[k] * x[m.ColIdx[k]]
-		}
-		y[i] += alpha * acc
 	}
 }
 

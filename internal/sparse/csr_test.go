@@ -149,16 +149,6 @@ func TestMulVec(t *testing.T) {
 	}
 }
 
-func TestMulVecAdd(t *testing.T) {
-	m := identity(3)
-	x := []float64{1, 2, 3}
-	y := []float64{10, 10, 10}
-	m.MulVecAdd(2, x, y)
-	if !reflect.DeepEqual(y, []float64{12, 14, 16}) {
-		t.Fatalf("MulVecAdd = %v", y)
-	}
-}
-
 func TestTransposeInvolution(t *testing.T) {
 	m := randomSPD(20, 7)
 	tt := m.Transpose().Transpose()
@@ -345,9 +335,8 @@ func TestToCSRAllocsRowIndependent(t *testing.T) {
 func TestMulVecDimsPanic(t *testing.T) {
 	m := tridiag(3)
 	for name, fn := range map[string]func(){
-		"mulvec":    func() { m.MulVec(make([]float64, 2), make([]float64, 3)) },
-		"mulvecadd": func() { m.MulVecAdd(1, make([]float64, 3), make([]float64, 2)) },
-		"matmul":    func() { m.MatMul(identity(4)) },
+		"mulvec": func() { m.MulVec(make([]float64, 2), make([]float64, 3)) },
+		"matmul": func() { m.MatMul(identity(4)) },
 	} {
 		func() {
 			defer func() {

@@ -20,7 +20,8 @@ import (
 // sell_amd64.s alike — accumulates each row's products in the same
 // (ascending-column) order as the CSR kernels, a rounded multiply then a
 // rounded add per entry (never a fused multiply-add), bounded by the true row
-// length so padding is never touched. SELL results are therefore
+// length so padding never enters a sum (the AVX2 kernel masks it out of a
+// ragged slice's lanes). SELL results are therefore
 // bit-for-bit identical to CSR on every input, which is what lets the
 // solver and conformance suites run unchanged on either format. The one
 // thing left open is which NaN a NaN result carries: Go does not specify
@@ -189,9 +190,8 @@ func FromCSR(m *CSR, c, sigma int) *SELL {
 	return s
 }
 
-// uniform reports whether slice s is stored compactly and runs the SIMD
-// kernel: C = 8, full height, and all eight rows w > 0 entries long, so it
-// holds no padding.
+// uniform reports whether slice s is stored compactly: C = 8, full height,
+// and all eight rows w > 0 entries long, so it holds no padding.
 func (m *SELL) uniform(s int) bool {
 	lo := s * m.c
 	return m.c == 8 && lo+8 <= m.rows && m.rowLen[lo] > 0 && m.rowLen[lo+7] == m.rowLen[lo]
@@ -230,78 +230,43 @@ func (m *SELL) MulVec(x, y []float64) {
 	exec.ForRange(exec.Default(), m.numSlices(), sellArgs{m: m, x: x, y: y}, sellRange)
 }
 
-// MulVecAdd computes y += alpha * A*x, slice-parallel like MulVec and
-// bitwise identical to CSR.MulVecAdd.
-func (m *SELL) MulVecAdd(alpha float64, x, y []float64) {
-	if len(x) != m.cols || len(y) != m.rows {
-		panic("sparse: MulVecAdd dimension mismatch")
-	}
-	exec.ForRange(exec.Default(), m.numSlices(), sellArgs{m: m, add: true, alpha: alpha, x: x, y: y}, sellRange)
-}
-
 // sellArgs is the operand set of the SELL slice-range kernel, handed to the
-// engine by value (exec.ForRange) so an inline SpMV allocates nothing. add
-// selects y += alpha*A*x over y = A*x.
+// engine by value (exec.ForRange) so an inline SpMV allocates nothing.
 type sellArgs struct {
-	m     *SELL
-	add   bool
-	alpha float64
-	x, y  []float64
+	m    *SELL
+	x, y []float64
 }
 
-// put delivers one finished row sum to the output row it belongs to.
-func (a *sellArgs) put(row int, sum float64) {
-	if a.add {
-		a.y[row] += a.alpha * sum
-	} else {
-		a.y[row] = sum
-	}
-}
-
-// putRun delivers a run slice's finished sums, one per row, to the
-// consecutive output rows starting at row: the same stores as put, made in
-// one stretch of y with no branch per row.
-func (a *sellArgs) putRun(row int, sums []float64) {
-	y := a.y[row : row+len(sums)]
-	if !a.add {
-		copy(y, sums)
-		return
-	}
-	for r, s := range sums {
-		y[r] += a.alpha * s
-	}
-}
-
-// sellSIMD selects the AVX2 uniform-slice kernel in sellRange. It is set
-// once, here, from the CPU; the package's tests clear it to run the Go loop
-// on the same host.
+// sellSIMD selects the AVX2 slice kernel in sellRange. It is set once, here,
+// from the CPU; the package's tests clear it to run the Go loop on the same
+// host.
 var sellSIMD = cpuid.AVX2()
 
-// sellRange is the one slice kernel under MulVec and MulVecAdd: for each
-// slice in [slo, shi) it forms the per-row dot products (rows in
-// ascending-column order, bit-for-bit matching CSR) and puts them at
-// y[perm[..]] — or, for a run slice, at y[perm[lo]:perm[lo]+h] in one
-// stretch. Where the CPU has AVX2 (sellSIMD), MulVec hands each maximal
-// stretch of consecutive uniform slices to one sellStretch8 call, which
-// reads each slice's length, marks, run flag and perm itself, stores its
-// sums into y and finds where the stretch ends; each lane multiplies then
-// adds in ascending-column order like the loops below. Otherwise a
-// full-height C = 8 slice runs the positions where all eight rows are
-// active through an unrolled loop with one scalar accumulator per row,
-// reading a uniform slice's compact positions as the kernel does, and a
-// ragged slice goes on into the tail loop.
+// sellRange is the one slice kernel under MulVec: for each slice in
+// [slo, shi) it forms the per-row dot products (rows in ascending-column
+// order, bit-for-bit matching CSR) and stores them at y[perm[..]] — or, for a
+// run slice, at y[perm[lo]:perm[lo]+h] in one stretch. Where the CPU has AVX2
+// (sellSIMD) and C = 8, one sellSlices8 call runs every full-height slice of
+// the span — uniform, ragged and empty ones alike — and stores their sums;
+// each lane multiplies then adds in ascending-column order like the loops
+// below, which are the definition of the result and run only without AVX2,
+// at C != 8, and for the short last slice. There a full-height C = 8 slice
+// runs the positions where all eight rows are active through an unrolled
+// loop with one scalar accumulator per row, reading a uniform slice's
+// compact positions as the kernel does, and a ragged slice goes on into the
+// tail loop.
 func sellRange(a sellArgs, slo, shi int) {
 	m, x := a.m, a.x
+	if sellSIMD && m.c == 8 {
+		if n := min(shi, m.rows/8) - slo; n > 0 {
+			sellSlices8(m.val[m.valPtr[slo]:], m.colIdx[m.colPtr[slo]:], x, &a.y[0],
+				&m.rowLen[8*slo], &m.perm[8*slo], &m.unit[slo], &m.same[slo], &m.run[slo], n)
+			slo += n
+		}
+	}
 	var acc [sellMaxC]float64
 	for s := slo; s < shi; s++ {
 		lo := s * m.c
-		if sellSIMD && !a.add && m.uniform(s) {
-			// The kernel stops at the first slice that is not uniform, or at
-			// the span's end; a short last slice is never handed to it.
-			s += sellStretch8(&m.val[m.valPtr[s]], &m.colIdx[m.colPtr[s]], &x[0], &a.y[0],
-				&m.rowLen[lo], &m.perm[lo], &m.unit[s], &m.same[s], &m.run[s], min(shi, m.rows/8)-s) - 1
-			continue
-		}
 		h := min(m.c, m.rows-lo)
 		w := m.rowLen[lo] // rows are descending within the slice
 		j := 0
@@ -378,11 +343,11 @@ func sellRange(a sellArgs, slo, shi int) {
 			}
 		}
 		if m.run[s] {
-			a.putRun(m.perm[lo], acc[:h])
+			copy(a.y[m.perm[lo]:], acc[:h])
 			continue
 		}
 		for r, row := range m.perm[lo : lo+h] {
-			a.put(row, acc[r])
+			a.y[row] = acc[r]
 		}
 	}
 }
@@ -456,7 +421,6 @@ func (m *SELL) String() string {
 // format the auto-selector picked.
 type Operator interface {
 	MulVec(x, y []float64)
-	MulVecAdd(alpha float64, x, y []float64)
 }
 
 // Format identifies a sparse storage format for the SpMV fast path.

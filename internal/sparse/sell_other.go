@@ -2,8 +2,8 @@
 
 package sparse
 
-// sellStretch8 is never called here: off amd64 cpuid.AVX2 is false, so
+// sellSlices8 is never called here: off amd64 cpuid.AVX2 is false, so
 // sellSIMD is too and sellRange runs every slice through its Go loop.
-func sellStretch8(val *float64, col *int32, x, y *float64, rowLen, perm *int, unit, same *uint64, run *bool, n int) int {
+func sellSlices8(val []float64, col []int32, x []float64, y *float64, rowLen, perm *int, unit, same *uint64, run *bool, n int) {
 	panic("sparse: no SIMD SELL kernel on this architecture")
 }

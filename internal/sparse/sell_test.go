@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -113,9 +114,8 @@ func withSpecials(m *CSR, rng *rand.Rand) *CSR {
 }
 
 // sellMismatch reports the first product in which m and its SELL conversion
-// differ: MulVec, and MulVecAdd at a drawn alpha and at 0, -1 and NaN, with
-// vector entries from draw. Every x entry that no stored entry names is
-// +Inf, so a kernel that loads wider than the columns it was given — a
+// differ, with x entries from draw. Every x entry that no stored entry names
+// is +Inf, so a kernel that loads wider than the columns it was given — a
 // plain load off either end of a unit-stride column — produces an Inf or a
 // NaN that CSR does not.
 func sellMismatch(m *CSR, c, sigma int, draw func() float64) error {
@@ -123,14 +123,10 @@ func sellMismatch(m *CSR, c, sigma int, draw func() float64) error {
 	if got, want := s.NNZ(), m.NNZ(); got != want {
 		return fmt.Errorf("SELL nnz %d != CSR nnz %d", got, want)
 	}
-	vec := func(n int) []float64 {
-		v := make([]float64, n)
-		for i := range v {
-			v[i] = draw()
-		}
-		return v
+	x := make([]float64, m.Cols)
+	for i := range x {
+		x[i] = draw()
 	}
-	x := vec(m.Cols)
 	read := make([]bool, m.Cols)
 	for _, col := range m.ColIdx {
 		read[col] = true
@@ -155,16 +151,6 @@ func sellMismatch(m *CSR, c, sigma int, draw func() float64) error {
 		s.MulVec(poisoned, y2)
 		if !bitsEqual(y1, y2) {
 			return fmt.Errorf("MulVec with x[0] = +Inf differs\ncsr  %v\nsell %v", y1, y2)
-		}
-	}
-	for _, alpha := range []float64{draw(), 0, -1, math.NaN()} {
-		y0 := vec(m.Rows)
-		copy(y1, y0)
-		copy(y2, y0)
-		m.MulVecAdd(alpha, x, y1)
-		s.MulVecAdd(alpha, x, y2)
-		if !bitsEqual(y1, y2) {
-			return fmt.Errorf("MulVecAdd alpha=%v differs\ncsr  %v\nsell %v", alpha, y1, y2)
 		}
 	}
 	return nil
@@ -304,24 +290,27 @@ func TestSELLEdgeShapes(t *testing.T) {
 
 // TestSELLSliceKernelMatchesCSR aims the CSR-bitwise check at the branches
 // of the slice kernel, with the Go loop and with the AVX2 kernel: slices
-// whose rows all have one length (the assembly path, or the unrolled
-// accumulators) at every width 0-9, beside ragged ones (spill and tail
-// loop), a short last slice down to a single row (Rows % C != 0), empty rows
-// inside and making up whole slices — trailing ones too, whose offset is
-// len(val) — and NaN, ±Inf, -0 and subnormals in the values and vectors, at
-// the unrolled C = 8 and the generic heights 1, 4 and 32 — for MulVec and
-// MulVecAdd, inline and fanned out over several slice chunks. The banded
-// matrices aim at what FromCSR marks: unit-stride and gathered columns in
-// one slice, near misses (seven consecutive indices and one off by one, a
-// band that wraps at Cols), widths past the mask's 64 bits, unit-stride
-// columns whose rows are not consecutive, run slices beside others, and
-// unit-stride columns whose neighbours x[c0-1] and x[c0+8] are unread, so
-// sellMismatch poisons them. The "equal-" copies give each position one
-// value in every row but a few, so uniform slices store most positions once
-// and a few in full, before and past position 64; in "equal-runs-beside-67"
-// a stretch of uniform slices mixes run and non-run slices. At pool 3 the
-// grain of 2 slices ends stretches at chunk boundaries, and every split of
-// the slices into two spans must write exactly its own rows (checkSpans).
+// whose rows all have one length (the unmasked and fully compact loops, or
+// the unrolled accumulators) at every width 0-9, beside ragged ones (the
+// masked loop, or spill and tail loop) — ragged slices whose last rows are
+// empty, ragged rows past position 64, and ragged slices between uniform
+// ones in one span — a short last slice down to a single row
+// (Rows % C != 0), empty rows inside and making up whole slices — between
+// others, and trailing ones, whose offset is len(val) — and NaN, ±Inf, -0
+// and subnormals in the values and vectors, at the unrolled C = 8 and the
+// generic heights 1, 4 and 32, inline and fanned out over several slice
+// chunks. The banded matrices aim at what FromCSR marks: unit-stride and
+// gathered columns in one slice, near misses (seven consecutive indices and
+// one off by one, a band that wraps at Cols), widths past the mask's 64
+// bits, unit-stride columns whose rows are not consecutive, run slices
+// beside others, and unit-stride columns whose neighbours x[c0-1] and
+// x[c0+8] are unread, so sellMismatch poisons them. The "equal-" copies give
+// each position one value in every row but a few, so uniform slices store
+// most positions once and a few in full, before and past position 64; in
+// "equal-runs-beside-67" a stretch of uniform slices mixes run and non-run
+// slices. At pool 3 the grain of 2 slices ends spans at chunk boundaries,
+// and every split of the slices into two spans must write exactly its own
+// rows (checkSpans).
 func TestSELLSliceKernelMatchesCSR(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	// rowsOf builds a matrix whose row i holds lens[i] entries.
@@ -433,6 +422,30 @@ func TestSELLSliceKernelMatchesCSR(t *testing.T) {
 	for _, name := range []string{"band-7-70", "band-66-wide-67", "unit-not-run-72", "runs-beside-67", "mixed-67", "width-70-67"} {
 		mats["equal-"+name] = equalColumns(mats[name], func(i, j int) bool { return (3*i+j)%17 == 0 })
 	}
+	// Ragged full-height slices, which the AVX2 kernel runs under a lane
+	// mask. At sigma = C each slice sorts only its own rows.
+	// Every slice's last three rows are empty: rowLen[7] = 0, so every
+	// position runs masked.
+	mats["ragged-empty-last-64"] = rowsOf(9, repeat(64, 6, 4, 0, 0, 3, 1, 0, 2))
+	// An all-empty slice between ragged ones, and between uniform ones.
+	mats["ragged-empty-middle-40"] = rowsOf(12, slices.Concat(repeat(16, 3, 1, 4, 1, 5, 9, 2, 6), repeat(8, 0), repeat(16, 2, 7, 1, 8)))
+	mats["uniform-empty-middle-40"] = rowsOf(9, slices.Concat(repeat(16, 5), repeat(8, 0), repeat(16, 5)))
+	// Ragged rows past the marks' 64 positions, ending before, at and after
+	// position 64.
+	mats["ragged-wide-40"] = rowsOf(80, repeat(40, 70, 66, 65, 64, 63, 3, 0, 67))
+	// Uniform, ragged, uniform (unit-stride and equal-valued, a run),
+	// ragged, uniform, short: ragged slices inside one stretch of the span.
+	mats["ragged-between-uniform-45"] = equalColumns(colsOf(45, 60, func(i int) []int {
+		w := []int{3, 0, 4, 0, 3, 2}[i/8]
+		if i/8%2 == 1 {
+			w = []int{5, 1, 0, 2, 4, 4, 3, 1}[i%8]
+		}
+		out := make([]int, w)
+		for k := range out {
+			out[k] = (i + 7*k) % 60
+		}
+		return out
+	}), func(i, j int) bool { return false })
 	for w := 0; w <= 9; w++ {
 		mats[fmt.Sprintf("width-%d-61", w)] = rowsOf(9, repeat(61, w))
 	}
@@ -567,6 +580,18 @@ func FuzzSELLMatchesCSR(f *testing.F) {
 	}
 	signs[14], signs[15] = 0, 0
 	f.Add(uint8(7), uint8(3), uint8(2), uint8(16), []byte{0}, floats(signs...))
+	// Ragged full-height slices, the masked loop, at C = 8 and sigma = 8:
+	// the last three rows of every slice empty; an all-empty slice between
+	// ragged ones; banded rows past position 64.
+	f.Add(uint8(63), uint8(20), uint8(200), uint8(4), []byte{6, 4, 0, 0, 3, 1, 0, 2}, odd)
+	f.Add(uint8(47), uint8(23), uint8(200), uint8(4), []byte{3, 1, 4, 1, 5, 9, 2, 6, 0, 0, 0, 0, 0, 0, 0, 0, 2, 7, 1, 8, 2, 8, 1, 8}, stencil)
+	f.Add(uint8(95), uint8(23), uint8(200), uint8(20), []byte{70, 66, 0, 65, 100, 3, 64, 67}, odd)
+	// Banded, three values a row: slices 0, 2 and 4 are fully compact (one
+	// value on eight consecutive columns at every position), slices 1 and 3
+	// ragged between them.
+	f.Add(uint8(39), uint8(15), uint8(200), uint8(20), []byte{
+		3, 3, 3, 3, 3, 3, 3, 3, 5, 1, 0, 2, 4, 4, 3, 1, 3, 3, 3, 3, 3, 3, 3, 3,
+		2, 2, 2, 2, 2, 2, 2, 1, 3, 3, 3, 3, 3, 3, 3, 3}, floats(6, -1, -2))
 	f.Fuzz(func(t *testing.T, rows, cols, width, layout uint8, pattern, values []byte) {
 		nr, nc := 1+int(rows)%96, 1+int(cols)%24
 		c := []int{8, 1, 4, 32}[layout%4]
@@ -705,11 +730,12 @@ func TestSELLClassification(t *testing.T) {
 }
 
 // BenchmarkSELLBlock times the SpMV of the solve_large rank-0 block on one
-// worker (EXPERIMENTS.md E14). kernel runs sellStretch8 alone over the
-// block's stretches of uniform slices, with no engine and no Go slice loop;
-// sellRange is the whole MulVec. The bytes one SpMV reads and writes — the
-// stored values and indices, the per-slice and per-row arrays, x and y —
-// are reported beside the time so they can be set against the cache size.
+// worker (EXPERIMENTS.md E14). kernel runs sellSlices8 alone, one call over
+// every slice of the block, with no engine and no Go wrapper; sellRange is
+// the whole MulVec, so the gap between the two is the wrapper's price. The
+// bytes one SpMV reads and writes — the stored values and indices, the
+// per-slice and per-row arrays, x and y — are reported beside the time so
+// they can be set against the cache size.
 func BenchmarkSELLBlock(b *testing.B) {
 	m := laplace3dBlock(32, 32, 32)
 	s := NewSELL(m)
@@ -731,17 +757,8 @@ func BenchmarkSELLBlock(b *testing.B) {
 		if !simdAtInit {
 			b.Skip("no AVX2 kernel on this host")
 		}
-		var starts []int
-		for sl := 0; sl < s.numSlices(); sl++ {
-			if s.uniform(sl) && (sl == 0 || !s.uniform(sl-1)) {
-				starts = append(starts, sl)
-			}
-		}
 		for i := 0; i < b.N; i++ {
-			for _, sl := range starts {
-				sellStretch8(&s.val[s.valPtr[sl]], &s.colIdx[s.colPtr[sl]], &x[0], &y[0],
-					&s.rowLen[8*sl], &s.perm[8*sl], &s.unit[sl], &s.same[sl], &s.run[sl], s.rows/8-sl)
-			}
+			sellSlices8(s.val, s.colIdx, x, &y[0], &s.rowLen[0], &s.perm[0], &s.unit[0], &s.same[0], &s.run[0], s.rows/8)
 		}
 		report(b)
 	})
@@ -922,7 +939,6 @@ func TestSELLBadArgs(t *testing.T) {
 		"c-zero":    func() { FromCSR(m, 0, 0) },
 		"c-too-big": func() { FromCSR(m, sellMaxC+1, 0) },
 		"mulvec":    func() { NewSELL(m).MulVec(make([]float64, 2), make([]float64, 4)) },
-		"mulvecadd": func() { NewSELL(m).MulVecAdd(1, make([]float64, 4), make([]float64, 2)) },
 	} {
 		func() {
 			defer func() {
