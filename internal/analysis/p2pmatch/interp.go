@@ -21,10 +21,10 @@ const (
 )
 
 // event is one protocol-relevant action a rank performs, in program order.
-// For sends, peer/tag are the concrete destination and tag. For receives,
-// peer is the source (-1 = AnySource) and tag may be -1 (AnyTag), matching
-// the comm package's wildcard encoding. op names the originating call for
-// diagnostics ("Send", "SendRecv", "comm.Bcast", ...).
+// peer and tag are concrete: the destination of a send, the source of a
+// receive (wildcard receives are outside the certified fragment). op names
+// the originating call for diagnostics ("Send", "SendRecv", "comm.Bcast",
+// ...).
 type event struct {
 	kind evKind
 	peer int64
@@ -58,15 +58,13 @@ const (
 	flowFall // fallthrough, meaningful only directly inside a switch clause
 )
 
-// runner interprets one (P, rank) execution of a protocol scope under one
-// scenario. It aborts via panic: *certErr for shapes outside the provable
-// fragment, inapplicable for sizes where the protocol panics before
-// communicating.
+// runner interprets one (P, rank) execution of a protocol scope. It aborts
+// via panic: *certErr for shapes outside the provable fragment,
+// inapplicable for sizes where the protocol panics before communicating.
 type runner struct {
 	sc     *scope
 	p      int64
 	rank   int64
-	scen   *scenario
 	env    map[types.Object]value
 	events []event
 	steps  int
@@ -108,18 +106,6 @@ func (r *runner) emit(ev event) {
 		r.fail(ev.pos, "protocol exceeds %d events per rank", maxEventsRank)
 	}
 	r.events = append(r.events, ev)
-}
-
-// choose resolves a rank-uniform unknown condition: scenarios replay
-// earlier decisions and default new ones to true, recording them so
-// analyzeScope can spawn the flipped variants.
-func (r *runner) choose(pos token.Pos) bool {
-	if v, ok := r.scen.choices[pos]; ok {
-		return v
-	}
-	r.scen.choices[pos] = true
-	r.scen.decided = append(r.scen.decided, pos)
-	return true
 }
 
 // --- statements ---
@@ -387,10 +373,9 @@ func (r *runner) execIf(s *ast.IfStmt) flow {
 // hanging — which makes the shortcut sound even when the condition is
 // rank-derived (the universal `if got != want { return fmt.Errorf }`
 // verification idiom). Arms that cannot change the protocol are skipped
-// with their assignments poisoned, also regardless of taint. Only after
-// both shortcuts do rank-derived conditions leave the provable fragment;
-// what remains is a rank-uniform unknown, explored both ways as
-// whole-protocol scenarios.
+// with their assignments poisoned, also regardless of taint. A condition
+// that survives both shortcuts leaves the provable fragment: the protocol
+// would fork on it.
 func (r *runner) unknownIf(s *ast.IfStmt) flow {
 	if r.abortArm(s.Body) {
 		r.poison(s.Body)
@@ -410,10 +395,8 @@ func (r *runner) unknownIf(s *ast.IfStmt) flow {
 	if r.sc.spmd.RankDerived(s.Cond) {
 		r.fail(s.Cond.Pos(), "condition mixes rank-derived and run-time values; cannot resolve which ranks take this branch")
 	}
-	if r.choose(s.Cond.Pos()) {
-		return r.exec(s.Body)
-	}
-	return r.exec(s.Else)
+	r.fail(s.Cond.Pos(), "run-time condition around communication; the protocol forks on a value the interpreter cannot resolve")
+	return flowNext
 }
 
 func (r *runner) execSwitch(s *ast.SwitchStmt) flow {
@@ -470,7 +453,7 @@ func (r *runner) execSwitch(s *ast.SwitchStmt) flow {
 			if r.sc.spmd.RankDerived(s.Tag) || slices.ContainsFunc(cc.List, r.sc.spmd.RankDerived) {
 				r.fail(cc.Pos(), "switch on a rank-derived run-time value; cannot resolve which ranks take this case")
 			}
-			taken = r.choose(cc.Pos())
+			r.fail(cc.Pos(), "switch on a run-time value around communication; the protocol forks on a case the interpreter cannot resolve")
 		}
 		if taken {
 			return runFrom(i, clauses)
@@ -845,11 +828,8 @@ func (r *runner) evInt(e ast.Expr, what, op string) int64 {
 }
 
 // checkPeer validates a concrete peer against the communicator size,
-// mirroring comm's own bounds panic. wild allows AnySource.
-func (r *runner) checkPeer(pos token.Pos, op string, peer int64, wild bool) {
-	if wild && peer == -1 {
-		return
-	}
+// mirroring comm's own bounds panic.
+func (r *runner) checkPeer(pos token.Pos, op string, peer int64) {
 	if peer < 0 || peer >= r.p {
 		r.skip(pos, "%s peer %d is outside the communicator (size %d): this call panics at run time", op, peer, r.p)
 	}
@@ -875,7 +855,7 @@ func (r *runner) evalP2P(call *ast.CallExpr, name string) {
 		for _, a := range call.Args[2:] {
 			r.eval(a)
 		}
-		r.checkPeer(pos, name, dst, false)
+		r.checkPeer(pos, name, dst)
 		r.emit(event{kind: evSend, peer: dst, tag: tag, pos: pos, op: name})
 	case "Recv", "RecvMsg", "recvIndexed": // Recv(src, tag, destination...)
 		src := r.evInt(call.Args[0], "source", name)
@@ -883,19 +863,30 @@ func (r *runner) evalP2P(call *ast.CallExpr, name string) {
 		for _, a := range call.Args[2:] {
 			r.eval(a)
 		}
-		r.checkPeer(pos, name, src, true)
+		r.checkWild(pos, src, tag)
+		r.checkPeer(pos, name, src)
 		r.emit(event{kind: evRecv, peer: src, tag: tag, pos: pos, op: name})
 	case "SendRecv": // SendRecv(dst, payload, src, tag) = Send then Recv
 		dst := r.evInt(call.Args[0], "destination", "SendRecv")
 		r.eval(call.Args[1])
 		src := r.evInt(call.Args[2], "source", "SendRecv")
 		tag := r.evInt(call.Args[3], "tag", "SendRecv")
-		r.checkPeer(pos, "SendRecv", dst, false)
-		r.checkPeer(pos, "SendRecv", src, true)
+		r.checkPeer(pos, "SendRecv", dst)
+		r.checkWild(pos, src, tag)
+		r.checkPeer(pos, "SendRecv", src)
 		r.emit(event{kind: evSend, peer: dst, tag: tag, pos: pos, op: "SendRecv"})
 		r.emit(event{kind: evRecv, peer: src, tag: tag, pos: pos, op: "SendRecv"})
 	case "Probe":
 		r.fail(pos, "Probe-guarded protocol is data-dependent (matching depends on message arrival timing)")
+	}
+}
+
+// checkWild rejects a receive from AnySource or with AnyTag (both -1 in
+// comm): which pending message it takes depends on arrival order, so one
+// replay no longer stands for every schedule.
+func (r *runner) checkWild(pos token.Pos, src, tag int64) {
+	if src == -1 || tag == -1 {
+		r.fail(pos, "wildcard receive (AnySource or AnyTag); its matching depends on arrival order")
 	}
 }
 

@@ -7,16 +7,15 @@ import (
 )
 
 // This file model-checks the per-rank event traces the interpreter
-// extracted. The exploration is exact for comm's semantics (see the
-// package comment): sends are eager, so the checker advances every rank
-// through its sends ("closure"), synchronizes collectives as full
-// barriers, and branches only on which pending message each blocked
-// receive consumes. comm delivers per-channel in order and Recv takes the
-// first arrival matching (src, tag), so for each source the oldest
-// unconsumed tag-matching send is the unique candidate from that source —
-// a tag-selective receive skips older non-matching messages, which stay
-// queued. The state space over (program counters, consumed set) is a DAG;
-// memoized DFS visits each state once.
+// extracted, by replaying the one matching comm's semantics allow (see the
+// package comment). Sends are eager, so the replay advances every rank
+// through its sends ("closure") and synchronizes collectives as full
+// barriers. Receives name a concrete source and tag, so a blocked receive
+// has at most one candidate: the oldest executed, unconsumed send with its
+// tag on its one channel (a tag-selective receive skips older non-matching
+// messages, which stay queued). Firing it touches only that channel and
+// disables no other receive, so the order receives fire in cannot change
+// the state the replay ends in.
 
 // witness is one deadlock finding, already classified and formatted.
 type witness struct {
@@ -24,116 +23,84 @@ type witness struct {
 	msg string
 }
 
-// lostMsg is a send no schedule ever receives, in a protocol that
-// otherwise always completes.
+// lostMsg is a send no rank receives, in a protocol that otherwise
+// completes at size p.
 type lostMsg struct {
 	ev   event
 	rank int64
+	p    int64
 }
 
-// matchResult is the outcome of exploring one (P, scenario).
-type matchResult struct {
-	dead     *witness
-	lost     []lostMsg
-	overflow bool
-}
-
-// sendRef locates one send event globally.
+// sendRef locates one send event.
 type sendRef struct {
-	rank int   // sender
-	idx  int   // index in the sender's trace
-	gid  int   // global send id (bit position in the consumed set)
-	tag  int64 // send tag
+	rank     int   // sender
+	idx      int   // index in the sender's trace
+	tag      int64 // send tag
+	consumed bool
 }
 
 type matcher struct {
-	evs    [][]event
-	p      int
-	sends  [][]sendRef // sends[src*p+dst]: channel src->dst in send order
-	refs   []sendRef   // refs[gid]
-	nSends int
-	words  int // consumed-bitset length in uint64 words
-	memo   map[string]*nodeResult
-	states int
+	evs   [][]event
+	p     int
+	pcs   []int
+	refs  []sendRef // every send, by sender then trace order
+	chans [][]int   // chans[src*p+dst]: indexes into refs, in send order
 }
 
-// nodeResult memoizes the exploration outcome from one state: the first
-// deadlock witness (if any), and otherwise the intersection of unconsumed
-// send sets over all reachable terminal states.
-type nodeResult struct {
-	dead *witness
-	lost []uint64
-}
-
-// explore model-checks the traces for size p.
-func explore(evs [][]event, p int64) matchResult {
-	m := &matcher{
-		evs:  evs,
-		p:    int(p),
-		memo: map[string]*nodeResult{},
-	}
-	m.index()
-	pcs := make([]int, m.p)
-	consumed := make([]uint64, m.words)
-	res := m.explore(pcs, consumed)
-	out := matchResult{overflow: m.states > maxMatchStates}
-	if out.overflow {
-		return out
-	}
-	if res.dead != nil {
-		out.dead = res.dead
-		return out
-	}
-	for gid := 0; gid < m.nSends; gid++ {
-		if res.lost[gid/64]&(1<<(gid%64)) != 0 {
-			ref := m.refs[gid]
-			out.lost = append(out.lost, lostMsg{ev: m.evs[ref.rank][ref.idx], rank: int64(ref.rank)})
-		}
-	}
-	return out
-}
-
-func (m *matcher) index() {
-	m.sends = make([][]sendRef, m.p*m.p)
-	for r := 0; r < m.p; r++ {
-		for i, ev := range m.evs[r] {
-			if ev.kind != evSend {
-				continue
+// replay runs the traces for size p to the state where no rank can move,
+// and returns its deadlock witness, or else the sends left unconsumed.
+func replay(evs [][]event, p int64) (*witness, []lostMsg) {
+	m := &matcher{evs: evs, p: int(p), pcs: make([]int, p), chans: make([][]int, p*p)}
+	for r := range m.p {
+		for i, ev := range evs[r] {
+			if ev.kind == evSend {
+				ch := r*m.p + int(ev.peer)
+				m.chans[ch] = append(m.chans[ch], len(m.refs))
+				m.refs = append(m.refs, sendRef{rank: r, idx: i, tag: ev.tag})
 			}
-			ref := sendRef{rank: r, idx: i, gid: len(m.refs), tag: ev.tag}
-			m.refs = append(m.refs, ref)
-			ch := r*m.p + int(ev.peer)
-			m.sends[ch] = append(m.sends[ch], ref)
 		}
 	}
-	m.nSends = len(m.refs)
-	m.words = (m.nSends + 63) / 64
-	if m.words == 0 {
-		m.words = 1
+	for moved := true; moved; {
+		m.closure()
+		moved = false
+		for d := range m.p {
+			if m.pcs[d] < len(evs[d]) && evs[d][m.pcs[d]].kind == evRecv {
+				if ref := m.candidate(d); ref != nil {
+					ref.consumed = true
+					m.pcs[d]++
+					moved = true
+				}
+			}
+		}
 	}
+	for r := range m.p {
+		if m.pcs[r] < len(evs[r]) {
+			return m.witness(r), nil
+		}
+	}
+	var lost []lostMsg
+	for _, ref := range m.refs {
+		if !ref.consumed {
+			lost = append(lost, lostMsg{ev: evs[ref.rank][ref.idx], rank: int64(ref.rank), p: p})
+		}
+	}
+	return nil, lost
 }
 
 // closure advances every rank through its sends and through fully-arrived
-// barriers. Mutates pcs in place.
-func (m *matcher) closure(pcs []int) {
+// barriers.
+func (m *matcher) closure() {
 	for {
 		progress := false
-		for r := 0; r < m.p; r++ {
-			for pcs[r] < len(m.evs[r]) && m.evs[r][pcs[r]].kind == evSend {
-				pcs[r]++
+		for r := range m.p {
+			for m.pcs[r] < len(m.evs[r]) && m.evs[r][m.pcs[r]].kind == evSend {
+				m.pcs[r]++
 				progress = true
 			}
 		}
-		allBarrier := true
-		for r := 0; r < m.p; r++ {
-			if pcs[r] >= len(m.evs[r]) || m.evs[r][pcs[r]].kind != evBarrier {
-				allBarrier = false
-				break
-			}
-		}
-		if allBarrier {
-			for r := 0; r < m.p; r++ {
-				pcs[r]++
+		if m.notAtBarrier() < 0 {
+			for r := range m.p {
+				m.pcs[r]++
 			}
 			progress = true
 		}
@@ -143,135 +110,35 @@ func (m *matcher) closure(pcs []int) {
 	}
 }
 
-func (m *matcher) isConsumed(consumed []uint64, gid int) bool {
-	return consumed[gid/64]&(1<<(gid%64)) != 0
+// candidate returns the send the receive blocked at rank d consumes: the
+// oldest executed, unconsumed send with a matching tag on its channel, or
+// nil.
+func (m *matcher) candidate(d int) *sendRef {
+	ev := m.evs[d][m.pcs[d]]
+	for _, gid := range m.chans[int(ev.peer)*m.p+d] {
+		ref := &m.refs[gid]
+		if ref.idx >= m.pcs[ref.rank] {
+			return nil // not executed yet; later sends cannot overtake
+		}
+		if !ref.consumed && ref.tag == ev.tag {
+			return ref
+		}
+		// Older non-matching message stays queued; keep scanning.
+	}
+	return nil
 }
 
-// candidates returns, for the receive blocked at rank d, the consumable
-// send per eligible source: the oldest executed, unconsumed, tag-matching
-// send on each src->d channel.
-func (m *matcher) candidates(d int, pcs []int, consumed []uint64) []sendRef {
-	ev := m.evs[d][pcs[d]]
-	var out []sendRef
-	for s := 0; s < m.p; s++ {
-		if ev.peer >= 0 && s != int(ev.peer) {
-			continue
-		}
-		for _, ref := range m.sends[s*m.p+d] {
-			if ref.idx >= pcs[s] {
-				break // not executed yet; later sends cannot overtake
-			}
-			if m.isConsumed(consumed, ref.gid) {
-				continue
-			}
-			if ev.tag == -1 || ev.tag == ref.tag {
-				out = append(out, ref)
-				break // oldest matching per source is the unique candidate
-			}
-			// Older non-matching message stays queued; keep scanning.
-		}
-	}
-	return out
-}
-
-func (m *matcher) key(pcs []int, consumed []uint64) string {
-	var b strings.Builder
-	b.Grow(len(pcs)*3 + len(consumed)*17)
-	for _, pc := range pcs {
-		fmt.Fprintf(&b, "%d,", pc)
-	}
-	for _, w := range consumed {
-		fmt.Fprintf(&b, "%x,", w)
-	}
-	return b.String()
-}
-
-func (m *matcher) explore(pcs []int, consumed []uint64) *nodeResult {
-	m.closure(pcs)
-	key := m.key(pcs, consumed)
-	if res, ok := m.memo[key]; ok {
-		return res
-	}
-	m.states++
-	if m.states > maxMatchStates {
-		return &nodeResult{lost: make([]uint64, m.words)}
-	}
-	res := &nodeResult{}
-	m.memo[key] = res
-	allDone := true
-	for r := 0; r < m.p; r++ {
-		if pcs[r] < len(m.evs[r]) {
-			allDone = false
-			break
-		}
-	}
-	if allDone {
-		res.lost = make([]uint64, m.words)
-		for gid := 0; gid < m.nSends; gid++ {
-			if !m.isConsumed(consumed, gid) {
-				res.lost[gid/64] |= 1 << (gid % 64)
-			}
-		}
-		return res
-	}
-	moved := false
-	for d := 0; d < m.p; d++ {
-		if pcs[d] >= len(m.evs[d]) || m.evs[d][pcs[d]].kind != evRecv {
-			continue
-		}
-		for _, ref := range m.candidates(d, pcs, consumed) {
-			moved = true
-			npcs := append([]int(nil), pcs...)
-			ncons := append([]uint64(nil), consumed...)
-			npcs[d]++
-			ncons[ref.gid/64] |= 1 << (ref.gid % 64)
-			child := m.explore(npcs, ncons)
-			if child.dead != nil {
-				res.dead = child.dead
-				return res
-			}
-			if res.lost == nil {
-				res.lost = append([]uint64(nil), child.lost...)
-			} else {
-				for i := range res.lost {
-					res.lost[i] &= child.lost[i]
-				}
-			}
-		}
-	}
-	if !moved {
-		res.dead = m.witness(pcs, consumed)
-	}
-	return res
-}
-
-// witness classifies a stuck state into a diagnostic.
-func (m *matcher) witness(pcs []int, consumed []uint64) *witness {
-	// First blocked rank anchors the report.
-	first := -1
-	for r := 0; r < m.p; r++ {
-		if pcs[r] < len(m.evs[r]) {
-			first = r
-			break
-		}
-	}
-	if first < 0 {
-		return nil // unreachable: witness is only built for stuck states
-	}
-	ev := m.evs[first][pcs[first]]
+// witness classifies the stuck state, anchored at first, the lowest rank
+// that has not finished.
+func (m *matcher) witness(first int) *witness {
+	ev := m.evs[first][m.pcs[first]]
 	if ev.kind == evBarrier {
 		// Collective divergence: a peer left the protocol (or blocked in a
 		// receive) while this rank waits at a collective.
-		other := -1
-		for r := 0; r < m.p; r++ {
-			if pcs[r] >= len(m.evs[r]) || m.evs[r][pcs[r]].kind != evBarrier {
-				other = r
-				break
-			}
-		}
+		other := m.notAtBarrier()
 		desc := "has already left the protocol"
-		if other >= 0 && pcs[other] < len(m.evs[other]) {
-			desc = fmt.Sprintf("is blocked at %s", m.evs[other][pcs[other]].op)
+		if other >= 0 && m.pcs[other] < len(m.evs[other]) {
+			desc = fmt.Sprintf("is blocked at %s", m.evs[other][m.pcs[other]].op)
 		}
 		return &witness{pos: ev.pos, msg: fmt.Sprintf(
 			"point-to-point deadlock at P=%d: rank %d waits at %s while rank %d %s (collective/point-to-point divergence)",
@@ -280,73 +147,58 @@ func (m *matcher) witness(pcs []int, consumed []uint64) *witness {
 	// Receive-blocked. Count matching sends over the whole protocol, and
 	// how many are still unconsumed.
 	total, unconsumed := 0, 0
-	for s := 0; s < m.p; s++ {
-		if ev.peer >= 0 && s != int(ev.peer) {
-			continue
-		}
-		for _, ref := range m.sends[s*m.p+first] {
-			if ev.tag != -1 && ev.tag != ref.tag {
-				continue
-			}
+	for _, gid := range m.chans[int(ev.peer)*m.p+first] {
+		if ref := m.refs[gid]; ref.tag == ev.tag {
 			total++
-			if !m.isConsumed(consumed, ref.gid) {
+			if !ref.consumed {
 				unconsumed++
 			}
 		}
 	}
-	srcStr := "any source"
-	if ev.peer >= 0 {
-		srcStr = fmt.Sprintf("rank %d", ev.peer)
-	}
-	tagStr := "any tag"
-	if ev.tag != -1 {
-		tagStr = fmt.Sprintf("tag %d", ev.tag)
-	}
 	switch {
 	case total == 0:
 		return &witness{pos: ev.pos, msg: fmt.Sprintf(
-			"point-to-point deadlock at P=%d: rank %d blocks in %s from %s with %s that no Send in the protocol ever matches (unmatched receive)",
-			m.p, first, ev.op, srcStr, tagStr)}
+			"point-to-point deadlock at P=%d: rank %d blocks in %s from rank %d with tag %d that no Send in the protocol ever matches (unmatched receive)",
+			m.p, first, ev.op, ev.peer, ev.tag)}
 	case unconsumed == 0:
 		return &witness{pos: ev.pos, msg: fmt.Sprintf(
-			"point-to-point deadlock at P=%d: rank %d blocks in %s from %s with %s after other receives consumed all %d matching Sends (send/receive count mismatch)",
-			m.p, first, ev.op, srcStr, tagStr, total)}
+			"point-to-point deadlock at P=%d: rank %d blocks in %s from rank %d with tag %d after other receives consumed all %d matching Sends (send/receive count mismatch)",
+			m.p, first, ev.op, ev.peer, ev.tag, total)}
 	}
 	// Matching sends exist but sit behind blocked program counters: a
 	// rendezvous cycle. Report the waits-for chain.
 	return &witness{pos: ev.pos, msg: fmt.Sprintf(
 		"point-to-point deadlock at P=%d: rendezvous cycle (%s); every rank on the cycle waits to receive before issuing the Send its successor needs",
-		m.p, m.cycle(first, pcs, consumed))}
+		m.p, m.cycle(first))}
+}
+
+// notAtBarrier returns the lowest rank that is not waiting at a barrier,
+// or -1 when every rank is.
+func (m *matcher) notAtBarrier() int {
+	for r := range m.p {
+		if m.pcs[r] >= len(m.evs[r]) || m.evs[r][m.pcs[r]].kind != evBarrier {
+			return r
+		}
+	}
+	return -1
 }
 
 // cycle renders the waits-for chain starting at rank d: a blocked receiver
-// waits for the first rank whose un-executed trace suffix holds a matching
-// send; a barrier-blocked rank waits for the first rank not at the barrier.
-func (m *matcher) cycle(d int, pcs []int, consumed []uint64) string {
+// waits for its source when that rank's un-executed trace suffix holds a
+// matching send; a barrier-blocked rank waits for the first rank not at the
+// barrier.
+func (m *matcher) cycle(d int) string {
 	waitsFor := func(r int) int {
-		if pcs[r] >= len(m.evs[r]) {
+		if m.pcs[r] >= len(m.evs[r]) {
 			return -1
 		}
-		ev := m.evs[r][pcs[r]]
+		ev := m.evs[r][m.pcs[r]]
 		if ev.kind == evBarrier {
-			for o := 0; o < m.p; o++ {
-				if pcs[o] >= len(m.evs[o]) || m.evs[o][pcs[o]].kind != evBarrier {
-					return o
-				}
-			}
-			return -1
+			return m.notAtBarrier()
 		}
-		for s := 0; s < m.p; s++ {
-			if ev.peer >= 0 && s != int(ev.peer) {
-				continue
-			}
-			for _, ref := range m.sends[s*m.p+r] {
-				if ref.idx < pcs[s] || m.isConsumed(consumed, ref.gid) {
-					continue
-				}
-				if ev.tag == -1 || ev.tag == ref.tag {
-					return s
-				}
+		for _, gid := range m.chans[int(ev.peer)*m.p+r] {
+			if ref := m.refs[gid]; ref.idx >= m.pcs[ref.rank] && ref.tag == ev.tag {
+				return int(ev.peer)
 			}
 		}
 		return -1

@@ -8,53 +8,45 @@
 // c.Size(). Per protocol scope it interprets the statement tree once per
 // concrete rank for every communicator size P in {1,2,3,4,5,7,8},
 // extracting each rank's ordered trace of Send/Recv/SendRecv events and
-// collective barriers, then model-checks the traces: every Recv must match
-// a Send under the comm package's mailbox semantics (first arriving message
-// with (src==AnySource||msg.src==src) && (tag==AnyTag||msg.tag==tag),
-// per-source non-overtaking), and no rendezvous cycle may leave a rank
-// blocked forever.
+// collective barriers, then replays the traces under the comm package's
+// mailbox semantics (a Recv takes the first arriving message from its
+// source with its tag; messages on one channel do not overtake).
 //
-// The exploration is exact for the comm semantics it models, because comm's
-// Send is eager (the payload is copied and queued; Send never blocks).
-// Under eager sends, running every rank forward to its next Recv or
-// collective ("maximal progress") loses no behaviors, and the only true
-// scheduling freedom is which pending message a wildcard Recv consumes.
-// The checker therefore advances all ranks through sends, treats each
-// collective as a full barrier, and branches only at receives — over the
-// per-source oldest pending matching message, which per-source FIFO
-// delivery makes the unique candidate from that source. Memoized DFS over
-// these states visits every reachable matching; a state where some rank is
-// blocked and no receive can fire is a deadlock witness, classified as:
+// One replay stands for every schedule. comm's Send is eager (the payload
+// is copied and queued; Send never blocks), so running every rank forward
+// to its next Recv or collective loses no behaviors, and each collective is
+// a full barrier. A receive with a concrete source and tag has at most one
+// candidate — the oldest sent, unconsumed message with its tag on its one
+// channel — and consuming it disables no other receive, so matching is
+// confluent: every schedule ends in the state the replay ends in. A state
+// where some rank is blocked is a deadlock witness, classified as:
 //
 //   - unmatched receive: no Send anywhere in the protocol matches;
-//   - wildcard count mismatch: matching Sends exist, but other receives
-//     consumed them all;
+//   - send/receive count mismatch: matching Sends exist, but earlier
+//     receives consumed them all;
 //   - cyclic rendezvous wait: matching Sends are still pending behind the
 //     program counters of blocked ranks (reported with the waits-for cycle);
 //   - collective divergence: a rank waits at a collective after a peer has
 //     already left the protocol;
-//   - lost message: a Send that no execution ever receives (reported only
-//     when the protocol otherwise completes).
+//   - lost message: a Send that is never received (reported only when the
+//     protocol completes at every size).
 //
 // A protocol scope is either the body of a function literal handed to
 // comm.Run/RunStats/RunConfig (when the size argument is constant,
 // only that P is checked) or any function declaration that performs
-// point-to-point calls directly. Conditions the interpreter cannot evaluate
-// are classified by the rank taint of the shared model (analysis.SPMD):
-// rank-derived unknowns make the protocol non-affine ("cannot certify"),
-// while rank-independent unknowns (transport kind, error checks,
-// configuration) are assumed uniform across ranks and explored both ways as
-// whole-protocol scenarios. Error-abort arms — branches that end in a
-// non-control return (analysis.ControlReturn, the rule commsym applies too)
-// or a panic/t.Fatal — are assumed not taken.
+// point-to-point calls directly. Of the conditions the interpreter cannot
+// evaluate, error-abort arms — branches that end in a non-control return
+// (analysis.ControlReturn, the rule commsym applies too) or a
+// panic/t.Fatal — are assumed not taken, and arms that cannot change the
+// protocol are skipped.
 //
 // Everything outside the provable shape is reported as "cannot certify"
-// rather than silently skipped: data-dependent peers or tags, Probe-guarded
-// receives, unbounded or data-dependent loops around communication,
+// rather than silently skipped: data-dependent peers or tags, wildcard
+// (AnySource/AnyTag) and Probe-guarded receives, any other condition or
+// loop bound around communication that the interpreter cannot resolve,
 // point-to-point on Split sub-communicators (their ranks are renumbered),
-// communication through same-package helper calls, communication in
-// goroutines/defers, and protocols that mix wildcard receives with
-// collectives. A human who has vetted such a protocol silences the
+// communication through same-package helper calls, and communication in
+// goroutines/defers. A human who has vetted such a protocol silences the
 // analyzer with //lint:allow p2pmatch and a justification.
 //
 // comm's own collective implementations are not protocols to certify: every
@@ -82,11 +74,12 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "p2pmatch",
 	Doc: "certifies point-to-point Send/Recv protocols deadlock-free by " +
-		"interpreting them per rank for P in {1,2,3,4,5,7,8} and matching " +
-		"every receive to a send; reports unmatched receives, lost messages, " +
-		"wildcard count mismatches and rendezvous cycles, and flags " +
-		"non-affine protocols it cannot certify; annotate hand-vetted " +
-		"protocols with //lint:allow p2pmatch",
+		"interpreting them per rank for P in {1,2,3,4,5,7,8} and replaying " +
+		"the one matching of their concrete sources and tags; reports " +
+		"unmatched receives, lost messages, send/receive count mismatches " +
+		"and rendezvous cycles, and flags wildcard receives, unresolvable " +
+		"conditions and non-affine protocols it cannot certify; annotate " +
+		"hand-vetted protocols with //lint:allow p2pmatch",
 	Run: run,
 }
 
@@ -95,14 +88,12 @@ var Analyzer = &analysis.Analyzer{
 // and odd-size asymmetries in tree- and ring-shaped protocols.
 var rankCounts = []int64{1, 2, 3, 4, 5, 7, 8}
 
-// Interpretation and exploration budgets. Exceeding one is reported as
-// "cannot certify", never ignored.
+// Interpretation budgets. Exceeding one is reported as "cannot certify",
+// never ignored.
 const (
-	maxScenarios   = 64    // uniform-condition resolutions per scope
-	maxIterations  = 4096  // loop iterations per rank interpretation
-	maxSteps       = 20000 // statements per rank interpretation
-	maxEventsRank  = 512   // protocol events per rank
-	maxMatchStates = 20000 // memoized states per (P, scenario) exploration
+	maxIterations = 4096  // loop iterations per rank interpretation
+	maxSteps      = 20000 // statements per rank interpretation
+	maxEventsRank = 512   // protocol events per rank
 )
 
 // p2pNames are the point-to-point methods on comm.Comm. The unexported ones
@@ -254,7 +245,7 @@ func collectiveImpls(pass *analysis.Pass) map[types.Object]bool {
 }
 
 // scope is one protocol to certify: a statement tree interpreted once per
-// (P, rank, scenario).
+// (P, rank).
 type scope struct {
 	pass    *analysis.Pass
 	body    *ast.BlockStmt
@@ -490,99 +481,59 @@ type certErr struct {
 // at this size either.
 type inapplicable struct{}
 
-// scenario is one resolution of a protocol's rank-uniform unknown
-// conditions, keyed by condition position. decided lists positions in
-// discovery order; choices gives each one's branch.
-type scenario struct {
-	choices map[token.Pos]bool
-	decided []token.Pos
-	// fixed counts the decisions inherited from the parent scenario; only
-	// decisions beyond fixed spawn flipped variants.
-	fixed int
-}
-
 // analyzeScope interprets and model-checks one protocol scope, reporting at
-// most one deadlock diagnostic (smallest failing P, first witness) plus any
+// most one deadlock diagnostic (smallest failing P) or else any
 // lost-message findings.
 func analyzeScope(sc *scope) {
 	counts := rankCounts
 	if sc.knownP > 0 {
 		counts = []int64{sc.knownP}
 	}
-	scenarios := []*scenario{{choices: map[token.Pos]bool{}}}
-	type lostSend struct {
-		p    int64
-		ev   event
-		from int64
-	}
-	lost := map[token.Pos]lostSend{}
-	var lostOrder []token.Pos
-	for si := 0; si < len(scenarios); si++ {
-		scen := scenarios[si]
-		admissible := false
-		for _, p := range counts {
-			evs, ok, err := interpretRanks(sc, scen, p)
-			if err != nil {
-				if err.kindDiag {
-					sc.pass.Reportf(err.pos, "%s", err.reason)
-				} else {
-					sc.pass.Reportf(err.pos, "%s", cannotMsg(err.reason))
-				}
-				return
+	var lost []lostMsg
+	seen := map[token.Pos]bool{}
+	admissible := false
+	for _, p := range counts {
+		evs, ok, err := interpretRanks(sc, p)
+		if err != nil {
+			if err.kindDiag {
+				sc.pass.Reportf(err.pos, "%s", err.reason)
+			} else {
+				sc.pass.Reportf(err.pos, "%s", cannotMsg(err.reason))
 			}
-			if !ok {
-				continue // size inapplicable: protocol panics before blocking
-			}
-			admissible = true
-			res := explore(evs, p)
-			if res.overflow {
-				sc.pass.Reportf(sc.pos, "%s", cannotMsg(fmt.Sprintf("wildcard matching state space exceeds %d states at P=%d", maxMatchStates, p)))
-				return
-			}
-			if res.dead != nil {
-				sc.pass.Reportf(res.dead.pos, "%s", res.dead.msg)
-				return
-			}
-			for _, l := range res.lost {
-				if _, seen := lost[l.ev.pos]; !seen {
-					lost[l.ev.pos] = lostSend{p: p, ev: l.ev, from: l.rank}
-					lostOrder = append(lostOrder, l.ev.pos)
-				}
-			}
-		}
-		if !admissible && sc.knownP == 0 {
-			sc.pass.Reportf(sc.pos, "%s", cannotMsg("no admissible communicator size in {1,2,3,4,5,7,8}: every size panics before communicating"))
 			return
 		}
-		// Spawn one variant per decision first made in this scenario, with
-		// that decision flipped and later ones left to be rediscovered.
-		for k := scen.fixed; k < len(scen.decided); k++ {
-			if len(scenarios) >= maxScenarios {
-				sc.pass.Reportf(scen.decided[k], "%s", cannotMsg(fmt.Sprintf("protocol forks on more than %d resolutions of data-dependent conditions", maxScenarios)))
-				return
+		if !ok {
+			continue // size inapplicable: protocol panics before blocking
+		}
+		admissible = true
+		dead, lostAtP := replay(evs, p)
+		if dead != nil {
+			sc.pass.Reportf(dead.pos, "%s", dead.msg)
+			return
+		}
+		for _, l := range lostAtP {
+			if !seen[l.ev.pos] {
+				seen[l.ev.pos] = true
+				lost = append(lost, l)
 			}
-			v := &scenario{choices: map[token.Pos]bool{}, fixed: k + 1}
-			for _, pos := range scen.decided[:k+1] {
-				v.choices[pos] = scen.choices[pos]
-				v.decided = append(v.decided, pos)
-			}
-			v.choices[scen.decided[k]] = !scen.choices[scen.decided[k]]
-			scenarios = append(scenarios, v)
 		}
 	}
-	for _, pos := range lostOrder {
-		l := lost[pos]
-		sc.pass.Reportf(pos, "lost message at P=%d: %s to rank %d tag %d by rank %d is never received (unmatched send)",
-			l.p, l.ev.op, l.ev.peer, l.ev.tag, l.from)
+	if !admissible && sc.knownP == 0 {
+		sc.pass.Reportf(sc.pos, "%s", cannotMsg("no admissible communicator size in {1,2,3,4,5,7,8}: every size panics before communicating"))
+		return
+	}
+	for _, l := range lost {
+		sc.pass.Reportf(l.ev.pos, "lost message at P=%d: %s to rank %d tag %d by rank %d is never received (unmatched send)",
+			l.p, l.ev.op, l.ev.peer, l.ev.tag, l.rank)
 	}
 }
 
-// interpretRanks runs the per-rank interpreter for every rank at size p
-// under scenario scen. ok is false when the size is inapplicable.
-func interpretRanks(sc *scope, scen *scenario, p int64) (evs [][]event, ok bool, err *certErr) {
+// interpretRanks runs the per-rank interpreter for every rank at size p.
+// ok is false when the size is inapplicable.
+func interpretRanks(sc *scope, p int64) (evs [][]event, ok bool, err *certErr) {
 	evs = make([][]event, p)
 	for rank := int64(0); rank < p; rank++ {
-		r := &runner{sc: sc, p: p, rank: rank, scen: scen, env: map[types.Object]value{}}
+		r := &runner{sc: sc, p: p, rank: rank, env: map[types.Object]value{}}
 		trace, applicable, cerr := r.run()
 		if cerr != nil {
 			return nil, false, cerr
@@ -591,27 +542,6 @@ func interpretRanks(sc *scope, scen *scenario, p int64) (evs [][]event, ok bool,
 			return nil, false, nil
 		}
 		evs[rank] = trace
-	}
-	// Wildcard receives combined with collectives leave the provable
-	// fragment: non-barrier collectives (Bcast, Reduce, ...) are modeled as
-	// full barriers, which is exact only when matching is deterministic.
-	// A wildcard's candidate set depends on the modeled synchronization,
-	// so the barrier over-approximation could hide real schedules.
-	var barrier bool
-	var wild *event
-	for rank := range evs {
-		for i := range evs[rank] {
-			ev := &evs[rank][i]
-			switch {
-			case ev.kind == evBarrier:
-				barrier = true
-			case ev.kind == evRecv && (ev.peer == -1 || ev.tag == -1) && wild == nil:
-				wild = ev
-			}
-		}
-	}
-	if barrier && wild != nil {
-		return nil, false, &certErr{pos: wild.pos, reason: "wildcard receive mixed with collective synchronization (matching order is not provable)"}
 	}
 	return evs, true, nil
 }

@@ -1,6 +1,7 @@
 // Package a exercises p2pmatch's core protocol shapes: certified-safe
-// rings, deadlocking rings, unmatched and lost messages, collective
-// divergence, and the cannot-certify fragment boundary.
+// rings, deadlocking rings, unmatched and lost messages, send/receive count
+// mismatches, tag-selective receives, collective divergence, and the
+// cannot-certify fragment boundary.
 package a
 
 import "comm"
@@ -50,8 +51,12 @@ func ringRecvFirst(c *comm.Comm) error {
 	return nil
 }
 
-// orphanRecv blocks forever: no rank ever sends tag 9.
+// orphanRecv blocks forever: rank 1 sends tag 8, but no rank ever sends
+// the tag 9 rank 0 waits for.
 func orphanRecv(c *comm.Comm) error {
+	if c.Rank() == 1 {
+		c.Send(0, 8, nil)
+	}
 	if c.Rank() == 0 && c.Size() > 1 {
 		_ = c.Recv(1, 9) // want `unmatched receive`
 	}
@@ -71,6 +76,56 @@ func chattySender(c *comm.Comm) error {
 	}
 	if r == 0 {
 		_ = c.Recv(1, 11)
+	}
+	return nil
+}
+
+// recvTwiceSendOnce posts two receives against one send: the second finds
+// the only matching message already consumed.
+func recvTwiceSendOnce(c *comm.Comm) error {
+	r, p := c.Rank(), c.Size()
+	if p < 2 {
+		return nil
+	}
+	if r == 1 {
+		c.Send(0, 5, r)
+	}
+	if r == 0 {
+		_ = c.Recv(1, 5)
+		_ = c.Recv(1, 5) // want `send/receive count mismatch`
+	}
+	return nil
+}
+
+// tagSkip receives in the opposite tag order from the sends: the tag-1
+// receive skips the older tag-2 message, which stays queued for the next
+// receive. Certified for every P — a negative control.
+func tagSkip(c *comm.Comm) error {
+	r, p := c.Rank(), c.Size()
+	if p < 2 {
+		return nil
+	}
+	if r == 1 {
+		c.Send(0, 2, r)
+		c.Send(0, 1, r)
+	}
+	if r == 0 {
+		_ = c.Recv(1, 1)
+		_ = c.Recv(1, 2)
+	}
+	return nil
+}
+
+// lostThenUnmatched loses a message at P=2 and blocks forever at P=3. A
+// lost message is reported only for a protocol that completes at every
+// size, so the deadlock is the one finding.
+func lostThenUnmatched(c *comm.Comm) error {
+	r, p := c.Rank(), c.Size()
+	if r == 1 {
+		c.Send(0, 12, r)
+	}
+	if r == 0 && p > 2 {
+		_ = c.Recv(2, 13) // want `deadlock at P=3: .*unmatched receive`
 	}
 	return nil
 }
@@ -107,6 +162,32 @@ func probeDrain(c *comm.Comm) error {
 			break
 		}
 		_ = c.Recv(comm.AnySource, comm.AnyTag)
+	}
+	return nil
+}
+
+// configFork picks its tag from a run-time flag. The flag is the same on
+// every rank, but the protocol would fork on it: outside the fragment one
+// replay certifies.
+func configFork(c *comm.Comm, fast bool) error {
+	r, p := c.Rank(), c.Size()
+	next := (r + 1) % p
+	prev := (r + p - 1) % p
+	if fast { // want `cannot certify point-to-point protocol: run-time condition`
+		_ = c.SendRecv(next, r, prev, 1)
+	} else {
+		_ = c.SendRecv(next, r, prev, 2)
+	}
+	return nil
+}
+
+// modeSwitch is configFork's switch form: the unresolvable case is the
+// finding.
+func modeSwitch(c *comm.Comm, mode int) error {
+	r, p := c.Rank(), c.Size()
+	switch mode {
+	case 0: // want `cannot certify point-to-point protocol: switch on a run-time value`
+		_ = c.SendRecv((r+1)%p, r, (r+p-1)%p, 1)
 	}
 	return nil
 }

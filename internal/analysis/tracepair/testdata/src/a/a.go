@@ -1,5 +1,7 @@
-// Package a exercises tracepair rule 1: span-opener end closures must run
-// on every return path. Openers are any *Span function returning func().
+// Package a exercises tracepair rule 1: a span opener's end closure must be
+// called where it is made, by `defer opener(...)()` or `opener(...)()`. A
+// closure bound to a variable is a finding even when every path closes it.
+// Openers are any *Span function returning func().
 package a
 
 // opSpan opens a span and returns its end closure.
@@ -20,15 +22,15 @@ func zeroLength() {
 }
 
 func dropped() {
-	opSpan("dropped") // want `end closure is discarded`
+	opSpan("dropped") // want `end closure is not called where it is made`
 }
 
 func blank() {
-	_ = opSpan("blank") // want `end closure is discarded`
+	_ = opSpan("blank") // want `end closure is not called where it is made`
 }
 
 func conditionalLeak(n int) {
-	end := opSpan("cond") // want `not invoked on all return paths`
+	end := opSpan("cond") // want `end closure is not called where it is made`
 	if n > 0 {
 		return
 	}
@@ -36,7 +38,7 @@ func conditionalLeak(n int) {
 }
 
 func switchLeak(n int) {
-	end := opSpan("switch") // want `not invoked on all return paths`
+	end := opSpan("switch") // want `end closure is not called where it is made`
 	switch n {
 	case 0:
 		end()
@@ -44,7 +46,7 @@ func switchLeak(n int) {
 }
 
 func coveredPaths(n int) int {
-	end := opSpan("covered")
+	end := opSpan("covered") // want `end closure is not called where it is made`
 	if n > 0 {
 		end()
 		return 1
@@ -54,14 +56,14 @@ func coveredPaths(n int) int {
 }
 
 func loopThenClose(items []int) {
-	end := opSpan("loop")
+	end := opSpan("loop") // want `end closure is not called where it is made`
 	for range items {
 	}
 	end()
 }
 
 func deferredLater(n int) {
-	end := opSpan("later")
+	end := opSpan("later") // want `end closure is not called where it is made`
 	defer end()
 	if n > 0 {
 		return

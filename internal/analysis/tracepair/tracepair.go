@@ -2,10 +2,12 @@
 // layer's two structural invariants:
 //
 //  1. Span openers — functions returning an end-closure, like
-//     comm.(*Comm).collSpan — must have their closure invoked on every
-//     return path, normally via the `defer c.collSpan(...)()` idiom. A
-//     dropped or conditionally-skipped end leaves a span open and skews
-//     every duration downstream of it in the exported timeline.
+//     comm.(*Comm).collSpan — must have their closure called where it is
+//     made: `defer c.collSpan(...)()`, or `c.collSpan(...)()` for a
+//     zero-length span. A closure that is dropped, or bound and then
+//     skipped on some path, leaves a span open and skews every duration
+//     downstream of it in the exported timeline; the one form needs no
+//     path analysis to rule that out.
 //  2. Inside package comm, the KindSend trace-event emission must stay
 //     lexically adjacent to the stats.record call that counts the same
 //     logical send. DESIGN.md pins "one send event per logical Send";
@@ -27,9 +29,9 @@ import (
 // Analyzer enforces span-closure and send/record adjacency.
 var Analyzer = &analysis.Analyzer{
 	Name: "tracepair",
-	Doc: "span-opener end closures must run on all return paths (defer or " +
-		"full path coverage), and comm's KindSend emission must stay " +
-		"adjacent to stats.record",
+	Doc: "span-opener end closures must be called where they are made " +
+		"(defer opener(...)() or opener(...)()), and comm's KindSend " +
+		"emission must stay adjacent to stats.record",
 	Run: run,
 }
 
@@ -61,354 +63,32 @@ func isSpanOpener(pass *analysis.Pass, call *ast.CallExpr) bool {
 	return ok && rt.Params().Len() == 0 && rt.Results().Len() == 0
 }
 
-// checkSpanClosures scans every function body (declarations and literals)
-// for span-opener calls and validates the end closure's fate.
+// checkSpanClosures reports every span-opener call whose end closure is not
+// called where it is made. The two accepted forms are `defer opener(...)()`
+// and the zero-length `opener(...)()`; the statement is visited before the
+// opener call inside it, so the call is marked closed by then.
 func checkSpanClosures(pass *analysis.Pass, file *ast.File) {
-	var funcs []*ast.BlockStmt
-	ast.Inspect(file, func(n ast.Node) bool {
-		switch f := n.(type) {
-		case *ast.FuncDecl:
-			if f.Body != nil {
-				funcs = append(funcs, f.Body)
+	closed := map[*ast.CallExpr]bool{}
+	markClosed := func(e ast.Expr) {
+		if call, ok := ast.Unparen(e).(*ast.CallExpr); ok {
+			if inner, ok := ast.Unparen(call.Fun).(*ast.CallExpr); ok {
+				closed[inner] = true
 			}
-		case *ast.FuncLit:
-			funcs = append(funcs, f.Body)
+		}
+	}
+	ast.Inspect(file, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.DeferStmt:
+			markClosed(n.Call)
+		case *ast.ExprStmt:
+			markClosed(n.X)
+		case *ast.CallExpr:
+			if !closed[n] && isSpanOpener(pass, n) {
+				pass.Reportf(n.Pos(), "span opener's end closure is not called where it is made; use `defer %s()`", exprText(n))
+			}
 		}
 		return true
 	})
-	for _, body := range funcs {
-		checkFuncSpans(pass, body)
-	}
-}
-
-// checkFuncSpans validates the opener calls whose statement belongs
-// directly to this function (not to a nested literal, which gets its own
-// pass).
-func checkFuncSpans(pass *analysis.Pass, body *ast.BlockStmt) {
-	var walkStmts func(list []ast.Stmt)
-	var walkStmt func(s ast.Stmt)
-	walkStmt = func(s ast.Stmt) {
-		switch s := s.(type) {
-		case nil:
-		case *ast.DeferStmt:
-			// defer c.collSpan(...)() — opener begun and end scheduled in
-			// one statement: the canonical idiom.
-			if inner, ok := ast.Unparen(s.Call.Fun).(*ast.CallExpr); ok && isSpanOpener(pass, inner) {
-				return
-			}
-		case *ast.ExprStmt:
-			if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok {
-				if isSpanOpener(pass, call) {
-					pass.Reportf(call.Pos(), "span opener's end closure is discarded; use `defer %s()` or call the closure on every return path", exprText(call))
-					return
-				}
-				// c.collSpan(...)() — immediately closed zero-length span.
-				if inner, ok := ast.Unparen(call.Fun).(*ast.CallExpr); ok && isSpanOpener(pass, inner) {
-					return
-				}
-			}
-		case *ast.AssignStmt:
-			for i, rhs := range s.Rhs {
-				call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-				if !ok || !isSpanOpener(pass, call) {
-					continue
-				}
-				if len(s.Lhs) != len(s.Rhs) {
-					continue
-				}
-				id, ok := s.Lhs[i].(*ast.Ident)
-				if !ok || id.Name == "_" {
-					pass.Reportf(call.Pos(), "span opener's end closure is discarded; bind it and close on every return path")
-					continue
-				}
-				obj := pass.Info.Defs[id]
-				if obj == nil {
-					obj = pass.Info.Uses[id]
-				}
-				if obj == nil {
-					continue
-				}
-				if !closedOnAllPaths(pass, body, s, obj) {
-					pass.Reportf(call.Pos(), "span end closure %q is not invoked on all return paths; prefer `defer %s()`", id.Name, exprText(call))
-				}
-			}
-		case *ast.BlockStmt:
-			walkStmts(s.List)
-		case *ast.IfStmt:
-			walkStmt(s.Init)
-			walkStmts(s.Body.List)
-			walkStmt(s.Else)
-		case *ast.ForStmt:
-			walkStmt(s.Init)
-			walkStmt(s.Post)
-			walkStmts(s.Body.List)
-		case *ast.RangeStmt:
-			walkStmts(s.Body.List)
-		case *ast.SwitchStmt:
-			walkStmt(s.Init)
-			for _, cc := range s.Body.List {
-				walkStmts(cc.(*ast.CaseClause).Body)
-			}
-		case *ast.TypeSwitchStmt:
-			for _, cc := range s.Body.List {
-				walkStmts(cc.(*ast.CaseClause).Body)
-			}
-		case *ast.SelectStmt:
-			for _, cc := range s.Body.List {
-				walkStmts(cc.(*ast.CommClause).Body)
-			}
-		case *ast.LabeledStmt:
-			walkStmt(s.Stmt)
-		}
-	}
-	walkStmts = func(list []ast.Stmt) {
-		for _, s := range list {
-			walkStmt(s)
-		}
-	}
-	walkStmts(body.List)
-}
-
-// pathStatus is the tri-state of the straight-line scan in closedOnAllPaths.
-type pathStatus int
-
-const (
-	fellThrough  pathStatus = iota // reached the end of the list, span still open
-	closed                         // closure invoked (or deferred) on this path
-	returnedOpen                   // a return executes with the span still open
-)
-
-// closedOnAllPaths reports whether obj (the end closure) is invoked on every
-// path from its binding statement to function exit. The walk ascends the
-// enclosing statement lists from the binding site; loops are treated
-// optimistically (a close anywhere in a loop body counts), and nested
-// function literals are opaque.
-func closedOnAllPaths(pass *analysis.Pass, funcBody *ast.BlockStmt, bind ast.Stmt, obj types.Object) bool {
-	chain, ok := enclosingLists(funcBody, bind)
-	if !ok {
-		return true // binding site not found (should not happen); stay quiet
-	}
-	// Scan outward: the suffix after the binding in its own list, then the
-	// suffixes after each enclosing statement.
-	for level := len(chain) - 1; level >= 0; level-- {
-		list, idx := chain[level].list, chain[level].idx
-		switch scanList(pass, list[idx+1:], obj) {
-		case closed:
-			return true
-		case returnedOpen:
-			return false
-		}
-	}
-	// Fell off the end of the function: an implicit return with the span
-	// open, unless the function cannot complete normally — a terminating
-	// final statement means the fall-through path is unreachable.
-	if n := len(funcBody.List); n > 0 && terminates(funcBody.List[n-1]) {
-		return true
-	}
-	return false
-}
-
-type listPos struct {
-	list []ast.Stmt
-	idx  int
-}
-
-// enclosingLists returns the chain of statement lists from funcBody down to
-// the list directly containing target, with target's index in each.
-func enclosingLists(funcBody *ast.BlockStmt, target ast.Stmt) ([]listPos, bool) {
-	var search func(list []ast.Stmt, acc []listPos) ([]listPos, bool)
-	search = func(list []ast.Stmt, acc []listPos) ([]listPos, bool) {
-		for i, s := range list {
-			if s == target {
-				return append(acc, listPos{list, i}), true
-			}
-			for _, sub := range childLists(s) {
-				if found, ok := search(sub, append(acc, listPos{list, i})); ok {
-					return found, ok
-				}
-			}
-		}
-		return nil, false
-	}
-	return search(funcBody.List, nil)
-}
-
-// childLists returns the statement lists nested directly inside s, without
-// descending into function literals.
-func childLists(s ast.Stmt) [][]ast.Stmt {
-	var out [][]ast.Stmt
-	switch s := s.(type) {
-	case *ast.BlockStmt:
-		out = append(out, s.List)
-	case *ast.IfStmt:
-		out = append(out, s.Body.List)
-		if s.Else != nil {
-			out = append(out, []ast.Stmt{s.Else})
-		}
-	case *ast.ForStmt:
-		out = append(out, s.Body.List)
-	case *ast.RangeStmt:
-		out = append(out, s.Body.List)
-	case *ast.SwitchStmt:
-		for _, cc := range s.Body.List {
-			out = append(out, cc.(*ast.CaseClause).Body)
-		}
-	case *ast.TypeSwitchStmt:
-		for _, cc := range s.Body.List {
-			out = append(out, cc.(*ast.CaseClause).Body)
-		}
-	case *ast.SelectStmt:
-		for _, cc := range s.Body.List {
-			out = append(out, cc.(*ast.CommClause).Body)
-		}
-	case *ast.LabeledStmt:
-		out = append(out, []ast.Stmt{s.Stmt})
-	}
-	return out
-}
-
-// scanList walks one statement list linearly, classifying the path.
-func scanList(pass *analysis.Pass, list []ast.Stmt, obj types.Object) pathStatus {
-	for _, s := range list {
-		switch s := s.(type) {
-		case *ast.ExprStmt:
-			if isCloseCall(pass, s.X, obj) {
-				return closed
-			}
-		case *ast.DeferStmt:
-			if isCloseCall(pass, s.Call, obj) || isIdentOf(pass, s.Call.Fun, obj) {
-				return closed
-			}
-		case *ast.ReturnStmt:
-			return returnedOpen
-		case *ast.BranchStmt:
-			// break/continue/goto leave this list; treat as fall-through so
-			// the enclosing level decides.
-			return fellThrough
-		case *ast.BlockStmt:
-			switch scanList(pass, s.List, obj) {
-			case closed:
-				return closed
-			case returnedOpen:
-				return returnedOpen
-			}
-		case *ast.IfStmt:
-			b := scanList(pass, s.Body.List, obj)
-			e := fellThrough
-			switch el := s.Else.(type) {
-			case *ast.BlockStmt:
-				e = scanList(pass, el.List, obj)
-			case *ast.IfStmt:
-				e = scanList(pass, []ast.Stmt{el}, obj)
-			}
-			if b == returnedOpen || e == returnedOpen {
-				return returnedOpen
-			}
-			if b == closed && e == closed {
-				return closed
-			}
-			// Mixed closed/fall-through: one arm closed and the other
-			// continues — the continuing path still needs a close; keep
-			// scanning. (A close followed by more statements double-closing
-			// is out of scope.)
-		case *ast.ForStmt, *ast.RangeStmt:
-			// Optimimistic: a close inside a loop body counts as closing,
-			// a return inside it as returning open.
-			var inner []ast.Stmt
-			if f, ok := s.(*ast.ForStmt); ok {
-				inner = f.Body.List
-			} else {
-				inner = s.(*ast.RangeStmt).Body.List
-			}
-			switch scanList(pass, inner, obj) {
-			case closed:
-				return closed
-			case returnedOpen:
-				return returnedOpen
-			}
-		case *ast.SwitchStmt, *ast.TypeSwitchStmt, *ast.SelectStmt:
-			all := closed
-			any := false
-			for _, sub := range childLists(s.(ast.Stmt)) {
-				any = true
-				switch scanList(pass, sub, obj) {
-				case returnedOpen:
-					return returnedOpen
-				case fellThrough:
-					all = fellThrough
-				}
-			}
-			if any && all == closed && hasDefaultClause(s) {
-				return closed
-			}
-		case *ast.LabeledStmt:
-			switch scanList(pass, []ast.Stmt{s.Stmt}, obj) {
-			case closed:
-				return closed
-			case returnedOpen:
-				return returnedOpen
-			}
-		}
-	}
-	return fellThrough
-}
-
-func hasDefaultClause(s ast.Stmt) bool {
-	clauses := func(b *ast.BlockStmt) bool {
-		for _, c := range b.List {
-			if cc, ok := c.(*ast.CaseClause); ok && cc.List == nil {
-				return true
-			}
-			if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-				return true
-			}
-		}
-		return false
-	}
-	switch s := s.(type) {
-	case *ast.SwitchStmt:
-		return clauses(s.Body)
-	case *ast.TypeSwitchStmt:
-		return clauses(s.Body)
-	case *ast.SelectStmt:
-		return clauses(s.Body)
-	}
-	return false
-}
-
-// terminates reports whether a statement always transfers control away
-// (so code after it in the function is unreachable).
-func terminates(s ast.Stmt) bool {
-	switch s := s.(type) {
-	case *ast.ReturnStmt:
-		return true
-	case *ast.ExprStmt:
-		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok {
-			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
-				return true
-			}
-		}
-	case *ast.ForStmt:
-		return s.Cond == nil // for {} without break... approximately
-	}
-	return false
-}
-
-// isCloseCall reports whether e is `obj()`.
-func isCloseCall(pass *analysis.Pass, e ast.Expr, obj types.Object) bool {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return false
-	}
-	return isIdentOf(pass, call.Fun, obj)
-}
-
-func isIdentOf(pass *analysis.Pass, e ast.Expr, obj types.Object) bool {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	return pass.Info.Uses[id] == obj || pass.Info.Defs[id] == obj
 }
 
 // exprText renders a short source-ish form of a call for diagnostics.

@@ -237,9 +237,9 @@ func TestChaosRecvTimeoutWakesPeers(t *testing.T) {
 	go func() {
 		stats, err := comm.RunConfig(size, cfg, func(c *comm.Comm) error {
 			if c.Rank() == size-1 {
+				//lint:allow p2pmatch Deliberate: the unmatched receives provoke the watchdog, and the abort latch waking peers is the subject
 				c.Recv(comm.AnySource, tagNever) // never sent: watchdog must fire
 			} else {
-				//lint:allow p2pmatch Deliberate: the unmatched receives provoke the watchdog, and the abort latch waking peers is the subject
 				c.Recv(size-1, tagStuck) // blocked on the stuck rank: latch must wake it
 			}
 			return nil

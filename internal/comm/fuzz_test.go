@@ -72,8 +72,8 @@ func FuzzRecvMatching(f *testing.F) {
 				return nil
 			}
 			switch mode % 3 {
+			//lint:allow p2pmatch Fuzz-sized drain loop; the corpus sends exactly the messages the drain receives
 			case 0: // full wildcard drain
-				//lint:allow p2pmatch Fuzz-sized drain loop; the corpus sends exactly the messages the drain receives
 				for i := 0; i < total; i++ {
 					if err := check(c.RecvMsg(AnySource, AnyTag), AnySource, AnyTag); err != nil {
 						return err

@@ -71,9 +71,9 @@ func TestConfigRecvTimeoutWakesPeers(t *testing.T) {
 		stats, err := comm.RunConfig(size, comm.Config{RecvTimeout: 300 * time.Millisecond},
 			func(c *comm.Comm) error {
 				if c.Rank() == size-1 {
+					//lint:allow p2pmatch Deliberate: the unmatched receives provoke the watchdog and abort latch; never-hang is the assertion
 					c.Recv(comm.AnySource, tagUnsent) // never sent: watchdog fires here
 				} else {
-					//lint:allow p2pmatch Deliberate: the unmatched receives provoke the watchdog and abort latch; never-hang is the assertion
 					c.Recv(size-1, tagAwaited) // blocked on the stuck rank: must be woken
 				}
 				return nil

@@ -247,9 +247,9 @@ func ShiftDiff[T dense.Elem](x *core.DistArray[T], k int) *core.DistArray[T] {
 	if k >= n {
 		panic(fmt.Sprintf("slicing: shift %d >= length %d", k, n))
 	}
+	//lint:allow p2pmatch General-map fallback delegates to Slice's gather protocol; the slicing tests exercise it at multiple P
 	if !x.Map().IsContiguous() || x.Map().Kind() != distmap.Block {
 		// The halo pattern relies on rank-ordered contiguous blocks.
-		//lint:allow p2pmatch General-map fallback delegates to Slice's gather protocol; the slicing tests exercise it at multiple P
 		hi := Slice(x, dense.Range{Start: k, Stop: n, Step: 1})
 		lo := Slice(x, dense.Range{Start: 0, Stop: n - k, Step: 1})
 		return hi.WithLocal(dense.Binary(hi.Local(), lo.Local(), func(a, b T) T { return a - b }))
