@@ -41,12 +41,13 @@ func TestChaosAllreduceBitwise(t *testing.T) {
 		}
 		var all []uint64
 		for _, op := range []comm.Op{comm.OpSum, comm.OpProd, comm.OpMin, comm.OpMax} {
-			got := bitsOf(comm.Allreduce(c, in, op))
-			for r, theirs := range comm.Allgather(c, got) {
-				for i := range got {
-					if theirs[i] != got[i] {
+			res := comm.Allreduce(c, in, op)
+			got := bitsOf(res)
+			for r, theirs := range comm.Allgather(c, res) {
+				for i, b := range bitsOf(theirs) {
+					if b != got[i] {
 						return nil, fmt.Errorf("%v: rank %d holds %#x at [%d], rank %d holds %#x",
-							op, c.Rank(), got[i], i, r, theirs[i])
+							op, c.Rank(), got[i], i, r, b)
 					}
 				}
 			}

@@ -7,9 +7,10 @@ import (
 	"odinhpc/internal/trace"
 )
 
-// Number constrains the element types usable with reduction collectives.
+// Number constrains the element types usable with reduction collectives: the
+// ordered numbers of Elem.
 type Number interface {
-	~int | ~int32 | ~int64 | ~float32 | ~float64
+	int | int32 | int64 | float32 | float64
 }
 
 // Op identifies a reduction operation for Reduce/Allreduce/Scan.
@@ -116,7 +117,7 @@ func (c *Comm) Barrier() {
 // tree over the ranks rotated so that root is 0: rank v receives from
 // (v-1)/2 and forwards to 2v+1 and 2v+2. All ranks must pass a buffer of
 // the same length.
-func Bcast[T any](c *Comm, root int, buf []T) {
+func Bcast[T Elem](c *Comm, root int, buf []T) {
 	seq := c.nextColl()
 	defer c.collSpan("bcast", seq)()
 	// Work in a rotated rank space where root is 0.
@@ -141,7 +142,7 @@ func Bcast[T any](c *Comm, root int, buf []T) {
 }
 
 // BcastScalar replicates root's value on every rank and returns it.
-func BcastScalar[T any](c *Comm, root int, v T) T {
+func BcastScalar[T Elem](c *Comm, root int, v T) T {
 	buf := []T{v}
 	Bcast(c, root, buf)
 	return buf[0]
@@ -291,7 +292,7 @@ func recvVals[T Number](c *Comm, src, tag int, buf []T, op Op, combine bool) {
 
 // Gather collects each rank's slice at root. At root the result is indexed by
 // source rank (possibly ragged); other ranks receive nil.
-func Gather[T any](c *Comm, root int, in []T) [][]T {
+func Gather[T Elem](c *Comm, root int, in []T) [][]T {
 	seq := c.nextColl()
 	defer c.collSpan("gather", seq)()
 	if c.rank != root {
@@ -311,7 +312,7 @@ func Gather[T any](c *Comm, root int, in []T) [][]T {
 
 // Allgather collects each rank's slice on every rank, indexed by source rank.
 // Slices may have different lengths (the "v" variant is the only variant).
-func Allgather[T any](c *Comm, in []T) [][]T {
+func Allgather[T Elem](c *Comm, in []T) [][]T {
 	seq := c.nextColl()
 	defer c.collSpan("allgather", seq)()
 	out := make([][]T, c.size)
@@ -331,7 +332,7 @@ func Allgather[T any](c *Comm, in []T) [][]T {
 }
 
 // AllgatherFlat concatenates every rank's slice in rank order on every rank.
-func AllgatherFlat[T any](c *Comm, in []T) []T {
+func AllgatherFlat[T Elem](c *Comm, in []T) []T {
 	parts := Allgather(c, in)
 	var n int
 	for _, p := range parts {
@@ -346,7 +347,7 @@ func AllgatherFlat[T any](c *Comm, in []T) []T {
 
 // Scatter distributes parts[i] from root to rank i and returns each rank's
 // part. Only root's parts argument is consulted; it must have length Size.
-func Scatter[T any](c *Comm, root int, parts [][]T) []T {
+func Scatter[T Elem](c *Comm, root int, parts [][]T) []T {
 	seq := c.nextColl()
 	defer c.collSpan("scatter", seq)()
 	if c.rank == root {
@@ -368,7 +369,7 @@ func Scatter[T any](c *Comm, root int, parts [][]T) []T {
 // Alltoall sends parts[d] to rank d from every rank and returns the received
 // blocks indexed by source rank. parts must have length Size; blocks may be
 // ragged, and empty blocks are transferred as empty slices.
-func Alltoall[T any](c *Comm, parts [][]T) [][]T {
+func Alltoall[T Elem](c *Comm, parts [][]T) [][]T {
 	seq := c.nextColl()
 	defer c.collSpan("alltoall", seq)()
 	if len(parts) != c.size {

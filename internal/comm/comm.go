@@ -18,7 +18,6 @@ package comm
 import (
 	"fmt"
 	"os"
-	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -33,8 +32,8 @@ const AnySource = -1
 // AnyTag matches a message with any tag in Recv.
 const AnyTag = -1
 
-// Message is a received point-to-point message. Payload holds the data that
-// was sent; slices are copied on send so the receiver may mutate freely.
+// Message is a received point-to-point message. Payload holds the slice that
+// was sent, copied on send so the receiver may mutate it freely.
 type Message struct {
 	Src     int
 	Tag     int
@@ -471,9 +470,11 @@ func firstError(errs []error) error {
 	return propagated
 }
 
-// Send delivers data to rank dst with the given tag. Sends are eager and
-// never block. Slice payloads are copied, mimicking an MPI buffer copy, so
-// the sender may reuse its buffer immediately.
+// Send delivers data, a slice of a comm.Elem type, to rank dst with the
+// given tag. Sends are eager and never block. The payload is copied,
+// mimicking an MPI buffer copy, so the sender may reuse its buffer
+// immediately; a nil slice arrives empty. Any other payload panics here,
+// naming its type, on every transport.
 func (c *Comm) Send(dst, tag int, data any) {
 	c.sendOwned(dst, tag, copyPayload(data))
 }
@@ -901,30 +902,4 @@ func GlobalStats(c *Comm) StatsSnapshot {
 	waits := Allreduce(c, []int64{snap.RecvParks, snap.RecvSpinHits}, OpSum)
 	snap.RecvParks, snap.RecvSpinHits = waits[0], waits[1]
 	return snap
-}
-
-// copyPayload copies a slice payload so that sender and receiver never alias
-// memory, as on a real network; a nil slice arrives as an empty one. The
-// []float64 and []int arms are the collectives' and assembly's payloads and
-// copy without reflection; every other slice is copied by reflection, at the
-// same two allocations. Non-slice values are returned as they are (they are
-// copied by value anyway).
-func copyPayload(data any) any {
-	switch v := data.(type) {
-	case []float64:
-		out := make([]float64, len(v))
-		copy(out, v)
-		return out
-	case []int:
-		out := make([]int, len(v))
-		copy(out, v)
-		return out
-	}
-	rv := reflect.ValueOf(data)
-	if rv.Kind() != reflect.Slice {
-		return data
-	}
-	out := reflect.MakeSlice(rv.Type(), rv.Len(), rv.Len())
-	reflect.Copy(out, rv)
-	return out.Interface()
 }

@@ -1,12 +1,9 @@
 package comm
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
-	"math"
 )
 
 // This file is the wire codec of the tcp transport: length-prefixed binary
@@ -15,12 +12,11 @@ import (
 //	[4B body length][1B frame kind][body ...]
 //
 // Data frames carry one comm Frame — context, ranks, tag, the fault-layer
-// sequence/hold/reorder words, and a typed payload. The payload codec
-// (encodePayload) encodes nine slice types natively and keeps their concrete
-// Go type, so receiver-side type assertions (`.([]float64)` and friends)
-// behave identically on every transport. Anything else — scalars, structs,
-// named slice types — rides an encoding/gob fallback: gob keeps every basic
-// type as it is, and any other type must be gob-registered by the caller.
+// sequence/hold/reorder words, and a payload. The payload codec
+// (encodePayload, payload.go) encodes each kind of the payload set, a slice
+// of a comm.Elem type, and keeps its concrete Go type, so receiver-side type
+// assertions (`.([]float64)` and friends) behave identically on every
+// transport. There is no other payload.
 
 // Frame kinds.
 const (
@@ -34,25 +30,11 @@ const (
 // allocating, so a corrupt length prefix cannot OOM the process.
 const maxFrameBody = 1 << 28
 
+// helloVersion changes with the frame layout or the payload codes, so a
+// peer built from other codes fails the handshake instead of misdecoding.
 const (
 	helloMagic   uint32 = 0x4f44494e // "ODIN"
-	helloVersion byte   = 2
-)
-
-// Payload type codes: nil, the nine slice types of the wire payload set, and
-// the gob fallback.
-const (
-	pNil byte = iota
-	pF64s
-	pF32s
-	pInts
-	pI64s
-	pI32s
-	pBytes
-	pBools
-	pC128s
-	pStrs
-	pGob byte = 255
+	helloVersion byte   = 3
 )
 
 // ---- buffer helpers -----------------------------------------------------
@@ -63,7 +45,6 @@ func (w *wbuf) u8(v byte)    { w.b = append(w.b, v) }
 func (w *wbuf) u32(v uint32) { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
 func (w *wbuf) u64(v uint64) { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
 func (w *wbuf) i64(v int64)  { w.u64(uint64(v)) }
-func (w *wbuf) raw(p []byte) { w.b = append(w.b, p...) }
 func (w *wbuf) str(s string) { w.u32(uint32(len(s))); w.b = append(w.b, s...) }
 
 // rbuf is a bounds-checked reader over one frame body. The first short read
@@ -152,7 +133,7 @@ func newFrameBuf(kind byte, sizeHint int) *wbuf {
 }
 
 // encodeData renders one data frame, length prefix included.
-func encodeData(fr *Frame) ([]byte, error) {
+func encodeData(fr *Frame) []byte {
 	w := newFrameBuf(frameData, 64+int(payloadBytes(fr.Payload)))
 	w.u64(fr.Ctx)
 	w.u32(uint32(fr.Src))
@@ -161,10 +142,8 @@ func encodeData(fr *Frame) ([]byte, error) {
 	w.u64(fr.Seq)
 	w.u32(uint32(fr.Hold))
 	w.u64(fr.Reorder)
-	if err := encodePayload(w, fr.Payload); err != nil {
-		return nil, err
-	}
-	return finishFrame(w), nil
+	encodePayload(w, fr.Payload)
+	return finishFrame(w)
 }
 
 // decodeData parses a data frame body (kind byte already consumed).
@@ -277,114 +256,4 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 		return 0, nil, err
 	}
 	return body[0], body[1:], nil
-}
-
-// ---- payload codec ------------------------------------------------------
-
-// encodePayload writes the payload code and body. The nine slice types below
-// are the wire payload set; any other value rides the gob fallback.
-func encodePayload(w *wbuf, v any) error {
-	switch p := v.(type) {
-	case nil:
-		w.u8(pNil)
-	case []float64:
-		putSlice(w, pF64s, p, func(w *wbuf, x float64) { w.u64(math.Float64bits(x)) })
-	case []float32:
-		putSlice(w, pF32s, p, func(w *wbuf, x float32) { w.u32(math.Float32bits(x)) })
-	case []int:
-		putSlice(w, pInts, p, func(w *wbuf, x int) { w.i64(int64(x)) })
-	case []int64:
-		putSlice(w, pI64s, p, (*wbuf).i64)
-	case []int32:
-		putSlice(w, pI32s, p, func(w *wbuf, x int32) { w.u32(uint32(x)) })
-	case []byte:
-		putSlice(w, pBytes, p, (*wbuf).u8)
-	case []bool:
-		putSlice(w, pBools, p, func(w *wbuf, x bool) {
-			if x {
-				w.u8(1)
-			} else {
-				w.u8(0)
-			}
-		})
-	case []complex128:
-		putSlice(w, pC128s, p, func(w *wbuf, x complex128) {
-			w.u64(math.Float64bits(real(x)))
-			w.u64(math.Float64bits(imag(x)))
-		})
-	case []string:
-		putSlice(w, pStrs, p, (*wbuf).str)
-	default:
-		var b bytes.Buffer
-		if err := gob.NewEncoder(&b).Encode(&v); err != nil {
-			return fmt.Errorf("comm: payload type %T not wire-encodable (gob: %v); gob.Register it or use a supported slice type", v, err)
-		}
-		w.u8(pGob)
-		w.u32(uint32(b.Len()))
-		w.raw(b.Bytes())
-	}
-	return nil
-}
-
-func decodePayload(r *rbuf) any {
-	switch t := r.u8(); t {
-	case pNil:
-		return nil
-	case pF64s:
-		return getSlice(r, 8, func(r *rbuf) float64 { return math.Float64frombits(r.u64()) })
-	case pF32s:
-		return getSlice(r, 4, func(r *rbuf) float32 { return math.Float32frombits(r.u32()) })
-	case pInts:
-		return getSlice(r, 8, func(r *rbuf) int { return int(r.i64()) })
-	case pI64s:
-		return getSlice(r, 8, (*rbuf).i64)
-	case pI32s:
-		return getSlice(r, 4, func(r *rbuf) int32 { return int32(r.u32()) })
-	case pBytes:
-		return getSlice(r, 1, (*rbuf).u8)
-	case pBools:
-		return getSlice(r, 1, func(r *rbuf) bool { return r.u8() != 0 })
-	case pC128s:
-		return getSlice(r, 16, func(r *rbuf) complex128 {
-			re := math.Float64frombits(r.u64())
-			return complex(re, math.Float64frombits(r.u64()))
-		})
-	case pStrs:
-		return getSlice(r, 4, (*rbuf).str)
-	case pGob:
-		p := r.raw(r.count(1))
-		if r.err != nil {
-			return nil
-		}
-		var v any
-		if err := gob.NewDecoder(bytes.NewReader(p)).Decode(&v); err != nil {
-			r.err = fmt.Errorf("comm: gob payload: %v", err)
-			return nil
-		}
-		return v
-	default:
-		r.err = fmt.Errorf("comm: unknown payload type code %d", t)
-		return nil
-	}
-}
-
-// putSlice writes one slice payload: its code, a u32 element count, then the
-// elements.
-func putSlice[T any](w *wbuf, code byte, p []T, put func(*wbuf, T)) {
-	w.u8(code)
-	w.u32(uint32(len(p)))
-	for _, x := range p {
-		put(w, x)
-	}
-}
-
-// getSlice reads the count and elements putSlice wrote. size is the fewest
-// bytes an element takes on the wire, which bounds the count by the body
-// left. A nil slice comes back empty and non-nil.
-func getSlice[T any](r *rbuf, size int, get func(*rbuf) T) []T {
-	out := make([]T, r.count(size))
-	for i := range out {
-		out[i] = get(r)
-	}
-	return out
 }

@@ -9,49 +9,98 @@ package comm
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"math"
 	"reflect"
 	"testing"
 )
 
-// codecPayloads covers every typed arm of the payload codec plus the gob
-// fallback, with empty and non-trivial values.
+// codecPayloads is the payload set: an empty and a non-trivial slice of each
+// comm.Elem type (TestCodecPayloadsAreElem holds it to that).
 var codecPayloads = []any{
-	nil,
 	[]float64{},
 	[]float64{1.5, -2.25, math.Inf(1), math.SmallestNonzeroFloat64},
+	[]float32{},
 	[]float32{0.5, -7},
+	[]int{},
 	[]int{0, -1, 1 << 40},
+	[]int64{},
 	[]int64{math.MinInt64, math.MaxInt64},
+	[]int32{},
 	[]int32{-5, 6},
+	[]byte{},
 	[]byte{0, 1, 255},
+	[]bool{},
 	[]bool{true, false, true},
+	[]complex128{},
 	[]complex128{complex(1, -2), complex(-3.5, 4.25)},
+	[]complex64{},
+	[]complex64{complex(1, -2), complex(float32(math.Inf(-1)), 0.25)},
+	[]string{},
 	[]string{"", "hello", "wor\x00ld"},
-	float64(3.25),
-	float32(-1.5),
-	int(-42),
-	int64(1 << 60),
-	int32(-7),
-	uint64(1 << 63),
-	uint32(9),
-	byte(200),
-	true,
-	"scalar string",
-	complex(2.5, -0.5),
+}
+
+// TestCodecPayloadsAreElem holds codecPayloads to exactly the union that
+// declares comm.Elem, each type empty and not, and each a distinct kind.
+func TestCodecPayloadsAreElem(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "payload.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		if ts, ok := n.(*ast.TypeSpec); ok && ts.Name.Name == "Elem" {
+			union := ts.Type.(*ast.InterfaceType).Methods.List[0].Type
+			for {
+				b, ok := union.(*ast.BinaryExpr)
+				if !ok {
+					break
+				}
+				want[b.Y.(*ast.Ident).Name] = true
+				union = b.X
+			}
+			want[union.(*ast.Ident).Name] = true
+		}
+		return true
+	})
+	if len(kinds) != len(want)+1 {
+		t.Fatalf("comm.Elem has %d types and kinds %d rows", len(want), len(kinds)-1)
+	}
+	empty, full, codes := map[string]bool{}, map[string]bool{}, map[byte]bool{}
+	for _, p := range codecPayloads {
+		name := reflect.TypeOf(p).Elem().Name()
+		if name == "uint8" {
+			name = "byte" // reflect names the alias by its target
+		}
+		if !want[name] {
+			t.Errorf("codecPayloads holds a %T, outside comm.Elem", p)
+		}
+		if reflect.ValueOf(p).Len() == 0 {
+			empty[name] = true
+		} else {
+			full[name] = true
+		}
+		codes[kindOf(p)] = true
+	}
+	for name := range want {
+		if !empty[name] || !full[name] {
+			t.Errorf("codecPayloads lacks an empty or a non-trivial []%s", name)
+		}
+	}
+	if len(codes) != len(want) {
+		t.Errorf("codecPayloads spans %d payload kinds, want %d", len(codes), len(want))
+	}
 }
 
 // encodeRoundTrip pushes fr through the full wire path — encode, frame read
 // from a byte stream, decode — exactly as the tcp reader does.
 func encodeRoundTrip(t *testing.T, fr *Frame) *Frame {
 	t.Helper()
-	buf, err := encodeData(fr)
-	if err != nil {
-		t.Fatalf("encodeData(%#v): %v", fr, err)
-	}
+	buf := encodeData(fr)
 	kind, body, err := readFrame(bytes.NewReader(buf))
 	if err != nil {
 		t.Fatalf("readFrame: %v", err)
@@ -73,7 +122,7 @@ func TestFrameDataRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got, fr) {
 			t.Errorf("payload %T: round trip = %#v, want %#v", payload, got, fr)
 		}
-		if payload != nil && reflect.TypeOf(got.Payload) != reflect.TypeOf(payload) {
+		if reflect.TypeOf(got.Payload) != reflect.TypeOf(payload) {
 			t.Errorf("payload %T: concrete type not preserved, got %T", payload, got.Payload)
 		}
 	}
@@ -89,36 +138,12 @@ func TestFrameNegativeTagRoundTrip(t *testing.T) {
 	}
 }
 
-type gobPayload struct {
-	A int
-	B string
-}
-
-func TestFrameGobFallbackRoundTrip(t *testing.T) {
-	gob.Register(gobPayload{})
-	fr := &Frame{Src: 1, Dst: 0, Tag: 5, Payload: gobPayload{A: 7, B: "x"}}
-	got := encodeRoundTrip(t, fr)
-	if !reflect.DeepEqual(got.Payload, fr.Payload) {
-		t.Fatalf("gob payload round trip = %#v, want %#v", got.Payload, fr.Payload)
-	}
-}
-
-func TestFrameUnencodablePayloadErrors(t *testing.T) {
-	fr := &Frame{Payload: func() {}}
-	if _, err := encodeData(fr); err == nil {
-		t.Fatal("encodeData accepted a func payload; want error")
-	}
-}
-
 // TestFrameTruncationRejected feeds every strict prefix of a valid frame to
 // the decoder stack; each one must produce an error, never a panic and never
 // a frame.
 func TestFrameTruncationRejected(t *testing.T) {
 	fr := &Frame{Ctx: 2, Src: 1, Dst: 0, Tag: 3, Seq: 4, Payload: []float64{1, 2, 3}}
-	buf, err := encodeData(fr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	buf := encodeData(fr)
 	for n := 0; n < len(buf); n++ {
 		kind, body, err := readFrame(bytes.NewReader(buf[:n]))
 		if err == nil {
@@ -144,10 +169,7 @@ func TestFrameTruncationRejected(t *testing.T) {
 // corrupt, not extensible.
 func TestFrameTrailingBytesRejected(t *testing.T) {
 	fr := &Frame{Payload: []int{1}}
-	buf, err := encodeData(fr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	buf := encodeData(fr)
 	grown := append(append([]byte{}, buf...), 0xAA)
 	binary.LittleEndian.PutUint32(grown[:4], uint32(len(grown)-4))
 	_, body, err := readFrame(bytes.NewReader(grown))
@@ -173,10 +195,7 @@ func TestFrameLengthBounds(t *testing.T) {
 // size; the decoder must reject it before allocating.
 func TestFrameCorruptCountRejected(t *testing.T) {
 	fr := &Frame{Payload: []float64{1, 2}}
-	buf, err := encodeData(fr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	buf := encodeData(fr)
 	// The payload element count is the last u32 before the elements.
 	countOff := len(buf) - 2*8 - 4
 	binary.LittleEndian.PutUint32(buf[countOff:], 1<<30)
@@ -236,36 +255,53 @@ func TestAbortRoundTrip(t *testing.T) {
 	}
 }
 
+// dataHeader is a data frame body's bytes before its payload code: ctx, src,
+// dst, tag, seq, hold and reorder.
+const dataHeader = 8 + 4 + 4 + 8 + 8 + 4 + 8
+
 // FuzzFrameCodec explores the two halves of the codec contract. The decode
 // half: arbitrary bytes must never panic and never yield a frame AND an
-// error. The round-trip half: a frame built from the fuzzed words must come
-// back bitwise identical through the full stream path, and every truncation
-// of its encoding must be rejected.
+// error, and a body whose payload code names no kind must be an error. The
+// round-trip half: a frame built from the fuzzed words must come back
+// bitwise identical through the full stream path, and every truncation of
+// its encoding must be rejected.
 func FuzzFrameCodec(f *testing.F) {
 	f.Add(uint64(1), int64(0), uint64(0), []byte{1, 2, 3})
 	f.Add(uint64(0), int64(-1), uint64(9), []byte{})
 	f.Add(uint64(1<<40), int64(1<<30), uint64(1<<20), []byte{0xff, 0, 0x7f, 8, 8, 8, 8, 8, 8})
+	// A data frame body whose payload code, 255, names no kind, followed by
+	// a count and four bytes: it must decode to an error.
+	f.Add(uint64(7), int64(2), uint64(5), append(make([]byte, dataHeader), 255, 4, 0, 0, 0, 1, 2, 3, 4))
 	f.Fuzz(func(t *testing.T, ctx uint64, tag int64, seq uint64, raw []byte) {
 		// Decode half: raw bytes as a frame body.
-		if fr, err := decodeData(raw); fr != nil && err != nil {
+		fr, err := decodeData(raw)
+		if fr != nil && err != nil {
 			t.Fatalf("decodeData returned both a frame and an error: %v", err)
 		}
-		// Round-trip half: a payload derived from raw — a []float64, a
-		// []byte, a []int32 or a []string, picked by seq — all frame words
-		// set.
-		vals := make([]float64, 0, len(raw)/2)
-		ints := make([]int32, 0, len(raw)/2)
-		for i := 0; i+1 < len(raw); i += 2 {
-			vals = append(vals, float64(int(raw[i])-int(raw[i+1]))/3.0)
-			ints = append(ints, int32(raw[i])<<24-int32(raw[i+1]))
+		if len(raw) > dataHeader && (raw[dataHeader] < pF64s || int(raw[dataHeader]) >= len(kinds)) && err == nil {
+			t.Fatalf("decodeData accepted payload code %d", raw[dataHeader])
 		}
-		payloads := []any{vals, append([]byte{}, raw...), ints, []string{string(raw), ""}}
-		fr := &Frame{Ctx: ctx, Src: 1, Dst: 2, Tag: int(tag), Seq: seq,
+		// Round-trip half: a payload of one of the ten kinds, picked by seq,
+		// with its elements derived from raw; all frame words set.
+		n := len(raw) / 2
+		f64s, f32s, ints, i64s := make([]float64, n), make([]float32, n), make([]int, n), make([]int64, n)
+		i32s, bools, c128s, c64s := make([]int32, n), make([]bool, n), make([]complex128, n), make([]complex64, n)
+		for i := range n {
+			a, b := raw[2*i], raw[2*i+1]
+			f64s[i] = float64(int(a)-int(b)) / 3.0
+			f32s[i] = float32(a)*0.5 - float32(b)
+			ints[i] = int(a)<<56 - int(b)
+			i64s[i] = -int64(a)<<40 | int64(b)
+			i32s[i] = int32(a)<<24 - int32(b)
+			bools[i] = a < b
+			c128s[i] = complex(f64s[i], -float64(b))
+			c64s[i] = complex(f32s[i], float32(a))
+		}
+		payloads := []any{f64s, f32s, ints, i64s, i32s, append([]byte{}, raw...), bools, c128s,
+			[]string{string(raw), ""}, c64s}
+		fr = &Frame{Ctx: ctx, Src: 1, Dst: 2, Tag: int(tag), Seq: seq,
 			Hold: int(seq % 7), Reorder: seq / 3, Payload: payloads[seq%uint64(len(payloads))]}
-		buf, err := encodeData(fr)
-		if err != nil {
-			t.Fatalf("encodeData: %v", err)
-		}
+		buf := encodeData(fr)
 		kind, body, err := readFrame(bytes.NewReader(buf))
 		if err != nil || kind != frameData {
 			t.Fatalf("readFrame: kind=%d err=%v", kind, err)

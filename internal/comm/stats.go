@@ -2,7 +2,6 @@ package comm
 
 import (
 	"fmt"
-	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -257,38 +256,4 @@ func (m *CostModel) Time(n int64) float64 {
 // useful for what-if experiments on communication strategies.
 func EthernetLike() *CostModel {
 	return &CostModel{LatencySec: 20e-6, SecondsPerByte: 1.0 / 1.25e9}
-}
-
-// payloadBytes is the size Stats, the trace and the tcp frame hint account
-// for a payload: the bytes of a string or of a []string's strings, the
-// elements of any other slice or array at their in-memory size, a pointer's
-// pointee (8 when nil), and any other value its own size. Control messages in
-// ODIN are structs of a few ints, so they stay "tens of bytes" as the paper
-// describes.
-func payloadBytes(data any) int64 {
-	switch v := data.(type) {
-	case nil:
-		return 0
-	case string:
-		return int64(len(v))
-	case []string:
-		var t int64
-		for _, s := range v {
-			t += int64(len(s))
-		}
-		return t
-	}
-	rv := reflect.ValueOf(data)
-	t := rv.Type()
-	switch rv.Kind() {
-	case reflect.Slice, reflect.Array:
-		return int64(rv.Len()) * int64(t.Elem().Size())
-	case reflect.Ptr:
-		if rv.IsNil() {
-			return 8
-		}
-		return int64(t.Elem().Size())
-	default:
-		return int64(t.Size())
-	}
 }

@@ -32,7 +32,7 @@ import (
 // in a *FaultError of kind FaultTransport.
 
 // TransportError is the typed error wrapping a socket-level failure — dial,
-// handshake, read, write, or codec. It is carried inside a *FaultError of
+// handshake, read, write, or decode. It is carried inside a *FaultError of
 // kind FaultTransport (see FaultError.Wire), so callers can tell a real wire
 // failure from an injected fault with errors.As:
 //
@@ -40,7 +40,7 @@ import (
 //	if errors.As(err, &te) { /* the wire itself broke */ }
 type TransportError struct {
 	Transport string // transport name, e.g. "tcp"
-	Op        string // failing operation: dial, accept, handshake, read, write, encode, decode
+	Op        string // failing operation: dial, accept, listen, handshake, read, write, decode, remote
 	Peer      int    // world rank of the counterpart, -1 when unknown
 	Err       error  // underlying error
 }
@@ -77,22 +77,14 @@ func (e *tcpEndpoint) Name() string { return "tcp" }
 func (e *tcpEndpoint) Remote() bool { return true }
 
 // Deliver encodes fr and queues it on the connection to wireDst; frames for
-// the local rank skip the wire and land directly in the registry. An
-// unencodable payload is a programming error on the sending rank: it fails
-// the session and unwinds the sender with a typed FaultError.
+// the local rank skip the wire and land directly in the registry. Every
+// payload encodes: Send has already held it to the payload set.
 func (e *tcpEndpoint) Deliver(wireDst int, fr Frame) {
 	if wireDst == e.rank {
 		e.reg.box(fr.Ctx, fr.Dst).deliver(fr)
 		return
 	}
-	buf, err := encodeData(&fr)
-	if err != nil {
-		te := &TransportError{Transport: "tcp", Op: "encode", Peer: wireDst, Err: err}
-		fe := &FaultError{Kind: FaultTransport, Rank: e.rank, Peer: wireDst, Tag: fr.Tag, Wire: te}
-		e.fs.fail(fe)
-		panic(fe)
-	}
-	e.conns[wireDst].push(buf)
+	e.conns[wireDst].push(encodeData(&fr))
 }
 
 // broadcastAbort ships the first locally originated fault to every peer; the

@@ -19,7 +19,6 @@ import (
 const (
 	tagUnsent  = 512 // never sent by anyone: bait for the Recv watchdog
 	tagAwaited = 513 // what peers blocked on the stuck rank wait for
-	tagCodec   = 514 // carries the deliberately unencodable payload
 	tagDropped = 515 // payload subjected to the unsurvivable drop plan
 	tagRing    = 516 // token-ring payload of the conformance kernel
 )
@@ -94,44 +93,6 @@ func TestConfigRecvTimeoutWakesPeers(t *testing.T) {
 		}
 	case <-time.After(chaostest.Watchdog):
 		t.Fatal("watchdog expiry stranded the peers instead of aborting the session")
-	}
-}
-
-// TestTCPUnencodablePayloadFailsTyped drives the sender-side codec into a
-// failure: the session must end with a FaultError of kind FaultTransport
-// carrying a *TransportError, so callers can tell a broken wire from an
-// injected fault with a single errors.As.
-func TestTCPUnencodablePayloadFailsTyped(t *testing.T) {
-	done := make(chan error, 1)
-	go func() {
-		_, err := comm.RunConfig(2, comm.Config{Transport: "tcp"}, func(c *comm.Comm) error {
-			if c.Rank() == 0 {
-				c.Send(1, tagCodec, make(chan int)) // channels cannot cross a wire
-			} else {
-				c.Recv(0, tagCodec)
-			}
-			return nil
-		})
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		var fe *comm.FaultError
-		if !errors.As(err, &fe) {
-			t.Fatalf("err = %v, want FaultError", err)
-		}
-		if fe.Kind != comm.FaultTransport {
-			t.Fatalf("fault kind = %v, want transport", fe.Kind)
-		}
-		var te *comm.TransportError
-		if !errors.As(err, &te) {
-			t.Fatalf("no TransportError in chain of %v", err)
-		}
-		if te.Op != "encode" || te.Transport != "tcp" {
-			t.Fatalf("TransportError = %+v, want op=encode transport=tcp", te)
-		}
-	case <-time.After(chaostest.Watchdog):
-		t.Fatal("codec failure stranded the session instead of aborting it")
 	}
 }
 

@@ -12,19 +12,20 @@ import (
 
 // Elem constrains the element types an Array can store — the analog of the
 // Scalar template parameter of Tpetra::Vector discussed in §II.C of the
-// paper (real, complex, or integer data).
+// paper (real, complex, or integer data). The types are exact and a subset
+// of comm.Elem, so every Array's elements travel on every transport.
 type Elem interface {
-	~float32 | ~float64 | ~int32 | ~int64 | ~complex64 | ~complex128
+	float32 | float64 | int32 | int64 | complex64 | complex128
 }
 
 // Real constrains Elem to ordered (non-complex) element types.
 type Real interface {
-	~float32 | ~float64 | ~int32 | ~int64
+	float32 | float64 | int32 | int64
 }
 
 // Float constrains Elem to floating-point element types.
 type Float interface {
-	~float32 | ~float64
+	float32 | float64
 }
 
 // Array is an n-dimensional strided view over a flat buffer. Multiple arrays

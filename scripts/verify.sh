@@ -97,14 +97,16 @@ grep -q p2pmatch /tmp/odinhpc-vettool-p2p.out
 stage test
 go test -timeout 3m ./...
 
-# Timing: the real-clock bounds of the receive spin gate. A ping-pong that
-# answers at once must park (at most 12 spin hits in 250 round trips); a rank
-# that computed before an allreduce must spin (nine waits in ten in the best
-# window). Wall-clock bounds need the host to themselves, so they build only
-# with the timing tag and run here with the comm package alone; tier-1 holds
-# the gate's decisions exactly through TestSpinDecisionScripted.
+# Timing: the real-clock bounds of the receive spin gate and of a session
+# abort. A ping-pong that answers at once must park (at most 12 spin hits in
+# 250 round trips); a rank that computed before an allreduce must spin (nine
+# waits in ten in the best window); a session whose rank fails must resolve
+# within 100 ms. Wall-clock bounds need the host to themselves, so they build
+# only with the timing tag and run here with the comm package alone; tier-1
+# holds the gate's decisions exactly through TestSpinDecisionScripted and the
+# abort's typed error through TestRankFailureAbortsSession.
 stage timing
-go test -tags timing -count=1 -run 'TestPingPongDoesNotSpin|TestSyncAfterComputeDoesNotPark' ./internal/comm
+go test -tags timing -count=1 -run 'TestPingPongDoesNotSpin|TestSyncAfterComputeDoesNotPark|TestRankFailureAbortsPromptly' ./internal/comm
 
 # Fuzz the tcp wire codec for ten seconds: its decode half takes frame bodies
 # straight from the socket, so arbitrary bytes must decode to a frame or an
