@@ -68,11 +68,20 @@ func TestSchedJitterPreservesResults(t *testing.T) {
 
 // TestSchedJitterRecvTimeout pins the Config.RecvTimeout interaction: a
 // jittered session keeps its configured receive deadline, and a rank blocked
-// on a message nobody sends fails with a typed FaultTimeout promptly —
-// scheduling pressure must not starve the deadline timer or mask the
-// deadline. This is the mechanism the stress harness uses to convert
-// schedule-dependent deadlocks into replayable typed failures.
+// on a message nobody sends fails with a typed FaultTimeout — scheduling
+// pressure must not starve the deadline timer or mask the deadline. This is
+// the mechanism the stress harness uses to convert schedule-dependent
+// deadlocks into replayable typed failures. How soon it fails is a
+// wall-clock bound, TestSchedJitterRecvTimeoutPromptly (timing tag).
 func TestSchedJitterRecvTimeout(t *testing.T) {
+	runJitterRecvTimeout(t)
+}
+
+// runJitterRecvTimeout runs the jittered session whose ranks wait on a
+// message nobody sends, checks that it failed typed, and returns how long
+// it took.
+func runJitterRecvTimeout(t *testing.T) time.Duration {
+	t.Helper()
 	start := time.Now()
 	_, err := comm.RunConfig(2, comm.Config{
 		RecvTimeout: 300 * time.Millisecond,
@@ -82,6 +91,7 @@ func TestSchedJitterRecvTimeout(t *testing.T) {
 		c.Recv(1-c.Rank(), tagNever) // never sent: the watchdog must fire
 		return nil
 	})
+	elapsed := time.Since(start)
 	var fe *comm.FaultError
 	if !errors.As(err, &fe) {
 		t.Fatalf("err = %v, want *FaultError", err)
@@ -89,9 +99,7 @@ func TestSchedJitterRecvTimeout(t *testing.T) {
 	if fe.Kind != comm.FaultTimeout && fe.Kind != comm.FaultPeerFailed {
 		t.Fatalf("fault kind = %v, want timeout (or propagated peer failure)", fe.Kind)
 	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("watchdog took %v under jitter; pressure must not starve the deadline", elapsed)
-	}
+	return elapsed
 }
 
 // TestSchedJitterUnderFaultPlan layers jitter on a perturbing fault plan:

@@ -177,8 +177,8 @@ func (r *ExprRequest) Job() JobFunc {
 		if c.Rank() != 0 {
 			return nil, nil
 		}
-		if math.IsNaN(sum) || math.IsInf(sum, 0) {
-			return nil, fmt.Errorf("expression reduced to a non-finite value")
+		if !finite(sum) {
+			return nil, fmt.Errorf("expression reduced to a %w", errNonFinite)
 		}
 		return &ExprResponse{
 			Sum:    sum,

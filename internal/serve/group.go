@@ -57,13 +57,13 @@ func newRankState(c *comm.Comm, stats *Stats) *RankState {
 }
 
 // job is one admitted unit of work travelling scheduler → group → ranks.
+// The ranks' error slots are the group's: it runs one job at a time.
 type job struct {
 	fn     JobFunc
 	tenant string
 
-	wg   sync.WaitGroup // one Done per rank
-	errs []error        // per-rank error slots (rank r writes errs[r] only)
-	out  any            // rank 0's result, read after wg.Wait
+	wg  sync.WaitGroup // one Done per rank
+	out any            // rank 0's result, read after wg.Wait
 
 	done    chan struct{} // closed once the result fields are final
 	err     error         // combined error, set before done closes
@@ -79,45 +79,18 @@ func (jb *job) fail(err error) {
 	close(jb.done)
 }
 
-// finish combines the per-rank outcomes after every rank reported, releases
-// the quota slot, and wakes the submitter. It reports whether the group's
-// session latched a fault (poisoned) and must be recycled.
-func (jb *job) finish(stats *Stats) (poisoned bool) {
-	for _, e := range jb.errs {
-		if e == nil {
-			continue
-		}
-		if jb.err == nil {
-			jb.err = e
-		}
-		var fe *comm.FaultError
-		if errors.As(e, &fe) {
-			poisoned = true
-		}
-	}
-	if jb.release != nil {
-		jb.release()
-	}
-	if jb.err != nil {
-		stats.failed.Add(1)
-	} else {
-		stats.completed.Add(1)
-	}
-	close(jb.done)
-	return poisoned
-}
-
-// Pending is a submitted job's handle.
-type Pending struct{ jb *job }
+// Pending is a submitted job's handle: the job itself, so handing it out
+// allocates nothing.
+type Pending job
 
 // Wait blocks until the job resolves and returns its result.
 func (p *Pending) Wait() (any, error) {
-	<-p.jb.done
-	return p.jb.out, p.jb.err
+	<-p.done
+	return p.out, p.err
 }
 
 // Done exposes the completion signal for select-based waiters.
-func (p *Pending) Done() <-chan struct{} { return p.jb.done }
+func (p *Pending) Done() <-chan struct{} { return p.done }
 
 // group is one warm rank group: a persistent comm session whose rank
 // goroutines loop over per-rank lanes, plus a feeder pulling from the
@@ -131,6 +104,7 @@ type group struct {
 	quit     <-chan struct{}
 	stats    *Stats
 	restarts atomic.Int64
+	errs     []error // the running job's per-rank errors (rank r writes errs[r] only)
 }
 
 // serve runs warm sessions until shutdown, recycling the session (fresh
@@ -182,11 +156,41 @@ func (g *group) feed(lanes []chan *job) bool {
 				ln <- jb
 			}
 			jb.wg.Wait()
-			if jb.finish(g.stats) {
+			if g.finish(jb) {
 				return true
 			}
 		}
 	}
+}
+
+// finish combines the per-rank outcomes after every rank reported, clears
+// the slots for the next job, releases the quota slot, and wakes the
+// submitter. It reports whether the group's session latched a fault
+// (poisoned) and must be recycled.
+func (g *group) finish(jb *job) (poisoned bool) {
+	for r, e := range g.errs {
+		if e == nil {
+			continue
+		}
+		g.errs[r] = nil
+		if jb.err == nil {
+			jb.err = e
+		}
+		var fe *comm.FaultError
+		if errors.As(e, &fe) {
+			poisoned = true
+		}
+	}
+	if jb.release != nil {
+		jb.release()
+	}
+	if jb.err != nil {
+		g.stats.failed.Add(1)
+	} else {
+		g.stats.completed.Add(1)
+	}
+	close(jb.done)
+	return poisoned
 }
 
 // runOne executes one job on one rank, converting panics — including typed
@@ -197,15 +201,15 @@ func (g *group) runOne(c *comm.Comm, st *RankState, jb *job) {
 	defer func() {
 		if r := recover(); r != nil {
 			if err, ok := r.(error); ok {
-				jb.errs[c.Rank()] = fmt.Errorf("job panic on rank %d: %w", c.Rank(), err)
+				g.errs[c.Rank()] = fmt.Errorf("job panic on rank %d: %w", c.Rank(), err)
 				return
 			}
-			jb.errs[c.Rank()] = fmt.Errorf("job panic on rank %d: %v", c.Rank(), r)
+			g.errs[c.Rank()] = fmt.Errorf("job panic on rank %d: %v", c.Rank(), r)
 		}
 	}()
 	out, err := jb.fn(c, st)
 	if err != nil {
-		jb.errs[c.Rank()] = err
+		g.errs[c.Rank()] = err
 		return
 	}
 	if c.Rank() == 0 {

@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -10,7 +12,9 @@ import (
 	"testing"
 
 	"odinhpc/internal/comm"
+	"odinhpc/internal/comm/alloctest"
 	"odinhpc/internal/exec"
+	"odinhpc/internal/trace"
 )
 
 func newTestServer(t *testing.T, opts Options) (*httptest.Server, *Scheduler) {
@@ -263,6 +267,9 @@ func TestHTTPQuotaIs429(t *testing.T) {
 
 // TestHTTPConcurrentClients hammers the server from many goroutines over
 // real sockets — the HTTP-layer companion of TestServeConcurrentMixedJobs.
+// The clients alternate one repeated body per endpoint with bodies no
+// client sent before, so the validated-request cache takes hits and inserts
+// at once (the race detector's serve pass runs this).
 func TestHTTPConcurrentClients(t *testing.T) {
 	ts, _ := newTestServer(t, Options{Groups: 2, Ranks: 2, QueueDepth: 64})
 
@@ -275,12 +282,21 @@ func TestHTTPConcurrentClients(t *testing.T) {
 			defer wg.Done()
 			var payload []byte
 			var path string
-			if i%2 == 0 {
+			var expr *ExprRequest
+			switch i % 4 {
+			case 0:
 				path = "/v1/solve"
 				payload, _ = json.Marshal(&SolveRequest{Kind: "laplace1d", N: 48})
-			} else {
-				path = "/v1/expr"
-				payload, _ = json.Marshal(&ExprRequest{Expr: "x*y + 1", N: 64})
+			case 1:
+				path = "/v1/solve"
+				payload, _ = json.Marshal(&SolveRequest{Kind: "laplace1d", N: 48 + i})
+			case 2:
+				path, expr = "/v1/expr", &ExprRequest{Expr: "x*y + 1", N: 64}
+			default:
+				path, expr = "/v1/expr", &ExprRequest{Expr: fmt.Sprintf("x*y + %d", i), N: 64}
+			}
+			if expr != nil {
+				payload, _ = json.Marshal(expr)
 			}
 			resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(payload))
 			if err != nil {
@@ -292,6 +308,17 @@ func TestHTTPConcurrentClients(t *testing.T) {
 			resp.Body.Close()
 			if resp.StatusCode != http.StatusOK {
 				errs[i] = buf.String()
+				return
+			}
+			if expr != nil {
+				var res ExprResponse
+				if err := expr.Validate(); err != nil {
+					errs[i] = err.Error()
+				} else if err := json.Unmarshal(buf.Bytes(), &res); err != nil {
+					errs[i] = err.Error()
+				} else if err := checkExpr(&res, exprReference(expr)); err != nil {
+					errs[i] = err.Error()
+				}
 			}
 		}(i)
 	}
@@ -300,5 +327,197 @@ func TestHTTPConcurrentClients(t *testing.T) {
 		if e != "" {
 			t.Errorf("client %d: %s", i, e)
 		}
+	}
+}
+
+// serveBody posts body to path straight through h, no socket.
+func serveBody(h http.Handler, path, body string) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+	return rec
+}
+
+// TestHTTPNonFiniteAnswerIsNot200: an answer JSON cannot carry is an error
+// with a JSON body, never a 200. A posted diagonal of 1e-300 solves to
+// x = 1e300, whose norm overflows to +Inf; the solve job reports it as a
+// non-finite result (once it answered 200 with an empty body, because the
+// encoder failed after the status was written). A value that fails to
+// encode at all answers a JSON 500.
+func TestHTTPNonFiniteAnswerIsNot200(t *testing.T) {
+	s := NewScheduler(Options{Groups: 1, Ranks: 2})
+	defer s.Stop()
+	h := NewServer(s).Handler()
+	rec := serveBody(h, "/v1/solve", `{"kind":"coo","n":4,"entries":[`+
+		`{"row":0,"col":0,"val":1e-300},{"row":1,"col":1,"val":1e-300},`+
+		`{"row":2,"col":2,"val":1e-300},{"row":3,"col":3,"val":1e-300}]}`)
+	var eb errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || rec.Code != http.StatusInternalServerError ||
+		!strings.Contains(eb.Error, errNonFinite.Error()) {
+		t.Errorf("solve to ||x|| = +Inf: status %d, body %q (%v); want 500 naming the non-finite value", rec.Code, rec.Body, err)
+	}
+
+	rec = httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, math.Inf(1))
+	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || rec.Code != http.StatusInternalServerError || eb.Error == "" {
+		t.Errorf("encoding +Inf: status %d, body %q (%v); want a JSON 500", rec.Code, rec.Body, err)
+	}
+}
+
+// TestHTTPRejectedBodyIsNotCached: a body that fails validation answers 400
+// every time it is posted, and the cache never holds it.
+func TestHTTPRejectedBodyIsNotCached(t *testing.T) {
+	s := NewScheduler(Options{Groups: 1, Ranks: 1})
+	defer s.Stop()
+	srv := NewServer(s)
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/solve", `{"kind": "warp", "n": 8}`},
+		{"/v1/expr", `{"expr": "foo(x)", "n": 8}`},
+		{"/v1/expr", `{"expr": "x", "n": 8} junk`},
+	} {
+		for i := 0; i < 2; i++ {
+			if rec := serveBody(srv.Handler(), tc.path, tc.body); rec.Code != http.StatusBadRequest {
+				t.Errorf("POST %s %s, time %d: status %d, want 400", tc.path, tc.body, i+1, rec.Code)
+			}
+		}
+	}
+	if n, m := len(srv.solves.jobs), len(srv.expressions.jobs); n != 0 || m != 0 {
+		t.Errorf("the caches hold %d solve and %d expr bodies after only rejected ones, want none", n, m)
+	}
+}
+
+// TestHTTPWhitespaceBodiesAnswerAlike: two bodies that differ only in
+// whitespace are two cache entries with one answer, up to the timing field.
+func TestHTTPWhitespaceBodiesAnswerAlike(t *testing.T) {
+	s := NewScheduler(Options{Groups: 1, Ranks: 2})
+	defer s.Stop()
+	srv := NewServer(s)
+	for _, tc := range []struct{ path, a, b string }{
+		{"/v1/expr", `{"expr":"x*y + 1","n":64}`, " {\n  \"expr\" : \"x*y + 1\",\t\"n\": 64 }\n"},
+		{"/v1/solve", `{"kind":"laplace1d","n":48}`, `{ "kind": "laplace1d", "n": 48 }`},
+	} {
+		var answers [2][]byte
+		for k, body := range []string{tc.a, tc.b, tc.a, tc.b} {
+			rec := serveBody(srv.Handler(), tc.path, body)
+			cut := bytes.Index(rec.Body.Bytes(), []byte(`"millis"`))
+			if rec.Code != http.StatusOK || cut < 0 {
+				t.Fatalf("POST %s %q: %d %s", tc.path, body, rec.Code, rec.Body)
+			}
+			if answers[k%2] == nil {
+				answers[k%2] = rec.Body.Bytes()[:cut]
+			}
+			if !bytes.Equal(rec.Body.Bytes()[:cut], answers[0]) {
+				t.Errorf("POST %s %q answers %s, %q answered %s", tc.path, body, rec.Body.Bytes()[:cut], tc.a, answers[0])
+			}
+		}
+	}
+	if n, m := len(srv.solves.jobs), len(srv.expressions.jobs); n != 2 || m != 2 {
+		t.Errorf("the caches hold %d solve and %d expr bodies, want 2 each", n, m)
+	}
+}
+
+// TestHTTPJobCacheIsBounded posts planCap+1 distinct expr bodies through one
+// server: the cache fills to planCap, the next insert drops it whole, and
+// every answer is right — a body dropped from the cache is validated anew,
+// one still in it is served from it.
+func TestHTTPJobCacheIsBounded(t *testing.T) {
+	const n = 48
+	s := NewScheduler(Options{Groups: 1, Ranks: 2})
+	defer s.Stop()
+	srv := NewServer(s)
+	var sumX float64
+	for g := 0; g < n; g++ {
+		sumX += varFill("x", g)
+	}
+	post := func(i int) {
+		t.Helper()
+		rec := serveBody(srv.Handler(), "/v1/expr", fmt.Sprintf(`{"expr":"x + %d","n":%d}`, i, n))
+		var res ExprResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &res); rec.Code != http.StatusOK || err != nil {
+			t.Fatalf("source %d: %d %s", i, rec.Code, rec.Body)
+		}
+		if err := checkExpr(&res, sumX+float64(i*n)); err != nil {
+			t.Fatalf("source %d: %v", i, err)
+		}
+	}
+	for i := 0; i < planCap; i++ {
+		post(i)
+	}
+	if got := len(srv.expressions.jobs); got != planCap {
+		t.Fatalf("after %d distinct bodies the cache holds %d, want %d", planCap, got, planCap)
+	}
+	post(planCap)
+	if got := len(srv.expressions.jobs); got != 1 {
+		t.Fatalf("after %d distinct bodies the cache holds %d, want 1: dropped whole, then the new body", planCap+1, got)
+	}
+	post(0)
+	post(planCap)
+	if got := len(srv.expressions.jobs); got != 2 {
+		t.Errorf("the cache holds %d bodies, want 2", got)
+	}
+}
+
+// TestHTTPBodyCap: a valid body padded with whitespace to exactly the 4 MiB
+// cap is answered, not rejected for size, and not cached (it is over
+// maxExprLen); one byte more is a 400 with net/http's "request body too
+// large" text.
+func TestHTTPBodyCap(t *testing.T) {
+	s := NewScheduler(Options{Groups: 1, Ranks: 1})
+	defer s.Stop()
+	srv := NewServer(s)
+	valid := `{"expr":"x","n":8}`
+	body := valid + strings.Repeat(" ", maxBody-len(valid))
+	if rec := serveBody(srv.Handler(), "/v1/expr", body); rec.Code != http.StatusOK {
+		t.Errorf("a %d-byte body: %d %s, want 200", len(body), rec.Code, rec.Body)
+	}
+	if got := len(srv.expressions.jobs); got != 0 {
+		t.Errorf("the cache holds %d bodies after one over maxExprLen, want none", got)
+	}
+	rec := serveBody(srv.Handler(), "/v1/expr", body+" ")
+	var eb errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || rec.Code != http.StatusBadRequest ||
+		!strings.Contains(eb.Error, "request body too large") {
+		t.Errorf("a %d-byte body: status %d, body %q; want 400, request body too large", len(body)+1, rec.Code, rec.Body)
+	}
+}
+
+// TestWarmHTTPRequestAllocs pins what one warm request costs the whole
+// process through the HTTP handler: the four bench workloads' bodies, each
+// posted through NewServer(...).Handler().ServeHTTP with httptest's request
+// and recorder — whose own objects are in the count — on a two-rank group
+// and a one-worker engine, the configuration the benchmark measures. A
+// repeated body is a probe of the server's validated-request cache, so a
+// warm request allocates the client's request and recorder, the recorder's
+// copies of the response, the job record and rank 0's response, and nothing
+// in proportion to the body or to the iterations the job runs.
+func TestWarmHTTPRequestAllocs(t *testing.T) {
+	if alloctest.RaceEnabled || trace.Active() != nil {
+		t.Skip("allocation counts are not exact under the race detector or a trace session")
+	}
+	defer exec.SetDefault(exec.Default())
+	exec.SetDefault(exec.New(exec.WithWorkers(1)))
+	s := NewScheduler(Options{Groups: 1, Ranks: 2, Comm: comm.Config{Transport: "inproc"}})
+	defer s.Stop()
+	h := NewServer(s).Handler()
+	for _, tc := range []struct {
+		name, path, body string
+		runs             int
+		want             float64
+	}{
+		{"dispatch_tiny", "/v1/expr", `{"expr":"x0001+y0001","n":64}`, 2000, 25},
+		{"expr_fused", "/v1/expr", `{"expr":"sqrt(x0001*x0001+y0001*y0001)+exp(-x0001)*sin(y0001)","n":131072}`, 100, 25},
+		{"solve_small", "/v1/solve", `{"kind":"laplace1d","n":512,"tol":1e-10}`, 100, 26},
+		{"solve_large", "/v1/solve", `{"kind":"laplace3d","nx":32,"ny":32,"nz":32,"tol":1e-8}`, 20, 26},
+	} {
+		post := func() {
+			if rec := serveBody(h, tc.path, tc.body); rec.Code != http.StatusOK {
+				t.Fatalf("%s: %d %s", tc.name, rec.Code, rec.Body)
+			}
+		}
+		post() // assembles the matrix or prepares the plan, and caches the body
+		got := testing.AllocsPerRun(tc.runs, post)
+		if got > tc.want {
+			t.Errorf("%s: a warm request allocates %v objects process-wide, want at most %v", tc.name, got, tc.want)
+		}
+		t.Logf("%s: %v objects a request", tc.name, got)
 	}
 }

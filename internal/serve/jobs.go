@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -34,6 +35,12 @@ func badReq(format string, args ...any) error {
 	return &BadRequestError{Msg: fmt.Sprintf(format, args...)}
 }
 
+// errNonFinite marks a job whose answer is not finite. JSON has no NaN or
+// infinity, so such an answer is an error, never a response.
+var errNonFinite = errors.New("non-finite value")
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
 // COOEntry is one posted matrix triplet.
 type COOEntry struct {
 	Row int     `json:"row"`
@@ -54,6 +61,10 @@ type SolveRequest struct {
 	MaxIter int        `json:"max_iter,omitempty"`
 	Tol     float64    `json:"tol,omitempty"`
 	RHS     string     `json:"rhs,omitempty"` // ones (default) | index
+
+	// key is the fingerprint, set by Validate: a validated request is
+	// immutable and shared read-only by every rank and every job it runs.
+	key string
 }
 
 // SolveResponse is the solve job result.
@@ -94,7 +105,8 @@ func (r *SolveRequest) size() (int, bool) {
 	return n, true
 }
 
-// Validate normalizes defaults and rejects out-of-cap or malformed specs.
+// Validate normalizes defaults, rejects out-of-cap or malformed specs, and
+// computes the fingerprint the ranks key their warm matrices by.
 func (r *SolveRequest) Validate() error {
 	switch r.Kind {
 	case "laplace1d", "tridiag", "coo":
@@ -145,6 +157,7 @@ func (r *SolveRequest) Validate() error {
 	default:
 		return badReq("unknown rhs %q", r.RHS)
 	}
+	r.key = r.fingerprint()
 	return nil
 }
 
@@ -193,8 +206,7 @@ func sameEntries(a, b []COOEntry) bool {
 // is rebuilt from the request; every rank of the group holds the same
 // entries, so all of them take the same branch.
 func (r *SolveRequest) matrix(c *comm.Comm, st *RankState) *warmMatrix {
-	key := r.fingerprint()
-	if w, ok := st.matrices[key]; ok && (r.Kind != "coo" || sameEntries(w.entries, r.Entries)) {
+	if w, ok := st.matrices[r.key]; ok && (r.Kind != "coo" || sameEntries(w.entries, r.Entries)) {
 		return w
 	}
 	n, _ := r.size() // within the cap: Validate checked
@@ -223,7 +235,7 @@ func (r *SolveRequest) matrix(c *comm.Comm, st *RankState) *warmMatrix {
 	if r.Kind == "coo" {
 		w.entries = append([]COOEntry(nil), r.Entries...)
 	}
-	st.matrices[key] = w
+	st.matrices[r.key] = w
 	return w
 }
 
@@ -271,11 +283,15 @@ func (r *SolveRequest) Job() JobFunc {
 		if err != nil {
 			return nil, fmt.Errorf("%s on %s: %w", r.Solver, r.Kind, err)
 		}
+		xNorm := x.Norm2()
+		if !finite(res.Residual) || !finite(xNorm) {
+			return nil, fmt.Errorf("%s on %s: residual %g, ||x|| %g: %w", r.Solver, r.Kind, res.Residual, xNorm, errNonFinite)
+		}
 		return &SolveResponse{
 			Converged:  res.Converged,
 			Iterations: res.Iterations,
 			Residual:   res.Residual,
-			XNorm:      x.Norm2(),
+			XNorm:      xNorm,
 			N:          m.NumGlobal(),
 			Millis:     float64(time.Since(t0).Microseconds()) / 1000,
 		}, nil

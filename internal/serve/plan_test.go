@@ -124,10 +124,11 @@ func TestWarmExprKeepsItsVMSpan(t *testing.T) {
 }
 
 // TestWarmExprJobAllocs pins what one warm expr job costs the whole
-// process, scheduler included: the request's job closure, Submit's job
-// record (job, error slots, done channel, Pending) and rank 0's response.
-// Apart from that response the ranks allocate nothing — no leaves, no
-// lowering, no plan, no control message. One object more per job fails.
+// process, scheduler included: the request's job closure, the job record
+// and its done channel (the ranks' error slots are the group's, and Do
+// waits on the job itself), and rank 0's response. Apart from that
+// response the ranks allocate nothing — no leaves, no lowering, no plan, no
+// control message. One object more per job fails.
 func TestWarmExprJobAllocs(t *testing.T) {
 	if alloctest.RaceEnabled || trace.Active() != nil {
 		t.Skip("allocation counts are not exact under the race detector or a trace session")
@@ -148,8 +149,8 @@ func TestWarmExprJobAllocs(t *testing.T) {
 		// goroutines' objects are in the figure.
 		got := testing.AllocsPerRun(2000, do)
 		s.Stop()
-		if got != 6 {
-			t.Errorf("P=%d: a warm expr job allocates %v objects process-wide, want 6", p, got)
+		if got != 4 {
+			t.Errorf("P=%d: a warm expr job allocates %v objects process-wide, want 4", p, got)
 		}
 	}
 }

@@ -76,6 +76,7 @@ func NewScheduler(opts Options) *Scheduler {
 			queue: s.queue,
 			quit:  s.quit,
 			stats: &s.stats,
+			errs:  make([]error, opts.Ranks),
 		}
 		s.groups = append(s.groups, g)
 		s.wg.Add(1)
@@ -110,7 +111,6 @@ func (s *Scheduler) Submit(tenant string, fn JobFunc) (*Pending, error) {
 	jb := &job{
 		fn:      fn,
 		tenant:  tenant,
-		errs:    make([]error, s.opts.Ranks),
 		done:    make(chan struct{}),
 		release: release,
 	}
@@ -122,7 +122,7 @@ func (s *Scheduler) Submit(tenant string, fn JobFunc) (*Pending, error) {
 			// drained the queue; nobody would resolve this job.
 			s.drain()
 		}
-		return &Pending{jb: jb}, nil
+		return (*Pending)(jb), nil
 	default:
 		release()
 		s.stats.rejectedQueue.Add(1)

@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"odinhpc/internal/solvers"
@@ -22,16 +25,22 @@ import (
 // and quota rejections return 429 with Retry-After; validation failures
 // return 400; a solve the posted problem breaks down returns 422; other job
 // failures return 500. All bodies are JSON.
+//
+// Each job endpoint keeps the bodies this server has accepted, byte for
+// byte, with the job each validated to (jobCache): a repeated body is one
+// map probe, not a decode, a parse and a validation.
 type Server struct {
-	sched *Scheduler
-	mux   *http.ServeMux
+	sched       *Scheduler
+	mux         *http.ServeMux
+	solves      jobCache
+	expressions jobCache
 }
 
 // NewServer wires the handlers around a running scheduler.
 func NewServer(s *Scheduler) *Server {
 	srv := &Server{sched: s, mux: http.NewServeMux()}
-	srv.mux.HandleFunc("POST /v1/solve", srv.handleSolve)
-	srv.mux.HandleFunc("POST /v1/expr", srv.handleExpr)
+	srv.mux.HandleFunc("POST /v1/solve", jobHandler[SolveRequest](s, &srv.solves))
+	srv.mux.HandleFunc("POST /v1/expr", jobHandler[ExprRequest](s, &srv.expressions))
 	srv.mux.HandleFunc("GET /v1/stats", srv.handleStats)
 	srv.mux.HandleFunc("GET /healthz", srv.handleHealth)
 	return srv
@@ -51,10 +60,47 @@ type errorBody struct {
 // solvers.ErrBreakdown.
 const kindSolverBreakdown = "solver_breakdown"
 
+// jsonContentType is every response's Content-Type value, shared so that
+// setting it allocates nothing; nothing appends to a response header value.
+var jsonContentType = []string{"application/json"}
+
+// buffer is a pooled request-body or response buffer. lim caps a body read
+// into it; it lives here so that reading a body allocates nothing.
+type buffer struct {
+	bytes.Buffer
+	lim io.LimitedReader
+}
+
+var buffers = sync.Pool{New: func() any { return new(buffer) }}
+
+func getBuffer() *buffer {
+	b := buffers.Get().(*buffer)
+	b.Reset()
+	return b
+}
+
+// putBuffer returns b to the pool unless it grew past 64 KiB: one outsized
+// body or response is not held for the life of the process.
+func putBuffer(b *buffer) {
+	if b.Cap() <= 64<<10 {
+		buffers.Put(b)
+	}
+}
+
+// writeJSON encodes v in full before it sets the status, so a value that
+// does not encode (a NaN or an infinity) answers a JSON 500, never a 2xx
+// with a truncated or empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	b := getBuffer()
+	defer putBuffer(b)
+	if err := json.NewEncoder(b).Encode(v); err != nil {
+		status = http.StatusInternalServerError
+		b.Reset()
+		_ = json.NewEncoder(b).Encode(errorBody{Error: "serve: encoding the response: " + err.Error()})
+	}
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(b.Bytes())
 }
 
 // writeError maps typed errors onto statuses: overload and quota → 429 (with
@@ -98,10 +144,28 @@ func tenantOf(r *http.Request) string {
 	return "anon"
 }
 
+// maxBody caps a request body.
+const maxBody = 1 << 22
+
+// readBody reads r's body into b, one byte past maxBody at most; a longer
+// body is a bad request with net/http's "request body too large" text.
+func (b *buffer) readBody(r *http.Request) ([]byte, error) {
+	b.lim = io.LimitedReader{R: r.Body, N: maxBody + 1}
+	_, err := b.ReadFrom(&b.lim)
+	b.lim.R = nil
+	if err != nil {
+		return nil, badReq("%v", err)
+	}
+	if b.Len() > maxBody {
+		return nil, badReq("%v", &http.MaxBytesError{Limit: maxBody})
+	}
+	return b.Bytes(), nil
+}
+
 // decode parses a JSON body, rejecting trailing garbage and unknown fields
 // so a typo'd request fails loudly instead of solving the default problem.
-func decode(r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<22))
+func decode(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return badReq("%v", err)
@@ -112,40 +176,74 @@ func decode(r *http.Request, v any) error {
 	return nil
 }
 
-func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	var req SolveRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	if err := req.Validate(); err != nil {
-		writeError(w, err)
-		return
-	}
-	out, err := s.sched.Do(tenantOf(r), req.Job())
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, out)
+// jobCache maps request bodies, byte for byte, to the jobs they validated
+// to. Only a body that validated is inserted, and only one of at most
+// maxExprLen bytes; at planCap entries the whole map is dropped, the policy
+// of RankState.plans. Each Server has its own, so a fresh server starts
+// cold.
+type jobCache struct {
+	mu   sync.RWMutex
+	jobs map[string]JobFunc
 }
 
-func (s *Server) handleExpr(w http.ResponseWriter, r *http.Request) {
-	var req ExprRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, err)
+func (c *jobCache) get(body []byte) JobFunc {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.jobs[string(body)]
+}
+
+func (c *jobCache) put(body []byte, fn JobFunc) {
+	if len(body) > maxExprLen {
 		return
 	}
-	if err := req.Validate(); err != nil {
-		writeError(w, err)
-		return
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.jobs == nil || len(c.jobs) >= planCap {
+		c.jobs = make(map[string]JobFunc)
 	}
-	out, err := s.sched.Do(tenantOf(r), req.Job())
-	if err != nil {
-		writeError(w, err)
-		return
+	c.jobs[string(body)] = fn
+}
+
+// jobRequest is a job endpoint's body type, R, through its pointer.
+type jobRequest[R any] interface {
+	*R
+	Validate() error
+	Job() JobFunc
+}
+
+// jobHandler is both job endpoints' one handler body: read the body, take
+// its job from the cache or decode, validate and build it (caching it),
+// run it and encode rank 0's answer.
+func jobHandler[R any, P jobRequest[R]](sched *Scheduler, cache *jobCache) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		b := getBuffer()
+		defer putBuffer(b)
+		raw, err := b.readBody(r)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		fn := cache.get(raw)
+		if fn == nil {
+			req := P(new(R))
+			if err := decode(raw, req); err != nil {
+				writeError(w, err)
+				return
+			}
+			if err := req.Validate(); err != nil {
+				writeError(w, err)
+				return
+			}
+			fn = req.Job()
+			cache.put(raw, fn)
+		}
+		out, err := sched.Do(tenantOf(r), fn)
+		if err != nil {
+			writeError(w, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, out)
 	}
-	writeJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -97,16 +97,19 @@ grep -q p2pmatch /tmp/odinhpc-vettool-p2p.out
 stage test
 go test -timeout 3m ./...
 
-# Timing: the real-clock bounds of the receive spin gate and of a session
-# abort. A ping-pong that answers at once must park (at most 12 spin hits in
-# 250 round trips); a rank that computed before an allreduce must spin (nine
-# waits in ten in the best window); a session whose rank fails must resolve
-# within 100 ms. Wall-clock bounds need the host to themselves, so they build
-# only with the timing tag and run here with the comm package alone; tier-1
-# holds the gate's decisions exactly through TestSpinDecisionScripted and the
-# abort's typed error through TestRankFailureAbortsSession.
+# Timing: the real-clock bounds of the receive spin gate, of a session abort
+# and of a receive deadline under jitter. A ping-pong that answers at once
+# must park (at most 12 spin hits in 250 round trips); a rank that computed
+# before an allreduce must spin (nine waits in ten in the best window); a
+# session whose rank fails must resolve within 100 ms; a jittered session
+# blocked on a message nobody sends must time out within 10 s. Wall-clock
+# bounds need the host to themselves, so they build only with the timing tag
+# and run here with the comm package alone; tier-1 holds the gate's
+# decisions exactly through TestSpinDecisionScripted, the abort's typed error
+# through TestRankFailureAbortsSession and the deadline's through
+# TestSchedJitterRecvTimeout.
 stage timing
-go test -tags timing -count=1 -run 'TestPingPongDoesNotSpin|TestSyncAfterComputeDoesNotPark|TestRankFailureAbortsPromptly' ./internal/comm
+go test -tags timing -count=1 -run 'TestPingPongDoesNotSpin|TestSyncAfterComputeDoesNotPark|TestRankFailureAbortsPromptly|TestSchedJitterRecvTimeoutPromptly' ./internal/comm
 
 # Fuzz the tcp wire codec for ten seconds: its decode half takes frame bodies
 # straight from the socket, so arbitrary bytes must decode to a frame or an
@@ -136,16 +139,17 @@ go test -run '^$' -fuzz '^FuzzLevel1Lanes$' -fuzztime 10s ./internal/dense
 # solve job through the scheduler nothing per CG iteration and nothing in
 # proportion to n (the same objects, and bytes within 1 KiB, at n = 512 and
 # 16 384: x and the work vectors live in the warm entry), one warm expr
-# job exactly its six objects, and a warm call of a compiled seamless array
-# kernel the same objects at chain depth 1, 4 and 16 with no plan-cache
-# lookup (it runs the plan its kernel was compiled with). The cold path has
-# bounds, not zeros: a 32^3 Laplacian assembly at P=2 at most 3 objects per
-# owned row and 160 bytes per stored nonzero, a COO at most twice its final
-# arrays' bytes.
+# job exactly its four objects, a warm request through the HTTP handler at
+# most 25 or 26 objects on each bench workload's body, and a warm call of a
+# compiled seamless array kernel the same objects at chain depth 1, 4 and 16
+# with no plan-cache lookup (it runs the plan its kernel was compiled
+# with). The cold path has bounds, not zeros: a 32^3 Laplacian assembly at
+# P=2 at most 3 objects per owned row and 160 bytes per stored nonzero, a
+# COO at most twice its final arrays' bytes.
 # They count process-wide mallocs, so they run uncached and not under -race
 # (where they skip).
 stage allocs
-go test -count=1 -run 'TestAllreduceAllocs|TestGatherSteadyStateAllocs|TestCGAllocsPerIteration|TestBiCGSTABAllocsPerIteration|TestPlanSumAllocs|TestWarmExprJobAllocs|TestWarmSolveJobAllocsPerIteration|TestWarmSolveJobBytesFlat|TestLevel1Allocs|TestAssemblyAllocs|TestCOOGrowthBytes|TestCompiledKernelWarmCallAllocs' \
+go test -count=1 -run 'TestAllreduceAllocs|TestGatherSteadyStateAllocs|TestCGAllocsPerIteration|TestBiCGSTABAllocsPerIteration|TestPlanSumAllocs|TestWarmExprJobAllocs|TestWarmHTTPRequestAllocs|TestWarmSolveJobAllocsPerIteration|TestWarmSolveJobBytesFlat|TestLevel1Allocs|TestAssemblyAllocs|TestCOOGrowthBytes|TestCompiledKernelWarmCallAllocs' \
   ./internal/comm ./internal/tpetra ./internal/solvers ./internal/fusion ./internal/serve ./internal/dense ./internal/galeri ./internal/sparse ./internal/seamless/compile
 
 # Race pass over every concurrency-bearing package: the comm fabric, the
