@@ -1,19 +1,15 @@
 // Command odinvet is the multichecker for the framework's domain
-// invariants: the six analyzers under internal/analysis (commsym, p2pmatch,
-// tagcheck, hotalloc, tracepair, planreuse) run over the tree and fail the
-// build on any finding. See DESIGN.md "Static analysis" for the invariant
+// invariants: the five analyzers under internal/analysis (commsym, tagcheck,
+// hotalloc, tracepair, planreuse) run over the tree and fail the build on any
+// finding. See DESIGN.md "Static analysis" for the invariant
 // behind each analyzer and the escape hatch.
 //
-// Standalone usage (no install step, used by scripts/verify.sh and CI):
+// Usage (no install step, used by scripts/verify.sh and CI):
 //
 //	go run ./cmd/odinvet ./...
 //	odinvet [-tests=false] [-checks=commsym,tagcheck] ./internal/comm ./...
 //	odinvet -json ./...    # NDJSON diagnostics, suppressed findings included
 //	odinvet -allows ./...  # list every //lint:allow with its justification
-//
-// Or as a `go vet` tool, which reuses the build cache's export data:
-//
-//	go vet -vettool=$(which odinvet) ./...
 //
 // Findings print as file:line:col: analyzer: message. A deliberate
 // exception is annotated at the finding site:
@@ -38,7 +34,6 @@ import (
 	"odinhpc/internal/analysis"
 	"odinhpc/internal/analysis/commsym"
 	"odinhpc/internal/analysis/hotalloc"
-	"odinhpc/internal/analysis/p2pmatch"
 	"odinhpc/internal/analysis/planreuse"
 	"odinhpc/internal/analysis/tagcheck"
 	"odinhpc/internal/analysis/tagregistry"
@@ -48,7 +43,6 @@ import (
 // all is the registered analyzer suite.
 var all = []*analysis.Analyzer{
 	commsym.Analyzer,
-	p2pmatch.Analyzer,
 	tagcheck.Analyzer,
 	hotalloc.Analyzer,
 	tracepair.Analyzer,
@@ -57,24 +51,6 @@ var all = []*analysis.Analyzer{
 
 func main() {
 	installRegistry()
-
-	args := os.Args[1:]
-	// `go vet -vettool` probes the tool's identity and flag surface first...
-	for _, a := range args {
-		switch a {
-		case "-V=full", "--V=full":
-			fmt.Printf("odinvet version odinvet-1.0\n")
-			return
-		case "-flags", "--flags":
-			// No pass-through flags: the suite always runs whole.
-			fmt.Println("[]")
-			return
-		}
-	}
-	// ...then invokes it once per package with a JSON config file.
-	if n := len(args); n > 0 && strings.HasSuffix(args[n-1], ".cfg") {
-		os.Exit(vettool(args[n-1]))
-	}
 
 	fs := flag.NewFlagSet("odinvet", flag.ExitOnError)
 	tests := fs.Bool("tests", true, "also analyze _test.go files and external test packages")
@@ -88,7 +64,7 @@ func main() {
 		}
 		fs.PrintDefaults()
 	}
-	if err := fs.Parse(args); err != nil {
+	if err := fs.Parse(os.Args[1:]); err != nil {
 		os.Exit(2)
 	}
 	analyzers, err := selectAnalyzers(*checks)

@@ -71,7 +71,6 @@ func main() {
 
 		x := core.Random(ctx, []int{*n}, 7)
 
-		//lint:allow p2pmatch Demo harness closure; the halo exchange it wraps is slicing.ShiftDiff, vetted in internal/slicing
 		run := func(name string) (time.Duration, *core.DistArray[float64], error) {
 			y := x
 			c.Barrier()

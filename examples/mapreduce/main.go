@@ -32,7 +32,6 @@ func main() {
 		})
 		// Each rank generates its share of the global data set
 		// deterministically (row i lives on rank i mod P).
-		//lint:allow p2pmatch Flag-sized row-generation loop; every iteration inserts rank-local rows and the example runs end to end in CI
 		for i := 0; i < *rows; i++ {
 			if i%c.Size() != c.Rank() {
 				continue

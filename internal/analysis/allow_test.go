@@ -25,9 +25,9 @@ func TestParseAllow(t *testing.T) {
 		{"//lint:allow hotalloc", []string{"hotalloc"}, "", true},
 		{"//lint:allow hotalloc Per-chunk scratch", []string{"hotalloc"}, "Per-chunk scratch", true},
 		{"//lint:allow commsym tagcheck Intentional permuted order", []string{"commsym", "tagcheck"}, "Intentional permuted order", true},
-		// Digits are legal inside a name: p2pmatch must parse as one name,
+		// Digits are legal inside a name: sell8 must parse as one name,
 		// not be rejected or split.
-		{"//lint:allow p2pmatch Vetted by hand", []string{"p2pmatch"}, "Vetted by hand", true},
+		{"//lint:allow sell8 Vetted by hand", []string{"sell8"}, "Vetted by hand", true},
 		// The wildcard suppresses everything and may carry a justification.
 		{"//lint:allow * Fault-injection hook", []string{"*"}, "Fault-injection hook", true},
 		// A lowercase justification is absorbed into the name list — the
@@ -64,7 +64,7 @@ var a int
 
 func f() {
 	_ = a //lint:allow commsym tagcheck Both are fine here
-	//lint:allow p2pmatch
+	//lint:allow sell8
 }
 `
 	fset := token.NewFileSet()
@@ -80,7 +80,7 @@ func f() {
 	}{
 		{3, []string{"hotalloc"}, "Scratch buffer, amortized"},
 		{7, []string{"commsym", "tagcheck"}, "Both are fine here"},
-		{8, []string{"p2pmatch"}, ""},
+		{8, []string{"sell8"}, ""},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("got %d directives, want %d: %v", len(got), len(want), got)

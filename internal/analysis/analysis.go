@@ -8,10 +8,9 @@
 // escape hatches, and an analysistest-style harness (see the analysistest
 // subpackage) driven by `// want "regex"` comments in testdata.
 //
-// The domain analyzers live in sibling packages (commsym, p2pmatch,
-// tagcheck, hotalloc, tracepair, planreuse) and share one SPMD rank model
-// (spmd.go); cmd/odinvet is the multichecker binary that runs them over the
-// tree, standalone or as a `go vet -vettool`.
+// The domain analyzers live in sibling packages (commsym, tagcheck, hotalloc,
+// tracepair, planreuse); commsym reads the SPMD rank model (spmd.go), and
+// cmd/odinvet is the multichecker binary that runs them over the tree.
 package analysis
 
 import (
@@ -215,7 +214,7 @@ func Directives(pkg *Package) []AllowDirective {
 
 // parseAllow recognizes `//lint:allow name [name...] [justification]`.
 // Every leading field that looks like an analyzer name (lowercase ASCII
-// letters and digits, starting with a letter — "p2pmatch" qualifies) is a
+// letters and digits, starting with a letter — "sell8" qualifies) is a
 // suppressed analyzer; the rest is free-form justification, which is why
 // justifications must start with a capitalized word. `//lint:allow *`
 // suppresses every analyzer on the covered lines.

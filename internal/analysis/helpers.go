@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/types"
 	"strings"
 )
@@ -125,21 +124,6 @@ func IdentObj(info *types.Info, id *ast.Ident) types.Object {
 		return obj
 	}
 	return info.Defs[id]
-}
-
-// IntConstVal returns the compile-time integer value of e, when the
-// typechecker folded one: literals, named constants, and constant
-// arithmetic all qualify. Reports false for run-time expressions.
-func IntConstVal(info *types.Info, e ast.Expr) (int64, bool) {
-	tv, ok := info.Types[e]
-	if !ok || tv.Value == nil {
-		return 0, false
-	}
-	v := constant.ToInt(tv.Value)
-	if v.Kind() != constant.Int {
-		return 0, false
-	}
-	return constant.Int64Val(v)
 }
 
 // CommValueExpr returns the expression denoting the communicator a comm

@@ -5,8 +5,8 @@ import (
 	"go/types"
 )
 
-// SPMD is the rank model of one function scope that the collective
-// analyzers (commsym, p2pmatch) share: which locals carry rank-derived
+// SPMD is the rank model of one function scope that commsym's collective
+// checks read: which locals carry rank-derived
 // values, and which hold sub-communicators obtained from (*Comm).Split.
 type SPMD struct {
 	info    *types.Info

@@ -22,7 +22,6 @@ func BenchmarkP2P(b *testing.B) {
 		name string
 		body func(c *Comm, n int, payload []byte)
 	}{
-		//lint:allow p2pmatch Benchmark kernels are table literals run by both ranks; each pairs every Send with one Recv of the same tag
 		{"pingpong", func(c *Comm, n int, payload []byte) {
 			peer := 1 - c.Rank()
 			for i := 0; i < n; i++ {
@@ -163,7 +162,6 @@ func BenchmarkCommTransport(b *testing.B) {
 		name string
 		body func(c *Comm, buf, halo []float64)
 	}{
-		//lint:allow p2pmatch Benchmark kernels are table literals invoked uniformly by every rank in the loop below
 		{"bcast", func(c *Comm, buf, _ []float64) { Bcast(c, 0, buf) }},
 		{"allreduce", func(c *Comm, buf, _ []float64) { Allreduce(c, buf, OpSum) }},
 		{"halo", func(c *Comm, _, halo []float64) {

@@ -41,7 +41,6 @@ func localVec(c *comm.Comm, n int) []float64 {
 
 func TestChaosCollectives(t *testing.T) {
 	kernels := []chaostest.Kernel{
-		//lint:allow p2pmatch Chaos kernels are table literals; each body is a uniform collective or a vetted ring exchange
 		{Name: "barrier-ring", Body: func(c *comm.Comm) (any, error) {
 			c.Barrier()
 			c.Barrier()
@@ -191,76 +190,70 @@ func TestChaosCrashNeverHangs(t *testing.T) {
 // within the watchdog bound. This is also the regression test for a
 // self-deadlock where faultyRecv latched the session failure while still
 // holding its own mailbox lock (which fail() then tried to take), turning
-// every timeout into the very hang the watchdog exists to prevent.
+// every timeout into the very hang the watchdog exists to prevent. Rank 0
+// stays outside comm until then, so the deadline fires and not the deadlock
+// detector; with every rank parked an inproc session fails with
+// FaultDeadlock instead.
 func TestChaosRecvTimeoutWatchdog(t *testing.T) {
 	for _, size := range []int{1, 2, 4} {
 		cfg := comm.Config{Faults: &comm.FaultPlan{Seed: 11}, RecvTimeout: 300 * time.Millisecond}
-		done := make(chan error, 1)
-		go func() {
-			_, err := comm.RunConfig(size, cfg, func(c *comm.Comm) error {
+		if size > 1 {
+			out := newOutsideComm()
+			_, fe := watchdogRun(t, size, cfg, func(c *comm.Comm) error {
+				if c.Rank() == 0 {
+					out.wait()
+					return nil
+				}
 				// tagNever is never sent by anyone: the first watchdog to
 				// expire aborts the session and the abort latch wakes the
 				// remaining ranks — a typed error everywhere, never a hang.
-				//lint:allow p2pmatch Deliberate: tagNever is never sent, and the recv watchdog abort is the behavior under test
-				c.Recv(comm.AnySource, tagNever)
+				out.recv(c, comm.AnySource, tagNever)
 				return nil
 			})
-			done <- err
-		}()
-		select {
-		case err := <-done:
-			var fe *comm.FaultError
-			if !errorsAs(err, &fe) {
-				t.Fatalf("P=%d: err = %v, want FaultError", size, err)
-			}
-			if fe.Kind != comm.FaultTimeout {
-				t.Fatalf("P=%d: root fault kind = %v, want timeout", size, fe.Kind)
-			}
-		case <-chaosTimeout():
-			t.Fatalf("P=%d: Recv watchdog deadlocked instead of surfacing FaultTimeout", size)
+			wantKind(t, fmt.Sprintf("P=%d, rank 0 outside comm", size), fe, comm.FaultTimeout)
 		}
+		cfg.Transport = "inproc"
+		_, fe := watchdogRun(t, size, cfg, func(c *comm.Comm) error {
+			c.Recv(comm.AnySource, tagNever)
+			return nil
+		})
+		wantKind(t, fmt.Sprintf("inproc P=%d, all parked", size), fe, comm.FaultDeadlock)
 	}
 }
 
 // TestChaosRecvTimeoutWakesPeers checks the propagation half of the watchdog
 // contract: when one rank's watchdog expires, the session abort must wake
 // peers that are blocked waiting on messages from the stuck rank, and the
-// root cause reported to the caller must be the originating timeout.
+// root cause reported to the caller must be the originating timeout. The
+// stuck rank stays outside comm; once it parks too, an inproc session is
+// deadlocked.
 func TestChaosRecvTimeoutWakesPeers(t *testing.T) {
 	const size = 4
 	cfg := comm.Config{Faults: &comm.FaultPlan{Seed: 5}, RecvTimeout: 300 * time.Millisecond}
-	type outcome struct {
-		stats comm.StatsSnapshot
-		err   error
+	out := newOutsideComm()
+	stats, fe := watchdogRun(t, size, cfg, func(c *comm.Comm) error {
+		if c.Rank() == size-1 {
+			out.wait()
+		} else {
+			out.recv(c, size-1, tagStuck) // blocked on the stuck rank: latch must wake it
+		}
+		return nil
+	})
+	wantKind(t, "stuck rank outside comm", fe, comm.FaultTimeout)
+	if stats.Faults.Timeouts < 1 {
+		t.Fatalf("Timeouts counter = %d, want >= 1 (%v)", stats.Faults.Timeouts, stats.Faults)
 	}
-	done := make(chan outcome, 1)
-	go func() {
-		stats, err := comm.RunConfig(size, cfg, func(c *comm.Comm) error {
-			if c.Rank() == size-1 {
-				//lint:allow p2pmatch Deliberate: the unmatched receives provoke the watchdog, and the abort latch waking peers is the subject
-				c.Recv(comm.AnySource, tagNever) // never sent: watchdog must fire
-			} else {
-				c.Recv(size-1, tagStuck) // blocked on the stuck rank: latch must wake it
-			}
-			return nil
-		})
-		done <- outcome{stats: stats.Snapshot(), err: err}
-	}()
-	select {
-	case out := <-done:
-		var fe *comm.FaultError
-		if !errorsAs(out.err, &fe) {
-			t.Fatalf("err = %v, want FaultError", out.err)
+
+	cfg.Transport = "inproc"
+	_, fe = watchdogRun(t, size, cfg, func(c *comm.Comm) error {
+		if c.Rank() == size-1 {
+			c.Recv(comm.AnySource, tagNever)
+		} else {
+			c.Recv(size-1, tagStuck)
 		}
-		if fe.Kind != comm.FaultTimeout {
-			t.Fatalf("root fault kind = %v, want timeout", fe.Kind)
-		}
-		if out.stats.Faults.Timeouts < 1 {
-			t.Fatalf("Timeouts counter = %d, want >= 1 (%v)", out.stats.Faults.Timeouts, out.stats.Faults)
-		}
-	case <-chaosTimeout():
-		t.Fatalf("watchdog expiry stranded the peers instead of aborting the session")
-	}
+		return nil
+	})
+	wantKind(t, "stuck rank parked", fe, comm.FaultDeadlock)
 }
 
 // TestChaosDropLimitSurfacesTyped drives the retransmit budget to

@@ -88,12 +88,12 @@ const PlanNone = "none"
 // matrix returns the deterministic conformance matrix for a communicator of
 // the given size, every plan seeded from seed. The matrix covers each fault
 // dimension alone, a crash, an unsurvivable drop storm, and a combined
-// storm. The plans leave the session's Recv watchdog at its 10-second
-// default — well below Watchdog — so a kernel a plan manages to wedge fails
-// with a typed FaultTimeout before the harness declares a hang; the
-// watchdog's own firing path (which no well-formed kernel can reach) is
-// pinned separately by the TestChaosRecvTimeout* regression tests in
-// package comm.
+// storm. A kernel a plan manages to wedge fails typed before the harness
+// declares a hang: with FaultDeadlock on inproc as soon as every rank is
+// parked, and otherwise at the session's Recv watchdog, which the plans leave
+// at its 10-second default — well below Watchdog. The watchdog's own firing
+// path (which no well-formed kernel can reach) is pinned separately by the
+// TestChaosRecvTimeout* regression tests in package comm.
 func matrix(seed int64, size int) []Case {
 	slow := map[int]time.Duration{0: 50 * time.Microsecond}
 	if size > 1 {

@@ -116,6 +116,12 @@ func (q *msgQueue) insert(pos int, m Message) {
 // parked on cond. free holds the typed path's payload buffers between
 // messages. The delayed and seen fields belong to the fault-injection layer
 // and stay nil/empty when no plan is active.
+//
+// parker is the session of the rank parked on cond, nil while none is: post
+// un-parks it, so a rank with a message on its way is never counted as stuck
+// (DESIGN.md "Deadlock detection"). waitSrc and waitTag are what it waits
+// for, and left marks a world mailbox whose rank has returned; with key they
+// only serve to name the ranks of a deadlock.
 type mailbox struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -124,12 +130,40 @@ type mailbox struct {
 	free     [][]float64
 	delayed  []heldMsg
 	seen     map[int]map[uint64]struct{}
+
+	parker           *session
+	waitSrc, waitTag int
+	left             bool
+	key              boxKey
 }
 
-func newMailbox() *mailbox {
-	m := &mailbox{}
+func newMailbox(key boxKey) *mailbox {
+	m := &mailbox{key: key}
 	m.cond = sync.NewCond(&m.mu)
 	return m
+}
+
+// post is the one enqueue: entered with mu held, it queues m (a fault-plan
+// message, seq != 0, under deliverFaultLocked's hold and reorder rules),
+// un-parks the rank waiting here, and releases mu before it wakes the rank.
+func (b *mailbox) post(m Message, hold int, reorder uint64) {
+	if m.seq == 0 {
+		b.queue.push(m)
+	} else {
+		b.deliverFaultLocked(m, hold, reorder)
+	}
+	b.arrivals.Add(1)
+	b.unparkLocked()
+	b.mu.Unlock()
+	b.cond.Broadcast()
+}
+
+// unparkLocked takes the rank parked on b, if any, off its session's count.
+func (b *mailbox) unparkLocked() {
+	if s := b.parker; s != nil {
+		b.parker = nil
+		s.unpark()
+	}
 }
 
 // takeMatchLocked removes and returns the oldest queued message matching
@@ -299,15 +333,18 @@ type Config struct {
 	// RecvTimeout bounds every blocking Recv of the session: a receive
 	// still waiting when it passes fails the session with FaultTimeout. Zero
 	// means 10 seconds on sessions with a fault plan or a remote transport
-	// and no deadline on plain inproc sessions, where only a deadlocked
-	// kernel (not a failed rank, which aborts its peers) can block forever.
+	// and no deadline on plain inproc sessions. An inproc session needs
+	// none: a failed rank aborts its peers, and a kernel that deadlocks by
+	// itself fails with FaultDeadlock as soon as every live rank is parked in
+	// a receive. The deadline is for what one process cannot see — a tcp
+	// peer, or a rank blocked outside comm while the others wait on it.
 	RecvTimeout time.Duration
 	// Jitter injects seeded scheduling pressure at Send/Recv/collective
 	// entry (sched.go). It perturbs goroutine interleavings only — results
 	// and traffic matrices must be identical to a jitter-free run — and sets
-	// no deadline; stress runs pair it with RecvTimeout so a
-	// schedule-dependent deadlock surfaces as a typed FaultTimeout instead
-	// of a hang.
+	// no deadline; a schedule-dependent deadlock surfaces as a typed
+	// FaultDeadlock on inproc, and stress runs pair jitter with RecvTimeout
+	// for the transports where only a deadline can see one.
 	Jitter *SchedJitter
 }
 
@@ -335,11 +372,11 @@ func (cfg Config) recvTimeout(remote bool) time.Duration {
 }
 
 // RunConfig is the fully configurable session entry point. Any rank failure
-// — planned crash, exhausted retransmits, receive deadline, wire failure,
-// user error, or panic — aborts the whole session: peers blocked in Recv
-// wake promptly and report a *FaultError instead of hanging, matching MPI's
-// abort-the-job default but with a typed in-process error. The session's
-// error is the root cause, not a peer's echo of it.
+// — planned crash, exhausted retransmits, receive deadline, deadlock, wire
+// failure, user error, or panic — aborts the whole session: peers blocked in
+// Recv wake promptly and report a *FaultError instead of hanging, matching
+// MPI's abort-the-job default but with a typed in-process error. The
+// session's error is the root cause, not a peer's echo of it.
 func RunConfig(size int, cfg Config, fn func(c *Comm) error) (*Stats, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("comm: size must be positive, got %d", size)
@@ -360,7 +397,6 @@ func RunConfig(size int, cfg Config, fn func(c *Comm) error) (*Stats, error) {
 		size:   size,
 		owner:  owner,
 		reg:    reg,
-		sess:   newSession(),
 		stats:  newStats(size),
 		plan:   cfg.Faults,
 		fs:     fs,
@@ -387,6 +423,7 @@ func RunConfig(size int, cfg Config, fn func(c *Comm) error) (*Stats, error) {
 		return nil, fmt.Errorf("comm: unknown transport %q", name)
 	}
 	remote := trs[0].Remote()
+	f.sess = newSession(size, !remote)
 	f.recvTimeout = cfg.recvTimeout(remote)
 	errs := make([]error, size)
 	var wg sync.WaitGroup
@@ -420,6 +457,9 @@ const worldCtx uint64 = 0
 
 // runRank runs one rank's body. A panic becomes the rank's error — its own
 // *FaultError, or a "rank panicked" error — and any error aborts the peers.
+// Then the rank leaves the session; if every rank still live is parked, none
+// of them can ever be sent a message, and the leaving rank fails the session
+// with FaultDeadlock on their behalf.
 func runRank(c *Comm, fn func(c *Comm) error) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -431,6 +471,12 @@ func runRank(c *Comm, fn func(c *Comm) error) (err error) {
 		}
 		if err != nil {
 			c.f.abortPeers(c.rank, err)
+		}
+		c.box.mu.Lock()
+		c.box.left = true
+		c.box.mu.Unlock()
+		if c.f.sess.leave() {
+			c.f.fs.fail(c.f.deadlock(c.rank, AnySource, AnyTag))
 		}
 	}()
 	return fn(c)
@@ -551,10 +597,7 @@ func (c *Comm) sendTyped(dst, tag, n int, data []float64, idx []int) {
 		buf = box.takeBufLocked(n)
 		packFloats(buf, data, idx)
 	}
-	box.queue.push(Message{Src: c.rank, Tag: tag, f64: buf})
-	box.arrivals.Add(1)
-	box.mu.Unlock()
-	box.cond.Broadcast()
+	box.post(Message{Src: c.rank, Tag: tag, f64: buf}, 0, 0)
 }
 
 // packFloats fills buf from data[idx[k]], or from the front of data when idx
@@ -754,8 +797,10 @@ func trySpin() bool {
 // It spins, then parks; before each park it releases logically delayed
 // messages (fault plans only), panics FaultPeerFailed if the session has
 // failed, and fails the session with FaultTimeout once its receive deadline
-// has passed. fail wakes every parked receiver, and the deadline timer wakes
-// this one, so a park never outlives the session or its deadline.
+// has passed. A park that leaves every live rank of an in-process session
+// parked fails it with FaultDeadlock instead of sleeping. fail wakes every
+// parked receiver, and the deadline timer wakes this one, so a park never
+// outlives the session or its deadline.
 func (c *Comm) waitMsg(src, tag int) (m Message, how waitHow) {
 	box, ok := c.box, false
 	now := clock()
@@ -808,9 +853,21 @@ func (c *Comm) waitMsg(src, tag int) (m Message, how waitHow) {
 			}
 		}
 		how = waitPark
+		// A rank woken by a delivery was un-parked by it and parks anew; one
+		// woken by the deadline timer or the failure latch is still parked.
+		if box.parker == nil {
+			box.parker, box.waitSrc, box.waitTag = c.f.sess, src, tag
+			if c.f.sess.park() {
+				box.mu.Unlock() // deadlock reads every mailbox, this one too
+				fe := c.f.deadlock(c.rank, src, tag)
+				box.mu.Lock()
+				c.abortRecv(fe, true)
+			}
+		}
 		box.cond.Wait()
 		m, ok = box.takeMatchLocked(src, tag, c.f.stats)
 	}
+	box.unparkLocked()
 	if deadline != 0 {
 		c.deadline.Stop()
 	}
@@ -828,10 +885,11 @@ func (c *Comm) armDeadline(d time.Duration) {
 	}
 }
 
-// abortRecv unwinds a waiting receive with fe: it drops the mailbox lock
-// (fail takes every mailbox's lock to wake it), disarms the deadline timer,
-// fails the session with fe if latch is set, and panics.
+// abortRecv unwinds a waiting receive with fe: it un-parks the rank, drops
+// the mailbox lock (fail takes every mailbox's lock to wake it), disarms the
+// deadline timer, fails the session with fe if latch is set, and panics.
 func (c *Comm) abortRecv(fe *FaultError, latch bool) {
+	c.box.unparkLocked()
 	c.box.mu.Unlock()
 	if c.deadline != nil {
 		c.deadline.Stop()

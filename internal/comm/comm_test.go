@@ -282,7 +282,6 @@ func TestRecvTagSelectivity(t *testing.T) {
 			c.Send(1, tagSelLo, []int{tagSelLo})
 			return nil
 		}
-		//lint:allow p2pmatch Tag-selective drain over a fixed three-tag list; rank 0 sends each tag exactly once above
 		for _, tag := range []int{tagSelLo, tagSelMid, tagSelHi} {
 			got := c.Recv(0, tag).([]int)
 			if got[0] != tag {
@@ -304,7 +303,6 @@ func TestRecvAnySourceAnyTag(t *testing.T) {
 		}
 		seen := map[int]bool{}
 		for i := 0; i < 3; i++ {
-			//lint:allow p2pmatch Deliberate: wildcard matching is the subject; comm's own fuzz suite checks it
 			m := c.RecvMsg(AnySource, AnyTag)
 			v := m.Payload.([]int)[0]
 			if v != m.Src || m.Tag != 100+m.Src {
@@ -330,7 +328,6 @@ func TestProbe(t *testing.T) {
 		}
 		// Wait for the message to arrive, then probe.
 		got := c.RecvMsg(0, tagProbe)
-		//lint:allow p2pmatch Deliberate: Probe emptiness after the drain is the assertion; the preceding RecvMsg completed the match
 		if c.Probe(0, tagProbe) {
 			return errors.New("Probe true after queue drained")
 		}
@@ -358,7 +355,6 @@ func TestSendRecvExchange(t *testing.T) {
 
 func TestSendInvalidRankPanics(t *testing.T) {
 	err := Run(1, func(c *Comm) error {
-		//lint:allow p2pmatch Deliberate: the out-of-range Send panic is the behavior under test
 		c.Send(5, tagData, []int{1})
 		return nil
 	})

@@ -2,6 +2,7 @@ package comm
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -26,12 +27,12 @@ import (
 // Failure semantics follow MPI's default "abort the job" model on every
 // session, but with a typed error instead of a process kill: the first fault
 // that cannot be masked (a crashed rank, an exhausted retransmit budget, an
-// expired receive deadline, a rank's error or panic) marks the whole session
-// failed and wakes every blocked receiver, which then raises a *FaultError
-// of kind FaultPeerFailed. Kernels running under a plan therefore either
-// complete with results bitwise-identical to the fault-free run, or every
-// rank returns promptly with a FaultError — never a hang and never a silent
-// wrong answer.
+// expired receive deadline, a deadlock, a rank's error or panic) marks the
+// whole session failed and wakes every blocked receiver, which then raises a
+// *FaultError of kind FaultPeerFailed. Kernels running under a plan
+// therefore either complete with results bitwise-identical to the fault-free
+// run, or every rank returns promptly with a FaultError — never a hang and
+// never a silent wrong answer.
 
 // FaultKind classifies an injected failure.
 type FaultKind int
@@ -54,6 +55,12 @@ const (
 	// *TransportError, letting callers distinguish a real connection failure
 	// from an injected fault with the same errors.As call.
 	FaultTransport
+	// FaultDeadlock is raised when every live rank of an in-process session
+	// is parked in a receive, so no rank is left to send: Rank is the rank
+	// whose park (or return) completed the cycle, Peer and Tag what it waits
+	// for (-1 for a rank that returned), and the message names every parked
+	// rank's communicator, source and tag and every rank that has returned.
+	FaultDeadlock
 )
 
 func (k FaultKind) String() string {
@@ -68,6 +75,8 @@ func (k FaultKind) String() string {
 		return "peer-failed"
 	case FaultTransport:
 		return "transport"
+	case FaultDeadlock:
+		return "deadlock"
 	}
 	return fmt.Sprintf("FaultKind(%d)", int(k))
 }
@@ -87,6 +96,9 @@ type FaultError struct {
 	Seed  int64
 	Cause *FaultError
 	Wire  *TransportError
+
+	// waits is a deadlock's description of the parked and returned ranks.
+	waits string
 }
 
 func (e *FaultError) Error() string {
@@ -107,6 +119,9 @@ func (e *FaultError) Error() string {
 			return fmt.Sprintf("comm: rank %d transport failure: %v", e.Rank, e.Wire)
 		}
 		return fmt.Sprintf("comm: rank %d transport failure (peer %d)", e.Rank, e.Peer)
+	case FaultDeadlock:
+		return fmt.Sprintf("comm: fault(seed %d): deadlock at rank %d, every live rank waits on a message nobody can send: %s",
+			e.Seed, e.Rank, e.waits)
 	}
 	return fmt.Sprintf("comm: fault(seed %d): rank %d: %v", e.Seed, e.Rank, e.Kind)
 }
@@ -375,6 +390,46 @@ func (fs *failState) failWith(e *FaultError, local bool) {
 	}
 }
 
+// deadlock builds the FaultDeadlock of a session whose last live rank not
+// parked (rank, waiting for src and tag, or returning) has just stopped. No
+// rank can move then, so the mailboxes it reads hold still.
+func (f *fabric) deadlock(rank, src, tag int) *FaultError {
+	boxes := f.reg.all()
+	sort.Slice(boxes, func(i, j int) bool {
+		a, b := boxes[i].key, boxes[j].key
+		return a.ctx < b.ctx || a.ctx == b.ctx && a.rank < b.rank
+	})
+	var waits, left []string
+	for _, b := range boxes {
+		b.mu.Lock()
+		if b.parker != nil {
+			comm := "world"
+			if b.key.ctx != worldCtx {
+				comm = fmt.Sprintf("%#x", b.key.ctx)
+			}
+			waits = append(waits, fmt.Sprintf("rank %d of comm %s waits for src %s (tag %s)",
+				b.key.rank, comm, anyOr(b.waitSrc), anyOr(b.waitTag)))
+		}
+		if b.left {
+			left = append(left, strconv.Itoa(b.key.rank))
+		}
+		b.mu.Unlock()
+	}
+	desc := strings.Join(waits, "; ")
+	if len(left) > 0 {
+		desc += "; returned: rank " + strings.Join(left, ", ")
+	}
+	return &FaultError{Kind: FaultDeadlock, Rank: rank, Peer: src, Tag: tag, Seed: f.seed(), waits: desc}
+}
+
+// anyOr renders a receive's source or tag, "any" for the wildcard.
+func anyOr(v int) string {
+	if v < 0 {
+		return "any"
+	}
+	return strconv.Itoa(v)
+}
+
 // ---- faulty send / recv paths -----------------------------------------
 
 // heldMsg is a logically delayed message: hold counts how many further
@@ -430,9 +485,10 @@ func (c *Comm) faultySend(dst, tag int, data any) {
 	if chance(p.ReorderProb, p.roll(rollReorder, c.rank, dst, tag, seq, 0)) {
 		fr.Reorder = p.roll(rollReorder, c.rank, dst, tag, seq, 1)
 		// Reordered tallies the roll, not the eventual splice: whether
-		// deliverFault actually inserts before an existing entry depends on
-		// queue occupancy at delivery time, which is schedule-dependent,
-		// and FaultCounts must stay reproducible from the seed alone.
+		// deliverFaultLocked actually inserts before an existing entry
+		// depends on queue occupancy at delivery time, which is
+		// schedule-dependent, and FaultCounts must stay reproducible from the
+		// seed alone.
 		c.f.stats.addFault(func(fc *FaultCounts) { fc.Reordered++ })
 	}
 	wireDst := c.f.owner[dst]
@@ -448,8 +504,8 @@ func (c *Comm) faultySend(dst, tag int, data any) {
 	}
 }
 
-// deliverFault enqueues under the fault regime: delayed messages age by one
-// on every later delivery, reordered messages splice into the queue at a
+// deliverFaultLocked enqueues under the fault regime: delayed messages age by
+// one on every later delivery, reordered messages splice into the queue at a
 // seed-derived position instead of the tail.
 //
 // One invariant is sacred: MPI's non-overtaking guarantee. Messages from
@@ -459,8 +515,7 @@ func (c *Comm) faultySend(dst, tag int, data any) {
 // and loss: a reordered message never jumps ahead of an earlier message
 // from its own source, and an immediate delivery first releases any held
 // messages from the same source.
-func (b *mailbox) deliverFault(m Message, hold int, reorder uint64) {
-	b.mu.Lock()
+func (b *mailbox) deliverFaultLocked(m Message, hold int, reorder uint64) {
 	b.tickDelayedLocked()
 	switch {
 	case hold > 0:
@@ -480,9 +535,6 @@ func (b *mailbox) deliverFault(m Message, hold int, reorder uint64) {
 			b.queue.push(m)
 		}
 	}
-	b.arrivals.Add(1)
-	b.mu.Unlock()
-	b.cond.Broadcast()
 }
 
 // tickDelayedLocked ages every held message by one delivery and releases the

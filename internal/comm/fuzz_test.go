@@ -72,7 +72,6 @@ func FuzzRecvMatching(f *testing.F) {
 				return nil
 			}
 			switch mode % 3 {
-			//lint:allow p2pmatch Fuzz-sized drain loop; the corpus sends exactly the messages the drain receives
 			case 0: // full wildcard drain
 				for i := 0; i < total; i++ {
 					if err := check(c.RecvMsg(AnySource, AnyTag), AnySource, AnyTag); err != nil {
@@ -156,7 +155,6 @@ func FuzzRecvMatchingUnderFaults(f *testing.F) {
 				return nil
 			}
 			lastK := map[int]int{1: -1, 2: -1}
-			//lint:allow p2pmatch Fuzz-sized drain; per-source ordering is the property under test and the counts match by construction
 			for i := 0; i < perSrc*(P-1); i++ {
 				p := c.RecvMsg(AnySource, tag).Payload.([]int)
 				if p[1] != lastK[p[0]]+1 {

@@ -7,7 +7,6 @@ package comm_test
 // schedule-dependent deadlocks into typed errors).
 
 import (
-	"errors"
 	"testing"
 	"time"
 
@@ -71,35 +70,44 @@ func TestSchedJitterPreservesResults(t *testing.T) {
 // on a message nobody sends fails with a typed FaultTimeout — scheduling
 // pressure must not starve the deadline timer or mask the deadline. This is
 // the mechanism the stress harness uses to convert schedule-dependent
-// deadlocks into replayable typed failures. How soon it fails is a
-// wall-clock bound, TestSchedJitterRecvTimeoutPromptly (timing tag).
+// deadlocks that one process cannot see (tcp, a rank outside comm) into
+// replayable typed failures. How soon it fails is a wall-clock bound,
+// TestSchedJitterRecvTimeoutPromptly (timing tag). With both ranks parked,
+// an inproc session fails with FaultDeadlock instead, under jitter too.
 func TestSchedJitterRecvTimeout(t *testing.T) {
 	runJitterRecvTimeout(t)
-}
-
-// runJitterRecvTimeout runs the jittered session whose ranks wait on a
-// message nobody sends, checks that it failed typed, and returns how long
-// it took.
-func runJitterRecvTimeout(t *testing.T) time.Duration {
-	t.Helper()
-	start := time.Now()
-	_, err := comm.RunConfig(2, comm.Config{
+	_, fe := watchdogRun(t, 2, comm.Config{
+		Transport:   "inproc",
 		RecvTimeout: 300 * time.Millisecond,
 		Jitter:      stressJitter(99),
 	}, func(c *comm.Comm) error {
-		//lint:allow p2pmatch Deliberate: tagNever is never sent, and the recv watchdog timeout is the behavior under test
-		c.Recv(1-c.Rank(), tagNever) // never sent: the watchdog must fire
+		c.Recv(1-c.Rank(), tagNever)
 		return nil
 	})
-	elapsed := time.Since(start)
-	var fe *comm.FaultError
-	if !errors.As(err, &fe) {
-		t.Fatalf("err = %v, want *FaultError", err)
-	}
-	if fe.Kind != comm.FaultTimeout && fe.Kind != comm.FaultPeerFailed {
-		t.Fatalf("fault kind = %v, want timeout (or propagated peer failure)", fe.Kind)
-	}
-	return elapsed
+	wantKind(t, "both ranks parked", fe, comm.FaultDeadlock)
+}
+
+// runJitterRecvTimeout runs the jittered session whose rank 0 waits on a
+// message rank 1 never sends, rank 1 staying outside comm until then; it
+// checks that the deadline failed the session typed and returns how long it
+// took.
+func runJitterRecvTimeout(t *testing.T) time.Duration {
+	t.Helper()
+	start := time.Now()
+	out := newOutsideComm()
+	_, fe := watchdogRun(t, 2, comm.Config{
+		RecvTimeout: 300 * time.Millisecond,
+		Jitter:      stressJitter(99),
+	}, func(c *comm.Comm) error {
+		if c.Rank() == 1 {
+			out.wait()
+		} else {
+			out.recv(c, 1, tagNever) // never sent: the watchdog must fire
+		}
+		return nil
+	})
+	wantKind(t, "rank 1 outside comm", fe, comm.FaultTimeout)
+	return time.Since(start)
 }
 
 // TestSchedJitterUnderFaultPlan layers jitter on a perturbing fault plan:

@@ -46,7 +46,6 @@ func TestSplitTCPAtP8(t *testing.T) {
 				wantSum += r
 			}
 		}
-		//lint:allow p2pmatch Subgroup collective on the Split communicator; split-over-TCP semantics are this test's subject
 		if got := comm.AllreduceScalar(sub, c.Rank(), comm.OpSum); got != wantSum {
 			return fmt.Errorf("rank %d: subgroup sum %d, want %d", c.Rank(), got, wantSum)
 		}

@@ -18,7 +18,6 @@ func TestSplitEvenOdd(t *testing.T) {
 			return fmt.Errorf("old rank %d: sub rank %d want %d", c.Rank(), sub.Rank(), want)
 		}
 		// Independent collectives per subgroup: sum of old ranks.
-		//lint:allow p2pmatch Subgroup collective on the Split communicator; split semantics are this test's subject
 		sum := AllreduceScalar(sub, c.Rank(), OpSum)
 		want := 0 + 2 + 4
 		if c.Rank()%2 == 1 {
@@ -69,7 +68,6 @@ func TestSplitOptOut(t *testing.T) {
 		if sub == nil || sub.Size() != 4 {
 			return fmt.Errorf("subcomm wrong: %v", sub)
 		}
-		//lint:allow p2pmatch Subgroup collective on the Split communicator; split semantics are this test's subject
 		if got := AllreduceScalar(sub, 1, OpSum); got != 4 {
 			return fmt.Errorf("subgroup size via allreduce: %d", got)
 		}
@@ -87,7 +85,6 @@ func TestSplitSingletons(t *testing.T) {
 			return fmt.Errorf("singleton: size %d rank %d", sub.Size(), sub.Rank())
 		}
 		// Collectives on a singleton are trivially correct.
-		//lint:allow p2pmatch Subgroup collective on a singleton Split communicator; split semantics are this test's subject
 		if got := AllreduceScalar(sub, 42, OpSum); got != 42 {
 			return fmt.Errorf("singleton allreduce %d", got)
 		}
@@ -133,7 +130,6 @@ func TestSplitSparseColors(t *testing.T) {
 			return fmt.Errorf("rank %d color %d: sub %v, want size %d", c.Rank(), color, sub, wantSize)
 		}
 		// Subgroup-local collective sums old ranks of the group only.
-		//lint:allow p2pmatch Subgroup collective on the Split communicator; split semantics are this test's subject
 		got := AllreduceScalar(sub, c.Rank(), OpSum)
 		want := 0 + 1 + 2
 		if color == 7 {
@@ -157,7 +153,6 @@ func TestSplitSingleRankCollectives(t *testing.T) {
 		if sub.Size() != 1 || sub.Rank() != 0 {
 			return fmt.Errorf("singleton: size %d rank %d", sub.Size(), sub.Rank())
 		}
-		//lint:allow p2pmatch Subgroup barrier on a singleton Split communicator; split semantics are this test's subject
 		sub.Barrier()
 		buf := []float64{float64(c.Rank())}
 		Bcast(sub, 0, buf)
@@ -186,7 +181,6 @@ func TestSplitStatsAttribution(t *testing.T) {
 		AllreduceScalar(c, 1, OpSum)
 		sub := c.Split(c.Rank()/2, 0)
 		if c.Rank()%2 == 0 {
-			//lint:allow p2pmatch Pairwise traffic inside each Split pair; subgroup renumbering is the subject and the pairing is total
 			sub.Send(1, tagData, make([]float64, 100))
 		} else {
 			sub.Recv(0, tagData)
@@ -221,7 +215,6 @@ func TestSplitTrafficIsolated(t *testing.T) {
 		}
 		c.Barrier()
 		// Heavy subgroup traffic.
-		//lint:allow p2pmatch Subgroup master-worker exchange after Split; every subgroup rank participates in the pairing
 		if sub.Rank() == 0 {
 			sub.Send(1, tagData, make([]float64, 1000))
 		} else {

@@ -1,10 +1,12 @@
 package stresstest
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
+	"odinhpc/internal/comm"
 	"odinhpc/internal/comm/chaostest"
 )
 
@@ -94,10 +96,11 @@ func TestRunPointTCP(t *testing.T) {
 }
 
 // TestBuggyKernelCaughtAndMinimized is the harness's reason to exist: the
-// permuted-collectives kernel deadlocks at P>=2, the armed RecvTimeout
-// converts the deadlock into a failure, and Minimize shrinks the failing point
-// to the smallest reproducing configuration (P=2, one worker, one processor,
-// no fault plan) with a replayable fingerprint.
+// permuted-collectives kernel deadlocks at P>=2, comm's deadlock detector
+// fails the session with a typed FaultDeadlock the moment the last rank parks
+// (the armed RecvTimeout is never reached on inproc), and Minimize shrinks the
+// failing point to the smallest reproducing configuration (P=2, one worker,
+// one processor, no fault plan) with a replayable fingerprint.
 func TestBuggyKernelCaughtAndMinimized(t *testing.T) {
 	k := mustFind(t, "permuted-collectives")
 	if !k.Buggy {
@@ -114,6 +117,7 @@ func TestBuggyKernelCaughtAndMinimized(t *testing.T) {
 	if out.Err == nil {
 		t.Fatalf("%s: buggy kernel passed", p.Fingerprint())
 	}
+	wantDeadlock(t, p.Fingerprint(), out.Err)
 	min := chaostest.Minimize(g, p, k, t.Logf)
 	if min.Ranks != 2 || min.Pool != 1 || min.Procs != 1 || min.Plan != chaostest.PlanNone {
 		t.Fatalf("minimized to %s, want P=2 W=1 G=1 plan=none", min.Fingerprint())
@@ -123,8 +127,20 @@ func TestBuggyKernelCaughtAndMinimized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out := chaostest.RunPoint(g, rp, k); out.Err == nil {
+	out = chaostest.RunPoint(g, rp, k)
+	if out.Err == nil {
 		t.Fatalf("replayed %s did not reproduce", min.Fingerprint())
+	}
+	wantDeadlock(t, min.Fingerprint(), out.Err)
+}
+
+// wantDeadlock fails unless err carries a *comm.FaultError of kind
+// FaultDeadlock.
+func wantDeadlock(t *testing.T, point string, err error) {
+	t.Helper()
+	var fe *comm.FaultError
+	if !errors.As(err, &fe) || fe.Kind != comm.FaultDeadlock {
+		t.Fatalf("%s: err = %v, want a FaultDeadlock", point, err)
 	}
 }
 

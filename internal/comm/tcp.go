@@ -488,7 +488,7 @@ func RunRemote(env RemoteEnv, cfg Config, fn func(c *Comm) error) (*Stats, error
 		size:        env.Size,
 		owner:       owner,
 		reg:         reg,
-		sess:        newSession(),
+		sess:        newSession(1, false),
 		stats:       newStats(env.Size),
 		plan:        cfg.Faults,
 		fs:          fs,

@@ -22,7 +22,6 @@ func TestTCPTornConnectionFailsTyped(t *testing.T) {
 			if c.Rank() == 0 {
 				c.tr.(*tcpEndpoint).conns[1].nc.Close() // sever the wire
 			}
-			//lint:allow p2pmatch Deliberate: the wire is severed so the Recv can never match; the torn-connection error path is the subject
 			c.Recv(1-c.Rank(), tagTornProbe) // can now never be satisfied
 			return nil
 		})

@@ -1,6 +1,9 @@
 package comm
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // This file defines the transport boundary of the comm fabric. Everything
 // above it — collectives, fault injection, Stats, tracing, Split — is
@@ -82,7 +85,7 @@ func (r *registry) box(ctx uint64, rank int) *mailbox {
 	r.mu.Lock()
 	b := r.boxes[k]
 	if b == nil {
-		b = newMailbox()
+		b = newMailbox(k)
 		r.boxes[k] = b
 	}
 	r.mu.Unlock()
@@ -102,17 +105,43 @@ func (r *registry) all() []*mailbox {
 }
 
 // session is the per-process bookkeeping shared by a world communicator and
-// every sub-communicator split from it: the fabric cache keyed by context id.
-// Caching matters on the in-process transports, where all member ranks of a
-// Split must share one fabric (and therefore one Stats object) — the first
-// member to construct the sub-fabric wins and the rest adopt it.
+// every sub-communicator split from it: the fabric cache keyed by context id,
+// and the deadlock detector's counts. Caching matters on the in-process
+// transports, where all member ranks of a Split must share one fabric (and
+// therefore one Stats object) — the first member to construct the sub-fabric
+// wins and the rest adopt it.
+//
+// ranks packs the detector's two counts into one word, so every transition
+// sees both at once: the live ranks (whose body has not returned) in the high
+// 32 bits, the ranks parked in waitMsg's cond.Wait in the low 32. detect is
+// set on in-process sessions, where every rank that can send is counted.
 type session struct {
 	mu      sync.Mutex
 	fabrics map[uint64]*fabric
+	ranks   atomic.Uint64
+	detect  bool
 }
 
-func newSession() *session {
-	return &session{fabrics: make(map[uint64]*fabric)}
+// oneLive is one live rank in session.ranks; one parked rank is 1.
+const oneLive = 1 << 32
+
+func newSession(live int, detect bool) *session {
+	s := &session{fabrics: make(map[uint64]*fabric), detect: detect}
+	s.ranks.Store(uint64(live) * oneLive)
+	return s
+}
+
+// park counts a rank as parked; leave counts one out once its body has
+// returned. Each reports whether its transition left every live rank parked:
+// on an in-process session no rank is then left to send, and the session is
+// deadlocked. unpark is post's: a delivery to a parked rank's mailbox.
+func (s *session) park() bool  { return s.quiescent(s.ranks.Add(1)) }
+func (s *session) leave() bool { return s.quiescent(s.ranks.Add(^uint64(oneLive - 1))) }
+func (s *session) unpark()     { s.ranks.Add(^uint64(0)) }
+
+func (s *session) quiescent(n uint64) bool {
+	parked := n % oneLive
+	return s.detect && parked > 0 && parked == n/oneLive
 }
 
 // fabricFor returns the cached fabric for ctx, building it with mk on first
@@ -156,18 +185,10 @@ func (t *inprocTransport) Deliver(wireDst int, fr Frame) {
 	t.boxes[fr.Dst].deliver(fr)
 }
 
-// deliver lands one frame in the mailbox. Frames without fault-layer
-// metadata (Seq == 0) take the original fast path: append and wake. Framed
-// fault metadata routes through deliverFault, which applies the sender's
-// seeded hold/reorder decisions while preserving per-source order.
+// deliver lands one frame in the mailbox. Fault-layer metadata (Seq != 0)
+// carries the sender's seeded hold/reorder decisions, which post applies
+// while preserving per-source order.
 func (b *mailbox) deliver(fr Frame) {
-	if fr.Seq == 0 {
-		b.mu.Lock()
-		b.queue.push(Message{Src: fr.Src, Tag: fr.Tag, Payload: fr.Payload})
-		b.arrivals.Add(1)
-		b.mu.Unlock()
-		b.cond.Broadcast()
-		return
-	}
-	b.deliverFault(Message{Src: fr.Src, Tag: fr.Tag, Payload: fr.Payload, seq: fr.Seq}, fr.Hold, fr.Reorder)
+	b.mu.Lock()
+	b.post(Message{Src: fr.Src, Tag: fr.Tag, Payload: fr.Payload, seq: fr.Seq}, fr.Hold, fr.Reorder)
 }

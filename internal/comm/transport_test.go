@@ -8,6 +8,8 @@ package comm_test
 
 import (
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -26,75 +28,139 @@ const (
 // TestConfigRecvTimeoutWatchdog is the regression test for the plan-free
 // watchdog: comm.Config.RecvTimeout alone — no FaultPlan — must arm the
 // guarded Recv path, and a Recv that outlives the tightened bound must
-// surface a typed FaultTimeout on every transport rather than hang.
+// surface a typed FaultTimeout on every transport rather than hang. On tcp
+// every rank waits; inproc sees that as a deadlock at once, so there rank 0
+// stays outside comm until the deadline has fired, and the all-parked
+// session must fail with FaultDeadlock instead.
 func TestConfigRecvTimeoutWatchdog(t *testing.T) {
-	for _, transport := range []string{"inproc", "tcp"} {
-		for _, size := range []int{1, 2, 4} {
-			done := make(chan error, 1)
-			go func() {
-				_, err := comm.RunConfig(size, comm.Config{Transport: transport, RecvTimeout: 300 * time.Millisecond},
-					func(c *comm.Comm) error {
-						//lint:allow p2pmatch Deliberate: tagUnsent is never sent, and the recv timeout surfacing a typed error is the assertion
-						c.Recv(comm.AnySource, tagUnsent)
-						return nil
-					})
-				done <- err
-			}()
-			select {
-			case err := <-done:
-				var fe *comm.FaultError
-				if !errors.As(err, &fe) {
-					t.Fatalf("%s P=%d: err = %v, want FaultError", transport, size, err)
+	for _, size := range []int{1, 2, 4} {
+		cfg := comm.Config{Transport: "tcp", RecvTimeout: 300 * time.Millisecond}
+		_, fe := watchdogRun(t, size, cfg, func(c *comm.Comm) error {
+			c.Recv(comm.AnySource, tagUnsent)
+			return nil
+		})
+		wantKind(t, fmt.Sprintf("tcp P=%d", size), fe, comm.FaultTimeout)
+
+		cfg.Transport = "inproc"
+		if size > 1 {
+			out := newOutsideComm()
+			_, fe = watchdogRun(t, size, cfg, func(c *comm.Comm) error {
+				if c.Rank() == 0 {
+					out.wait()
+				} else {
+					out.recv(c, comm.AnySource, tagUnsent)
 				}
-				if fe.Kind != comm.FaultTimeout {
-					t.Fatalf("%s P=%d: fault kind = %v, want timeout", transport, size, fe.Kind)
-				}
-			case <-time.After(chaostest.Watchdog):
-				t.Fatalf("%s P=%d: Config.RecvTimeout did not arm the watchdog — Recv hung", transport, size)
-			}
+				return nil
+			})
+			wantKind(t, fmt.Sprintf("inproc P=%d, rank 0 outside comm", size), fe, comm.FaultTimeout)
 		}
+		_, fe = watchdogRun(t, size, cfg, func(c *comm.Comm) error {
+			c.Recv(comm.AnySource, tagUnsent)
+			return nil
+		})
+		wantKind(t, fmt.Sprintf("inproc P=%d, all parked", size), fe, comm.FaultDeadlock)
 	}
 }
 
 // TestConfigRecvTimeoutWakesPeers checks the propagation half without a
 // fault plan: the first expiry must wake every peer blocked on the stuck
 // rank, each with a typed error, and the recorded timeout must be counted.
+// The stuck rank stays outside comm, so the deadline fires and not the
+// deadlock detector; once it parks too, an inproc session is deadlocked.
 func TestConfigRecvTimeoutWakesPeers(t *testing.T) {
 	const size = 4
+	out := newOutsideComm()
+	stats, fe := watchdogRun(t, size, comm.Config{RecvTimeout: 300 * time.Millisecond},
+		func(c *comm.Comm) error {
+			if c.Rank() == size-1 {
+				out.wait()
+			} else {
+				out.recv(c, size-1, tagAwaited) // blocked on the stuck rank: must be woken
+			}
+			return nil
+		})
+	wantKind(t, "stuck rank outside comm", fe, comm.FaultTimeout)
+	if stats.Faults.Timeouts < 1 {
+		t.Fatalf("Timeouts counter = %d, want >= 1", stats.Faults.Timeouts)
+	}
+
+	_, fe = watchdogRun(t, size, comm.Config{Transport: "inproc", RecvTimeout: 300 * time.Millisecond},
+		func(c *comm.Comm) error {
+			if c.Rank() == size-1 {
+				c.Recv(comm.AnySource, tagUnsent) // never sent
+			} else {
+				c.Recv(size-1, tagAwaited)
+			}
+			return nil
+		})
+	wantKind(t, "stuck rank parked", fe, comm.FaultDeadlock)
+}
+
+// runWatched runs body on size ranks under cfg and returns the session's
+// stats and error, or a hang error once the chaostest watchdog passes.
+func runWatched(size int, cfg comm.Config, body func(c *comm.Comm) error) (comm.StatsSnapshot, error) {
 	type outcome struct {
 		stats comm.StatsSnapshot
 		err   error
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		stats, err := comm.RunConfig(size, comm.Config{RecvTimeout: 300 * time.Millisecond},
-			func(c *comm.Comm) error {
-				if c.Rank() == size-1 {
-					//lint:allow p2pmatch Deliberate: the unmatched receives provoke the watchdog and abort latch; never-hang is the assertion
-					c.Recv(comm.AnySource, tagUnsent) // never sent: watchdog fires here
-				} else {
-					c.Recv(size-1, tagAwaited) // blocked on the stuck rank: must be woken
-				}
-				return nil
-			})
+		stats, err := comm.RunConfig(size, cfg, body)
 		done <- outcome{stats: stats.Snapshot(), err: err}
 	}()
 	select {
 	case out := <-done:
-		var fe *comm.FaultError
-		if !errors.As(out.err, &fe) {
-			t.Fatalf("err = %v, want FaultError", out.err)
-		}
-		if fe.Kind != comm.FaultTimeout {
-			t.Fatalf("root fault kind = %v, want timeout", fe.Kind)
-		}
-		if out.stats.Faults.Timeouts < 1 {
-			t.Fatalf("Timeouts counter = %d, want >= 1", out.stats.Faults.Timeouts)
-		}
+		return out.stats, out.err
 	case <-time.After(chaostest.Watchdog):
-		t.Fatal("watchdog expiry stranded the peers instead of aborting the session")
+		return comm.StatsSnapshot{}, fmt.Errorf("HANG: no completion within %v", chaostest.Watchdog)
 	}
 }
+
+// watchdogRun is runWatched for a session that must fail typed: an error
+// that is not a *FaultError, a hang included, fails the test.
+func watchdogRun(t *testing.T, size int, cfg comm.Config, body func(c *comm.Comm) error) (comm.StatsSnapshot, *comm.FaultError) {
+	t.Helper()
+	stats, err := runWatched(size, cfg, body)
+	var fe *comm.FaultError
+	if !errors.As(err, &fe) {
+		t.Fatalf("P=%d: err = %v, want FaultError", size, err)
+	}
+	return stats, fe
+}
+
+// wantKind fails the test unless fe is of kind want.
+func wantKind(t *testing.T, what string, fe *comm.FaultError, want comm.FaultKind) {
+	t.Helper()
+	if fe.Kind != want {
+		t.Fatalf("%s: fault kind = %v (%v), want %v", what, fe.Kind, fe, want)
+	}
+}
+
+// outsideComm sets up the deadline case of the watchdog tests. One rank
+// stays out of comm — neither parked nor sending — until a peer's receive
+// has unwound with the session's fault, so the receive deadline ends the
+// session, not the deadlock detector, which counts that rank as live and
+// not parked. The peers receive through recv.
+type outsideComm struct {
+	once    sync.Once
+	aborted chan struct{}
+}
+
+func newOutsideComm() *outsideComm { return &outsideComm{aborted: make(chan struct{})} }
+
+// recv is c.Recv that releases the outside rank when the receive unwinds.
+func (o *outsideComm) recv(c *comm.Comm, src, tag int) {
+	defer func() {
+		if p := recover(); p != nil {
+			o.once.Do(func() { close(o.aborted) })
+			panic(p)
+		}
+	}()
+	c.Recv(src, tag)
+}
+
+// wait is the outside rank's body.
+func (o *outsideComm) wait() { <-o.aborted }
 
 // TestInjectedFaultIsNotTransportError pins the converse: an injected fault
 // over the tcp transport is typed as its own kind and carries no
@@ -128,7 +194,6 @@ func TestInjectedFaultIsNotTransportError(t *testing.T) {
 // exactly as over the in-process fabric.
 func TestTCPChaosConformance(t *testing.T) {
 	kernels := []chaostest.Kernel{
-		//lint:allow p2pmatch Conformance kernels are table literals invoked uniformly by every rank on each transport
 		{Name: "ring-sendrecv", Body: func(c *comm.Comm) (any, error) {
 			right := (c.Rank() + 1) % c.Size()
 			left := (c.Rank() - 1 + c.Size()) % c.Size()

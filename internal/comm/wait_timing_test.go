@@ -36,7 +36,7 @@ func needTwoProcs(t *testing.T) {
 // a spin hit. The bound is not zero because a preempted rank sees a long gap.
 func TestPingPongDoesNotSpin(t *testing.T) {
 	needTwoProcs(t)
-	const trips = 250 // p2pmatch certifies the protocol up to 512 events per rank
+	const trips = 250
 	stats, err := comm.RunConfig(2, comm.Config{Transport: "inproc"}, func(c *comm.Comm) error {
 		peer := 1 - c.Rank()
 		c.Barrier()
@@ -81,11 +81,11 @@ func computePhase(x float64) float64 {
 // on one CPU (wake-affine placement; on this host in a third of all runs,
 // for seconds), where the ranks run one after the other whatever comm does.
 // Other test packages running alongside take a core too. So each world
-// measures three windows of 150 steps (p2pmatch certifies up to 512 events
-// per rank), and fresh worlds are started until a window meets the bound or
-// ten seconds have passed. The test passes if the best window meets the
-// bound; if none does it fails only when no wait at all was resolved by
-// spinning, and otherwise reports the host as unable to show it.
+// measures three windows of 150 steps, and fresh worlds are started until a
+// window meets the bound or ten seconds have passed. The test passes if the
+// best window meets the bound; if none does it fails only when no wait at all
+// was resolved by spinning, and otherwise reports the host as unable to show
+// it.
 func TestSyncAfterComputeDoesNotPark(t *testing.T) {
 	needTwoProcs(t)
 	var best comm.StatsSnapshot

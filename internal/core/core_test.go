@@ -268,7 +268,6 @@ func TestControlMessagesAreTensOfBytes(t *testing.T) {
 	// E1 core assertion: control descriptors are tiny and flow only 0->r.
 	err := comm.Run(4, func(c *comm.Comm) error {
 		ctx := NewContext(c)
-		//lint:allow p2pmatch Control's master-to-worker fan-out is asymmetric by design; its descriptor size bound is the assertion
 		buf := ctx.Control(OpCreate, 1000000, 3)
 		if len(buf) > 32 {
 			return fmt.Errorf("control message %d bytes — not 'tens of bytes'", len(buf))
@@ -298,7 +297,6 @@ func TestControlCanBeDisabled(t *testing.T) {
 	err := comm.Run(2, func(c *comm.Comm) error {
 		ctx := NewContext(c)
 		ctx.SetControlMessages(false)
-		//lint:allow p2pmatch Control with messaging disabled short-circuits before any Send; the stats assert exactly that
 		ctx.Control(OpUfunc)
 		msgs, _ := ctx.CtrlStats()
 		if msgs != 0 {

@@ -34,7 +34,6 @@ func TestOneSummationOrder(t *testing.T) {
 					leaves := propertyLeaves(ctx, n)
 					for i := range len(leaves) {
 						x := leaves[i]
-						//lint:allow p2pmatch SumEval, ufunc.Sum and ufunc.Dot each reduce through one Allreduce, vetted by their own suites
 						fused, odin := SumEval(Var(x)), ufunc.Sum(x)
 						if err := sameSum(fused, odin); err != nil {
 							return fmt.Errorf("n=%d: SumEval(x%d) vs ufunc.Sum: %v", n, i, err)

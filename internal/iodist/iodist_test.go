@@ -18,7 +18,6 @@ func TestSaveLoadRoundTrip1D(t *testing.T) {
 		err := comm.Run(p, func(c *comm.Comm) error {
 			ctx := core.NewContext(c)
 			x := core.FromFunc(ctx, []int{37}, func(g []int) float64 { return float64(g[0]) * 1.5 })
-			//lint:allow p2pmatch Save funnels shards to rank 0 with a gather protocol vetted by this suite at several P
 			if err := Save(x, path); err != nil {
 				return err
 			}
@@ -48,7 +47,6 @@ func TestSaveLoadAcrossRankCounts(t *testing.T) {
 	err := comm.Run(4, func(c *comm.Comm) error {
 		ctx := core.NewContext(c)
 		x := core.FromFunc(ctx, []int{50}, func(g []int) float64 { return float64(g[0] * g[0]) })
-		//lint:allow p2pmatch Save funnels shards to rank 0 with a gather protocol vetted by this suite at several P
 		return Save(x, path)
 	})
 	if err != nil {
@@ -83,7 +81,6 @@ func TestSaveLoad2D(t *testing.T) {
 	err := comm.Run(3, func(c *comm.Comm) error {
 		ctx := core.NewContext(c)
 		x := core.FromFunc(ctx, []int{7, 4}, func(g []int) float64 { return float64(100*g[0] + g[1]) })
-		//lint:allow p2pmatch Save funnels shards to rank 0 with a gather protocol vetted by this suite at several P
 		if err := Save(x, path); err != nil {
 			return err
 		}
@@ -112,7 +109,6 @@ func TestSaveLoadInt64(t *testing.T) {
 	err := comm.Run(2, func(c *comm.Comm) error {
 		ctx := core.NewContext(c)
 		x := core.Arange[int64](ctx, 20)
-		//lint:allow p2pmatch Save funnels shards to rank 0 with a gather protocol vetted by this suite at several P
 		if err := Save(x, path); err != nil {
 			return err
 		}
@@ -143,7 +139,6 @@ func TestSaveLoadCyclicSource(t *testing.T) {
 		ctx := core.NewContext(c)
 		x := core.FromFunc(ctx, []int{17}, func(g []int) float64 { return float64(g[0]) },
 			core.Options{Kind: distmap.Cyclic})
-		//lint:allow p2pmatch Save funnels shards to rank 0 with a gather protocol vetted by this suite at several P
 		if err := Save(x, path); err != nil {
 			return err
 		}
@@ -190,7 +185,6 @@ func TestSaveUnsupportedType(t *testing.T) {
 	err := comm.Run(1, func(c *comm.Comm) error {
 		ctx := core.NewContext(c)
 		x := core.Zeros[float32](ctx, []int{4})
-		//lint:allow p2pmatch Save on a single rank; the rejected-dtype error path returns before any exchange
 		if err := Save(x, "/tmp/nope.odn"); err == nil {
 			return fmt.Errorf("float32 accepted")
 		}
@@ -207,7 +201,6 @@ func TestSaveCreateFailurePropagates(t *testing.T) {
 		x := core.Zeros[float64](ctx, []int{4})
 		// Directory that does not exist: rank 0 fails, all ranks must
 		// return an error rather than deadlock.
-		//lint:allow p2pmatch Deliberate failure injection: rank 0's create fails and every rank must see the error, not a hang
 		if err := Save(x, "/nonexistent-dir-odin/x.odn"); err == nil {
 			return fmt.Errorf("expected create failure")
 		}

@@ -42,7 +42,6 @@ func TestSaveLoadQuick(t *testing.T) {
 				}
 				return vals[idx]
 			})
-			//lint:allow p2pmatch Save funnels shards to rank 0 with a gather protocol vetted by the iodist suite at several P
 			return Save(x, path)
 		})
 		if err != nil {

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -373,6 +374,57 @@ func TestGroupRecycleAfterPoison(t *testing.T) {
 	if snap := s.Snapshot(); snap.GroupRestarts != 1 {
 		t.Errorf("group_restarts = %d, want 1", snap.GroupRestarts)
 	}
+}
+
+// tagRecvFirst is awaited by both ranks of the deadlocking job and sent by
+// neither.
+const tagRecvFirst = 700
+
+// TestDeadlockedJobRecyclesGroup pins that a job which deadlocks on its own
+// does not wedge its warm group: with both ranks receiving first, comm's
+// deadlock detector fails the session with a typed FaultDeadlock, Do returns
+// it, the group recycles, and the next job on the same scheduler succeeds.
+// Without the detector the job would park both ranks forever (the group's
+// session has no receive deadline), so a watchdog bounds the test.
+func TestDeadlockedJobRecyclesGroup(t *testing.T) {
+	// No deferred Stop: it would wait forever on a wedged group, so the
+	// watchdog's failure leaves the group behind instead.
+	s := NewScheduler(Options{Groups: 1, Ranks: 2, Comm: comm.Config{Transport: "inproc"}})
+
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.Do("t", func(c *comm.Comm, st *RankState) (any, error) {
+			got := c.Recv(1-c.Rank(), tagRecvFirst)
+			c.Send(1-c.Rank(), tagRecvFirst, got)
+			return nil, nil
+		})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		// Rank 0's error is the job's: the deadlock itself, or the peer
+		// failure it woke rank 0 with.
+		var fe *comm.FaultError
+		if errors.As(err, &fe) && fe.Kind == comm.FaultPeerFailed && fe.Cause != nil {
+			fe = fe.Cause
+		}
+		if fe == nil || fe.Kind != comm.FaultDeadlock {
+			t.Fatalf("deadlocking job: err = %v, want a FaultDeadlock", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("deadlocking job wedged its group")
+	}
+	out, err := s.Do("t", func(c *comm.Comm, st *RankState) (any, error) {
+		return comm.Allreduce(c, []int{1}, comm.OpSum)[0], nil
+	})
+	if err != nil || out != 2 {
+		t.Fatalf("job after the deadlock: out=%v err=%v", out, err)
+	}
+	// The one group ran the second job, so it had recycled by then.
+	if snap := s.Snapshot(); snap.GroupRestarts != 1 {
+		t.Errorf("group_restarts = %d, want 1", snap.GroupRestarts)
+	}
+	s.Stop()
 }
 
 // TestJobPanicIsError pins per-job isolation: an ordinary panic becomes the

@@ -247,7 +247,6 @@ func ShiftDiff[T dense.Elem](x *core.DistArray[T], k int) *core.DistArray[T] {
 	if k >= n {
 		panic(fmt.Sprintf("slicing: shift %d >= length %d", k, n))
 	}
-	//lint:allow p2pmatch General-map fallback delegates to Slice's gather protocol; the slicing tests exercise it at multiple P
 	if !x.Map().IsContiguous() || x.Map().Kind() != distmap.Block {
 		// The halo pattern relies on rank-ordered contiguous blocks.
 		hi := Slice(x, dense.Range{Start: k, Stop: n, Step: 1})

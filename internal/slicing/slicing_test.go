@@ -130,7 +130,6 @@ func TestDiffBoundaryOnlyCommunication(t *testing.T) {
 				c.ResetStats()
 			}
 			c.Barrier()
-			//lint:allow p2pmatch Diff runs the halo exchange protocol; message-count accounting is this test's assertion
 			_ = Diff(x)
 			return nil
 		})
@@ -309,7 +308,6 @@ func TestShiftHaloLocality(t *testing.T) {
 			c.ResetStats()
 		}
 		c.Barrier()
-		//lint:allow p2pmatch Shift runs the halo exchange protocol; message-count accounting is this test's assertion
 		_ = Shift(x, 1, 0)
 		return nil
 	})

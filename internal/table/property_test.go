@@ -68,7 +68,6 @@ func TestGroupReduceQuick(t *testing.T) {
 					tb.AppendRow(r.k, r.v)
 				}
 			}
-			//lint:allow p2pmatch GroupReduce's shuffle is a collective exchange; the property run itself vets it at random P
 			g := tb.GroupReduce("k", "v", op)
 			keys, vals := g.GatherRows("k", op.String())
 			if len(keys) != len(ref) {

@@ -249,7 +249,6 @@ func BenchmarkGroupReduce(b *testing.B) {
 			{Name: "v", Kind: Float},
 		})
 		keys := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
-		//lint:allow p2pmatch Row-load loop exceeds the unroll budget; each iteration appends owner-local rows and the reduce below is collective
 		for i := 0; i < rows; i++ {
 			if i%p == c.Rank() {
 				t.AppendRow(keys[i%len(keys)], float64(i))

@@ -16,7 +16,6 @@ func BenchmarkDistributedSpMV(b *testing.B) {
 		b.Run(fmt.Sprintf("P=%d", p), func(b *testing.B) {
 			err := comm.Run(p, func(c *comm.Comm) error {
 				m := distmap.NewBlock(n, c.Size())
-				//lint:allow p2pmatch Benchmark preamble builds the distributed matrix through vetted tpetra plan protocols
 				a := buildLaplace1D(c, m)
 				x := NewVector(c, m)
 				x.Randomize(1)
@@ -44,7 +43,6 @@ func BenchmarkGatherPlan(b *testing.B) {
 		err := comm.Run(p, func(c *comm.Comm) error {
 			m := distmap.NewBlock(n, c.Size())
 			needed := []int{0, n / 3, n / 2, n - 1}
-			//lint:allow p2pmatch Loop bound is b.N; each iteration builds a gather plan with the vetted two-phase request protocol
 			for i := 0; i < b.N; i++ {
 				_ = NewGatherPlan(c, m, needed)
 			}
@@ -62,7 +60,6 @@ func BenchmarkGatherPlan(b *testing.B) {
 		err := comm.Run(p, func(c *comm.Comm) error {
 			m := distmap.NewBlock(n, c.Size())
 			needed := []int{0, n / 3, n / 2, n - 1}
-			//lint:allow p2pmatch Benchmark preamble builds a gather plan with the vetted two-phase request protocol
 			plan := NewGatherPlan(c, m, needed)
 			local := make([]float64, m.LocalCount(c.Rank()))
 			out := make([]float64, len(needed))
@@ -90,7 +87,6 @@ func BenchmarkVectorDot(b *testing.B) {
 				y := NewVector(c, m)
 				y.Randomize(2)
 				c.Barrier()
-				//lint:allow p2pmatch Loop bound is b.N; Dot is one Allreduce per iteration on all ranks
 				for i := 0; i < b.N; i++ {
 					_ = x.Dot(y)
 				}

@@ -155,7 +155,6 @@ func TestImportIdentityNoTraffic(t *testing.T) {
 			c.ResetStats()
 		}
 		c.Barrier()
-		//lint:allow p2pmatch NewImport's ownership exchange is the vetted tpetra plan protocol; message counts are asserted here
 		im := NewImport(c, m, m)
 		if im.RemoteCount() != 0 {
 			return fmt.Errorf("identity import has remote elements")
@@ -182,7 +181,6 @@ func TestImportIdentityNoTraffic(t *testing.T) {
 func TestImportSizeMismatchPanics(t *testing.T) {
 	err := comm.Run(2, func(c *comm.Comm) error {
 		defer func() { recover() }()
-		//lint:allow p2pmatch Deliberate: mismatched map sizes must panic inside NewImport; recover is armed on every rank
 		NewImport(c, distmap.NewBlock(10, 2), distmap.NewBlock(11, 2))
 		return fmt.Errorf("expected panic")
 	})
@@ -391,7 +389,6 @@ func TestCrsMatrixStatePanics(t *testing.T) {
 		m := distmap.NewBlock(4, 1)
 		a := NewCrsMatrix(c, m)
 		// Apply before FillComplete panics.
-		//lint:allow p2pmatch Immediately-invoked recover wrapper around a must-panic Apply; no traffic precedes the panic
 		func() {
 			defer func() { recover() }()
 			a.Apply(NewVector(c, m), NewVector(c, m))
@@ -472,7 +469,6 @@ func TestExportAddValidation(t *testing.T) {
 	err := comm.Run(1, func(c *comm.Comm) error {
 		v := NewVector(c, distmap.NewBlock(4, 1))
 		defer func() { recover() }()
-		//lint:allow p2pmatch Deliberate: the length-mismatched ExportAdd must panic before communicating; recover is armed
 		ExportAdd(v, []int{0, 1}, []float64{1})
 		return fmt.Errorf("expected panic")
 	})
@@ -505,7 +501,6 @@ func TestCrsMatrixApplyQuick(t *testing.T) {
 		ok := true
 		err := comm.Run(p, func(c *comm.Comm) error {
 			m := distmap.NewCyclic(n, c.Size())
-			//lint:allow p2pmatch fromCSR distributes rows through the vetted import plan protocol at several P
 			a := fromCSR(c, m, serial)
 			xv := NewVector(c, m)
 			xv.FillFromGlobal(func(g int) float64 { return x[g] })

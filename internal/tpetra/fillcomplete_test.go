@@ -174,7 +174,6 @@ func TestFillCompleteMatchesTwoPassOracle(t *testing.T) {
 					insert(row, col, r.NormFloat64())
 				}
 			}
-			//lint:allow p2pmatch Both fills run FillComplete's exchange (three Alltoalls, then the gather-plan set-up) on every rank in the same order
 			a.FillComplete()
 			fillCompleteTwoPass(b)
 

@@ -239,7 +239,6 @@ func TestGatherPlanEdgeCases(t *testing.T) {
 					return all
 				}()},
 			}
-			//lint:allow p2pmatch Case-table loop over gather plans; each plan runs the vetted two-phase request protocol
 			for _, tc := range cases {
 				plan := tpetra.NewGatherPlan(c, m, tc.needed)
 				out := make([]float64, plan.OutLen())

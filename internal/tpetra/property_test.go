@@ -41,7 +41,6 @@ func TestGatherPlanQuick(t *testing.T) {
 		err := comm.Run(p, func(c *comm.Comm) error {
 			v := NewVector(c, m)
 			v.FillFromGlobal(func(g int) float64 { return float64(g*g + 3) })
-			//lint:allow p2pmatch Gather plans run the vetted two-phase request protocol; the property checks results at random P
 			plan := NewGatherPlan(c, m, needed[c.Rank()])
 			out := make([]float64, plan.OutLen())
 			plan.Gather(c, v.Data, out)
@@ -85,7 +84,6 @@ func TestImportChainQuick(t *testing.T) {
 		err := comm.Run(p, func(c *comm.Comm) error {
 			x := NewVector(c, m0)
 			x.Randomize(seed)
-			//lint:allow p2pmatch ImportVector round-trips through vetted import plans; identity is the property under test
 			y := ImportVector(ImportVector(ImportVector(x, m1), m2), m0)
 			for i := range x.Data {
 				if x.Data[i] != y.Data[i] {
@@ -132,7 +130,6 @@ func TestExportAddQuick(t *testing.T) {
 				gs = append(gs, pr.g)
 				vs = append(vs, pr.v)
 			}
-			//lint:allow p2pmatch ExportAdd's owner-directed sends are the vetted export protocol; summed results are asserted
 			ExportAdd(v, gs, vs)
 			full := v.GatherAll()
 			for g := range want {

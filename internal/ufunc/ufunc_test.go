@@ -532,7 +532,6 @@ func TestPipelineEquivalenceQuick(t *testing.T) {
 		err := comm.Run(p, func(c *comm.Comm) error {
 			ctx := core.NewContext(c)
 			x := core.FromFunc(ctx, []int{n}, func(g []int) float64 { return vals[g[0]] })
-			//lint:allow p2pmatch Sum reduces through one Allreduce inside ufunc; numerical agreement is the assertion
 			got := Sum(Add(Abs(Sin(x)), Mul(x, x)))
 			if math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
 				return fmt.Errorf("got %g want %g", got, want)

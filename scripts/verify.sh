@@ -47,69 +47,52 @@ go vet ./...
 GOARCH=arm64 go vet ./internal/cpuid ./internal/dense ./internal/sparse ./internal/tpetra ./internal/solvers
 
 # Domain invariants: the odinvet multichecker (internal/analysis) enforces
-# collective symmetry and sequence order, point-to-point deadlock freedom,
-# tag hygiene, hot-kernel allocation bans, span/stats pairing, and plan
-# single-threadedness, and reports stale //lint:allow directives. Run from
-# source — no install step — and fail hard on any finding (see DESIGN.md
-# "Static analysis").
+# collective symmetry and sequence order, tag hygiene, hot-kernel allocation
+# bans, span/stats pairing, and plan single-threadedness, and reports stale
+# //lint:allow directives. Run from source — no install step — and fail hard
+# on any finding (see DESIGN.md "Static analysis"). Point-to-point deadlocks
+# are caught at run time instead, by comm's deadlock detector (DESIGN.md
+# "Deadlock detection"; the timing stage below and TestDeadlockCorpus).
 stage odinvet
 go run ./cmd/odinvet ./...
-# The standing exceptions per analyzer (ROADMAP item 12 tracks the count);
+# The standing exceptions per analyzer (ROADMAP item 13 tracks the count);
 # printed for the log, not a gate.
 echo "verify: standing //lint:allow directives per analyzer:"
 go run ./cmd/odinvet -allows ./... | awk -F': ' '{print $2}' | sort | uniq -c
 
 # commsym sequence true-positive: the seed package (kept under testdata, so
 # ./... walks skip it) permutes two collectives across rank-dependent
-# branches. Both odinvet modes — standalone and the `go vet -vettool`
-# protocol — must fail on it, and with the sequence diagnostic itself, not
-# just the divergence findings the same branches draw; a silent pass means
-# the sequence check lost its teeth.
+# branches. odinvet must fail on it, and with the sequence diagnostic itself,
+# not just the divergence findings the same branches draw; a silent pass
+# means the sequence check lost its teeth.
 if go run ./cmd/odinvet -checks=commsym ./internal/analysis/commsym/testdata/src/seed >/tmp/odinhpc-odinvet-seq.out; then
-  echo "verify: odinvet (standalone) missed the commsym seed true-positive" >&2
+  echo "verify: odinvet missed the commsym seed true-positive" >&2
   exit 1
 fi
 grep -q 'collective sequence diverges' /tmp/odinhpc-odinvet-seq.out
-go build -o /tmp/odinhpc-odinvet ./cmd/odinvet
-if go vet -vettool=/tmp/odinhpc-odinvet ./internal/analysis/commsym/testdata/src/seed 2>/tmp/odinhpc-vettool.out; then
-  echo "verify: odinvet (vettool) missed the commsym seed true-positive" >&2
-  exit 1
-fi
-grep -q 'collective sequence diverges' /tmp/odinhpc-vettool.out
 
-# p2pmatch true-positive: the seed package holds the textbook recv-before-
-# send symmetric ring against the real comm fabric, with no suppressions.
-# Both odinvet modes must report the rendezvous cycle and fail; a silent
-# pass means deadlock certification stopped certifying.
-if go run ./cmd/odinvet -checks=p2pmatch ./internal/analysis/p2pmatch/testdata/src/seed; then
-  echo "verify: odinvet (standalone) missed the p2pmatch seed true-positive" >&2
-  exit 1
-fi
-if go vet -vettool=/tmp/odinhpc-odinvet ./internal/analysis/p2pmatch/testdata/src/seed 2>/tmp/odinhpc-vettool-p2p.out; then
-  echo "verify: odinvet (vettool) missed the p2pmatch seed true-positive" >&2
-  exit 1
-fi
-grep -q p2pmatch /tmp/odinhpc-vettool-p2p.out
-
-# A failing rank aborts its peers on every session, so no test strands a
+# A failing rank aborts its peers on every session and a deadlocked inproc
+# session fails at once, so no test strands a
 # session; a 3-minute cap per test binary (the slowest takes ~15 s) keeps a
 # regression from stalling this stage for Go's default 10 minutes.
 stage test
 go test -timeout 3m ./...
 
-# Timing: the real-clock bounds of the receive spin gate, of a session abort
-# and of a receive deadline under jitter. A ping-pong that answers at once
-# must park (at most 12 spin hits in 250 round trips); a rank that computed
-# before an allreduce must spin (nine waits in ten in the best window); a
-# session whose rank fails must resolve within 100 ms; a jittered session
-# blocked on a message nobody sends must time out within 10 s. Wall-clock
-# bounds need the host to themselves, so they build only with the timing tag
-# and run here with the comm package alone; tier-1 holds the gate's
-# decisions exactly through TestSpinDecisionScripted, the abort's typed error
-# through TestRankFailureAbortsSession and the deadline's through
-# TestSchedJitterRecvTimeout.
+# Timing: the real-clock bounds of the receive spin gate, of a session abort,
+# of a receive deadline under jitter and of the deadlock detector. A ping-pong
+# that answers at once must park (at most 12 spin hits in 250 round trips); a
+# rank that computed before an allreduce must spin (nine waits in ten in the
+# best window); a session whose rank fails must resolve within 100 ms; a
+# jittered session blocked on a message nobody sends must time out within
+# 10 s; a recv-before-send ring with no receive deadline must fail with
+# FaultDeadlock within 100 ms. Wall-clock bounds need the host to themselves,
+# so they build only with the timing tag and run here with the comm package
+# alone; tier-1 holds the gate's decisions exactly through
+# TestSpinDecisionScripted, the abort's typed error through
+# TestRankFailureAbortsSession, the deadline's through
+# TestSchedJitterRecvTimeout and the deadlock's through TestDeadlockCorpus.
 stage timing
-go test -tags timing -count=1 -run 'TestPingPongDoesNotSpin|TestSyncAfterComputeDoesNotPark|TestRankFailureAbortsPromptly|TestSchedJitterRecvTimeoutPromptly' ./internal/comm
+go test -tags timing -count=1 -run 'TestPingPongDoesNotSpin|TestSyncAfterComputeDoesNotPark|TestRankFailureAbortsPromptly|TestSchedJitterRecvTimeoutPromptly|TestDeadlockDetectedPromptly' ./internal/comm
 
 # Fuzz the tcp wire codec for ten seconds: its decode half takes frame bodies
 # straight from the socket, so arbitrary bytes must decode to a frame or an
