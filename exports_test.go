@@ -4,66 +4,34 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
+
+	"odinhpc/internal/analysis"
 )
 
-// testSeams are the exported declarations under internal/ that only tests
-// call, kept on purpose, keyed by package directory (below internal/),
-// receiver type and name. Each declaration states its reason once, in a
-// "// Test seam: <reason>" doc line. Everything else exported needs a caller
-// in a command, an example, an experiment, a served job or another package.
+// testSeams are the declarations under internal/ that only tests reach,
+// kept on purpose, keyed as callGraph keys them: "pkg.Name" or
+// "pkg.Recv.Name", pkg being the package directory below internal/. Each
+// declaration states its reason once, in a "// Test seam: <reason>" doc line.
 var testSeams = map[string]bool{
-	"serve.Quotas.SetClock":        true,
-	"exec.WithGrain":               true,
-	"sparse.CSR.Dense":             true,
-	"tpetra.GatherPlan.OutLen":     true,
-	"comm.StatsSnapshot.MsgCount":  true,
-	"comm.StatsSnapshot.ByteCount": true,
-	"trace.Session.MessageMatrix":  true,
-	"comm.Comm.Probe":              true,
-	"fusion.Expr.Leaves":           true,
-	"core.DecodeControl":           true,
-	"analysis/tagregistry.Lookup":  true,
-}
-
-// skippedNames are methods the standard library calls through an interface.
-var skippedNames = map[string]bool{"String": true, "Error": true, "Unwrap": true}
-
-// seamKey names a declaration as the testSeams map does: "pkg.Func" or
-// "pkg.Recv.Method", pkg being the directory below internal/.
-func seamKey(dir string, fd *ast.FuncDecl) string {
-	key := strings.TrimPrefix(filepath.ToSlash(dir), "internal/") + "."
-	if recv := recvName(fd); recv != "" {
-		key += recv + "."
-	}
-	return key + fd.Name.Name
-}
-
-// recvName is the name of a method's receiver type, "" for a function.
-func recvName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) != 1 {
-		return ""
-	}
-	typ := fd.Recv.List[0].Type
-	if star, ok := typ.(*ast.StarExpr); ok {
-		typ = star.X
-	}
-	switch r := typ.(type) {
-	case *ast.IndexExpr:
-		typ = r.X
-	case *ast.IndexListExpr:
-		typ = r.X
-	}
-	if id, ok := typ.(*ast.Ident); ok {
-		return id.Name
-	}
-	return ""
+	"serve.Quotas.SetClock":              true,
+	"exec.WithGrain":                     true,
+	"sparse.CSR.Dense":                   true,
+	"tpetra.GatherPlan.OutLen":           true,
+	"comm.StatsSnapshot.MsgCount":        true,
+	"comm.StatsSnapshot.ByteCount":       true,
+	"trace.Session.MessageMatrix":        true,
+	"comm.Comm.Probe":                    true,
+	"fusion.Expr.Leaves":                 true,
+	"core.DecodeControl":                 true,
+	"analysis/tagregistry.Lookup":        true,
+	"seamless/compile/exprtable.Sources": true,
 }
 
 // seamReason returns the reason a "// Test seam:" doc line gives, or "".
@@ -79,306 +47,293 @@ func seamReason(doc *ast.CommentGroup) string {
 	return ""
 }
 
-// moduleFile is one parsed non-test Go file of the module.
-type moduleFile struct {
-	dir string
-	f   *ast.File
+// decl is one package-level declaration: a func, a method, a type, or one
+// name of a var or const spec.
+type decl struct {
+	key  string
+	pos  token.Position
+	doc  *ast.CommentGroup
+	uses []types.Object // what its source refers to, generic origins for instances
 }
 
-// module is every non-test Go file of the module, parsed.
-type module struct {
-	fset  *token.FileSet
-	files []moduleFile
+// callGraph is every package-level declaration of a module's non-test
+// packages, type-checked, with what each refers to and whether it is live.
+type callGraph struct {
+	decls map[types.Object]*decl
+	byKey map[string]types.Object
+	// viaIface maps a type to its methods that an interface it (or its
+	// pointer) implements names: whoever holds the type as that interface
+	// may call them.
+	viaIface map[types.Object][]types.Object
+	live     map[types.Object]bool
+	seamErrs []string // what is wrong with testSeams, set by moduleGraph
 }
 
-// parseModule parses every non-test Go file of the module once, testdata and
-// dot-directories excluded. Both caller rules below scan its result.
-var parseModule = sync.OnceValues(func() (module, error) {
-	m := module{fset: token.NewFileSet()}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != "." && (name == "testdata" || strings.HasPrefix(name, ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(m.fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		m.files = append(m.files, moduleFile{filepath.ToSlash(filepath.Dir(path)), f})
-		return nil
-	})
-	return m, err
-})
+// stdAsserted is the interface errors.Is and errors.As walk a chain
+// through, which the standard library asserts without naming it.
+const stdAsserted = `package std
+type unwrap interface{ Unwrap() error }`
 
-// testHelper reports whether fd takes a parameter of a type from package
-// testing (*testing.T, testing.TB, ...): a helper of a test-support package
-// such as chaostest, which only a test can call.
-func testHelper(fd *ast.FuncDecl) bool {
-	for _, field := range fd.Type.Params.List {
-		typ := field.Type
-		if star, ok := typ.(*ast.StarExpr); ok {
-			typ = star.X
-		}
-		if sel, ok := typ.(*ast.SelectorExpr); ok {
-			if x, ok := sel.X.(*ast.Ident); ok && x.Name == "testing" {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// modulePath is the import path prefix of the module's own packages.
-const modulePath = "odinhpc/"
-
-// TestEveryExportHasACaller enforces the rule that an exported function or
-// method under internal/ has a caller outside the tests: some non-test file
-// names it, other than its own declaration. A package-level function is
-// named by its package: a file of another package calls it as pkg.Name,
-// pkg being the file's import name for the declaring directory, and a file
-// of its own directory names it bare. A method is matched by name alone, so
-// it counts as called when any identifier of that name appears. A test
-// helper (testHelper) needs no such caller; otherwise only the declarations
-// testSeams lists are exempt.
-func TestEveryExportHasACaller(t *testing.T) {
-	m, err := parseModule()
+// loadGraph type-checks every non-test package of the module at dir, testdata
+// and dot-directories excluded, and marks what its roots reach. The roots are
+// every declaration of a package main and of a test-support package (one
+// whose files import testing), every init and every blank declaration: what
+// runs without a caller.
+func loadGraph(dir string) (*callGraph, error) {
+	root, modPath, err := analysis.FindModule(dir)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	pkgNames := map[string]string{} // directory -> package name
-	for _, mf := range m.files {
-		pkgNames[mf.dir] = mf.f.Name.Name
+	loader := analysis.NewLoader(modPath, root, "", false)
+	var pkgs []*analysis.Package
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); path != root && (name == "testdata" || strings.HasPrefix(name, ".")) {
+			return filepath.SkipDir
+		}
+		loaded, err := loader.LoadDir(path)
+		pkgs = append(pkgs, loaded...)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	// uses counts identifiers by name, for methods; funcUses counts
-	// references to package-level functions by "dir.Name".
-	uses, funcUses := map[string]int{}, map[string]int{}
-	type decl struct {
-		key, name, pos, reason string
-		funcKey                string // "dir.Name" of a package-level function, "" for a method
+	fset := token.NewFileSet()
+	std, err := parser.ParseFile(fset, "std.go", stdAsserted, 0)
+	if err != nil {
+		return nil, err
 	}
-	var exported []decl
-	for _, mf := range m.files {
-		declNames := map[*ast.Ident]bool{}
-		for _, dd := range mf.f.Decls {
-			fd, ok := dd.(*ast.FuncDecl)
+	stdPkg, err := new(types.Config).Check("std", fset, []*ast.File{std}, nil)
+	if err != nil {
+		return nil, err
+	}
+	ifaces := map[*types.Interface]bool{types.Universe.Lookup("error").Type().Underlying().(*types.Interface): true}
+	addIfaces := func(p *types.Package) {
+		for _, name := range p.Scope().Names() {
+			tn, ok := p.Scope().Lookup(name).(*types.TypeName)
 			if !ok {
 				continue
 			}
-			declNames[fd.Name] = true
-			if fd.Name.IsExported() && strings.HasPrefix(mf.dir, "internal/") && !testHelper(fd) {
-				d := decl{key: seamKey(mf.dir, fd), name: fd.Name.Name,
-					pos: m.fset.Position(fd.Name.Pos()).String(), reason: seamReason(fd.Doc)}
-				if fd.Recv == nil {
-					d.funcKey = mf.dir + "." + d.name
-				}
-				exported = append(exported, d)
+			if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+				ifaces[it] = true
 			}
 		}
-		imported := map[string]string{} // import name -> directory
-		for _, spec := range mf.f.Imports {
-			path, err := strconv.Unquote(spec.Path.Value)
-			if err != nil || !strings.HasPrefix(path, modulePath) {
-				continue
-			}
-			dir := strings.TrimPrefix(path, modulePath)
-			name := pkgNames[dir]
-			if spec.Name != nil {
-				name = spec.Name.Name
-			}
-			imported[name] = dir
-		}
-		selected := map[*ast.Ident]bool{}
-		ast.Inspect(mf.f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				selected[n.Sel] = true
-				if x, ok := n.X.(*ast.Ident); ok && imported[x.Name] != "" {
-					funcUses[imported[x.Name]+"."+n.Sel.Name]++
-				}
-			case *ast.Ident:
-				if declNames[n] {
-					break
-				}
-				uses[n.Name]++
-				if !selected[n] {
-					funcUses[mf.dir+"."+n.Name]++
-				}
-			}
-			return true
-		})
 	}
-	used := func(d decl) bool {
-		if d.funcKey == "" {
-			return uses[d.name] > 0
-		}
-		return funcUses[d.funcKey] > 0
-	}
-	declared := map[string]bool{}
-	var dead []string
-	for _, d := range exported {
-		if !testSeams[d.key] {
-			if !used(d) && !skippedNames[d.name] {
-				dead = append(dead, d.pos+": "+d.key)
-			}
-			continue
-		}
-		declared[d.key] = true
-		switch {
-		case used(d):
-			t.Errorf("test seam %s now has a caller outside the tests: drop its entry", d.key)
-		case d.reason == "":
-			t.Errorf("test seam %s: its declaration lacks a // Test seam: <reason> line", d.key)
-		}
-	}
-	sort.Strings(dead)
-	for _, d := range dead {
-		t.Errorf("%s has no caller outside the tests: delete it, or give it one", d)
-	}
-	for key := range testSeams {
-		if !declared[key] {
-			t.Errorf("test seam %s is no longer declared under internal/: drop its entry", key)
-		}
-	}
-}
+	addIfaces(stdPkg)
 
-// pkgDecl is one package-level declaration: a function, a method, a type, or
-// one name of a var or const spec.
-type pkgDecl struct {
-	name, recv string // recv is a method's receiver type, "" otherwise
-	isType     bool
-	pos        string
-	refs       map[string]int // identifiers it mentions, declared names excluded
-}
-
-func (d *pkgDecl) key() string {
-	if d.recv == "" {
-		return d.name
-	}
-	return d.recv + "." + d.name
-}
-
-// pkgDecls lists the package-level declarations of one file.
-func pkgDecls(fset *token.FileSet, f *ast.File) []*pkgDecl {
-	var out []*pkgDecl
-	add := func(name *ast.Ident, recv string, isType bool, node ast.Node, declared ...*ast.Ident) {
-		refs := map[string]int{}
-		skip := map[*ast.Ident]bool{}
-		for _, id := range declared {
-			skip[id] = true
+	var roots []types.Object
+	g := &callGraph{decls: map[types.Object]*decl{}, byKey: map[string]types.Object{},
+		viaIface: map[types.Object][]types.Object{}, live: map[types.Object]bool{}}
+	for _, pkg := range pkgs {
+		addIfaces(pkg.Types)
+		testSupport := false
+		for _, imp := range pkg.Types.Imports() {
+			addIfaces(imp)
+			testSupport = testSupport || imp.Path() == "testing"
 		}
-		ast.Inspect(node, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !skip[id] {
-				refs[id.Name]++
+		prefix := strings.TrimPrefix(strings.TrimPrefix(pkg.Path, modPath+"/"), "internal/") + "."
+		add := func(id *ast.Ident, node ast.Node, doc *ast.CommentGroup, isRoot bool) {
+			obj := pkg.Info.Defs[id]
+			d := &decl{key: prefix + id.Name, pos: pkg.Fset.Position(id.Pos()), doc: doc}
+			if fn, ok := obj.(*types.Func); ok && analysis.RecvTypeName(fn) != "" {
+				d.key = prefix + analysis.RecvTypeName(fn) + "." + id.Name
 			}
-			return true
-		})
-		out = append(out, &pkgDecl{name.Name, recv, isType, fset.Position(name.Pos()).String(), refs})
-	}
-	for _, dd := range f.Decls {
-		switch dd := dd.(type) {
-		case *ast.FuncDecl:
-			add(dd.Name, recvName(dd), false, dd, dd.Name)
-		case *ast.GenDecl:
-			for _, spec := range dd.Specs {
-				switch spec := spec.(type) {
-				case *ast.TypeSpec:
-					add(spec.Name, "", true, spec, spec.Name)
-				case *ast.ValueSpec:
-					for _, name := range spec.Names {
-						add(name, "", false, spec, spec.Names...)
+			ast.Inspect(node, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.Ident:
+					if obj := pkg.Info.Uses[n]; obj != nil {
+						d.uses = append(d.uses, origin(obj))
+					}
+				case *ast.InterfaceType:
+					ifaces[pkg.Info.TypeOf(n).(*types.Interface)] = true
+				}
+				return true
+			})
+			g.decls[obj], g.byKey[d.key] = d, obj
+			if isRoot || id.Name == "_" || pkg.Name == "main" || testSupport {
+				roots = append(roots, obj)
+			}
+		}
+		for _, f := range pkg.Files {
+			for _, dd := range f.Decls {
+				switch dd := dd.(type) {
+				case *ast.FuncDecl:
+					add(dd.Name, dd, dd.Doc, dd.Recv == nil && dd.Name.Name == "init")
+				case *ast.GenDecl:
+					for _, spec := range dd.Specs {
+						switch spec := spec.(type) {
+						case *ast.TypeSpec:
+							add(spec.Name, spec, docOf(spec.Doc, dd), false)
+						case *ast.ValueSpec:
+							for _, name := range spec.Names {
+								add(name, spec, docOf(spec.Doc, dd), false)
+							}
+						}
 					}
 				}
 			}
 		}
 	}
-	return out
+	for obj := range g.decls {
+		tn, ok := obj.(*types.TypeName)
+		if !ok || types.IsInterface(tn.Type()) {
+			continue
+		}
+		ptr := types.NewPointer(tn.Type())
+		for it := range ifaces {
+			if missing, _ := types.MissingMethod(ptr, it, true); missing != nil || it.NumMethods() == 0 {
+				continue
+			}
+			for i := range it.NumMethods() {
+				m := it.Method(i)
+				impl, _, _ := types.LookupFieldOrMethod(ptr, false, m.Pkg(), m.Name())
+				g.viaIface[obj] = append(g.viaIface[obj], origin(impl))
+			}
+		}
+	}
+	for _, obj := range roots {
+		g.mark(obj)
+	}
+	return g, nil
 }
 
-// testOnlyDecls returns the declarations of one package that nothing outside
-// the tests reaches. Exported names, init, main and blank names are roots;
-// any other declaration lives while a live declaration of the package
-// mentions it. A declaration's mentions of itself do not count, nor do a
-// type's own methods' mentions of the type, and a dead type's methods are
-// dead whatever their names. The sweep repeats until nothing changes, so a
-// chain of dead code dies whole.
-func testOnlyDecls(decls []*pkgDecl) []*pkgDecl {
-	dead := map[*pkgDecl]bool{}
-	typeDead := func(name string) bool {
-		found := false
-		for _, d := range decls {
-			if d.isType && d.name == name {
-				if !dead[d] {
-					return false
-				}
-				found = true
-			}
-		}
-		return found
+// docOf is a spec's doc comment, or its declaration's when the spec has none.
+func docOf(doc *ast.CommentGroup, gd *ast.GenDecl) *ast.CommentGroup {
+	if doc == nil {
+		return gd.Doc
 	}
-	used := func(d *pkgDecl) bool {
-		for _, e := range decls {
-			if dead[e] || e.key() == d.key() || (d.isType && e.recv == d.name) {
-				continue
-			}
-			if e.refs[d.name] > 0 {
-				return true
-			}
-		}
-		return false
+	return doc
+}
+
+// origin maps an instantiated generic func or var onto its declaration.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
 	}
-	for changed := true; changed; {
-		changed = false
-		for _, d := range decls {
-			if dead[d] {
-				continue
-			}
-			isRoot := d.name == "_" || d.name == "init" || (d.name == "main" && d.recv == "") ||
-				ast.IsExported(d.name)
-			if (d.recv != "" && typeDead(d.recv)) || (!isRoot && !used(d)) {
-				dead[d] = true
-				changed = true
-			}
-		}
+	return obj
+}
+
+// mark makes obj live, then everything it refers to and, for a type, every
+// method an interface it implements names.
+func (g *callGraph) mark(obj types.Object) {
+	d := g.decls[obj]
+	if d == nil || g.live[obj] {
+		return
 	}
-	var out []*pkgDecl
-	for _, d := range decls {
-		if dead[d] {
+	g.live[obj] = true
+	for _, u := range d.uses {
+		g.mark(u)
+	}
+	for _, m := range g.viaIface[obj] {
+		g.mark(m)
+	}
+}
+
+// dead lists the declarations nothing live reaches whose names are exported
+// (or, with exported false, unexported), by position.
+func (g *callGraph) dead(exported bool) []*decl {
+	var out []*decl
+	for obj, d := range g.decls {
+		if !g.live[obj] && obj.Exported() == exported {
 			out = append(out, d)
 		}
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].pos.String() < out[j].pos.String() })
 	return out
 }
 
-// TestEveryUnexportedHasACaller enforces the same rule for unexported code,
-// everywhere in the module: a package-level func, method, type, var or const
-// that only tests reach is deleted, or moves into a _test.go file. An
-// unexported name is package-scoped, so only the non-test files of its own
-// directory can use it. There is no exemption.
-func TestEveryUnexportedHasACaller(t *testing.T) {
-	m, err := parseModule()
+// moduleGraph is this module's call graph with the testSeams marked live,
+// loaded once for both caller tests, and what is wrong with testSeams.
+var moduleGraph = sync.OnceValues(func() (*callGraph, error) {
+	g, err := loadGraph(".")
+	if err != nil {
+		return nil, err
+	}
+	var seams []types.Object
+	for key := range testSeams {
+		obj, ok := g.byKey[key]
+		switch {
+		case !ok:
+			g.seamErrs = append(g.seamErrs, "test seam "+key+" is no longer declared: drop its entry")
+			continue
+		case g.live[obj]:
+			g.seamErrs = append(g.seamErrs, "test seam "+key+" now has a caller outside the tests: drop its entry")
+		case seamReason(g.decls[obj].doc) == "":
+			g.seamErrs = append(g.seamErrs, "test seam "+key+": its declaration lacks a // Test seam: <reason> line")
+		}
+		seams = append(seams, obj)
+	}
+	sort.Strings(g.seamErrs)
+	for _, obj := range seams {
+		g.mark(obj)
+	}
+	return g, nil
+})
+
+// TestEveryExportHasACaller enforces the caller rule for exported names, and
+// checks testSeams. The rule: a package-level func, method, type, var or const
+// is reached from outside the tests: from a root (loadGraph), through the
+// objects go/types resolves each reference to, or as a method of a reached
+// type that an interface the type implements names. A declaration only tests
+// reach is deleted, or moves into a _test.go file; the only exemption is the
+// testSeams map.
+func TestEveryExportHasACaller(t *testing.T) {
+	g, err := moduleGraph()
 	if err != nil {
 		t.Fatal(err)
 	}
-	byDir := map[string][]*pkgDecl{}
-	for _, mf := range m.files {
-		byDir[mf.dir] = append(byDir[mf.dir], pkgDecls(m.fset, mf.f)...)
+	for _, msg := range g.seamErrs {
+		t.Error(msg)
 	}
-	var dead []string
-	for dir, decls := range byDir {
-		for _, d := range testOnlyDecls(decls) {
-			dead = append(dead, d.pos+": "+dir+"."+d.key())
+	for _, d := range g.dead(true) {
+		t.Errorf("%s: %s is reached only from tests: delete it, or move it into a _test.go file", d.pos, d.key)
+	}
+}
+
+// TestEveryUnexportedHasACaller enforces the caller rule for unexported names.
+func TestEveryUnexportedHasACaller(t *testing.T) {
+	g, err := moduleGraph()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range g.dead(false) {
+		t.Errorf("%s: %s is reached only from tests: delete it, or move it into a _test.go file", d.pos, d.key)
+	}
+}
+
+// TestCallGraphVerdicts holds the rule to its verdict on each case of
+// testdata/callers; every declaration not listed is live.
+func TestCallGraphVerdicts(t *testing.T) {
+	g, err := loadGraph("testdata/callers")
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := map[string]bool{
+		"shapes.Square.Area": true,  // called only through Shape
+		"shapes.Leaf.node":   true,  // a sealed interface's marker
+		"shapes.Grid.Equal":  true,  // called from main
+		"shapes.Vec.Equal":   false, // shares only its name with Grid.Equal
+		"shapes.Vec.Energy":  false, // dead, the only caller of sumSquares
+		"shapes.sumSquares":  false,
+		"shapes.Debug":       false, // an exported var nothing reads
+	}
+	for key := range live {
+		if _, ok := g.byKey[key]; !ok {
+			t.Errorf("%s is not declared in testdata/callers", key)
 		}
 	}
-	sort.Strings(dead)
-	for _, d := range dead {
-		t.Errorf("%s is reached only from tests: delete it, or move it into a _test.go file", d)
+	for obj, d := range g.decls {
+		want, listed := live[d.key]
+		if !listed {
+			want = true
+		}
+		if g.live[obj] != want {
+			t.Errorf("%s: %s live = %v, want %v", d.pos, d.key, g.live[obj], want)
+		}
 	}
 }

@@ -61,9 +61,6 @@ func NewLoader(modulePath, moduleDir, srcRoot string, tests bool) *Loader {
 	}
 }
 
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // Import implements types.Importer for the typechecker's benefit.
 func (l *Loader) Import(path string) (*types.Package, error) {
 	return l.ImportFrom(path, l.ModuleDir, 0)
@@ -75,9 +72,12 @@ func (l *Loader) ImportFrom(path, srcDir string, mode types.ImportMode) (*types.
 		return p, nil
 	}
 	if dir, ok := l.resolve(path); ok {
-		pkg, err := l.load(dir, path, false)
+		pkg, err := l.load(dir, path)
 		if err != nil {
 			return nil, err
+		}
+		if pkg == nil {
+			return nil, fmt.Errorf("no Go files in %s", dir)
 		}
 		l.cache[path] = pkg.Types
 		return pkg.Types, nil
@@ -114,8 +114,10 @@ func (l *Loader) resolve(path string) (string, bool) {
 
 // LoadDir loads the package in dir as an analysis target: the base package
 // (with in-package test files when Tests is set) plus the external _test
-// package if one exists. dir must be under ModuleDir or SrcRoot so the
-// package's import path can be derived.
+// package if one exists. Without Tests the target is the import variant
+// itself, so its objects are the ones its importers' type information
+// refers to. dir must be under ModuleDir or SrcRoot so the package's import
+// path can be derived.
 func (l *Loader) LoadDir(dir string) ([]*Package, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
@@ -124,6 +126,13 @@ func (l *Loader) LoadDir(dir string) ([]*Package, error) {
 	path, err := l.importPath(abs)
 	if err != nil {
 		return nil, err
+	}
+	if !l.Tests {
+		pkg, err := l.load(abs, path)
+		if pkg == nil {
+			return nil, err
+		}
+		return []*Package{pkg}, nil
 	}
 	base, xtest, err := l.splitFiles(abs)
 	if err != nil {
@@ -137,7 +146,7 @@ func (l *Loader) LoadDir(dir string) ([]*Package, error) {
 		}
 		out = append(out, pkg)
 	}
-	if l.Tests && len(xtest) > 0 {
+	if len(xtest) > 0 {
 		pkg, err := l.check(path+"_test", xtest)
 		if err != nil {
 			return nil, err
@@ -147,8 +156,9 @@ func (l *Loader) LoadDir(dir string) ([]*Package, error) {
 	return out, nil
 }
 
-// load typechecks the import variant of the package in dir (no test files).
-func (l *Loader) load(dir, path string, _ bool) (*Package, error) {
+// load typechecks the import variant of the package in dir (no test files),
+// nil when dir has none.
+func (l *Loader) load(dir, path string) (*Package, error) {
 	if p, ok := l.loaded[path]; ok {
 		return p, nil
 	}
@@ -159,7 +169,7 @@ func (l *Loader) load(dir, path string, _ bool) (*Package, error) {
 		return nil, err
 	}
 	if len(files) == 0 {
-		return nil, fmt.Errorf("no Go files in %s", dir)
+		return nil, nil
 	}
 	pkg, err := l.check(path, files)
 	if err != nil {
@@ -169,13 +179,10 @@ func (l *Loader) load(dir, path string, _ bool) (*Package, error) {
 	return pkg, nil
 }
 
-// splitFiles parses dir and partitions its files into the base package
-// (including in-package tests when Tests is set) and the external test
-// package ("foo_test").
+// splitFiles parses dir and partitions its files, test files included, into
+// the base package and the external test package ("foo_test").
 func (l *Loader) splitFiles(dir string) (base, xtest []*ast.File, err error) {
-	files, err := l.parseDir(dir, func(name string) bool {
-		return l.Tests || !strings.HasSuffix(name, "_test.go")
-	})
+	files, err := l.parseDir(dir, func(string) bool { return true })
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,4 +1,4 @@
-// Package a exercises tracepair rule 1: a span opener's end closure must be
+// Package a exercises tracepair: a span opener's end closure must be
 // called where it is made, by `defer opener(...)()` or `opener(...)()`. A
 // closure bound to a variable is a finding even when every path closes it.
 // Openers are any *Span function returning func().

@@ -8,5 +8,5 @@ import (
 )
 
 func TestTracepair(t *testing.T) {
-	analysistest.Run(t, "testdata", tracepair.Analyzer, "a", "comm")
+	analysistest.Run(t, "testdata", tracepair.Analyzer, "a")
 }

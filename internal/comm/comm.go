@@ -16,6 +16,7 @@
 package comm
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"runtime"
@@ -448,7 +449,7 @@ func RunConfig(size int, cfg Config, fn func(c *Comm) error) (*Stats, error) {
 		}
 		cwg.Wait()
 	}
-	return f.stats, firstError(errs)
+	return f.stats, RootCause(errs)
 }
 
 // worldCtx is the context id of the world communicator; Split derives
@@ -492,28 +493,31 @@ func (f *fabric) abortPeers(rank int, err error) {
 	f.fs.fail(&FaultError{Kind: FaultPeerFailed, Rank: rank, Peer: -1, Seed: f.seed()})
 }
 
-// firstError prefers a root-cause failure over propagated FaultPeerFailed
-// errors so callers see the originating fault, not a downstream echo. When
-// every rank reports an echo — the root fault originated off-rank, e.g. in a
-// transport reader goroutine — the echo's recorded cause is surfaced instead.
-func firstError(errs []error) error {
-	var propagated error
+// RootCause picks a failed session's error out of its ranks' errors, in rank
+// order: the first that is not a propagated FaultPeerFailed echo, seen
+// through any %w wrapping, so callers get the originating fault rather than
+// a downstream echo. When every failed rank reports an echo — the root fault
+// originated off-rank, e.g. in a transport reader goroutine — the first
+// echo's recorded cause is surfaced instead. It is nil when every error is.
+func RootCause(errs []error) error {
+	var echo error
+	var cause *FaultError
 	for _, e := range errs {
 		if e == nil {
 			continue
 		}
-		if fe, ok := e.(*FaultError); ok && fe.Kind == FaultPeerFailed {
-			if propagated == nil {
-				propagated = e
-			}
-			continue
+		var fe *FaultError
+		if !errors.As(e, &fe) || fe.Kind != FaultPeerFailed {
+			return e
 		}
-		return e
+		if echo == nil {
+			echo, cause = e, fe.Cause
+		}
 	}
-	if fe, ok := propagated.(*FaultError); ok && fe.Cause != nil {
-		return fe.Cause
+	if cause != nil {
+		return cause
 	}
-	return propagated
+	return echo
 }
 
 // Send delivers data, a slice of a comm.Elem type, to rank dst with the

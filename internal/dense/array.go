@@ -421,63 +421,6 @@ func clamp(v, lo, hi int) int {
 	return v
 }
 
-// Row returns a 1-d view of row i of a 2-d array.
-func (a *Array[T]) Row(i int) *Array[T] {
-	if len(a.shape) != 2 {
-		panic("dense: Row requires a 2-d array")
-	}
-	if i < 0 || i >= a.shape[0] {
-		panic(fmt.Sprintf("dense: row %d out of range [0,%d)", i, a.shape[0]))
-	}
-	return &Array[T]{
-		data:    a.data,
-		shape:   []int{a.shape[1]},
-		strides: []int{a.strides[1]},
-		offset:  a.offset + i*a.strides[0],
-	}
-}
-
-// Col returns a 1-d view of column j of a 2-d array.
-func (a *Array[T]) Col(j int) *Array[T] {
-	if len(a.shape) != 2 {
-		panic("dense: Col requires a 2-d array")
-	}
-	if j < 0 || j >= a.shape[1] {
-		panic(fmt.Sprintf("dense: col %d out of range [0,%d)", j, a.shape[1]))
-	}
-	return &Array[T]{
-		data:    a.data,
-		shape:   []int{a.shape[0]},
-		strides: []int{a.strides[0]},
-		offset:  a.offset + j*a.strides[1],
-	}
-}
-
-// Transpose returns a view with the dimension order reversed (no copy).
-func (a *Array[T]) Transpose() *Array[T] {
-	n := len(a.shape)
-	out := &Array[T]{data: a.data, offset: a.offset, shape: make([]int, n), strides: make([]int, n)}
-	for d := 0; d < n; d++ {
-		out.shape[d] = a.shape[n-1-d]
-		out.strides[d] = a.strides[n-1-d]
-	}
-	return out
-}
-
-// Equal reports whether two arrays have identical shape and elements.
-func (a *Array[T]) Equal(b *Array[T]) bool {
-	if !shapeEq(a.shape, b.shape) {
-		return false
-	}
-	av, bv := a.Flatten(), b.Flatten()
-	for i := range av {
-		if av[i] != bv[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders small arrays fully and large ones by shape only.
 func (a *Array[T]) String() string {
 	if a.Size() > 64 {

@@ -164,55 +164,6 @@ func TestSliceND2D(t *testing.T) {
 	}
 }
 
-func TestRowCol(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	if !reflect.DeepEqual(a.Row(1).Flatten(), []float64{4, 5, 6}) {
-		t.Fatalf("row = %v", a.Row(1).Flatten())
-	}
-	if !reflect.DeepEqual(a.Col(2).Flatten(), []float64{3, 6}) {
-		t.Fatalf("col = %v", a.Col(2).Flatten())
-	}
-	a.Row(0).Set(9, 1)
-	if a.At(0, 1) != 9 {
-		t.Fatal("row view must alias")
-	}
-}
-
-func TestRowColValidation(t *testing.T) {
-	a := Zeros[float64](2, 3)
-	v := Zeros[float64](4)
-	for name, fn := range map[string]func(){
-		"row-oob": func() { a.Row(5) },
-		"col-oob": func() { a.Col(-1) },
-		"row-1d":  func() { v.Row(0) },
-		"col-1d":  func() { v.Col(0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: expected panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-func TestTranspose(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	tr := a.Transpose()
-	if tr.Dim(0) != 3 || tr.Dim(1) != 2 {
-		t.Fatalf("transpose shape %v", tr.Shape())
-	}
-	if tr.At(2, 1) != a.At(1, 2) {
-		t.Fatal("transpose content wrong")
-	}
-	tr.Set(42, 0, 0)
-	if a.At(0, 0) != 42 {
-		t.Fatal("transpose must be a view")
-	}
-}
-
 func TestContiguity(t *testing.T) {
 	a := Zeros[float64](3, 4)
 	if !a.IsContiguous() {
@@ -224,9 +175,6 @@ func TestContiguity(t *testing.T) {
 	// Slicing whole rows stays contiguous.
 	if !a.Slice(0, Range{1, 3, 1}).IsContiguous() {
 		t.Fatal("row-block slice contiguous")
-	}
-	if a.Transpose().IsContiguous() {
-		t.Fatal("transpose not contiguous for 3x4")
 	}
 }
 
@@ -292,21 +240,6 @@ func TestEachIndexed(t *testing.T) {
 	want := [][]int{{0, 0}, {0, 1}, {1, 0}, {1, 1}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("order = %v", got)
-	}
-}
-
-func TestEqual(t *testing.T) {
-	a := FromSlice(Arange[int64](6).Flatten(), 2, 3)
-	b := FromSlice(Arange[int64](6).Flatten(), 2, 3)
-	if !a.Equal(b) {
-		t.Fatal("equal arrays")
-	}
-	b.Set(9, 0, 0)
-	if a.Equal(b) {
-		t.Fatal("unequal content")
-	}
-	if a.Equal(Arange[int64](6)) {
-		t.Fatal("unequal shape")
 	}
 }
 
@@ -381,15 +314,6 @@ func TestSlicePropertyQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Property: Transpose twice is the identity view.
-func TestTransposeInvolution(t *testing.T) {
-	a := FromSlice(Arange[float64](24).Flatten(), 2, 3, 4)
-	tt := a.Transpose().Transpose()
-	if !a.Equal(tt) {
-		t.Fatal("transpose involution failed")
 	}
 }
 

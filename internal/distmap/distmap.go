@@ -143,9 +143,6 @@ func (m *Map) NumRanks() int { return m.size }
 // Kind returns the distribution family.
 func (m *Map) Kind() Kind { return m.kind }
 
-// BlockSize returns the block size for block-cyclic maps and 0 otherwise.
-func (m *Map) BlockSize() int { return m.bs }
-
 // LocalCount returns the number of globals owned by the given rank.
 func (m *Map) LocalCount(rank int) int {
 	m.checkRank(rank)

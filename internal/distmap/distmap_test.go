@@ -171,7 +171,7 @@ func TestBlockCyclicLayout(t *testing.T) {
 			t.Fatalf("rank0 %v want %v", got0, want0)
 		}
 	}
-	if m.BlockSize() != 2 {
+	if m.bs != 2 {
 		t.Fatal("BlockSize")
 	}
 }

@@ -108,42 +108,6 @@ func (m *AMG) LocalSolve(r, z []float64) {
 	m.vcycle(0, r, z)
 }
 
-// Solve runs V-cycles until the relative residual drops below tol or
-// maxCycles is reached, returning the cycle count and final relative
-// residual. Used when the AMG acts as a standalone serial solver.
-func (m *AMG) Solve(b, x []float64, tol float64, maxCycles int) (int, float64) {
-	a := m.levels[0].aop
-	n := m.levels[0].a.Rows
-	r := make([]float64, n)
-	bn := nrm2(b)
-	if bn == 0 {
-		bn = 1
-	}
-	z := make([]float64, n)
-	for cycle := 1; cycle <= maxCycles; cycle++ {
-		a.MulVec(x, r)
-		for i := range r {
-			r[i] = b[i] - r[i]
-		}
-		rel := nrm2(r) / bn
-		if rel <= tol {
-			return cycle - 1, rel
-		}
-		for i := range z {
-			z[i] = 0
-		}
-		m.vcycle(0, r, z)
-		for i := range x {
-			x[i] += z[i]
-		}
-	}
-	a.MulVec(x, r)
-	for i := range r {
-		r[i] = b[i] - r[i]
-	}
-	return maxCycles, nrm2(r) / bn
-}
-
 func (m *AMG) vcycle(level int, r, z []float64) {
 	l := m.levels[level]
 	if level == len(m.levels)-1 {
@@ -311,11 +275,3 @@ func NewAMG(a *tpetra.CrsMatrix, opts AMGOptions) (*AdditiveSchwarz, error) {
 func abs(v float64) float64 { return math.Abs(v) }
 
 func sqrtAbs(v float64) float64 { return math.Sqrt(math.Abs(v)) }
-
-func nrm2(v []float64) float64 {
-	var acc float64
-	for _, x := range v {
-		acc += x * x
-	}
-	return math.Sqrt(acc)
-}

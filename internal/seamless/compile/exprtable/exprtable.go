@@ -8,6 +8,8 @@ package exprtable
 // literals, and scalar variables and scalar sub-expressions on either side.
 // In a kernel x and y are float arrays, a is a float and k an int; under
 // /v1/expr, where every name is an array, all four are arrays.
+//
+// Test seam: replayed by the compile and serve differential suites.
 var Sources = []string{
 	"x + y", "x - y", "x * y", "x / y", "x // y", "x % y", "x ** y", "-x", "+x - -y",
 	"sqrt(abs(x))", "sin(x)", "cos(y)", "exp(x)", "abs(x)", "log(abs(x))",

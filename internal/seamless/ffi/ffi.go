@@ -241,15 +241,6 @@ double erf(double x); double tgamma(double x);
 // two-line experience of §IV.C.
 func OpenM() (*Library, error) { return Open("m", MathHeader) }
 
-// Decls returns the parsed declarations, keyed by name.
-func (l *Library) Decls() map[string]Decl {
-	out := make(map[string]Decl, len(l.decls))
-	for k, v := range l.decls {
-		out[k] = v
-	}
-	return out
-}
-
 // Call invokes a declared function with automatic arity checking against
 // the discovered signature.
 func (l *Library) Call(name string, args ...float64) (float64, error) {

@@ -130,8 +130,8 @@ func TestTwoLineLibm(t *testing.T) {
 			t.Fatalf("%s = %v want %v", name, got, c.want)
 		}
 	}
-	if len(libm.Decls()) < 20 {
-		t.Fatalf("header only declared %d functions", len(libm.Decls()))
+	if len(libm.decls) < 20 {
+		t.Fatalf("header only declared %d functions", len(libm.decls))
 	}
 }
 

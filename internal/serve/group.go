@@ -89,9 +89,6 @@ func (p *Pending) Wait() (any, error) {
 	return p.out, p.err
 }
 
-// Done exposes the completion signal for select-based waiters.
-func (p *Pending) Done() <-chan struct{} { return p.done }
-
 // group is one warm rank group: a persistent comm session whose rank
 // goroutines loop over per-rank lanes, plus a feeder pulling from the
 // scheduler's shared queue. Jobs run one at a time per group; concurrency
@@ -168,14 +165,14 @@ func (g *group) feed(lanes []chan *job) bool {
 // submitter. It reports whether the group's session latched a fault
 // (poisoned) and must be recycled.
 func (g *group) finish(jb *job) (poisoned bool) {
+	if jb.err == nil {
+		jb.err = comm.RootCause(g.errs)
+	}
 	for r, e := range g.errs {
 		if e == nil {
 			continue
 		}
 		g.errs[r] = nil
-		if jb.err == nil {
-			jb.err = e
-		}
 		var fe *comm.FaultError
 		if errors.As(e, &fe) {
 			poisoned = true

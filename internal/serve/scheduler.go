@@ -88,13 +88,6 @@ func NewScheduler(opts Options) *Scheduler {
 	return s
 }
 
-// Ranks returns the per-group rank count (jobs see communicators of this
-// size).
-func (s *Scheduler) Ranks() int { return s.opts.Ranks }
-
-// Groups returns the warm-group count.
-func (s *Scheduler) Groups() int { return s.opts.Groups }
-
 // Submit runs fn on the next available warm group. It rejects with a typed
 // QuotaError or OverloadError without blocking; an admitted job's result
 // arrives through the returned Pending, and every admitted job resolves —

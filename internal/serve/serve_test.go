@@ -394,6 +394,11 @@ func TestDeadlockedJobRecyclesGroup(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		_, err := s.Do("t", func(c *comm.Comm, st *RankState) (any, error) {
+			if c.Rank() == 1 {
+				// Park last, so rank 1 raises the deadlock and rank 0
+				// holds only its echo.
+				time.Sleep(10 * time.Millisecond)
+			}
 			got := c.Recv(1-c.Rank(), tagRecvFirst)
 			c.Send(1-c.Rank(), tagRecvFirst, got)
 			return nil, nil
@@ -402,13 +407,9 @@ func TestDeadlockedJobRecyclesGroup(t *testing.T) {
 	}()
 	select {
 	case err := <-done:
-		// Rank 0's error is the job's: the deadlock itself, or the peer
-		// failure it woke rank 0 with.
+		// The job's error is the root cause, whichever rank raised it.
 		var fe *comm.FaultError
-		if errors.As(err, &fe) && fe.Kind == comm.FaultPeerFailed && fe.Cause != nil {
-			fe = fe.Cause
-		}
-		if fe == nil || fe.Kind != comm.FaultDeadlock {
+		if !errors.As(err, &fe) || fe.Kind != comm.FaultDeadlock {
 			t.Fatalf("deadlocking job: err = %v, want a FaultDeadlock", err)
 		}
 	case <-time.After(30 * time.Second):
@@ -491,7 +492,7 @@ func TestSubmitRacingStopResolves(t *testing.T) {
 		deadline := time.After(10 * time.Second)
 		for p := range pending {
 			select {
-			case <-p.Done():
+			case <-p.done:
 				if _, err := p.Wait(); err != nil && err != ErrStopped {
 					t.Fatalf("round %d: admitted job resolved with %v", round, err)
 				}

@@ -53,9 +53,6 @@ func (c *COO) grow() {
 	c.v = append(make([]float64, 0, n), c.v...)
 }
 
-// NNZ returns the number of triplets added so far (before deduplication).
-func (c *COO) NNZ() int { return len(c.v) }
-
 // ToCSR converts the triplets to CSR form, sorting column indices within
 // each row and summing duplicates. It allocates the three arrays it returns
 // and nothing else: the merge compacts in place.
@@ -295,32 +292,6 @@ func (m *CSR) Diag() []float64 {
 		d[i] = m.At(i, i)
 	}
 	return d
-}
-
-// Scale multiplies every stored entry by alpha, in place.
-func (m *CSR) Scale(alpha float64) {
-	for k := range m.Val {
-		m.Val[k] *= alpha
-	}
-}
-
-// Add returns A + B for matrices of identical shape.
-func (m *CSR) Add(b *CSR) *CSR {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		panic(fmt.Sprintf("sparse: Add shape mismatch %dx%d vs %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
-	coo := NewCOO(m.Rows, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		cols, vals := m.Row(i)
-		for k, j := range cols {
-			coo.Add(i, j, vals[k])
-		}
-		cols, vals = b.Row(i)
-		for k, j := range cols {
-			coo.Add(i, j, vals[k])
-		}
-	}
-	return coo.ToCSR()
 }
 
 // MatMul returns the sparse product A*B.

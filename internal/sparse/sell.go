@@ -352,16 +352,6 @@ func sellRange(a sellArgs, slo, shi int) {
 	}
 }
 
-// Scale multiplies every stored value by alpha, in place. A value a uniform
-// slice stores once for eight equal entries is scaled once, which gives the
-// bits eight separate products would. Padding slots are scaled too but never
-// read, so a NaN/Inf alpha cannot leak into results.
-func (m *SELL) Scale(alpha float64) {
-	for k := range m.val {
-		m.val[k] *= alpha
-	}
-}
-
 // ToCSR returns the CSR matrix m was converted from, exactly: FromCSR keeps
 // every stored entry of a row — explicit zeros and NaN payloads included —
 // in the row's order, and merges eight values only when their bits are

@@ -770,36 +770,6 @@ func BenchmarkSELLBlock(b *testing.B) {
 	})
 }
 
-// TestSELLScale holds a scaled SELL to the scaled CSR with both kernels, on
-// a tridiagonal matrix and on the solve_large block, whose uniform slices
-// store most values once. x[i] = i² mod 7 - 3 is not linear in i, so no
-// stencil row sums to zero and a slice Scale skipped cannot pass.
-func TestSELLScale(t *testing.T) {
-	for name, build := range map[string]func() *CSR{
-		"tridiag-50":               func() *CSR { return tridiag(50) },
-		"solve_large rank-0 block": func() *CSR { return laplace3dBlock(32, 32, 32) },
-	} {
-		t.Run(name, func(t *testing.T) {
-			forEachSellKernel(t, func(t *testing.T) {
-				m := build()
-				s := NewSELL(m)
-				m.Scale(-2.5)
-				s.Scale(-2.5)
-				x := make([]float64, m.Cols)
-				for i := range x {
-					x[i] = float64(i*i%7) - 3
-				}
-				y1, y2 := make([]float64, m.Rows), make([]float64, m.Rows)
-				m.MulVec(x, y1)
-				s.MulVec(x, y2)
-				if !bitsEqual(y1, y2) {
-					t.Fatal("Scale broke SELL/CSR parity")
-				}
-			})
-		})
-	}
-}
-
 // roundTripMismatch reports the first place FromCSR(m, c, sigma).ToCSR()
 // differs from m: shape, a row pointer, a column index, or a value's bits
 // (NaN payloads and the sign of zero included).

@@ -86,9 +86,6 @@ func New(ctx *core.Context, schema []Column) *Table {
 	return t
 }
 
-// Context returns the owning ODIN context.
-func (t *Table) Context() *core.Context { return t.ctx }
-
 // AppendRow adds one local row; vals must match the schema order and kinds
 // (float64, int64/int, string). Local operation.
 func (t *Table) AppendRow(vals ...any) {
@@ -135,15 +132,6 @@ func (t *Table) NumRowsGlobal() int {
 type Row struct {
 	t *Table
 	i int
-}
-
-// Float returns the value of a float column in this row.
-func (r Row) Float(name string) float64 {
-	col, ok := r.t.floats[name]
-	if !ok {
-		panic(fmt.Sprintf("table: no float column %q", name))
-	}
-	return col[r.i]
 }
 
 // Int returns the value of an int column in this row.

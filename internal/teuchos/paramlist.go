@@ -12,8 +12,8 @@ import (
 	"sync"
 )
 
-// ParameterList is a hierarchical map of named, typed parameters; Validate
-// rejects misspelled or mistyped options. It is safe for concurrent use.
+// ParameterList is a hierarchical map of named, typed parameters. It is safe
+// for concurrent use.
 type ParameterList struct {
 	mu     sync.Mutex
 	name   string
@@ -121,43 +121,6 @@ func (p *ParameterList) Keys() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Validate checks every parameter against an allowed-key table mapping
-// names to example values of the required type; unknown names or type
-// mismatches are errors. Sub-lists are validated against nested tables
-// registered under their name in subTables.
-func (p *ParameterList) Validate(allowed map[string]any, subTables map[string]map[string]any) error {
-	p.mu.Lock()
-	values := make(map[string]any, len(p.values))
-	for k, v := range p.values {
-		values[k] = v
-	}
-	subs := make(map[string]*ParameterList, len(p.subs))
-	for k, v := range p.subs {
-		subs[k] = v
-	}
-	p.mu.Unlock()
-
-	for k, v := range values {
-		ex, ok := allowed[k]
-		if !ok {
-			return fmt.Errorf("teuchos: unknown parameter %q in list %q", k, p.name)
-		}
-		if fmt.Sprintf("%T", v) != fmt.Sprintf("%T", ex) {
-			return fmt.Errorf("teuchos: parameter %q in list %q is %T, want %T", k, p.name, v, ex)
-		}
-	}
-	for name, sub := range subs {
-		table, ok := subTables[name]
-		if !ok {
-			return fmt.Errorf("teuchos: unknown sublist %q in list %q", name, p.name)
-		}
-		if err := sub.Validate(table, subTables); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Merge copies every parameter and sub-list of other into p, overwriting

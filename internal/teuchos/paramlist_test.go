@@ -97,42 +97,6 @@ func TestKeysSorted(t *testing.T) {
 	}
 }
 
-func TestValidate(t *testing.T) {
-	allowed := map[string]any{"tol": 0.0, "iters": 0, "method": ""}
-	subTables := map[string]map[string]any{"prec": {"type": ""}}
-
-	ok := NewParameterList("s")
-	ok.Set("tol", 1e-6).Set("iters", 10)
-	ok.Sublist("prec").Set("type", "jacobi")
-	if err := ok.Validate(allowed, subTables); err != nil {
-		t.Fatalf("valid list rejected: %v", err)
-	}
-
-	unknown := NewParameterList("s")
-	unknown.Set("tolerence", 1e-6) // typo
-	if err := unknown.Validate(allowed, subTables); err == nil {
-		t.Fatal("unknown key accepted")
-	}
-
-	badType := NewParameterList("s")
-	badType.Set("tol", "tight")
-	if err := badType.Validate(allowed, subTables); err == nil {
-		t.Fatal("bad type accepted")
-	}
-
-	badSub := NewParameterList("s")
-	badSub.Sublist("precond")
-	if err := badSub.Validate(allowed, subTables); err == nil {
-		t.Fatal("unknown sublist accepted")
-	}
-
-	badSubKey := NewParameterList("s")
-	badSubKey.Sublist("prec").Set("typ", "x")
-	if err := badSubKey.Validate(allowed, subTables); err == nil {
-		t.Fatal("bad sublist key accepted")
-	}
-}
-
 func TestMerge(t *testing.T) {
 	a := NewParameterList("a")
 	a.Set("x", 1).Set("y", 2)

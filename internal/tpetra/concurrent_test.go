@@ -117,10 +117,9 @@ func TestImportConcurrentApplications(t *testing.T) {
 	for _, p := range []int{2, 4} {
 		t.Run(fmt.Sprintf("P=%d", p), func(t *testing.T) {
 			imports := make([]*tpetra.Import, p)
+			srcMap, dstMap := distmap.NewBlock(n, p), distmap.NewCyclic(n, p)
 			err := comm.Run(p, func(c *comm.Comm) error {
-				src := distmap.NewBlock(n, p)
-				dst := distmap.NewCyclic(n, p)
-				imports[c.Rank()] = tpetra.NewImport(c, src, dst)
+				imports[c.Rank()] = tpetra.NewImport(c, srcMap, dstMap)
 				return nil
 			})
 			if err != nil {
@@ -135,10 +134,10 @@ func TestImportConcurrentApplications(t *testing.T) {
 					defer wg.Done()
 					errs[sess] = comm.Run(p, func(c *comm.Comm) error {
 						im := imports[c.Rank()]
-						src := tpetra.NewVector(c, im.Src())
-						dst := tpetra.NewVector(c, im.Dst())
+						src := tpetra.NewVector(c, srcMap)
+						dst := tpetra.NewVector(c, dstMap)
 						for i := range src.Data {
-							src.Data[i] = sessFill(sess, im.Src().LocalToGlobal(c.Rank(), i))
+							src.Data[i] = sessFill(sess, srcMap.LocalToGlobal(c.Rank(), i))
 						}
 						for rep := 0; rep < reps; rep++ {
 							for i := range dst.Data {
@@ -146,7 +145,7 @@ func TestImportConcurrentApplications(t *testing.T) {
 							}
 							im.Apply(src, dst)
 							for i := range dst.Data {
-								gl := im.Dst().LocalToGlobal(c.Rank(), i)
+								gl := dstMap.LocalToGlobal(c.Rank(), i)
 								if want := sessFill(sess, gl); dst.Data[i] != want {
 									return fmt.Errorf("session %d rank %d rep %d: dst[%d] = %g, want %g",
 										sess, c.Rank(), rep, i, dst.Data[i], want)

@@ -184,9 +184,6 @@ func (a *CrsMatrix) SpmvFormat() sparse.Format {
 // Map returns the row (and domain, and range) map.
 func (a *CrsMatrix) Map() *distmap.Map { return a.rowMap }
 
-// Comm returns the communicator.
-func (a *CrsMatrix) Comm() *comm.Comm { return a.c }
-
 func (a *CrsMatrix) mustBeFilled() {
 	if a.building {
 		panic("tpetra: operation requires FillComplete")
@@ -230,16 +227,6 @@ func (a *CrsMatrix) Diagonal() *Vector {
 		d.Data[l] = local.At(l, l) // owned column l corresponds to owned row l
 	}
 	return d
-}
-
-// Scale multiplies every stored entry by alpha.
-func (a *CrsMatrix) Scale(alpha float64) {
-	a.mustBeFilled()
-	if a.sell != nil {
-		a.sell.Scale(alpha)
-	} else {
-		a.local.Scale(alpha)
-	}
 }
 
 // LocalDiagonalBlock extracts this rank's owned-rows x owned-columns block

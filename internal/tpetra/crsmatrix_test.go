@@ -123,9 +123,6 @@ func TestImportBlockToCyclic(t *testing.T) {
 		x := NewVector(c, src)
 		x.FillFromGlobal(func(g int) float64 { return float64(g) + 0.5 })
 		im := NewImport(c, src, dst)
-		if im.Src() != src || im.Dst() != dst {
-			return fmt.Errorf("accessors")
-		}
 		y := NewVector(c, dst)
 		im.Apply(x, y)
 		full := y.GatherAll()
@@ -156,7 +153,7 @@ func TestImportIdentityNoTraffic(t *testing.T) {
 		}
 		c.Barrier()
 		im := NewImport(c, m, m)
-		if im.RemoteCount() != 0 {
+		if im.plan.RemoteCount() != 0 {
 			return fmt.Errorf("identity import has remote elements")
 		}
 		y := NewVector(c, m)
@@ -264,19 +261,6 @@ func TestCrsMatrixNNZAndNorm(t *testing.T) {
 		want := math.Sqrt(4*float64(n) + 2*float64(n-1))
 		if got := math.Sqrt(sq); math.Abs(got-want) > 1e-12 {
 			return fmt.Errorf("fro=%g want %g", got, want)
-		}
-		return nil
-	})
-}
-
-func TestCrsMatrixScaleOps(t *testing.T) {
-	onRanks(t, []int{2}, func(c *comm.Comm) error {
-		m := distmap.NewBlock(8, c.Size())
-		a := buildLaplace1D(c, m)
-		a.Scale(2)
-		d := a.Diagonal()
-		if d.GetGlobal(0) != 4 {
-			return fmt.Errorf("after Scale diag=%g", d.GetGlobal(0))
 		}
 		return nil
 	})

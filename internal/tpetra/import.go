@@ -172,17 +172,6 @@ func NewImport(c *comm.Comm, src, dst *distmap.Map) *Import {
 	return &Import{src: src, dst: dst, plan: NewGatherPlan(c, src, needed)}
 }
 
-// Src returns the source map.
-func (im *Import) Src() *distmap.Map { return im.src }
-
-// Dst returns the destination map.
-func (im *Import) Dst() *distmap.Map { return im.dst }
-
-// RemoteCount returns the number of elements this rank receives from other
-// ranks per Apply — the redistribution cost metric used by the strategy
-// chooser.
-func (im *Import) RemoteCount() int { return im.plan.RemoteCount() }
-
 // Apply redistributes: src vector (over Src map) into dst vector (over Dst
 // map). Collective.
 func (im *Import) Apply(src, dst *Vector) {

@@ -168,19 +168,6 @@ func reciprocalRange(a sweepArgs, lo, hi int) {
 	}
 }
 
-// Abs computes v[i] = |x[i]|.
-func (v *Vector) Abs(x *Vector) {
-	v.checkCompat(x, "Abs")
-	exec.ForRange(exec.Default(), len(v.Data), sweepArgs{d: v.Data, x: x.Data}, absRange)
-}
-
-func absRange(a sweepArgs, lo, hi int) {
-	d, xd := a.d, a.x
-	for i := lo; i < hi; i++ {
-		d[i] = math.Abs(xd[i])
-	}
-}
-
 // Dot returns the global inner product <v, w>. Collective. The local part
 // runs on the exec engine; the cross-rank part is the usual allreduce.
 func (v *Vector) Dot(w *Vector) float64 {

@@ -117,10 +117,6 @@ func TestElementWiseOps(t *testing.T) {
 		if got := z.GetGlobal(9); got != 2*(9-4.5) {
 			return fmt.Errorf("mult=%g", got)
 		}
-		z.Abs(x)
-		if got := z.GetGlobal(0); got != 4.5 {
-			return fmt.Errorf("abs=%g", got)
-		}
 		z.Reciprocal(y)
 		if got := z.GetGlobal(3); got != 0.5 {
 			return fmt.Errorf("recip=%g", got)
