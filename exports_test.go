@@ -50,10 +50,19 @@ func seamReason(doc *ast.CommentGroup) string {
 // decl is one package-level declaration: a func, a method, a type, or one
 // name of a var or const spec.
 type decl struct {
-	key  string
-	pos  token.Position
-	doc  *ast.CommentGroup
-	uses []types.Object // what its source refers to, generic origins for instances
+	key   string
+	pos   token.Position
+	doc   *ast.CommentGroup
+	uses  []types.Object // what its source refers to, generic origins for instances
+	convs []conversion   // where its source turns a concrete value into an interface
+}
+
+// conversion is a value of concrete type src becoming an interface dst: an
+// assignment, an argument, a return, an element of a composite literal, a
+// send, an explicit conversion, or a type argument meeting its constraint.
+type conversion struct {
+	src types.Type
+	dst *types.Interface
 }
 
 // callGraph is every package-level declaration of a module's non-test
@@ -61,10 +70,12 @@ type decl struct {
 type callGraph struct {
 	decls map[types.Object]*decl
 	byKey map[string]types.Object
-	// viaIface maps a type to its methods that an interface it (or its
-	// pointer) implements names: whoever holds the type as that interface
-	// may call them.
-	viaIface map[types.Object][]types.Object
+	// asserted are the interfaces an interface value may be asserted to
+	// where no conversion to them is written: error, those declared outside
+	// the module (whose code asserts what it is handed), and those a type
+	// assertion or type switch of the module names.
+	asserted []*types.Interface
+	seen     map[string]bool // types already checked against asserted
 	live     map[types.Object]bool
 	seamErrs []string // what is wrong with testSeams, set by moduleGraph
 }
@@ -109,28 +120,25 @@ func loadGraph(dir string) (*callGraph, error) {
 	if err != nil {
 		return nil, err
 	}
-	ifaces := map[*types.Interface]bool{types.Universe.Lookup("error").Type().Underlying().(*types.Interface): true}
-	addIfaces := func(p *types.Package) {
+	asserted := map[*types.Interface]bool{types.Universe.Lookup("error").Type().Underlying().(*types.Interface): true}
+	addAsserted := func(p *types.Package) {
 		for _, name := range p.Scope().Names() {
-			tn, ok := p.Scope().Lookup(name).(*types.TypeName)
-			if !ok {
-				continue
-			}
-			if it, ok := tn.Type().Underlying().(*types.Interface); ok {
-				ifaces[it] = true
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok && types.IsInterface(tn.Type()) {
+				asserted[tn.Type().Underlying().(*types.Interface)] = true
 			}
 		}
 	}
-	addIfaces(stdPkg)
+	addAsserted(stdPkg)
 
 	var roots []types.Object
 	g := &callGraph{decls: map[types.Object]*decl{}, byKey: map[string]types.Object{},
-		viaIface: map[types.Object][]types.Object{}, live: map[types.Object]bool{}}
+		seen: map[string]bool{}, live: map[types.Object]bool{}}
 	for _, pkg := range pkgs {
-		addIfaces(pkg.Types)
 		testSupport := false
 		for _, imp := range pkg.Types.Imports() {
-			addIfaces(imp)
+			if !strings.HasPrefix(imp.Path(), modPath+"/") {
+				addAsserted(imp)
+			}
 			testSupport = testSupport || imp.Path() == "testing"
 		}
 		prefix := strings.TrimPrefix(strings.TrimPrefix(pkg.Path, modPath+"/"), "internal/") + "."
@@ -140,17 +148,7 @@ func loadGraph(dir string) (*callGraph, error) {
 			if fn, ok := obj.(*types.Func); ok && analysis.RecvTypeName(fn) != "" {
 				d.key = prefix + analysis.RecvTypeName(fn) + "." + id.Name
 			}
-			ast.Inspect(node, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.Ident:
-					if obj := pkg.Info.Uses[n]; obj != nil {
-						d.uses = append(d.uses, origin(obj))
-					}
-				case *ast.InterfaceType:
-					ifaces[pkg.Info.TypeOf(n).(*types.Interface)] = true
-				}
-				return true
-			})
+			d.uses, d.convs = references(pkg.Info, node, asserted)
 			g.decls[obj], g.byKey[d.key] = d, obj
 			if isRoot || id.Name == "_" || pkg.Name == "main" || testSupport {
 				roots = append(roots, obj)
@@ -176,27 +174,169 @@ func loadGraph(dir string) (*callGraph, error) {
 			}
 		}
 	}
-	for obj := range g.decls {
-		tn, ok := obj.(*types.TypeName)
-		if !ok || types.IsInterface(tn.Type()) {
-			continue
-		}
-		ptr := types.NewPointer(tn.Type())
-		for it := range ifaces {
-			if missing, _ := types.MissingMethod(ptr, it, true); missing != nil || it.NumMethods() == 0 {
-				continue
-			}
-			for i := range it.NumMethods() {
-				m := it.Method(i)
-				impl, _, _ := types.LookupFieldOrMethod(ptr, false, m.Pkg(), m.Name())
-				g.viaIface[obj] = append(g.viaIface[obj], origin(impl))
-			}
+	for it := range asserted {
+		if it.NumMethods() > 0 {
+			g.asserted = append(g.asserted, it)
 		}
 	}
 	for _, obj := range roots {
 		g.mark(obj)
 	}
 	return g, nil
+}
+
+// references returns what node's source refers to and where it converts a
+// concrete value to an interface, and adds to asserted the interfaces its
+// type assertions and type switches name.
+func references(info *types.Info, node ast.Node, asserted map[*types.Interface]bool) (uses []types.Object, convs []conversion) {
+	toIface := func(dst, src types.Type) {
+		if dst == nil || src == nil { // a blank identifier: nothing is recorded
+			return
+		}
+		it, ok := dst.Underlying().(*types.Interface)
+		if _, tuple := src.(*types.Tuple); ok && !tuple && !types.IsInterface(src) {
+			convs = append(convs, conversion{src, it})
+		}
+	}
+	conv := func(dst types.Type, e ast.Expr) { toIface(dst, info.TypeOf(e)) }
+	// assign converts values to dst(0), ..., dst(n-1): one expression each,
+	// or one multi-valued call.
+	assign := func(n int, dst func(i int) types.Type, values []ast.Expr) {
+		if tuple, ok := info.TypeOf(values[0]).(*types.Tuple); ok && len(values) == 1 && tuple.Len() == n {
+			for i := range n {
+				toIface(dst(i), tuple.At(i).Type())
+			}
+		} else if len(values) == n {
+			for i, v := range values {
+				conv(dst(i), v)
+			}
+		}
+	}
+	assert := func(e ast.Expr) {
+		if t := info.TypeOf(e); t != nil && types.IsInterface(t) {
+			asserted[t.Underlying().(*types.Interface)] = true
+		}
+	}
+	var stack []ast.Node // the enclosing nodes, innermost last
+	ast.Inspect(node, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		stack = append(stack, n)
+		switch n := n.(type) {
+		case *ast.Ident:
+			if obj := info.Uses[n]; obj != nil {
+				uses = append(uses, origin(obj))
+				if inst, ok := info.Instances[n]; ok {
+					tps := typeParams(obj)
+					for i := range tps.Len() {
+						toIface(tps.At(i).Constraint(), inst.TypeArgs.At(i))
+					}
+				}
+			}
+		case *ast.AssignStmt:
+			assign(len(n.Lhs), func(i int) types.Type { return info.TypeOf(n.Lhs[i]) }, n.Rhs)
+		case *ast.ValueSpec:
+			if n.Type != nil && len(n.Values) > 0 {
+				assign(len(n.Names), func(int) types.Type { return info.TypeOf(n.Type) }, n.Values)
+			}
+		case *ast.ReturnStmt:
+			if sig := enclosingSig(info, stack); sig != nil && len(n.Results) > 0 {
+				assign(sig.Results().Len(), func(i int) types.Type { return sig.Results().At(i).Type() }, n.Results)
+			}
+		case *ast.CallExpr:
+			if tv := info.Types[n.Fun]; tv.IsType() {
+				conv(tv.Type, n.Args[0])
+			} else if sig, ok := info.TypeOf(n.Fun).Underlying().(*types.Signature); ok && len(n.Args) > 0 {
+				params, last := sig.Params(), sig.Params().Len()-1
+				nargs := len(n.Args)
+				if tuple, ok := info.TypeOf(n.Args[0]).(*types.Tuple); ok {
+					nargs = tuple.Len()
+				}
+				assign(nargs, func(i int) types.Type {
+					switch {
+					case sig.Variadic() && i >= last && !n.Ellipsis.IsValid():
+						return params.At(last).Type().(*types.Slice).Elem()
+					case i < params.Len():
+						return params.At(i).Type()
+					}
+					return nil
+				}, n.Args)
+			}
+		case *ast.CompositeLit:
+			compositeConvs(info, n, conv)
+		case *ast.SendStmt:
+			if ch, ok := info.TypeOf(n.Chan).Underlying().(*types.Chan); ok {
+				conv(ch.Elem(), n.Value)
+			}
+		case *ast.TypeAssertExpr:
+			if n.Type != nil {
+				assert(n.Type)
+			}
+		case *ast.TypeSwitchStmt:
+			for _, cc := range n.Body.List {
+				for _, e := range cc.(*ast.CaseClause).List {
+					assert(e)
+				}
+			}
+		}
+		return true
+	})
+	return uses, convs
+}
+
+// typeParams are the type parameters of a generic func or type.
+func typeParams(obj types.Object) *types.TypeParamList {
+	if named, ok := obj.Type().(*types.Named); ok {
+		return named.TypeParams()
+	}
+	if sig, ok := obj.Type().(*types.Signature); ok {
+		return sig.TypeParams()
+	}
+	return nil
+}
+
+// enclosingSig is the signature of the innermost function around the last
+// node of stack, or nil.
+func enclosingSig(info *types.Info, stack []ast.Node) *types.Signature {
+	for i := len(stack) - 1; i >= 0; i-- {
+		switch f := stack[i].(type) {
+		case *ast.FuncLit:
+			return info.TypeOf(f).(*types.Signature)
+		case *ast.FuncDecl:
+			return info.Defs[f.Name].Type().(*types.Signature)
+		}
+	}
+	return nil
+}
+
+// compositeConvs calls conv on each element of lit with the type its slot
+// holds.
+func compositeConvs(info *types.Info, lit *ast.CompositeLit, conv func(types.Type, ast.Expr)) {
+	t := info.TypeOf(lit).Underlying()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem().Underlying()
+	}
+	for i, elt := range lit.Elts {
+		kv, keyed := elt.(*ast.KeyValueExpr)
+		switch t := t.(type) {
+		case *types.Struct:
+			if !keyed {
+				conv(t.Field(i).Type(), elt)
+			} else if f, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+				conv(f.Type(), kv.Value)
+			}
+		case *types.Map:
+			conv(t.Key(), kv.Key)
+			conv(t.Elem(), kv.Value)
+		case interface{ Elem() types.Type }: // array or slice
+			if keyed {
+				elt = kv.Value
+			}
+			conv(t.Elem(), elt)
+		}
+	}
 }
 
 // docOf is a spec's doc comment, or its declaration's when the spec has none.
@@ -218,8 +358,8 @@ func origin(obj types.Object) types.Object {
 	return obj
 }
 
-// mark makes obj live, then everything it refers to and, for a type, every
-// method an interface it implements names.
+// mark makes obj live, then everything it refers to, and the methods that
+// its conversions let an interface call.
 func (g *callGraph) mark(obj types.Object) {
 	d := g.decls[obj]
 	if d == nil || g.live[obj] {
@@ -229,8 +369,48 @@ func (g *callGraph) mark(obj types.Object) {
 	for _, u := range d.uses {
 		g.mark(u)
 	}
-	for _, m := range g.viaIface[obj] {
-		g.mark(m)
+	for _, c := range d.convs {
+		g.markMethods(c.src, c.dst)
+		g.markAsserted(c.src)
+	}
+}
+
+// markMethods marks the methods of t that interface it names.
+func (g *callGraph) markMethods(t types.Type, it *types.Interface) {
+	for i := range it.NumMethods() {
+		m := it.Method(i)
+		if impl, _, _ := types.LookupFieldOrMethod(t, false, m.Pkg(), m.Name()); impl != nil {
+			g.mark(origin(impl))
+		}
+	}
+}
+
+// markAsserted marks the methods of t that an asserted interface it
+// implements names, for t and for what reflection reaches from it: the
+// types of its exported fields, and its elements and keys.
+func (g *callGraph) markAsserted(t types.Type) {
+	key := types.TypeString(t, nil)
+	if g.seen[key] {
+		return
+	}
+	g.seen[key] = true
+	for _, it := range g.asserted {
+		if types.Implements(t, it) {
+			g.markMethods(t, it)
+		}
+	}
+	switch u := t.Underlying().(type) {
+	case *types.Struct:
+		for i := range u.NumFields() {
+			if f := u.Field(i); f.Exported() {
+				g.markAsserted(f.Type())
+			}
+		}
+	case *types.Map:
+		g.markAsserted(u.Key())
+		g.markAsserted(u.Elem())
+	case interface{ Elem() types.Type }: // pointer, slice, array, chan
+		g.markAsserted(u.Elem())
 	}
 }
 
@@ -278,10 +458,12 @@ var moduleGraph = sync.OnceValues(func() (*callGraph, error) {
 // TestEveryExportHasACaller enforces the caller rule for exported names, and
 // checks testSeams. The rule: a package-level func, method, type, var or const
 // is reached from outside the tests: from a root (loadGraph), through the
-// objects go/types resolves each reference to, or as a method of a reached
-// type that an interface the type implements names. A declaration only tests
-// reach is deleted, or moves into a _test.go file; the only exemption is the
-// testSeams map.
+// objects go/types resolves each reference to, or as a method that an
+// interface may call because live code converts a value of its type to one:
+// to an interface naming the method, or to any interface, where the method is
+// named by an interface such a value may be asserted to (callGraph.asserted).
+// A declaration only tests reach is deleted, or moves into a _test.go file;
+// the only exemption is the testSeams map.
 func TestEveryExportHasACaller(t *testing.T) {
 	g, err := moduleGraph()
 	if err != nil {
@@ -321,6 +503,9 @@ func TestCallGraphVerdicts(t *testing.T) {
 		"shapes.Vec.Energy":  false, // dead, the only caller of sumSquares
 		"shapes.sumSquares":  false,
 		"shapes.Debug":       false, // an exported var nothing reads
+		"shapes.Form.Check":  true,  // main converts a Form to Checker
+		"shapes.Grid.Check":  false, // implements Checker, converted only to any
+		"shapes.Vec.String":  true,  // converted to any, asserted by fmt
 	}
 	for key := range live {
 		if _, ok := g.byKey[key]; !ok {

@@ -24,20 +24,6 @@ const (
 	OpMax
 )
 
-func (op Op) String() string {
-	switch op {
-	case OpSum:
-		return "sum"
-	case OpProd:
-		return "prod"
-	case OpMin:
-		return "min"
-	case OpMax:
-		return "max"
-	}
-	return fmt.Sprintf("Op(%d)", int(op))
-}
-
 func applyOp[T Number](op Op, a, b T) T {
 	switch op {
 	case OpSum:

@@ -887,3 +887,17 @@ func TestCollectiveSequencing(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func (op Op) String() string {
+	switch op {
+	case OpSum:
+		return "sum"
+	case OpProd:
+		return "prod"
+	case OpMin:
+		return "min"
+	case OpMax:
+		return "max"
+	}
+	return fmt.Sprintf("Op(%d)", int(op))
+}

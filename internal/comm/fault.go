@@ -206,36 +206,6 @@ func (p *FaultPlan) validate(size int) error {
 	return nil
 }
 
-func (p *FaultPlan) String() string {
-	if p == nil {
-		return "faults(none)"
-	}
-	var parts []string
-	add := func(s string) { parts = append(parts, s) }
-	if p.DropProb > 0 {
-		add(fmt.Sprintf("drop=%g/retries=%d", p.DropProb, p.maxRetries()))
-	}
-	if p.DelayProb > 0 {
-		add(fmt.Sprintf("delay=%g/max=%d", p.DelayProb, p.maxDelay()))
-	}
-	if p.DupProb > 0 {
-		add(fmt.Sprintf("dup=%g", p.DupProb))
-	}
-	if p.ReorderProb > 0 {
-		add(fmt.Sprintf("reorder=%g", p.ReorderProb))
-	}
-	for r, d := range p.SlowRanks {
-		add(fmt.Sprintf("slow=%d:%v", r, d))
-	}
-	if p.CrashAtColl > 0 {
-		add(fmt.Sprintf("crash=%d@%d", p.CrashRank, p.CrashAtColl))
-	}
-	if len(parts) == 0 {
-		return fmt.Sprintf("faults(seed=%d, zero)", p.Seed)
-	}
-	return fmt.Sprintf("faults(seed=%d, %s)", p.Seed, strings.Join(parts, ", "))
-}
-
 // ParseFaultPlan builds a plan from a compact comma-separated spec, e.g.
 // "seed=42,drop=0.1,retries=8,delay=0.3,maxdelay=3,dup=0.1,reorder=0.2,
 // slow=1:100us,crash=2@3". Unknown keys are errors so typos in

@@ -43,18 +43,6 @@ const (
 	OpRedistribute
 )
 
-func (o OpCode) String() string {
-	names := map[OpCode]string{
-		OpCreate: "create", OpUfunc: "ufunc", OpReduce: "reduce",
-		OpSlice: "slice", OpCallLocal: "call-local", OpGather: "gather",
-		OpIO: "io", OpRedistribute: "redistribute",
-	}
-	if s, ok := names[o]; ok {
-		return s
-	}
-	return fmt.Sprintf("OpCode(%d)", byte(o))
-}
-
 // LocalFunc is a worker-side function operating on the local segments of
 // one or more distributed arrays, returning the local segment of the result
 // (or nil for side-effect-only functions). It may communicate directly with

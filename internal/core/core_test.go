@@ -459,3 +459,15 @@ func TestWithLocalValidation(t *testing.T) {
 		return nil
 	})
 }
+
+func (o OpCode) String() string {
+	names := map[OpCode]string{
+		OpCreate: "create", OpUfunc: "ufunc", OpReduce: "reduce",
+		OpSlice: "slice", OpCallLocal: "call-local", OpGather: "gather",
+		OpIO: "io", OpRedistribute: "redistribute",
+	}
+	if s, ok := names[o]; ok {
+		return s
+	}
+	return fmt.Sprintf("OpCode(%d)", byte(o))
+}

@@ -7,7 +7,6 @@ package dense
 
 import (
 	"fmt"
-	"strings"
 )
 
 // Elem constrains the element types an Array can store — the analog of the
@@ -419,25 +418,6 @@ func clamp(v, lo, hi int) int {
 		return hi
 	}
 	return v
-}
-
-// String renders small arrays fully and large ones by shape only.
-func (a *Array[T]) String() string {
-	if a.Size() > 64 {
-		return fmt.Sprintf("Array%v{...%d elements}", a.shape, a.Size())
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "Array%v[", a.shape)
-	first := true
-	a.Each(func(v T) {
-		if !first {
-			b.WriteByte(' ')
-		}
-		first = false
-		fmt.Fprintf(&b, "%v", v)
-	})
-	b.WriteByte(']')
-	return b.String()
 }
 
 // Linspace returns n evenly spaced float values from lo to hi inclusive

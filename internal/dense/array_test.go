@@ -1,8 +1,10 @@
 package dense
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -327,4 +329,23 @@ func TestZeroSizedArrays(t *testing.T) {
 	if b.Size() != 0 {
 		t.Fatal("zero-dim product")
 	}
+}
+
+// String renders small arrays fully and large ones by shape only.
+func (a *Array[T]) String() string {
+	if a.Size() > 64 {
+		return fmt.Sprintf("Array%v{...%d elements}", a.shape, a.Size())
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "Array%v[", a.shape)
+	first := true
+	a.Each(func(v T) {
+		if !first {
+			b.WriteByte(' ')
+		}
+		first = false
+		fmt.Fprintf(&b, "%v", v)
+	})
+	b.WriteByte(']')
+	return b.String()
 }

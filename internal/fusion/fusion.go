@@ -197,23 +197,6 @@ func (e *Expr) CountOps() int {
 	return n
 }
 
-func (e *Expr) String() string {
-	switch e.kind {
-	case kindLeaf:
-		return "x"
-	case kindSliceLeaf:
-		return fmt.Sprintf("s%d", e.slot)
-	case kindScalarLeaf:
-		return fmt.Sprintf("k%d", e.slot)
-	case kindConst:
-		return fmt.Sprintf("%g", e.value)
-	case kindUnary:
-		return fmt.Sprintf("%s(%s)", e.name, e.args[0])
-	default:
-		return fmt.Sprintf("%s(%s, %s)", e.name, e.args[0], e.args[1])
-	}
-}
-
 // Plan is an analyzed expression: the compiled register program (shared with
 // every structurally equal expression through the plan cache) bound to the
 // flattened local data of this rank's aligned leaves, in the distribution of

@@ -229,3 +229,20 @@ func TestSumEvalWithRedistribution(t *testing.T) {
 		return nil
 	})
 }
+
+func (e *Expr) String() string {
+	switch e.kind {
+	case kindLeaf:
+		return "x"
+	case kindSliceLeaf:
+		return fmt.Sprintf("s%d", e.slot)
+	case kindScalarLeaf:
+		return fmt.Sprintf("k%d", e.slot)
+	case kindConst:
+		return fmt.Sprintf("%g", e.value)
+	case kindUnary:
+		return fmt.Sprintf("%s(%s)", e.name, e.args[0])
+	default:
+		return fmt.Sprintf("%s(%s, %s)", e.name, e.args[0], e.args[1])
+	}
+}

@@ -17,9 +17,29 @@ import (
 )
 
 // RowFunc produces the sparse entries of one global row: parallel slices of
-// global column indices and values. The stencil generators allocate each
-// row's two slices once, at the stencil's width.
+// global column indices and values, fresh on every call, so the caller may
+// keep them and call it concurrently.
 type RowFunc func(row int) (cols []int, vals []float64)
+
+// stencil appends the entries of global row i to cols and vals and returns
+// them. The builders hand every row the same buffer, so generating a row
+// allocates nothing.
+type stencil func(i int, cols []int, vals []float64) ([]int, []float64)
+
+// rowFunc wraps s as a RowFunc that hands it fresh slices of width entries.
+func (s stencil) rowFunc(width int) RowFunc {
+	return func(i int) ([]int, []float64) {
+		return s(i, make([]int, 0, width), make([]float64, 0, width))
+	}
+}
+
+// stencil adapts f to the builders' loop, copying its row into the buffer.
+func (f RowFunc) stencil() stencil {
+	return func(i int, cols []int, vals []float64) ([]int, []float64) {
+		c, v := f(i)
+		return append(cols, c...), append(vals, v...)
+	}
+}
 
 // BuildSerial materializes an n x n matrix from a row generator.
 func BuildSerial(n int, f RowFunc) *sparse.CSR {
@@ -34,13 +54,29 @@ func BuildSerial(n int, f RowFunc) *sparse.CSR {
 }
 
 // BuildDist assembles a distributed matrix over rowMap, each rank generating
-// only its own rows. Collective.
+// only its own rows, each twice (buildDist). Collective.
 func BuildDist(c *comm.Comm, rowMap *distmap.Map, f RowFunc) *tpetra.CrsMatrix {
+	return buildDist(c, rowMap, f.stencil())
+}
+
+// buildDist is the one assembly loop of the distributed builders: it walks
+// the rank's rows twice over one row buffer, first only to count their
+// entries, so that the triplet arrays are reserved once at their exact size
+// and never regrow, then to insert them. Collective.
+func buildDist(c *comm.Comm, rowMap *distmap.Map, s stencil) *tpetra.CrsMatrix {
 	a := tpetra.NewCrsMatrix(c, rowMap)
-	me := c.Rank()
-	for l := 0; l < rowMap.LocalCount(me); l++ {
+	me, n := c.Rank(), rowMap.LocalCount(c.Rank())
+	var cols []int
+	var vals []float64
+	count := 0
+	for l := 0; l < n; l++ {
+		cols, vals = s(rowMap.LocalToGlobal(me, l), cols[:0], vals[:0])
+		count += len(cols)
+	}
+	a.Reserve(count)
+	for l := 0; l < n; l++ {
 		g := rowMap.LocalToGlobal(me, l)
-		cols, vals := f(g)
+		cols, vals = s(g, cols[:0], vals[:0])
 		for k := range cols {
 			a.InsertGlobal(g, cols[k], vals[k])
 		}
@@ -50,56 +86,21 @@ func BuildDist(c *comm.Comm, rowMap *distmap.Map, f RowFunc) *tpetra.CrsMatrix {
 }
 
 // Laplace1DRow is the [-1 2 -1] three-point stencil with Dirichlet ends.
-func Laplace1DRow(n int) RowFunc {
-	return func(i int) ([]int, []float64) {
-		cols := append(make([]int, 0, 3), i)
-		vals := append(make([]float64, 0, 3), 2)
-		if i > 0 {
-			cols = append(cols, i-1)
-			vals = append(vals, -1)
-		}
-		if i < n-1 {
-			cols = append(cols, i+1)
-			vals = append(vals, -1)
-		}
-		return cols, vals
-	}
-}
+func Laplace1DRow(n int) RowFunc { return tridiag(n, -1, 2, -1).rowFunc(3) }
 
 // Laplace1D returns the n-point 1-D Laplacian as a serial matrix.
 func Laplace1D(n int) *sparse.CSR { return BuildSerial(n, Laplace1DRow(n)) }
 
 // Laplace1DDist returns the distributed 1-D Laplacian.
 func Laplace1DDist(c *comm.Comm, m *distmap.Map) *tpetra.CrsMatrix {
-	return BuildDist(c, m, Laplace1DRow(m.NumGlobal()))
+	return buildDist(c, m, tridiag(m.NumGlobal(), -1, 2, -1))
 }
 
 // Laplace2DRow is the standard 5-point stencil on an nx x ny grid with
-// Dirichlet boundaries, rows numbered row-major (i = y*nx + x).
-func Laplace2DRow(nx, ny int) RowFunc {
-	return func(i int) ([]int, []float64) {
-		x, y := i%nx, i/nx
-		cols := append(make([]int, 0, 5), i)
-		vals := append(make([]float64, 0, 5), 4)
-		if x > 0 {
-			cols = append(cols, i-1)
-			vals = append(vals, -1)
-		}
-		if x < nx-1 {
-			cols = append(cols, i+1)
-			vals = append(vals, -1)
-		}
-		if y > 0 {
-			cols = append(cols, i-nx)
-			vals = append(vals, -1)
-		}
-		if y < ny-1 {
-			cols = append(cols, i+nx)
-			vals = append(vals, -1)
-		}
-		return cols, vals
-	}
-}
+// Dirichlet boundaries, rows numbered row-major (i = y*nx + x): the
+// convection-diffusion stencil at zero velocity, whose upwind terms then add
+// and subtract exact zeros.
+func Laplace2DRow(nx, ny int) RowFunc { return convDiff2D(nx, ny, 0, 0).rowFunc(5) }
 
 // Laplace2D returns the 5-point Laplacian on an nx x ny grid.
 func Laplace2D(nx, ny int) *sparse.CSR { return BuildSerial(nx*ny, Laplace2DRow(nx, ny)) }
@@ -107,43 +108,36 @@ func Laplace2D(nx, ny int) *sparse.CSR { return BuildSerial(nx*ny, Laplace2DRow(
 // Laplace2DDist returns the distributed 5-point Laplacian; the map's global
 // size must equal nx*ny.
 func Laplace2DDist(c *comm.Comm, m *distmap.Map, nx, ny int) *tpetra.CrsMatrix {
-	if m.NumGlobal() != nx*ny {
-		panic(fmt.Sprintf("galeri: map size %d != %d x %d", m.NumGlobal(), nx, ny))
-	}
-	return BuildDist(c, m, Laplace2DRow(nx, ny))
+	return ConvDiff2DDist(c, m, nx, ny, 0, 0)
 }
 
 // Laplace3DRow is the 7-point stencil on an nx x ny x nz grid.
-func Laplace3DRow(nx, ny, nz int) RowFunc {
-	return func(i int) ([]int, []float64) {
+func Laplace3DRow(nx, ny, nz int) RowFunc { return laplace3D(nx, ny, nz).rowFunc(7) }
+
+// laplace3D generates Laplace3DRow's rows.
+func laplace3D(nx, ny, nz int) stencil {
+	return func(i int, cols []int, vals []float64) ([]int, []float64) {
 		x := i % nx
 		y := (i / nx) % ny
 		z := i / (nx * ny)
-		cols := append(make([]int, 0, 7), i)
-		vals := append(make([]float64, 0, 7), 6)
+		cols, vals = append(cols, i), append(vals, 6)
 		if x > 0 {
-			cols = append(cols, i-1)
-			vals = append(vals, -1)
+			cols, vals = append(cols, i-1), append(vals, -1)
 		}
 		if x < nx-1 {
-			cols = append(cols, i+1)
-			vals = append(vals, -1)
+			cols, vals = append(cols, i+1), append(vals, -1)
 		}
 		if y > 0 {
-			cols = append(cols, i-nx)
-			vals = append(vals, -1)
+			cols, vals = append(cols, i-nx), append(vals, -1)
 		}
 		if y < ny-1 {
-			cols = append(cols, i+nx)
-			vals = append(vals, -1)
+			cols, vals = append(cols, i+nx), append(vals, -1)
 		}
 		if z > 0 {
-			cols = append(cols, i-nx*ny)
-			vals = append(vals, -1)
+			cols, vals = append(cols, i-nx*ny), append(vals, -1)
 		}
 		if z < nz-1 {
-			cols = append(cols, i+nx*ny)
-			vals = append(vals, -1)
+			cols, vals = append(cols, i+nx*ny), append(vals, -1)
 		}
 		return cols, vals
 	}
@@ -159,51 +153,46 @@ func Laplace3DDist(c *comm.Comm, m *distmap.Map, nx, ny, nz int) *tpetra.CrsMatr
 	if m.NumGlobal() != nx*ny*nz {
 		panic(fmt.Sprintf("galeri: map size %d != %d x %d x %d", m.NumGlobal(), nx, ny, nz))
 	}
-	return BuildDist(c, m, Laplace3DRow(nx, ny, nz))
+	return buildDist(c, m, laplace3D(nx, ny, nz))
 }
 
-// ConvDiff2DRow is an upwinded convection-diffusion 5-point stencil with
+// convDiff2D is an upwinded convection-diffusion 5-point stencil with
 // convection velocity (px, py) on an nx x ny grid (h = 1/(nx+1)). The
 // resulting matrix is non-symmetric, exercising GMRES/BiCGSTAB paths.
-func ConvDiff2DRow(nx, ny int, px, py float64) RowFunc {
+func convDiff2D(nx, ny int, px, py float64) stencil {
 	h := 1.0 / float64(nx+1)
-	return func(i int) ([]int, []float64) {
+	// Diffusion part.
+	diag := 4.0
+	w, e, s, n := -1.0, -1.0, -1.0, -1.0
+	// First-order upwind convection.
+	if px >= 0 {
+		diag += px * h
+		w -= px * h
+	} else {
+		diag -= px * h
+		e += px * h
+	}
+	if py >= 0 {
+		diag += py * h
+		s -= py * h
+	} else {
+		diag -= py * h
+		n += py * h
+	}
+	return func(i int, cols []int, vals []float64) ([]int, []float64) {
 		x, y := i%nx, i/nx
-		// Diffusion part.
-		diag := 4.0
-		w, e, s, n := -1.0, -1.0, -1.0, -1.0
-		// First-order upwind convection.
-		if px >= 0 {
-			diag += px * h
-			w -= px * h
-		} else {
-			diag -= px * h
-			e += px * h
-		}
-		if py >= 0 {
-			diag += py * h
-			s -= py * h
-		} else {
-			diag -= py * h
-			n += py * h
-		}
-		cols := append(make([]int, 0, 5), i)
-		vals := append(make([]float64, 0, 5), diag)
+		cols, vals = append(cols, i), append(vals, diag)
 		if x > 0 {
-			cols = append(cols, i-1)
-			vals = append(vals, w)
+			cols, vals = append(cols, i-1), append(vals, w)
 		}
 		if x < nx-1 {
-			cols = append(cols, i+1)
-			vals = append(vals, e)
+			cols, vals = append(cols, i+1), append(vals, e)
 		}
 		if y > 0 {
-			cols = append(cols, i-nx)
-			vals = append(vals, s)
+			cols, vals = append(cols, i-nx), append(vals, s)
 		}
 		if y < ny-1 {
-			cols = append(cols, i+nx)
-			vals = append(vals, n)
+			cols, vals = append(cols, i+nx), append(vals, n)
 		}
 		return cols, vals
 	}
@@ -214,22 +203,24 @@ func ConvDiff2DDist(c *comm.Comm, m *distmap.Map, nx, ny int, px, py float64) *t
 	if m.NumGlobal() != nx*ny {
 		panic(fmt.Sprintf("galeri: map size %d != %d x %d", m.NumGlobal(), nx, ny))
 	}
-	return BuildDist(c, m, ConvDiff2DRow(nx, ny, px, py))
+	return buildDist(c, m, convDiff2D(nx, ny, px, py))
 }
 
-// TridiagRow is a general tridiagonal stencil [lo, diag, hi].
-func TridiagRow(n int, lo, diag, hi float64) RowFunc {
-	return func(i int) ([]int, []float64) {
-		cols := append(make([]int, 0, 3), i)
-		vals := append(make([]float64, 0, 3), diag)
+// tridiag is a general tridiagonal stencil [lo, diag, hi].
+func tridiag(n int, lo, diag, hi float64) stencil {
+	return func(i int, cols []int, vals []float64) ([]int, []float64) {
+		cols, vals = append(cols, i), append(vals, diag)
 		if i > 0 {
-			cols = append(cols, i-1)
-			vals = append(vals, lo)
+			cols, vals = append(cols, i-1), append(vals, lo)
 		}
 		if i < n-1 {
-			cols = append(cols, i+1)
-			vals = append(vals, hi)
+			cols, vals = append(cols, i+1), append(vals, hi)
 		}
 		return cols, vals
 	}
+}
+
+// TridiagDist returns the distributed tridiagonal matrix [lo, diag, hi].
+func TridiagDist(c *comm.Comm, m *distmap.Map, lo, diag, hi float64) *tpetra.CrsMatrix {
+	return buildDist(c, m, tridiag(m.NumGlobal(), lo, diag, hi))
 }

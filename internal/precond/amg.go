@@ -240,6 +240,7 @@ func smoothedProlongator(a *sparse.CSR, agg []int, nAgg int, omega float64) *spa
 		sizes[g]++
 	}
 	p0 := sparse.NewCOO(n, nAgg)
+	p0.Reserve(n)
 	for i, g := range agg {
 		p0.Add(i, g, 1/sqrtAbs(float64(sizes[g])))
 	}

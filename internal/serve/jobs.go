@@ -220,7 +220,7 @@ func (r *SolveRequest) matrix(c *comm.Comm, st *RankState) *warmMatrix {
 	case "laplace3d":
 		a = galeri.Laplace3DDist(c, m, r.NX, r.NY, r.NZ)
 	case "tridiag":
-		a = galeri.BuildDist(c, m, galeri.TridiagRow(r.N, -1, 2.5, -1))
+		a = galeri.TridiagDist(c, m, -1, 2.5, -1)
 	case "coo":
 		a = tpetra.NewCrsMatrix(c, m)
 		me := c.Rank()

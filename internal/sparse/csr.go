@@ -35,47 +35,68 @@ func (c *COO) Add(i, j int, v float64) {
 		panic(fmt.Sprintf("sparse: entry (%d,%d) outside %dx%d", i, j, c.rows, c.cols))
 	}
 	if len(c.v) == cap(c.v) {
-		c.grow()
+		c.grow(max(2*cap(c.v), 64))
 	}
 	c.i = append(c.i, i) // within capacity: the three slices share one
 	c.j = append(c.j, j)
 	c.v = append(c.v, v)
 }
 
-// grow doubles the triplet capacity of all three slices together, so the
-// copies of a whole assembly stay under its final arrays' bytes. append
-// alone grows a large slice by about 1.25x a step, which copies several
-// times that.
-func (c *COO) grow() {
-	n := max(2*cap(c.v), 64)
+// Reserve makes room for n more triplets at once, so that the next n Adds
+// never regrow the arrays. It changes no result. An assembly that counts
+// its entries first reserves them exactly, which lets ToCSR keep the arrays.
+func (c *COO) Reserve(n int) {
+	if need := len(c.v) + n; need > cap(c.v) {
+		c.grow(need)
+	}
+}
+
+// grow moves the triplets into arrays of capacity n, all three together.
+// Add doubles the capacity, so the copies of a whole assembly stay under its
+// final arrays' bytes: append alone grows a large slice by about 1.25x a
+// step, which copies several times that.
+func (c *COO) grow(n int) {
 	c.i = append(make([]int, 0, n), c.i...)
 	c.j = append(make([]int, 0, n), c.j...)
 	c.v = append(make([]float64, 0, n), c.v...)
 }
 
 // ToCSR converts the triplets to CSR form, sorting column indices within
-// each row and summing duplicates. It allocates the three arrays it returns
-// and nothing else: the merge compacts in place.
+// each row and summing duplicates, and empties the builder. It allocates
+// the arrays it returns and nothing else: the merge compacts in place. When
+// the rows were added in non-decreasing order into arrays with no spare
+// capacity (an exact Reserve), bucketing by row would copy each entry to
+// where it already is, so the CSR takes over the column and value arrays
+// instead.
 func (c *COO) ToCSR() *CSR {
-	// Pass 1: bucket entries by row, in insertion order. rowPtr[r] is row
-	// r's fill cursor, from its first slot to row r+1's first slot; shifted
-	// one place up it is the row pointer.
+	// Pass 1: count each row's entries one place up, so that the running
+	// sum is the row pointer.
 	rowPtr := make([]int, c.rows+1)
-	for _, i := range c.i {
+	ordered := true
+	for k, i := range c.i {
 		rowPtr[i+1]++
+		ordered = ordered && (k == 0 || c.i[k-1] <= i)
 	}
 	for r := 0; r < c.rows; r++ {
 		rowPtr[r+1] += rowPtr[r]
 	}
-	cols := make([]int, len(c.v))
-	vals := make([]float64, len(c.v))
-	for k, i := range c.i {
-		p := rowPtr[i]
-		cols[p], vals[p] = c.j[k], c.v[k]
-		rowPtr[i]++
+	cols, vals := c.j, c.v
+	if !ordered || cap(c.v) > len(c.v) || len(c.v) == 0 {
+		// Bucket the entries by row, in insertion order, into fresh arrays
+		// (empty, not nil, for no entries). rowPtr[r] is row r's fill
+		// cursor, from its first slot to row r+1's first slot, then shifted
+		// back.
+		cols = make([]int, len(c.v))
+		vals = make([]float64, len(c.v))
+		for k, i := range c.i {
+			p := rowPtr[i]
+			cols[p], vals[p] = c.j[k], c.v[k]
+			rowPtr[i]++
+		}
+		copy(rowPtr[1:], rowPtr[:c.rows])
+		rowPtr[0] = 0
 	}
-	copy(rowPtr[1:], rowPtr[:c.rows])
-	rowPtr[0] = 0
+	c.i, c.j, c.v = nil, nil, nil
 	// Pass 2: sort each row by column and merge duplicates, writing behind
 	// the read position, so the kept arrays are the ones filled above.
 	n, lo := 0, 0
@@ -172,33 +193,6 @@ type CSR struct {
 	RowPtr     []int // length Rows+1
 	ColIdx     []int
 	Val        []float64
-}
-
-// Validate checks the CSR structural invariants.
-func (m *CSR) Validate() error {
-	if len(m.RowPtr) != m.Rows+1 {
-		return fmt.Errorf("sparse: RowPtr length %d, want %d", len(m.RowPtr), m.Rows+1)
-	}
-	if len(m.ColIdx) != len(m.Val) {
-		return fmt.Errorf("sparse: ColIdx/Val length mismatch %d vs %d", len(m.ColIdx), len(m.Val))
-	}
-	if m.RowPtr[0] != 0 || m.RowPtr[m.Rows] != len(m.ColIdx) {
-		return fmt.Errorf("sparse: RowPtr endpoints %d..%d, want 0..%d", m.RowPtr[0], m.RowPtr[m.Rows], len(m.ColIdx))
-	}
-	for r := 0; r < m.Rows; r++ {
-		if m.RowPtr[r] > m.RowPtr[r+1] {
-			return fmt.Errorf("sparse: RowPtr decreases at row %d", r)
-		}
-		for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
-			if m.ColIdx[k] < 0 || m.ColIdx[k] >= m.Cols {
-				return fmt.Errorf("sparse: column %d out of range in row %d", m.ColIdx[k], r)
-			}
-			if k > m.RowPtr[r] && m.ColIdx[k] <= m.ColIdx[k-1] {
-				return fmt.Errorf("sparse: columns not strictly increasing in row %d", r)
-			}
-		}
-	}
-	return nil
 }
 
 // NNZ returns the number of stored entries.

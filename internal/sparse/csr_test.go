@@ -1,10 +1,12 @@
 package sparse
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -278,7 +280,8 @@ func TestToCSRAllocsRowIndependent(t *testing.T) {
 	// The old per-row sort.Sort(rowSorter{...}) boxed one interface per row,
 	// so ToCSR's allocation count grew linearly with the row count. The
 	// in-place pair sort and the in-place merge make it a constant: the CSR
-	// struct and the three arrays it holds, RowPtr, ColIdx and Val.
+	// struct and the three arrays it holds, RowPtr, ColIdx and Val. ToCSR
+	// empties its builder, so each run converts a COO of its own.
 	build := func(n int) *COO {
 		c := NewCOO(n, n)
 		for i := n - 1; i >= 0; i-- { // reversed insertion: every row needs sorting
@@ -292,9 +295,15 @@ func TestToCSRAllocsRowIndependent(t *testing.T) {
 		}
 		return c
 	}
-	c := build(2000)
-	allocs := testing.AllocsPerRun(10, func() {
-		m := c.ToCSR()
+	const runs = 10
+	coos := make([]*COO, runs+1) // AllocsPerRun adds one warm-up run
+	for k := range coos {
+		coos[k] = build(2000)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		m := coos[next].ToCSR()
+		next++
 		if m.NNZ() != 3*2000-2 {
 			t.Fatal("wrong nnz")
 		}
@@ -382,12 +391,22 @@ func sameBits(a, b *CSR) bool {
 // copying one did, bit for bit — duplicates summed in the same order — over
 // random triplets with empty rows, heavy duplication, rows long enough for
 // sortRowPairs' quicksort branch and signed zeros, and keeps no more bytes.
+// Half the inputs add their rows in non-decreasing order, and some of those
+// reserve exactly: then, and only then, the CSR takes over the builder's
+// column and value arrays instead of bucketing them. ToCSR consumes the
+// triplets, so the oracle reads them first.
 func TestToCSRMatchesCopyingOracle(t *testing.T) {
+	takeovers := 0
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		rows, cols := 1+rng.Intn(12), 1+rng.Intn(40)
-		c := NewCOO(rows, cols)
-		for k, n := 0, rng.Intn(300); k < n; k++ {
+		n := rng.Intn(300)
+		type triplet struct {
+			i, j int
+			v    float64
+		}
+		ts := make([]triplet, n)
+		for k := range ts {
 			v := rng.NormFloat64()
 			switch rng.Intn(8) {
 			case 0:
@@ -395,14 +414,37 @@ func TestToCSRMatchesCopyingOracle(t *testing.T) {
 			case 1:
 				v = float64(rng.Intn(3))
 			}
-			c.Add(rng.Intn(rows), rng.Intn(cols), v)
+			ts[k] = triplet{rng.Intn(rows), rng.Intn(cols), v}
 		}
-		got, want := c.ToCSR(), toCSRCopying(c)
+		byRow := func(a, b triplet) int { return a.i - b.i }
+		if rng.Intn(2) == 0 {
+			slices.SortStableFunc(ts, byRow)
+		}
+		c := NewCOO(rows, cols)
+		if rng.Intn(2) == 0 {
+			c.Reserve(n)
+		} else if rng.Intn(2) == 0 {
+			c.Reserve(n + 1 + rng.Intn(8)) // spare capacity: bucketed
+		}
+		for _, e := range ts {
+			c.Add(e.i, e.j, e.v)
+		}
+		j, exact := c.j, cap(c.v) == n
+		want := toCSRCopying(c)
+		got := c.ToCSR()
+		tookOver := n > 0 && &got.ColIdx[:1][0] == &j[0]
+		if tookOver {
+			takeovers++
+		}
 		return got.Validate() == nil && sameBits(got, want) &&
-			cap(got.ColIdx) <= cap(want.ColIdx) && cap(got.Val) <= cap(want.Val)
+			cap(got.ColIdx) <= cap(want.ColIdx) && cap(got.Val) <= cap(want.Val) &&
+			tookOver == (slices.IsSortedFunc(ts, byRow) && exact && n > 0) && c.v == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+	if takeovers == 0 {
+		t.Fatal("no input took the takeover branch")
 	}
 }
 
@@ -430,4 +472,31 @@ func TestCOOGrowthBytes(t *testing.T) {
 			t.Errorf("N=%d: capacities %d/%d/%d, want one capacity under max(2N, 64)", n, cap(c.i), cap(c.j), cap(c.v))
 		}
 	}
+}
+
+// Validate checks the CSR structural invariants.
+func (m *CSR) Validate() error {
+	if len(m.RowPtr) != m.Rows+1 {
+		return fmt.Errorf("sparse: RowPtr length %d, want %d", len(m.RowPtr), m.Rows+1)
+	}
+	if len(m.ColIdx) != len(m.Val) {
+		return fmt.Errorf("sparse: ColIdx/Val length mismatch %d vs %d", len(m.ColIdx), len(m.Val))
+	}
+	if m.RowPtr[0] != 0 || m.RowPtr[m.Rows] != len(m.ColIdx) {
+		return fmt.Errorf("sparse: RowPtr endpoints %d..%d, want 0..%d", m.RowPtr[0], m.RowPtr[m.Rows], len(m.ColIdx))
+	}
+	for r := 0; r < m.Rows; r++ {
+		if m.RowPtr[r] > m.RowPtr[r+1] {
+			return fmt.Errorf("sparse: RowPtr decreases at row %d", r)
+		}
+		for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
+			if m.ColIdx[k] < 0 || m.ColIdx[k] >= m.Cols {
+				return fmt.Errorf("sparse: column %d out of range in row %d", m.ColIdx[k], r)
+			}
+			if k > m.RowPtr[r] && m.ColIdx[k] <= m.ColIdx[k-1] {
+				return fmt.Errorf("sparse: columns not strictly increasing in row %d", r)
+			}
+		}
+	}
+	return nil
 }

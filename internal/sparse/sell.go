@@ -1,9 +1,11 @@
 package sparse
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"odinhpc/internal/cpuid"
 	"odinhpc/internal/exec"
@@ -108,66 +110,37 @@ func FromCSR(m *CSR, c, sigma int) *SELL {
 		perm:   make([]int, m.Rows),
 		rowLen: make([]int, m.Rows),
 	}
-	for i := range s.perm {
-		s.perm[i] = i
-	}
-	// Sort rows by descending length inside each sigma window. The sort is
-	// stable so equal-length rows keep their original order and the layout
-	// is deterministic.
 	for lo := 0; lo < m.Rows; lo += sigma {
-		hi := lo + sigma
-		if hi > m.Rows {
-			hi = m.Rows
-		}
-		win := s.perm[lo:hi]
-		sort.SliceStable(win, func(a, b int) bool {
-			return m.RowNNZ(win[a]) > m.RowNNZ(win[b])
-		})
+		orderWindow(m, s.perm[lo:min(lo+sigma, m.Rows)], lo)
 	}
 	for p, orig := range s.perm {
 		s.rowLen[p] = m.RowNNZ(orig)
 	}
-	// One pass over the slices: each is laid out column-major in scratch,
-	// padded with zeros at column 0, marked, and appended to the streams, a
-	// uniform slice's marked positions as one entry. The streams are then
-	// copied to their exact length: only the compact layout is kept.
+	// Pass 1 marks each slice and sizes its share of the two streams, so
+	// that pass 2 fills them in place at their exact length. start holds
+	// where the slice's rows begin in m.
 	ns := s.numSlices()
-	var vals, sv []float64
-	var cols, sc []int32
 	s.valPtr, s.colPtr = make([]int, ns+1), make([]int, ns+1)
 	s.unit, s.same = make([]uint64, ns), make([]uint64, ns)
 	s.run = make([]bool, ns)
+	var start [sellMaxC]int
 	for sl := 0; sl < ns; sl++ {
 		lo := sl * c
 		h := min(c, m.Rows-lo)
 		w := s.rowLen[lo] // rows are descending within the slice
-		if cap(sv) < w*h {
-			sv, sc = make([]float64, w*h), make([]int32, w*h)
-		}
-		sv, sc = sv[:w*h], sc[:w*h]
-		clear(sv)
-		clear(sc)
 		s.run[sl] = true
 		for r := 0; r < h; r++ {
-			orig := s.perm[lo+r]
-			s.run[sl] = s.run[sl] && orig == s.perm[lo]+r
-			k0 := m.RowPtr[orig]
-			for j := 0; j < s.rowLen[lo+r]; j++ {
-				col := m.ColIdx[k0+j]
-				if col < 0 || col >= m.Cols {
-					panic(fmt.Sprintf("sparse: FromCSR: row %d has column index %d outside [0,%d)", orig, col, m.Cols))
-				}
-				sc[j*h+r] = int32(col)
-				sv[j*h+r] = m.Val[k0+j]
-			}
+			s.run[sl] = s.run[sl] && s.perm[lo+r] == s.perm[lo]+r
+			start[r] = m.RowPtr[s.perm[lo+r]]
 		}
 		if s.uniform(sl) {
 			for j := 0; j < min(w, 64); j++ {
-				v, col := sv[8*j:8*j+8], sc[8*j:8*j+8]
+				k0 := start[0] + j
 				consecutive, equal := true, true
 				for r := 1; r < 8; r++ {
-					consecutive = consecutive && col[r] == col[0]+int32(r)
-					equal = equal && math.Float64bits(v[r]) == math.Float64bits(v[0])
+					k := start[r] + j
+					consecutive = consecutive && m.ColIdx[k] == m.ColIdx[k0]+r
+					equal = equal && math.Float64bits(m.Val[k]) == math.Float64bits(m.Val[k0])
 				}
 				if consecutive {
 					s.unit[sl] |= 1 << j
@@ -177,18 +150,80 @@ func FromCSR(m *CSR, c, sigma int) *SELL {
 				}
 			}
 		}
-		for j := 0; j < w; j++ {
-			bit := uint64(1) << j // zero from position 64 on
-			vals = append(vals, sv[j*h:][:stored(s.same[sl]&bit != 0, h)]...)
-			cols = append(cols, sc[j*h:][:stored(s.unit[sl]&bit != 0, h)]...)
-		}
-		s.valPtr[sl+1], s.colPtr[sl+1] = len(vals), len(cols)
+		s.valPtr[sl+1] = s.valPtr[sl] + w*h - bits.OnesCount64(s.same[sl])*(h-1)
+		s.colPtr[sl+1] = s.colPtr[sl] + w*h - bits.OnesCount64(s.unit[sl])*(h-1)
 	}
-	s.val, s.colIdx = make([]float64, len(vals)), make([]int32, len(cols))
-	copy(s.val, vals)
-	copy(s.colIdx, cols)
+	// Pass 2: each slice column-major, a marked position as its first row's
+	// entry, padding as zeros at column 0 (what make leaves). cnt is the
+	// number of rows still active at position j.
+	s.val, s.colIdx = make([]float64, s.valPtr[ns]), make([]int32, s.colPtr[ns])
+	for sl := 0; sl < ns; sl++ {
+		lo := sl * c
+		h := min(c, m.Rows-lo)
+		for r := 0; r < h; r++ {
+			start[r] = m.RowPtr[s.perm[lo+r]]
+		}
+		vo, co, cnt := s.valPtr[sl], s.colPtr[sl], h
+		for j := 0; j < s.rowLen[lo]; j++ {
+			for s.rowLen[lo+cnt-1] <= j {
+				cnt--
+			}
+			bit := uint64(1) << j // zero from position 64 on
+			nv, nc := stored(s.same[sl]&bit != 0, h), stored(s.unit[sl]&bit != 0, h)
+			for r, k := range start[:cnt] {
+				col := m.ColIdx[k+j]
+				if col < 0 || col >= m.Cols {
+					panic(fmt.Sprintf("sparse: FromCSR: row %d has column index %d outside [0,%d)", s.perm[lo+r], col, m.Cols))
+				}
+				if r < nv {
+					s.val[vo+r] = m.Val[k+j]
+				}
+				if r < nc {
+					s.colIdx[co+r] = int32(col)
+				}
+			}
+			vo, co = vo+nv, co+nc
+		}
+	}
 	return s
 }
+
+// orderWindow fills win with the rows of m's sigma window from row lo, by
+// descending length, equal lengths by index, without allocating. FromCSR
+// lays out each window in this order, and ChooseFormat prices the same
+// layout. Where the window's lengths span fewer than orderSpan values, as a
+// stencil's do, a counting sort places each row at once; otherwise a stable
+// sort orders the rows.
+func orderWindow(m *CSR, win []int, lo int) {
+	hi := lo + len(win)
+	short, long := m.RowNNZ(lo), m.RowNNZ(lo)
+	for r := lo + 1; r < hi; r++ {
+		short, long = min(short, m.RowNNZ(r)), max(long, m.RowNNZ(r))
+	}
+	if long-short >= orderSpan {
+		for k := range win {
+			win[k] = lo + k
+		}
+		slices.SortStableFunc(win, func(a, b int) int { return cmp.Compare(m.RowNNZ(b), m.RowNNZ(a)) })
+		return
+	}
+	// next[d] is where the next row of length long-d goes.
+	var next [orderSpan + 1]int
+	for r := lo; r < hi; r++ {
+		next[long-m.RowNNZ(r)+1]++
+	}
+	for d := 1; d <= orderSpan; d++ {
+		next[d] += next[d-1]
+	}
+	for r := lo; r < hi; r++ {
+		d := long - m.RowNNZ(r)
+		win[next[d]] = r
+		next[d]++
+	}
+}
+
+// orderSpan bounds the row-length range orderWindow counting-sorts.
+const orderSpan = 32
 
 // uniform reports whether slice s is stored compactly: C = 8, full height,
 // and all eight rows w > 0 entries long, so it holds no padding.
@@ -439,27 +474,16 @@ func ChooseFormat(m *CSR) Format {
 	if m.Rows < 4*DefaultSellC || m.NNZ() == 0 {
 		return FormatCSR
 	}
-	// Padded size of the would-be SELL layout: per sigma window, sort row
-	// lengths descending and charge each C-slice its max row length. This
+	// Padded size of the would-be SELL layout: order each sigma window as
+	// FromCSR does (orderWindow) and charge each C-slice its first row's length. This
 	// prices the nnz/row variance directly — a CV of zero pads nothing.
-	lens := make([]int, m.Rows)
-	for i := range lens {
-		lens[i] = m.RowNNZ(i)
-	}
+	var buf [DefaultSellSigma]int
 	padded := 0
 	for lo := 0; lo < m.Rows; lo += DefaultSellSigma {
-		hi := lo + DefaultSellSigma
-		if hi > m.Rows {
-			hi = m.Rows
-		}
-		win := lens[lo:hi]
-		sort.Sort(sort.Reverse(sort.IntSlice(win)))
+		win := buf[:min(DefaultSellSigma, m.Rows-lo)]
+		orderWindow(m, win, lo)
 		for s := 0; s < len(win); s += DefaultSellC {
-			h := DefaultSellC
-			if len(win)-s < h {
-				h = len(win) - s
-			}
-			padded += win[s] * h
+			padded += m.RowNNZ(win[s]) * min(DefaultSellC, len(win)-s)
 		}
 	}
 	if float64(padded) > 1.25*float64(m.NNZ()) {

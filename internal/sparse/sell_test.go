@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"slices"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -966,5 +967,39 @@ func TestChooseFormat(t *testing.T) {
 	}
 	if FormatCSR.String() != "csr" || FormatSELL.String() != "sell" {
 		t.Fatal("Format.String")
+	}
+}
+
+// TestOrderWindowIsStableSort holds orderWindow, on both its counting and
+// its sorting branch, to a stable sort of the window's rows by descending
+// length, over windows whose lengths span a few values (a stencil's) and
+// many (past orderSpan), and checks that it and ChooseFormat allocate
+// nothing.
+func TestOrderWindowIsStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	for trial := 0; trial < 200; trial++ {
+		spread := []int{1, 3, orderSpan, orderSpan + 1, 200}[trial%5]
+		rows := 1 + rng.Intn(300)
+		c := NewCOO(rows, 400)
+		for i := 0; i < rows; i++ {
+			for j, n := 0, rng.Intn(spread); j < n; j++ {
+				c.Add(i, j, 1)
+			}
+		}
+		m := c.ToCSR()
+		lo := rng.Intn(rows)
+		win := make([]int, rows-lo)
+		orderWindow(m, win, lo)
+		want := make([]int, len(win))
+		for k := range want {
+			want[k] = lo + k
+		}
+		sort.SliceStable(want, func(a, b int) bool { return m.RowNNZ(want[a]) > m.RowNNZ(want[b]) })
+		if !slices.Equal(win, want) {
+			t.Fatalf("trial %d (spread %d): orderWindow = %v, stable sort = %v", trial, spread, win, want)
+		}
+		if a := testing.AllocsPerRun(5, func() { orderWindow(m, win, lo); ChooseFormat(m) }); a != 0 {
+			t.Fatalf("orderWindow and ChooseFormat allocate %v objects", a)
+		}
 	}
 }

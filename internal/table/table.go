@@ -23,18 +23,6 @@ const (
 	String
 )
 
-func (k Kind) String() string {
-	switch k {
-	case Float:
-		return "float"
-	case Int:
-		return "int"
-	case String:
-		return "string"
-	}
-	return fmt.Sprintf("Kind(%d)", int(k))
-}
-
 // Column describes one table column.
 type Column struct {
 	Name string

@@ -267,3 +267,15 @@ func BenchmarkGroupReduce(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+func (k Kind) String() string {
+	switch k {
+	case Float:
+		return "float"
+	case Int:
+		return "int"
+	case String:
+		return "string"
+	}
+	return fmt.Sprintf("Kind(%d)", int(k))
+}

@@ -8,7 +8,6 @@ package teuchos
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -142,33 +141,5 @@ func (p *ParameterList) Merge(other *ParameterList) {
 	}
 	for _, name := range subNames {
 		p.Sublist(name).Merge(other.Sublist(name))
-	}
-}
-
-// String renders the list and its sub-lists with indentation.
-func (p *ParameterList) String() string {
-	var b strings.Builder
-	p.render(&b, 0)
-	return b.String()
-}
-
-func (p *ParameterList) render(b *strings.Builder, depth int) {
-	ind := strings.Repeat("  ", depth)
-	fmt.Fprintf(b, "%s%s:\n", ind, p.name)
-	for _, k := range p.Keys() {
-		p.mu.Lock()
-		v := p.values[k]
-		p.mu.Unlock()
-		fmt.Fprintf(b, "%s  %s = %v (%T)\n", ind, k, v, v)
-	}
-	p.mu.Lock()
-	names := make([]string, 0, len(p.subs))
-	for k := range p.subs {
-		names = append(names, k)
-	}
-	p.mu.Unlock()
-	sort.Strings(names)
-	for _, name := range names {
-		p.Sublist(name).render(b, depth+1)
 	}
 }

@@ -85,6 +85,16 @@ func (a *CrsMatrix) InsertGlobal(row, col int, v float64) {
 	a.foreignVal = append(a.foreignVal, v)
 }
 
+// Reserve makes room for n more entries in locally owned rows, so that as
+// many InsertGlobal calls never regrow the triplet arrays. It changes no
+// result: an assembly that counts its entries first reserves them once.
+func (a *CrsMatrix) Reserve(n int) {
+	if !a.building {
+		panic("tpetra: Reserve after FillComplete")
+	}
+	a.coo.Reserve(n)
+}
+
 // FillComplete finishes assembly: off-rank contributions are exported to
 // their owning ranks, columns are renumbered into the local column space,
 // and the ghost gather plan is built. Collective.
@@ -247,18 +257,20 @@ func (a *CrsMatrix) LocalDiagonalBlock() *sparse.CSR {
 	return coo.ToCSR()
 }
 
-// LocalRows returns this rank's rows with global column indices, as
-// (globalRow, cols, vals) triples via the callback, for algorithms that need
-// raw access (AMG setup, gathering).
+// LocalRows hands this rank's rows to f as (globalRow, cols, vals), with
+// global column indices, for algorithms that need raw access (AMG setup,
+// gathering). cols is one buffer, refilled for every row, and vals aliases
+// the matrix's storage: f must not retain or modify either.
 func (a *CrsMatrix) LocalRows(f func(globalRow int, cols []int, vals []float64)) {
 	a.mustBeFilled()
 	me := a.c.Rank()
 	local := a.localCSR()
+	var gcols []int
 	for i := 0; i < local.Rows; i++ {
 		lcols, vals := local.Row(i)
-		gcols := make([]int, len(lcols))
-		for k, j := range lcols {
-			gcols[k] = a.colGlobals[j]
+		gcols = gcols[:0]
+		for _, j := range lcols {
+			gcols = append(gcols, a.colGlobals[j])
 		}
 		f(a.rowMap.LocalToGlobal(me, i), gcols, vals)
 	}
@@ -299,6 +311,7 @@ func (a *CrsMatrix) GatherCSR() *sparse.CSR {
 	allCI := comm.AllgatherFlat(a.c, ci)
 	allVV := comm.AllgatherFlat(a.c, vv)
 	coo := sparse.NewCOO(n, n)
+	coo.Reserve(len(allRI))
 	for k := range allRI {
 		coo.Add(allRI[k], allCI[k], allVV[k])
 	}

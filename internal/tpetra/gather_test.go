@@ -265,3 +265,35 @@ func TestGatherPlanEdgeCases(t *testing.T) {
 		}
 	}
 }
+
+// TestLocalRowsAllocs pins the cold row walks at nothing per row: LocalRows
+// refills one global-column buffer, so a walk of a 16^3 or a 32^3 Laplacian
+// at P = 2 allocates only the transient CSR rebuilt from the kept SELL and
+// the buffer's growth, about 8 objects a rank (at most 20 for both ranks),
+// and TransposeDist, which inserts through it, stays under 0.05 objects a
+// row (0.0125; its arrays grow by doubling). Both allocated at least one
+// object a row when LocalRows handed out a fresh slice per row.
+func TestLocalRowsAllocs(t *testing.T) {
+	const runs = 20
+	for _, nx := range []int{16, 32} {
+		objs := alloctest.Mallocs(t, 2, runs, func(c *comm.Comm) func() {
+			a := galeri.Laplace3DDist(c, distmap.NewBlock(nx*nx*nx, c.Size()), nx, nx, nx)
+			var sum int
+			return func() { a.LocalRows(func(g int, cols []int, _ []float64) { sum += g + len(cols) }) }
+		}) / runs
+		t.Logf("LocalRows at %d^3: %d objects a walk (both ranks)", nx, objs)
+		if objs > 20 {
+			t.Errorf("LocalRows at %d^3 allocates %d objects a walk, want <= 20", nx, objs)
+		}
+	}
+	const nx = 32
+	objs := alloctest.Mallocs(t, 2, runs, func(c *comm.Comm) func() {
+		a := galeri.Laplace3DDist(c, distmap.NewBlock(nx*nx*nx, c.Size()), nx, nx, nx)
+		return func() { a.TransposeDist() }
+	}) / runs
+	perRow := float64(objs) / float64(nx*nx*nx)
+	t.Logf("TransposeDist: %d objects (%.4f a row)", objs, perRow)
+	if perRow > 0.05 {
+		t.Errorf("TransposeDist allocates %.4f objects a row, want <= 0.05", perRow)
+	}
+}

@@ -264,10 +264,6 @@ func (v *Vector) GetGlobal(g int) float64 {
 	return comm.BcastScalar(v.c, r, val)
 }
 
-func (v *Vector) String() string {
-	return fmt.Sprintf("Vector{%v, rank %d holds %d}", v.m, v.c.Rank(), len(v.Data))
-}
-
 // Operator is anything that can apply a distributed linear operator:
 // y = A x, where x and y are vectors over Map(). CrsMatrix implements it,
 // as do the preconditioners and the Seamless-compiled matrix-free operators.

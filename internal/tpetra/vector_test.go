@@ -226,3 +226,7 @@ func TestCopyFromClone(t *testing.T) {
 		return nil
 	})
 }
+
+func (v *Vector) String() string {
+	return fmt.Sprintf("Vector{%v, rank %d holds %d}", v.m, v.c.Rank(), len(v.Data))
+}

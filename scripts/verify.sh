@@ -127,12 +127,13 @@ go test -run '^$' -fuzz '^FuzzLevel1Lanes$' -fuzztime 10s ./internal/dense
 # compiled seamless array kernel the same objects at chain depth 1, 4 and 16
 # with no plan-cache lookup (it runs the plan its kernel was compiled
 # with). The cold path has bounds, not zeros: a 32^3 Laplacian assembly at
-# P=2 at most 3 objects per owned row and 160 bytes per stored nonzero, a
-# COO at most twice its final arrays' bytes.
+# P=2 at most 0.01 objects per owned row and 40 bytes per stored nonzero, a
+# COO at most twice its final arrays' bytes, a LocalRows walk a fixed few
+# objects and a TransposeDist at most 0.05 objects per row.
 # They count process-wide mallocs, so they run uncached and not under -race
 # (where they skip).
 stage allocs
-go test -count=1 -run 'TestAllreduceAllocs|TestGatherSteadyStateAllocs|TestCGAllocsPerIteration|TestBiCGSTABAllocsPerIteration|TestPlanSumAllocs|TestWarmExprJobAllocs|TestWarmHTTPRequestAllocs|TestWarmSolveJobAllocsPerIteration|TestWarmSolveJobBytesFlat|TestLevel1Allocs|TestAssemblyAllocs|TestCOOGrowthBytes|TestCompiledKernelWarmCallAllocs' \
+go test -count=1 -run 'TestAllreduceAllocs|TestGatherSteadyStateAllocs|TestCGAllocsPerIteration|TestBiCGSTABAllocsPerIteration|TestPlanSumAllocs|TestWarmExprJobAllocs|TestWarmHTTPRequestAllocs|TestWarmSolveJobAllocsPerIteration|TestWarmSolveJobBytesFlat|TestLevel1Allocs|TestAssemblyAllocs|TestCOOGrowthBytes|TestLocalRowsAllocs|TestCompiledKernelWarmCallAllocs' \
   ./internal/comm ./internal/tpetra ./internal/solvers ./internal/fusion ./internal/serve ./internal/dense ./internal/galeri ./internal/sparse ./internal/seamless/compile
 
 # Race pass over every concurrency-bearing package: the comm fabric, the

@@ -3,7 +3,11 @@
 // verdict of the rule.
 package main
 
-import "callers/shapes"
+import (
+	"fmt"
+
+	"callers/shapes"
+)
 
 func main() {
 	var s shapes.Shape = shapes.Square{Side: 2}
@@ -11,4 +15,8 @@ func main() {
 	shapes.Walk(shapes.Leaf{})
 	g := shapes.Grid{N: 3}
 	println(g.Equal(g), len(shapes.Vec{1}))
+	var c shapes.Checker
+	c, _ = shapes.NewForm()
+	println(c.Check() == nil, g.N)
+	fmt.Println(shapes.Vec{2}, g)
 }

@@ -55,5 +55,24 @@ func sumSquares(v []float64) float64 {
 	return s
 }
 
+// Checker is what main checks a Form through.
+type Checker interface{ Check() error }
+
+// Form is reached from main.
+type Form struct{}
+
+// NewForm returns a Form, which main assigns to a Checker.
+func NewForm() (Form, error) { return Form{}, nil }
+
+// Check is live: main converts a Form to Checker.
+func (Form) Check() error { return nil }
+
+// Check is dead: Grid implements Checker, but a Grid only ever becomes an
+// any, which nothing asserts to Checker.
+func (g Grid) Check() error { return nil }
+
+// String is live: main hands a Vec to fmt, which asserts fmt.Stringer.
+func (v Vec) String() string { return "vec" }
+
 // Debug is dead: only a test would read it.
 var Debug = false
