@@ -1,5 +1,5 @@
 // Command odinvet is the multichecker for the framework's domain
-// invariants: the five analyzers under internal/analysis (commsym, tagcheck,
+// invariants: the four analyzers under internal/analysis (tagcheck,
 // hotalloc, tracepair, planreuse) run over the tree and fail the build on any
 // finding. See DESIGN.md "Static analysis" for the invariant
 // behind each analyzer and the escape hatch.
@@ -7,7 +7,7 @@
 // Usage (no install step, used by scripts/verify.sh and CI):
 //
 //	go run ./cmd/odinvet ./...
-//	odinvet [-tests=false] [-checks=commsym,tagcheck] ./internal/comm ./...
+//	odinvet [-tests=false] [-checks=tagcheck,hotalloc] ./internal/comm ./...
 //	odinvet -json ./...    # NDJSON diagnostics, suppressed findings included
 //	odinvet -allows ./...  # list every //lint:allow with its justification
 //
@@ -32,7 +32,6 @@ import (
 	"strings"
 
 	"odinhpc/internal/analysis"
-	"odinhpc/internal/analysis/commsym"
 	"odinhpc/internal/analysis/hotalloc"
 	"odinhpc/internal/analysis/planreuse"
 	"odinhpc/internal/analysis/tagcheck"
@@ -42,7 +41,6 @@ import (
 
 // all is the registered analyzer suite.
 var all = []*analysis.Analyzer{
-	commsym.Analyzer,
 	tagcheck.Analyzer,
 	hotalloc.Analyzer,
 	tracepair.Analyzer,
@@ -93,7 +91,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	loader := analysis.NewLoader(modPath, modRoot, "", *tests)
+	loader := analysis.NewLoader(modPath, modRoot, nil, *tests)
 	exit := 0
 	enc := json.NewEncoder(os.Stdout)
 	for _, dir := range dirs {

@@ -95,7 +95,7 @@ func loadGraph(dir string) (*callGraph, error) {
 	if err != nil {
 		return nil, err
 	}
-	loader := analysis.NewLoader(modPath, root, "", false)
+	loader := analysis.NewLoader(modPath, root, nil, false)
 	var pkgs []*analysis.Package
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {

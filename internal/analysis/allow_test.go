@@ -24,7 +24,7 @@ func TestParseAllow(t *testing.T) {
 	}{
 		{"//lint:allow hotalloc", []string{"hotalloc"}, "", true},
 		{"//lint:allow hotalloc Per-chunk scratch", []string{"hotalloc"}, "Per-chunk scratch", true},
-		{"//lint:allow commsym tagcheck Intentional permuted order", []string{"commsym", "tagcheck"}, "Intentional permuted order", true},
+		{"//lint:allow tracepair tagcheck Intentional permuted order", []string{"tracepair", "tagcheck"}, "Intentional permuted order", true},
 		// Digits are legal inside a name: sell8 must parse as one name,
 		// not be rejected or split.
 		{"//lint:allow sell8 Vetted by hand", []string{"sell8"}, "Vetted by hand", true},
@@ -63,7 +63,7 @@ func TestDirectives(t *testing.T) {
 var a int
 
 func f() {
-	_ = a //lint:allow commsym tagcheck Both are fine here
+	_ = a //lint:allow tracepair tagcheck Both are fine here
 	//lint:allow sell8
 }
 `
@@ -79,7 +79,7 @@ func f() {
 		just  string
 	}{
 		{3, []string{"hotalloc"}, "Scratch buffer, amortized"},
-		{7, []string{"commsym", "tagcheck"}, "Both are fine here"},
+		{7, []string{"tracepair", "tagcheck"}, "Both are fine here"},
 		{8, []string{"sell8"}, ""},
 	}
 	if len(got) != len(want) {

@@ -8,9 +8,9 @@
 // escape hatches, and an analysistest-style harness (see the analysistest
 // subpackage) driven by `// want "regex"` comments in testdata.
 //
-// The domain analyzers live in sibling packages (commsym, tagcheck, hotalloc,
-// tracepair, planreuse); commsym reads the SPMD rank model (spmd.go), and
-// cmd/odinvet is the multichecker binary that runs them over the tree.
+// The domain analyzers live in sibling packages (tagcheck, hotalloc,
+// tracepair, planreuse), and cmd/odinvet is the multichecker binary that
+// runs them over the tree.
 package analysis
 
 import (

@@ -4,11 +4,12 @@
 // source lines carry `// want "regex"` comments naming the diagnostics the
 // analyzer must produce there. The harness typechecks the packages with
 // the internal/analysis loader — testdata imports resolve under src first,
-// then as module paths of the enclosing go.mod, so a test package may use
-// the real fabric (odinhpc/internal/comm) — runs the analyzer as the whole
-// registry (with //lint:allow suppression and the stale-directive check
-// active, so allow-directives are testable), and fails the test on any
-// missing, surplus, or mismatched diagnostic.
+// then under the shared stubs of internal/analysis/testdata/src, then as
+// module paths of the enclosing go.mod, so a test package may use the real
+// fabric (odinhpc/internal/comm) — runs the analyzer as the whole registry
+// (with //lint:allow suppression and the stale-directive check active, so
+// allow-directives are testable), and fails the test on any missing,
+// surplus, or mismatched diagnostic.
 package analysistest
 
 import (
@@ -20,16 +21,39 @@ import (
 	"odinhpc/internal/analysis"
 )
 
+// sharedDir is where the stubs of framework packages that several
+// analyzers' tests load live, relative to the module root: one stub per
+// package, carrying the want lines and allows of every analyzer that keys on
+// it, so an API change edits one stub.
+const sharedDir = "internal/analysis/testdata"
+
 // Run loads each named package from dir/src and checks a's diagnostics
 // against the `// want` expectations in their sources.
 func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgs ...string) {
 	t.Helper()
-	srcRoot := filepath.Join(dir, "src")
+	run(t, dir, []*analysis.Analyzer{a}, pkgs)
+}
+
+// RunShared loads the named shared stub and checks the diagnostics of
+// suite, the analyzers whose want lines and allows the stub carries, against
+// them.
+func RunShared(t *testing.T, pkg string, suite ...*analysis.Analyzer) {
+	t.Helper()
+	modDir, _, err := analysis.FindModule(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run(t, filepath.Join(modDir, sharedDir), suite, []string{pkg})
+}
+
+func run(t *testing.T, dir string, suite []*analysis.Analyzer, pkgs []string) {
+	t.Helper()
 	modDir, modPath, err := analysis.FindModule(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loader := analysis.NewLoader(modPath, modDir, srcRoot, true)
+	srcRoot := filepath.Join(dir, "src")
+	loader := analysis.NewLoader(modPath, modDir, []string{srcRoot, filepath.Join(modDir, sharedDir, "src")}, true)
 	for _, pkg := range pkgs {
 		targets, err := loader.LoadDir(filepath.Join(srcRoot, pkg))
 		if err != nil {
@@ -38,10 +62,9 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgs ...string) {
 		if len(targets) == 0 {
 			t.Fatalf("load %s: no packages found", pkg)
 		}
-		suite := []*analysis.Analyzer{a}
 		diags, err := analysis.Run(suite, suite, targets)
 		if err != nil {
-			t.Fatalf("run %s on %s: %v", a.Name, pkg, err)
+			t.Fatalf("run %s: %v", pkg, err)
 		}
 		for _, target := range targets {
 			check(t, target, diags)

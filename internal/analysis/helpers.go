@@ -91,67 +91,6 @@ func namedTypeName(t types.Type) string {
 	return ""
 }
 
-// TypeIs reports whether t (possibly behind pointers) is the named type
-// typeName declared in the framework package pkgName.
-func TypeIs(t types.Type, pkgName, typeName string) bool {
-	for {
-		if p, ok := t.(*types.Pointer); ok {
-			t = p.Elem()
-			continue
-		}
-		break
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj.Name() == typeName && ObjPkgIs(obj, pkgName)
-}
-
-// IsMethodOn reports whether fn is the method methodName on the named type
-// typeName of framework package pkgName.
-func IsMethodOn(fn *types.Func, pkgName, typeName, methodName string) bool {
-	return fn != nil && fn.Name() == methodName && ObjPkgIs(fn, pkgName) &&
-		RecvTypeName(fn) == typeName
-}
-
-// IdentObj resolves the object an identifier denotes, checking Uses first
-// and falling back to Defs (short variable declarations define on first
-// mention). Returns nil for unresolved identifiers.
-func IdentObj(info *types.Info, id *ast.Ident) types.Object {
-	if obj := info.Uses[id]; obj != nil {
-		return obj
-	}
-	return info.Defs[id]
-}
-
-// CommValueExpr returns the expression denoting the communicator a comm
-// operation call runs on: the receiver for methods ((*Comm).Barrier,
-// (*Comm).Send, ...), the first argument for package-level operations
-// (Bcast, Gather, ...). Returns nil when neither form applies.
-func CommValueExpr(info *types.Info, call *ast.CallExpr) ast.Expr {
-	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
-		if s, isSel := info.Selections[sel]; isSel && s.Kind() == types.MethodVal {
-			return sel.X
-		}
-	}
-	if len(call.Args) > 0 {
-		return call.Args[0]
-	}
-	return nil
-}
-
-// CommValueObject resolves CommValueExpr to a local object when the
-// communicator expression is a simple identifier, or nil.
-func CommValueObject(info *types.Info, call *ast.CallExpr) types.Object {
-	id, ok := ast.Unparen(CommValueExpr(info, call)).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	return IdentObj(info, id)
-}
-
 // FuncScopes walks the top-level function declarations of file, calling fn
 // with each declaration's body (FuncDecl bodies only; nested FuncLits are
 // part of their enclosing declaration's tree and are visited by the

@@ -28,16 +28,16 @@ type Package struct {
 
 // Loader parses and typechecks packages from source with stdlib machinery
 // only. Imports are resolved in three tiers: paths under ModulePath map into
-// ModuleDir, paths that exist under SrcRoot (the analysistest GOPATH-style
-// root) load from there, and everything else — the standard library — is
-// delegated to go/importer's "source" compiler, which re-typechecks std
-// packages from GOROOT. One Loader instance caches every imported package,
+// ModuleDir, paths that exist under one of SrcRoots (the analysistest
+// GOPATH-style roots, searched in order) load from there, and everything
+// else — the standard library — is delegated to go/importer's "source"
+// compiler, which re-typechecks std packages from GOROOT. One Loader instance caches every imported package,
 // so the std tax is paid once per process, not once per target.
 type Loader struct {
 	ModulePath string // e.g. "odinhpc"; empty when loading testdata only
 	ModuleDir  string
-	SrcRoot    string // e.g. ".../testdata/src"; import "x" resolves to SrcRoot/x
-	Tests      bool   // include _test.go files of target packages
+	SrcRoots   []string // e.g. ".../testdata/src"; import "x" resolves to the first root/x
+	Tests      bool     // include _test.go files of target packages
 
 	fset   *token.FileSet
 	std    types.ImporterFrom
@@ -45,14 +45,14 @@ type Loader struct {
 	loaded map[string]*Package // import-variant (no test files) packages by path
 }
 
-// NewLoader returns a ready Loader. Any of modulePath/moduleDir/srcRoot may
+// NewLoader returns a ready Loader. Any of modulePath/moduleDir/srcRoots may
 // be empty when that resolution tier is unused.
-func NewLoader(modulePath, moduleDir, srcRoot string, tests bool) *Loader {
+func NewLoader(modulePath, moduleDir string, srcRoots []string, tests bool) *Loader {
 	fset := token.NewFileSet()
 	return &Loader{
 		ModulePath: modulePath,
 		ModuleDir:  moduleDir,
-		SrcRoot:    srcRoot,
+		SrcRoots:   srcRoots,
 		Tests:      tests,
 		fset:       fset,
 		std:        importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
@@ -103,8 +103,8 @@ func (l *Loader) resolve(path string) (string, bool) {
 			return filepath.Join(l.ModuleDir, filepath.FromSlash(strings.TrimPrefix(path, l.ModulePath+"/"))), true
 		}
 	}
-	if l.SrcRoot != "" {
-		dir := filepath.Join(l.SrcRoot, filepath.FromSlash(path))
+	for _, root := range l.SrcRoots {
+		dir := filepath.Join(root, filepath.FromSlash(path))
 		if st, err := os.Stat(dir); err == nil && st.IsDir() {
 			return dir, true
 		}
@@ -116,8 +116,8 @@ func (l *Loader) resolve(path string) (string, bool) {
 // (with in-package test files when Tests is set) plus the external _test
 // package if one exists. Without Tests the target is the import variant
 // itself, so its objects are the ones its importers' type information
-// refers to. dir must be under ModuleDir or SrcRoot so the package's import
-// path can be derived.
+// refers to. dir must be under ModuleDir or a SrcRoots entry so the
+// package's import path can be derived.
 func (l *Loader) LoadDir(dir string) ([]*Package, error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
@@ -264,11 +264,11 @@ func (l *Loader) check(path string, files []*ast.File) (*Package, error) {
 }
 
 // importPath derives the import path of an absolute package directory from
-// the loader's src or module root. The src root goes first: analysistest
+// the loader's src or module roots. The src roots go first: analysistest
 // roots live inside the module, and their packages are named from there.
 func (l *Loader) importPath(abs string) (string, error) {
-	if l.SrcRoot != "" {
-		if rootAbs, err := filepath.Abs(l.SrcRoot); err == nil {
+	for _, root := range l.SrcRoots {
+		if rootAbs, err := filepath.Abs(root); err == nil {
 			if rel, err := filepath.Rel(rootAbs, abs); err == nil && !strings.HasPrefix(rel, "..") {
 				return filepath.ToSlash(rel), nil
 			}

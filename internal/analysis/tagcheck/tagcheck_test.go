@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"odinhpc/internal/analysis/analysistest"
+	"odinhpc/internal/analysis/planreuse"
 	"odinhpc/internal/analysis/tagcheck"
 	"odinhpc/internal/analysis/tagregistry"
 )
@@ -16,5 +17,6 @@ func TestTagcheck(t *testing.T) {
 		rs = append(rs, tagcheck.Range{Name: r.Name, Lo: r.Lo, Hi: r.Hi, Owner: r.Owner})
 	}
 	tagcheck.SetReserved(rs)
-	analysistest.Run(t, "testdata", tagcheck.Analyzer, "a", "slicing", "comm")
+	analysistest.Run(t, "testdata", tagcheck.Analyzer, "a", "slicing")
+	analysistest.RunShared(t, "comm", tagcheck.Analyzer, planreuse.Analyzer)
 }

@@ -37,7 +37,7 @@ func TestRegistryCoversExportedTagConstants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loader := analysis.NewLoader("odinhpc", root, "", false)
+	loader := analysis.NewLoader("odinhpc", root, nil, false)
 
 	owners := map[string]bool{}
 	for _, o := range tagOwners {

@@ -3,6 +3,7 @@ package comm
 import (
 	"fmt"
 	"slices"
+	"strconv"
 
 	"odinhpc/internal/trace"
 )
@@ -46,7 +47,8 @@ func applyOp[T Number](op Op, a, b T) T {
 
 // nextColl returns a fresh tag namespace for one collective call. Collectives
 // are SPMD operations: every rank must call them in the same order, so the
-// per-rank sequence numbers stay synchronized without communication. It is
+// per-rank sequence numbers stay synchronized without communication (a rank
+// that diverges waits on, or sends, tags no peer matches; see collKind). It is
 // also the fault layer's crash point: a plan that crashes this rank at this
 // collective index unwinds here, before any round of the collective runs.
 func (c *Comm) nextColl() int {
@@ -56,9 +58,70 @@ func (c *Comm) nextColl() int {
 	return c.collSeq
 }
 
-// collTag builds a point-to-point tag private to collective seq and round,
-// kept disjoint from user tags by being strongly negative.
-func collTag(seq, round int) int { return -(seq<<8 | round) - 1000 }
+// collKind names a collective in its tags and its trace span: ranks that
+// call different collectives at the same sequence number never match each
+// other's messages, so a divergence parks them (FaultDeadlock) or leaves a
+// message unread (FaultUnread) instead of finishing with wrong buffers.
+type collKind int
+
+const (
+	collBarrier collKind = iota + 1
+	collBcast
+	collReduce
+	collAllreduce
+	collGather
+	collAllgather
+	collScatter
+	collAlltoall
+	collAlltoallIndexed
+	collScan
+	collExscan
+)
+
+var collNames = [...]string{"", "barrier", "bcast", "reduce", "allreduce", "gather",
+	"allgather", "scatter", "alltoall", "alltoall-indexed", "scan", "exscan"}
+
+// rooted reports whether k's tags carry the call's root.
+func (k collKind) rooted() bool {
+	return k == collBcast || k == collReduce || k == collGather || k == collScatter
+}
+
+// A collective's tag is -collTagBase - x, where x packs, from the low bits,
+// the round (16 bits), the root (16 bits, 0 for unrooted kinds), the kind
+// (4 bits) and the sequence number's low 27 bits; a sequence number that
+// wraps reuses the tags of collectives 2^27 calls back, long drained. Tags
+// stay at or below -collTagBase, disjoint from user tags and the wildcards,
+// and below a root of 2^15 their low 32 bits alone (trace.Event.Tag) stay
+// negative.
+const (
+	collTagBase = 1000
+	collSeqMask = 1<<27 - 1
+)
+
+// collTag builds the point-to-point tag private to round of collective seq,
+// a call of kind k rooted at root.
+func collTag(k collKind, root, seq, round int) int {
+	return -((seq&collSeqMask)<<36 | int(k)<<32 | root<<16 | round) - collTagBase
+}
+
+// tagString renders a tag for a fault message: "any" for AnyTag, a
+// collective's kind, root, sequence number and round for its tags, and the
+// number for any other.
+func tagString(tag int) string {
+	if tag == AnyTag {
+		return "any"
+	}
+	x := -tag - collTagBase
+	k := collKind(x >> 32 & 0xf)
+	if x < 0 || k == 0 || int(k) >= len(collNames) {
+		return strconv.Itoa(tag)
+	}
+	name := collNames[k]
+	if k.rooted() {
+		name += fmt.Sprintf(" root %d", x>>16&0xffff)
+	}
+	return fmt.Sprintf("%s seq %d round %d", name, x>>36, x&0xffff)
+}
 
 // nopEnd is the shared no-op returned by collSpan when tracing is off, so
 // the disabled path costs one atomic load and zero allocations.
@@ -68,11 +131,11 @@ var nopEnd = func() {}
 // returns its completion function, meant for the idiom
 //
 //	seq := c.nextColl()
-//	defer c.collSpan("bcast", seq)()
+//	defer c.collSpan(collBcast, seq)()
 //
 // Nested composite collectives (Split = Allgather + construction) produce
 // nested spans, which the timeline renders as a phase breakdown.
-func (c *Comm) collSpan(name string, seq int) func() {
+func (c *Comm) collSpan(k collKind, seq int) func() {
 	s := trace.Active()
 	if s == nil {
 		return nopEnd
@@ -80,7 +143,7 @@ func (c *Comm) collSpan(name string, seq int) func() {
 	t0 := s.Now()
 	return func() {
 		s.Emit(trace.Event{Kind: trace.KindColl, Rank: int32(c.rank), Worker: -1,
-			Peer: -1, Tag: -1, Start: t0, Dur: s.Now() - t0, A: int64(seq), Label: name})
+			Peer: -1, Tag: -1, Start: t0, Dur: s.Now() - t0, A: int64(seq), Label: collNames[k]})
 	}
 }
 
@@ -88,13 +151,13 @@ func (c *Comm) collSpan(name string, seq int) func() {
 // pattern with ceil(log2 P) rounds.
 func (c *Comm) Barrier() {
 	seq := c.nextColl()
-	defer c.collSpan("barrier", seq)()
+	defer c.collSpan(collBarrier, seq)()
 	round := 0
 	for k := 1; k < c.size; k <<= 1 {
 		dst := (c.rank + k) % c.size
 		src := (c.rank - k + c.size) % c.size
-		c.Send(dst, collTag(seq, round), []byte{1})
-		c.Recv(src, collTag(seq, round))
+		c.Send(dst, collTag(collBarrier, 0, seq, round), []byte{1})
+		c.Recv(src, collTag(collBarrier, 0, seq, round))
 		round++
 	}
 }
@@ -105,14 +168,14 @@ func (c *Comm) Barrier() {
 // the same length.
 func Bcast[T Elem](c *Comm, root int, buf []T) {
 	seq := c.nextColl()
-	defer c.collSpan("bcast", seq)()
+	defer c.collSpan(collBcast, seq)()
 	// Work in a rotated rank space where root is 0.
 	vr := (c.rank - root + c.size) % c.size
 	if vr != 0 {
 		// Receive from parent.
 		parent := ((vr - 1) / 2)
 		src := (parent + root) % c.size
-		data := c.Recv(src, collTag(seq, 0)).([]T)
+		data := c.Recv(src, collTag(collBcast, root, seq, 0)).([]T)
 		if len(data) != len(buf) {
 			panic(fmt.Sprintf("comm: Bcast length mismatch: root sent %d, rank %d expects %d", len(data), c.rank, len(buf)))
 		}
@@ -122,7 +185,7 @@ func Bcast[T Elem](c *Comm, root int, buf []T) {
 	for _, child := range []int{2*vr + 1, 2*vr + 2} {
 		if child < c.size {
 			dst := (child + root) % c.size
-			c.Send(dst, collTag(seq, 0), buf)
+			c.Send(dst, collTag(collBcast, root, seq, 0), buf)
 		}
 	}
 }
@@ -139,7 +202,7 @@ func BcastScalar[T Elem](c *Comm, root int, v T) T {
 // modified.
 func Reduce[T Number](c *Comm, root int, in []T, op Op) []T {
 	seq := c.nextColl()
-	defer c.collSpan("reduce", seq)()
+	defer c.collSpan(collReduce, seq)()
 	acc := make([]T, len(in))
 	copy(acc, in)
 	vr := (c.rank - root + c.size) % c.size
@@ -147,12 +210,12 @@ func Reduce[T Number](c *Comm, root int, in []T, op Op) []T {
 	for k := 1; k < c.size; k <<= 1 {
 		if vr&k != 0 {
 			dst := ((vr - k) + root) % c.size
-			c.sendOwned(dst, collTag(seq, 0), acc) // acc is private and dead after this
+			c.sendOwned(dst, collTag(collReduce, root, seq, 0), acc) // acc is private and dead after this
 			return nil
 		}
 		if vr+k < c.size {
 			src := ((vr + k) + root) % c.size
-			data := c.Recv(src, collTag(seq, 0)).([]T)
+			data := c.Recv(src, collTag(collReduce, root, seq, 0)).([]T)
 			if len(data) != len(acc) {
 				panic("comm: Reduce length mismatch across ranks")
 			}
@@ -203,7 +266,7 @@ func AllreduceScalar[T Number](c *Comm, v T, op Op) T {
 // association of Reduce's binomial tree.
 func AllreduceInto[T Number](c *Comm, buf []T, op Op) {
 	seq := c.nextColl()
-	defer c.collSpan("allreduce", seq)()
+	defer c.collSpan(collAllreduce, seq)()
 	p2, rounds := 1, 0
 	for p2*2 <= c.size {
 		p2, rounds = p2*2, rounds+1
@@ -220,20 +283,20 @@ func AllreduceInto[T Number](c *Comm, buf []T, op Op) {
 	v := c.rank - paired/2
 	if c.rank < paired {
 		if c.rank%2 == 0 {
-			sendVals(c, c.rank+1, collTag(seq, 0), buf)
-			recvVals(c, c.rank+1, collTag(seq, rounds+1), buf, op, false)
+			sendVals(c, c.rank+1, collTag(collAllreduce, 0, seq, 0), buf)
+			recvVals(c, c.rank+1, collTag(collAllreduce, 0, seq, rounds+1), buf, op, false)
 			return
 		}
-		recvVals(c, c.rank-1, collTag(seq, 0), buf, op, true)
+		recvVals(c, c.rank-1, collTag(collAllreduce, 0, seq, 0), buf, op, true)
 		v = c.rank / 2
 	}
 	for k := 0; k < rounds; k++ {
 		partner := rankOf(v ^ 1<<k)
-		sendVals(c, partner, collTag(seq, 1+k), buf)
-		recvVals(c, partner, collTag(seq, 1+k), buf, op, true)
+		sendVals(c, partner, collTag(collAllreduce, 0, seq, 1+k), buf)
+		recvVals(c, partner, collTag(collAllreduce, 0, seq, 1+k), buf, op, true)
 	}
 	if c.rank < paired {
-		sendVals(c, c.rank-1, collTag(seq, rounds+1), buf)
+		sendVals(c, c.rank-1, collTag(collAllreduce, 0, seq, rounds+1), buf)
 	}
 }
 
@@ -280,9 +343,9 @@ func recvVals[T Number](c *Comm, src, tag int, buf []T, op Op, combine bool) {
 // source rank (possibly ragged); other ranks receive nil.
 func Gather[T Elem](c *Comm, root int, in []T) [][]T {
 	seq := c.nextColl()
-	defer c.collSpan("gather", seq)()
+	defer c.collSpan(collGather, seq)()
 	if c.rank != root {
-		c.Send(root, collTag(seq, 0), in)
+		c.Send(root, collTag(collGather, root, seq, 0), in)
 		return nil
 	}
 	out := make([][]T, c.size)
@@ -290,7 +353,7 @@ func Gather[T Elem](c *Comm, root int, in []T) [][]T {
 	copy(local, in)
 	out[root] = local
 	for i := 0; i < c.size-1; i++ {
-		m := c.RecvMsg(AnySource, collTag(seq, 0))
+		m := c.RecvMsg(AnySource, collTag(collGather, root, seq, 0))
 		out[m.Src] = m.Payload.([]T)
 	}
 	return out
@@ -300,7 +363,7 @@ func Gather[T Elem](c *Comm, root int, in []T) [][]T {
 // Slices may have different lengths (the "v" variant is the only variant).
 func Allgather[T Elem](c *Comm, in []T) [][]T {
 	seq := c.nextColl()
-	defer c.collSpan("allgather", seq)()
+	defer c.collSpan(collAllgather, seq)()
 	out := make([][]T, c.size)
 	local := make([]T, len(in))
 	copy(local, in)
@@ -310,9 +373,9 @@ func Allgather[T Elem](c *Comm, in []T) [][]T {
 	left := (c.rank - 1 + c.size) % c.size
 	cur := c.rank
 	for step := 0; step < c.size-1; step++ {
-		c.Send(right, collTag(seq, step), out[cur])
+		c.Send(right, collTag(collAllgather, 0, seq, step), out[cur])
 		cur = (cur - 1 + c.size) % c.size
-		out[cur] = c.Recv(left, collTag(seq, step)).([]T)
+		out[cur] = c.Recv(left, collTag(collAllgather, 0, seq, step)).([]T)
 	}
 	return out
 }
@@ -335,21 +398,21 @@ func AllgatherFlat[T Elem](c *Comm, in []T) []T {
 // part. Only root's parts argument is consulted; it must have length Size.
 func Scatter[T Elem](c *Comm, root int, parts [][]T) []T {
 	seq := c.nextColl()
-	defer c.collSpan("scatter", seq)()
+	defer c.collSpan(collScatter, seq)()
 	if c.rank == root {
 		if len(parts) != c.size {
 			panic(fmt.Sprintf("comm: Scatter needs %d parts, got %d", c.size, len(parts)))
 		}
 		for dst := 0; dst < c.size; dst++ {
 			if dst != root {
-				c.Send(dst, collTag(seq, 0), parts[dst])
+				c.Send(dst, collTag(collScatter, root, seq, 0), parts[dst])
 			}
 		}
 		local := make([]T, len(parts[root]))
 		copy(local, parts[root])
 		return local
 	}
-	return c.Recv(root, collTag(seq, 0)).([]T)
+	return c.Recv(root, collTag(collScatter, root, seq, 0)).([]T)
 }
 
 // Alltoall sends parts[d] to rank d from every rank and returns the received
@@ -357,7 +420,7 @@ func Scatter[T Elem](c *Comm, root int, parts [][]T) []T {
 // ragged, and empty blocks are transferred as empty slices.
 func Alltoall[T Elem](c *Comm, parts [][]T) [][]T {
 	seq := c.nextColl()
-	defer c.collSpan("alltoall", seq)()
+	defer c.collSpan(collAlltoall, seq)()
 	if len(parts) != c.size {
 		panic(fmt.Sprintf("comm: Alltoall needs %d parts, got %d", c.size, len(parts)))
 	}
@@ -365,14 +428,14 @@ func Alltoall[T Elem](c *Comm, parts [][]T) [][]T {
 		if dst == c.rank {
 			continue
 		}
-		c.Send(dst, collTag(seq, 0), parts[dst])
+		c.Send(dst, collTag(collAlltoall, 0, seq, 0), parts[dst])
 	}
 	out := make([][]T, c.size)
 	local := make([]T, len(parts[c.rank]))
 	copy(local, parts[c.rank])
 	out[c.rank] = local
 	for i := 0; i < c.size-1; i++ {
-		m := c.RecvMsg(AnySource, collTag(seq, 0))
+		m := c.RecvMsg(AnySource, collTag(collAlltoall, 0, seq, 0))
 		out[m.Src] = m.Payload.([]T)
 	}
 	return out
@@ -389,18 +452,18 @@ func Alltoall[T Elem](c *Comm, parts [][]T) [][]T {
 // elements without the communicator.
 func AlltoallIndexed(c *Comm, src []float64, sendIdx [][]int, out []float64, recvPos [][]int) {
 	seq := c.nextColl()
-	defer c.collSpan("alltoall", seq)()
+	defer c.collSpan(collAlltoallIndexed, seq)()
 	if len(sendIdx) != c.size || len(recvPos) != c.size {
 		panic(fmt.Sprintf("comm: AlltoallIndexed needs %d index lists each way, got %d and %d", c.size, len(sendIdx), len(recvPos)))
 	}
 	for dst := 0; dst < c.size; dst++ {
 		if dst != c.rank {
-			c.sendIndexed(dst, collTag(seq, 0), src, sendIdx[dst])
+			c.sendIndexed(dst, collTag(collAlltoallIndexed, 0, seq, 0), src, sendIdx[dst])
 		}
 	}
 	for s := 0; s < c.size; s++ {
 		if s != c.rank {
-			c.recvIndexed(s, collTag(seq, 0), out, recvPos[s])
+			c.recvIndexed(s, collTag(collAlltoallIndexed, 0, seq, 0), out, recvPos[s])
 		}
 	}
 }
@@ -409,11 +472,11 @@ func AlltoallIndexed(c *Comm, src []float64, sendIdx [][]int, out []float64, rec
 // op(in_0, ..., in_r), element-wise. Runs as a linear chain.
 func Scan[T Number](c *Comm, in []T, op Op) []T {
 	seq := c.nextColl()
-	defer c.collSpan("scan", seq)()
+	defer c.collSpan(collScan, seq)()
 	acc := make([]T, len(in))
 	copy(acc, in)
 	if c.rank > 0 {
-		prev := c.Recv(c.rank-1, collTag(seq, 0)).([]T)
+		prev := c.Recv(c.rank-1, collTag(collScan, 0, seq, 0)).([]T)
 		if len(prev) != len(acc) {
 			panic("comm: Scan length mismatch across ranks")
 		}
@@ -422,7 +485,7 @@ func Scan[T Number](c *Comm, in []T, op Op) []T {
 		}
 	}
 	if c.rank < c.size-1 {
-		c.Send(c.rank+1, collTag(seq, 0), acc)
+		c.Send(c.rank+1, collTag(collScan, 0, seq, 0), acc)
 	}
 	return acc
 }
@@ -443,22 +506,22 @@ func ExclusiveScanScalar[T Number](c *Comm, v T, op Op) T {
 		// rank 0 receiving the multiplicative identity.
 		seq := c.nextColl()
 		if c.rank < c.size-1 {
-			c.Send(c.rank+1, collTag(seq, 0), []T{inc})
+			c.Send(c.rank+1, collTag(collExscan, 0, seq, 0), []T{inc})
 		}
 		if c.rank == 0 {
 			var one T = 1
 			return one
 		}
-		return c.Recv(c.rank-1, collTag(seq, 0)).([]T)[0]
+		return c.Recv(c.rank-1, collTag(collExscan, 0, seq, 0)).([]T)[0]
 	default:
 		// Min/max have no inverse; rerun as a shifted chain.
 		seq := c.nextColl()
 		if c.rank < c.size-1 {
-			c.Send(c.rank+1, collTag(seq, 0), []T{inc})
+			c.Send(c.rank+1, collTag(collExscan, 0, seq, 0), []T{inc})
 		}
 		if c.rank == 0 {
 			return v
 		}
-		return c.Recv(c.rank-1, collTag(seq, 0)).([]T)[0]
+		return c.Recv(c.rank-1, collTag(collExscan, 0, seq, 0)).([]T)[0]
 	}
 }

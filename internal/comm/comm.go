@@ -377,7 +377,9 @@ func (cfg Config) recvTimeout(remote bool) time.Duration {
 // failure, user error, or panic — aborts the whole session: peers blocked in
 // Recv wake promptly and report a *FaultError instead of hanging, matching
 // MPI's abort-the-job default but with a typed in-process error. The
-// session's error is the root cause, not a peer's echo of it.
+// session's error is the root cause, not a peer's echo of it. An in-process
+// session whose ranks all return nil fails with FaultUnread if a message
+// sent in it was never received.
 func RunConfig(size int, cfg Config, fn func(c *Comm) error) (*Stats, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("comm: size must be positive, got %d", size)
@@ -449,7 +451,15 @@ func RunConfig(size int, cfg Config, fn func(c *Comm) error) (*Stats, error) {
 		}
 		cwg.Wait()
 	}
-	return f.stats, RootCause(errs)
+	err := RootCause(errs)
+	if err == nil && !remote {
+		// Every send of an in-process session has landed by now, so a
+		// message still queued is one no rank will ever receive.
+		if fe := f.unread(); fe != nil {
+			err = fe
+		}
+	}
+	return f.stats, err
 }
 
 // worldCtx is the context id of the world communicator; Split derives

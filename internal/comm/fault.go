@@ -2,7 +2,6 @@ package comm
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -59,8 +58,15 @@ const (
 	// is parked in a receive, so no rank is left to send: Rank is the rank
 	// whose park (or return) completed the cycle, Peer and Tag what it waits
 	// for (-1 for a rank that returned), and the message names every parked
-	// rank's communicator, source and tag and every rank that has returned.
+	// rank's communicator, source and tag, every message queued unread and
+	// every rank that has returned.
 	FaultDeadlock
+	// FaultUnread is raised when every rank of an in-process session
+	// returned nil but a message is still queued: a send nobody received,
+	// the trace of a divergent collective or a lost protocol step. Rank,
+	// Peer and Tag are the first such message's receiver, sender and tag,
+	// and the message names every one.
+	FaultUnread
 )
 
 func (k FaultKind) String() string {
@@ -77,6 +83,8 @@ func (k FaultKind) String() string {
 		return "transport"
 	case FaultDeadlock:
 		return "deadlock"
+	case FaultUnread:
+		return "unread"
 	}
 	return fmt.Sprintf("FaultKind(%d)", int(k))
 }
@@ -97,8 +105,9 @@ type FaultError struct {
 	Cause *FaultError
 	Wire  *TransportError
 
-	// waits is a deadlock's description of the parked and returned ranks.
-	waits string
+	// detail is a deadlock's or an unread fault's description of the parked
+	// and returned ranks and of the queued messages.
+	detail string
 }
 
 func (e *FaultError) Error() string {
@@ -106,9 +115,9 @@ func (e *FaultError) Error() string {
 	case FaultCrash:
 		return fmt.Sprintf("comm: fault(seed %d): rank %d crashed at planned collective", e.Seed, e.Rank)
 	case FaultDropLimit:
-		return fmt.Sprintf("comm: fault(seed %d): rank %d exhausted retransmits to rank %d (tag %d)", e.Seed, e.Rank, e.Peer, e.Tag)
+		return fmt.Sprintf("comm: fault(seed %d): rank %d exhausted retransmits to rank %d (tag %s)", e.Seed, e.Rank, e.Peer, tagString(e.Tag))
 	case FaultTimeout:
-		return fmt.Sprintf("comm: fault(seed %d): rank %d timed out waiting for src %d (tag %d)", e.Seed, e.Rank, e.Peer, e.Tag)
+		return fmt.Sprintf("comm: fault(seed %d): rank %d timed out waiting for src %s (tag %s)", e.Seed, e.Rank, srcString(e.Peer), tagString(e.Tag))
 	case FaultPeerFailed:
 		if e.Cause != nil {
 			return fmt.Sprintf("comm: fault(seed %d): rank %d aborted, peer failed: %v", e.Seed, e.Rank, e.Cause)
@@ -121,7 +130,9 @@ func (e *FaultError) Error() string {
 		return fmt.Sprintf("comm: rank %d transport failure (peer %d)", e.Rank, e.Peer)
 	case FaultDeadlock:
 		return fmt.Sprintf("comm: fault(seed %d): deadlock at rank %d, every live rank waits on a message nobody can send: %s",
-			e.Seed, e.Rank, e.waits)
+			e.Seed, e.Rank, e.detail)
+	case FaultUnread:
+		return fmt.Sprintf("comm: fault(seed %d): every rank returned, but a message was never received: %s", e.Seed, e.detail)
 	}
 	return fmt.Sprintf("comm: fault(seed %d): rank %d: %v", e.Seed, e.Rank, e.Kind)
 }
@@ -364,40 +375,84 @@ func (fs *failState) failWith(e *FaultError, local bool) {
 // parked (rank, waiting for src and tag, or returning) has just stopped. No
 // rank can move then, so the mailboxes it reads hold still.
 func (f *fabric) deadlock(rank, src, tag int) *FaultError {
-	boxes := f.reg.all()
-	sort.Slice(boxes, func(i, j int) bool {
-		a, b := boxes[i].key, boxes[j].key
-		return a.ctx < b.ctx || a.ctx == b.ctx && a.rank < b.rank
-	})
-	var waits, left []string
-	for _, b := range boxes {
+	var waits, queued, left []string
+	for _, b := range f.reg.sorted() {
 		b.mu.Lock()
 		if b.parker != nil {
-			comm := "world"
-			if b.key.ctx != worldCtx {
-				comm = fmt.Sprintf("%#x", b.key.ctx)
-			}
 			waits = append(waits, fmt.Sprintf("rank %d of comm %s waits for src %s (tag %s)",
-				b.key.rank, comm, anyOr(b.waitSrc), anyOr(b.waitTag)))
+				b.key.rank, b.key.comm(), srcString(b.waitSrc), tagString(b.waitTag)))
 		}
+		b.eachUnreadLocked(func(m Message) { queued = appendUnread(queued, b.key, m) })
 		if b.left {
 			left = append(left, strconv.Itoa(b.key.rank))
 		}
 		b.mu.Unlock()
 	}
-	desc := strings.Join(waits, "; ")
+	desc := strings.Join(append(waits, queued...), "; ")
 	if len(left) > 0 {
 		desc += "; returned: rank " + strings.Join(left, ", ")
 	}
-	return &FaultError{Kind: FaultDeadlock, Rank: rank, Peer: src, Tag: tag, Seed: f.seed(), waits: desc}
+	return &FaultError{Kind: FaultDeadlock, Rank: rank, Peer: src, Tag: tag, Seed: f.seed(), detail: desc}
 }
 
-// anyOr renders a receive's source or tag, "any" for the wildcard.
-func anyOr(v int) string {
-	if v < 0 {
+// unread is the FaultUnread of an in-process session whose ranks all
+// returned nil, or nil when no mailbox holds an unread message. It runs once,
+// after the last rank returned, and allocates nothing when it finds nothing.
+func (f *fabric) unread() *FaultError {
+	if !f.reg.anyUnread() {
+		return nil
+	}
+	fe := &FaultError{Kind: FaultUnread, Seed: f.seed()}
+	var queued []string
+	for _, b := range f.reg.sorted() {
+		b.mu.Lock()
+		b.eachUnreadLocked(func(m Message) {
+			if len(queued) == 0 {
+				fe.Rank, fe.Peer, fe.Tag = b.key.rank, m.Src, m.Tag
+			}
+			queued = appendUnread(queued, b.key, m)
+		})
+		b.mu.Unlock()
+	}
+	fe.detail = strings.Join(queued, "; ")
+	return fe
+}
+
+// eachUnreadLocked calls fn on each message queued or held in b that no
+// receive took. A fault-plan duplicate of a message already taken
+// (seenLocked) is not one.
+func (b *mailbox) eachUnreadLocked(fn func(Message)) {
+	for _, m := range b.queue.live() {
+		if !b.seenLocked(m.Src, m.seq) {
+			fn(m)
+		}
+	}
+	for _, h := range b.delayed {
+		if !b.seenLocked(h.m.Src, h.m.seq) {
+			fn(h.m)
+		}
+	}
+}
+
+// maxUnreadListed bounds how many unread messages a fault message names.
+const maxUnreadListed = 8
+
+// appendUnread appends the text naming unread message m of mailbox k, unless
+// out already names maxUnreadListed.
+func appendUnread(out []string, k boxKey, m Message) []string {
+	if len(out) == maxUnreadListed {
+		return out
+	}
+	return append(out, fmt.Sprintf("rank %d of comm %s holds unread src %d (tag %s)",
+		k.rank, k.comm(), m.Src, tagString(m.Tag)))
+}
+
+// srcString renders a receive's source, "any" for the wildcard.
+func srcString(src int) string {
+	if src == AnySource {
 		return "any"
 	}
-	return strconv.Itoa(v)
+	return strconv.Itoa(src)
 }
 
 // ---- faulty send / recv paths -----------------------------------------

@@ -274,13 +274,12 @@ func poissonAMGCG(c *comm.Comm) (any, error) {
 }
 
 // permutedCollectives is the deliberate schedule bug: even and odd ranks
-// issue the same two collectives in opposite orders, so their collective
-// sequence numbers disagree and every rank blocks on a tag its peers never
-// send. At P=1 there are no peers and the kernel passes; at P>=2 it
-// deadlocks, which the harness's armed RecvTimeout converts into a typed
-// FaultTimeout carrying a replay fingerprint. This is exactly the bug class
-// commsym's sequence check flags at vet time — the suppressions below keep it
-// compilable as a live test subject.
+// issue the same two collectives in opposite orders, so at each sequence
+// number one side waits in a Bcast and the other in a Gather, and every rank
+// blocks on a tag its peers never send. At P=1 there are no peers and the
+// kernel passes; at P>=2 it deadlocks, which comm's detector fails at once
+// on inproc with a FaultDeadlock naming both collectives (the harness's
+// armed RecvTimeout turns it into a FaultTimeout on tcp).
 func permutedCollectives(c *comm.Comm) (any, error) {
 	vals := []float64{float64(c.Rank()) * 1.5}
 	buf := make([]float64, 1)
@@ -288,11 +287,11 @@ func permutedCollectives(c *comm.Comm) (any, error) {
 		buf[0] = 42
 	}
 	if c.Rank()%2 == 0 {
-		comm.Bcast(c, 0, buf)   //lint:allow commsym Intentional permuted order: live stress-harness bug subject
-		comm.Gather(c, 0, vals) //lint:allow commsym Intentional permuted order: live stress-harness bug subject
+		comm.Bcast(c, 0, buf)
+		comm.Gather(c, 0, vals)
 	} else {
-		comm.Gather(c, 0, vals) //lint:allow commsym Intentional permuted order: live stress-harness bug subject
-		comm.Bcast(c, 0, buf)   //lint:allow commsym Intentional permuted order: live stress-harness bug subject
+		comm.Gather(c, 0, vals)
+		comm.Bcast(c, 0, buf)
 	}
 	return buf, nil
 }

@@ -98,9 +98,10 @@ func TestRunPointTCP(t *testing.T) {
 // TestBuggyKernelCaughtAndMinimized is the harness's reason to exist: the
 // permuted-collectives kernel deadlocks at P>=2, comm's deadlock detector
 // fails the session with a typed FaultDeadlock the moment the last rank parks
-// (the armed RecvTimeout is never reached on inproc), and Minimize shrinks the
-// failing point to the smallest reproducing configuration (P=2, one worker,
-// one processor, no fault plan) with a replayable fingerprint.
+// (the armed RecvTimeout is never reached on inproc), its message names the
+// Bcast and the Gather the ranks wait in, and Minimize shrinks the failing
+// point to the smallest reproducing configuration (P=2, one worker, one
+// processor, no fault plan) with a replayable fingerprint.
 func TestBuggyKernelCaughtAndMinimized(t *testing.T) {
 	k := mustFind(t, "permuted-collectives")
 	if !k.Buggy {
@@ -135,12 +136,17 @@ func TestBuggyKernelCaughtAndMinimized(t *testing.T) {
 }
 
 // wantDeadlock fails unless err carries a *comm.FaultError of kind
-// FaultDeadlock.
+// FaultDeadlock whose message names a Bcast and a Gather tag.
 func wantDeadlock(t *testing.T, point string, err error) {
 	t.Helper()
 	var fe *comm.FaultError
 	if !errors.As(err, &fe) || fe.Kind != comm.FaultDeadlock {
 		t.Fatalf("%s: err = %v, want a FaultDeadlock", point, err)
+	}
+	for _, want := range []string{"(tag bcast root 0 seq ", "(tag gather root 0 seq "} {
+		if !strings.Contains(fe.Error(), want) {
+			t.Fatalf("%s: %q does not name %q", point, fe.Error(), want)
+		}
 	}
 }
 

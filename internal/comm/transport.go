@@ -1,6 +1,8 @@
 package comm
 
 import (
+	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -65,6 +67,15 @@ type boxKey struct {
 	rank int
 }
 
+// comm names the communicator of a mailbox in fault messages: "world", or
+// a sub-communicator's context id.
+func (k boxKey) comm() string {
+	if k.ctx == worldCtx {
+		return "world"
+	}
+	return fmt.Sprintf("%#x", k.ctx)
+}
+
 // registry is the per-process home of every mailbox of one session, across
 // the world communicator and all Split-derived sub-communicators. Mailboxes
 // are created lazily on first touch so an incoming tcp frame for a
@@ -102,6 +113,34 @@ func (r *registry) all() []*mailbox {
 	}
 	r.mu.Unlock()
 	return out
+}
+
+// sorted is all, ordered by communicator context and rank, for fault
+// messages that read the same on every run.
+func (r *registry) sorted() []*mailbox {
+	boxes := r.all()
+	sort.Slice(boxes, func(i, j int) bool {
+		a, b := boxes[i].key, boxes[j].key
+		return a.ctx < b.ctx || a.ctx == b.ctx && a.rank < b.rank
+	})
+	return boxes
+}
+
+// anyUnread reports whether some mailbox holds a message no receive took
+// (mailbox.eachUnreadLocked). It allocates nothing.
+func (r *registry) anyUnread() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, b := range r.boxes {
+		found := false
+		b.mu.Lock()
+		b.eachUnreadLocked(func(Message) { found = true })
+		b.mu.Unlock()
+		if found {
+			return true
+		}
+	}
+	return false
 }
 
 // session is the per-process bookkeeping shared by a world communicator and

@@ -41,69 +41,75 @@ func (f RowFunc) stencil() stencil {
 	}
 }
 
-// BuildSerial materializes an n x n matrix from a row generator.
-func BuildSerial(n int, f RowFunc) *sparse.CSR {
+// buildSerial materializes an n x n matrix from a stencil, through the
+// builders' one assembly loop (rowsTwice).
+func buildSerial(n int, s stencil) *sparse.CSR {
 	coo := sparse.NewCOO(n, n)
-	for i := 0; i < n; i++ {
-		cols, vals := f(i)
+	rowsTwice(n, func(i int) int { return i }, s, coo.Reserve, func(i int, cols []int, vals []float64) {
 		for k := range cols {
 			coo.Add(i, cols[k], vals[k])
 		}
-	}
+	})
 	return coo.ToCSR()
 }
 
 // BuildDist assembles a distributed matrix over rowMap, each rank generating
-// only its own rows, each twice (buildDist). Collective.
+// only its own rows, each twice (rowsTwice). Collective.
 func BuildDist(c *comm.Comm, rowMap *distmap.Map, f RowFunc) *tpetra.CrsMatrix {
 	return buildDist(c, rowMap, f.stencil())
 }
 
-// buildDist is the one assembly loop of the distributed builders: it walks
-// the rank's rows twice over one row buffer, first only to count their
-// entries, so that the triplet arrays are reserved once at their exact size
-// and never regrow, then to insert them. Collective.
+// buildDist assembles the rank's rows of rowMap into a distributed matrix.
+// Collective.
 func buildDist(c *comm.Comm, rowMap *distmap.Map, s stencil) *tpetra.CrsMatrix {
 	a := tpetra.NewCrsMatrix(c, rowMap)
-	me, n := c.Rank(), rowMap.LocalCount(c.Rank())
+	me := c.Rank()
+	global := func(l int) int { return rowMap.LocalToGlobal(me, l) }
+	rowsTwice(rowMap.LocalCount(me), global, s, a.Reserve, func(g int, cols []int, vals []float64) {
+		for k := range cols {
+			a.InsertGlobal(g, cols[k], vals[k])
+		}
+	})
+	a.FillComplete()
+	return a
+}
+
+// rowsTwice is the one assembly loop of the builders: it walks rows
+// global(0), ..., global(n-1) twice over one row buffer, first only to count
+// their entries, which it passes to reserve so that the triplet arrays are
+// sized once and exactly and never regrow, then handing each row to add.
+func rowsTwice(n int, global func(l int) int, s stencil, reserve func(int), add func(g int, cols []int, vals []float64)) {
 	var cols []int
 	var vals []float64
 	count := 0
 	for l := 0; l < n; l++ {
-		cols, vals = s(rowMap.LocalToGlobal(me, l), cols[:0], vals[:0])
+		cols, vals = s(global(l), cols[:0], vals[:0])
 		count += len(cols)
 	}
-	a.Reserve(count)
+	reserve(count)
 	for l := 0; l < n; l++ {
-		g := rowMap.LocalToGlobal(me, l)
+		g := global(l)
 		cols, vals = s(g, cols[:0], vals[:0])
-		for k := range cols {
-			a.InsertGlobal(g, cols[k], vals[k])
-		}
+		add(g, cols, vals)
 	}
-	a.FillComplete()
-	return a
 }
 
 // Laplace1DRow is the [-1 2 -1] three-point stencil with Dirichlet ends.
 func Laplace1DRow(n int) RowFunc { return tridiag(n, -1, 2, -1).rowFunc(3) }
 
 // Laplace1D returns the n-point 1-D Laplacian as a serial matrix.
-func Laplace1D(n int) *sparse.CSR { return BuildSerial(n, Laplace1DRow(n)) }
+func Laplace1D(n int) *sparse.CSR { return buildSerial(n, tridiag(n, -1, 2, -1)) }
 
 // Laplace1DDist returns the distributed 1-D Laplacian.
 func Laplace1DDist(c *comm.Comm, m *distmap.Map) *tpetra.CrsMatrix {
 	return buildDist(c, m, tridiag(m.NumGlobal(), -1, 2, -1))
 }
 
-// Laplace2DRow is the standard 5-point stencil on an nx x ny grid with
+// Laplace2D returns the standard 5-point Laplacian on an nx x ny grid with
 // Dirichlet boundaries, rows numbered row-major (i = y*nx + x): the
 // convection-diffusion stencil at zero velocity, whose upwind terms then add
 // and subtract exact zeros.
-func Laplace2DRow(nx, ny int) RowFunc { return convDiff2D(nx, ny, 0, 0).rowFunc(5) }
-
-// Laplace2D returns the 5-point Laplacian on an nx x ny grid.
-func Laplace2D(nx, ny int) *sparse.CSR { return BuildSerial(nx*ny, Laplace2DRow(nx, ny)) }
+func Laplace2D(nx, ny int) *sparse.CSR { return buildSerial(nx*ny, convDiff2D(nx, ny, 0, 0)) }
 
 // Laplace2DDist returns the distributed 5-point Laplacian; the map's global
 // size must equal nx*ny.
@@ -145,7 +151,7 @@ func laplace3D(nx, ny, nz int) stencil {
 
 // Laplace3D returns the 7-point Laplacian on an nx x ny x nz grid.
 func Laplace3D(nx, ny, nz int) *sparse.CSR {
-	return BuildSerial(nx*ny*nz, Laplace3DRow(nx, ny, nz))
+	return buildSerial(nx*ny*nz, laplace3D(nx, ny, nz))
 }
 
 // Laplace3DDist returns the distributed 7-point Laplacian.

@@ -79,7 +79,7 @@ func TestLaplace3DStructure(t *testing.T) {
 }
 
 func TestConvDiffNonSymmetric(t *testing.T) {
-	a := BuildSerial(25, convDiff2DRow(5, 5, 10, -3))
+	a := buildSerial(25, convDiff2D(5, 5, 10, -3))
 	if a.Transpose().Equal(a) {
 		t.Fatal("convection-diffusion must be non-symmetric")
 	}
@@ -102,15 +102,15 @@ func TestConvDiffNonSymmetric(t *testing.T) {
 }
 
 func TestTridiag(t *testing.T) {
-	a := BuildSerial(4, tridiagRow(4, 1, 5, 2))
+	a := buildSerial(4, tridiag(4, 1, 5, 2))
 	if a.At(1, 0) != 1 || a.At(1, 1) != 5 || a.At(1, 2) != 2 {
 		t.Fatal("tridiag content")
 	}
 }
 
 // TestDistMatchesSerial holds each distributed builder to its serial
-// counterpart, which generates through the exported RowFunc, over block and
-// cyclic maps at P = 1-4: the gathered CSR's bits, and Apply's bits against
+// counterpart (and BuildDist, fed the exported RowFunc, to the serial stencil
+// it wraps), over block and cyclic maps at P = 1-4: the gathered CSR's bits, and Apply's bits against
 // the serial rows summed in Apply's order (the rank's own columns, then its
 // ghosts, each ascending).
 func TestDistMatchesSerial(t *testing.T) {
@@ -122,9 +122,9 @@ func TestDistMatchesSerial(t *testing.T) {
 		"laplace1d": {Laplace1D(24), func(c *comm.Comm, m *distmap.Map) *tpetra.CrsMatrix { return Laplace1DDist(c, m) }},
 		"laplace2d": {Laplace2D(6, 4), func(c *comm.Comm, m *distmap.Map) *tpetra.CrsMatrix { return Laplace2DDist(c, m, 6, 4) }},
 		"laplace3d": {Laplace3D(2, 3, 4), func(c *comm.Comm, m *distmap.Map) *tpetra.CrsMatrix { return Laplace3DDist(c, m, 2, 3, 4) }},
-		"convdiff":  {BuildSerial(24, convDiff2DRow(6, 4, 5, -2)), func(c *comm.Comm, m *distmap.Map) *tpetra.CrsMatrix { return ConvDiff2DDist(c, m, 6, 4, 5, -2) }},
-		"tridiag":   {BuildSerial(24, tridiagRow(24, 0.3, -1.7, 2.9)), func(c *comm.Comm, m *distmap.Map) *tpetra.CrsMatrix { return TridiagDist(c, m, 0.3, -1.7, 2.9) }},
-		"builddist": {BuildSerial(24, convDiff2DRow(6, 4, -1, 3)), func(c *comm.Comm, m *distmap.Map) *tpetra.CrsMatrix {
+		"convdiff":  {buildSerial(24, convDiff2D(6, 4, 5, -2)), func(c *comm.Comm, m *distmap.Map) *tpetra.CrsMatrix { return ConvDiff2DDist(c, m, 6, 4, 5, -2) }},
+		"tridiag":   {buildSerial(24, tridiag(24, 0.3, -1.7, 2.9)), func(c *comm.Comm, m *distmap.Map) *tpetra.CrsMatrix { return TridiagDist(c, m, 0.3, -1.7, 2.9) }},
+		"builddist": {buildSerial(24, convDiff2D(6, 4, -1, 3)), func(c *comm.Comm, m *distmap.Map) *tpetra.CrsMatrix {
 			return BuildDist(c, m, convDiff2DRow(6, 4, -1, 3))
 		}},
 	}
@@ -186,7 +186,7 @@ func sameBits(a, b *sparse.CSR) bool {
 // its own, so a caller may keep rows and generate them concurrently.
 func TestRowFuncsAreFresh(t *testing.T) {
 	for name, f := range map[string]RowFunc{
-		"laplace1d": Laplace1DRow(10), "laplace2d": Laplace2DRow(4, 3), "laplace3d": Laplace3DRow(3, 3, 3),
+		"laplace1d": Laplace1DRow(10), "laplace3d": Laplace3DRow(3, 3, 3),
 		"convdiff": convDiff2DRow(4, 3, 1, 1), "tridiag": tridiagRow(10, 1, 2, 3),
 	} {
 		c0, v0 := f(5)
@@ -237,5 +237,31 @@ func TestAssemblyAllocs(t *testing.T) {
 	}
 	if perNNZ > 40 {
 		t.Errorf("assembly allocates %.1f bytes per stored nonzero, want <= 40", perNNZ)
+	}
+}
+
+// TestSerialAssemblyAllocs pins what a serial build allocates: Laplace3D(32,
+// 32, 32) through the counted, reserved loop (rowsTwice) is 16 objects, the
+// COO and its three triplet arrays reserved once, the row buffer's few
+// growths, the row pointers and the CSR (65 584 when each row allocated its
+// two slices and the triplets grew by doubling). The matrix must match, bit
+// for bit, the one built row by row through the exported RowFunc.
+func TestSerialAssemblyAllocs(t *testing.T) {
+	const nx = 32
+	allocs := testing.AllocsPerRun(2, func() { Laplace3D(nx, nx, nx) })
+	t.Logf("Laplace3D(%d, %d, %d): %.0f objects", nx, nx, nx, allocs)
+	if allocs > 16 {
+		t.Errorf("Laplace3D(%d, %d, %d) allocates %.0f objects, want <= 16", nx, nx, nx, allocs)
+	}
+	n, f := nx*nx*nx, Laplace3DRow(nx, nx, nx)
+	coo := sparse.NewCOO(n, n)
+	for i := 0; i < n; i++ {
+		cols, vals := f(i)
+		for k := range cols {
+			coo.Add(i, cols[k], vals[k])
+		}
+	}
+	if !sameBits(Laplace3D(nx, nx, nx), coo.ToCSR()) {
+		t.Error("Laplace3D differs from its RowFunc built row by row")
 	}
 }
