@@ -46,24 +46,20 @@ func SetReserved(rs []Range) { reserved = rs }
 // Analyzer enforces the tag invariants.
 var Analyzer = &analysis.Analyzer{
 	Name: "tagcheck",
-	Doc: "message tags passed to Send/Recv/RecvMsg/Probe/SendRecv (and comm's " +
-		"typed sendFloats/sendIndexed/recvIndexed) must be " +
+	Doc: "message tags passed to comm's Send/Recv/RecvMsg and Comm.Probe/SendRecv must be " +
 		"named constants, and compile-time tag values must not collide with " +
 		"the reserved ranges in internal/analysis/tagregistry",
 	Run: run,
 }
 
-// tagParam maps comm.Comm methods to the index of their tag argument. The
-// unexported entries are the typed float64 path under comm's collectives.
+// tagParam maps comm's point-to-point API to the index of its tag argument,
+// keyed "Send" for a function and "Comm.Probe" for a method.
 var tagParam = map[string]int{
-	"Send":        1,
-	"Recv":        1,
-	"RecvMsg":     1,
-	"Probe":       1,
-	"SendRecv":    3,
-	"sendFloats":  1,
-	"sendIndexed": 1,
-	"recvIndexed": 1,
+	"Send":          2,
+	"Recv":          2,
+	"RecvMsg":       2,
+	"Comm.Probe":    1,
+	"Comm.SendRecv": 3,
 }
 
 func run(pass *analysis.Pass) error {
@@ -74,10 +70,14 @@ func run(pass *analysis.Pass) error {
 				return true
 			}
 			fn := analysis.Callee(pass.Info, call)
-			if fn == nil || !analysis.ObjPkgIs(fn, "comm") || analysis.RecvTypeName(fn) != "Comm" {
+			if fn == nil || !analysis.ObjPkgIs(fn, "comm") {
 				return true
 			}
-			idx, ok := tagParam[fn.Name()]
+			key := fn.Name()
+			if recv := analysis.RecvTypeName(fn); recv != "" {
+				key = recv + "." + key
+			}
+			idx, ok := tagParam[key]
 			if !ok || idx >= len(call.Args) {
 				return true
 			}

@@ -16,20 +16,21 @@ const haloStolen = 1<<30 + 7
 const negCtl = -7
 
 func tags(c *comm.Comm, buf []float64) {
-	c.Send(1, 7, buf)        // want `raw integer message tag`
-	c.Recv(0, (9))           // want `raw integer message tag`
-	c.Send(1, -3, buf)       // want `raw integer message tag`
-	c.SendRecv(1, buf, 1, 5) // want `raw integer message tag`
+	comm.Send(c, 1, 7, buf)              // want `raw integer message tag`
+	comm.Recv[float64](c, 0, (9))        // want `raw integer message tag`
+	comm.Send(c, 1, -3, buf)             // want `raw integer message tag`
+	c.SendRecv(1, buf, 1, 5)             // want `raw integer message tag`
+	comm.RecvMsg[float64](c, 0, int(11)) // want `raw integer message tag`
 
-	c.Send(1, tagPing, buf) // named constant: fine
-	c.Recv(0, tagPing)      // fine
+	comm.Send(c, 1, tagPing, buf)     // named constant: fine
+	comm.Recv[float64](c, 0, tagPing) // fine
 	for t := 0; t < 3; t++ {
-		c.Send(1, t+tagPing, buf) // run-time tag: fine
+		comm.Send(c, 1, t+tagPing, buf) // run-time tag: fine
 	}
-	c.Recv(0, comm.AnyTag) // reserved value declared by the owner: fine
+	comm.Recv[float64](c, 0, comm.AnyTag) // reserved value declared by the owner: fine
 
-	c.Send(1, negCtl, buf)     // want `reserved range`
-	c.Send(1, haloStolen, buf) // want `reserved range`
+	comm.Send(c, 1, negCtl, buf)     // want `reserved range`
+	comm.Send(c, 1, haloStolen, buf) // want `reserved range`
 
 	//lint:allow tagcheck Scratch probe in a throwaway harness
 	c.Probe(0, 99)

@@ -8,6 +8,6 @@ import "comm"
 const HaloTag = 1<<30 + 7
 
 func exchange(c *comm.Comm, buf []float64) {
-	c.Send(1, HaloTag, buf) // owner package: fine
-	c.Recv(0, HaloTag)      // fine
+	comm.Send(c, 1, HaloTag, buf)     // owner package: fine
+	comm.Recv[float64](c, 0, HaloTag) // fine
 }

@@ -1,8 +1,8 @@
 // Package comm is the one stub of the real fabric that the analyzers keyed
 // on it share (analysistest.RunShared). It mirrors two surfaces:
 //
-//   - the point-to-point tag surface tagcheck keys on: the five tag-taking
-//     methods, the typed float64 path the collectives ride, and constants
+//   - the point-to-point tag surface tagcheck keys on: the generic
+//     Send/Recv/RecvMsg functions, the Probe/SendRecv methods, and constants
 //     living in comm's reserved negative range;
 //   - the transport ownership contract planreuse guards: a tcp connection's
 //     outbox and write buffer belong to exactly one writer goroutine (and
@@ -20,28 +20,25 @@ const AnyTag = -1
 // Comm is the fake communicator.
 type Comm struct{}
 
-// Send delivers data to dst under tag.
-func (c *Comm) Send(dst, tag int, data any) {}
+// Elem is the wire payload set.
+type Elem interface {
+	float64 | int | byte
+}
+
+// Send delivers data to dst under tag; the tag is the third argument.
+func Send[T Elem](c *Comm, dst, tag int, data []T) {}
 
 // Recv blocks for a message from src with tag.
-func (c *Comm) Recv(src, tag int) any { return nil }
+func Recv[T Elem](c *Comm, src, tag int) []T { return nil }
 
-// RecvMsg is Recv with the full envelope.
-func (c *Comm) RecvMsg(src, tag int) any { return nil }
+// RecvMsg is Recv that also returns the source and the tag.
+func RecvMsg[T Elem](c *Comm, src, tag int) (int, int, []T) { return 0, 0, nil }
 
 // Probe reports whether a matching message is queued.
 func (c *Comm) Probe(src, tag int) bool { return false }
 
-// SendRecv exchanges payloads; the tag is the fourth argument.
-func (c *Comm) SendRecv(dst int, data any, src, tag int) any { return nil }
-
-// sendFloats, sendIndexed and recvIndexed mirror the typed float64 path the
-// collectives ride; only package comm can call them.
-func (c *Comm) sendFloats(dst, tag int, data []float64) {}
-
-func (c *Comm) sendIndexed(dst, tag int, src []float64, idx []int) {}
-
-func (c *Comm) recvIndexed(src, tag int, out []float64, pos []int) {}
+// SendRecv exchanges buf in place; the tag is the fourth argument.
+func (c *Comm) SendRecv(dst int, buf []float64, src, tag int) {}
 
 // collKind names a collective in its tags.
 type collKind int
@@ -53,15 +50,15 @@ func collTag(k collKind, root, seq, round int) int {
 	return -((seq&(1<<27-1))<<36 | int(k)<<32 | root<<16 | round) - 1000
 }
 
-// typedExchange is the shape of a typed collective: run-time tags are fine,
-// a literal on the typed path is flagged like on the boxed one.
-func typedExchange(c *Comm, seq int, buf []float64, idx []int) {
-	c.sendFloats(1, collTag(collAllreduce, 0, seq, 0), buf)
-	c.sendIndexed(1, collTag(collAllreduce, 0, seq, 0), buf, idx)
-	c.recvIndexed(0, collTag(collAllreduce, 0, seq, 0), buf, idx)
-	c.sendFloats(1, 7, buf)       // want `raw integer message tag`
-	c.sendIndexed(1, 8, buf, idx) // want `raw integer message tag`
-	c.recvIndexed(0, 9, buf, idx) // want `raw integer message tag`
+// typedExchange is the shape of a collective inside comm: run-time tags are
+// fine, a literal is flagged on every generic entry, instantiated or not.
+func typedExchange(c *Comm, seq int, buf []float64) {
+	Send(c, 1, collTag(collAllreduce, 0, seq, 0), buf)
+	Recv[float64](c, 0, collTag(collAllreduce, 0, seq, 0))
+	RecvMsg[float64](c, 0, collTag(collAllreduce, 0, seq, 0))
+	Send(c, 1, 7, buf)          // want `raw integer message tag`
+	Send[float64](c, 1, 8, buf) // want `raw integer message tag`
+	Recv[float64](c, 0, 9)      // want `raw integer message tag`
 }
 
 // tcpConn carries one peer connection: a write buffer reused across frames

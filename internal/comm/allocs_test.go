@@ -7,7 +7,7 @@ import (
 	"odinhpc/internal/comm/alloctest"
 )
 
-// TestAllreduceAllocs pins the typed path: a scalar allreduce allocates
+// TestAllreduceAllocs pins the pooled route: a scalar allreduce allocates
 // nothing at steady state, at any rank count — not per round, not per
 // message — whether the caller supplies the buffer (AllreduceInto) or the
 // value (AllreduceScalar).

@@ -26,20 +26,20 @@ func BenchmarkP2P(b *testing.B) {
 			peer := 1 - c.Rank()
 			for i := 0; i < n; i++ {
 				if c.Rank() == 0 {
-					c.Send(peer, benchTagP2P, payload)
-					c.Recv(peer, benchTagP2P)
+					Send(c, peer, benchTagP2P, payload)
+					Recv[byte](c, peer, benchTagP2P)
 				} else {
-					c.Recv(peer, benchTagP2P)
-					c.Send(peer, benchTagP2P, payload)
+					Recv[byte](c, peer, benchTagP2P)
+					Send(c, peer, benchTagP2P, payload)
 				}
 			}
 		}},
 		{"backlog", func(c *Comm, n int, payload []byte) {
 			for i := 0; i < n; i++ {
 				if c.Rank() == 0 {
-					c.Send(1, benchTagP2P, payload)
+					Send(c, 1, benchTagP2P, payload)
 				} else {
-					c.Recv(0, benchTagP2P)
+					Recv[byte](c, 0, benchTagP2P)
 				}
 			}
 		}},
@@ -90,7 +90,7 @@ func BenchmarkAllreduce(b *testing.B) {
 }
 
 // BenchmarkAllreduceScalar measures the reduction under every Dot and
-// Norm2: 8 bytes per rank on the typed path, no allocation (allocs/op is
+// Norm2: 8 bytes per rank in pooled buffers, no allocation (allocs/op is
 // gated at 0 in BENCH_comm.json).
 func BenchmarkAllreduceScalar(b *testing.B) {
 	benchCollective(b, []int{2, 4, 8, 16}, func(c *Comm) { AllreduceScalar(c, 1.0, OpSum) })

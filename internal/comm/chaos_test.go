@@ -47,7 +47,8 @@ func TestChaosCollectives(t *testing.T) {
 			// Token ring on top of the barriers: rank r sends to r+1.
 			right := (c.Rank() + 1) % c.Size()
 			left := (c.Rank() - 1 + c.Size()) % c.Size()
-			token := c.SendRecv(right, []int{c.Rank()}, left, tagToken).([]int)
+			comm.Send(c, right, tagToken, []int{c.Rank()})
+			token := comm.Recv[int](c, left, tagToken)
 			c.Barrier()
 			return token, nil
 		}},
@@ -110,6 +111,23 @@ func TestChaosCollectives(t *testing.T) {
 			comm.AlltoallIndexed(c, src, sendIdx, out, recvPos)
 			return out, nil
 		}},
+		{Name: "pooled-int-types", Body: func(c *comm.Comm) (any, error) {
+			// Non-float64 elements through copy-out receives, which give
+			// their buffers back to the free lists: a duplicate a plan
+			// delivers after its buffer was reused must stay unread.
+			var out []any
+			for i := 0; i < 4; i++ {
+				sum := []int{c.Rank() + i, -i}
+				comm.AllreduceInto(c, sum, comm.OpSum)
+				b := make([]int32, 3)
+				if c.Rank() == 0 {
+					b = []int32{int32(i), 7, -7}
+				}
+				comm.Bcast(c, 0, b)
+				out = append(out, sum, b, comm.Scan(c, []int64{int64(c.Rank() + i)}, comm.OpSum))
+			}
+			return out, nil
+		}},
 		{Name: "scan", Body: func(c *comm.Comm) (any, error) {
 			inc := comm.Scan(c, localVec(c, 5), comm.OpSum)
 			exc := comm.ExclusiveScanScalar(c, float64(c.Rank()+2), comm.OpMax)
@@ -122,14 +140,14 @@ func TestChaosCollectives(t *testing.T) {
 			const tag = 5150
 			if c.Rank() != 0 {
 				for k := 0; k < 3; k++ {
-					c.Send(0, tag, []int{c.Rank(), k})
+					comm.Send(c, 0, tag, []int{c.Rank(), k})
 				}
 				return "sent", nil
 			}
 			n := 3 * (c.Size() - 1)
 			got := make([][]int, 0, n)
 			for i := 0; i < n; i++ {
-				got = append(got, c.RecvMsg(comm.AnySource, tag).Payload.([]int))
+				got = append(got, comm.Recv[int](c, comm.AnySource, tag))
 			}
 			sort.Slice(got, func(a, b int) bool {
 				if got[a][0] != got[b][0] {
@@ -214,7 +232,7 @@ func TestChaosRecvTimeoutWatchdog(t *testing.T) {
 		}
 		cfg.Transport = "inproc"
 		_, fe := watchdogRun(t, size, cfg, func(c *comm.Comm) error {
-			c.Recv(comm.AnySource, tagNever)
+			comm.Recv[byte](c, comm.AnySource, tagNever)
 			return nil
 		})
 		wantKind(t, fmt.Sprintf("inproc P=%d, all parked", size), fe, comm.FaultDeadlock)
@@ -247,9 +265,9 @@ func TestChaosRecvTimeoutWakesPeers(t *testing.T) {
 	cfg.Transport = "inproc"
 	_, fe = watchdogRun(t, size, cfg, func(c *comm.Comm) error {
 		if c.Rank() == size-1 {
-			c.Recv(comm.AnySource, tagNever)
+			comm.Recv[byte](c, comm.AnySource, tagNever)
 		} else {
-			c.Recv(size-1, tagStuck)
+			comm.Recv[byte](c, size-1, tagStuck)
 		}
 		return nil
 	})
@@ -262,9 +280,9 @@ func TestChaosDropLimitSurfacesTyped(t *testing.T) {
 	plan := &comm.FaultPlan{Seed: 3, DropProb: 1.0, MaxRetries: 2}
 	_, err := comm.RunConfig(2, comm.Config{Faults: plan}, func(c *comm.Comm) error {
 		if c.Rank() == 0 {
-			c.Send(1, tagDrop, []float64{1, 2, 3})
+			comm.Send(c, 1, tagDrop, []float64{1, 2, 3})
 		} else {
-			c.Recv(0, tagDrop)
+			comm.Recv[float64](c, 0, tagDrop)
 		}
 		return nil
 	})

@@ -153,11 +153,12 @@ func (c *Comm) Barrier() {
 	seq := c.nextColl()
 	defer c.collSpan(collBarrier, seq)()
 	round := 0
+	var token [1]byte
 	for k := 1; k < c.size; k <<= 1 {
 		dst := (c.rank + k) % c.size
 		src := (c.rank - k + c.size) % c.size
-		c.Send(dst, collTag(collBarrier, 0, seq, round), []byte{1})
-		c.Recv(src, collTag(collBarrier, 0, seq, round))
+		Send(c, dst, collTag(collBarrier, 0, seq, round), token[:])
+		recvInto(c, src, collTag(collBarrier, 0, seq, round), token[:])
 		round++
 	}
 }
@@ -165,7 +166,7 @@ func (c *Comm) Barrier() {
 // Bcast replicates root's buf on every rank, in place, down a binary heap
 // tree over the ranks rotated so that root is 0: rank v receives from
 // (v-1)/2 and forwards to 2v+1 and 2v+2. All ranks must pass a buffer of
-// the same length.
+// the same length, or the receiving rank fails with FaultMismatch.
 func Bcast[T Elem](c *Comm, root int, buf []T) {
 	seq := c.nextColl()
 	defer c.collSpan(collBcast, seq)()
@@ -175,17 +176,13 @@ func Bcast[T Elem](c *Comm, root int, buf []T) {
 		// Receive from parent.
 		parent := ((vr - 1) / 2)
 		src := (parent + root) % c.size
-		data := c.Recv(src, collTag(collBcast, root, seq, 0)).([]T)
-		if len(data) != len(buf) {
-			panic(fmt.Sprintf("comm: Bcast length mismatch: root sent %d, rank %d expects %d", len(data), c.rank, len(buf)))
-		}
-		copy(buf, data)
+		recvInto(c, src, collTag(collBcast, root, seq, 0), buf)
 	}
 	// Forward to children.
 	for _, child := range []int{2*vr + 1, 2*vr + 2} {
 		if child < c.size {
 			dst := (child + root) % c.size
-			c.Send(dst, collTag(collBcast, root, seq, 0), buf)
+			Send(c, dst, collTag(collBcast, root, seq, 0), buf)
 		}
 	}
 }
@@ -210,18 +207,17 @@ func Reduce[T Number](c *Comm, root int, in []T, op Op) []T {
 	for k := 1; k < c.size; k <<= 1 {
 		if vr&k != 0 {
 			dst := ((vr - k) + root) % c.size
-			c.sendOwned(dst, collTag(collReduce, root, seq, 0), acc) // acc is private and dead after this
+			Send(c, dst, collTag(collReduce, root, seq, 0), acc)
 			return nil
 		}
 		if vr+k < c.size {
 			src := ((vr + k) + root) % c.size
-			data := c.Recv(src, collTag(collReduce, root, seq, 0)).([]T)
-			if len(data) != len(acc) {
-				panic("comm: Reduce length mismatch across ranks")
-			}
+			_, p := take[T](c, src, collTag(collReduce, root, seq, 0), len(acc))
+			data := *p
 			for i := range acc {
 				acc[i] = applyOp(op, acc[i], data[i])
 			}
+			c.giveBack(p)
 		}
 	}
 	if c.rank == root {
@@ -246,9 +242,8 @@ func AllreduceScalar[T Number](c *Comm, v T, op Op) T {
 }
 
 // AllreduceInto combines equal-length slices element-wise across ranks with
-// op, in place: on return buf holds the full result on every rank. float64
-// buffers ride the typed path and a steady sequence of calls allocates
-// nothing.
+// op, in place: on return buf holds the full result on every rank. A steady
+// sequence of calls allocates nothing.
 //
 // The algorithm is recursive doubling: in round k a rank exchanges its
 // running value with the partner whose number differs in bit k and both
@@ -283,7 +278,7 @@ func AllreduceInto[T Number](c *Comm, buf []T, op Op) {
 	v := c.rank - paired/2
 	if c.rank < paired {
 		if c.rank%2 == 0 {
-			sendVals(c, c.rank+1, collTag(collAllreduce, 0, seq, 0), buf)
+			Send(c, c.rank+1, collTag(collAllreduce, 0, seq, 0), buf)
 			recvVals(c, c.rank+1, collTag(collAllreduce, 0, seq, rounds+1), buf, op, false)
 			return
 		}
@@ -292,38 +287,20 @@ func AllreduceInto[T Number](c *Comm, buf []T, op Op) {
 	}
 	for k := 0; k < rounds; k++ {
 		partner := rankOf(v ^ 1<<k)
-		sendVals(c, partner, collTag(collAllreduce, 0, seq, 1+k), buf)
+		Send(c, partner, collTag(collAllreduce, 0, seq, 1+k), buf)
 		recvVals(c, partner, collTag(collAllreduce, 0, seq, 1+k), buf, op, true)
 	}
 	if c.rank < paired {
-		sendVals(c, c.rank-1, collTag(collAllreduce, 0, seq, rounds+1), buf)
+		Send(c, c.rank-1, collTag(collAllreduce, 0, seq, rounds+1), buf)
 	}
-}
-
-// sendVals sends a collective's running values to rank dst: float64 slices
-// on the typed path, any other element type as a boxed private copy.
-func sendVals[T Number](c *Comm, dst, tag int, vals []T) {
-	if f, ok := any(vals).([]float64); ok {
-		c.sendFloats(dst, tag, f)
-		return
-	}
-	c.sendOwned(dst, tag, slices.Clone(vals))
 }
 
 // recvVals receives rank src's values for a collective. With combine set it
 // folds them into buf element-wise as op(lower rank's, higher rank's);
 // otherwise they replace buf.
 func recvVals[T Number](c *Comm, src, tag int, buf []T, op Op, combine bool) {
-	m := c.recvMsg(src, tag)
-	var data []T
-	if m.f64 != nil {
-		data = any(m.f64).([]T)
-	} else {
-		data = m.Payload.([]T)
-	}
-	if len(data) != len(buf) {
-		panic(fmt.Sprintf("comm: Allreduce length mismatch: rank %d sent %d, rank %d expects %d", src, len(data), c.rank, len(buf)))
-	}
+	_, p := take[T](c, src, tag, len(buf))
+	data := *p
 	switch {
 	case !combine:
 		copy(buf, data)
@@ -336,7 +313,7 @@ func recvVals[T Number](c *Comm, src, tag int, buf []T, op Op, combine bool) {
 			buf[i] = applyOp(op, buf[i], data[i])
 		}
 	}
-	c.recycle(m)
+	c.giveBack(p)
 }
 
 // Gather collects each rank's slice at root. At root the result is indexed by
@@ -345,7 +322,7 @@ func Gather[T Elem](c *Comm, root int, in []T) [][]T {
 	seq := c.nextColl()
 	defer c.collSpan(collGather, seq)()
 	if c.rank != root {
-		c.Send(root, collTag(collGather, root, seq, 0), in)
+		Send(c, root, collTag(collGather, root, seq, 0), in)
 		return nil
 	}
 	out := make([][]T, c.size)
@@ -353,8 +330,8 @@ func Gather[T Elem](c *Comm, root int, in []T) [][]T {
 	copy(local, in)
 	out[root] = local
 	for i := 0; i < c.size-1; i++ {
-		m := c.RecvMsg(AnySource, collTag(collGather, root, seq, 0))
-		out[m.Src] = m.Payload.([]T)
+		src, _, data := RecvMsg[T](c, AnySource, collTag(collGather, root, seq, 0))
+		out[src] = data
 	}
 	return out
 }
@@ -373,9 +350,9 @@ func Allgather[T Elem](c *Comm, in []T) [][]T {
 	left := (c.rank - 1 + c.size) % c.size
 	cur := c.rank
 	for step := 0; step < c.size-1; step++ {
-		c.Send(right, collTag(collAllgather, 0, seq, step), out[cur])
+		Send(c, right, collTag(collAllgather, 0, seq, step), out[cur])
 		cur = (cur - 1 + c.size) % c.size
-		out[cur] = c.Recv(left, collTag(collAllgather, 0, seq, step)).([]T)
+		out[cur] = Recv[T](c, left, collTag(collAllgather, 0, seq, step))
 	}
 	return out
 }
@@ -405,14 +382,14 @@ func Scatter[T Elem](c *Comm, root int, parts [][]T) []T {
 		}
 		for dst := 0; dst < c.size; dst++ {
 			if dst != root {
-				c.Send(dst, collTag(collScatter, root, seq, 0), parts[dst])
+				Send(c, dst, collTag(collScatter, root, seq, 0), parts[dst])
 			}
 		}
 		local := make([]T, len(parts[root]))
 		copy(local, parts[root])
 		return local
 	}
-	return c.Recv(root, collTag(collScatter, root, seq, 0)).([]T)
+	return Recv[T](c, root, collTag(collScatter, root, seq, 0))
 }
 
 // Alltoall sends parts[d] to rank d from every rank and returns the received
@@ -428,15 +405,15 @@ func Alltoall[T Elem](c *Comm, parts [][]T) [][]T {
 		if dst == c.rank {
 			continue
 		}
-		c.Send(dst, collTag(collAlltoall, 0, seq, 0), parts[dst])
+		Send(c, dst, collTag(collAlltoall, 0, seq, 0), parts[dst])
 	}
 	out := make([][]T, c.size)
 	local := make([]T, len(parts[c.rank]))
 	copy(local, parts[c.rank])
 	out[c.rank] = local
 	for i := 0; i < c.size-1; i++ {
-		m := c.RecvMsg(AnySource, collTag(collAlltoall, 0, seq, 0))
-		out[m.Src] = m.Payload.([]T)
+		src, _, data := RecvMsg[T](c, AnySource, collTag(collAlltoall, 0, seq, 0))
+		out[src] = data
 	}
 	return out
 }
@@ -444,8 +421,9 @@ func Alltoall[T Elem](c *Comm, parts [][]T) [][]T {
 // AlltoallIndexed is Alltoall for float64 blocks that are described in place
 // rather than materialized: rank d is sent the elements src[sendIdx[d][k]],
 // and the k-th value received from rank s is stored at out[recvPos[s][k]].
-// It is the value exchange of a gather or halo plan: the blocks travel on
-// the typed path, so no block, result slice or frame is allocated per call.
+// It is the value exchange of a gather or halo plan: each block is packed
+// straight into a buffer of its destination's mailbox, so no block, result
+// slice or frame is allocated per call.
 // Both index tables must have length Size and every rank's recvPos[s] must be
 // as long as rank s's sendIdx for it; as in Alltoall, empty blocks are still
 // exchanged. A rank's entries for itself are ignored — it moves its own
@@ -458,13 +436,18 @@ func AlltoallIndexed(c *Comm, src []float64, sendIdx [][]int, out []float64, rec
 	}
 	for dst := 0; dst < c.size; dst++ {
 		if dst != c.rank {
-			c.sendIndexed(dst, collTag(collAlltoallIndexed, 0, seq, 0), src, sendIdx[dst])
+			send(c, dst, collTag(collAlltoallIndexed, 0, seq, 0), len(sendIdx[dst]), src, sendIdx[dst])
 		}
 	}
 	for s := 0; s < c.size; s++ {
-		if s != c.rank {
-			c.recvIndexed(s, collTag(collAlltoallIndexed, 0, seq, 0), out, recvPos[s])
+		if s == c.rank {
+			continue
 		}
+		_, p := take[float64](c, s, collTag(collAlltoallIndexed, 0, seq, 0), len(recvPos[s]))
+		for k, v := range *p {
+			out[recvPos[s][k]] = v
+		}
+		c.giveBack(p)
 	}
 }
 
@@ -476,16 +459,15 @@ func Scan[T Number](c *Comm, in []T, op Op) []T {
 	acc := make([]T, len(in))
 	copy(acc, in)
 	if c.rank > 0 {
-		prev := c.Recv(c.rank-1, collTag(collScan, 0, seq, 0)).([]T)
-		if len(prev) != len(acc) {
-			panic("comm: Scan length mismatch across ranks")
-		}
+		_, p := take[T](c, c.rank-1, collTag(collScan, 0, seq, 0), len(acc))
+		prev := *p
 		for i := range acc {
 			acc[i] = applyOp(op, prev[i], acc[i])
 		}
+		c.giveBack(p)
 	}
 	if c.rank < c.size-1 {
-		c.Send(c.rank+1, collTag(collScan, 0, seq, 0), acc)
+		Send(c, c.rank+1, collTag(collScan, 0, seq, 0), acc)
 	}
 	return acc
 }
@@ -495,33 +477,25 @@ func Scan[T Number](c *Comm, in []T, op Op) []T {
 // value for min/max, which has no natural identity without type bounds).
 func ExclusiveScanScalar[T Number](c *Comm, v T, op Op) T {
 	inc := Scan(c, []T{v}, op)[0]
-	switch op {
-	case OpSum:
+	if op == OpSum {
 		return inc - v
-	case OpProd:
-		// Dividing inc by v breaks on zeros (and rounds differently from
-		// the true lower-rank product) — and any data-dependent branch
-		// here would diverge the communication pattern across ranks and
-		// deadlock. Products therefore always use the shifted chain, with
-		// rank 0 receiving the multiplicative identity.
-		seq := c.nextColl()
-		if c.rank < c.size-1 {
-			c.Send(c.rank+1, collTag(collExscan, 0, seq, 0), []T{inc})
-		}
-		if c.rank == 0 {
-			var one T = 1
-			return one
-		}
-		return c.Recv(c.rank-1, collTag(collExscan, 0, seq, 0)).([]T)[0]
-	default:
-		// Min/max have no inverse; rerun as a shifted chain.
-		seq := c.nextColl()
-		if c.rank < c.size-1 {
-			c.Send(c.rank+1, collTag(collExscan, 0, seq, 0), []T{inc})
-		}
-		if c.rank == 0 {
-			return v
-		}
-		return c.Recv(c.rank-1, collTag(collExscan, 0, seq, 0)).([]T)[0]
 	}
+	// Dividing inc by v breaks on zeros (and rounds differently from the
+	// true lower-rank product), min/max have no inverse, and any
+	// data-dependent branch here would diverge the communication pattern
+	// across ranks and deadlock. Products, minima and maxima therefore rerun
+	// as a shifted chain.
+	seq := c.nextColl()
+	buf := [1]T{inc}
+	if c.rank < c.size-1 {
+		Send(c, c.rank+1, collTag(collExscan, 0, seq, 0), buf[:])
+	}
+	switch {
+	case c.rank > 0:
+		recvInto(c, c.rank-1, collTag(collExscan, 0, seq, 0), buf[:])
+		return buf[0]
+	case op == OpProd:
+		return 1
+	}
+	return v
 }

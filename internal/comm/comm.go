@@ -33,32 +33,17 @@ const AnySource = -1
 // AnyTag matches a message with any tag in Recv.
 const AnyTag = -1
 
-// Message is a received point-to-point message. Payload holds the slice that
-// was sent, copied on send so the receiver may mutate it freely.
-type Message struct {
-	Src     int
-	Tag     int
-	Payload any
-
-	// f64 is the payload of a message sent on the typed path (sendFloats):
-	// a []float64 that was never boxed, in a buffer that belongs to the
-	// destination mailbox. It is non-nil exactly for such messages, even
-	// empty ones. Only comm's collectives send them, on their own tags, and
-	// their typed receives copy out of it and hand it back (recycle).
-	f64 []float64
+// message is a point-to-point message in a mailbox: its source and tag, and
+// its elements in a buffer the mailbox owns.
+type message struct {
+	Src  int
+	Tag  int
+	data payload
 
 	// seq is the per-(src,dst) delivery sequence number, assigned only while
 	// a fault plan is active; receivers use it to discard duplicated
 	// deliveries. Zero means "no fault layer".
 	seq uint64
-}
-
-// bytes is the payload size Stats and the trace account.
-func (m *Message) bytes() int64 {
-	if m.f64 != nil {
-		return int64(8 * len(m.f64))
-	}
-	return payloadBytes(m.Payload)
 }
 
 // msgQueue is a mailbox's FIFO: the queued messages are buf[head:]. Matching
@@ -70,13 +55,13 @@ func (m *Message) bytes() int64 {
 // array within a small constant factor of the peak backlog (a dead prefix
 // shorter than the live part, times append's doubling).
 type msgQueue struct {
-	buf  []Message
+	buf  []message
 	head int
 }
 
-func (q *msgQueue) live() []Message { return q.buf[q.head:] }
+func (q *msgQueue) live() []message { return q.buf[q.head:] }
 
-func (q *msgQueue) push(m Message) {
+func (q *msgQueue) push(m message) {
 	if len(q.buf) == cap(q.buf) && q.head > 0 && q.head >= len(q.buf)-q.head {
 		n := copy(q.buf, q.buf[q.head:])
 		clear(q.buf[n:])
@@ -89,7 +74,7 @@ func (q *msgQueue) push(m Message) {
 // down one index.
 func (q *msgQueue) remove(i int) {
 	if i == 0 {
-		q.buf[q.head] = Message{}
+		q.buf[q.head] = message{}
 		if q.head++; q.head == len(q.buf) {
 			q.buf, q.head = q.buf[:0], 0
 		}
@@ -98,13 +83,13 @@ func (q *msgQueue) remove(i int) {
 	i += q.head
 	last := len(q.buf) - 1
 	copy(q.buf[i:], q.buf[i+1:])
-	q.buf[last] = Message{}
+	q.buf[last] = message{}
 	q.buf = q.buf[:last]
 }
 
 // insert places m at live()[pos], moving the elements from pos on up one.
-func (q *msgQueue) insert(pos int, m Message) {
-	q.push(Message{})
+func (q *msgQueue) insert(pos int, m message) {
+	q.push(message{})
 	live := q.live()
 	copy(live[pos+1:], live[pos:])
 	live[pos] = m
@@ -114,9 +99,9 @@ func (q *msgQueue) insert(pos int, m Message) {
 // matching (src, tag) pair and otherwise wait (waitMsg): spinning on arrivals,
 // which every enqueue bumps before it releases mu (after the unlock the same
 // add cost the scalar allreduce 15%: the receiver has the line by then), or
-// parked on cond. free holds the typed path's payload buffers between
-// messages. The delayed and seen fields belong to the fault-injection layer
-// and stay nil/empty when no plan is active.
+// parked on cond. free holds payload buffers between messages (takeVals).
+// The delayed and seen fields belong to the fault-injection layer and stay
+// nil/empty when no plan is active.
 //
 // parker is the session of the rank parked on cond, nil while none is: post
 // un-parks it, so a rank with a message on its way is never counted as stuck
@@ -128,7 +113,7 @@ type mailbox struct {
 	cond     *sync.Cond
 	arrivals atomic.Uint64
 	queue    msgQueue
-	free     [][]float64
+	free     []payload
 	delayed  []heldMsg
 	seen     map[int]map[uint64]struct{}
 
@@ -147,7 +132,7 @@ func newMailbox(key boxKey) *mailbox {
 // post is the one enqueue: entered with mu held, it queues m (a fault-plan
 // message, seq != 0, under deliverFaultLocked's hold and reorder rules),
 // un-parks the rank waiting here, and releases mu before it wakes the rank.
-func (b *mailbox) post(m Message, hold int, reorder uint64) {
+func (b *mailbox) post(m message, hold int, reorder uint64) {
 	if m.seq == 0 {
 		b.queue.push(m)
 	} else {
@@ -171,7 +156,7 @@ func (b *mailbox) unparkLocked() {
 // (src, tag). A message with a fault-plan sequence number that was already
 // taken is a duplicate delivery: it is discarded unread, counted in st, and
 // the scan goes on. Without a plan seq is 0 and that branch is never taken.
-func (b *mailbox) takeMatchLocked(src, tag int, st *Stats) (Message, bool) {
+func (b *mailbox) takeMatchLocked(src, tag int, st *Stats) (message, bool) {
 	for i := 0; i < len(b.queue.live()); i++ {
 		m := b.queue.live()[i]
 		if (src == AnySource || m.Src == src) && (tag == AnyTag || m.Tag == tag) {
@@ -187,7 +172,7 @@ func (b *mailbox) takeMatchLocked(src, tag int, st *Stats) (Message, bool) {
 			return m, true
 		}
 	}
-	return Message{}, false
+	return message{}, false
 }
 
 // wake rouses every receiver parked on b. Taking the lock first orders it
@@ -198,27 +183,70 @@ func (b *mailbox) wake() {
 	b.cond.Broadcast()
 }
 
-// A mailbox keeps at most maxFreeBufs payload buffers, none longer than
-// maxRecycleWords (64 KiB): enough for every peer of a halo exchange or an
-// allreduce round to have a message in flight without allocating, and a hard
-// bound (1 MiB) on what a long-lived communicator retains after a burst or
-// one huge redistribution. Larger payloads are allocated per message.
+// A mailbox keeps at most maxFreeBufs payload buffers, none larger than
+// maxRecycleBytes: enough for every peer of a halo exchange or an allreduce
+// round to have a message in flight without allocating, and a hard bound
+// (1 MiB) on what a long-lived communicator retains after a burst or one huge
+// redistribution. Larger payloads are allocated per message.
 const (
 	maxFreeBufs     = 16
-	maxRecycleWords = 8192
+	maxRecycleBytes = 64 << 10
 )
 
-// takeBufLocked returns a buffer of n floats for a typed message to this
-// mailbox: a recycled one when the most recently returned fits, else fresh.
-func (b *mailbox) takeBufLocked(n int) []float64 {
-	if k := len(b.free) - 1; k >= 0 {
-		buf := b.free[k]
-		b.free = b.free[:k]
-		if cap(buf) >= n {
-			return buf[:n]
+// takeVals returns a buffer of n elements of k's type for a message to b:
+// the most recently returned []T, given a fresh array when it is too short,
+// or a fresh buffer. Buffers of other types stay.
+func takeVals[T Elem](b *mailbox, n int, k *codec[T]) *vals[T] {
+	var p *vals[T]
+	if n*k.size <= maxRecycleBytes {
+		b.mu.Lock()
+		for i := len(b.free) - 1; i >= 0; i-- {
+			if q, ok := b.free[i].(*vals[T]); ok {
+				p = q
+				last := len(b.free) - 1
+				copy(b.free[i:], b.free[i+1:])
+				b.free[last] = nil
+				b.free = b.free[:last]
+				break
+			}
 		}
+		b.mu.Unlock()
 	}
-	return make([]float64, n)
+	if p == nil {
+		p = new(vals[T])
+	}
+	if *p == nil || cap(*p) < n {
+		*p = make(vals[T], n) // never nil: a nil slice arrives empty
+	}
+	*p = (*p)[:n]
+	return p
+}
+
+// giveBack returns a message's buffer to this rank's mailbox once its
+// elements have been copied out. The buffer waits in c.back for the rank's
+// next receive, which files it in the critical section it enters anyway
+// (takeMsg). A buffer goes back at most once: only the receive that took its
+// message gives it back, never a duplicate that seq dedup dropped.
+func (c *Comm) giveBack(p payload) {
+	if !p.keep() {
+		return
+	}
+	if c.back != nil {
+		c.box.mu.Lock()
+		c.box.fileLocked(c.back)
+		c.box.mu.Unlock()
+	}
+	c.back = p
+}
+
+// fileLocked puts p on b's free list, dropping the least recently returned
+// buffer when the list is full.
+func (b *mailbox) fileLocked(p payload) {
+	if len(b.free) == maxFreeBufs {
+		copy(b.free, b.free[1:])
+		b.free = b.free[:maxFreeBufs-1]
+	}
+	b.free = append(b.free, p)
 }
 
 // fabric is the shared state of one communicator: its context id and rank
@@ -231,9 +259,9 @@ type fabric struct {
 	size  int
 	owner []int // world rank hosting each communicator rank
 	tr    Transport
-	// boxes is the typed path's direct view of the destination mailboxes,
-	// indexed by rank; nil when ranks do not share an address space (remote
-	// transports), which sends typed messages down the boxed route instead.
+	// boxes are the destination mailboxes, indexed by rank, whose free lists
+	// a send packs into. On a multi-process session those of remote ranks
+	// are this process's stand-ins, which only lend their free lists.
 	boxes []*mailbox
 	reg   *registry
 	sess  *session
@@ -288,6 +316,10 @@ type Comm struct {
 	// feeds the seed-pure yield hash (sched.go) and stays zero without a
 	// SchedJitter.
 	jitterSeq uint64
+
+	// back is the buffer of the last message this rank copied out, on its
+	// way back to box's free list (giveBack).
+	back payload
 }
 
 // Rank returns this rank's index in [0, Size).
@@ -373,13 +405,13 @@ func (cfg Config) recvTimeout(remote bool) time.Duration {
 }
 
 // RunConfig is the fully configurable session entry point. Any rank failure
-// — planned crash, exhausted retransmits, receive deadline, deadlock, wire
-// failure, user error, or panic — aborts the whole session: peers blocked in
-// Recv wake promptly and report a *FaultError instead of hanging, matching
-// MPI's abort-the-job default but with a typed in-process error. The
-// session's error is the root cause, not a peer's echo of it. An in-process
-// session whose ranks all return nil fails with FaultUnread if a message
-// sent in it was never received.
+// — planned crash, exhausted retransmits, receive deadline, deadlock, payload
+// mismatch, wire failure, user error, or panic — aborts the whole session:
+// peers blocked in Recv wake promptly and report a *FaultError instead of
+// hanging, matching MPI's abort-the-job default but with a typed in-process
+// error. The session's error is the root cause, not a peer's echo of it. A
+// session whose ranks all return nil fails with FaultUnread if a message sent
+// in it was never received.
 func RunConfig(size int, cfg Config, fn func(c *Comm) error) (*Stats, error) {
 	if size <= 0 {
 		return nil, fmt.Errorf("comm: size must be positive, got %d", size)
@@ -404,13 +436,13 @@ func RunConfig(size int, cfg Config, fn func(c *Comm) error) (*Stats, error) {
 		plan:   cfg.Faults,
 		fs:     fs,
 		jitter: cfg.Jitter,
+		boxes:  reg.mailboxes(worldCtx, size),
 	}
 	trs := make([]Transport, size)
 	name := cfg.transportName()
 	switch name {
 	case "inproc":
-		inproc := newInprocTransport(reg, worldCtx, size)
-		f.tr, f.boxes = inproc, inproc.boxes
+		f.tr = &inprocTransport{boxes: f.boxes}
 		for i := range trs {
 			trs[i] = f.tr
 		}
@@ -434,7 +466,7 @@ func RunConfig(size int, cfg Config, fn func(c *Comm) error) (*Stats, error) {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			errs[rank] = runRank(&Comm{rank: rank, size: size, f: f, tr: trs[rank], box: reg.box(worldCtx, rank)}, fn)
+			errs[rank] = runRank(&Comm{rank: rank, size: size, f: f, tr: trs[rank], box: f.boxes[rank]}, fn)
 		}(r)
 	}
 	wg.Wait()
@@ -452,8 +484,9 @@ func RunConfig(size int, cfg Config, fn func(c *Comm) error) (*Stats, error) {
 		cwg.Wait()
 	}
 	err := RootCause(errs)
-	if err == nil && !remote {
-		// Every send of an in-process session has landed by now, so a
+	if err == nil {
+		// Every send has landed by now: a tcp reader delivers each data
+		// frame before its peer's goodbye, and the registry is shared. A
 		// message still queued is one no rank will ever receive.
 		if fe := f.unread(); fe != nil {
 			err = fe
@@ -530,35 +563,43 @@ func RootCause(errs []error) error {
 	return echo
 }
 
-// Send delivers data, a slice of a comm.Elem type, to rank dst with the
-// given tag. Sends are eager and never block. The payload is copied,
-// mimicking an MPI buffer copy, so the sender may reuse its buffer
-// immediately; a nil slice arrives empty. Any other payload panics here,
-// naming its type, on every transport.
-func (c *Comm) Send(dst, tag int, data any) {
-	c.sendOwned(dst, tag, copyPayload(data))
+// Send delivers a copy of data to rank dst with the given tag. Sends are
+// eager and never block: the elements are packed into a buffer that belongs
+// to the destination mailbox, so the sender may reuse data at once and the
+// receiver never aliases it; a nil slice arrives empty.
+func Send[T Elem](c *Comm, dst, tag int, data []T) {
+	send(c, dst, tag, len(data), data, nil)
 }
 
-// sendOwned is Send for a payload the caller gives up: a private copy it
-// made itself (a collective's accumulator, a packed block) travels as it is
-// instead of being copied a second time.
-func (c *Comm) sendOwned(dst, tag int, data any) {
-	c.account(dst, tag, payloadBytes(data))
-	if c.f.plan != nil {
-		c.faultySend(dst, tag, data)
-		return
-	}
-	c.tr.Deliver(c.f.owner[dst], Frame{
-		Ctx: c.f.ctx, Src: c.rank, Dst: dst, Tag: tag, Payload: data,
-	})
-}
-
-// account is what every route of a logical send of n payload bytes shares:
-// the jitter point, the Stats entry and the trace event.
-func (c *Comm) account(dst, tag int, n int64) {
+// send is the one route of every message: it packs n elements, data[idx[k]]
+// for k < n or data[:n] when idx is nil, into a buffer of dst's mailbox
+// (takeVals), accounts them, and hands the frame to the fault layer or the
+// transport.
+func send[T Elem](c *Comm, dst, tag, n int, data []T, idx []int) {
 	if dst < 0 || dst >= c.size {
 		panic(fmt.Sprintf("comm: Send to invalid rank %d (size %d)", dst, c.size))
 	}
+	_, k := codecOf[T]()
+	p := takeVals(c.f.boxes[dst], n, k)
+	if idx == nil {
+		copy(*p, data)
+	} else {
+		for j, s := range idx {
+			(*p)[j] = data[s]
+		}
+	}
+	c.account(dst, tag, k.bytes(*p))
+	fr := Frame{Ctx: c.f.ctx, Src: c.rank, Dst: dst, Tag: tag, data: p}
+	if c.f.plan != nil {
+		c.faultySend(fr)
+		return
+	}
+	c.tr.Deliver(c.f.owner[dst], fr)
+}
+
+// account is what every logical send of n payload bytes records: the jitter
+// point, the Stats entry and the trace event.
+func (c *Comm) account(dst, tag int, n int64) {
 	c.jitter(jitterSend)
 	c.f.stats.record(c.rank, dst, n)
 	// One trace event per logical Send — the identical unit Stats counts —
@@ -571,107 +612,55 @@ func (c *Comm) account(dst, tag int, n int64) {
 	}
 }
 
-// sendFloats is the typed send under the float64 collectives: data goes to
-// rank dst as one message that is never boxed into an interface and never
-// gets a heap frame. The sender copies straight into a buffer owned by the
-// destination mailbox; the receiver copies out and hands it back (recycle),
-// so a steady exchange allocates nothing. Accounting is Send's. Under a fault
-// plan or on a remote transport the block takes the boxed route instead:
-// same bytes, same tag, same counts.
-func (c *Comm) sendFloats(dst, tag int, data []float64) {
-	c.sendTyped(dst, tag, len(data), data, nil)
-}
-
-// sendIndexed is sendFloats for the block src[idx[0]], src[idx[1]], ...,
-// packed as it is sent. A nil idx is an empty block.
-func (c *Comm) sendIndexed(dst, tag int, src []float64, idx []int) {
-	c.sendTyped(dst, tag, len(idx), src, idx)
-}
-
-// sendTyped sends n floats: data[idx[k]] for k < n, or data[:n] when idx is
-// nil.
-func (c *Comm) sendTyped(dst, tag, n int, data []float64, idx []int) {
-	if c.f.plan != nil || c.f.boxes == nil {
-		buf := make([]float64, n)
-		packFloats(buf, data, idx)
-		c.sendOwned(dst, tag, buf)
-		return
-	}
-	c.account(dst, tag, int64(8*n))
-	box := c.f.boxes[dst]
-	var buf []float64
-	if n > maxRecycleWords {
-		// Too large to pool: fill it before taking the lock, so that big
-		// blocks bound for one rank are copied concurrently.
-		buf = make([]float64, n)
-		packFloats(buf, data, idx)
-	}
-	box.mu.Lock()
-	if buf == nil {
-		buf = box.takeBufLocked(n)
-		packFloats(buf, data, idx)
-	}
-	box.post(Message{Src: c.rank, Tag: tag, f64: buf}, 0, 0)
-}
-
-// packFloats fills buf from data[idx[k]], or from the front of data when idx
-// is nil.
-func packFloats(buf, data []float64, idx []int) {
-	if idx == nil {
-		copy(buf, data)
-		return
-	}
-	for k, s := range idx {
-		buf[k] = data[s]
-	}
-}
-
-// recvIndexed is the typed receive: it blocks for the message matching
-// (src, tag), which must carry exactly len(pos) floats, stores the k-th at
-// out[pos[k]] and returns the payload buffer to this rank's mailbox.
-func (c *Comm) recvIndexed(src, tag int, out []float64, pos []int) {
+// take blocks for the message matching (src, tag) and returns it with its
+// elements. It is the one checked take of a payload: a message of another
+// element type, or of a length other than n where n >= 0, fails the session
+// with FaultMismatch.
+func take[T Elem](c *Comm, src, tag, n int) (message, *vals[T]) {
 	m := c.recvMsg(src, tag)
-	data := m.f64
-	if data == nil {
-		data = m.Payload.([]float64) // the boxed route: a fault plan or a remote transport
+	p, ok := m.data.(*vals[T])
+	if !ok || n >= 0 && len(*p) != n {
+		panic(&FaultError{Kind: FaultMismatch, Rank: c.rank, Peer: m.Src, Tag: m.Tag, Seed: c.f.seed(),
+			detail: fmt.Sprintf("rank %d sent %s, rank %d expects %s", m.Src, m.data.describe(), c.rank, describe[T](n))})
 	}
-	if len(data) != len(pos) {
-		panic(fmt.Sprintf("comm: rank %d received %d values from rank %d, want %d", c.rank, len(data), m.Src, len(pos)))
-	}
-	for k, v := range data {
-		out[pos[k]] = v
-	}
-	c.recycle(m)
+	return m, p
 }
 
-// recycle hands a typed message's buffer back to this rank's mailbox once
-// its contents have been copied out. Messages of the boxed route have none.
-func (c *Comm) recycle(m Message) {
-	if m.f64 == nil || cap(m.f64) > maxRecycleWords {
-		return
-	}
-	c.box.mu.Lock()
-	if len(c.box.free) < maxFreeBufs {
-		c.box.free = append(c.box.free, m.f64)
-	}
-	c.box.mu.Unlock()
+// recvInto receives the message matching (src, tag), which must carry
+// len(buf) elements, copies them into buf and gives the buffer back.
+func recvInto[T Elem](c *Comm, src, tag int, buf []T) {
+	_, p := take[T](c, src, tag, len(buf))
+	copy(buf, *p)
+	c.giveBack(p)
 }
 
 // Recv blocks until a message matching (src, tag) arrives and returns its
-// payload. Use AnySource and/or AnyTag as wildcards.
-func (c *Comm) Recv(src, tag int) any {
-	return c.RecvMsg(src, tag).Payload
+// elements, which are the caller's from then on. Use AnySource and/or AnyTag
+// as wildcards. A message of another element type fails the session with
+// FaultMismatch.
+func Recv[T Elem](c *Comm, src, tag int) []T {
+	_, _, data := RecvMsg[T](c, src, tag)
+	return data
 }
 
-// RecvMsg is Recv but returns the full message envelope, exposing the actual
-// source and tag (useful with wildcards).
-func (c *Comm) RecvMsg(src, tag int) Message {
-	return c.recvMsg(src, tag)
+// RecvMsg is Recv that also returns the message's source and tag (useful
+// with wildcards).
+func RecvMsg[T Elem](c *Comm, src, tag int) (int, int, []T) {
+	m, p := take[T](c, src, tag, -1)
+	if data := *p; cap(data) == len(data) {
+		return m.Src, m.Tag, data
+	}
+	// A pooled buffer longer than its message stays in the pool: the caller
+	// gets an exact copy, not a share of a larger array.
+	data := make([]T, len(*p))
+	copy(data, *p)
+	c.giveBack(p)
+	return m.Src, m.Tag, data
 }
 
-// recvMsg is the receive under every route: it blocks for the message
-// matching (src, tag), takes it off the queue, and traces the wait.
-func (c *Comm) recvMsg(src, tag int) Message {
+// recvMsg is the one receive: it blocks for the message matching (src, tag),
+// takes it off the queue, and traces the wait.
+func (c *Comm) recvMsg(src, tag int) message {
 	s := trace.Active()
 	if s == nil {
 		m, _ := c.takeMsg(src, tag)
@@ -684,7 +673,7 @@ func (c *Comm) recvMsg(src, tag int) Message {
 	// exported timeline; the label says whether the wait went to sleep.
 	s.Emit(trace.Event{Kind: trace.KindRecv, Rank: int32(c.rank), Worker: -1,
 		Peer: int32(m.Src), Tag: int32(m.Tag), Start: t0, Dur: s.Now() - t0,
-		Bytes: m.bytes(), Label: waitLabels[how]})
+		Bytes: m.data.bytes(), Label: waitLabels[how]})
 	return m
 }
 
@@ -702,7 +691,7 @@ var waitLabels = [...]string{"", "spin", "park"}
 
 // takeMsg is the one receive loop: scan the mailbox, and wait (waitMsg) if
 // nothing queued matches.
-func (c *Comm) takeMsg(src, tag int) (Message, waitHow) {
+func (c *Comm) takeMsg(src, tag int) (message, waitHow) {
 	c.jitter(jitterRecv)
 	if p := c.f.plan; p != nil {
 		if d := p.SlowRanks[c.rank]; d > 0 {
@@ -711,6 +700,10 @@ func (c *Comm) takeMsg(src, tag int) (Message, waitHow) {
 	}
 	box := c.box
 	box.mu.Lock()
+	if c.back != nil {
+		box.fileLocked(c.back)
+		c.back = nil
+	}
 	m, ok := box.takeMatchLocked(src, tag, c.f.stats)
 	how := waitNone
 	if !ok {
@@ -815,7 +808,7 @@ func trySpin() bool {
 // parked fails it with FaultDeadlock instead of sleeping. fail wakes every
 // parked receiver, and the deadline timer wakes this one, so a park never
 // outlives the session or its deadline.
-func (c *Comm) waitMsg(src, tag int) (m Message, how waitHow) {
+func (c *Comm) waitMsg(src, tag int) (m message, how waitHow) {
 	box, ok := c.box, false
 	now := clock()
 	gap := now - c.lastWait
@@ -922,7 +915,7 @@ func (c *Comm) Probe(src, tag int) bool {
 	box := c.box
 	box.mu.Lock()
 	defer box.mu.Unlock()
-	match := func(m Message) bool {
+	match := func(m message) bool {
 		return (src == AnySource || m.Src == src) && (tag == AnyTag || m.Tag == tag)
 	}
 	for _, m := range box.queue.live() {
@@ -938,11 +931,12 @@ func (c *Comm) Probe(src, tag int) bool {
 	return false
 }
 
-// SendRecv sends sendData to dst and receives a message from src with the
-// same tag, in a deadlock-free order (sends are eager).
-func (c *Comm) SendRecv(dst int, sendData any, src, tag int) any {
-	c.Send(dst, tag, sendData)
-	return c.Recv(src, tag)
+// SendRecv sends buf to rank dst and replaces its contents with the message
+// from rank src with the same tag, which must carry len(buf) values: MPI's
+// Sendrecv_replace, in a deadlock-free order (sends are eager).
+func (c *Comm) SendRecv(dst int, buf []float64, src, tag int) {
+	Send(c, dst, tag, buf)
+	recvInto(c, src, tag, buf)
 }
 
 // Stats returns a snapshot of this communicator's traffic statistics. On

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -157,10 +156,10 @@ func failOrBarrier(c, sub *Comm, failAt *atomic.Int64, fail func() error) error 
 func TestSendRecvBasic(t *testing.T) {
 	err := Run(2, func(c *Comm) error {
 		if c.Rank() == 0 {
-			c.Send(1, tagPing, []float64{1, 2, 3})
+			Send(c, 1, tagPing, []float64{1, 2, 3})
 			return nil
 		}
-		got := c.Recv(0, tagPing).([]float64)
+		got := Recv[float64](c, 0, tagPing)
 		want := []float64{1, 2, 3}
 		if !reflect.DeepEqual(got, want) {
 			return fmt.Errorf("got %v want %v", got, want)
@@ -176,13 +175,13 @@ func TestSendCopiesSlices(t *testing.T) {
 	err := Run(2, func(c *Comm) error {
 		if c.Rank() == 0 {
 			buf := []float64{1, 2, 3}
-			c.Send(1, tagData, buf)
+			Send(c, 1, tagData, buf)
 			buf[0] = 99 // must not be visible at receiver
-			c.Send(1, tagCtl, []byte{1})
+			Send(c, 1, tagCtl, []byte{1})
 			return nil
 		}
-		got := c.Recv(0, tagData).([]float64)
-		c.Recv(0, tagCtl)
+		got := Recv[float64](c, 0, tagData)
+		Recv[byte](c, 0, tagCtl)
 		if got[0] != 1 {
 			return fmt.Errorf("receiver saw sender mutation: %v", got)
 		}
@@ -216,8 +215,8 @@ func TestSendCopiesEverySliceType(t *testing.T) {
 					v := reflect.ValueOf(full[i])
 					buf := reflect.MakeSlice(v.Type(), v.Len(), v.Len())
 					reflect.Copy(buf, v)
-					c.Send(1, tagData, buf.Interface())
-					c.Send(1, tagCtl, reflect.Zero(v.Type()).Interface())
+					payloadOf(buf.Interface()).send(c, 1, tagData)
+					payloadOf(reflect.Zero(v.Type()).Interface()).send(c, 1, tagCtl)
 					buf.Index(0).Set(buf.Index(1))
 				}
 			}
@@ -227,10 +226,10 @@ func TestSendCopiesEverySliceType(t *testing.T) {
 			}
 			for i := range nKinds {
 				p := full[i]
-				if got := c.Recv(0, tagData); !reflect.DeepEqual(got, p) {
+				if got := payloadOf(p).recv(c, 0, tagData); !reflect.DeepEqual(got, p) {
 					return fmt.Errorf("%T: receiver saw %v, want %v", p, got, p)
 				}
-				got := reflect.ValueOf(c.Recv(0, tagCtl))
+				got := reflect.ValueOf(payloadOf(p).recv(c, 0, tagCtl))
 				if got.Type() != reflect.TypeOf(p) || got.IsNil() || got.Len() != 0 {
 					return fmt.Errorf("nil %T arrived as %#v, want an empty non-nil slice", p, got)
 				}
@@ -243,47 +242,17 @@ func TestSendCopiesEverySliceType(t *testing.T) {
 	}
 }
 
-// sendF is a named element type: a []sendF is outside the payload set.
-type sendF float64
-
-// TestSendRejectsPayloadOutsideSet sends a chan, a struct and a slice of a
-// named element type. Each must fail the session at Send, naming its type,
-// with the same error on inproc and tcp, before any transport sees it.
-func TestSendRejectsPayloadOutsideSet(t *testing.T) {
-	for _, payload := range []any{make(chan int), struct{ A int }{7}, []sendF{1.5}} {
-		errs := map[string]string{}
-		for _, tr := range []string{"inproc", "tcp"} {
-			_, err := RunConfig(2, Config{Transport: tr}, func(c *Comm) error {
-				if c.Rank() == 0 {
-					c.Send(1, tagData, payload)
-				} else {
-					c.Recv(0, tagData)
-				}
-				return nil
-			})
-			if err == nil {
-				t.Fatalf("%s: Send of %T succeeded", tr, payload)
-			}
-			errs[tr] = err.Error()
-		}
-		want := fmt.Sprintf("comm: rank 0 panicked: comm: payload of type %T is outside the wire payload set", payload)
-		if !strings.HasPrefix(errs["inproc"], want) || errs["tcp"] != errs["inproc"] {
-			t.Errorf("%T: inproc %q, tcp %q; want both to start %q", payload, errs["inproc"], errs["tcp"], want)
-		}
-	}
-}
-
 func TestRecvTagSelectivity(t *testing.T) {
 	// Messages must be matched by tag even when delivered out of order.
 	err := Run(2, func(c *Comm) error {
 		if c.Rank() == 0 {
-			c.Send(1, tagSelHi, []int{tagSelHi})
-			c.Send(1, tagSelMid, []int{tagSelMid})
-			c.Send(1, tagSelLo, []int{tagSelLo})
+			Send(c, 1, tagSelHi, []int{tagSelHi})
+			Send(c, 1, tagSelMid, []int{tagSelMid})
+			Send(c, 1, tagSelLo, []int{tagSelLo})
 			return nil
 		}
 		for _, tag := range []int{tagSelLo, tagSelMid, tagSelHi} {
-			got := c.Recv(0, tag).([]int)
+			got := Recv[int](c, 0, tag)
 			if got[0] != tag {
 				return fmt.Errorf("tag %d delivered %v", tag, got)
 			}
@@ -298,15 +267,15 @@ func TestRecvTagSelectivity(t *testing.T) {
 func TestRecvAnySourceAnyTag(t *testing.T) {
 	err := Run(4, func(c *Comm) error {
 		if c.Rank() != 0 {
-			c.Send(0, 100+c.Rank(), []int{c.Rank()})
+			Send(c, 0, 100+c.Rank(), []int{c.Rank()})
 			return nil
 		}
 		seen := map[int]bool{}
 		for i := 0; i < 3; i++ {
-			m := c.RecvMsg(AnySource, AnyTag)
-			v := m.Payload.([]int)[0]
-			if v != m.Src || m.Tag != 100+m.Src {
-				return fmt.Errorf("envelope mismatch: %+v", m)
+			src, tag, data := RecvMsg[int](c, AnySource, AnyTag)
+			v := data[0]
+			if v != src || tag != 100+src {
+				return fmt.Errorf("envelope mismatch: src %d tag %d payload %v", src, tag, data)
 			}
 			seen[v] = true
 		}
@@ -323,15 +292,14 @@ func TestRecvAnySourceAnyTag(t *testing.T) {
 func TestProbe(t *testing.T) {
 	err := Run(2, func(c *Comm) error {
 		if c.Rank() == 0 {
-			c.Send(1, tagProbe, []int{1})
+			Send(c, 1, tagProbe, []int{1})
 			return nil
 		}
 		// Wait for the message to arrive, then probe.
-		got := c.RecvMsg(0, tagProbe)
+		Recv[int](c, 0, tagProbe)
 		if c.Probe(0, tagProbe) {
 			return errors.New("Probe true after queue drained")
 		}
-		_ = got
 		return nil
 	})
 	if err != nil {
@@ -342,7 +310,8 @@ func TestProbe(t *testing.T) {
 func TestSendRecvExchange(t *testing.T) {
 	err := Run(2, func(c *Comm) error {
 		other := 1 - c.Rank()
-		got := c.SendRecv(other, []int{c.Rank()}, other, tagXchg).([]int)
+		Send(c, other, tagXchg, []int{c.Rank()})
+		got := Recv[int](c, other, tagXchg)
 		if got[0] != other {
 			return fmt.Errorf("rank %d got %v", c.Rank(), got)
 		}
@@ -355,7 +324,7 @@ func TestSendRecvExchange(t *testing.T) {
 
 func TestSendInvalidRankPanics(t *testing.T) {
 	err := Run(1, func(c *Comm) error {
-		c.Send(5, tagData, []int{1})
+		Send(c, 5, tagData, []int{1})
 		return nil
 	})
 	if err == nil {
@@ -689,9 +658,9 @@ func TestExclusiveScanScalarProdZero(t *testing.T) {
 func TestStatsAccounting(t *testing.T) {
 	stats, err := RunStats(2, func(c *Comm) error {
 		if c.Rank() == 0 {
-			c.Send(1, tagData, make([]float64, 100)) // 800 bytes
+			Send(c, 1, tagData, make([]float64, 100)) // 800 bytes
 		} else {
-			c.Recv(0, tagData)
+			Recv[float64](c, 0, tagData)
 		}
 		return nil
 	})
@@ -717,14 +686,14 @@ func TestStatsMasterVsWorker(t *testing.T) {
 	stats, err := RunStats(3, func(c *Comm) error {
 		switch c.Rank() {
 		case 0:
-			c.Send(1, tagData, make([]byte, 10))
-			c.Recv(2, tagCtl)
+			Send(c, 1, tagData, make([]byte, 10))
+			Recv[byte](c, 2, tagCtl)
 		case 1:
-			c.Recv(0, tagData)
-			c.Send(2, tagAux, make([]byte, 1000)) // worker <-> worker
+			Recv[byte](c, 0, tagData)
+			Send(c, 2, tagAux, make([]byte, 1000)) // worker <-> worker
 		case 2:
-			c.Recv(1, tagAux)
-			c.Send(0, tagCtl, make([]byte, 20))
+			Recv[byte](c, 1, tagAux)
+			Send(c, 0, tagCtl, make([]byte, 20))
 		}
 		return nil
 	})
@@ -743,9 +712,9 @@ func TestStatsMasterVsWorker(t *testing.T) {
 func TestStatsReset(t *testing.T) {
 	stats, err := RunStats(2, func(c *Comm) error {
 		if c.Rank() == 0 {
-			c.Send(1, tagData, []byte{1, 2, 3})
+			Send(c, 1, tagData, []byte{1, 2, 3})
 		} else {
-			c.Recv(0, tagData)
+			Recv[byte](c, 0, tagData)
 		}
 		c.Barrier()
 		if c.Rank() == 0 {
@@ -800,8 +769,8 @@ func TestPayloadBytes(t *testing.T) {
 		{[]float64(nil), 0},
 	}
 	for _, tc := range cases {
-		if got := payloadBytes(tc.in); got != tc.want {
-			t.Errorf("payloadBytes(%T %v) = %d, want %d", tc.in, tc.in, got, tc.want)
+		if got := payloadOf(tc.in).bytes(); got != tc.want {
+			t.Errorf("bytes of %T %v = %d, want %d", tc.in, tc.in, got, tc.want)
 		}
 	}
 }
@@ -809,15 +778,15 @@ func TestPayloadBytes(t *testing.T) {
 // TestPayloadBytesPinned pins the accounted size of every codecPayloads
 // entry at the values the per-type switch gave, so the Stats and trace byte
 // counts (E1's control messages among them) cannot drift with the way
-// payloadBytes computes them.
+// a payload computes them.
 func TestPayloadBytesPinned(t *testing.T) {
 	want := []int64{0, 32, 0, 8, 0, 24, 0, 16, 0, 8, 0, 3, 0, 3, 0, 32, 0, 16, 0, 11}
 	if len(want) != len(codecPayloads) {
 		t.Fatalf("%d pinned sizes for %d codecPayloads entries", len(want), len(codecPayloads))
 	}
 	for i, in := range codecPayloads {
-		if got := payloadBytes(in); got != want[i] {
-			t.Errorf("payloadBytes(%T %v) = %d, want %d", in, in, got, want[i])
+		if got := payloadOf(in).bytes(); got != want[i] {
+			t.Errorf("bytes of %T %v = %d, want %d", in, in, got, want[i])
 		}
 	}
 }
@@ -833,9 +802,9 @@ func TestOpString(t *testing.T) {
 func TestStatsSnapshotString(t *testing.T) {
 	stats, err := RunStats(2, func(c *Comm) error {
 		if c.Rank() == 0 {
-			c.Send(1, tagData, []byte{1})
+			Send(c, 1, tagData, []byte{1})
 		} else {
-			c.Recv(0, tagData)
+			Recv[byte](c, 0, tagData)
 		}
 		return nil
 	})
@@ -850,8 +819,8 @@ func TestStatsSnapshotString(t *testing.T) {
 
 func TestSendToSelf(t *testing.T) {
 	err := Run(3, func(c *Comm) error {
-		c.Send(c.Rank(), tagSelf, []int{c.Rank() * 7})
-		got := c.Recv(c.Rank(), tagSelf).([]int)
+		Send(c, c.Rank(), tagSelf, []int{c.Rank() * 7})
+		got := Recv[int](c, c.Rank(), tagSelf)
 		if got[0] != c.Rank()*7 {
 			return fmt.Errorf("self-send got %v", got)
 		}

@@ -60,8 +60,8 @@ func returned(lo, hi int) []string {
 // predecessor before it sends to its successor, so no rank reaches its send.
 func recvBeforeSendRing(c *comm.Comm) error {
 	r, p := c.Rank(), c.Size()
-	got := c.Recv((r+p-1)%p, tagDLRing)
-	c.Send((r+1)%p, tagDLRing, got)
+	got := comm.Recv[int](c, (r+p-1)%p, tagDLRing)
+	comm.Send(c, (r+1)%p, tagDLRing, got)
 	return nil
 }
 
@@ -74,13 +74,13 @@ var deadlockCorpus = []deadlockCase{
 	{"orphan receive", func(c *comm.Comm) error {
 		r, p := c.Rank(), c.Size()
 		if r != 0 {
-			c.Send(0, tagDLToken, []int{r})
+			comm.Send(c, 0, tagDLToken, []int{r})
 			return nil
 		}
 		for src := 1; src < p; src++ {
-			c.Recv(src, tagDLToken)
+			comm.Recv[int](c, src, tagDLToken)
 		}
-		c.Recv(1%p, tagDLOrphan)
+		comm.Recv[int](c, 1%p, tagDLOrphan)
 		return nil
 	}, func(p int) []string {
 		return append(returned(1, p), waits(0, fmt.Sprint(1%p), tagDLOrphan))
@@ -91,7 +91,7 @@ var deadlockCorpus = []deadlockCase{
 		if r == p-1 && p > 1 {
 			return nil
 		}
-		c.Recv(p-1, tagDLGone)
+		comm.Recv[int](c, p-1, tagDLGone)
 		return nil
 	}, func(p int) []string {
 		return append(returned(max(p-1, 1), p), waits(0, fmt.Sprint(p-1), tagDLGone))
@@ -99,24 +99,24 @@ var deadlockCorpus = []deadlockCase{
 
 	{"receive twice, send once", func(c *comm.Comm) error {
 		r, p := c.Rank(), c.Size()
-		c.Send((r+1)%p, tagDLTwice, []int{r})
-		c.Recv((r+p-1)%p, tagDLTwice)
-		c.Recv((r+p-1)%p, tagDLTwice)
+		comm.Send(c, (r+1)%p, tagDLTwice, []int{r})
+		comm.Recv[int](c, (r+p-1)%p, tagDLTwice)
+		comm.Recv[int](c, (r+p-1)%p, tagDLTwice)
 		return nil
 	}, func(p int) []string { return []string{waits(0, fmt.Sprint(p-1), tagDLTwice)} }},
 
 	{"cyclic rendezvous", func(c *comm.Comm) error {
 		r, p := c.Rank(), c.Size()
 		for i := 0; i < 2; i++ {
-			got := c.Recv((r+1)%p, tagDLRelay)
-			c.Send((r+p-1)%p, tagDLRelay, got)
+			got := comm.Recv[int](c, (r+1)%p, tagDLRelay)
+			comm.Send(c, (r+p-1)%p, tagDLRelay, got)
 		}
 		return nil
 	}, func(p int) []string { return []string{waits(0, fmt.Sprint(1%p), tagDLRelay)} }},
 
 	{"Barrier against Recv", func(c *comm.Comm) error {
 		if c.Rank() == 0 {
-			c.Recv(c.Size()-1, tagDLBarrier)
+			comm.Recv[int](c, c.Size()-1, tagDLBarrier)
 			return nil
 		}
 		c.Barrier()
@@ -126,11 +126,11 @@ var deadlockCorpus = []deadlockCase{
 	{"wildcard off by one", func(c *comm.Comm) error {
 		r, p := c.Rank(), c.Size()
 		if r != 0 {
-			c.Send(0, tagDLPool, []int{r})
+			comm.Send(c, 0, tagDLPool, []int{r})
 			return nil
 		}
 		for i := 0; i < p; i++ {
-			c.Recv(comm.AnySource, tagDLPool)
+			comm.Recv[int](c, comm.AnySource, tagDLPool)
 		}
 		return nil
 	}, func(p int) []string {
@@ -140,7 +140,7 @@ var deadlockCorpus = []deadlockCase{
 	{"SendRecv ring", func(c *comm.Comm) error {
 		r, p := c.Rank(), c.Size()
 		for i := 0; i < 3; i++ {
-			c.SendRecv((r+1)%p, []int{r}, (r+p-1)%p, tagDLRing)
+			c.SendRecv((r+1)%p, []float64{float64(r)}, (r+p-1)%p, tagDLRing)
 		}
 		return nil
 	}, nil},
@@ -149,11 +149,11 @@ var deadlockCorpus = []deadlockCase{
 		r, p := c.Rank(), c.Size()
 		for i := 0; i < 3; i++ {
 			if r%2 == 0 {
-				c.Send((r+1)%p, tagDLRing, []int{r})
-				c.Recv((r+p-1)%p, tagDLRing)
+				comm.Send(c, (r+1)%p, tagDLRing, []int{r})
+				comm.Recv[int](c, (r+p-1)%p, tagDLRing)
 			} else {
-				got := c.Recv((r+p-1)%p, tagDLRing)
-				c.Send((r+1)%p, tagDLRing, got)
+				got := comm.Recv[int](c, (r+p-1)%p, tagDLRing)
+				comm.Send(c, (r+1)%p, tagDLRing, got)
 			}
 		}
 		return nil
@@ -164,11 +164,11 @@ var deadlockCorpus = []deadlockCase{
 		for i := 0; i < 50 && p > 1; i++ {
 			switch r {
 			case 0:
-				c.Send(p-1, tagDLPing, []int{i})
-				c.Recv(p-1, tagDLPong)
+				comm.Send(c, p-1, tagDLPing, []int{i})
+				comm.Recv[int](c, p-1, tagDLPong)
 			case p - 1:
-				got := c.Recv(0, tagDLPing)
-				c.Send(0, tagDLPong, got)
+				got := comm.Recv[int](c, 0, tagDLPing)
+				comm.Send(c, 0, tagDLPong, got)
 			}
 		}
 		return nil
@@ -177,12 +177,12 @@ var deadlockCorpus = []deadlockCase{
 	{"pipeline", func(c *comm.Comm) error {
 		r, p := c.Rank(), c.Size()
 		for i := 0; i < 5; i++ {
-			v := any([]int{i})
+			v := []int{i}
 			if r > 0 {
-				v = c.Recv(r-1, tagDLRing)
+				v = comm.Recv[int](c, r-1, tagDLRing)
 			}
 			if r < p-1 {
-				c.Send(r+1, tagDLRing, v)
+				comm.Send(c, r+1, tagDLRing, v)
 			}
 		}
 		return nil
@@ -191,11 +191,11 @@ var deadlockCorpus = []deadlockCase{
 	{"fan-in", func(c *comm.Comm) error {
 		r, p := c.Rank(), c.Size()
 		if r != 0 {
-			c.Send(0, tagDLToken, []int{r})
+			comm.Send(c, 0, tagDLToken, []int{r})
 			return nil
 		}
 		for src := 1; src < p; src++ {
-			c.Recv(src, tagDLToken)
+			comm.Recv[int](c, src, tagDLToken)
 		}
 		return nil
 	}, nil},
@@ -205,14 +205,14 @@ var deadlockCorpus = []deadlockCase{
 		r, p := c.Rank(), c.Size()
 		if r != 0 {
 			for i := 0; i < rounds; i++ {
-				c.Send(0, tagDLPool, []int{r})
-				c.Recv(0, tagDLGrant)
+				comm.Send(c, 0, tagDLPool, []int{r})
+				comm.Recv[int](c, 0, tagDLGrant)
 			}
 			return nil
 		}
 		for n := rounds * (p - 1); n > 0; n-- {
-			m := c.RecvMsg(comm.AnySource, tagDLPool)
-			c.Send(m.Src, tagDLGrant, []int{n})
+			src, _, _ := comm.RecvMsg[int](c, comm.AnySource, tagDLPool)
+			comm.Send(c, src, tagDLGrant, []int{n})
 		}
 		return nil
 	}, nil},

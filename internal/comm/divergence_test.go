@@ -45,6 +45,57 @@ func divergedBody(a, b divergent) func(c *comm.Comm) error {
 	}
 }
 
+// mismatch is one collective whose even and odd ranks agree on the call but
+// not on its element type or, where it is fixed, its length: tag is the
+// text a fault message gives the collective's tag, and sent and want the
+// payload each side names.
+type mismatch struct {
+	name, tag, sent, want string
+	even, odd             func(c *comm.Comm)
+}
+
+var mismatches = []mismatch{
+	{"allreduce-scalar float64/int", "allreduce seq 1 round", "[]", "[]",
+		func(c *comm.Comm) { comm.AllreduceScalar(c, 1.0, comm.OpSum) },
+		func(c *comm.Comm) { comm.AllreduceScalar(c, 1, comm.OpSum) }},
+	{"allreduce length 2/3", "allreduce seq 1 round", "[]float64 of ", "[]float64 of ",
+		func(c *comm.Comm) { comm.AllreduceInto(c, make([]float64, 2), comm.OpSum) },
+		func(c *comm.Comm) { comm.AllreduceInto(c, make([]float64, 3), comm.OpSum) }},
+	{"bcast length 1/2", "bcast root 0 seq 1 round 0", "[]float64 of 1", "[]float64 of 2",
+		func(c *comm.Comm) { comm.Bcast(c, 0, make([]float64, 1)) },
+		func(c *comm.Comm) { comm.Bcast(c, 0, make([]float64, 2)) }},
+	{"bcast float64/int32", "bcast root 0 seq 1 round 0", "[]float64 of 2", "[]int32 of 2",
+		func(c *comm.Comm) { comm.Bcast(c, 0, make([]float64, 2)) },
+		func(c *comm.Comm) { comm.Bcast(c, 0, make([]int32, 2)) }},
+	{"reduce length 1/2", "reduce root 0 seq 1 round 0", "[]int of ", "[]int of ",
+		func(c *comm.Comm) { comm.Reduce(c, 0, make([]int, 1), comm.OpSum) },
+		func(c *comm.Comm) { comm.Reduce(c, 0, make([]int, 2), comm.OpSum) }},
+	{"scan float32/float64", "scan seq 1 round 0", "[]float32 of 1", "[]float64 of 1",
+		func(c *comm.Comm) { comm.Scan(c, []float32{1}, comm.OpSum) },
+		func(c *comm.Comm) { comm.Scan(c, []float64{1}, comm.OpSum) }},
+	{"gather float64/int", "gather root 0 seq 1 round 0", "[]int of 1", "[]float64 of any length",
+		func(c *comm.Comm) { comm.Gather(c, 0, []float64{1}) },
+		func(c *comm.Comm) { comm.Gather(c, 0, []int{1}) }},
+	{"allgather byte/bool", "allgather seq 1 round", "[]", "[]",
+		func(c *comm.Comm) { comm.Allgather(c, []byte{1}) },
+		func(c *comm.Comm) { comm.Allgather(c, []bool{true}) }},
+	{"alltoall-indexed length 1/2", "alltoall-indexed seq 1 round 0", "[]float64 of ", "[]float64 of ",
+		func(c *comm.Comm) { indexedBlocks(c, 1) }, func(c *comm.Comm) { indexedBlocks(c, 2) }},
+}
+
+// indexedBlocks runs an AlltoallIndexed that sends and expects n values per
+// peer.
+func indexedBlocks(c *comm.Comm, n int) {
+	buf, idx := make([]float64, n), make([][]int, c.Size())
+	for i := range idx {
+		idx[i] = make([]int, n)
+		for k := range idx[i] {
+			idx[i][k] = k
+		}
+	}
+	comm.AlltoallIndexed(c, buf, idx, buf, idx)
+}
+
 // TestDivergentCollectivesFailTyped runs every ordered pair of six different
 // float64 collectives, even ranks calling the first and odd ranks the second,
 // at P = 2, 3 and 4 on inproc. A collective's tag names its kind (and root),
@@ -52,8 +103,30 @@ func divergedBody(a, b divergent) func(c *comm.Comm) error {
 // FaultDeadlock (some rank parks) or a FaultUnread (every rank returned over
 // a message it never received), never return nil or panic untyped, and the
 // message must name both collectives with their sequence number and round.
-// No collective tag may print as the wildcard.
+// No collective tag may print as the wildcard. Every mismatch, ranks
+// that call the same collective with another element type or length, must
+// fail with a FaultMismatch on inproc and on tcp whose message names the
+// collective's tag and both payloads.
 func TestDivergentCollectivesFailTyped(t *testing.T) {
+	for _, p := range []int{2, 3, 4} {
+		for _, mm := range mismatches {
+			for _, tr := range []string{"inproc", "tcp"} {
+				name := fmt.Sprintf("P=%d %s %s", p, tr, mm.name)
+				_, err := runWatched(p, comm.Config{Transport: tr}, divergedBody(divergent{call: mm.even}, divergent{call: mm.odd}))
+				var fe *comm.FaultError
+				if !errors.As(err, &fe) || fe.Kind != comm.FaultMismatch {
+					t.Errorf("%s: err = %v, want a FaultMismatch", name, err)
+					continue
+				}
+				msg := fe.Error()
+				for _, want := range []string{"(tag " + mm.tag, "sent " + mm.sent, "expects " + mm.want} {
+					if !strings.Contains(msg, want) {
+						t.Errorf("%s: %q does not name %q", name, msg, want)
+					}
+				}
+			}
+		}
+	}
 	for _, p := range []int{2, 3, 4} {
 		for i, a := range divergents {
 			for j, b := range divergents {
@@ -82,9 +155,11 @@ func TestDivergentCollectivesFailTyped(t *testing.T) {
 }
 
 // TestDivergentCollectivesTimeOutOnTCP is the tcp leg of the divergence
-// matrix. tcp has no deadlock detector and no unread check, so each pairing
-// that parks a rank on inproc must fail there with FaultTimeout at the
-// session's receive deadline, naming the collective it waited in.
+// matrix. tcp has no deadlock detector, so each pairing that parks a rank on
+// inproc must fail there with FaultTimeout at the session's receive
+// deadline, naming the collective it waited in. The unread check runs on
+// loopback tcp too, so each pairing that ends in FaultUnread on inproc must
+// end in FaultUnread there.
 func TestDivergentCollectivesTimeOutOnTCP(t *testing.T) {
 	for _, p := range []int{2, 3, 4} {
 		for i, a := range divergents {
@@ -95,12 +170,16 @@ func TestDivergentCollectivesTimeOutOnTCP(t *testing.T) {
 				name := fmt.Sprintf("P=%d even=%s odd=%s", p, a.tag, b.tag)
 				_, err := runWatched(p, comm.Config{Transport: "inproc"}, divergedBody(a, b))
 				var fe *comm.FaultError
-				if !errors.As(err, &fe) || fe.Kind != comm.FaultDeadlock {
+				if !errors.As(err, &fe) || fe.Kind != comm.FaultDeadlock && fe.Kind != comm.FaultUnread {
 					continue
 				}
+				want := comm.FaultTimeout
+				if fe.Kind == comm.FaultUnread {
+					want = comm.FaultUnread
+				}
 				_, err = runWatched(p, comm.Config{Transport: "tcp", RecvTimeout: 20 * time.Millisecond}, divergedBody(a, b))
-				if !errors.As(err, &fe) || fe.Kind != comm.FaultTimeout {
-					t.Errorf("%s: err = %v, want a FaultTimeout", name, err)
+				if !errors.As(err, &fe) || fe.Kind != want {
+					t.Errorf("%s: err = %v, want a %v", name, err, want)
 					continue
 				}
 				if msg := fe.Error(); !strings.Contains(msg, "(tag "+a.tag) && !strings.Contains(msg, "(tag "+b.tag) {
@@ -297,9 +376,9 @@ var divergenceCorpus = []divergenceProgram{
 	// so the static checker stayed quiet, but it deadlocks at every size.
 	{"receive nobody sends", 1, func(c *comm.Comm) error {
 		if c.Rank() == c.Size()-1 {
-			c.Recv(comm.AnySource, tagWatchdog)
+			comm.Recv[byte](c, comm.AnySource, tagWatchdog)
 		} else {
-			c.Recv(c.Size()-1, tagWatchdog)
+			comm.Recv[byte](c, c.Size()-1, tagWatchdog)
 		}
 		return nil
 	}},

@@ -67,6 +67,12 @@ const (
 	// Peer and Tag are the first such message's receiver, sender and tag,
 	// and the message names every one.
 	FaultUnread
+	// FaultMismatch is raised by a receive whose message carries another
+	// element type than it expects, or another length where the length is
+	// fixed (Bcast, Reduce, Allreduce, Scan, AlltoallIndexed, SendRecv):
+	// Rank is the receiver, Peer the sender and Tag the message's tag, and
+	// the message names both types and lengths.
+	FaultMismatch
 )
 
 func (k FaultKind) String() string {
@@ -85,6 +91,8 @@ func (k FaultKind) String() string {
 		return "deadlock"
 	case FaultUnread:
 		return "unread"
+	case FaultMismatch:
+		return "mismatch"
 	}
 	return fmt.Sprintf("FaultKind(%d)", int(k))
 }
@@ -106,7 +114,8 @@ type FaultError struct {
 	Wire  *TransportError
 
 	// detail is a deadlock's or an unread fault's description of the parked
-	// and returned ranks and of the queued messages.
+	// and returned ranks and of the queued messages, or a mismatch's of the
+	// two payloads.
 	detail string
 }
 
@@ -133,6 +142,8 @@ func (e *FaultError) Error() string {
 			e.Seed, e.Rank, e.detail)
 	case FaultUnread:
 		return fmt.Sprintf("comm: fault(seed %d): every rank returned, but a message was never received: %s", e.Seed, e.detail)
+	case FaultMismatch:
+		return fmt.Sprintf("comm: fault(seed %d): payload mismatch at rank %d (tag %s): %s", e.Seed, e.Rank, tagString(e.Tag), e.detail)
 	}
 	return fmt.Sprintf("comm: fault(seed %d): rank %d: %v", e.Seed, e.Rank, e.Kind)
 }
@@ -382,7 +393,7 @@ func (f *fabric) deadlock(rank, src, tag int) *FaultError {
 			waits = append(waits, fmt.Sprintf("rank %d of comm %s waits for src %s (tag %s)",
 				b.key.rank, b.key.comm(), srcString(b.waitSrc), tagString(b.waitTag)))
 		}
-		b.eachUnreadLocked(func(m Message) { queued = appendUnread(queued, b.key, m) })
+		b.eachUnreadLocked(func(m message) { queued = appendUnread(queued, b.key, m) })
 		if b.left {
 			left = append(left, strconv.Itoa(b.key.rank))
 		}
@@ -406,7 +417,7 @@ func (f *fabric) unread() *FaultError {
 	var queued []string
 	for _, b := range f.reg.sorted() {
 		b.mu.Lock()
-		b.eachUnreadLocked(func(m Message) {
+		b.eachUnreadLocked(func(m message) {
 			if len(queued) == 0 {
 				fe.Rank, fe.Peer, fe.Tag = b.key.rank, m.Src, m.Tag
 			}
@@ -421,7 +432,7 @@ func (f *fabric) unread() *FaultError {
 // eachUnreadLocked calls fn on each message queued or held in b that no
 // receive took. A fault-plan duplicate of a message already taken
 // (seenLocked) is not one.
-func (b *mailbox) eachUnreadLocked(fn func(Message)) {
+func (b *mailbox) eachUnreadLocked(fn func(message)) {
 	for _, m := range b.queue.live() {
 		if !b.seenLocked(m.Src, m.seq) {
 			fn(m)
@@ -439,7 +450,7 @@ const maxUnreadListed = 8
 
 // appendUnread appends the text naming unread message m of mailbox k, unless
 // out already names maxUnreadListed.
-func appendUnread(out []string, k boxKey, m Message) []string {
+func appendUnread(out []string, k boxKey, m message) []string {
 	if len(out) == maxUnreadListed {
 		return out
 	}
@@ -460,7 +471,7 @@ func srcString(src int) string {
 // heldMsg is a logically delayed message: hold counts how many further
 // deliveries to the mailbox it sits out before becoming visible.
 type heldMsg struct {
-	m    Message
+	m    message
 	hold int
 }
 
@@ -473,9 +484,9 @@ type heldMsg struct {
 // the pipeline is identical on every transport: a dropped frame is simply
 // never handed to Deliver, a duplicate is handed twice, and the hold/reorder
 // words travel with the frame for the destination mailbox to apply. The
-// payload is already the frame's own (sendOwned).
-func (c *Comm) faultySend(dst, tag int, data any) {
-	p := c.f.plan
+// payload is already the frame's own (send).
+func (c *Comm) faultySend(fr Frame) {
+	p, dst, tag := c.f.plan, fr.Dst, fr.Tag
 	if d := p.SlowRanks[c.rank]; d > 0 {
 		time.Sleep(d)
 	}
@@ -484,6 +495,7 @@ func (c *Comm) faultySend(dst, tag int, data any) {
 	}
 	c.sendSeq[dst]++
 	seq := c.sendSeq[dst]
+	fr.Seq = seq
 
 	// Bounded retransmit: each attempt rolls independently. A message that
 	// is dropped on every attempt exhausts the link and aborts the session.
@@ -502,7 +514,6 @@ func (c *Comm) faultySend(dst, tag int, data any) {
 		c.f.stats.addFault(func(fc *FaultCounts) { fc.Retries += int64(attempt) })
 	}
 
-	fr := Frame{Ctx: c.f.ctx, Src: c.rank, Dst: dst, Tag: tag, Seq: seq, Payload: data}
 	if chance(p.DelayProb, p.roll(rollDelay, c.rank, dst, tag, seq, 0)) {
 		fr.Hold = 1 + int(p.roll(rollDelay, c.rank, dst, tag, seq, 1)%uint64(p.maxDelay()))
 		c.f.stats.addFault(func(fc *FaultCounts) { fc.Delayed++ })
@@ -519,10 +530,11 @@ func (c *Comm) faultySend(dst, tag int, data any) {
 	wireDst := c.f.owner[dst]
 	c.tr.Deliver(wireDst, fr)
 	if chance(p.DupProb, p.roll(rollDup, c.rank, dst, tag, seq, 0)) {
-		// The duplicate shares the (already copied) payload: exactly one of
-		// the two copies is ever handed to the receiver, the other is
-		// discarded unread by seq dedup. The duplicate frame carries no
-		// hold/reorder so it lands immediately, like a retransmit would.
+		// The duplicate shares the packed buffer: exactly one of the two
+		// copies is ever taken by the receiver, which alone may give the
+		// buffer back; the other is discarded unread by seq dedup. The
+		// duplicate frame carries no hold/reorder so it lands immediately,
+		// like a retransmit would.
 		fr.Hold, fr.Reorder = 0, 0
 		c.tr.Deliver(wireDst, fr)
 		c.f.stats.addFault(func(fc *FaultCounts) { fc.Duplicated++ })
@@ -540,7 +552,7 @@ func (c *Comm) faultySend(dst, tag int, data any) {
 // and loss: a reordered message never jumps ahead of an earlier message
 // from its own source, and an immediate delivery first releases any held
 // messages from the same source.
-func (b *mailbox) deliverFaultLocked(m Message, hold int, reorder uint64) {
+func (b *mailbox) deliverFaultLocked(m message, hold int, reorder uint64) {
 	b.tickDelayedLocked()
 	switch {
 	case hold > 0:

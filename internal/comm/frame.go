@@ -12,11 +12,10 @@ import (
 //	[4B body length][1B frame kind][body ...]
 //
 // Data frames carry one comm Frame — context, ranks, tag, the fault-layer
-// sequence/hold/reorder words, and a payload. The payload codec
-// (encodePayload, payload.go) encodes each kind of the payload set, a slice
-// of a comm.Elem type, and keeps its concrete Go type, so receiver-side type
-// assertions (`.([]float64)` and friends) behave identically on every
-// transport. There is no other payload.
+// sequence/hold/reorder words, and a payload. The payload codec (payload.go)
+// encodes each kind of the payload set, a slice of a comm.Elem type, and
+// keeps its element type, so a receive's type check behaves identically on
+// every transport. There is no other payload.
 
 // Frame kinds.
 const (
@@ -134,7 +133,7 @@ func newFrameBuf(kind byte, sizeHint int) *wbuf {
 
 // encodeData renders one data frame, length prefix included.
 func encodeData(fr *Frame) []byte {
-	w := newFrameBuf(frameData, 64+int(payloadBytes(fr.Payload)))
+	w := newFrameBuf(frameData, 64+int(fr.data.bytes()))
 	w.u64(fr.Ctx)
 	w.u32(uint32(fr.Src))
 	w.u32(uint32(fr.Dst))
@@ -142,7 +141,7 @@ func encodeData(fr *Frame) []byte {
 	w.u64(fr.Seq)
 	w.u32(uint32(fr.Hold))
 	w.u64(fr.Reorder)
-	encodePayload(w, fr.Payload)
+	fr.data.put(w)
 	return finishFrame(w)
 }
 
@@ -158,7 +157,7 @@ func decodeData(body []byte) (*Frame, error) {
 		Hold:    int(r.u32()),
 		Reorder: r.u64(),
 	}
-	fr.Payload = decodePayload(r)
+	fr.data = decodePayload(r)
 	if r.err != nil {
 		return nil, r.err
 	}

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -20,7 +21,8 @@ import (
 )
 
 // codecPayloads is the payload set: an empty and a non-trivial slice of each
-// comm.Elem type (TestCodecPayloadsAreElem holds it to that).
+// comm.Elem type (TestCodecPayloadsAreElem holds it to that). payloadOf turns
+// an entry into the payload a send of it carries.
 var codecPayloads = []any{
 	[]float64{},
 	[]float64{1.5, -2.25, math.Inf(1), math.SmallestNonzeroFloat64},
@@ -42,6 +44,59 @@ var codecPayloads = []any{
 	[]complex64{complex(1, -2), complex(float32(math.Inf(-1)), 0.25)},
 	[]string{},
 	[]string{"", "hello", "wor\x00ld"},
+}
+
+// testVals is a payload with the test-side views of its []T.
+type testVals interface {
+	payload
+	code() byte
+	elems() any
+	send(c *Comm, dst, tag int)
+	recv(c *Comm, src, tag int) any
+}
+
+func (p *vals[T]) code() byte {
+	code, _ := codecOf[T]()
+	return code
+}
+
+func (p *vals[T]) elems() any { return []T(*p) }
+
+// send is Send of the payload's elements; recv is Recv of a []T.
+func (p *vals[T]) send(c *Comm, dst, tag int) { Send(c, dst, tag, []T(*p)) }
+
+func (p *vals[T]) recv(c *Comm, src, tag int) any { return Recv[T](c, src, tag) }
+
+// payloadOf holds v, a slice of a comm.Elem type, as a payload.
+func payloadOf(v any) testVals {
+	switch s := v.(type) {
+	case []float64:
+		return valsOf(s)
+	case []float32:
+		return valsOf(s)
+	case []int:
+		return valsOf(s)
+	case []int64:
+		return valsOf(s)
+	case []int32:
+		return valsOf(s)
+	case []byte:
+		return valsOf(s)
+	case []bool:
+		return valsOf(s)
+	case []complex128:
+		return valsOf(s)
+	case []complex64:
+		return valsOf(s)
+	case []string:
+		return valsOf(s)
+	}
+	panic(fmt.Sprintf("%T is outside comm.Elem", v))
+}
+
+func valsOf[T Elem](s []T) testVals {
+	p := vals[T](s)
+	return &p
 }
 
 // TestCodecPayloadsAreElem holds codecPayloads to exactly the union that
@@ -84,7 +139,7 @@ func TestCodecPayloadsAreElem(t *testing.T) {
 		} else {
 			full[name] = true
 		}
-		codes[kindOf(p)] = true
+		codes[payloadOf(p).code()] = true
 	}
 	for name := range want {
 		if !empty[name] || !full[name] {
@@ -117,13 +172,13 @@ func encodeRoundTrip(t *testing.T, fr *Frame) *Frame {
 
 func TestFrameDataRoundTrip(t *testing.T) {
 	for _, payload := range codecPayloads {
-		fr := &Frame{Ctx: 0xfeed, Src: 3, Dst: 1, Tag: 42, Seq: 7, Hold: 2, Reorder: 99, Payload: payload}
+		fr := &Frame{Ctx: 0xfeed, Src: 3, Dst: 1, Tag: 42, Seq: 7, Hold: 2, Reorder: 99, data: payloadOf(payload)}
 		got := encodeRoundTrip(t, fr)
 		if !reflect.DeepEqual(got, fr) {
 			t.Errorf("payload %T: round trip = %#v, want %#v", payload, got, fr)
 		}
-		if reflect.TypeOf(got.Payload) != reflect.TypeOf(payload) {
-			t.Errorf("payload %T: concrete type not preserved, got %T", payload, got.Payload)
+		if reflect.TypeOf(got.data) != reflect.TypeOf(fr.data) {
+			t.Errorf("payload %T: concrete type not preserved, got %T", payload, got.data)
 		}
 	}
 }
@@ -131,7 +186,7 @@ func TestFrameDataRoundTrip(t *testing.T) {
 // TestFrameNegativeTagRoundTrip pins the wildcard constants: AnySource and
 // AnyTag are -1 and a tag may be any int, so the codec must be sign-correct.
 func TestFrameNegativeTagRoundTrip(t *testing.T) {
-	fr := &Frame{Ctx: 1, Src: 0, Dst: 0, Tag: -1, Payload: []byte{1}}
+	fr := &Frame{Ctx: 1, Src: 0, Dst: 0, Tag: -1, data: payloadOf([]byte{1})}
 	got := encodeRoundTrip(t, fr)
 	if got.Tag != -1 {
 		t.Fatalf("negative tag round trip = %d, want -1", got.Tag)
@@ -142,7 +197,7 @@ func TestFrameNegativeTagRoundTrip(t *testing.T) {
 // the decoder stack; each one must produce an error, never a panic and never
 // a frame.
 func TestFrameTruncationRejected(t *testing.T) {
-	fr := &Frame{Ctx: 2, Src: 1, Dst: 0, Tag: 3, Seq: 4, Payload: []float64{1, 2, 3}}
+	fr := &Frame{Ctx: 2, Src: 1, Dst: 0, Tag: 3, Seq: 4, data: payloadOf([]float64{1, 2, 3})}
 	buf := encodeData(fr)
 	for n := 0; n < len(buf); n++ {
 		kind, body, err := readFrame(bytes.NewReader(buf[:n]))
@@ -168,7 +223,7 @@ func TestFrameTruncationRejected(t *testing.T) {
 // TestFrameTrailingBytesRejected: a frame whose body outlives its payload is
 // corrupt, not extensible.
 func TestFrameTrailingBytesRejected(t *testing.T) {
-	fr := &Frame{Payload: []int{1}}
+	fr := &Frame{data: payloadOf([]int{1})}
 	buf := encodeData(fr)
 	grown := append(append([]byte{}, buf...), 0xAA)
 	binary.LittleEndian.PutUint32(grown[:4], uint32(len(grown)-4))
@@ -194,7 +249,7 @@ func TestFrameLengthBounds(t *testing.T) {
 // TestFrameCorruptCountRejected plants an element count far beyond the body
 // size; the decoder must reject it before allocating.
 func TestFrameCorruptCountRejected(t *testing.T) {
-	fr := &Frame{Payload: []float64{1, 2}}
+	fr := &Frame{data: payloadOf([]float64{1, 2})}
 	buf := encodeData(fr)
 	// The payload element count is the last u32 before the elements.
 	countOff := len(buf) - 2*8 - 4
@@ -300,7 +355,7 @@ func FuzzFrameCodec(f *testing.F) {
 		payloads := []any{f64s, f32s, ints, i64s, i32s, append([]byte{}, raw...), bools, c128s,
 			[]string{string(raw), ""}, c64s}
 		fr = &Frame{Ctx: ctx, Src: 1, Dst: 2, Tag: int(tag), Seq: seq,
-			Hold: int(seq % 7), Reorder: seq / 3, Payload: payloads[seq%uint64(len(payloads))]}
+			Hold: int(seq % 7), Reorder: seq / 3, data: payloadOf(payloads[seq%uint64(len(payloads))])}
 		buf := encodeData(fr)
 		kind, body, err := readFrame(bytes.NewReader(buf))
 		if err != nil || kind != frameData {

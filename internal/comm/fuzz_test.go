@@ -39,7 +39,7 @@ func FuzzRecvMatching(f *testing.F) {
 		err := Run(P, func(c *Comm) error {
 			if c.Rank() != 0 {
 				for k := 0; k < perSrc; k++ {
-					c.Send(0, tagOf(c.Rank(), k), []int{c.Rank(), tagOf(c.Rank(), k), k})
+					Send(c, 0, tagOf(c.Rank(), k), []int{c.Rank(), tagOf(c.Rank(), k), k})
 				}
 				return nil
 			}
@@ -47,11 +47,11 @@ func FuzzRecvMatching(f *testing.F) {
 			total := perSrc * (P - 1)
 			lastK := make(map[[2]int]int) // (src, class-discriminator) -> last k
 			seen := make(map[fuzzMsg]bool)
-			check := func(m Message, classSrc, classTag int) error {
-				p := m.Payload.([]int)
+			check := func(classSrc, classTag int) error {
+				src, tag, p := RecvMsg[int](c, classSrc, classTag)
 				got := fuzzMsg{src: p[0], tag: p[1], k: p[2]}
-				if m.Src != got.src || m.Tag != got.tag {
-					return fmt.Errorf("envelope (%d,%d) disagrees with payload %v", m.Src, m.Tag, p)
+				if src != got.src || tag != got.tag {
+					return fmt.Errorf("envelope (%d,%d) disagrees with payload %v", src, tag, p)
 				}
 				if classSrc != AnySource && got.src != classSrc {
 					return fmt.Errorf("asked for src %d, got %d", classSrc, got.src)
@@ -74,7 +74,7 @@ func FuzzRecvMatching(f *testing.F) {
 			switch mode % 3 {
 			case 0: // full wildcard drain
 				for i := 0; i < total; i++ {
-					if err := check(c.RecvMsg(AnySource, AnyTag), AnySource, AnyTag); err != nil {
+					if err := check(AnySource, AnyTag); err != nil {
 						return err
 					}
 				}
@@ -85,7 +85,7 @@ func FuzzRecvMatching(f *testing.F) {
 					for left[src] == 0 {
 						src = 1 + rng.Intn(P-1)
 					}
-					if err := check(c.RecvMsg(src, AnyTag), src, AnyTag); err != nil {
+					if err := check(src, AnyTag); err != nil {
 						return err
 					}
 					left[src]--
@@ -106,7 +106,7 @@ func FuzzRecvMatching(f *testing.F) {
 				rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 				for _, cl := range order {
 					for n := counts[cl]; n > 0; n-- {
-						if err := check(c.RecvMsg(cl.src, cl.tag), cl.src, cl.tag); err != nil {
+						if err := check(cl.src, cl.tag); err != nil {
 							return err
 						}
 					}
@@ -150,13 +150,13 @@ func FuzzRecvMatchingUnderFaults(f *testing.F) {
 			const tag = 3
 			if c.Rank() != 0 {
 				for k := 0; k < perSrc; k++ {
-					c.Send(0, tag, []int{c.Rank(), k})
+					Send(c, 0, tag, []int{c.Rank(), k})
 				}
 				return nil
 			}
 			lastK := map[int]int{1: -1, 2: -1}
 			for i := 0; i < perSrc*(P-1); i++ {
-				p := c.RecvMsg(AnySource, tag).Payload.([]int)
+				p := Recv[int](c, AnySource, tag)
 				if p[1] != lastK[p[0]]+1 {
 					return fmt.Errorf("src %d: got k=%d after k=%d (loss or overtaking)", p[0], p[1], lastK[p[0]])
 				}

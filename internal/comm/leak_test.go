@@ -37,10 +37,10 @@ const tagLeakPing = 7
 func cycleBody(c *Comm) error {
 	if c.Rank() == 0 {
 		for p := 1; p < c.Size(); p++ {
-			c.Send(p, tagLeakPing, []float64{1, 2, 3})
+			Send(c, p, tagLeakPing, []float64{1, 2, 3})
 		}
 	} else {
-		c.Recv(0, tagLeakPing)
+		Recv[float64](c, 0, tagLeakPing)
 	}
 	c.Barrier()
 	_ = AllreduceScalar(c, float64(c.Rank()), OpSum)
@@ -91,10 +91,10 @@ func TestRecvDeadlineTimerReuse(t *testing.T) {
 		for r := 0; r < rounds; r++ {
 			if c.Rank() == 0 {
 				time.Sleep(35 * time.Millisecond) // the receiver parks with its deadline armed
-				c.Send(1, r, []float64{float64(r)})
+				Send(c, 1, r, []float64{float64(r)})
 			} else {
-				vals, ok := c.Recv(0, r).([]float64)
-				if !ok || len(vals) != 1 || vals[0] != float64(r) {
+				vals := Recv[float64](c, 0, r)
+				if len(vals) != 1 || vals[0] != float64(r) {
 					return fmt.Errorf("round %d: bad payload %v", r, vals)
 				}
 			}

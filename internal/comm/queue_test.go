@@ -14,12 +14,12 @@ import (
 func TestMsgQueueMatchesSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var q msgQueue
-	var model []Message
+	var model []message
 	peak, next := 0, 0
 	for step := 0; step < 20000; step++ {
 		switch r := rng.Intn(10); {
 		case r < 4 || len(model) == 0:
-			m := Message{Src: next % 5, Tag: next}
+			m := message{Src: next % 5, Tag: next}
 			next++
 			q.push(m)
 			model = append(model, m)
@@ -32,10 +32,10 @@ func TestMsgQueueMatchesSlice(t *testing.T) {
 			model = append(model[:i:i], model[i+1:]...)
 		default:
 			i := rng.Intn(len(model) + 1)
-			m := Message{Src: next % 5, Tag: next}
+			m := message{Src: next % 5, Tag: next}
 			next++
 			q.insert(i, m)
-			model = append(model[:i:i], append([]Message{m}, model[i:]...)...)
+			model = append(model[:i:i], append([]message{m}, model[i:]...)...)
 		}
 		peak = max(peak, len(model))
 		live := q.live()

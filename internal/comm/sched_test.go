@@ -81,7 +81,7 @@ func TestSchedJitterRecvTimeout(t *testing.T) {
 		RecvTimeout: 300 * time.Millisecond,
 		Jitter:      stressJitter(99),
 	}, func(c *comm.Comm) error {
-		c.Recv(1-c.Rank(), tagNever)
+		comm.Recv[byte](c, 1-c.Rank(), tagNever)
 		return nil
 	})
 	wantKind(t, "both ranks parked", fe, comm.FaultDeadlock)

@@ -93,10 +93,10 @@ func (c *Comm) Split(color, key int) *Comm {
 			jitter:      parent.jitter,
 			recvTimeout: parent.recvTimeout,
 			perProc:     parent.perProc,
+			boxes:       parent.reg.mailboxes(subCtx, len(group)),
 		}
 		if !c.tr.Remote() {
-			inproc := newInprocTransport(parent.reg, subCtx, len(group))
-			f.tr, f.boxes = inproc, inproc.boxes
+			f.tr = &inprocTransport{boxes: f.boxes}
 		}
 		return f
 	})
@@ -104,5 +104,5 @@ func (c *Comm) Split(color, key int) *Comm {
 	if sub.tr != nil {
 		tr = sub.tr
 	}
-	return &Comm{rank: newRank, size: len(group), f: sub, tr: tr, box: parent.reg.box(subCtx, newRank)}
+	return &Comm{rank: newRank, size: len(group), f: sub, tr: tr, box: sub.boxes[newRank]}
 }

@@ -181,9 +181,9 @@ func TestSplitStatsAttribution(t *testing.T) {
 		AllreduceScalar(c, 1, OpSum)
 		sub := c.Split(c.Rank()/2, 0)
 		if c.Rank()%2 == 0 {
-			sub.Send(1, tagData, make([]float64, 100))
+			Send(sub, 1, tagData, make([]float64, 100))
 		} else {
-			sub.Recv(0, tagData)
+			Recv[float64](sub, 0, tagData)
 		}
 		sub.Barrier()
 		snap := sub.Stats()
@@ -216,9 +216,9 @@ func TestSplitTrafficIsolated(t *testing.T) {
 		c.Barrier()
 		// Heavy subgroup traffic.
 		if sub.Rank() == 0 {
-			sub.Send(1, tagData, make([]float64, 1000))
+			Send(sub, 1, tagData, make([]float64, 1000))
 		} else {
-			sub.Recv(0, tagData)
+			Recv[float64](sub, 0, tagData)
 		}
 		return nil
 	})

@@ -77,8 +77,9 @@ func (e *tcpEndpoint) Name() string { return "tcp" }
 func (e *tcpEndpoint) Remote() bool { return true }
 
 // Deliver encodes fr and queues it on the connection to wireDst; frames for
-// the local rank skip the wire and land directly in the registry. Every
-// payload encodes: Send has already held it to the payload set.
+// the local rank skip the wire and land directly in the registry. The
+// encoded frame is the copy that crosses: fr's buffer is not given back,
+// since a fault-plan duplicate hands the same frame over twice.
 func (e *tcpEndpoint) Deliver(wireDst int, fr Frame) {
 	if wireDst == e.rank {
 		e.reg.box(fr.Ctx, fr.Dst).deliver(fr)
@@ -494,6 +495,7 @@ func RunRemote(env RemoteEnv, cfg Config, fn func(c *Comm) error) (*Stats, error
 		fs:          fs,
 		recvTimeout: cfg.recvTimeout(true),
 		perProc:     true,
+		boxes:       reg.mailboxes(worldCtx, env.Size),
 	}
 	ep := &tcpEndpoint{
 		rank: env.Rank, size: env.Size, session: env.Session,
@@ -504,7 +506,7 @@ func RunRemote(env RemoteEnv, cfg Config, fn func(c *Comm) error) (*Stats, error
 	}
 	ep.start()
 	fs.setNotify(ep.broadcastAbort)
-	runErr := runRank(&Comm{rank: env.Rank, size: env.Size, f: f, tr: ep, box: reg.box(worldCtx, env.Rank)}, fn)
+	runErr := runRank(&Comm{rank: env.Rank, size: env.Size, f: f, tr: ep, box: f.boxes[env.Rank]}, fn)
 	ep.Close()
 	return f.stats, runErr
 }

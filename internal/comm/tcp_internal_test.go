@@ -22,7 +22,7 @@ func TestTCPTornConnectionFailsTyped(t *testing.T) {
 			if c.Rank() == 0 {
 				c.tr.(*tcpEndpoint).conns[1].nc.Close() // sever the wire
 			}
-			c.Recv(1-c.Rank(), tagTornProbe) // can now never be satisfied
+			Recv[byte](c, 1-c.Rank(), tagTornProbe) // can now never be satisfied
 			return nil
 		})
 		done <- err

@@ -30,14 +30,16 @@ type Frame struct {
 	Seq     uint64 // per-(src,dst) delivery sequence; 0 = fault layer off
 	Hold    int    // fault layer: deliveries this frame sits out (logical delay)
 	Reorder uint64 // fault layer: nonzero requests an out-of-order splice
-	Payload any    // already owned by the frame (copied or decoded), never aliased
+
+	data payload // the frame's own buffer (packed or decoded), never aliased
 }
 
 // Transport moves frames between ranks. Implementations must preserve
 // per-(src,dst) frame order — MPI's non-overtaking guarantee depends on it —
-// and must take ownership of the payload of the frame passed to Deliver (it
-// is already copied or decoded; it never aliases sender memory). The frame
-// itself travels by value, so a send puts no frame on the heap.
+// and take ownership of the payload of the frame passed to Deliver (a buffer
+// of the destination mailbox, packed by the send; it never aliases sender
+// memory). The frame itself travels by value, so a send puts no frame on the
+// heap.
 //
 // Deliver must not block indefinitely: a send is eager on every transport
 // (the tcp transport queues frames to a per-peer writer goroutine with an
@@ -48,7 +50,7 @@ type Transport interface {
 	// Remote reports whether frames can cross a process or wire boundary,
 	// i.e. whether delivery can genuinely fail. Sessions on a remote
 	// transport get a 10-second receive deadline when Config.RecvTimeout is
-	// unset, and typed messages take the boxed route.
+	// unset, and no deadlock detector.
 	Remote() bool
 	// Deliver routes fr to the mailbox of (fr.Ctx, fr.Dst). wireDst is the
 	// world rank hosting that mailbox.
@@ -103,6 +105,15 @@ func (r *registry) box(ctx uint64, rank int) *mailbox {
 	return b
 }
 
+// mailboxes returns the mailboxes of ranks 0..size-1 of communicator ctx.
+func (r *registry) mailboxes(ctx uint64, size int) []*mailbox {
+	boxes := make([]*mailbox, size)
+	for i := range boxes {
+		boxes[i] = r.box(ctx, i)
+	}
+	return boxes
+}
+
 // all snapshots every registered mailbox; the failure latch walks it to wake
 // blocked receivers session-wide.
 func (r *registry) all() []*mailbox {
@@ -134,7 +145,7 @@ func (r *registry) anyUnread() bool {
 	for _, b := range r.boxes {
 		found := false
 		b.mu.Lock()
-		b.eachUnreadLocked(func(Message) { found = true })
+		b.eachUnreadLocked(func(message) { found = true })
 		b.mu.Unlock()
 		if found {
 			return true
@@ -201,19 +212,10 @@ func (s *session) fabricFor(ctx uint64, mk func() *fabric) *fabric {
 
 // inprocTransport is the original channel-mailbox fabric re-expressed behind
 // the Transport interface: delivery is a direct enqueue into the destination
-// rank's mailbox in the same address space. The mailbox slice is resolved
-// once per fabric so the per-message cost stays an array index, exactly as
-// before the boundary existed.
+// rank's mailbox in the same address space. The mailbox slice is the
+// fabric's, resolved once, so the per-message cost stays an array index.
 type inprocTransport struct {
 	boxes []*mailbox
-}
-
-func newInprocTransport(reg *registry, ctx uint64, size int) *inprocTransport {
-	boxes := make([]*mailbox, size)
-	for i := range boxes {
-		boxes[i] = reg.box(ctx, i)
-	}
-	return &inprocTransport{boxes: boxes}
 }
 
 func (t *inprocTransport) Name() string { return "inproc" }
@@ -229,5 +231,5 @@ func (t *inprocTransport) Deliver(wireDst int, fr Frame) {
 // while preserving per-source order.
 func (b *mailbox) deliver(fr Frame) {
 	b.mu.Lock()
-	b.post(Message{Src: fr.Src, Tag: fr.Tag, Payload: fr.Payload, seq: fr.Seq}, fr.Hold, fr.Reorder)
+	b.post(message{Src: fr.Src, Tag: fr.Tag, data: fr.data, seq: fr.Seq}, fr.Hold, fr.Reorder)
 }

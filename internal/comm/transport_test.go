@@ -36,7 +36,7 @@ func TestConfigRecvTimeoutWatchdog(t *testing.T) {
 	for _, size := range []int{1, 2, 4} {
 		cfg := comm.Config{Transport: "tcp", RecvTimeout: 300 * time.Millisecond}
 		_, fe := watchdogRun(t, size, cfg, func(c *comm.Comm) error {
-			c.Recv(comm.AnySource, tagUnsent)
+			comm.Recv[byte](c, comm.AnySource, tagUnsent)
 			return nil
 		})
 		wantKind(t, fmt.Sprintf("tcp P=%d", size), fe, comm.FaultTimeout)
@@ -55,7 +55,7 @@ func TestConfigRecvTimeoutWatchdog(t *testing.T) {
 			wantKind(t, fmt.Sprintf("inproc P=%d, rank 0 outside comm", size), fe, comm.FaultTimeout)
 		}
 		_, fe = watchdogRun(t, size, cfg, func(c *comm.Comm) error {
-			c.Recv(comm.AnySource, tagUnsent)
+			comm.Recv[byte](c, comm.AnySource, tagUnsent)
 			return nil
 		})
 		wantKind(t, fmt.Sprintf("inproc P=%d, all parked", size), fe, comm.FaultDeadlock)
@@ -87,9 +87,9 @@ func TestConfigRecvTimeoutWakesPeers(t *testing.T) {
 	_, fe = watchdogRun(t, size, comm.Config{Transport: "inproc", RecvTimeout: 300 * time.Millisecond},
 		func(c *comm.Comm) error {
 			if c.Rank() == size-1 {
-				c.Recv(comm.AnySource, tagUnsent) // never sent
+				comm.Recv[byte](c, comm.AnySource, tagUnsent) // never sent
 			} else {
-				c.Recv(size-1, tagAwaited)
+				comm.Recv[byte](c, size-1, tagAwaited)
 			}
 			return nil
 		})
@@ -148,7 +148,7 @@ type outsideComm struct {
 
 func newOutsideComm() *outsideComm { return &outsideComm{aborted: make(chan struct{})} }
 
-// recv is c.Recv that releases the outside rank when the receive unwinds.
+// recv is comm.Recv that releases the outside rank when the receive unwinds.
 func (o *outsideComm) recv(c *comm.Comm, src, tag int) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -156,7 +156,7 @@ func (o *outsideComm) recv(c *comm.Comm, src, tag int) {
 			panic(p)
 		}
 	}()
-	c.Recv(src, tag)
+	comm.Recv[byte](c, src, tag)
 }
 
 // wait is the outside rank's body.
@@ -169,9 +169,9 @@ func TestInjectedFaultIsNotTransportError(t *testing.T) {
 	plan := &comm.FaultPlan{Seed: 3, DropProb: 1, MaxRetries: 1}
 	_, err := comm.RunConfig(2, comm.Config{Transport: "tcp", Faults: plan}, func(c *comm.Comm) error {
 		if c.Rank() == 0 {
-			c.Send(1, tagDropped, []float64{1})
+			comm.Send(c, 1, tagDropped, []float64{1})
 		} else {
-			c.Recv(0, tagDropped)
+			comm.Recv[float64](c, 0, tagDropped)
 		}
 		return nil
 	})
@@ -197,7 +197,8 @@ func TestTCPChaosConformance(t *testing.T) {
 		{Name: "ring-sendrecv", Body: func(c *comm.Comm) (any, error) {
 			right := (c.Rank() + 1) % c.Size()
 			left := (c.Rank() - 1 + c.Size()) % c.Size()
-			tok := c.SendRecv(right, []int{c.Rank(), 7}, left, tagRing).([]int)
+			comm.Send(c, right, tagRing, []int{c.Rank(), 7})
+			tok := comm.Recv[int](c, left, tagRing)
 			c.Barrier()
 			return tok, nil
 		}},

@@ -93,10 +93,10 @@ func TestExpiredSpinsBackOff(t *testing.T) {
 		for i := 0; i < 64; i++ {
 			if c.Rank() == 0 {
 				x = benchWork(x)
-				c.Recv(1, tagWaitLate)
+				Recv[byte](c, 1, tagWaitLate)
 			} else {
 				time.Sleep(8 * spinBudget)
-				c.Send(0, tagWaitLate, []byte{1})
+				Send(c, 0, tagWaitLate, []byte{1})
 			}
 		}
 		if c.Rank() == 0 {

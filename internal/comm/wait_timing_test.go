@@ -47,11 +47,11 @@ func TestPingPongDoesNotSpin(t *testing.T) {
 		c.Barrier()
 		for i := 0; i < trips; i++ {
 			if c.Rank() == 0 {
-				c.Send(peer, tagPingPong, []byte{1})
-				c.Recv(peer, tagPingPong)
+				comm.Send(c, peer, tagPingPong, []byte{1})
+				comm.Recv[byte](c, peer, tagPingPong)
 			} else {
-				c.Recv(peer, tagPingPong)
-				c.Send(peer, tagPingPong, []byte{1})
+				comm.Recv[byte](c, peer, tagPingPong)
+				comm.Send(c, peer, tagPingPong, []byte{1})
 			}
 		}
 		return nil

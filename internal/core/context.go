@@ -113,14 +113,14 @@ func (ctx *Context) Control(op OpCode, params ...int64) []byte {
 	}
 	if ctx.c.Rank() == 0 {
 		for r := 1; r < ctx.c.Size(); r++ {
-			ctx.c.Send(r, CtrlTag, buf)
+			comm.Send(ctx.c, r, CtrlTag, buf)
 		}
 		ctx.mu.Lock()
 		ctx.ctrlMsgs += ctx.c.Size() - 1
 		ctx.ctrlBytes += int64(len(buf)) * int64(ctx.c.Size()-1)
 		ctx.mu.Unlock()
 	} else {
-		got := ctx.c.Recv(0, CtrlTag).([]byte)
+		got := comm.Recv[byte](ctx.c, 0, CtrlTag)
 		ctx.mu.Lock()
 		ctx.ctrlMsgs++
 		ctx.ctrlBytes += int64(len(got))

@@ -17,12 +17,12 @@ import (
 )
 
 // RowFunc produces the sparse entries of one global row: parallel slices of
-// global column indices and values, fresh on every call, so the caller may
-// keep them and call it concurrently.
+// global column indices, in ascending order, and values, fresh on every call,
+// so the caller may keep them and call it concurrently.
 type RowFunc func(row int) (cols []int, vals []float64)
 
-// stencil appends the entries of global row i to cols and vals and returns
-// them. The builders hand every row the same buffer, so generating a row
+// stencil appends the entries of global row i to cols and vals, in ascending
+// column order so that assembly finds every row sorted, and returns them. The builders hand every row the same buffer, so generating a row
 // allocates nothing.
 type stencil func(i int, cols []int, vals []float64) ([]int, []float64)
 
@@ -126,21 +126,21 @@ func laplace3D(nx, ny, nz int) stencil {
 		x := i % nx
 		y := (i / nx) % ny
 		z := i / (nx * ny)
-		cols, vals = append(cols, i), append(vals, 6)
-		if x > 0 {
-			cols, vals = append(cols, i-1), append(vals, -1)
-		}
-		if x < nx-1 {
-			cols, vals = append(cols, i+1), append(vals, -1)
+		if z > 0 {
+			cols, vals = append(cols, i-nx*ny), append(vals, -1)
 		}
 		if y > 0 {
 			cols, vals = append(cols, i-nx), append(vals, -1)
 		}
+		if x > 0 {
+			cols, vals = append(cols, i-1), append(vals, -1)
+		}
+		cols, vals = append(cols, i), append(vals, 6)
+		if x < nx-1 {
+			cols, vals = append(cols, i+1), append(vals, -1)
+		}
 		if y < ny-1 {
 			cols, vals = append(cols, i+nx), append(vals, -1)
-		}
-		if z > 0 {
-			cols, vals = append(cols, i-nx*ny), append(vals, -1)
 		}
 		if z < nz-1 {
 			cols, vals = append(cols, i+nx*ny), append(vals, -1)
@@ -187,15 +187,15 @@ func convDiff2D(nx, ny int, px, py float64) stencil {
 	}
 	return func(i int, cols []int, vals []float64) ([]int, []float64) {
 		x, y := i%nx, i/nx
-		cols, vals = append(cols, i), append(vals, diag)
+		if y > 0 {
+			cols, vals = append(cols, i-nx), append(vals, s)
+		}
 		if x > 0 {
 			cols, vals = append(cols, i-1), append(vals, w)
 		}
+		cols, vals = append(cols, i), append(vals, diag)
 		if x < nx-1 {
 			cols, vals = append(cols, i+1), append(vals, e)
-		}
-		if y > 0 {
-			cols, vals = append(cols, i-nx), append(vals, s)
 		}
 		if y < ny-1 {
 			cols, vals = append(cols, i+nx), append(vals, n)
@@ -215,10 +215,10 @@ func ConvDiff2DDist(c *comm.Comm, m *distmap.Map, nx, ny int, px, py float64) *t
 // tridiag is a general tridiagonal stencil [lo, diag, hi].
 func tridiag(n int, lo, diag, hi float64) stencil {
 	return func(i int, cols []int, vals []float64) ([]int, []float64) {
-		cols, vals = append(cols, i), append(vals, diag)
 		if i > 0 {
 			cols, vals = append(cols, i-1), append(vals, lo)
 		}
+		cols, vals = append(cols, i), append(vals, diag)
 		if i < n-1 {
 			cols, vals = append(cols, i+1), append(vals, hi)
 		}

@@ -399,8 +399,8 @@ func TestDeadlockedJobRecyclesGroup(t *testing.T) {
 				// holds only its echo.
 				time.Sleep(10 * time.Millisecond)
 			}
-			got := c.Recv(1-c.Rank(), tagRecvFirst)
-			c.Send(1-c.Rank(), tagRecvFirst, got)
+			got := comm.Recv[byte](c, 1-c.Rank(), tagRecvFirst)
+			comm.Send(c, 1-c.Rank(), tagRecvFirst, got)
 			return nil, nil
 		})
 		done <- err

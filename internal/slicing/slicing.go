@@ -303,11 +303,11 @@ func ShiftDiff[T dense.Elem](x *core.DistArray[T], k int) *core.DistArray[T] {
 		for i := 0; i < k; i++ {
 			head[i] = local.At(i)
 		}
-		ctx.Comm().Send(prev, haloTag, head)
+		comm.Send(ctx.Comm(), prev, haloTag, head)
 	}
 	var halo []T
 	if cnt > 0 && next >= 0 {
-		halo = ctx.Comm().Recv(next, haloTag).([]T)
+		halo = comm.Recv[T](ctx.Comm(), next, haloTag)
 	}
 	if ts != nil {
 		// The halo span covers only the boundary exchange — its Send events
