@@ -141,8 +141,8 @@ func TestGatherPlanSelfTrafficIsZero(t *testing.T) {
 }
 
 // TestGatherSteadyStateAllocs pins the allocation-free apply path, at one,
-// two and four ranks: a plan holds no scratch and its value exchange rides
-// comm's typed path, so a Gather — and with it a CrsMatrix.Apply on the
+// two and four ranks: a plan holds no scratch and its value exchange packs
+// into comm's pooled message buffers, so a Gather — and with it a CrsMatrix.Apply on the
 // benchmark's two stencils, and the allreduce under Vector.Dot — allocates
 // nothing once the mailboxes are warm, whatever the number of ranks or
 // neighbours. The counts are exact (alloctest), not bounds.
