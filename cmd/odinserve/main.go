@@ -10,7 +10,9 @@
 //
 // Endpoints: POST /v1/solve, POST /v1/expr, GET /v1/stats, GET /healthz.
 // Per-tenant quotas (keyed by the X-Tenant header) are off unless
-// -tenant-inflight or -tenant-rate is set.
+// -tenant-inflight or -tenant-rate is set. The exec engine is sized once at
+// startup by serve.EngineWorkers: ODINHPC_THREADS workers when it is set,
+// else GOMAXPROCS / (groups x ranks), at least one.
 //
 // Load-generator mode drives a running server with a mixed workload and
 // checks its SLOs — verify.sh uses it as the serve smoke test:
@@ -39,6 +41,7 @@ import (
 	"syscall"
 	"time"
 
+	"odinhpc/internal/exec"
 	"odinhpc/internal/serve"
 )
 
@@ -78,6 +81,8 @@ func runServer(addr, addrFile string, groups, ranks, queue, inflight int, rate, 
 	if inflight > 0 || rate > 0 {
 		opts.Quotas = serve.NewQuotas(inflight, rate, burst)
 	}
+	workers := serve.EngineWorkers(opts)
+	exec.SetDefaultWorkers(workers)
 	sched := serve.NewScheduler(opts)
 	defer sched.Stop()
 
@@ -93,8 +98,8 @@ func runServer(addr, addrFile string, groups, ranks, queue, inflight int, rate, 
 			return 1
 		}
 	}
-	fmt.Printf("odinserve: listening on %s (%d groups x %d ranks, queue %d)\n",
-		bound, groups, ranks, queue)
+	fmt.Printf("odinserve: listening on %s (%d groups x %d ranks x %d workers, queue %d)\n",
+		bound, groups, ranks, workers, queue)
 
 	srv := &http.Server{Handler: serve.NewServer(sched).Handler()}
 	done := make(chan error, 1)

@@ -23,6 +23,7 @@ var testSeams = map[string]bool{
 	"serve.Quotas.SetClock":              true,
 	"exec.WithGrain":                     true,
 	"sparse.CSR.Dense":                   true,
+	"sparse.ChooseFormat":                true,
 	"tpetra.GatherPlan.OutLen":           true,
 	"comm.StatsSnapshot.MsgCount":        true,
 	"comm.StatsSnapshot.ByteCount":       true,

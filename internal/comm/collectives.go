@@ -2,6 +2,7 @@ package comm
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 
@@ -25,12 +26,18 @@ const (
 	OpMax
 )
 
+// applyOp combines a and b with op. A sum or product with a NaN operand is
+// the first NaN operand, quieted as the hardware quiets it (firstNaN): the
+// result is fixed here, not by the order in which compiled code happens to
+// put a commutative add's or multiply's operands, so every combine tree
+// that passes the same operands in the same order gets the same bits.
 func applyOp[T Number](op Op, a, b T) T {
+	var r T
 	switch op {
 	case OpSum:
-		return a + b
+		r = a + b
 	case OpProd:
-		return a * b
+		r = a * b
 	case OpMin:
 		if b < a {
 			return b
@@ -41,8 +48,32 @@ func applyOp[T Number](op Op, a, b T) T {
 			return b
 		}
 		return a
+	default:
+		panic("comm: unknown reduction op")
 	}
-	panic("comm: unknown reduction op")
+	if r != r {
+		return firstNaN(a, b, r)
+	}
+	return r
+}
+
+// firstNaN returns the first of a and b that is a NaN with its quiet bit
+// (the mantissa's top bit) set, its sign and the rest of its payload kept;
+// r, the NaN their sum or product made, when neither is one.
+func firstNaN[T Number](a, b, r T) T {
+	for _, x := range [2]T{a, b} {
+		switch v := any(x).(type) {
+		case float64:
+			if v != v {
+				return any(math.Float64frombits(math.Float64bits(v) | 1<<51)).(T)
+			}
+		case float32:
+			if v != v {
+				return any(math.Float32frombits(math.Float32bits(v) | 1<<22)).(T)
+			}
+		}
+	}
+	return r
 }
 
 // nextColl returns a fresh tag namespace for one collective call. Collectives
@@ -213,9 +244,8 @@ func Reduce[T Number](c *Comm, root int, in []T, op Op) []T {
 		if vr+k < c.size {
 			src := ((vr + k) + root) % c.size
 			_, p := take[T](c, src, collTag(collReduce, root, seq, 0), len(acc))
-			data := *p
-			for i := range acc {
-				acc[i] = applyOp(op, acc[i], data[i])
+			for i, v := range *p {
+				acc[i] = applyOp(op, acc[i], v)
 			}
 			c.giveBack(p)
 		}

@@ -128,12 +128,17 @@ func New(opts ...Option) *Engine {
 }
 
 func defaultWorkers() int {
-	if s := os.Getenv(EnvThreads); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n >= 1 {
-			return n
-		}
+	if n, ok := EnvWorkers(); ok {
+		return n
 	}
 	return runtime.GOMAXPROCS(0)
+}
+
+// EnvWorkers returns the pool size ODINHPC_THREADS asks for, and whether it
+// is set to a positive integer.
+func EnvWorkers() (int, bool) {
+	n, err := strconv.Atoi(os.Getenv(EnvThreads))
+	return n, err == nil && n >= 1
 }
 
 // Workers returns the pool size.

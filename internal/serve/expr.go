@@ -165,7 +165,8 @@ func (st *RankState) plan(r *ExprRequest) (*fusion.Plan, error) {
 
 // Job builds the per-rank body for a validated expression request: probe
 // (or prepare) the plan, one fused reduction — the lane hand-off that gave
-// every rank this job is the control message — and the response on rank 0.
+// every rank this job is the control message — and the response, which
+// rank 0 writes into the job record.
 func (r *ExprRequest) Job() JobFunc {
 	return func(c *comm.Comm, st *RankState) (any, error) {
 		t0 := time.Now()
@@ -180,12 +181,14 @@ func (r *ExprRequest) Job() JobFunc {
 		if !finite(sum) {
 			return nil, fmt.Errorf("expression reduced to a %w", errNonFinite)
 		}
-		return &ExprResponse{
+		resp := &st.answer.expr
+		*resp = ExprResponse{
 			Sum:    sum,
 			Mean:   sum / float64(r.N),
 			N:      r.N,
 			Vars:   r.vars,
 			Millis: float64(time.Since(t0).Microseconds()) / 1000,
-		}, nil
+		}
+		return resp, nil
 	}
 }

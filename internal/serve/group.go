@@ -41,6 +41,7 @@ type JobFunc func(c *comm.Comm, st *RankState) (any, error)
 type RankState struct {
 	Ctx      *core.Context
 	stats    *Stats
+	answer   *answer // on rank 0, the running job's response storage
 	matrices map[string]*warmMatrix
 	arrays   map[arrayKey]*core.DistArray[float64]
 	plans    map[planKey]*fusion.Plan
@@ -56,18 +57,57 @@ func newRankState(c *comm.Comm, stats *Stats) *RankState {
 	}
 }
 
-// job is one admitted unit of work travelling scheduler → group → ranks.
-// The ranks' error slots are the group's: it runs one job at a time.
+// job is one admitted unit of work travelling scheduler → group → ranks,
+// and the record its submitter waits on. The ranks' error slots are the
+// group's: it runs one job at a time.
+//
+// Records are pooled (jobs). A submitter that reads the outcome itself —
+// Do, the HTTP handlers — puts its record back once it has read it, which
+// is after every rank, finish and the encoder are done with it: the ranks
+// are done before finish runs, and finish's last act is done.Done. A
+// Pending handed to a caller keeps its record, so what Wait returns is
+// never overwritten.
 type job struct {
-	fn     JobFunc
-	tenant string
+	fn JobFunc
 
-	wg  sync.WaitGroup // one Done per rank
-	out any            // rank 0's result, read after wg.Wait
+	wg     sync.WaitGroup // one Done per rank
+	out    any            // rank 0's result, read after wg.Wait
+	answer answer         // rank 0's response, when a built-in job answers into the record
 
-	done    chan struct{} // closed once the result fields are final
-	err     error         // combined error, set before done closes
-	release func()        // returns the tenant's quota slot (idempotent)
+	done    sync.WaitGroup // one Done, once the result fields are final
+	err     error          // combined error, set before done.Done
+	release func()         // returns the tenant's quota slot (idempotent)
+}
+
+// answer is the storage a record owns for rank 0's response, so that a
+// built-in job answers without boxing a response per job: rank 0 writes
+// one field through RankState.answer and returns a pointer to it.
+type answer struct {
+	expr  ExprResponse
+	solve SolveResponse
+}
+
+var jobs = sync.Pool{New: func() any { return new(job) }}
+
+// putJob clears a record whose outcome has been read and returns it to the
+// pool.
+func putJob(jb *job) {
+	jb.fn, jb.out, jb.answer, jb.err, jb.release = nil, nil, answer{}, nil, nil
+	jobs.Put(jb)
+}
+
+// detach returns out as a caller may keep it past putJob: a response rank 0
+// wrote into the record is copied out of it.
+func (jb *job) detach(out any) any {
+	switch out {
+	case &jb.answer.expr:
+		r := jb.answer.expr
+		return &r
+	case &jb.answer.solve:
+		r := jb.answer.solve
+		return &r
+	}
+	return out
 }
 
 // fail resolves the job without running it (queue drained at shutdown).
@@ -76,16 +116,18 @@ func (jb *job) fail(err error) {
 	if jb.release != nil {
 		jb.release()
 	}
-	close(jb.done)
+	jb.done.Done()
 }
 
-// Pending is a submitted job's handle: the job itself, so handing it out
-// allocates nothing.
+// Pending is a submitted job's handle: the job record itself, so handing
+// it out allocates nothing. A Pending Submit returns to a caller keeps its
+// record for good.
 type Pending job
 
-// Wait blocks until the job resolves and returns its result.
+// Wait blocks until the job resolves and returns its result. It may be
+// called any number of times, from any goroutine.
 func (p *Pending) Wait() (any, error) {
-	<-p.done
+	p.done.Wait()
 	return p.out, p.err
 }
 
@@ -186,15 +228,20 @@ func (g *group) finish(jb *job) (poisoned bool) {
 	} else {
 		g.stats.completed.Add(1)
 	}
-	close(jb.done)
+	jb.done.Done()
 	return poisoned
 }
 
 // runOne executes one job on one rank, converting panics — including typed
 // comm fault panics out of a wrecked collective — into per-rank errors so a
 // bad job cannot take the rank loop (and with it the whole group) down.
+// While the job runs, rank 0's RankState.answer points into the record.
 func (g *group) runOne(c *comm.Comm, st *RankState, jb *job) {
 	defer jb.wg.Done()
+	if c.Rank() == 0 {
+		st.answer = &jb.answer
+		defer func() { st.answer = nil }()
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			if err, ok := r.(error); ok {

@@ -260,9 +260,10 @@ func (w *warmMatrix) rhsVector(c *comm.Comm, kind string) *tpetra.Vector {
 }
 
 // Job builds the per-rank body for a validated solve request. A warm job
-// allocates nothing in proportion to n: it solves from a zeroed x into the
-// warm entry's x and work vectors (solvers.Workspace), which the group's
-// one-job-at-a-time order keeps to one solve at a time.
+// allocates nothing: it solves from a zeroed x into the warm entry's x and
+// work vectors (solvers.Workspace), which the group's one-job-at-a-time
+// order keeps to one solve at a time, and rank 0 writes the response into
+// the job record.
 func (r *SolveRequest) Job() JobFunc {
 	return func(c *comm.Comm, st *RankState) (any, error) {
 		t0 := time.Now()
@@ -287,13 +288,18 @@ func (r *SolveRequest) Job() JobFunc {
 		if !finite(res.Residual) || !finite(xNorm) {
 			return nil, fmt.Errorf("%s on %s: residual %g, ||x|| %g: %w", r.Solver, r.Kind, res.Residual, xNorm, errNonFinite)
 		}
-		return &SolveResponse{
+		if c.Rank() != 0 {
+			return nil, nil
+		}
+		resp := &st.answer.solve
+		*resp = SolveResponse{
 			Converged:  res.Converged,
 			Iterations: res.Iterations,
 			Residual:   res.Residual,
 			XNorm:      xNorm,
 			N:          m.NumGlobal(),
 			Millis:     float64(time.Since(t0).Microseconds()) / 1000,
-		}, nil
+		}
+		return resp, nil
 	}
 }

@@ -123,12 +123,12 @@ func TestWarmExprKeepsItsVMSpan(t *testing.T) {
 	}
 }
 
-// TestWarmExprJobAllocs pins what one warm expr job costs the whole
-// process, scheduler included: the request's job closure, the job record
-// and its done channel (the ranks' error slots are the group's, and Do
-// waits on the job itself), and rank 0's response. Apart from that
-// response the ranks allocate nothing — no leaves, no lowering, no plan, no
-// control message. One object more per job fails.
+// TestWarmExprJobAllocs pins what one warm expr job through Scheduler.Do
+// costs the whole process, scheduler included: the request's job closure
+// and Do's copy of rank 0's response, which rank 0 wrote into the pooled
+// job record (the ranks' error slots are the group's). Apart from that the
+// ranks allocate nothing — no leaves, no lowering, no plan, no control
+// message, no record. One object more per job fails.
 func TestWarmExprJobAllocs(t *testing.T) {
 	if alloctest.RaceEnabled || trace.Active() != nil {
 		t.Skip("allocation counts are not exact under the race detector or a trace session")
@@ -149,8 +149,8 @@ func TestWarmExprJobAllocs(t *testing.T) {
 		// goroutines' objects are in the figure.
 		got := testing.AllocsPerRun(2000, do)
 		s.Stop()
-		if got != 4 {
-			t.Errorf("P=%d: a warm expr job allocates %v objects process-wide, want 4", p, got)
+		if got != 2 {
+			t.Errorf("P=%d: a warm expr job allocates %v objects process-wide, want 2", p, got)
 		}
 	}
 }
@@ -245,6 +245,85 @@ func TestWarmSolveJobBytesFlat(t *testing.T) {
 			t.Logf("P=%d %s: %d objects, %d B at n=512; %d objects, %d B at n=16384", p, solver, smallObj, smallB, largeObj, largeB)
 		}
 	}
+}
+
+// TestEngineWorkers pins the rule cmd/odinserve sizes its exec engine by:
+// the cores shared out over every rank of every group, at least one, and
+// ODINHPC_THREADS first when it is a positive integer.
+func TestEngineWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	for _, tc := range []struct {
+		env  string
+		opts Options
+		want int
+	}{
+		{"", Options{}, 2}, // odinserve's defaults: 2 groups x 2 ranks
+		{"", Options{Groups: 1, Ranks: 2}, 4},
+		{"", Options{Groups: 3, Ranks: 1}, 2},
+		{"", Options{Groups: 4, Ranks: 4}, 1},
+		{"3", Options{Groups: 4, Ranks: 4}, 3},
+		{"0", Options{Groups: 1, Ranks: 1}, 8},
+	} {
+		t.Setenv(exec.EnvThreads, tc.env)
+		if got := EngineWorkers(tc.opts); got != tc.want {
+			t.Errorf("%s=%q, %d groups x %d ranks on 8 cores: %d workers, want %d",
+				exec.EnvThreads, tc.env, tc.opts.Groups, tc.opts.Ranks, got, tc.want)
+		}
+	}
+}
+
+// TestShippedEngineAllocs measures the engine as cmd/odinserve ships it: at
+// its defaults (2 groups x 2 ranks) on 2 cores, a warm 32³ CG job on the
+// engine EngineWorkers sizes allocates within 1 % of the same job on a
+// one-worker engine. An engine as wide as GOMAXPROCS fans every sweep out
+// to fresh goroutines, about 3 100 objects a job.
+func TestShippedEngineAllocs(t *testing.T) {
+	if alloctest.RaceEnabled || trace.Active() != nil {
+		t.Skip("allocation counts are not exact under the race detector or a trace session")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	t.Setenv(exec.EnvThreads, "")
+	defer exec.SetDefault(exec.Default())
+	req := &SolveRequest{Kind: "laplace3d", NX: 32, NY: 32, NZ: 32, Tol: 1e-8}
+	if err := req.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	const jobs = 20
+	perJob := func(workers int) float64 {
+		exec.SetDefault(exec.New(exec.WithWorkers(workers)))
+		s := NewScheduler(Options{})
+		defer s.Stop()
+		fn := req.Job()
+		for warm := 0; warm < 3; warm++ {
+			// Two at once, so that both groups assemble the matrix.
+			var ps [2]*Pending
+			for i := range ps {
+				var err error
+				if ps[i], err = s.Submit("t", fn); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, p := range ps {
+				if _, err := p.Wait(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		// AllocsPerRun runs on one P, which leaves the engine's fan-out as
+		// it was built: its goroutines, closures and locks are counted.
+		return testing.AllocsPerRun(jobs, func() {
+			if _, err := s.Do("t", fn); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	shipped := EngineWorkers(Options{})
+	got, one := perJob(shipped), perJob(1)
+	if got > one*1.01 {
+		t.Errorf("a warm 32³ CG job allocates %v objects on the shipped %d-worker engine, %v on one worker; want within 1 %%",
+			got, shipped, one)
+	}
+	t.Logf("%v objects a job on the shipped %d-worker engine, %v on one worker", got, shipped, one)
 }
 
 // TestPlanCacheIsBounded sweeps 2×planCap+1 distinct sources through one

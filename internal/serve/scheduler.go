@@ -3,10 +3,12 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"odinhpc/internal/comm"
+	"odinhpc/internal/exec"
 )
 
 // ErrStopped is returned for submissions after Stop.
@@ -29,6 +31,19 @@ type Options struct {
 	QueueDepth int         // bounded admission queue (default 64)
 	Comm       comm.Config // per-group session config (transport, watchdog)
 	Quotas     *Quotas     // per-tenant limits; nil admits everything
+}
+
+// EngineWorkers is the exec engine's pool size for a scheduler built with
+// opts: ODINHPC_THREADS when it is set, else the cores shared out over
+// every rank of every group, at least one each, so that the ranks' workers
+// together add none past the cores. cmd/odinserve sizes the process-wide
+// engine with it once, at startup.
+func EngineWorkers(opts Options) int {
+	if n, ok := exec.EnvWorkers(); ok {
+		return n
+	}
+	opts = opts.withDefaults()
+	return max(1, runtime.GOMAXPROCS(0)/(opts.Groups*opts.Ranks))
 }
 
 func (o Options) withDefaults() Options {
@@ -91,7 +106,9 @@ func NewScheduler(opts Options) *Scheduler {
 // Submit runs fn on the next available warm group. It rejects with a typed
 // QuotaError or OverloadError without blocking; an admitted job's result
 // arrives through the returned Pending, and every admitted job resolves —
-// with ErrStopped if Stop got to it before a group did.
+// with ErrStopped if Stop got to it before a group did. It is the one
+// admission route: Do and the HTTP handlers submit through it too, and
+// put the record back once they have read its outcome.
 func (s *Scheduler) Submit(tenant string, fn JobFunc) (*Pending, error) {
 	if s.stopped.Load() {
 		return nil, ErrStopped
@@ -101,12 +118,9 @@ func (s *Scheduler) Submit(tenant string, fn JobFunc) (*Pending, error) {
 		s.stats.rejectedQuota.Add(1)
 		return nil, err
 	}
-	jb := &job{
-		fn:      fn,
-		tenant:  tenant,
-		done:    make(chan struct{}),
-		release: release,
-	}
+	jb := jobs.Get().(*job)
+	jb.fn, jb.release = fn, release
+	jb.done.Add(1)
 	select {
 	case s.queue <- jb:
 		s.stats.accepted.Add(1)
@@ -117,19 +131,26 @@ func (s *Scheduler) Submit(tenant string, fn JobFunc) (*Pending, error) {
 		}
 		return (*Pending)(jb), nil
 	default:
+		jb.done.Done()
+		putJob(jb)
 		release()
 		s.stats.rejectedQueue.Add(1)
 		return nil, &OverloadError{Depth: s.opts.QueueDepth}
 	}
 }
 
-// Do submits and waits — the synchronous convenience the HTTP handlers use.
+// Do submits and waits. Its record goes back to the pool; a response rank 0
+// wrote into the record is returned as a copy.
 func (s *Scheduler) Do(tenant string, fn JobFunc) (any, error) {
 	p, err := s.Submit(tenant, fn)
 	if err != nil {
 		return nil, err
 	}
-	return p.Wait()
+	out, err := p.Wait()
+	jb := (*job)(p)
+	out = jb.detach(out)
+	putJob(jb)
+	return out, err
 }
 
 // Stop shuts the pool down: no new admissions, queued-but-unstarted jobs

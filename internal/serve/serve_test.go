@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -489,16 +491,133 @@ func TestSubmitRacingStopResolves(t *testing.T) {
 		s.Stop()
 		wg.Wait()
 		close(pending)
-		deadline := time.After(10 * time.Second)
-		for p := range pending {
-			select {
-			case <-p.done:
+		resolved := make(chan error, 1)
+		go func() {
+			for p := range pending {
 				if _, err := p.Wait(); err != nil && err != ErrStopped {
-					t.Fatalf("round %d: admitted job resolved with %v", round, err)
+					resolved <- err
+					return
 				}
-			case <-deadline:
-				t.Fatalf("round %d: an admitted job never resolved", round)
 			}
+			resolved <- nil
+		}()
+		select {
+		case err := <-resolved:
+			if err != nil {
+				t.Fatalf("round %d: admitted job resolved with %v", round, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: an admitted job never resolved", round)
+		}
+	}
+}
+
+// TestJobRecordsRacingStop: 64 goroutines submit through Do and Submit,
+// alternately, while Stop races them, so pooled job records are taken, put
+// back and reused under contention; a submission the full queue rejects is
+// retried, so its record goes straight back too. Stop comes once a
+// round-dependent number of jobs has run. Every job resolves exactly once:
+// it ran on rank 0 once and answered with its own id, or never ran and
+// resolved with ErrStopped. No record is reused while a group holds it:
+// rank 0 writes the job's id into the record, yields, and reads it back
+// before answering, and putJob clears the record, so a record reused early
+// fails the read-back or hands a job another's answer. A Pending's answer
+// is read again after every other job has resolved. Under -race, an early
+// reuse is also an unsynchronized write.
+func TestJobRecordsRacingStop(t *testing.T) {
+	const submitters, perSubmitter = 64, 16
+	for round := 0; round < 4; round++ {
+		s := NewScheduler(Options{Groups: 2, Ranks: 2})
+		var ran [submitters * perSubmitter]atomic.Int32
+		var total, early atomic.Int32
+		stopAt := int32(100 * (round + 1))
+		stop := make(chan struct{})
+		job := func(id int) JobFunc {
+			return func(c *comm.Comm, st *RankState) (any, error) {
+				c.Barrier()
+				if c.Rank() != 0 {
+					return nil, nil
+				}
+				ran[id].Add(1)
+				if total.Add(1) == stopAt {
+					close(stop)
+				}
+				resp := &st.answer.expr
+				resp.N = id
+				runtime.Gosched()
+				if resp.N != id {
+					early.Add(1)
+				}
+				return resp, nil
+			}
+		}
+		check := func(id int, out any, err error) {
+			if errors.Is(err, ErrStopped) {
+				if n := ran[id].Load(); n != 0 {
+					t.Errorf("round %d: job %d resolved with ErrStopped after running %d times", round, id, n)
+				}
+				return
+			}
+			if resp, ok := out.(*ExprResponse); err != nil || !ok || resp.N != id || ran[id].Load() != 1 {
+				t.Errorf("round %d: job %d answered %+v, %v after running %d times, want its own id once",
+					round, id, out, err, ran[id].Load())
+			}
+		}
+		pending := make([]*Pending, len(ran))
+		var wg sync.WaitGroup
+		for g := 0; g < submitters; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := 0; k < perSubmitter; k++ {
+					id := g*perSubmitter + k
+					for {
+						var (
+							out any
+							err error
+						)
+						if id%2 == 0 {
+							out, err = s.Do("t", job(id))
+						} else {
+							pending[id], err = s.Submit("t", job(id))
+						}
+						var over *OverloadError
+						if errors.As(err, &over) {
+							runtime.Gosched()
+							continue
+						}
+						if id%2 == 0 || err != nil {
+							check(id, out, err)
+						}
+						break
+					}
+				}
+			}()
+		}
+		select {
+		case <-stop:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: %d of %d jobs ran", round, total.Load(), stopAt)
+		}
+		s.Stop()
+		wg.Wait()
+		resolved := make(chan struct{})
+		go func() {
+			defer close(resolved)
+			for id, p := range pending {
+				if p != nil {
+					out, err := p.Wait()
+					check(id, out, err)
+				}
+			}
+		}()
+		select {
+		case <-resolved:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: an admitted job never resolved", round)
+		}
+		if n := early.Load(); n != 0 {
+			t.Errorf("round %d: %d records were reused while a group held them", round, n)
 		}
 	}
 }

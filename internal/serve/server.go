@@ -213,7 +213,8 @@ type jobRequest[R any] interface {
 
 // jobHandler is both job endpoints' one handler body: read the body, take
 // its job from the cache or decode, validate and build it (caching it),
-// run it and encode rank 0's answer.
+// run it, encode rank 0's answer straight from the job record and put the
+// record back.
 func jobHandler[R any, P jobRequest[R]](sched *Scheduler, cache *jobCache) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		b := getBuffer()
@@ -237,12 +238,17 @@ func jobHandler[R any, P jobRequest[R]](sched *Scheduler, cache *jobCache) http.
 			fn = req.Job()
 			cache.put(raw, fn)
 		}
-		out, err := sched.Do(tenantOf(r), fn)
+		p, err := sched.Submit(tenantOf(r), fn)
 		if err != nil {
 			writeError(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, out)
+		if out, err := p.Wait(); err != nil {
+			writeError(w, err)
+		} else {
+			writeJSON(w, http.StatusOK, out)
+		}
+		putJob((*job)(p))
 	}
 }
 

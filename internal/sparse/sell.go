@@ -96,22 +96,29 @@ func FromCSR(m *CSR, c, sigma int) *SELL {
 	if c < 1 || c > sellMaxC {
 		panic(fmt.Sprintf("sparse: SELL slice height %d outside [1,%d]", c, sellMaxC))
 	}
-	if m.Cols > math.MaxInt32 {
-		panic(fmt.Sprintf("sparse: %d columns overflow SELL's int32 indices", m.Cols))
-	}
 	if sigma <= 0 {
 		sigma = DefaultSellSigma
 	}
 	if r := sigma % c; r != 0 {
 		sigma += c - r
 	}
+	perm := make([]int, m.Rows)
+	for lo := 0; lo < m.Rows; lo += sigma {
+		orderWindow(m, perm[lo:min(lo+sigma, m.Rows)], lo)
+	}
+	return fromOrder(m, c, sigma, perm)
+}
+
+// fromOrder lays m out as SELL-C-sigma with its rows in perm's order, which
+// orderWindow gave each sigma window; the SELL keeps perm.
+func fromOrder(m *CSR, c, sigma int, perm []int) *SELL {
+	if m.Cols > math.MaxInt32 {
+		panic(fmt.Sprintf("sparse: %d columns overflow SELL's int32 indices", m.Cols))
+	}
 	s := &SELL{
 		rows: m.Rows, cols: m.Cols, c: c, sigma: sigma,
-		perm:   make([]int, m.Rows),
+		perm:   perm,
 		rowLen: make([]int, m.Rows),
-	}
-	for lo := 0; lo < m.Rows; lo += sigma {
-		orderWindow(m, s.perm[lo:min(lo+sigma, m.Rows)], lo)
 	}
 	for p, orig := range s.perm {
 		s.rowLen[p] = m.RowNNZ(orig)
@@ -190,10 +197,10 @@ func FromCSR(m *CSR, c, sigma int) *SELL {
 
 // orderWindow fills win with the rows of m's sigma window from row lo, by
 // descending length, equal lengths by index, without allocating. FromCSR
-// lays out each window in this order, and ChooseFormat prices the same
-// layout. Where the window's lengths span fewer than orderSpan values, as a
-// stencil's do, a counting sort places each row at once; otherwise a stable
-// sort orders the rows.
+// lays out each window in this order, ChooseFormat prices the same layout,
+// and AutoSELL does both from one ordering. Where the window's lengths span
+// fewer than orderSpan values, as a stencil's do, a counting sort places
+// each row at once; otherwise a stable sort orders the rows.
 func orderWindow(m *CSR, win []int, lo int) {
 	hi := lo + len(win)
 	short, long := m.RowNNZ(lo), m.RowNNZ(lo)
@@ -470,17 +477,25 @@ func (f Format) String() string {
 // (low variance => low padding after the sigma sort) that the padded format
 // stays compact. Banded and stencil matrices (Laplace, Poisson,
 // convection-diffusion) qualify; tiny or wildly ragged matrices stay CSR.
-func ChooseFormat(m *CSR) Format {
+// It allocates nothing; AutoSELL makes the same pick and builds the layout.
+// Test seam: prices the layout without building it, for the format-pick tests.
+func ChooseFormat(m *CSR) Format { return choose(m, nil) }
+
+// choose is ChooseFormat. It orders each sigma window as FromCSR does
+// (orderWindow), into perm when perm is not nil (m.Rows long) and else into
+// one window on the stack, and charges each C-slice its first row's length.
+// This prices the nnz/row variance directly — a CV of zero pads nothing.
+func choose(m *CSR, perm []int) Format {
 	if m.Rows < 4*DefaultSellC || m.NNZ() == 0 {
 		return FormatCSR
 	}
-	// Padded size of the would-be SELL layout: order each sigma window as
-	// FromCSR does (orderWindow) and charge each C-slice its first row's length. This
-	// prices the nnz/row variance directly — a CV of zero pads nothing.
 	var buf [DefaultSellSigma]int
 	padded := 0
 	for lo := 0; lo < m.Rows; lo += DefaultSellSigma {
 		win := buf[:min(DefaultSellSigma, m.Rows-lo)]
+		if perm != nil {
+			win = perm[lo : lo+len(win)]
+		}
 		orderWindow(m, win, lo)
 		for s := 0; s < len(win); s += DefaultSellC {
 			padded += m.RowNNZ(win[s]) * min(DefaultSellC, len(win)-s)
@@ -492,12 +507,24 @@ func ChooseFormat(m *CSR) Format {
 	return FormatSELL
 }
 
+// AutoSELL returns m converted to SELL-C-sigma at the default C and sigma
+// when ChooseFormat picks SELL, else nil. One ordering of each sigma window
+// both prices the padding and lays out the slices: the result is NewSELL(m)
+// bit for bit.
+func AutoSELL(m *CSR) *SELL {
+	perm := make([]int, m.Rows)
+	if choose(m, perm) != FormatSELL {
+		return nil
+	}
+	return fromOrder(m, DefaultSellC, DefaultSellSigma, perm)
+}
+
 // AutoOperator returns m itself or a fresh SELL conversion, per
-// ChooseFormat. The returned operator is bitwise-equivalent to m either
-// way.
+// ChooseFormat (AutoSELL). The returned operator is bitwise-equivalent to m
+// either way.
 func AutoOperator(m *CSR) Operator {
-	if ChooseFormat(m) == FormatSELL {
-		return NewSELL(m)
+	if s := AutoSELL(m); s != nil {
+		return s
 	}
 	return m
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -967,6 +968,36 @@ func TestChooseFormat(t *testing.T) {
 	}
 	if FormatCSR.String() != "csr" || FormatSELL.String() != "sell" {
 		t.Fatal("Format.String")
+	}
+}
+
+// TestAutoSELLIsNewSELL: AutoSELL, which orders each sigma window once to
+// price the padding and to lay out the slices, picks what ChooseFormat
+// picks and, where that is SELL, builds NewSELL's layout field for field.
+func TestAutoSELLIsNewSELL(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	mats := []*CSR{tridiag(1000), tridiag(8), randomSPD(300, 3), identity(64)}
+	for i := 0; i < 60; i++ {
+		rows, cols := 1+rng.Intn(700), 1+rng.Intn(400)
+		if i%2 == 0 {
+			mats = append(mats, raggedRandom(rows, cols, rng))
+		} else {
+			mats = append(mats, uniformRandom(rows, cols, rng.Intn(10), rng))
+		}
+	}
+	picks := [2]int{}
+	for i, m := range mats {
+		auto, want := AutoSELL(m), ChooseFormat(m)
+		picks[want]++
+		switch {
+		case (auto != nil) != (want == FormatSELL):
+			t.Fatalf("matrix %d: AutoSELL = %v, ChooseFormat = %v", i, auto, want)
+		case auto != nil && !reflect.DeepEqual(auto, NewSELL(m)):
+			t.Fatalf("matrix %d: AutoSELL's layout is not NewSELL's", i)
+		}
+	}
+	if picks[FormatCSR] == 0 || picks[FormatSELL] == 0 {
+		t.Fatalf("the corpus picks csr %d times and sell %d times; want both", picks[FormatCSR], picks[FormatSELL])
 	}
 }
 

@@ -171,8 +171,7 @@ func (a *CrsMatrix) FillComplete() {
 	// bitwise-neutral — SELL kernels accumulate each row in the same order
 	// as CSR — and it replaces the CSR: the cold readers rebuild the rows
 	// exactly from it (localCSR), so one copy is stored, not two.
-	if sparse.ChooseFormat(a.local) == sparse.FormatSELL {
-		a.sell = sparse.NewSELL(a.local)
+	if a.sell = sparse.AutoSELL(a.local); a.sell != nil {
 		a.local = nil
 	} else if m := a.local; cap(m.Val) > len(m.Val) { // duplicates merged: keep only the entries' bytes
 		m.ColIdx = append(make([]int, 0, len(m.ColIdx)), m.ColIdx...)
